@@ -52,7 +52,8 @@ def main() -> None:
 
     print()
     print("=== the independent oracle ===")
-    print("dense least-squares over every truncated coefficient, no structure:")
+    print("least-squares over every truncated coefficient, per block of the")
+    print("Gram matrix (blocks read off the matrix, not taken from the search):")
     for k in (1, 2):
         dense = residual_brute_force(prod, k, 4)
         structured = quasi_eigen_residual_search(prod, k, 4).residual

@@ -4,16 +4,19 @@ The frozen residual constants below come from the structure of the
 truncated minimization problem: a free chain of n basis vectors has
 smallest attainable residual 2*sin(pi / (2*(n+1))), attained by the
 discrete sine profile.  The independent oracle (`residual_brute_force`)
-solves the same minimization as a dense least-squares problem over a
-quadrature grid with no structural knowledge, and must agree.
+solves the same minimization as a least-squares problem over a
+quadrature grid, split into the blocks of its Gram matrix as read off the
+matrix itself, and must agree.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +28,7 @@ from ergolab import (
     InconclusiveEvidenceError,
     ModeSubgroup,
     Phase,
+    RotationNumber,
     SystemSpec,
     UnsupportedSystemError,
     certify_product_tower,
@@ -38,10 +42,14 @@ from ergolab import (
     towers_distinguish,
 )
 
+from ergolab import tower
+from ergolab.tower import _block_min_eigenvalue, _minimal_multiple, _oracle_gram
+
 from helpers import GAMMA, subgroup_lattice_examples, tower_is_monotone
 
 SKEW = SystemSpec.skew(GAMMA)
 PRODUCT = SystemSpec.product(GAMMA, BernoulliSpec.fair_coin())
+GOLDEN = RotationNumber.quadratic(-1, 1, 5, 2)  # (sqrt(5) - 1) / 2
 
 # smallest residuals of the truncated product problem (see module docstring):
 # k = +-1 leaves a free chain of 9 constant-tail modes -> 2 sin(pi/20)
@@ -134,6 +142,38 @@ def test_tower_only_defined_for_skew():
             compute_tower(spec, 3)
 
 
+def _identity(mode):
+    return mode
+
+
+def test_minimal_multiple_when_one_exists():
+    # t (1, 0) = s (2, 1) + y (0, 3) needs t = 2s and s = -3y: t = 6
+    H = ModeSubgroup.from_generators([(2, 1), (0, 3)])
+    assert _minimal_multiple((1, 0), _identity, H) == 6
+    assert _minimal_multiple((0, 1), _identity, H) == 3
+    assert _minimal_multiple((2, 1), _identity, H) == 1
+
+
+def test_minimal_multiple_when_none_exists():
+    assert _minimal_multiple((1, 0), _identity, ModeSubgroup.trivial()) == 0
+    pure_u = ModeSubgroup.from_generators([(1, 0)])
+    assert _minimal_multiple((0, 1), _identity, pure_u) == 0
+    assert _minimal_multiple((3, 1), _identity, pure_u) == 0
+
+
+@given(st.lists(pairs, min_size=0, max_size=3), pairs)
+@settings(max_examples=150)
+def test_minimal_multiple_is_the_least(gens, q):
+    """Against a bounded search: if any multiple of q lies in H, one does
+    by t = a * c, since a (resp. c) alone bounds it when c (resp. a) is 0."""
+    H = ModeSubgroup.from_generators(gens)
+    bound = max(H.a, 1) * max(H.c, 1)
+    searched = next(
+        (t for t in range(1, bound + 1) if H.contains((t * q[0], t * q[1]))), 0
+    )
+    assert _minimal_multiple((1, 0), lambda _: q, H) == searched
+
+
 def test_quotient_homomorphism():
     phase, image = quotient_homomorphism(FourierMode(5, -2))
     assert phase == Phase.from_gamma(5)
@@ -175,9 +215,9 @@ def test_skew_witness_is_an_exact_eigenvector():
 
 
 def test_search_agrees_with_dense_oracle():
-    """Independent check: a dense least-squares minimization over all
-    truncated coefficients (no orbit structure used) finds the same
-    minima."""
+    """Independent check: a least-squares minimization over all truncated
+    coefficients finds the same minima.  The oracle's block structure is
+    read off its Gram matrix, not taken from the search."""
     for k, expected in ((1, RESIDUAL_K1), (2, RESIDUAL_K2)):
         dense = residual_brute_force(PRODUCT, k, 4)
         structured = quasi_eigen_residual_search(PRODUCT, k, 4).residual
@@ -188,6 +228,50 @@ def test_search_agrees_with_dense_oracle():
 def test_residual_reference_value():
     ref = residual_reference(PRODUCT)
     assert abs(ref - RESIDUAL_K1) <= 1e-6
+
+
+@pytest.mark.parametrize("gamma", [GAMMA, GOLDEN], ids=["sqrt2", "golden"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_blocked_oracle_matches_dense_eigensolve(gamma, k):
+    S, M = _oracle_gram(SystemSpec.product(gamma, BernoulliSpec.fair_coin()), k, 4)
+    min_eigenvalue = _block_min_eigenvalue(S, M)
+    for theta in (0.0, 0.7, 2.0, 4.5):
+        delta = cmath.exp(1j * theta)
+        dense = np.linalg.eigvalsh(S - delta * M - np.conj(delta) * M.conj().T)[0]
+        assert abs(min_eigenvalue(delta) - dense) <= 1e-12, (k, theta)
+
+
+def test_oracle_refuses_to_drop_mass_between_blocks():
+    from scipy.sparse.csgraph import connected_components
+
+    S, M = _oracle_gram(PRODUCT, 1, 4)
+    _block_min_eigenvalue(S, M)  # splits cleanly as assembled
+    # structural entries are about 1 and the rest rounding noise near 1e-16
+    _, labels = connected_components(np.abs(S) + np.abs(M) > 1e-9, directed=False)
+    j = int(np.flatnonzero(labels != labels[0])[0])
+    S[0, j] = S[j, 0] = 1e-6
+    with pytest.raises(ValueError, match="off-block mass"):
+        _block_min_eigenvalue(S, M)
+
+
+@pytest.mark.parametrize("gamma", [GAMMA, GOLDEN], ids=["sqrt2", "golden"])
+def test_r0_is_the_nine_node_path_residual(gamma):
+    r0 = residual_reference(SystemSpec.product(gamma, BernoulliSpec.fair_coin()))
+    assert abs(r0 - math.sqrt(2 - 2 * math.cos(math.pi / 10))) <= 1e-12
+
+
+def test_residual_reference_ignores_the_coin(monkeypatch):
+    calls = []
+
+    def counting(spec, k, truncation):
+        calls.append(k)
+        return float(k)
+
+    monkeypatch.setattr(tower, "_REFERENCES", {})
+    monkeypatch.setattr(tower, "residual_brute_force", counting)
+    biased = SystemSpec.product(GAMMA, BernoulliSpec((0.3, 0.7), (1, -1)))
+    assert residual_reference(PRODUCT) == residual_reference(biased) == 1.0
+    assert calls == [1, 2]
 
 
 def test_user_grid_below_quadrature_floor_is_rejected():
