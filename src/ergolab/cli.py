@@ -73,6 +73,9 @@ __all__ = [
 
 SCENARIOS = ("reproduce-letter", "reproduce-kolmogorov", "theorem1", "compute")
 DEFAULT_SEED = 1
+#: Most lags ``compute weak-mixing`` accepts.  The exact statistic costs
+#: about 25 microseconds per lag, so one run stays within a few minutes.
+MAX_WEAK_MIXING_LAGS = 10**7
 
 
 @lru_cache(maxsize=4)
@@ -606,6 +609,13 @@ def _compute_weak_mixing(config: ExperimentConfig) -> tuple[dict, list[dict]]:
         A = TestSet.u_interval(0, "1/2")
     B = A if "B" not in config.params else _test_set_from(config.params["B"])
     t = config.params.get("t", 10_000)
+    if isinstance(t, bool) or not isinstance(t, int):
+        raise ValueError(f"weak-mixing t must be an integer lag count, got {t!r}")
+    if t > MAX_WEAK_MIXING_LAGS:
+        raise ValueError(
+            f"weak-mixing t = {t} lags exceeds the budget of "
+            f"{MAX_WEAK_MIXING_LAGS} lags"
+        )
     statistic = weak_mixing_statistic(spec, A, B, t, mode="exact")
     results = {
         "t": t,

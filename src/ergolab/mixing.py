@@ -13,14 +13,16 @@ everything else; the spectral predicates give a third, non-numeric opinion.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
 from .koopman import SpectrumDescriptor
+from .quadratic import QuadraticReal, RotationNumber, surd_sign
 from .systems import (
     BernoulliSpec,
     CylinderSet,
@@ -286,32 +288,94 @@ class CorrelationPoint:
         }
 
 
-def _interval_overlap_mod1(shift, a1, b1, a2, b2):
-    """Exact length of ([a1, b1) + shift) cap [a2, b2) on the circle.
+class _CircleOverlap:
+    """Exact overlaps ``|([a1, b1) + x) cap [a2, b2)|`` on the circle for the
+    points ``x = frac(i*gamma)`` of one rotation orbit, in integer arithmetic.
 
-    ``shift`` may be a Fraction or an exact quadratic real; comparisons
-    and arithmetic stay in exact arithmetic throughout.
+    gamma (as its exact ``a + b*sqrt(d)``) and the four endpoints are put
+    over one common denominator D, so every point is ``(P + Q*sqrt(d))/D``
+    with integers P and Q, and every comparison is the integer sign test
+    :func:`surd_sign`.  :meth:`orbit` steps ``frac(i*gamma)`` by the exact
+    recurrence ``x <- x + gamma - [x + gamma >= 1]`` (the one behind the
+    three-distance theorem), so no lag recomputes ``i*gamma``.
     """
-    lo = a1 + shift
-    hi = b1 + shift
-    pieces = [(lo, hi)] if not hi > 1 else [(lo, Fraction(1)), (Fraction(0), hi - 1)]
-    total = None
-    for plo, phi in pieces:
-        left = plo if plo > a2 else a2
-        right = phi if phi < b2 else b2
-        if right > left:
-            piece = right - left
-            total = piece if total is None else total + piece
-    return Fraction(0) if total is None else total
 
-
-def _exact_u_shift(spec: SystemSpec, i: int):
-    """frac(i * gamma) in exact arithmetic (Fraction or quadratic real)."""
-    if not spec.gamma.is_exact:
-        raise NoClosedFormError(
-            "exact correlations need an exact rotation number"
+    def __init__(self, gamma: RotationNumber, A: TestSet, B: TestSet) -> None:
+        if not gamma.is_exact:
+            raise NoClosedFormError(
+                "exact correlations need an exact rotation number"
+            )
+        self.gamma = gamma
+        g = gamma.exact
+        ends = (A.a, A.b, B.a, B.b)
+        self.d = g.d
+        self.D = D = math.lcm(
+            g.a.denominator, g.b.denominator, *(e.denominator for e in ends)
         )
-    return spec.gamma.frac_multiple(i)
+        self.step = self._numerators(g)
+        self.a1, self.b1, self.a2, self.b2 = (int(e * D) for e in ends)
+
+    def _numerators(self, x: QuadraticReal) -> tuple[int, int]:
+        return int(x.a * self.D), int(x.b * self.D)
+
+    def orbit(self, start: int) -> Iterator[tuple[int, int]]:
+        """Numerators (P, Q) of frac(i*gamma) for i = start, start+1, ...
+
+        The first point is ``frac_multiple(start)`` (0 needs no call);
+        each later one costs one addition and one sign test.
+        """
+        D, d = self.D, self.d
+        gp, gq = self.step
+        p, q = self._numerators(self.gamma.frac_multiple(start)) if start else (0, 0)
+        while True:
+            yield p, q
+            p += gp
+            q += gq
+            if surd_sign(p - D, q, d) >= 0:
+                p -= D
+
+    def length(
+        self, p: int, q: int, scale: Fraction, minus: Fraction
+    ) -> Union[Fraction, QuadraticReal]:
+        """``|([a1, b1) + x) cap [a2, b2)| * scale - minus`` for
+        ``x = (p + q*sqrt(d))/D``, exactly.
+
+        An endpoint is a triple (P, Q, shifted), where ``shifted`` marks the
+        ends of ``[a1, b1) + x``.  Only the result becomes an exact object:
+        a Fraction when every contributing piece is clipped to [a2, b2) on
+        both sides, a QuadraticReal otherwise, even when its sqrt(d) part
+        cancels.  The two types convert to float differently (correctly
+        rounded versus rounded at 80 bits and again to 53), and the
+        statistic's bits follow that choice.
+        """
+        D, d = self.D, self.d
+
+        def above(x, y):
+            return surd_sign(x[0] - y[0], x[1] - y[1], d) > 0
+
+        lo, hi = (self.a1 + p, q, True), (self.b1 + p, q, True)
+        a2, b2 = (self.a2, 0, False), (self.b2, 0, False)
+        if above(hi, (D, 0)):
+            # wraps past 1: [lo, 1) and [0, hi - 1); 0 <= a2 and b2 <= 1,
+            # so the wrap points never clip
+            pieces = ((lo, b2), (a2, (hi[0] - D, q, True)))
+        else:
+            pieces = ((lo, hi),)
+        num = irr = 0
+        shifted = False
+        for plo, phi in pieces:
+            left = plo if above(plo, a2) else a2
+            right = phi if above(b2, phi) else b2
+            if above(right, left):
+                num += right[0] - left[0]
+                irr += right[1] - left[1]
+                shifted = shifted or left[2] or right[2]
+        sn, sd = scale.numerator, scale.denominator
+        mn, md = minus.numerator, minus.denominator
+        rational = Fraction(num * sn * md - mn * D * sd, D * sd * md)
+        if not shifted:
+            return rational
+        return QuadraticReal(rational, Fraction(irr * sn, D * sd), d)
 
 
 def _shifted_cylinder(cyl: CylinderSet, i: int) -> CylinderSet:
@@ -331,17 +395,18 @@ def _merge_measure(bern: BernoulliSpec, first: CylinderSet, second: CylinderSet)
     return out
 
 
-def _exact_correlation_value(spec: SystemSpec, A: TestSet, B: TestSet, i: int):
-    """Exact mu(S^i(A) cap B) where a closed form exists, else raises."""
+def _closed_form_factors(spec: SystemSpec, A: TestSet, B: TestSet) -> tuple[bool, bool]:
+    """Which factors (rotation u, sequence w) the exact correlation of A
+    and B multiplies; raises where no closed form exists."""
     kind = spec.kind
     if kind == "bernoulli":
         if A.kind != "cylinder" or B.kind != "cylinder":
             raise NoClosedFormError("shift correlations need cylinder sets")
-        return _merge_measure(spec.bernoulli, _shifted_cylinder(A.cylinder, i), B.cylinder)
+        return False, True
     if kind == "rotation":
         if A.kind != "u-interval" or B.kind != "u-interval":
             raise NoClosedFormError("rotation correlations need u-intervals")
-        return _interval_overlap_mod1(_exact_u_shift(spec, i), A.a, A.b, B.a, B.b)
+        return True, False
     if kind == "skew":
         # only u-interval sets (full in v) reduce to the rotation factor;
         # the v coordinate mixes u into itself and admits no closed form here
@@ -349,21 +414,35 @@ def _exact_correlation_value(spec: SystemSpec, A: TestSet, B: TestSet, i: int):
             raise NoClosedFormError(
                 "skew correlations have closed forms only for u-interval sets"
             )
-        return _interval_overlap_mod1(_exact_u_shift(spec, i), A.a, A.b, B.a, B.b)
+        return True, False
     # product: u-factor and sequence factor evolve independently
-    if A.kind == "u-interval" and B.kind == "u-interval":
-        return _interval_overlap_mod1(_exact_u_shift(spec, i), A.a, A.b, B.a, B.b)
-    if A.kind == "cylinder" and B.kind == "cylinder":
-        return _merge_measure(spec.bernoulli, _shifted_cylinder(A.cylinder, i), B.cylinder)
-    if A.kind == "product" and B.kind == "product":
-        u_part = _interval_overlap_mod1(_exact_u_shift(spec, i), A.a, A.b, B.a, B.b)
-        w_part = _merge_measure(
-            spec.bernoulli, _shifted_cylinder(A.cylinder, i), B.cylinder
-        )
-        return u_part * w_part
+    if A.kind == B.kind and A.kind in ("u-interval", "cylinder", "product"):
+        return A.kind != "cylinder", A.kind != "u-interval"
     raise NoClosedFormError(
         "product correlations need matching u-interval, cylinder, or product sets"
     )
+
+
+def _exact_correlations(
+    spec: SystemSpec, A: TestSet, B: TestSet, start: int, minus: Fraction = Fraction(0)
+) -> Iterator[Union[Fraction, QuadraticReal]]:
+    """Exact ``mu(S^i(A) cap B) - minus`` for i = start, start+1, ...
+
+    The u factor is the interval overlap along the rotation orbit, the w
+    factor the merged cylinder constraints; a product set multiplies
+    both.  Raises :class:`NoClosedFormError` where no closed form exists.
+    """
+    has_u, has_w = _closed_form_factors(spec, A, B)
+    if has_u:
+        overlap = _CircleOverlap(spec.gamma, A, B)
+        orbit = overlap.orbit(start)
+    for i in itertools.count(start):
+        w = Fraction(1)
+        if has_w:
+            w = _merge_measure(
+                spec.bernoulli, _shifted_cylinder(A.cylinder, i), B.cylinder
+            )
+        yield overlap.length(*next(orbit), w, minus) if has_u else w - minus
 
 
 def correlation(
@@ -386,7 +465,7 @@ def correlation(
     if i < 0:
         raise ValueError("i must be >= 0")
     if mode == "exact":
-        value = _exact_correlation_value(spec, A, B, i)
+        value = next(_exact_correlations(spec, A, B, i))
         return CorrelationPoint(i=i, estimate=float(value), exact=True)
     if mode != "monte-carlo":
         raise ValueError(f"unknown mode {mode!r}")
@@ -432,9 +511,13 @@ def weak_mixing_statistic(
 ) -> float:
     """The finite-t Cesaro average (1/t) sum_{i<t} |mu(S^i A cap B) - mu(A)mu(B)|.
 
-    In exact mode every term is computed in exact arithmetic and only the
-    running sum is a float.  In monte-carlo mode one batch is drawn and
-    reused across lags; the estimate stays consistent because each lag's
+    In exact mode every term is exact and only the running sum is a float.
+    On the rotation factor the orbit ``frac(i*gamma)`` is stepped by the
+    exact recurrence and each overlap is decided by integer sign tests
+    (:class:`_CircleOverlap`), a few integer operations per lag; each
+    term then becomes one exact object, converted to float once as its
+    type dictates.  In monte-carlo mode one batch is drawn and reused
+    across lags; the estimate stays consistent because each lag's
     indicator mean is unbiased.
     """
     if t < 1:
@@ -442,10 +525,8 @@ def weak_mixing_statistic(
     if mode == "exact":
         product = A.exact_measure(spec) * B.exact_measure(spec)
         total = 0.0
-        for i in range(t):
-            value = _exact_correlation_value(spec, A, B, i) - product
-            sign = value < 0
-            total += -float(value) if sign else float(value)
+        for value in itertools.islice(_exact_correlations(spec, A, B, 0, product), t):
+            total += abs(float(value))
         return total / t
     if mode != "monte-carlo":
         raise ValueError(f"unknown mode {mode!r}")

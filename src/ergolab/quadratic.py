@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Union
 
 import mpmath
@@ -26,6 +26,7 @@ __all__ = [
     "RotationNumber",
     "SQRT2_MINUS_1",
     "integral_combination",
+    "surd_sign",
 ]
 
 _Scalar = Union[int, Fraction]
@@ -47,6 +48,34 @@ def _squarefree(d: int) -> tuple[int, int]:
             s *= f
         f += 1
     return s, d
+
+
+def surd_sign(a, b, d: int) -> int:
+    """Exact sign in {-1, 0, 1} of ``a + b*sqrt(d)``.
+
+    ``a`` and ``b`` are rationals or integers and ``d >= 2`` is not a
+    perfect square.  Opposite signs are settled by comparing ``a**2``
+    with ``b**2 * d``, so integer inputs cost a few integer operations.
+    """
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    lhs, rhs = a * a, b * b * d
+    if a > 0:  # b < 0
+        return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
+    return -1 if lhs > rhs else (1 if lhs < rhs else 0)
+
+
+@lru_cache(maxsize=64)
+def _sqrt_mpf(d: int, bits: int) -> mpmath.mpf:
+    """``sqrt(d)`` rounded to ``bits``, evaluated once per (d, bits)."""
+    with mpmath.workprec(bits):
+        return mpmath.sqrt(d)
 
 
 @total_ordering
@@ -143,20 +172,7 @@ class QuadraticReal:
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a**2 against b**2 * d
-        lhs, rhs = a * a, b * b * self.d
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return -1 if lhs > rhs else (1 if lhs < rhs else 0)
+        return surd_sign(self.a, self.b, self.d)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -191,7 +207,7 @@ class QuadraticReal:
     def to_mpf(self, bits: int = 53) -> mpmath.mpf:
         with mpmath.workprec(bits):
             return mpmath.mpf(self.a.numerator) / self.a.denominator + (
-                mpmath.sqrt(self.d) * self.b.numerator / self.b.denominator
+                _sqrt_mpf(self.d, bits) * self.b.numerator / self.b.denominator
             )
 
     def floor(self) -> int:

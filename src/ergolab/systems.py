@@ -10,9 +10,9 @@ arrays of floats.  Sequence points are finite windows of a sampled
 bi-infinite sequence; operations that need symbols declare the window
 width up front, and shifting just moves the anchor.
 
-Monte-Carlo sampling is chunked over sub-streams spawned from a single
-seed, so aggregated results do not depend on how the chunks are split
-across workers.
+Monte-Carlo sampling draws each estimate's whole sample in one batch
+from one generator (``sample_batch``); a run's generators are
+sub-streams spawned from its single seed (``spawn_rngs``).
 """
 
 from __future__ import annotations
@@ -316,9 +316,9 @@ def skew_lag(i: int, gamma: RotationNumber) -> tuple[float, float]:
 def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     """n independent generators derived from one seed.
 
-    Chunked Monte-Carlo loops draw chunk i from generator i, so the
-    aggregate sample set is a function of (seed, chunk size) alone and
-    not of how chunks are scheduled.
+    The command line hands generator i to the i-th system of a run, so the
+    generator a system draws from depends only on the seed and the
+    system's position, not on how many systems follow it.
     """
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 

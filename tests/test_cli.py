@@ -20,6 +20,7 @@ import ergolab
 from ergolab import InconclusiveEvidenceError
 from ergolab.cli import (
     DEFAULT_SEED,
+    MAX_WEAK_MIXING_LAGS,
     ExperimentConfig,
     ExperimentReport,
     RUNNERS,
@@ -288,6 +289,31 @@ def test_compute_entropy_honors_params(tmp_path):
     assert code == 0
     report = read_report(out)
     assert report["results"]["entropy_nats"] == math.log(4)
+
+
+def _weak_mixing_config(tmp_path: Path, t) -> str:
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "compute", "op": "weak-mixing",
+                               "params": {"t": t}}))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("t", ["abc", 2.5, True])
+def test_weak_mixing_refuses_a_non_integer_t(t, tmp_path, capsys):
+    code, out = run(tmp_path, "compute", "weak-mixing",
+                    "--config", _weak_mixing_config(tmp_path, t))
+    assert code == 1
+    assert "error: weak-mixing t must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_weak_mixing_refuses_t_above_the_lag_budget(tmp_path, capsys):
+    t = MAX_WEAK_MIXING_LAGS + 1
+    code, out = run(tmp_path, "compute", "weak-mixing",
+                    "--config", _weak_mixing_config(tmp_path, t))
+    assert code == 1
+    assert f"error: weak-mixing t = {t} lags exceeds" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

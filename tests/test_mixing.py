@@ -2,23 +2,27 @@
 
 The exact correlation path is cross-checked against a blunt numeric
 oracle (dense grid membership counting) that shares no code with the
-interval-overlap arithmetic.
+interval-overlap arithmetic, and against an exact oracle that recomputes
+frac(i*gamma) per lag and overlaps intervals in QuadraticReal objects.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergolab import (
     BernoulliSpec,
     CylinderSet,
     NoClosedFormError,
+    QuadraticReal,
+    RotationNumber,
     SystemSpec,
     TestSet,
     birkhoff_average,
@@ -34,6 +38,7 @@ from ergolab import (
     weak_mixing_statistic,
     weak_mixing_verdict,
 )
+from ergolab.mixing import _CircleOverlap, _exact_correlations, _merge_measure
 
 from helpers import GAMMA, UNIFORM4, four_systems
 
@@ -53,6 +58,39 @@ def _grid_overlap_oracle(shift: float, a1, b1, a2, b2, grid: int = 2_000_001) ->
     in1 = ((xs - shift) % 1.0 >= float(a1)) & ((xs - shift) % 1.0 < float(b1))
     in2 = (xs >= float(a2)) & (xs < float(b2))
     return float(np.mean(in1 & in2))
+
+
+def _qr_interval_overlap_oracle(shift, a1, b1, a2, b2):
+    """Exact length of ([a1, b1) + shift) cap [a2, b2) on the circle, with
+    every comparison and difference made on Fraction/QuadraticReal objects.
+    """
+    lo = a1 + shift
+    hi = b1 + shift
+    pieces = [(lo, hi)] if not hi > 1 else [(lo, Fraction(1)), (Fraction(0), hi - 1)]
+    total = None
+    for plo, phi in pieces:
+        left = plo if plo > a2 else a2
+        right = phi if phi < b2 else b2
+        if right > left:
+            piece = right - left
+            total = piece if total is None else total + piece
+    return Fraction(0) if total is None else total
+
+
+def _oracle_correlation(spec, A, B, i):
+    """mu(S^i(A) cap B) for u-interval or product sets, with frac(i*gamma)
+    recomputed from scratch."""
+    value = _qr_interval_overlap_oracle(spec.gamma.frac_multiple(i), A.a, A.b, B.a, B.b)
+    if A.kind == "product":
+        value = value * _merge_measure(spec.bernoulli, A.cylinder.translate(-i), B.cylinder)
+    return value
+
+
+# The benchmark's nine angles (p, q, d, r) for (p + q*sqrt(d))/r.
+BENCH_ANGLES = (
+    (-1, 1, 2, 1), (-1, 1, 5, 2), (-1, 1, 3, 1), (2, -1, 2, 1), (-2, 1, 7, 1),
+    (-3, 1, 13, 2), (3, -1, 5, 2), (-3, 1, 10, 1), (-2, 1, 6, 1),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +206,92 @@ def test_monte_carlo_statistic_tracks_exact():
         ROT, HALF, HALF, 50, mode="monte-carlo", samples=60_000, rng=rng
     )
     assert abs(mc - exact) < 0.01
+
+
+@st.composite
+def _interval(draw):
+    den = draw(st.integers(1, 13))
+    lo, hi = sorted(draw(st.lists(st.integers(0, den), min_size=2, max_size=2,
+                                  unique=True)))
+    return Fraction(lo, den), Fraction(hi, den)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    angle=st.sampled_from(BENCH_ANGLES),
+    kind=st.sampled_from(["rotation", "skew", "product", "product-set"]),
+    ia=_interval(),
+    ib=_interval(),
+    t=st.integers(1, 300),
+    lag=st.integers(0, 400),
+    sym=st.sampled_from([1, -1]),
+)
+@example(angle=BENCH_ANGLES[0], kind="skew", ia=(Fraction(0), Fraction(1)),
+         ib=(Fraction(1, 3), Fraction(1, 2)), t=300, lag=7, sym=1)  # B strictly inside A
+@example(angle=BENCH_ANGLES[5], kind="rotation", ia=(Fraction(2, 13), Fraction(1)),
+         ib=(Fraction(0), Fraction(5, 7)), t=300, lag=0, sym=1)
+@example(angle=BENCH_ANGLES[3], kind="product-set", ia=(Fraction(1, 4), Fraction(1)),
+         ib=(Fraction(0), Fraction(1, 2)), t=50, lag=0, sym=-1)  # lag 0 clashes: w = 0
+def test_statistic_equals_the_per_lag_quadratic_oracle(angle, kind, ia, ib, t, lag, sym):
+    """Recurrence plus integer sign tests give the oracle's exact values,
+    its exact types (which decide the float rounding, even for a term
+    scaled by a cylinder measure of 0) and therefore the same statistic,
+    bit for bit."""
+    gamma = RotationNumber.quadratic(*angle)
+    if kind == "product-set":
+        spec = SystemSpec.product(gamma, FAIR)
+        A = TestSet.product_set(*ia, CylinderSet(((0, 1),)))
+        B = TestSet.product_set(*ib, CylinderSet(((0, sym),)))
+    else:
+        spec = {
+            "rotation": SystemSpec.rotation(gamma),
+            "skew": SystemSpec.skew(gamma),
+            "product": SystemSpec.product(gamma, FAIR),
+        }[kind]
+        A, B = TestSet.u_interval(*ia), TestSet.u_interval(*ib)
+    product = A.exact_measure(spec) * B.exact_measure(spec)
+    oracle = [_oracle_correlation(spec, A, B, i) - product for i in range(t)]
+    kernel = list(itertools.islice(_exact_correlations(spec, A, B, 0, product), t))
+    assert kernel == oracle
+    assert [type(v) for v in kernel] == [type(v) for v in oracle]
+    expected = 0.0
+    for value in oracle:
+        expected += -float(value) if value < 0 else float(value)
+    assert weak_mixing_statistic(spec, A, B, t) == expected / t
+    # one lag on its own, seeded from frac_multiple(lag)
+    single = _oracle_correlation(spec, A, B, lag)
+    assert correlation(spec, A, B, lag).estimate == float(single)
+
+
+@pytest.mark.parametrize(
+    "angle, expected",
+    [((-1, 1, 2, 1), 0.12499869507055396), ((-1, 1, 5, 2), 0.1250028734218797)],
+)
+def test_statistic_pinned_at_ten_thousand_lags(angle, expected):
+    spec = SystemSpec.skew(RotationNumber.quadratic(*angle))
+    assert weak_mixing_statistic(spec, HALF, HALF, 10_000) == expected
+
+
+@pytest.mark.parametrize("angle", [(-1, 1, 2, 1), (2, -1, 2, 1), (-3, 1, 13, 2)])
+def test_recurrence_orbit_is_frac_multiple(angle):
+    """2 - sqrt(2) has q < 0 and (sqrt(13) - 3)/2 has r = 2."""
+    gamma = RotationNumber.quadratic(*angle)
+    overlap = _CircleOverlap(gamma, HALF, HALF)
+    D, d = overlap.D, overlap.d
+    for i, (p, q) in zip(range(2_000), overlap.orbit(0)):
+        assert QuadraticReal(Fraction(p, D), Fraction(q, D), d) == gamma.frac_multiple(i)
+    for start in (1, 999):
+        assert next(overlap.orbit(start)) == next(
+            itertools.islice(overlap.orbit(0), start, None)
+        )
+
+
+def test_decimal_angles_have_no_exact_statistic():
+    spec = SystemSpec.rotation(RotationNumber.decimal("0.41421356"))
+    with pytest.raises(NoClosedFormError):
+        weak_mixing_statistic(spec, HALF, HALF, 10)
+    with pytest.raises(NoClosedFormError):
+        correlation(spec, HALF, HALF, 3)
 
 
 def test_statistic_input_validation():
