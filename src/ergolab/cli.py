@@ -76,6 +76,12 @@ DEFAULT_SEED = 1
 #: Most lags ``compute weak-mixing`` accepts.  The exact statistic costs
 #: about 25 microseconds per lag, so one run stays within a few minutes.
 MAX_WEAK_MIXING_LAGS = 10**7
+#: Most basis pairs the intertwiner of ``reproduce-letter`` and
+#: ``reproduce-kolmogorov`` may build.  At truncation B a pairing holds
+#: (2B+1)^2 pairs, or (2B+1)^3 between two products.  Building and
+#: checking them takes about 0.6 microseconds and 200 bytes of peak
+#: memory per pair, so the budget caps one pairing near 6 s and 2 GB.
+MAX_INTERTWINER_PAIRS = 10**7
 
 
 @lru_cache(maxsize=4)
@@ -248,6 +254,17 @@ def default_config(scenario: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+def _check_intertwiner_cost(specs: Sequence[SystemSpec], truncation: int) -> None:
+    """Refuse a truncation whose intertwiner exceeds the pair budget."""
+    side = 2 * truncation + 1
+    pairs = side**3 if all(s.kind == "product" for s in specs) else side**2
+    if pairs > MAX_INTERTWINER_PAIRS:
+        raise ValueError(
+            f"truncation {truncation} needs {pairs} intertwiner pairs, over the "
+            f"budget of {MAX_INTERTWINER_PAIRS} pairs"
+        )
+
+
 def run_reproduce_letter(config: ExperimentConfig) -> ExperimentReport:
     """The two-system comparison: same spectrum, different towers.
 
@@ -263,6 +280,7 @@ def run_reproduce_letter(config: ExperimentConfig) -> ExperimentReport:
     spec_a, spec_b = specs
     if spec_a.gamma is None or spec_b.gamma is None:
         raise ValueError("the letter scenario needs systems with a rotation factor")
+    _check_intertwiner_cost(specs, config.truncation)
     results: dict = {}
     verdicts: list[dict] = []
 
@@ -351,6 +369,7 @@ def run_reproduce_kolmogorov(config: ExperimentConfig) -> ExperimentReport:
     specs = config.system_specs()
     if len(specs) < 2 or any(s.kind != "bernoulli" for s in specs):
         raise ValueError("the kolmogorov scenario needs at least two shift systems")
+    _check_intertwiner_cost(specs, config.truncation)
     results: dict = {"systems": [s.to_json() for s in specs]}
     verdicts: list[dict] = []
 

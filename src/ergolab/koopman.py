@@ -1,4 +1,4 @@
-"""Koopman operators on character bases, symbolically.
+"""Koopman operators on character bases, in exact integer arithmetic.
 
 The composition operator of each system acts on a countable basis by
 permuting indices and multiplying by unimodular constants:
@@ -11,19 +11,26 @@ permuting indices and multiplying by unimodular constants:
 * product, on ``p[l,k,m] = e(l u) d[k,m]``:
   ``V p[l,k,m] = e(l gamma) p[l, k+1, m]``
 
-Everything here stays symbolic: a phase is a rational turn plus an
-integer multiple of gamma, and the angle's numeric value is only needed
-for reporting.  Renormalizing the chain bases (``f[k,m]`` on the skew
-side, ``t[l,k,m]`` on the product side) makes every chain step phase-free,
-which is what the explicit intertwiner between the two systems pairs up.
+Every phase in these actions is an integer multiple of gamma, so each
+action is an integer kernel returning that multiplier; the kernels take
+Python ints or integer numpy arrays, and the public functions wrap them
+in exact :class:`Phase` objects.  The angle's numeric value is only
+needed for reporting.  Renormalizing the chain bases (``f[k,m]`` on the
+skew side, ``t[l,k,m]`` on the product side) makes every chain step
+phase-free; the intertwiner between two systems pairs those bases as
+integer label arrays, and its check applies the raw actions above to
+both sides of every pair.
 """
 
 from __future__ import annotations
 
 import cmath
+from collections.abc import ItemsView, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .quadratic import ExactnessError, RotationNumber, integral_combination
 from .systems import SystemSpec
@@ -34,7 +41,6 @@ __all__ = [
     "IncompatibleSpectraError",
     "IntertwinerCheck",
     "IntertwinerPairing",
-    "Orbit",
     "Phase",
     "PhasedMode",
     "ProductBasisIndex",
@@ -44,11 +50,8 @@ __all__ = [
     "koopman_apply_product",
     "koopman_apply_skew",
     "koopman_apply_skew_inverse",
-    "koopman_apply_skew_normalized",
     "normalizing_phase",
-    "orbit_decompose",
     "point_spectrum_groups_equal",
-    "proper_modes_of_skew",
     "spectrum_of",
     "verify_intertwiner",
 ]
@@ -149,14 +152,34 @@ class ProductBasisIndex(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# symbolic operator actions
+# operator actions: integer kernels and their Phase wrappers
 # ---------------------------------------------------------------------------
+
+
+def _skew_action(k, m):
+    """U g[k,m] = e(k gamma) g[k+m, m], as (gamma multiplier, k', m')."""
+    return k, k + m, m
+
+
+def _normalizing_exponent(k, m):
+    """Gamma multiplier of ``a[k,m]`` for m != 0 (see :func:`normalizing_phase`)."""
+    r = k % abs(m)
+    j = (k - r) // m
+    return j * r + m * (j * (j - 1) // 2)
+
+
+def _product_action(l, k):
+    """V p[l,k,m] = e(l gamma) p[l,k+1,m], as (gamma multiplier, k').
+
+    The constant tail ``e(l u)`` takes the same phase and stays fixed.
+    """
+    return l, k + 1
 
 
 def koopman_apply_skew(mode: FourierMode) -> PhasedMode:
     """U g[k,m] = e(k gamma) g[k+m, m]; symbolic in gamma."""
-    k, m = mode
-    return PhasedMode(Phase.from_gamma(k), FourierMode(k + m, m))
+    phase, k, m = _skew_action(*mode)
+    return PhasedMode(Phase.from_gamma(phase), FourierMode(k, m))
 
 
 def koopman_apply_skew_inverse(mode: FourierMode) -> PhasedMode:
@@ -176,17 +199,7 @@ def normalizing_phase(k: int, m: int) -> Phase:
     """
     if m == 0:
         raise ValueError("m = 0 rows are proper modes; no normalization applies")
-    r = k % abs(m)
-    j = (k - r) // m
-    return Phase.from_gamma(j * r + m * (j * (j - 1) // 2))
-
-
-def koopman_apply_skew_normalized(mode: FourierMode) -> PhasedMode:
-    """Action on the f-basis: chain steps are phase-free."""
-    k, m = mode
-    if m == 0:
-        return PhasedMode(Phase.from_gamma(k), mode)
-    return PhasedMode(Phase.one(), FourierMode(k + m, m))
+    return Phase.from_gamma(_normalizing_exponent(k, m))
 
 
 def koopman_apply_product(
@@ -195,131 +208,20 @@ def koopman_apply_product(
     """V on the product basis.
 
     Raw: ``V p[l,k,m] = e(l gamma) p[l,k+1,m]``.  With ``normalized``
-    the t-basis ``t[l,k,m] = e(l k gamma) p[l,k,m]`` is used instead and
-    chain steps carry phase exactly 1.  Constant tails are proper
+    the t-basis ``t[l,k,m] = e(l k gamma) p[l,k,m]`` is used instead, so
+    the raw phase is multiplied by ``e(l k gamma) / e(l (k+1) gamma)``
+    and chain steps come out with phase 1.  Constant tails are proper
     functions either way: phase ``e(l gamma)``, index unchanged.
     """
     l, tail = index
     if tail is None:
-        return Phase.from_gamma(l), index
+        phase, _ = _product_action(l, 0)
+        return Phase.from_gamma(phase), index
     k, m = tail
-    phase = Phase.one() if normalized else Phase.from_gamma(l)
-    return phase, ProductBasisIndex(l, (k + 1, m))
-
-
-# ---------------------------------------------------------------------------
-# orbit structure of a truncation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Orbit:
-    """One orbit of basis indices under the Koopman index map.
-
-    ``kind`` is "fixed" (a proper mode, with its proper value) or
-    "chain".  Chain members are listed in operator order; ``partial``
-    marks chains cut by the truncation boundary.
-    """
-
-    kind: str
-    label: tuple
-    members: tuple
-    phase: Optional[Phase] = None
-    partial: bool = False
-
-
-def orbit_decompose(truncation: int, kind: str) -> list[Orbit]:
-    """All orbits of the basis indices with coordinates in
-    ``[-truncation, truncation]``.
-
-    Every orbit is either a fixed index (point spectrum) or a free chain
-    (Lebesgue part); cycles of length > 1 never occur, which is exactly
-    why finite combinations over chain rows cannot be proper functions.
-    """
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
-    B = truncation
-    orbits: list[Orbit] = []
-    if kind == "rotation":
-        for k in range(-B, B + 1):
-            orbits.append(
-                Orbit("fixed", ("point", k), (k,), phase=Phase.from_gamma(k))
-            )
-        return orbits
-    if kind == "skew":
-        for k in range(-B, B + 1):
-            orbits.append(
-                Orbit(
-                    "fixed",
-                    ("point", k),
-                    (FourierMode(k, 0),),
-                    phase=Phase.from_gamma(k),
-                )
-            )
-        for m in _signed_range(1, B):
-            for r in range(abs(m)):
-                ks = [k for k in range(-B, B + 1) if k % abs(m) == r]
-                members = tuple(
-                    FourierMode(k, m) for k in sorted(ks, key=lambda k: (k - r) // m)
-                )
-                orbits.append(
-                    Orbit("chain", ("chain", m, r), members, partial=True)
-                )
-        return orbits
-    if kind == "bernoulli":
-        orbits.append(Orbit("fixed", ("point", 0), ("const",), phase=Phase.one()))
-        for m in range(-B, B + 1):
-            members = tuple((k, m) for k in range(-B, B + 1))
-            orbits.append(Orbit("chain", ("chain", m), members, partial=True))
-        return orbits
-    if kind == "product":
-        for l in range(-B, B + 1):
-            orbits.append(
-                Orbit(
-                    "fixed",
-                    ("point", l),
-                    (ProductBasisIndex(l, None),),
-                    phase=Phase.from_gamma(l),
-                )
-            )
-        for l in range(-B, B + 1):
-            for m in range(-B, B + 1):
-                members = tuple(
-                    ProductBasisIndex(l, (k, m)) for k in range(-B, B + 1)
-                )
-                orbits.append(
-                    Orbit("chain", ("chain", l, m), members, partial=True)
-                )
-        return orbits
-    raise ValueError(f"unknown system kind {kind!r}")
-
-
-def _signed_range(lo: int, hi: int) -> Iterator[int]:
-    for a in range(lo, hi + 1):
-        yield a
-        yield -a
-
-
-def proper_modes_of_skew(truncation: int) -> list[tuple[FourierMode, Phase]]:
-    """The complete point spectrum of the skew within a truncation.
-
-    Returns the modes (k, 0) with proper value e(k gamma), after
-    certifying from the orbit decomposition that every other orbit is a
-    free chain (no repeats, no cycles), so no finite combination over
-    m != 0 rows is a proper function.
-    """
-    out = []
-    for orbit in orbit_decompose(truncation, "skew"):
-        if orbit.kind == "fixed":
-            out.append((orbit.members[0], orbit.phase))
-        else:
-            members = orbit.members
-            if len(set(members)) != len(members):
-                raise AssertionError(f"orbit {orbit.label} revisits an index")
-            for a, b in zip(members, members[1:]):
-                if koopman_apply_skew(a).mode != b:
-                    raise AssertionError(f"orbit {orbit.label} is not a chain")
-    return out
+    phase, k_next = _product_action(l, k)
+    if normalized:
+        phase += l * k - l * k_next
+    return Phase.from_gamma(phase), ProductBasisIndex(l, (k_next, m))
 
 
 # ---------------------------------------------------------------------------
@@ -488,26 +390,265 @@ class IncompatibleSpectraError(ValueError):
     """The two systems' spectral invariants do not match."""
 
 
-@dataclass
+class _Basis:
+    """The normalized basis of one system inside the box [-B, B], as integers.
+
+    A label is an integer pair (c, j).  c = -1 names the proper mode j,
+    shown as ``("point", j)``, and ``points`` bounds those j.  c >= 0
+    names position j of chain c of the canonical chain enumeration,
+    shown as ``("chain", *params[c], j)``; chain c holds the positions
+    ``lo[c]..hi[c]``.  ``chain_index`` maps chain parameters back to c
+    arithmetically (-2 outside the box).  ``step`` applies the raw
+    Koopman action to the basis vectors that label arrays name and
+    returns each phase's gamma multiplier and the image labels.
+    """
+
+    points: tuple[int, int]
+    params: np.ndarray  # one row of chain parameters per chain
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def __init__(self, B: int) -> None:
+        self.B = B
+
+    def chain_index(self, *params):
+        return -2
+
+    def step(self, c: np.ndarray, j: np.ndarray):
+        raise NotImplementedError
+
+    def _chain_params(self, c: np.ndarray) -> np.ndarray:
+        """Chain parameters of each label, one row per parameter (0 for
+        proper modes)."""
+        out = np.zeros((c.size, self.params.shape[1]), dtype=np.int64)
+        chain = c >= 0
+        out[chain] = self.params[c[chain]]
+        return out.T
+
+    def label(self, c: int, j: int) -> tuple:
+        return ("point", j) if c < 0 else ("chain", *self.params[c].tolist(), j)
+
+    def labels(self, cj: np.ndarray) -> Iterator[tuple]:
+        params = self.params.tolist()
+        for c, j in zip(*cj.tolist()):
+            yield ("point", j) if c < 0 else ("chain", *params[c], j)
+
+    def parse(self, label) -> tuple[int, int]:
+        """The integer label (c, j) of a label tuple; KeyError if the
+        tuple names no basis vector of this kind."""
+        if isinstance(label, tuple) and all(isinstance(x, int) for x in label[1:]):
+            if label[:1] == ("point",) and len(label) == 2:
+                return -1, label[1]
+            if label[:1] == ("chain",) and len(label) == self.params.shape[1] + 2:
+                c = int(self.chain_index(*label[1:-1]))
+                if c >= 0:
+                    return c, label[-1]
+        raise KeyError(label)
+
+
+class _RotationBasis(_Basis):
+    """The characters e(k u), all proper: no chains."""
+
+    def __init__(self, B: int) -> None:
+        super().__init__(B)
+        self.points = (-B, B)
+        self.params = np.zeros((0, 0), dtype=np.int64)
+        self.lo = self.hi = np.zeros(0, dtype=np.int64)
+
+    def step(self, c, j):
+        return j, c, j  # e(k u) -> e(k gamma) e(k u)
+
+
+class _ShiftBasis(_Basis):
+    """Chains m = 0, 1, -1, ..., B, -B of ``d[k,m]``, positions k in
+    [-B, B]; the constant is the only proper mode."""
+
+    def __init__(self, B: int) -> None:
+        super().__init__(B)
+        a = np.arange(1, B + 1)
+        self.points = (0, 0)
+        self.params = np.concatenate([[0], np.stack([a, -a], axis=1).ravel()])[:, None]
+        self.lo = np.full(2 * B + 1, -B)
+        self.hi = np.full(2 * B + 1, B)
+
+    def chain_index(self, m):
+        return np.where(abs(m) > self.B, -2, np.where(m > 0, 2 * m - 1, -2 * m))
+
+    def step(self, c, j):
+        (m,) = self._chain_params(c)
+        chain = c >= 0
+        # X d[k,m] = d[k+1,m] with phase 1; the constant stays fixed
+        return (
+            np.zeros_like(j),
+            np.where(chain, self.chain_index(m), -1),
+            np.where(chain, j + 1, j),
+        )
+
+
+class _SkewBasis(_Basis):
+    """Chains (m, r) for m = 1, -1, ..., B, -B and r = 0..|m|-1, whose
+    position j is ``f[r + j m, m]``; the proper modes are ``g[k, 0]``."""
+
+    def __init__(self, B: int) -> None:
+        super().__init__(B)
+        a = np.arange(1, B + 1)
+        signed = np.stack([a, -a], axis=1).ravel()
+        count = np.abs(signed)  # one chain per residue r mod |m|
+        m = np.repeat(signed, count)
+        r = np.arange(m.size) - np.repeat(np.cumsum(count) - count, count)
+        a = np.abs(m)
+        self.points = (-B, B)
+        self.params = np.stack([m, r], axis=1)
+        # the positions j with r + j m in [-B, B]
+        self.lo = np.where(m > 0, -((B + r) // a), -((B - r) // a))
+        self.hi = np.where(m > 0, (B - r) // a, (B + r) // a)
+
+    def chain_index(self, m, r):
+        a = abs(m)
+        inside = (a >= 1) & (a <= self.B) & (r >= 0) & (r < a)
+        return np.where(inside, a * (a - 1) + (m < 0) * a + r, -2)
+
+    @staticmethod
+    def _exponent(k, m):
+        """Gamma multiplier of a[k,m]; the proper row m = 0 keeps g."""
+        chain = m != 0
+        return np.where(chain, _normalizing_exponent(k, np.where(chain, m, 1)), 0)
+
+    def step(self, c, j):
+        m, r = self._chain_params(c)
+        k = np.where(c >= 0, r + j * m, j)  # proper mode g[j, 0]: m = 0
+        phase, k_next, m_next = _skew_action(k, m)
+        # f = a g, so U f[k,m] = a[k,m] e(phase gamma) / a[k',m'] f[k',m']
+        phase = phase + self._exponent(k, m) - self._exponent(k_next, m_next)
+        chain = m_next != 0
+        m_safe = np.where(chain, m_next, 1)
+        r_next = k_next % abs(m_safe)
+        return (
+            phase,
+            np.where(chain, self.chain_index(m_next, r_next), -1),
+            np.where(chain, (k_next - r_next) // m_safe, k_next),
+        )
+
+
+class _ProductBasis(_Basis):
+    """Chains (l, m) with |l|, |m| <= B, ordered by the ring
+    max(|l|, |m|), then l, then m, whose position k is
+    ``t[l,k,m] = e(l k gamma) p[l,k,m]``, k in [-B, B]; the proper modes
+    are ``e(l u)``."""
+
+    def __init__(self, B: int) -> None:
+        super().__init__(B)
+        side = 2 * B + 1
+        l, m = np.divmod(np.arange(side * side), side)
+        l, m = l - B, m - B
+        # a stable sort keeps (l, m) lexicographic within each ring
+        order = np.argsort(np.maximum(np.abs(l), np.abs(m)), kind="stable")
+        self.points = (-B, B)
+        self.params = np.stack([l[order], m[order]], axis=1)
+        self.lo = np.full(side * side, -B)
+        self.hi = np.full(side * side, B)
+
+    def chain_index(self, l, m):
+        s = np.maximum(abs(l), abs(m))
+        inner = np.where(s > 0, (2 * s - 1) ** 2, 0)  # chains of rings < s
+        # within ring s: the 2s+1 chains with l = -s, then two (m = -s, s)
+        # per l strictly inside, then the 2s+1 chains with l = s
+        within = np.where(
+            l == -s,
+            m + s,
+            np.where(
+                l == s,
+                (2 * s + 1) + 2 * (2 * s - 1) + m + s,
+                (2 * s + 1) + 2 * (l + s - 1) + (m == s),
+            ),
+        )
+        return np.where(s <= self.B, inner + within, -2)
+
+    def step(self, c, j):
+        l, m = self._chain_params(c)
+        chain = c >= 0
+        l = np.where(chain, l, j)  # the proper mode e(j u) has l = j
+        k = np.where(chain, j, 0)
+        phase, k_next = _product_action(l, k)
+        # t = e(l k gamma) p on chains; the constant tail keeps e(l u)
+        phase = phase + np.where(chain, l * k - l * k_next, 0)
+        return (
+            phase,
+            np.where(chain, self.chain_index(l, m), -1),
+            np.where(chain, k_next, l),
+        )
+
+
+_BASES = {
+    "rotation": _RotationBasis,
+    "skew": _SkewBasis,
+    "bernoulli": _ShiftBasis,
+    "product": _ProductBasis,
+}
+
+
+@dataclass(frozen=True, eq=False)
+class _PairLayout:
+    """Where each side-A label sits among the pairs: the proper modes
+    ``points[0]..points[1]`` first, then the positions ``lo[c]..hi[c]``
+    of paired chain c from index ``start[c]`` on.  The last chain entry
+    is an empty sentinel."""
+
+    points: tuple[int, int]
+    lo: np.ndarray
+    hi: np.ndarray
+    start: np.ndarray
+
+    def index(self, c, j):
+        """Pair index of side-A labels (c, j); -1 where unpaired."""
+        sentinel = self.lo.size - 1
+        cc = np.where((c >= 0) & (c < sentinel), c, sentinel)
+        lo = self.lo[cc]
+        on_chain = (lo <= j) & (j <= self.hi[cc])
+        p0, p1 = self.points
+        on_point = (c == -1) & (p0 <= j) & (j <= p1)
+        return np.where(
+            on_point, j - p0, np.where(on_chain, self.start[cc] + j - lo, -1)
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class IntertwinerPairing:
     """A basis pairing realizing a unitary W with U = W* V W on a truncation.
 
     Labels name the *normalized* bases: ``("point", k)`` for proper
-    modes and ``("chain", chain_label, position)`` for Lebesgue chains
+    modes and ``("chain", *chain_label, position)`` for Lebesgue chains
     (f-basis on the skew side, t-basis on the product side, d-basis for
-    a shift).  ``mapping`` sends side-A labels to side-B labels;
-    ``eps`` is the sign relating the two angles (gammaB = eps * gammaA
-    mod 1).  The chain enumeration orders are recorded so the arbitrary
-    relabeling choice is reproducible.
+    a shift).  Pair i joins the side-A label ``labels_a[:, i]`` to the
+    side-B label ``labels_b[:, i]``, each stored as integers (chain
+    index, -1 for proper modes; position); ``mapping`` shows the pairs
+    as label tuples.  ``eps`` is the sign relating the two angles
+    (gammaB = eps * gammaA mod 1).  The chain enumeration orders are
+    recorded so the arbitrary relabeling choice is reproducible.
     """
 
     spec_a: SystemSpec
     spec_b: SystemSpec
     truncation: int
     eps: int
-    mapping: dict
-    chain_order_a: tuple
-    chain_order_b: tuple
+    labels_a: np.ndarray = field(repr=False)
+    labels_b: np.ndarray = field(repr=False)
+    basis_a: _Basis = field(repr=False)
+    basis_b: _Basis = field(repr=False)
+    layout: _PairLayout = field(repr=False)
+
+    @property
+    def mapping(self) -> Mapping:
+        """Read-only ``{side-A label: side-B label}`` in pair order."""
+        return _PairMapping(self)
+
+    @property
+    def chain_order_a(self) -> tuple:
+        return tuple(("chain", *p) for p in self.basis_a.params.tolist())
+
+    @property
+    def chain_order_b(self) -> tuple:
+        return tuple(("chain", *p) for p in self.basis_b.params.tolist())
 
     def to_json(self) -> dict:
         return {
@@ -521,59 +662,45 @@ class IntertwinerPairing:
         }
 
 
+class _PairMapping(Mapping):
+    """The label arrays of a pairing seen as a mapping of label tuples;
+    lookups resolve a label to its pair index arithmetically."""
+
+    def __init__(self, pairing: IntertwinerPairing) -> None:
+        self._pairing = pairing
+
+    def __len__(self) -> int:
+        return self._pairing.labels_a.shape[1]
+
+    def __iter__(self) -> Iterator[tuple]:
+        return self._pairing.basis_a.labels(self._pairing.labels_a)
+
+    def __getitem__(self, label) -> tuple:
+        pairing = self._pairing
+        c, j = pairing.basis_a.parse(label)
+        i = int(pairing.layout.index(np.array(c), np.array(j)))
+        if i < 0:
+            raise KeyError(label)
+        return pairing.basis_b.label(*pairing.labels_b[:, i].tolist())
+
+    def items(self) -> ItemsView:
+        return _PairItems(self)
+
+
+class _PairItems(ItemsView):
+    def __iter__(self) -> Iterator[tuple[tuple, tuple]]:
+        pairing = self._mapping._pairing
+        return zip(
+            pairing.basis_a.labels(pairing.labels_a),
+            pairing.basis_b.labels(pairing.labels_b),
+        )
+
+
 @dataclass(frozen=True)
 class IntertwinerCheck:
     mismatches: int
     max_phase_residual: float
     checked: int
-
-
-def _chain_labels(spec: SystemSpec, B: int) -> list[tuple]:
-    """Canonical enumeration of Lebesgue chain labels within truncation B."""
-    if spec.kind == "skew":
-        out = []
-        for m in _signed_range(1, B):
-            for r in range(abs(m)):
-                out.append(("chain", m, r))
-        return out
-    if spec.kind == "product":
-        labels = [
-            ("chain", l, m) for l in range(-B, B + 1) for m in range(-B, B + 1)
-        ]
-        labels.sort(key=lambda c: (max(abs(c[1]), abs(c[2])), c[1], c[2]))
-        return labels
-    if spec.kind == "bernoulli":
-        return [("chain", m) for m in [0] + list(_signed_range(1, B))]
-    if spec.kind == "rotation":
-        return []
-    raise ValueError(spec.kind)
-
-
-def _chain_positions(spec: SystemSpec, label: tuple, B: int) -> list[int]:
-    """Operator-order positions of a chain that fall inside the truncation."""
-    if spec.kind == "skew":
-        _, m, r = label
-        return sorted((k - r) // m for k in range(-B, B + 1) if k % abs(m) == r)
-    return list(range(-B, B + 1))
-
-
-def _point_label_range(spec: SystemSpec, B: int) -> list[int]:
-    if spec.kind == "bernoulli":
-        return [0]
-    return list(range(-B, B + 1))
-
-
-def label_step(label: tuple) -> tuple[Phase, tuple]:
-    """One Koopman step on a normalized basis label.
-
-    Point modes are fixed with phase e(k gamma); chain positions advance
-    by one with phase exactly 1.  (For a Bernoulli system k is 0 and the
-    phase is 1.)
-    """
-    if label[0] == "point":
-        return Phase.from_gamma(label[1]), label
-    head, pos = label[:-1], label[-1]
-    return Phase.one(), head + (pos + 1,)
 
 
 def build_intertwiner(
@@ -582,8 +709,11 @@ def build_intertwiner(
     """Pair the normalized bases of two spectrally compatible systems.
 
     Point modes are matched by proper value (k maps to eps*k); chains
-    are matched in canonical enumeration order, position to position.
-    Raises :class:`IncompatibleSpectraError` when the descriptors differ
+    are matched in canonical enumeration order, position to position,
+    over the positions both chains hold inside the truncation.  Each
+    chain's positions form one interval, so the pairs are generated
+    arithmetically, in time linear in their number.  Raises
+    :class:`IncompatibleSpectraError` when the descriptors differ
     structurally (different point groups or Lebesgue multiplicities).
     """
     if truncation < 0:
@@ -608,71 +738,75 @@ def build_intertwiner(
         if abs(eps) != 1:  # irrational angles force a*b = 1
             raise AssertionError("group equality with |a| != 1 is impossible")
 
-    mapping: dict = {}
-    for k in _point_label_range(spec_a, truncation):
-        kb = eps * k
-        if abs(kb) <= truncation:
-            mapping[("point", k)] = ("point", kb)
-
-    chains_a = _chain_labels(spec_a, truncation)
-    chains_b = _chain_labels(spec_b, truncation)
-    for ca, cb in zip(chains_a, chains_b):
-        pos_a = _chain_positions(spec_a, ca, truncation)
-        pos_b = set(_chain_positions(spec_b, cb, truncation))
-        for j in pos_a:
-            if j in pos_b:
-                mapping[ca + (j,)] = cb + (j,)
+    basis_a = _BASES[spec_a.kind](truncation)
+    basis_b = _BASES[spec_b.kind](truncation)
+    p0, p1 = basis_a.points
+    n_points = p1 - p0 + 1
+    n_chains = min(basis_a.lo.size, basis_b.lo.size)
+    lo = np.maximum(basis_a.lo[:n_chains], basis_b.lo[:n_chains])
+    hi = np.minimum(basis_a.hi[:n_chains], basis_b.hi[:n_chains])
+    count = np.maximum(hi - lo + 1, 0)
+    start = n_points + np.cumsum(count) - count
+    chain = np.repeat(np.arange(n_chains), count)
+    pos = lo[chain] + np.arange(n_points, n_points + chain.size) - start[chain]
+    k = np.arange(p0, p1 + 1)
+    c = np.concatenate([np.full(n_points, -1), chain])
     return IntertwinerPairing(
         spec_a=spec_a,
         spec_b=spec_b,
         truncation=truncation,
         eps=eps,
-        mapping=mapping,
-        chain_order_a=tuple(chains_a),
-        chain_order_b=tuple(chains_b),
+        labels_a=np.stack([c, np.concatenate([k, pos])]),
+        labels_b=np.stack([c, np.concatenate([eps * k, pos])]),
+        basis_a=basis_a,
+        basis_b=basis_b,
+        layout=_PairLayout(
+            (p0, p1), np.append(lo, 0), np.append(hi, -1), np.append(start, 0)
+        ),
     )
 
 
-def _phases_match(pa: Phase, pb: Phase, eps: int) -> bool:
-    # A-side phases reference gammaA, B-side phases gammaB = eps*gammaA
-    # (mod 1), so the values agree iff turns agree and multipliers agree
-    # after the sign twist.
-    return pa.turn == pb.turn and pa.gamma_mult == eps * pb.gamma_mult
+def verify_intertwiner(pairing: IntertwinerPairing) -> IntertwinerCheck:
+    """Check W U = V W on every interior pair, exactly, with the raw actions.
 
+    Each side-A label is taken to its raw basis vector (skew chains
+    ``f[k,m] = a[k,m] g[k,m]`` with ``a`` from the normalizing exponent,
+    product chains ``t[l,k,m] = e(l k gamma) p[l,k,m]``, shift chains
+    ``d[k,m]``, proper modes as they are), system A's raw action is
+    applied through the kernels behind :func:`koopman_apply_skew` and
+    :func:`koopman_apply_product`, and the image is renormalized and
+    resolved back to a pair index arithmetically.  A pair is interior
+    when that image is paired; chain ends at the truncation boundary are
+    skipped.  For interior pairs system B's raw action is applied to the
+    paired side-B label the same way; the pair matches when B's image is
+    the label paired with A's image and the phases agree.  Phases are
+    integer multiples of each system's angle and gammaB = eps * gammaA
+    (mod 1), so they agree iff ``phase_a == eps * phase_b``.
 
-def verify_intertwiner(
-    pairing: IntertwinerPairing, truncation: Optional[int] = None
-) -> IntertwinerCheck:
-    """Check U = W* V W on every interior index of the pairing, exactly.
-
-    An index is interior when its Koopman image is still paired; chain
-    ends at the truncation boundary are skipped.  Returns the number of
-    mismatched images or phases, the largest numeric phase discrepancy,
-    and how many indices were checked.
+    Returns the number of mismatched pairs, the largest numeric phase
+    discrepancy among them, and how many pairs were checked.
     """
-    B = pairing.truncation if truncation is None else truncation
-    if B > pairing.truncation:
-        raise ValueError(
-            f"pairing was built at truncation {pairing.truncation} < {B}"
-        )
-    mapping = pairing.mapping
-    gamma_a = pairing.spec_a.gamma
-    mismatches = 0
+    labels_a, labels_b = pairing.labels_a, pairing.labels_b
+    phase_a, c_next, j_next = pairing.basis_a.step(*labels_a)
+    target = pairing.layout.index(c_next, j_next)
+    interior = target >= 0
+    target = target[interior]
+    phase_a = phase_a[interior]
+    phase_b, cb_next, jb_next = pairing.basis_b.step(*labels_b[:, interior])
+    match = (
+        (labels_a[0, target] == c_next[interior])
+        & (labels_a[1, target] == j_next[interior])
+        & (labels_b[0, target] == cb_next)
+        & (labels_b[1, target] == jb_next)
+        & (phase_a == pairing.eps * phase_b)
+    )
     max_residual = 0.0
-    checked = 0
-    for la, lb in mapping.items():
-        pa, la_next = label_step(la)
-        if la_next not in mapping:
-            continue  # boundary of a truncated chain
-        checked += 1
-        pb, lb_next = label_step(lb)
-        ok = mapping[la_next] == lb_next and _phases_match(pa, pb, pairing.eps)
-        if not ok:
-            mismatches += 1
-            try:
-                va = pa.value(gamma_a)
-                vb = pb.value(pairing.spec_b.gamma)
-                max_residual = max(max_residual, abs(va - vb))
-            except ValueError:
-                max_residual = max(max_residual, 2.0)
-    return IntertwinerCheck(mismatches, max_residual, checked)
+    for pa, pb in zip(phase_a[~match].tolist(), phase_b[~match].tolist()):
+        try:
+            va = Phase.from_gamma(pa).value(pairing.spec_a.gamma)
+            vb = Phase.from_gamma(pb).value(pairing.spec_b.gamma)
+            max_residual = max(max_residual, abs(va - vb))
+        except ValueError:
+            max_residual = 2.0
+    checked = int(match.size)
+    return IntertwinerCheck(checked - int(np.count_nonzero(match)), max_residual, checked)

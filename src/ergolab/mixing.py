@@ -124,13 +124,23 @@ class TestSet:
             return self.b - self.a
         if self.kind == "rectangle":
             return (self.b - self.a) * (self.d - self.c)
-        cyl = _exact_cylinder_measure(spec.bernoulli, self.cylinder)
+        cyl = _exact_cylinder_measure(self._sequence_law(spec), self.cylinder)
         if self.kind == "cylinder":
             return cyl
         return (self.b - self.a) * cyl
 
     def measure(self, spec: SystemSpec) -> float:
         return float(self.exact_measure(spec))
+
+    def _sequence_law(self, spec: SystemSpec) -> BernoulliSpec:
+        """The symbol law a cylinder constrains; ValueError on a system
+        without a sequence coordinate."""
+        if spec.bernoulli is None:
+            raise ValueError(
+                f"a {self.kind} test set constrains sequence symbols, "
+                f"which a {spec.kind} system does not have"
+            )
+        return spec.bernoulli
 
     # -- membership --------------------------------------------------------
 
@@ -144,8 +154,8 @@ class TestSet:
         if self.kind == "rectangle":
             result &= (batch.v >= float(self.c)) & (batch.v < float(self.d))
         if self.kind in ("cylinder", "product"):
+            bern = self._sequence_law(spec)
             inside = np.ones(len(batch), dtype=bool)
-            bern = spec.bernoulli
             for pos, sym in self.cylinder.constraints:
                 inside &= batch.symbol_indices_at(pos) == bern.index_of(sym)
             result = inside if result is None else (result & inside)
@@ -532,10 +542,10 @@ def weak_mixing_statistic(
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         raise ValueError("monte-carlo mode needs an rng")
+    product = float(A.exact_measure(spec) * B.exact_measure(spec))
     width = _window_for(spec, A, B, t, samples)
     batch = sample_batch(spec, rng, samples, window_half_width=width)
     in_a = A.contains_batch(spec, batch)
-    product = float(A.exact_measure(spec) * B.exact_measure(spec))
     total = 0.0
     for i in range(t):
         in_b = B.contains_batch(spec, iterate_batch(batch, i))

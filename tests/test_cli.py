@@ -20,6 +20,7 @@ import ergolab
 from ergolab import InconclusiveEvidenceError
 from ergolab.cli import (
     DEFAULT_SEED,
+    MAX_INTERTWINER_PAIRS,
     MAX_WEAK_MIXING_LAGS,
     ExperimentConfig,
     ExperimentReport,
@@ -152,6 +153,20 @@ def test_letter_mismatched_angles_fail_cleanly(tmp_path, capsys):
     code, _ = run(tmp_path, "reproduce-letter", "--config", str(cfg))
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", ["reproduce-letter", "reproduce-kolmogorov"])
+def test_truncation_above_the_pair_budget_is_refused(scenario, tmp_path, capsys):
+    truncation = 1581  # the smallest refused: (2B+1)^2 = 10,004,569 pairs
+    pairs = (2 * truncation + 1) ** 2
+    assert pairs > MAX_INTERTWINER_PAIRS > (2 * truncation - 1) ** 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": scenario, "truncation": truncation}))
+    code, out = run(tmp_path, scenario, "--config", str(cfg))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: truncation {truncation} needs {pairs} intertwiner pairs" in err
+    assert not out.exists()
 
 
 def test_kolmogorov_scenario(tmp_path):
@@ -304,6 +319,21 @@ def test_weak_mixing_refuses_a_non_integer_t(t, tmp_path, capsys):
                     "--config", _weak_mixing_config(tmp_path, t))
     assert code == 1
     assert "error: weak-mixing t must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["skew", "rotation"])
+def test_weak_mixing_refuses_a_cylinder_without_a_sequence(kind, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "scenario": "compute", "op": "weak-mixing",
+        "params": {"system": {"kind": kind, "gamma": {"quadratic": [-1, 1, 2, 1]}},
+                   "A": {"kind": "cylinder", "cylinder": [[0, 1]]}, "t": 10},
+    }))
+    code, out = run(tmp_path, "compute", "weak-mixing", "--config", str(cfg))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: a cylinder test set constrains sequence symbols, which a {kind}" in err
     assert not out.exists()
 
 

@@ -1,16 +1,21 @@
-"""Symbolic composition operators: phases, orbits, spectra, pairings.
+"""Symbolic composition operators: phases, bases, spectra, pairings.
 
 Phases are exact objects (rational turn + integer multiple of the
 angle); every identity here is checked symbolically first and only then
-numerically against complex exponentials.
+numerically against complex exponentials.  The array-based intertwiner
+is checked against the dict-based oracle in ``intertwiner_oracle.py``,
+and its check is shown to fail when an action it applies is wrong.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
+from collections.abc import Mapping, MutableMapping
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +25,7 @@ from ergolab import (
     FourierMode,
     GroupComparison,
     IncompatibleSpectraError,
+    IntertwinerCheck,
     Phase,
     ProductBasisIndex,
     RotationNumber,
@@ -29,21 +35,21 @@ from ergolab import (
     koopman_apply_product,
     koopman_apply_skew,
     koopman_apply_skew_inverse,
-    koopman_apply_skew_normalized,
     normalizing_phase,
-    orbit_decompose,
     point_spectrum_groups_equal,
-    proper_modes_of_skew,
     spectrum_of,
     verify_intertwiner,
 )
+from ergolab import koopman
 
 from helpers import (
     GAMMA,
+    UNIFORM4,
     four_systems,
     product_index_map_injective,
     skew_index_map_injective,
 )
+from intertwiner_oracle import oracle_check, oracle_pairing
 
 turns = st.fractions(min_value=-3, max_value=3, max_denominator=24)
 gmults = st.integers(min_value=-20, max_value=20)
@@ -117,12 +123,34 @@ def test_normalizing_phase_rejects_proper_rows():
 
 @given(st.integers(-12, 12), st.integers(-12, 12))
 def test_normalized_skew_action_has_unit_phase_off_axis(k, m):
-    got = koopman_apply_skew_normalized(FourierMode(k, m))
+    """U f[k,m] = f[k+m,m] with f = a g: the raw action's phase times
+    a[k,m] / a[k+m,m] is one off the proper row."""
+    got = koopman_apply_skew(FourierMode(k, m))
     assert got.mode == FourierMode(k + m, m)
     if m != 0:
-        assert got.phase.is_one
+        renormalized = normalizing_phase(k, m) * got.phase
+        assert (renormalized * normalizing_phase(k + m, m).inverse()).is_one
     else:
         assert got.phase == Phase.from_gamma(k)
+
+
+def test_kernels_accept_arrays():
+    """The integer kernels behind the public actions give the same
+    numbers elementwise on arrays as on ints."""
+    k, m = np.meshgrid(np.arange(-9, 10), np.arange(-9, 10))
+    k, m = k.ravel(), m.ravel()
+    phase, k_next, m_next = koopman._skew_action(k, m)
+    for i in range(k.size):
+        got = koopman_apply_skew(FourierMode(int(k[i]), int(m[i])))
+        assert got == (Phase.from_gamma(int(phase[i])), (k_next[i], m_next[i]))
+    off = m != 0
+    exponent = koopman._normalizing_exponent(k[off], m[off])
+    for ki, mi, e in zip(k[off].tolist(), m[off].tolist(), exponent.tolist()):
+        assert normalizing_phase(ki, mi) == Phase.from_gamma(e)
+    phase, k_next = koopman._product_action(k, m)
+    for i in range(k.size):
+        got = koopman_apply_product(ProductBasisIndex(int(k[i]), (int(m[i]), 3)))
+        assert got == (Phase.from_gamma(int(phase[i])), (k[i], (k_next[i], 3)))
 
 
 @given(st.integers(-15, 15), st.integers(-15, 15), st.integers(1, 10))
@@ -148,34 +176,59 @@ def test_index_maps_are_injective_exhaustively():
 # ---------------------------------------------------------------------------
 
 
+def _chains(kind: str, B: int) -> tuple[list[int], list[list[tuple]]]:
+    """The proper-mode indices of a kind's basis in the box, and each
+    chain as the raw indices its positions name, in operator order."""
+    basis = koopman._BASES[kind](B)
+    p0, p1 = basis.points
+    chains = []
+    for c, params in enumerate(basis.params.tolist()):
+        positions = range(basis.lo[c], basis.hi[c] + 1)
+        if kind == "skew":
+            m, r = params
+            chains.append([FourierMode(r + j * m, m) for j in positions])
+        else:
+            l, m = params
+            chains.append([ProductBasisIndex(l, (j, m)) for j in positions])
+    return list(range(p0, p1 + 1)), chains
+
+
 @pytest.mark.parametrize("kind", ["rotation", "skew", "product"])
 def test_orbits_partition_the_box(kind):
+    """The proper modes and chains of a basis cover the truncation box
+    exactly once, and each chain member's raw image is the next member."""
     B = 5
-    orbits = orbit_decompose(B, kind)
-    seen = set()
-    for orbit in orbits:
-        for member in orbit.members:
-            assert member not in seen
-            seen.add(member)
+    points, chains = _chains(kind, B)
+    members = [v for chain in chains for v in chain]
+    assert len(set(members)) == len(members)
+    box = range(-B, B + 1)
+    assert points == list(box)
     if kind == "rotation":
-        assert len(seen) == 2 * B + 1
-        assert all(o.kind == "fixed" for o in orbits)
+        assert chains == []
     if kind == "skew":
-        assert len(seen) == (2 * B + 1) ** 2
-        fixed = [o for o in orbits if o.kind == "fixed"]
-        assert {o.members[0] for o in fixed} == {FourierMode(k, 0) for k in range(-B, B + 1)}
-        for o in orbits:
-            if o.kind == "chain":
-                assert o.phase is None and len(o.members) >= 1
+        assert set(members) == {FourierMode(k, m) for k in box for m in box if m}
+    if kind == "product":
+        assert set(members) == {
+            ProductBasisIndex(l, (k, m)) for l in box for k in box for m in box
+        }
+    act = koopman_apply_skew if kind == "skew" else koopman_apply_product
+    for chain in chains:
+        for a, b in zip(chain, chain[1:]):
+            assert act(a)[1] == b
 
 
 def test_proper_modes_of_skew():
+    """Under the raw action the skew basis's proper modes are exactly the
+    (k, 0) rows, fixed with phase e(k gamma); every chain member moves."""
     B = 6
-    modes = proper_modes_of_skew(B)
-    assert len(modes) == 2 * B + 1
-    for mode, phase in modes:
-        assert mode.m == 0
-        assert phase == Phase.from_gamma(mode.k)
+    basis = koopman._BASES["skew"](B)
+    c = np.concatenate([np.full(2 * B + 1, -1), np.arange(basis.lo.size)])
+    j = np.concatenate([np.arange(-B, B + 1), basis.lo])
+    phase, c_next, j_next = basis.step(c, j)
+    fixed = (c_next == c) & (j_next == j)
+    assert fixed.tolist() == (c == -1).tolist()
+    assert phase[: 2 * B + 1].tolist() == list(range(-B, B + 1))
+    assert not phase[2 * B + 1 :].any()
 
 
 def test_spectrum_descriptors():
@@ -276,3 +329,101 @@ def test_intertwiner_rejects_incompatible_spectra():
     )
     with pytest.raises(IncompatibleSpectraError):
         build_intertwiner(skew, mismatched, truncation=8)
+
+
+# ---------------------------------------------------------------------------
+# the array pairing against the dict oracle, and its check under mutation
+# ---------------------------------------------------------------------------
+
+COIN = BernoulliSpec.fair_coin()
+REFLECTED = GAMMA.one_minus()  # 2 - sqrt(2): the same group, eps = -1
+PAIRING_CASES = {
+    "skew-product": (SystemSpec.skew(GAMMA), SystemSpec.product(GAMMA, COIN)),
+    "product-skew": (SystemSpec.product(GAMMA, COIN), SystemSpec.skew(GAMMA)),
+    "skew-skew": (SystemSpec.skew(GAMMA), SystemSpec.skew(GAMMA)),
+    "product-product": (SystemSpec.product(GAMMA, COIN), SystemSpec.product(GAMMA, COIN)),
+    "shift2-shift4": (SystemSpec.shift(COIN), SystemSpec.shift(UNIFORM4)),
+    "rotation-rotation": (SystemSpec.rotation(GAMMA), SystemSpec.rotation(GAMMA)),
+    "skew-product-reflected": (
+        SystemSpec.skew(GAMMA),
+        SystemSpec.product(REFLECTED, COIN),
+    ),
+    "rotation-rotation-reflected": (
+        SystemSpec.rotation(GAMMA),
+        SystemSpec.rotation(REFLECTED),
+    ),
+}
+
+
+@pytest.mark.parametrize("B", [0, 1, 2, 7, 16, 33])
+@pytest.mark.parametrize("case", list(PAIRING_CASES))
+def test_pairing_matches_the_dict_oracle(case, B):
+    """Same pairs in the same order as the dict-based construction, and
+    the raw-action check counts the same interior pairs."""
+    spec_a, spec_b = PAIRING_CASES[case]
+    mapping, eps = oracle_pairing(spec_a, spec_b, B)
+    pairing = build_intertwiner(spec_a, spec_b, B)
+    assert pairing.eps == eps
+    assert len(pairing.mapping) == len(mapping)
+    assert list(pairing.mapping.items()) == list(mapping.items())
+    check = verify_intertwiner(pairing)
+    assert check == IntertwinerCheck(0, 0.0, oracle_check(mapping, eps).checked)
+
+
+def test_mapping_is_a_read_only_view_of_python_ints():
+    pairing = build_intertwiner(*PAIRING_CASES["skew-product"], truncation=7)
+    mapping = pairing.mapping
+    assert isinstance(mapping, Mapping) and not isinstance(mapping, MutableMapping)
+    items = list(mapping.items())
+    assert list(mapping) == [key for key, _ in items]
+    for key, value in items:
+        assert all(type(x) is int for x in key[1:] + value[1:])
+        assert mapping[key] == value
+    outside = [
+        ("point", 8),
+        ("chain", 8, 0, 0),  # |m| > B
+        ("chain", 1, 1, 0),  # r >= |m|
+        ("chain", 1, 0, 8),  # k = 8 > B
+        ("chain", 1, 0),
+        ("chain", 1, 0, 0.5),
+        "point",
+    ]
+    for label in outside:
+        assert label not in mapping
+
+
+@pytest.mark.parametrize("B, checked", [(16, 817), (192, 111_169)])
+def test_checked_count_pins(B, checked):
+    check = verify_intertwiner(build_intertwiner(*PAIRING_CASES["skew-product"], B))
+    assert check == IntertwinerCheck(0, 0.0, checked)
+
+
+_exponent = koopman._normalizing_exponent
+KERNEL_MUTANTS = {
+    "normalizing exponent off by one": (
+        "_normalizing_exponent",
+        lambda k, m: _exponent(k, m) + (k == 1),
+    ),
+    "skew action steps k + m + 1": ("_skew_action", lambda k, m: (k, k + m + 1, m)),
+    "product phase e((l+1) gamma)": ("_product_action", lambda l, k: (l + 1, k + 1)),
+}
+
+
+@pytest.mark.parametrize("case", ["skew-product", "product-skew"])
+@pytest.mark.parametrize("mutant", list(KERNEL_MUTANTS))
+def test_check_fails_when_an_action_is_wrong(mutant, case, monkeypatch):
+    name, kernel = KERNEL_MUTANTS[mutant]
+    monkeypatch.setattr(koopman, name, kernel)
+    check = verify_intertwiner(build_intertwiner(*PAIRING_CASES[case], truncation=8))
+    assert check.mismatches > 0
+
+
+def test_check_fails_when_two_chain_images_are_swapped():
+    pairing = build_intertwiner(*PAIRING_CASES["skew-product"], truncation=8)
+    labels_b = pairing.labels_b.copy()
+    on_chain = np.flatnonzero(labels_b[0] >= 0)
+    first, last = on_chain[0], on_chain[-1]  # in the first and the last chain
+    labels_b[:, [first, last]] = labels_b[:, [last, first]]
+    swapped = dataclasses.replace(pairing, labels_b=labels_b)
+    assert verify_intertwiner(pairing).mismatches == 0
+    assert verify_intertwiner(swapped).mismatches > 0

@@ -303,6 +303,15 @@ def test_statistic_input_validation():
         weak_mixing_statistic(SHIFT, W0, W0, 10, mode="monte-carlo")
 
 
+@pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
+def test_cylinders_need_a_sequence_coordinate(mode):
+    for spec in (SystemSpec.rotation(GAMMA), SystemSpec.skew(GAMMA)):
+        with pytest.raises(ValueError, match="constrains sequence symbols"):
+            weak_mixing_statistic(
+                spec, W0, W0, 10, mode=mode, samples=100, rng=spawn_rngs(1, 1)[0]
+            )
+
+
 def test_sequence_window_memory_guard():
     with pytest.raises(ValueError):
         weak_mixing_statistic(
