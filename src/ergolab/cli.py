@@ -79,9 +79,19 @@ MAX_WEAK_MIXING_LAGS = 10**7
 #: Most basis pairs the intertwiner of ``reproduce-letter`` and
 #: ``reproduce-kolmogorov`` may build.  At truncation B a pairing holds
 #: (2B+1)^2 pairs, or (2B+1)^3 between two products.  Building and
-#: checking them takes about 0.6 microseconds and 200 bytes of peak
-#: memory per pair, so the budget caps one pairing near 6 s and 2 GB.
+#: checking them takes about 0.4 microseconds per pair; building peaks
+#: near 110 bytes per pair and checking adds a fixed ~10 MB (it runs in
+#: slices of ``koopman.VERIFY_SLICE`` pairs), so the budget caps one
+#: pairing near 4 s and 1.1 GB.
 MAX_INTERTWINER_PAIRS = 10**7
+#: Most symbols the sampled entropy cross-checks of
+#: ``reproduce-kolmogorov`` may draw: samples x block length, summed over
+#: the systems.  Sampling streams in fixed-size chunks and the scenario
+#: scores single-position cells, so memory stays flat and the budget
+#: bounds time: at about 60 ns per symbol it caps sampling near 25 s,
+#: twice the 10^7-sample run (n = 10, two shifts) and 20 times the
+#: default 10^6.
+MAX_SAMPLED_SYMBOLS = 4 * 10**8
 
 
 @lru_cache(maxsize=4)
@@ -265,6 +275,17 @@ def _check_intertwiner_cost(specs: Sequence[SystemSpec], truncation: int) -> Non
         )
 
 
+def _check_sampling_cost(config: ExperimentConfig, systems: int) -> None:
+    """Refuse a sample whose symbol count exceeds the sampling budget."""
+    symbols = config.samples * config.block_length * systems
+    if symbols > MAX_SAMPLED_SYMBOLS:
+        raise ValueError(
+            f"{config.samples} samples x block length {config.block_length} x "
+            f"{systems} systems need {symbols} sampled symbols, over the "
+            f"budget of {MAX_SAMPLED_SYMBOLS} symbols"
+        )
+
+
 def run_reproduce_letter(config: ExperimentConfig) -> ExperimentReport:
     """The two-system comparison: same spectrum, different towers.
 
@@ -370,6 +391,7 @@ def run_reproduce_kolmogorov(config: ExperimentConfig) -> ExperimentReport:
     if len(specs) < 2 or any(s.kind != "bernoulli" for s in specs):
         raise ValueError("the kolmogorov scenario needs at least two shift systems")
     _check_intertwiner_cost(specs, config.truncation)
+    _check_sampling_cost(config, len(specs))
     results: dict = {"systems": [s.to_json() for s in specs]}
     verdicts: list[dict] = []
 

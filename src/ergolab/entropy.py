@@ -33,7 +33,7 @@ from .systems import (
     CylinderSet,
     SystemSpec,
     iterate_batch,
-    sample_batch,
+    sample_chunks,
 )
 
 __all__ = [
@@ -318,12 +318,25 @@ def partition_refine_entropy(
     H(alpha, n)/n: sample initial points, record the itinerary of cells
     visited over n steps, and score it.
 
+    The sample is streamed: it is drawn from ``rng`` in consecutive
+    chunks of at most ``SAMPLE_CHUNK`` points (:func:`sample_chunks`),
+    holding only the sequence positions the cells read, and each chunk's
+    itineraries are scored before the next chunk is drawn, so the sample
+    never spans more than one chunk.  Single-position cells then keep
+    only merged moments, so memory does not grow with ``samples``; the
+    multi-position cache of -log mu and the frequency counts hold one
+    entry per distinct itinerary seen, up to the number of possible
+    itineraries.
+
     Cylinder partitions of a shift system are measure-scored: every
     itinerary's refined cell is itself a cylinder (constraints translated
     step by step and merged), so the exact -log mu(cell) is averaged,
-    an unbiased estimator with zero variance for uniform shifts.  Other
-    partitions fall back to frequency plug-in over itineraries, with the
-    coverage guard of :func:`block_entropy_rate`.
+    an unbiased estimator with zero variance for uniform shifts.  The
+    chunks' score counts, means and squared deviations are merged by
+    Chan's update.  Other partitions fall back to frequency plug-in over
+    itineraries, whose counts are summed exactly across chunks, with the
+    coverage guard of :func:`block_entropy_rate` checked before any
+    sampling.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -340,60 +353,61 @@ def partition_refine_entropy(
             exact=True,
             method="single-cell",
         )
-    cylinder_cells = all(c.kind == "cylinder" for c in partition.cells)
-    window = n + max(
-        (max(abs(p) for p in c.cylinder.positions) for c in partition.cells
-         if c.cylinder is not None and c.cylinder.positions),
-        default=0,
-    ) + 1
-    batch = sample_batch(spec, rng, samples, window_half_width=window)
-    itineraries = np.empty((samples, n), dtype=np.int64)
-    for j in range(n):
-        stepped = iterate_batch(batch, j)
-        cells = partition.cell_index_batch(spec, stepped)
-        if np.any(cells < 0):
-            raise ValueError("a sample escaped every cell; partition incomplete")
-        itineraries[:, j] = cells
-
-    if cylinder_cells and spec.bernoulli is not None:
-        return _measure_scored(spec, partition, itineraries, n)
-    return _frequency_scored(partition, itineraries, n)
-
-
-def _measure_scored(
-    spec: SystemSpec, partition: PartitionSpec, itineraries: np.ndarray, n: int
-) -> EntropyEstimate:
-    samples = itineraries.shape[0]
-    single_position = all(
-        len(c.cylinder.constraints) == 1
-        and c.cylinder.constraints[0][0] == partition.cells[0].cylinder.constraints[0][0]
-        for c in partition.cells
+    measure_scored = spec.bernoulli is not None and all(
+        c.kind == "cylinder" for c in partition.cells
     )
-    if single_position:
-        # refined-cell constraints land on n distinct positions, so the
-        # measure is a plain product and the scoring fully vectorizes
-        log_p = np.array(
-            [
-                math.log(spec.bernoulli.prob_of(c.cylinder.constraints[0][1]))
-                for c in partition.cells
-            ]
+    if not measure_scored and samples < 100 * 2**n:
+        raise UndersampledError(
+            f"{samples} samples are below the coverage floor 100 * 2^{n}"
         )
-        scores = -log_p[itineraries].sum(axis=1) / n
-        value = float(np.mean(scores))
-        stderr = (
-            float(np.std(scores, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-        )
+    read = [
+        p for c in partition.cells if c.cylinder is not None for p in c.cylinder.positions
+    ]
+    # the cell entered at step j reads position p + j of the start point
+    positions = range(min(read), max(read) + n) if read else range(0)
+    score = _itinerary_scorer(spec, partition, n) if measure_scored else None
+    moments = (0, 0.0, 0.0)
+    rows = counts = None
+    for batch in sample_chunks(spec, rng, samples, positions):
+        itineraries = np.empty((len(batch), n), dtype=np.int64)
+        for j in range(n):
+            cells = partition.cell_index_batch(spec, iterate_batch(batch, j))
+            if np.any(cells < 0):
+                raise ValueError("a sample escaped every cell; partition incomplete")
+            itineraries[:, j] = cells
+        if measure_scored:
+            moments = _merge_moments(moments, score(itineraries))
+        else:
+            rows, counts = _merge_counts(rows, counts, itineraries)
+    if measure_scored:
+        count, mean, m2 = moments
         return EntropyEstimate(
-            value=value,
+            value=mean,
             block_length=n,
-            sample_count=samples,
-            stderr=stderr,
+            sample_count=count,
+            stderr=math.sqrt(m2 / (count - 1)) / math.sqrt(count),
             exact=False,
             method="measure-scored",
         )
-    rows, inverse = np.unique(itineraries, axis=0, return_inverse=True)
-    log_measures = np.empty(len(rows))
-    for r, row in enumerate(rows):
+    return _frequency_estimate(counts, n)
+
+
+def _itinerary_scorer(spec: SystemSpec, partition: PartitionSpec, n: int):
+    """The per-sample score -(1/n) log mu(refined cell) as a function of
+    an itinerary matrix (one row per sample, one cell index per step)."""
+    prob_of = spec.bernoulli.prob_of
+    constraints = [c.cylinder.constraints for c in partition.cells]
+    if all(len(cons) == 1 for cons in constraints) and (
+        len({cons[0][0] for cons in constraints}) == 1
+    ):
+        # refined-cell constraints land on n distinct positions, so the
+        # measure is a plain product and the scoring fully vectorizes
+        log_p = np.array([math.log(prob_of(cons[0][1])) for cons in constraints])
+        return lambda itineraries: -log_p[itineraries].sum(axis=1) / n
+
+    log_measures: dict[tuple, float] = {}  # per distinct itinerary
+
+    def log_measure(row: tuple) -> float:
         merged: dict[int, object] = {}
         for j, cell_idx in enumerate(row):
             for pos, sym in partition.cells[cell_idx].cylinder.constraints:
@@ -405,30 +419,59 @@ def _measure_scored(
                 merged[shifted] = sym
         measure = 1.0
         for sym in merged.values():
-            measure *= spec.bernoulli.prob_of(sym)
-        log_measures[r] = math.log(measure)
-    scores = -log_measures[inverse] / n
-    value = float(np.mean(scores))
-    stderr = float(np.std(scores, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return EntropyEstimate(
-        value=value,
-        block_length=n,
-        sample_count=samples,
-        stderr=stderr,
-        exact=False,
-        method="measure-scored",
+            measure *= prob_of(sym)
+        return math.log(measure)
+
+    def scores(itineraries: np.ndarray) -> np.ndarray:
+        rows, inverse = np.unique(itineraries, axis=0, return_inverse=True)
+        logs = np.empty(len(rows))
+        for r, row in enumerate(map(tuple, rows.tolist())):
+            if row not in log_measures:
+                log_measures[row] = log_measure(row)
+            logs[r] = log_measures[row]
+        return -logs[inverse.reshape(-1)] / n
+
+    return scores
+
+
+def _merge_moments(
+    moments: tuple[int, float, float], scores: np.ndarray
+) -> tuple[int, float, float]:
+    """Fold one chunk of scores into (count, mean, sum of squared
+    deviations) by Chan's pairwise update; the first chunk's moments are
+    numpy's own mean and squared deviations of its scores."""
+    count, mean, m2 = moments
+    k = scores.size
+    chunk_mean = float(np.mean(scores))
+    chunk_m2 = float(np.sum((scores - chunk_mean) ** 2))
+    if count == 0:
+        return k, chunk_mean, chunk_m2
+    total = count + k
+    delta = chunk_mean - mean
+    return (
+        total,
+        mean + delta * k / total,
+        m2 + chunk_m2 + delta * delta * count * k / total,
     )
 
 
-def _frequency_scored(
-    partition: PartitionSpec, itineraries: np.ndarray, n: int
-) -> EntropyEstimate:
-    samples = itineraries.shape[0]
-    if samples < 100 * 2**n:
-        raise UndersampledError(
-            f"{samples} samples are below the coverage floor 100 * 2^{n}"
-        )
-    _, counts = np.unique(itineraries, axis=0, return_counts=True)
+def _merge_counts(rows, counts, itineraries: np.ndarray):
+    """Add one chunk's itineraries to the distinct rows seen so far
+    (sorted lexicographically) and their integer counts."""
+    new_rows, new_counts = np.unique(itineraries, axis=0, return_counts=True)
+    if rows is None:
+        return new_rows, new_counts
+    merged, inverse = np.unique(
+        np.concatenate([rows, new_rows]), axis=0, return_inverse=True
+    )
+    totals = np.zeros(len(merged), dtype=np.int64)
+    np.add.at(totals, inverse.reshape(-1), np.concatenate([counts, new_counts]))
+    return merged, totals
+
+
+def _frequency_estimate(counts: np.ndarray, n: int) -> EntropyEstimate:
+    """Plug-in rate from itinerary counts in lexicographic row order."""
+    samples = int(counts.sum())
     freq = counts / samples
     log_f = np.log(freq)
     h_n = float(-(freq * log_f).sum())

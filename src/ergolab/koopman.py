@@ -57,6 +57,10 @@ __all__ = [
 ]
 
 INFINITE = "infinite"
+#: Pairs :func:`verify_intertwiner` checks at a time.  Each pair of a
+#: slice costs about 150 bytes of integer temporaries, so checking needs
+#: about 10 MB however many pairs the pairing holds.
+VERIFY_SLICE = 2**16
 
 
 @dataclass(frozen=True)
@@ -783,30 +787,39 @@ def verify_intertwiner(pairing: IntertwinerPairing) -> IntertwinerCheck:
     integer multiples of each system's angle and gammaB = eps * gammaA
     (mod 1), so they agree iff ``phase_a == eps * phase_b``.
 
-    Returns the number of mismatched pairs, the largest numeric phase
-    discrepancy among them, and how many pairs were checked.
+    The pairs are checked in slices of ``VERIFY_SLICE``, so the
+    temporaries stay bounded however many pairs there are; targets still
+    index the whole pairing.  Returns the number of mismatched pairs, the
+    largest numeric phase discrepancy among them, and how many pairs
+    were checked.
     """
     labels_a, labels_b = pairing.labels_a, pairing.labels_b
-    phase_a, c_next, j_next = pairing.basis_a.step(*labels_a)
-    target = pairing.layout.index(c_next, j_next)
-    interior = target >= 0
-    target = target[interior]
-    phase_a = phase_a[interior]
-    phase_b, cb_next, jb_next = pairing.basis_b.step(*labels_b[:, interior])
-    match = (
-        (labels_a[0, target] == c_next[interior])
-        & (labels_a[1, target] == j_next[interior])
-        & (labels_b[0, target] == cb_next)
-        & (labels_b[1, target] == jb_next)
-        & (phase_a == pairing.eps * phase_b)
-    )
+    mismatches = checked = 0
     max_residual = 0.0
-    for pa, pb in zip(phase_a[~match].tolist(), phase_b[~match].tolist()):
-        try:
-            va = Phase.from_gamma(pa).value(pairing.spec_a.gamma)
-            vb = Phase.from_gamma(pb).value(pairing.spec_b.gamma)
-            max_residual = max(max_residual, abs(va - vb))
-        except ValueError:
-            max_residual = 2.0
-    checked = int(match.size)
-    return IntertwinerCheck(checked - int(np.count_nonzero(match)), max_residual, checked)
+    for start in range(0, labels_a.shape[1], VERIFY_SLICE):
+        part = slice(start, start + VERIFY_SLICE)
+        phase_a, c_next, j_next = pairing.basis_a.step(*labels_a[:, part])
+        target = pairing.layout.index(c_next, j_next)
+        interior = target >= 0
+        target = target[interior]
+        phase_a = phase_a[interior]
+        phase_b, cb_next, jb_next = pairing.basis_b.step(
+            *labels_b[:, part][:, interior]
+        )
+        match = (
+            (labels_a[0, target] == c_next[interior])
+            & (labels_a[1, target] == j_next[interior])
+            & (labels_b[0, target] == cb_next)
+            & (labels_b[1, target] == jb_next)
+            & (phase_a == pairing.eps * phase_b)
+        )
+        for pa, pb in zip(phase_a[~match].tolist(), phase_b[~match].tolist()):
+            try:
+                va = Phase.from_gamma(pa).value(pairing.spec_a.gamma)
+                vb = Phase.from_gamma(pb).value(pairing.spec_b.gamma)
+                max_residual = max(max_residual, abs(va - vb))
+            except ValueError:
+                max_residual = 2.0
+        checked += int(match.size)
+        mismatches += int(match.size - np.count_nonzero(match))
+    return IntertwinerCheck(mismatches, max_residual, checked)

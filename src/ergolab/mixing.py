@@ -30,7 +30,7 @@ from .systems import (
     SymbolWindow,
     SystemSpec,
     iterate_batch,
-    sample_batch,
+    sample_chunks,
 )
 
 __all__ = [
@@ -48,6 +48,9 @@ __all__ = [
 
 CONSISTENT_BELOW = 0.01
 INCONSISTENT_ABOVE = 0.05
+#: Most ``samples * (2 * width + 1)`` sequence symbols a Monte-Carlo
+#: estimate accepts, width being the largest position it reads.
+MAX_WINDOW_SYMBOLS = 2 * 10**8
 
 
 class NoClosedFormError(ValueError):
@@ -469,8 +472,10 @@ def correlation(
     ``mode="exact"`` uses closed forms (interval overlap on the rotation
     factor, constraint merging on the shift factor) and raises
     :class:`NoClosedFormError` where none exists.  ``mode="monte-carlo"``
-    estimates E[1_A(x) 1_B(S^i x)] from a sample batch, which has the
-    same value since the measure is preserved.
+    estimates E[1_A(x) 1_B(S^i x)], which has the same value since the
+    measure is preserved, by counting hits over a sample streamed in
+    chunks; it refuses (ValueError) windows beyond
+    ``MAX_WINDOW_SYMBOLS``.
     """
     if i < 0:
         raise ValueError("i must be >= 0")
@@ -481,28 +486,59 @@ def correlation(
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         raise ValueError("monte-carlo mode needs an rng")
-    width = _window_for(spec, A, B, i, samples)
-    batch = sample_batch(spec, rng, samples, window_half_width=width)
-    in_a = A.contains_batch(spec, batch)
-    in_b = B.contains_batch(spec, iterate_batch(batch, i))
-    hits = in_a & in_b
-    p_hat = float(np.mean(hits))
+    _check_window_cost(spec, A, B, i, samples)
+    hits = _monte_carlo_hits(spec, A, B, range(i, i + 1), samples, rng)
+    p_hat = int(hits[0]) / samples
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / samples)
     return CorrelationPoint(i=i, estimate=p_hat, exact=False, stderr=stderr)
 
 
-def _window_for(spec: SystemSpec, A: TestSet, B: TestSet, i: int, samples: int) -> int:
-    positions = [0]
+def _monte_carlo_hits(
+    spec: SystemSpec,
+    A: TestSet,
+    B: TestSet,
+    lags: range,
+    samples: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """How many of ``samples`` points x have x in A and S^i x in B, per
+    lag i in ``lags``.
+
+    The sample is streamed through :func:`sample_chunks`, holding only
+    the sequence positions the sets read: A's constraints at lag 0 and
+    B's after each lag.
+    """
+    read = list(A.cylinder.positions) if A.cylinder is not None else []
+    if B.cylinder is not None:
+        read += [q + i for q in B.cylinder.positions for i in (lags[0], lags[-1])]
+    positions = range(min(read), max(read) + 1) if read else range(0)
+    hits = np.zeros(len(lags), dtype=np.int64)
+    for batch in sample_chunks(spec, rng, samples, positions):
+        in_a = A.contains_batch(spec, batch)
+        for h, i in enumerate(lags):
+            in_b = B.contains_batch(spec, iterate_batch(batch, i))
+            hits[h] += np.count_nonzero(in_a & in_b)
+    return hits
+
+
+def _check_window_cost(
+    spec: SystemSpec, A: TestSet, B: TestSet, lag: int, samples: int
+) -> None:
+    """Refuse a Monte-Carlo estimate whose ``samples`` sequence windows,
+    wide enough for every position the sets read at ``lag``, would hold
+    more than ``MAX_WINDOW_SYMBOLS`` symbols; the message states the
+    count."""
+    read = [0]
     for ts in (A, B):
         if ts.cylinder is not None:
-            positions.extend(abs(p) for p in ts.cylinder.positions)
-    width = max(positions) + abs(i) + 1
-    if spec.kind in ("bernoulli", "product") and samples * (2 * width + 1) > 2 * 10**8:
+            read.extend(abs(p) for p in ts.cylinder.positions)
+    size = 2 * (max(read) + abs(lag) + 1) + 1
+    if spec.kind in ("bernoulli", "product") and samples * size > MAX_WINDOW_SYMBOLS:
         raise ValueError(
-            "sampled sequence windows would exceed memory at this lag; "
-            "use exact mode or reduce the lag/sample count"
+            f"{samples} samples of {size}-symbol sequence windows at lag {lag} "
+            f"are {samples * size} symbols, over the budget of "
+            f"{MAX_WINDOW_SYMBOLS}; use exact mode or reduce the lag/sample count"
         )
-    return width
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +562,10 @@ def weak_mixing_statistic(
     exact recurrence and each overlap is decided by integer sign tests
     (:class:`_CircleOverlap`), a few integer operations per lag; each
     term then becomes one exact object, converted to float once as its
-    type dictates.  In monte-carlo mode one batch is drawn and reused
-    across lags; the estimate stays consistent because each lag's
-    indicator mean is unbiased.
+    type dictates.  In monte-carlo mode one sample, streamed in chunks,
+    serves every lag: each chunk's hits are counted at all t lags before
+    the next chunk is drawn.  The estimate stays consistent because each
+    lag's indicator mean is unbiased.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -543,13 +580,10 @@ def weak_mixing_statistic(
     if rng is None:
         raise ValueError("monte-carlo mode needs an rng")
     product = float(A.exact_measure(spec) * B.exact_measure(spec))
-    width = _window_for(spec, A, B, t, samples)
-    batch = sample_batch(spec, rng, samples, window_half_width=width)
-    in_a = A.contains_batch(spec, batch)
+    _check_window_cost(spec, A, B, t, samples)
     total = 0.0
-    for i in range(t):
-        in_b = B.contains_batch(spec, iterate_batch(batch, i))
-        total += abs(float(np.mean(in_a & in_b)) - product)
+    for hits in _monte_carlo_hits(spec, A, B, range(t), samples, rng).tolist():
+        total += abs(hits / samples - product)
     return total / t
 
 

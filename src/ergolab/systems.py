@@ -7,18 +7,21 @@
 
 Map functions are numpy-polymorphic: coordinates may be floats or
 arrays of floats.  Sequence points are finite windows of a sampled
-bi-infinite sequence; operations that need symbols declare the window
-width up front, and shifting just moves the anchor.
+bi-infinite sequence; operations that need symbols declare the
+positions they read up front, and shifting just moves the anchor.
 
-Monte-Carlo sampling draws each estimate's whole sample in one batch
-from one generator (``sample_batch``); a run's generators are
-sub-streams spawned from its single seed (``spawn_rngs``).
+Monte-Carlo estimates stream their sample: ``sample_chunks`` draws it
+from one generator as consecutive batches of at most ``SAMPLE_CHUNK``
+points, and each batch (``sample_batch``) stores sequence symbols as
+uint8 indices for only the positions its consumer reads, so no array
+spans the whole sample.  A run's generators are sub-streams spawned
+from its single seed (``spawn_rngs``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -27,6 +30,7 @@ from .quadratic import RotationNumber
 __all__ = [
     "BernoulliSpec",
     "CylinderSet",
+    "SAMPLE_CHUNK",
     "SampleBatch",
     "SymbolWindow",
     "SystemSpec",
@@ -39,6 +43,7 @@ __all__ = [
     "rotation_step",
     "rotation_step_inverse",
     "sample_batch",
+    "sample_chunks",
     "sample_point",
     "shift_step",
     "shift_step_inverse",
@@ -54,6 +59,11 @@ FloatLike = Union[float, np.ndarray]
 DEFAULT_SYMBOLS = (1, -1)
 
 SYSTEM_KINDS = ("rotation", "skew", "bernoulli", "product")
+
+#: Most points one batch of a streamed Monte-Carlo sample holds
+#: (:func:`sample_chunks`): 2^16 points of ten uint8 symbols and their
+#: per-point temporary arrays stay within a few megabytes.
+SAMPLE_CHUNK = 2**16
 
 
 class WindowError(IndexError):
@@ -318,7 +328,9 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
 
     The command line hands generator i to the i-th system of a run, so the
     generator a system draws from depends only on the seed and the
-    system's position, not on how many systems follow it.
+    system's position, not on how many systems follow it.  A streamed
+    estimate draws all its chunks from its one generator in turn, so its
+    result depends on the seed and ``SAMPLE_CHUNK`` alone.
     """
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
@@ -357,8 +369,11 @@ def _sample_window(
 class SampleBatch:
     """Struct-of-arrays batch of points (the Monte-Carlo fast path).
 
-    ``sym`` holds symbol *indices* into ``spec.bernoulli.symbols``; row i
-    column j is the symbol at position ``anchor + j`` of sample i.
+    ``sym`` holds symbol *indices* into ``spec.bernoulli.symbols`` as
+    unsigned bytes (wider only for alphabets above 256 symbols); row i
+    column j is the symbol at position ``anchor + j`` of sample i, and
+    reading any position outside the stored columns raises
+    :class:`WindowError`.
     """
 
     spec: SystemSpec
@@ -383,20 +398,42 @@ def sample_batch(
     spec: SystemSpec,
     rng: np.random.Generator,
     n: int,
-    window_half_width: int = 8,
+    positions: range = range(-8, 9),
 ) -> SampleBatch:
+    """n points of the invariant measure, drawn from rng in one batch.
+
+    Sequence components store the symbols at ``positions``, a contiguous
+    range of sequence positions; a consumer passes the positions it
+    reads, so no column is drawn that nothing reads.  Symbol indices are
+    unsigned bytes for alphabets of up to 256 symbols.
+    """
+    if positions.step != 1:
+        raise ValueError("sampled positions must be a contiguous range")
     u = v = sym = None
-    anchor = -window_half_width
     if spec.kind in ("rotation", "skew", "product"):
         u = rng.random(n)
     if spec.kind == "skew":
         v = rng.random(n)
     if spec.kind in ("bernoulli", "product"):
-        bern = spec.bernoulli
-        sym = rng.choice(
-            len(bern.probs), size=(n, 2 * window_half_width + 1), p=bern.probs
-        )
-    return SampleBatch(spec=spec, u=u, v=v, sym=sym, anchor=anchor)
+        k = len(spec.bernoulli.probs)
+        sym = rng.choice(k, size=(n, len(positions)), p=spec.bernoulli.probs)
+        sym = sym.astype(np.min_scalar_type(k - 1))
+    return SampleBatch(spec=spec, u=u, v=v, sym=sym, anchor=positions.start)
+
+
+def sample_chunks(
+    spec: SystemSpec, rng: np.random.Generator, n: int, positions: range
+) -> Iterator[SampleBatch]:
+    """n points of the invariant measure as consecutive batches of at
+    most ``SAMPLE_CHUNK`` points, each drawn from rng after the last.
+
+    Every Monte-Carlo estimate streams its sample through here and
+    reduces each batch before the next is drawn, so the drawn sample
+    never takes more than one batch of memory, whatever n is.
+    ``positions`` is passed on to :func:`sample_batch`.
+    """
+    for start in range(0, n, SAMPLE_CHUNK):
+        yield sample_batch(spec, rng, min(SAMPLE_CHUNK, n - start), positions)
 
 
 def step_batch(batch: SampleBatch) -> SampleBatch:

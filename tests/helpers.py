@@ -90,7 +90,7 @@ def max_preservation_sigma(
     Invariance of the measure makes the post-image frequency an unbiased
     estimate of the same measure, so the z-score is ~N(0,1) per set.
     """
-    batch = sample_batch(spec, rng, n, window_half_width=8)
+    batch = sample_batch(spec, rng, n, positions=range(-8, 9))
     moved = iterate_batch(batch, step)
     worst = 0.0
     for ts in sets:

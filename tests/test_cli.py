@@ -21,6 +21,7 @@ from ergolab import InconclusiveEvidenceError
 from ergolab.cli import (
     DEFAULT_SEED,
     MAX_INTERTWINER_PAIRS,
+    MAX_SAMPLED_SYMBOLS,
     MAX_WEAK_MIXING_LAGS,
     ExperimentConfig,
     ExperimentReport,
@@ -166,6 +167,22 @@ def test_truncation_above_the_pair_budget_is_refused(scenario, tmp_path, capsys)
     assert code == 1
     err = capsys.readouterr().err
     assert f"error: truncation {truncation} needs {pairs} intertwiner pairs" in err
+    assert not out.exists()
+
+
+def test_samples_above_the_symbol_budget_are_refused(tmp_path, capsys):
+    samples = MAX_SAMPLED_SYMBOLS // 20 + 1  # the smallest refused at n = 10
+    symbols = samples * 10 * 2
+    assert symbols > MAX_SAMPLED_SYMBOLS >= (samples - 1) * 10 * 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "reproduce-kolmogorov", "samples": samples}))
+    code, out = run(tmp_path, "reproduce-kolmogorov", "--config", str(cfg))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert (
+        f"error: {samples} samples x block length 10 x 2 systems need {symbols} "
+        f"sampled symbols" in err
+    )
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ mpmath directly.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -33,6 +34,10 @@ from ergolab import (
     spawn_rngs,
 )
 
+from ergolab import entropy, systems
+from ergolab.systems import SAMPLE_CHUNK
+
+import entropy_oracle
 from helpers import GAMMA, UNIFORM4
 
 FAIR = BernoulliSpec.fair_coin()
@@ -202,6 +207,103 @@ def test_refinement_guards():
     with pytest.raises(UndersampledError):
         # frequency scoring needs 100 * 2^n samples at the ceiling rate
         partition_refine_entropy(rot, part, 12, 1_000, rng)
+
+
+# ---------------------------------------------------------------------------
+# streamed sampling
+# ---------------------------------------------------------------------------
+
+# two-position cells, so refined cells overlap and the scorer merges
+# constraints row by row
+PAIR_CELLS = PartitionSpec(
+    cells=tuple(
+        TestSet.from_cylinder(CylinderSet(((0, a), (1, b))))
+        for a in (0, 1)
+        for b in (0, 1)
+    ),
+    labels=("00", "01", "10", "11"),
+)
+SCORERS = {
+    # name: (system, partition, n)
+    "single-position": (SystemSpec.shift(BIASED), PartitionSpec.time_zero(BIASED), 8),
+    "multi-position": (SystemSpec.shift(BIASED), PAIR_CELLS, 4),
+    "frequency": (
+        SystemSpec.rotation(GAMMA),
+        PartitionSpec.u_intervals([0, Fraction(1, 2), 1]),
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "samples", [100, SAMPLE_CHUNK - 1, 3 * SAMPLE_CHUNK, 3 * SAMPLE_CHUNK + 5]
+)
+def test_chunk_boundaries_give_valid_estimates(samples):
+    spec, part, n = SCORERS["single-position"]
+    est = partition_refine_entropy(spec, part, n, samples, spawn_rngs(31, 1)[0])
+    assert est.sample_count == samples and est.method == "measure-scored"
+    assert est.stderr > 0
+    assert abs(est.value - bernoulli_entropy(BIASED)) <= 5 * est.stderr
+    fair = partition_refine_entropy(
+        SystemSpec.shift(FAIR), PartitionSpec.time_zero(FAIR), 10, samples,
+        spawn_rngs(32, 1)[0],
+    )
+    assert fair.sample_count == samples
+    assert fair.value == math.log(2) and fair.stderr == 0.0
+
+
+@pytest.mark.parametrize("scorer", list(SCORERS))
+def test_same_seed_same_estimate(scorer):
+    spec, part, n = SCORERS[scorer]
+    runs = [
+        partition_refine_entropy(spec, part, n, SAMPLE_CHUNK + 5, spawn_rngs(33, 1)[0])
+        for _ in range(2)
+    ]
+    assert runs[0] == runs[1]
+    assert runs[0].method == ("frequency" if scorer == "frequency" else "measure-scored")
+
+
+@pytest.mark.parametrize("scorer", list(SCORERS))
+def test_streamed_scorers_equal_the_one_batch_oracle(scorer, monkeypatch):
+    """The chunks' merged state gives the one-batch scorer's result on
+    the concatenated draws: counts exactly, and moments merged by Chan's
+    update to 1e-12 relative (only the order of float sums differs)."""
+    spec, part, n = SCORERS[scorer]
+    monkeypatch.setattr(systems, "SAMPLE_CHUNK", 1000)
+    drawn = []
+
+    def recording(*args, **kwargs):
+        for batch in systems.sample_chunks(*args, **kwargs):
+            drawn.append(batch)
+            yield batch
+
+    monkeypatch.setattr(entropy, "sample_chunks", recording)
+    est = partition_refine_entropy(spec, part, n, 3005, spawn_rngs(34, 1)[0])
+    assert [len(b) for b in drawn] == [1000, 1000, 1000, 5]
+    itin = entropy_oracle.itineraries(spec, part, entropy_oracle.concatenate(drawn), n)
+    if scorer == "frequency":
+        assert est == entropy_oracle.frequency_scored(itin, n)
+        return
+    expected = entropy_oracle.measure_scored(spec, part, itin, n)
+    assert (est.sample_count, est.method) == (expected.sample_count, expected.method)
+    assert est.value == pytest.approx(expected.value, rel=1e-12)
+    assert est.stderr == pytest.approx(expected.stderr, rel=1e-12)
+
+
+def test_streamed_sampling_memory_is_bounded():
+    """10^6 samples at n = 10 keep one chunk's arrays alive at a time;
+    the one-batch sampler traced about 350 MB here."""
+    tracemalloc.start()
+    try:
+        est = partition_refine_entropy(
+            SystemSpec.shift(FAIR), PartitionSpec.time_zero(FAIR), 10, 1_000_000,
+            spawn_rngs(35, 1)[0],
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.sample_count == 1_000_000
+    assert peak < 30 * 2**20
 
 
 # ---------------------------------------------------------------------------

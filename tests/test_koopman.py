@@ -418,6 +418,29 @@ def test_check_fails_when_an_action_is_wrong(mutant, case, monkeypatch):
     assert check.mismatches > 0
 
 
+@pytest.mark.parametrize(
+    "case, B, mutant",
+    [
+        ("skew-product", 33, None),
+        ("skew-product", 33, "product phase e((l+1) gamma)"),
+        # 7-pair slices of the 300,763 pairs at B = 33 take 8 s; B = 33
+        # itself runs in several default slices in the oracle test above
+        ("product-product", 12, None),
+    ],
+)
+def test_check_in_slices_equals_the_unsliced_check(case, B, mutant, monkeypatch):
+    """Slices of 7 pairs give the same counts and residual as one slice
+    holding every pair, with and without a wrong action."""
+    if mutant is not None:
+        monkeypatch.setattr(koopman, *KERNEL_MUTANTS[mutant])
+    pairing = build_intertwiner(*PAIRING_CASES[case], truncation=B)
+    monkeypatch.setattr(koopman, "VERIFY_SLICE", pairing.labels_a.shape[1])
+    whole = verify_intertwiner(pairing)
+    monkeypatch.setattr(koopman, "VERIFY_SLICE", 7)
+    assert verify_intertwiner(pairing) == whole
+    assert (whole.mismatches > 0) == (mutant is not None)
+
+
 def test_check_fails_when_two_chain_images_are_swapped():
     pairing = build_intertwiner(*PAIRING_CASES["skew-product"], truncation=8)
     labels_b = pairing.labels_b.copy()

@@ -38,8 +38,10 @@ from ergolab import (
     weak_mixing_statistic,
     weak_mixing_verdict,
 )
+from ergolab import mixing, systems
 from ergolab.mixing import _CircleOverlap, _exact_correlations, _merge_measure
 
+from entropy_oracle import concatenate
 from helpers import GAMMA, UNIFORM4, four_systems
 
 FAIR = BernoulliSpec.fair_coin()
@@ -318,6 +320,56 @@ def test_sequence_window_memory_guard():
             SHIFT, W0, W0, 100_000, mode="monte-carlo",
             samples=100_000, rng=spawn_rngs(1, 1)[0],
         )
+
+
+def test_window_guard_states_the_cost():
+    """The refusal threshold counts samples x (2 * width + 1) symbols,
+    width reaching the lag: correlation at lag i, the statistic at t."""
+    refused = 2 * 10**8 // 21 + 1  # width 10: lag 9 for W0
+    with pytest.raises(ValueError, match=f"{refused} samples of 21-symbol .* lag 9 "
+                       f"are {refused * 21} symbols"):
+        correlation(SHIFT, W0, W0, 9, mode="monte-carlo", samples=refused, rng=spawn_rngs(1, 1)[0])
+    with pytest.raises(ValueError, match=f"at lag 9 are {refused * 21} symbols"):
+        weak_mixing_statistic(
+            PROD, W0, W0, 9, mode="monte-carlo", samples=refused, rng=spawn_rngs(1, 1)[0]
+        )
+    assert (refused - 1) * 21 <= mixing.MAX_WINDOW_SYMBOLS < refused * 21
+
+
+@pytest.mark.parametrize("spec, A, B", [
+    (PROD, TestSet.product_set(0, Fraction(1, 3), CylinderSet(((-1, 1), (2, -1)))),
+     TestSet.product_set(Fraction(1, 4), 1, CylinderSet(((1, 1),)))),
+    (SKEW, TestSet.rectangle(0, Fraction(1, 2), 0, Fraction(1, 2)), HALF),
+])
+def test_streamed_monte_carlo_equals_one_batch(spec, A, B, monkeypatch):
+    """Hit counts over chunks give exactly the one-batch indicator means
+    on the concatenated draws, for the statistic and one correlation."""
+    monkeypatch.setattr(systems, "SAMPLE_CHUNK", 700)
+    drawn = []
+
+    def recording(*args, **kwargs):
+        for batch in systems.sample_chunks(*args, **kwargs):
+            drawn.append(batch)
+            yield batch
+
+    monkeypatch.setattr(mixing, "sample_chunks", recording)
+    t, samples = 6, 2_003
+    stat = weak_mixing_statistic(
+        spec, A, B, t, mode="monte-carlo", samples=samples, rng=spawn_rngs(41, 1)[0]
+    )
+    assert [len(b) for b in drawn] == [700, 700, 603]
+    batch = concatenate(drawn)
+    in_a = A.contains_batch(spec, batch)
+    product = float(A.exact_measure(spec) * B.exact_measure(spec))
+    means = [float(np.mean(in_a & B.contains_batch(spec, iterate_batch(batch, i))))
+             for i in range(t)]
+    assert stat == sum(abs(m - product) for m in means) / t
+    drawn.clear()
+    point = correlation(spec, A, B, 4, mode="monte-carlo", samples=samples,
+                        rng=spawn_rngs(42, 1)[0])
+    batch = concatenate(drawn)
+    hits = A.contains_batch(spec, batch) & B.contains_batch(spec, iterate_batch(batch, 4))
+    assert point.estimate == float(np.mean(hits))
 
 
 def test_verdict_thresholds():

@@ -29,12 +29,14 @@ from ergolab import (
     product_step,
     rotation_step,
     sample_batch,
+    sample_chunks,
     sample_point,
     shift_step,
     skew_step,
     spawn_rngs,
     step_batch,
 )
+from ergolab import systems
 from ergolab.systems import (
     product_step_inverse,
     rotation_step_inverse,
@@ -113,7 +115,7 @@ def test_skew_lag_is_exact(i):
 @pytest.mark.parametrize("spec", four_systems(), ids=lambda s: s.kind)
 def test_iterate_batch_matches_stepping(spec):
     rng = spawn_rngs(11, 1)[0]
-    batch = sample_batch(spec, rng, 64, window_half_width=8)
+    batch = sample_batch(spec, rng, 64, positions=range(-8, 9))
     stepped = batch
     for i in range(1, 6):
         stepped = step_batch(stepped)
@@ -133,7 +135,7 @@ def test_iterate_batch_matches_stepping(spec):
 @pytest.mark.parametrize("spec", four_systems(), ids=lambda s: s.kind)
 def test_iterate_batch_is_additive(spec):
     rng = spawn_rngs(12, 1)[0]
-    batch = sample_batch(spec, rng, 32, window_half_width=10)
+    batch = sample_batch(spec, rng, 32, positions=range(-10, 11))
     two_hops = iterate_batch(iterate_batch(batch, 3), 4)
     one_hop = iterate_batch(batch, 7)
     assert two_hops.anchor == one_hop.anchor
@@ -148,12 +150,43 @@ def test_iterate_batch_is_additive(spec):
 def test_symbol_indices_follow_the_anchor():
     spec = SystemSpec.shift(BernoulliSpec.fair_coin())
     rng = spawn_rngs(13, 1)[0]
-    batch = sample_batch(spec, rng, 16, window_half_width=4)
+    batch = sample_batch(spec, rng, 16, positions=range(-4, 5))
     moved = iterate_batch(batch, 3)
     # the symbol seen at position p after 3 steps sat at p + 3 before
     assert np.array_equal(moved.symbol_indices_at(-4), batch.symbol_indices_at(-1))
     with pytest.raises(WindowError):
         moved.symbol_indices_at(4)  # drifted outside the stored window
+
+
+@pytest.mark.parametrize("spec", four_systems()[2:], ids=lambda s: s.kind)
+def test_restricted_positions_are_the_only_stored_symbols(spec):
+    batch = sample_batch(spec, spawn_rngs(14, 1)[0], 50, positions=range(3, 13))
+    assert batch.sym.dtype == np.uint8 and batch.sym.shape == (50, 10)
+    assert batch.anchor == 3
+    for position in (3, 12):
+        assert batch.symbol_indices_at(position).shape == (50,)
+    for position in (2, 13, -3):
+        with pytest.raises(WindowError):
+            batch.symbol_indices_at(position)
+    moved = iterate_batch(batch, 3)
+    assert np.array_equal(moved.symbol_indices_at(0), batch.symbol_indices_at(3))
+    with pytest.raises(WindowError):
+        moved.symbol_indices_at(10)  # position 13 was never drawn
+    with pytest.raises(ValueError):
+        sample_batch(spec, spawn_rngs(14, 1)[0], 5, positions=range(0, 10, 2))
+
+
+def test_chunks_draw_in_sequence_from_one_generator(monkeypatch):
+    monkeypatch.setattr(systems, "SAMPLE_CHUNK", 40)
+    spec = SystemSpec.product(GAMMA, UNIFORM4)
+    rng = spawn_rngs(15, 1)[0]
+    chunks = list(sample_chunks(spec, rng, 125, range(-2, 3)))
+    assert [len(c) for c in chunks] == [40, 40, 40, 5]
+    replay = spawn_rngs(15, 1)[0]
+    for chunk in chunks:
+        again = sample_batch(spec, replay, len(chunk), positions=range(-2, 3))
+        assert np.array_equal(chunk.u, again.u) and np.array_equal(chunk.sym, again.sym)
+    assert list(sample_chunks(spec, rng, 0, range(0))) == []
 
 
 # ---------------------------------------------------------------------------
