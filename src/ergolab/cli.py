@@ -291,7 +291,7 @@ def run_reproduce_letter(config: ExperimentConfig) -> ExperimentReport:
 
     Steps: spectra match; explicit intertwiner verifies with zero
     mismatches; the skew tower grows past the proper functions while the
-    product tower is residual-certified not to; the combination yields
+    product tower does not, both decided exactly; the combination yields
     "spectrally isomorphic" and "not spacially isomorphic".  A pair of
     identical skew systems instead reaches "not distinguished by tower".
     """
@@ -352,7 +352,7 @@ def run_reproduce_letter(config: ExperimentConfig) -> ExperimentReport:
         verdicts.append(
             {
                 "statement": "not spacially isomorphic",
-                "provenance": "residual-certified",
+                "provenance": "exact",
                 "evidence": results["towers"],
             }
         )
@@ -360,9 +360,7 @@ def run_reproduce_letter(config: ExperimentConfig) -> ExperimentReport:
         verdicts.append(
             {
                 "statement": "not distinguished by tower",
-                "provenance": "exact"
-                if {spec_a.kind, spec_b.kind} == {"skew"}
-                else "residual-certified",
+                "provenance": "exact",
                 "evidence": results["towers"],
             }
         )

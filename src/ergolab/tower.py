@@ -1,4 +1,4 @@
-"""Generalized proper-function towers and their desk-scale certificates.
+"""Generalized proper-function towers, decided exactly from one index map.
 
 A generalized proper function of level n+1 satisfies ``g(T x) = f(x) g(x)``
 with f of level n; level 1 is the constants.  For the skew product the
@@ -9,46 +9,46 @@ The skew tower strictly grows for one extra step (constants, then the
 pure-u characters, then everything), while the rotation-times-shift
 product stops one level earlier.
 
-For the product system the "no new level" claim is certified numerically:
-a least-squares search for ``g`` with ``g(T x) = delta e(k u) g(x)`` over a
-truncated basis.  Two honesty rules shape the protocol:
+Both halves of that claim are decided by one integer computation.  Expand
+g in the character basis of either system.  The equation
+``g(T x) = delta e(k u) g(x)`` carries each coefficient to the next one
+along the index map ``K_k = Q* P`` (P the Koopman action on basis labels,
+Q* the shift ``l -> l - k`` of the u-frequency), times a unimodular phase.
+So |c| is constant along every K_k orbit: an L^2 solution lives on finite
+orbits, and every finite orbit, being a cycle, carries one for a suitable
+delta.  A level-3 function with multiplier e(k u) therefore exists iff K_k
+has a finite orbit on the whole, untruncated lattice (Abramov's theory of
+quasi-discrete spectrum: L. M. Abramov, 1962; F. Hahn and W. Parry,
+1965).  :func:`decide_finite_orbits` settles that for every k at once.
 
-* the u-frequency band of the search space is a fixed protocol constant
-  (``U_BAND``), not the growing truncation N.  The rotation factor has
-  quasi-eigenvectors spread over many u-frequencies (Weyl sequences), so
-  a search whose u-band grows with N sees its minimum decay to 0 for
-  *every* k and certifies nothing.  With the band pinned, N grows the
-  sequence-space window, where the product and skew systems actually
-  differ, and the k != 0 minimum stays bounded away from 0 uniformly in N.
-* thresholds are calibrated, not assumed: an independent least-squares
-  oracle at N = 4 computes the reference residual r0, searches reject
-  existence only above ``r0/2``, accept only below 1e-6, and anything in
-  between raises an explicit inconclusive error rather than a silent
-  verdict.  The oracle assembles the dense Gram matrix of the truncated
-  problem and solves it per connected component of its nonzero pattern,
-  read off the matrix itself; the Frobenius norm of the entries the
-  split discards must stay below 1e-12, which by Weyl's inequality
-  bounds how far any eigenvalue can move.
-
-The truncated operator is a phased partial permutation of basis indices,
-so the least-squares minimum has a closed form per orbit component (a
+The residual search corroborates the decision on a truncated basis: it
+minimizes ``|| g o T - delta e(k u) g ||`` over a fixed u-band
+(``U_BAND``) and a sequence window that grows with the truncation N.  The
+truncated operator is a phased partial permutation of basis labels, so
+the least-squares minimum has a closed form per orbit component (a
 self-loop or cycle gives an exact solution; a free path of n nodes gives
 residual ``sqrt(2 - 2 cos(pi/(n+1)))``), with the unimodular constant
 delta eliminated analytically.  The returned minimizer is re-evaluated
-by quadrature on a uniform u-grid as an independent check.
+by quadrature on a uniform u-grid as an independent check.  The search
+accepts a finite orbit below 1e-6 and rejects one above ``r0/2``, with r0
+the closed-form residual of the band's longest free path; a residual in
+between raises :class:`InconclusiveEvidenceError`, and a verdict that
+disagrees with the exact decision raises ``RuntimeError``.  The reject
+margin measures the band, not the system: it falls like
+``pi / (2 U_BAND + 2)`` as the band grows.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .koopman import Phase, FourierMode
+from .koopman import Phase, FourierMode, _product_action, _skew_action
 from .systems import SystemSpec
 
 __all__ = [
@@ -56,6 +56,7 @@ __all__ = [
     "DistinguishResult",
     "InconclusiveEvidenceError",
     "ModeSubgroup",
+    "OrbitDecision",
     "ProductTowerCertificate",
     "ResidualReport",
     "TowerLevel",
@@ -66,9 +67,9 @@ __all__ = [
     "REJECT_FACTOR",
     "certify_product_tower",
     "compute_tower",
+    "decide_finite_orbits",
     "quasi_eigen_residual_search",
     "quotient_homomorphism",
-    "residual_brute_force",
     "residual_reference",
     "stabilization_depth",
     "tower_step",
@@ -221,29 +222,47 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
     return x0, y0
 
 
+def _integer_solutions(
+    rows: list[list[int]], rhs: list[int]
+) -> Optional[tuple[list[int], list[list[int]]]]:
+    """Integer solutions of ``rows z = rhs`` as (one solution, kernel basis),
+    or None if there is none.
+
+    Unimodular column operations, tracked in U, bring the matrix to column
+    echelon form E = rows U.  ``E w = rhs`` is solved pivot by pivot with a
+    divisibility test, z = U w, and the zero columns of E give the kernel.
+    """
+    n = len(rows[0])
+    E, U = [list(r) for r in rows], [[int(i == j) for j in range(n)] for i in range(n)]
+    w, col = [0] * n, 0
+    for i, row in enumerate(E):
+        for j in range(col + 1, n):
+            p, q = row[col], row[j]
+            if q:
+                g, (x, y) = math.gcd(p, q), _bezout(p, q)
+                # columns (col, j) <- (x col + y j, (q/g) col - (p/g) j): determinant -1
+                for r in E + U:
+                    r[col], r[j] = x * r[col] + y * r[j], (q // g) * r[col] - (p // g) * r[j]
+        rest = rhs[i] - sum(e * v for e, v in zip(row, w))
+        if col < n and row[col]:
+            if rest % row[col]:
+                return None
+            w[col] = rest // row[col]
+            col += 1
+        elif rest:
+            return None
+    return [sum(u * v for u, v in zip(r, w)) for r in U], [[r[j] for r in U] for j in range(col, n)]
+
+
 @dataclass(frozen=True)
 class TowerLevel:
-    """One tower level: a character subgroup, always including constants."""
+    """One tower level: a character subgroup, together with the constants."""
 
     characters: ModeSubgroup
-    depth: int
-    with_constants: bool = True
-
-    def __eq__(self, other: object) -> bool:
-        # levels are compared as character sets; depth is bookkeeping
-        if not isinstance(other, TowerLevel):
-            return NotImplemented
-        return self.characters == other.characters
-
-    def __hash__(self) -> int:
-        return hash(self.characters)
+    depth: int = field(compare=False)  # levels compare as character sets
 
     def to_json(self) -> dict:
-        return {
-            "depth": self.depth,
-            "characters": self.characters.to_json(),
-            "with_constants": self.with_constants,
-        }
+        return {"depth": self.depth, "characters": self.characters.to_json()}
 
 
 # ---------------------------------------------------------------------------
@@ -257,47 +276,24 @@ def _skew_quotient_character(mode: tuple[int, int]) -> tuple[int, int]:
     return (m, 0)
 
 
-def tower_step(
-    level: TowerLevel,
-    system: SystemSpec,
-    quotient: Optional[Callable[[tuple[int, int]], tuple[int, int]]] = None,
-) -> TowerLevel:
+def tower_step(level: TowerLevel, system: SystemSpec) -> TowerLevel:
     """The next tower level over ``level`` for the skew system.
 
     A character (k, m) joins the next level iff its dynamical quotient
-    character lies in ``level`` (the accompanying constant is absorbed,
-    since levels carry all constants).  The input level is kept inside
-    the output, so canonical towers are nested by construction.
-
-    ``quotient`` overrides the character quotient map, which is how a
-    coordinate-conjugated copy of the skew map can be fed through the
-    same computation.
+    character (m, 0) lies in ``level`` (the accompanying constant is
+    absorbed, since levels carry all constants).  So every (k, 0) joins,
+    and (0, m) joins for the multiples m of the least t > 0 with (t, 0) in
+    the level, if there is one.  The input level is kept inside the
+    output, so canonical towers are nested by construction.
     """
     if system.kind != "skew":
         raise UnsupportedSystemError(
             f"character-lattice towers are defined for the skew system, "
             f"not {system.kind!r}"
         )
-    quot = quotient or _skew_quotient_character
     H = level.characters
-    # the quotient character of (k, m) is quot applied per generator of the
-    # input: membership set {(k, m): quot((k, m)) in H} is itself a subgroup
-    # since quot is linear; generate it explicitly from the lattice basis.
-    gens: list[tuple[int, int]] = []
-    for basis in ((1, 0), (0, 1)):
-        q = quot(basis)
-        if H.contains(q):
-            gens.append(basis)
-    if len(gens) < 2:
-        # membership is periodic in the missing directions: find minimal
-        # positive multiples whose quotient lands in H
-        for basis in ((1, 0), (0, 1)):
-            if basis in gens:
-                continue
-            step = _minimal_multiple(basis, quot, H)
-            if step:
-                gens.append((basis[0] * step, basis[1] * step))
-    new = ModeSubgroup.from_generators(gens + H.generators())
+    step = _minimal_multiple((0, 1), _skew_quotient_character, H)
+    new = ModeSubgroup.from_generators([(1, 0), (0, step)] + H.generators())
     return TowerLevel(new, depth=level.depth + 1)
 
 
@@ -362,10 +358,113 @@ def quotient_homomorphism(
 
 
 # ---------------------------------------------------------------------------
-# residual search machinery
+# the index map K_k and the exact decision
 # ---------------------------------------------------------------------------
 
 Node = tuple[int, object]  # (u-frequency, tail label)
+
+#: Sectors of the whole label lattice, as (name, dimension).  A product
+#: support of any size is fixed iff each of its positions is, since the
+#: step moves them all by one increasing map and leaves l alone; so one
+#: position decides every nonempty support.
+_SECTORS = {"skew": (("lattice", 2),), "product": (("constant", 1), ("support", 2))}
+
+
+def _p_step(kind: str, node: Node) -> tuple[int, Node]:
+    """P, the Koopman action on a basis label, as (gamma multiplier, image).
+
+    A skew label (l, m) goes to (l + m, m) by ``_skew_action``; a product
+    label (l, support) keeps l and moves each support position a -> a + 1
+    by ``_product_action``.  Both carry the phase e(l gamma).  The index
+    map K_k is this step followed by l -> l - k.
+    """
+    l, tail = node
+    if kind == "skew":
+        mult, l_next, m = _skew_action(l, tail)
+        return mult, (l_next, m)
+    return l, (l, tuple(_product_action(l, a)[1] for a in tail))
+
+
+@dataclass
+class OrbitDecision:
+    """Per label sector, the k whose K_k has a finite orbit there:
+    ``(base, step)`` for k in base + step Z (step 0: k = base only), or
+    None for no k."""
+
+    sectors: dict[str, Optional[tuple[int, int]]]
+
+    def has_finite_orbit(self, k: int) -> bool:
+        """Whether a function with multiplier e(k u) exists one level up."""
+        return any(
+            ks is not None and ((k - ks[0]) % ks[1] == 0 if ks[1] else k == ks[0])
+            for ks in self.sectors.values()
+        )
+
+    @property
+    def gap(self) -> bool:
+        """Whether some k != 0 has a finite orbit: the tower grows past the
+        proper functions."""
+        return any(ks not in (None, (0, 0)) for ks in self.sectors.values())
+
+    def to_json(self) -> dict:
+        return {
+            "gap": self.gap,
+            "sectors": {
+                name: None if ks is None else {"k_base": ks[0], "k_step": ks[1]}
+                for name, ks in self.sectors.items()
+            },
+        }
+
+
+def decide_finite_orbits(kind: str) -> OrbitDecision:
+    """Decide, for every k at once, whether K_k has a finite orbit.
+
+    On each sector the P step is affine, ``P x = A x + b``, and is read
+    off by evaluating it at 0 and at the unit labels; then
+    ``K_k x = A x + b - k e_l``.  A is unipotent (checked: (A - I)^2 = 0
+    on these sectors of dimension <= 2), so a finite orbit is a fixed
+    point: if ``K^p x = x``, the augmented matrix V of K gives
+    ``0 = (V^p - I) x = (V^(p-1) + ... + I)(V - I) x``, and the first
+    factor, p I plus a nilpotent, is invertible over Q.  Since k enters
+    the fixed-point equation only through ``k e_l``, it joins the
+    unknowns: ``[A - I | -e_l] (x, k) = -b`` is solved over the integers,
+    and the k of its solutions form a coset ``base + step Z`` or nothing.
+    The result: product, k = 0 only, in the constant sector (the proper
+    functions e(l u)); skew, every k, at the labels (l, k) (the witnesses
+    e(l u) e(k v)).
+    """
+    if kind not in _SECTORS:
+        raise UnsupportedSystemError(
+            f"tower comparison supports skew and product systems, not {kind!r}"
+        )
+
+    def p(x: list[int]) -> tuple[int, ...]:
+        """The P step on the label with integer coordinates x."""
+        l, tail = _p_step(kind, (x[0], x[1] if kind == "skew" else tuple(x[1:])))[1]
+        return (l, tail) if kind == "skew" else (l, *tail)
+
+    sectors: dict[str, Optional[tuple[int, int]]] = {}
+    for name, n in _SECTORS[kind]:
+        b = p([0] * n)
+        columns = [p([int(t == j) for t in range(n)]) for j in range(n)]
+        N = [[columns[j][i] - b[i] - (i == j) for j in range(n)] for i in range(n)]
+        if any(sum(r[t] * N[t][j] for t in range(n)) for r in N for j in range(n)):
+            raise ValueError(f"the {kind} step is not unipotent on the {name} sector")
+        solved = _integer_solutions(
+            [r + [-int(i == 0)] for i, r in enumerate(N)], [-v for v in b]
+        )
+        if solved is None:
+            sectors[name] = None
+            continue
+        particular, kernel = solved
+        step = math.gcd(*(v[-1] for v in kernel))
+        sectors[name] = (particular[-1] % step if step else particular[-1], step)
+    return OrbitDecision(sectors)
+
+
+# ---------------------------------------------------------------------------
+# residual search machinery
+# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -384,40 +483,24 @@ class ResidualReport:
     profile: dict
 
     def to_json(self) -> dict:
-        return {
-            "system_kind": self.system_kind,
-            "k": self.k,
-            "truncation": self.truncation,
-            "residual": self.residual,
-            "delta": [self.delta.real, self.delta.imag],
-            "u_band": self.u_band,
-            "grid": self.grid,
-            "grid_residual": self.grid_residual,
-            "dimension": self.dimension,
-            "profile": self.profile,
-        }
+        return {**asdict(self), "delta": [self.delta.real, self.delta.imag]}
 
 
-def _tail_labels(spec: SystemSpec, truncation: int, support_cap: int) -> list:
+def _tail_labels(spec: SystemSpec, truncation: int) -> list:
     """Tail-factor characters enumerated exactly.
 
     For the product system: sequence characters with support in
-    [-N, N] of size at most ``support_cap`` (the empty support is the
+    [-N, N] of size at most ``SUPPORT_CAP`` = 2 (the empty support is the
     constant).  For the skew control: v-frequencies in [-N, N].
     """
     N = truncation
     if spec.kind == "product":
-        labels: list[tuple] = [()]
         window = list(range(-N, N + 1))
-        if support_cap >= 1:
-            labels.extend((a,) for a in window)
-        if support_cap >= 2:
-            labels.extend(
-                (a, b) for i, a in enumerate(window) for b in window[i + 1 :]
-            )
-        if support_cap >= 3:
-            raise NotImplementedError("support sizes above 2 are not enumerated")
-        return labels
+        return (
+            [()]
+            + [(a,) for a in window]
+            + [(a, b) for i, a in enumerate(window) for b in window[i + 1 :]]
+        )
     if spec.kind == "skew":
         return list(range(-N, N + 1))
     raise UnsupportedSystemError(
@@ -427,7 +510,7 @@ def _tail_labels(spec: SystemSpec, truncation: int, support_cap: int) -> list:
 
 def _phase_function(spec: SystemSpec) -> Callable[[int], complex]:
     """``l -> e(l gamma)``, memoised by the returned function: a search
-    asks for the 2 * u_band + 1 frequencies of its band many times each."""
+    asks for the 2 * U_BAND + 1 frequencies of its band many times each."""
     gamma = spec.gamma
 
     @lru_cache(maxsize=None)
@@ -439,25 +522,18 @@ def _phase_function(spec: SystemSpec) -> Callable[[int], complex]:
     return phase_of
 
 
-def _k_successor(spec: SystemSpec, k: int, node: Node, phase_of) -> tuple[Node, complex]:
-    """K = Q* P: the index map whose numerical radius controls the minimum."""
-    l, tail = node
-    if spec.kind == "product":
-        return (l - k, tuple(a + 1 for a in tail)), phase_of(l)
-    m = tail
-    return (l + m - k, m), phase_of(l)
-
-
 def quasi_eigen_residual_search(
     spec: SystemSpec,
     k: int,
     truncation: int,
     grid: Optional[int] = None,
-    u_band: int = U_BAND,
-    support_cap: int = SUPPORT_CAP,
 ) -> ResidualReport:
     """Minimize ``|| g o T - delta e(k u) g ||`` over unit g in the
     truncated basis and unimodular delta.
+
+    The basis is ``e(l u)`` times a tail character, with |l| <= ``U_BAND``
+    and tails from the truncation N.  The search walks the same index map
+    K_k as :func:`decide_finite_orbits`, restricted to that basis.
 
     The norm counts all coefficients, including those the dynamics pushes
     outside the truncation, so enlarging the basis can only reveal
@@ -475,16 +551,16 @@ def quasi_eigen_residual_search(
     """
     if truncation < 2:
         raise ValueError("truncation must be >= 2")
-    needed = 2 * (u_band + truncation + abs(k)) + 2
+    needed = 2 * (U_BAND + truncation + abs(k)) + 2
     if grid is not None and grid < 4 * truncation:
         raise DegenerateGridError(
             f"grid {grid} is below 4 * truncation = {4 * truncation}"
         )
     # bump to the band limit that makes the quadrature check exact
     grid = max(grid or 0, 4 * truncation, needed)
-    tails = _tail_labels(spec, truncation, support_cap)
+    tails = _tail_labels(spec, truncation)
     nodes: list[Node] = [
-        (l, t) for l in range(-u_band, u_band + 1) for t in tails
+        (l, t) for l in range(-U_BAND, U_BAND + 1) for t in tails
     ]
     node_set = set(nodes)
     phase_of = _phase_function(spec)
@@ -492,73 +568,49 @@ def quasi_eigen_residual_search(
     succ: dict[Node, tuple[Node, complex]] = {}
     preds: set[Node] = set()
     for node in nodes:
-        target, w = _k_successor(spec, k, node, phase_of)
+        mult, (l, tail) = _p_step(spec.kind, node)
+        target = (l - k, tail)
         if target in node_set:
-            succ[node] = (target, w)
+            succ[node] = (target, phase_of(mult))
             preds.add(target)
 
-    # orbit components of the partial permutation: free paths and cycles
-    best: tuple[float, dict[Node, complex], complex] | None = None  # (w, c, delta)
+    # orbit components of the partial permutation: free paths, then cycles
+    best: tuple[float, dict[Node, complex]] = (-1.0, {})  # (score, c)
     visited: set[Node] = set()
+    for on_cycles in (False, True):
+        # once the paths are walked, every node left lies on a cycle
+        for start in sorted(node_set - visited, key=_node_sort_key):
+            if start in visited or (start in preds) != on_cycles:
+                continue
+            orbit, weights = [start], []
+            while orbit[-1] in succ:
+                nxt, w = succ[orbit[-1]]
+                weights.append(w)
+                if nxt == start:
+                    break
+                orbit.append(nxt)
+            visited.update(orbit)
+            n = len(orbit)
+            c: dict[Node, complex] = {}
+            if on_cycles:
+                score, x, prod = 1.0, 1.0 + 0j, 1.0 + 0j
+                for w in weights:
+                    prod *= w
+                delta = prod ** (1.0 / n)
+                for node, w in zip(orbit, weights):
+                    c[node] = x / math.sqrt(n)
+                    x *= w / delta
+            else:
+                score, u = math.cos(math.pi / (n + 1)), 1.0 + 0j
+                norm = math.sqrt(sum(math.sin((j + 1) * math.pi / (n + 1)) ** 2 for j in range(n)))
+                for j, node in enumerate(orbit):
+                    c[node] = math.sin((j + 1) * math.pi / (n + 1)) / norm * u
+                    if j < n - 1:
+                        u *= weights[j]
+            if score > best[0] + 1e-15:
+                best = (score, c)
 
-    def consider(candidate: tuple[float, dict[Node, complex], complex]) -> None:
-        nonlocal best
-        if best is None or candidate[0] > best[0] + 1e-15:
-            best = candidate
-
-    for start in sorted(nodes, key=_node_sort_key):
-        if start in visited or start in preds:
-            continue
-        path = [start]
-        weights = []
-        cur = start
-        while cur in succ:
-            nxt, w = succ[cur]
-            if nxt in visited or nxt == start:
-                break
-            path.append(nxt)
-            weights.append(w)
-            cur = nxt
-        visited.update(path)
-        n = len(path)
-        w_num = math.cos(math.pi / (n + 1))
-        c: dict[Node, complex] = {}
-        u = 1.0 + 0j
-        norm = math.sqrt(sum(math.sin((j + 1) * math.pi / (n + 1)) ** 2 for j in range(n)))
-        for j, node in enumerate(path):
-            c[node] = math.sin((j + 1) * math.pi / (n + 1)) / norm * u
-            if j < n - 1:
-                u *= weights[j]
-        consider((w_num, c, 1.0 + 0j))
-
-    for start in sorted(node_set - visited, key=_node_sort_key):
-        if start in visited:
-            continue
-        # remaining nodes lie on cycles (every node has a predecessor)
-        cycle = [start]
-        weights = []
-        cur = start
-        while True:
-            nxt, w = succ[cur]
-            weights.append(w)
-            if nxt == start:
-                break
-            cycle.append(nxt)
-            cur = nxt
-        visited.update(cycle)
-        prod = 1.0 + 0j
-        for w in weights:
-            prod *= w
-        delta = prod ** (1.0 / len(cycle))
-        c = {}
-        x = 1.0 + 0j
-        for node, w in zip(cycle, weights):
-            c[node] = x / math.sqrt(len(cycle))
-            x *= w / delta
-        consider((1.0, c, delta))
-
-    assert best is not None
-    _, c_best, _ = best
+    c_best = best[1]
     delta = _optimal_delta(spec, k, c_best, phase_of)
     residual = _coefficient_residual(spec, k, c_best, delta, phase_of)
     grid_residual = _grid_residual(spec, k, c_best, delta, grid)
@@ -568,7 +620,7 @@ def quasi_eigen_residual_search(
         truncation=truncation,
         residual=residual,
         delta=delta,
-        u_band=u_band,
+        u_band=U_BAND,
         grid=grid,
         grid_residual=grid_residual,
         dimension=len(nodes),
@@ -597,12 +649,9 @@ def _optimal_delta(spec, k, c, phase_of) -> complex:
 
 def _apply_p(spec, c, phase_of) -> dict[Node, complex]:
     out: dict[Node, complex] = {}
-    for (l, tail), val in c.items():
-        if spec.kind == "product":
-            key = (l, tuple(a + 1 for a in tail))
-        else:
-            key = (l + tail, tail)
-        out[key] = out.get(key, 0j) + phase_of(l) * val
+    for node, val in c.items():
+        mult, key = _p_step(spec.kind, node)
+        out[key] = out.get(key, 0j) + phase_of(mult) * val
     return out
 
 
@@ -632,6 +681,7 @@ def _grid_residual(spec, k, c, delta, grid: int) -> float:
     """
     u = np.arange(grid) / grid
     gamma = spec.gamma.to_float()
+    q_wave = np.exp(2j * np.pi * k * u)
     by_out: dict[object, np.ndarray] = {}
 
     def add(tail_label, values) -> None:
@@ -639,14 +689,9 @@ def _grid_residual(spec, k, c, delta, grid: int) -> float:
         by_out[tail_label] = values if cur is None else cur + values
 
     for (l, tail), val in c.items():
-        wave = np.exp(2j * np.pi * l * u)
-        if spec.kind == "product":
-            shifted = tuple(a + 1 for a in tail)
-            add(shifted, val * np.exp(2j * np.pi * l * gamma) * wave)
-            add(tail, -delta * val * np.exp(2j * np.pi * k * u) * wave)
-        else:
-            add(tail, val * np.exp(2j * np.pi * l * gamma) * np.exp(2j * np.pi * (l + tail) * u))
-            add(tail, -delta * val * np.exp(2j * np.pi * (k + l) * u))
+        mult, (l_p, tail_p) = _p_step(spec.kind, (l, tail))
+        add(tail_p, val * np.exp(2j * np.pi * mult * gamma) * np.exp(2j * np.pi * l_p * u))
+        add(tail, -delta * val * q_wave * np.exp(2j * np.pi * l * u))
     total = 0.0
     for values in by_out.values():
         total += float(np.mean(np.abs(values) ** 2))
@@ -671,184 +716,25 @@ def _profile(spec, c) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# brute-force oracle
-# ---------------------------------------------------------------------------
-
-#: An entry of the oracle's Gram matrices couples two coefficients when it
-#: exceeds this fraction of the largest entry.  Structural entries have
-#: magnitude about 1 and the rest is rounding noise near 1e-16, so any cut
-#: in between finds the same blocks; whatever the cut discards is bounded
-#: by ``OFF_BLOCK_TOL``.
-COUPLING_CUT = 1e-3
-
-#: Largest Frobenius mass the oracle may discard between blocks.
-OFF_BLOCK_TOL = 1e-12
-
-
-def residual_brute_force(
-    spec: SystemSpec,
-    k: int,
-    truncation: int,
-    grid: Optional[int] = None,
-    u_band: int = U_BAND,
-    support_cap: int = SUPPORT_CAP,
-    delta_steps: int = 36,
-) -> float:
-    """Least-squares minimization over the full truncated coefficient
-    space, scanning the unimodular constant.
-
-    Assembles the residual matrix ``P - delta Q`` on a uniform u-grid
-    times the exact tail-character coordinates.  Its smallest singular
-    value is the square root of the smallest eigenvalue of
-    ``gram(delta) = (P*P + Q*Q) - delta M - conj(delta) M*`` with
-    ``M = P*Q``, minimized over ``delta_steps`` angles of delta with
-    bounded local refinement.
-
-    The eigenproblem is split once into the connected components of the
-    nonzero pattern of ``P*P + Q*Q`` and ``M``, which does not depend on
-    delta.  The split is read off the assembled matrices, not taken from
-    the structured search, and the Frobenius norm of the entries it
-    discards bounds, by Weyl's inequality, how far any eigenvalue can
-    move; above ``OFF_BLOCK_TOL`` the oracle raises ``ValueError`` (see
-    :func:`_block_min_eigenvalue`).  Independent of the closed-form
-    search path; used to pre-compute the reference residual r0 and to
-    cross-check.
-    """
-    from scipy.optimize import minimize_scalar
-
-    min_eigenvalue = _block_min_eigenvalue(
-        *_oracle_gram(spec, k, truncation, grid, u_band, support_cap)
-    )
-
-    def sigma_min(theta: float) -> float:
-        return math.sqrt(max(min_eigenvalue(cmath.exp(1j * theta)), 0.0))
-
-    thetas = np.linspace(0.0, 2.0 * math.pi, delta_steps, endpoint=False)
-    values = [sigma_min(t) for t in thetas]
-    i = int(np.argmin(values))
-    span = 2.0 * math.pi / delta_steps
-    res = minimize_scalar(
-        sigma_min,
-        bounds=(thetas[i] - span, thetas[i] + span),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(min(min(values), res.fun))
-
-
-def _oracle_gram(
-    spec: SystemSpec,
-    k: int,
-    truncation: int,
-    grid: Optional[int] = None,
-    u_band: int = U_BAND,
-    support_cap: int = SUPPORT_CAP,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``P*P + Q*Q`` and ``M = P*Q`` for the dense residual matrix
-    ``P - delta Q`` of :func:`residual_brute_force`."""
-    if truncation < 2:
-        raise ValueError("truncation must be >= 2")
-    needed = 2 * (u_band + truncation + abs(k)) + 2
-    G = max(grid or 0, 4 * truncation, needed)
-    tails = _tail_labels(spec, truncation, support_cap)
-    cols: list[Node] = [(l, t) for l in range(-u_band, u_band + 1) for t in tails]
-    gamma = spec.gamma.to_float()
-
-    out_labels: dict[object, int] = {}
-
-    def out_index(label) -> int:
-        if label not in out_labels:
-            out_labels[label] = len(out_labels)
-        return out_labels[label]
-
-    u = np.arange(G) / G
-    entries = []  # (out_label_index, column, vector over grid)
-    for col, (l, tail) in enumerate(cols):
-        wave = np.exp(2j * np.pi * l * u) / math.sqrt(G)
-        if spec.kind == "product":
-            p_label, p_vec = tuple(a + 1 for a in tail), np.exp(2j * np.pi * l * gamma) * wave
-            q_label, q_vec = tail, np.exp(2j * np.pi * k * u) * wave
-        else:
-            p_label = q_label = tail
-            p_vec = np.exp(2j * np.pi * l * gamma) * np.exp(2j * np.pi * (l + tail) * u) / math.sqrt(G)
-            q_vec = np.exp(2j * np.pi * (k + l) * u) / math.sqrt(G)
-        entries.append((out_index(p_label), col, p_vec, out_index(q_label), q_vec))
-
-    n_cols = len(cols)
-    G_rows = len(out_labels) * G
-    P = np.zeros((G_rows, n_cols), dtype=complex)
-    Q = np.zeros_like(P)
-    for p_idx, col, p_vec, q_idx, q_vec in entries:
-        P[p_idx * G : (p_idx + 1) * G, col] += p_vec
-        Q[q_idx * G : (q_idx + 1) * G, col] += q_vec
-
-    # ||(P - delta Q) c||^2 = <c, (P*P + Q*Q - delta P*Q - conj(delta) Q*P) c>
-    return P.conj().T @ P + Q.conj().T @ Q, P.conj().T @ Q
-
-
-def _block_min_eigenvalue(S: np.ndarray, M: np.ndarray) -> Callable[[complex], float]:
-    """The smallest eigenvalue of ``S - delta M - conj(delta) M*`` as a
-    function of delta, solved per connected component.
-
-    Two coefficients are coupled when their entry in ``S`` or ``M``
-    exceeds ``COUPLING_CUT`` of the largest entry; the components of
-    that pattern are found once.  The entries left between components
-    form ``E(delta)`` with ``||E(delta)||_F <= ||E_S||_F + 2 ||E_M||_F``
-    for every unimodular delta, and by Weyl's inequality no eigenvalue
-    moves further than that.  If the bound exceeds ``OFF_BLOCK_TOL``
-    this raises ``ValueError``: there is no dense fallback.  Each call
-    takes the minimum over blocks with one stacked ``eigvalsh`` per
-    block size.
-    """
-    from scipy.sparse.csgraph import connected_components
-
-    scale = max(np.abs(S).max(), np.abs(M).max())
-    coupled = (np.abs(S) > COUPLING_CUT * scale) | (np.abs(M) > COUPLING_CUT * scale)
-    n_blocks, labels = connected_components(coupled, directed=False)
-    outside = labels[:, None] != labels[None, :]
-    mass = float(np.linalg.norm(S[outside]) + 2 * np.linalg.norm(M[outside]))
-    if mass > OFF_BLOCK_TOL:
-        raise ValueError(
-            f"the oracle's Gram matrix does not split into blocks: the "
-            f"off-block mass {mass:.3e} exceeds {OFF_BLOCK_TOL:.0e}"
-        )
-    by_size: dict[int, list[np.ndarray]] = {}
-    for block in range(n_blocks):
-        members = np.flatnonzero(labels == block)
-        by_size.setdefault(len(members), []).append(members)
-    stacks = []
-    for members in by_size.values():
-        idx = np.array(members)
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        m = M[rows, cols]
-        stacks.append((S[rows, cols], m, m.conj().swapaxes(1, 2)))
-
-    def min_eigenvalue(delta: complex) -> float:
-        return min(
-            float(np.linalg.eigvalsh(s - delta * m - np.conj(delta) * mh)[:, 0].min())
-            for s, m, mh in stacks
-        )
-
-    return min_eigenvalue
-
-
-_REFERENCES: dict[tuple, float] = {}
-
-
 def residual_reference(
     spec: SystemSpec, ks: tuple[int, ...] = (1, 2), truncation: int = 4
 ) -> float:
-    """The calibration residual r0: the oracle's minimum over the quoted
-    k values at the calibration truncation.
+    """The reference residual r0: the smallest truncated minimum over ``ks``.
 
-    Cached on what the oracle reads: the system kind, the angle, ``ks``
-    and the truncation.
+    For k != 0, K_k moves the u-frequency by -k inside the band
+    [-U_BAND, U_BAND], so its longest free path has
+    ``L = ceil((2 U_BAND + 1) / |k|)`` nodes.  The constant sector attains
+    that length and the band bounds every other sector's paths as well, so
+    the minimum over ``ks`` is the path residual
+    ``sqrt(2 - 2 cos(pi / (L + 1)))`` at the largest L.  It is a property
+    of the band, the same for every angle, coin and truncation; ``spec``
+    and ``truncation`` are accepted for the call signature only.  Raises
+    ``ValueError`` for k = 0, where proper functions give residual 0.
     """
-    key = (spec.kind, spec.gamma, tuple(ks), truncation)
-    if key not in _REFERENCES:
-        _REFERENCES[key] = min(residual_brute_force(spec, k, truncation) for k in ks)
-    return _REFERENCES[key]
+    if not ks or 0 in ks:
+        raise ValueError(f"r0 is defined for nonzero k, not {tuple(ks)}")
+    longest = max(-(-(2 * U_BAND + 1) // abs(k)) for k in ks)
+    return math.sqrt(2 - 2 * math.cos(math.pi / (longest + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -858,8 +744,8 @@ def residual_reference(
 
 @dataclass
 class ProductTowerCertificate:
-    """Residual evidence that the product tower adds no level beyond the
-    proper functions (1'' = 1''')."""
+    """Residual corroboration of the exact decision that the product
+    tower adds no level beyond the proper functions (1'' = 1''')."""
 
     spec: SystemSpec
     truncation: int
@@ -884,44 +770,48 @@ def certify_product_tower(
     accept_tol: float = ACCEPT_TOL,
     reject_factor: float = REJECT_FACTOR,
 ) -> ProductTowerCertificate:
-    """Run the residual protocol for the product system.
+    """Corroborate the exact product-tower decision with the residual search.
 
-    k = 0 must accept (proper functions exist); every k != 0 must reject
-    at ``r0 * reject_factor`` for the tower to stop.  A residual between
-    the thresholds raises :class:`InconclusiveEvidenceError` with the
-    partial evidence attached.
+    Each k's search accepts a finite orbit at residual <= ``accept_tol``
+    and rejects one at residual >= ``r0 * reject_factor``; a residual in
+    between raises :class:`InconclusiveEvidenceError` with the partial
+    evidence attached.  An accept or reject that disagrees with
+    :func:`decide_finite_orbits` raises ``RuntimeError``.  r0 is the
+    band's closed form (:func:`residual_reference`), so the reject margin
+    is a property of the search space, not a bound uniform in the
+    truncation; ``new_level_found`` is the exact decision.
     """
     if spec.kind != "product":
         raise UnsupportedSystemError("certificate applies to the product system")
+    decision = decide_finite_orbits(spec.kind)
     r0 = residual_reference(spec)
     reports = []
-    found_new = False
     for k in ks:
         report = quasi_eigen_residual_search(spec, k, truncation)
         reports.append(report)
-        if k == 0:
-            if report.residual > accept_tol:
-                raise InconclusiveEvidenceError(
-                    f"k=0 search should recover a proper function but the "
-                    f"residual is {report.residual:.3e}",
-                    partial=reports,
-                )
-            continue
         if report.residual <= accept_tol:
-            found_new = True
-        elif report.residual < r0 * reject_factor:
+            found = True
+        elif report.residual >= r0 * reject_factor:
+            found = False
+        else:
             raise InconclusiveEvidenceError(
                 f"residual {report.residual:.3e} for k={k} sits between the "
                 f"accept tolerance {accept_tol:.1e} and the reject threshold "
                 f"{r0 * reject_factor:.3e}",
                 partial=reports,
             )
+        if found != decision.has_finite_orbit(k):
+            raise RuntimeError(
+                f"the residual search {'finds' if found else 'rules out'} a "
+                f"finite orbit for k={k} (residual {report.residual:.3e}), "
+                f"against the exact decision"
+            )
     return ProductTowerCertificate(
         spec=spec,
         truncation=truncation,
         r0=r0,
         reports=reports,
-        new_level_found=found_new,
+        new_level_found=decision.gap,
     )
 
 
@@ -938,25 +828,27 @@ class DistinguishResult:
 
 
 def _tower_gap(spec: SystemSpec, truncation: int, ks: Sequence[int]) -> tuple[bool, dict]:
-    """Does 1'' != 1''' hold?  Exact for skew, residual-certified for product."""
+    """Does 1'' != 1''' hold?  Decided exactly for both kinds by
+    :func:`decide_finite_orbits`.
+
+    The evidence carries the decision and what corroborates it: the skew
+    tower's levels from :func:`compute_tower`, or the product's residual
+    certificate over ``ks``.  Either one disagreeing with the decision
+    raises ``RuntimeError``.
+    """
+    decision = decide_finite_orbits(spec.kind)
+    evidence = {"method": "exact", "decision": decision.to_json()}
     if spec.kind == "skew":
         levels = compute_tower(spec, 4)
-        gap = levels[1] != levels[2]
-        return gap, {
-            "method": "exact",
-            "levels": [lvl.to_json() for lvl in levels],
-            "stabilization_depth": stabilization_depth(levels),
-        }
-    if spec.kind == "product":
+        if (levels[1] != levels[2]) != decision.gap:
+            raise RuntimeError("the skew tower's levels disagree with the exact decision")
+        evidence["levels"] = [lvl.to_json() for lvl in levels]
+        evidence["stabilization_depth"] = stabilization_depth(levels)
+    else:
         cert = certify_product_tower(spec, truncation=truncation, ks=ks)
-        return cert.new_level_found, {
-            "method": "residual-certified",
-            "certificate": cert.to_json(),
-            "stabilization_depth": 2 if not cert.new_level_found else None,
-        }
-    raise UnsupportedSystemError(
-        f"tower comparison supports skew and product systems, not {spec.kind!r}"
-    )
+        evidence["certificate"] = cert.to_json()
+        evidence["stabilization_depth"] = None if decision.gap else 2
+    return decision.gap, evidence
 
 
 def towers_distinguish(

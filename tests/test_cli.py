@@ -1,8 +1,9 @@
 """Command line: config validation, scenarios, reports, determinism.
 
-Every run goes through ``main(argv)`` in-process; nothing here shells
-out.  Reports are checked against the bundled JSON schema and for
-byte-level reproducibility at a fixed seed.
+Every run goes through ``main(argv)`` in-process, apart from one
+subprocess run that refuses every scipy import.  Reports are checked
+against the bundled JSON schema and for byte-level reproducibility at a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -110,7 +114,7 @@ def test_letter_scenario(tmp_path):
     assert "not spacially isomorphic" in statements
     provenance = {v["statement"]: v["provenance"] for v in report["verdicts"]}
     assert provenance["spectrally isomorphic"] == "exact"
-    assert provenance["not spacially isomorphic"] == "residual-certified"
+    assert provenance["not spacially isomorphic"] == "exact"
     # csv artifacts
     with open(out / "residuals.csv", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -122,6 +126,41 @@ def test_letter_scenario(tmp_path):
     with open(out / "tower.csv", newline="") as fh:
         tower_rows = list(csv.reader(fh))
     assert tower_rows[0] == ["system", "depth", "generators"]
+
+
+# Runs the CLI with a ``sys.meta_path`` finder that refuses scipy.
+WITHOUT_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from ergolab.cli import main
+code = main(sys.argv[1:])
+assert not any(name.split(".")[0] == "scipy" for name in sys.modules)
+sys.exit(code)
+"""
+
+
+def test_letter_runs_without_scipy(tmp_path):
+    """scipy is a test dependency only: with every scipy import refused,
+    reproduce-letter exits 0 and writes the same report bytes."""
+    src = str(Path(ergolab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    refused = tmp_path / "refused"
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, "reproduce-letter", "--seed", "1",
+         "--out", str(refused)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out = run(tmp_path, "reproduce-letter", "--seed", "1")
+    assert code == 0
+    assert (refused / "report.json").read_bytes() == (out / "report.json").read_bytes()
 
 
 def test_letter_identical_skews_are_not_distinguished(tmp_path):

@@ -1,17 +1,19 @@
-"""Proper-function towers and the residual certification protocol.
+"""Proper-function towers, the exact finite-orbit decision and the
+residual search that corroborates it.
 
 The frozen residual constants below come from the structure of the
 truncated minimization problem: a free chain of n basis vectors has
 smallest attainable residual 2*sin(pi / (2*(n+1))), attained by the
-discrete sine profile.  The independent oracle (`residual_brute_force`)
-solves the same minimization as a least-squares problem over a
-quadrature grid, split into the blocks of its Gram matrix as read off the
-matrix itself, and must agree.
+discrete sine profile.  The independent oracle (`residual_brute_force` in
+`tower_oracle.py`) solves the same minimization as a least-squares
+problem over a quadrature grid, split into the blocks of its Gram matrix
+as read off the matrix itself, and must agree.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -33,9 +35,9 @@ from ergolab import (
     UnsupportedSystemError,
     certify_product_tower,
     compute_tower,
+    decide_finite_orbits,
     quasi_eigen_residual_search,
     quotient_homomorphism,
-    residual_brute_force,
     residual_reference,
     stabilization_depth,
     tower_step,
@@ -43,9 +45,17 @@ from ergolab import (
 )
 
 from ergolab import tower
-from ergolab.tower import _block_min_eigenvalue, _minimal_multiple, _oracle_gram
+from ergolab.tower import (
+    ACCEPT_TOL,
+    REJECT_FACTOR,
+    OrbitDecision,
+    _integer_solutions,
+    _minimal_multiple,
+    _tower_gap,
+)
 
 from helpers import GAMMA, subgroup_lattice_examples, tower_is_monotone
+from tower_oracle import _block_min_eigenvalue, _oracle_gram, residual_brute_force
 
 SKEW = SystemSpec.skew(GAMMA)
 PRODUCT = SystemSpec.product(GAMMA, BernoulliSpec.fair_coin())
@@ -181,6 +191,116 @@ def test_quotient_homomorphism():
 
 
 # ---------------------------------------------------------------------------
+# the exact finite-orbit decision
+# ---------------------------------------------------------------------------
+
+
+def test_decision_values():
+    product = decide_finite_orbits("product")
+    assert product.sectors == {"constant": (0, 0), "support": None}
+    assert not product.gap
+    assert [k for k in range(-5, 6) if product.has_finite_orbit(k)] == [0]
+    skew = decide_finite_orbits("skew")
+    assert skew.sectors == {"lattice": (0, 1)}
+    assert skew.gap
+    assert all(skew.has_finite_orbit(k) for k in range(-5, 6))
+    assert skew.to_json() == {
+        "gap": True, "sectors": {"lattice": {"k_base": 0, "k_step": 1}}
+    }
+
+
+def test_decision_rejects_unsupported_systems():
+    for kind in ("rotation", "shift"):
+        with pytest.raises(UnsupportedSystemError):
+            decide_finite_orbits(kind)
+
+
+def test_orbit_decision_cosets():
+    decision = OrbitDecision({"a": (1, 3), "b": None, "c": (-2, 0)})
+    assert [k for k in range(-6, 7) if decision.has_finite_orbit(k)] == [-5, -2, 1, 4]
+    assert decision.gap
+    assert not OrbitDecision({"a": (0, 0), "b": None}).gap
+
+
+@pytest.mark.parametrize("gamma", [GAMMA, GOLDEN], ids=["sqrt2", "golden"])
+@pytest.mark.parametrize("kind", ["skew", "product"])
+def test_decision_agrees_with_the_search(kind, gamma):
+    spec = (
+        SystemSpec.skew(gamma)
+        if kind == "skew"
+        else SystemSpec.product(gamma, BernoulliSpec.fair_coin())
+    )
+    decision = decide_finite_orbits(kind)
+    r0 = residual_reference(spec)
+    for k in range(-3, 4):
+        residual = quasi_eigen_residual_search(spec, k, 8).residual
+        if decision.has_finite_orbit(k):
+            assert residual <= ACCEPT_TOL, (k, residual)
+        else:
+            assert residual >= r0 * REJECT_FACTOR, (k, residual)
+
+
+def test_doctored_p_step_flips_the_decision(monkeypatch):
+    assert decide_finite_orbits("product").sectors["support"] is None
+    assert decide_finite_orbits("skew").gap
+    assert quasi_eigen_residual_search(SKEW, 1, 8).residual <= ACCEPT_TOL
+    # a product tail step a -> a fixes every support at k = 0
+    monkeypatch.setattr(tower, "_product_action", lambda l, a: (l, a))
+    assert decide_finite_orbits("product").sectors["support"] == (0, 0)
+    # a skew step without its m term, (l, m) -> (l, m), leaves only k = 0;
+    # the search walks the same step and loses its k = 1 witness with it
+    monkeypatch.setattr(tower, "_skew_action", lambda k, m: (k, k, m))
+    doctored = decide_finite_orbits("skew")
+    assert not doctored.gap and not doctored.has_finite_orbit(1)
+    assert abs(quasi_eigen_residual_search(SKEW, 1, 8).residual - RESIDUAL_K1) <= 1e-9
+
+
+def test_non_unipotent_step_is_refused(monkeypatch):
+    monkeypatch.setattr(tower, "_skew_action", lambda k, m: (k, 2 * k + m, m))
+    with pytest.raises(ValueError, match="unipotent"):
+        decide_finite_orbits("skew")
+
+
+def test_verdicts_raise_when_evidence_disagrees_with_the_decision(monkeypatch):
+    monkeypatch.setattr(
+        tower, "decide_finite_orbits", lambda kind: OrbitDecision({"x": (0, 1)})
+    )
+    with pytest.raises(RuntimeError, match="exact decision"):
+        certify_product_tower(PRODUCT, truncation=8)
+    monkeypatch.setattr(
+        tower, "decide_finite_orbits", lambda kind: OrbitDecision({"x": (0, 0)})
+    )
+    with pytest.raises(RuntimeError, match="exact decision"):
+        _tower_gap(SKEW, 8, (0, 1))
+
+
+small = st.integers(-3, 3)
+
+
+@given(st.lists(st.lists(small, min_size=3, max_size=3), min_size=1, max_size=2),
+       st.lists(small, min_size=2, max_size=2))
+@settings(max_examples=200)
+def test_integer_solutions_against_a_bounded_search(rows, rhs):
+    rhs = rhs[: len(rows)]
+    solved = _integer_solutions(rows, rhs)
+
+    def apply(z):
+        return [sum(a * b for a, b in zip(row, z)) for row in rows]
+
+    box = itertools.product(range(-6, 7), repeat=3)
+    found = next((z for z in box if apply(z) == rhs), None)
+    if solved is None:
+        assert found is None
+        return
+    particular, kernel = solved
+    assert apply(particular) == rhs
+    assert all(apply(v) == [0] * len(rows) for v in kernel)
+    # the kernel basis has full rank: 3 minus the rank of the rows
+    rank = np.linalg.matrix_rank(np.array(rows))
+    assert np.linalg.matrix_rank(np.array(kernel).reshape(-1, 3)) == len(kernel) == 3 - rank
+
+
+# ---------------------------------------------------------------------------
 # residual search: frozen values and oracle agreement
 # ---------------------------------------------------------------------------
 
@@ -256,22 +376,20 @@ def test_oracle_refuses_to_drop_mass_between_blocks():
 
 @pytest.mark.parametrize("gamma", [GAMMA, GOLDEN], ids=["sqrt2", "golden"])
 def test_r0_is_the_nine_node_path_residual(gamma):
-    r0 = residual_reference(SystemSpec.product(gamma, BernoulliSpec.fair_coin()))
-    assert abs(r0 - math.sqrt(2 - 2 * math.cos(math.pi / 10))) <= 1e-12
+    spec = SystemSpec.product(gamma, BernoulliSpec.fair_coin())
+    dense = min(residual_brute_force(spec, k, 4) for k in (1, 2))
+    assert abs(residual_reference(spec) - dense) <= 1e-12
 
 
-def test_residual_reference_ignores_the_coin(monkeypatch):
-    calls = []
-
-    def counting(spec, k, truncation):
-        calls.append(k)
-        return float(k)
-
-    monkeypatch.setattr(tower, "_REFERENCES", {})
-    monkeypatch.setattr(tower, "residual_brute_force", counting)
+def test_residual_reference_ignores_the_coin():
     biased = SystemSpec.product(GAMMA, BernoulliSpec((0.3, 0.7), (1, -1)))
-    assert residual_reference(PRODUCT) == residual_reference(biased) == 1.0
-    assert calls == [1, 2]
+    assert residual_reference(PRODUCT) == residual_reference(biased)
+
+
+def test_residual_reference_refuses_k_zero():
+    with pytest.raises(ValueError):
+        residual_reference(PRODUCT, ks=(0, 1))
+    assert abs(residual_reference(PRODUCT, ks=(2, -2)) - RESIDUAL_K2) <= 1e-12
 
 
 def test_user_grid_below_quadrature_floor_is_rejected():
