@@ -5,6 +5,7 @@ an output directory.  Reports carry the full resolved configuration, so
 a report is re-runnable evidence: same config, same seed, same bytes.
 
 Run:  python demos/05_reports.py
+(the reports go to a temporary directory that is removed at the end)
 """
 
 import json
@@ -15,7 +16,12 @@ from ergolab.cli import main
 
 
 def main_demo() -> None:
-    out = pathlib.Path(tempfile.mkdtemp(prefix="ergolab-reports-"))
+    # the reports live only as long as the demo runs
+    with tempfile.TemporaryDirectory(prefix="ergolab-reports-") as tmp:
+        show_reports(pathlib.Path(tmp))
+
+
+def show_reports(out: pathlib.Path) -> None:
     print(f"writing reports under {out}\n")
 
     letter_dir = out / "letter"

@@ -18,7 +18,7 @@ import importlib.resources
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
@@ -48,11 +48,10 @@ from .mixing import (
     weak_mixing_statistic,
     weak_mixing_verdict,
 )
-from .quadratic import ExactnessError, RotationNumber, SQRT2_MINUS_1
+from .quadratic import ExactnessError, SQRT2_MINUS_1
 from .systems import BernoulliSpec, SystemSpec, spawn_rngs
 from .tower import (
     InconclusiveEvidenceError,
-    certify_product_tower,
     compute_tower,
     quasi_eigen_residual_search,
     residual_reference,
@@ -80,9 +79,10 @@ MAX_WEAK_MIXING_LAGS = 10**7
 #: ``reproduce-kolmogorov`` may build.  At truncation B a pairing holds
 #: (2B+1)^2 pairs, or (2B+1)^3 between two products.  Building and
 #: checking them takes about 0.4 microseconds per pair; building peaks
-#: near 110 bytes per pair and checking adds a fixed ~10 MB (it runs in
-#: slices of ``koopman.VERIFY_SLICE`` pairs), so the budget caps one
-#: pairing near 4 s and 1.1 GB.
+#: near 46 bytes per pair (46.1 MB traced for the 1,002,001 skew-product
+#: pairs at B = 500, 38.1 MB of it kept) and checking adds a fixed
+#: ~12 MB (it runs in slices of ``koopman.VERIFY_SLICE`` pairs), so the
+#: budget caps one pairing near 4 s and 0.5 GB.
 MAX_INTERTWINER_PAIRS = 10**7
 #: Most symbols the sampled entropy cross-checks of
 #: ``reproduce-kolmogorov`` may draw: samples x block length, summed over
@@ -121,7 +121,6 @@ class ExperimentConfig:
     residual_truncation: int = 8
     samples: int = 1_000_000
     block_length: int = 10
-    precision_bits: int = 128
     bits: bool = False
     format: str = "csv"
     out: str = "ergolab-report"
@@ -132,44 +131,18 @@ class ExperimentConfig:
         _validate_config(self.to_json())
 
     def to_json(self) -> dict:
-        data = {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "truncation": self.truncation,
-            "residual_truncation": self.residual_truncation,
-            "samples": self.samples,
-            "block_length": self.block_length,
-            "precision_bits": self.precision_bits,
-            "bits": self.bits,
-            "format": self.format,
-            "out": self.out,
-        }
-        if self.systems:
-            data["systems"] = [dict(s) for s in self.systems]
-        if self.op:
-            data["op"] = self.op
-        if self.params:
-            data["params"] = dict(self.params)
-        return data
+        """Every field, leaving out ``systems``, ``op`` and ``params`` when
+        they are empty."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data.update(systems=[dict(s) for s in self.systems], params=dict(self.params))
+        return {k: v for k, v in data.items() if v or k not in ("systems", "op", "params")}
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
+        """The config a validated JSON object names; the schema admits
+        only field names, and absent fields keep their defaults."""
         _validate_config(data)
-        return cls(
-            scenario=data["scenario"],
-            seed=data["seed"],
-            systems=tuple(data.get("systems", ())),
-            truncation=data.get("truncation", 16),
-            residual_truncation=data.get("residual_truncation", 8),
-            samples=data.get("samples", 1_000_000),
-            block_length=data.get("block_length", 10),
-            precision_bits=data.get("precision_bits", 128),
-            bits=data.get("bits", False),
-            format=data.get("format", "csv"),
-            out=data.get("out", "ergolab-report"),
-            op=data.get("op", ""),
-            params=data.get("params", {}),
-        )
+        return cls(**{**data, "systems": tuple(data.get("systems", ()))})
 
     def system_specs(self) -> list[SystemSpec]:
         return [SystemSpec.from_json(s) for s in self.systems]
@@ -217,44 +190,25 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _default_letter_systems() -> tuple[dict, ...]:
-    gamma = SQRT2_MINUS_1
-    coin = BernoulliSpec.fair_coin()
-    return (
-        SystemSpec.skew(gamma).to_json(),
-        SystemSpec.product(gamma, coin).to_json(),
-    )
-
-
-def _default_kolmogorov_systems() -> tuple[dict, ...]:
-    return (
-        SystemSpec.shift(BernoulliSpec.fair_coin()).to_json(),
-        SystemSpec.shift(BernoulliSpec((0.25, 0.25, 0.25, 0.25), (0, 1, 2, 3))).to_json(),
-    )
-
-
-def _default_theorem1_systems() -> tuple[dict, ...]:
-    gamma = SQRT2_MINUS_1
-    return (
-        SystemSpec.rotation(gamma).to_json(),
-        SystemSpec.rotation(gamma.one_minus()).to_json(),
-    )
-
-
 def default_config(scenario: str) -> ExperimentConfig:
+    gamma, coin = SQRT2_MINUS_1, BernoulliSpec.fair_coin()
     if scenario == "reproduce-letter":
+        systems = (SystemSpec.skew(gamma), SystemSpec.product(gamma, coin))
         return ExperimentConfig(
-            scenario=scenario, systems=_default_letter_systems(),
+            scenario=scenario, systems=tuple(s.to_json() for s in systems),
             truncation=16, residual_truncation=8,
         )
     if scenario == "reproduce-kolmogorov":
+        uniform4 = BernoulliSpec((0.25, 0.25, 0.25, 0.25), (0, 1, 2, 3))
+        systems = (SystemSpec.shift(coin), SystemSpec.shift(uniform4))
         return ExperimentConfig(
-            scenario=scenario, systems=_default_kolmogorov_systems(),
+            scenario=scenario, systems=tuple(s.to_json() for s in systems),
             truncation=8, samples=1_000_000, block_length=10,
         )
     if scenario == "theorem1":
+        systems = (SystemSpec.rotation(gamma), SystemSpec.rotation(gamma.one_minus()))
         return ExperimentConfig(
-            scenario=scenario, systems=_default_theorem1_systems(), truncation=64
+            scenario=scenario, systems=tuple(s.to_json() for s in systems), truncation=64
         )
     return ExperimentConfig(scenario="compute")
 
@@ -507,8 +461,8 @@ def run_theorem1_check(config: ExperimentConfig) -> ExperimentReport:
         identity = spec_a.gamma == spec_b.gamma
         rng = spawn_rngs(config.seed, 1)[0]
         u = rng.random(10_000)
-        ga = float(spec_a.gamma.value(config.precision_bits))
-        gb = float(spec_b.gamma.value(config.precision_bits))
+        ga = spec_a.gamma.to_float()
+        gb = spec_b.gamma.to_float()
         if identity:
             lhs = (u + ga) % 1.0
             rhs = (u + gb) % 1.0
@@ -916,7 +870,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, help="config JSON path")
         p.add_argument("--seed", type=int, help="root seed (u64)")
         p.add_argument("--out", type=Path, help="output directory")
-        p.add_argument("--precision-bits", type=int, dest="precision_bits")
         p.add_argument("--format", choices=("json", "csv"))
         p.add_argument("--bits", action="store_true", default=None,
                        help="also report entropies in bits")
@@ -944,8 +897,6 @@ def _merged_config(args: argparse.Namespace) -> ExperimentConfig:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["out"] = str(args.out)
-    if args.precision_bits is not None:
-        overrides["precision_bits"] = args.precision_bits
     if args.format is not None:
         overrides["format"] = args.format
     if args.bits is not None:

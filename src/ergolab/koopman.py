@@ -1,30 +1,34 @@
 """Koopman operators on character bases, in exact integer arithmetic.
 
-The composition operator of each system acts on a countable basis by
-permuting indices and multiplying by unimodular constants:
+The composition operator of each system permutes the labels of a
+countable basis and multiplies by unimodular constants.  ``KOOPMAN_TABLE``
+writes that action down once per system kind, per label sector, as an
+affine integer map ``x -> A x + b`` with the phase ``e((c . x) gamma)``
+(``e(x) = exp(2 pi i x)``):
 
-* skew, on ``g[k,m](u,v) = e(k u) e(m v)`` (``e(x) = exp(2 pi i x)``):
+* rotation, on ``e(l u)``, sector ``(l)``: ``e(l gamma) e(l u)``
+* skew, on ``g[k,m](u,v) = e(k u) e(m v)``, sector ``(k, m)``:
   ``U g[k,m] = e(k gamma) g[k+m, m]``
-* rotation, on ``e(k u)``: multiplication by ``e(k gamma)``
-* shift, on an orthonormal family ``d[k,m]`` (chain m, position k):
-  ``X d[k,m] = d[k+1, m]``
-* product, on ``p[l,k,m] = e(l u) d[k,m]``:
+* shift, on the constant and an orthonormal family ``d[k,m]`` (chain m,
+  position k), sector ``(k, m)``: ``X d[k,m] = d[k+1, m]``
+* product, on ``e(l u)`` (the constant tail, sector ``(l)``) and
+  ``p[l,k,m] = e(l u) d[k,m]``, sector ``(l, k, m)``:
   ``V p[l,k,m] = e(l gamma) p[l, k+1, m]``
 
-Every phase in these actions is an integer multiple of gamma, so each
-action is an integer kernel returning that multiplier; the kernels take
-Python ints or integer numpy arrays, and the public functions wrap them
-in exact :class:`Phase` objects.  The angle's numeric value is only
-needed for reporting.  Renormalizing the chain bases (``f[k,m]`` on the
-skew side, ``t[l,k,m]`` on the product side) makes every chain step
-phase-free; the intertwiner between two systems pairs those bases as
-integer label arrays, and its check applies the raw actions above to
-both sides of every pair.
+A sequence character moves one position with its shape fixed, so a
+support is such a ``(position, chain)`` pair.  :func:`koopman_step`
+applies the table to ints or integer arrays alike, and every consumer
+reads it: :func:`spectrum_of`, the intertwiner's check, and the tower's
+exact decision and residual search.  Phases are integer multiples of
+gamma, so the angle's value is only needed for reporting.  The
+intertwiner pairs renormalized chain bases (``f[k,m]`` on the skew side,
+``t[l,k,m]`` on the product side), whose chain steps are phase-free.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from collections.abc import ItemsView, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,21 +40,18 @@ from .quadratic import ExactnessError, RotationNumber, integral_combination
 from .systems import SystemSpec
 
 __all__ = [
-    "FourierMode",
+    "CHAIN_BOXES",
     "GroupComparison",
     "IncompatibleSpectraError",
     "IntertwinerCheck",
     "IntertwinerPairing",
+    "KOOPMAN_TABLE",
     "Phase",
-    "PhasedMode",
-    "ProductBasisIndex",
+    "SectorAction",
     "SpectrumDescriptor",
     "build_intertwiner",
     "is_one_simple",
-    "koopman_apply_product",
-    "koopman_apply_skew",
-    "koopman_apply_skew_inverse",
-    "normalizing_phase",
+    "koopman_step",
     "point_spectrum_groups_equal",
     "spectrum_of",
     "verify_intertwiner",
@@ -61,6 +62,9 @@ INFINITE = "infinite"
 #: slice costs about 150 bytes of integer temporaries, so checking needs
 #: about 10 MB however many pairs the pairing holds.
 VERIFY_SLICE = 2**16
+#: Half-widths B of the label boxes [-B, B]^d in which :func:`spectrum_of`
+#: counts the chains of moving labels.
+CHAIN_BOXES = (4, 8)
 
 
 @dataclass(frozen=True)
@@ -115,85 +119,48 @@ class Phase:
                 angle += self.gamma_mult * gamma.to_float()
         return cmath.exp(2j * cmath.pi * angle)
 
-    def to_json(self) -> dict:
-        return {
-            "turn": [self.turn.numerator, self.turn.denominator],
-            "gamma_mult": self.gamma_mult,
-        }
-
-    def __str__(self) -> str:
-        if self.is_one:
-            return "1"
-        bits = []
-        if self.turn:
-            bits.append(f"{self.turn}")
-        if self.gamma_mult:
-            bits.append(f"{self.gamma_mult}g")
-        return "e(" + "+".join(bits) + ")"
-
-
-class FourierMode(NamedTuple):
-    """Index of the torus character e(k u + m v)."""
-
-    k: int
-    m: int
-
-
-class PhasedMode(NamedTuple):
-    phase: Phase
-    mode: FourierMode
-
-
-class ProductBasisIndex(NamedTuple):
-    """Index of ``e(l u)`` (tail None) or ``e(l u) d[k,m]`` (tail (k, m))."""
-
-    l: int
-    tail: Optional[tuple[int, int]] = None
-
-    @property
-    def is_constant_tail(self) -> bool:
-        return self.tail is None
-
 
 # ---------------------------------------------------------------------------
-# operator actions: integer kernels and their Phase wrappers
+# the Koopman action on raw labels
 # ---------------------------------------------------------------------------
 
 
-def _skew_action(k, m):
-    """U g[k,m] = e(k gamma) g[k+m, m], as (gamma multiplier, k', m')."""
-    return k, k + m, m
+class SectorAction(NamedTuple):
+    """The Koopman action on one label sector: the label x goes to
+    ``A x + b`` with the phase ``e((c . x) gamma)``."""
+
+    A: tuple[tuple[int, ...], ...]
+    b: tuple[int, ...]
+    c: tuple[int, ...]
+
+
+#: Each system kind's Koopman action on its raw integer labels, by sector.
+KOOPMAN_TABLE: dict[str, dict[str, SectorAction]] = {
+    "rotation": {"lattice": SectorAction(((1,),), (0,), (1,))},
+    "skew": {"lattice": SectorAction(((1, 1), (0, 1)), (0, 0), (1, 0))},
+    "bernoulli": {
+        "constant": SectorAction((), (), ()),
+        "support": SectorAction(((1, 0), (0, 1)), (1, 0), (0, 0)),
+    },
+    "product": {
+        "constant": SectorAction(((1,),), (0,), (1,)),
+        "support": SectorAction(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 1, 0), (1, 0, 0)),
+    },
+}
+
+
+def koopman_step(kind: str, sector: str, x: Sequence) -> tuple:
+    """The action of ``KOOPMAN_TABLE[kind][sector]`` on the labels ``x``,
+    one coordinate per sector dimension, each an int or an integer array;
+    returns the gamma multiplier ``c . x`` and the image ``A x + b``."""
+    A, b, c = KOOPMAN_TABLE[kind][sector]
+    mult = sum((ci * xi for ci, xi in zip(c, x)), 0)
+    return mult, tuple(sum((a * xi for a, xi in zip(row, x)), bi) for row, bi in zip(A, b))
 
 
 def _normalizing_exponent(k, m):
-    """Gamma multiplier of ``a[k,m]`` for m != 0 (see :func:`normalizing_phase`)."""
-    r = k % abs(m)
-    j = (k - r) // m
-    return j * r + m * (j * (j - 1) // 2)
-
-
-def _product_action(l, k):
-    """V p[l,k,m] = e(l gamma) p[l,k+1,m], as (gamma multiplier, k').
-
-    The constant tail ``e(l u)`` takes the same phase and stays fixed.
-    """
-    return l, k + 1
-
-
-def koopman_apply_skew(mode: FourierMode) -> PhasedMode:
-    """U g[k,m] = e(k gamma) g[k+m, m]; symbolic in gamma."""
-    phase, k, m = _skew_action(*mode)
-    return PhasedMode(Phase.from_gamma(phase), FourierMode(k, m))
-
-
-def koopman_apply_skew_inverse(mode: FourierMode) -> PhasedMode:
-    k, m = mode
-    return PhasedMode(Phase.from_gamma(-(k - m)), FourierMode(k - m, m))
-
-
-def normalizing_phase(k: int, m: int) -> Phase:
-    """The constant ``a[k,m]`` with ``f[k,m] = a[k,m] g[k,m]`` and
-    ``U f[k,m] = f[k+m,m]``.
+    """Gamma multiplier of the constant ``a[k,m]`` (m != 0) with
+    ``f[k,m] = a[k,m] g[k,m]`` and ``U f[k,m] = f[k+m,m]``.
 
     The functional equation ``a[k+m,m] = e(k gamma) a[k,m]`` pins the
     whole chain once one member is fixed; we anchor ``a[r,m] = 1`` at the
@@ -201,31 +168,79 @@ def normalizing_phase(k: int, m: int) -> Phase:
     anchor multiplies the phases ``e((r + t m) gamma)`` for t < j, giving
     the exponent ``j r + m j (j - 1) / 2`` (an integer for every j).
     """
-    if m == 0:
-        raise ValueError("m = 0 rows are proper modes; no normalization applies")
-    return Phase.from_gamma(_normalizing_exponent(k, m))
+    r = k % abs(m)
+    j = (k - r) // m
+    return j * r + m * (j * (j - 1) // 2)
 
 
-def koopman_apply_product(
-    index: ProductBasisIndex, normalized: bool = False
-) -> tuple[Phase, ProductBasisIndex]:
-    """V on the product basis.
+def _bezout(a: int, b: int) -> tuple[int, int]:
+    """x, y with x*a + y*b = math.gcd(a, b) (the nonnegative gcd)."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        return -x0, -y0
+    return x0, y0
 
-    Raw: ``V p[l,k,m] = e(l gamma) p[l,k+1,m]``.  With ``normalized``
-    the t-basis ``t[l,k,m] = e(l k gamma) p[l,k,m]`` is used instead, so
-    the raw phase is multiplied by ``e(l k gamma) / e(l (k+1) gamma)``
-    and chain steps come out with phase 1.  Constant tails are proper
-    functions either way: phase ``e(l gamma)``, index unchanged.
+
+def _integer_solutions(
+    rows: list[list[int]], rhs: list[int]
+) -> Optional[tuple[list[int], list[list[int]]]]:
+    """Integer solutions of ``rows z = rhs`` as (one solution, kernel basis),
+    or None if there is none.
+
+    Unimodular column operations, tracked in U, bring the matrix to column
+    echelon form E = rows U.  ``E w = rhs`` is solved pivot by pivot with a
+    divisibility test, z = U w, and the zero columns of E give the kernel.
     """
-    l, tail = index
-    if tail is None:
-        phase, _ = _product_action(l, 0)
-        return Phase.from_gamma(phase), index
-    k, m = tail
-    phase, k_next = _product_action(l, k)
-    if normalized:
-        phase += l * k - l * k_next
-    return Phase.from_gamma(phase), ProductBasisIndex(l, (k_next, m))
+    n = len(rows[0])
+    E, U = [list(r) for r in rows], [[int(i == j) for j in range(n)] for i in range(n)]
+    w, col = [0] * n, 0
+    for i, row in enumerate(E):
+        for j in range(col + 1, n):
+            p, q = row[col], row[j]
+            if q:
+                g, (x, y) = math.gcd(p, q), _bezout(p, q)
+                # columns (col, j) <- (x col + y j, (q/g) col - (p/g) j): determinant -1
+                for r in E + U:
+                    r[col], r[j] = x * r[col] + y * r[j], (q // g) * r[col] - (p // g) * r[j]
+        rest = rhs[i] - sum(e * v for e, v in zip(row, w))
+        if col < n and row[col]:
+            if rest % row[col]:
+                return None
+            w[col] = rest // row[col]
+            col += 1
+        elif rest:
+            return None
+    return [sum(u * v for u, v in zip(r, w)) for r in U], [[r[j] for r in U] for j in range(col, n)]
+
+
+def _fixed_point_rows(kind: str, sector: str) -> tuple[list[list[int]], list[int]]:
+    """``A - I`` and ``-b`` of one sector: the fixed labels solve
+    ``(A - I) x = -b``.  A must be unipotent (checked: ``(A - I)^2 = 0``),
+    so that a label that moves never returns and a finite orbit of the
+    sector's affine map is a fixed point."""
+    A, b, _ = KOOPMAN_TABLE[kind][sector]
+    n = len(b)
+    N = [[A[i][j] - (i == j) for j in range(n)] for i in range(n)]
+    if any(sum(r[t] * N[t][j] for t in range(n)) for r in N for j in range(n)):
+        raise ValueError(f"the {kind} step is not unipotent on the {sector} sector")
+    return N, [-v for v in b]
+
+
+def _last_unknown_coset(rows, rhs) -> Optional[tuple[int, int, int]]:
+    """The values of the last unknown over the integer solutions of
+    ``rows z = rhs``: ``(base, step, rank)`` for ``base + step Z`` (step
+    0: base only), with rank the rank of the solution lattice; None if
+    there is no solution."""
+    solved = _integer_solutions(rows, rhs)
+    if solved is None:
+        return None
+    particular, kernel = solved
+    step = math.gcd(*(v[-1] for v in kernel))
+    return (particular[-1] % step if step else particular[-1]), step, len(kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +254,15 @@ class SpectrumDescriptor:
 
     The tag is forced by the parts: no Lebesgue part means pure-point,
     a trivial simple point part means pure-continuous, anything else is
-    mixed.
+    mixed.  ``chain_counts`` holds the evidence for the multiplicity as
+    (box half-width B, chains meeting [-B, B]^d) pairs.
     """
 
     point_generators: tuple[RotationNumber, ...]
     lebesgue_multiplicity: object  # 0, a positive int, or INFINITE
     one_multiplicity: int = 1
     tag: str = field(default="", compare=False)
+    chain_counts: tuple[tuple[int, int], ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         mult = self.lebesgue_multiplicity
@@ -274,21 +291,13 @@ class SpectrumDescriptor:
         collapsing onto an integer."""
         return self.one_multiplicity == 1 and is_one_simple(self.point_generators)
 
-    def point_values(self, bound: int) -> list[Phase]:
-        """Proper values of the generated group with multiples in
-        [-bound, bound] (single-generator descriptors only)."""
-        if not self.point_generators:
-            return [Phase.one()]
-        if len(self.point_generators) > 1:
-            raise NotImplementedError("enumeration for multi-generator groups")
-        return [Phase.from_gamma(k) for k in range(-bound, bound + 1)]
-
     def to_json(self) -> dict:
         return {
             "point_generators": [g.to_json() for g in self.point_generators],
             "point_part_simple": self.point_part_simple,
             "one_multiplicity": self.one_multiplicity,
             "lebesgue_multiplicity": self.lebesgue_multiplicity,
+            "chain_counts": [list(p) for p in self.chain_counts],
             "tag": self.tag,
         }
 
@@ -322,20 +331,63 @@ def is_one_simple(generators: Sequence[RotationNumber], bound: int = 8) -> bool:
     return True
 
 
-def spectrum_of(spec: SystemSpec) -> SpectrumDescriptor:
-    """The Koopman spectral invariants of a system.
+def _chains_in_box(kind: str, sector: str, B: int) -> int:
+    """How many chains of moving labels meet the box [-B, B]^d of one
+    sector: each has one first label in the box, a moving label that is
+    not the image of a label in the box."""
+    d = len(KOOPMAN_TABLE[kind][sector].b)
+    if d == 0:  # the one label of a point sector is fixed
+        return 0
+    side = 2 * B + 1
+    x = np.indices((side,) * d).reshape(d, -1) - B
+    image = np.array(koopman_step(kind, sector, tuple(x))[1])
+    inside = (np.abs(image) <= B).all(axis=0)
+    has_preimage = np.zeros(x.shape[1], dtype=bool)
+    has_preimage[np.ravel_multi_index(tuple(image[:, inside] + B), (side,) * d)] = True
+    return int(np.count_nonzero((image != x).any(axis=0) & ~has_preimage))
 
-    rotation: pure point, group generated by gamma, all values simple.
-    skew/product: the same point part plus countable Lebesgue spectrum.
-    bernoulli: only the constant, plus countable Lebesgue spectrum.
+
+def spectrum_of(spec: SystemSpec) -> SpectrumDescriptor:
+    """The Koopman spectral invariants of a system, computed from its row
+    of ``KOOPMAN_TABLE`` (Halmos, Lectures on Ergodic Theory, 1956).
+
+    On each sector the fixed labels solve ``(A - I) x = -b`` over the
+    integers, with their gamma multiplier ``n = c . x`` as one more
+    unknown.  The multipliers generate the point spectrum; the fixed
+    labels with ``n = 0`` are the invariant functions, so they count the
+    proper value 1.  Every other label moves and, A being unipotent,
+    never returns: it lies on a two-sided chain that carries one copy of
+    Lebesgue spectrum.  The chains meeting the boxes of ``CHAIN_BOXES``
+    are counted; the multiplicity is reported ``"infinite"`` only when
+    that count grows with the box, and is the count otherwise.
     """
-    if spec.kind == "rotation":
-        return SpectrumDescriptor((spec.gamma,), 0)
-    if spec.kind in ("skew", "product"):
-        return SpectrumDescriptor((spec.gamma,), INFINITE)
-    if spec.kind == "bernoulli":
-        return SpectrumDescriptor((), INFINITE)
-    raise ValueError(f"unknown system kind {spec.kind!r}")
+    generator = ones = 0
+    for sector, action in KOOPMAN_TABLE[spec.kind].items():
+        N, rhs = _fixed_point_rows(spec.kind, sector)
+        coset = _last_unknown_coset(
+            [r + [0] for r in N] + [list(action.c) + [-1]], rhs + [0]
+        )
+        if coset is None:
+            continue
+        base, step, rank = coset
+        generator = math.gcd(generator, base, step)
+        if (base % step if step else base) == 0:  # some fixed label has n = 0
+            if rank > (step != 0):
+                raise ValueError(f"the {spec.kind} system has infinitely many invariant labels")
+            ones += 1
+    if generator > 1:
+        raise ValueError(f"the {spec.kind} point spectrum is generated by {generator} gamma")
+    counts = tuple(
+        (B, sum(_chains_in_box(spec.kind, s, B) for s in KOOPMAN_TABLE[spec.kind]))
+        for B in CHAIN_BOXES
+    )
+    grows = counts[-1][1] > counts[0][1]
+    return SpectrumDescriptor(
+        (spec.gamma,) if generator else (),
+        INFINITE if grows else counts[-1][1],
+        one_multiplicity=ones,
+        chain_counts=counts,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +454,10 @@ class _Basis:
     names position j of chain c of the canonical chain enumeration,
     shown as ``("chain", *params[c], j)``; chain c holds the positions
     ``lo[c]..hi[c]``.  ``chain_index`` maps chain parameters back to c
-    arithmetically (-2 outside the box).  ``step`` applies the raw
-    Koopman action to the basis vectors that label arrays name and
-    returns each phase's gamma multiplier and the image labels.
+    arithmetically (-2 outside the box).  ``step`` takes the basis
+    vectors that label arrays name to their raw labels, applies
+    ``KOOPMAN_TABLE`` and renormalizes; it returns each phase's gamma
+    multiplier and the image labels.
     """
 
     points: tuple[int, int]
@@ -417,9 +470,6 @@ class _Basis:
 
     def chain_index(self, *params):
         return -2
-
-    def step(self, c: np.ndarray, j: np.ndarray):
-        raise NotImplementedError
 
     def _chain_params(self, c: np.ndarray) -> np.ndarray:
         """Chain parameters of each label, one row per parameter (0 for
@@ -460,7 +510,8 @@ class _RotationBasis(_Basis):
         self.lo = self.hi = np.zeros(0, dtype=np.int64)
 
     def step(self, c, j):
-        return j, c, j  # e(k u) -> e(k gamma) e(k u)
+        mult, (l,) = koopman_step("rotation", "lattice", (j,))
+        return mult, c, l
 
 
 class _ShiftBasis(_Basis):
@@ -472,8 +523,8 @@ class _ShiftBasis(_Basis):
         a = np.arange(1, B + 1)
         self.points = (0, 0)
         self.params = np.concatenate([[0], np.stack([a, -a], axis=1).ravel()])[:, None]
-        self.lo = np.full(2 * B + 1, -B)
-        self.hi = np.full(2 * B + 1, B)
+        self.lo = np.broadcast_to(-B, 2 * B + 1)
+        self.hi = np.broadcast_to(B, 2 * B + 1)
 
     def chain_index(self, m):
         return np.where(abs(m) > self.B, -2, np.where(m > 0, 2 * m - 1, -2 * m))
@@ -481,11 +532,12 @@ class _ShiftBasis(_Basis):
     def step(self, c, j):
         (m,) = self._chain_params(c)
         chain = c >= 0
-        # X d[k,m] = d[k+1,m] with phase 1; the constant stays fixed
+        mult, (k_next, m_next) = koopman_step("bernoulli", "support", (j, m))
+        constant_mult, _ = koopman_step("bernoulli", "constant", ())
         return (
-            np.zeros_like(j),
-            np.where(chain, self.chain_index(m), -1),
-            np.where(chain, j + 1, j),
+            np.where(chain, mult, constant_mult),
+            np.where(chain, self.chain_index(m_next), -1),
+            np.where(chain, k_next, j),
         )
 
 
@@ -521,7 +573,7 @@ class _SkewBasis(_Basis):
     def step(self, c, j):
         m, r = self._chain_params(c)
         k = np.where(c >= 0, r + j * m, j)  # proper mode g[j, 0]: m = 0
-        phase, k_next, m_next = _skew_action(k, m)
+        phase, (k_next, m_next) = koopman_step("skew", "lattice", (k, m))
         # f = a g, so U f[k,m] = a[k,m] e(phase gamma) / a[k',m'] f[k',m']
         phase = phase + self._exponent(k, m) - self._exponent(k_next, m_next)
         chain = m_next != 0
@@ -543,14 +595,15 @@ class _ProductBasis(_Basis):
     def __init__(self, B: int) -> None:
         super().__init__(B)
         side = 2 * B + 1
-        l, m = np.divmod(np.arange(side * side), side)
+        l, m = np.divmod(np.arange(side * side, dtype=np.int32), side)
         l, m = l - B, m - B
         # a stable sort keeps (l, m) lexicographic within each ring
         order = np.argsort(np.maximum(np.abs(l), np.abs(m)), kind="stable")
         self.points = (-B, B)
         self.params = np.stack([l[order], m[order]], axis=1)
-        self.lo = np.full(side * side, -B)
-        self.hi = np.full(side * side, B)
+        # every chain holds the positions -B..B: read-only views, no storage
+        self.lo = np.broadcast_to(-B, side * side)
+        self.hi = np.broadcast_to(B, side * side)
 
     def chain_index(self, l, m):
         s = np.maximum(abs(l), abs(m))
@@ -571,15 +624,14 @@ class _ProductBasis(_Basis):
     def step(self, c, j):
         l, m = self._chain_params(c)
         chain = c >= 0
-        l = np.where(chain, l, j)  # the proper mode e(j u) has l = j
-        k = np.where(chain, j, 0)
-        phase, k_next = _product_action(l, k)
-        # t = e(l k gamma) p on chains; the constant tail keeps e(l u)
-        phase = phase + np.where(chain, l * k - l * k_next, 0)
+        mult, (l_next, k_next, m_next) = koopman_step("product", "support", (l, j, m))
+        constant_mult, (l_constant,) = koopman_step("product", "constant", (j,))
+        # t = e(l k gamma) p on chains; the constant tail e(j u) keeps its label
+        phase = mult + l * j - l_next * k_next
         return (
-            phase,
-            np.where(chain, self.chain_index(l, m), -1),
-            np.where(chain, k_next, l),
+            np.where(chain, phase, constant_mult),
+            np.where(chain, self.chain_index(l_next, m_next), -1),
+            np.where(chain, k_next, l_constant),
         )
 
 
@@ -627,8 +679,8 @@ class IntertwinerPairing:
     side-B label ``labels_b[:, i]``, each stored as integers (chain
     index, -1 for proper modes; position); ``mapping`` shows the pairs
     as label tuples.  ``eps`` is the sign relating the two angles
-    (gammaB = eps * gammaA mod 1).  The chain enumeration orders are
-    recorded so the arbitrary relabeling choice is reproducible.
+    (gammaB = eps * gammaA mod 1).  Each basis's ``params`` records its
+    chain enumeration order, so the arbitrary relabeling is reproducible.
     """
 
     spec_a: SystemSpec
@@ -645,25 +697,6 @@ class IntertwinerPairing:
     def mapping(self) -> Mapping:
         """Read-only ``{side-A label: side-B label}`` in pair order."""
         return _PairMapping(self)
-
-    @property
-    def chain_order_a(self) -> tuple:
-        return tuple(("chain", *p) for p in self.basis_a.params.tolist())
-
-    @property
-    def chain_order_b(self) -> tuple:
-        return tuple(("chain", *p) for p in self.basis_b.params.tolist())
-
-    def to_json(self) -> dict:
-        return {
-            "system_a": self.spec_a.to_json(),
-            "system_b": self.spec_b.to_json(),
-            "truncation": self.truncation,
-            "eps": self.eps,
-            "pairs": [[list(k), list(v)] for k, v in sorted(self.mapping.items())],
-            "chain_order_a": [list(c) for c in self.chain_order_a],
-            "chain_order_b": [list(c) for c in self.chain_order_b],
-        }
 
 
 class _PairMapping(Mapping):
@@ -751,17 +784,23 @@ def build_intertwiner(
     hi = np.minimum(basis_a.hi[:n_chains], basis_b.hi[:n_chains])
     count = np.maximum(hi - lo + 1, 0)
     start = n_points + np.cumsum(count) - count
-    chain = np.repeat(np.arange(n_chains), count)
-    pos = lo[chain] + np.arange(n_points, n_points + chain.size) - start[chain]
-    k = np.arange(p0, p1 + 1)
-    c = np.concatenate([np.full(n_points, -1), chain])
+    # pair i of chain c holds position lo[c] + i - start[c]; int32 labels
+    # written in place keep the build near 20 bytes per pair
+    labels_a = np.empty((2, n_points + int(count.sum())), dtype=np.int32)
+    labels_a[0, :n_points] = -1
+    labels_a[1, :n_points] = np.arange(p0, p1 + 1)
+    labels_a[0, n_points:] = np.repeat(np.arange(n_chains, dtype=np.int32), count)
+    labels_a[1, n_points:] = np.arange(n_points, labels_a.shape[1], dtype=np.int32)
+    labels_a[1, n_points:] += np.repeat((lo - start).astype(np.int32), count)
+    labels_b = labels_a.copy()
+    labels_b[1, :n_points] *= eps
     return IntertwinerPairing(
         spec_a=spec_a,
         spec_b=spec_b,
         truncation=truncation,
         eps=eps,
-        labels_a=np.stack([c, np.concatenate([k, pos])]),
-        labels_b=np.stack([c, np.concatenate([eps * k, pos])]),
+        labels_a=labels_a,
+        labels_b=labels_b,
         basis_a=basis_a,
         basis_b=basis_b,
         layout=_PairLayout(
@@ -777,8 +816,7 @@ def verify_intertwiner(pairing: IntertwinerPairing) -> IntertwinerCheck:
     ``f[k,m] = a[k,m] g[k,m]`` with ``a`` from the normalizing exponent,
     product chains ``t[l,k,m] = e(l k gamma) p[l,k,m]``, shift chains
     ``d[k,m]``, proper modes as they are), system A's raw action is
-    applied through the kernels behind :func:`koopman_apply_skew` and
-    :func:`koopman_apply_product`, and the image is renormalized and
+    applied through ``KOOPMAN_TABLE``, and the image is renormalized and
     resolved back to a pair index arithmetically.  A pair is interior
     when that image is paired; chain ends at the truncation boundary are
     skipped.  For interior pairs system B's raw action is applied to the

@@ -222,12 +222,6 @@ class QuadraticReal:
         """Fractional part, exactly in [0, 1)."""
         return self - self.floor()
 
-    def is_integer(self) -> bool:
-        return self.b == 0 and self.a.denominator == 1
-
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def __repr__(self) -> str:
         if self.b == 0:
             return f"QuadraticReal({self.a})"

@@ -13,13 +13,15 @@ Both halves of that claim are decided by one integer computation.  Expand
 g in the character basis of either system.  The equation
 ``g(T x) = delta e(k u) g(x)`` carries each coefficient to the next one
 along the index map ``K_k = Q* P`` (P the Koopman action on basis labels,
-Q* the shift ``l -> l - k`` of the u-frequency), times a unimodular phase.
+read from ``koopman.KOOPMAN_TABLE``, Q* the shift ``l -> l - k`` of the
+u-frequency), times a unimodular phase.
 So |c| is constant along every K_k orbit: an L^2 solution lives on finite
 orbits, and every finite orbit, being a cycle, carries one for a suitable
 delta.  A level-3 function with multiplier e(k u) therefore exists iff K_k
 has a finite orbit on the whole, untruncated lattice (Abramov's theory of
 quasi-discrete spectrum: L. M. Abramov, 1962; F. Hahn and W. Parry,
-1965).  :func:`decide_finite_orbits` settles that for every k at once.
+1965).  :func:`decide_finite_orbits` settles that for every k at once,
+from the affine maps (A, b) the table gives per label sector.
 
 The residual search corroborates the decision on a truncated basis: it
 minimizes ``|| g o T - delta e(k u) g ||`` over a fixed u-band
@@ -48,7 +50,13 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .koopman import Phase, FourierMode, _product_action, _skew_action
+from .koopman import (
+    KOOPMAN_TABLE,
+    _bezout,
+    _fixed_point_rows,
+    _last_unknown_coset,
+    koopman_step,
+)
 from .systems import SystemSpec
 
 __all__ = [
@@ -69,7 +77,6 @@ __all__ = [
     "compute_tower",
     "decide_finite_orbits",
     "quasi_eigen_residual_search",
-    "quotient_homomorphism",
     "residual_reference",
     "stabilization_depth",
     "tower_step",
@@ -210,50 +217,6 @@ class ModeSubgroup:
         return "<" + ", ".join(str(g) for g in self.generators()) + ">"
 
 
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    """x, y with x*a + y*b = math.gcd(a, b) (the nonnegative gcd)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        return -x0, -y0
-    return x0, y0
-
-
-def _integer_solutions(
-    rows: list[list[int]], rhs: list[int]
-) -> Optional[tuple[list[int], list[list[int]]]]:
-    """Integer solutions of ``rows z = rhs`` as (one solution, kernel basis),
-    or None if there is none.
-
-    Unimodular column operations, tracked in U, bring the matrix to column
-    echelon form E = rows U.  ``E w = rhs`` is solved pivot by pivot with a
-    divisibility test, z = U w, and the zero columns of E give the kernel.
-    """
-    n = len(rows[0])
-    E, U = [list(r) for r in rows], [[int(i == j) for j in range(n)] for i in range(n)]
-    w, col = [0] * n, 0
-    for i, row in enumerate(E):
-        for j in range(col + 1, n):
-            p, q = row[col], row[j]
-            if q:
-                g, (x, y) = math.gcd(p, q), _bezout(p, q)
-                # columns (col, j) <- (x col + y j, (q/g) col - (p/g) j): determinant -1
-                for r in E + U:
-                    r[col], r[j] = x * r[col] + y * r[j], (q // g) * r[col] - (p // g) * r[j]
-        rest = rhs[i] - sum(e * v for e, v in zip(row, w))
-        if col < n and row[col]:
-            if rest % row[col]:
-                return None
-            w[col] = rest // row[col]
-            col += 1
-        elif rest:
-            return None
-    return [sum(u * v for u, v in zip(r, w)) for r in U], [[r[j] for r in U] for j in range(col, n)]
-
-
 @dataclass(frozen=True)
 class TowerLevel:
     """One tower level: a character subgroup, together with the constants."""
@@ -271,9 +234,10 @@ class TowerLevel:
 
 
 def _skew_quotient_character(mode: tuple[int, int]) -> tuple[int, int]:
-    """Character part of g[k,m](S x) / g[k,m](x): the mode (m, 0)."""
-    _, m = mode
-    return (m, 0)
+    """Character part of g[k,m](S x) / g[k,m](x): the image label of the
+    skew step less the label, which is (m, 0)."""
+    _, image = koopman_step("skew", "lattice", mode)
+    return tuple(a - b for a, b in zip(image, mode))
 
 
 def tower_step(level: TowerLevel, system: SystemSpec) -> TowerLevel:
@@ -342,47 +306,34 @@ def stabilization_depth(levels: Sequence[TowerLevel]) -> Optional[int]:
     return None
 
 
-def quotient_homomorphism(
-    mode: FourierMode, level: Optional[TowerLevel] = None
-) -> tuple[Phase, FourierMode]:
-    """The quotient q(g) = g o S / g of a skew character, as
-    (constant phase, character).
-
-    q is a homomorphism: quotients multiply as the characters do.  If a
-    level is supplied, the mode must belong to it.
-    """
-    k, m = mode
-    if level is not None and not level.characters.contains((k, m)):
-        raise ValueError(f"mode {mode} is not in the level at depth {level.depth}")
-    return Phase.from_gamma(k), FourierMode(m, 0)
-
-
 # ---------------------------------------------------------------------------
 # the index map K_k and the exact decision
 # ---------------------------------------------------------------------------
 
-Node = tuple[int, object]  # (u-frequency, tail label)
-
-#: Sectors of the whole label lattice, as (name, dimension).  A product
-#: support of any size is fixed iff each of its positions is, since the
-#: step moves them all by one increasing map and leaves l alone; so one
-#: position decides every nonempty support.
-_SECTORS = {"skew": (("lattice", 2),), "product": (("constant", 1), ("support", 2))}
+#: A basis label as the raw table label (l, ...): the u-frequency l, then
+#: the tail's coordinates, whose number names the label's sector.
+Node = tuple[int, ...]
 
 
-def _p_step(kind: str, node: Node) -> tuple[int, Node]:
-    """P, the Koopman action on a basis label, as (gamma multiplier, image).
+def _p_step(kind: str, nodes: Sequence[Node], k: int = 0) -> tuple[list[int], list[Node]]:
+    """K_k on a list of labels: the table's P step followed by l -> l - k.
 
-    A skew label (l, m) goes to (l + m, m) by ``_skew_action``; a product
-    label (l, support) keeps l and moves each support position a -> a + 1
-    by ``_product_action``.  Both carry the phase e(l gamma).  The index
-    map K_k is this step followed by l -> l - k.
+    All labels of one sector go through ``koopman_step`` as one array, so
+    a whole search costs one array step per sector.  Returns the gamma
+    multipliers and the images, in the order of ``nodes``.
     """
-    l, tail = node
-    if kind == "skew":
-        mult, l_next, m = _skew_action(l, tail)
-        return mult, (l_next, m)
-    return l, (l, tuple(_product_action(l, a)[1] for a in tail))
+    mults: list[int] = [0] * len(nodes)
+    images: list[Node] = [()] * len(nodes)
+    for sector, action in KOOPMAN_TABLE[kind].items():
+        at = [i for i, node in enumerate(nodes) if len(node) == len(action.b)]
+        if not at:
+            continue
+        x = np.array([nodes[i] for i in at], dtype=np.int64).T
+        mult, (l, *tail) = koopman_step(kind, sector, tuple(x))
+        image = np.array([l - k, *tail])
+        for i, m, y in zip(at, mult.tolist(), image.T.tolist()):
+            mults[i], images[i] = m, tuple(y)
+    return mults, images
 
 
 @dataclass
@@ -419,11 +370,10 @@ class OrbitDecision:
 def decide_finite_orbits(kind: str) -> OrbitDecision:
     """Decide, for every k at once, whether K_k has a finite orbit.
 
-    On each sector the P step is affine, ``P x = A x + b``, and is read
-    off by evaluating it at 0 and at the unit labels; then
-    ``K_k x = A x + b - k e_l``.  A is unipotent (checked: (A - I)^2 = 0
-    on these sectors of dimension <= 2), so a finite orbit is a fixed
-    point: if ``K^p x = x``, the augmented matrix V of K gives
+    On each sector ``KOOPMAN_TABLE`` gives the P step as an affine map
+    ``P x = A x + b``, so ``K_k x = A x + b - k e_l``.  A is unipotent
+    (checked: (A - I)^2 = 0), so a finite orbit is a fixed point: if
+    ``K^p x = x``, the augmented matrix V of K gives
     ``0 = (V^p - I) x = (V^(p-1) + ... + I)(V - I) x``, and the first
     factor, p I plus a nilpotent, is invertible over Q.  Since k enters
     the fixed-point equation only through ``k e_l``, it joins the
@@ -433,32 +383,15 @@ def decide_finite_orbits(kind: str) -> OrbitDecision:
     functions e(l u)); skew, every k, at the labels (l, k) (the witnesses
     e(l u) e(k v)).
     """
-    if kind not in _SECTORS:
+    if kind not in ("skew", "product"):  # the kinds whose labels start with l
         raise UnsupportedSystemError(
             f"tower comparison supports skew and product systems, not {kind!r}"
         )
-
-    def p(x: list[int]) -> tuple[int, ...]:
-        """The P step on the label with integer coordinates x."""
-        l, tail = _p_step(kind, (x[0], x[1] if kind == "skew" else tuple(x[1:])))[1]
-        return (l, tail) if kind == "skew" else (l, *tail)
-
     sectors: dict[str, Optional[tuple[int, int]]] = {}
-    for name, n in _SECTORS[kind]:
-        b = p([0] * n)
-        columns = [p([int(t == j) for t in range(n)]) for j in range(n)]
-        N = [[columns[j][i] - b[i] - (i == j) for j in range(n)] for i in range(n)]
-        if any(sum(r[t] * N[t][j] for t in range(n)) for r in N for j in range(n)):
-            raise ValueError(f"the {kind} step is not unipotent on the {name} sector")
-        solved = _integer_solutions(
-            [r + [-int(i == 0)] for i, r in enumerate(N)], [-v for v in b]
-        )
-        if solved is None:
-            sectors[name] = None
-            continue
-        particular, kernel = solved
-        step = math.gcd(*(v[-1] for v in kernel))
-        sectors[name] = (particular[-1] % step if step else particular[-1], step)
+    for name in KOOPMAN_TABLE[kind]:
+        N, rhs = _fixed_point_rows(kind, name)
+        coset = _last_unknown_coset([r + [-int(i == 0)] for i, r in enumerate(N)], rhs)
+        sectors[name] = None if coset is None else coset[:2]
     return OrbitDecision(sectors)
 
 
@@ -487,22 +420,19 @@ class ResidualReport:
 
 
 def _tail_labels(spec: SystemSpec, truncation: int) -> list:
-    """Tail-factor characters enumerated exactly.
+    """Tail-factor characters enumerated exactly, as table coordinates.
 
     For the product system: sequence characters with support in
-    [-N, N] of size at most ``SUPPORT_CAP`` = 2 (the empty support is the
-    constant).  For the skew control: v-frequencies in [-N, N].
+    [-N, N] of size at most ``SUPPORT_CAP`` = 2.  The empty support is
+    the constant sector; a support {a} is (a, 0) and {a, b} with a < b is
+    (a, b - a), its first position and its shape.  For the skew control:
+    the v-frequencies m in [-N, N], as (m,).
     """
-    N = truncation
+    window = range(-truncation, truncation + 1)
     if spec.kind == "product":
-        window = list(range(-N, N + 1))
-        return (
-            [()]
-            + [(a,) for a in window]
-            + [(a, b) for i, a in enumerate(window) for b in window[i + 1 :]]
-        )
+        return [()] + [(a, b - a) for a in window for b in window if b >= a]
     if spec.kind == "skew":
-        return list(range(-N, N + 1))
+        return [(m,) for m in window]
     raise UnsupportedSystemError(
         f"the residual search runs on product or skew systems, not {spec.kind!r}"
     )
@@ -559,17 +489,13 @@ def quasi_eigen_residual_search(
     # bump to the band limit that makes the quadrature check exact
     grid = max(grid or 0, 4 * truncation, needed)
     tails = _tail_labels(spec, truncation)
-    nodes: list[Node] = [
-        (l, t) for l in range(-U_BAND, U_BAND + 1) for t in tails
-    ]
+    nodes: list[Node] = [(l, *t) for l in range(-U_BAND, U_BAND + 1) for t in tails]
     node_set = set(nodes)
     phase_of = _phase_function(spec)
 
     succ: dict[Node, tuple[Node, complex]] = {}
     preds: set[Node] = set()
-    for node in nodes:
-        mult, (l, tail) = _p_step(spec.kind, node)
-        target = (l - k, tail)
+    for node, mult, target in zip(nodes, *_p_step(spec.kind, nodes, k)):
         if target in node_set:
             succ[node] = (target, phase_of(mult))
             preds.add(target)
@@ -629,9 +555,14 @@ def quasi_eigen_residual_search(
 
 
 def _node_sort_key(node: Node):
-    l, tail = node
-    t = (len(tail),) + tail if isinstance(tail, tuple) else (abs(tail), tail)
-    return (abs(l), l < 0, t)
+    """|l|, the sign of l, then the tail: a v-frequency m by (|m|, m), a
+    product support by its size, then its first position and its shape."""
+    l, *tail = node
+    if len(tail) == 1:
+        tail = [abs(tail[0]), *tail]
+    elif tail:
+        tail = [1 + (tail[1] != 0), *tail]
+    return (abs(l), l < 0, tail)
 
 
 def _optimal_delta(spec, k, c, phase_of) -> complex:
@@ -649,16 +580,15 @@ def _optimal_delta(spec, k, c, phase_of) -> complex:
 
 def _apply_p(spec, c, phase_of) -> dict[Node, complex]:
     out: dict[Node, complex] = {}
-    for node, val in c.items():
-        mult, key = _p_step(spec.kind, node)
+    for val, mult, key in zip(c.values(), *_p_step(spec.kind, list(c))):
         out[key] = out.get(key, 0j) + phase_of(mult) * val
     return out
 
 
 def _apply_q(spec, k, c) -> dict[Node, complex]:
     out: dict[Node, complex] = {}
-    for (l, tail), val in c.items():
-        key = (l + k, tail)
+    for (l, *tail), val in c.items():
+        key = (l + k, *tail)
         out[key] = out.get(key, 0j) + val
     return out
 
@@ -688,10 +618,9 @@ def _grid_residual(spec, k, c, delta, grid: int) -> float:
         cur = by_out.get(tail_label)
         by_out[tail_label] = values if cur is None else cur + values
 
-    for (l, tail), val in c.items():
-        mult, (l_p, tail_p) = _p_step(spec.kind, (l, tail))
-        add(tail_p, val * np.exp(2j * np.pi * mult * gamma) * np.exp(2j * np.pi * l_p * u))
-        add(tail, -delta * val * q_wave * np.exp(2j * np.pi * l * u))
+    for ((l, *tail), val), mult, (l_p, *tail_p) in zip(c.items(), *_p_step(spec.kind, list(c))):
+        add(tuple(tail_p), val * np.exp(2j * np.pi * mult * gamma) * np.exp(2j * np.pi * l_p * u))
+        add(tuple(tail), -delta * val * q_wave * np.exp(2j * np.pi * l * u))
     total = 0.0
     for values in by_out.values():
         total += float(np.mean(np.abs(values) ** 2))
@@ -702,13 +631,13 @@ def _profile(spec, c) -> dict:
     """l2 mass of the minimizer by u-frequency and by tail sector."""
     by_l: dict[int, float] = {}
     by_tail: dict[str, float] = {}
-    for (l, tail), val in c.items():
+    for (l, *tail), val in c.items():
         mass = abs(val) ** 2
         by_l[l] = by_l.get(l, 0.0) + mass
         if spec.kind == "product":
-            sector = "constant" if len(tail) == 0 else f"support_{len(tail)}"
+            sector = "constant" if not tail else f"support_{1 + (tail[1] != 0)}"
         else:
-            sector = "v_constant" if tail == 0 else f"v_frequency_{tail}"
+            sector = "v_constant" if tail[0] == 0 else f"v_frequency_{tail[0]}"
         by_tail[sector] = by_tail.get(sector, 0.0) + mass
     return {
         "u_frequency": {str(l): round(m, 12) for l, m in sorted(by_l.items())},

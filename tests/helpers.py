@@ -19,10 +19,8 @@ from ergolab import (
     SystemSpec,
     TestSet,
     TowerLevel,
-    FourierMode,
-    ProductBasisIndex,
-    koopman_apply_product,
-    koopman_apply_skew,
+    KOOPMAN_TABLE,
+    koopman_step,
     iterate_batch,
     sample_batch,
 )
@@ -109,34 +107,32 @@ def tower_is_monotone(levels: list[TowerLevel]) -> bool:
     )
 
 
+def _index_map_injective(kind: str, truncation: int) -> bool:
+    """Each sector's table step is injective on every label of the box
+    [-truncation, truncation]^d (checked exhaustively); the step keeps
+    each sector, so the operator permutes basis labels."""
+    side = 2 * truncation + 1
+    for sector, action in KOOPMAN_TABLE[kind].items():
+        d = len(action.b)
+        if d:
+            x = np.indices((side,) * d).reshape(d, -1) - truncation
+            image = np.array(koopman_step(kind, sector, tuple(x))[1])
+            if np.unique(image, axis=1).shape[1] != image.shape[1]:
+                return False
+    return True
+
+
 def skew_index_map_injective(truncation: int) -> bool:
     """The skew composition operator permutes basis indices injectively
     (checked exhaustively on the truncation box), so its matrix in that
     basis is a phased permutation, hence unitary on its range."""
-    seen: set[FourierMode] = set()
-    for k in range(-truncation, truncation + 1):
-        for m in range(-truncation, truncation + 1):
-            image = koopman_apply_skew(FourierMode(k, m)).mode
-            if image in seen:
-                return False
-            seen.add(image)
-    return True
+    return _index_map_injective("skew", truncation)
 
 
 def product_index_map_injective(truncation: int) -> bool:
-    """Same exhaustive injectivity check for the product operator."""
-    seen: set[ProductBasisIndex] = set()
-    indices = [ProductBasisIndex(l) for l in range(-truncation, truncation + 1)]
-    for l in range(-truncation, truncation + 1):
-        for k in range(-truncation, truncation + 1):
-            for m in range(1, truncation + 1):
-                indices.append(ProductBasisIndex(l, (k, m)))
-    for index in indices:
-        _, image = koopman_apply_product(index)
-        if image in seen:
-            return False
-        seen.add(image)
-    return True
+    """Same exhaustive injectivity check for the product operator, on its
+    constant tails (l) and its supports (l, position, chain)."""
+    return _index_map_injective("product", truncation)
 
 
 def subgroup_lattice_examples() -> list[ModeSubgroup]:

@@ -69,6 +69,16 @@ def test_config_rejects_bad_values():
         ExperimentConfig.from_json({"scenario": "compute", "seed": 1, "extra": True})
 
 
+def test_config_with_precision_bits_is_refused(tmp_path, capsys):
+    """The precision_bits knob is gone: a config that still sets it fails
+    the schema and the command exits 1."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "theorem1", "seed": 1, "precision_bits": 128}))
+    code, out = run(tmp_path, "theorem1", "--config", str(cfg))
+    assert code == 1 and "precision_bits" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_config_replace_revalidates():
     config = default_config("theorem1")
     with pytest.raises(ValueError):

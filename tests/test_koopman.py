@@ -1,10 +1,12 @@
-"""Symbolic composition operators: phases, bases, spectra, pairings.
+"""Symbolic composition operators: the Koopman table, phases, bases,
+spectra, pairings.
 
 Phases are exact objects (rational turn + integer multiple of the
 angle); every identity here is checked symbolically first and only then
 numerically against complex exponentials.  The array-based intertwiner
 is checked against the dict-based oracle in ``intertwiner_oracle.py``,
-and its check is shown to fail when an action it applies is wrong.
+and its check is shown to fail when one entry of the table it applies
+is wrong.
 """
 
 from __future__ import annotations
@@ -21,26 +23,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergolab import (
+    CHAIN_BOXES,
+    KOOPMAN_TABLE,
     BernoulliSpec,
-    FourierMode,
     GroupComparison,
     IncompatibleSpectraError,
     IntertwinerCheck,
     Phase,
-    ProductBasisIndex,
     RotationNumber,
+    SpectrumDescriptor,
     SystemSpec,
     build_intertwiner,
+    decide_finite_orbits,
     is_one_simple,
-    koopman_apply_product,
-    koopman_apply_skew,
-    koopman_apply_skew_inverse,
-    normalizing_phase,
+    koopman_step,
     point_spectrum_groups_equal,
     spectrum_of,
     verify_intertwiner,
 )
 from ergolab import koopman
+from ergolab.koopman import _normalizing_exponent
 
 from helpers import (
     GAMMA,
@@ -92,78 +94,82 @@ def test_phase_turn_is_reduced_mod_one():
 
 
 # ---------------------------------------------------------------------------
-# composition actions on basis indices
+# the Koopman table on raw labels
 # ---------------------------------------------------------------------------
 
 
 @given(st.integers(-30, 30), st.integers(-30, 30))
 def test_skew_action_and_inverse(k, m):
-    mode = FourierMode(k, m)
-    fwd = koopman_apply_skew(mode)
-    assert fwd.mode == FourierMode(k + m, m)
-    assert fwd.phase == Phase.from_gamma(k)
-    back = koopman_apply_skew_inverse(fwd.mode)
-    assert back.mode == mode
-    assert (fwd.phase * back.phase).is_one
+    """U g[k,m] = e(k gamma) g[k+m, m]; A is unimodular, so the step is
+    undone by x -> A^-1 (x - b), whose phase cancels the forward one."""
+    mult, image = koopman_step("skew", "lattice", (k, m))
+    assert image == (k + m, m) and mult == k
+    (p, q), (r, t) = KOOPMAN_TABLE["skew"]["lattice"].A
+    y0, y1 = (v - w for v, w in zip(image, KOOPMAN_TABLE["skew"]["lattice"].b))
+    assert p * t - q * r == 1
+    back = (t * y0 - q * y1, p * y1 - r * y0)
+    assert back == (k, m)
+    assert mult - koopman_step("skew", "lattice", back)[0] == 0
 
 
 @given(st.integers(-20, 20), st.integers(-20, 20).filter(lambda m: m != 0))
 def test_normalizing_phase_recurrence(k, m):
-    """a[k+m, m] = a[k, m] * e(k gamma): exactly the constant that makes
-    the normalized basis step with phase one."""
-    lhs = normalizing_phase(k + m, m)
-    rhs = normalizing_phase(k, m) * Phase.from_gamma(k)
-    assert lhs == rhs
+    """a[k+m, m] = a[k, m] * e(k gamma), with k + m and e(k gamma) the
+    table's image and phase: exactly the constant that makes the
+    normalized basis step with phase one."""
+    mult, image = koopman_step("skew", "lattice", (k, m))
+    assert _normalizing_exponent(*image) == _normalizing_exponent(k, m) + mult
 
 
 def test_normalizing_phase_rejects_proper_rows():
-    with pytest.raises(ValueError):
-        normalizing_phase(3, 0)
+    """The proper row m = 0 has no chain representative to anchor at; the
+    skew basis keeps g[k, 0] unnormalized."""
+    with pytest.raises(ZeroDivisionError):
+        _normalizing_exponent(3, 0)
+    assert koopman._SkewBasis._exponent(np.arange(-3, 4), np.zeros(7, int)).tolist() == [0] * 7
 
 
 @given(st.integers(-12, 12), st.integers(-12, 12))
 def test_normalized_skew_action_has_unit_phase_off_axis(k, m):
     """U f[k,m] = f[k+m,m] with f = a g: the raw action's phase times
     a[k,m] / a[k+m,m] is one off the proper row."""
-    got = koopman_apply_skew(FourierMode(k, m))
-    assert got.mode == FourierMode(k + m, m)
+    mult, image = koopman_step("skew", "lattice", (k, m))
+    assert image == (k + m, m)
     if m != 0:
-        renormalized = normalizing_phase(k, m) * got.phase
-        assert (renormalized * normalizing_phase(k + m, m).inverse()).is_one
+        assert mult + _normalizing_exponent(k, m) - _normalizing_exponent(*image) == 0
     else:
-        assert got.phase == Phase.from_gamma(k)
+        assert mult == k
 
 
 def test_kernels_accept_arrays():
-    """The integer kernels behind the public actions give the same
-    numbers elementwise on arrays as on ints."""
-    k, m = np.meshgrid(np.arange(-9, 10), np.arange(-9, 10))
-    k, m = k.ravel(), m.ravel()
-    phase, k_next, m_next = koopman._skew_action(k, m)
-    for i in range(k.size):
-        got = koopman_apply_skew(FourierMode(int(k[i]), int(m[i])))
-        assert got == (Phase.from_gamma(int(phase[i])), (k_next[i], m_next[i]))
+    """The table step and the normalizing exponent give the same numbers
+    elementwise on arrays as on ints, for every kind and sector."""
+    for kind, sectors in KOOPMAN_TABLE.items():
+        for sector, action in sectors.items():
+            d = len(action.b)
+            if d == 0:
+                assert koopman_step(kind, sector, ()) == (0, ())
+                continue
+            x = np.indices((19,) * d).reshape(d, -1) - 9
+            mult, image = koopman_step(kind, sector, tuple(x))
+            for i, xi in enumerate(x.T.tolist()):
+                got = koopman_step(kind, sector, tuple(xi))
+                assert got == (mult[i], tuple(v[i] for v in image))
+    k, m = (a.ravel() for a in np.meshgrid(np.arange(-9, 10), np.arange(-9, 10)))
     off = m != 0
-    exponent = koopman._normalizing_exponent(k[off], m[off])
+    exponent = _normalizing_exponent(k[off], m[off])
     for ki, mi, e in zip(k[off].tolist(), m[off].tolist(), exponent.tolist()):
-        assert normalizing_phase(ki, mi) == Phase.from_gamma(e)
-    phase, k_next = koopman._product_action(k, m)
-    for i in range(k.size):
-        got = koopman_apply_product(ProductBasisIndex(int(k[i]), (int(m[i]), 3)))
-        assert got == (Phase.from_gamma(int(phase[i])), (k[i], (k_next[i], 3)))
+        assert _normalizing_exponent(ki, mi) == e
 
 
-@given(st.integers(-15, 15), st.integers(-15, 15), st.integers(1, 10))
+@given(st.integers(-15, 15), st.integers(-15, 15), st.integers(-10, 10))
 def test_product_action(l, k, m):
-    phase, image = koopman_apply_product(ProductBasisIndex(l, (k, m)))
-    assert image == ProductBasisIndex(l, (k + 1, m))
-    assert phase == Phase.from_gamma(l)
+    mult, image = koopman_step("product", "support", (l, k, m))
+    assert image == (l, k + 1, m) and mult == l
     # constant tails are proper functions: index fixed, phase e(l gamma)
-    phase0, image0 = koopman_apply_product(ProductBasisIndex(l))
-    assert image0 == ProductBasisIndex(l) and phase0 == Phase.from_gamma(l)
-    # normalized chain steps carry phase exactly one
-    nphase, nimage = koopman_apply_product(ProductBasisIndex(l, (k, m)), normalized=True)
-    assert nimage == image and nphase.is_one
+    assert koopman_step("product", "constant", (l,)) == (l, (l,))
+    # normalized chain steps, t = e(l k gamma) p, carry phase exactly one
+    assert mult + l * k - image[0] * image[1] == 0
 
 
 def test_index_maps_are_injective_exhaustively():
@@ -178,7 +184,7 @@ def test_index_maps_are_injective_exhaustively():
 
 def _chains(kind: str, B: int) -> tuple[list[int], list[list[tuple]]]:
     """The proper-mode indices of a kind's basis in the box, and each
-    chain as the raw indices its positions name, in operator order."""
+    chain as the raw labels its positions name, in operator order."""
     basis = koopman._BASES[kind](B)
     p0, p1 = basis.points
     chains = []
@@ -186,10 +192,10 @@ def _chains(kind: str, B: int) -> tuple[list[int], list[list[tuple]]]:
         positions = range(basis.lo[c], basis.hi[c] + 1)
         if kind == "skew":
             m, r = params
-            chains.append([FourierMode(r + j * m, m) for j in positions])
+            chains.append([(r + j * m, m) for j in positions])
         else:
             l, m = params
-            chains.append([ProductBasisIndex(l, (j, m)) for j in positions])
+            chains.append([(l, j, m) for j in positions])
     return list(range(p0, p1 + 1)), chains
 
 
@@ -206,15 +212,13 @@ def test_orbits_partition_the_box(kind):
     if kind == "rotation":
         assert chains == []
     if kind == "skew":
-        assert set(members) == {FourierMode(k, m) for k in box for m in box if m}
+        assert set(members) == {(k, m) for k in box for m in box if m}
     if kind == "product":
-        assert set(members) == {
-            ProductBasisIndex(l, (k, m)) for l in box for k in box for m in box
-        }
-    act = koopman_apply_skew if kind == "skew" else koopman_apply_product
+        assert set(members) == {(l, k, m) for l in box for k in box for m in box}
+    sector = "lattice" if kind == "skew" else "support"
     for chain in chains:
         for a, b in zip(chain, chain[1:]):
-            assert act(a)[1] == b
+            assert koopman_step(kind, sector, a)[1] == b
 
 
 def test_proper_modes_of_skew():
@@ -238,16 +242,63 @@ def test_spectrum_descriptors():
     assert shift.tag == "pure-continuous" and shift.point_generators == ()
     assert prod.tag == "mixed"
     # the only proper value of the shift is 1, and it is simple
-    assert [p.gamma_mult for p in shift.point_values(3)] == [0]
+    assert shift.one_multiplicity == 1
     assert shift.point_part_simple and skew.point_part_simple
+
+
+def _fixed_descriptor(spec: SystemSpec) -> SpectrumDescriptor:
+    """The descriptor each kind was assigned before spectrum_of computed
+    it from the table: the oracle for the computation."""
+    if spec.kind == "rotation":
+        return SpectrumDescriptor((spec.gamma,), 0)
+    if spec.kind in ("skew", "product"):
+        return SpectrumDescriptor((spec.gamma,), "infinite")
+    return SpectrumDescriptor((), "infinite")
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [GAMMA, GAMMA.one_minus(), RotationNumber.quadratic(-1, 1, 5, 2)],
+    ids=["sqrt2-1", "2-sqrt2", "golden"],
+)
+def test_computed_spectrum_equals_the_fixed_descriptors(gamma):
+    coin = BernoulliSpec.fair_coin()
+    for spec in [
+        SystemSpec.rotation(gamma),
+        SystemSpec.skew(gamma),
+        SystemSpec.shift(coin),
+        SystemSpec.product(gamma, coin),
+    ]:
+        computed, oracle = spectrum_of(spec), _fixed_descriptor(spec)
+        assert computed == oracle and computed.tag == oracle.tag
+        strip = lambda d: {k: v for k, v in d.to_json().items() if k != "chain_counts"}
+        assert strip(computed) == strip(oracle)
+
+
+CHAIN_CLOSED_FORMS = {
+    "rotation": lambda B: 0,
+    "skew": lambda B: B * (B + 1),
+    "bernoulli": lambda B: 2 * B + 1,
+    "product": lambda B: (2 * B + 1) ** 2,
+}
+
+
+@pytest.mark.parametrize("spec", four_systems(), ids=lambda s: s.kind)
+def test_box_chain_counts_match_the_closed_forms_and_the_bases(spec):
+    """Chains of moving labels that meet [-B, B]^d, counted by stepping
+    the box through the table, against the closed form and the
+    intertwiner basis's nonempty chains at the same B."""
+    closed = CHAIN_CLOSED_FORMS[spec.kind]
+    assert spectrum_of(spec).chain_counts == tuple((B, closed(B)) for B in CHAIN_BOXES)
+    for B in CHAIN_BOXES:
+        basis = koopman._BASES[spec.kind](B)
+        assert np.count_nonzero(basis.hi >= basis.lo) == closed(B)
 
 
 def test_degenerate_point_part_is_not_simple():
     """A hand-built descriptor for a non-ergodic union: the proper value 1
     appears twice, so the point part is not simple even with no other
     proper values."""
-    from ergolab import SpectrumDescriptor
-
     doubled = SpectrumDescriptor(
         point_generators=(),
         lebesgue_multiplicity="infinite",
@@ -398,22 +449,29 @@ def test_checked_count_pins(B, checked):
     assert check == IntertwinerCheck(0, 0.0, checked)
 
 
-_exponent = koopman._normalizing_exponent
+def _doctor(kind: str, sector: str, **entry):
+    """A mutant that replaces fields of one ``KOOPMAN_TABLE`` entry."""
+    return lambda mp: mp.setitem(
+        KOOPMAN_TABLE[kind], sector, KOOPMAN_TABLE[kind][sector]._replace(**entry)
+    )
+
+
 KERNEL_MUTANTS = {
-    "normalizing exponent off by one": (
+    # the renormalization of the skew chains, not a table entry
+    "normalizing exponent off by one": lambda mp: mp.setattr(
+        koopman,
         "_normalizing_exponent",
-        lambda k, m: _exponent(k, m) + (k == 1),
+        lambda k, m, exponent=_normalizing_exponent: exponent(k, m) + (k == 1),
     ),
-    "skew action steps k + m + 1": ("_skew_action", lambda k, m: (k, k + m + 1, m)),
-    "product phase e((l+1) gamma)": ("_product_action", lambda l, k: (l + 1, k + 1)),
+    "skew action steps k + m + 1": _doctor("skew", "lattice", b=(1, 0)),
+    "product phase e(2l gamma)": _doctor("product", "support", c=(2, 0, 0)),
 }
 
 
 @pytest.mark.parametrize("case", ["skew-product", "product-skew"])
 @pytest.mark.parametrize("mutant", list(KERNEL_MUTANTS))
 def test_check_fails_when_an_action_is_wrong(mutant, case, monkeypatch):
-    name, kernel = KERNEL_MUTANTS[mutant]
-    monkeypatch.setattr(koopman, name, kernel)
+    KERNEL_MUTANTS[mutant](monkeypatch)
     check = verify_intertwiner(build_intertwiner(*PAIRING_CASES[case], truncation=8))
     assert check.mismatches > 0
 
@@ -422,7 +480,7 @@ def test_check_fails_when_an_action_is_wrong(mutant, case, monkeypatch):
     "case, B, mutant",
     [
         ("skew-product", 33, None),
-        ("skew-product", 33, "product phase e((l+1) gamma)"),
+        ("skew-product", 33, "product phase e(2l gamma)"),
         # 7-pair slices of the 300,763 pairs at B = 33 take 8 s; B = 33
         # itself runs in several default slices in the oracle test above
         ("product-product", 12, None),
@@ -432,7 +490,7 @@ def test_check_in_slices_equals_the_unsliced_check(case, B, mutant, monkeypatch)
     """Slices of 7 pairs give the same counts and residual as one slice
     holding every pair, with and without a wrong action."""
     if mutant is not None:
-        monkeypatch.setattr(koopman, *KERNEL_MUTANTS[mutant])
+        KERNEL_MUTANTS[mutant](monkeypatch)
     pairing = build_intertwiner(*PAIRING_CASES[case], truncation=B)
     monkeypatch.setattr(koopman, "VERIFY_SLICE", pairing.labels_a.shape[1])
     whole = verify_intertwiner(pairing)
@@ -450,3 +508,25 @@ def test_check_fails_when_two_chain_images_are_swapped():
     swapped = dataclasses.replace(pairing, labels_b=labels_b)
     assert verify_intertwiner(pairing).mismatches == 0
     assert verify_intertwiner(swapped).mismatches > 0
+
+
+def test_one_doctored_entry_flips_the_decision_and_breaks_the_check(monkeypatch):
+    """The tower decision, the intertwiner check and the spectrum all read
+    the same table: a skew step without its m term, (k, m) -> (k, m),
+    changes every one of them at once."""
+    pairing = build_intertwiner(*PAIRING_CASES["skew-product"], truncation=8)
+    assert decide_finite_orbits("skew").gap
+    assert verify_intertwiner(pairing).mismatches == 0
+    _doctor("skew", "lattice", A=((1, 0), (0, 1)))(monkeypatch)
+    assert not decide_finite_orbits("skew").gap
+    assert verify_intertwiner(pairing).mismatches > 0
+    with pytest.raises(ValueError, match="invariant labels"):
+        spectrum_of(SystemSpec.skew(GAMMA))
+
+
+def test_spectrum_refuses_a_point_group_it_cannot_name(monkeypatch):
+    """Proper values e(2k gamma) generate the group of 2 gamma, which no
+    single RotationNumber generator gamma describes."""
+    _doctor("skew", "lattice", c=(2, 0))(monkeypatch)
+    with pytest.raises(ValueError, match="generated by 2 gamma"):
+        spectrum_of(SystemSpec.skew(GAMMA))

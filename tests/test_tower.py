@@ -25,19 +25,18 @@ from hypothesis import strategies as st
 
 from ergolab import (
     BernoulliSpec,
+    KOOPMAN_TABLE,
     DegenerateGridError,
-    FourierMode,
     InconclusiveEvidenceError,
     ModeSubgroup,
-    Phase,
     RotationNumber,
     SystemSpec,
     UnsupportedSystemError,
     certify_product_tower,
     compute_tower,
     decide_finite_orbits,
+    koopman_step,
     quasi_eigen_residual_search,
-    quotient_homomorphism,
     residual_reference,
     stabilization_depth,
     tower_step,
@@ -45,12 +44,13 @@ from ergolab import (
 )
 
 from ergolab import tower
+from ergolab.koopman import _integer_solutions
 from ergolab.tower import (
     ACCEPT_TOL,
     REJECT_FACTOR,
     OrbitDecision,
-    _integer_solutions,
     _minimal_multiple,
+    _skew_quotient_character,
     _tower_gap,
 )
 
@@ -185,9 +185,13 @@ def test_minimal_multiple_is_the_least(gens, q):
 
 
 def test_quotient_homomorphism():
-    phase, image = quotient_homomorphism(FourierMode(5, -2))
-    assert phase == Phase.from_gamma(5)
-    assert image == FourierMode(-2, 0)
+    """q(g[k,m]) = g[k,m] o S / g[k,m] is the constant e(k gamma), the
+    table's phase, times the character (m, 0); q multiplies as the
+    characters do."""
+    mult, _ = koopman_step("skew", "lattice", (5, -2))
+    assert mult == 5 and _skew_quotient_character((5, -2)) == (-2, 0)
+    qa, qb = _skew_quotient_character((5, -2)), _skew_quotient_character((-3, 7))
+    assert _skew_quotient_character((2, 5)) == (qa[0] + qb[0], qa[1] + qb[1])
 
 
 # ---------------------------------------------------------------------------
@@ -244,19 +248,22 @@ def test_doctored_p_step_flips_the_decision(monkeypatch):
     assert decide_finite_orbits("product").sectors["support"] is None
     assert decide_finite_orbits("skew").gap
     assert quasi_eigen_residual_search(SKEW, 1, 8).residual <= ACCEPT_TOL
-    # a product tail step a -> a fixes every support at k = 0
-    monkeypatch.setattr(tower, "_product_action", lambda l, a: (l, a))
+    # a product support step that stays put fixes every support at k = 0
+    support = KOOPMAN_TABLE["product"]["support"]
+    monkeypatch.setitem(KOOPMAN_TABLE["product"], "support", support._replace(b=(0, 0, 0)))
     assert decide_finite_orbits("product").sectors["support"] == (0, 0)
     # a skew step without its m term, (l, m) -> (l, m), leaves only k = 0;
     # the search walks the same step and loses its k = 1 witness with it
-    monkeypatch.setattr(tower, "_skew_action", lambda k, m: (k, k, m))
+    lattice = KOOPMAN_TABLE["skew"]["lattice"]
+    monkeypatch.setitem(KOOPMAN_TABLE["skew"], "lattice", lattice._replace(A=((1, 0), (0, 1))))
     doctored = decide_finite_orbits("skew")
     assert not doctored.gap and not doctored.has_finite_orbit(1)
     assert abs(quasi_eigen_residual_search(SKEW, 1, 8).residual - RESIDUAL_K1) <= 1e-9
 
 
 def test_non_unipotent_step_is_refused(monkeypatch):
-    monkeypatch.setattr(tower, "_skew_action", lambda k, m: (k, 2 * k + m, m))
+    lattice = KOOPMAN_TABLE["skew"]["lattice"]
+    monkeypatch.setitem(KOOPMAN_TABLE["skew"], "lattice", lattice._replace(A=((2, 1), (0, 1))))
     with pytest.raises(ValueError, match="unipotent"):
         decide_finite_orbits("skew")
 
