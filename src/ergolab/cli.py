@@ -95,16 +95,27 @@ MAX_SAMPLED_SYMBOLS = 4 * 10**8
 
 
 @lru_cache(maxsize=4)
-def _load_schema(name: str) -> dict:
+def _validator(name: str):
+    """The validator of one packaged schema, built and schema-checked once."""
     ref = importlib.resources.files("ergolab.schemas").joinpath(name)
-    return json.loads(ref.read_text(encoding="utf-8"))
+    schema = json.loads(ref.read_text(encoding="utf-8"))
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(name: str, data: dict) -> None:
+    """Raise the error ``jsonschema.validate`` would: the best match."""
+    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(data))
+    if error is not None:
+        raise error
 
 
 def _validate_config(data: dict) -> None:
     """Schema-check a configuration, reporting failures as ValueError
     so the command line can turn them into a clean exit."""
     try:
-        jsonschema.validate(data, _load_schema("config.schema.json"))
+        _validate("config.schema.json", data)
     except jsonschema.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ValueError(f"invalid configuration at {path}: {exc.message}") from exc
@@ -182,7 +193,7 @@ class ExperimentReport:
         }
 
     def validate(self) -> None:
-        jsonschema.validate(self.to_json(), _load_schema("report.schema.json"))
+        _validate("report.schema.json", self.to_json())
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +218,7 @@ def default_config(scenario: str) -> ExperimentConfig:
         )
     if scenario == "theorem1":
         systems = (SystemSpec.rotation(gamma), SystemSpec.rotation(gamma.one_minus()))
-        return ExperimentConfig(
-            scenario=scenario, systems=tuple(s.to_json() for s in systems), truncation=64
-        )
+        return ExperimentConfig(scenario=scenario, systems=tuple(s.to_json() for s in systems))
     return ExperimentConfig(scenario="compute")
 
 
@@ -433,7 +442,7 @@ def run_theorem1_check(config: ExperimentConfig) -> ExperimentReport:
     unequal groups mean not even spectrally isomorphic.
 
     Only exact rotation numbers are accepted: the group comparison is an
-    exact search and refuses approximations.
+    exact decision and refuses approximations.
     """
     specs = config.system_specs()
     if len(specs) != 2 or any(s.kind != "rotation" for s in specs):
@@ -441,15 +450,13 @@ def run_theorem1_check(config: ExperimentConfig) -> ExperimentReport:
     spec_a, spec_b = specs
     if not (spec_a.gamma.is_exact and spec_b.gamma.is_exact):
         raise ExactnessError("theorem1 requires exact rotation numbers")
-    bound = config.truncation
     results: dict = {}
     verdicts: list[dict] = []
 
-    cmp = point_spectrum_groups_equal(spec_a.gamma, spec_b.gamma, bound=bound)
+    cmp = point_spectrum_groups_equal(spec_a.gamma, spec_b.gamma)
     results["groups"] = {
         "gamma_a": str(spec_a.gamma),
         "gamma_b": str(spec_b.gamma),
-        "bound": bound,
         "verdict": cmp.verdict,
         "relation": list(cmp.relation) if cmp.relation else None,
         "detail": cmp.detail,
@@ -494,10 +501,7 @@ def run_theorem1_check(config: ExperimentConfig) -> ExperimentReport:
     else:
         verdicts.append(
             {
-                "statement": (
-                    "not spectrally isomorphic within the search bound "
-                    "(hence not spacially isomorphic)"
-                ),
+                "statement": "not spectrally isomorphic (hence not spacially isomorphic)",
                 "provenance": "exact",
                 "evidence": results["groups"],
             }
@@ -796,7 +800,6 @@ def _theorem1_csvs(report: ExperimentReport, out: Path) -> list[Path]:
     row = [
         groups.get("gamma_a"),
         groups.get("gamma_b"),
-        groups.get("bound"),
         groups.get("verdict"),
         conj.get("map", ""),
         repr(conj["max_residual"]) if conj else "",
@@ -804,7 +807,7 @@ def _theorem1_csvs(report: ExperimentReport, out: Path) -> list[Path]:
     path = out / "comparison.csv"
     _write_csv(
         path,
-        ["gamma_a", "gamma_b", "bound", "verdict", "conjugacy", "max_residual"],
+        ["gamma_a", "gamma_b", "verdict", "conjugacy", "max_residual"],
         [row],
     )
     return [path]

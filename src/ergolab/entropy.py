@@ -191,20 +191,7 @@ def block_entropy_rate(stream: Sequence, n: int) -> EntropyEstimate:
         raise ValueError("block length too large to encode")
     encoded = blocks @ weights
     _, counts = np.unique(encoded, return_counts=True)
-    total = counts.sum()
-    freq = counts / total
-    log_f = np.log(freq)
-    h_n = float(-(freq * log_f).sum())
-    var = float((freq * log_f**2).sum() - h_n**2)
-    stderr = math.sqrt(max(var, 0.0) / total) / n
-    return EntropyEstimate(
-        value=h_n / n,
-        block_length=n,
-        sample_count=int(total),
-        stderr=stderr,
-        exact=False,
-        method="frequency",
-    )
+    return _frequency_estimate(counts, n)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +457,7 @@ def _merge_counts(rows, counts, itineraries: np.ndarray):
 
 
 def _frequency_estimate(counts: np.ndarray, n: int) -> EntropyEstimate:
-    """Plug-in rate from itinerary counts in lexicographic row order."""
+    """Plug-in rate from block or itinerary counts in lexicographic order."""
     samples = int(counts.sum())
     freq = counts / samples
     log_f = np.log(freq)

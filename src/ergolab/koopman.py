@@ -302,33 +302,31 @@ class SpectrumDescriptor:
         }
 
 
-def is_one_simple(generators: Sequence[RotationNumber], bound: int = 8) -> bool:
+def is_one_simple(generators: Sequence[RotationNumber]) -> bool:
     """Is the proper value 1 simple for the given point-spectrum generators?
 
-    1 fails to be simple iff some nontrivial integer combination of the
-    generators is an integer; searched exactly for coefficients up to
-    ``bound``.  A single irrational generator never produces one, so the
-    search is skipped (this also covers decimal angles, which are
-    irrational by contract).
+    1 fails to be simple iff some nonzero integer vector c makes
+    ``z = sum(c_i gamma_i)`` an integer.  With ``gamma_i = a_i + b_i sqrt(d_i)``
+    and quadratic fields independent over the rationals together with 1,
+    that is an integer kernel vector (c, z) of one row
+    ``sum(c_i b_i) = 0`` per field plus the row ``sum(c_i a_i) - z = 0``,
+    each scaled to integers; the kernel is decided exactly.  A single
+    irrational generator never produces one (this also covers decimal
+    angles, which are irrational by contract).
     """
     gens = list(generators)
     if len(gens) <= 1:
         return True
     if any(not g.is_exact for g in gens):
-        raise ExactnessError("simplicity search needs exact generators")
-
-    def combos(i: int, coeffs: list[int]) -> Iterator[list[int]]:
-        if i == len(gens):
-            if any(coeffs):
-                yield coeffs
-            return
-        for c in range(-bound, bound + 1):
-            yield from combos(i + 1, coeffs + [c])
-
-    for coeffs in combos(0, []):
-        if integral_combination(list(zip(gens, coeffs))):
-            return False
-    return True
+        raise ExactnessError("simplicity needs exact generators")
+    xs = [g.exact for g in gens]
+    rows = [[x.b if x.d == d else 0 for x in xs] + [0] for d in {x.d for x in xs}]
+    rows.append([x.a for x in xs] + [-1])
+    scaled = []
+    for row in rows:
+        m = math.lcm(*(Fraction(v).denominator for v in row))
+        scaled.append([int(v * m) for v in row])
+    return not _integer_solutions(scaled, [0] * len(scaled))[1]
 
 
 def _chains_in_box(kind: str, sector: str, B: int) -> int:
@@ -403,38 +401,27 @@ class GroupComparison:
 
     @property
     def verdict(self) -> str:
-        return "equal" if self.equal else "not-equal-within-bound"
+        return "equal" if self.equal else "not-equal"
 
 
 def point_spectrum_groups_equal(
-    gamma1: RotationNumber, gamma2: RotationNumber, bound: int = 64
+    gamma1: RotationNumber, gamma2: RotationNumber
 ) -> GroupComparison:
-    """Do gamma1 and gamma2 generate the same subgroup of R/Z?
+    """Do gamma1 and gamma2 generate the same subgroup of R/Z?  Decided
+    exactly.
 
-    Searches exactly for integers |a|, |b| <= bound with
-    ``gamma2 = a*gamma1 (mod 1)`` and ``gamma1 = b*gamma2 (mod 1)``;
-    both must exist for equality (and then a*b = 1 since the angles are
-    irrational, i.e. gamma2 = +/- gamma1 mod 1).  Refuses inexact angles.
+    Equal groups need integers a, b with ``gamma2 = a*gamma1`` and
+    ``gamma1 = b*gamma2 (mod 1)``; then ``(ab - 1)*gamma1`` is an
+    integer, so ab = 1 since the angles are irrational.  The groups are
+    therefore equal iff ``gamma2 = +/- gamma1 (mod 1)``, two
+    :func:`integral_combination` tests.  Refuses inexact angles.
     """
     if not (gamma1.is_exact and gamma2.is_exact):
         raise ExactnessError("group comparison requires exact angles")
-    if bound < 1:
-        raise ValueError("bound must be positive")
-
-    def member(target: RotationNumber, gen: RotationNumber) -> Optional[int]:
-        for a in range(1, bound + 1):
-            for s in (a, -a):
-                if integral_combination([(gen, s), (target, -1)]):
-                    return s
-        return None
-
-    a = member(gamma2, gamma1)
-    b = member(gamma1, gamma2) if a is not None else None
-    if a is not None and b is not None:
-        return GroupComparison(True, (a, b), f"gamma2 = {a}*gamma1 (mod 1)")
-    return GroupComparison(
-        False, None, f"no multiplier within |a| <= {bound} in one direction or both"
-    )
+    for a in (1, -1):
+        if integral_combination([(gamma1, a), (gamma2, -1)]):
+            return GroupComparison(True, (a, a), f"gamma2 = {a}*gamma1 (mod 1)")
+    return GroupComparison(False, None, "gamma2 is neither gamma1 nor -gamma1 (mod 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -766,14 +753,10 @@ def build_intertwiner(
         raise IncompatibleSpectraError("point spectra differ in rank")
     if da.point_generators:
         ga, gb = da.point_generators[0], db.point_generators[0]
-        cmp = point_spectrum_groups_equal(ga, gb, bound=max(64, truncation))
+        cmp = point_spectrum_groups_equal(ga, gb)
         if not cmp.equal:
-            raise IncompatibleSpectraError(
-                f"point-spectrum groups differ within bound: {cmp.detail}"
-            )
+            raise IncompatibleSpectraError(f"point-spectrum groups differ: {cmp.detail}")
         eps = cmp.relation[0]
-        if abs(eps) != 1:  # irrational angles force a*b = 1
-            raise AssertionError("group equality with |a| != 1 is impossible")
 
     basis_a = _BASES[spec_a.kind](truncation)
     basis_b = _BASES[spec_b.kind](truncation)

@@ -7,8 +7,10 @@ tend to 0.  At desk scale only finite-t trends are observable, so verdicts
 read "consistent with weak mixing" (statistic below 0.01) or "inconsistent"
 (above 0.05), never the limit statement itself.  Two independent tracks are
 provided: an exact track for pairs with closed-form correlations (circle
-interval overlaps, cylinder independence) and a Monte-Carlo track for
-everything else; the spectral predicates give a third, non-numeric opinion.
+interval overlaps, cylinder independence), whose values and sums stay
+exact until one correctly rounded conversion to float, and a Monte-Carlo
+track for everything else; the spectral predicates give a third,
+non-numeric opinion.
 """
 
 from __future__ import annotations
@@ -347,48 +349,34 @@ class _CircleOverlap:
             if surd_sign(p - D, q, d) >= 0:
                 p -= D
 
-    def length(
-        self, p: int, q: int, scale: Fraction, minus: Fraction
-    ) -> Union[Fraction, QuadraticReal]:
-        """``|([a1, b1) + x) cap [a2, b2)| * scale - minus`` for
-        ``x = (p + q*sqrt(d))/D``, exactly.
+    def length(self, p: int, q: int) -> tuple[int, int]:
+        """Numerators ``(P, Q)`` of ``|([a1, b1) + x) cap [a2, b2)|``
+        ``= (P + Q*sqrt(d))/D`` for ``x = (p + q*sqrt(d))/D``, exactly.
 
-        An endpoint is a triple (P, Q, shifted), where ``shifted`` marks the
-        ends of ``[a1, b1) + x``.  Only the result becomes an exact object:
-        a Fraction when every contributing piece is clipped to [a2, b2) on
-        both sides, a QuadraticReal otherwise, even when its sqrt(d) part
-        cancels.  The two types convert to float differently (correctly
-        rounded versus rounded at 80 bits and again to 53), and the
-        statistic's bits follow that choice.
+        An endpoint is a pair of numerators; the ends of ``[a2, b2)`` are
+        rational (Q = 0).
         """
         D, d = self.D, self.d
 
         def above(x, y):
             return surd_sign(x[0] - y[0], x[1] - y[1], d) > 0
 
-        lo, hi = (self.a1 + p, q, True), (self.b1 + p, q, True)
-        a2, b2 = (self.a2, 0, False), (self.b2, 0, False)
+        lo, hi = (self.a1 + p, q), (self.b1 + p, q)
+        a2, b2 = (self.a2, 0), (self.b2, 0)
         if above(hi, (D, 0)):
             # wraps past 1: [lo, 1) and [0, hi - 1); 0 <= a2 and b2 <= 1,
             # so the wrap points never clip
-            pieces = ((lo, b2), (a2, (hi[0] - D, q, True)))
+            pieces = ((lo, b2), (a2, (hi[0] - D, q)))
         else:
             pieces = ((lo, hi),)
         num = irr = 0
-        shifted = False
         for plo, phi in pieces:
             left = plo if above(plo, a2) else a2
             right = phi if above(b2, phi) else b2
             if above(right, left):
                 num += right[0] - left[0]
                 irr += right[1] - left[1]
-                shifted = shifted or left[2] or right[2]
-        sn, sd = scale.numerator, scale.denominator
-        mn, md = minus.numerator, minus.denominator
-        rational = Fraction(num * sn * md - mn * D * sd, D * sd * md)
-        if not shifted:
-            return rational
-        return QuadraticReal(rational, Fraction(irr * sn, D * sd), d)
+        return num, irr
 
 
 def _shifted_cylinder(cyl: CylinderSet, i: int) -> CylinderSet:
@@ -438,24 +426,39 @@ def _closed_form_factors(spec: SystemSpec, A: TestSet, B: TestSet) -> tuple[bool
 
 def _exact_correlations(
     spec: SystemSpec, A: TestSet, B: TestSet, start: int, minus: Fraction = Fraction(0)
-) -> Iterator[Union[Fraction, QuadraticReal]]:
-    """Exact ``mu(S^i(A) cap B) - minus`` for i = start, start+1, ...
+) -> Iterator[tuple[int, int, int]]:
+    """Exact ``mu(S^i(A) cap B) - minus`` for i = start, start+1, ...,
+    each as integers ``(P, Q, R)`` with the value ``(P + Q*sqrt(d))/R``,
+    d being the angle's field (Q = 0 without a rotation factor).
 
     The u factor is the interval overlap along the rotation orbit, the w
     factor the merged cylinder constraints; a product set multiplies
     both.  Raises :class:`NoClosedFormError` where no closed form exists.
     """
     has_u, has_w = _closed_form_factors(spec, A, B)
+    num, irr, D = 1, 0, 1  # the whole circle
     if has_u:
         overlap = _CircleOverlap(spec.gamma, A, B)
         orbit = overlap.orbit(start)
+        D = overlap.D
+    mn, md = minus.numerator, minus.denominator
     for i in itertools.count(start):
         w = Fraction(1)
         if has_w:
             w = _merge_measure(
                 spec.bernoulli, _shifted_cylinder(A.cylinder, i), B.cylinder
             )
-        yield overlap.length(*next(orbit), w, minus) if has_u else w - minus
+        if has_u:
+            num, irr = overlap.length(*next(orbit))
+        wn, wd = w.numerator, w.denominator
+        yield num * wn * md - mn * D * wd, irr * wn * md, D * wd * md
+
+
+def _field(spec: SystemSpec) -> int:
+    """The d of the exact values' sqrt(d) terms: the angle's field, or 2
+    (any field) when they have none, as without an exact angle."""
+    gamma = spec.gamma
+    return gamma.exact.d if gamma is not None and gamma.is_exact else 2
 
 
 def correlation(
@@ -480,8 +483,9 @@ def correlation(
     if i < 0:
         raise ValueError("i must be >= 0")
     if mode == "exact":
-        value = next(_exact_correlations(spec, A, B, i))
-        return CorrelationPoint(i=i, estimate=float(value), exact=True)
+        p, q, r = next(_exact_correlations(spec, A, B, i))
+        value = float(QuadraticReal.from_integers(p, q, _field(spec), r))
+        return CorrelationPoint(i=i, estimate=value, exact=True)
     if mode != "monte-carlo":
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
@@ -557,24 +561,28 @@ def weak_mixing_statistic(
 ) -> float:
     """The finite-t Cesaro average (1/t) sum_{i<t} |mu(S^i A cap B) - mu(A)mu(B)|.
 
-    In exact mode every term is exact and only the running sum is a float.
-    On the rotation factor the orbit ``frac(i*gamma)`` is stepped by the
-    exact recurrence and each overlap is decided by integer sign tests
-    (:class:`_CircleOverlap`), a few integer operations per lag; each
-    term then becomes one exact object, converted to float once as its
-    type dictates.  In monte-carlo mode one sample, streamed in chunks,
-    serves every lag: each chunk's hits are counted at all t lags before
-    the next chunk is drawn.  The estimate stays consistent because each
-    lag's indicator mean is unbiased.
+    In exact mode the sum is exact and only the mean becomes a float,
+    correctly rounded.  On the rotation factor the orbit ``frac(i*gamma)``
+    is stepped by the exact recurrence and each overlap is decided by
+    integer sign tests (:class:`_CircleOverlap`), a few integer operations
+    per lag; each term ``(P + Q*sqrt(d))/R`` takes its sign from
+    :func:`surd_sign`, and ``|term|`` is added to the exact rational and
+    sqrt(d) parts of the sum.  In monte-carlo mode one sample, streamed
+    in chunks, serves every lag: each chunk's hits are counted at all t
+    lags before the next chunk is drawn.  The estimate stays consistent
+    because each lag's indicator mean is unbiased.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     if mode == "exact":
         product = A.exact_measure(spec) * B.exact_measure(spec)
-        total = 0.0
-        for value in itertools.islice(_exact_correlations(spec, A, B, 0, product), t):
-            total += abs(float(value))
-        return total / t
+        d = _field(spec)
+        rational = irrational = Fraction(0)
+        for p, q, r in itertools.islice(_exact_correlations(spec, A, B, 0, product), t):
+            sign = surd_sign(p, q, d)
+            rational += Fraction(sign * p, r)
+            irrational += Fraction(sign * q, r)
+        return float(QuadraticReal(rational / t, irrational / t, d))
     if mode != "monte-carlo":
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import total_ordering
 from typing import Union
 
 import mpmath
@@ -69,13 +69,6 @@ def surd_sign(a, b, d: int) -> int:
     if a > 0:  # b < 0
         return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
     return -1 if lhs > rhs else (1 if lhs < rhs else 0)
-
-
-@lru_cache(maxsize=64)
-def _sqrt_mpf(d: int, bits: int) -> mpmath.mpf:
-    """``sqrt(d)`` rounded to ``bits``, evaluated once per (d, bits)."""
-    with mpmath.workprec(bits):
-        return mpmath.sqrt(d)
 
 
 @total_ordering
@@ -200,14 +193,32 @@ class QuadraticReal:
         return float(self.a) + float(self.b) * math.sqrt(self.d)
 
     def __float__(self) -> float:
-        # One correctly-directed refinement pass over the naive estimate:
-        # evaluate at 80 bits and round once.
-        return float(self.to_mpf(80))
+        """The nearest float, correctly rounded.
+
+        Over one denominator D the value is ``(p + q*sqrt(d))/D``;
+        ``s = isqrt(d * 4**K)`` brackets ``2**K sqrt(d)`` in ``[s, s + 1)``,
+        so the value lies strictly between the two rationals below (sqrt(d)
+        is irrational).  Once both round to the same float, so does every
+        number between them; until then K doubles.  Integer true division
+        rounds correctly.
+        """
+        if self.b == 0:
+            return float(self.a)
+        D = math.lcm(self.a.denominator, self.b.denominator)
+        p, q = int(self.a * D), int(self.b * D)
+        K = 64
+        while True:
+            s = math.isqrt(self.d << (2 * K))
+            lo = ((p << K) + q * s) / (D << K)
+            if lo == ((p << K) + q * (s + 1)) / (D << K):
+                return lo
+            K *= 2
 
     def to_mpf(self, bits: int = 53) -> mpmath.mpf:
+        """The value at ``bits`` of working precision."""
         with mpmath.workprec(bits):
             return mpmath.mpf(self.a.numerator) / self.a.denominator + (
-                _sqrt_mpf(self.d, bits) * self.b.numerator / self.b.denominator
+                mpmath.sqrt(self.d) * self.b.numerator / self.b.denominator
             )
 
     def floor(self) -> int:
@@ -310,6 +321,10 @@ class RotationNumber:
             return +mpmath.mpf(self.digits)
 
     def to_float(self) -> float:
+        """The angle as a float: correctly rounded for the quadratic kind,
+        and rounded from 80 bits for the decimal kind."""
+        if self.kind == "quadratic":
+            return float(self.exact)
         return float(self.value(80))
 
     # -- exact helpers ----------------------------------------------------

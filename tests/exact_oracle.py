@@ -1,0 +1,65 @@
+"""Reference answers for the exact quadratic layer, kept as test oracles.
+
+* :func:`bracket_float` rounds a ``QuadraticReal`` to the nearest float
+  by a different route from ``QuadraticReal.__float__``: mpmath proposes
+  ``n = floor(2**K x)``, exact comparisons confirm ``n <= 2**K x < n + 1``,
+  and ``float(Fraction)`` rounds both ends.
+* :func:`bounded_group_relation` and :func:`bounded_one_simple` are the
+  bounded coefficient searches that ``point_spectrum_groups_equal`` and
+  ``is_one_simple`` once ran.  A witness they find is a proof, so the
+  exact decisions must agree with them wherever they find one.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from typing import Optional, Sequence
+
+import mpmath
+
+from ergolab import QuadraticReal, RotationNumber, integral_combination
+
+
+def bracket_float(x: QuadraticReal) -> float:
+    """The float nearest to x, from confirmed dyadic brackets."""
+    K = 64
+    while True:
+        with mpmath.workprec(K + 128):
+            value = mpmath.mpf(x.a.numerator) / x.a.denominator + (
+                mpmath.sqrt(x.d) * x.b.numerator / x.b.denominator
+            )
+            n = int(mpmath.floor(value * mpmath.mpf(2) ** K))
+        lo, hi = Fraction(n, 2**K), Fraction(n + 1, 2**K)
+        assert lo <= x < hi, "mpmath proposed a wrong bracket"
+        if float(lo) == float(hi):
+            return float(lo)
+        K *= 2
+
+
+def bounded_group_relation(
+    gamma1: RotationNumber, gamma2: RotationNumber, bound: int
+) -> Optional[tuple[int, int]]:
+    """(a, b) with ``gamma2 = a*gamma1`` and ``gamma1 = b*gamma2 (mod 1)``,
+    searched over 1 <= |a|, |b| <= bound; None if either is not found."""
+
+    def member(target: RotationNumber, gen: RotationNumber) -> Optional[int]:
+        for a in range(1, bound + 1):
+            for s in (a, -a):
+                if integral_combination([(gen, s), (target, -1)]):
+                    return s
+        return None
+
+    a = member(gamma2, gamma1)
+    b = member(gamma1, gamma2) if a is not None else None
+    return None if b is None else (a, b)
+
+
+def bounded_one_simple(generators: Sequence[RotationNumber], bound: int) -> bool:
+    """False iff some nonzero coefficient vector with entries in
+    [-bound, bound] makes the generators' combination an integer."""
+    gens = list(generators)
+    for coeffs in itertools.product(range(-bound, bound + 1), repeat=len(gens)):
+        if any(coeffs) and integral_combination(list(zip(gens, coeffs))):
+            return False
+    return True

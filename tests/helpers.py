@@ -27,6 +27,11 @@ from ergolab import (
 
 GAMMA = RotationNumber.quadratic(-1, 1, 2, 1)  # sqrt(2) - 1
 UNIFORM4 = BernoulliSpec((0.25, 0.25, 0.25, 0.25), (0, 1, 2, 3))
+# The benchmark's nine angles (p, q, d, r) for (p + q*sqrt(d))/r.
+BENCH_ANGLES = (
+    (-1, 1, 2, 1), (-1, 1, 5, 2), (-1, 1, 3, 1), (2, -1, 2, 1), (-2, 1, 7, 1),
+    (-3, 1, 13, 2), (3, -1, 5, 2), (-3, 1, 10, 1), (-2, 1, 6, 1),
+)
 
 
 def four_systems() -> list[SystemSpec]:

@@ -76,9 +76,7 @@ def oracle_pairing(spec_a: SystemSpec, spec_b: SystemSpec, truncation: int) -> t
         raise IncompatibleSpectraError("point spectra differ in rank")
     eps = 1
     if da.point_generators:
-        cmp = point_spectrum_groups_equal(
-            da.point_generators[0], db.point_generators[0], bound=max(64, truncation)
-        )
+        cmp = point_spectrum_groups_equal(da.point_generators[0], db.point_generators[0])
         if not cmp.equal:
             raise IncompatibleSpectraError(cmp.detail)
         eps = cmp.relation[0]

@@ -181,7 +181,7 @@ def test_criterion_4_entropy():
 @criterion("criterion 5, rotation angle groups decide isomorphism")
 def test_criterion_5_rotations():
     reflected = RotationNumber.quadratic(2, -1, 2, 1)  # 2 - sqrt(2) = 1 - gamma
-    same = point_spectrum_groups_equal(GAMMA, reflected, bound=64)
+    same = point_spectrum_groups_equal(GAMMA, reflected)
     # the group relation forces the conjugacy u -> -u; check it pointwise
     rng = spawn_rngs(1, 1)[0]
     u = rng.random(10_000)
@@ -191,12 +191,12 @@ def test_criterion_5_rotations():
     diff = np.abs(lhs - rhs)
     residual = float(np.minimum(diff, 1.0 - diff).max())
     doubled = RotationNumber.quadratic(-2, 2, 2, 1)  # 2*gamma
-    unequal = point_spectrum_groups_equal(GAMMA, doubled, bound=64)
+    unequal = point_spectrum_groups_equal(GAMMA, doubled)
     ok = same.equal and residual <= 1e-12 and not unequal.equal
     return ok, (
         f"gamma vs 1-gamma equal: {same.equal} (relation {same.relation}), "
         f"conjugacy residual {residual:.2e} <= 1e-12 on 10^4 points; "
-        f"gamma vs 2*gamma equal within bound 64: {unequal.equal}"
+        f"gamma vs 2*gamma equal: {unequal.equal}"
     )
 
 

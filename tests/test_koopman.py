@@ -26,6 +26,7 @@ from ergolab import (
     CHAIN_BOXES,
     KOOPMAN_TABLE,
     BernoulliSpec,
+    ExactnessError,
     GroupComparison,
     IncompatibleSpectraError,
     IntertwinerCheck,
@@ -45,12 +46,14 @@ from ergolab import koopman
 from ergolab.koopman import _normalizing_exponent
 
 from helpers import (
+    BENCH_ANGLES,
     GAMMA,
     UNIFORM4,
     four_systems,
     product_index_map_injective,
     skew_index_map_injective,
 )
+from exact_oracle import bounded_group_relation, bounded_one_simple
 from intertwiner_oracle import oracle_check, oracle_pairing
 
 turns = st.fractions(min_value=-3, max_value=3, max_denominator=24)
@@ -320,6 +323,31 @@ def test_is_one_simple():
     assert is_one_simple(())
     # gamma + (1 - gamma) = 1: the combination collapses to an integer
     assert not is_one_simple((GAMMA, GAMMA.one_minus()))
+    # 9*(sqrt(2) - 1) - (9*sqrt(2) - 12) = 3, beyond a search to |c| <= 8
+    nine = RotationNumber.quadratic(-12, 9, 2, 1)
+    assert bounded_one_simple((GAMMA, nine), 8)
+    assert not is_one_simple((GAMMA, nine))
+    assert is_one_simple((GAMMA, RotationNumber.quadratic(-1, 1, 3, 1)))
+
+
+@st.composite
+def _angles(draw, fields=(2, 3, 5)):
+    """(p + q*sqrt(d))/r in (0, 1): for fixed q, d and r, exactly r
+    integers p put p + q*sqrt(d) strictly between 0 and r."""
+    d = draw(st.sampled_from(fields))
+    q = draw(st.integers(-4, 4).filter(bool))
+    r = draw(st.integers(1, 4))
+    p = math.floor(-q * math.sqrt(d)) + 1 + draw(st.integers(0, r - 1))
+    return RotationNumber.quadratic(p, q, d, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_angles(), min_size=2, max_size=3))
+def test_is_one_simple_agrees_with_the_bounded_search(gens):
+    """A witness the search finds is a proof, so the exact decision must
+    agree wherever the search finds one."""
+    if not bounded_one_simple(gens, 3):
+        assert not is_one_simple(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +365,47 @@ def test_groups_equal_identity_and_reflection():
 
 def test_groups_differ_for_doubled_angle():
     double = RotationNumber.quadratic(-2, 2, 2, 1)  # 2*(sqrt(2)-1)
-    cmp = point_spectrum_groups_equal(GAMMA, double, bound=64)
+    cmp = point_spectrum_groups_equal(GAMMA, double)
     assert not cmp.equal and cmp.relation is None
-    assert "64" in cmp.detail
+    assert cmp.verdict == "not-equal"
+    assert cmp.detail == "gamma2 is neither gamma1 nor -gamma1 (mod 1)"
+
+
+@pytest.mark.parametrize("angle", BENCH_ANGLES)
+def test_groups_of_an_angle_and_its_reflection_are_equal(angle):
+    gamma = RotationNumber.quadratic(*angle)
+    assert point_spectrum_groups_equal(gamma, gamma.one_minus()).relation == (-1, -1)
+    assert point_spectrum_groups_equal(gamma.one_minus(), gamma).relation == (-1, -1)
 
 
 def test_groups_differ_across_fields():
-    other = RotationNumber.quadratic(-1, 1, 3, 1)  # sqrt(3) - 1... in (0,1)
-    assert not point_spectrum_groups_equal(GAMMA, other, bound=16).equal
+    other = RotationNumber.quadratic(-1, 1, 3, 1)  # sqrt(3) - 1
+    assert not point_spectrum_groups_equal(GAMMA, other).equal
+    for a in BENCH_ANGLES:
+        for b in BENCH_ANGLES:
+            if a[2] != b[2]:
+                ga, gb = RotationNumber.quadratic(*a), RotationNumber.quadratic(*b)
+                assert not point_spectrum_groups_equal(ga, gb).equal
+                assert not point_spectrum_groups_equal(ga, gb.one_minus()).equal
+
+
+@settings(max_examples=100, deadline=None)
+@given(_angles(), st.one_of(_angles(), st.just("same"), st.just("reflected")))
+def test_group_decision_agrees_with_the_bounded_search(gamma1, gamma2):
+    """Equal groups force gamma2 = +/- gamma1 (mod 1), which a search to
+    |a| <= 1 already finds, so the two agree on every pair."""
+    if gamma2 == "same":
+        gamma2 = gamma1
+    elif gamma2 == "reflected":
+        gamma2 = gamma1.one_minus()
+    cmp = point_spectrum_groups_equal(gamma1, gamma2)
+    assert cmp.relation == bounded_group_relation(gamma1, gamma2, 6)
+    assert cmp.equal == (cmp.relation is not None)
+
+
+def test_group_comparison_refuses_decimal_angles():
+    with pytest.raises(ExactnessError):
+        point_spectrum_groups_equal(GAMMA, RotationNumber.decimal("0.41421356"))
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,8 @@ from ergolab import mixing, systems
 from ergolab.mixing import _CircleOverlap, _exact_correlations, _merge_measure
 
 from entropy_oracle import concatenate
-from helpers import GAMMA, UNIFORM4, four_systems
+from exact_oracle import bracket_float
+from helpers import BENCH_ANGLES, GAMMA, UNIFORM4, four_systems
 
 FAIR = BernoulliSpec.fair_coin()
 ROT = SystemSpec.rotation(GAMMA)
@@ -86,13 +87,6 @@ def _oracle_correlation(spec, A, B, i):
     if A.kind == "product":
         value = value * _merge_measure(spec.bernoulli, A.cylinder.translate(-i), B.cylinder)
     return value
-
-
-# The benchmark's nine angles (p, q, d, r) for (p + q*sqrt(d))/r.
-BENCH_ANGLES = (
-    (-1, 1, 2, 1), (-1, 1, 5, 2), (-1, 1, 3, 1), (2, -1, 2, 1), (-2, 1, 7, 1),
-    (-3, 1, 13, 2), (3, -1, 5, 2), (-3, 1, 10, 1), (-2, 1, 6, 1),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +230,7 @@ def _interval(draw):
          ib=(Fraction(0), Fraction(1, 2)), t=50, lag=0, sym=-1)  # lag 0 clashes: w = 0
 def test_statistic_equals_the_per_lag_quadratic_oracle(angle, kind, ia, ib, t, lag, sym):
     """Recurrence plus integer sign tests give the oracle's exact values,
-    its exact types (which decide the float rounding, even for a term
-    scaled by a cylinder measure of 0) and therefore the same statistic,
-    bit for bit."""
+    and the statistic is their exact mean, correctly rounded."""
     gamma = RotationNumber.quadratic(*angle)
     if kind == "product-set":
         spec = SystemSpec.product(gamma, FAIR)
@@ -252,22 +244,22 @@ def test_statistic_equals_the_per_lag_quadratic_oracle(angle, kind, ia, ib, t, l
         }[kind]
         A, B = TestSet.u_interval(*ia), TestSet.u_interval(*ib)
     product = A.exact_measure(spec) * B.exact_measure(spec)
-    oracle = [_oracle_correlation(spec, A, B, i) - product for i in range(t)]
-    kernel = list(itertools.islice(_exact_correlations(spec, A, B, 0, product), t))
-    assert kernel == oracle
-    assert [type(v) for v in kernel] == [type(v) for v in oracle]
-    expected = 0.0
-    for value in oracle:
-        expected += -float(value) if value < 0 else float(value)
-    assert weak_mixing_statistic(spec, A, B, t) == expected / t
+    d = gamma.exact.d
+    oracle = [QuadraticReal.of(0, d) + _oracle_correlation(spec, A, B, i) - product
+              for i in range(t)]
+    kernel = itertools.islice(_exact_correlations(spec, A, B, 0, product), t)
+    assert [QuadraticReal.from_integers(p, q, d, r) for p, q, r in kernel] == oracle
+    mean = sum((-v if v < 0 else v for v in oracle), QuadraticReal.of(0, d)) * Fraction(1, t)
+    assert weak_mixing_statistic(spec, A, B, t) == bracket_float(mean)
     # one lag on its own, seeded from frac_multiple(lag)
-    single = _oracle_correlation(spec, A, B, lag)
-    assert correlation(spec, A, B, lag).estimate == float(single)
+    single = QuadraticReal.of(0, d) + _oracle_correlation(spec, A, B, lag)
+    assert correlation(spec, A, B, lag).estimate == bracket_float(single)
 
 
 @pytest.mark.parametrize(
     "angle, expected",
-    [((-1, 1, 2, 1), 0.12499869507055396), ((-1, 1, 5, 2), 0.1250028734218797)],
+    # bench/oracles.weak_mixing_oracle: the same sum at 40 significant digits
+    [((-1, 1, 2, 1), 0.12499869507055364), ((-1, 1, 5, 2), 0.12500287342187968)],
 )
 def test_statistic_pinned_at_ten_thousand_lags(angle, expected):
     spec = SystemSpec.skew(RotationNumber.quadratic(*angle))

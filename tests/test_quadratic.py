@@ -23,6 +23,8 @@ from ergolab import (
     integral_combination,
 )
 
+from exact_oracle import bracket_float
+
 FIELDS = (2, 3, 5, 6, 7, 10)
 
 fractions = st.fractions(
@@ -121,6 +123,25 @@ def test_float_conversion_is_correctly_rounded():
         want = float(mpmath.sqrt(2) - 1)
     assert float(x) == want
     assert abs(x.approx_float() - want) < 1e-12
+
+
+def test_float_is_correctly_rounded_under_cancellation():
+    """p - q*sqrt(2) with q = round(p/sqrt(2)): the value is tiny next to
+    its parts, which an 80-bit evaluation rounded to 53 bits got wrong by
+    up to 6 ulp (at 19601 - 13860*sqrt(2))."""
+    values = [
+        QuadraticReal.from_integers(p, -round(p / math.sqrt(2)), 2, 1)
+        for p in range(1, 20_000)
+    ]
+    assert QuadraticReal.from_integers(19601, -13860, 2, 1) in values
+    assert [float(x) for x in values] == [bracket_float(x) for x in values]
+
+
+@given(st.sampled_from(FIELDS), fractions, fractions)
+@settings(max_examples=300)
+def test_float_matches_the_bracket_oracle(d, a, b):
+    x = QuadraticReal(a, b, d)
+    assert float(x) == bracket_float(x)
 
 
 # ---------------------------------------------------------------------------
