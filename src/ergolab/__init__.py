@@ -20,21 +20,12 @@ from .systems import (
     BernoulliSpec,
     CylinderSet,
     SampleBatch,
-    SymbolWindow,
     SystemSpec,
-    TorusPoint,
     WindowError,
-    cylinder_measure,
     iterate_batch,
-    product_step,
-    rotation_step,
     sample_batch,
     sample_chunks,
-    sample_point,
-    shift_step,
-    skew_step,
     spawn_rngs,
-    step_batch,
 )
 from .koopman import (
     CHAIN_BOXES,
@@ -54,7 +45,6 @@ from .koopman import (
     verify_intertwiner,
 )
 from .tower import (
-    DegenerateGridError,
     DistinguishResult,
     InconclusiveEvidenceError,
     ModeSubgroup,
@@ -111,21 +101,12 @@ __all__ = [
     "BernoulliSpec",
     "CylinderSet",
     "SampleBatch",
-    "SymbolWindow",
     "SystemSpec",
-    "TorusPoint",
     "WindowError",
-    "cylinder_measure",
     "iterate_batch",
-    "product_step",
-    "rotation_step",
     "sample_batch",
     "sample_chunks",
-    "sample_point",
-    "shift_step",
-    "skew_step",
     "spawn_rngs",
-    "step_batch",
     # koopman
     "CHAIN_BOXES",
     "GroupComparison",
@@ -143,7 +124,6 @@ __all__ = [
     "spectrum_of",
     "verify_intertwiner",
     # tower
-    "DegenerateGridError",
     "DistinguishResult",
     "InconclusiveEvidenceError",
     "ModeSubgroup",

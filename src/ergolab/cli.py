@@ -49,7 +49,14 @@ from .mixing import (
     weak_mixing_verdict,
 )
 from .quadratic import ExactnessError, SQRT2_MINUS_1
-from .systems import BernoulliSpec, SystemSpec, spawn_rngs
+from .systems import (
+    BernoulliSpec,
+    SampleBatch,
+    SystemSpec,
+    iterate_batch,
+    sample_batch,
+    spawn_rngs,
+)
 from .tower import (
     InconclusiveEvidenceError,
     compute_tower,
@@ -464,24 +471,19 @@ def run_theorem1_check(config: ExperimentConfig) -> ExperimentReport:
 
     if cmp.equal:
         # the groups coincide only for gamma_b = gamma_a or 1 - gamma_a;
-        # the witnessing map is the identity or the reflection c(u) = -u
-        identity = spec_a.gamma == spec_b.gamma
-        rng = spawn_rngs(config.seed, 1)[0]
-        u = rng.random(10_000)
-        ga = spec_a.gamma.to_float()
-        gb = spec_b.gamma.to_float()
-        if identity:
-            lhs = (u + ga) % 1.0
-            rhs = (u + gb) % 1.0
-            conjugacy = "identity"
+        # the witnessing map c is the identity or the reflection c(u) = -u,
+        # checked as c(S_a x) = S_b(c(x)) on a sample of the rotation
+        if spec_a.gamma == spec_b.gamma:
+            conjugacy, c = "identity", lambda u: u
         else:
-            lhs = (-((u + ga) % 1.0)) % 1.0
-            rhs = (((-u) % 1.0) + gb) % 1.0
-            conjugacy = "reflection c(u) = -u mod 1"
+            conjugacy, c = "reflection c(u) = -u mod 1", lambda u: (-u) % 1.0
+        x = sample_batch(spec_a, spawn_rngs(config.seed, 1)[0], 10_000)
+        lhs = c(iterate_batch(x, 1).u)
+        rhs = iterate_batch(SampleBatch(spec=spec_b, u=c(x.u)), 1).u
         residual = float(np.max(_mod1_distance(lhs - rhs)))
         results["conjugacy"] = {
             "map": conjugacy,
-            "points": len(u),
+            "points": len(x),
             "max_residual": residual,
         }
         statement = (
@@ -555,7 +557,7 @@ def _compute_residual(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     ]
     results = {"reports": [r.to_json() for r in reports]}
     if spec.kind == "product":
-        results["r0"] = residual_reference(spec)
+        results["r0"] = residual_reference()
     return results, [
         {
             "statement": "residual search complete",

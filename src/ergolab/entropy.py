@@ -230,7 +230,7 @@ class PartitionSpec:
         elif kinds == {"cylinder"}:
             for i, first in enumerate(self.cells):
                 for second in self.cells[i + 1 :]:
-                    if not _cylinders_disjoint(first.cylinder, second.cylinder):
+                    if first.cylinder.merge(second.cylinder) is not None:
                         raise ValueError("cylinder cells must be pairwise disjoint")
         elif len(self.cells) > 1:
             raise ValueError(
@@ -274,19 +274,6 @@ class PartitionSpec:
             hit = cell.contains_batch(spec, batch)
             out = np.where(hit, idx, out)
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "cells": [c.to_json() for c in self.cells],
-        }
-
-
-def _cylinders_disjoint(first: CylinderSet, second: CylinderSet) -> bool:
-    lookup = dict(first.constraints)
-    return any(
-        pos in lookup and lookup[pos] != sym for pos, sym in second.constraints
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -395,19 +382,14 @@ def _itinerary_scorer(spec: SystemSpec, partition: PartitionSpec, n: int):
     log_measures: dict[tuple, float] = {}  # per distinct itinerary
 
     def log_measure(row: tuple) -> float:
-        merged: dict[int, object] = {}
+        refined = CylinderSet()
         for j, cell_idx in enumerate(row):
-            for pos, sym in partition.cells[cell_idx].cylinder.constraints:
-                # the cell entered at step j constrains position pos of
-                # the j-th image, i.e. position pos + j of the start point
-                shifted = pos + j
-                if shifted in merged and merged[shifted] != sym:
-                    raise AssertionError("observed itinerary has measure zero")
-                merged[shifted] = sym
-        measure = 1.0
-        for sym in merged.values():
-            measure *= prob_of(sym)
-        return math.log(measure)
+            # the cell entered at step j constrains position pos of the
+            # j-th image, i.e. position pos + j of the start point
+            refined = refined.merge(partition.cells[cell_idx].cylinder.translate(j))
+            if refined is None:
+                raise AssertionError("observed itinerary has measure zero")
+        return math.log(refined.measure(spec.bernoulli))
 
     def scores(itineraries: np.ndarray) -> np.ndarray:
         rows, inverse = np.unique(itineraries, axis=0, return_inverse=True)

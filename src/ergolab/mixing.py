@@ -29,8 +29,8 @@ from .systems import (
     BernoulliSpec,
     CylinderSet,
     SampleBatch,
-    SymbolWindow,
     SystemSpec,
+    WindowError,
     iterate_batch,
     sample_chunks,
 )
@@ -129,7 +129,7 @@ class TestSet:
             return self.b - self.a
         if self.kind == "rectangle":
             return (self.b - self.a) * (self.d - self.c)
-        cyl = _exact_cylinder_measure(self._sequence_law(spec), self.cylinder)
+        cyl = self.cylinder.measure(self._sequence_law(spec))
         if self.kind == "cylinder":
             return cyl
         return (self.b - self.a) * cyl
@@ -178,105 +178,59 @@ class TestSet:
             data["cylinder"] = self.cylinder.to_json()
         return data
 
-    def label(self) -> str:
-        if self.kind == "u-interval":
-            return f"u in [{self.a}, {self.b})"
-        if self.kind == "rectangle":
-            return f"[{self.a},{self.b}) x [{self.c},{self.d})"
-        if self.kind == "cylinder":
-            cons = ", ".join(f"w{p}={s}" for p, s in self.cylinder.constraints)
-            return "{" + cons + "}"
-        return f"u in [{self.a}, {self.b}) x " + TestSet.from_cylinder(self.cylinder).label()
-
-
-def _exact_cylinder_measure(bern: BernoulliSpec, cyl: CylinderSet) -> Fraction:
-    out = Fraction(1)
-    for _, sym in cyl.constraints:
-        out *= _as_fraction(bern.prob_of(sym))
-    return out
-
 
 # ---------------------------------------------------------------------------
-# orbit tracks and Birkhoff averages
+# orbits and Birkhoff averages
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OrbitTrack:
-    """Coordinate arrays along one orbit: step j holds S^j x0."""
+def orbit_track(spec: SystemSpec, x0: SampleBatch, n: int) -> SampleBatch:
+    """The orbit of the one-row batch x0 as an n-row batch: row j is S^j x0.
 
-    spec: SystemSpec
-    length: int
-    u: Optional[np.ndarray] = None
-    v: Optional[np.ndarray] = None
-    window: Optional[SymbolWindow] = None
-
-    def symbols(self, position: int = 0) -> np.ndarray:
-        """Symbol value at ``position`` of the shifted sequence, per step:
-        the original sequence read at position + j."""
-        if self.window is None:
-            raise ValueError(f"{self.spec.kind} orbits carry no symbols")
-        values = [
-            self.window.symbol_at(position + j) for j in range(self.length)
-        ]
-        return np.asarray(values, dtype=float)
-
-    def indicator(self, test_set: TestSet) -> np.ndarray:
-        out = None
-        if test_set.kind in ("u-interval", "rectangle", "product"):
-            if self.u is None:
-                raise ValueError("test set needs a u coordinate")
-            out = (self.u >= float(test_set.a)) & (self.u < float(test_set.b))
-        if test_set.kind == "rectangle":
-            out &= (self.v >= float(test_set.c)) & (self.v < float(test_set.d))
-        if test_set.kind in ("cylinder", "product"):
-            inside = np.ones(self.length, dtype=bool)
-            for pos, sym in test_set.cylinder.constraints:
-                inside &= self.symbols(pos) == sym
-            out = inside if out is None else (out & inside)
-        return out.astype(float)
-
-
-def orbit_track(spec: SystemSpec, x0, n: int) -> OrbitTrack:
-    """Closed-form orbit of length n.
-
-    x0 is a bare u value or TorusPoint for the rotation, a TorusPoint for
-    the skew map, a SymbolWindow for the shift, or a (u, SymbolWindow)
-    pair for the product.  The v track of the skew map accumulates the u
-    track (pairwise summation keeps the roundoff near machine precision
-    even over 10^6 steps).
+    The u track is ``(u0 + j*gamma) mod 1``; the v track of the skew map
+    accumulates the u track (pairwise summation keeps the roundoff near
+    machine precision even over 10^6 steps).  Row j of the sequence part
+    reads x0's window from column j on, as a strided view at x0's
+    anchor, so it covers the positions that every one of the n shifted
+    windows still holds; a window narrower than n symbols raises
+    :class:`WindowError`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    gamma = spec.gamma.to_float() if spec.gamma is not None else None
-    steps = np.arange(n)
-    if spec.kind == "rotation":
-        u0 = x0.u if hasattr(x0, "u") else float(x0)
-        return OrbitTrack(spec, n, u=(u0 + steps * gamma) % 1.0)
-    if spec.kind == "skew":
-        u = (x0.u + steps * gamma) % 1.0
+    if len(x0) != 1 or x0.spec != spec:
+        raise ValueError(f"x0 must be one point of the {spec.kind} system")
+    u = v = sym = None
+    if x0.u is not None:
+        u = (x0.u[0] + np.arange(n) * spec.gamma.to_float()) % 1.0
+    if x0.v is not None:
         increments = np.concatenate(([0.0], np.cumsum(u[:-1])))
-        return OrbitTrack(spec, n, u=u, v=(x0.v + increments) % 1.0)
-    if spec.kind == "bernoulli":
-        return OrbitTrack(spec, n, window=x0)
-    point, window = x0
-    u0 = point.u if hasattr(point, "u") else float(point)
-    return OrbitTrack(spec, n, u=(u0 + steps * gamma) % 1.0, window=window)
+        v = (x0.v[0] + increments) % 1.0
+    if x0.sym is not None:
+        width = x0.sym.shape[1] - n + 1
+        if width < 1:
+            raise WindowError(
+                f"a window of {x0.sym.shape[1]} symbols cannot follow {n} steps"
+            )
+        sym = np.lib.stride_tricks.sliding_window_view(x0.sym[0], width)
+    return SampleBatch(spec=spec, u=u, v=v, sym=sym, anchor=x0.anchor)
 
 
-Observable = Union[TestSet, Callable[[OrbitTrack], np.ndarray]]
+def birkhoff_average(
+    spec: SystemSpec,
+    f: Union[TestSet, Callable[[SampleBatch], np.ndarray]],
+    x0: SampleBatch,
+    n: int,
+) -> float:
+    """The time average (1/n) sum_{j<n} f(S^j x0) along :func:`orbit_track`.
 
-
-def birkhoff_average(spec: SystemSpec, f: Observable, x0, n: int) -> float:
-    """The time average (1/n) sum_{j<n} f(S^j x0).
-
-    ``f`` is a TestSet (averaged as its indicator) or a callable taking
-    the OrbitTrack and returning per-step values.  For ergodic systems
-    this tends to the space average; the function itself makes no claim
-    beyond the finite sum.
+    ``f`` is a TestSet (averaged as its indicator, via
+    :meth:`TestSet.contains_batch`) or a callable taking the orbit batch
+    and returning per-step values.  For ergodic systems this tends to
+    the space average; the function itself makes no claim beyond the
+    finite sum.
     """
-    track = orbit_track(spec, x0, n)
-    values = track.indicator(f) if isinstance(f, TestSet) else f(track)
+    orbit = orbit_track(spec, x0, n)
+    values = f.contains_batch(spec, orbit) if isinstance(f, TestSet) else f(orbit)
     return float(np.mean(values))
 
 
@@ -379,23 +333,6 @@ class _CircleOverlap:
         return num, irr
 
 
-def _shifted_cylinder(cyl: CylinderSet, i: int) -> CylinderSet:
-    """S^i(A) for a cylinder A: constraints move from p to p - i."""
-    return cyl.translate(-i)
-
-
-def _merge_measure(bern: BernoulliSpec, first: CylinderSet, second: CylinderSet) -> Fraction:
-    merged: dict[int, object] = {}
-    for pos, sym in list(first.constraints) + list(second.constraints):
-        if pos in merged and merged[pos] != sym:
-            return Fraction(0)
-        merged[pos] = sym
-    out = Fraction(1)
-    for sym in merged.values():
-        out *= _as_fraction(bern.prob_of(sym))
-    return out
-
-
 def _closed_form_factors(spec: SystemSpec, A: TestSet, B: TestSet) -> tuple[bool, bool]:
     """Which factors (rotation u, sequence w) the exact correlation of A
     and B multiplies; raises where no closed form exists."""
@@ -445,9 +382,9 @@ def _exact_correlations(
     for i in itertools.count(start):
         w = Fraction(1)
         if has_w:
-            w = _merge_measure(
-                spec.bernoulli, _shifted_cylinder(A.cylinder, i), B.cylinder
-            )
+            # S^i(A) moves A's constraints from p to p - i
+            both = A.cylinder.translate(-i).merge(B.cylinder)
+            w = Fraction(0) if both is None else both.measure(spec.bernoulli)
         if has_u:
             num, irr = overlap.length(*next(orbit))
         wn, wd = w.numerator, w.denominator

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Union
 
 import mpmath
@@ -36,8 +36,12 @@ class ExactnessError(TypeError):
     """An operation that requires exact arithmetic got an inexact angle."""
 
 
+@lru_cache(maxsize=None)
 def _squarefree(d: int) -> tuple[int, int]:
-    """Split ``d = s**2 * d0`` with ``d0`` squarefree; returns ``(s, d0)``."""
+    """Split ``d = s**2 * d0`` with ``d0`` squarefree; returns ``(s, d0)``.
+
+    Trial division costs O(sqrt(d)) and every arithmetic result checks
+    its d again, so the split is memoised per d."""
     if d <= 0:
         raise ValueError(f"radicand must be positive, got {d}")
     s = 1
@@ -322,10 +326,11 @@ class RotationNumber:
 
     def to_float(self) -> float:
         """The angle as a float: correctly rounded for the quadratic kind,
-        and rounded from 80 bits for the decimal kind."""
+        and rounded once from the angle's own ``bits`` for the decimal
+        kind."""
         if self.kind == "quadratic":
             return float(self.exact)
-        return float(self.value(80))
+        return float(self.value(self.bits))
 
     # -- exact helpers ----------------------------------------------------
 

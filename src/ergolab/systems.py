@@ -5,10 +5,14 @@
 * Bernoulli shift on bi-infinite symbol sequences
 * product of the rotation with a Bernoulli shift
 
-Map functions are numpy-polymorphic: coordinates may be floats or
-arrays of floats.  Sequence points are finite windows of a sampled
-bi-infinite sequence; operations that need symbols declare the
-positions they read up front, and shifting just moves the anchor.
+Points live in one representation, the struct-of-arrays
+:class:`SampleBatch`: a single point is a one-row batch.  Sequence
+points are finite windows of a sampled bi-infinite sequence; operations
+that need symbols declare the positions they read up front, and shifting
+just moves the anchor.  :func:`iterate_batch` applies S^i by closed
+forms for every integer i, so a negative lag inverts.  Cylinder sets
+carry their own algebra: translation, intersection (``merge``) and the
+exact product measure.
 
 Monte-Carlo estimates stream their sample: ``sample_chunks`` draws it
 from one generator as consecutive batches of at most ``SAMPLE_CHUNK``
@@ -20,8 +24,9 @@ from its single seed (``spawn_rngs``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -32,28 +37,13 @@ __all__ = [
     "CylinderSet",
     "SAMPLE_CHUNK",
     "SampleBatch",
-    "SymbolWindow",
     "SystemSpec",
-    "TorusPoint",
     "WindowError",
-    "cylinder_measure",
     "iterate_batch",
-    "product_step",
-    "product_step_inverse",
-    "rotation_step",
-    "rotation_step_inverse",
     "sample_batch",
     "sample_chunks",
-    "sample_point",
-    "shift_step",
-    "shift_step_inverse",
-    "skew_step",
-    "skew_step_inverse",
     "spawn_rngs",
-    "step_batch",
 ]
-
-FloatLike = Union[float, np.ndarray]
 
 #: Default two-symbol alphabet; index 0 carries probs[0].
 DEFAULT_SYMBOLS = (1, -1)
@@ -68,17 +58,6 @@ SAMPLE_CHUNK = 2**16
 
 class WindowError(IndexError):
     """A symbol outside the sampled window was requested."""
-
-
-def _gamma_float(gamma: "RotationNumber | float") -> float:
-    if isinstance(gamma, RotationNumber):
-        return gamma.to_float()
-    return float(gamma)
-
-
-class TorusPoint(NamedTuple):
-    u: FloatLike
-    v: FloatLike
 
 
 @dataclass(frozen=True)
@@ -153,39 +132,30 @@ class CylinderSet:
     def translate(self, offset: int) -> "CylinderSet":
         return CylinderSet(tuple((p + offset, s) for p, s in self.constraints))
 
+    def merge(self, other: "CylinderSet") -> Optional["CylinderSet"]:
+        """The intersection: both sets' constraints together, or None
+        where they clash on a position (the sets are disjoint)."""
+        merged = dict(self.constraints)
+        for pos, sym in other.constraints:
+            if merged.setdefault(pos, sym) != sym:
+                return None
+        return CylinderSet(tuple(merged.items()))
+
+    def measure(self, bern: BernoulliSpec) -> Fraction:
+        """The product measure, exactly (probabilities enter by their
+        exact binary-float values); the empty cylinder has measure 1.
+        Positions do not matter, since the shift preserves the measure."""
+        out = Fraction(1)
+        for _, symbol in self.constraints:
+            out *= Fraction(bern.prob_of(symbol))
+        return out
+
     def to_json(self) -> list:
         return [[p, s] for p, s in self.constraints]
 
     @classmethod
     def from_json(cls, obj: Iterable) -> "CylinderSet":
         return cls(tuple((int(p), s) for p, s in obj))
-
-
-@dataclass(frozen=True)
-class SymbolWindow:
-    """A finite window of a bi-infinite sequence.
-
-    ``symbols[i]`` is the symbol at position ``anchor + i``.  The shift
-    moves the sequence one step left, which here just decrements the
-    anchor; the stored symbols never move.
-    """
-
-    anchor: int
-    symbols: tuple
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def covers(self, position: int) -> bool:
-        return self.anchor <= position < self.anchor + len(self.symbols)
-
-    def symbol_at(self, position: int):
-        if not self.covers(position):
-            raise WindowError(
-                f"position {position} outside window [{self.anchor}, "
-                f"{self.anchor + len(self.symbols)})"
-            )
-        return self.symbols[position - self.anchor]
 
 
 @dataclass(frozen=True)
@@ -258,49 +228,8 @@ class SystemSpec:
 
 
 # ---------------------------------------------------------------------------
-# forward / inverse maps
+# closed-form iteration and sampling
 # ---------------------------------------------------------------------------
-
-
-def rotation_step(u: FloatLike, gamma: "RotationNumber | float") -> FloatLike:
-    return (u + _gamma_float(gamma)) % 1.0
-
-
-def rotation_step_inverse(u: FloatLike, gamma: "RotationNumber | float") -> FloatLike:
-    return (u - _gamma_float(gamma)) % 1.0
-
-
-def skew_step(point: TorusPoint, gamma: "RotationNumber | float") -> TorusPoint:
-    u, v = point
-    return TorusPoint((u + _gamma_float(gamma)) % 1.0, (v + u) % 1.0)
-
-
-def skew_step_inverse(point: TorusPoint, gamma: "RotationNumber | float") -> TorusPoint:
-    u, v = point
-    u0 = (u - _gamma_float(gamma)) % 1.0
-    return TorusPoint(u0, (v - u0) % 1.0)
-
-
-def shift_step(window: SymbolWindow) -> SymbolWindow:
-    return SymbolWindow(window.anchor - 1, window.symbols)
-
-
-def shift_step_inverse(window: SymbolWindow) -> SymbolWindow:
-    return SymbolWindow(window.anchor + 1, window.symbols)
-
-
-def product_step(
-    point: tuple[FloatLike, SymbolWindow], gamma: "RotationNumber | float"
-) -> tuple[FloatLike, SymbolWindow]:
-    u, w = point
-    return rotation_step(u, gamma), shift_step(w)
-
-
-def product_step_inverse(
-    point: tuple[FloatLike, SymbolWindow], gamma: "RotationNumber | float"
-) -> tuple[FloatLike, SymbolWindow]:
-    u, w = point
-    return rotation_step_inverse(u, gamma), shift_step_inverse(w)
 
 
 def skew_lag(i: int, gamma: RotationNumber) -> tuple[float, float]:
@@ -318,11 +247,6 @@ def skew_lag(i: int, gamma: RotationNumber) -> tuple[float, float]:
     return (i * g) % 1.0, (i * (i - 1) // 2 * g) % 1.0
 
 
-# ---------------------------------------------------------------------------
-# sampling
-# ---------------------------------------------------------------------------
-
-
 def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     """n independent generators derived from one seed.
 
@@ -335,41 +259,14 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def sample_point(
-    spec: SystemSpec, rng: np.random.Generator, window_half_width: int = 8
-):
-    """One point of the invariant measure.
-
-    Sequence components come as a window covering
-    ``[-window_half_width, window_half_width]``.
-    """
-    if spec.kind == "rotation":
-        return float(rng.random())
-    if spec.kind == "skew":
-        return TorusPoint(float(rng.random()), float(rng.random()))
-    if spec.kind == "bernoulli":
-        return _sample_window(spec.bernoulli, rng, window_half_width)
-    if spec.kind == "product":
-        return (
-            float(rng.random()),
-            _sample_window(spec.bernoulli, rng, window_half_width),
-        )
-    raise AssertionError(spec.kind)
-
-
-def _sample_window(
-    bern: BernoulliSpec, rng: np.random.Generator, half_width: int
-) -> SymbolWindow:
-    size = 2 * half_width + 1
-    idx = rng.choice(len(bern.probs), size=size, p=bern.probs)
-    return SymbolWindow(-half_width, tuple(bern.symbols[i] for i in idx))
-
-
 @dataclass
 class SampleBatch:
-    """Struct-of-arrays batch of points (the Monte-Carlo fast path).
+    """Struct-of-arrays batch of points, the one point representation:
+    a Monte-Carlo sample, an orbit (row j the j-th image) or, with one
+    row, a single point.
 
-    ``sym`` holds symbol *indices* into ``spec.bernoulli.symbols`` as
+    ``u`` and ``v`` are float arrays (None for a coordinate the system
+    lacks); ``sym`` holds symbol *indices* into ``spec.bernoulli.symbols`` as
     unsigned bytes (wider only for alphabets above 256 symbols); row i
     column j is the symbol at position ``anchor + j`` of sample i, and
     reading any position outside the stored columns raises
@@ -436,12 +333,9 @@ def sample_chunks(
         yield sample_batch(spec, rng, min(SAMPLE_CHUNK, n - start), positions)
 
 
-def step_batch(batch: SampleBatch) -> SampleBatch:
-    return iterate_batch(batch, 1)
-
-
 def iterate_batch(batch: SampleBatch, i: int) -> SampleBatch:
-    """The i-th forward image of every point, via closed forms.
+    """The i-th image S^i of every point, via closed forms, for any
+    integer i (a negative lag inverts).
 
     Rotation angles are multiplied out exactly before any float touches
     them, so there is no accumulated drift; the sequence component only
@@ -460,20 +354,3 @@ def iterate_batch(batch: SampleBatch, i: int) -> SampleBatch:
     if spec.kind in ("bernoulli", "product"):
         anchor = anchor - i
     return SampleBatch(spec=spec, u=new_u, v=new_v, sym=sym, anchor=anchor)
-
-
-# ---------------------------------------------------------------------------
-# exact measures
-# ---------------------------------------------------------------------------
-
-
-def cylinder_measure(bern: BernoulliSpec, cylinder: CylinderSet) -> float:
-    """Product measure of a cylinder set; the empty cylinder has measure 1.
-
-    Positions do not matter (the shift preserves the measure), only the
-    multiset of constrained symbols.
-    """
-    out = 1.0
-    for _, symbol in cylinder.constraints:
-        out *= bern.prob_of(symbol)
-    return out

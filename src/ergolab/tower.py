@@ -60,7 +60,6 @@ from .koopman import (
 from .systems import SystemSpec
 
 __all__ = [
-    "DegenerateGridError",
     "DistinguishResult",
     "InconclusiveEvidenceError",
     "ModeSubgroup",
@@ -95,10 +94,6 @@ REJECT_FACTOR = 0.5
 
 class UnsupportedSystemError(ValueError):
     """The operation is not defined for this system kind."""
-
-
-class DegenerateGridError(ValueError):
-    """The sample grid is too coarse for the requested truncation."""
 
 
 class InconclusiveEvidenceError(RuntimeError):
@@ -456,7 +451,6 @@ def quasi_eigen_residual_search(
     spec: SystemSpec,
     k: int,
     truncation: int,
-    grid: Optional[int] = None,
 ) -> ResidualReport:
     """Minimize ``|| g o T - delta e(k u) g ||`` over unit g in the
     truncated basis and unimodular delta.
@@ -473,21 +467,16 @@ def quasi_eigen_residual_search(
     an exact solution (residual 0), and a free path of n nodes gives
     ``sqrt(2 - 2 cos(pi/(n+1)))`` with the sine-profile minimizer.
 
-    The winning minimizer is re-evaluated on a uniform u-grid of size
-    ``grid`` (default max(4N, fine enough for exact quadrature)) and the
-    report carries both numbers; they agree to 1e-9 when the grid is
-    exact.  k = 0 recovers proper functions (residual ~ 0); on the skew
-    control with k = 1 the mode e(v) is an exact witness.
+    The winning minimizer is re-evaluated on a uniform u-grid of
+    max(4N, band limit) points, fine enough for exact quadrature, and the
+    report carries both numbers; they agree to 1e-9.  k = 0 recovers
+    proper functions (residual ~ 0); on the skew control with k = 1 the
+    mode e(v) is an exact witness.
     """
     if truncation < 2:
         raise ValueError("truncation must be >= 2")
-    needed = 2 * (U_BAND + truncation + abs(k)) + 2
-    if grid is not None and grid < 4 * truncation:
-        raise DegenerateGridError(
-            f"grid {grid} is below 4 * truncation = {4 * truncation}"
-        )
-    # bump to the band limit that makes the quadrature check exact
-    grid = max(grid or 0, 4 * truncation, needed)
+    # the band limit that makes the quadrature check exact
+    grid = max(4 * truncation, 2 * (U_BAND + truncation + abs(k)) + 2)
     tails = _tail_labels(spec, truncation)
     nodes: list[Node] = [(l, *t) for l in range(-U_BAND, U_BAND + 1) for t in tails]
     node_set = set(nodes)
@@ -503,9 +492,10 @@ def quasi_eigen_residual_search(
     # orbit components of the partial permutation: free paths, then cycles
     best: tuple[float, dict[Node, complex]] = (-1.0, {})  # (score, c)
     visited: set[Node] = set()
+    order = sorted(nodes, key=_node_sort_key)
     for on_cycles in (False, True):
         # once the paths are walked, every node left lies on a cycle
-        for start in sorted(node_set - visited, key=_node_sort_key):
+        for start in order:
             if start in visited or (start in preds) != on_cycles:
                 continue
             orbit, weights = [start], []
@@ -645,9 +635,7 @@ def _profile(spec, c) -> dict:
     }
 
 
-def residual_reference(
-    spec: SystemSpec, ks: tuple[int, ...] = (1, 2), truncation: int = 4
-) -> float:
+def residual_reference(ks: tuple[int, ...] = (1, 2)) -> float:
     """The reference residual r0: the smallest truncated minimum over ``ks``.
 
     For k != 0, K_k moves the u-frequency by -k inside the band
@@ -656,9 +644,9 @@ def residual_reference(
     that length and the band bounds every other sector's paths as well, so
     the minimum over ``ks`` is the path residual
     ``sqrt(2 - 2 cos(pi / (L + 1)))`` at the largest L.  It is a property
-    of the band, the same for every angle, coin and truncation; ``spec``
-    and ``truncation`` are accepted for the call signature only.  Raises
-    ``ValueError`` for k = 0, where proper functions give residual 0.
+    of the band, the same for every angle, coin and truncation, so it
+    takes no system.  Raises ``ValueError`` for k = 0, where proper
+    functions give residual 0.
     """
     if not ks or 0 in ks:
         raise ValueError(f"r0 is defined for nonzero k, not {tuple(ks)}")
@@ -696,13 +684,11 @@ def certify_product_tower(
     spec: SystemSpec,
     truncation: int = 8,
     ks: Sequence[int] = (0, 1, -1, 2, -2),
-    accept_tol: float = ACCEPT_TOL,
-    reject_factor: float = REJECT_FACTOR,
 ) -> ProductTowerCertificate:
     """Corroborate the exact product-tower decision with the residual search.
 
-    Each k's search accepts a finite orbit at residual <= ``accept_tol``
-    and rejects one at residual >= ``r0 * reject_factor``; a residual in
+    Each k's search accepts a finite orbit at residual <= ``ACCEPT_TOL``
+    and rejects one at residual >= ``r0 * REJECT_FACTOR``; a residual in
     between raises :class:`InconclusiveEvidenceError` with the partial
     evidence attached.  An accept or reject that disagrees with
     :func:`decide_finite_orbits` raises ``RuntimeError``.  r0 is the
@@ -713,20 +699,21 @@ def certify_product_tower(
     if spec.kind != "product":
         raise UnsupportedSystemError("certificate applies to the product system")
     decision = decide_finite_orbits(spec.kind)
-    r0 = residual_reference(spec)
+    r0 = residual_reference()
+    reject_at = r0 * REJECT_FACTOR
     reports = []
     for k in ks:
         report = quasi_eigen_residual_search(spec, k, truncation)
         reports.append(report)
-        if report.residual <= accept_tol:
+        if report.residual <= ACCEPT_TOL:
             found = True
-        elif report.residual >= r0 * reject_factor:
+        elif report.residual >= reject_at:
             found = False
         else:
             raise InconclusiveEvidenceError(
                 f"residual {report.residual:.3e} for k={k} sits between the "
-                f"accept tolerance {accept_tol:.1e} and the reject threshold "
-                f"{r0 * reject_factor:.3e}",
+                f"accept tolerance {ACCEPT_TOL:.1e} and the reject threshold "
+                f"{reject_at:.3e}",
                 partial=reports,
             )
         if found != decision.has_finite_orbit(k):

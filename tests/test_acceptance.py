@@ -106,7 +106,7 @@ def test_criterion_1_skew_tower():
 @criterion("criterion 2, residual certification")
 def test_criterion_2_residuals():
     start = time.perf_counter()
-    r0 = residual_reference(PRODUCT)
+    r0 = residual_reference()
     rows = []
     ok = r0 > 0.25
     for truncation in (8, 16):

@@ -23,11 +23,12 @@ from ergolab import (
     NoClosedFormError,
     QuadraticReal,
     RotationNumber,
+    SampleBatch,
     SystemSpec,
     TestSet,
+    WindowError,
     birkhoff_average,
     correlation,
-    cylinder_measure,
     iterate_batch,
     orbit_track,
     sample_batch,
@@ -39,7 +40,7 @@ from ergolab import (
     weak_mixing_verdict,
 )
 from ergolab import mixing, systems
-from ergolab.mixing import _CircleOverlap, _exact_correlations, _merge_measure
+from ergolab.mixing import _CircleOverlap, _exact_correlations
 
 from entropy_oracle import concatenate
 from exact_oracle import bracket_float
@@ -85,7 +86,8 @@ def _oracle_correlation(spec, A, B, i):
     recomputed from scratch."""
     value = _qr_interval_overlap_oracle(spec.gamma.frac_multiple(i), A.a, A.b, B.a, B.b)
     if A.kind == "product":
-        value = value * _merge_measure(spec.bernoulli, A.cylinder.translate(-i), B.cylinder)
+        both = A.cylinder.translate(-i).merge(B.cylinder)
+        value = value * (0 if both is None else both.measure(spec.bernoulli))
     return value
 
 
@@ -395,25 +397,117 @@ def test_trend_verdicts_agree_with_spectra():
 
 
 # ---------------------------------------------------------------------------
-# orbit tracks and time averages
+# orbits and time averages
 # ---------------------------------------------------------------------------
 
 
+def _stepped_hits(spec, test_set, x0, n):
+    """How many of x0's first n images lie in ``test_set``, found by a
+    loop that steps (u + gamma, v + u) on floats one point at a time and
+    reads the symbol at position p of S^j x0 at position p + j of x0."""
+    gamma = spec.gamma.to_float() if spec.gamma is not None else None
+    u = None if x0.u is None else float(x0.u[0])
+    v = None if x0.v is None else float(x0.v[0])
+    hits = 0
+    for j in range(n):
+        inside = True
+        if test_set.a is not None:
+            inside = float(test_set.a) <= u < float(test_set.b)
+        if test_set.c is not None:
+            inside = inside and float(test_set.c) <= v < float(test_set.d)
+        if test_set.cylinder is not None:
+            symbols = spec.bernoulli.symbols
+            inside = inside and all(
+                symbols[x0.sym[0, p + j - x0.anchor]] == sym
+                for p, sym in test_set.cylinder.constraints
+            )
+        hits += inside
+        if u is not None:
+            u, v = (u + gamma) % 1.0, None if v is None else (v + u) % 1.0
+    return hits
+
+
 def test_orbit_track_indicator_average_equals_birkhoff():
-    track = orbit_track(ROT, 0.1, 500)
-    ind = track.indicator(HALF)
+    x0 = SampleBatch(spec=ROT, u=np.array([0.1]))
+    orbit = orbit_track(ROT, x0, 500)
+    ind = HALF.contains_batch(ROT, orbit)
     assert ind.shape == (500,)
-    assert np.mean(ind) == pytest.approx(birkhoff_average(ROT, HALF, 0.1, 500))
+    assert np.mean(ind) == birkhoff_average(ROT, HALF, x0, 500)
+    assert birkhoff_average(ROT, HALF, x0, 500) == _stepped_hits(ROT, HALF, x0, 500) / 500
+
+
+@pytest.mark.parametrize("spec", four_systems(), ids=lambda s: s.kind)
+def test_orbit_rows_are_the_iterates(spec):
+    """Row j of the orbit batch is S^j x0, coordinates and symbols alike."""
+    n = 20
+    x0 = sample_batch(spec, spawn_rngs(40, 1)[0], 1, positions=range(-3, 30))
+    orbit = orbit_track(spec, x0, n)
+    assert len(orbit) == n and orbit.anchor == x0.anchor
+    for j in range(n):
+        image = iterate_batch(x0, j)
+        for name in ("u", "v"):
+            if getattr(x0, name) is not None:
+                d = abs(getattr(orbit, name)[j] - getattr(image, name)[0]) % 1.0
+                assert min(d, 1 - d) < 1e-12, (name, j)
+        if x0.sym is not None:
+            # the orbit holds the positions all n images still cover
+            for p in range(-3, 30 - n + 1):
+                assert orbit.symbol_indices_at(p)[j] == image.symbol_indices_at(p)[0]
+    if x0.sym is not None:
+        with pytest.raises(WindowError):
+            orbit.symbol_indices_at(30 - n + 1)
+        with pytest.raises(WindowError):
+            orbit_track(spec, x0, 34)  # 33 symbols cannot follow 34 steps
+
+
+def test_orbit_track_takes_one_point_of_its_system():
+    with pytest.raises(ValueError):
+        orbit_track(ROT, sample_batch(ROT, spawn_rngs(40, 1)[0], 2), 5)
+    with pytest.raises(ValueError):
+        orbit_track(SKEW, SampleBatch(spec=ROT, u=np.array([0.1])), 5)
+
+
+def test_birkhoff_on_a_shift_with_string_symbols():
+    bern = BernoulliSpec((0.5, 0.5), ("a", "b"))
+    spec = SystemSpec.shift(bern)
+    x0 = sample_batch(spec, spawn_rngs(41, 1)[0], 1, positions=range(0, 400))
+    word = [bern.symbols[k] for k in x0.sym[0]]
+    n = 300
+    orbit = orbit_track(spec, x0, n)
+    assert [bern.symbols[k] for k in orbit.symbol_indices_at(0)] == word[:n]
+    A = TestSet.from_cylinder(CylinderSet(((0, "a"), (1, "b"))))
+    expected = sum(word[j] == "a" and word[j + 1] == "b" for j in range(n)) / n
+    assert birkhoff_average(spec, A, x0, n) == expected
+    assert expected == _stepped_hits(spec, A, x0, n) / n
+
+
+def test_birkhoff_on_skew_orbits():
+    # [0, 1/2) x [1/4, 1) has measure 3/8; the skew map is uniquely ergodic
+    rect = TestSet.rectangle(0, Fraction(1, 2), Fraction(1, 4), 1)
+    x0 = SampleBatch(spec=SKEW, u=np.array([0.3]), v=np.array([0.7]))
+    assert birkhoff_average(SKEW, rect, x0, 2_000) == _stepped_hits(SKEW, rect, x0, 2_000) / 2_000
+    assert abs(birkhoff_average(SKEW, rect, x0, 50_000) - 0.375) < 5e-3
+
+
+def test_birkhoff_on_product_orbits():
+    both = TestSet.product_set(0, Fraction(1, 2), CylinderSet(((0, 1), (2, -1))))
+    x0 = sample_batch(PROD, spawn_rngs(42, 1)[0], 1, positions=range(0, 3_003))
+    assert birkhoff_average(PROD, both, x0, 3_000) == _stepped_hits(PROD, both, x0, 3_000) / 3_000
+    # the space average 1/2 * 1/4, within about four standard errors
+    assert abs(birkhoff_average(PROD, both, x0, 3_000) - 0.125) < 0.025
 
 
 def test_birkhoff_average_converges_to_the_space_average():
     # unique ergodicity of the rotation: every orbit equidistributes
-    avg = birkhoff_average(ROT, HALF, 0.31, 20_000)
+    avg = birkhoff_average(ROT, HALF, SampleBatch(spec=ROT, u=np.array([0.31])), 20_000)
     assert abs(avg - 0.5) < 5e-4
 
 
 def test_birkhoff_accepts_callables():
     avg = birkhoff_average(
-        ROT, lambda track: np.sin(2 * np.pi * track.u) ** 2, 0.05, 8_000
+        ROT,
+        lambda orbit: np.sin(2 * np.pi * orbit.u) ** 2,
+        SampleBatch(spec=ROT, u=np.array([0.05])),
+        8_000,
     )
     assert abs(avg - 0.5) < 5e-3

@@ -199,6 +199,15 @@ def test_decimal_kind_is_reproducible_but_inexact():
         g.one_minus()
 
 
+def test_decimal_to_float_rounds_once():
+    # 2^-54 above 1/2 is the midpoint of two floats; these digits sit
+    # just above it, so only a single rounding lands on the upper float
+    digits = "0.500000000000000055511151231258827021181583404541015625"
+    g = RotationNumber.decimal(digits)
+    assert g.to_float() == float(Fraction(digits)) == 0.5 + 2.0**-53
+    assert g.to_float() == float(g.value(g.bits))
+
+
 # ---------------------------------------------------------------------------
 # integral combinations (the group-membership backbone)
 # ---------------------------------------------------------------------------

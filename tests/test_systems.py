@@ -1,8 +1,10 @@
-"""Point transformations, batch sampling, and exact set measures.
+"""Batches of points, their closed-form iteration, sampling, and the
+cylinder-set algebra.
 
-The closed-form batch iterator is checked against the step-by-step maps
-it claims to reproduce, and sampling is checked for determinism under
-the seed-spawning scheme.
+A point is a one-row ``SampleBatch``.  The closed-form iterator is
+checked against a test-local one-step map applied step by step, and
+against itself run backwards (negative lags invert); sampling is
+checked for determinism under the seed-spawning scheme.
 """
 
 from __future__ import annotations
@@ -12,89 +14,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from ergolab import (
     BernoulliSpec,
     CylinderSet,
-    RotationNumber,
     SampleBatch,
-    SymbolWindow,
     SystemSpec,
-    TorusPoint,
     WindowError,
-    cylinder_measure,
     iterate_batch,
-    product_step,
-    rotation_step,
     sample_batch,
     sample_chunks,
-    sample_point,
-    shift_step,
-    skew_step,
     spawn_rngs,
-    step_batch,
 )
 from ergolab import systems
-from ergolab.systems import (
-    product_step_inverse,
-    rotation_step_inverse,
-    shift_step_inverse,
-    skew_lag,
-    skew_step_inverse,
-)
+from ergolab.systems import skew_lag
 
 from helpers import GAMMA, UNIFORM4, four_systems
-
-units = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
-
-
-# ---------------------------------------------------------------------------
-# one-step maps and their inverses
-# ---------------------------------------------------------------------------
-
-
-@given(units)
-def test_rotation_step_inverse(u):
-    v = rotation_step(u, GAMMA)
-    assert 0 <= v < 1
-    assert math.isclose(
-        rotation_step_inverse(v, GAMMA), u, abs_tol=1e-12
-    ) or math.isclose(abs(rotation_step_inverse(v, GAMMA) - u), 1.0, abs_tol=1e-12)
-
-
-@given(units, units)
-def test_skew_step_and_inverse(u, v):
-    p = skew_step(TorusPoint(u, v), GAMMA)
-    assert math.isclose(p.v, (v + u) % 1.0, abs_tol=1e-12)
-    back = skew_step_inverse(p, GAMMA)
-    for got, want in ((back.u, u), (back.v, v)):
-        assert math.isclose(got, want, abs_tol=1e-12) or math.isclose(
-            abs(got - want), 1.0, abs_tol=1e-12
-        )
-
-
-def test_shift_moves_the_anchor_only():
-    w = SymbolWindow(anchor=-2, symbols=(1, -1, -1, 1, 1))
-    s = shift_step(w)
-    assert s.symbols is w.symbols and s.anchor == w.anchor - 1
-    # (Rw)_i = w_{i+1}: reading position p after the shift sees p+1 before.
-    for p in range(-3, 2):
-        assert s.symbol_at(p) == w.symbol_at(p + 1)
-    assert shift_step_inverse(s) == w
-    with pytest.raises(WindowError):
-        s.symbol_at(5)
-
-
-@given(units)
-def test_product_step_components(u):
-    w = SymbolWindow(0, (1, -1, 1))
-    nu, nw = product_step((u, w), GAMMA)
-    assert nu == rotation_step(u, GAMMA)
-    assert nw == shift_step(w)
-    bu, bw = product_step_inverse((nu, nw), GAMMA)
-    assert bw == w
 
 
 # ---------------------------------------------------------------------------
@@ -112,24 +49,44 @@ def test_skew_lag_is_exact(i):
     )
 
 
+def _assert_same_points(got: SampleBatch, want: SampleBatch, tol: float) -> None:
+    assert got.anchor == want.anchor
+    for name in ("u", "v"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None)
+        if a is not None:
+            # wrap-around makes the distance circle-valued
+            d = np.abs(a - b) % 1.0
+            assert np.minimum(d, 1 - d).max() < tol, name
+    assert got.sym is want.sym
+
+
+def _one_step(batch: SampleBatch) -> SampleBatch:
+    """S applied once by its definition: u + gamma, v + u (mod 1) on
+    floats, and the shift as anchor - 1."""
+    spec = batch.spec
+    gamma = spec.gamma.to_float() if spec.gamma is not None else None
+    u = None if batch.u is None else (batch.u + gamma) % 1.0
+    v = None if batch.v is None else (batch.v + batch.u) % 1.0
+    anchor = batch.anchor - 1 if batch.sym is not None else batch.anchor
+    return SampleBatch(spec=spec, u=u, v=v, sym=batch.sym, anchor=anchor)
+
+
 @pytest.mark.parametrize("spec", four_systems(), ids=lambda s: s.kind)
 def test_iterate_batch_matches_stepping(spec):
-    rng = spawn_rngs(11, 1)[0]
-    batch = sample_batch(spec, rng, 64, positions=range(-8, 9))
+    batch = sample_batch(spec, spawn_rngs(11, 1)[0], 64, positions=range(-8, 9))
     stepped = batch
     for i in range(1, 6):
-        stepped = step_batch(stepped)
-        direct = iterate_batch(batch, i)
-        assert direct.anchor == stepped.anchor
-        if batch.u is not None:
-            # wrap-around makes the distance circle-valued
-            d = np.abs(direct.u - stepped.u)
-            assert np.minimum(d, 1 - d).max() < 1e-9
-        if batch.v is not None:
-            d = np.abs(direct.v - stepped.v)
-            assert np.minimum(d, 1 - d).max() < 1e-9
-        if batch.sym is not None:
-            assert np.array_equal(direct.sym, stepped.sym)
+        stepped = _one_step(stepped)
+        _assert_same_points(iterate_batch(batch, i), stepped, 1e-12)
+
+
+@pytest.mark.parametrize("spec", four_systems(), ids=lambda s: s.kind)
+def test_negative_lags_invert(spec):
+    batch = sample_batch(spec, spawn_rngs(16, 1)[0], 64, positions=range(-8, 9))
+    for i in range(-7, 8):
+        _assert_same_points(iterate_batch(iterate_batch(batch, i), -i), batch, 1e-12)
+        _assert_same_points(iterate_batch(iterate_batch(batch, -i), i), batch, 1e-12)
 
 
 @pytest.mark.parametrize("spec", four_systems(), ids=lambda s: s.kind)
@@ -145,6 +102,20 @@ def test_iterate_batch_is_additive(spec):
     if batch.v is not None:
         d = np.abs(two_hops.v - one_hop.v)
         assert np.minimum(d, 1 - d).max() < 1e-9
+
+
+def test_shift_moves_the_anchor_only():
+    spec = SystemSpec.shift(BernoulliSpec.fair_coin())
+    point = sample_batch(spec, spawn_rngs(17, 1)[0], 1, positions=range(-2, 3))
+    assert len(point) == 1
+    moved = iterate_batch(point, 1)
+    assert moved.sym is point.sym and moved.anchor == point.anchor - 1
+    # (Rw)_i = w_{i+1}: reading position p after the shift sees p+1 before.
+    for p in range(-3, 2):
+        assert moved.symbol_indices_at(p) == point.symbol_indices_at(p + 1)
+    assert iterate_batch(moved, -1).anchor == point.anchor
+    with pytest.raises(WindowError):
+        moved.symbol_indices_at(2)
 
 
 def test_symbol_indices_follow_the_anchor():
@@ -215,15 +186,15 @@ def test_sample_batch_is_seed_deterministic(spec):
 
 
 def test_sample_point_shapes():
+    """A point is a one-row batch with the coordinates of its system."""
     rng = spawn_rngs(6, 1)[0]
-    u = sample_point(SystemSpec.rotation(GAMMA), rng)
-    assert 0 <= u < 1
-    p = sample_point(SystemSpec.skew(GAMMA), rng)
-    assert 0 <= p.u < 1 and 0 <= p.v < 1
-    w = sample_point(SystemSpec.shift(BernoulliSpec.fair_coin()), rng)
-    assert isinstance(w, SymbolWindow) and w.covers(0)
-    u, w = sample_point(SystemSpec.product(GAMMA, BernoulliSpec.fair_coin()), rng)
-    assert 0 <= u < 1 and w.covers(0)
+    rot, skew, shift, prod = (sample_batch(s, rng, 1) for s in four_systems())
+    assert len(rot) == 1 and 0 <= rot.u[0] < 1 and rot.v is None and rot.sym is None
+    assert 0 <= skew.u[0] < 1 and 0 <= skew.v[0] < 1 and skew.sym is None
+    assert shift.u is None and shift.sym.shape == (1, 17)
+    assert 0 <= prod.u[0] < 1 and prod.v is None
+    for point in (shift, prod):
+        assert point.symbol_indices_at(0).shape == (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -266,19 +237,37 @@ def test_system_spec_json_round_trip(spec):
 
 def test_cylinder_measure_is_a_product():
     fair = BernoulliSpec.fair_coin()
-    assert cylinder_measure(fair, CylinderSet()) == 1.0
+    assert CylinderSet().measure(fair) == 1
     one = CylinderSet(((0, 1),))
-    assert cylinder_measure(fair, one) == 0.5
+    assert one.measure(fair) == Fraction(1, 2)
     two = CylinderSet(((0, 1), (3, -1)))
-    assert cylinder_measure(fair, two) == 0.25
-    assert cylinder_measure(UNIFORM4, CylinderSet(((5, 2),))) == 0.25
+    assert two.measure(fair) == Fraction(1, 4)
+    assert CylinderSet(((5, 2),)).measure(UNIFORM4) == Fraction(1, 4)
+    # probabilities enter by their exact binary values, with no rounding
+    biased = BernoulliSpec((0.1, 0.9), ("a", "b"))
+    cyl = CylinderSet(((0, "a"), (1, "a"), (4, "b")))
+    assert cyl.measure(biased) == Fraction(0.1) ** 2 * Fraction(0.9)
 
 
 @given(st.integers(-20, 20))
 def test_cylinder_measure_is_shift_invariant(offset):
     fair = BernoulliSpec.fair_coin()
     cyl = CylinderSet(((0, 1), (2, -1)))
-    assert cylinder_measure(fair, cyl.translate(offset)) == cylinder_measure(fair, cyl)
+    assert cyl.translate(offset).measure(fair) == cyl.measure(fair)
+
+
+def test_cylinder_merge_intersects_or_reports_a_clash():
+    first = CylinderSet(((0, 1), (2, -1)))
+    assert first.merge(CylinderSet()) == first
+    assert first.merge(CylinderSet(((2, -1), (5, 1)))) == CylinderSet(
+        ((0, 1), (2, -1), (5, 1))
+    )
+    # a clash on position 2 makes the sets disjoint
+    assert first.merge(CylinderSet(((2, 1),))) is None
+    assert CylinderSet(((2, 1),)).merge(first) is None
+    fair = BernoulliSpec.fair_coin()
+    assert first.merge(first.translate(2)) is None
+    assert first.merge(first.translate(3)).measure(fair) == Fraction(1, 16)
 
 
 def test_cylinder_rejects_duplicate_positions():

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from ergolab import (
     BernoulliSpec,
     KOOPMAN_TABLE,
-    DegenerateGridError,
     InconclusiveEvidenceError,
     ModeSubgroup,
     RotationNumber,
@@ -235,7 +234,7 @@ def test_decision_agrees_with_the_search(kind, gamma):
         else SystemSpec.product(gamma, BernoulliSpec.fair_coin())
     )
     decision = decide_finite_orbits(kind)
-    r0 = residual_reference(spec)
+    r0 = residual_reference()
     for k in range(-3, 4):
         residual = quasi_eigen_residual_search(spec, k, 8).residual
         if decision.has_finite_orbit(k):
@@ -320,8 +319,10 @@ def test_product_residuals_frozen_values():
         rep = quasi_eigen_residual_search(PRODUCT, k, 8)
         assert abs(rep.residual - expected) <= 1e-9, (k, rep.residual)
         # the quadrature cross-check solves nothing structurally; it just
-        # re-measures the reported minimizer on a dense grid
+        # re-measures the reported minimizer on a dense grid of
+        # max(4N, 2(U_BAND + N + |k|) + 2) points
         assert abs(rep.grid_residual - rep.residual) <= 1e-8
+        assert rep.grid == 32
 
 
 def test_product_residuals_do_not_shrink_with_truncation():
@@ -353,7 +354,7 @@ def test_search_agrees_with_dense_oracle():
 
 
 def test_residual_reference_value():
-    ref = residual_reference(PRODUCT)
+    ref = residual_reference()
     assert abs(ref - RESIDUAL_K1) <= 1e-6
 
 
@@ -385,23 +386,13 @@ def test_oracle_refuses_to_drop_mass_between_blocks():
 def test_r0_is_the_nine_node_path_residual(gamma):
     spec = SystemSpec.product(gamma, BernoulliSpec.fair_coin())
     dense = min(residual_brute_force(spec, k, 4) for k in (1, 2))
-    assert abs(residual_reference(spec) - dense) <= 1e-12
-
-
-def test_residual_reference_ignores_the_coin():
-    biased = SystemSpec.product(GAMMA, BernoulliSpec((0.3, 0.7), (1, -1)))
-    assert residual_reference(PRODUCT) == residual_reference(biased)
+    assert abs(residual_reference() - dense) <= 1e-12
 
 
 def test_residual_reference_refuses_k_zero():
     with pytest.raises(ValueError):
-        residual_reference(PRODUCT, ks=(0, 1))
-    assert abs(residual_reference(PRODUCT, ks=(2, -2)) - RESIDUAL_K2) <= 1e-12
-
-
-def test_user_grid_below_quadrature_floor_is_rejected():
-    with pytest.raises(DegenerateGridError):
-        quasi_eigen_residual_search(PRODUCT, 1, 8, grid=4)
+        residual_reference(ks=(0, 1))
+    assert abs(residual_reference(ks=(2, -2)) - RESIDUAL_K2) <= 1e-12
 
 
 def test_search_rejects_unsupported_systems():
@@ -426,11 +417,12 @@ def test_certify_product_tower():
             assert rep.residual >= cert.r0 / 2
 
 
-def test_certification_reports_inconclusive_midzone():
+def test_certification_reports_inconclusive_midzone(monkeypatch):
     """With a rejection threshold pushed above the observed residuals the
     protocol must refuse to certify rather than guess."""
+    monkeypatch.setattr(tower, "REJECT_FACTOR", 10.0)
     with pytest.raises(InconclusiveEvidenceError):
-        certify_product_tower(PRODUCT, truncation=8, reject_factor=10.0)
+        certify_product_tower(PRODUCT, truncation=8)
 
 
 def test_towers_distinguish_skew_from_product():
