@@ -95,9 +95,10 @@ MAX_INTERTWINER_PAIRS = 10**7
 #: ``reproduce-kolmogorov`` may draw: samples x block length, summed over
 #: the systems.  Sampling streams in fixed-size chunks and the scenario
 #: scores single-position cells, so memory stays flat and the budget
-#: bounds time: at about 60 ns per symbol it caps sampling near 25 s,
-#: twice the 10^7-sample run (n = 10, two shifts) and 20 times the
-#: default 10^6.
+#: bounds time: sampling and scoring take about 16 ns per symbol for
+#: two- to four-symbol laws on a 2-core x86-64 host, so it caps them
+#: near 7 s; the budget is twice the 10^7-sample run (n = 10, two
+#: shifts) and 20 times the default 10^6.
 MAX_SAMPLED_SYMBOLS = 4 * 10**8
 
 

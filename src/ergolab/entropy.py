@@ -302,6 +302,13 @@ def partition_refine_entropy(
     entry per distinct itinerary seen, up to the number of possible
     itineraries.
 
+    When every cell is a one-constraint cylinder at one common position
+    p, the cell entered at step j is fixed by the symbol at p + j alone,
+    so a chunk's itinerary matrix is one lookup of its symbols at
+    p, ..., p + n - 1 in a symbol-index -> cell table; a symbol that no
+    cell holds maps to -1 and raises, as a sample outside every cell
+    does on the general path, which tests cell membership at every step.
+
     Cylinder partitions of a shift system are measure-scored: every
     itinerary's refined cell is itself a cylinder (constraints translated
     step by step and merged), so the exact -log mu(cell) is averaged,
@@ -339,16 +346,24 @@ def partition_refine_entropy(
     ]
     # the cell entered at step j reads position p + j of the start point
     positions = range(min(read), max(read) + n) if read else range(0)
-    score = _itinerary_scorer(spec, partition, n) if measure_scored else None
+    table = _single_position_table(spec, partition)
+    score = _itinerary_scorer(spec, partition, n, table) if measure_scored else None
     moments = (0, 0.0, 0.0)
     rows = counts = None
     for batch in sample_chunks(spec, rng, samples, positions):
-        itineraries = np.empty((len(batch), n), dtype=np.int64)
-        for j in range(n):
-            cells = partition.cell_index_batch(spec, iterate_batch(batch, j))
-            if np.any(cells < 0):
-                raise ValueError("a sample escaped every cell; partition incomplete")
-            itineraries[:, j] = cells
+        if table is None:
+            itineraries = np.empty((len(batch), n), dtype=np.int64)
+            for j in range(n):
+                itineraries[:, j] = partition.cell_index_batch(
+                    spec, iterate_batch(batch, j)
+                )
+        else:
+            # the cell entered at step j is the cell of the symbol at p + j
+            position, cell_of = table
+            start = position - batch.anchor
+            itineraries = cell_of[batch.sym[:, start : start + n]]
+        if np.any(itineraries < 0):
+            raise ValueError("a sample escaped every cell; partition incomplete")
         if measure_scored:
             moments = _merge_moments(moments, score(itineraries))
         else:
@@ -366,30 +381,53 @@ def partition_refine_entropy(
     return _frequency_estimate(counts, n)
 
 
-def _itinerary_scorer(spec: SystemSpec, partition: PartitionSpec, n: int):
-    """The per-sample score -(1/n) log mu(refined cell) as a function of
-    an itinerary matrix (one row per sample, one cell index per step)."""
-    prob_of = spec.bernoulli.prob_of
+def _single_position_table(spec: SystemSpec, partition: PartitionSpec):
+    """``(p, cell_of)`` when every cell is a one-constraint cylinder at
+    one common position p, else None.  ``cell_of[i]`` is the cell whose
+    symbol has index i in ``spec.bernoulli.symbols``, or -1 where no cell
+    holds that symbol."""
+    if spec.bernoulli is None or any(c.kind != "cylinder" for c in partition.cells):
+        return None
     constraints = [c.cylinder.constraints for c in partition.cells]
-    if all(len(cons) == 1 for cons in constraints) and (
-        len({cons[0][0] for cons in constraints}) == 1
+    if any(len(cons) != 1 for cons in constraints) or (
+        len({cons[0][0] for cons in constraints}) != 1
     ):
+        return None
+    cell_of = np.full(len(spec.bernoulli.symbols), -1, dtype=np.int64)
+    for idx, ((_, symbol),) in enumerate(constraints):
+        cell_of[spec.bernoulli.index_of(symbol)] = idx
+    return constraints[0][0][0], cell_of
+
+
+def _itinerary_scorer(spec: SystemSpec, partition: PartitionSpec, n: int, table):
+    """The per-sample score -(1/n) log mu(refined cell) as a function of
+    an itinerary matrix (one row per sample, one cell index per step).
+
+    ``table`` is :func:`_single_position_table`'s result for the
+    partition."""
+    if table is not None:
         # refined-cell constraints land on n distinct positions, so the
         # measure is a plain product and the scoring fully vectorizes
-        log_p = np.array([math.log(prob_of(cons[0][1])) for cons in constraints])
+        log_p = np.array(
+            [math.log(spec.bernoulli.prob_of(c.cylinder.constraints[0][1]))
+             for c in partition.cells]
+        )
         return lambda itineraries: -log_p[itineraries].sum(axis=1) / n
 
     log_measures: dict[tuple, float] = {}  # per distinct itinerary
 
     def log_measure(row: tuple) -> float:
-        refined = CylinderSet()
-        for j, cell_idx in enumerate(row):
-            # the cell entered at step j constrains position pos of the
-            # j-th image, i.e. position pos + j of the start point
-            refined = refined.merge(partition.cells[cell_idx].cylinder.translate(j))
-            if refined is None:
-                raise AssertionError("observed itinerary has measure zero")
-        return math.log(refined.measure(spec.bernoulli))
+        # the cell entered at step j constrains position pos of the
+        # j-th image, i.e. position pos + j of the start point
+        refined = CylinderSet().merge(
+            *(partition.cells[c].cylinder.translate(j) for j, c in enumerate(row))
+        )
+        if refined is None:
+            raise AssertionError("observed itinerary has measure zero")
+        # logs of the exact measure's integer parts: the measure itself
+        # can underflow a double once n is in the thousands
+        measure = refined.measure(spec.bernoulli)
+        return math.log(measure.numerator) - math.log(measure.denominator)
 
     def scores(itineraries: np.ndarray) -> np.ndarray:
         rows, inverse = np.unique(itineraries, axis=0, return_inverse=True)

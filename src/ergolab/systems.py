@@ -24,6 +24,7 @@ from its single seed (``spawn_rngs``).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
@@ -132,22 +133,26 @@ class CylinderSet:
     def translate(self, offset: int) -> "CylinderSet":
         return CylinderSet(tuple((p + offset, s) for p, s in self.constraints))
 
-    def merge(self, other: "CylinderSet") -> Optional["CylinderSet"]:
-        """The intersection: both sets' constraints together, or None
-        where they clash on a position (the sets are disjoint)."""
+    def merge(self, *others: "CylinderSet") -> Optional["CylinderSet"]:
+        """The intersection with every set in ``others``: all their
+        constraints together, or None where two clash on a position (the
+        sets are disjoint).  One pass, so merging m sets costs time
+        linear in their total constraint count."""
         merged = dict(self.constraints)
-        for pos, sym in other.constraints:
-            if merged.setdefault(pos, sym) != sym:
-                return None
+        for other in others:
+            for pos, sym in other.constraints:
+                if merged.setdefault(pos, sym) != sym:
+                    return None
         return CylinderSet(tuple(merged.items()))
 
     def measure(self, bern: BernoulliSpec) -> Fraction:
         """The product measure, exactly (probabilities enter by their
         exact binary-float values); the empty cylinder has measure 1.
-        Positions do not matter, since the shift preserves the measure."""
+        Positions do not matter, since the shift preserves the measure,
+        so each symbol's probability is raised to its count."""
         out = Fraction(1)
-        for _, symbol in self.constraints:
-            out *= Fraction(bern.prob_of(symbol))
+        for symbol, count in Counter(s for _, s in self.constraints).items():
+            out *= Fraction(bern.prob_of(symbol)) ** count
         return out
 
     def to_json(self) -> list:
@@ -303,6 +308,13 @@ def sample_batch(
     range of sequence positions; a consumer passes the positions it
     reads, so no column is drawn that nothing reads.  Symbol indices are
     unsigned bytes for alphabets of up to 256 symbols.
+
+    Each symbol is one uniform draw u from ``rng.random``, and its index
+    is the number of entries of the cumulative law (normalised to end at
+    1) that are <= u, counted by one comparison pass per symbol but the
+    last.  That is the ``searchsorted(u, side="right")`` of
+    ``Generator.choice(k, p=probs)``, so the symbols and the generator's
+    state afterwards equal that call's, at no int64 temporary.
     """
     if positions.step != 1:
         raise ValueError("sampled positions must be a contiguous range")
@@ -312,9 +324,12 @@ def sample_batch(
     if spec.kind == "skew":
         v = rng.random(n)
     if spec.kind in ("bernoulli", "product"):
-        k = len(spec.bernoulli.probs)
-        sym = rng.choice(k, size=(n, len(positions)), p=spec.bernoulli.probs)
-        sym = sym.astype(np.min_scalar_type(k - 1))
+        cdf = np.cumsum(spec.bernoulli.probs)
+        cdf /= cdf[-1]
+        draws = rng.random((n, len(positions)))
+        sym = np.zeros(draws.shape, dtype=np.min_scalar_type(len(cdf) - 1))
+        for c in cdf[:-1]:
+            sym += draws >= c
     return SampleBatch(spec=spec, u=u, v=v, sym=sym, anchor=positions.start)
 
 

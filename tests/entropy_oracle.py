@@ -69,10 +69,10 @@ def measure_scored(spec, partition, itineraries: np.ndarray, n: int) -> EntropyE
                     if shifted in merged and merged[shifted] != sym:
                         raise AssertionError("observed itinerary has measure zero")
                     merged[shifted] = sym
-            measure = 1.0
-            for sym in merged.values():
-                measure *= spec.bernoulli.prob_of(sym)
-            log_measures[r] = math.log(measure)
+            # a sum of logs: the product itself underflows for long rows
+            log_measures[r] = sum(
+                math.log(spec.bernoulli.prob_of(sym)) for sym in merged.values()
+            )
         scores = -log_measures[inverse.reshape(-1)] / n
     value = float(np.mean(scores))
     stderr = float(np.std(scores, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0

@@ -34,6 +34,16 @@ BENCH_ANGLES = (
 )
 
 
+def choice_symbols(
+    bern: BernoulliSpec, rng: np.random.Generator, shape: tuple[int, ...]
+) -> np.ndarray:
+    """Symbol indices drawn by numpy's ``Generator.choice``: the oracle
+    that ``sample_batch``'s comparisons of uniform draws with the
+    cumulative law must reproduce draw for draw."""
+    k = len(bern.probs)
+    return rng.choice(k, size=shape, p=bern.probs).astype(np.min_scalar_type(k - 1))
+
+
 def four_systems() -> list[SystemSpec]:
     """The four classical systems at the default angle / fair coin."""
     return [

@@ -290,6 +290,124 @@ def test_streamed_scorers_equal_the_one_batch_oracle(scorer, monkeypatch):
     assert est.stderr == pytest.approx(expected.stderr, rel=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# itineraries of single-position partitions by table lookup
+# ---------------------------------------------------------------------------
+
+LAW3 = BernoulliSpec((0.2, 0.3, 0.5), ("a", "b", "c"))
+
+
+def _cells_at(position: int, symbols: tuple) -> PartitionSpec:
+    """One cell per listed symbol, all constraining ``position``."""
+    return PartitionSpec(
+        cells=tuple(TestSet.from_cylinder(CylinderSet(((position, s),))) for s in symbols),
+        labels=tuple(str(s) for s in symbols),
+    )
+
+
+# cells listed out of symbol order, so a cell index is not a symbol index
+TABLE_CASES = {
+    "2 symbols": (SystemSpec.shift(BIASED), PartitionSpec.time_zero(BIASED)),
+    "3 symbols": (SystemSpec.shift(LAW3), PartitionSpec.time_zero(LAW3)),
+    "4 symbols": (SystemSpec.product(GAMMA, UNIFORM4), PartitionSpec.time_zero(UNIFORM4)),
+    "position 3": (SystemSpec.shift(LAW3), _cells_at(3, ("c", "a", "b"))),
+    "position -2": (SystemSpec.shift(BIASED), _cells_at(-2, (1, 0))),
+}
+
+
+def _record(monkeypatch, drawn: list, scored: list) -> None:
+    """Keep every chunk the estimator draws and every itinerary matrix
+    it scores."""
+    def recording(*args, **kwargs):
+        for batch in systems.sample_chunks(*args, **kwargs):
+            drawn.append(batch)
+            yield batch
+
+    scorer = entropy._itinerary_scorer
+
+    def recording_scorer(*args):
+        score = scorer(*args)
+
+        def scored_and_kept(itineraries):
+            scored.append(itineraries.copy())
+            return score(itineraries)
+
+        return scored_and_kept
+
+    monkeypatch.setattr(entropy, "sample_chunks", recording)
+    monkeypatch.setattr(entropy, "_itinerary_scorer", recording_scorer)
+
+
+@pytest.mark.parametrize("case", list(TABLE_CASES))
+def test_table_itineraries_equal_the_loop_oracle(case, monkeypatch):
+    """Single-position cells read each chunk's itineraries off the symbol
+    window by one lookup, never through cell membership, and get the
+    membership loop's matrix."""
+    spec, part = TABLE_CASES[case]
+    n = 6
+    monkeypatch.setattr(systems, "SAMPLE_CHUNK", 1000)
+    drawn, scored = [], []
+    _record(monkeypatch, drawn, scored)
+
+    def no_membership(*args):
+        raise AssertionError("the table path tested cell membership")
+
+    monkeypatch.setattr(PartitionSpec, "cell_index_batch", no_membership)
+    est = partition_refine_entropy(spec, part, n, 2_500, spawn_rngs(36, 1)[0])
+    monkeypatch.undo()
+    assert [len(b) for b in drawn] == [1000, 1000, 500]
+    itin = entropy_oracle.itineraries(spec, part, entropy_oracle.concatenate(drawn), n)
+    assert np.array_equal(np.concatenate(scored), itin)
+    expected = entropy_oracle.measure_scored(spec, part, itin, n)
+    assert est.value == pytest.approx(expected.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("path", ["table", "membership"])
+def test_a_sample_outside_every_cell_is_caught(path, monkeypatch):
+    """Cells that miss symbol c fail the cover check; past that check,
+    the first sample holding c escapes every cell, on either path."""
+    spec = SystemSpec.shift(LAW3)
+    if path == "table":
+        part = _cells_at(0, ("a", "b"))
+    else:
+        part = PartitionSpec(
+            cells=tuple(
+                TestSet.from_cylinder(CylinderSet(cons))
+                for cons in (((0, "a"), (1, "a")), ((0, "a"), (1, "b")), ((0, "b"),))
+            ),
+            labels=("aa", "ab", "b"),
+        )
+    assert (entropy._single_position_table(spec, part) is None) == (path != "table")
+    with pytest.raises(ValueError, match="do not cover"):
+        partition_refine_entropy(spec, part, 4, 500, spawn_rngs(37, 1)[0])
+    monkeypatch.setattr(PartitionSpec, "measures_sum_to_one", lambda self, spec: True)
+    with pytest.raises(ValueError, match="escaped every cell"):
+        partition_refine_entropy(spec, part, 4, 500, spawn_rngs(37, 1)[0])
+
+
+def test_long_itineraries_score_without_underflow(monkeypatch):
+    """At n = 2500 nearly every refined cell has a measure below the
+    smallest double; its log is taken from the exact measure's numerator
+    and denominator, and the estimate agrees with the oracle's sum of
+    logs."""
+    spec = SystemSpec.shift(BernoulliSpec((0.1, 0.9)))
+    part = PartitionSpec(
+        cells=tuple(
+            TestSet.from_cylinder(CylinderSet(cons))
+            for cons in (((0, 1), (1, 1)), ((0, 1), (1, -1)), ((0, -1),))
+        ),
+        labels=("aa", "ab", "b"),
+    )
+    n = 2500
+    drawn, scored = [], []
+    _record(monkeypatch, drawn, scored)
+    est = partition_refine_entropy(spec, part, n, 100, spawn_rngs(38, 1)[0])
+    expected = entropy_oracle.measure_scored(spec, part, np.concatenate(scored), n)
+    assert est.value == pytest.approx(expected.value, rel=1e-12)
+    assert est.stderr == pytest.approx(expected.stderr, rel=1e-12)
+    assert abs(est.value - bernoulli_entropy(spec.bernoulli)) <= 5 * est.stderr
+
+
 def test_streamed_sampling_memory_is_bounded():
     """10^6 samples at n = 10 keep one chunk's arrays alive at a time;
     the one-batch sampler traced about 350 MB here."""

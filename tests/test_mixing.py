@@ -366,6 +366,23 @@ def test_streamed_monte_carlo_equals_one_batch(spec, A, B, monkeypatch):
     assert point.estimate == float(np.mean(hits))
 
 
+def test_monte_carlo_values_on_a_biased_product_are_pinned():
+    """Hit counts on a (0.3, 0.7) product at fixed seeds.  Both values
+    were computed when symbols were drawn by ``Generator.choice``;
+    ``sample_batch`` draws the same symbols, so they must not move."""
+    spec = SystemSpec.product(GAMMA, BernoulliSpec((0.3, 0.7)))
+    A = TestSet.product_set(0, Fraction(1, 3), CylinderSet(((-1, 1), (2, -1))))
+    B = TestSet.product_set(Fraction(1, 4), 1, CylinderSet(((1, 1),)))
+    stat = weak_mixing_statistic(
+        spec, A, B, 8, mode="monte-carlo", samples=100_000, rng=spawn_rngs(5, 1)[0]
+    )
+    point = correlation(
+        spec, A, B, 3, mode="monte-carlo", samples=100_000, rng=spawn_rngs(6, 1)[0]
+    )
+    assert stat == 0.0077224999999999985
+    assert point.estimate == 0.02095
+
+
 def test_verdict_thresholds():
     assert weak_mixing_verdict(0.0001) == "consistent with weak mixing"
     assert weak_mixing_verdict(0.12) == "inconsistent with weak mixing"

@@ -31,7 +31,7 @@ from ergolab import (
 from ergolab import systems
 from ergolab.systems import skew_lag
 
-from helpers import GAMMA, UNIFORM4, four_systems
+from helpers import GAMMA, UNIFORM4, choice_symbols, four_systems
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +183,57 @@ def test_sample_batch_is_seed_deterministic(spec):
         if a is not None:
             assert np.array_equal(a, b)
     assert len(x) == 100
+
+
+def _law_256() -> BernoulliSpec:
+    weights = np.random.default_rng(256).random(256) + 0.1
+    return BernoulliSpec(tuple(weights / weights.sum()), tuple(range(256)))
+
+
+LAWS = {
+    "fair": BernoulliSpec.fair_coin(),
+    "0.1-0.9": BernoulliSpec((0.1, 0.9)),
+    "three": BernoulliSpec((0.2, 0.3, 0.5), (0, 1, 2)),
+    "uniform4": UNIFORM4,
+    "dyadic5": BernoulliSpec((0.5, 0.25, 0.125, 0.0625, 0.0625), tuple(range(5))),
+    "256": _law_256(),
+}
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "product"])
+@pytest.mark.parametrize("law", list(LAWS))
+def test_sample_batch_draws_what_choice_draws(law, kind):
+    """Comparing uniform draws with the cumulative law gives the symbols
+    of ``Generator.choice`` and leaves the generator in the same state;
+    index 255 of a 256-symbol law still fits the uint8 array."""
+    bern = LAWS[law]
+    spec = SystemSpec.shift(bern) if kind == "bernoulli" else SystemSpec.product(GAMMA, bern)
+    rng, oracle = spawn_rngs(16, 1)[0], spawn_rngs(16, 1)[0]
+    batch = sample_batch(spec, rng, 3_000, positions=range(-3, 4))
+    if kind == "product":
+        assert np.array_equal(batch.u, oracle.random(3_000))
+    expected = choice_symbols(bern, oracle, (3_000, 7))
+    k = len(bern.probs)
+    assert batch.sym.dtype == expected.dtype == np.min_scalar_type(k - 1)
+    assert np.array_equal(batch.sym, expected)
+    assert np.array_equal(np.unique(batch.sym), np.arange(k))
+    assert rng.random() == oracle.random()
+
+
+def test_a_draw_on_a_cumulative_entry_takes_the_next_symbol():
+    """u equal to an entry of the cumulative law counts it, as
+    ``searchsorted(u, side="right")`` does; the float just below does not."""
+    bern = LAWS["three"]
+    cdf = np.cumsum(bern.probs)
+    cdf /= cdf[-1]
+    draws = np.array([0.0, *cdf[:-1], *np.nextafter(cdf[:-1], 0), np.nextafter(1.0, 0)])
+
+    class Replay:
+        def random(self, shape):
+            return draws.reshape(shape)
+
+    batch = sample_batch(SystemSpec.shift(bern), Replay(), len(draws), positions=range(1))
+    assert batch.sym[:, 0].tolist() == [0, 1, 2, 0, 1, 2]
 
 
 def test_sample_point_shapes():
