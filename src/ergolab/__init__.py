@@ -14,6 +14,7 @@ from .quadratic import (
     QuadraticReal,
     RotationNumber,
     SQRT2_MINUS_1,
+    floor_sums,
     integral_combination,
 )
 from .systems import (
@@ -78,9 +79,7 @@ from .mixing import (
     CorrelationPoint,
     NoClosedFormError,
     TestSet,
-    birkhoff_average,
     correlation,
-    orbit_track,
     spectral_ergodicity_check,
     spectral_weak_mixing_check,
     weak_mixing_statistic,
@@ -96,6 +95,7 @@ __all__ = [
     "QuadraticReal",
     "RotationNumber",
     "SQRT2_MINUS_1",
+    "floor_sums",
     "integral_combination",
     # systems
     "BernoulliSpec",
@@ -155,9 +155,7 @@ __all__ = [
     "CorrelationPoint",
     "NoClosedFormError",
     "TestSet",
-    "birkhoff_average",
     "correlation",
-    "orbit_track",
     "spectral_ergodicity_check",
     "spectral_weak_mixing_check",
     "weak_mixing_statistic",

@@ -79,9 +79,12 @@ __all__ = [
 
 SCENARIOS = ("reproduce-letter", "reproduce-kolmogorov", "theorem1", "compute")
 DEFAULT_SEED = 1
-#: Most lags ``compute weak-mixing`` accepts.  The exact statistic costs
-#: about 25 microseconds per lag, so one run stays within a few minutes.
-MAX_WEAK_MIXING_LAGS = 10**7
+#: Most decimal digits of t that ``compute weak-mixing`` accepts.  The
+#: exact statistic takes O(digits) levels of floor sums on integers of
+#: O(digits) digits, about the cube of the digit count: 0.01-0.02 s at
+#: 100 digits, 1.1-3.0 s at 1,000 and 16-54 s at 3,000 on a 2-core
+#: x86-64 host, so the budget keeps one run near 3 s.
+MAX_WEAK_MIXING_DIGITS = 1000
 #: Most basis pairs the intertwiner of ``reproduce-letter`` and
 #: ``reproduce-kolmogorov`` may build.  At truncation B a pairing holds
 #: (2B+1)^2 pairs, or (2B+1)^3 between two products.  Building and
@@ -611,10 +614,13 @@ def _compute_weak_mixing(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     t = config.params.get("t", 10_000)
     if isinstance(t, bool) or not isinstance(t, int):
         raise ValueError(f"weak-mixing t must be an integer lag count, got {t!r}")
-    if t > MAX_WEAK_MIXING_LAGS:
+    digits = len(str(abs(t)))
+    if digits > MAX_WEAK_MIXING_DIGITS:
+        seconds = 3 * (digits / MAX_WEAK_MIXING_DIGITS) ** 3
         raise ValueError(
-            f"weak-mixing t = {t} lags exceeds the budget of "
-            f"{MAX_WEAK_MIXING_LAGS} lags"
+            f"weak-mixing t has {digits} digits, over the budget of "
+            f"{MAX_WEAK_MIXING_DIGITS}: its floor sums would take about "
+            f"{seconds:.0f} s"
         )
     statistic = weak_mixing_statistic(spec, A, B, t, mode="exact")
     results = {

@@ -1,6 +1,5 @@
-"""Trajectory statistics: Birkhoff averages, correlation sequences, and
-the finite-horizon weak-mixing statistic, with exact closed forms where
-the geometry allows them.
+"""Correlation sequences and the finite-horizon weak-mixing statistic,
+with exact closed forms where the geometry allows them.
 
 Weak mixing asks that the Cesaro average of |mu(S^i A  cap  B) - mu(A)mu(B)|
 tend to 0.  At desk scale only finite-t trends are observable, so verdicts
@@ -10,27 +9,29 @@ provided: an exact track for pairs with closed-form correlations (circle
 interval overlaps, cylinder independence), whose values and sums stay
 exact until one correctly rounded conversion to float, and a Monte-Carlo
 track for everything else; the spectral predicates give a third,
-non-numeric opinion.
+non-numeric opinion.  The exact statistic visits no lag of the rotation
+orbit beyond the few where cylinder constraints meet: the overlaps are
+piecewise linear in frac(i*gamma), so their sum over t lags is a handful
+of floor sums, each O(log t) steps along the continued fraction of gamma.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .koopman import SpectrumDescriptor
-from .quadratic import QuadraticReal, RotationNumber, surd_sign
+from .quadratic import QuadraticReal, RotationNumber, floor_sums
 from .systems import (
     BernoulliSpec,
     CylinderSet,
     SampleBatch,
     SystemSpec,
-    WindowError,
     iterate_batch,
     sample_chunks,
 )
@@ -39,9 +40,7 @@ __all__ = [
     "CorrelationPoint",
     "NoClosedFormError",
     "TestSet",
-    "birkhoff_average",
     "correlation",
-    "orbit_track",
     "spectral_ergodicity_check",
     "spectral_weak_mixing_check",
     "weak_mixing_statistic",
@@ -180,61 +179,6 @@ class TestSet:
 
 
 # ---------------------------------------------------------------------------
-# orbits and Birkhoff averages
-# ---------------------------------------------------------------------------
-
-
-def orbit_track(spec: SystemSpec, x0: SampleBatch, n: int) -> SampleBatch:
-    """The orbit of the one-row batch x0 as an n-row batch: row j is S^j x0.
-
-    The u track is ``(u0 + j*gamma) mod 1``; the v track of the skew map
-    accumulates the u track (pairwise summation keeps the roundoff near
-    machine precision even over 10^6 steps).  Row j of the sequence part
-    reads x0's window from column j on, as a strided view at x0's
-    anchor, so it covers the positions that every one of the n shifted
-    windows still holds; a window narrower than n symbols raises
-    :class:`WindowError`.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if len(x0) != 1 or x0.spec != spec:
-        raise ValueError(f"x0 must be one point of the {spec.kind} system")
-    u = v = sym = None
-    if x0.u is not None:
-        u = (x0.u[0] + np.arange(n) * spec.gamma.to_float()) % 1.0
-    if x0.v is not None:
-        increments = np.concatenate(([0.0], np.cumsum(u[:-1])))
-        v = (x0.v[0] + increments) % 1.0
-    if x0.sym is not None:
-        width = x0.sym.shape[1] - n + 1
-        if width < 1:
-            raise WindowError(
-                f"a window of {x0.sym.shape[1]} symbols cannot follow {n} steps"
-            )
-        sym = np.lib.stride_tricks.sliding_window_view(x0.sym[0], width)
-    return SampleBatch(spec=spec, u=u, v=v, sym=sym, anchor=x0.anchor)
-
-
-def birkhoff_average(
-    spec: SystemSpec,
-    f: Union[TestSet, Callable[[SampleBatch], np.ndarray]],
-    x0: SampleBatch,
-    n: int,
-) -> float:
-    """The time average (1/n) sum_{j<n} f(S^j x0) along :func:`orbit_track`.
-
-    ``f`` is a TestSet (averaged as its indicator, via
-    :meth:`TestSet.contains_batch`) or a callable taking the orbit batch
-    and returning per-step values.  For ergodic systems this tends to
-    the space average; the function itself makes no claim beyond the
-    finite sum.
-    """
-    orbit = orbit_track(spec, x0, n)
-    values = f.contains_batch(spec, orbit) if isinstance(f, TestSet) else f(orbit)
-    return float(np.mean(values))
-
-
-# ---------------------------------------------------------------------------
 # correlations
 # ---------------------------------------------------------------------------
 
@@ -257,80 +201,100 @@ class CorrelationPoint:
         }
 
 
+@dataclass(frozen=True)
 class _CircleOverlap:
-    """Exact overlaps ``|([a1, b1) + x) cap [a2, b2)|`` on the circle for the
-    points ``x = frac(i*gamma)`` of one rotation orbit, in integer arithmetic.
+    """The overlap ``f(x) = |([a1, b1) + x) cap [a2, b2)|`` of two arcs on
+    the circle, and its deviations along one rotation orbit, exactly.
 
-    gamma (as its exact ``a + b*sqrt(d)``) and the four endpoints are put
-    over one common denominator D, so every point is ``(P + Q*sqrt(d))/D``
-    with integers P and Q, and every comparison is the integer sign test
-    :func:`surd_sign`.  :meth:`orbit` steps ``frac(i*gamma)`` by the exact
-    recurrence ``x <- x + gamma - [x + gamma >= 1]`` (the one behind the
-    three-distance theorem), so no lag recomputes ``i*gamma``.
+    :meth:`at` sums both lifts ``[a1 + x - s, b1 + x - s)``, s = 0 and 1,
+    against ``[a2, b2)`` inside [0, 1], for a rational or quadratic x in
+    [0, 1].  :meth:`deviation_sum` adds ``|f(frac(i*gamma)) - c|`` over a
+    range of lags without visiting them: f is piecewise linear with
+    slopes -1, 0 and 1, so the summand is linear between the rational
+    points where an end of ``A + x`` meets an end of B or f crosses c,
+    and each piece needs only the count and the sum of the orbit points
+    below its ends, which are floor sums (:func:`floor_sums`).  The
+    pieces depend on the arcs and c alone, so a sweep over t finds them
+    once: instances compare by value and :meth:`_steps` is cached.
     """
 
-    def __init__(self, gamma: RotationNumber, A: TestSet, B: TestSet) -> None:
+    gamma: QuadraticReal
+    a1: Fraction
+    b1: Fraction
+    a2: Fraction
+    b2: Fraction
+
+    @classmethod
+    def between(cls, gamma: RotationNumber, A: TestSet, B: TestSet) -> "_CircleOverlap":
         if not gamma.is_exact:
             raise NoClosedFormError(
                 "exact correlations need an exact rotation number"
             )
-        self.gamma = gamma
-        g = gamma.exact
-        ends = (A.a, A.b, B.a, B.b)
-        self.d = g.d
-        self.D = D = math.lcm(
-            g.a.denominator, g.b.denominator, *(e.denominator for e in ends)
+        return cls(gamma.exact, A.a, A.b, B.a, B.b)
+
+    def at(self, x):
+        """f(x) for x in [0, 1], in x's own arithmetic."""
+        total = Fraction(0)
+        for lift in (x, x - 1):
+            left = max(self.a1 + lift, self.a2)
+            right = min(self.b1 + lift, self.b2)
+            if right > left:
+                total = right - left + total
+        return total
+
+    def deviation_sum(self, c: Fraction, t: int) -> QuadraticReal:
+        """``sum_{1 <= i < t} |f(frac(i*gamma)) - c|``, exactly.
+
+        Between consecutive cuts the summand is ``alpha + beta*x``.  With
+        ``N(e)`` the number of points ``x_i = frac(i*gamma)`` below a cut
+        e and ``S(e)`` their sum, the total is the sum over the cuts
+        e > 0 of ``N(e)*dalpha + S(e)*dbeta``, where dalpha and dbeta are
+        the coefficients of the piece below e less those of the piece
+        above it (none above 1).  ``[x_i < e] = F_i - G_i`` with
+        ``F_i = floor(i*gamma)`` and ``G_i = floor(i*gamma - e)``, and
+        ``x_i*[x_i < e] = i*gamma*[x_i < e] - (F_i**2 - G_i**2 + [x_i < e])/2``,
+        so N and S are floor sums.  Lag 0 is left out: frac(i*gamma) is
+        irrational for every i >= 1, so no point of the range lands on a
+        rational cut, and no floor sum meets a lattice point.
+        """
+        g = self.gamma
+        # i = k + 1 for k = 0..t-2
+        f0, f1, f2 = floor_sums(t - 2, g, g)
+        L, steps = self._steps(c)
+        along_gamma = twice_rational = 0  # scaled by L and by 2L
+        for offset, d_alpha, d_beta in steps:
+            g0, g1, g2 = floor_sums(t - 2, g, offset)
+            count = f0 - g0
+            along_gamma += (count + f1 - g1) * d_beta  # sum of i over the points
+            twice_rational += 2 * count * d_alpha - (f2 - g2 + count) * d_beta
+        return (g * along_gamma + Fraction(twice_rational, 2)) * Fraction(1, L)
+
+    @functools.lru_cache(maxsize=64)
+    def _steps(self, c: Fraction) -> tuple[int, list[tuple[QuadraticReal, int, int]]]:
+        """A denominator L and ``(gamma - e, L*dalpha, L*dbeta)`` at each
+        cut e > 0 of ``|f(x) - c| = alpha_k + beta_k*x``: the kinks of f,
+        where an end of ``A + x`` meets an end of B, and the points where
+        f crosses c."""
+        kinks = sorted(
+            {Fraction(0), Fraction(1)}
+            | {(e2 - e1) % 1 for e1 in (self.a1, self.b1) for e2 in (self.a2, self.b2)}
         )
-        self.step = self._numerators(g)
-        self.a1, self.b1, self.a2, self.b2 = (int(e * D) for e in ends)
-
-    def _numerators(self, x: QuadraticReal) -> tuple[int, int]:
-        return int(x.a * self.D), int(x.b * self.D)
-
-    def orbit(self, start: int) -> Iterator[tuple[int, int]]:
-        """Numerators (P, Q) of frac(i*gamma) for i = start, start+1, ...
-
-        The first point is ``frac_multiple(start)`` (0 needs no call);
-        each later one costs one addition and one sign test.
-        """
-        D, d = self.D, self.d
-        gp, gq = self.step
-        p, q = self._numerators(self.gamma.frac_multiple(start)) if start else (0, 0)
-        while True:
-            yield p, q
-            p += gp
-            q += gq
-            if surd_sign(p - D, q, d) >= 0:
-                p -= D
-
-    def length(self, p: int, q: int) -> tuple[int, int]:
-        """Numerators ``(P, Q)`` of ``|([a1, b1) + x) cap [a2, b2)|``
-        ``= (P + Q*sqrt(d))/D`` for ``x = (p + q*sqrt(d))/D``, exactly.
-
-        An endpoint is a pair of numerators; the ends of ``[a2, b2)`` are
-        rational (Q = 0).
-        """
-        D, d = self.D, self.d
-
-        def above(x, y):
-            return surd_sign(x[0] - y[0], x[1] - y[1], d) > 0
-
-        lo, hi = (self.a1 + p, q), (self.b1 + p, q)
-        a2, b2 = (self.a2, 0), (self.b2, 0)
-        if above(hi, (D, 0)):
-            # wraps past 1: [lo, 1) and [0, hi - 1); 0 <= a2 and b2 <= 1,
-            # so the wrap points never clip
-            pieces = ((lo, b2), (a2, (hi[0] - D, q)))
-        else:
-            pieces = ((lo, hi),)
-        num = irr = 0
-        for plo, phi in pieces:
-            left = plo if above(plo, a2) else a2
-            right = phi if above(b2, phi) else b2
-            if above(right, left):
-                num += right[0] - left[0]
-                irr += right[1] - left[1]
-        return num, irr
+        dev = {e: self.at(e) - c for e in kinks}  # f - c at each cut
+        for lo, hi in zip(kinks, kinks[1:]):
+            if dev[lo] * dev[hi] < 0:  # f is linear on [lo, hi] and crosses c
+                dev[lo + (hi - lo) * dev[lo] / (dev[lo] - dev[hi])] = Fraction(0)
+        cuts = sorted(dev)
+        pieces = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            beta = (abs(dev[hi]) - abs(dev[lo])) / (hi - lo)
+            pieces.append((abs(dev[lo]) - beta * lo, beta))
+        pieces.append((Fraction(0), Fraction(0)))  # nothing above 1
+        steps = [
+            (e, below[0] - above[0], below[1] - above[1])
+            for e, below, above in zip(cuts[1:], pieces, pieces[1:])
+        ]
+        L = math.lcm(*(x.denominator for _, *ds in steps for x in ds))
+        return L, [(self.gamma - e, int(da * L), int(db * L)) for e, da, db in steps]
 
 
 def _closed_form_factors(spec: SystemSpec, A: TestSet, B: TestSet) -> tuple[bool, bool]:
@@ -361,41 +325,27 @@ def _closed_form_factors(spec: SystemSpec, A: TestSet, B: TestSet) -> tuple[bool
     )
 
 
-def _exact_correlations(
-    spec: SystemSpec, A: TestSet, B: TestSet, start: int, minus: Fraction = Fraction(0)
-) -> Iterator[tuple[int, int, int]]:
-    """Exact ``mu(S^i(A) cap B) - minus`` for i = start, start+1, ...,
-    each as integers ``(P, Q, R)`` with the value ``(P + Q*sqrt(d))/R``,
-    d being the angle's field (Q = 0 without a rotation factor).
+def _exact_correlation(
+    spec: SystemSpec, A: TestSet, B: TestSet, i: int
+) -> Union[Fraction, QuadraticReal]:
+    """Exact ``mu(S^i(A) cap B)``: a rational, or a value of the angle's
+    field once a rotation factor moves off 0.
 
-    The u factor is the interval overlap along the rotation orbit, the w
-    factor the merged cylinder constraints; a product set multiplies
-    both.  Raises :class:`NoClosedFormError` where no closed form exists.
+    The u factor is the arc overlap at ``frac(i*gamma)``, the w factor
+    the merged cylinder constraints; a product set multiplies both.
+    Raises :class:`NoClosedFormError` where no closed form exists.
     """
     has_u, has_w = _closed_form_factors(spec, A, B)
-    num, irr, D = 1, 0, 1  # the whole circle
+    value = Fraction(1)
     if has_u:
-        overlap = _CircleOverlap(spec.gamma, A, B)
-        orbit = overlap.orbit(start)
-        D = overlap.D
-    mn, md = minus.numerator, minus.denominator
-    for i in itertools.count(start):
-        w = Fraction(1)
-        if has_w:
-            # S^i(A) moves A's constraints from p to p - i
-            both = A.cylinder.translate(-i).merge(B.cylinder)
-            w = Fraction(0) if both is None else both.measure(spec.bernoulli)
-        if has_u:
-            num, irr = overlap.length(*next(orbit))
-        wn, wd = w.numerator, w.denominator
-        yield num * wn * md - mn * D * wd, irr * wn * md, D * wd * md
-
-
-def _field(spec: SystemSpec) -> int:
-    """The d of the exact values' sqrt(d) terms: the angle's field, or 2
-    (any field) when they have none, as without an exact angle."""
-    gamma = spec.gamma
-    return gamma.exact.d if gamma is not None and gamma.is_exact else 2
+        overlap = _CircleOverlap.between(spec.gamma, A, B)
+        # lag 0 sits at the orbit's one rational point, 0
+        value *= overlap.at(spec.gamma.frac_multiple(i) if i else Fraction(0))
+    if has_w:
+        # S^i(A) moves A's constraints from p to p - i
+        both = A.cylinder.translate(-i).merge(B.cylinder)
+        value *= 0 if both is None else both.measure(spec.bernoulli)
+    return value
 
 
 def correlation(
@@ -420,8 +370,7 @@ def correlation(
     if i < 0:
         raise ValueError("i must be >= 0")
     if mode == "exact":
-        p, q, r = next(_exact_correlations(spec, A, B, i))
-        value = float(QuadraticReal.from_integers(p, q, _field(spec), r))
+        value = float(_exact_correlation(spec, A, B, i))
         return CorrelationPoint(i=i, estimate=value, exact=True)
     if mode != "monte-carlo":
         raise ValueError(f"unknown mode {mode!r}")
@@ -499,13 +448,17 @@ def weak_mixing_statistic(
     """The finite-t Cesaro average (1/t) sum_{i<t} |mu(S^i A cap B) - mu(A)mu(B)|.
 
     In exact mode the sum is exact and only the mean becomes a float,
-    correctly rounded.  On the rotation factor the orbit ``frac(i*gamma)``
-    is stepped by the exact recurrence and each overlap is decided by
-    integer sign tests (:class:`_CircleOverlap`), a few integer operations
-    per lag; each term ``(P + Q*sqrt(d))/R`` takes its sign from
-    :func:`surd_sign`, and ``|term|`` is added to the exact rational and
-    sqrt(d) parts of the sum.  In monte-carlo mode one sample, streamed
-    in chunks, serves every lag: each chunk's hits are counted at all t
+    correctly rounded; it costs O(log t), not O(t).  The cylinder
+    constraints of S^i(A) and B share a position only at the lags
+    ``i = p_A - p_B``; at every other lag the w factor is exactly
+    mu_w(A)mu_w(B) =: W.  Those lags and lag 0 are summed one by one
+    (:func:`_exact_correlation`).  Without a rotation factor every other
+    term is 0.  With one, every other term is ``W*|f(x_i) - c|`` for the
+    arc overlap f at ``x_i = frac(i*gamma)`` and ``c = |I_A||I_B|``; that
+    sum over 1 <= i < t comes from floor sums along the continued
+    fraction of gamma (:meth:`_CircleOverlap.deviation_sum`), less the
+    lags already summed.  In monte-carlo mode one sample, streamed in
+    chunks, serves every lag: each chunk's hits are counted at all t
     lags before the next chunk is drawn.  The estimate stays consistent
     because each lag's indicator mean is unbiased.
     """
@@ -513,13 +466,22 @@ def weak_mixing_statistic(
         raise ValueError("t must be >= 1")
     if mode == "exact":
         product = A.exact_measure(spec) * B.exact_measure(spec)
-        d = _field(spec)
-        rational = irrational = Fraction(0)
-        for p, q, r in itertools.islice(_exact_correlations(spec, A, B, 0, product), t):
-            sign = surd_sign(p, q, d)
-            rational += Fraction(sign * p, r)
-            irrational += Fraction(sign * q, r)
-        return float(QuadraticReal(rational / t, irrational / t, d))
+        has_u, has_w = _closed_form_factors(spec, A, B)
+        lags = {0}
+        if has_w:
+            lags |= {pa - pb for pa in A.cylinder.positions for pb in B.cylinder.positions}
+        lags = sorted(i for i in lags if 0 <= i < t)
+        total = Fraction(0)
+        for i in lags:
+            total += abs(_exact_correlation(spec, A, B, i) - product)
+        if has_u:
+            overlap = _CircleOverlap.between(spec.gamma, A, B)
+            c = (A.b - A.a) * (B.b - B.a)
+            rest = overlap.deviation_sum(c, t)
+            for i in lags[1:]:
+                rest -= abs(overlap.at(spec.gamma.frac_multiple(i)) - c)
+            total += product / c * rest
+        return float(total * Fraction(1, t))
     if mode != "monte-carlo":
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:

@@ -7,7 +7,8 @@ quadratic irrational ``(p + q*sqrt(d)) / r`` with all arithmetic reduced
 to integer arithmetic, or as a high-precision decimal for user-supplied
 values that have no exact form.  Only the quadratic kind supports exact
 group queries; numeric evaluation is available for both and is
-bit-reproducible at a fixed precision.
+bit-reproducible at a fixed precision.  :func:`floor_sums` sums the
+floors along a line of quadratic slope exactly, in O(log n) steps.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "QuadraticReal",
     "RotationNumber",
     "SQRT2_MINUS_1",
+    "floor_sums",
     "integral_combination",
     "surd_sign",
 ]
@@ -73,6 +75,21 @@ def surd_sign(a, b, d: int) -> int:
     if a > 0:  # b < 0
         return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
     return -1 if lhs > rhs else (1 if lhs < rhs else 0)
+
+
+def _floor_of(p: int, q: int, r: int, d: int) -> int:
+    """``floor((p + q*sqrt(d)) / r)`` for integers with r > 0, exactly.
+
+    ``s = isqrt(q*q*d)`` puts ``|q|*sqrt(d)`` strictly between s and
+    s + 1 (a nonzero q*sqrt(d) is irrational), so the numerator lies
+    strictly inside ``(p + s, p + s + 1)`` for q > 0 and inside
+    ``(p - s - 1, p - s)`` for q < 0; dividing an open unit interval
+    with integer ends by r cannot straddle an integer.
+    """
+    if q == 0:
+        return p // r
+    s = math.isqrt(q * q * d)
+    return (p + s) // r if q > 0 else (p - s - 1) // r
 
 
 @total_ordering
@@ -152,7 +169,12 @@ class QuadraticReal:
     def __rsub__(self, other: object) -> "QuadraticReal":
         return (-self) + other
 
+    def __abs__(self) -> "QuadraticReal":
+        return -self if self.sign() < 0 else self
+
     def __mul__(self, other: object) -> "QuadraticReal":
+        if isinstance(other, (int, Fraction)):  # a rational scales both parts
+            return QuadraticReal(self.a * other, self.b * other, self.d)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -193,9 +215,6 @@ class QuadraticReal:
 
     # -- floor / frac -------------------------------------------------
 
-    def approx_float(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
-
     def __float__(self) -> float:
         """The nearest float, correctly rounded.
 
@@ -208,8 +227,7 @@ class QuadraticReal:
         """
         if self.b == 0:
             return float(self.a)
-        D = math.lcm(self.a.denominator, self.b.denominator)
-        p, q = int(self.a * D), int(self.b * D)
+        p, q, D = self._numerators()
         K = 64
         while True:
             s = math.isqrt(self.d << (2 * K))
@@ -225,13 +243,18 @@ class QuadraticReal:
                 mpmath.sqrt(self.d) * self.b.numerator / self.b.denominator
             )
 
+    def _numerators(self) -> tuple[int, int, int]:
+        """Integers ``(p, q, r)``, r > 0, with the value ``(p + q*sqrt(d))/r``."""
+        r = math.lcm(self.a.denominator, self.b.denominator)
+        return (
+            self.a.numerator * (r // self.a.denominator),
+            self.b.numerator * (r // self.b.denominator),
+            r,
+        )
+
     def floor(self) -> int:
-        n = math.floor(self.approx_float())
-        while self < n:
-            n -= 1
-        while not self < n + 1:
-            n += 1
-        return n
+        """Exactly, from one integer square root (:func:`_floor_of`)."""
+        return _floor_of(*self._numerators(), self.d)
 
     def frac(self) -> "QuadraticReal":
         """Fractional part, exactly in [0, 1)."""
@@ -398,3 +421,107 @@ def integral_combination(
     if any(c != 0 for c in irrational.values()):
         return False
     return rational.denominator == 1
+
+
+def floor_sums(
+    n: int, slope: QuadraticReal, offset: QuadraticReal
+) -> tuple[int, int, int]:
+    """``(sum F_i, sum i*F_i, sum F_i**2)`` over i = 0..n, where
+    ``F_i = floor(slope*i + offset)``, exactly, in O(log n) steps.
+
+    ``slope`` must be irrational; ``offset`` is any value of its field
+    (or a rational).  An irrational line meets at most one lattice point
+    ``slope*i + offset in Z``; that term is added directly and the two
+    ranges beside it go to :func:`_floor_sums`, which needs a line
+    clear of lattice points.
+    """
+    if slope.b == 0:
+        raise ValueError("floor_sums needs an irrational slope")
+    if offset.b != 0 and offset.d != slope.d:
+        raise ValueError(f"cannot mix sqrt({slope.d}) and sqrt({offset.d}) exactly")
+    if n < 0:
+        return 0, 0, 0
+    k = -offset.b / slope.b  # the only i where the sqrt(d) parts cancel
+    v = slope.a * k + offset.a if k.denominator == 1 and 0 <= k <= n else None
+    if v is None or v.denominator != 1:
+        return _floor_sums(n, slope._numerators(), offset._numerators(), slope.d)
+    k, v = int(k), int(v)
+    f1, g1, h1 = floor_sums(k - 1, slope, offset)
+    f2, g2, h2 = floor_sums(n - k - 1, slope, offset + slope * (k + 1))
+    # the upper range counts from i = k + 1
+    return f1 + v + f2, g1 + k * v + (k + 1) * f2 + g2, h1 + v * v + h2
+
+
+def _floor_sums(n: int, slope, offset, d: int) -> tuple[int, int, int]:
+    """:func:`floor_sums` for a line with no lattice point at i = 0..n.
+
+    Slope and offset are integer triples ``(p, q, r)`` for
+    ``(p + q*sqrt(d))/r``.  Each level takes out the integer parts A and
+    B, leaving ``alpha, beta`` in [0, 1) and ``F_i = A*i + B + R_i`` with
+    ``R_i = floor(alpha*i + beta)`` < m + 1, ``m = R_n``.  Then
+    ``R_i > j`` iff ``i > Y_j = floor((j + 1 - beta)/alpha)`` (never
+    equal, as no lattice point lies on the line), so swapping the axes
+    turns the sums of R into sums of Y over j = 0..m-1: a line of slope
+    1/alpha and offset (1 - beta)/alpha, again clear of lattice points.
+    The slopes are the complete quotients of the continued fraction of
+    the first one (:func:`_continued_fraction`), so two levels at least
+    halve n (Euclid's algorithm on a real slope; the three-distance
+    theorem has the same recursion).
+    """
+    quotients, start = _continued_fraction(slope, d)
+    period = len(quotients) - start
+    op, oq, orr = offset
+    levels = []
+    while True:
+        k = len(levels)
+        A, (ap, aq, ar), (sp, sq, sr) = quotients[
+            k if k < start else start + (k - start) % period
+        ]
+        B = _floor_of(op, oq, orr, d)
+        op -= B * orr
+        m = _floor_of(ap * n * orr + op * ar, aq * n * orr + oq * ar, ar * orr, d)
+        levels.append((n, m, A, B))
+        if m == 0:
+            break
+        # (1 - beta)/alpha, with 1 - beta = (u + v*sqrt(d))/orr
+        u, v = orr - op, -oq
+        op, oq, orr = _reduced(u * sp + v * sq * d, u * sq + v * sp, orr * sr)
+        n = m - 1
+    f = g = h = 0  # the sums of Y one level down (none below m == 0)
+    for n, m, A, B in reversed(levels):
+        f, g, h = m * n - f, (m * n * (n + 1) - h - f) // 2, n * m * m - 2 * g - f
+        s0, s1, s2 = n + 1, n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6
+        f, g, h = (
+            A * s1 + B * s0 + f,
+            A * s2 + B * s1 + g,
+            A * A * s2 + 2 * A * B * s1 + B * B * s0 + 2 * A * g + 2 * B * f + h,
+        )
+    return f, g, h
+
+
+@lru_cache(maxsize=16)
+def _continued_fraction(x: tuple[int, int, int], d: int) -> tuple[list, int]:
+    """The levels ``(A, alpha, 1/alpha)`` of the continued fraction of the
+    irrational ``x = (p + q*sqrt(d))/r`` (``A = floor``, alpha the rest),
+    up to the first complete quotient that repeats, and the level where
+    the repetition starts.  Complete quotients of a quadratic irrational
+    are eventually periodic (Lagrange), and a reduced triple names its
+    value uniquely, so the first repeat closes the period."""
+    seen: dict = {}
+    levels = []
+    while x not in seen:
+        seen[x] = len(levels)
+        p, q, r = x
+        A = _floor_of(p, q, r, d)
+        p -= A * r
+        x = _reduced(r * p, -r * q, p * p - q * q * d)
+        levels.append((A, (p, q, r), x))
+    return levels, seen[x]
+
+
+def _reduced(p: int, q: int, r: int) -> tuple[int, int, int]:
+    """``(p, q, r)`` over their gcd, with r > 0."""
+    g = math.gcd(p, q, r)
+    if r < 0:
+        g = -g
+    return p // g, q // g, r // g

@@ -4,6 +4,9 @@
   by a different route from ``QuadraticReal.__float__``: mpmath proposes
   ``n = floor(2**K x)``, exact comparisons confirm ``n <= 2**K x < n + 1``,
   and ``float(Fraction)`` rounds both ends.
+* :func:`floor_sums_term_by_term` adds the three floor sums of
+  ``floor_sums`` one term at a time; each floor starts from a float
+  guess and is fixed by exact integer sign tests.
 * :func:`bounded_group_relation` and :func:`bounded_one_simple` are the
   bounded coefficient searches that ``point_spectrum_groups_equal`` and
   ``is_one_simple`` once ran.  A witness they find is a proof, so the
@@ -13,12 +16,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import mpmath
 
 from ergolab import QuadraticReal, RotationNumber, integral_combination
+from ergolab.quadratic import surd_sign
 
 
 def bracket_float(x: QuadraticReal) -> float:
@@ -35,6 +40,26 @@ def bracket_float(x: QuadraticReal) -> float:
         if float(lo) == float(hi):
             return float(lo)
         K *= 2
+
+
+def floor_sums_term_by_term(
+    n: int, slope: QuadraticReal, offset: QuadraticReal
+) -> tuple[int, int, int]:
+    """``(sum F_i, sum i*F_i, sum F_i**2)``, ``F_i = floor(slope*i + offset)``,
+    over i = 0..n, in O(n)."""
+    d = slope.d
+    R = math.lcm(*(x.denominator for x in (slope.a, slope.b, offset.a, offset.b)))
+    sp, sq, op, oq = (int(x * R) for x in (slope.a, slope.b, offset.a, offset.b))
+    f = g = h = 0
+    for i in range(n + 1):
+        P, Q = sp * i + op, sq * i + oq
+        k = math.floor((P + Q * math.sqrt(d)) / R)
+        while surd_sign(P - k * R, Q, d) < 0:
+            k -= 1
+        while surd_sign(P - (k + 1) * R, Q, d) >= 0:
+            k += 1
+        f, g, h = f + k, g + i * k, h + k * k
+    return f, g, h
 
 
 def bounded_group_relation(

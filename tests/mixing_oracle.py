@@ -1,0 +1,190 @@
+"""Reference implementations for the mixing tests.
+
+* :func:`statistic_prefixes` is the O(t) exact weak-mixing sum that
+  ``weak_mixing_statistic`` once ran: it steps ``frac(i*gamma)`` by the
+  exact recurrence ``x <- x + gamma - [x + gamma >= 1]``, decides each
+  arc overlap by integer sign tests and adds every ``|term|`` to exact
+  rational and sqrt(d) parts.  The floor-sum closed form must equal it
+  bit for bit.  Its overlap splits a wrapped arc into the pieces on
+  either side of 1, not into two lifts as the library does.
+* :func:`orbit_track` and :func:`birkhoff_average` are float orbits and
+  time averages along them, kept for the tests that compare them with
+  ``iterate_batch``; no scenario uses them.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction
+from typing import Callable, Iterator, Union
+
+import numpy as np
+
+from ergolab import (
+    QuadraticReal,
+    RotationNumber,
+    SampleBatch,
+    SystemSpec,
+    TestSet,
+    WindowError,
+)
+from ergolab.mixing import _closed_form_factors
+from ergolab.quadratic import surd_sign
+
+
+class CircleOrbit:
+    """The points ``x = frac(i*gamma)`` of one rotation orbit and the
+    overlaps ``|([a1, b1) + x) cap [a2, b2)|`` at them, in integer
+    arithmetic.
+
+    gamma and the four endpoints are put over one common denominator D,
+    so every point is ``(P + Q*sqrt(d))/D`` with integers P and Q, and
+    every comparison is the integer sign test ``surd_sign``.
+    """
+
+    def __init__(self, gamma: RotationNumber, A: TestSet, B: TestSet) -> None:
+        self.gamma = gamma
+        g = gamma.exact
+        ends = (A.a, A.b, B.a, B.b)
+        self.d = g.d
+        self.D = D = math.lcm(
+            g.a.denominator, g.b.denominator, *(e.denominator for e in ends)
+        )
+        self.step = self._numerators(g)
+        self.a1, self.b1, self.a2, self.b2 = (int(e * D) for e in ends)
+
+    def _numerators(self, x: QuadraticReal) -> tuple[int, int]:
+        return int(x.a * self.D), int(x.b * self.D)
+
+    def orbit(self, start: int) -> Iterator[tuple[int, int]]:
+        """Numerators (P, Q) of frac(i*gamma) for i = start, start+1, ...;
+        each point after ``frac_multiple(start)`` costs one addition and
+        one sign test."""
+        D, d = self.D, self.d
+        gp, gq = self.step
+        p, q = self._numerators(self.gamma.frac_multiple(start)) if start else (0, 0)
+        while True:
+            yield p, q
+            p += gp
+            q += gq
+            if surd_sign(p - D, q, d) >= 0:
+                p -= D
+
+    def length(self, p: int, q: int) -> tuple[int, int]:
+        """Numerators ``(P, Q)`` of the overlap at ``x = (p + q*sqrt(d))/D``.
+
+        The arc ``[lo, hi) = [a1, b1) + x`` is cut at 1: it is ``[lo, hi)``
+        below 1, ``[lo - 1, hi - 1)`` past it, and ``[lo, 1)`` together
+        with ``[0, hi - 1)`` across it.
+        """
+        D, d = self.D, self.d
+
+        def above(x, y):
+            return surd_sign(x[0] - y[0], x[1] - y[1], d) > 0
+
+        one = (D, 0)
+        lo, hi = (self.a1 + p, q), (self.b1 + p, q)
+        a2, b2 = (self.a2, 0), (self.b2, 0)
+        if not above(hi, one):
+            pieces = ((lo, hi),)
+        elif above(one, lo):
+            pieces = ((lo, one), ((0, 0), (hi[0] - D, q)))
+        else:
+            pieces = (((lo[0] - D, q), (hi[0] - D, q)),)
+        num = irr = 0
+        for plo, phi in pieces:
+            left = plo if above(plo, a2) else a2
+            right = phi if above(b2, phi) else b2
+            if above(right, left):
+                num += right[0] - left[0]
+                irr += right[1] - left[1]
+        return num, irr
+
+
+def exact_correlations(
+    spec: SystemSpec, A: TestSet, B: TestSet, start: int, minus: Fraction = Fraction(0)
+) -> Iterator[tuple[int, int, int]]:
+    """Exact ``mu(S^i(A) cap B) - minus`` for i = start, start+1, ...,
+    each as integers ``(P, Q, R)`` with the value ``(P + Q*sqrt(d))/R``."""
+    has_u, has_w = _closed_form_factors(spec, A, B)
+    num, irr, D = 1, 0, 1  # the whole circle
+    if has_u:
+        overlap = CircleOrbit(spec.gamma, A, B)
+        orbit = overlap.orbit(start)
+        D = overlap.D
+    mn, md = minus.numerator, minus.denominator
+    for i in itertools.count(start):
+        w = Fraction(1)
+        if has_w:
+            both = A.cylinder.translate(-i).merge(B.cylinder)
+            w = Fraction(0) if both is None else both.measure(spec.bernoulli)
+        if has_u:
+            num, irr = overlap.length(*next(orbit))
+        wn, wd = w.numerator, w.denominator
+        yield num * wn * md - mn * D * wd, irr * wn * md, D * wd * md
+
+
+def field(spec: SystemSpec) -> int:
+    gamma = spec.gamma
+    return gamma.exact.d if gamma is not None else 2
+
+
+def statistic_prefixes(spec: SystemSpec, A: TestSet, B: TestSet, t: int) -> list[float]:
+    """The exact statistic at every horizon 1..t, from one O(t) pass:
+    ``|term|`` is summed exactly and each mean is rounded once."""
+    product = A.exact_measure(spec) * B.exact_measure(spec)
+    d = field(spec)
+    rational = irrational = Fraction(0)
+    out = []
+    for n, (p, q, r) in enumerate(
+        itertools.islice(exact_correlations(spec, A, B, 0, product), t), start=1
+    ):
+        sign = surd_sign(p, q, d)
+        rational += Fraction(sign * p, r)
+        irrational += Fraction(sign * q, r)
+        out.append(float(QuadraticReal(rational / n, irrational / n, d)))
+    return out
+
+
+def orbit_track(spec: SystemSpec, x0: SampleBatch, n: int) -> SampleBatch:
+    """The orbit of the one-row batch x0 as an n-row batch: row j is S^j x0.
+
+    The u track is ``(u0 + j*gamma) mod 1`` in floats; the v track of the
+    skew map accumulates the u track.  Row j of the sequence part reads
+    x0's window from column j on, as a strided view at x0's anchor, so it
+    covers the positions that every one of the n shifted windows still
+    holds; a window narrower than n symbols raises ``WindowError``.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if len(x0) != 1 or x0.spec != spec:
+        raise ValueError(f"x0 must be one point of the {spec.kind} system")
+    u = v = sym = None
+    if x0.u is not None:
+        u = (x0.u[0] + np.arange(n) * spec.gamma.to_float()) % 1.0
+    if x0.v is not None:
+        increments = np.concatenate(([0.0], np.cumsum(u[:-1])))
+        v = (x0.v[0] + increments) % 1.0
+    if x0.sym is not None:
+        width = x0.sym.shape[1] - n + 1
+        if width < 1:
+            raise WindowError(
+                f"a window of {x0.sym.shape[1]} symbols cannot follow {n} steps"
+            )
+        sym = np.lib.stride_tricks.sliding_window_view(x0.sym[0], width)
+    return SampleBatch(spec=spec, u=u, v=v, sym=sym, anchor=x0.anchor)
+
+
+def birkhoff_average(
+    spec: SystemSpec,
+    f: Union[TestSet, Callable[[SampleBatch], np.ndarray]],
+    x0: SampleBatch,
+    n: int,
+) -> float:
+    """The time average (1/n) sum_{j<n} f(S^j x0) along :func:`orbit_track`;
+    ``f`` is a TestSet (averaged as its indicator) or a callable taking
+    the orbit batch and returning per-step values."""
+    orbit = orbit_track(spec, x0, n)
+    values = f.contains_batch(spec, orbit) if isinstance(f, TestSet) else f(orbit)
+    return float(np.mean(values))

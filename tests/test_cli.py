@@ -26,7 +26,7 @@ from ergolab.cli import (
     DEFAULT_SEED,
     MAX_INTERTWINER_PAIRS,
     MAX_SAMPLED_SYMBOLS,
-    MAX_WEAK_MIXING_LAGS,
+    MAX_WEAK_MIXING_DIGITS,
     ExperimentConfig,
     ExperimentReport,
     RUNNERS,
@@ -404,12 +404,24 @@ def test_weak_mixing_refuses_a_cylinder_without_a_sequence(kind, tmp_path, capsy
 
 
 def test_weak_mixing_refuses_t_above_the_lag_budget(tmp_path, capsys):
-    t = MAX_WEAK_MIXING_LAGS + 1
+    """The budget is on the digits of t, and the refusal states the cost."""
+    t = 10**MAX_WEAK_MIXING_DIGITS
     code, out = run(tmp_path, "compute", "weak-mixing",
                     "--config", _weak_mixing_config(tmp_path, t))
     assert code == 1
-    assert f"error: weak-mixing t = {t} lags exceeds" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert (f"error: weak-mixing t has {MAX_WEAK_MIXING_DIGITS + 1} digits, over the "
+            f"budget of {MAX_WEAK_MIXING_DIGITS}: its floor sums would take about 3 s") in err
     assert not out.exists()
+
+
+def test_weak_mixing_accepts_a_trillion_lags(tmp_path):
+    code, out = run(tmp_path, "compute", "weak-mixing",
+                    "--config", _weak_mixing_config(tmp_path, 10**12))
+    assert code == 0
+    results = read_report(out)["results"]
+    assert results["t"] == 10**12
+    assert 0.124 < results["statistic"] < 0.126
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ The exact correlation path is cross-checked against a blunt numeric
 oracle (dense grid membership counting) that shares no code with the
 interval-overlap arithmetic, and against an exact oracle that recomputes
 frac(i*gamma) per lag and overlaps intervals in QuadraticReal objects.
+The floor-sum statistic is checked bit for bit against the O(t) exact
+sum of ``mixing_oracle``.
 """
 
 from __future__ import annotations
@@ -27,10 +29,8 @@ from ergolab import (
     SystemSpec,
     TestSet,
     WindowError,
-    birkhoff_average,
     correlation,
     iterate_batch,
-    orbit_track,
     sample_batch,
     spawn_rngs,
     spectral_ergodicity_check,
@@ -40,11 +40,17 @@ from ergolab import (
     weak_mixing_verdict,
 )
 from ergolab import mixing, systems
-from ergolab.mixing import _CircleOverlap, _exact_correlations
 
 from entropy_oracle import concatenate
 from exact_oracle import bracket_float
 from helpers import BENCH_ANGLES, GAMMA, UNIFORM4, four_systems
+from mixing_oracle import (
+    CircleOrbit,
+    birkhoff_average,
+    exact_correlations,
+    orbit_track,
+    statistic_prefixes,
+)
 
 FAIR = BernoulliSpec.fair_coin()
 ROT = SystemSpec.rotation(GAMMA)
@@ -70,7 +76,12 @@ def _qr_interval_overlap_oracle(shift, a1, b1, a2, b2):
     """
     lo = a1 + shift
     hi = b1 + shift
-    pieces = [(lo, hi)] if not hi > 1 else [(lo, Fraction(1)), (Fraction(0), hi - 1)]
+    if not hi > 1:
+        pieces = [(lo, hi)]
+    elif lo < 1:
+        pieces = [(lo, Fraction(1)), (Fraction(0), hi - 1)]
+    else:  # wholly past 1
+        pieces = [(lo - 1, hi - 1)]
     total = None
     for plo, phi in pieces:
         left = plo if plo > a2 else a2
@@ -79,6 +90,14 @@ def _qr_interval_overlap_oracle(shift, a1, b1, a2, b2):
             piece = right - left
             total = piece if total is None else total + piece
     return Fraction(0) if total is None else total
+
+
+@st.composite
+def _interval(draw):
+    den = draw(st.integers(1, 13))
+    lo, hi = sorted(draw(st.lists(st.integers(0, den), min_size=2, max_size=2,
+                                  unique=True)))
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 def _oracle_correlation(spec, A, B, i):
@@ -128,10 +147,54 @@ def test_membership_frequency_matches_measure(seed):
 def test_rotation_correlation_matches_grid_oracle(i):
     point = correlation(ROT, HALF, HALF, i)
     assert point.exact
-    theta = float(GAMMA.frac_multiple(i).approx_float())
+    theta = float(GAMMA.frac_multiple(i))
     oracle = _grid_overlap_oracle(theta, 0, 0.5, 0, 0.5)
     assert abs(point.estimate - oracle) <= 2e-6  # oracle is grid-limited
     assert point.i == i and point.stderr == 0.0
+
+
+def _overlap_by_lifts(shift, a1, b1, a2, b2):
+    """|([a1, b1) + shift) cap [a2, b2)| on the circle as the overlaps of
+    both lifts [a1 + shift - s, b1 + shift - s), s = 0, 1, with [a2, b2)."""
+    total = Fraction(0)
+    for s in (0, 1):
+        lo, hi = a1 + shift - s, b1 + shift - s
+        left = lo if lo > a2 else a2
+        right = hi if hi < b2 else b2
+        if right > left:
+            total = right - left + total
+    return total
+
+
+def test_wrapped_arc_overlap():
+    """A = [1/2, 1) moved by frac(2*gamma) = 2*sqrt(2) - 2 lies wholly past
+    1, as the arc [2*sqrt(2) - 5/2, 2*sqrt(2) - 2); its overlap with
+    [0, 1/2) is 3 - 2*sqrt(2) = 0.1716, not the 1/2 of the arc [0, hi - 1)."""
+    A, B = TestSet.u_interval(Fraction(1, 2), 1), HALF
+    for i in (2, 4, 7, 9, 11):
+        shift = GAMMA.frac_multiple(i)
+        want = QuadraticReal.of(0) + _overlap_by_lifts(shift, A.a, A.b, B.a, B.b)
+        assert correlation(ROT, A, B, i).estimate == bracket_float(want)
+    got = correlation(ROT, A, B, 2).estimate
+    assert got == pytest.approx(3 - 2 * math.sqrt(2), abs=1e-15)
+    assert abs(got - _grid_overlap_oracle(float(GAMMA.frac_multiple(2)), A.a, A.b, B.a, B.b)) <= 2e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(angle=st.sampled_from(BENCH_ANGLES), ia=_interval(), ib=_interval(),
+       i=st.integers(0, 400))
+def test_overlap_oracles_agree(angle, ia, ib, i):
+    """The oracles' arcs cut at 1, the lifts and the library's overlap
+    give the same exact value at every orbit point."""
+    gamma = RotationNumber.quadratic(*angle)
+    A, B = TestSet.u_interval(*ia), TestSet.u_interval(*ib)
+    shift = gamma.frac_multiple(i)
+    want = QuadraticReal.of(0, gamma.exact.d) + _overlap_by_lifts(shift, *ia, *ib)
+    assert want == _qr_interval_overlap_oracle(shift, *ia, *ib)
+    orbit = CircleOrbit(gamma, A, B)
+    p, q = orbit.length(*next(orbit.orbit(i)))
+    assert want == QuadraticReal.from_integers(p, q, gamma.exact.d, orbit.D)
+    assert correlation(SystemSpec.rotation(gamma), A, B, i).estimate == bracket_float(want)
 
 
 def test_skew_u_interval_correlation_reduces_to_the_rotation():
@@ -206,14 +269,6 @@ def test_monte_carlo_statistic_tracks_exact():
     assert abs(mc - exact) < 0.01
 
 
-@st.composite
-def _interval(draw):
-    den = draw(st.integers(1, 13))
-    lo, hi = sorted(draw(st.lists(st.integers(0, den), min_size=2, max_size=2,
-                                  unique=True)))
-    return Fraction(lo, den), Fraction(hi, den)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     angle=st.sampled_from(BENCH_ANGLES),
@@ -249,13 +304,72 @@ def test_statistic_equals_the_per_lag_quadratic_oracle(angle, kind, ia, ib, t, l
     d = gamma.exact.d
     oracle = [QuadraticReal.of(0, d) + _oracle_correlation(spec, A, B, i) - product
               for i in range(t)]
-    kernel = itertools.islice(_exact_correlations(spec, A, B, 0, product), t)
+    kernel = itertools.islice(exact_correlations(spec, A, B, 0, product), t)
     assert [QuadraticReal.from_integers(p, q, d, r) for p, q, r in kernel] == oracle
     mean = sum((-v if v < 0 else v for v in oracle), QuadraticReal.of(0, d)) * Fraction(1, t)
     assert weak_mixing_statistic(spec, A, B, t) == bracket_float(mean)
     # one lag on its own, seeded from frac_multiple(lag)
     single = QuadraticReal.of(0, d) + _oracle_correlation(spec, A, B, lag)
     assert correlation(spec, A, B, lag).estimate == bracket_float(single)
+
+
+WRAPPING = (TestSet.u_interval(Fraction(2, 3), 1), TestSet.u_interval(Fraction(1, 4), Fraction(3, 5)))
+
+
+@pytest.mark.parametrize("angle", BENCH_ANGLES)
+def test_closed_form_equals_the_O_t_sum_at_every_horizon(angle):
+    """Every t <= 500, for [0, 1/2) against itself and for an A whose
+    moved arc wraps past 1 or lies wholly beyond it."""
+    spec = SystemSpec.skew(RotationNumber.quadratic(*angle))
+    for A, B in ((HALF, HALF), WRAPPING):
+        want = statistic_prefixes(spec, A, B, 500)
+        assert [weak_mixing_statistic(spec, A, B, t) for t in range(1, 501)] == want
+
+
+@st.composite
+def _cylinder(draw, law):
+    positions = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3, unique=True))
+    return CylinderSet(tuple((p, draw(st.sampled_from(law.symbols))) for p in positions))
+
+
+BIASED3 = BernoulliSpec((0.25, 0.5, 0.25), ("a", "b", "c"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), angle=st.sampled_from(BENCH_ANGLES), law=st.sampled_from([FAIR, BIASED3]),
+       kind=st.sampled_from(["rotation", "skew", "product", "product-set", "bernoulli",
+                             "product-cylinder"]),
+       t=st.integers(1, 2_000))
+@example(data=None, angle=BENCH_ANGLES[3], law=FAIR, kind="product-set", t=2_000)
+def test_closed_form_equals_the_O_t_sum(data, angle, law, kind, t):
+    """Every set kind with an exact statistic: u-intervals on the three
+    systems with a rotation factor, product sets, and cylinders on the
+    shift and the product."""
+    gamma = RotationNumber.quadratic(*angle)
+    if data is None:  # constraints that meet at lags 1 and 3; A's arc wraps
+        A = TestSet.product_set(Fraction(3, 4), 1, CylinderSet(((0, 1), (2, -1))))
+        B = TestSet.product_set(Fraction(1, 5), Fraction(9, 10), CylinderSet(((-1, -1), (1, 1))))
+        spec = SystemSpec.product(gamma, law)
+    elif kind in ("rotation", "skew", "product"):
+        spec = {"rotation": SystemSpec.rotation(gamma), "skew": SystemSpec.skew(gamma),
+                "product": SystemSpec.product(gamma, law)}[kind]
+        A, B = (TestSet.u_interval(*data.draw(_interval())) for _ in range(2))
+    elif kind == "product-set":
+        spec = SystemSpec.product(gamma, law)
+        A, B = (TestSet.product_set(*data.draw(_interval()), data.draw(_cylinder(law)))
+                for _ in range(2))
+    else:
+        spec = SystemSpec.shift(law) if kind == "bernoulli" else SystemSpec.product(gamma, law)
+        A, B = (TestSet.from_cylinder(data.draw(_cylinder(law))) for _ in range(2))
+    assert weak_mixing_statistic(spec, A, B, t) == statistic_prefixes(spec, A, B, t)[-1]
+
+
+def test_statistic_at_a_trillion_lags():
+    """O(log t): 10**12 lags on the skew map, deterministically, near the
+    Cesaro limit 1/8 of |overlap - 1/4| for [0, 1/2)."""
+    stat = weak_mixing_statistic(SKEW, HALF, HALF, 10**12)
+    assert 0.124 < stat < 0.126
+    assert weak_mixing_statistic(SKEW, HALF, HALF, 10**12) == stat
 
 
 @pytest.mark.parametrize(
@@ -272,7 +386,7 @@ def test_statistic_pinned_at_ten_thousand_lags(angle, expected):
 def test_recurrence_orbit_is_frac_multiple(angle):
     """2 - sqrt(2) has q < 0 and (sqrt(13) - 3)/2 has r = 2."""
     gamma = RotationNumber.quadratic(*angle)
-    overlap = _CircleOverlap(gamma, HALF, HALF)
+    overlap = CircleOrbit(gamma, HALF, HALF)
     D, d = overlap.D, overlap.d
     for i, (p, q) in zip(range(2_000), overlap.orbit(0)):
         assert QuadraticReal(Fraction(p, D), Fraction(q, D), d) == gamma.frac_multiple(i)

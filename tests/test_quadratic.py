@@ -20,10 +20,12 @@ from ergolab import (
     QuadraticReal,
     RotationNumber,
     SQRT2_MINUS_1,
+    floor_sums,
     integral_combination,
 )
 
-from exact_oracle import bracket_float
+from exact_oracle import bracket_float, floor_sums_term_by_term
+from helpers import BENCH_ANGLES
 
 FIELDS = (2, 3, 5, 6, 7, 10)
 
@@ -68,6 +70,12 @@ def test_scalar_mixing(x, c):
     assert (x + c) - c == x
 
 
+@given(quadratics(6))
+@settings(max_examples=30)
+def test_abs_is_the_signed_value(x):
+    assert abs(x) == (x if x.sign() >= 0 else -x) and abs(x).sign() >= 0
+
+
 def test_distinct_fields_do_not_mix():
     a = QuadraticReal.from_integers(0, 1, 2, 1)
     b = QuadraticReal.from_integers(0, 1, 3, 1)
@@ -109,6 +117,24 @@ def test_floor_and_frac(x):
     assert x == f + x.floor()
 
 
+@pytest.mark.parametrize("k", [10, 40, 120])
+def test_floor_of_large_parts_under_cancellation(k):
+    """(1 + sqrt(2))**k = P + Q*sqrt(2) with P, Q near 10**(k/2.6), and
+    P - Q*sqrt(2) is tiny: a float guess at the value is off by about
+    P * 2**-53 (10**30 at k = 120), far more than any shift below."""
+    x = QuadraticReal.of(1) + QuadraticReal(Fraction(0), Fraction(1), 2)
+    power = QuadraticReal.of(1)
+    for _ in range(k):
+        power *= x
+    tiny = QuadraticReal(power.a, -power.b, 2)
+    for shift in (Fraction(0), Fraction(1, 3), Fraction(-7, 2), Fraction(10**20, 3)):
+        value = tiny + shift
+        with mpmath.workprec(4 * k + 200):
+            want = int(mpmath.floor(mpmath.mpf(value.a.numerator) / value.a.denominator
+                                    - mpmath.sqrt(2) * power.b))
+        assert value.floor() == want
+
+
 @given(quadratics(5), quadratics(5))
 @settings(max_examples=200)
 def test_order_total_and_consistent(x, y):
@@ -122,7 +148,6 @@ def test_float_conversion_is_correctly_rounded():
     with mpmath.workprec(120):
         want = float(mpmath.sqrt(2) - 1)
     assert float(x) == want
-    assert abs(x.approx_float() - want) < 1e-12
 
 
 def test_float_is_correctly_rounded_under_cancellation():
@@ -178,7 +203,7 @@ def test_frac_multiple(k):
     g = SQRT2_MINUS_1
     got = g.frac_multiple(k)
     assert got == (g.exact * k).frac()
-    assert 0 <= got.approx_float() < 1 + 1e-12
+    assert 0 <= float(got) <= 1
 
 
 def test_json_round_trip():
@@ -234,3 +259,65 @@ def test_integral_combination_linearity(j, k):
     """j*g + k*(1-g) is integral iff j == k (g irrational)."""
     g = SQRT2_MINUS_1
     assert integral_combination([(g, j), (g.one_minus(), k)]) == (j == k)
+
+
+# ---------------------------------------------------------------------------
+# floor sums
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("angle", BENCH_ANGLES)
+def test_floor_sums_match_term_by_term_at_the_bench_angles(angle):
+    """Offsets 0 and 3 put a lattice point on the line at i = 0, and
+    2 - 7*gamma puts one at i = 7."""
+    gamma = RotationNumber.quadratic(*angle).exact
+    offsets = [QuadraticReal.of(0), QuadraticReal.of(3), 2 - 7 * gamma,
+               QuadraticReal.of(Fraction(-1, 3)), gamma - Fraction(1, 2)]
+    for offset in offsets:
+        for n in (0, 1, 7, 2_000):
+            assert floor_sums(n, gamma, offset) == floor_sums_term_by_term(n, gamma, offset)
+
+
+_irrational = st.tuples(
+    st.sampled_from(FIELDS), fractions, fractions.filter(lambda b: b != 0)
+).map(lambda t: QuadraticReal(t[1], t[2], t[0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    slope=_irrational,
+    shift=fractions,
+    tilt=fractions,
+    lattice=st.one_of(st.none(), st.integers(0, 60)),
+    n=st.integers(-1, 2_000),
+)
+def test_floor_sums_match_term_by_term(slope, shift, tilt, lattice, n):
+    """Random slopes and offsets in Q(sqrt(d)); with ``lattice`` = k the
+    line passes through the integer point (k, shift) when shift is whole."""
+    if lattice is None:
+        offset = QuadraticReal(shift, tilt, slope.d)
+    else:
+        offset = QuadraticReal.of(math.floor(shift), slope.d) - slope * lattice
+    assert floor_sums(n, slope, offset) == floor_sums_term_by_term(n, slope, offset)
+
+
+def test_floor_sums_need_an_irrational_slope():
+    with pytest.raises(ValueError, match="irrational slope"):
+        floor_sums(10, QuadraticReal.of(Fraction(1, 3)), QuadraticReal.of(0))
+    with pytest.raises(ValueError):
+        floor_sums(10, QuadraticReal(Fraction(0), Fraction(1), 2),
+                   QuadraticReal(Fraction(0), Fraction(1), 3))
+    assert floor_sums(-1, SQRT2_MINUS_1.exact, QuadraticReal.of(5)) == (0, 0, 0)
+
+
+def test_floor_sums_scale_to_long_ranges():
+    """n = 10**40 takes O(log n) steps.  sum_{i<=n} frac(i*gamma) =
+    n(n+1)/2*gamma - sum floor(i*gamma) must lie within O(log n) of n/2,
+    since gamma = sqrt(2) - 1 has bounded partial quotients (Ostrowski)."""
+    gamma = SQRT2_MINUS_1.exact
+    n = 10**40
+    f, g, h = floor_sums(n, gamma, QuadraticReal.of(0))
+    assert f == floor_sums(n - 1, gamma, gamma)[0]  # lag 0 adds 0
+    with mpmath.workprec(400):
+        fracs = mpmath.mpf(n) * (n + 1) / 2 * (mpmath.sqrt(2) - 1) - f
+        assert abs(fracs - mpmath.mpf(n) / 2) < 10 * math.log(n)
