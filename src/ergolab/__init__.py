@@ -7,157 +7,69 @@ three independent toolkits interrogate them — generalized
 proper-function towers (decided exactly, corroborated by residuals),
 per-step information rates, and correlation statistics.  A CLI wraps the
 named reproduction scenarios with deterministic, schema-validated reports.
+
+Public names resolve on first access (PEP 562): ``import ergolab`` loads
+no submodule, and ``ergolab.X`` imports only the submodule that defines
+X, so a run loads only the toolkits it computes with.
 """
 
-from .quadratic import (
-    ExactnessError,
-    QuadraticReal,
-    RotationNumber,
-    SQRT2_MINUS_1,
-    floor_sums,
-    integral_combination,
-)
-from .systems import (
-    BernoulliSpec,
-    CylinderSet,
-    SampleBatch,
-    SystemSpec,
-    WindowError,
-    iterate_batch,
-    sample_batch,
-    sample_chunks,
-    spawn_rngs,
-)
-from .koopman import (
-    CHAIN_BOXES,
-    GroupComparison,
-    IncompatibleSpectraError,
-    IntertwinerCheck,
-    IntertwinerPairing,
-    KOOPMAN_TABLE,
-    Phase,
-    SectorAction,
-    SpectrumDescriptor,
-    build_intertwiner,
-    is_one_simple,
-    koopman_step,
-    point_spectrum_groups_equal,
-    spectrum_of,
-    verify_intertwiner,
-)
-from .tower import (
-    DistinguishResult,
-    InconclusiveEvidenceError,
-    ModeSubgroup,
-    OrbitDecision,
-    ProductTowerCertificate,
-    ResidualReport,
-    TowerLevel,
-    UnsupportedSystemError,
-    certify_product_tower,
-    compute_tower,
-    decide_finite_orbits,
-    quasi_eigen_residual_search,
-    residual_reference,
-    stabilization_depth,
-    tower_step,
-    towers_distinguish,
-)
-from .entropy import (
-    EntropyEstimate,
-    EntropyVerdict,
-    PartitionSpec,
-    UndersampledError,
-    bernoulli_entropy,
-    block_entropy_rate,
-    entropy_classifier,
-    exact_block_entropy,
-    exact_block_entropy_rate,
-    partition_refine_entropy,
-)
-from .mixing import (
-    CorrelationPoint,
-    NoClosedFormError,
-    TestSet,
-    correlation,
-    spectral_ergodicity_check,
-    spectral_weak_mixing_check,
-    weak_mixing_statistic,
-    weak_mixing_verdict,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # quadratic
-    "ExactnessError",
-    "QuadraticReal",
-    "RotationNumber",
-    "SQRT2_MINUS_1",
-    "floor_sums",
-    "integral_combination",
-    # systems
-    "BernoulliSpec",
-    "CylinderSet",
-    "SampleBatch",
-    "SystemSpec",
-    "WindowError",
-    "iterate_batch",
-    "sample_batch",
-    "sample_chunks",
-    "spawn_rngs",
-    # koopman
-    "CHAIN_BOXES",
-    "GroupComparison",
-    "IncompatibleSpectraError",
-    "IntertwinerCheck",
-    "IntertwinerPairing",
-    "KOOPMAN_TABLE",
-    "Phase",
-    "SectorAction",
-    "SpectrumDescriptor",
-    "build_intertwiner",
-    "is_one_simple",
-    "koopman_step",
-    "point_spectrum_groups_equal",
-    "spectrum_of",
-    "verify_intertwiner",
-    # tower
-    "DistinguishResult",
-    "InconclusiveEvidenceError",
-    "ModeSubgroup",
-    "OrbitDecision",
-    "ProductTowerCertificate",
-    "ResidualReport",
-    "TowerLevel",
-    "UnsupportedSystemError",
-    "certify_product_tower",
-    "compute_tower",
-    "decide_finite_orbits",
-    "quasi_eigen_residual_search",
-    "residual_reference",
-    "stabilization_depth",
-    "tower_step",
-    "towers_distinguish",
-    # entropy
-    "EntropyEstimate",
-    "EntropyVerdict",
-    "PartitionSpec",
-    "UndersampledError",
-    "bernoulli_entropy",
-    "block_entropy_rate",
-    "entropy_classifier",
-    "exact_block_entropy",
-    "exact_block_entropy_rate",
-    "partition_refine_entropy",
-    # mixing
-    "CorrelationPoint",
-    "NoClosedFormError",
-    "TestSet",
-    "correlation",
-    "spectral_ergodicity_check",
-    "spectral_weak_mixing_check",
-    "weak_mixing_statistic",
-    "weak_mixing_verdict",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "quadratic": (
+            "ExactnessError", "QuadraticReal", "RotationNumber", "SQRT2_MINUS_1",
+            "floor_sums", "integral_combination",
+        ),
+        "systems": (
+            "BernoulliSpec", "CylinderSet", "InconclusiveEvidenceError", "SampleBatch",
+            "SystemSpec", "WindowError", "iterate_batch", "sample_batch", "sample_chunks",
+            "spawn_rngs",
+        ),
+        "koopman": (
+            "CHAIN_BOXES", "GroupComparison", "IncompatibleSpectraError", "IntertwinerCheck",
+            "IntertwinerPairing", "KOOPMAN_TABLE", "Phase", "SectorAction",
+            "SpectrumDescriptor", "build_intertwiner", "is_one_simple", "koopman_step",
+            "point_spectrum_groups_equal", "spectrum_of", "verify_intertwiner",
+        ),
+        "tower": (
+            "DistinguishResult", "ModeSubgroup", "OrbitDecision", "ProductTowerCertificate",
+            "ResidualReport", "TowerLevel", "UnsupportedSystemError",
+            "certify_product_tower", "compute_tower", "decide_finite_orbits",
+            "quasi_eigen_residual_search", "residual_reference", "stabilization_depth",
+            "tower_step", "towers_distinguish",
+        ),
+        "entropy": (
+            "EntropyEstimate", "EntropyVerdict", "PartitionSpec", "UndersampledError",
+            "bernoulli_entropy", "block_entropy_rate", "entropy_classifier",
+            "exact_block_entropy", "exact_block_entropy_rate", "partition_refine_entropy",
+        ),
+        "mixing": (
+            "CorrelationPoint", "NoClosedFormError", "TestSet", "correlation",
+            "spectral_ergodicity_check", "spectral_weak_mixing_check",
+            "weak_mixing_statistic", "weak_mixing_verdict",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name`` and keep the name here.
+    Any other name raises AttributeError, so ``from ergolab import cli``
+    still falls back to importing the submodule."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -8,6 +8,10 @@ individual operations.  Reports are deterministic byte for byte under a
 fixed seed: one root seed is split into named substreams, no timestamps
 are recorded, and JSON keys are sorted.  Exit codes are a stable
 contract: 0 success, 2 inconclusive evidence, 1 error.
+
+Config building and validation need only jsonschema, the angles and the
+system specs; each runner imports the toolkits it computes with when it
+runs, so ``compute weak-mixing`` loads neither numpy nor the tower.
 """
 
 from __future__ import annotations
@@ -21,50 +25,22 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import jsonschema
-import numpy as np
 
 from . import __version__
-from .entropy import (
-    PartitionSpec,
-    UndersampledError,
-    bernoulli_entropy,
-    entropy_classifier,
-    exact_block_entropy_rate,
-    partition_refine_entropy,
-)
-from .koopman import (
-    IncompatibleSpectraError,
-    build_intertwiner,
-    point_spectrum_groups_equal,
-    spectrum_of,
-    verify_intertwiner,
-)
-from .mixing import (
-    TestSet,
-    spectral_weak_mixing_check,
-    weak_mixing_statistic,
-    weak_mixing_verdict,
-)
 from .quadratic import ExactnessError, SQRT2_MINUS_1
 from .systems import (
     BernoulliSpec,
+    CylinderSet,
+    InconclusiveEvidenceError,
     SampleBatch,
     SystemSpec,
-    iterate_batch,
-    sample_batch,
-    spawn_rngs,
 )
-from .tower import (
-    InconclusiveEvidenceError,
-    compute_tower,
-    quasi_eigen_residual_search,
-    residual_reference,
-    stabilization_depth,
-    towers_distinguish,
-)
+
+if TYPE_CHECKING:
+    from .mixing import TestSet
 
 __all__ = [
     "ExperimentConfig",
@@ -269,6 +245,14 @@ def run_reproduce_letter(config: ExperimentConfig) -> ExperimentReport:
     "spectrally isomorphic" and "not spacially isomorphic".  A pair of
     identical skew systems instead reaches "not distinguished by tower".
     """
+    from .koopman import (
+        build_intertwiner,
+        point_spectrum_groups_equal,
+        spectrum_of,
+        verify_intertwiner,
+    )
+    from .tower import towers_distinguish
+
     specs = config.system_specs()
     if len(specs) != 2:
         raise ValueError("the letter scenario compares exactly two systems")
@@ -359,6 +343,17 @@ def run_reproduce_kolmogorov(config: ExperimentConfig) -> ExperimentReport:
     """Pairwise comparison of product-measure shifts: spectra pair up
     exactly, entropies separate, plus one sampled cross-check per system.
     """
+    from .entropy import (
+        PartitionSpec,
+        UndersampledError,
+        bernoulli_entropy,
+        entropy_classifier,
+        exact_block_entropy_rate,
+        partition_refine_entropy,
+    )
+    from .koopman import build_intertwiner, verify_intertwiner
+    from .systems import spawn_rngs
+
     specs = config.system_specs()
     if len(specs) < 2 or any(s.kind != "bernoulli" for s in specs):
         raise ValueError("the kolmogorov scenario needs at least two shift systems")
@@ -442,11 +437,6 @@ def run_reproduce_kolmogorov(config: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _mod1_distance(x: np.ndarray) -> np.ndarray:
-    d = np.abs(x) % 1.0
-    return np.minimum(d, 1.0 - d)
-
-
 def run_theorem1_check(config: ExperimentConfig) -> ExperimentReport:
     """Classify two circle rotations: equal proper-value groups mean
     isomorphic (with the witnessing conjugacy verified pointwise),
@@ -455,6 +445,11 @@ def run_theorem1_check(config: ExperimentConfig) -> ExperimentReport:
     Only exact rotation numbers are accepted: the group comparison is an
     exact decision and refuses approximations.
     """
+    import numpy as np
+
+    from .koopman import point_spectrum_groups_equal
+    from .systems import iterate_batch, sample_batch, spawn_rngs
+
     specs = config.system_specs()
     if len(specs) != 2 or any(s.kind != "rotation" for s in specs):
         raise ValueError("theorem1 compares exactly two rotations")
@@ -484,7 +479,8 @@ def run_theorem1_check(config: ExperimentConfig) -> ExperimentReport:
         x = sample_batch(spec_a, spawn_rngs(config.seed, 1)[0], 10_000)
         lhs = c(iterate_batch(x, 1).u)
         rhs = iterate_batch(SampleBatch(spec=spec_b, u=c(x.u)), 1).u
-        residual = float(np.max(_mod1_distance(lhs - rhs)))
+        distance = np.abs(lhs - rhs) % 1.0  # mod-1 distance to 0
+        residual = float(np.max(np.minimum(distance, 1.0 - distance)))
         results["conjugacy"] = {
             "map": conjugacy,
             "points": len(x),
@@ -535,6 +531,8 @@ def _param_system(config: ExperimentConfig, default: SystemSpec) -> SystemSpec:
 
 
 def _compute_tower(config: ExperimentConfig) -> tuple[dict, list[dict]]:
+    from .tower import compute_tower, stabilization_depth
+
     spec = _param_system(config, SystemSpec.skew(SQRT2_MINUS_1))
     depth = config.params.get("max_depth", 4)
     levels = compute_tower(spec, depth)
@@ -552,6 +550,8 @@ def _compute_tower(config: ExperimentConfig) -> tuple[dict, list[dict]]:
 
 
 def _compute_residual(config: ExperimentConfig) -> tuple[dict, list[dict]]:
+    from .tower import quasi_eigen_residual_search, residual_reference
+
     spec = _param_system(
         config, SystemSpec.product(SQRT2_MINUS_1, BernoulliSpec.fair_coin())
     )
@@ -572,6 +572,9 @@ def _compute_residual(config: ExperimentConfig) -> tuple[dict, list[dict]]:
 
 
 def _compute_spectrum(config: ExperimentConfig) -> tuple[dict, list[dict]]:
+    from .koopman import spectrum_of
+    from .mixing import spectral_weak_mixing_check
+
     spec = _param_system(config, SystemSpec.skew(SQRT2_MINUS_1))
     desc = spectrum_of(spec)
     results = {"descriptor": desc.to_json(), "weak_mixing": spectral_weak_mixing_check(desc)}
@@ -585,6 +588,8 @@ def _compute_spectrum(config: ExperimentConfig) -> tuple[dict, list[dict]]:
 
 
 def _compute_entropy(config: ExperimentConfig) -> tuple[dict, list[dict]]:
+    from .entropy import bernoulli_entropy
+
     data = config.params.get("bernoulli")
     bern = BernoulliSpec.fair_coin() if data is None else BernoulliSpec.from_json(data)
     value = bernoulli_entropy(bern)
@@ -601,12 +606,12 @@ def _compute_entropy(config: ExperimentConfig) -> tuple[dict, list[dict]]:
 
 
 def _compute_weak_mixing(config: ExperimentConfig) -> tuple[dict, list[dict]]:
+    from .mixing import TestSet, weak_mixing_statistic, weak_mixing_verdict
+
     spec = _param_system(config, SystemSpec.skew(SQRT2_MINUS_1))
     if "A" in config.params:
         A = _test_set_from(config.params["A"])
     elif spec.kind == "bernoulli":
-        from .systems import CylinderSet
-
         A = TestSet.from_cylinder(CylinderSet(((0, spec.bernoulli.symbols[0]),)))
     else:
         A = TestSet.u_interval(0, "1/2")
@@ -642,12 +647,12 @@ def _compute_weak_mixing(config: ExperimentConfig) -> tuple[dict, list[dict]]:
 def _test_set_from(data: dict) -> TestSet:
     from fractions import Fraction
 
+    from .mixing import TestSet
+
     kind = data["kind"]
     if kind == "u-interval":
         return TestSet.u_interval(Fraction(data["a"]), Fraction(data["b"]))
     if kind == "cylinder":
-        from .systems import CylinderSet
-
         return TestSet.from_cylinder(CylinderSet.from_json(data["cylinder"]))
     raise ValueError(f"unsupported test-set kind {kind!r} in config")
 
@@ -927,13 +932,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InconclusiveEvidenceError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 2
-    except (
-        IncompatibleSpectraError,
-        ExactnessError,
-        UndersampledError,
-        ValueError,
-        OSError,
-    ) as exc:
+    # IncompatibleSpectraError and UndersampledError are ValueErrors
+    except (ExactnessError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for verdict in report.verdicts:

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-import mpmath as mp
 import numpy as np
 
 from .mixing import TestSet
@@ -49,7 +49,9 @@ __all__ = [
     "EntropyVerdict",
 ]
 
-_WORK_BITS = 100
+#: Working precision of the exact entropies: 40 significant digits, far
+#: past the 17 a float holds, so each value is rounded to a float once.
+_WORK = Context(prec=40)
 
 
 class UndersampledError(ValueError):
@@ -96,37 +98,34 @@ class EntropyEstimate:
 def bernoulli_entropy(spec: BernoulliSpec) -> float:
     """-sum p log p for the one-step distribution, in nats.
 
-    Evaluated at high working precision and rounded once, so dyadic
-    probability vectors land exactly on the correctly rounded float
-    (fair coin: log 2; uniform over four symbols: log 4).
+    Each probability enters by its exact binary value and its log is
+    correctly rounded to 40 digits (``decimal``); the sum is rounded to a
+    float once, so dyadic probability vectors land exactly on the
+    correctly rounded float (fair coin: log 2; uniform over four
+    symbols: log 4).
     """
-    with mp.workprec(_WORK_BITS):
-        total = mp.mpf(0)
-        for p in spec.probs:
-            x = mp.mpf(p)
-            total -= x * mp.log(x)
-        return float(total)
+    with localcontext(_WORK):
+        return float(-sum(Decimal(p) * Decimal(p).ln() for p in spec.probs))
 
 
-def _mp_block_entropy(spec: BernoulliSpec, n: int):
-    """H_n at working precision, grouped by symbol-count vectors so the
-    sum has O(n^{K-1}) terms instead of K^n."""
-    K = len(spec.probs)
-    total = mp.mpf(0)
-    for combo in combinations_with_replacement(range(K), n):
-        counts = [0] * K
-        for idx in combo:
-            counts[idx] += 1
-        weight = _multinomial(n, counts)
-        log_p = mp.mpf(0)
-        prob = mp.mpf(1)
-        for count, p in zip(counts, spec.probs):
-            if count:
-                x = mp.mpf(p)
-                log_p += count * mp.log(x)
-                prob *= x**count
-        total -= weight * prob * log_p
-    return total
+def _block_entropy(spec: BernoulliSpec, n: int) -> Decimal:
+    """H_n to 40 digits, grouped by symbol-count vectors so the sum has
+    O(n^{K-1}) terms instead of K^n.  The K logs are taken once; each
+    count vector's mass, its multinomial weight times the product of the
+    exact binary probabilities, is an exact rational rounded once."""
+    probs = [Fraction(p) for p in spec.probs]
+    K = len(probs)
+    with localcontext(_WORK):
+        logs = [Decimal(p).ln() for p in spec.probs]
+        total = Decimal(0)
+        for combo in combinations_with_replacement(range(K), n):
+            counts = [0] * K
+            for idx in combo:
+                counts[idx] += 1
+            mass = _multinomial(n, counts) * math.prod(p**c for p, c in zip(probs, counts))
+            log_p = sum(c * log for c, log in zip(counts, logs))
+            total -= Decimal(mass.numerator) / mass.denominator * log_p
+        return total
 
 
 def _multinomial(n: int, counts: Sequence[int]) -> int:
@@ -142,8 +141,7 @@ def exact_block_entropy(spec: BernoulliSpec, n: int) -> float:
     shortcut, so it doubles as an independent consistency check)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    with mp.workprec(_WORK_BITS):
-        return float(_mp_block_entropy(spec, n))
+    return float(_block_entropy(spec, n))
 
 
 def exact_block_entropy_rate(spec: BernoulliSpec, n: int) -> EntropyEstimate:
@@ -151,8 +149,8 @@ def exact_block_entropy_rate(spec: BernoulliSpec, n: int) -> EntropyEstimate:
     for every n because blocks are independent."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    with mp.workprec(_WORK_BITS):
-        rate = float(_mp_block_entropy(spec, n) / n)
+    with localcontext(_WORK):
+        rate = float(_block_entropy(spec, n) / n)
     return EntropyEstimate(
         value=rate, block_length=n, sample_count=0, stderr=0.0, exact=True
     )

@@ -13,6 +13,7 @@ non-numeric opinion.  The exact statistic visits no lag of the rotation
 orbit beyond the few where cylinder constraints meet: the overlaps are
 piecewise linear in frac(i*gamma), so their sum over t lags is a handful
 of floor sums, each O(log t) steps along the continued fraction of gamma.
+Only the Monte-Carlo track imports numpy, when it runs.
 """
 
 from __future__ import annotations
@@ -21,11 +22,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-import numpy as np
-
-from .koopman import SpectrumDescriptor
 from .quadratic import QuadraticReal, RotationNumber, floor_sums
 from .systems import (
     BernoulliSpec,
@@ -35,6 +33,11 @@ from .systems import (
     iterate_batch,
     sample_chunks,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .koopman import SpectrumDescriptor
 
 __all__ = [
     "CorrelationPoint",
@@ -150,6 +153,8 @@ class TestSet:
 
     def contains_batch(self, spec: SystemSpec, batch: SampleBatch) -> np.ndarray:
         """Boolean membership array for a sample batch."""
+        import numpy as np
+
         result = None
         if self.kind in ("u-interval", "rectangle", "product"):
             if batch.u is None:
@@ -398,6 +403,8 @@ def _monte_carlo_hits(
     the sequence positions the sets read: A's constraints at lag 0 and
     B's after each lag.
     """
+    import numpy as np
+
     read = list(A.cylinder.positions) if A.cylinder is not None else []
     if B.cylinder is not None:
         read += [q + i for q in B.cylinder.positions for i in (lags[0], lags[-1])]

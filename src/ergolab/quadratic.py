@@ -19,8 +19,6 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 from typing import Union
 
-import mpmath
-
 __all__ = [
     "ExactnessError",
     "QuadraticReal",
@@ -236,8 +234,15 @@ class QuadraticReal:
                 return lo
             K *= 2
 
-    def to_mpf(self, bits: int = 53) -> mpmath.mpf:
-        """The value at ``bits`` of working precision."""
+    def to_mpf(self, bits: int = 53):
+        """The value as an ``mpmath.mpf`` at ``bits`` of working precision.
+
+        Nothing in the package calls it; it is kept for the benchmark's
+        traced span and for mpmath oracles, and imports mpmath when
+        called, so no scenario loads mpmath.
+        """
+        import mpmath
+
         with mpmath.workprec(bits):
             return mpmath.mpf(self.a.numerator) / self.a.denominator + (
                 mpmath.sqrt(self.d) * self.b.numerator / self.b.denominator
@@ -340,12 +345,13 @@ class RotationNumber:
 
     # -- numeric --------------------------------------------------------
 
-    def value(self, bits: int = 53) -> mpmath.mpf:
-        """The angle at ``bits`` of working precision (reproducible)."""
+    def value(self, bits: int = 53) -> Fraction:
+        """The angle rounded once to ``bits`` significant bits
+        (:func:`_round_to_bits`), as an exact dyadic rational; a decimal
+        literal is rounded as mpmath rounds it at that precision."""
         if self.kind == "quadratic":
-            return self.exact.to_mpf(bits)
-        with mpmath.workprec(bits):
-            return +mpmath.mpf(self.digits)
+            return _round_to_bits(self.exact, bits)
+        return _round_to_bits(QuadraticReal.of(Fraction(self.digits)), bits)
 
     def to_float(self) -> float:
         """The angle as a float: correctly rounded for the quadratic kind,
@@ -388,6 +394,29 @@ class RotationNumber:
         if self.kind == "quadratic":
             return f"({self.p}+{self.q}*sqrt({self.d}))/{self.r}"
         return f"~{self.digits}@{self.bits}b"
+
+
+def _round_to_bits(x: QuadraticReal, bits: int) -> Fraction:
+    """``x`` rounded once to ``bits`` significant bits, as an exact dyadic
+    rational: to nearest, and an exact tie (only a rational meets one) to
+    even.  The scale 2**s that leaves ``bits`` bits before the point is
+    found from the bit length of ``floor(x * 2**s)``, which is exact."""
+    if bits < 1:
+        raise ValueError(f"cannot round to {bits} bits")
+    sign = x.sign()
+    if sign <= 0:
+        return -_round_to_bits(-x, bits) if sign else Fraction(0)
+    s = bits
+    while True:
+        scaled = x * Fraction(2) ** s
+        m = scaled.floor()
+        if m.bit_length() == bits:
+            break
+        s += bits - m.bit_length()
+    twice_rest = (scaled - m) * 2
+    if twice_rest > 1 or (twice_rest == 1 and m % 2):
+        m += 1
+    return m / Fraction(2) ** s
 
 
 #: Default angle of the reproduce-letter scenario, sqrt(2) - 1.

@@ -19,7 +19,9 @@ from one generator as consecutive batches of at most ``SAMPLE_CHUNK``
 points, and each batch (``sample_batch``) stores sequence symbols as
 uint8 indices for only the positions its consumer reads, so no array
 spans the whole sample.  A run's generators are sub-streams spawned
-from its single seed (``spawn_rngs``).
+from its single seed (``spawn_rngs``).  The specs and the cylinder
+algebra are pure Python: only the functions that draw samples import
+numpy, so a run that never samples never loads it.
 """
 
 from __future__ import annotations
@@ -27,15 +29,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .quadratic import RotationNumber
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BernoulliSpec",
     "CylinderSet",
+    "InconclusiveEvidenceError",
     "SAMPLE_CHUNK",
     "SampleBatch",
     "SystemSpec",
@@ -59,6 +63,17 @@ SAMPLE_CHUNK = 2**16
 
 class WindowError(IndexError):
     """A symbol outside the sampled window was requested."""
+
+
+class InconclusiveEvidenceError(RuntimeError):
+    """Evidence fell between the accept and reject thresholds (exit code
+    2 on the command line).  It lives here, beside the system specs every
+    scenario loads, so the command line can catch it without importing
+    the tower toolkit."""
+
+    def __init__(self, message: str, partial=None):
+        super().__init__(message)
+        self.partial = partial
 
 
 @dataclass(frozen=True)
@@ -131,7 +146,12 @@ class CylinderSet:
         return tuple(p for p, _ in self.constraints)
 
     def translate(self, offset: int) -> "CylinderSet":
-        return CylinderSet(tuple((p + offset, s) for p, s in self.constraints))
+        # a translation keeps the positions sorted and distinct, so the
+        # result skips the constructor's sort and checks
+        moved = object.__new__(CylinderSet)
+        moved_constraints = tuple((p + offset, s) for p, s in self.constraints)
+        object.__setattr__(moved, "constraints", moved_constraints)
+        return moved
 
     def merge(self, *others: "CylinderSet") -> Optional["CylinderSet"]:
         """The intersection with every set in ``others``: all their
@@ -261,6 +281,8 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     estimate draws all its chunks from its one generator in turn, so its
     result depends on the seed and ``SAMPLE_CHUNK`` alone.
     """
+    import numpy as np
+
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
@@ -316,6 +338,8 @@ def sample_batch(
     ``Generator.choice(k, p=probs)``, so the symbols and the generator's
     state afterwards equal that call's, at no int64 temporary.
     """
+    import numpy as np
+
     if positions.step != 1:
         raise ValueError("sampled positions must be a contiguous range")
     u = v = sym = None

@@ -57,7 +57,7 @@ from .koopman import (
     _last_unknown_coset,
     koopman_step,
 )
-from .systems import SystemSpec
+from .systems import InconclusiveEvidenceError, SystemSpec
 
 __all__ = [
     "DistinguishResult",
@@ -94,14 +94,6 @@ REJECT_FACTOR = 0.5
 
 class UnsupportedSystemError(ValueError):
     """The operation is not defined for this system kind."""
-
-
-class InconclusiveEvidenceError(RuntimeError):
-    """Residual evidence fell between the accept and reject thresholds."""
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Command line: config validation, scenarios, reports, determinism.
 
-Every run goes through ``main(argv)`` in-process, apart from one
-subprocess run that refuses every scipy import.  Reports are checked
-against the bundled JSON schema and for byte-level reproducibility at a
-fixed seed.
+Every run goes through ``main(argv)`` in-process, apart from the
+import-graph checks: subprocess runs that refuse every import of scipy,
+mpmath or numpy, and fresh interpreters that only import the package.
+Reports are checked against the bundled JSON schema and for byte-level
+reproducibility at a fixed seed.
 """
 
 from __future__ import annotations
@@ -138,39 +139,110 @@ def test_letter_scenario(tmp_path):
     assert tower_rows[0] == ["system", "depth", "generators"]
 
 
-# Runs the CLI with a ``sys.meta_path`` finder that refuses scipy.
-WITHOUT_SCIPY = """
+# Runs the CLI (arguments from the second on) with a ``sys.meta_path``
+# finder that refuses the top-level packages named, comma-separated, in
+# the first argument.
+REFUSING = """
 import sys
 
-class RefuseScipy:
+REFUSED = set(sys.argv[1].split(","))
+
+class Refuse:
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
+        if name.split(".")[0] in REFUSED:
             raise ImportError(f"{name} is refused")
         return None
 
-sys.meta_path.insert(0, RefuseScipy())
+sys.meta_path.insert(0, Refuse())
 from ergolab.cli import main
-code = main(sys.argv[1:])
-assert not any(name.split(".")[0] == "scipy" for name in sys.modules)
+code = main(sys.argv[2:])
+assert not any(name.split(".")[0] in REFUSED for name in sys.modules)
 sys.exit(code)
 """
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's ergolab."""
+    src = str(Path(ergolab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def _assert_same_bytes_without(tmp_path: Path, refused: str, *argv: str) -> None:
+    """With every import of ``refused`` refused, the CLI exits 0 and writes
+    the report bytes an in-process run writes."""
+    without = tmp_path / "refused"
+    proc = _fresh_python("-c", REFUSING, refused, *argv, "--out", str(without))
+    assert proc.returncode == 0, proc.stderr
+    code, out = run(tmp_path, *argv)
+    assert code == 0
+    assert (without / "report.json").read_bytes() == (out / "report.json").read_bytes()
 
 
 def test_letter_runs_without_scipy(tmp_path):
     """scipy is a test dependency only: with every scipy import refused,
     reproduce-letter exits 0 and writes the same report bytes."""
-    src = str(Path(ergolab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    refused = tmp_path / "refused"
-    proc = subprocess.run(
-        [sys.executable, "-c", WITHOUT_SCIPY, "reproduce-letter", "--seed", "1",
-         "--out", str(refused)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    _assert_same_bytes_without(tmp_path, "scipy", "reproduce-letter", "--seed", "1")
+
+
+def _bench_mixing_config(tmp_path: Path) -> str:
+    """The benchmark's ``mixing`` workload at its first angle."""
+    cfg = tmp_path / "mixing.json"
+    cfg.write_text(json.dumps({"op": "weak-mixing", "params": {
+        "system": {"kind": "skew", "gamma": {"quadratic": [-1, 1, 2, 1]}},
+        "A": {"kind": "u-interval", "a": "0", "b": "1/2"},
+        "t": 10_000,
+    }}))
+    return str(cfg)
+
+
+def test_weak_mixing_runs_without_numpy_or_mpmath(tmp_path):
+    """The exact weak-mixing statistic is integer and rational arithmetic:
+    with numpy and mpmath refused it exits 0 with the same report bytes."""
+    _assert_same_bytes_without(tmp_path, "numpy,mpmath", "compute", "weak-mixing",
+                               "--config", _bench_mixing_config(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "scenario", ["reproduce-letter", "reproduce-kolmogorov", "theorem1", "weak-mixing"]
+)
+def test_scenarios_run_without_mpmath(scenario, tmp_path):
+    """mpmath is no runtime dependency of any scenario."""
+    if scenario == "weak-mixing":
+        argv = ("compute", "weak-mixing", "--config", _bench_mixing_config(tmp_path))
+    else:
+        argv = (scenario, "--seed", "1")
+    _assert_same_bytes_without(tmp_path, "mpmath", *argv)
+
+
+def test_importing_the_package_loads_no_toolkit():
+    """``import ergolab`` and ``import ergolab.cli`` load neither numpy nor
+    mpmath, nor the koopman, tower and entropy toolkits."""
+    heavy = ("numpy", "mpmath", "ergolab.koopman", "ergolab.tower", "ergolab.entropy")
+    for statement in ("import ergolab", "import ergolab.cli"):
+        proc = _fresh_python("-c", f"import json, sys; {statement}; print(json.dumps(list(sys.modules)))")
+        assert proc.returncode == 0, proc.stderr
+        loaded = {m for m in json.loads(proc.stdout) if m.startswith(heavy)}
+        assert not loaded, (statement, loaded)
+
+
+def test_every_public_name_resolves():
+    """Each name of ``ergolab.__all__`` resolves on first access to its
+    defining submodule's object, star-import binds them all, and an
+    unknown name raises AttributeError."""
+    proc = _fresh_python("-c", "from ergolab import *; import ergolab; "
+                         "assert all(name in globals() for name in ergolab.__all__)")
     assert proc.returncode == 0, proc.stderr
-    code, out = run(tmp_path, "reproduce-letter", "--seed", "1")
-    assert code == 0
-    assert (refused / "report.json").read_bytes() == (out / "report.json").read_bytes()
+    for name in ergolab.__all__:
+        assert getattr(ergolab, name) is not None
+        assert name in dir(ergolab)
+    from ergolab import tower
+
+    assert tower.InconclusiveEvidenceError is ergolab.InconclusiveEvidenceError
+    with pytest.raises(AttributeError):
+        ergolab.no_such_name
 
 
 def test_letter_identical_skews_are_not_distinguished(tmp_path):

@@ -1,16 +1,18 @@
 """Entropy: exact rates, sampled estimates, and the classifier.
 
-Exact values are computed at 100 working bits and rounded once, so the
-fair coin and the uniform 4-symbol alphabet land exactly on log(2) and
-log(4) as doubles; the independent oracle here recomputes both with
-mpmath directly.
+Exact values are computed with 40 significant decimal digits and
+rounded once, so the fair coin and the uniform 4-symbol alphabet land
+exactly on log(2) and log(4) as doubles; the independent oracle here
+recomputes them in binary with mpmath at 120 bits.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import mpmath
 import numpy as np
@@ -52,6 +54,49 @@ def _oracle_entropy(probs) -> float:
             mp_p = mpmath.mpf(p)
             total -= mp_p * mpmath.log(mp_p)
         return float(total)
+
+
+def _oracle_block_entropy(probs, n: int):
+    """Independent recomputation of H_n at 120 bits, as an mpf: the
+    n-block law summed over symbol-count vectors, each with its
+    multinomial weight, in binary floating point."""
+    with mpmath.workprec(120):
+        logs = [mpmath.log(mpmath.mpf(p)) for p in probs]
+        total = mpmath.mpf(0)
+        for combo in combinations_with_replacement(range(len(probs)), n):
+            counts = [combo.count(i) for i in range(len(probs))]
+            weight = math.factorial(n)
+            for c in counts:
+                weight //= math.factorial(c)
+            mass = weight * mpmath.fprod(mpmath.mpf(p) ** c for p, c in zip(probs, counts))
+            total -= mass * mpmath.fsum(c * log for c, log in zip(counts, logs))
+        return total
+
+
+NAMED_LAWS = {
+    "fair coin": (0.5, 0.5),
+    "uniform-4": (0.25, 0.25, 0.25, 0.25),
+    "(0.1, 0.9)": (0.1, 0.9),
+    "Meshalkin (1/2, 1/8 x4)": (0.5, 0.125, 0.125, 0.125, 0.125),
+}
+
+
+def _random_laws(count: int, seed: int) -> list[tuple[float, ...]]:
+    rng = random.Random(seed)
+    laws = []
+    for _ in range(count):
+        weights = [rng.random() + 1e-3 for _ in range(rng.randint(2, 6))]
+        laws.append(tuple(w / sum(weights) for w in weights))
+    return laws
+
+
+def _assert_matches_oracle(probs, n: int) -> None:
+    spec = BernoulliSpec(probs, tuple(range(len(probs))))
+    h_n = _oracle_block_entropy(probs, n)
+    assert bernoulli_entropy(spec) == _oracle_entropy(probs)
+    assert exact_block_entropy(spec, n) == float(h_n)
+    with mpmath.workprec(120):
+        assert exact_block_entropy_rate(spec, n).value == float(h_n / n)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +150,19 @@ def test_exact_rate_equals_single_symbol_entropy():
         assert est.exact and est.method == "exact"
         assert est.value == bernoulli_entropy(spec)
         assert est.stderr == 0.0
+
+
+@pytest.mark.parametrize("name", list(NAMED_LAWS))
+def test_exact_entropies_equal_the_binary_oracle_on_named_laws(name):
+    for n in (1, 2, 5, 10):
+        _assert_matches_oracle(NAMED_LAWS[name], n)
+
+
+def test_exact_entropies_equal_the_binary_oracle_on_random_laws():
+    """2,000 seeded laws of 2-6 symbols, block lengths 1-3: the 40-digit
+    decimal values round to the same floats as the 120-bit oracle."""
+    for i, probs in enumerate(_random_laws(2000, seed=12)):
+        _assert_matches_oracle(probs, 1 + i % 3)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ value.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -231,6 +232,47 @@ def test_decimal_to_float_rounds_once():
     g = RotationNumber.decimal(digits)
     assert g.to_float() == float(Fraction(digits)) == 0.5 + 2.0**-53
     assert g.to_float() == float(g.value(g.bits))
+
+
+def _random_literals(rng: random.Random, bits: int) -> list[str]:
+    """Decimal literals in (0, 1): 1-60 random digits, ratios "p/q", and
+    exact ties, dyadic rationals with bits + 1 significant bits."""
+    literals = []
+    for _ in range(150):
+        digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 60)))
+        if int(digits):
+            literals.append("0." + digits)
+        q = rng.randint(2, 10**9)
+        literals.append(f"{rng.randint(1, q - 1)}/{q}")
+        m = rng.getrandbits(bits) | (1 << bits) | 1
+        e = bits + 1 + rng.randint(0, 8)  # m / 2**e has e decimal places
+        literals.append("0." + str(m * 5**e).rjust(e, "0"))
+    return literals
+
+
+@pytest.mark.parametrize("bits", [24, 53, 64, 128, 200])
+def test_decimal_value_equals_mpmath(bits):
+    """value(bits) is the dyadic rational mpmath rounds the literal to at
+    ``bits`` of working precision, and to_float is that value's float."""
+    for digits in _random_literals(random.Random(bits), bits):
+        g = RotationNumber.decimal(digits, bits=bits)
+        with mpmath.workprec(bits):
+            want = mpmath.mpf(digits)
+        man, exp = want.man_exp
+        assert g.value(bits) == Fraction(man) * Fraction(2) ** exp, digits
+        assert g.to_float() == float(want), digits
+
+
+@pytest.mark.parametrize("bits", [24, 53, 64, 128, 200])
+def test_quadratic_value_is_correctly_rounded(bits):
+    """For the quadratic kind, value(bits) is the angle rounded once:
+    mpmath rounding a value 200 bits more precise agrees."""
+    for angle in BENCH_ANGLES:
+        g = RotationNumber.quadratic(*angle)
+        precise = g.exact.to_mpf(bits + 200)
+        with mpmath.workprec(bits):
+            man, exp = (+precise).man_exp
+        assert g.value(bits) == Fraction(man) * Fraction(2) ** exp
 
 
 # ---------------------------------------------------------------------------

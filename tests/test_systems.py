@@ -307,6 +307,22 @@ def test_cylinder_measure_is_shift_invariant(offset):
     assert cyl.translate(offset).measure(fair) == cyl.measure(fair)
 
 
+@given(
+    st.dictionaries(st.integers(-50, 50), st.sampled_from([1, -1, "a"]), max_size=12),
+    st.integers(-100, 100),
+)
+def test_translate_equals_the_validated_constructor(constraints, offset):
+    """translate builds its result without the constructor's sort and
+    checks; it must equal what the constructor makes of the moved
+    constraints, field for field and by hash."""
+    cyl = CylinderSet(tuple(constraints.items()))
+    moved = cyl.translate(offset)
+    built = CylinderSet(tuple((p + offset, s) for p, s in constraints.items()))
+    assert moved == built and hash(moved) == hash(built)
+    assert moved.constraints == built.constraints
+    assert moved.positions == tuple(sorted(p + offset for p in constraints))
+
+
 def test_cylinder_merge_intersects_or_reports_a_clash():
     first = CylinderSet(((0, 1), (2, -1)))
     assert first.merge(CylinderSet()) == first
