@@ -74,10 +74,10 @@ MAX_INTERTWINER_PAIRS = 10**7
 #: ``reproduce-kolmogorov`` may draw: samples x block length, summed over
 #: the systems.  Sampling streams in fixed-size chunks and the scenario
 #: scores single-position cells, so memory stays flat and the budget
-#: bounds time: sampling and scoring take about 16 ns per symbol for
-#: two- to four-symbol laws on a 2-core x86-64 host, so it caps them
-#: near 7 s; the budget is twice the 10^7-sample run (n = 10, two
-#: shifts) and 20 times the default 10^6.
+#: bounds time: sampling and scoring take 6-9 ns per symbol for two- to
+#: four-symbol laws on a 2-core x86-64 host, so it caps them near 3.5 s;
+#: the budget is twice the 10^7-sample run (n = 10, two shifts) and 20
+#: times the default 10^6.
 MAX_SAMPLED_SYMBOLS = 4 * 10**8
 
 
@@ -374,11 +374,8 @@ def run_reproduce_kolmogorov(config: ExperimentConfig) -> ExperimentReport:
         }
         try:
             sampled = partition_refine_entropy(
-                spec,
-                PartitionSpec.time_zero(spec.bernoulli),
-                config.block_length,
-                config.samples,
-                rng,
+                spec, PartitionSpec.time_zero(spec.bernoulli), config.block_length,
+                config.samples, rng,
             )
             entry["sampled"] = sampled.to_json()
             entry["relative_error"] = abs(sampled.value - exact) / exact
@@ -405,19 +402,13 @@ def run_reproduce_kolmogorov(config: ExperimentConfig) -> ExperimentReport:
                 "classifier": verdict.to_json(),
             }
             pairs.append(pair)
-            verdicts.append(
+            verdicts.extend(
                 {
-                    "statement": f"{a.label()} vs {b.label()}: {verdict.spacial}",
+                    "statement": f"{a.label()} vs {b.label()}: {statement}",
                     "provenance": "exact",
                     "evidence": pair,
                 }
-            )
-            verdicts.append(
-                {
-                    "statement": f"{a.label()} vs {b.label()}: {verdict.spectral}",
-                    "provenance": "exact",
-                    "evidence": pair,
-                }
+                for statement in (verdict.spacial, verdict.spectral)
             )
     results["pairs"] = pairs
 

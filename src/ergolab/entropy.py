@@ -19,7 +19,8 @@ sign convention is the nonnegative one, -sum p log p, throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -32,6 +33,7 @@ from .systems import (
     BernoulliSpec,
     CylinderSet,
     SystemSpec,
+    cumulative_law,
     iterate_batch,
     sample_chunks,
 )
@@ -80,14 +82,7 @@ class EntropyEstimate:
             raise ValueError("block length must be >= 1")
 
     def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "block_length": self.block_length,
-            "sample_count": self.sample_count,
-            "stderr": self.stderr,
-            "exact": self.exact,
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +297,11 @@ def partition_refine_entropy(
 
     When every cell is a one-constraint cylinder at one common position
     p, the cell entered at step j is fixed by the symbol at p + j alone,
-    so a chunk's itinerary matrix is one lookup of its symbols at
-    p, ..., p + n - 1 in a symbol-index -> cell table; a symbol that no
-    cell holds maps to -1 and raises, as a sample outside every cell
-    does on the general path, which tests cell membership at every step.
+    so a chunk is scored from the symbol counts of its window at
+    p, ..., p + n - 1 (:func:`_symbol_count_scorer`) and no itinerary is
+    built.  A symbol the sampler can draw but no cell holds raises before
+    any draw, as a sample outside every cell does on the general path,
+    which tests cell membership at every step.
 
     Cylinder partitions of a shift system are measure-scored: every
     itinerary's refined cell is itself a cylinder (constraints translated
@@ -325,41 +321,38 @@ def partition_refine_entropy(
         raise ValueError("partition cells do not cover the space")
     if len(partition.cells) == 1:
         return EntropyEstimate(
-            value=0.0,
-            block_length=n,
-            sample_count=samples,
-            stderr=0.0,
-            exact=True,
-            method="single-cell",
+            value=0.0, block_length=n, sample_count=samples, stderr=0.0,
+            exact=True, method="single-cell",
         )
     measure_scored = spec.bernoulli is not None and all(
         c.kind == "cylinder" for c in partition.cells
     )
     if not measure_scored and samples < 100 * 2**n:
-        raise UndersampledError(
-            f"{samples} samples are below the coverage floor 100 * 2^{n}"
-        )
-    read = [
-        p for c in partition.cells if c.cylinder is not None for p in c.cylinder.positions
-    ]
+        raise UndersampledError(f"{samples} samples are below the coverage floor 100 * 2^{n}")
+    read = [p for c in partition.cells if c.cylinder is not None for p in c.cylinder.positions]
     # the cell entered at step j reads position p + j of the start point
     positions = range(min(read), max(read) + n) if read else range(0)
     table = _single_position_table(spec, partition)
-    score = _itinerary_scorer(spec, partition, n, table) if measure_scored else None
+    if table is not None:
+        # a symbol the sampler can draw but no cell holds escapes every
+        # cell; one whose step in the cumulative law is 0 is never drawn
+        drawable = np.diff(cumulative_law(spec.bernoulli), prepend=0.0) > 0
+        if np.any(drawable & (table[1] < 0)):
+            raise ValueError("a sample escaped every cell; partition incomplete")
+        score = _symbol_count_scorer(spec.bernoulli, n)
+    elif measure_scored:
+        score = _itinerary_scorer(spec, partition, n)
     moments = (0, 0.0, 0.0)
     rows = counts = None
     for batch in sample_chunks(spec, rng, samples, positions):
-        if table is None:
-            itineraries = np.empty((len(batch), n), dtype=np.int64)
-            for j in range(n):
-                itineraries[:, j] = partition.cell_index_batch(
-                    spec, iterate_batch(batch, j)
-                )
-        else:
+        if table is not None:
             # the cell entered at step j is the cell of the symbol at p + j
-            position, cell_of = table
-            start = position - batch.anchor
-            itineraries = cell_of[batch.sym[:, start : start + n]]
+            start = table[0] - batch.anchor
+            moments = _merge_moments(moments, score(batch.sym[:, start : start + n]))
+            continue
+        itineraries = np.empty((len(batch), n), dtype=np.int64)
+        for j in range(n):
+            itineraries[:, j] = partition.cell_index_batch(spec, iterate_batch(batch, j))
         if np.any(itineraries < 0):
             raise ValueError("a sample escaped every cell; partition incomplete")
         if measure_scored:
@@ -369,12 +362,8 @@ def partition_refine_entropy(
     if measure_scored:
         count, mean, m2 = moments
         return EntropyEstimate(
-            value=mean,
-            block_length=n,
-            sample_count=count,
-            stderr=math.sqrt(m2 / (count - 1)) / math.sqrt(count),
-            exact=False,
-            method="measure-scored",
+            value=mean, block_length=n, sample_count=count,
+            stderr=math.sqrt(m2 / (count - 1)) / math.sqrt(count), method="measure-scored",
         )
     return _frequency_estimate(counts, n)
 
@@ -387,9 +376,7 @@ def _single_position_table(spec: SystemSpec, partition: PartitionSpec):
     if spec.bernoulli is None or any(c.kind != "cylinder" for c in partition.cells):
         return None
     constraints = [c.cylinder.constraints for c in partition.cells]
-    if any(len(cons) != 1 for cons in constraints) or (
-        len({cons[0][0] for cons in constraints}) != 1
-    ):
+    if any(len(cons) != 1 or cons[0][0] != constraints[0][0][0] for cons in constraints):
         return None
     cell_of = np.full(len(spec.bernoulli.symbols), -1, dtype=np.int64)
     for idx, ((_, symbol),) in enumerate(constraints):
@@ -397,21 +384,39 @@ def _single_position_table(spec: SystemSpec, partition: PartitionSpec):
     return constraints[0][0][0], cell_of
 
 
-def _itinerary_scorer(spec: SystemSpec, partition: PartitionSpec, n: int, table):
-    """The per-sample score -(1/n) log mu(refined cell) as a function of
-    an itinerary matrix (one row per sample, one cell index per step).
+def _symbol_count_scorer(bern: BernoulliSpec, n: int):
+    """The per-sample score -(1/n) sum_j log p(x_j) of single-position
+    cells as a function of the symbol window x (one row per sample, the
+    symbol indices at p, ..., p + n - 1).
 
-    ``table`` is :func:`_single_position_table`'s result for the
-    partition."""
-    if table is not None:
-        # refined-cell constraints land on n distinct positions, so the
-        # measure is a plain product and the scoring fully vectorizes
-        log_p = np.array(
-            [math.log(spec.bernoulli.prob_of(c.cylinder.constraints[0][1]))
-             for c in partition.cells]
-        )
-        return lambda itineraries: -log_p[itineraries].sum(axis=1) / n
+    With G_k the number of symbols in a row whose index is >= k, the
+    score is -log p_0 - sum_{k >= 1} G_k (log p_k - log p_{k-1}) / n.
+    G_k takes one pass over the window's columns (copied once per chunk
+    so that each is contiguous), counted in the narrowest unsigned type
+    that holds n; a k whose log step is 0 adds exactly 0 and is skipped,
+    so every score of a uniform law is exactly -log p_0."""
+    log_p = [math.log(p) for p in bern.probs]
+    steps = [(k, (b - a) / n) for k, (a, b) in enumerate(zip(log_p, log_p[1:]), 1) if b != a]
+    counter = np.min_scalar_type(n)
 
+    def scores(window: np.ndarray) -> np.ndarray:
+        out = np.full(len(window), -log_p[0])
+        columns = np.ascontiguousarray(window.T) if steps else None
+        for k, step in steps:
+            at_least_k = np.zeros(len(window), dtype=counter)
+            for column in columns:
+                at_least_k += column >= k
+            out -= at_least_k * step
+        return out
+
+    return scores
+
+
+def _itinerary_scorer(spec: SystemSpec, partition: PartitionSpec, n: int):
+    """The per-sample score -(1/n) log mu(refined cell) of multi-position
+    cells as a function of an itinerary matrix (one row per sample, one
+    cell index per step), cached per distinct itinerary."""
+    log_p = {s: math.log(p) for s, p in zip(spec.bernoulli.symbols, spec.bernoulli.probs)}
     log_measures: dict[tuple, float] = {}  # per distinct itinerary
 
     def log_measure(row: tuple) -> float:
@@ -422,10 +427,10 @@ def _itinerary_scorer(spec: SystemSpec, partition: PartitionSpec, n: int, table)
         )
         if refined is None:
             raise AssertionError("observed itinerary has measure zero")
-        # logs of the exact measure's integer parts: the measure itself
-        # can underflow a double once n is in the thousands
-        measure = refined.measure(spec.bernoulli)
-        return math.log(measure.numerator) - math.log(measure.denominator)
+        # sum count * log p: the measure itself can underflow a double
+        # once n is in the thousands
+        counts = Counter(s for _, s in refined.constraints)
+        return math.fsum(c * log_p[s] for s, c in counts.items())
 
     def scores(itineraries: np.ndarray) -> np.ndarray:
         rows, inverse = np.unique(itineraries, axis=0, return_inverse=True)
@@ -505,12 +510,7 @@ class EntropyVerdict:
     spectral: str
 
     def to_json(self) -> dict:
-        return {
-            "entropy_a": self.entropy_a,
-            "entropy_b": self.entropy_b,
-            "spacial": self.spacial,
-            "spectral": self.spectral,
-        }
+        return asdict(self)
 
 
 def entropy_classifier(

@@ -44,6 +44,7 @@ __all__ = [
     "SampleBatch",
     "SystemSpec",
     "WindowError",
+    "cumulative_law",
     "iterate_batch",
     "sample_batch",
     "sample_chunks",
@@ -318,6 +319,15 @@ class SampleBatch:
         return self.sym[:, j]
 
 
+def cumulative_law(bern: BernoulliSpec) -> np.ndarray:
+    """The cumulative law, ending at 1, that :func:`sample_batch` compares
+    its draws with: a symbol whose step in it is 0 is never drawn."""
+    import numpy as np
+
+    cdf = np.cumsum(bern.probs)
+    return cdf / cdf[-1]
+
+
 def sample_batch(
     spec: SystemSpec,
     rng: np.random.Generator,
@@ -348,8 +358,7 @@ def sample_batch(
     if spec.kind == "skew":
         v = rng.random(n)
     if spec.kind in ("bernoulli", "product"):
-        cdf = np.cumsum(spec.bernoulli.probs)
-        cdf /= cdf[-1]
+        cdf = cumulative_law(spec.bernoulli)
         draws = rng.random((n, len(positions)))
         sym = np.zeros(draws.shape, dtype=np.min_scalar_type(len(cdf) - 1))
         for c in cdf[:-1]:

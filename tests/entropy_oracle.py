@@ -2,9 +2,11 @@
 
 These are the scorers ``partition_refine_entropy`` used when it drew its
 whole sample at once: they take the full itinerary matrix (one row per
-sample, one cell index per step) and reduce it in one go.  The streamed
-estimator scores the same draws chunk by chunk; on the concatenation of
-its chunks these functions define the result it must reproduce.
+sample, one cell index per step) and reduce it in one go, summing the
+cells' log probabilities row by row.  The streamed estimator scores the
+same draws chunk by chunk, single-position cells from symbol counts
+with no itinerary matrix; on the concatenation of its chunks these
+functions define the result it must reproduce.
 """
 
 from __future__ import annotations

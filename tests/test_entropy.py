@@ -349,10 +349,14 @@ def test_streamed_scorers_equal_the_one_batch_oracle(scorer, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# itineraries of single-position partitions by table lookup
+# single-position partitions scored from symbol counts
 # ---------------------------------------------------------------------------
 
 LAW3 = BernoulliSpec((0.2, 0.3, 0.5), ("a", "b", "c"))
+# two equal adjacent probabilities: the log step between them is 0
+LAW4 = BernoulliSpec((0.1, 0.2, 0.2, 0.5), ("a", "b", "c", "d"))
+# a row of 300 symbols holds about 270 of index 1, past a uint8 counter
+LONG = BernoulliSpec((0.1, 0.9))
 
 
 def _cells_at(position: int, symbols: tuple) -> PartitionSpec:
@@ -363,13 +367,18 @@ def _cells_at(position: int, symbols: tuple) -> PartitionSpec:
     )
 
 
-# cells listed out of symbol order, so a cell index is not a symbol index
+# (system, partition, n); at positions 3 and -2 the cells are listed out
+# of symbol order, so a cell index is not a symbol index
 TABLE_CASES = {
-    "2 symbols": (SystemSpec.shift(BIASED), PartitionSpec.time_zero(BIASED)),
-    "3 symbols": (SystemSpec.shift(LAW3), PartitionSpec.time_zero(LAW3)),
-    "4 symbols": (SystemSpec.product(GAMMA, UNIFORM4), PartitionSpec.time_zero(UNIFORM4)),
-    "position 3": (SystemSpec.shift(LAW3), _cells_at(3, ("c", "a", "b"))),
-    "position -2": (SystemSpec.shift(BIASED), _cells_at(-2, (1, 0))),
+    "2 symbols": (SystemSpec.shift(BIASED), PartitionSpec.time_zero(BIASED), 6),
+    "3 symbols": (SystemSpec.shift(LAW3), PartitionSpec.time_zero(LAW3), 6),
+    "4 symbols": (
+        SystemSpec.product(GAMMA, UNIFORM4), PartitionSpec.time_zero(UNIFORM4), 6
+    ),
+    "position 3": (SystemSpec.shift(LAW3), _cells_at(3, ("c", "a", "b")), 6),
+    "position -2": (SystemSpec.shift(BIASED), _cells_at(-2, (1, 0)), 6),
+    "4 symbols, a zero step": (SystemSpec.shift(LAW4), PartitionSpec.time_zero(LAW4), 6),
+    "n = 300": (SystemSpec.shift(LONG), PartitionSpec.time_zero(LONG), 300),
 }
 
 
@@ -397,12 +406,11 @@ def _record(monkeypatch, drawn: list, scored: list) -> None:
 
 
 @pytest.mark.parametrize("case", list(TABLE_CASES))
-def test_table_itineraries_equal_the_loop_oracle(case, monkeypatch):
-    """Single-position cells read each chunk's itineraries off the symbol
-    window by one lookup, never through cell membership, and get the
-    membership loop's matrix."""
-    spec, part = TABLE_CASES[case]
-    n = 6
+def test_table_scores_equal_the_loop_oracle(case, monkeypatch):
+    """Single-position cells score each chunk from the symbol counts of
+    its window, with no cell membership test and no itinerary matrix, and
+    get the estimate and stderr of the membership loop's itineraries."""
+    spec, part, n = TABLE_CASES[case]
     monkeypatch.setattr(systems, "SAMPLE_CHUNK", 1000)
     drawn, scored = [], []
     _record(monkeypatch, drawn, scored)
@@ -414,10 +422,11 @@ def test_table_itineraries_equal_the_loop_oracle(case, monkeypatch):
     est = partition_refine_entropy(spec, part, n, 2_500, spawn_rngs(36, 1)[0])
     monkeypatch.undo()
     assert [len(b) for b in drawn] == [1000, 1000, 500]
+    assert scored == []
     itin = entropy_oracle.itineraries(spec, part, entropy_oracle.concatenate(drawn), n)
-    assert np.array_equal(np.concatenate(scored), itin)
     expected = entropy_oracle.measure_scored(spec, part, itin, n)
     assert est.value == pytest.approx(expected.value, rel=1e-12)
+    assert est.stderr == pytest.approx(expected.stderr, rel=1e-12)
 
 
 @pytest.mark.parametrize("path", ["table", "membership"])
@@ -443,11 +452,33 @@ def test_a_sample_outside_every_cell_is_caught(path, monkeypatch):
         partition_refine_entropy(spec, part, 4, 500, spawn_rngs(37, 1)[0])
 
 
+def test_escapes_are_caught_on_the_table_before_sampling(monkeypatch):
+    """A drawable symbol that no single-position cell holds raises before
+    any draw; a symbol whose step in the sampler's cumulative law is 0 is
+    never drawn, so it needs no cell."""
+    monkeypatch.setattr(PartitionSpec, "measures_sum_to_one", lambda self, spec: True)
+    monkeypatch.setattr(entropy, "sample_chunks", None)  # any draw fails
+    with pytest.raises(ValueError, match="escaped every cell"):
+        partition_refine_entropy(
+            SystemSpec.shift(LAW3), _cells_at(0, ("a", "b")), 4, 500, spawn_rngs(37, 1)[0]
+        )
+    monkeypatch.undo()
+    # 0.5 + 1e-30 rounds to 0.5, so "b" has a step of 0
+    never_b = BernoulliSpec((0.5, 1e-30, 0.5), ("a", "b", "c"))
+    assert list(np.diff(systems.cumulative_law(never_b), prepend=0.0)) == [0.5, 0.0, 0.5]
+    drawn = []
+    _record(monkeypatch, drawn, [])
+    est = partition_refine_entropy(
+        SystemSpec.shift(never_b), _cells_at(0, ("c", "a")), 4, 500, spawn_rngs(37, 1)[0]
+    )
+    assert all(not np.any(b.sym == 1) for b in drawn)
+    assert est.value == pytest.approx(math.log(2), rel=1e-12)
+
+
 def test_long_itineraries_score_without_underflow(monkeypatch):
     """At n = 2500 nearly every refined cell has a measure below the
-    smallest double; its log is taken from the exact measure's numerator
-    and denominator, and the estimate agrees with the oracle's sum of
-    logs."""
+    smallest double; its log is summed as count * log p over the cell's
+    symbols, and the estimate agrees with the oracle's sum of logs."""
     spec = SystemSpec.shift(BernoulliSpec((0.1, 0.9)))
     part = PartitionSpec(
         cells=tuple(
@@ -479,7 +510,7 @@ def test_streamed_sampling_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert est.sample_count == 1_000_000
-    assert peak < 30 * 2**20
+    assert peak < 10 * 2**20
 
 
 # ---------------------------------------------------------------------------
