@@ -9,9 +9,12 @@ fixed seed: one root seed is split into named substreams, no timestamps
 are recorded, and JSON keys are sorted.  Exit codes are a stable
 contract: 0 success, 2 inconclusive evidence, 1 error.
 
-Config building and validation need only jsonschema, the angles and the
-system specs; each runner imports the toolkits it computes with when it
-runs, so ``compute weak-mixing`` loads neither numpy nor the tower.
+Config building and validation need only the standard library, the
+angles and the system specs: the packaged JSON schemas are enforced by a
+small interpreter of the keywords they use (``SchemaViolation`` carries
+the path and message jsonschema's best match would).  Each runner
+imports the toolkits it computes with when it runs, so ``compute
+weak-mixing`` loads neither numpy nor the tower.
 """
 
 from __future__ import annotations
@@ -21,13 +24,12 @@ import csv
 import importlib.resources
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
-
-import jsonschema
 
 from . import __version__
 from .quadratic import ExactnessError, SQRT2_MINUS_1
@@ -81,31 +83,120 @@ MAX_INTERTWINER_PAIRS = 10**7
 MAX_SAMPLED_SYMBOLS = 4 * 10**8
 
 
+#: JSON type name -> membership test, as in jsonschema's draft 2020-12
+#: type checker: a bool is never a number, an integral float is an integer.
+_JSON_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                          or isinstance(x, float) and x.is_integer()),
+}
+#: Annotations, which constrain nothing.
+_SCHEMA_NOTES = ("$schema", "title", "description")
+
+
+class SchemaViolation(ValueError):
+    """A config or report that breaks its packaged schema.  ``path`` and
+    ``message`` are those of the error ``jsonschema.validate`` would raise."""
+
+    def __init__(self, what: str, path: tuple, message: str):
+        self.path, self.message = path, message
+        where = "/".join(str(p) for p in path) or "<root>"
+        super().__init__(f"invalid {what} at {where}: {message}")
+
+
+def _check_keywords(schema: dict) -> None:
+    """Refuse a schema using any keyword, or keyword form, that
+    ``_schema_errors`` does not enforce, so no constraint goes unchecked."""
+    for key, value in schema.items():
+        if key in _SCHEMA_NOTES:
+            continue
+        subschemas = []
+        if key == "type":
+            known = all(t in _JSON_TYPES for t in ([value] if isinstance(value, str) else value))
+        elif key == "enum":
+            known = all(v is None or isinstance(v, (str, int, float)) for v in value)
+        elif key == "minimum":
+            known = _JSON_TYPES["number"](value)
+        elif key == "additionalProperties":
+            known = value is False
+        elif key in ("properties", "items"):
+            subschemas = list(value.values()) if key == "properties" else [value]
+            known = all(isinstance(sub, dict) for sub in subschemas)
+        else:
+            known = key == "required"
+        if not known:
+            raise NotImplementedError(f"schema keyword {key!r}: {value!r} is not enforced")
+        for sub in subschemas:
+            _check_keywords(sub)
+
+
+def _schema_errors(schema: dict, instance, path: tuple = ()):
+    """Yield (path, message) for each violation, in jsonschema's order:
+    the schema's keyword order, depth first, with its messages."""
+    for key, value in schema.items():
+        if key == "type":
+            types = [value] if isinstance(value, str) else value
+            if not any(_JSON_TYPES[t](instance) for t in types):
+                yield path, f"{instance!r} is not of type {', '.join(map(repr, types))}"
+        elif key == "enum":
+            # jsonschema's equality: True is not 1, False is not 0
+            if not any(isinstance(v, bool) == isinstance(instance, bool) and v == instance
+                       for v in value):
+                yield path, f"{instance!r} is not one of {value!r}"
+        elif key == "minimum":
+            if _JSON_TYPES["number"](instance) and instance < value:
+                yield path, f"{instance!r} is less than the minimum of {value!r}"
+        elif key == "items" and isinstance(instance, list):
+            for index, item in enumerate(instance):
+                yield from _schema_errors(value, item, (*path, index))
+        elif not isinstance(instance, dict):
+            continue
+        elif key == "properties":
+            for name, subschema in value.items():
+                if name in instance:
+                    yield from _schema_errors(subschema, instance[name], (*path, name))
+        elif key == "required":
+            for name in value:
+                if name not in instance:
+                    yield path, f"{name!r} is a required property"
+        elif key == "additionalProperties":
+            known = schema.get("properties", {})
+            extras = sorted({name for name in instance if name not in known}, key=str)
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, (f"Additional properties are not allowed "
+                             f"({', '.join(map(repr, extras))} {verb} unexpected)")
+
+
 @lru_cache(maxsize=4)
-def _validator(name: str):
-    """The validator of one packaged schema, built and schema-checked once."""
+def _schema(name: str) -> dict:
+    """One packaged schema, loaded and keyword-checked once."""
     ref = importlib.resources.files("ergolab.schemas").joinpath(name)
     schema = json.loads(ref.read_text(encoding="utf-8"))
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    _check_keywords(schema)
+    return schema
 
 
-def _validate(name: str, data: dict) -> None:
-    """Raise the error ``jsonschema.validate`` would: the best match."""
-    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(data))
-    if error is not None:
-        raise error
+def _validate(name: str, what: str, data) -> None:
+    """Raise jsonschema's best match: of all violations, the one at the
+    shortest path, then the largest path among siblings, then the first.
+    Its other tie-breaks (anyOf and oneOf rank low, as do errors of a
+    subschema whose type the instance has) cannot split two errors of one
+    subschema at one path, and the packaged schemas, having no anyOf or
+    oneOf, reach each path through one subschema."""
+    best = max(_schema_errors(_schema(name), data),
+               key=lambda error: (-len(error[0]), error[0]), default=None)
+    if best is not None:
+        raise SchemaViolation(what, *best)
 
 
 def _validate_config(data: dict) -> None:
-    """Schema-check a configuration, reporting failures as ValueError
-    so the command line can turn them into a clean exit."""
-    try:
-        _validate("config.schema.json", data)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ValueError(f"invalid configuration at {path}: {exc.message}") from exc
+    _validate("config.schema.json", "configuration", data)
 
 
 @dataclass(frozen=True)
@@ -180,7 +271,7 @@ class ExperimentReport:
         }
 
     def validate(self) -> None:
-        _validate("report.schema.json", self.to_json())
+        _validate("report.schema.json", "report", self.to_json())
 
 
 # ---------------------------------------------------------------------------

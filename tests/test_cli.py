@@ -2,7 +2,8 @@
 
 Every run goes through ``main(argv)`` in-process, apart from the
 import-graph checks: subprocess runs that refuse every import of scipy,
-mpmath or numpy, and fresh interpreters that only import the package.
+mpmath, jsonschema or numpy, and fresh interpreters that only import the
+package.
 Reports are checked against the bundled JSON schema and for byte-level
 reproducibility at a fixed seed.
 """
@@ -104,8 +105,28 @@ def test_report_echo_strips_volatile_fields():
     bad = dataclasses.replace(
         report, verdicts=[{"statement": "x", "provenance": "guesswork", "evidence": {}}]
     )
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(ValueError, match=r"^invalid report at verdicts/0/provenance: "
+                       r"'guesswork' is not one of \['exact', "):
         bad.validate()
+
+
+def test_a_report_breaking_its_schema_exits_one(tmp_path, monkeypatch, capsys):
+    """A runner whose report breaks the report schema ends the run with
+    exit 1 and the schema's message, and writes no report."""
+    honest = RUNNERS["theorem1"]
+
+    def guesses(config):
+        report = honest(config)
+        report.verdicts[0]["provenance"] = "guesswork"
+        return report
+
+    monkeypatch.setitem(RUNNERS, "theorem1", guesses)
+    code, out = run(tmp_path, "theorem1", "--seed", "1")
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: invalid report at verdicts/0/provenance: 'guesswork' is not one of ["
+    )
+    assert not (out / "report.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -209,18 +230,20 @@ def test_weak_mixing_runs_without_numpy_or_mpmath(tmp_path):
     "scenario", ["reproduce-letter", "reproduce-kolmogorov", "theorem1", "weak-mixing"]
 )
 def test_scenarios_run_without_mpmath(scenario, tmp_path):
-    """mpmath is no runtime dependency of any scenario."""
+    """Neither mpmath nor jsonschema is a runtime dependency of any
+    scenario: with both refused, each writes the same report bytes."""
     if scenario == "weak-mixing":
         argv = ("compute", "weak-mixing", "--config", _bench_mixing_config(tmp_path))
     else:
         argv = (scenario, "--seed", "1")
-    _assert_same_bytes_without(tmp_path, "mpmath", *argv)
+    _assert_same_bytes_without(tmp_path, "mpmath,jsonschema", *argv)
 
 
 def test_importing_the_package_loads_no_toolkit():
-    """``import ergolab`` and ``import ergolab.cli`` load neither numpy nor
-    mpmath, nor the koopman, tower and entropy toolkits."""
-    heavy = ("numpy", "mpmath", "ergolab.koopman", "ergolab.tower", "ergolab.entropy")
+    """``import ergolab`` and ``import ergolab.cli`` load none of numpy,
+    mpmath and jsonschema, nor the koopman, tower and entropy toolkits."""
+    heavy = ("numpy", "mpmath", "jsonschema",
+             "ergolab.koopman", "ergolab.tower", "ergolab.entropy")
     for statement in ("import ergolab", "import ergolab.cli"):
         proc = _fresh_python("-c", f"import json, sys; {statement}; print(json.dumps(list(sys.modules)))")
         assert proc.returncode == 0, proc.stderr

@@ -431,8 +431,10 @@ def test_table_scores_equal_the_loop_oracle(case, monkeypatch):
 
 @pytest.mark.parametrize("path", ["table", "membership"])
 def test_a_sample_outside_every_cell_is_caught(path, monkeypatch):
-    """Cells that miss symbol c fail the cover check; past that check,
-    the first sample holding c escapes every cell, on either path."""
+    """Cells that miss symbol c fail the cover check.  Past that check,
+    the table path refuses the uncovered symbol before any draw, and the
+    cylinder path raises at the first sample holding c; both say it
+    escaped every cell."""
     spec = SystemSpec.shift(LAW3)
     if path == "table":
         part = _cells_at(0, ("a", "b"))

@@ -1,0 +1,199 @@
+"""The packaged JSON schemas and the CLI's interpreter of them.
+
+jsonschema is the oracle here and nowhere at run time: each packaged
+schema must be a valid draft 2020-12 schema, the interpreter must accept
+and reject what ``jsonschema.exceptions.best_match`` does with the same
+path and message, and a schema keyword the interpreter does not enforce
+must be refused rather than ignored.
+"""
+
+from __future__ import annotations
+
+import importlib.resources
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
+
+from ergolab.cli import SchemaViolation, _check_keywords, _schema_errors, _validate
+
+SCHEMAS = ("config.schema.json", "report.schema.json")
+
+
+def _packaged(name: str) -> dict:
+    ref = importlib.resources.files("ergolab.schemas").joinpath(name)
+    return json.loads(ref.read_text(encoding="utf-8"))
+
+
+def _interpreted(name: str, instance):
+    """(path, message) of the interpreter's violation, or None."""
+    try:
+        _validate(name, "instance", instance)
+    except SchemaViolation as exc:
+        return exc.path, exc.message
+    return None
+
+
+def _oracle(name: str, instance):
+    """(path, message) of jsonschema's best match, or None."""
+    schema = _packaged(name)
+    error = best_match(validator_for(schema)(schema).iter_errors(instance))
+    return None if error is None else (tuple(error.path), error.message)
+
+
+# Scalars that straddle every type line: bools next to 0 and 1, integral
+# and fractional floats, negatives, the enum strings and a few others.
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([0.0, 1.0, -1.0, 2.0, 0.5, -2.5, 1e300, float("inf")]),
+    st.sampled_from([
+        "", "x", "json", "csv", "xml", "compute", "theorem1", "reproduce-letter",
+        "exact", "monte-carlo", "residual-certified", "guesswork",
+    ]),
+)
+KEYS = st.sampled_from(["kind", "statement", "provenance", "evidence", "seed", "extra", "0"])
+ANY = st.recursive(
+    SCALARS,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(KEYS, kids, max_size=3),
+    max_leaves=6,
+)
+UNKNOWN = st.dictionaries(st.sampled_from(["extra", "precision_bits", "Seed", "1"]), ANY,
+                          max_size=2)
+
+
+def _mostly(value: st.SearchStrategy, other: st.SearchStrategy) -> st.SearchStrategy:
+    """``value`` about fifteen times in sixteen, else ``other``."""
+    return st.integers(0, 15).flatmap(lambda pick: value if pick else other)
+
+
+def _instances(plausible: dict, required: tuple) -> st.SearchStrategy:
+    """Objects holding the required properties and any subset of the
+    others, each value mostly plausible and otherwise arbitrary; now and
+    then a required key is dropped or unknown keys are added, and now and
+    then a bare value stands in for the object."""
+    def values(keys):
+        return {key: _mostly(plausible[key], ANY) for key in keys}
+
+    known = st.fixed_dictionaries(
+        values(required), optional=values(k for k in plausible if k not in required)
+    )
+    dropped = _mostly(st.just(()), st.lists(st.sampled_from(required), max_size=2))
+    objects = st.builds(
+        lambda obj, drop, extra: {**{k: v for k, v in obj.items() if k not in drop}, **extra},
+        known, dropped, _mostly(st.just({}), UNKNOWN),
+    )
+    return _mostly(objects, ANY)
+
+
+CONFIGS = _instances({
+    "scenario": st.sampled_from(["reproduce-letter", "reproduce-kolmogorov", "theorem1",
+                                 "compute", "nope"]),
+    "systems": st.lists(st.dictionaries(KEYS, ANY, max_size=2) | ANY, max_size=3),
+    "truncation": st.integers(-1, 4) | st.sampled_from([1.0, 0.0, True]),
+    "residual_truncation": st.integers(0, 4),
+    "samples": st.integers(-1, 3),
+    "block_length": st.integers(-1, 3),
+    "seed": st.integers(-2, 5) | st.sampled_from([3.0, -1.0, 0.5, False]),
+    "bits": st.booleans() | st.sampled_from([0, 1]),
+    "format": st.sampled_from(["json", "csv", "xml"]),
+    "out": st.text(max_size=2),
+    "op": st.sampled_from(["tower", "weak-mixing", ""]),
+    "params": st.dictionaries(KEYS, ANY, max_size=2),
+}, required=("scenario", "seed"))
+
+VERDICTS = _instances({
+    "statement": st.sampled_from(["spectrally isomorphic", ""]),
+    "provenance": st.sampled_from(["exact", "monte-carlo", "residual-certified",
+                                   "guesswork"]),
+    "evidence": st.dictionaries(KEYS, ANY, max_size=2),
+}, required=("statement", "provenance", "evidence"))
+REPORTS = _instances({
+    "scenario": st.sampled_from(["theorem1", "compute"]),
+    "version": st.just("0.1.0"),
+    "seed": st.integers(-2, 5) | st.sampled_from([1.0, True]),
+    "config": st.dictionaries(KEYS, ANY, max_size=2),
+    "results": st.dictionaries(KEYS, ANY, max_size=2),
+    "verdicts": st.lists(VERDICTS | ANY, max_size=3),
+}, required=("scenario", "version", "seed", "config", "results", "verdicts"))
+
+
+@pytest.mark.parametrize("name", SCHEMAS)
+def test_packaged_schemas_are_valid_draft_2020_12(name):
+    schema = _packaged(name)
+    validator_for(schema).check_schema(schema)
+    _check_keywords(schema)
+
+
+@settings(max_examples=400, deadline=None)
+@given(CONFIGS)
+def test_config_verdicts_match_jsonschema(instance):
+    assert _interpreted("config.schema.json", instance) == _oracle("config.schema.json", instance)
+
+
+@settings(max_examples=400, deadline=None)
+@given(REPORTS)
+def test_report_verdicts_match_jsonschema(instance):
+    assert _interpreted("report.schema.json", instance) == _oracle("report.schema.json", instance)
+
+
+def test_a_best_match_is_shallowest_then_last_sibling_then_first_keyword():
+    """Three tie-breaks of ``best_match``: the root error beats deeper
+    ones, ``type`` (listed first) beats ``minimum`` at one path, and the
+    later array index beats the earlier."""
+    def best(instance):
+        found = _interpreted("config.schema.json", instance)
+        assert found == _oracle("config.schema.json", instance)
+        return found
+
+    instance = {"seed": -1.5, "systems": [1, 2], "scenario": "compute", "extra": 0}
+    assert len(list(_schema_errors(_packaged("config.schema.json"), instance))) == 5
+    assert best(instance) == (
+        (), "Additional properties are not allowed ('extra' was unexpected)"
+    )
+    del instance["extra"]
+    assert best(instance) == (("seed",), "-1.5 is not of type 'integer'")
+    instance["seed"] = 1
+    assert best(instance) == (("systems", 1), "2 is not of type 'object'")
+
+
+def test_bools_and_integral_floats_follow_json_types():
+    """A bool is no integer and equals no number in ``enum``; an integral
+    float is an integer."""
+    base = {"scenario": "compute"}
+    assert _interpreted("config.schema.json", {**base, "seed": 2.0}) is None
+    assert _interpreted("config.schema.json", {**base, "seed": True}) == (
+        ("seed",), "True is not of type 'integer'"
+    )
+    assert _interpreted("config.schema.json", {**base, "seed": 1, "bits": 1}) == (
+        ("bits",), "1 is not of type 'boolean'"
+    )
+    # no packaged enum holds a number or a bool, so check equality directly
+    schema = {"enum": [1, False, "x"]}
+    for instance in (True, 0, 1.0, 0.0, False, "x", None):
+        errors = validator_for(schema)(schema).iter_errors(instance)
+        expected = [(tuple(e.path), e.message) for e in errors]
+        assert list(_schema_errors(schema, instance)) == expected
+    assert list(_schema_errors(schema, True)) == [((), "True is not one of [1, False, 'x']")]
+
+
+@pytest.mark.parametrize("keyword", [
+    {"maximum": 10},
+    {"pattern": "^x"},
+    {"additionalProperties": True},
+    {"additionalProperties": {"type": "string"}},
+    {"items": True},
+    {"enum": [[1, 2]]},
+    {"properties": {"x": {"type": "integer", "exclusiveMinimum": 0}}},
+    {"items": {"anyOf": [{"type": "string"}]}},
+])
+def test_a_schema_keyword_not_enforced_is_refused(keyword):
+    schema = {"$schema": "https://json-schema.org/draft/2020-12/schema",
+              "title": "t", "description": "d", "type": "object", **keyword}
+    validator_for(schema).check_schema(schema)
+    with pytest.raises(NotImplementedError, match="is not enforced"):
+        _check_keywords(schema)
