@@ -229,8 +229,13 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
         """The config a validated JSON object names; the schema admits
-        only field names, and absent fields keep their defaults."""
+        only field names, and absent fields keep their defaults.  An
+        integral float, which the schema admits as an integer, becomes
+        an int."""
         _validate_config(data)
+        properties = _schema("config.schema.json")["properties"]
+        data = {key: int(value) if properties[key].get("type") == "integer" else value
+                for key, value in data.items()}
         return cls(**{**data, "systems": tuple(data.get("systems", ()))})
 
     def system_specs(self) -> list[SystemSpec]:
@@ -806,9 +811,8 @@ def _letter_csvs(report: ExperimentReport, out: Path) -> list[Path]:
                     rep["k"],
                     rep["truncation"],
                     repr(rep["residual"]),
-                    repr(rep["grid_residual"]),
-                    repr(rep["delta"][0]),
-                    repr(rep["delta"][1]),
+                    rep["cycles"],
+                    max((n for n, _ in rep["path_lengths"]), default=0),
                     repr(cert["r0"]),
                 ]
             )
@@ -816,8 +820,7 @@ def _letter_csvs(report: ExperimentReport, out: Path) -> list[Path]:
         path = out / "residuals.csv"
         _write_csv(
             path,
-            ["system", "k", "truncation", "residual", "grid_residual",
-             "delta_re", "delta_im", "r0"],
+            ["system", "k", "truncation", "residual", "cycles", "longest_path", "r0"],
             rows,
         )
         written.append(path)

@@ -23,29 +23,27 @@ quasi-discrete spectrum: L. M. Abramov, 1962; F. Hahn and W. Parry,
 1965).  :func:`decide_finite_orbits` settles that for every k at once,
 from the affine maps (A, b) the table gives per label sector.
 
-The residual search corroborates the decision on a truncated basis: it
-minimizes ``|| g o T - delta e(k u) g ||`` over a fixed u-band
-(``U_BAND``) and a sequence window that grows with the truncation N.  The
-truncated operator is a phased partial permutation of basis labels, so
-the least-squares minimum has a closed form per orbit component (a
-self-loop or cycle gives an exact solution; a free path of n nodes gives
-residual ``sqrt(2 - 2 cos(pi/(n+1)))``), with the unimodular constant
-delta eliminated analytically.  The returned minimizer is re-evaluated
-by quadrature on a uniform u-grid as an independent check.  The search
-accepts a finite orbit below 1e-6 and rejects one above ``r0/2``, with r0
-the closed-form residual of the band's longest free path; a residual in
-between raises :class:`InconclusiveEvidenceError`, and a verdict that
-disagrees with the exact decision raises ``RuntimeError``.  The reject
-margin measures the band, not the system: it falls like
-``pi / (2 U_BAND + 2)`` as the band grows.
+The residual search corroborates the decision on a truncated basis, a
+fixed u-band (``U_BAND``) times a sequence window that grows with the
+truncation N.  There the operator is a phased partial permutation of basis
+labels whose phases can be gauged away, so the least-squares minimum of
+``|| g o T - delta e(k u) g ||`` is a closed form of the orbit census: 0
+if K_k closes a cycle on the basis, and otherwise
+``sqrt(2 - 2 cos(pi/(L+1)))`` at the longest free path L.  The search
+counts the cycles and free paths and reads the residual off that form.
+The certificate accepts a finite orbit below 1e-6 and rejects one above
+``r0/2``, with r0 the closed-form residual of the band's longest free
+path; a residual in between raises :class:`InconclusiveEvidenceError`,
+and a verdict that disagrees with the exact decision raises
+``RuntimeError``.  The reject margin measures the band, not the system:
+it falls like ``pi / (2 U_BAND + 2)`` as the band grows.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -302,25 +300,23 @@ def stabilization_depth(levels: Sequence[TowerLevel]) -> Optional[int]:
 Node = tuple[int, ...]
 
 
-def _p_step(kind: str, nodes: Sequence[Node], k: int = 0) -> tuple[list[int], list[Node]]:
+def _p_step(kind: str, nodes: Sequence[Node], k: int) -> list[Node]:
     """K_k on a list of labels: the table's P step followed by l -> l - k.
 
     All labels of one sector go through ``koopman_step`` as one array, so
-    a whole search costs one array step per sector.  Returns the gamma
-    multipliers and the images, in the order of ``nodes``.
+    a whole census costs one array step per sector.  Returns the images
+    in the order of ``nodes``; the census needs no gamma multipliers.
     """
-    mults: list[int] = [0] * len(nodes)
     images: list[Node] = [()] * len(nodes)
     for sector, action in KOOPMAN_TABLE[kind].items():
         at = [i for i, node in enumerate(nodes) if len(node) == len(action.b)]
         if not at:
             continue
         x = np.array([nodes[i] for i in at], dtype=np.int64).T
-        mult, (l, *tail) = koopman_step(kind, sector, tuple(x))
-        image = np.array([l - k, *tail])
-        for i, m, y in zip(at, mult.tolist(), image.T.tolist()):
-            mults[i], images[i] = m, tuple(y)
-    return mults, images
+        _, (l, *tail) = koopman_step(kind, sector, tuple(x))
+        for i, y in zip(at, np.array([l - k, *tail]).T.tolist()):
+            images[i] = tuple(y)
+    return images
 
 
 @dataclass
@@ -389,21 +385,20 @@ def decide_finite_orbits(kind: str) -> OrbitDecision:
 
 @dataclass
 class ResidualReport:
-    """Outcome of one quasi-proper-function search."""
+    """Outcome of one quasi-proper-function search: the orbit census of
+    the truncated K_k and the least-squares minimum it fixes."""
 
     system_kind: str
     k: int
     truncation: int
     residual: float
-    delta: complex
     u_band: int
-    grid: int
-    grid_residual: float
     dimension: int
-    profile: dict
+    cycles: int
+    path_lengths: list[list[int]]
 
     def to_json(self) -> dict:
-        return {**asdict(self), "delta": [self.delta.real, self.delta.imag]}
+        return asdict(self)
 
 
 def _tail_labels(spec: SystemSpec, truncation: int) -> list:
@@ -425,18 +420,10 @@ def _tail_labels(spec: SystemSpec, truncation: int) -> list:
     )
 
 
-def _phase_function(spec: SystemSpec) -> Callable[[int], complex]:
-    """``l -> e(l gamma)``, memoised by the returned function: a search
-    asks for the 2 * U_BAND + 1 frequencies of its band many times each."""
-    gamma = spec.gamma
-
-    @lru_cache(maxsize=None)
-    def phase_of(l: int) -> complex:
-        if gamma.is_exact:
-            return cmath.exp(2j * cmath.pi * float(gamma.frac_multiple(l)))
-        return cmath.exp(2j * cmath.pi * ((l * gamma.to_float()) % 1.0))
-
-    return phase_of
+def _path_residual(n: int) -> float:
+    """The least-squares minimum on a free path of n nodes,
+    ``sqrt(2 - 2 cos(pi / (n + 1)))``."""
+    return math.sqrt(2 - 2 * math.cos(math.pi / (n + 1)))
 
 
 def quasi_eigen_residual_search(
@@ -444,187 +431,63 @@ def quasi_eigen_residual_search(
     k: int,
     truncation: int,
 ) -> ResidualReport:
-    """Minimize ``|| g o T - delta e(k u) g ||`` over unit g in the
-    truncated basis and unimodular delta.
+    """The minimum of ``|| g o T - delta e(k u) g ||`` over unit g in the
+    truncated basis and unimodular delta, read off the orbit census of K_k.
 
     The basis is ``e(l u)`` times a tail character, with |l| <= ``U_BAND``
-    and tails from the truncation N.  The search walks the same index map
-    K_k as :func:`decide_finite_orbits`, restricted to that basis.
-
-    The norm counts all coefficients, including those the dynamics pushes
-    outside the truncation, so enlarging the basis can only reveal
-    smaller minima, never hide leakage.  The truncated operator is a
-    phased partial permutation, so after eliminating delta analytically
-    the minimum is exact per orbit component: any closed component gives
-    an exact solution (residual 0), and a free path of n nodes gives
-    ``sqrt(2 - 2 cos(pi/(n+1)))`` with the sine-profile minimizer.
-
-    The winning minimizer is re-evaluated on a uniform u-grid of
-    max(4N, band limit) points, fine enough for exact quadrature, and the
-    report carries both numbers; they agree to 1e-9.  k = 0 recovers
-    proper functions (residual ~ 0); on the skew control with k = 1 the
-    mode e(v) is an exact witness.
+    and tails from the truncation N.  Its labels go once through the
+    same index map K_k as :func:`decide_finite_orbits`; keeping the images
+    that stay in the basis leaves a partial permutation (K_k is
+    injective), whose components are cycles and free paths.  The norm
+    counts every coefficient, including those the dynamics pushes out of
+    the truncation, so the components are orthogonal and the minimum is
+    the least over them.  The phases along a component can be gauged
+    away, so a cycle (a self-loop included) carries an exact solution and
+    a free path of n nodes leaves ``sqrt(2 - 2 cos(pi/(n+1)))``, attained
+    by the discrete sine profile.  The residual is therefore 0 when
+    ``cycles`` is nonzero, and otherwise the path residual at the longest
+    path.  ``path_lengths`` lists ``[length, count]`` in ascending length.
+    k = 0 recovers the proper functions; on the skew control with k = 1
+    the mode e(v) is a self-loop.
     """
     if truncation < 2:
         raise ValueError("truncation must be >= 2")
-    # the band limit that makes the quadrature check exact
-    grid = max(4 * truncation, 2 * (U_BAND + truncation + abs(k)) + 2)
     tails = _tail_labels(spec, truncation)
     nodes: list[Node] = [(l, *t) for l in range(-U_BAND, U_BAND + 1) for t in tails]
-    node_set = set(nodes)
-    phase_of = _phase_function(spec)
-
-    succ: dict[Node, tuple[Node, complex]] = {}
-    preds: set[Node] = set()
-    for node, mult, target in zip(nodes, *_p_step(spec.kind, nodes, k)):
-        if target in node_set:
-            succ[node] = (target, phase_of(mult))
-            preds.add(target)
-
-    # orbit components of the partial permutation: free paths, then cycles
-    best: tuple[float, dict[Node, complex]] = (-1.0, {})  # (score, c)
-    visited: set[Node] = set()
-    order = sorted(nodes, key=_node_sort_key)
-    for on_cycles in (False, True):
-        # once the paths are walked, every node left lies on a cycle
-        for start in order:
-            if start in visited or (start in preds) != on_cycles:
-                continue
-            orbit, weights = [start], []
-            while orbit[-1] in succ:
-                nxt, w = succ[orbit[-1]]
-                weights.append(w)
-                if nxt == start:
-                    break
-                orbit.append(nxt)
-            visited.update(orbit)
-            n = len(orbit)
-            c: dict[Node, complex] = {}
-            if on_cycles:
-                score, x, prod = 1.0, 1.0 + 0j, 1.0 + 0j
-                for w in weights:
-                    prod *= w
-                delta = prod ** (1.0 / n)
-                for node, w in zip(orbit, weights):
-                    c[node] = x / math.sqrt(n)
-                    x *= w / delta
-            else:
-                score, u = math.cos(math.pi / (n + 1)), 1.0 + 0j
-                norm = math.sqrt(sum(math.sin((j + 1) * math.pi / (n + 1)) ** 2 for j in range(n)))
-                for j, node in enumerate(orbit):
-                    c[node] = math.sin((j + 1) * math.pi / (n + 1)) / norm * u
-                    if j < n - 1:
-                        u *= weights[j]
-            if score > best[0] + 1e-15:
-                best = (score, c)
-
-    c_best = best[1]
-    delta = _optimal_delta(spec, k, c_best, phase_of)
-    residual = _coefficient_residual(spec, k, c_best, delta, phase_of)
-    grid_residual = _grid_residual(spec, k, c_best, delta, grid)
+    index = {node: i for i, node in enumerate(nodes)}
+    succ = [index.get(image, -1) for image in _p_step(spec.kind, nodes, k)]
+    targets = [j for j in succ if j >= 0]
+    if len(set(targets)) < len(targets):  # paths could merge or run into a cycle
+        raise ValueError(f"K_{k} is not injective on the truncated basis")
+    # a node with a predecessor lies on a cycle unless a free path,
+    # walked from a node without one, reaches it
+    on_cycle = [False] * len(nodes)
+    for j in targets:
+        on_cycle[j] = True
+    lengths: Counter[int] = Counter()
+    for i in [i for i, flag in enumerate(on_cycle) if not flag]:
+        n = 0
+        while i >= 0:
+            on_cycle[i] = False
+            n, i = n + 1, succ[i]
+        lengths[n] += 1
+    cycles = 0
+    for i in range(len(nodes)):
+        if on_cycle[i]:
+            cycles += 1
+            while on_cycle[i]:
+                on_cycle[i] = False
+                i = succ[i]
     return ResidualReport(
         system_kind=spec.kind,
         k=k,
         truncation=truncation,
-        residual=residual,
-        delta=delta,
+        residual=0.0 if cycles else _path_residual(max(lengths)),
         u_band=U_BAND,
-        grid=grid,
-        grid_residual=grid_residual,
         dimension=len(nodes),
-        profile=_profile(spec, c_best),
+        cycles=cycles,
+        path_lengths=[[n, lengths[n]] for n in sorted(lengths)],
     )
-
-
-def _node_sort_key(node: Node):
-    """|l|, the sign of l, then the tail: a v-frequency m by (|m|, m), a
-    product support by its size, then its first position and its shape."""
-    l, *tail = node
-    if len(tail) == 1:
-        tail = [abs(tail[0]), *tail]
-    elif tail:
-        tail = [1 + (tail[1] != 0), *tail]
-    return (abs(l), l < 0, tail)
-
-
-def _optimal_delta(spec, k, c, phase_of) -> complex:
-    """delta maximizing Re(conj(delta) <Pc, Qc>), in closed form."""
-    inner = 0j
-    pc = _apply_p(spec, c, phase_of)
-    qc = _apply_q(spec, k, c)
-    for key, val in pc.items():
-        if key in qc:
-            inner += val * qc[key].conjugate()
-    if abs(inner) < 1e-300:
-        return 1.0 + 0j
-    return inner / abs(inner)
-
-
-def _apply_p(spec, c, phase_of) -> dict[Node, complex]:
-    out: dict[Node, complex] = {}
-    for val, mult, key in zip(c.values(), *_p_step(spec.kind, list(c))):
-        out[key] = out.get(key, 0j) + phase_of(mult) * val
-    return out
-
-
-def _apply_q(spec, k, c) -> dict[Node, complex]:
-    out: dict[Node, complex] = {}
-    for (l, *tail), val in c.items():
-        key = (l + k, *tail)
-        out[key] = out.get(key, 0j) + val
-    return out
-
-
-def _coefficient_residual(spec, k, c, delta, phase_of) -> float:
-    """|| P c - delta Q c || over the full lattice (leakage included)."""
-    diff = _apply_p(spec, c, phase_of)
-    for key, val in _apply_q(spec, k, c).items():
-        diff[key] = diff.get(key, 0j) - delta * val
-    return math.sqrt(sum(abs(v) ** 2 for v in diff.values()))
-
-
-def _grid_residual(spec, k, c, delta, grid: int) -> float:
-    """The same residual by quadrature on a uniform u-grid.
-
-    Band-limited integrands make the quadrature exact once the grid
-    exceeds twice the output band; this is the independent numerical
-    check that the closed-form minimizer actually solves the advertised
-    least-squares problem.
-    """
-    u = np.arange(grid) / grid
-    gamma = spec.gamma.to_float()
-    q_wave = np.exp(2j * np.pi * k * u)
-    by_out: dict[object, np.ndarray] = {}
-
-    def add(tail_label, values) -> None:
-        cur = by_out.get(tail_label)
-        by_out[tail_label] = values if cur is None else cur + values
-
-    for ((l, *tail), val), mult, (l_p, *tail_p) in zip(c.items(), *_p_step(spec.kind, list(c))):
-        add(tuple(tail_p), val * np.exp(2j * np.pi * mult * gamma) * np.exp(2j * np.pi * l_p * u))
-        add(tuple(tail), -delta * val * q_wave * np.exp(2j * np.pi * l * u))
-    total = 0.0
-    for values in by_out.values():
-        total += float(np.mean(np.abs(values) ** 2))
-    return math.sqrt(total)
-
-
-def _profile(spec, c) -> dict:
-    """l2 mass of the minimizer by u-frequency and by tail sector."""
-    by_l: dict[int, float] = {}
-    by_tail: dict[str, float] = {}
-    for (l, *tail), val in c.items():
-        mass = abs(val) ** 2
-        by_l[l] = by_l.get(l, 0.0) + mass
-        if spec.kind == "product":
-            sector = "constant" if not tail else f"support_{1 + (tail[1] != 0)}"
-        else:
-            sector = "v_constant" if tail[0] == 0 else f"v_frequency_{tail[0]}"
-        by_tail[sector] = by_tail.get(sector, 0.0) + mass
-    return {
-        "u_frequency": {str(l): round(m, 12) for l, m in sorted(by_l.items())},
-        "tail": {s: round(m, 12) for s, m in sorted(by_tail.items())},
-    }
 
 
 def residual_reference(ks: tuple[int, ...] = (1, 2)) -> float:
@@ -642,8 +505,7 @@ def residual_reference(ks: tuple[int, ...] = (1, 2)) -> float:
     """
     if not ks or 0 in ks:
         raise ValueError(f"r0 is defined for nonzero k, not {tuple(ks)}")
-    longest = max(-(-(2 * U_BAND + 1) // abs(k)) for k in ks)
-    return math.sqrt(2 - 2 * math.cos(math.pi / (longest + 1)))
+    return _path_residual(max(-(-(2 * U_BAND + 1) // abs(k)) for k in ks))
 
 
 # ---------------------------------------------------------------------------

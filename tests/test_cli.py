@@ -151,8 +151,7 @@ def test_letter_scenario(tmp_path):
     with open(out / "residuals.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == [
-        "system", "k", "truncation", "residual", "grid_residual",
-        "delta_re", "delta_im", "r0",
+        "system", "k", "truncation", "residual", "cycles", "longest_path", "r0",
     ]
     assert len(rows) > 1
     with open(out / "tower.csv", newline="") as fh:
@@ -559,6 +558,22 @@ def test_flag_overrides_config_file(tmp_path):
     code, out = run(tmp_path, "theorem1", "--config", str(cfg), "--seed", "77")
     assert code == 0
     assert read_report(out)["seed"] == 77
+
+
+@pytest.mark.parametrize(
+    "scenario, field, value",
+    [("theorem1", "seed", 2.0),
+     ("reproduce-letter", "residual_truncation", 8.0),
+     ("reproduce-letter", "truncation", 16.0)],
+)
+def test_integral_floats_run_as_integers(tmp_path, scenario, field, value):
+    """The schema admits 2.0 as an integer, so the run must take it as 2."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": scenario, "seed": 0, field: value}))
+    code, out = run(tmp_path, scenario, "--config", str(cfg), "--format", "json")
+    assert code == 0
+    echoed = read_report(out)["config"][field]
+    assert type(echoed) is int and echoed == value
 
 
 def test_json_format_skips_csv(tmp_path):

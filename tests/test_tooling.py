@@ -1,4 +1,4 @@
-"""The benchmark's traced layers still name real code.
+"""The benchmark's traced layers still name real code, and the demos run.
 
 ``bench/trace_layers.SPANS`` wraps functions by (module, attribute path)
 when the benchmark runs with ``--trace 1``; a rename under ``src/``
@@ -9,12 +9,17 @@ directory is read, never written.
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+import ergolab
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def _spans() -> tuple:
@@ -34,3 +39,15 @@ def test_traced_span_targets_resolve(module, path):
     for attr in path.split("."):
         owner = getattr(owner, attr)
     assert callable(owner)
+
+
+@pytest.mark.parametrize(
+    "demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda path: path.name
+)
+def test_demo_runs(demo):
+    src = str(Path(ergolab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr

@@ -4,10 +4,12 @@ residual search that corroborates it.
 The frozen residual constants below come from the structure of the
 truncated minimization problem: a free chain of n basis vectors has
 smallest attainable residual 2*sin(pi / (2*(n+1))), attained by the
-discrete sine profile.  The independent oracle (`residual_brute_force` in
-`tower_oracle.py`) solves the same minimization as a least-squares
+discrete sine profile.  Two oracles in `tower_oracle.py` must agree with
+the census: `residual_by_profile` measures that profile, with its real
+phases, over the coefficient lattice and by quadrature (an upper bound),
+and `residual_brute_force` solves the same minimization as a least-squares
 problem over a quadrature grid, split into the blocks of its Gram matrix
-as read off the matrix itself, and must agree.
+as read off the matrix itself.
 """
 
 from __future__ import annotations
@@ -54,11 +56,17 @@ from ergolab.tower import (
 )
 
 from helpers import GAMMA, subgroup_lattice_examples, tower_is_monotone
-from tower_oracle import _block_min_eigenvalue, _oracle_gram, residual_brute_force
+from tower_oracle import (
+    _block_min_eigenvalue,
+    _oracle_gram,
+    residual_brute_force,
+    residual_by_profile,
+)
 
 SKEW = SystemSpec.skew(GAMMA)
 PRODUCT = SystemSpec.product(GAMMA, BernoulliSpec.fair_coin())
 GOLDEN = RotationNumber.quadratic(-1, 1, 5, 2)  # (sqrt(5) - 1) / 2
+SQRT7_MINUS_2 = RotationNumber.quadratic(-2, 1, 7, 1)
 
 # smallest residuals of the truncated product problem (see module docstring):
 # k = +-1 leaves a free chain of 9 constant-tail modes -> 2 sin(pi/20)
@@ -251,13 +259,18 @@ def test_doctored_p_step_flips_the_decision(monkeypatch):
     support = KOOPMAN_TABLE["product"]["support"]
     monkeypatch.setitem(KOOPMAN_TABLE["product"], "support", support._replace(b=(0, 0, 0)))
     assert decide_finite_orbits("product").sectors["support"] == (0, 0)
+    # ... and the census, stepping the same table, closes every node on itself
+    fixed = quasi_eigen_residual_search(PRODUCT, 0, 8)
+    assert fixed.cycles == fixed.dimension == 1386 and fixed.path_lengths == []
     # a skew step without its m term, (l, m) -> (l, m), leaves only k = 0;
     # the search walks the same step and loses its k = 1 witness with it
     lattice = KOOPMAN_TABLE["skew"]["lattice"]
     monkeypatch.setitem(KOOPMAN_TABLE["skew"], "lattice", lattice._replace(A=((1, 0), (0, 1))))
     doctored = decide_finite_orbits("skew")
     assert not doctored.gap and not doctored.has_finite_orbit(1)
-    assert abs(quasi_eigen_residual_search(SKEW, 1, 8).residual - RESIDUAL_K1) <= 1e-9
+    lost = quasi_eigen_residual_search(SKEW, 1, 8)
+    assert lost.cycles == 0 and _longest_path(lost) == 9
+    assert lost.residual == residual_reference()
 
 
 def test_non_unipotent_step_is_refused(monkeypatch):
@@ -265,6 +278,14 @@ def test_non_unipotent_step_is_refused(monkeypatch):
     monkeypatch.setitem(KOOPMAN_TABLE["skew"], "lattice", lattice._replace(A=((2, 1), (0, 1))))
     with pytest.raises(ValueError, match="unipotent"):
         decide_finite_orbits("skew")
+
+
+def test_census_refuses_a_step_that_is_not_injective(monkeypatch):
+    # (l, m) -> (l + m, 0) merges paths: the census would count nodes twice
+    lattice = KOOPMAN_TABLE["skew"]["lattice"]
+    monkeypatch.setitem(KOOPMAN_TABLE["skew"], "lattice", lattice._replace(A=((1, 1), (0, 0))))
+    with pytest.raises(ValueError, match="not injective"):
+        quasi_eigen_residual_search(SKEW, 1, 8)
 
 
 def test_verdicts_raise_when_evidence_disagrees_with_the_decision(monkeypatch):
@@ -311,18 +332,20 @@ def test_integer_solutions_against_a_bounded_search(rows, rhs):
 # ---------------------------------------------------------------------------
 
 
+def _longest_path(report) -> int:
+    return max((n for n, _ in report.path_lengths), default=0)
+
+
 def test_product_residuals_frozen_values():
     r0 = quasi_eigen_residual_search(PRODUCT, 0, 8)
     assert r0.residual <= 1e-12
-    assert abs(r0.delta - 1) <= 1e-9
+    assert r0.cycles == 9  # the proper functions e(l u), one self-loop each
     for k, expected in ((1, RESIDUAL_K1), (-1, RESIDUAL_K1), (2, RESIDUAL_K2), (-2, RESIDUAL_K2)):
         rep = quasi_eigen_residual_search(PRODUCT, k, 8)
         assert abs(rep.residual - expected) <= 1e-9, (k, rep.residual)
-        # the quadrature cross-check solves nothing structurally; it just
-        # re-measures the reported minimizer on a dense grid of
-        # max(4N, 2(U_BAND + N + |k|) + 2) points
-        assert abs(rep.grid_residual - rep.residual) <= 1e-8
-        assert rep.grid == 32
+        assert rep.cycles == 0
+        assert _longest_path(rep) == (9 if abs(k) == 1 else 5)
+        assert sum(n * count for n, count in rep.path_lengths) == rep.dimension == 1386
 
 
 def test_product_residuals_do_not_shrink_with_truncation():
@@ -338,8 +361,28 @@ def test_product_residuals_do_not_shrink_with_truncation():
 def test_skew_witness_is_an_exact_eigenvector():
     rep = quasi_eigen_residual_search(SKEW, 1, 8)
     assert rep.residual <= 1e-12
-    assert rep.grid_residual <= 1e-8
-    assert abs(rep.delta - 1) <= 1e-9
+    assert rep.cycles >= 1  # e(l u) e(v) is fixed by K_1
+
+
+@pytest.mark.parametrize("gamma", [GAMMA, GOLDEN, SQRT7_MINUS_2], ids=["sqrt2", "golden", "sqrt7"])
+@pytest.mark.parametrize("kind", ["skew", "product"])
+def test_census_matches_the_profile_oracle(kind, gamma):
+    """Upper half of the closed form: the sine profile (or the cycle's
+    gauged vector), carrying the real phases, attains the census residual,
+    and quadrature on a u-grid re-measures it."""
+    spec = (
+        SystemSpec.skew(gamma)
+        if kind == "skew"
+        else SystemSpec.product(gamma, BernoulliSpec.fair_coin())
+    )
+    for truncation in (4, 8, 12, 16):
+        for k in range(-3, 4):
+            census = quasi_eigen_residual_search(spec, k, truncation)
+            oracle = residual_by_profile(spec, k, truncation)
+            assert abs(census.residual - oracle.residual) <= 1e-12, (truncation, k)
+            assert abs(oracle.grid_residual - oracle.residual) <= 1e-8, (truncation, k)
+            if census.cycles:
+                assert abs(oracle.delta - 1) <= 1e-9, (truncation, k)
 
 
 def test_search_agrees_with_dense_oracle():

@@ -1,4 +1,10 @@
-"""The dense least-squares oracle for the residual search and for r0.
+"""Two float oracles for the residual census and for r0.
+
+``residual_by_profile`` builds a concrete unit vector, the best one on
+each orbit component of the truncated index map K_k with its real phases,
+and measures ``|| P c - delta Q c ||`` over the coefficient lattice and by
+quadrature.  A concrete vector bounds the least-squares minimum from
+above, so this is the upper half of the census's closed form.
 
 ``residual_brute_force`` minimizes ``|| g o T - delta e(k u) g ||`` over
 every truncated coefficient vector by assembling the residual matrix on a
@@ -6,20 +12,23 @@ quadrature grid and scanning the unimodular constant delta.  It shares no
 code path with ``ergolab.tower.quasi_eigen_residual_search``: its tail
 labels are enumerated here, its operator is built from grid samples, and
 its block structure is read off the assembled Gram matrix.  The tests use
-it as the reference for the search's minima and for the closed form of
-``ergolab.tower.residual_reference``.
+it as the reference for the census's minima and for the closed form of
+``ergolab.tower.residual_reference``: the lower half.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from ergolab.systems import SystemSpec
-from ergolab.tower import SUPPORT_CAP, U_BAND, UnsupportedSystemError
+from ergolab.koopman import KOOPMAN_TABLE, koopman_step
+from ergolab.systems import RotationNumber, SystemSpec
+from ergolab.tower import SUPPORT_CAP, U_BAND, UnsupportedSystemError, _tail_labels as _table_tails
 
 Node = tuple[int, object]  # (u-frequency, tail label)
 
@@ -206,3 +215,167 @@ def _block_min_eigenvalue(S: np.ndarray, M: np.ndarray) -> Callable[[complex], f
         )
 
     return min_eigenvalue
+
+
+# ---------------------------------------------------------------------------
+# the sine-profile minimizer, measured with its real phases
+# ---------------------------------------------------------------------------
+
+Label = tuple[int, ...]  # (l, *tail) in table coordinates
+
+
+@dataclass
+class ProfileResidual:
+    """One concrete unit vector's residual, measured two ways."""
+
+    residual: float  # || P c - delta Q c || over the whole lattice
+    delta: complex
+    grid: int
+    grid_residual: float  # the same norm by quadrature on ``grid`` points
+
+
+def _p(kind: str, label: Label) -> tuple[int, Label]:
+    """The table's P step on one label: its gamma multiplier and image."""
+    sector = next(
+        name for name, action in KOOPMAN_TABLE[kind].items() if len(action.b) == len(label)
+    )
+    mult, image = koopman_step(kind, sector, label)
+    return mult, tuple(image)
+
+
+@lru_cache(maxsize=None)
+def _phase(gamma: RotationNumber, mult: int) -> complex:
+    """``e(mult gamma)``, from the exact fractional part when there is one;
+    a walk asks for the few multipliers of its band many times each."""
+    if gamma.is_exact:
+        return cmath.exp(2j * cmath.pi * float(gamma.frac_multiple(mult)))
+    return cmath.exp(2j * cmath.pi * ((mult * gamma.to_float()) % 1.0))
+
+
+def residual_by_profile(spec: SystemSpec, k: int, truncation: int) -> ProfileResidual:
+    """Walk the orbit components of the truncated K_k with their phases,
+    build the best unit vector on the best component, and measure it.
+
+    On a cycle of n nodes the vector has modulus 1/sqrt(n) and carries the
+    phases, with delta the n-th root of their product (residual 0); on a
+    free path of n nodes it is the discrete sine profile, whose residual is
+    ``sqrt(2 - 2 cos(pi/(n+1)))``.  Cycles beat every path and longer paths
+    beat shorter ones.  delta is then re-chosen in closed form and the
+    vector measured over the coefficient lattice, leakage included, and by
+    quadrature on a uniform u-grid of ``max(4N, 2(U_BAND + N + |k|) + 2)``
+    points, fine enough to be exact for these band-limited integrands.
+    """
+    if truncation < 2:
+        raise ValueError("truncation must be >= 2")
+    # |l| first, so that among equal components the l = 0 ones, whose
+    # phases are 1, win: a cycle there is a fixed point with delta = 1
+    band = sorted(range(-U_BAND, U_BAND + 1), key=abs)
+    nodes = [(l, *t) for l in band for t in _table_tails(spec, truncation)]
+    node_set = set(nodes)
+    succ: dict[Label, tuple[Label, complex]] = {}
+    preds: set[Label] = set()
+    for node in nodes:
+        mult, (l, *tail) = _p(spec.kind, node)
+        target = (l - k, *tail)
+        if target in node_set:
+            succ[node] = (target, _phase(spec.gamma, mult))
+            preds.add(target)
+
+    best: tuple[float, dict[Label, complex]] = (-1.0, {})  # (score, c)
+    visited: set[Label] = set()
+    for on_cycles in (False, True):
+        # once the paths are walked, every node left lies on a cycle
+        for start in nodes:
+            if start in visited or (start in preds) != on_cycles:
+                continue
+            orbit, weights = [start], []
+            while orbit[-1] in succ:
+                nxt, w = succ[orbit[-1]]
+                weights.append(w)
+                if nxt == start:
+                    break
+                orbit.append(nxt)
+            visited.update(orbit)
+            n = len(orbit)
+            c: dict[Label, complex] = {}
+            if on_cycles:
+                score, x = 1.0, 1.0 + 0j
+                delta = math.prod(weights) ** (1.0 / n)
+                for node, w in zip(orbit, weights):
+                    c[node] = x / math.sqrt(n)
+                    x *= w / delta
+            else:
+                score, u = math.cos(math.pi / (n + 1)), 1.0 + 0j
+                norm = math.sqrt(sum(math.sin((j + 1) * math.pi / (n + 1)) ** 2 for j in range(n)))
+                for j, node in enumerate(orbit):
+                    c[node] = math.sin((j + 1) * math.pi / (n + 1)) / norm * u
+                    if j < n - 1:
+                        u *= weights[j]
+            if score > best[0] + 1e-15:
+                best = (score, c)
+
+    c = best[1]
+    pc, qc = _apply_p(spec, c), _apply_q(k, c)
+    delta = _optimal_delta(pc, qc)
+    grid = max(4 * truncation, 2 * (U_BAND + truncation + abs(k)) + 2)
+    return ProfileResidual(
+        residual=_coefficient_residual(pc, qc, delta),
+        delta=delta,
+        grid=grid,
+        grid_residual=_grid_residual(spec, k, c, delta, grid),
+    )
+
+
+def _apply_p(spec: SystemSpec, c: dict) -> dict[Label, complex]:
+    out: dict[Label, complex] = {}
+    for label, val in c.items():
+        mult, image = _p(spec.kind, label)
+        out[image] = out.get(image, 0j) + _phase(spec.gamma, mult) * val
+    return out
+
+
+def _apply_q(k: int, c: dict) -> dict[Label, complex]:
+    out: dict[Label, complex] = {}
+    for (l, *tail), val in c.items():
+        key = (l + k, *tail)
+        out[key] = out.get(key, 0j) + val
+    return out
+
+
+def _optimal_delta(pc: dict, qc: dict) -> complex:
+    """delta maximizing Re(conj(delta) <Pc, Qc>), in closed form."""
+    inner = sum((val * qc[key].conjugate() for key, val in pc.items() if key in qc), 0j)
+    if abs(inner) < 1e-300:
+        return 1.0 + 0j
+    return inner / abs(inner)
+
+
+def _coefficient_residual(pc: dict, qc: dict, delta: complex) -> float:
+    """|| P c - delta Q c || over the full lattice (leakage included)."""
+    diff = dict(pc)
+    for key, val in qc.items():
+        diff[key] = diff.get(key, 0j) - delta * val
+    return math.sqrt(sum(abs(v) ** 2 for v in diff.values()))
+
+
+def _grid_residual(spec: SystemSpec, k: int, c: dict, delta: complex, grid: int) -> float:
+    """The same residual by quadrature on a uniform u-grid.
+
+    Band-limited integrands make the quadrature exact once the grid
+    exceeds twice the output band, so this re-measures the vector without
+    the coefficient bookkeeping.
+    """
+    u = np.arange(grid) / grid
+    gamma = spec.gamma.to_float()
+    q_wave = np.exp(2j * np.pi * k * u)
+    by_out: dict[Label, np.ndarray] = {}
+
+    def add(tail_label, values) -> None:
+        cur = by_out.get(tail_label)
+        by_out[tail_label] = values if cur is None else cur + values
+
+    for (l, *tail), val in c.items():
+        mult, (l_p, *tail_p) = _p(spec.kind, (l, *tail))
+        add(tuple(tail_p), val * np.exp(2j * np.pi * mult * gamma) * np.exp(2j * np.pi * l_p * u))
+        add(tuple(tail), -delta * val * q_wave * np.exp(2j * np.pi * l * u))
+    return math.sqrt(sum(float(np.mean(np.abs(values) ** 2)) for values in by_out.values()))
