@@ -289,8 +289,10 @@ def partition_refine_entropy(
     chunks of at most ``SAMPLE_CHUNK`` points (:func:`sample_chunks`),
     holding only the sequence positions the cells read, and each chunk's
     itineraries are scored before the next chunk is drawn, so the sample
-    never spans more than one chunk.  Single-position cells then keep
-    only merged moments, so memory does not grow with ``samples``; the
+    never spans more than one chunk.  Calls on different generators
+    share nothing, so concurrent calls, one per thread, hold at most one
+    chunk per thread.  Single-position cells then keep only merged
+    moments, so memory does not grow with ``samples``; the
     multi-position cache of -log mu and the frequency counts hold one
     entry per distinct itinerary seen, up to the number of possible
     itineraries.
@@ -307,11 +309,12 @@ def partition_refine_entropy(
     itinerary's refined cell is itself a cylinder (constraints translated
     step by step and merged), so the exact -log mu(cell) is averaged,
     an unbiased estimator with zero variance for uniform shifts.  The
-    chunks' score counts, means and squared deviations are merged by
-    Chan's update.  Other partitions fall back to frequency plug-in over
-    itineraries, whose counts are summed exactly across chunks, with the
-    coverage guard of :func:`block_entropy_rate` checked before any
-    sampling.
+    chunks' score counts, means and squared deviations, taken about the
+    first score drawn, are merged by Chan's update (:func:`_merge_moments`),
+    so a uniform shift's estimate is its one score exactly, with stderr 0.
+    Other partitions fall back to frequency plug-in over itineraries,
+    whose counts are summed exactly across chunks, with the coverage
+    guard of :func:`block_entropy_rate` checked before any sampling.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -342,7 +345,7 @@ def partition_refine_entropy(
         score = _symbol_count_scorer(spec.bernoulli, n)
     elif measure_scored:
         score = _itinerary_scorer(spec, partition, n)
-    moments = (0, 0.0, 0.0)
+    moments = (0, 0.0, 0.0, 0.0)
     rows = counts = None
     for batch in sample_chunks(spec, rng, samples, positions):
         if table is not None:
@@ -360,9 +363,9 @@ def partition_refine_entropy(
         else:
             rows, counts = _merge_counts(rows, counts, itineraries)
     if measure_scored:
-        count, mean, m2 = moments
+        count, pivot, mean, m2 = moments
         return EntropyEstimate(
-            value=mean, block_length=n, sample_count=count,
+            value=pivot + mean, block_length=n, sample_count=count,
             stderr=math.sqrt(m2 / (count - 1)) / math.sqrt(count), method="measure-scored",
         )
     return _frequency_estimate(counts, n)
@@ -445,21 +448,27 @@ def _itinerary_scorer(spec: SystemSpec, partition: PartitionSpec, n: int):
 
 
 def _merge_moments(
-    moments: tuple[int, float, float], scores: np.ndarray
-) -> tuple[int, float, float]:
-    """Fold one chunk of scores into (count, mean, sum of squared
-    deviations) by Chan's pairwise update; the first chunk's moments are
-    numpy's own mean and squared deviations of its scores."""
-    count, mean, m2 = moments
-    k = scores.size
-    chunk_mean = float(np.mean(scores))
-    chunk_m2 = float(np.sum((scores - chunk_mean) ** 2))
+    moments: tuple[int, float, float, float], scores: np.ndarray
+) -> tuple[int, float, float, float]:
+    """Fold one chunk of scores into (count, pivot, mean, sum of squared
+    deviations) by Chan's pairwise update.  The pivot is the first score
+    drawn, and the mean and deviations are those of the scores minus the
+    pivot, so the estimate is pivot + mean: constant scores shift to
+    exact zeros, whose mean and deviations no rounding can move."""
+    count, pivot, mean, m2 = moments
     if count == 0:
-        return k, chunk_mean, chunk_m2
+        pivot = float(scores[0])
+    shifted = scores - pivot
+    k = shifted.size
+    chunk_mean = float(np.mean(shifted))
+    chunk_m2 = float(np.sum((shifted - chunk_mean) ** 2))
+    if count == 0:
+        return k, pivot, chunk_mean, chunk_m2
     total = count + k
     delta = chunk_mean - mean
     return (
         total,
+        pivot,
         mean + delta * k / total,
         m2 + chunk_m2 + delta * delta * count * k / total,
     )

@@ -57,8 +57,10 @@ DEFAULT_SYMBOLS = (1, -1)
 SYSTEM_KINDS = ("rotation", "skew", "bernoulli", "product")
 
 #: Most points one batch of a streamed Monte-Carlo sample holds
-#: (:func:`sample_chunks`): 2^16 points of ten uint8 symbols and their
-#: per-point temporary arrays stay within a few megabytes.
+#: (:func:`sample_chunks`), and most uniforms one draw of symbols takes
+#: (:func:`sample_batch`): 2^16 points of ten uint8 symbols and their
+#: per-point temporary arrays stay within a few megabytes, and a block
+#: of draws within 0.5 MB.
 SAMPLE_CHUNK = 2**16
 
 
@@ -278,9 +280,12 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
 
     The command line hands generator i to the i-th system of a run, so the
     generator a system draws from depends only on the seed and the
-    system's position, not on how many systems follow it.  A streamed
-    estimate draws all its chunks from its one generator in turn, so its
-    result depends on the seed and ``SAMPLE_CHUNK`` alone.
+    system's position, not on how many systems follow it.  The streams
+    share no state, so systems can draw from them concurrently, each in
+    its own thread, with the result the same as drawing one after
+    another.  A streamed estimate draws all its chunks from its one
+    generator in turn, so its result depends on the seed and
+    ``SAMPLE_CHUNK`` alone.
     """
     import numpy as np
 
@@ -346,7 +351,11 @@ def sample_batch(
     1) that are <= u, counted by one comparison pass per symbol but the
     last.  That is the ``searchsorted(u, side="right")`` of
     ``Generator.choice(k, p=probs)``, so the symbols and the generator's
-    state afterwards equal that call's, at no int64 temporary.
+    state afterwards equal that call's, at no int64 temporary.  The
+    uniforms are drawn in blocks of whole rows, at most ``SAMPLE_CHUNK``
+    of them per draw (one row when a row is wider), and ``rng.random``
+    fills row-major, so the blocks draw what one call would while the
+    float temporary stays within one block.
     """
     import numpy as np
 
@@ -359,10 +368,14 @@ def sample_batch(
         v = rng.random(n)
     if spec.kind in ("bernoulli", "product"):
         cdf = cumulative_law(spec.bernoulli)
-        draws = rng.random((n, len(positions)))
-        sym = np.zeros(draws.shape, dtype=np.min_scalar_type(len(cdf) - 1))
-        for c in cdf[:-1]:
-            sym += draws >= c
+        width = len(positions)
+        sym = np.zeros((n, width), dtype=np.min_scalar_type(len(cdf) - 1))
+        rows = max(1, SAMPLE_CHUNK // max(width, 1))
+        for start in range(0, n, rows):
+            draws = rng.random((min(rows, n - start), width))
+            block = sym[start : start + len(draws)]
+            for c in cdf[:-1]:
+                block += draws >= c
     return SampleBatch(spec=spec, u=u, v=v, sym=sym, anchor=positions.start)
 
 

@@ -23,7 +23,7 @@ import jsonschema
 import pytest
 
 import ergolab
-from ergolab import InconclusiveEvidenceError
+from ergolab import InconclusiveEvidenceError, SystemSpec
 from ergolab.cli import (
     DEFAULT_SEED,
     MAX_INTERTWINER_PAIRS,
@@ -372,6 +372,66 @@ def test_kolmogorov_grid_of_coins(tmp_path):
     assert len(exact) == 10 and len(set(exact)) == 10
     assert exact == sorted(exact)  # monotone in p on this half-interval
     assert len(report["results"]["pairs"]) == 45
+
+
+def test_kolmogorov_workers_draw_what_one_thread_draws(tmp_path, monkeypatch):
+    """Each system's sampled check runs in its own worker thread, on its
+    own generator: the report bytes do not depend on the CPU count, and
+    each estimate equals a serial call on that system's stream.  The
+    laws are chosen so that the draws show in the estimates (a uniform
+    law scores a constant whatever is drawn)."""
+    from ergolab.entropy import PartitionSpec, partition_refine_entropy
+    from ergolab.systems import spawn_rngs
+
+    laws = [
+        {"kind": "bernoulli", "probs": [0.1, 0.9], "symbols": [0, 1]},
+        {"kind": "bernoulli", "probs": [0.3, 0.2, 0.5], "symbols": [0, 1, 2]},
+        {"kind": "bernoulli", "probs": [0.25] * 4, "symbols": [0, 1, 2, 3]},
+    ]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "systems": laws, "samples": 123_457, "block_length": 7, "seed": 5,
+    }))
+    code, default = run(tmp_path / "default", "reproduce-kolmogorov", "--config", str(cfg))
+    assert code == 0
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    code, one = run(tmp_path / "one", "reproduce-kolmogorov", "--config", str(cfg))
+    assert code == 0
+    assert (one / "report.json").read_bytes() == (default / "report.json").read_bytes()
+    specs = [SystemSpec.from_json(law) for law in laws]
+    for entry, spec, rng in zip(read_report(one)["results"]["entropies"], specs,
+                                spawn_rngs(5, len(laws))):
+        serial = partition_refine_entropy(
+            spec, PartitionSpec.time_zero(spec.bernoulli), 7, 123_457, rng
+        )
+        assert entry["sampled"] == serial.to_json()
+
+
+def test_main_caps_the_openblas_pool_before_numpy_loads(tmp_path, monkeypatch):
+    """A fresh CLI run starts numpy with one OpenBLAS thread unless the
+    user chose a count, and a run made once numpy is loaded sets nothing."""
+    script = (
+        "import os, sys\n"
+        "from ergolab import cli\n"
+        "cli.main(sys.argv[1:])\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+    argv = ("reproduce-kolmogorov", "--out", str(tmp_path / "fresh"))
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    proc = _fresh_python("-c", script, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    proc = _fresh_python("-c", script, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "3"
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    import numpy  # noqa: F401
+
+    before = dict(os.environ)
+    code, _ = run(tmp_path, "reproduce-kolmogorov")
+    assert code == 0
+    assert dict(os.environ) == before
 
 
 def test_kolmogorov_same_spec_twice(tmp_path):

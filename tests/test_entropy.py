@@ -310,6 +310,34 @@ def test_chunk_boundaries_give_valid_estimates(samples):
     assert fair.value == math.log(2) and fair.stderr == 0.0
 
 
+def _pairs_at_0_and_1(bern: BernoulliSpec) -> PartitionSpec:
+    """One cell per pair of symbols at positions 0 and 1."""
+    pairs = [(a, b) for a in bern.symbols for b in bern.symbols]
+    return PartitionSpec(
+        cells=tuple(TestSet.from_cylinder(CylinderSet(((0, a), (1, b)))) for a, b in pairs),
+        labels=tuple(f"{a}{b}" for a, b in pairs),
+    )
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("cells", ["single-position", "multi-position"])
+def test_uniform_laws_score_exactly(k, cells):
+    """Every itinerary of a uniform law scores the same, so the estimate
+    is that score exactly, with stderr 0, even when the last chunk is
+    short (123,457 samples end on a chunk of 57,921)."""
+    bern = BernoulliSpec((1 / k,) * k, tuple(range(k)))
+    n = 7
+    if cells == "single-position":
+        part, score = PartitionSpec.time_zero(bern), -math.log(1 / k)
+    else:
+        part, score = _pairs_at_0_and_1(bern), -((n + 1) * math.log(1 / k)) / n
+    est = partition_refine_entropy(
+        SystemSpec.shift(bern), part, n, 123_457, spawn_rngs(35, 1)[0]
+    )
+    assert est.method == "measure-scored" and est.sample_count == 123_457
+    assert est.value == score and est.stderr == 0.0
+
+
 @pytest.mark.parametrize("scorer", list(SCORERS))
 def test_same_seed_same_estimate(scorer):
     spec, part, n = SCORERS[scorer]

@@ -200,24 +200,53 @@ LAWS = {
 }
 
 
+class RecordingRng:
+    """Passes ``random`` on to a generator and records each symbol block
+    drawn, as (rows, width)."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.blocks = rng, []
+
+    def random(self, shape=None):
+        if isinstance(shape, tuple):
+            self.blocks.append(shape)
+        return self.rng.random(shape)
+
+
 @pytest.mark.parametrize("kind", ["bernoulli", "product"])
 @pytest.mark.parametrize("law", list(LAWS))
-def test_sample_batch_draws_what_choice_draws(law, kind):
+def test_sample_batch_draws_what_choice_draws(law, kind, monkeypatch):
     """Comparing uniform draws with the cumulative law gives the symbols
     of ``Generator.choice`` and leaves the generator in the same state;
-    index 255 of a 256-symbol law still fits the uint8 array."""
+    index 255 of a 256-symbol law still fits the uint8 array.  The same
+    holds when ``SAMPLE_CHUNK`` splits a batch's draws into many blocks
+    of whole rows ending on a partial one, when a row is wider than
+    ``SAMPLE_CHUNK`` (one row per block), and for a window of no
+    positions."""
     bern = LAWS[law]
     spec = SystemSpec.shift(bern) if kind == "bernoulli" else SystemSpec.product(GAMMA, bern)
-    rng, oracle = spawn_rngs(16, 1)[0], spawn_rngs(16, 1)[0]
-    batch = sample_batch(spec, rng, 3_000, positions=range(-3, 4))
-    if kind == "product":
-        assert np.array_equal(batch.u, oracle.random(3_000))
-    expected = choice_symbols(bern, oracle, (3_000, 7))
     k = len(bern.probs)
-    assert batch.sym.dtype == expected.dtype == np.min_scalar_type(k - 1)
-    assert np.array_equal(batch.sym, expected)
-    assert np.array_equal(np.unique(batch.sym), np.arange(k))
-    assert rng.random() == oracle.random()
+    cases = [  # (SAMPLE_CHUNK, points, positions, blocks drawn)
+        (systems.SAMPLE_CHUNK, 3_000, range(-3, 4), 1),
+        (50, 3_000, range(-3, 4), 429),  # 428 blocks of 7 rows, then 4
+        (50, 301, range(-30, 30), 301),
+        (50, 3_000, range(0), None),
+    ]
+    for chunk, n, positions, blocks in cases:
+        monkeypatch.setattr(systems, "SAMPLE_CHUNK", chunk)
+        rng, oracle = RecordingRng(spawn_rngs(16, 1)[0]), spawn_rngs(16, 1)[0]
+        batch = sample_batch(spec, rng, n, positions=positions)
+        if kind == "product":
+            assert np.array_equal(batch.u, oracle.random(n))
+        width = len(positions)
+        expected = choice_symbols(bern, oracle, (n, width))
+        assert batch.sym.dtype == expected.dtype == np.min_scalar_type(k - 1)
+        assert np.array_equal(batch.sym, expected)
+        if width:
+            assert np.array_equal(np.unique(batch.sym), np.arange(k))
+            assert len(rng.blocks) == blocks
+        assert all(rows * w <= max(chunk, w) for rows, w in rng.blocks)
+        assert rng.random() == oracle.random()
 
 
 def test_a_draw_on_a_cumulative_entry_takes_the_next_symbol():
