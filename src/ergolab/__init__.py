@@ -40,8 +40,8 @@ _EXPORTS = {
             "DistinguishResult", "ModeSubgroup", "OrbitDecision", "ProductTowerCertificate",
             "ResidualReport", "TowerLevel", "UnsupportedSystemError",
             "certify_product_tower", "compute_tower", "decide_finite_orbits",
-            "quasi_eigen_residual_search", "residual_reference", "stabilization_depth",
-            "tower_step", "towers_distinguish",
+            "quasi_eigen_residual_search", "residual_census", "residual_reference",
+            "stabilization_depth", "tower_step", "towers_distinguish",
         ),
         "entropy": (
             "EntropyEstimate", "EntropyVerdict", "PartitionSpec", "UndersampledError",

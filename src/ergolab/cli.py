@@ -70,9 +70,15 @@ MAX_WEAK_MIXING_DIGITS = 1000
 #: checking them takes about 0.4 microseconds per pair; building peaks
 #: near 46 bytes per pair (46.1 MB traced for the 1,002,001 skew-product
 #: pairs at B = 500, 38.1 MB of it kept) and checking adds a fixed
-#: ~12 MB (it runs in slices of ``koopman.VERIFY_SLICE`` pairs), so the
+#: ~5 MB (it runs in slices of ``koopman.VERIFY_SLICE`` pairs), so the
 #: budget caps one pairing near 4 s and 0.5 GB.
 MAX_INTERTWINER_PAIRS = 10**7
+#: Most basis labels one residual census may step (``tower.census_nodes``:
+#: 9 (1 + (N+1)(2N+1)) on the product at truncation N).  The five-k
+#: census of ``reproduce-letter`` takes about 0.53 microseconds and 123
+#: traced bytes per label on a 2-core x86-64 host, so the budget caps it
+#: near 2 s and 0.5 GB; N = 470 is the largest product truncation it admits.
+MAX_CENSUS_NODES = 4 * 10**6
 #: Most symbols the sampled entropy cross-checks of
 #: ``reproduce-kolmogorov`` may draw: samples x block length, summed over
 #: the systems.  Sampling streams in fixed-size chunks and the scenario
@@ -324,6 +330,18 @@ def _check_intertwiner_cost(specs: Sequence[SystemSpec], truncation: int) -> Non
         )
 
 
+def _check_census_cost(specs: Sequence[SystemSpec], truncation: int) -> None:
+    """Refuse a residual truncation whose census exceeds the node budget."""
+    from .tower import census_nodes
+
+    nodes = max(census_nodes(s.kind, truncation) for s in specs)
+    if nodes > MAX_CENSUS_NODES:
+        raise ValueError(
+            f"residual truncation {truncation} needs {nodes} census nodes, over "
+            f"the budget of {MAX_CENSUS_NODES} nodes"
+        )
+
+
 def _check_sampling_cost(config: ExperimentConfig, systems: int) -> None:
     """Refuse a sample whose symbol count exceeds the sampling budget."""
     symbols = config.samples * config.block_length * systems
@@ -359,6 +377,7 @@ def run_reproduce_letter(config: ExperimentConfig) -> ExperimentReport:
     if spec_a.gamma is None or spec_b.gamma is None:
         raise ValueError("the letter scenario needs systems with a rotation factor")
     _check_intertwiner_cost(specs, config.truncation)
+    _check_census_cost(specs, config.residual_truncation)
     results: dict = {}
     verdicts: list[dict] = []
 
@@ -652,15 +671,14 @@ def _compute_tower(config: ExperimentConfig) -> tuple[dict, list[dict]]:
 
 
 def _compute_residual(config: ExperimentConfig) -> tuple[dict, list[dict]]:
-    from .tower import quasi_eigen_residual_search, residual_reference
+    from .tower import residual_census, residual_reference
 
     spec = _param_system(
         config, SystemSpec.product(SQRT2_MINUS_1, BernoulliSpec.fair_coin())
     )
+    _check_census_cost([spec], config.residual_truncation)
     ks = config.params.get("ks", [0, 1, -1, 2, -2])
-    reports = [
-        quasi_eigen_residual_search(spec, k, config.residual_truncation) for k in ks
-    ]
+    reports = list(residual_census(spec, ks, config.residual_truncation))
     results = {"reports": [r.to_json() for r in reports]}
     if spec.kind == "product":
         results["r0"] = residual_reference()

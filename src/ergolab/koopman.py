@@ -59,9 +59,9 @@ __all__ = [
 
 INFINITE = "infinite"
 #: Pairs :func:`verify_intertwiner` checks at a time.  Each pair of a
-#: slice costs about 150 bytes of integer temporaries, so checking needs
-#: about 10 MB however many pairs the pairing holds.
-VERIFY_SLICE = 2**16
+#: slice costs about 140 bytes of integer temporaries, so checking needs
+#: about 5 MB however many pairs the pairing holds.
+VERIFY_SLICE = 2**15
 #: Half-widths B of the label boxes [-B, B]^d in which :func:`spectrum_of`
 #: counts the chains of moving labels.
 CHAIN_BOXES = (4, 8)
@@ -440,31 +440,35 @@ class _Basis:
     shown as ``("point", j)``, and ``points`` bounds those j.  c >= 0
     names position j of chain c of the canonical chain enumeration,
     shown as ``("chain", *params[c], j)``; chain c holds the positions
-    ``lo[c]..hi[c]``.  ``chain_index`` maps chain parameters back to c
-    arithmetically (-2 outside the box).  ``step`` takes the basis
+    ``lo[c]..hi[c]``.  The parameters are kept as a padded table, one
+    row per parameter with chain c in column c and a zero column last, so
+    that c = -1 reads zeros.  ``chain_index`` maps chain parameters back
+    to c arithmetically (-2 outside the box).  ``step`` takes the basis
     vectors that label arrays name to their raw labels, applies
     ``KOOPMAN_TABLE`` and renormalizes; it returns each phase's gamma
     multiplier and the image labels.
     """
 
     points: tuple[int, int]
-    params: np.ndarray  # one row of chain parameters per chain
     lo: np.ndarray
     hi: np.ndarray
 
-    def __init__(self, B: int) -> None:
+    def __init__(self, B: int, params: np.ndarray) -> None:
         self.B = B
+        self._table = np.append(params, np.zeros((len(params), 1), params.dtype), axis=1)
+
+    @property
+    def params(self) -> np.ndarray:
+        """One row of chain parameters per chain."""
+        return self._table[:, :-1].T
 
     def chain_index(self, *params):
         return -2
 
     def _chain_params(self, c: np.ndarray) -> np.ndarray:
         """Chain parameters of each label, one row per parameter (0 for
-        proper modes)."""
-        out = np.zeros((c.size, self.params.shape[1]), dtype=np.int64)
-        chain = c >= 0
-        out[chain] = self.params[c[chain]]
-        return out.T
+        proper modes): columns of the padded table."""
+        return self._table[:, c]
 
     def label(self, c: int, j: int) -> tuple:
         return ("point", j) if c < 0 else ("chain", *self.params[c].tolist(), j)
@@ -491,9 +495,8 @@ class _RotationBasis(_Basis):
     """The characters e(k u), all proper: no chains."""
 
     def __init__(self, B: int) -> None:
-        super().__init__(B)
+        super().__init__(B, np.zeros((0, 0), dtype=np.int64))
         self.points = (-B, B)
-        self.params = np.zeros((0, 0), dtype=np.int64)
         self.lo = self.hi = np.zeros(0, dtype=np.int64)
 
     def step(self, c, j):
@@ -506,10 +509,9 @@ class _ShiftBasis(_Basis):
     [-B, B]; the constant is the only proper mode."""
 
     def __init__(self, B: int) -> None:
-        super().__init__(B)
         a = np.arange(1, B + 1)
+        super().__init__(B, np.concatenate([[0], np.stack([a, -a], axis=1).ravel()])[None, :])
         self.points = (0, 0)
-        self.params = np.concatenate([[0], np.stack([a, -a], axis=1).ravel()])[:, None]
         self.lo = np.broadcast_to(-B, 2 * B + 1)
         self.hi = np.broadcast_to(B, 2 * B + 1)
 
@@ -533,15 +535,14 @@ class _SkewBasis(_Basis):
     position j is ``f[r + j m, m]``; the proper modes are ``g[k, 0]``."""
 
     def __init__(self, B: int) -> None:
-        super().__init__(B)
         a = np.arange(1, B + 1)
         signed = np.stack([a, -a], axis=1).ravel()
         count = np.abs(signed)  # one chain per residue r mod |m|
         m = np.repeat(signed, count)
         r = np.arange(m.size) - np.repeat(np.cumsum(count) - count, count)
         a = np.abs(m)
+        super().__init__(B, np.stack([m, r]))
         self.points = (-B, B)
-        self.params = np.stack([m, r], axis=1)
         # the positions j with r + j m in [-B, B]
         self.lo = np.where(m > 0, -((B + r) // a), -((B - r) // a))
         self.hi = np.where(m > 0, (B - r) // a, (B + r) // a)
@@ -580,14 +581,14 @@ class _ProductBasis(_Basis):
     are ``e(l u)``."""
 
     def __init__(self, B: int) -> None:
-        super().__init__(B)
         side = 2 * B + 1
         l, m = np.divmod(np.arange(side * side, dtype=np.int32), side)
         l, m = l - B, m - B
         # a stable sort keeps (l, m) lexicographic within each ring
         order = np.argsort(np.maximum(np.abs(l), np.abs(m)), kind="stable")
+        # int32 stays exact in ``step``: its products stay below 4 B^2
+        super().__init__(B, np.stack([l[order], m[order]]))
         self.points = (-B, B)
-        self.params = np.stack([l[order], m[order]], axis=1)
         # every chain holds the positions -B..B: read-only views, no storage
         self.lo = np.broadcast_to(-B, side * side)
         self.hi = np.broadcast_to(B, side * side)

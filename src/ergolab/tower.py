@@ -30,7 +30,8 @@ labels whose phases can be gauged away, so the least-squares minimum of
 ``|| g o T - delta e(k u) g ||`` is a closed form of the orbit census: 0
 if K_k closes a cycle on the basis, and otherwise
 ``sqrt(2 - 2 cos(pi/(L+1)))`` at the longest free path L.  The search
-counts the cycles and free paths and reads the residual off that form.
+takes one P step for every k, then the census on arrays: it counts the
+cycles and free paths of each K_k and reads the residual off that form.
 The certificate accepts a finite orbit below 1e-6 and rejects one above
 ``r0/2``, with r0 the closed-form residual of the band's longest free
 path; a residual in between raises :class:`InconclusiveEvidenceError`,
@@ -42,9 +43,8 @@ it falls like ``pi / (2 U_BAND + 2)`` as the band grows.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -74,6 +74,7 @@ __all__ = [
     "compute_tower",
     "decide_finite_orbits",
     "quasi_eigen_residual_search",
+    "residual_census",
     "residual_reference",
     "stabilization_depth",
     "tower_step",
@@ -295,30 +296,6 @@ def stabilization_depth(levels: Sequence[TowerLevel]) -> Optional[int]:
 # the index map K_k and the exact decision
 # ---------------------------------------------------------------------------
 
-#: A basis label as the raw table label (l, ...): the u-frequency l, then
-#: the tail's coordinates, whose number names the label's sector.
-Node = tuple[int, ...]
-
-
-def _p_step(kind: str, nodes: Sequence[Node], k: int) -> list[Node]:
-    """K_k on a list of labels: the table's P step followed by l -> l - k.
-
-    All labels of one sector go through ``koopman_step`` as one array, so
-    a whole census costs one array step per sector.  Returns the images
-    in the order of ``nodes``; the census needs no gamma multipliers.
-    """
-    images: list[Node] = [()] * len(nodes)
-    for sector, action in KOOPMAN_TABLE[kind].items():
-        at = [i for i, node in enumerate(nodes) if len(node) == len(action.b)]
-        if not at:
-            continue
-        x = np.array([nodes[i] for i in at], dtype=np.int64).T
-        _, (l, *tail) = koopman_step(kind, sector, tuple(x))
-        for i, y in zip(at, np.array([l - k, *tail]).T.tolist()):
-            images[i] = tuple(y)
-    return images
-
-
 @dataclass
 class OrbitDecision:
     """Per label sector, the k whose K_k has a finite orbit there:
@@ -401,8 +378,9 @@ class ResidualReport:
         return asdict(self)
 
 
-def _tail_labels(spec: SystemSpec, truncation: int) -> list:
-    """Tail-factor characters enumerated exactly, as table coordinates.
+def _sector_tails(spec: SystemSpec, truncation: int) -> dict[str, np.ndarray]:
+    """Tail-factor characters enumerated exactly, as table coordinates:
+    per label sector, one row per coordinate and one column per tail.
 
     For the product system: sequence characters with support in
     [-N, N] of size at most ``SUPPORT_CAP`` = 2.  The empty support is
@@ -410,14 +388,37 @@ def _tail_labels(spec: SystemSpec, truncation: int) -> list:
     (a, b - a), its first position and its shape.  For the skew control:
     the v-frequencies m in [-N, N], as (m,).
     """
-    window = range(-truncation, truncation + 1)
+    window = np.arange(-truncation, truncation + 1)
     if spec.kind == "product":
-        return [()] + [(a, b - a) for a in window for b in window if b >= a]
+        a, b = np.triu_indices(window.size)
+        return {"constant": np.zeros((0, 1), dtype=np.int64),
+                "support": np.stack([a - truncation, b - a])}
     if spec.kind == "skew":
-        return [(m,) for m in window]
+        return {"lattice": window[None, :]}
     raise UnsupportedSystemError(
         f"the residual search runs on product or skew systems, not {spec.kind!r}"
     )
+
+
+def census_nodes(kind: str, truncation: int) -> int:
+    """The labels a census at truncation N steps: the u-band's frequencies
+    times the ``1 + (N+1)(2N+1)`` product tails or the ``2N+1`` skew ones."""
+    side = 2 * truncation + 1
+    return (2 * U_BAND + 1) * (1 + (truncation + 1) * side if kind == "product" else side)
+
+
+def _tail_index(tails: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """The column of ``tails`` that each column of ``images`` names, read
+    from a dense grid over the tails' bounding box; -1 where none, inside
+    the box or outside it."""
+    if not len(tails):  # the constant sector's one empty tail
+        return np.zeros(images.shape[1], dtype=np.int64)
+    lo, hi = tails.min(axis=1, keepdims=True), tails.max(axis=1, keepdims=True)
+    side = hi - lo + 1
+    grid = np.full(side.prod(), -1)
+    grid[np.ravel_multi_index(tuple(tails - lo), side.ravel())] = np.arange(tails.shape[1])
+    at = np.ravel_multi_index(tuple(images - lo), side.ravel(), mode="clip")
+    return np.where(((images >= lo) & (images < lo + side)).all(axis=0), grid[at], -1)
 
 
 def _path_residual(n: int) -> float:
@@ -426,68 +427,93 @@ def _path_residual(n: int) -> float:
     return math.sqrt(2 - 2 * math.cos(math.pi / (n + 1)))
 
 
+def _orbit_census(succ: np.ndarray, k: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The cycle count of the partial map ``succ`` (-1: no successor), and
+    its free paths' lengths in ascending order with their counts.
+
+    Pointer doubling, with a sink n that absorbs every path: after round
+    j, ``after[i]`` is the 2^j-th successor of i, ``count[i]`` counts the
+    labels among the first 2^j of i's orbit and ``least[i]`` is the least
+    of them.  Once ``after`` is idempotent, or 2^j >= n, every path has
+    reached the sink and every cycle has been seen whole.  A path's
+    length is its first node's count; a cycle counts at its least label.
+    """
+    n = succ.size
+    preds = np.bincount(succ[succ >= 0], minlength=n)
+    if preds.max(initial=0) > 1:  # paths could merge or run into a cycle
+        raise ValueError(f"K_{k} is not injective on the truncated basis")
+    after = np.append(np.where(succ >= 0, succ, n), n)
+    count, least, span = np.append(np.ones(n, dtype=np.int64), 0), np.arange(n + 1), 1
+    while span < n and not ((twice := after[after]) == after).all():
+        count += count[after]
+        least = np.minimum(least, least[after])
+        after, span = twice, 2 * span
+    on_path = after[:n] == n
+    cycles = int(np.count_nonzero(~on_path & (least[:n] == np.arange(n))))
+    hist = np.bincount(count[:n][on_path & (preds == 0)])  # paths by length
+    lengths = np.flatnonzero(hist)
+    return cycles, lengths, hist[lengths]
+
+
+def residual_census(
+    spec: SystemSpec, ks: Iterable[int], truncation: int
+) -> Iterator[ResidualReport]:
+    """:func:`quasi_eigen_residual_search` for each k of ``ks`` in turn.
+
+    Each sector's labels go through the table's P step once, as integer
+    arrays, and each image tail is resolved to its index among the T tails
+    once.  Only the shift ``l -> l - k`` of K_k = Q* P depends on k: node
+    ``(l + U_BAND) T + t`` goes to ``(l' - k + U_BAND) T + t'``, or to none
+    where the image leaves the basis.  Then :func:`_orbit_census` runs.
+    """
+    if truncation < 2:
+        raise ValueError("truncation must be >= 2")
+    band = np.arange(-U_BAND, U_BAND + 1)[:, None]
+    row_image, t_image, tails_seen = [], [], 0
+    for sector, tails in _sector_tails(spec, truncation).items():
+        x = np.broadcast_arrays(band, *tails[:, None])
+        _, (l, *image) = koopman_step(spec.kind, sector, x)
+        t = _tail_index(tails, np.reshape(image, (len(image), l.size))).reshape(l.shape)
+        row_image.append(l + U_BAND)
+        t_image.append(np.where(t < 0, -1, t + tails_seen))
+        tails_seen += tails.shape[1]
+    row_image, t_image = np.hstack(row_image).ravel(), np.hstack(t_image).ravel()
+    for k in ks:
+        row = row_image - k  # l' - k + U_BAND
+        inside = (t_image >= 0) & (row >= 0) & (row <= 2 * U_BAND)
+        cycles, lengths, counts = _orbit_census(np.where(inside, row * tails_seen + t_image, -1), k)
+        yield ResidualReport(
+            system_kind=spec.kind, k=k, truncation=truncation,
+            residual=0.0 if cycles else _path_residual(int(lengths[-1])),
+            u_band=U_BAND, dimension=row.size, cycles=cycles,
+            path_lengths=np.stack([lengths, counts], axis=1).tolist(),
+        )
+
+
 def quasi_eigen_residual_search(
     spec: SystemSpec,
     k: int,
     truncation: int,
 ) -> ResidualReport:
     """The minimum of ``|| g o T - delta e(k u) g ||`` over unit g in the
-    truncated basis and unimodular delta, read off the orbit census of K_k.
+    truncated basis and unimodular delta, read off the orbit census of K_k:
+    the one-k case of :func:`residual_census`, which takes one P step for
+    every k and the census on arrays.
 
-    The basis is ``e(l u)`` times a tail character, with |l| <= ``U_BAND``
-    and tails from the truncation N.  Its labels go once through the
-    same index map K_k as :func:`decide_finite_orbits`; keeping the images
-    that stay in the basis leaves a partial permutation (K_k is
-    injective), whose components are cycles and free paths.  The norm
-    counts every coefficient, including those the dynamics pushes out of
-    the truncation, so the components are orthogonal and the minimum is
-    the least over them.  The phases along a component can be gauged
-    away, so a cycle (a self-loop included) carries an exact solution and
-    a free path of n nodes leaves ``sqrt(2 - 2 cos(pi/(n+1)))``, attained
-    by the discrete sine profile.  The residual is therefore 0 when
-    ``cycles`` is nonzero, and otherwise the path residual at the longest
-    path.  ``path_lengths`` lists ``[length, count]`` in ascending length.
-    k = 0 recovers the proper functions; on the skew control with k = 1
-    the mode e(v) is a self-loop.
+    The basis is ``e(l u)`` times a tail character, |l| <= ``U_BAND``,
+    tails from the truncation N.  The images of K_k that stay in it leave
+    a partial permutation (K_k is injective, or ``ValueError``) of cycles
+    and free paths, orthogonal since the norm counts the coefficients
+    pushed out of the truncation too.  Gauged, a cycle (a self-loop
+    included) carries an exact solution and a free path of n nodes leaves
+    ``sqrt(2 - 2 cos(pi/(n+1)))``, the discrete sine profile's: the
+    residual is 0 if ``cycles`` is nonzero, else the longest path's.
+    ``path_lengths`` lists ``[length, count]`` in ascending length.  k = 0
+    recovers the proper functions; on the skew control with k = 1 the
+    mode e(v) is a self-loop.
     """
-    if truncation < 2:
-        raise ValueError("truncation must be >= 2")
-    tails = _tail_labels(spec, truncation)
-    nodes: list[Node] = [(l, *t) for l in range(-U_BAND, U_BAND + 1) for t in tails]
-    index = {node: i for i, node in enumerate(nodes)}
-    succ = [index.get(image, -1) for image in _p_step(spec.kind, nodes, k)]
-    targets = [j for j in succ if j >= 0]
-    if len(set(targets)) < len(targets):  # paths could merge or run into a cycle
-        raise ValueError(f"K_{k} is not injective on the truncated basis")
-    # a node with a predecessor lies on a cycle unless a free path,
-    # walked from a node without one, reaches it
-    on_cycle = [False] * len(nodes)
-    for j in targets:
-        on_cycle[j] = True
-    lengths: Counter[int] = Counter()
-    for i in [i for i, flag in enumerate(on_cycle) if not flag]:
-        n = 0
-        while i >= 0:
-            on_cycle[i] = False
-            n, i = n + 1, succ[i]
-        lengths[n] += 1
-    cycles = 0
-    for i in range(len(nodes)):
-        if on_cycle[i]:
-            cycles += 1
-            while on_cycle[i]:
-                on_cycle[i] = False
-                i = succ[i]
-    return ResidualReport(
-        system_kind=spec.kind,
-        k=k,
-        truncation=truncation,
-        residual=0.0 if cycles else _path_residual(max(lengths)),
-        u_band=U_BAND,
-        dimension=len(nodes),
-        cycles=cycles,
-        path_lengths=[[n, lengths[n]] for n in sorted(lengths)],
-    )
+    [report] = residual_census(spec, (k,), truncation)
+    return report
 
 
 def residual_reference(ks: tuple[int, ...] = (1, 2)) -> float:
@@ -539,7 +565,8 @@ def certify_product_tower(
     truncation: int = 8,
     ks: Sequence[int] = (0, 1, -1, 2, -2),
 ) -> ProductTowerCertificate:
-    """Corroborate the exact product-tower decision with the residual search.
+    """Corroborate the exact product-tower decision with the residual search,
+    one P step for all of ``ks`` (:func:`residual_census`).
 
     Each k's search accepts a finite orbit at residual <= ``ACCEPT_TOL``
     and rejects one at residual >= ``r0 * REJECT_FACTOR``; a residual in
@@ -556,9 +583,9 @@ def certify_product_tower(
     r0 = residual_reference()
     reject_at = r0 * REJECT_FACTOR
     reports = []
-    for k in ks:
-        report = quasi_eigen_residual_search(spec, k, truncation)
+    for report in residual_census(spec, ks, truncation):
         reports.append(report)
+        k = report.k
         if report.residual <= ACCEPT_TOL:
             found = True
         elif report.residual >= reject_at:

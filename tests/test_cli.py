@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -23,9 +24,10 @@ import jsonschema
 import pytest
 
 import ergolab
-from ergolab import InconclusiveEvidenceError, SystemSpec
+from ergolab import InconclusiveEvidenceError, SystemSpec, tower
 from ergolab.cli import (
     DEFAULT_SEED,
+    MAX_CENSUS_NODES,
     MAX_INTERTWINER_PAIRS,
     MAX_SAMPLED_SYMBOLS,
     MAX_WEAK_MIXING_DIGITS,
@@ -310,6 +312,28 @@ def test_truncation_above_the_pair_budget_is_refused(scenario, tmp_path, capsys)
     assert code == 1
     err = capsys.readouterr().err
     assert f"error: truncation {truncation} needs {pairs} intertwiner pairs" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [("reproduce-letter",), ("compute", "residual-search")])
+def test_residual_truncation_above_the_node_budget_is_refused(argv, tmp_path, capsys, monkeypatch):
+    truncation = 471  # the smallest refused: 9 (1 + 472 x 943) = 4,005,873 nodes
+    nodes = 9 * (1 + (truncation + 1) * (2 * truncation + 1))
+    assert nodes > MAX_CENSUS_NODES >= 9 * (1 + truncation * (2 * truncation - 1))
+
+    def census(*args):
+        raise AssertionError("the census stepped its nodes")
+
+    monkeypatch.setattr(tower, "residual_census", census)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"residual_truncation": truncation}))
+    code, out = run(tmp_path, *argv, "--config", str(cfg))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert (
+        f"error: residual truncation {truncation} needs {nodes} census nodes, over "
+        f"the budget of {MAX_CENSUS_NODES} nodes" in err
+    )
     assert not out.exists()
 
 
@@ -604,6 +628,35 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
     assert code_a == code_b == 0
     for name in ("report.json", "comparison.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+#: sha256 of report.json and residuals.csv from ``reproduce-letter --seed 0``
+#: at the default config and at B = 192, N = 16.  An intentional change of
+#: these bytes updates the digests and names the change in CHANGES.md.
+LETTER_DIGESTS = {
+    "default": (
+        {},
+        "8b21f6b72bd99b50592833e72b5a46c66a41166bd5d98a43a88f40bef2b830e7",
+        "5d603e4c4bef39f40b35aefb752d9aa64e15103f3abee505cb9b93a5054a6ac4",
+    ),
+    "B=192, N=16": (
+        {"truncation": 192, "residual_truncation": 16},
+        "e38fc337c39934feb895b8742323ceddc4041982c668ddb455cfc0fcf2e2436e",
+        "8574ba10dfc67d968e733dc407cce925dd93313c84425367e17d00fe76b41cb3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(LETTER_DIGESTS))
+def test_letter_report_bytes_are_pinned(name, tmp_path):
+    config, report_digest, residuals_digest = LETTER_DIGESTS[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out = run(tmp_path, "reproduce-letter", "--config", str(cfg), "--seed", "0")
+    assert code == 0
+    digests = [hashlib.sha256((out / f).read_bytes()).hexdigest()
+               for f in ("report.json", "residuals.csv")]
+    assert digests == [report_digest, residuals_digest]
 
 
 def test_seed_changes_the_report(tmp_path):

@@ -538,6 +538,36 @@ def test_check_fails_when_an_action_is_wrong(mutant, case, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "entry, mismatches, checked",
+    [
+        ({"A": ((1, -1), (0, 1))}, 784, 817),
+        ({"A": ((1, 2), (0, 1))}, 512, 545),
+        ({"c": (-1, 0)}, 784, 817),
+    ],
+    ids=["A=((1,-1),(0,1))", "A=((1,2),(0,1))", "c=(-1,0)"],
+)
+def test_skew_table_mutants_break_the_check_by_pinned_counts(
+    entry, mismatches, checked, monkeypatch
+):
+    """Exact counts at B = 16, so that a change to the gather of chain
+    parameters that hides a mismatch, or adds one, shows."""
+    _doctor("skew", "lattice", **entry)(monkeypatch)
+    check = verify_intertwiner(build_intertwiner(*PAIRING_CASES["skew-product"], 16))
+    assert (check.mismatches, check.checked) == (mismatches, checked)
+
+
+@pytest.mark.parametrize("kind", ["skew", "bernoulli", "product"])
+def test_proper_modes_gather_zero_chain_parameters(kind):
+    basis = koopman._BASES[kind](5)
+    last = basis.lo.size - 1
+    params = basis._chain_params(np.array([-1, 0, last, -1]))
+    assert params.shape == (basis.params.shape[1], 4)
+    assert not params[:, [0, 3]].any()
+    assert params[:, 1].tolist() == basis.params[0].tolist()
+    assert params[:, 2].tolist() == basis.params[last].tolist()
+
+
+@pytest.mark.parametrize(
     "case, B, mutant",
     [
         ("skew-product", 33, None),

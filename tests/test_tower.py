@@ -38,6 +38,7 @@ from ergolab import (
     decide_finite_orbits,
     koopman_step,
     quasi_eigen_residual_search,
+    residual_census,
     residual_reference,
     stabilization_depth,
     tower_step,
@@ -53,12 +54,14 @@ from ergolab.tower import (
     _minimal_multiple,
     _skew_quotient_character,
     _tower_gap,
+    census_nodes,
 )
 
 from helpers import GAMMA, subgroup_lattice_examples, tower_is_monotone
 from tower_oracle import (
     _block_min_eigenvalue,
     _oracle_gram,
+    census_by_walk,
     residual_brute_force,
     residual_by_profile,
 )
@@ -286,6 +289,60 @@ def test_census_refuses_a_step_that_is_not_injective(monkeypatch):
     monkeypatch.setitem(KOOPMAN_TABLE["skew"], "lattice", lattice._replace(A=((1, 1), (0, 0))))
     with pytest.raises(ValueError, match="not injective"):
         quasi_eigen_residual_search(SKEW, 1, 8)
+    with pytest.raises(ValueError, match="not injective"):
+        census_by_walk(SKEW, 1, 8)
+    with pytest.raises(ValueError, match="K_1 is not injective"):
+        list(residual_census(SKEW, (1, 2), 8))
+
+
+# (kind, sector, replaced fields): the doctored steps above; steps whose
+# images land in the gaps of the tails' box, leave it, or move the tail by
+# l; and steps of order 2 and 3, whose cycles are longer than one label
+CENSUS_MUTANTS = {
+    "skew table as it is": ("skew", "lattice", {}),
+    "skew without its m term": ("skew", "lattice", {"A": ((1, 0), (0, 1))}),
+    "skew A = ((1, -1), (0, 1))": ("skew", "lattice", {"A": ((1, -1), (0, 1))}),
+    "skew A = ((1, 2), (0, 1))": ("skew", "lattice", {"A": ((1, 2), (0, 1))}),
+    "skew swaps l and m": ("skew", "lattice", {"A": ((0, 1), (1, 0))}),
+    "skew turns by a third": ("skew", "lattice", {"A": ((0, -1), (1, -1))}),
+    "product table as it is": ("product", "support", {}),
+    "product support stays put": ("product", "support", {"b": (0, 0, 0)}),
+    "product shape grows": ("product", "support", {"b": (0, 0, 1)}),
+    "product position moves by l": (
+        "product", "support", {"A": ((1, 0, 0), (1, 1, 0), (0, 0, 1)), "b": (0, 1, 0)}
+    ),
+    "product constant moves": ("product", "constant", {"b": (3,)}),
+}
+
+
+def _census_fields(report) -> tuple:
+    return (report.k, report.cycles, report.path_lengths, report.dimension, report.residual)
+
+
+@pytest.mark.parametrize("mutant", list(CENSUS_MUTANTS))
+def test_census_matches_the_walk_oracle(mutant, monkeypatch):
+    """The array census, one P step for every k, gives the report of the
+    label-by-label walk, field for field, for every k in -4..4."""
+    kind, sector, fields = CENSUS_MUTANTS[mutant]
+    entry = KOOPMAN_TABLE[kind][sector]._replace(**fields)
+    monkeypatch.setitem(KOOPMAN_TABLE[kind], sector, entry)
+    spec = SKEW if kind == "skew" else PRODUCT
+    ks = range(-4, 5)
+    for truncation in (2, 3, 4, 8, 13, 16):
+        census = list(residual_census(spec, ks, truncation))
+        assert [_census_fields(r) for r in census] == [
+            _census_fields(census_by_walk(spec, k, truncation)) for k in ks
+        ], truncation
+        assert census[0].dimension == census_nodes(kind, truncation)
+        assert quasi_eigen_residual_search(spec, 1, truncation) == census[5]
+
+
+def test_census_takes_ks_with_repeats_in_their_order():
+    ks = [1, -2, 1, 0, 0, 2, -2, 1]
+    census = list(residual_census(PRODUCT, ks, 8))
+    assert [r.k for r in census] == ks
+    assert census == [census_by_walk(PRODUCT, k, 8) for k in ks]
+    assert census == [quasi_eigen_residual_search(PRODUCT, k, 8) for k in ks]
 
 
 def test_verdicts_raise_when_evidence_disagrees_with_the_decision(monkeypatch):
@@ -464,8 +521,10 @@ def test_certification_reports_inconclusive_midzone(monkeypatch):
     """With a rejection threshold pushed above the observed residuals the
     protocol must refuse to certify rather than guess."""
     monkeypatch.setattr(tower, "REJECT_FACTOR", 10.0)
-    with pytest.raises(InconclusiveEvidenceError):
+    with pytest.raises(InconclusiveEvidenceError) as caught:
         certify_product_tower(PRODUCT, truncation=8)
+    # the evidence runs up to the failing k, one report per k searched
+    assert caught.value.partial == [quasi_eigen_residual_search(PRODUCT, k, 8) for k in (0, 1)]
 
 
 def test_towers_distinguish_skew_from_product():

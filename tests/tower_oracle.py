@@ -1,4 +1,12 @@
-"""Two float oracles for the residual census and for r0.
+"""Oracles for the residual census and for r0.
+
+``census_by_walk`` is the census as a walk over label tuples, one K_k at
+a time: the table's P step on a list of labels, images looked up in a
+dict, every free path walked from its first node and every cycle from
+its least label.  The array census in ``ergolab.tower`` must give the
+same report for every k.
+
+Two float oracles bound the census's residual from both sides.
 
 ``residual_by_profile`` builds a concrete unit vector, the best one on
 each orbit component of the truncated index map K_k with its real phases,
@@ -20,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -28,9 +37,82 @@ import numpy as np
 
 from ergolab.koopman import KOOPMAN_TABLE, koopman_step
 from ergolab.systems import RotationNumber, SystemSpec
-from ergolab.tower import SUPPORT_CAP, U_BAND, UnsupportedSystemError, _tail_labels as _table_tails
+from ergolab.tower import (
+    SUPPORT_CAP,
+    U_BAND,
+    ResidualReport,
+    UnsupportedSystemError,
+    _path_residual,
+)
 
 Node = tuple[int, object]  # (u-frequency, tail label)
+
+
+def _table_tails(spec: SystemSpec, truncation: int) -> list[tuple]:
+    """Tail-factor characters as table coordinates: for the product, ()
+    for the constant, (a, 0) for the support {a} and (a, b - a) for
+    {a, b} with a < b in [-N, N]; for the skew, (m,) for m in [-N, N]."""
+    window = range(-truncation, truncation + 1)
+    if spec.kind == "product":
+        return [()] + [(a, b - a) for a in window for b in window if b >= a]
+    if spec.kind == "skew":
+        return [(m,) for m in window]
+    raise UnsupportedSystemError(
+        f"the residual search runs on product or skew systems, not {spec.kind!r}"
+    )
+
+
+def _p_step(kind: str, nodes: list[tuple], k: int) -> list[tuple]:
+    """K_k on a list of labels: the table's P step followed by l -> l - k,
+    one label at a time."""
+    images = []
+    for node in nodes:
+        sector = next(n for n, a in KOOPMAN_TABLE[kind].items() if len(a.b) == len(node))
+        _, (l, *tail) = koopman_step(kind, sector, node)
+        images.append((l - k, *tail))
+    return images
+
+
+def census_by_walk(spec: SystemSpec, k: int, truncation: int) -> ResidualReport:
+    """The orbit census of the truncated K_k, walked label by label."""
+    if truncation < 2:
+        raise ValueError("truncation must be >= 2")
+    tails = _table_tails(spec, truncation)
+    nodes = [(l, *t) for l in range(-U_BAND, U_BAND + 1) for t in tails]
+    index = {node: i for i, node in enumerate(nodes)}
+    succ = [index.get(image, -1) for image in _p_step(spec.kind, nodes, k)]
+    targets = [j for j in succ if j >= 0]
+    if len(set(targets)) < len(targets):
+        raise ValueError(f"K_{k} is not injective on the truncated basis")
+    # a node with a predecessor lies on a cycle unless a free path,
+    # walked from a node without one, reaches it
+    on_cycle = [False] * len(nodes)
+    for j in targets:
+        on_cycle[j] = True
+    lengths: Counter[int] = Counter()
+    for i in [i for i, flag in enumerate(on_cycle) if not flag]:
+        n = 0
+        while i >= 0:
+            on_cycle[i] = False
+            n, i = n + 1, succ[i]
+        lengths[n] += 1
+    cycles = 0
+    for i in range(len(nodes)):
+        if on_cycle[i]:
+            cycles += 1
+            while on_cycle[i]:
+                on_cycle[i] = False
+                i = succ[i]
+    return ResidualReport(
+        system_kind=spec.kind,
+        k=k,
+        truncation=truncation,
+        residual=0.0 if cycles else _path_residual(max(lengths)),
+        u_band=U_BAND,
+        dimension=len(nodes),
+        cycles=cycles,
+        path_lengths=[[n, lengths[n]] for n in sorted(lengths)],
+    )
 
 
 def _tail_labels(spec: SystemSpec, truncation: int, support_cap: int) -> list:
