@@ -67,17 +67,24 @@ MAX_WEAK_MIXING_DIGITS = 1000
 #: Most basis pairs the intertwiner of ``reproduce-letter`` and
 #: ``reproduce-kolmogorov`` may build.  At truncation B a pairing holds
 #: (2B+1)^2 pairs, or (2B+1)^3 between two products.  Building and
-#: checking them takes about 0.4 microseconds per pair; building peaks
-#: near 46 bytes per pair (46.1 MB traced for the 1,002,001 skew-product
-#: pairs at B = 500, 38.1 MB of it kept) and checking adds a fixed
-#: ~5 MB (it runs in slices of ``koopman.VERIFY_SLICE`` pairs), so the
-#: budget caps one pairing near 4 s and 0.5 GB.
+#: checking them takes about 0.1 microseconds per pair on a 2-core x86-64
+#: host (0.10 s for the 1,002,001 skew-product pairs at B = 500).
+#: Building peaks near 29 bytes per pair (27.7 MB traced at B = 500,
+#: 23.9 MB of it kept, 16 bytes per pair of it the two int32 label
+#: arrays) and checking adds a fixed ~0.7 MB (it runs in slices of
+#: ``koopman.VERIFY_SLICE`` pairs), so the budget caps one pairing near
+#: 1 s and 0.3 GB.
 MAX_INTERTWINER_PAIRS = 10**7
 #: Most basis labels one residual census may step (``tower.census_nodes``:
 #: 9 (1 + (N+1)(2N+1)) on the product at truncation N).  The five-k
 #: census of ``reproduce-letter`` takes about 0.53 microseconds and 123
 #: traced bytes per label on a 2-core x86-64 host, so the budget caps it
 #: near 2 s and 0.5 GB; N = 470 is the largest product truncation it admits.
+#: Each k runs one more census of every label, about 0.06 microseconds
+#: per label, so a residual search may also take at most five ks' worth
+#: of censuses at the budget: labels x ks <= 5 x ``MAX_CENSUS_NODES``.
+#: At the smallest truncations a k's fixed cost of about 0.06 ms
+#: dominates instead, and the ks that budget admits take up to about 8 s.
 MAX_CENSUS_NODES = 4 * 10**6
 #: Most symbols the sampled entropy cross-checks of
 #: ``reproduce-kolmogorov`` may draw: samples x block length, summed over
@@ -330,8 +337,9 @@ def _check_intertwiner_cost(specs: Sequence[SystemSpec], truncation: int) -> Non
         )
 
 
-def _check_census_cost(specs: Sequence[SystemSpec], truncation: int) -> None:
-    """Refuse a residual truncation whose census exceeds the node budget."""
+def _check_census_cost(specs: Sequence[SystemSpec], truncation: int, ks: int = 5) -> None:
+    """Refuse a residual truncation whose census exceeds the node budget,
+    and a search whose ``ks`` censuses step more labels than five at it."""
     from .tower import census_nodes
 
     nodes = max(census_nodes(s.kind, truncation) for s in specs)
@@ -339,6 +347,14 @@ def _check_census_cost(specs: Sequence[SystemSpec], truncation: int) -> None:
         raise ValueError(
             f"residual truncation {truncation} needs {nodes} census nodes, over "
             f"the budget of {MAX_CENSUS_NODES} nodes"
+        )
+    budget = 5 * MAX_CENSUS_NODES
+    if nodes * ks > budget:
+        raise ValueError(
+            f"{ks} ks at residual truncation {truncation} step {nodes} census "
+            f"nodes each, {nodes * ks} in all, over the budget of {budget} (five "
+            f"ks at {MAX_CENSUS_NODES} nodes): the censuses would take about "
+            f"{6e-8 * nodes * ks:.0f} s"
         )
 
 
@@ -676,8 +692,10 @@ def _compute_residual(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     spec = _param_system(
         config, SystemSpec.product(SQRT2_MINUS_1, BernoulliSpec.fair_coin())
     )
-    _check_census_cost([spec], config.residual_truncation)
     ks = config.params.get("ks", [0, 1, -1, 2, -2])
+    if not isinstance(ks, list) or any(isinstance(k, bool) or not isinstance(k, int) for k in ks):
+        raise ValueError(f"residual-search ks must be a list of integers, got {ks!r:.60}")
+    _check_census_cost([spec], config.residual_truncation, len(ks))
     reports = list(residual_census(spec, ks, config.residual_truncation))
     results = {"reports": [r.to_json() for r in reports]}
     if spec.kind == "product":

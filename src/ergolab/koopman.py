@@ -59,9 +59,9 @@ __all__ = [
 
 INFINITE = "infinite"
 #: Pairs :func:`verify_intertwiner` checks at a time.  Each pair of a
-#: slice costs about 140 bytes of integer temporaries, so checking needs
-#: about 5 MB however many pairs the pairing holds.
-VERIFY_SLICE = 2**15
+#: slice costs about 90 bytes of int32 and bool temporaries, so checking
+#: needs about 0.7 MB however many pairs the pairing holds.
+VERIFY_SLICE = 2**13
 #: Half-widths B of the label boxes [-B, B]^d in which :func:`spectrum_of`
 #: counts the chains of moving labels.
 CHAIN_BOXES = (4, 8)
@@ -151,11 +151,19 @@ KOOPMAN_TABLE: dict[str, dict[str, SectorAction]] = {
 
 def koopman_step(kind: str, sector: str, x: Sequence) -> tuple:
     """The action of ``KOOPMAN_TABLE[kind][sector]`` on the labels ``x``,
-    one coordinate per sector dimension, each an int or an integer array;
-    returns the gamma multiplier ``c . x`` and the image ``A x + b``."""
+    one coordinate per sector dimension, all ints or integer arrays of one
+    shape; returns the gamma multiplier ``c . x`` and the image ``A x + b``."""
     A, b, c = KOOPMAN_TABLE[kind][sector]
-    mult = sum((ci * xi for ci, xi in zip(c, x)), 0)
-    return mult, tuple(sum((a * xi for a, xi in zip(row, x)), bi) for row, bi in zip(A, b))
+    return _affine(c, x, 0), tuple(_affine(row, x, bi) for row, bi in zip(A, b))
+
+
+def _affine(coeffs: Sequence[int], x: Sequence, const: int):
+    """``const + coeffs . x``, a new array when x holds arrays; zero
+    coefficients are skipped and unit ones add x as it is."""
+    terms = [xi if ci == 1 else ci * xi for ci, xi in zip(coeffs, x) if ci]
+    if not terms:
+        return const + 0 * x[0] if len(x) else const
+    return sum(terms[1:], const + terms[0])
 
 
 def _normalizing_exponent(k, m):
@@ -433,6 +441,12 @@ class IncompatibleSpectraError(ValueError):
     """The two systems' spectral invariants do not match."""
 
 
+def _isqrt(x: np.ndarray) -> np.ndarray:
+    """floor(sqrt(x)) of a nonnegative int32 array: a float64 root of an
+    integer below 2^52 never rounds up to the next integer."""
+    return np.sqrt(x, dtype=np.float64).astype(np.int32)
+
+
 class _Basis:
     """The normalized basis of one system inside the box [-B, B], as integers.
 
@@ -440,35 +454,40 @@ class _Basis:
     shown as ``("point", j)``, and ``points`` bounds those j.  c >= 0
     names position j of chain c of the canonical chain enumeration,
     shown as ``("chain", *params[c], j)``; chain c holds the positions
-    ``lo[c]..hi[c]``.  The parameters are kept as a padded table, one
-    row per parameter with chain c in column c and a zero column last, so
-    that c = -1 reads zeros.  ``chain_index`` maps chain parameters back
-    to c arithmetically (-2 outside the box).  ``step`` takes the basis
-    vectors that label arrays name to their raw labels, applies
-    ``KOOPMAN_TABLE`` and renormalizes; it returns each phase's gamma
-    multiplier and the image labels.
+    ``lo[c]..hi[c]``.  ``chain_index`` maps chain parameters to c
+    arithmetically (-2 outside the box).  The basis holds the first
+    ``chains`` chains, by default all ``chain_count(B)`` that meet the
+    box, and reads their parameters off the inverse of ``chain_index``;
+    an index past them names a chain it does not hold.  ``step_points``
+    and ``step_chains`` take the proper modes and the chain positions
+    that label arrays name to their raw labels, apply ``KOOPMAN_TABLE``
+    and renormalize; each returns the phases' gamma multipliers and the
+    image labels.  The tables are int32, like the labels (see
+    :func:`build_intertwiner`).
     """
 
     points: tuple[int, int]
-    lo: np.ndarray
-    hi: np.ndarray
 
-    def __init__(self, B: int, params: np.ndarray) -> None:
+    def __init__(self, B: int, params: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
         self.B = B
-        self._table = np.append(params, np.zeros((len(params), 1), params.dtype), axis=1)
+        self._table = params  # one row per chain parameter, chain c in column c
+        self.lo, self.hi = lo, hi
+
+    @staticmethod
+    def chain_count(B: int) -> int:
+        return 0
+
+    @classmethod
+    def _first_chains(cls, B: int, chains: Optional[int]) -> np.ndarray:
+        return np.arange(cls.chain_count(B) if chains is None else chains, dtype=np.int32)
 
     @property
     def params(self) -> np.ndarray:
         """One row of chain parameters per chain."""
-        return self._table[:, :-1].T
+        return self._table.T
 
     def chain_index(self, *params):
         return -2
-
-    def _chain_params(self, c: np.ndarray) -> np.ndarray:
-        """Chain parameters of each label, one row per parameter (0 for
-        proper modes): columns of the padded table."""
-        return self._table[:, c]
 
     def label(self, c: int, j: int) -> tuple:
         return ("point", j) if c < 0 else ("chain", *self.params[c].tolist(), j)
@@ -494,83 +513,92 @@ class _Basis:
 class _RotationBasis(_Basis):
     """The characters e(k u), all proper: no chains."""
 
-    def __init__(self, B: int) -> None:
-        super().__init__(B, np.zeros((0, 0), dtype=np.int64))
+    def __init__(self, B: int, chains: Optional[int] = None) -> None:
+        empty = np.zeros(0, dtype=np.int32)
+        super().__init__(B, np.zeros((0, 0), dtype=np.int32), empty, empty)
         self.points = (-B, B)
-        self.lo = self.hi = np.zeros(0, dtype=np.int64)
 
-    def step(self, c, j):
+    def step_points(self, j):
         mult, (l,) = koopman_step("rotation", "lattice", (j,))
-        return mult, c, l
+        return mult, np.full_like(j, -1), l
 
 
 class _ShiftBasis(_Basis):
     """Chains m = 0, 1, -1, ..., B, -B of ``d[k,m]``, positions k in
     [-B, B]; the constant is the only proper mode."""
 
-    def __init__(self, B: int) -> None:
-        a = np.arange(1, B + 1)
-        super().__init__(B, np.concatenate([[0], np.stack([a, -a], axis=1).ravel()])[None, :])
+    def __init__(self, B: int, chains: Optional[int] = None) -> None:
+        c = self._first_chains(B, chains)
+        m = np.where(c % 2, (c + 1) // 2, -(c // 2))
+        ends = np.broadcast_to(np.int32(-B), c.size), np.broadcast_to(np.int32(B), c.size)
+        super().__init__(B, m[None, :], *ends)
         self.points = (0, 0)
-        self.lo = np.broadcast_to(-B, 2 * B + 1)
-        self.hi = np.broadcast_to(B, 2 * B + 1)
+
+    @staticmethod
+    def chain_count(B: int) -> int:
+        return 2 * B + 1
 
     def chain_index(self, m):
         return np.where(abs(m) > self.B, -2, np.where(m > 0, 2 * m - 1, -2 * m))
 
-    def step(self, c, j):
-        (m,) = self._chain_params(c)
-        chain = c >= 0
-        mult, (k_next, m_next) = koopman_step("bernoulli", "support", (j, m))
-        constant_mult, _ = koopman_step("bernoulli", "constant", ())
-        return (
-            np.where(chain, mult, constant_mult),
-            np.where(chain, self.chain_index(m_next), -1),
-            np.where(chain, k_next, j),
-        )
+    def step_points(self, j):
+        mult, _ = koopman_step("bernoulli", "constant", ())
+        return np.full_like(j, mult), np.full_like(j, -1), j
+
+    def step_chains(self, c, j):
+        mult, (k_next, m_next) = koopman_step("bernoulli", "support", (j, self._table[0, c]))
+        return mult, self.chain_index(m_next), k_next
 
 
 class _SkewBasis(_Basis):
     """Chains (m, r) for m = 1, -1, ..., B, -B and r = 0..|m|-1, whose
     position j is ``f[r + j m, m]``; the proper modes are ``g[k, 0]``."""
 
-    def __init__(self, B: int) -> None:
-        a = np.arange(1, B + 1)
-        signed = np.stack([a, -a], axis=1).ravel()
-        count = np.abs(signed)  # one chain per residue r mod |m|
-        m = np.repeat(signed, count)
-        r = np.arange(m.size) - np.repeat(np.cumsum(count) - count, count)
-        a = np.abs(m)
-        super().__init__(B, np.stack([m, r]))
-        self.points = (-B, B)
+    def __init__(self, B: int, chains: Optional[int] = None) -> None:
+        c = self._first_chains(B, chains)
+        # a (a - 1) chains have |m| < a, so chain c has |m| = a for the a
+        # with a (a - 1) <= c < a (a + 1)
+        a = (_isqrt(4 * c + 1) + 1) // 2
+        rest = c - a * (a - 1)
+        negative = rest >= a
+        r = rest - negative * a
         # the positions j with r + j m in [-B, B]
-        self.lo = np.where(m > 0, -((B + r) // a), -((B - r) // a))
-        self.hi = np.where(m > 0, (B - r) // a, (B + r) // a)
+        lo = np.where(negative, -((B - r) // a), -((B + r) // a))
+        hi = np.where(negative, (B + r) // a, (B - r) // a)
+        super().__init__(B, np.stack([np.where(negative, -a, a), r]), lo, hi)
+        self.points = (-B, B)
+
+    @staticmethod
+    def chain_count(B: int) -> int:
+        return B * (B + 1)
 
     def chain_index(self, m, r):
         a = abs(m)
         inside = (a >= 1) & (a <= self.B) & (r >= 0) & (r < a)
         return np.where(inside, a * (a - 1) + (m < 0) * a + r, -2)
 
-    @staticmethod
-    def _exponent(k, m):
-        """Gamma multiplier of a[k,m]; the proper row m = 0 keeps g."""
-        chain = m != 0
-        return np.where(chain, _normalizing_exponent(k, np.where(chain, m, 1)), 0)
+    def step_points(self, j):
+        """The proper modes g[j, 0], which are not renormalized."""
+        phase, image = koopman_step("skew", "lattice", (j, np.zeros_like(j)))
+        return self._renormalized(phase, *image)
 
-    def step(self, c, j):
-        m, r = self._chain_params(c)
-        k = np.where(c >= 0, r + j * m, j)  # proper mode g[j, 0]: m = 0
-        phase, (k_next, m_next) = koopman_step("skew", "lattice", (k, m))
+    def step_chains(self, c, j):
+        m, r = self._table[:, c]
+        k = r + j * m
+        phase, image = koopman_step("skew", "lattice", (k, m))
         # f = a g, so U f[k,m] = a[k,m] e(phase gamma) / a[k',m'] f[k',m']
-        phase = phase + self._exponent(k, m) - self._exponent(k_next, m_next)
-        chain = m_next != 0
-        m_safe = np.where(chain, m_next, 1)
-        r_next = k_next % abs(m_safe)
+        return self._renormalized(phase + _normalizing_exponent(k, m), *image)
+
+    def _renormalized(self, phase, k, m):
+        """The phase and label of the image g[k,m] in this basis: f[k,m]
+        = a[k,m] g[k,m] off the proper row m = 0, g[k,0] on it."""
+        chain = m != 0
+        m_safe = np.where(chain, m, 1)
+        r = k % abs(m_safe)
         return (
-            phase,
-            np.where(chain, self.chain_index(m_next, r_next), -1),
-            np.where(chain, (k_next - r_next) // m_safe, k_next),
+            phase - np.where(chain, _normalizing_exponent(k, m_safe), 0),
+            np.where(chain, self.chain_index(m, r), -1),
+            np.where(chain, (k - r) // m_safe, k),
         )
 
 
@@ -580,47 +608,42 @@ class _ProductBasis(_Basis):
     ``t[l,k,m] = e(l k gamma) p[l,k,m]``, k in [-B, B]; the proper modes
     are ``e(l u)``."""
 
-    def __init__(self, B: int) -> None:
-        side = 2 * B + 1
-        l, m = np.divmod(np.arange(side * side, dtype=np.int32), side)
-        l, m = l - B, m - B
-        # a stable sort keeps (l, m) lexicographic within each ring
-        order = np.argsort(np.maximum(np.abs(l), np.abs(m)), kind="stable")
-        # int32 stays exact in ``step``: its products stay below 4 B^2
-        super().__init__(B, np.stack([l[order], m[order]]))
-        self.points = (-B, B)
+    def __init__(self, B: int, chains: Optional[int] = None) -> None:
+        c = self._first_chains(B, chains)
+        # ring s holds the chains (2s-1)^2 .. (2s+1)^2 - 1, in the order
+        # ``chain_index`` counts
+        s = (_isqrt(c) + 1) // 2
+        w = c - np.where(s > 0, (2 * s - 1) ** 2, 0)
+        t, inner = w - (2 * s + 1), 2 * (2 * s - 1)
+        l = np.where(t < 0, -s, np.where(t < inner, t // 2 - s + 1, s))
+        m = np.where(t < 0, w - s, np.where(t < inner, t % 2 * 2 * s - s, t - inner - s))
         # every chain holds the positions -B..B: read-only views, no storage
-        self.lo = np.broadcast_to(-B, side * side)
-        self.hi = np.broadcast_to(B, side * side)
+        ends = np.broadcast_to(np.int32(-B), c.size), np.broadcast_to(np.int32(B), c.size)
+        super().__init__(B, np.stack([l, m]), *ends)
+        self.points = (-B, B)
+
+    @staticmethod
+    def chain_count(B: int) -> int:
+        return (2 * B + 1) ** 2
 
     def chain_index(self, l, m):
         s = np.maximum(abs(l), abs(m))
-        inner = np.where(s > 0, (2 * s - 1) ** 2, 0)  # chains of rings < s
-        # within ring s: the 2s+1 chains with l = -s, then two (m = -s, s)
-        # per l strictly inside, then the 2s+1 chains with l = s
-        within = np.where(
-            l == -s,
-            m + s,
-            np.where(
-                l == s,
-                (2 * s + 1) + 2 * (2 * s - 1) + m + s,
-                (2 * s + 1) + 2 * (l + s - 1) + (m == s),
-            ),
-        )
-        return np.where(s <= self.B, inner + within, -2)
+        # rings < s hold (2s-1)^2 chains; ring s holds the 2s+1 chains with
+        # l = -s, then two (m = -s, s) per l strictly inside, then the 2s+1
+        # chains with l = s
+        before = np.where(s > 0, (2 * s - 1) ** 2, 0) + np.where(l > -s, 2 * l + 4 * s - 1, 0)
+        return np.where(s <= self.B, before + np.where(abs(l) == s, m + s, m == s), -2)
 
-    def step(self, c, j):
-        l, m = self._chain_params(c)
-        chain = c >= 0
+    def step_points(self, j):
+        """The constant tails e(j u), which keep their labels."""
+        mult, (l,) = koopman_step("product", "constant", (j,))
+        return mult, np.full_like(j, -1), l
+
+    def step_chains(self, c, j):
+        l, m = self._table[:, c]
         mult, (l_next, k_next, m_next) = koopman_step("product", "support", (l, j, m))
-        constant_mult, (l_constant,) = koopman_step("product", "constant", (j,))
-        # t = e(l k gamma) p on chains; the constant tail e(j u) keeps its label
-        phase = mult + l * j - l_next * k_next
-        return (
-            np.where(chain, phase, constant_mult),
-            np.where(chain, self.chain_index(l_next, m_next), -1),
-            np.where(chain, k_next, l_constant),
-        )
+        # t = e(l k gamma) p
+        return mult + l * j - l_next * k_next, self.chain_index(l_next, m_next), k_next
 
 
 _BASES = {
@@ -633,27 +656,22 @@ _BASES = {
 
 @dataclass(frozen=True, eq=False)
 class _PairLayout:
-    """Where each side-A label sits among the pairs: the proper modes
-    ``points[0]..points[1]`` first, then the positions ``lo[c]..hi[c]``
-    of paired chain c from index ``start[c]`` on.  The last chain entry
-    is an empty sentinel."""
+    """Where each side-A label sits among the pairs: the positions
+    ``lo[c]..hi[c]`` of paired chain c from index ``start[c]`` on.  Two
+    entries follow the chains: an empty one, read by index -2 (a label
+    outside the box) and by every chain past the paired ones, and the
+    proper modes, read by c = -1."""
 
-    points: tuple[int, int]
     lo: np.ndarray
     hi: np.ndarray
     start: np.ndarray
 
     def index(self, c, j):
         """Pair index of side-A labels (c, j); -1 where unpaired."""
-        sentinel = self.lo.size - 1
-        cc = np.where((c >= 0) & (c < sentinel), c, sentinel)
-        lo = self.lo[cc]
-        on_chain = (lo <= j) & (j <= self.hi[cc])
-        p0, p1 = self.points
-        on_point = (c == -1) & (p0 <= j) & (j <= p1)
-        return np.where(
-            on_point, j - p0, np.where(on_chain, self.start[cc] + j - lo, -1)
-        )
+        c = np.clip(c, -2, self.lo.size - 2)
+        lo = self.lo.take(c)
+        paired = (lo <= j) & (j <= self.hi.take(c))
+        return np.where(paired, self.start.take(c) + j - lo, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -743,6 +761,13 @@ def build_intertwiner(
     """
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
+    # The bases, labels and layout are int32.  Chain indices, exponents,
+    # phases and their intermediates stay below (2B + 2)^2 in absolute
+    # value, and pair indices below the pair count plus 2B, so int32 is
+    # exact up to B = 23,169; ``cli.MAX_INTERTWINER_PAIRS`` caps B at
+    # 1,580 (107 between two products).
+    if (2 * truncation + 2) ** 2 >= 2**31:
+        raise ValueError(f"truncation {truncation} overflows the int32 tables")
     da, db = spectrum_of(spec_a), spectrum_of(spec_b)
     if da.lebesgue_multiplicity != db.lebesgue_multiplicity:
         raise IncompatibleSpectraError(
@@ -759,23 +784,27 @@ def build_intertwiner(
             raise IncompatibleSpectraError(f"point-spectrum groups differ: {cmp.detail}")
         eps = cmp.relation[0]
 
-    basis_a = _BASES[spec_a.kind](truncation)
-    basis_b = _BASES[spec_b.kind](truncation)
+    # each basis holds only the chains that get paired
+    cls_a, cls_b = _BASES[spec_a.kind], _BASES[spec_b.kind]
+    n_chains = min(cls_a.chain_count(truncation), cls_b.chain_count(truncation))
+    basis_a, basis_b = cls_a(truncation, n_chains), cls_b(truncation, n_chains)
     p0, p1 = basis_a.points
     n_points = p1 - p0 + 1
-    n_chains = min(basis_a.lo.size, basis_b.lo.size)
-    lo = np.maximum(basis_a.lo[:n_chains], basis_b.lo[:n_chains])
-    hi = np.minimum(basis_a.hi[:n_chains], basis_b.hi[:n_chains])
+    lo = np.maximum(basis_a.lo, basis_b.lo)
+    hi = np.minimum(basis_a.hi, basis_b.hi)
     count = np.maximum(hi - lo + 1, 0)
-    start = n_points + np.cumsum(count) - count
+    pairs = n_points + int(count.sum())
+    if pairs + 2 * truncation >= 2**31:
+        raise ValueError(f"{pairs} pairs overflow the int32 labels")
+    start = n_points + np.cumsum(count, dtype=np.int32) - count
     # pair i of chain c holds position lo[c] + i - start[c]; int32 labels
     # written in place keep the build near 20 bytes per pair
-    labels_a = np.empty((2, n_points + int(count.sum())), dtype=np.int32)
+    labels_a = np.empty((2, pairs), dtype=np.int32)
     labels_a[0, :n_points] = -1
     labels_a[1, :n_points] = np.arange(p0, p1 + 1)
     labels_a[0, n_points:] = np.repeat(np.arange(n_chains, dtype=np.int32), count)
-    labels_a[1, n_points:] = np.arange(n_points, labels_a.shape[1], dtype=np.int32)
-    labels_a[1, n_points:] += np.repeat((lo - start).astype(np.int32), count)
+    labels_a[1, n_points:] = np.arange(n_points, pairs, dtype=np.int32)
+    labels_a[1, n_points:] += np.repeat(lo - start, count)
     labels_b = labels_a.copy()
     labels_b[1, :n_points] *= eps
     return IntertwinerPairing(
@@ -788,7 +817,10 @@ def build_intertwiner(
         basis_a=basis_a,
         basis_b=basis_b,
         layout=_PairLayout(
-            (p0, p1), np.append(lo, 0), np.append(hi, -1), np.append(start, 0)
+            *(
+                np.append(v, np.array(ends, dtype=np.int32))
+                for v, ends in zip((lo, hi, start), ((0, p0), (-1, p1), (0, 0)))
+            )
         ),
     )
 
@@ -803,45 +835,58 @@ def verify_intertwiner(pairing: IntertwinerPairing) -> IntertwinerCheck:
     applied through ``KOOPMAN_TABLE``, and the image is renormalized and
     resolved back to a pair index arithmetically.  A pair is interior
     when that image is paired; chain ends at the truncation boundary are
-    skipped.  For interior pairs system B's raw action is applied to the
-    paired side-B label the same way; the pair matches when B's image is
-    the label paired with A's image and the phases agree.  Phases are
-    integer multiples of each system's angle and gammaB = eps * gammaA
-    (mod 1), so they agree iff ``phase_a == eps * phase_b``.
+    skipped.  System B's raw action is applied to the paired side-B label
+    the same way; an interior pair matches when B's label is of the kind
+    (proper mode or chain) its pair index holds, B's image is the label
+    paired with A's image and the phases agree.  Phases are integer
+    multiples of each system's angle and gammaB = eps * gammaA (mod 1),
+    so they agree iff ``phase_a == eps * phase_b``.
 
-    The pairs are checked in slices of ``VERIFY_SLICE``, so the
+    The proper modes, pairs ``[0, n_points)``, are stepped apart from the
+    chains, and both in slices of ``VERIFY_SLICE`` pairs, so the
     temporaries stay bounded however many pairs there are; targets still
     index the whole pairing.  Returns the number of mismatched pairs, the
     largest numeric phase discrepancy among them, and how many pairs
     were checked.
     """
     labels_a, labels_b = pairing.labels_a, pairing.labels_b
+    basis_a, basis_b = pairing.basis_a, pairing.basis_b
+    p0, p1 = basis_a.points
+    n_points = p1 - p0 + 1
     mismatches = checked = 0
     max_residual = 0.0
-    for start in range(0, labels_a.shape[1], VERIFY_SLICE):
-        part = slice(start, start + VERIFY_SLICE)
-        phase_a, c_next, j_next = pairing.basis_a.step(*labels_a[:, part])
-        target = pairing.layout.index(c_next, j_next)
-        interior = target >= 0
-        target = target[interior]
-        phase_a = phase_a[interior]
-        phase_b, cb_next, jb_next = pairing.basis_b.step(
-            *labels_b[:, part][:, interior]
-        )
-        match = (
-            (labels_a[0, target] == c_next[interior])
-            & (labels_a[1, target] == j_next[interior])
-            & (labels_b[0, target] == cb_next)
-            & (labels_b[1, target] == jb_next)
-            & (phase_a == pairing.eps * phase_b)
-        )
-        for pa, pb in zip(phase_a[~match].tolist(), phase_b[~match].tolist()):
-            try:
-                va = Phase.from_gamma(pa).value(pairing.spec_a.gamma)
-                vb = Phase.from_gamma(pb).value(pairing.spec_b.gamma)
-                max_residual = max(max_residual, abs(va - vb))
-            except ValueError:
-                max_residual = 2.0
-        checked += int(match.size)
-        mismatches += int(match.size - np.count_nonzero(match))
+    for first, stop, chains in ((0, n_points, False), (n_points, labels_a.shape[1], True)):
+        for start in range(first, stop, VERIFY_SLICE):
+            part = slice(start, min(start + VERIFY_SLICE, stop))
+            (ca, ja), (cb, jb) = labels_a[:, part], labels_b[:, part]
+            if chains:
+                phase_a, c_next, j_next = basis_a.step_chains(ca, ja)
+                phase_b, cb_next, jb_next = basis_b.step_chains(cb, jb)
+            else:
+                phase_a, c_next, j_next = basis_a.step_points(ja)
+                phase_b, cb_next, jb_next = basis_b.step_points(jb)
+            # -1 (unpaired) reads the last pair; ``interior`` masks it out
+            target = pairing.layout.index(c_next, j_next)
+            interior = target >= 0
+            match = (
+                interior
+                & ((cb >= 0) == chains)
+                & (labels_a[0].take(target) == c_next)
+                & (labels_a[1].take(target) == j_next)
+                & (labels_b[0].take(target) == cb_next)
+                & (labels_b[1].take(target) == jb_next)
+                & (phase_a == pairing.eps * phase_b)
+            )
+            n_interior, n_match = int(np.count_nonzero(interior)), int(np.count_nonzero(match))
+            if n_match < n_interior:
+                wrong = interior & ~match
+                for pa, pb in zip(phase_a[wrong].tolist(), phase_b[wrong].tolist()):
+                    try:
+                        va = Phase.from_gamma(pa).value(pairing.spec_a.gamma)
+                        vb = Phase.from_gamma(pb).value(pairing.spec_b.gamma)
+                        max_residual = max(max_residual, abs(va - vb))
+                    except ValueError:
+                        max_residual = 2.0
+            checked += n_interior
+            mismatches += n_interior - n_match
     return IntertwinerCheck(mismatches, max_residual, checked)

@@ -104,7 +104,7 @@ class UnsupportedSystemError(ValueError):
 class ModeSubgroup:
     """A subgroup of Z^2 in Hermite normal form ``{x(a,b) + y(0,c)}``.
 
-    Membership, equality and inclusion are exact integer computations.
+    The normal form is unique, so equality is exact.
     """
 
     a: int
@@ -149,24 +149,6 @@ class ModeSubgroup:
     def trivial(cls) -> "ModeSubgroup":
         return cls(0, 0, 0)
 
-    @classmethod
-    def full(cls) -> "ModeSubgroup":
-        return cls(1, 0, 1)
-
-    def contains(self, mode: tuple[int, int]) -> bool:
-        k, m = mode
-        if self.a == 0:
-            if k != 0:
-                return False
-            return m == 0 if self.c == 0 else m % self.c == 0
-        if k % self.a != 0:
-            return False
-        rem = m - (k // self.a) * self.b
-        return rem == 0 if self.c == 0 else rem % self.c == 0
-
-    def contains_subgroup(self, other: "ModeSubgroup") -> bool:
-        return all(self.contains(g) for g in other.generators())
-
     def generators(self) -> list[tuple[int, int]]:
         gens = []
         if self.a:
@@ -175,25 +157,11 @@ class ModeSubgroup:
             gens.append((0, self.c))
         return gens
 
-    def members_in_window(self, window: int) -> list[tuple[int, int]]:
-        return [
-            (k, m)
-            for k in range(-window, window + 1)
-            for m in range(-window, window + 1)
-            if self.contains((k, m))
-        ]
-
     def is_trivial(self) -> bool:
         return self.a == 0 and self.c == 0
 
     def to_json(self) -> dict:
         return {"generators": [list(g) for g in self.generators()]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ModeSubgroup":
-        return cls.from_generators(
-            [(int(k), int(m)) for k, m in obj.get("generators", [])]
-        )
 
     def __str__(self) -> str:
         if self.is_trivial():

@@ -114,10 +114,49 @@ def max_preservation_sigma(
     return worst
 
 
+def full_subgroup() -> ModeSubgroup:
+    """All of Z^2."""
+    return ModeSubgroup(1, 0, 1)
+
+
+def subgroup_contains(sub: ModeSubgroup, mode: tuple[int, int]) -> bool:
+    """Membership in the Hermite normal form ``{x(a,b) + y(0,c)}``."""
+    k, m = mode
+    if sub.a == 0:
+        if k != 0:
+            return False
+        return m == 0 if sub.c == 0 else m % sub.c == 0
+    if k % sub.a != 0:
+        return False
+    rem = m - (k // sub.a) * sub.b
+    return rem == 0 if sub.c == 0 else rem % sub.c == 0
+
+
+def subgroup_includes(sub: ModeSubgroup, other: ModeSubgroup) -> bool:
+    """Does ``sub`` contain every generator of ``other``?"""
+    return all(subgroup_contains(sub, g) for g in other.generators())
+
+
+def members_in_window(sub: ModeSubgroup, window: int) -> list[tuple[int, int]]:
+    return [
+        (k, m)
+        for k in range(-window, window + 1)
+        for m in range(-window, window + 1)
+        if subgroup_contains(sub, (k, m))
+    ]
+
+
+def subgroup_from_json(obj: dict) -> ModeSubgroup:
+    """The inverse of ``ModeSubgroup.to_json``."""
+    return ModeSubgroup.from_generators(
+        [(int(k), int(m)) for k, m in obj.get("generators", [])]
+    )
+
+
 def tower_is_monotone(levels: list[TowerLevel]) -> bool:
     """Each character lattice contains the one before it."""
     return all(
-        levels[i + 1].characters.contains_subgroup(levels[i].characters)
+        subgroup_includes(levels[i + 1].characters, levels[i].characters)
         for i in range(len(levels) - 1)
     )
 
@@ -157,5 +196,5 @@ def subgroup_lattice_examples() -> list[ModeSubgroup]:
         ModeSubgroup.from_generators([(1, 0)]),
         ModeSubgroup.from_generators([(2, 0)]),
         ModeSubgroup.from_generators([(1, 0), (0, 2)]),
-        ModeSubgroup.full(),
+        full_subgroup(),
     ]

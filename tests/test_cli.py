@@ -337,6 +337,49 @@ def test_residual_truncation_above_the_node_budget_is_refused(argv, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", [5, 6, 10**4])
+def test_residual_search_ks_above_the_census_budget_are_refused(count, tmp_path, capsys, monkeypatch):
+    """Each k runs one more census of every label, so labels x ks may not
+    pass five censuses at the node budget: at N = 470, the largest
+    truncation that budget admits, five ks still run and six are refused,
+    as are 10^4 ks (about 2,400 s of censuses), before any census runs."""
+    truncation = 470
+    nodes = 9 * (1 + (truncation + 1) * (2 * truncation + 1))
+    assert 5 * nodes <= 5 * MAX_CENSUS_NODES < 6 * nodes
+    ran = []
+
+    def census(spec, ks, truncation):
+        ran.append(len(ks))
+        return iter(())
+
+    monkeypatch.setattr(tower, "residual_census", census)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "residual_truncation": truncation, "params": {"ks": list(range(count))},
+    }))
+    code, out = run(tmp_path, "compute", "residual-search", "--config", str(cfg))
+    err = capsys.readouterr().err
+    if count == 5:
+        assert (code, ran) == (0, [5])
+        return
+    assert code == 1 and ran == [] and not out.exists()
+    assert (
+        f"error: {count} ks at residual truncation {truncation} step {nodes} census "
+        f"nodes each, {count * nodes} in all, over the budget of {5 * MAX_CENSUS_NODES} "
+        f"(five ks at {MAX_CENSUS_NODES} nodes)" in err
+    )
+    assert f"the censuses would take about {6e-8 * count * nodes:.0f} s" in err
+
+
+@pytest.mark.parametrize("ks", [5, ["a"], [1.5], [True], None])
+def test_residual_search_ks_that_are_not_integers_are_refused(ks, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"ks": ks}}))
+    code, out = run(tmp_path, "compute", "residual-search", "--config", str(cfg))
+    assert code == 1 and not out.exists()
+    assert "error: residual-search ks must be a list of integers, got" in capsys.readouterr().err
+
+
 def test_samples_above_the_symbol_budget_are_refused(tmp_path, capsys):
     samples = MAX_SAMPLED_SYMBOLS // 20 + 1  # the smallest refused at n = 10
     symbols = samples * 10 * 2

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import tracemalloc
 from collections.abc import Mapping, MutableMapping
 from fractions import Fraction
 
@@ -43,6 +44,7 @@ from ergolab import (
     verify_intertwiner,
 )
 from ergolab import koopman
+from ergolab.cli import MAX_INTERTWINER_PAIRS
 from ergolab.koopman import _normalizing_exponent
 
 from helpers import (
@@ -129,7 +131,9 @@ def test_normalizing_phase_rejects_proper_rows():
     skew basis keeps g[k, 0] unnormalized."""
     with pytest.raises(ZeroDivisionError):
         _normalizing_exponent(3, 0)
-    assert koopman._SkewBasis._exponent(np.arange(-3, 4), np.zeros(7, int)).tolist() == [0] * 7
+    k = np.arange(-3, 4, dtype=np.int32)
+    phase, c, j = koopman._SkewBasis(3).step_points(k)
+    assert (phase.tolist(), c.tolist(), j.tolist()) == (k.tolist(), [-1] * 7, k.tolist())
 
 
 @given(st.integers(-12, 12), st.integers(-12, 12))
@@ -229,13 +233,14 @@ def test_proper_modes_of_skew():
     (k, 0) rows, fixed with phase e(k gamma); every chain member moves."""
     B = 6
     basis = koopman._BASES["skew"](B)
-    c = np.concatenate([np.full(2 * B + 1, -1), np.arange(basis.lo.size)])
-    j = np.concatenate([np.arange(-B, B + 1), basis.lo])
-    phase, c_next, j_next = basis.step(c, j)
-    fixed = (c_next == c) & (j_next == j)
-    assert fixed.tolist() == (c == -1).tolist()
-    assert phase[: 2 * B + 1].tolist() == list(range(-B, B + 1))
-    assert not phase[2 * B + 1 :].any()
+    j = np.arange(-B, B + 1, dtype=np.int32)
+    phase, c_next, j_next = basis.step_points(j)
+    assert (c_next == -1).all() and (j_next == j).all()
+    assert phase.tolist() == j.tolist()
+    c = np.arange(basis.lo.size, dtype=np.int32)
+    phase, c_next, j_next = basis.step_chains(c, basis.lo)
+    assert ((c_next != c) | (j_next != basis.lo)).all()
+    assert not phase.any()
 
 
 def test_spectrum_descriptors():
@@ -510,6 +515,104 @@ def test_checked_count_pins(B, checked):
     assert check == IntertwinerCheck(0, 0.0, checked)
 
 
+def test_pairing_and_check_at_b192_stay_under_a_memory_bound():
+    """Traced peak of building and checking the skew-product pairing at
+    B = 192: about 4.2 MB with bases sized to the paired chains and int32
+    tables, against 9.8 MB when the product basis held all (2B+1)^2
+    chains and every table was int64."""
+    tracemalloc.start()
+    try:
+        check = verify_intertwiner(build_intertwiner(*PAIRING_CASES["skew-product"], 192))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check == IntertwinerCheck(0, 0.0, 111_169)
+    assert peak < 6 * 2**20
+
+
+def _ring_order(B: int) -> list[list[int]]:
+    """The product chains (l, m) of [-B, B]^2 by ring max(|l|, |m|), then
+    l, then m, from a stable sort of the whole box."""
+    side = 2 * B + 1
+    l, m = np.divmod(np.arange(side * side), side)
+    l, m = l - B, m - B
+    order = np.argsort(np.maximum(np.abs(l), np.abs(m)), kind="stable")
+    return np.stack([l[order], m[order]], axis=1).tolist()
+
+
+@pytest.mark.parametrize("B", [0, 1, 5, 16])
+@pytest.mark.parametrize("kind", ["skew", "bernoulli", "product"])
+def test_capped_bases_are_prefixes_of_the_full_ones(kind, B):
+    """A basis built for its first n chains holds exactly the first n
+    chains of the full enumeration, and ``chain_index`` takes each back
+    to its place; the full product basis is the ring order."""
+    full = koopman._BASES[kind](B)
+    total = full.chain_count(B)
+    assert full.lo.size == full.hi.size == full.params.shape[0] == total
+    assert full.lo.dtype == full.hi.dtype == full.params.dtype == np.int32
+    if kind == "product":
+        assert full.params.tolist() == _ring_order(B)
+    for n in sorted({0, 1, B * (B + 1), total - 1, total} & set(range(total + 1))):
+        capped = koopman._BASES[kind](B, n)
+        assert capped.params.tolist() == full.params[:n].tolist()
+        assert capped.lo.tolist() == full.lo[:n].tolist()
+        assert capped.hi.tolist() == full.hi[:n].tolist()
+        assert capped.chain_index(*capped.params.T).tolist() == list(range(n))
+
+
+def test_each_basis_holds_only_the_paired_chains():
+    """Against the skew map the product basis holds the skew's B(B+1)
+    chains, and a product chain past them is unpaired, like a label
+    outside the box; two products pair every chain."""
+    B = 6
+    pairing = build_intertwiner(*PAIRING_CASES["product-skew"], B)
+    assert pairing.basis_a.lo.size == pairing.basis_b.lo.size == B * (B + 1)
+    l, m = _ring_order(B)[B * (B + 1)]  # the first product chain past them
+    assert pairing.basis_a.parse(("chain", l, m, 0)) == (B * (B + 1), 0)
+    assert ("chain", l, m, 0) not in pairing.mapping
+    assert ("chain", *_ring_order(B)[B * (B + 1) - 1], 0) in pairing.mapping
+    c = np.array([B * (B + 1), (2 * B + 1) ** 2 - 1, -2], dtype=np.int32)
+    assert pairing.layout.index(c, np.zeros(3, np.int32)).tolist() == [-1] * 3
+    both = build_intertwiner(*PAIRING_CASES["product-product"], B)
+    assert both.basis_a.lo.size == both.basis_b.lo.size == (2 * B + 1) ** 2
+
+
+def test_int32_tables_have_headroom_at_the_pair_budget():
+    """At the largest B the pair budget admits, skew vs product and
+    product vs product, the largest chain index, pair index, normalizing
+    exponent and step phase, and the intermediates that produce them,
+    stay below (2B + 2)^2 and 2^31; computed in int64 and Python ints,
+    without building a pairing."""
+    skew_product = (math.isqrt(MAX_INTERTWINER_PAIRS) - 1) // 2
+    product_product = max(B for B in range(200) if (2 * B + 1) ** 3 <= MAX_INTERTWINER_PAIRS)
+    assert (skew_product, product_product) == (1580, 107)
+    for B, pairs in [
+        (skew_product, (2 * skew_product + 1) ** 2),
+        (product_product, (2 * product_product + 1) * (1 + (2 * product_product + 1) ** 2)),
+    ]:
+        bound = (2 * B + 2) ** 2
+        assert pairs + 2 * B < 2**31 and bound < 2**31
+        # chain indices: the skew inversion's 4c + 1 and the product ring's
+        # (2s - 1)^2 + within-ring offsets
+        assert 4 * (B * (B + 1) - 1) + 1 < bound
+        assert (2 * B + 1) ** 2 < bound
+        # product steps: mult + l k - l' k' with |l| <= B, |k| <= B + 1
+        assert B + B * B + B * (B + 1) < bound
+        # skew steps: members k in [-B, B] go to k + m in [-2B, 2B]
+        worst = 0
+        k = np.arange(-2 * B, 2 * B + 1, dtype=np.int64)
+        for m in range(-B, B + 1):
+            if m:
+                r = k % abs(m)
+                j = (k - r) // m
+                worst = max(worst, int(np.abs(j * (j - 1)).max()))
+                exponent = _normalizing_exponent(k, np.int64(m))
+                worst = max(worst, B + 2 * int(np.abs(exponent).max()))
+        assert worst < bound
+    with pytest.raises(ValueError, match="int32"):
+        build_intertwiner(*PAIRING_CASES["skew-product"], 23_170)
+
+
 def _doctor(kind: str, sector: str, **entry):
     """A mutant that replaces fields of one ``KOOPMAN_TABLE`` entry."""
     return lambda mp: mp.setitem(
@@ -557,14 +660,17 @@ def test_skew_table_mutants_break_the_check_by_pinned_counts(
 
 
 @pytest.mark.parametrize("kind", ["skew", "bernoulli", "product"])
-def test_proper_modes_gather_zero_chain_parameters(kind):
+def test_chain_steps_gather_their_own_chain_parameters(kind):
+    """A normalized chain steps to its next position with phase one, so a
+    step that read another chain's parameters would leave the chain; the
+    first and the last chain are where a gather off by one shows."""
     basis = koopman._BASES[kind](5)
-    last = basis.lo.size - 1
-    params = basis._chain_params(np.array([-1, 0, last, -1]))
-    assert params.shape == (basis.params.shape[1], 4)
-    assert not params[:, [0, 3]].any()
-    assert params[:, 1].tolist() == basis.params[0].tolist()
-    assert params[:, 2].tolist() == basis.params[last].tolist()
+    c = np.array([0, basis.lo.size - 1], dtype=np.int32)
+    phase, c_next, j_next = basis.step_chains(c, basis.lo[c])
+    assert (basis.hi[c] > basis.lo[c]).all()
+    assert c_next.tolist() == c.tolist()
+    assert j_next.tolist() == (basis.lo[c] + 1).tolist()
+    assert not phase.any()
 
 
 @pytest.mark.parametrize(
@@ -599,6 +705,20 @@ def test_check_fails_when_two_chain_images_are_swapped():
     swapped = dataclasses.replace(pairing, labels_b=labels_b)
     assert verify_intertwiner(pairing).mismatches == 0
     assert verify_intertwiner(swapped).mismatches > 0
+
+
+def test_check_fails_when_a_side_b_label_has_the_wrong_kind():
+    """Proper modes and chains are stepped apart, and the last chain's
+    parameters are what a chain step reads for c = -1, so only the kind
+    check sees a proper-mode label on the last chain or a chain label on
+    a proper mode: each such pair is a mismatch."""
+    pairing = build_intertwiner(*PAIRING_CASES["skew-product"], truncation=8)
+    labels_b = pairing.labels_b.copy()
+    point = 8  # g[0, 0], paired with the constant tail e(0 u)
+    last = int(np.flatnonzero(labels_b[0] == labels_b[0].max())[0])  # its first position
+    labels_b[0, point], labels_b[0, last] = 0, -1
+    check = verify_intertwiner(dataclasses.replace(pairing, labels_b=labels_b))
+    assert (check.mismatches, check.checked) == (2, verify_intertwiner(pairing).checked)
 
 
 def test_one_doctored_entry_flips_the_decision_and_breaks_the_check(monkeypatch):
