@@ -83,19 +83,26 @@ MAX_INTERTWINER_PAIRS = 10**7
 #: Each k runs one more census of every label, about 0.06 microseconds
 #: per label, so a residual search may also take at most five ks' worth
 #: of censuses at the budget: labels x ks <= 5 x ``MAX_CENSUS_NODES``.
-#: At the smallest truncations a k's fixed cost of about 0.06 ms
-#: dominates instead, and the ks that budget admits take up to about 8 s.
+#: A k also has a fixed cost of about 0.05 ms, the time of about
+#: ``MIN_CENSUS_CHARGE`` labels, so each k is charged at least that many:
+#: at N = 2 (144 labels) the budget admits 20,000 ks, about 1.1 s.
 MAX_CENSUS_NODES = 4 * 10**6
+MIN_CENSUS_CHARGE = 1000
+#: Most levels ``compute tower`` may build.  A level and its report entry
+#: take about 65 microseconds and 4 KB on a 2-core x86-64 host (6.4 s
+#: and 433 MB peak RSS at 10^5 levels), so the budget caps a run near 2 s.
+MAX_TOWER_DEPTH = 30_000
 #: Most symbols the sampled entropy cross-checks of
 #: ``reproduce-kolmogorov`` may draw: samples x block length, summed over
-#: the systems.  Sampling streams in fixed-size chunks and the scenario
-#: scores single-position cells, so memory stays flat and the budget
-#: bounds time: sampling and scoring take 6-9 ns of CPU per symbol for
-#: two- to four-symbol laws on a 2-core x86-64 host, and with one worker
-#: thread per system two shifts take about 4.5 ns of wall time per
-#: symbol, so it caps them near 2 s (3 s of CPU); the budget is twice the
-#: 10^7-sample run (n = 10, two shifts; 1.1 s) and 20 times the default
-#: 10^6.
+#: the systems.  Each system streams its sample through one set of
+#: reused chunk-sized arrays and the scenario scores single-position
+#: cells, so memory stays flat and the budget bounds time: sampling and
+#: scoring take 3.5-5 ns of CPU per symbol for two- to four-symbol laws
+#: on a 2-core x86-64 host (best of five, 10^6 samples at n = 10), and
+#: with one worker thread per system two shifts take about 2.3 ns of wall
+#: time per symbol, so it caps them near 1 s (1.8 s of CPU); the budget
+#: is twice the 10^7-sample run (n = 10, two shifts; 0.7 s for the whole
+#: command) and 20 times the default 10^6.
 MAX_SAMPLED_SYMBOLS = 4 * 10**8
 
 
@@ -339,7 +346,8 @@ def _check_intertwiner_cost(specs: Sequence[SystemSpec], truncation: int) -> Non
 
 def _check_census_cost(specs: Sequence[SystemSpec], truncation: int, ks: int = 5) -> None:
     """Refuse a residual truncation whose census exceeds the node budget,
-    and a search whose ``ks`` censuses step more labels than five at it."""
+    and a search whose ``ks`` censuses step more labels than five at it,
+    each k charged at least ``MIN_CENSUS_CHARGE`` labels."""
     from .tower import census_nodes
 
     nodes = max(census_nodes(s.kind, truncation) for s in specs)
@@ -349,12 +357,14 @@ def _check_census_cost(specs: Sequence[SystemSpec], truncation: int, ks: int = 5
             f"the budget of {MAX_CENSUS_NODES} nodes"
         )
     budget = 5 * MAX_CENSUS_NODES
-    if nodes * ks > budget:
+    charge = max(nodes, MIN_CENSUS_CHARGE)
+    if charge * ks > budget:
+        fixed = f" (charged {charge} for a k's fixed cost)" if charge > nodes else ""
         raise ValueError(
             f"{ks} ks at residual truncation {truncation} step {nodes} census "
-            f"nodes each, {nodes * ks} in all, over the budget of {budget} (five "
-            f"ks at {MAX_CENSUS_NODES} nodes): the censuses would take about "
-            f"{6e-8 * nodes * ks:.0f} s"
+            f"nodes each{fixed}, {charge * ks} in all, over the budget of {budget} "
+            f"(five ks at {MAX_CENSUS_NODES} nodes): the censuses would take about "
+            f"{6e-8 * charge * ks:.0f} s"
         )
 
 
@@ -672,6 +682,13 @@ def _compute_tower(config: ExperimentConfig) -> tuple[dict, list[dict]]:
 
     spec = _param_system(config, SystemSpec.skew(SQRT2_MINUS_1))
     depth = config.params.get("max_depth", 4)
+    if isinstance(depth, bool) or not isinstance(depth, int):
+        raise ValueError(f"tower max_depth must be an integer, got {depth!r:.60}")
+    if depth > MAX_TOWER_DEPTH:
+        raise ValueError(
+            f"tower max_depth {depth} is over the budget of {MAX_TOWER_DEPTH} "
+            f"levels: the levels would take about {6.5e-5 * depth:.0f} s"
+        )
     levels = compute_tower(spec, depth)
     results = {
         "levels": [lvl.to_json() for lvl in levels],

@@ -105,21 +105,28 @@ def bernoulli_entropy(spec: BernoulliSpec) -> float:
 
 def _block_entropy(spec: BernoulliSpec, n: int) -> Decimal:
     """H_n to 40 digits, grouped by symbol-count vectors so the sum has
-    O(n^{K-1}) terms instead of K^n.  The K logs are taken once; each
-    count vector's mass, its multinomial weight times the product of the
-    exact binary probabilities, is an exact rational rounded once."""
-    probs = [Fraction(p) for p in spec.probs]
-    K = len(probs)
+    O(n^{K-1}) terms instead of K^n.  The K logs are taken once.  The
+    exact binary probabilities share a power-of-two denominator D, so
+    each count vector's mass, its multinomial weight times the product
+    of the probabilities, is an integer over D^n, rounded once."""
+    ratios = [p.as_integer_ratio() for p in spec.probs]
+    denominator = math.lcm(*(d for _, d in ratios))
+    numerators = [a * (denominator // d) for a, d in ratios]
+    powers = [[a**c for c in range(n + 1)] for a in numerators]
+    K = len(numerators)
     with localcontext(_WORK):
         logs = [Decimal(p).ln() for p in spec.probs]
+        scale = Decimal(denominator**n)
         total = Decimal(0)
         for combo in combinations_with_replacement(range(K), n):
             counts = [0] * K
             for idx in combo:
                 counts[idx] += 1
-            mass = _multinomial(n, counts) * math.prod(p**c for p, c in zip(probs, counts))
+            mass = _multinomial(n, counts) * math.prod(
+                row[c] for row, c in zip(powers, counts)
+            )
             log_p = sum(c * log for c, log in zip(counts, logs))
-            total -= Decimal(mass.numerator) / mass.denominator * log_p
+            total -= Decimal(mass) / scale * log_p
         return total
 
 
@@ -288,10 +295,12 @@ def partition_refine_entropy(
     The sample is streamed: it is drawn from ``rng`` in consecutive
     chunks of at most ``SAMPLE_CHUNK`` points (:func:`sample_chunks`),
     holding only the sequence positions the cells read, and each chunk's
-    itineraries are scored before the next chunk is drawn, so the sample
-    never spans more than one chunk.  Calls on different generators
-    share nothing, so concurrent calls, one per thread, hold at most one
-    chunk per thread.  Single-position cells then keep only merged
+    itineraries are scored before the next chunk is drawn into the same
+    arrays, so the sample never spans more than one chunk.  The scores
+    of single-position cells, too, are computed in arrays kept for the
+    whole call.  Calls on different generators share nothing, so
+    concurrent calls, one per thread, hold one set of chunk arrays per
+    thread.  Single-position cells then keep only merged
     moments, so memory does not grow with ``samples``; the
     multi-position cache of -log mu and the frequency counts hold one
     entry per distinct itinerary seen, up to the number of possible
@@ -397,20 +406,37 @@ def _symbol_count_scorer(bern: BernoulliSpec, n: int):
     G_k takes one pass over the window's columns (copied once per chunk
     so that each is contiguous), counted in the narrowest unsigned type
     that holds n; a k whose log step is 0 adds exactly 0 and is skipped,
-    so every score of a uniform law is exactly -log p_0."""
+    so every score of a uniform law is exactly -log p_0.
+
+    The scores, the column copy and the counters live in arrays the
+    scorer keeps and refills for every window (a stream's windows never
+    grow), so the returned scores are valid only until the next call."""
     log_p = [math.log(p) for p in bern.probs]
     steps = [(k, (b - a) / n) for k, (a, b) in enumerate(zip(log_p, log_p[1:]), 1) if b != a]
     counter = np.min_scalar_type(n)
+    out = terms = at_least_k = hits = columns = np.empty(0)
 
     def scores(window: np.ndarray) -> np.ndarray:
-        out = np.full(len(window), -log_p[0])
-        columns = np.ascontiguousarray(window.T) if steps else None
-        for k, step in steps:
-            at_least_k = np.zeros(len(window), dtype=counter)
-            for column in columns:
-                at_least_k += column >= k
-            out -= at_least_k * step
-        return out
+        nonlocal out, terms, at_least_k, hits, columns
+        rows = len(window)
+        if len(out) < rows:
+            out = np.empty(rows)
+            if steps:
+                terms, at_least_k = np.empty(rows), np.empty(rows, dtype=counter)
+                hits = np.empty(rows, dtype=bool)
+                columns = np.empty((window.shape[1], rows), dtype=window.dtype)
+        chunk = out[:rows]
+        chunk.fill(-log_p[0])
+        if steps:
+            chunk_columns = columns[:, :rows]
+            np.copyto(chunk_columns, window.T)
+            count, flags = at_least_k[:rows], hits[:rows]
+            for k, step in steps:
+                count.fill(0)
+                for column in chunk_columns:
+                    count += np.greater_equal(column, k, out=flags)
+                chunk -= np.multiply(count, step, out=terms[:rows])
+        return chunk
 
     return scores
 
@@ -454,14 +480,16 @@ def _merge_moments(
     deviations) by Chan's pairwise update.  The pivot is the first score
     drawn, and the mean and deviations are those of the scores minus the
     pivot, so the estimate is pivot + mean: constant scores shift to
-    exact zeros, whose mean and deviations no rounding can move."""
+    exact zeros, whose mean and deviations no rounding can move.  The
+    deviations are taken in place, so ``scores`` is overwritten."""
     count, pivot, mean, m2 = moments
     if count == 0:
         pivot = float(scores[0])
-    shifted = scores - pivot
+    shifted = np.subtract(scores, pivot, out=scores)
     k = shifted.size
     chunk_mean = float(np.mean(shifted))
-    chunk_m2 = float(np.sum((shifted - chunk_mean) ** 2))
+    shifted -= chunk_mean
+    chunk_m2 = float(np.sum(np.square(shifted, out=shifted)))
     if count == 0:
         return k, pivot, chunk_mean, chunk_m2
     total = count + k

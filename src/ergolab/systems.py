@@ -18,8 +18,11 @@ Monte-Carlo estimates stream their sample: ``sample_chunks`` draws it
 from one generator as consecutive batches of at most ``SAMPLE_CHUNK``
 points, and each batch (``sample_batch``) stores sequence symbols as
 uint8 indices for only the positions its consumer reads, so no array
-spans the whole sample.  A run's generators are sub-streams spawned
-from its single seed (``spawn_rngs``).  The specs and the cylinder
+spans the whole sample.  A stream allocates its arrays once and refills
+them for every batch, so a streamed batch is valid only until the next
+one is drawn; a one-shot ``sample_batch`` gets arrays of its own.  A
+run's generators are sub-streams spawned from its single seed
+(``spawn_rngs``).  The specs and the cylinder
 algebra are pure Python: only the functions that draw samples import
 numpy, so a run that never samples never loads it.
 """
@@ -58,9 +61,10 @@ SYSTEM_KINDS = ("rotation", "skew", "bernoulli", "product")
 
 #: Most points one batch of a streamed Monte-Carlo sample holds
 #: (:func:`sample_chunks`), and most uniforms one draw of symbols takes
-#: (:func:`sample_batch`): 2^16 points of ten uint8 symbols and their
-#: per-point temporary arrays stay within a few megabytes, and a block
-#: of draws within 0.5 MB.
+#: (:func:`sample_batch`).  A stream keeps one batch's arrays and refills
+#: them for every batch: 2^16 points of ten uint8 symbols take 0.64 MB,
+#: the float block of draws 0.5 MB and its bool scratch 64 KB, and the
+#: scorer's per-point arrays stay within a few megabytes.
 SAMPLE_CHUNK = 2**16
 
 
@@ -333,11 +337,45 @@ def cumulative_law(bern: BernoulliSpec) -> np.ndarray:
     return cdf / cdf[-1]
 
 
+@dataclass
+class _Buffers:
+    """The arrays a stream's batches are drawn into: ``u``, ``v`` and the
+    symbol window ``sym``, with a row for each point of the largest
+    batch; ``draws``, the float block of uniforms that symbols are
+    counted from; and ``scratch``, a bool array of the block's shape.
+    An array the system has no use for is None."""
+
+    u: np.ndarray | None
+    v: np.ndarray | None
+    sym: np.ndarray | None
+    draws: np.ndarray | None
+    scratch: np.ndarray | None
+
+
+def _buffers(spec: SystemSpec, points: int, width: int) -> _Buffers:
+    """Empty buffers for batches of up to ``points`` points whose windows
+    hold ``width`` positions.  The block holds whole rows, at most
+    ``SAMPLE_CHUNK`` uniforms of them (one row when a row is wider)."""
+    import numpy as np
+
+    u = np.empty(points) if spec.kind in ("rotation", "skew", "product") else None
+    v = np.empty(points) if spec.kind == "skew" else None
+    sym = draws = scratch = None
+    if spec.kind in ("bernoulli", "product"):
+        dtype = np.min_scalar_type(len(spec.bernoulli.probs) - 1)
+        sym = np.empty((points, width), dtype=dtype)
+        rows = max(1, min(points, SAMPLE_CHUNK // max(width, 1)))
+        draws = np.empty((rows, width))
+        scratch = np.empty((rows, width), dtype=bool)
+    return _Buffers(u, v, sym, draws, scratch)
+
+
 def sample_batch(
     spec: SystemSpec,
     rng: np.random.Generator,
     n: int,
     positions: range = range(-8, 9),
+    buffers: Optional[_Buffers] = None,
 ) -> SampleBatch:
     """n points of the invariant measure, drawn from rng in one batch.
 
@@ -352,30 +390,41 @@ def sample_batch(
     last.  That is the ``searchsorted(u, side="right")`` of
     ``Generator.choice(k, p=probs)``, so the symbols and the generator's
     state afterwards equal that call's, at no int64 temporary.  The
-    uniforms are drawn in blocks of whole rows, at most ``SAMPLE_CHUNK``
-    of them per draw (one row when a row is wider), and ``rng.random``
-    fills row-major, so the blocks draw what one call would while the
-    float temporary stays within one block.
+    uniforms are drawn into one float block of whole rows, at most
+    ``SAMPLE_CHUNK`` of them per draw (one row when a row is wider), and
+    ``rng.random`` fills row-major, so the blocks draw what one call
+    would.  In a byte window the first comparison writes its 0s and 1s
+    straight into the window through a bool view, and each later one
+    adds a reused bool scratch in place.
+
+    The batch's arrays are views of ``buffers``: fresh ones sized to the
+    batch by default, or the stream's own, which :func:`sample_chunks`
+    passes and refills for every batch.
     """
     import numpy as np
 
     if positions.step != 1:
         raise ValueError("sampled positions must be a contiguous range")
-    u = v = sym = None
-    if spec.kind in ("rotation", "skew", "product"):
-        u = rng.random(n)
-    if spec.kind == "skew":
-        v = rng.random(n)
-    if spec.kind in ("bernoulli", "product"):
+    if buffers is None:
+        buffers = _buffers(spec, n, len(positions))
+    u = None if buffers.u is None else rng.random(out=buffers.u[:n])
+    v = None if buffers.v is None else rng.random(out=buffers.v[:n])
+    sym = None
+    if buffers.sym is not None:
         cdf = cumulative_law(spec.bernoulli)
-        width = len(positions)
-        sym = np.zeros((n, width), dtype=np.min_scalar_type(len(cdf) - 1))
-        rows = max(1, SAMPLE_CHUNK // max(width, 1))
-        for start in range(0, n, rows):
-            draws = rng.random((min(rows, n - start), width))
+        sym = buffers.sym[:n]
+        for start in range(0, n, len(buffers.draws)):
+            draws = rng.random(out=buffers.draws[: n - start])
             block = sym[start : start + len(draws)]
-            for c in cdf[:-1]:
-                block += draws >= c
+            scratch = buffers.scratch[: len(draws)]
+            if block.itemsize == 1:
+                np.greater_equal(draws, cdf[0], out=block.view(bool))
+                later = cdf[1:-1]
+            else:
+                block.fill(0)
+                later = cdf[:-1]
+            for c in later:
+                block += np.greater_equal(draws, c, out=scratch)
     return SampleBatch(spec=spec, u=u, v=v, sym=sym, anchor=positions.start)
 
 
@@ -385,13 +434,18 @@ def sample_chunks(
     """n points of the invariant measure as consecutive batches of at
     most ``SAMPLE_CHUNK`` points, each drawn from rng after the last.
 
-    Every Monte-Carlo estimate streams its sample through here and
-    reduces each batch before the next is drawn, so the drawn sample
-    never takes more than one batch of memory, whatever n is.
-    ``positions`` is passed on to :func:`sample_batch`.
+    The stream allocates one set of buffers, sized to its first batch,
+    and :func:`sample_batch` refills it for every batch, so a yielded
+    batch is valid only until the next one is drawn.  Every Monte-Carlo
+    estimate streams its sample through here and reduces each batch
+    before the next is drawn, so the drawn sample never takes more than
+    one batch of memory, whatever n is, and the stream allocates nothing
+    after its first batch.  ``positions`` is passed on to
+    :func:`sample_batch`.
     """
+    buffers = _buffers(spec, min(SAMPLE_CHUNK, n), len(positions))
     for start in range(0, n, SAMPLE_CHUNK):
-        yield sample_batch(spec, rng, min(SAMPLE_CHUNK, n - start), positions)
+        yield sample_batch(spec, rng, min(SAMPLE_CHUNK, n - start), positions, buffers)
 
 
 def iterate_batch(batch: SampleBatch, i: int) -> SampleBatch:

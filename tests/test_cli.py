@@ -30,7 +30,9 @@ from ergolab.cli import (
     MAX_CENSUS_NODES,
     MAX_INTERTWINER_PAIRS,
     MAX_SAMPLED_SYMBOLS,
+    MAX_TOWER_DEPTH,
     MAX_WEAK_MIXING_DIGITS,
+    MIN_CENSUS_CHARGE,
     ExperimentConfig,
     ExperimentReport,
     RUNNERS,
@@ -371,6 +373,67 @@ def test_residual_search_ks_above_the_census_budget_are_refused(count, tmp_path,
     assert f"the censuses would take about {6e-8 * count * nodes:.0f} s" in err
 
 
+@pytest.mark.parametrize("count", [20_000, 20_001])
+def test_residual_search_charges_each_k_its_fixed_cost(count, tmp_path, capsys, monkeypatch):
+    """A k costs about ``MIN_CENSUS_CHARGE`` labels' time however few
+    labels its census steps, so at N = 2 (144 labels) 20,000 ks run and
+    20,001 are refused before any census runs, although their 2.9 million
+    labels are far inside five censuses at the node budget."""
+    truncation, nodes = 2, 144
+    assert nodes == 9 * (1 + (truncation + 1) * (2 * truncation + 1)) < MIN_CENSUS_CHARGE
+    assert count * nodes < 5 * MAX_CENSUS_NODES
+    ran = []
+
+    def census(spec, ks, truncation):
+        ran.append(len(ks))
+        return iter(())
+
+    monkeypatch.setattr(tower, "residual_census", census)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "residual_truncation": truncation, "params": {"ks": list(range(count))},
+    }))
+    code, out = run(tmp_path, "compute", "residual-search", "--config", str(cfg))
+    err = capsys.readouterr().err
+    if count == 20_000:
+        assert (code, ran) == (0, [count])
+        return
+    assert code == 1 and ran == [] and not out.exists()
+    charged = count * MIN_CENSUS_CHARGE
+    assert (
+        f"error: {count} ks at residual truncation 2 step 144 census nodes each "
+        f"(charged {MIN_CENSUS_CHARGE} for a k's fixed cost), {charged} in all, over "
+        f"the budget of {5 * MAX_CENSUS_NODES}" in err
+    )
+    assert f"the censuses would take about {6e-8 * charged:.0f} s" in err
+
+
+@pytest.mark.parametrize("depth", ["a", 2.5, True, None])
+def test_tower_depth_that_is_not_an_integer_is_refused(depth, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"max_depth": depth}}))
+    code, out = run(tmp_path, "compute", "tower", "--config", str(cfg))
+    assert code == 1 and not out.exists()
+    assert "error: tower max_depth must be an integer, got" in capsys.readouterr().err
+
+
+def test_tower_depth_above_the_level_budget_is_refused(tmp_path, capsys, monkeypatch):
+    """The refusal comes before any level is built and states the cost."""
+    def built(*args):
+        raise AssertionError("the tower built its levels")
+
+    monkeypatch.setattr(tower, "compute_tower", built)
+    depth = MAX_TOWER_DEPTH + 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"max_depth": depth}}))
+    code, out = run(tmp_path, "compute", "tower", "--config", str(cfg))
+    assert code == 1 and not out.exists()
+    assert (
+        f"error: tower max_depth {depth} is over the budget of {MAX_TOWER_DEPTH} "
+        f"levels: the levels would take about {6.5e-5 * depth:.0f} s"
+    ) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("ks", [5, ["a"], [1.5], [True], None])
 def test_residual_search_ks_that_are_not_integers_are_refused(ks, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -420,6 +483,28 @@ def test_kolmogorov_scenario(tmp_path):
     statements = [v["statement"] for v in report["verdicts"]]
     assert any("not spacially isomorphic" in s for s in statements)
     assert any("spectrally isomorphic" in s for s in statements)
+
+
+def test_kolmogorov_sampled_estimates_are_pinned(tmp_path):
+    """The sampled estimates of two non-uniform shifts at 10^5 samples,
+    seed 3, as computed when every chunk was drawn into fresh arrays; the
+    streamed sampler and scorer reuse their arrays and must not move a bit."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "scenario": "reproduce-kolmogorov",
+        "samples": 100_000,
+        "systems": [
+            {"kind": "bernoulli", "probs": [0.1, 0.9]},
+            {"kind": "bernoulli", "probs": [0.2, 0.3, 0.5], "symbols": [0, 1, 2]},
+        ],
+    }))
+    code, out = run(tmp_path, "reproduce-kolmogorov", "--config", str(cfg), "--seed", "3")
+    assert code == 0
+    sampled = [e["sampled"] for e in read_report(out)["results"]["entropies"]]
+    assert [(s["value"], s["stderr"], s["sample_count"]) for s in sampled] == [
+        (0.3252543569084804, 0.0006600341267229457, 100_000),
+        (1.0293080647236248, 0.0003634608066474201, 100_000),
+    ]
 
 
 def test_kolmogorov_grid_of_coins(tmp_path):

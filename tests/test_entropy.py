@@ -165,6 +165,18 @@ def test_exact_entropies_equal_the_binary_oracle_on_random_laws():
         _assert_matches_oracle(probs, 1 + i % 3)
 
 
+def test_integer_masses_give_the_fraction_oracle_digit_for_digit():
+    """Each count vector's mass taken as an integer over D^n is the same
+    rational as the oracle's ``Fraction`` product, so the 40-digit sum is
+    the same Decimal: on the named laws to n = 10, and on 200 seeded laws
+    of 2-6 symbols at block lengths 1-6."""
+    cases = [(probs, n) for probs in NAMED_LAWS.values() for n in (1, 2, 5, 10)]
+    cases += [(probs, 1 + i % 6) for i, probs in enumerate(_random_laws(200, seed=13))]
+    for probs, n in cases:
+        spec = BernoulliSpec(probs, tuple(range(len(probs))))
+        assert entropy._block_entropy(spec, n) == entropy_oracle.fraction_block_entropy(probs, n)
+
+
 # ---------------------------------------------------------------------------
 # stream estimates
 # ---------------------------------------------------------------------------
@@ -360,7 +372,7 @@ def test_streamed_scorers_equal_the_one_batch_oracle(scorer, monkeypatch):
 
     def recording(*args, **kwargs):
         for batch in systems.sample_chunks(*args, **kwargs):
-            drawn.append(batch)
+            drawn.append(entropy_oracle.copied(batch))
             yield batch
 
     monkeypatch.setattr(entropy, "sample_chunks", recording)
@@ -415,7 +427,7 @@ def _record(monkeypatch, drawn: list, scored: list) -> None:
     it scores."""
     def recording(*args, **kwargs):
         for batch in systems.sample_chunks(*args, **kwargs):
-            drawn.append(batch)
+            drawn.append(entropy_oracle.copied(batch))
             yield batch
 
     scorer = entropy._itinerary_scorer

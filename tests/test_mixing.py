@@ -41,7 +41,7 @@ from ergolab import (
 )
 from ergolab import mixing, systems
 
-from entropy_oracle import concatenate
+from entropy_oracle import concatenate, copied
 from exact_oracle import bracket_float
 from helpers import BENCH_ANGLES, GAMMA, UNIFORM4, four_systems
 from mixing_oracle import (
@@ -457,7 +457,7 @@ def test_streamed_monte_carlo_equals_one_batch(spec, A, B, monkeypatch):
 
     def recording(*args, **kwargs):
         for batch in systems.sample_chunks(*args, **kwargs):
-            drawn.append(batch)
+            drawn.append(copied(batch))
             yield batch
 
     monkeypatch.setattr(mixing, "sample_chunks", recording)

@@ -150,13 +150,14 @@ def test_restricted_positions_are_the_only_stored_symbols(spec):
 def test_chunks_draw_in_sequence_from_one_generator(monkeypatch):
     monkeypatch.setattr(systems, "SAMPLE_CHUNK", 40)
     spec = SystemSpec.product(GAMMA, UNIFORM4)
-    rng = spawn_rngs(15, 1)[0]
-    chunks = list(sample_chunks(spec, rng, 125, range(-2, 3)))
-    assert [len(c) for c in chunks] == [40, 40, 40, 5]
-    replay = spawn_rngs(15, 1)[0]
-    for chunk in chunks:
+    rng, replay = spawn_rngs(15, 1)[0], spawn_rngs(15, 1)[0]
+    sizes = []
+    # a batch is valid until the next one is drawn, so each is checked as it comes
+    for chunk in sample_chunks(spec, rng, 125, range(-2, 3)):
+        sizes.append(len(chunk))
         again = sample_batch(spec, replay, len(chunk), positions=range(-2, 3))
         assert np.array_equal(chunk.u, again.u) and np.array_equal(chunk.sym, again.sym)
+    assert sizes == [40, 40, 40, 5]
     assert list(sample_chunks(spec, rng, 0, range(0))) == []
 
 
@@ -185,9 +186,9 @@ def test_sample_batch_is_seed_deterministic(spec):
     assert len(x) == 100
 
 
-def _law_256() -> BernoulliSpec:
-    weights = np.random.default_rng(256).random(256) + 0.1
-    return BernoulliSpec(tuple(weights / weights.sum()), tuple(range(256)))
+def _random_law(k: int) -> BernoulliSpec:
+    weights = np.random.default_rng(k).random(k) + 0.1
+    return BernoulliSpec(tuple(weights / weights.sum()), tuple(range(k)))
 
 
 LAWS = {
@@ -196,21 +197,23 @@ LAWS = {
     "three": BernoulliSpec((0.2, 0.3, 0.5), (0, 1, 2)),
     "uniform4": UNIFORM4,
     "dyadic5": BernoulliSpec((0.5, 0.25, 0.125, 0.0625, 0.0625), tuple(range(5))),
-    "256": _law_256(),
+    "256": _random_law(256),
+    "300": _random_law(300),  # indices past 255 take uint16 windows
 }
 
 
 class RecordingRng:
     """Passes ``random`` on to a generator and records each symbol block
-    drawn, as (rows, width)."""
+    drawn, as (rows, width), whether given by shape or by ``out``."""
 
     def __init__(self, rng: np.random.Generator):
         self.rng, self.blocks = rng, []
 
-    def random(self, shape=None):
-        if isinstance(shape, tuple):
-            self.blocks.append(shape)
-        return self.rng.random(shape)
+    def random(self, shape=None, out=None):
+        drawn = shape if out is None else out.shape
+        if isinstance(drawn, tuple) and len(drawn) == 2:
+            self.blocks.append(drawn)
+        return self.rng.random(shape, out=out)
 
 
 @pytest.mark.parametrize("kind", ["bernoulli", "product"])
@@ -218,7 +221,8 @@ class RecordingRng:
 def test_sample_batch_draws_what_choice_draws(law, kind, monkeypatch):
     """Comparing uniform draws with the cumulative law gives the symbols
     of ``Generator.choice`` and leaves the generator in the same state;
-    index 255 of a 256-symbol law still fits the uint8 array.  The same
+    index 255 of a 256-symbol law still fits the uint8 array, and a
+    300-symbol law draws into uint16.  The same
     holds when ``SAMPLE_CHUNK`` splits a batch's draws into many blocks
     of whole rows ending on a partial one, when a row is wider than
     ``SAMPLE_CHUNK`` (one row per block), and for a window of no
@@ -249,6 +253,58 @@ def test_sample_batch_draws_what_choice_draws(law, kind, monkeypatch):
         assert rng.random() == oracle.random()
 
 
+STREAM_CASES = {
+    "rotation": SystemSpec.rotation(GAMMA),
+    "skew": SystemSpec.skew(GAMMA),
+    **{f"bernoulli {law}": SystemSpec.shift(bern) for law, bern in LAWS.items()},
+    **{f"product {law}": SystemSpec.product(GAMMA, bern) for law, bern in LAWS.items()},
+}
+
+
+@pytest.mark.parametrize("case", list(STREAM_CASES))
+def test_streams_draw_what_fresh_batches_draw(case, monkeypatch):
+    """A stream refills one set of buffers for every batch and draws what
+    drawing each batch afresh did: ``u``, ``v`` and the symbols (as
+    ``Generator.choice`` draws them), chunk by chunk, and the generator's
+    state afterwards.  ``SAMPLE_CHUNK`` = 50 splits 301 points into six
+    chunks and a partial one; a 7-wide window splits each chunk into
+    blocks of 7 rows and a partial one, and a 60-wide window takes one
+    row per block.  Consecutive batches share their storage."""
+    spec = STREAM_CASES[case]
+    monkeypatch.setattr(systems, "SAMPLE_CHUNK", 50)
+    for positions in (range(-3, 4), range(-30, 30), range(0)):
+        rng, oracle = RecordingRng(spawn_rngs(17, 1)[0]), spawn_rngs(17, 1)[0]
+        sizes, previous = [], None
+        for batch in sample_chunks(spec, rng, 301, positions):
+            m = len(batch)
+            sizes.append(m)
+            for name in ("u", "v"):
+                drawn = getattr(batch, name)
+                expected = oracle.random(m) if drawn is not None else None
+                assert (drawn is None) == (expected is None)
+                if drawn is not None:
+                    assert np.array_equal(drawn, expected)
+            if spec.bernoulli is None:
+                assert batch.sym is None
+            else:
+                expected = choice_symbols(spec.bernoulli, oracle, (m, len(positions)))
+                assert batch.sym.dtype == expected.dtype
+                assert np.array_equal(batch.sym, expected)
+                assert batch.anchor == positions.start
+            if previous is not None:
+                for name in ("u", "v", "sym"):
+                    now, before = getattr(batch, name), getattr(previous, name)
+                    if now is not None and now.size:
+                        assert np.shares_memory(now, before)
+            previous = batch
+        assert sizes == [50] * 6 + [1]
+        if spec.bernoulli is not None and positions == range(-3, 4):
+            assert rng.blocks == ([(7, 7)] * 7 + [(1, 7)]) * 6 + [(1, 7)]
+        elif spec.bernoulli is not None and len(positions):
+            assert rng.blocks == [(1, 60)] * 301
+        assert rng.random() == oracle.random()
+
+
 def test_a_draw_on_a_cumulative_entry_takes_the_next_symbol():
     """u equal to an entry of the cumulative law counts it, as
     ``searchsorted(u, side="right")`` does; the float just below does not."""
@@ -258,8 +314,9 @@ def test_a_draw_on_a_cumulative_entry_takes_the_next_symbol():
     draws = np.array([0.0, *cdf[:-1], *np.nextafter(cdf[:-1], 0), np.nextafter(1.0, 0)])
 
     class Replay:
-        def random(self, shape):
-            return draws.reshape(shape)
+        def random(self, out):
+            out[...] = draws.reshape(out.shape)
+            return out
 
     batch = sample_batch(SystemSpec.shift(bern), Replay(), len(draws), positions=range(1))
     assert batch.sym[:, 0].tolist() == [0, 1, 2, 0, 1, 2]
