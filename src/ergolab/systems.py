@@ -340,11 +340,13 @@ def cumulative_law(bern: BernoulliSpec) -> np.ndarray:
 @dataclass
 class _Buffers:
     """The arrays a stream's batches are drawn into: ``u``, ``v`` and the
-    symbol window ``sym``, with a row for each point of the largest
-    batch; ``draws``, the float block of uniforms that symbols are
-    counted from; and ``scratch``, a bool array of the block's shape.
-    An array the system has no use for is None."""
+    symbol window ``sym``, with a row for each of ``points`` points and a
+    column for each of ``width`` positions; ``draws``, the float block of
+    uniforms that symbols are counted from; and ``scratch``, a bool array
+    of the block's shape.  An array the system has no use for is None."""
 
+    points: int
+    width: int
     u: np.ndarray | None
     v: np.ndarray | None
     sym: np.ndarray | None
@@ -367,7 +369,7 @@ def _buffers(spec: SystemSpec, points: int, width: int) -> _Buffers:
         rows = max(1, min(points, SAMPLE_CHUNK // max(width, 1)))
         draws = np.empty((rows, width))
         scratch = np.empty((rows, width), dtype=bool)
-    return _Buffers(u, v, sym, draws, scratch)
+    return _Buffers(points, width, u, v, sym, draws, scratch)
 
 
 def sample_batch(
@@ -393,13 +395,13 @@ def sample_batch(
     uniforms are drawn into one float block of whole rows, at most
     ``SAMPLE_CHUNK`` of them per draw (one row when a row is wider), and
     ``rng.random`` fills row-major, so the blocks draw what one call
-    would.  In a byte window the first comparison writes its 0s and 1s
-    straight into the window through a bool view, and each later one
-    adds a reused bool scratch in place.
+    would.  The first comparison writes its 0s and 1s straight into the
+    window, and each later one adds a reused bool scratch in place.
 
     The batch's arrays are views of ``buffers``: fresh ones sized to the
     batch by default, or the stream's own, which :func:`sample_chunks`
-    passes and refills for every batch.
+    passes and refills for every batch.  Buffers with fewer than ``n``
+    points, or windows of another width, raise ValueError.
     """
     import numpy as np
 
@@ -407,6 +409,11 @@ def sample_batch(
         raise ValueError("sampled positions must be a contiguous range")
     if buffers is None:
         buffers = _buffers(spec, n, len(positions))
+    elif n > buffers.points or len(positions) != buffers.width:
+        raise ValueError(
+            f"buffers of {buffers.points} points {buffers.width} positions wide"
+            f" cannot hold {n} points {len(positions)} positions wide"
+        )
     u = None if buffers.u is None else rng.random(out=buffers.u[:n])
     v = None if buffers.v is None else rng.random(out=buffers.v[:n])
     sym = None
@@ -417,13 +424,8 @@ def sample_batch(
             draws = rng.random(out=buffers.draws[: n - start])
             block = sym[start : start + len(draws)]
             scratch = buffers.scratch[: len(draws)]
-            if block.itemsize == 1:
-                np.greater_equal(draws, cdf[0], out=block.view(bool))
-                later = cdf[1:-1]
-            else:
-                block.fill(0)
-                later = cdf[:-1]
-            for c in later:
+            np.greater_equal(draws, cdf[0], out=block)
+            for c in cdf[1:-1]:
                 block += np.greater_equal(draws, c, out=scratch)
     return SampleBatch(spec=spec, u=u, v=v, sym=sym, anchor=positions.start)
 

@@ -305,6 +305,19 @@ def test_streams_draw_what_fresh_batches_draw(case, monkeypatch):
         assert rng.random() == oracle.random()
 
 
+@pytest.mark.parametrize("case", ["rotation", "bernoulli three", "product three"])
+def test_a_batch_that_its_buffers_cannot_hold_is_refused(case):
+    """Buffers fill a batch of at most their points and exactly their
+    width; a larger batch or another width is refused, not cut short."""
+    spec, rng = STREAM_CASES[case], spawn_rngs(18, 1)[0]
+    buffers = systems._buffers(spec, 10, 7)
+    assert len(sample_batch(spec, rng, 10, range(-3, 4), buffers)) == 10
+    with pytest.raises(ValueError):
+        sample_batch(spec, rng, 11, range(-3, 4), buffers)
+    with pytest.raises(ValueError):
+        sample_batch(spec, rng, 10, range(-3, 5), buffers)
+
+
 def test_a_draw_on_a_cumulative_entry_takes_the_next_symbol():
     """u equal to an entry of the cumulative law counts it, as
     ``searchsorted(u, side="right")`` does; the float just below does not."""
