@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
-from .quadratic import ExactnessError, SQRT2_MINUS_1
+from .quadratic import ExactnessError, SQRT2_MINUS_1, _json_fraction
 from .systems import (
     BernoulliSpec,
     CylinderSet,
@@ -427,7 +427,6 @@ def run_reproduce_letter(config: ExperimentConfig) -> ExperimentReport:
         "truncation": config.truncation,
         "mismatches": check.mismatches,
         "checked": check.checked,
-        "max_phase_residual": check.max_phase_residual,
     }
     if spectra_match and check.mismatches == 0:
         verdicts.append(
@@ -712,6 +711,11 @@ def _compute_residual(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     ks = config.params.get("ks", [0, 1, -1, 2, -2])
     if not isinstance(ks, list) or any(isinstance(k, bool) or not isinstance(k, int) for k in ks):
         raise ValueError(f"residual-search ks must be a list of integers, got {ks!r:.60}")
+    for k in ks:
+        # the census shifts its int64 rows by k; any |k| > 2 U_BAND
+        # already takes every image out of the band
+        if abs(k) >= 2**62:
+            raise ValueError(f"residual-search k = {k} is outside |k| < 2^62")
     _check_census_cost([spec], config.residual_truncation, len(ks))
     reports = list(residual_census(spec, ks, config.residual_truncation))
     results = {"reports": [r.to_json() for r in reports]}
@@ -782,7 +786,7 @@ def _compute_weak_mixing(config: ExperimentConfig) -> tuple[dict, list[dict]]:
             f"{MAX_WEAK_MIXING_DIGITS}: its floor sums would take about "
             f"{seconds:.0f} s"
         )
-    statistic = weak_mixing_statistic(spec, A, B, t, mode="exact")
+    statistic = weak_mixing_statistic(spec, A, B, t)
     results = {
         "t": t,
         "statistic": statistic,
@@ -800,16 +804,22 @@ def _compute_weak_mixing(config: ExperimentConfig) -> tuple[dict, list[dict]]:
 
 
 def _test_set_from(data: dict) -> TestSet:
-    from fractions import Fraction
-
+    """A u-interval ``{"kind": "u-interval", "a": ..., "b": ...}`` (ends
+    as numbers or fraction strings) or a cylinder ``{"kind": "cylinder",
+    "cylinder": [[position, symbol], ...]}``; ValueError on any other
+    shape."""
     from .mixing import TestSet
 
-    kind = data["kind"]
+    kind = data.get("kind") if isinstance(data, dict) else None
     if kind == "u-interval":
-        return TestSet.u_interval(Fraction(data["a"]), Fraction(data["b"]))
-    if kind == "cylinder":
+        a, b = (_json_fraction(data.get(e), f"u-interval end {e}") for e in "ab")
+        return TestSet.u_interval(a, b)
+    if kind == "cylinder" and "cylinder" in data:
         return TestSet.from_cylinder(CylinderSet.from_json(data["cylinder"]))
-    raise ValueError(f"unsupported test-set kind {kind!r} in config")
+    raise ValueError(
+        "a test set must be a u-interval with ends a and b or a cylinder, "
+        f"got {data!r:.80}"
+    )
 
 
 COMPUTE_OPS = {

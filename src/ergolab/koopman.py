@@ -27,7 +27,6 @@ intertwiner pairs renormalized chain bases (``f[k,m]`` on the skew side,
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import ItemsView, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -46,7 +45,6 @@ __all__ = [
     "IntertwinerCheck",
     "IntertwinerPairing",
     "KOOPMAN_TABLE",
-    "Phase",
     "SectorAction",
     "SpectrumDescriptor",
     "build_intertwiner",
@@ -65,59 +63,6 @@ VERIFY_SLICE = 2**13
 #: Half-widths B of the label boxes [-B, B]^d in which :func:`spectrum_of`
 #: counts the chains of moving labels.
 CHAIN_BOXES = (4, 8)
-
-
-@dataclass(frozen=True)
-class Phase:
-    """The unimodular constant ``e((turn) + (gamma_mult) * gamma)``.
-
-    ``turn`` is an exact rational number of turns, stored reduced to
-    [0, 1); ``gamma_mult`` counts copies of the (symbolic) angle gamma.
-    Phases form a group under multiplication and equality is exact.
-    """
-
-    turn: Fraction = Fraction(0)
-    gamma_mult: int = 0
-
-    def __post_init__(self) -> None:
-        t = Fraction(self.turn)
-        object.__setattr__(self, "turn", t - (t.numerator // t.denominator))
-
-    @classmethod
-    def one(cls) -> "Phase":
-        return cls()
-
-    @classmethod
-    def from_turn(cls, turn) -> "Phase":
-        return cls(turn=Fraction(turn))
-
-    @classmethod
-    def from_gamma(cls, mult: int) -> "Phase":
-        return cls(gamma_mult=mult)
-
-    @property
-    def is_one(self) -> bool:
-        return self.turn == 0 and self.gamma_mult == 0
-
-    def __mul__(self, other: "Phase") -> "Phase":
-        if not isinstance(other, Phase):
-            return NotImplemented
-        return Phase(self.turn + other.turn, self.gamma_mult + other.gamma_mult)
-
-    def inverse(self) -> "Phase":
-        return Phase(-self.turn, -self.gamma_mult)
-
-    def value(self, gamma: Optional[RotationNumber] = None) -> complex:
-        """Numeric unit complex number; needs gamma when gamma_mult != 0."""
-        angle = float(self.turn)
-        if self.gamma_mult:
-            if gamma is None:
-                raise ValueError("gamma_mult != 0 requires an angle to evaluate")
-            if gamma.is_exact:
-                angle += float(gamma.frac_multiple(self.gamma_mult))
-            else:
-                angle += self.gamma_mult * gamma.to_float()
-        return cmath.exp(2j * cmath.pi * angle)
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +687,6 @@ class _PairItems(ItemsView):
 @dataclass(frozen=True)
 class IntertwinerCheck:
     mismatches: int
-    max_phase_residual: float
     checked: int
 
 
@@ -845,16 +789,14 @@ def verify_intertwiner(pairing: IntertwinerPairing) -> IntertwinerCheck:
     The proper modes, pairs ``[0, n_points)``, are stepped apart from the
     chains, and both in slices of ``VERIFY_SLICE`` pairs, so the
     temporaries stay bounded however many pairs there are; targets still
-    index the whole pairing.  Returns the number of mismatched pairs, the
-    largest numeric phase discrepancy among them, and how many pairs
-    were checked.
+    index the whole pairing.  Returns the number of mismatched pairs and
+    how many pairs were checked.
     """
     labels_a, labels_b = pairing.labels_a, pairing.labels_b
     basis_a, basis_b = pairing.basis_a, pairing.basis_b
     p0, p1 = basis_a.points
     n_points = p1 - p0 + 1
     mismatches = checked = 0
-    max_residual = 0.0
     for first, stop, chains in ((0, n_points, False), (n_points, labels_a.shape[1], True)):
         for start in range(first, stop, VERIFY_SLICE):
             part = slice(start, min(start + VERIFY_SLICE, stop))
@@ -877,16 +819,7 @@ def verify_intertwiner(pairing: IntertwinerPairing) -> IntertwinerCheck:
                 & (labels_b[1].take(target) == jb_next)
                 & (phase_a == pairing.eps * phase_b)
             )
-            n_interior, n_match = int(np.count_nonzero(interior)), int(np.count_nonzero(match))
-            if n_match < n_interior:
-                wrong = interior & ~match
-                for pa, pb in zip(phase_a[wrong].tolist(), phase_b[wrong].tolist()):
-                    try:
-                        va = Phase.from_gamma(pa).value(pairing.spec_a.gamma)
-                        vb = Phase.from_gamma(pb).value(pairing.spec_b.gamma)
-                        max_residual = max(max_residual, abs(va - vb))
-                    except ValueError:
-                        max_residual = 2.0
+            n_interior = int(np.count_nonzero(interior))
             checked += n_interior
-            mismatches += n_interior - n_match
-    return IntertwinerCheck(mismatches, max_residual, checked)
+            mismatches += n_interior - int(np.count_nonzero(match))
+    return IntertwinerCheck(mismatches, checked)

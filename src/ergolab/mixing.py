@@ -1,19 +1,19 @@
 """Correlation sequences and the finite-horizon weak-mixing statistic,
-with exact closed forms where the geometry allows them.
+from exact closed forms.
 
 Weak mixing asks that the Cesaro average of |mu(S^i A  cap  B) - mu(A)mu(B)|
 tend to 0.  At desk scale only finite-t trends are observable, so verdicts
 read "consistent with weak mixing" (statistic below 0.01) or "inconsistent"
-(above 0.05), never the limit statement itself.  Two independent tracks are
-provided: an exact track for pairs with closed-form correlations (circle
-interval overlaps, cylinder independence), whose values and sums stay
-exact until one correctly rounded conversion to float, and a Monte-Carlo
-track for everything else; the spectral predicates give a third,
+(above 0.05), never the limit statement itself.  Correlations are exact
+where the geometry gives them a closed form (circle interval overlaps,
+cylinder independence): their values and sums stay exact until one
+correctly rounded conversion to float, and any other pair raises
+:class:`NoClosedFormError`; the spectral predicates give a second,
 non-numeric opinion.  The exact statistic visits no lag of the rotation
 orbit beyond the few where cylinder constraints meet: the overlaps are
 piecewise linear in frac(i*gamma), so their sum over t lags is a handful
 of floor sums, each O(log t) steps along the continued fraction of gamma.
-Only the Monte-Carlo track imports numpy, when it runs.
+Only sample membership (``TestSet.contains_batch``) imports numpy.
 """
 
 from __future__ import annotations
@@ -25,14 +25,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
 
 from .quadratic import QuadraticReal, RotationNumber, floor_sums
-from .systems import (
-    BernoulliSpec,
-    CylinderSet,
-    SampleBatch,
-    SystemSpec,
-    iterate_batch,
-    sample_chunks,
-)
+from .systems import BernoulliSpec, CylinderSet, SampleBatch, SystemSpec
 
 if TYPE_CHECKING:
     import numpy as np
@@ -52,9 +45,6 @@ __all__ = [
 
 CONSISTENT_BELOW = 0.01
 INCONSISTENT_ABOVE = 0.05
-#: Most ``samples * (2 * width + 1)`` sequence symbols a Monte-Carlo
-#: estimate accepts, width being the largest position it reads.
-MAX_WINDOW_SYMBOLS = 2 * 10**8
 
 
 class NoClosedFormError(ValueError):
@@ -190,20 +180,13 @@ class TestSet:
 
 @dataclass(frozen=True)
 class CorrelationPoint:
-    """mu(S^i(A) cap B), exactly or estimated."""
+    """mu(S^i(A) cap B), exact and correctly rounded."""
 
     i: int
     estimate: float
-    exact: bool
-    stderr: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "i": self.i,
-            "estimate": self.estimate,
-            "exact": self.exact,
-            "stderr": self.stderr,
-        }
+        return {"i": self.i, "estimate": self.estimate}
 
 
 @dataclass(frozen=True)
@@ -353,89 +336,13 @@ def _exact_correlation(
     return value
 
 
-def correlation(
-    spec: SystemSpec,
-    A: TestSet,
-    B: TestSet,
-    i: int,
-    mode: str = "exact",
-    samples: int = 100_000,
-    rng: Optional[np.random.Generator] = None,
-) -> CorrelationPoint:
-    """mu(S^i(A) cap B).
-
-    ``mode="exact"`` uses closed forms (interval overlap on the rotation
-    factor, constraint merging on the shift factor) and raises
-    :class:`NoClosedFormError` where none exists.  ``mode="monte-carlo"``
-    estimates E[1_A(x) 1_B(S^i x)], which has the same value since the
-    measure is preserved, by counting hits over a sample streamed in
-    chunks; it refuses (ValueError) windows beyond
-    ``MAX_WINDOW_SYMBOLS``.
-    """
+def correlation(spec: SystemSpec, A: TestSet, B: TestSet, i: int) -> CorrelationPoint:
+    """mu(S^i(A) cap B), from closed forms (interval overlap on the
+    rotation factor, constraint merging on the shift factor); raises
+    :class:`NoClosedFormError` where none exists."""
     if i < 0:
         raise ValueError("i must be >= 0")
-    if mode == "exact":
-        value = float(_exact_correlation(spec, A, B, i))
-        return CorrelationPoint(i=i, estimate=value, exact=True)
-    if mode != "monte-carlo":
-        raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        raise ValueError("monte-carlo mode needs an rng")
-    _check_window_cost(spec, A, B, i, samples)
-    hits = _monte_carlo_hits(spec, A, B, range(i, i + 1), samples, rng)
-    p_hat = int(hits[0]) / samples
-    stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / samples)
-    return CorrelationPoint(i=i, estimate=p_hat, exact=False, stderr=stderr)
-
-
-def _monte_carlo_hits(
-    spec: SystemSpec,
-    A: TestSet,
-    B: TestSet,
-    lags: range,
-    samples: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """How many of ``samples`` points x have x in A and S^i x in B, per
-    lag i in ``lags``.
-
-    The sample is streamed through :func:`sample_chunks`, holding only
-    the sequence positions the sets read: A's constraints at lag 0 and
-    B's after each lag.
-    """
-    import numpy as np
-
-    read = list(A.cylinder.positions) if A.cylinder is not None else []
-    if B.cylinder is not None:
-        read += [q + i for q in B.cylinder.positions for i in (lags[0], lags[-1])]
-    positions = range(min(read), max(read) + 1) if read else range(0)
-    hits = np.zeros(len(lags), dtype=np.int64)
-    for batch in sample_chunks(spec, rng, samples, positions):
-        in_a = A.contains_batch(spec, batch)
-        for h, i in enumerate(lags):
-            in_b = B.contains_batch(spec, iterate_batch(batch, i))
-            hits[h] += np.count_nonzero(in_a & in_b)
-    return hits
-
-
-def _check_window_cost(
-    spec: SystemSpec, A: TestSet, B: TestSet, lag: int, samples: int
-) -> None:
-    """Refuse a Monte-Carlo estimate whose ``samples`` sequence windows,
-    wide enough for every position the sets read at ``lag``, would hold
-    more than ``MAX_WINDOW_SYMBOLS`` symbols; the message states the
-    count."""
-    read = [0]
-    for ts in (A, B):
-        if ts.cylinder is not None:
-            read.extend(abs(p) for p in ts.cylinder.positions)
-    size = 2 * (max(read) + abs(lag) + 1) + 1
-    if spec.kind in ("bernoulli", "product") and samples * size > MAX_WINDOW_SYMBOLS:
-        raise ValueError(
-            f"{samples} samples of {size}-symbol sequence windows at lag {lag} "
-            f"are {samples * size} symbols, over the budget of "
-            f"{MAX_WINDOW_SYMBOLS}; use exact mode or reduce the lag/sample count"
-        )
+    return CorrelationPoint(i=i, estimate=float(_exact_correlation(spec, A, B, i)))
 
 
 # ---------------------------------------------------------------------------
@@ -443,62 +350,41 @@ def _check_window_cost(
 # ---------------------------------------------------------------------------
 
 
-def weak_mixing_statistic(
-    spec: SystemSpec,
-    A: TestSet,
-    B: TestSet,
-    t: int,
-    mode: str = "exact",
-    samples: int = 100_000,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
+def weak_mixing_statistic(spec: SystemSpec, A: TestSet, B: TestSet, t: int) -> float:
     """The finite-t Cesaro average (1/t) sum_{i<t} |mu(S^i A cap B) - mu(A)mu(B)|.
 
-    In exact mode the sum is exact and only the mean becomes a float,
-    correctly rounded; it costs O(log t), not O(t).  The cylinder
-    constraints of S^i(A) and B share a position only at the lags
-    ``i = p_A - p_B``; at every other lag the w factor is exactly
-    mu_w(A)mu_w(B) =: W.  Those lags and lag 0 are summed one by one
-    (:func:`_exact_correlation`).  Without a rotation factor every other
-    term is 0.  With one, every other term is ``W*|f(x_i) - c|`` for the
-    arc overlap f at ``x_i = frac(i*gamma)`` and ``c = |I_A||I_B|``; that
-    sum over 1 <= i < t comes from floor sums along the continued
-    fraction of gamma (:meth:`_CircleOverlap.deviation_sum`), less the
-    lags already summed.  In monte-carlo mode one sample, streamed in
-    chunks, serves every lag: each chunk's hits are counted at all t
-    lags before the next chunk is drawn.  The estimate stays consistent
-    because each lag's indicator mean is unbiased.
+    The sum is exact and only the mean becomes a float, correctly
+    rounded; it costs O(log t), not O(t), and raises
+    :class:`NoClosedFormError` where the correlations have no closed
+    form.  The cylinder constraints of S^i(A) and B share a position only
+    at the lags ``i = p_A - p_B``; at every other lag the w factor is
+    exactly mu_w(A)mu_w(B) =: W.  Those lags and lag 0 are summed one by
+    one (:func:`_exact_correlation`).  Without a rotation factor every
+    other term is 0.  With one, every other term is ``W*|f(x_i) - c|``
+    for the arc overlap f at ``x_i = frac(i*gamma)`` and
+    ``c = |I_A||I_B|``; that sum over 1 <= i < t comes from floor sums
+    along the continued fraction of gamma
+    (:meth:`_CircleOverlap.deviation_sum`), less the lags already summed.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if mode == "exact":
-        product = A.exact_measure(spec) * B.exact_measure(spec)
-        has_u, has_w = _closed_form_factors(spec, A, B)
-        lags = {0}
-        if has_w:
-            lags |= {pa - pb for pa in A.cylinder.positions for pb in B.cylinder.positions}
-        lags = sorted(i for i in lags if 0 <= i < t)
-        total = Fraction(0)
-        for i in lags:
-            total += abs(_exact_correlation(spec, A, B, i) - product)
-        if has_u:
-            overlap = _CircleOverlap.between(spec.gamma, A, B)
-            c = (A.b - A.a) * (B.b - B.a)
-            rest = overlap.deviation_sum(c, t)
-            for i in lags[1:]:
-                rest -= abs(overlap.at(spec.gamma.frac_multiple(i)) - c)
-            total += product / c * rest
-        return float(total * Fraction(1, t))
-    if mode != "monte-carlo":
-        raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        raise ValueError("monte-carlo mode needs an rng")
-    product = float(A.exact_measure(spec) * B.exact_measure(spec))
-    _check_window_cost(spec, A, B, t, samples)
-    total = 0.0
-    for hits in _monte_carlo_hits(spec, A, B, range(t), samples, rng).tolist():
-        total += abs(hits / samples - product)
-    return total / t
+    product = A.exact_measure(spec) * B.exact_measure(spec)
+    has_u, has_w = _closed_form_factors(spec, A, B)
+    lags = {0}
+    if has_w:
+        lags |= {pa - pb for pa in A.cylinder.positions for pb in B.cylinder.positions}
+    lags = sorted(i for i in lags if 0 <= i < t)
+    total = Fraction(0)
+    for i in lags:
+        total += abs(_exact_correlation(spec, A, B, i) - product)
+    if has_u:
+        overlap = _CircleOverlap.between(spec.gamma, A, B)
+        c = (A.b - A.a) * (B.b - B.a)
+        rest = overlap.deviation_sum(c, t)
+        for i in lags[1:]:
+            rest -= abs(overlap.at(spec.gamma.frac_multiple(i)) - c)
+        total += product / c * rest
+    return float(total * Fraction(1, t))
 
 
 def weak_mixing_verdict(statistic: float) -> str:

@@ -382,18 +382,43 @@ class RotationNumber:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RotationNumber":
-        if "quadratic" in obj:
-            p, q, d, r = obj["quadratic"]
-            return cls.quadratic(int(p), int(q), int(d), int(r))
-        if "decimal" in obj:
-            spec = obj["decimal"]
-            return cls.decimal(spec["digits"], int(spec.get("bits", 128)))
-        raise ValueError(f"unrecognized rotation-number object: {obj!r}")
+        """Read ``{"quadratic": [p, q, d, r]}`` or ``{"decimal": {"digits":
+        ..., "bits": ...}}``; ValueError on any other shape."""
+        quadratic = obj.get("quadratic") if isinstance(obj, dict) else None
+        decimal = obj.get("decimal") if isinstance(obj, dict) else None
+        if isinstance(quadratic, list) and len(quadratic) == 4:
+            return cls.quadratic(*(_json_int(x, "quadratic angle field") for x in quadratic))
+        if isinstance(decimal, dict) and "digits" in decimal:
+            _json_fraction(str(decimal["digits"]), "decimal digits")
+            return cls.decimal(decimal["digits"], _json_int(decimal.get("bits", 128), "bits"))
+        raise ValueError(
+            'a rotation number must be {"quadratic": [p, q, d, r]} or '
+            f'{{"decimal": {{"digits": ...}}}}, got {obj!r:.80}'
+        )
 
     def __str__(self) -> str:
         if self.kind == "quadratic":
             return f"({self.p}+{self.q}*sqrt({self.d}))/{self.r}"
         return f"~{self.digits}@{self.bits}b"
+
+
+def _json_int(x, what: str) -> int:
+    """x as an int where JSON counts it an integer (an integral float
+    too); ValueError naming ``what`` otherwise."""
+    if isinstance(x, bool) or not (isinstance(x, int) or isinstance(x, float) and x.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {x!r:.60}")
+    return int(x)
+
+
+def _json_fraction(x, what: str) -> Fraction:
+    """x, a finite number or a fraction string such as "1/3", as an exact
+    Fraction; ValueError naming ``what`` otherwise."""
+    try:
+        if not isinstance(x, bool):
+            return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be a finite number or fraction string, got {x!r:.60}")
 
 
 def _round_to_bits(x: QuadraticReal, bits: int) -> Fraction:

@@ -32,9 +32,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from .quadratic import RotationNumber
+from .quadratic import RotationNumber, _json_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -128,7 +128,21 @@ class BernoulliSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BernoulliSpec":
-        return cls(tuple(obj["probs"]), tuple(obj.get("symbols", DEFAULT_SYMBOLS)))
+        """Read ``{"probs": [numbers], "symbols": [ints or strings]}``,
+        symbols optional; ValueError on any other shape."""
+        probs = obj.get("probs") if isinstance(obj, dict) else None
+        symbols = obj.get("symbols", list(DEFAULT_SYMBOLS)) if isinstance(obj, dict) else None
+        if not (
+            isinstance(probs, list)
+            and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in probs)
+            and isinstance(symbols, list)
+            and all(isinstance(s, (int, str)) for s in symbols)
+        ):
+            raise ValueError(
+                'a Bernoulli law must be {"probs": [numbers], "symbols": '
+                f"[ints or strings]}}, got {obj!r:.80}"
+            )
+        return cls(tuple(probs), tuple(symbols))
 
 
 @dataclass(frozen=True)
@@ -186,8 +200,16 @@ class CylinderSet:
         return [[p, s] for p, s in self.constraints]
 
     @classmethod
-    def from_json(cls, obj: Iterable) -> "CylinderSet":
-        return cls(tuple((int(p), s) for p, s in obj))
+    def from_json(cls, obj: list) -> "CylinderSet":
+        """Read a list of ``[position, symbol]`` pairs; ValueError on any
+        other shape."""
+        if not isinstance(obj, list) or not all(
+            isinstance(c, list) and len(c) == 2 and isinstance(c[1], (int, str)) for c in obj
+        ):
+            raise ValueError(
+                f"a cylinder must be a list of [position, symbol] pairs, got {obj!r:.80}"
+            )
+        return cls(tuple((_json_int(p, "a cylinder position"), s) for p, s in obj))
 
 
 @dataclass(frozen=True)
@@ -245,6 +267,8 @@ class SystemSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SystemSpec":
+        if not isinstance(obj, dict) or "kind" not in obj:
+            raise ValueError(f"a system must be an object with a kind, got {obj!r:.80}")
         kind = obj["kind"]
         gamma = RotationNumber.from_json(obj["gamma"]) if "gamma" in obj else None
         bern = BernoulliSpec.from_json(obj) if "probs" in obj else None
@@ -438,12 +462,12 @@ def sample_chunks(
 
     The stream allocates one set of buffers, sized to its first batch,
     and :func:`sample_batch` refills it for every batch, so a yielded
-    batch is valid only until the next one is drawn.  Every Monte-Carlo
-    estimate streams its sample through here and reduces each batch
-    before the next is drawn, so the drawn sample never takes more than
-    one batch of memory, whatever n is, and the stream allocates nothing
-    after its first batch.  ``positions`` is passed on to
-    :func:`sample_batch`.
+    batch is valid only until the next one is drawn.  The sampled
+    entropy estimate (:func:`entropy.partition_refine_entropy`) streams
+    its sample through here and reduces each batch before the next is
+    drawn, so the drawn sample never takes more than one batch of
+    memory, whatever n is, and the stream allocates nothing after its
+    first batch.  ``positions`` is passed on to :func:`sample_batch`.
     """
     buffers = _buffers(spec, min(SAMPLE_CHUNK, n), len(positions))
     for start in range(0, n, SAMPLE_CHUNK):

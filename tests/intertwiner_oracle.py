@@ -6,21 +6,79 @@ truncation box, and the check steps abstract labels with one
 ``label_step`` on both sides.  It is slow (quadratic in the number of
 chains) and its check passes by construction, but its pair set and
 pair order define what the array-based ``ergolab.koopman`` pairing must
-reproduce exactly.
+reproduce exactly.  :class:`Phase`, the unimodular constants of its
+label steps, is kept here with it; the library compares integer
+multiples of gamma instead.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import cmath
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterator, Optional
 
 from ergolab import (
     IncompatibleSpectraError,
     IntertwinerCheck,
-    Phase,
+    RotationNumber,
     SystemSpec,
     point_spectrum_groups_equal,
     spectrum_of,
 )
+
+
+@dataclass(frozen=True)
+class Phase:
+    """The unimodular constant ``e((turn) + (gamma_mult) * gamma)``.
+
+    ``turn`` is an exact rational number of turns, stored reduced to
+    [0, 1); ``gamma_mult`` counts copies of the (symbolic) angle gamma.
+    Phases form a group under multiplication and equality is exact.
+    """
+
+    turn: Fraction = Fraction(0)
+    gamma_mult: int = 0
+
+    def __post_init__(self) -> None:
+        t = Fraction(self.turn)
+        object.__setattr__(self, "turn", t - (t.numerator // t.denominator))
+
+    @classmethod
+    def one(cls) -> "Phase":
+        return cls()
+
+    @classmethod
+    def from_turn(cls, turn) -> "Phase":
+        return cls(turn=Fraction(turn))
+
+    @classmethod
+    def from_gamma(cls, mult: int) -> "Phase":
+        return cls(gamma_mult=mult)
+
+    @property
+    def is_one(self) -> bool:
+        return self.turn == 0 and self.gamma_mult == 0
+
+    def __mul__(self, other: "Phase") -> "Phase":
+        if not isinstance(other, Phase):
+            return NotImplemented
+        return Phase(self.turn + other.turn, self.gamma_mult + other.gamma_mult)
+
+    def inverse(self) -> "Phase":
+        return Phase(-self.turn, -self.gamma_mult)
+
+    def value(self, gamma: Optional[RotationNumber] = None) -> complex:
+        """Numeric unit complex number; needs gamma when gamma_mult != 0."""
+        angle = float(self.turn)
+        if self.gamma_mult:
+            if gamma is None:
+                raise ValueError("gamma_mult != 0 requires an angle to evaluate")
+            if gamma.is_exact:
+                angle += float(gamma.frac_multiple(self.gamma_mult))
+            else:
+                angle += self.gamma_mult * gamma.to_float()
+        return cmath.exp(2j * cmath.pi * angle)
 
 
 def _signed_range(lo: int, hi: int) -> Iterator[int]:
@@ -106,4 +164,4 @@ def oracle_check(mapping: dict, eps: int) -> IntertwinerCheck:
         pb, lb_next = label_step(lb)
         if mapping[la_next] != lb_next or pa.gamma_mult != eps * pb.gamma_mult:
             mismatches += 1
-    return IntertwinerCheck(mismatches, 0.0, checked)
+    return IntertwinerCheck(mismatches, checked)

@@ -7,6 +7,11 @@
   rational and sqrt(d) parts.  The floor-sum closed form must equal it
   bit for bit.  Its overlap splits a wrapped arc into the pieces on
   either side of 1, not into two lifts as the library does.
+* :func:`monte_carlo_correlation` and :func:`monte_carlo_statistic`
+  estimate the correlations and the statistic by counting hits over a
+  streamed sample.  They need no closed form, so they also reach the
+  skew map's rectangles, where ``correlation`` raises
+  ``NoClosedFormError``; sampled evidence stays out of the library.
 * :func:`orbit_track` and :func:`birkhoff_average` are float orbits and
   time averages along them, kept for the tests that compare them with
   ``iterate_batch``; no scenario uses them.
@@ -17,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -28,6 +33,8 @@ from ergolab import (
     SystemSpec,
     TestSet,
     WindowError,
+    iterate_batch,
+    sample_chunks,
 )
 from ergolab.mixing import _closed_form_factors
 from ergolab.quadratic import surd_sign
@@ -145,6 +152,92 @@ def statistic_prefixes(spec: SystemSpec, A: TestSet, B: TestSet, t: int) -> list
         irrational += Fraction(sign * q, r)
         out.append(float(QuadraticReal(rational / n, irrational / n, d)))
     return out
+
+
+#: Most ``samples * (2 * width + 1)`` sequence symbols a Monte-Carlo
+#: estimate accepts, width being the largest position it reads.
+MAX_WINDOW_SYMBOLS = 2 * 10**8
+
+
+class Estimate(NamedTuple):
+    """A sampled ``mu(S^i(A) cap B)`` and its standard error."""
+
+    i: int
+    estimate: float
+    stderr: float
+
+
+def monte_carlo_correlation(
+    spec: SystemSpec, A: TestSet, B: TestSet, i: int, samples: int, rng: np.random.Generator
+) -> Estimate:
+    """E[1_A(x) 1_B(S^i x)], which equals mu(S^i(A) cap B) since the
+    measure is preserved, by counting hits over ``samples`` points
+    streamed in chunks; refuses (ValueError) windows beyond
+    ``MAX_WINDOW_SYMBOLS``."""
+    if i < 0:
+        raise ValueError("i must be >= 0")
+    check_window_cost(spec, A, B, i, samples)
+    hits = monte_carlo_hits(spec, A, B, range(i, i + 1), samples, rng)
+    p_hat = int(hits[0]) / samples
+    return Estimate(i, p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / samples))
+
+
+def monte_carlo_statistic(
+    spec: SystemSpec, A: TestSet, B: TestSet, t: int, samples: int, rng: np.random.Generator
+) -> float:
+    """The weak-mixing statistic with each correlation sampled.  One
+    sample, streamed in chunks, serves every lag: each chunk's hits are
+    counted at all t lags before the next chunk is drawn.  The estimate
+    stays consistent because each lag's indicator mean is unbiased."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    product = float(A.exact_measure(spec) * B.exact_measure(spec))
+    check_window_cost(spec, A, B, t, samples)
+    total = 0.0
+    for hits in monte_carlo_hits(spec, A, B, range(t), samples, rng).tolist():
+        total += abs(hits / samples - product)
+    return total / t
+
+
+def monte_carlo_hits(
+    spec: SystemSpec, A: TestSet, B: TestSet, lags: range, samples: int, rng: np.random.Generator
+) -> np.ndarray:
+    """How many of ``samples`` points x have x in A and S^i x in B, per
+    lag i in ``lags``.
+
+    The sample is streamed through ``sample_chunks``, holding only the
+    sequence positions the sets read: A's constraints at lag 0 and B's
+    after each lag.
+    """
+    read = list(A.cylinder.positions) if A.cylinder is not None else []
+    if B.cylinder is not None:
+        read += [q + i for q in B.cylinder.positions for i in (lags[0], lags[-1])]
+    positions = range(min(read), max(read) + 1) if read else range(0)
+    hits = np.zeros(len(lags), dtype=np.int64)
+    for batch in sample_chunks(spec, rng, samples, positions):
+        in_a = A.contains_batch(spec, batch)
+        for h, i in enumerate(lags):
+            in_b = B.contains_batch(spec, iterate_batch(batch, i))
+            hits[h] += np.count_nonzero(in_a & in_b)
+    return hits
+
+
+def check_window_cost(spec: SystemSpec, A: TestSet, B: TestSet, lag: int, samples: int) -> None:
+    """Refuse a Monte-Carlo estimate whose ``samples`` sequence windows,
+    wide enough for every position the sets read at ``lag``, would hold
+    more than ``MAX_WINDOW_SYMBOLS`` symbols; the message states the
+    count."""
+    read = [0]
+    for ts in (A, B):
+        if ts.cylinder is not None:
+            read.extend(abs(p) for p in ts.cylinder.positions)
+    size = 2 * (max(read) + abs(lag) + 1) + 1
+    if spec.kind in ("bernoulli", "product") and samples * size > MAX_WINDOW_SYMBOLS:
+        raise ValueError(
+            f"{samples} samples of {size}-symbol sequence windows at lag {lag} "
+            f"are {samples * size} symbols, over the budget of "
+            f"{MAX_WINDOW_SYMBOLS}; reduce the lag or the sample count"
+        )
 
 
 def orbit_track(spec: SystemSpec, x0: SampleBatch, n: int) -> SampleBatch:

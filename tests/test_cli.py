@@ -443,6 +443,76 @@ def test_residual_search_ks_that_are_not_integers_are_refused(ks, tmp_path, caps
     assert "error: residual-search ks must be a list of integers, got" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", [10**22, 2**62, -(2**62)])
+def test_residual_search_k_outside_int64_is_refused(k, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"ks": [1, k]}}))
+    code, out = run(tmp_path, "compute", "residual-search", "--config", str(cfg))
+    assert code == 1 and not out.exists()
+    assert f"error: residual-search k = {k} is outside |k| < 2^62" in capsys.readouterr().err
+
+
+def test_residual_search_k_far_outside_the_band_is_its_edge(tmp_path):
+    """Every image of K_k leaves the u-band once |k| > 2 U_BAND, so a
+    k of 10^12 (and 2^62 - 1) has the census of k = 2 U_BAND + 1."""
+    edge = 2 * tower.U_BAND + 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"ks": [edge, 10**12, -(10**12), 2**62 - 1]}}))
+    code, out = run(tmp_path, "compute", "residual-search", "--config", str(cfg))
+    assert code == 0
+    censuses = [(r["cycles"], r["path_lengths"]) for r in read_report(out)["results"]["reports"]]
+    assert censuses == [censuses[0]] * 4
+
+
+#: Config shapes and values the parsers refuse, each as (scenario argv,
+#: config); each ended in a traceback before the parsers checked them.
+MALFORMED = {
+    "decimal gamma as a string in systems": (
+        ["reproduce-letter"],
+        {"systems": [{"kind": "skew", "gamma": {"decimal": "0.4142"}},
+                     {"kind": "rotation", "gamma": {"quadratic": [-1, 1, 2, 1]}}]},
+    ),
+    "decimal gamma as a string in params.system": (
+        ["compute", "weak-mixing"],
+        {"params": {"system": {"kind": "rotation", "gamma": {"decimal": "0.4142"}}}},
+    ),
+    "list symbols": (
+        ["reproduce-kolmogorov"],
+        {"systems": [{"kind": "bernoulli", "probs": [0.5, 0.5], "symbols": [[1], [2]]}]},
+    ),
+    "system as a string": (["compute", "weak-mixing"], {"params": {"system": "skew"}}),
+    "bernoulli as a list": (["compute", "entropy"], {"params": {"bernoulli": [0.5, 0.5]}}),
+    "A as a string": (["compute", "weak-mixing"], {"params": {"A": "foo"}}),
+    "u-interval without ends": (
+        ["compute", "weak-mixing"], {"params": {"A": {"kind": "u-interval"}}}
+    ),
+    "A without a kind": (["compute", "weak-mixing"], {"params": {"A": {"a": "0", "b": "1/2"}}}),
+    "u-interval end 1/0": (
+        ["compute", "weak-mixing"], {"params": {"A": {"kind": "u-interval", "a": 0, "b": "1/0"}}}
+    ),
+    "decimal digits 1/0": (
+        ["compute", "weak-mixing"],
+        {"params": {"system": {"kind": "rotation", "gamma": {"decimal": {"digits": "1/0"}}}}},
+    ),
+    "cylinder as a number": (
+        ["compute", "weak-mixing"],
+        {"params": {"system": {"kind": "bernoulli", "probs": [0.5, 0.5]},
+                    "A": {"kind": "cylinder", "cylinder": 5}}},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_config_shapes_exit_with_an_error(name, tmp_path, capsys):
+    argv, config = MALFORMED[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out = run(tmp_path, *argv, "--config", str(cfg))
+    err = capsys.readouterr().err
+    assert code == 1 and not out.exists()
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_samples_above_the_symbol_budget_are_refused(tmp_path, capsys):
     samples = MAX_SAMPLED_SYMBOLS // 20 + 1  # the smallest refused at n = 10
     symbols = samples * 10 * 2
@@ -764,12 +834,12 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
 LETTER_DIGESTS = {
     "default": (
         {},
-        "8b21f6b72bd99b50592833e72b5a46c66a41166bd5d98a43a88f40bef2b830e7",
+        "cc16010eb5045cfc24174e0bfea09024ed18b9134c14141ff06cd1d8c6825d29",
         "5d603e4c4bef39f40b35aefb752d9aa64e15103f3abee505cb9b93a5054a6ac4",
     ),
     "B=192, N=16": (
         {"truncation": 192, "residual_truncation": 16},
-        "e38fc337c39934feb895b8742323ceddc4041982c668ddb455cfc0fcf2e2436e",
+        "db5bbe48752f5e3b7e59010cdba44de0c298962c513a84f9eb64827782c54b5f",
         "8574ba10dfc67d968e733dc407cce925dd93313c84425367e17d00fe76b41cb3",
     ),
 }

@@ -5,7 +5,8 @@ oracle (dense grid membership counting) that shares no code with the
 interval-overlap arithmetic, and against an exact oracle that recomputes
 frac(i*gamma) per lag and overlaps intervals in QuadraticReal objects.
 The floor-sum statistic is checked bit for bit against the O(t) exact
-sum of ``mixing_oracle``.
+sum of ``mixing_oracle``, and both against that module's Monte-Carlo
+estimates, which also reach the skew map's rectangles.
 """
 
 from __future__ import annotations
@@ -39,15 +40,18 @@ from ergolab import (
     weak_mixing_statistic,
     weak_mixing_verdict,
 )
-from ergolab import mixing, systems
+from ergolab import systems
 
 from entropy_oracle import concatenate, copied
 from exact_oracle import bracket_float
 from helpers import BENCH_ANGLES, GAMMA, UNIFORM4, four_systems
+import mixing_oracle
 from mixing_oracle import (
     CircleOrbit,
     birkhoff_average,
     exact_correlations,
+    monte_carlo_correlation,
+    monte_carlo_statistic,
     orbit_track,
     statistic_prefixes,
 )
@@ -146,11 +150,10 @@ def test_membership_frequency_matches_measure(seed):
 @pytest.mark.parametrize("i", [0, 1, 3, 10, 57])
 def test_rotation_correlation_matches_grid_oracle(i):
     point = correlation(ROT, HALF, HALF, i)
-    assert point.exact
     theta = float(GAMMA.frac_multiple(i))
     oracle = _grid_overlap_oracle(theta, 0, 0.5, 0, 0.5)
     assert abs(point.estimate - oracle) <= 2e-6  # oracle is grid-limited
-    assert point.i == i and point.stderr == 0.0
+    assert point.i == i
 
 
 def _overlap_by_lifts(shift, a1, b1, a2, b2):
@@ -227,11 +230,9 @@ def test_product_correlation_factorizes():
 def test_monte_carlo_correlation_is_consistent():
     rng = spawn_rngs(99, 1)[0]
     exact = correlation(ROT, HALF, HALF, 7).estimate
-    mc = correlation(ROT, HALF, HALF, 7, mode="monte-carlo", samples=40_000, rng=rng)
-    assert not mc.exact and mc.stderr > 0
+    mc = monte_carlo_correlation(ROT, HALF, HALF, 7, samples=40_000, rng=rng)
+    assert mc.stderr > 0
     assert abs(mc.estimate - exact) <= 5 * mc.stderr
-    with pytest.raises(ValueError):
-        correlation(ROT, HALF, HALF, 1, mode="monte-carlo")  # rng required
 
 
 def test_rectangles_have_no_closed_form_on_the_skew():
@@ -239,7 +240,9 @@ def test_rectangles_have_no_closed_form_on_the_skew():
     with pytest.raises(NoClosedFormError):
         correlation(SKEW, R, R, 3)
     rng = spawn_rngs(98, 1)[0]
-    mc = correlation(SKEW, R, R, 3, mode="monte-carlo", samples=20_000, rng=rng)
+    with pytest.raises(NoClosedFormError):
+        weak_mixing_statistic(SKEW, R, R, 10)
+    mc = monte_carlo_correlation(SKEW, R, R, 3, samples=20_000, rng=rng)
     assert 0.0 <= mc.estimate <= 0.5
 
 
@@ -263,9 +266,7 @@ def test_rotation_statistic_stays_large():
 def test_monte_carlo_statistic_tracks_exact():
     rng = spawn_rngs(97, 1)[0]
     exact = weak_mixing_statistic(ROT, HALF, HALF, 50)
-    mc = weak_mixing_statistic(
-        ROT, HALF, HALF, 50, mode="monte-carlo", samples=60_000, rng=rng
-    )
+    mc = monte_carlo_statistic(ROT, HALF, HALF, 50, samples=60_000, rng=rng)
     assert abs(mc - exact) < 0.01
 
 
@@ -408,25 +409,23 @@ def test_statistic_input_validation():
     with pytest.raises(ValueError):
         weak_mixing_statistic(SHIFT, W0, W0, 0)
     with pytest.raises(ValueError):
-        weak_mixing_statistic(SHIFT, W0, W0, 10, mode="nonsense")
-    with pytest.raises(ValueError):
-        weak_mixing_statistic(SHIFT, W0, W0, 10, mode="monte-carlo")
+        monte_carlo_statistic(SHIFT, W0, W0, 0, samples=100, rng=spawn_rngs(1, 1)[0])
 
 
 @pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
 def test_cylinders_need_a_sequence_coordinate(mode):
     for spec in (SystemSpec.rotation(GAMMA), SystemSpec.skew(GAMMA)):
         with pytest.raises(ValueError, match="constrains sequence symbols"):
-            weak_mixing_statistic(
-                spec, W0, W0, 10, mode=mode, samples=100, rng=spawn_rngs(1, 1)[0]
-            )
+            if mode == "exact":
+                weak_mixing_statistic(spec, W0, W0, 10)
+            else:
+                monte_carlo_statistic(spec, W0, W0, 10, samples=100, rng=spawn_rngs(1, 1)[0])
 
 
 def test_sequence_window_memory_guard():
     with pytest.raises(ValueError):
-        weak_mixing_statistic(
-            SHIFT, W0, W0, 100_000, mode="monte-carlo",
-            samples=100_000, rng=spawn_rngs(1, 1)[0],
+        monte_carlo_statistic(
+            SHIFT, W0, W0, 100_000, samples=100_000, rng=spawn_rngs(1, 1)[0]
         )
 
 
@@ -436,12 +435,10 @@ def test_window_guard_states_the_cost():
     refused = 2 * 10**8 // 21 + 1  # width 10: lag 9 for W0
     with pytest.raises(ValueError, match=f"{refused} samples of 21-symbol .* lag 9 "
                        f"are {refused * 21} symbols"):
-        correlation(SHIFT, W0, W0, 9, mode="monte-carlo", samples=refused, rng=spawn_rngs(1, 1)[0])
+        monte_carlo_correlation(SHIFT, W0, W0, 9, samples=refused, rng=spawn_rngs(1, 1)[0])
     with pytest.raises(ValueError, match=f"at lag 9 are {refused * 21} symbols"):
-        weak_mixing_statistic(
-            PROD, W0, W0, 9, mode="monte-carlo", samples=refused, rng=spawn_rngs(1, 1)[0]
-        )
-    assert (refused - 1) * 21 <= mixing.MAX_WINDOW_SYMBOLS < refused * 21
+        monte_carlo_statistic(PROD, W0, W0, 9, samples=refused, rng=spawn_rngs(1, 1)[0])
+    assert (refused - 1) * 21 <= mixing_oracle.MAX_WINDOW_SYMBOLS < refused * 21
 
 
 @pytest.mark.parametrize("spec, A, B", [
@@ -460,11 +457,9 @@ def test_streamed_monte_carlo_equals_one_batch(spec, A, B, monkeypatch):
             drawn.append(copied(batch))
             yield batch
 
-    monkeypatch.setattr(mixing, "sample_chunks", recording)
+    monkeypatch.setattr(mixing_oracle, "sample_chunks", recording)
     t, samples = 6, 2_003
-    stat = weak_mixing_statistic(
-        spec, A, B, t, mode="monte-carlo", samples=samples, rng=spawn_rngs(41, 1)[0]
-    )
+    stat = monte_carlo_statistic(spec, A, B, t, samples=samples, rng=spawn_rngs(41, 1)[0])
     assert [len(b) for b in drawn] == [700, 700, 603]
     batch = concatenate(drawn)
     in_a = A.contains_batch(spec, batch)
@@ -473,8 +468,7 @@ def test_streamed_monte_carlo_equals_one_batch(spec, A, B, monkeypatch):
              for i in range(t)]
     assert stat == sum(abs(m - product) for m in means) / t
     drawn.clear()
-    point = correlation(spec, A, B, 4, mode="monte-carlo", samples=samples,
-                        rng=spawn_rngs(42, 1)[0])
+    point = monte_carlo_correlation(spec, A, B, 4, samples=samples, rng=spawn_rngs(42, 1)[0])
     batch = concatenate(drawn)
     hits = A.contains_batch(spec, batch) & B.contains_batch(spec, iterate_batch(batch, 4))
     assert point.estimate == float(np.mean(hits))
@@ -487,12 +481,8 @@ def test_monte_carlo_values_on_a_biased_product_are_pinned():
     spec = SystemSpec.product(GAMMA, BernoulliSpec((0.3, 0.7)))
     A = TestSet.product_set(0, Fraction(1, 3), CylinderSet(((-1, 1), (2, -1))))
     B = TestSet.product_set(Fraction(1, 4), 1, CylinderSet(((1, 1),)))
-    stat = weak_mixing_statistic(
-        spec, A, B, 8, mode="monte-carlo", samples=100_000, rng=spawn_rngs(5, 1)[0]
-    )
-    point = correlation(
-        spec, A, B, 3, mode="monte-carlo", samples=100_000, rng=spawn_rngs(6, 1)[0]
-    )
+    stat = monte_carlo_statistic(spec, A, B, 8, samples=100_000, rng=spawn_rngs(5, 1)[0])
+    point = monte_carlo_correlation(spec, A, B, 3, samples=100_000, rng=spawn_rngs(6, 1)[0])
     assert stat == 0.0077224999999999985
     assert point.estimate == 0.02095
 

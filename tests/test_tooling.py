@@ -9,6 +9,7 @@ directory is read, never written.
 from __future__ import annotations
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -53,14 +54,47 @@ KOLMOGOROV_SPANS = (
 )
 
 
-def test_traced_kolmogorov_run_enters_every_sampling_span(tmp_path, monkeypatch):
-    """An in-process ``reproduce-kolmogorov`` at 2,000 samples, traced as
-    the benchmark traces it, enters every span its rows read, so a call
-    rewired past a wrapped function cannot zero a row unnoticed.  One
-    worker thread keeps the recorder's single span stack in order, and
-    every attribute the tracer replaces is restored afterwards."""
+def _kolmogorov_rows(summary: dict) -> None:
+    for name in KOLMOGOROV_SPANS:
+        assert summary["spans"].get(name, {}).get("calls", 0) > 0, name
+    assert summary["spans"]["systems.sample_batch"]["calls"] == 2
+    assert summary["counters"]["systems.sample_batch.bytes"] == 2 * 2000 * 10
+
+
+def _mixing_rows(summary: dict) -> None:
+    assert summary["spans"]["mixing.weak_mixing_statistic"]["calls"] == 1
+    assert summary["counters"]["mixing.weak_mixing_statistic.lags"] == 50
+
+
+def _letter_rows(summary: dict) -> None:
+    for name in ("koopman.build_intertwiner", "koopman.verify_intertwiner"):
+        assert summary["spans"][name]["calls"] == 1, name
+    assert summary["counters"]["koopman.intertwiner.pairs"] > 0
+    assert summary["counters"]["koopman.intertwiner.checked"] > 0
+
+
+#: In-process runs, each with its config and a check of the rows the
+#: benchmark reads off its trace; the hooks read results by field name
+#: and arguments by parameter name, so a renamed one fails here.
+TRACED_RUNS = {
+    "reproduce-kolmogorov": (["reproduce-kolmogorov"], {"samples": 2000}, _kolmogorov_rows),
+    "weak-mixing": (["compute", "weak-mixing"], {"params": {"t": 50}}, _mixing_rows),
+    "reproduce-letter": (["reproduce-letter"], {}, _letter_rows),
+}
+
+
+@pytest.mark.parametrize("run", list(TRACED_RUNS))
+def test_traced_kolmogorov_run_enters_every_sampling_span(run, tmp_path, monkeypatch):
+    """An in-process run (``reproduce-kolmogorov`` at 2,000 samples,
+    ``compute weak-mixing`` at t = 50, or ``reproduce-letter``), traced
+    as the benchmark traces it, enters every span its rows read and
+    fills their counters, so a call rewired past a wrapped function, or
+    a renamed parameter or result field, cannot zero a row unnoticed.
+    One worker thread keeps the recorder's single span stack in order,
+    and every attribute the tracer replaces is restored afterwards."""
     from ergolab import cli
 
+    argv, config, check = TRACED_RUNS[run]
     trace_layers = _trace_layers()
     modules = [importlib.import_module(m) for m in trace_layers.ERGOLAB_MODULES]
     for _, module_name, path, _ in trace_layers.SPANS:
@@ -79,14 +113,9 @@ def test_traced_kolmogorov_run_enters_every_sampling_span(tmp_path, monkeypatch)
     recorder = trace_layers.Recorder()
     trace_layers.install(recorder)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"scenario": "reproduce-kolmogorov", "samples": 2000}')
-    code = cli.main(["reproduce-kolmogorov", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    assert code == 0
-    summary = recorder.summary()
-    for name in KOLMOGOROV_SPANS:
-        assert summary["spans"].get(name, {}).get("calls", 0) > 0, name
-    assert summary["spans"]["systems.sample_batch"]["calls"] == 2
-    assert summary["counters"]["systems.sample_batch.bytes"] == 2 * 2000 * 10
+    cfg.write_text(json.dumps(config))
+    assert cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    check(recorder.summary())
 
 
 @pytest.mark.parametrize(
