@@ -22,8 +22,8 @@ _EXPORTS = {
     name: module
     for module, names in {
         "quadratic": (
-            "ExactnessError", "QuadraticReal", "RotationNumber", "SQRT2_MINUS_1",
-            "floor_sums", "integral_combination",
+            "QuadraticReal", "RotationNumber", "SQRT2_MINUS_1", "floor_sums",
+            "integral_combination",
         ),
         "systems": (
             "BernoulliSpec", "CylinderSet", "InconclusiveEvidenceError", "SampleBatch",

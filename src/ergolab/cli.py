@@ -28,12 +28,13 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
-from .quadratic import ExactnessError, SQRT2_MINUS_1, _json_fraction
+from .quadratic import SQRT2_MINUS_1
 from .systems import (
     BernoulliSpec,
     CylinderSet,
@@ -588,8 +589,9 @@ def run_theorem1_check(config: ExperimentConfig) -> ExperimentReport:
     isomorphic (with the witnessing conjugacy verified pointwise),
     unequal groups mean not even spectrally isomorphic.
 
-    Only exact rotation numbers are accepted: the group comparison is an
-    exact decision and refuses approximations.
+    The groups are compared exactly; when they are equal, the relation
+    ``gamma_b = a*gamma_a (mod 1)`` with a = 1 or -1 names the conjugacy,
+    the identity or the reflection.
     """
     import numpy as np
 
@@ -600,8 +602,6 @@ def run_theorem1_check(config: ExperimentConfig) -> ExperimentReport:
     if len(specs) != 2 or any(s.kind != "rotation" for s in specs):
         raise ValueError("theorem1 compares exactly two rotations")
     spec_a, spec_b = specs
-    if not (spec_a.gamma.is_exact and spec_b.gamma.is_exact):
-        raise ExactnessError("theorem1 requires exact rotation numbers")
     results: dict = {}
     verdicts: list[dict] = []
 
@@ -618,7 +618,7 @@ def run_theorem1_check(config: ExperimentConfig) -> ExperimentReport:
         # the groups coincide only for gamma_b = gamma_a or 1 - gamma_a;
         # the witnessing map c is the identity or the reflection c(u) = -u,
         # checked as c(S_a x) = S_b(c(x)) on a sample of the rotation
-        if spec_a.gamma == spec_b.gamma:
+        if cmp.relation[0] == 1:
             conjugacy, c = "identity", lambda u: u
         else:
             conjugacy, c = "reflection c(u) = -u mod 1", lambda u: (-u) % 1.0
@@ -801,6 +801,17 @@ def _compute_weak_mixing(config: ExperimentConfig) -> tuple[dict, list[dict]]:
             "evidence": results,
         }
     ]
+
+
+def _json_fraction(x, what: str) -> Fraction:
+    """x, a finite number or a fraction string such as "1/3", as an exact
+    Fraction; ValueError naming ``what`` otherwise."""
+    try:
+        if not isinstance(x, bool):
+            return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be a finite number or fraction string, got {x!r:.60}")
 
 
 def _test_set_from(data: dict) -> TestSet:
@@ -1100,7 +1111,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 2
     # IncompatibleSpectraError and UndersampledError are ValueErrors
-    except (ExactnessError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for verdict in report.verdicts:

@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .quadratic import ExactnessError, RotationNumber, integral_combination
+from .quadratic import RotationNumber, integral_combination
 from .systems import SystemSpec
 
 __all__ = [
@@ -264,14 +264,11 @@ def is_one_simple(generators: Sequence[RotationNumber]) -> bool:
     that is an integer kernel vector (c, z) of one row
     ``sum(c_i b_i) = 0`` per field plus the row ``sum(c_i a_i) - z = 0``,
     each scaled to integers; the kernel is decided exactly.  A single
-    irrational generator never produces one (this also covers decimal
-    angles, which are irrational by contract).
+    generator never produces one, as every angle is irrational.
     """
     gens = list(generators)
     if len(gens) <= 1:
         return True
-    if any(not g.is_exact for g in gens):
-        raise ExactnessError("simplicity needs exact generators")
     xs = [g.exact for g in gens]
     rows = [[x.b if x.d == d else 0 for x in xs] + [0] for d in {x.d for x in xs}]
     rows.append([x.a for x in xs] + [-1])
@@ -367,10 +364,8 @@ def point_spectrum_groups_equal(
     ``gamma1 = b*gamma2 (mod 1)``; then ``(ab - 1)*gamma1`` is an
     integer, so ab = 1 since the angles are irrational.  The groups are
     therefore equal iff ``gamma2 = +/- gamma1 (mod 1)``, two
-    :func:`integral_combination` tests.  Refuses inexact angles.
+    :func:`integral_combination` tests.
     """
-    if not (gamma1.is_exact and gamma2.is_exact):
-        raise ExactnessError("group comparison requires exact angles")
     for a in (1, -1):
         if integral_combination([(gamma1, a), (gamma2, -1)]):
             return GroupComparison(True, (a, a), f"gamma2 = {a}*gamma1 (mod 1)")

@@ -214,10 +214,6 @@ class _CircleOverlap:
 
     @classmethod
     def between(cls, gamma: RotationNumber, A: TestSet, B: TestSet) -> "_CircleOverlap":
-        if not gamma.is_exact:
-            raise NoClosedFormError(
-                "exact correlations need an exact rotation number"
-            )
         return cls(gamma.exact, A.a, A.b, B.a, B.b)
 
     def at(self, x):

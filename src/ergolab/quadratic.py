@@ -2,25 +2,24 @@
 
 Group-membership questions about an irrational angle (is ``k*gamma`` an
 integer?  do two angles generate the same subgroup of R/Z?) cannot be
-settled in floating point.  This module represents an angle either as a
-quadratic irrational ``(p + q*sqrt(d)) / r`` with all arithmetic reduced
-to integer arithmetic, or as a high-precision decimal for user-supplied
-values that have no exact form.  Only the quadratic kind supports exact
-group queries; numeric evaluation is available for both and is
-bit-reproducible at a fixed precision.  :func:`floor_sums` sums the
-floors along a line of quadratic slope exactly, in O(log n) steps.
+settled in floating point.  This module represents an angle as a
+quadratic irrational ``(p + q*sqrt(d)) / r`` and reduces all arithmetic
+on it to integer arithmetic, so every such question is decided exactly;
+a float is taken only of a finished exact value, correctly rounded.
+:func:`floor_sums` sums the floors along a line of quadratic slope
+exactly, in O(log n) steps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from typing import Union
 
 __all__ = [
-    "ExactnessError",
     "QuadraticReal",
     "RotationNumber",
     "SQRT2_MINUS_1",
@@ -31,9 +30,11 @@ __all__ = [
 
 _Scalar = Union[int, Fraction]
 
-
-class ExactnessError(TypeError):
-    """An operation that requires exact arithmetic got an inexact angle."""
+#: Largest radicand d accepted.  Splitting off the square factors of d
+#: by trial division takes about 2.5e-7 * sqrt(d) s on a 2-core x86-64
+#: host (0.25 s at 10^12, 2.5 s at 10^14), so the budget keeps it near
+#: a quarter of a second.
+_MAX_RADICAND = 10**12
 
 
 @lru_cache(maxsize=None)
@@ -41,9 +42,16 @@ def _squarefree(d: int) -> tuple[int, int]:
     """Split ``d = s**2 * d0`` with ``d0`` squarefree; returns ``(s, d0)``.
 
     Trial division costs O(sqrt(d)) and every arithmetic result checks
-    its d again, so the split is memoised per d."""
+    its d again, so the split is memoised per d; a d over
+    ``_MAX_RADICAND`` is refused with the estimated cost."""
     if d <= 0:
         raise ValueError(f"radicand must be positive, got {d}")
+    if d > _MAX_RADICAND:
+        raise ValueError(
+            f"radicand d of {len(str(d))} digits is over the budget of 10^12: "
+            f"splitting off its square factors would take about "
+            f"{Decimal(math.isqrt(d)) * Decimal('2.5e-7'):.2g} s"
+        )
     s = 1
     f = 2
     while f * f <= d:
@@ -273,95 +281,36 @@ class QuadraticReal:
 
 @dataclass(frozen=True)
 class RotationNumber:
-    """An irrational rotation angle in (0, 1).
+    """An irrational rotation angle ``(p + q*sqrt(d)) / r`` in (0, 1).
 
-    Two kinds:
-
-    ``quadratic``
-        ``(p + q*sqrt(d)) / r`` with integer fields, ``d > 1`` not a
-        perfect square and ``q != 0``.  Supports exact arithmetic.
-    ``decimal``
-        A decimal literal carried at a stated binary precision, for
-        angles with no closed form.  Exact group queries refuse it.
-
-    ``value(bits)`` is bit-identical across calls at the same precision.
+    The fields are integers with ``r != 0``, ``q != 0`` and ``d > 1`` not
+    a perfect square, so the angle is irrational by construction and
+    every group query on it is decided exactly.  Equality compares the
+    four fields, not the angle: ``(-1, 1, 2, 1)`` and ``(-2, 2, 2, 2)``
+    are the same angle but unequal values.
     """
 
-    kind: str
-    p: int = 0
-    q: int = 0
-    d: int = 0
+    p: int
+    q: int
+    d: int
     r: int = 1
-    digits: str = ""
-    bits: int = 53
 
     def __post_init__(self) -> None:
-        if self.kind == "quadratic":
-            if self.r == 0:
-                raise ValueError("r must be nonzero")
-            if self.q == 0:
-                raise ValueError("q must be nonzero (angle would be rational)")
-            if self.d <= 1:
-                raise ValueError(f"d must exceed 1, got {self.d}")
-            if math.isqrt(self.d) ** 2 == self.d:
-                raise ValueError(f"d={self.d} is a perfect square; angle would be rational")
-            x = self.exact
-            if not (0 < x.sign() and (x - 1).sign() < 0):
-                raise ValueError("angle must lie strictly between 0 and 1")
-        elif self.kind == "decimal":
-            if not self.digits:
-                raise ValueError("decimal kind requires digits")
-            if self.bits < 24:
-                raise ValueError("precision below 24 bits is not meaningful here")
-            v = self.value(self.bits)
-            if not (0 < v < 1):
-                raise ValueError("angle must lie strictly between 0 and 1")
-        else:
-            raise ValueError(f"unknown rotation-number kind {self.kind!r}")
-
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def quadratic(cls, p: int, q: int, d: int, r: int = 1) -> "RotationNumber":
-        return cls(kind="quadratic", p=p, q=q, d=d, r=r)
-
-    @classmethod
-    def decimal(cls, digits: str | float, bits: int = 128) -> "RotationNumber":
-        return cls(kind="decimal", digits=str(digits), bits=bits)
-
-    # -- exactness ------------------------------------------------------
-
-    @property
-    def is_exact(self) -> bool:
-        return self.kind == "quadratic"
+        if self.r == 0:
+            raise ValueError("r must be nonzero")
+        if self.q == 0:
+            raise ValueError("q must be nonzero (angle would be rational)")
+        if self.d <= 1:
+            raise ValueError(f"d must exceed 1, got {self.d}")
+        if math.isqrt(self.d) ** 2 == self.d:
+            raise ValueError(f"d={self.d} is a perfect square; angle would be rational")
+        x = self.exact
+        if not (0 < x.sign() and (x - 1).sign() < 0):
+            raise ValueError("angle must lie strictly between 0 and 1")
 
     @property
     def exact(self) -> QuadraticReal:
-        if self.kind != "quadratic":
-            raise ExactnessError(
-                "decimal rotation numbers carry no exact representation"
-            )
         return QuadraticReal.from_integers(self.p, self.q, self.d, self.r)
-
-    # -- numeric --------------------------------------------------------
-
-    def value(self, bits: int = 53) -> Fraction:
-        """The angle rounded once to ``bits`` significant bits
-        (:func:`_round_to_bits`), as an exact dyadic rational; a decimal
-        literal is rounded as mpmath rounds it at that precision."""
-        if self.kind == "quadratic":
-            return _round_to_bits(self.exact, bits)
-        return _round_to_bits(QuadraticReal.of(Fraction(self.digits)), bits)
-
-    def to_float(self) -> float:
-        """The angle as a float: correctly rounded for the quadratic kind,
-        and rounded once from the angle's own ``bits`` for the decimal
-        kind."""
-        if self.kind == "quadratic":
-            return float(self.exact)
-        return float(self.value(self.bits))
-
-    # -- exact helpers ----------------------------------------------------
 
     def frac_multiple(self, k: int) -> QuadraticReal:
         """``k * gamma mod 1``, exactly."""
@@ -369,37 +318,31 @@ class RotationNumber:
 
     def one_minus(self) -> "RotationNumber":
         """The angle ``1 - gamma`` (again in (0, 1))."""
-        if self.kind != "quadratic":
-            raise ExactnessError("one_minus requires the quadratic kind")
-        return RotationNumber.quadratic(self.r - self.p, -self.q, self.d, self.r)
+        return RotationNumber(self.r - self.p, -self.q, self.d, self.r)
 
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
-        if self.kind == "quadratic":
-            return {"quadratic": [self.p, self.q, self.d, self.r]}
-        return {"decimal": {"digits": self.digits, "bits": self.bits}}
+        return {"quadratic": [self.p, self.q, self.d, self.r]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "RotationNumber":
-        """Read ``{"quadratic": [p, q, d, r]}`` or ``{"decimal": {"digits":
-        ..., "bits": ...}}``; ValueError on any other shape."""
+        """Read ``{"quadratic": [p, q, d, r]}``; ValueError naming the key
+        on any other key, and on any other shape."""
+        extra = sorted(obj.keys() - {"quadratic"}) if isinstance(obj, dict) else []
+        if extra:
+            raise ValueError(
+                f'a rotation number takes only the key "quadratic", got {extra[0]!r:.40}'
+            )
         quadratic = obj.get("quadratic") if isinstance(obj, dict) else None
-        decimal = obj.get("decimal") if isinstance(obj, dict) else None
-        if isinstance(quadratic, list) and len(quadratic) == 4:
-            return cls.quadratic(*(_json_int(x, "quadratic angle field") for x in quadratic))
-        if isinstance(decimal, dict) and "digits" in decimal:
-            _json_fraction(str(decimal["digits"]), "decimal digits")
-            return cls.decimal(decimal["digits"], _json_int(decimal.get("bits", 128), "bits"))
-        raise ValueError(
-            'a rotation number must be {"quadratic": [p, q, d, r]} or '
-            f'{{"decimal": {{"digits": ...}}}}, got {obj!r:.80}'
-        )
+        if not (isinstance(quadratic, list) and len(quadratic) == 4):
+            raise ValueError(
+                f'a rotation number must be {{"quadratic": [p, q, d, r]}}, got {obj!r:.80}'
+            )
+        return cls(*(_json_int(x, "quadratic angle field") for x in quadratic))
 
     def __str__(self) -> str:
-        if self.kind == "quadratic":
-            return f"({self.p}+{self.q}*sqrt({self.d}))/{self.r}"
-        return f"~{self.digits}@{self.bits}b"
+        return f"({self.p}+{self.q}*sqrt({self.d}))/{self.r}"
 
 
 def _json_int(x, what: str) -> int:
@@ -410,42 +353,8 @@ def _json_int(x, what: str) -> int:
     return int(x)
 
 
-def _json_fraction(x, what: str) -> Fraction:
-    """x, a finite number or a fraction string such as "1/3", as an exact
-    Fraction; ValueError naming ``what`` otherwise."""
-    try:
-        if not isinstance(x, bool):
-            return Fraction(x)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        pass
-    raise ValueError(f"{what} must be a finite number or fraction string, got {x!r:.60}")
-
-
-def _round_to_bits(x: QuadraticReal, bits: int) -> Fraction:
-    """``x`` rounded once to ``bits`` significant bits, as an exact dyadic
-    rational: to nearest, and an exact tie (only a rational meets one) to
-    even.  The scale 2**s that leaves ``bits`` bits before the point is
-    found from the bit length of ``floor(x * 2**s)``, which is exact."""
-    if bits < 1:
-        raise ValueError(f"cannot round to {bits} bits")
-    sign = x.sign()
-    if sign <= 0:
-        return -_round_to_bits(-x, bits) if sign else Fraction(0)
-    s = bits
-    while True:
-        scaled = x * Fraction(2) ** s
-        m = scaled.floor()
-        if m.bit_length() == bits:
-            break
-        s += bits - m.bit_length()
-    twice_rest = (scaled - m) * 2
-    if twice_rest > 1 or (twice_rest == 1 and m % 2):
-        m += 1
-    return m / Fraction(2) ** s
-
-
 #: Default angle of the reproduce-letter scenario, sqrt(2) - 1.
-SQRT2_MINUS_1 = RotationNumber.quadratic(-1, 1, 2, 1)
+SQRT2_MINUS_1 = RotationNumber(-1, 1, 2, 1)
 
 
 def integral_combination(
@@ -456,18 +365,13 @@ def integral_combination(
     Angles from distinct quadratic fields are linearly independent over
     the rationals together with 1, so the combination is integral iff
     every per-field irrational coefficient vanishes and the rational
-    remainder is an integer.  Raises :class:`ExactnessError` if any
-    angle with a nonzero coefficient is inexact.
+    remainder is an integer.
     """
     rational = Fraction(0)
     irrational: dict[int, Fraction] = {}
     for gamma, coeff in terms:
         if coeff == 0:
             continue
-        if not gamma.is_exact:
-            raise ExactnessError(
-                "group membership is undecidable for decimal angles"
-            )
         x = gamma.exact
         rational += coeff * x.a
         if x.b != 0:

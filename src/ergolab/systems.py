@@ -267,11 +267,16 @@ class SystemSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SystemSpec":
+        """Read ``{"kind": ..., "gamma": ..., "probs": ..., "symbols": ...}``
+        with the keys its kind needs; ValueError naming any other key."""
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValueError(f"a system must be an object with a kind, got {obj!r:.80}")
+        extra = sorted(obj.keys() - {"kind", "gamma", "probs", "symbols"})
+        if extra:
+            raise ValueError(f"a system takes no key {extra[0]!r:.40}")
         kind = obj["kind"]
         gamma = RotationNumber.from_json(obj["gamma"]) if "gamma" in obj else None
-        bern = BernoulliSpec.from_json(obj) if "probs" in obj else None
+        bern = BernoulliSpec.from_json(obj) if obj.keys() & {"probs", "symbols"} else None
         return cls(kind, gamma=gamma, bernoulli=bern)
 
     def label(self) -> str:
@@ -294,13 +299,7 @@ def skew_lag(i: int, gamma: RotationNumber) -> tuple[float, float]:
     S^i(u, v) = (u + i*gamma, v + i*u + C(i,2)*gamma), both mod 1.
     Returns (frac(i*gamma), frac(C(i,2)*gamma)) evaluated exactly first.
     """
-    if gamma.is_exact:
-        return (
-            float(gamma.frac_multiple(i)),
-            float(gamma.frac_multiple(i * (i - 1) // 2)),
-        )
-    g = gamma.to_float()
-    return (i * g) % 1.0, (i * (i - 1) // 2 * g) % 1.0
+    return float(gamma.frac_multiple(i)), float(gamma.frac_multiple(i * (i - 1) // 2))
 
 
 def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:

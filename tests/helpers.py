@@ -25,7 +25,7 @@ from ergolab import (
     sample_batch,
 )
 
-GAMMA = RotationNumber.quadratic(-1, 1, 2, 1)  # sqrt(2) - 1
+GAMMA = RotationNumber(-1, 1, 2, 1)  # sqrt(2) - 1
 UNIFORM4 = BernoulliSpec((0.25, 0.25, 0.25, 0.25), (0, 1, 2, 3))
 # The benchmark's nine angles (p, q, d, r) for (p + q*sqrt(d))/r.
 BENCH_ANGLES = (

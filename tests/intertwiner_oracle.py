@@ -74,10 +74,7 @@ class Phase:
         if self.gamma_mult:
             if gamma is None:
                 raise ValueError("gamma_mult != 0 requires an angle to evaluate")
-            if gamma.is_exact:
-                angle += float(gamma.frac_multiple(self.gamma_mult))
-            else:
-                angle += self.gamma_mult * gamma.to_float()
+            angle += float(gamma.frac_multiple(self.gamma_mult))
         return cmath.exp(2j * cmath.pi * angle)
 
 

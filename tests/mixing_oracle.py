@@ -255,7 +255,7 @@ def orbit_track(spec: SystemSpec, x0: SampleBatch, n: int) -> SampleBatch:
         raise ValueError(f"x0 must be one point of the {spec.kind} system")
     u = v = sym = None
     if x0.u is not None:
-        u = (x0.u[0] + np.arange(n) * spec.gamma.to_float()) % 1.0
+        u = (x0.u[0] + np.arange(n) * float(spec.gamma.exact)) % 1.0
     if x0.v is not None:
         increments = np.concatenate(([0.0], np.cumsum(u[:-1])))
         v = (x0.v[0] + increments) % 1.0

@@ -179,17 +179,17 @@ def test_criterion_4_entropy():
 
 @criterion("criterion 5, rotation angle groups decide isomorphism")
 def test_criterion_5_rotations():
-    reflected = RotationNumber.quadratic(2, -1, 2, 1)  # 2 - sqrt(2) = 1 - gamma
+    reflected = RotationNumber(2, -1, 2, 1)  # 2 - sqrt(2) = 1 - gamma
     same = point_spectrum_groups_equal(GAMMA, reflected)
     # the group relation forces the conjugacy u -> -u; check it pointwise
     rng = spawn_rngs(1, 1)[0]
     u = rng.random(10_000)
-    ga, gb = GAMMA.to_float(), reflected.to_float()
+    ga, gb = float(GAMMA.exact), float(reflected.exact)
     lhs = (-(u + ga)) % 1.0
     rhs = (((-u) % 1.0) + gb) % 1.0
     diff = np.abs(lhs - rhs)
     residual = float(np.minimum(diff, 1.0 - diff).max())
-    doubled = RotationNumber.quadratic(-2, 2, 2, 1)  # 2*gamma
+    doubled = RotationNumber(-2, 2, 2, 1)  # 2*gamma
     unequal = point_spectrum_groups_equal(GAMMA, doubled)
     ok = same.equal and residual <= 1e-12 and not unequal.equal
     return ok, (

@@ -709,6 +709,102 @@ def test_theorem1_requires_exact_angles(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_theorem1_one_angle_written_two_ways_is_the_identity(tmp_path):
+    """sqrt(2) - 1 over r = 1 and over r = 2: the exact relation, not
+    field equality, picks the conjugacy."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"systems": [
+        {"kind": "rotation", "gamma": {"quadratic": [-1, 1, 2, 1]}},
+        {"kind": "rotation", "gamma": {"quadratic": [-2, 2, 2, 2]}},
+    ]}))
+    code, out = run(tmp_path, "theorem1", "--config", str(cfg))
+    assert code == 0
+    assert read_report(out)["results"]["conjugacy"]["map"] == "identity"
+
+
+DECIMAL_HALF = {"decimal": {"digits": "0.5"}}
+#: Every run that takes a rotation angle, handed the rational angle 1/2
+#: as a decimal: (argv, config).
+DECIMAL_ANGLE_RUNS = {
+    "reproduce-letter": (["reproduce-letter"], {"systems": [
+        {"kind": "skew", "gamma": DECIMAL_HALF},
+        {"kind": "product", "gamma": DECIMAL_HALF, "probs": [0.5, 0.5]},
+    ]}),
+    "theorem1": (["theorem1"], {"systems": [
+        {"kind": "rotation", "gamma": DECIMAL_HALF},
+        {"kind": "rotation", "gamma": {"quadratic": [-1, 1, 2, 1]}},
+    ]}),
+    "tower": (["compute", "tower"], {"params": {"system": {"kind": "skew", "gamma": DECIMAL_HALF}}}),
+    "spectrum": (
+        ["compute", "spectrum"], {"params": {"system": {"kind": "rotation", "gamma": DECIMAL_HALF}}}
+    ),
+    "residual-search": (["compute", "residual-search"], {"params": {"system": {
+        "kind": "product", "gamma": DECIMAL_HALF, "probs": [0.5, 0.5]}}}),
+    "weak-mixing": (
+        ["compute", "weak-mixing"], {"params": {"system": {"kind": "rotation", "gamma": DECIMAL_HALF}}}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DECIMAL_ANGLE_RUNS))
+def test_decimal_angles_are_refused_by_every_run(name, tmp_path, capsys):
+    """A decimal literal is rational, and no run may decide anything
+    about it as if it were irrational."""
+    argv, config = DECIMAL_ANGLE_RUNS[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out = run(tmp_path, *argv, "--config", str(cfg))
+    err = capsys.readouterr().err
+    assert code == 1 and not (out / "report.json").exists()
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+#: Objects with a key their parser does not read: (argv, config, key).
+UNKNOWN_KEYS = {
+    "misspelt probs in a rotation": (
+        ["compute", "weak-mixing"],
+        {"params": {"system": {"kind": "rotation", "gamma": {"quadratic": [-1, 1, 2, 1]},
+                               "symbols": [1, 2], "probz": [0.5]}}},
+        "probz",
+    ),
+    "decimal beside quadratic": (
+        ["compute", "spectrum"],
+        {"params": {"system": {"kind": "rotation", "gamma": {
+            "quadratic": [-1, 1, 2, 1], "decimal": {"digits": "0.5"}}}}},
+        "decimal",
+    ),
+    "unknown key in a scenario system": (
+        ["reproduce-kolmogorov"],
+        {"systems": [{"kind": "bernoulli", "probs": [0.5, 0.5], "seed": 3},
+                     {"kind": "bernoulli", "probs": [0.25, 0.25, 0.25, 0.25]}]},
+        "seed",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(UNKNOWN_KEYS))
+def test_unknown_keys_in_systems_and_angles_are_refused(name, tmp_path, capsys):
+    argv, config, key = UNKNOWN_KEYS[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out = run(tmp_path, *argv, "--config", str(cfg))
+    err = capsys.readouterr().err
+    assert code == 1 and not out.exists()
+    assert err.startswith("error:") and "Traceback" not in err and repr(key) in err
+
+
+def test_radicands_over_the_budget_are_refused_with_the_cost(tmp_path, capsys):
+    d = 10**30 + 1  # trial division would take about 2.5e-7 * sqrt(d) s
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"params": {"system": {"kind": "rotation", "gamma": {"quadratic": [0, 1, d, 10**16]}}}}
+    ))
+    code, out = run(tmp_path, "compute", "spectrum", "--config", str(cfg))
+    err = capsys.readouterr().err
+    assert code == 1 and not out.exists()
+    assert err.startswith("error:") and "31 digits" in err and "about 2.5e+8 s" in err
+
+
 # ---------------------------------------------------------------------------
 # compute mode
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from ergolab import (
     CHAIN_BOXES,
     KOOPMAN_TABLE,
     BernoulliSpec,
-    ExactnessError,
     GroupComparison,
     IncompatibleSpectraError,
     IntertwinerCheck,
@@ -81,7 +80,7 @@ def test_phase_group_laws(p, q, r):
 def test_phase_value_is_a_unit_complex(p):
     z = p.value(GAMMA)
     assert math.isclose(abs(z), 1.0, rel_tol=1e-12)
-    want = cmath.exp(2j * math.pi * (float(p.turn) + p.gamma_mult * GAMMA.to_float()))
+    want = cmath.exp(2j * math.pi * (float(p.turn) + p.gamma_mult * float(GAMMA.exact)))
     assert cmath.isclose(z, want, rel_tol=1e-9)
 
 
@@ -265,7 +264,7 @@ def _fixed_descriptor(spec: SystemSpec) -> SpectrumDescriptor:
 
 @pytest.mark.parametrize(
     "gamma",
-    [GAMMA, GAMMA.one_minus(), RotationNumber.quadratic(-1, 1, 5, 2)],
+    [GAMMA, GAMMA.one_minus(), RotationNumber(-1, 1, 5, 2)],
     ids=["sqrt2-1", "2-sqrt2", "golden"],
 )
 def test_computed_spectrum_equals_the_fixed_descriptors(gamma):
@@ -328,10 +327,10 @@ def test_is_one_simple():
     # gamma + (1 - gamma) = 1: the combination collapses to an integer
     assert not is_one_simple((GAMMA, GAMMA.one_minus()))
     # 9*(sqrt(2) - 1) - (9*sqrt(2) - 12) = 3, beyond a search to |c| <= 8
-    nine = RotationNumber.quadratic(-12, 9, 2, 1)
+    nine = RotationNumber(-12, 9, 2, 1)
     assert bounded_one_simple((GAMMA, nine), 8)
     assert not is_one_simple((GAMMA, nine))
-    assert is_one_simple((GAMMA, RotationNumber.quadratic(-1, 1, 3, 1)))
+    assert is_one_simple((GAMMA, RotationNumber(-1, 1, 3, 1)))
 
 
 @st.composite
@@ -342,7 +341,7 @@ def _angles(draw, fields=(2, 3, 5)):
     q = draw(st.integers(-4, 4).filter(bool))
     r = draw(st.integers(1, 4))
     p = math.floor(-q * math.sqrt(d)) + 1 + draw(st.integers(0, r - 1))
-    return RotationNumber.quadratic(p, q, d, r)
+    return RotationNumber(p, q, d, r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -368,7 +367,7 @@ def test_groups_equal_identity_and_reflection():
 
 
 def test_groups_differ_for_doubled_angle():
-    double = RotationNumber.quadratic(-2, 2, 2, 1)  # 2*(sqrt(2)-1)
+    double = RotationNumber(-2, 2, 2, 1)  # 2*(sqrt(2)-1)
     cmp = point_spectrum_groups_equal(GAMMA, double)
     assert not cmp.equal and cmp.relation is None
     assert cmp.verdict == "not-equal"
@@ -377,18 +376,18 @@ def test_groups_differ_for_doubled_angle():
 
 @pytest.mark.parametrize("angle", BENCH_ANGLES)
 def test_groups_of_an_angle_and_its_reflection_are_equal(angle):
-    gamma = RotationNumber.quadratic(*angle)
+    gamma = RotationNumber(*angle)
     assert point_spectrum_groups_equal(gamma, gamma.one_minus()).relation == (-1, -1)
     assert point_spectrum_groups_equal(gamma.one_minus(), gamma).relation == (-1, -1)
 
 
 def test_groups_differ_across_fields():
-    other = RotationNumber.quadratic(-1, 1, 3, 1)  # sqrt(3) - 1
+    other = RotationNumber(-1, 1, 3, 1)  # sqrt(3) - 1
     assert not point_spectrum_groups_equal(GAMMA, other).equal
     for a in BENCH_ANGLES:
         for b in BENCH_ANGLES:
             if a[2] != b[2]:
-                ga, gb = RotationNumber.quadratic(*a), RotationNumber.quadratic(*b)
+                ga, gb = RotationNumber(*a), RotationNumber(*b)
                 assert not point_spectrum_groups_equal(ga, gb).equal
                 assert not point_spectrum_groups_equal(ga, gb.one_minus()).equal
 
@@ -405,11 +404,6 @@ def test_group_decision_agrees_with_the_bounded_search(gamma1, gamma2):
     cmp = point_spectrum_groups_equal(gamma1, gamma2)
     assert cmp.relation == bounded_group_relation(gamma1, gamma2, 6)
     assert cmp.equal == (cmp.relation is not None)
-
-
-def test_group_comparison_refuses_decimal_angles():
-    with pytest.raises(ExactnessError):
-        point_spectrum_groups_equal(GAMMA, RotationNumber.decimal("0.41421356"))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +434,7 @@ def test_intertwiner_rejects_incompatible_spectra():
         build_intertwiner(rot, shift, truncation=8)
     skew = SystemSpec.skew(GAMMA)
     mismatched = SystemSpec.product(
-        RotationNumber.quadratic(-1, 1, 3, 1), BernoulliSpec.fair_coin()
+        RotationNumber(-1, 1, 3, 1), BernoulliSpec.fair_coin()
     )
     with pytest.raises(IncompatibleSpectraError):
         build_intertwiner(skew, mismatched, truncation=8)

@@ -189,7 +189,7 @@ def test_wrapped_arc_overlap():
 def test_overlap_oracles_agree(angle, ia, ib, i):
     """The oracles' arcs cut at 1, the lifts and the library's overlap
     give the same exact value at every orbit point."""
-    gamma = RotationNumber.quadratic(*angle)
+    gamma = RotationNumber(*angle)
     A, B = TestSet.u_interval(*ia), TestSet.u_interval(*ib)
     shift = gamma.frac_multiple(i)
     want = QuadraticReal.of(0, gamma.exact.d) + _overlap_by_lifts(shift, *ia, *ib)
@@ -289,7 +289,7 @@ def test_monte_carlo_statistic_tracks_exact():
 def test_statistic_equals_the_per_lag_quadratic_oracle(angle, kind, ia, ib, t, lag, sym):
     """Recurrence plus integer sign tests give the oracle's exact values,
     and the statistic is their exact mean, correctly rounded."""
-    gamma = RotationNumber.quadratic(*angle)
+    gamma = RotationNumber(*angle)
     if kind == "product-set":
         spec = SystemSpec.product(gamma, FAIR)
         A = TestSet.product_set(*ia, CylinderSet(((0, 1),)))
@@ -321,7 +321,7 @@ WRAPPING = (TestSet.u_interval(Fraction(2, 3), 1), TestSet.u_interval(Fraction(1
 def test_closed_form_equals_the_O_t_sum_at_every_horizon(angle):
     """Every t <= 500, for [0, 1/2) against itself and for an A whose
     moved arc wraps past 1 or lies wholly beyond it."""
-    spec = SystemSpec.skew(RotationNumber.quadratic(*angle))
+    spec = SystemSpec.skew(RotationNumber(*angle))
     for A, B in ((HALF, HALF), WRAPPING):
         want = statistic_prefixes(spec, A, B, 500)
         assert [weak_mixing_statistic(spec, A, B, t) for t in range(1, 501)] == want
@@ -346,7 +346,7 @@ def test_closed_form_equals_the_O_t_sum(data, angle, law, kind, t):
     """Every set kind with an exact statistic: u-intervals on the three
     systems with a rotation factor, product sets, and cylinders on the
     shift and the product."""
-    gamma = RotationNumber.quadratic(*angle)
+    gamma = RotationNumber(*angle)
     if data is None:  # constraints that meet at lags 1 and 3; A's arc wraps
         A = TestSet.product_set(Fraction(3, 4), 1, CylinderSet(((0, 1), (2, -1))))
         B = TestSet.product_set(Fraction(1, 5), Fraction(9, 10), CylinderSet(((-1, -1), (1, 1))))
@@ -379,14 +379,14 @@ def test_statistic_at_a_trillion_lags():
     [((-1, 1, 2, 1), 0.12499869507055364), ((-1, 1, 5, 2), 0.12500287342187968)],
 )
 def test_statistic_pinned_at_ten_thousand_lags(angle, expected):
-    spec = SystemSpec.skew(RotationNumber.quadratic(*angle))
+    spec = SystemSpec.skew(RotationNumber(*angle))
     assert weak_mixing_statistic(spec, HALF, HALF, 10_000) == expected
 
 
 @pytest.mark.parametrize("angle", [(-1, 1, 2, 1), (2, -1, 2, 1), (-3, 1, 13, 2)])
 def test_recurrence_orbit_is_frac_multiple(angle):
     """2 - sqrt(2) has q < 0 and (sqrt(13) - 3)/2 has r = 2."""
-    gamma = RotationNumber.quadratic(*angle)
+    gamma = RotationNumber(*angle)
     overlap = CircleOrbit(gamma, HALF, HALF)
     D, d = overlap.D, overlap.d
     for i, (p, q) in zip(range(2_000), overlap.orbit(0)):
@@ -395,14 +395,6 @@ def test_recurrence_orbit_is_frac_multiple(angle):
         assert next(overlap.orbit(start)) == next(
             itertools.islice(overlap.orbit(0), start, None)
         )
-
-
-def test_decimal_angles_have_no_exact_statistic():
-    spec = SystemSpec.rotation(RotationNumber.decimal("0.41421356"))
-    with pytest.raises(NoClosedFormError):
-        weak_mixing_statistic(spec, HALF, HALF, 10)
-    with pytest.raises(NoClosedFormError):
-        correlation(spec, HALF, HALF, 3)
 
 
 def test_statistic_input_validation():
@@ -526,7 +518,7 @@ def _stepped_hits(spec, test_set, x0, n):
     """How many of x0's first n images lie in ``test_set``, found by a
     loop that steps (u + gamma, v + u) on floats one point at a time and
     reads the symbol at position p of S^j x0 at position p + j of x0."""
-    gamma = spec.gamma.to_float() if spec.gamma is not None else None
+    gamma = float(spec.gamma.exact) if spec.gamma is not None else None
     u = None if x0.u is None else float(x0.u[0])
     v = None if x0.v is None else float(x0.v[0])
     hits = 0

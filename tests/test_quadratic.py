@@ -8,7 +8,6 @@ value.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
 import mpmath
@@ -17,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergolab import (
-    ExactnessError,
     QuadraticReal,
     RotationNumber,
     SQRT2_MINUS_1,
@@ -177,18 +175,17 @@ def test_float_matches_the_bracket_oracle(d, a, b):
 
 def test_quadratic_angle_validation():
     with pytest.raises(ValueError):
-        RotationNumber.quadratic(0, 0, 2, 1)  # q = 0: rational
+        RotationNumber(0, 0, 2, 1)  # q = 0: rational
     with pytest.raises(ValueError):
-        RotationNumber.quadratic(0, 1, 4, 1)  # perfect square: rational
+        RotationNumber(0, 1, 4, 1)  # perfect square: rational
     with pytest.raises(ValueError):
-        RotationNumber.quadratic(3, 1, 2, 1)  # outside (0, 1)
+        RotationNumber(3, 1, 2, 1)  # outside (0, 1)
     with pytest.raises(ValueError):
-        RotationNumber.quadratic(-1, 1, 2, 0)  # zero denominator
+        RotationNumber(-1, 1, 2, 0)  # zero denominator
 
 
 def test_default_angle_value():
-    assert math.isclose(SQRT2_MINUS_1.to_float(), math.sqrt(2) - 1, rel_tol=1e-15)
-    assert SQRT2_MINUS_1.is_exact
+    assert math.isclose(float(SQRT2_MINUS_1.exact), math.sqrt(2) - 1, rel_tol=1e-15)
 
 
 def test_one_minus_is_an_involution():
@@ -196,7 +193,7 @@ def test_one_minus_is_an_involution():
     h = g.one_minus()
     assert h.exact == 1 - g.exact
     assert h.one_minus() == g
-    assert 0 < h.to_float() < 1
+    assert 0 < float(h.exact) < 1
 
 
 @given(st.integers(-40, 40))
@@ -208,71 +205,21 @@ def test_frac_multiple(k):
 
 
 def test_json_round_trip():
-    for g in (SQRT2_MINUS_1, RotationNumber.quadratic(1, 1, 5, 4),
-              RotationNumber.decimal("0.1234567890123456789", bits=96)):
+    for g in (SQRT2_MINUS_1, RotationNumber(1, 1, 5, 4)):
         assert RotationNumber.from_json(g.to_json()) == g
     with pytest.raises(ValueError):
         RotationNumber.from_json({"nope": 1})
 
 
-def test_decimal_kind_is_reproducible_but_inexact():
-    g = RotationNumber.decimal("0.5772156649015328606", bits=128)
-    assert g.value(128) == g.value(128)
-    assert not g.is_exact
-    with pytest.raises(ExactnessError):
-        _ = g.exact
-    with pytest.raises(ExactnessError):
-        g.one_minus()
-
-
-def test_decimal_to_float_rounds_once():
-    # 2^-54 above 1/2 is the midpoint of two floats; these digits sit
-    # just above it, so only a single rounding lands on the upper float
-    digits = "0.500000000000000055511151231258827021181583404541015625"
-    g = RotationNumber.decimal(digits)
-    assert g.to_float() == float(Fraction(digits)) == 0.5 + 2.0**-53
-    assert g.to_float() == float(g.value(g.bits))
-
-
-def _random_literals(rng: random.Random, bits: int) -> list[str]:
-    """Decimal literals in (0, 1): 1-60 random digits, ratios "p/q", and
-    exact ties, dyadic rationals with bits + 1 significant bits."""
-    literals = []
-    for _ in range(150):
-        digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 60)))
-        if int(digits):
-            literals.append("0." + digits)
-        q = rng.randint(2, 10**9)
-        literals.append(f"{rng.randint(1, q - 1)}/{q}")
-        m = rng.getrandbits(bits) | (1 << bits) | 1
-        e = bits + 1 + rng.randint(0, 8)  # m / 2**e has e decimal places
-        literals.append("0." + str(m * 5**e).rjust(e, "0"))
-    return literals
-
-
-@pytest.mark.parametrize("bits", [24, 53, 64, 128, 200])
-def test_decimal_value_equals_mpmath(bits):
-    """value(bits) is the dyadic rational mpmath rounds the literal to at
-    ``bits`` of working precision, and to_float is that value's float."""
-    for digits in _random_literals(random.Random(bits), bits):
-        g = RotationNumber.decimal(digits, bits=bits)
-        with mpmath.workprec(bits):
-            want = mpmath.mpf(digits)
-        man, exp = want.man_exp
-        assert g.value(bits) == Fraction(man) * Fraction(2) ** exp, digits
-        assert g.to_float() == float(want), digits
-
-
-@pytest.mark.parametrize("bits", [24, 53, 64, 128, 200])
-def test_quadratic_value_is_correctly_rounded(bits):
-    """For the quadratic kind, value(bits) is the angle rounded once:
-    mpmath rounding a value 200 bits more precise agrees."""
+def test_radicands_over_the_budget_are_refused():
+    """Trial division of d costs O(sqrt(d)): a d over 10^12 is refused
+    with its size and the estimated time, before any division."""
+    with pytest.raises(ValueError, match=r"d of 13 digits .* about 0\.25 s"):
+        RotationNumber(0, 1, 10**12 + 1, 2 * 10**6)
     for angle in BENCH_ANGLES:
-        g = RotationNumber.quadratic(*angle)
-        precise = g.exact.to_mpf(bits + 200)
-        with mpmath.workprec(bits):
-            man, exp = (+precise).man_exp
-        assert g.value(bits) == Fraction(man) * Fraction(2) ** exp
+        assert RotationNumber.from_json({"quadratic": list(angle)}).to_json() == {
+            "quadratic": list(angle)
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +232,7 @@ def test_integral_combination_basics():
     assert integral_combination([(g, 1), (g.one_minus(), 1)])  # g + (1-g) = 1
     assert integral_combination([(g, 0)])
     assert not integral_combination([(g, 3)])
-    assert not integral_combination([(g, 1), (RotationNumber.quadratic(-1, 1, 3, 1), 1)])
-
-
-def test_integral_combination_requires_exact_angles():
-    d = RotationNumber.decimal("0.41421356237309515", bits=64)
-    with pytest.raises(ExactnessError):
-        integral_combination([(d, 1)])
-    # zero coefficients never force exactness
-    assert integral_combination([(d, 0)])
+    assert not integral_combination([(g, 1), (RotationNumber(-1, 1, 3, 1), 1)])
 
 
 @given(st.integers(-10, 10), st.integers(-10, 10))
@@ -312,7 +251,7 @@ def test_integral_combination_linearity(j, k):
 def test_floor_sums_match_term_by_term_at_the_bench_angles(angle):
     """Offsets 0 and 3 put a lattice point on the line at i = 0, and
     2 - 7*gamma puts one at i = 7."""
-    gamma = RotationNumber.quadratic(*angle).exact
+    gamma = RotationNumber(*angle).exact
     offsets = [QuadraticReal.of(0), QuadraticReal.of(3), 2 - 7 * gamma,
                QuadraticReal.of(Fraction(-1, 3)), gamma - Fraction(1, 2)]
     for offset in offsets:

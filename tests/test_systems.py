@@ -65,7 +65,7 @@ def _one_step(batch: SampleBatch) -> SampleBatch:
     """S applied once by its definition: u + gamma, v + u (mod 1) on
     floats, and the shift as anchor - 1."""
     spec = batch.spec
-    gamma = spec.gamma.to_float() if spec.gamma is not None else None
+    gamma = float(spec.gamma.exact) if spec.gamma is not None else None
     u = None if batch.u is None else (batch.u + gamma) % 1.0
     v = None if batch.v is None else (batch.v + batch.u) % 1.0
     anchor = batch.anchor - 1 if batch.sym is not None else batch.anchor

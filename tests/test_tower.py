@@ -77,8 +77,8 @@ from tower_oracle import (
 
 SKEW = SystemSpec.skew(GAMMA)
 PRODUCT = SystemSpec.product(GAMMA, BernoulliSpec.fair_coin())
-GOLDEN = RotationNumber.quadratic(-1, 1, 5, 2)  # (sqrt(5) - 1) / 2
-SQRT7_MINUS_2 = RotationNumber.quadratic(-2, 1, 7, 1)
+GOLDEN = RotationNumber(-1, 1, 5, 2)  # (sqrt(5) - 1) / 2
+SQRT7_MINUS_2 = RotationNumber(-2, 1, 7, 1)
 
 # smallest residuals of the truncated product problem (see module docstring):
 # k = +-1 leaves a free chain of 9 constant-tail modes -> 2 sin(pi/20)

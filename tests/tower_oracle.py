@@ -219,7 +219,7 @@ def _oracle_gram(
     G = max(grid or 0, 4 * truncation, needed)
     tails = _tail_labels(spec, truncation, support_cap)
     cols: list[Node] = [(l, t) for l in range(-u_band, u_band + 1) for t in tails]
-    gamma = spec.gamma.to_float()
+    gamma = float(spec.gamma.exact)
 
     out_labels: dict[object, int] = {}
 
@@ -327,11 +327,9 @@ def _p(kind: str, label: Label) -> tuple[int, Label]:
 
 @lru_cache(maxsize=None)
 def _phase(gamma: RotationNumber, mult: int) -> complex:
-    """``e(mult gamma)``, from the exact fractional part when there is one;
-    a walk asks for the few multipliers of its band many times each."""
-    if gamma.is_exact:
-        return cmath.exp(2j * cmath.pi * float(gamma.frac_multiple(mult)))
-    return cmath.exp(2j * cmath.pi * ((mult * gamma.to_float()) % 1.0))
+    """``e(mult gamma)``, from the exact fractional part; a walk asks for
+    the few multipliers of its band many times each."""
+    return cmath.exp(2j * cmath.pi * float(gamma.frac_multiple(mult)))
 
 
 def residual_by_profile(spec: SystemSpec, k: int, truncation: int) -> ProfileResidual:
@@ -448,7 +446,7 @@ def _grid_residual(spec: SystemSpec, k: int, c: dict, delta: complex, grid: int)
     the coefficient bookkeeping.
     """
     u = np.arange(grid) / grid
-    gamma = spec.gamma.to_float()
+    gamma = float(spec.gamma.exact)
     q_wave = np.exp(2j * np.pi * k * u)
     by_out: dict[Label, np.ndarray] = {}
 
