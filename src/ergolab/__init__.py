@@ -45,7 +45,7 @@ _EXPORTS = {
         ),
         "entropy": (
             "EntropyEstimate", "EntropyVerdict", "PartitionSpec", "UndersampledError",
-            "bernoulli_entropy", "block_entropy_rate", "entropy_classifier",
+            "bernoulli_entropy", "entropy_classifier",
             "exact_block_entropy", "exact_block_entropy_rate", "partition_refine_entropy",
         ),
         "mixing": (

@@ -833,12 +833,13 @@ def _test_set_from(data: dict) -> TestSet:
     )
 
 
+#: Each op's runner and the ``params`` keys it reads.
 COMPUTE_OPS = {
-    "tower": _compute_tower,
-    "residual-search": _compute_residual,
-    "spectrum": _compute_spectrum,
-    "entropy": _compute_entropy,
-    "weak-mixing": _compute_weak_mixing,
+    "tower": (_compute_tower, {"system", "max_depth"}),
+    "residual-search": (_compute_residual, {"system", "ks"}),
+    "spectrum": (_compute_spectrum, {"system"}),
+    "entropy": (_compute_entropy, {"bernoulli"}),
+    "weak-mixing": (_compute_weak_mixing, {"system", "A", "B", "t"}),
 }
 
 
@@ -848,7 +849,14 @@ def run_compute(config: ExperimentConfig) -> ExperimentReport:
         raise ValueError(
             f"unknown op {config.op!r}; available: {', '.join(sorted(COMPUTE_OPS))}"
         )
-    results, verdicts = COMPUTE_OPS[config.op](config)
+    runner, keys = COMPUTE_OPS[config.op]
+    unread = sorted(config.params.keys() - keys)
+    if unread:
+        raise ValueError(
+            f"{config.op} does not read params {', '.join(map(repr, unread))}; "
+            f"it reads {', '.join(sorted(keys))}"
+        )
+    results, verdicts = runner(config)
     report = ExperimentReport(
         scenario="compute",
         config=config,
@@ -1070,6 +1078,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _merged_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config is not None:
         data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError(f"a config must be a JSON object, got a {type(data).__name__}")
         if data.get("scenario", args.scenario) != args.scenario:
             raise ValueError(
                 f"config scenario {data.get('scenario')!r} does not match "

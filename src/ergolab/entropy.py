@@ -1,16 +1,11 @@
 """Per-step information rates: exact values for product-measure shifts,
-plug-in estimation from symbol streams, and the entropy classifier that
+a sampled estimate that checks them, and the entropy classifier that
 separates spectrally indistinguishable shifts.
 
-Two estimation styles coexist, chosen by what is computable:
-
-* measure-scored: when the exact measure of every refined cell is
-  available (cylinder partitions of a shift), the rate is estimated as
-  the sample mean of -(1/n) log mu(cell of the itinerary), which is
-  unbiased for the block entropy at every sample size;
-* frequency plug-in: otherwise, empirical itinerary frequencies feed the
-  usual -sum f log f, guarded by a coverage heuristic (at least 100 * 2^n
-  observations) because an undersampled plug-in silently biases low.
+The sampled estimate partitions a shift by the symbol at one position
+and is measure-scored: every refined cell is a cylinder whose exact
+measure is known, so the rate is the sample mean of -(1/n) log mu(cell
+of the itinerary), unbiased for the block entropy at every sample size.
 
 All natural logs; a bits flag belongs to the presentation layer.  The
 sign convention is the nonnegative one, -sum p log p, throughout.
@@ -19,10 +14,8 @@ sign convention is the nonnegative one, -sum p log p, throughout.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass
 from decimal import Context, Decimal, localcontext
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Sequence
 
@@ -34,7 +27,6 @@ from .systems import (
     CylinderSet,
     SystemSpec,
     cumulative_law,
-    iterate_batch,
     sample_chunks,
 )
 
@@ -43,7 +35,6 @@ __all__ = [
     "PartitionSpec",
     "UndersampledError",
     "bernoulli_entropy",
-    "block_entropy_rate",
     "entropy_classifier",
     "exact_block_entropy",
     "exact_block_entropy_rate",
@@ -57,7 +48,7 @@ _WORK = Context(prec=40)
 
 
 class UndersampledError(ValueError):
-    """Too little data for the requested block length."""
+    """Too few samples for a sampled estimate."""
 
 
 @dataclass(frozen=True)
@@ -159,54 +150,17 @@ def exact_block_entropy_rate(spec: BernoulliSpec, n: int) -> EntropyEstimate:
 
 
 # ---------------------------------------------------------------------------
-# stream plug-in estimation
-# ---------------------------------------------------------------------------
-
-
-def block_entropy_rate(stream: Sequence, n: int) -> EntropyEstimate:
-    """Plug-in rate (1/n) * (-sum f log f) over empirical frequencies of
-    overlapping n-blocks of the stream.
-
-    Deterministic given the stream.  Requires at least 100 * 2^n stream
-    entries (coverage heuristic); see :func:`exact_block_entropy_rate`
-    for the analytic companion that needs no samples.  The standard
-    error is a multinomial delta-method approximation that ignores block
-    overlap, reported for scale rather than as a calibrated interval.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    data = np.asarray(stream)
-    if data.ndim != 1:
-        raise ValueError("stream must be one-dimensional")
-    if len(data) < 100 * 2**n:
-        raise UndersampledError(
-            f"stream of length {len(data)} is below the coverage floor "
-            f"100 * 2^{n} = {100 * 2 ** n}"
-        )
-    _, codes = np.unique(data, return_inverse=True)
-    blocks = np.lib.stride_tricks.sliding_window_view(codes, n)
-    base = int(codes.max()) + 1
-    weights = base ** np.arange(n, dtype=np.int64)
-    if n * math.log2(max(base, 2)) > 62:
-        raise ValueError("block length too large to encode")
-    encoded = blocks @ weights
-    _, counts = np.unique(encoded, return_counts=True)
-    return _frequency_estimate(counts, n)
-
-
-# ---------------------------------------------------------------------------
-# partitions
+# one-position partitions of a shift
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """A finite partition into TestSet cells with labels.
-
-    Validation is exact where the cell geometry allows: interval cells
-    must tile [0, 1) edge to edge, cylinder cells must disagree on a
-    shared position pairwise and their measures must sum to 1 within
-    1e-12.
+    """A partition of a shift by the symbol at one position: every cell
+    is a one-constraint cylinder, all at one common position, and no two
+    cells hold the same symbol.  Whether the cells hold every symbol a
+    law can draw is a property of the law, which
+    :func:`partition_refine_entropy` checks before it samples.
     """
 
     cells: tuple[TestSet, ...]
@@ -219,23 +173,13 @@ class PartitionSpec:
             raise ValueError("a partition needs at least one cell")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be distinct")
-        kinds = {c.kind for c in self.cells}
-        if kinds == {"u-interval"}:
-            bounds = sorted((c.a, c.b) for c in self.cells)
-            if bounds[0][0] != 0 or bounds[-1][1] != 1:
-                raise ValueError("interval cells must cover [0, 1)")
-            for (_, b_prev), (a_next, _) in zip(bounds, bounds[1:]):
-                if b_prev != a_next:
-                    raise ValueError("interval cells must tile without gaps or overlaps")
-        elif kinds == {"cylinder"}:
-            for i, first in enumerate(self.cells):
-                for second in self.cells[i + 1 :]:
-                    if first.cylinder.merge(second.cylinder) is not None:
-                        raise ValueError("cylinder cells must be pairwise disjoint")
-        elif len(self.cells) > 1:
-            raise ValueError(
-                "mixed-kind partitions are not supported; use intervals or cylinders"
-            )
+        if any(c.kind != "cylinder" or len(c.cylinder.constraints) != 1 for c in self.cells):
+            raise ValueError("every cell must be a cylinder constraining one position")
+        if len({c.cylinder.positions for c in self.cells}) != 1:
+            raise ValueError("every cell must constrain the same position")
+        symbols = [c.cylinder.constraints[0][1] for c in self.cells]
+        if len(set(symbols)) != len(symbols):
+            raise ValueError("cells must hold distinct symbols")
 
     @classmethod
     def time_zero(cls, bern: BernoulliSpec) -> "PartitionSpec":
@@ -246,26 +190,10 @@ class PartitionSpec:
         labels = tuple(str(s) for s in bern.symbols)
         return cls(cells=cells, labels=labels)
 
-    @classmethod
-    def u_intervals(cls, breakpoints: Sequence) -> "PartitionSpec":
-        """Cells [b_i, b_{i+1}) for 0 = b_0 < ... < b_k = 1."""
-        pts = [Fraction(b) for b in breakpoints]
-        if pts[0] != 0 or pts[-1] != 1 or any(x >= y for x, y in zip(pts, pts[1:])):
-            raise ValueError("breakpoints must increase from 0 to 1")
-        cells = tuple(TestSet.u_interval(a, b) for a, b in zip(pts, pts[1:]))
-        labels = tuple(f"[{a},{b})" for a, b in zip(pts, pts[1:]))
-        return cls(cells=cells, labels=labels)
-
-    @classmethod
-    def single_cell(cls, spec: SystemSpec) -> "PartitionSpec":
-        if spec.kind in ("bernoulli",):
-            return cls(
-                cells=(TestSet.from_cylinder(CylinderSet(())),), labels=("all",)
-            )
-        return cls(cells=(TestSet.u_interval(0, 1),), labels=("all",))
-
-    def measures_sum_to_one(self, spec: SystemSpec, tol: float = 1e-12) -> bool:
-        return abs(sum(c.measure(spec) for c in self.cells) - 1.0) <= tol
+    @property
+    def position(self) -> int:
+        """The one position every cell constrains."""
+        return self.cells[0].cylinder.positions[0]
 
     def cell_index_batch(self, spec: SystemSpec, batch) -> np.ndarray:
         """Cell index per sample (cells are disjoint, so at most one hit)."""
@@ -289,111 +217,60 @@ def partition_refine_entropy(
     rng: np.random.Generator,
 ) -> EntropyEstimate:
     """Monte-Carlo estimate of the n-step refinement entropy rate
-    H(alpha, n)/n: sample initial points, record the itinerary of cells
-    visited over n steps, and score it.
+    H(alpha, n)/n of a shift's one-position partition alpha: sample
+    initial points, and average the score -(1/n) log mu of the refined
+    cell each one enters over n steps.
+
+    The refined cell is a cylinder, so its measure is exact and the
+    estimate is unbiased at every sample size.  The cell entered at step
+    j is fixed by the symbol at p + j alone (p the partition's position),
+    so a point's score is -(1/n) sum_j log p(x_{p+j}), computed from the
+    symbol counts of its window p, ..., p + n - 1
+    (:func:`_symbol_count_scorer`), with no itinerary built.
+
+    A system without a symbol law (rotation, skew) is refused.  So is,
+    before any draw, a partition with a cell on a symbol the law lacks,
+    or one that misses a symbol the sampler can draw; a symbol whose
+    step in :func:`cumulative_law` is 0 is never drawn and needs no
+    cell.
 
     The sample is streamed: it is drawn from ``rng`` in consecutive
     chunks of at most ``SAMPLE_CHUNK`` points (:func:`sample_chunks`),
-    holding only the sequence positions the cells read, and each chunk's
-    itineraries are scored before the next chunk is drawn into the same
-    arrays, so the sample never spans more than one chunk.  The scores
-    of single-position cells, too, are computed in arrays kept for the
-    whole call.  Calls on different generators share nothing, so
-    concurrent calls, one per thread, hold one set of chunk arrays per
-    thread.  Single-position cells then keep only merged
-    moments, so memory does not grow with ``samples``; the
-    multi-position cache of -log mu and the frequency counts hold one
-    entry per distinct itinerary seen, up to the number of possible
-    itineraries.
-
-    When every cell is a one-constraint cylinder at one common position
-    p, the cell entered at step j is fixed by the symbol at p + j alone,
-    so a chunk is scored from the symbol counts of its window at
-    p, ..., p + n - 1 (:func:`_symbol_count_scorer`) and no itinerary is
-    built.  A symbol the sampler can draw but no cell holds raises before
-    any draw, as a sample outside every cell does on the general path,
-    which tests cell membership at every step.
-
-    Cylinder partitions of a shift system are measure-scored: every
-    itinerary's refined cell is itself a cylinder (constraints translated
-    step by step and merged), so the exact -log mu(cell) is averaged,
-    an unbiased estimator with zero variance for uniform shifts.  The
-    chunks' score counts, means and squared deviations, taken about the
-    first score drawn, are merged by Chan's update (:func:`_merge_moments`),
-    so a uniform shift's estimate is its one score exactly, with stderr 0.
-    Other partitions fall back to frequency plug-in over itineraries,
-    whose counts are summed exactly across chunks, with the coverage
-    guard of :func:`block_entropy_rate` checked before any sampling.
+    holding only the window, and each chunk is scored before the next is
+    drawn into the same arrays.  The scores, too, live in arrays kept for
+    the whole call, and only the merged moments survive a chunk, so
+    memory does not grow with ``samples``.  Calls on different generators
+    share nothing, so concurrent calls, one per thread, hold one set of
+    arrays per thread.  The chunks' score counts, means and squared
+    deviations, taken about the first score drawn, are merged by Chan's
+    update (:func:`_merge_moments`), so a uniform shift's estimate is its
+    one score exactly, with stderr 0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if samples < 100:
         raise UndersampledError("at least 100 samples are required")
-    if not partition.measures_sum_to_one(spec):
-        raise ValueError("partition cells do not cover the space")
-    if len(partition.cells) == 1:
-        return EntropyEstimate(
-            value=0.0, block_length=n, sample_count=samples, stderr=0.0,
-            exact=True, method="single-cell",
-        )
-    measure_scored = spec.bernoulli is not None and all(
-        c.kind == "cylinder" for c in partition.cells
-    )
-    if not measure_scored and samples < 100 * 2**n:
-        raise UndersampledError(f"{samples} samples are below the coverage floor 100 * 2^{n}")
-    read = [p for c in partition.cells if c.cylinder is not None for p in c.cylinder.positions]
-    # the cell entered at step j reads position p + j of the start point
-    positions = range(min(read), max(read) + n) if read else range(0)
-    table = _single_position_table(spec, partition)
-    if table is not None:
-        # a symbol the sampler can draw but no cell holds escapes every
-        # cell; one whose step in the cumulative law is 0 is never drawn
-        drawable = np.diff(cumulative_law(spec.bernoulli), prepend=0.0) > 0
-        if np.any(drawable & (table[1] < 0)):
-            raise ValueError("a sample escaped every cell; partition incomplete")
-        score = _symbol_count_scorer(spec.bernoulli, n)
-    elif measure_scored:
-        score = _itinerary_scorer(spec, partition, n)
+    if spec.bernoulli is None:
+        raise ValueError(f"a {spec.kind} system has no symbol law to partition")
+    # index_of refuses a cell on a symbol the law does not have
+    held = {spec.bernoulli.index_of(c.cylinder.constraints[0][1]) for c in partition.cells}
+    drawable = np.diff(cumulative_law(spec.bernoulli), prepend=0.0) > 0
+    for index in np.flatnonzero(drawable):
+        if index not in held:
+            raise ValueError(
+                f"symbol {spec.bernoulli.symbols[index]!r} can be drawn, so a sample "
+                "escaped every cell; partition incomplete"
+            )
+    score = _symbol_count_scorer(spec.bernoulli, n)
+    p = partition.position
     moments = (0, 0.0, 0.0, 0.0)
-    rows = counts = None
-    for batch in sample_chunks(spec, rng, samples, positions):
-        if table is not None:
-            # the cell entered at step j is the cell of the symbol at p + j
-            start = table[0] - batch.anchor
-            moments = _merge_moments(moments, score(batch.sym[:, start : start + n]))
-            continue
-        itineraries = np.empty((len(batch), n), dtype=np.int64)
-        for j in range(n):
-            itineraries[:, j] = partition.cell_index_batch(spec, iterate_batch(batch, j))
-        if np.any(itineraries < 0):
-            raise ValueError("a sample escaped every cell; partition incomplete")
-        if measure_scored:
-            moments = _merge_moments(moments, score(itineraries))
-        else:
-            rows, counts = _merge_counts(rows, counts, itineraries)
-    if measure_scored:
-        count, pivot, mean, m2 = moments
-        return EntropyEstimate(
-            value=pivot + mean, block_length=n, sample_count=count,
-            stderr=math.sqrt(m2 / (count - 1)) / math.sqrt(count), method="measure-scored",
-        )
-    return _frequency_estimate(counts, n)
-
-
-def _single_position_table(spec: SystemSpec, partition: PartitionSpec):
-    """``(p, cell_of)`` when every cell is a one-constraint cylinder at
-    one common position p, else None.  ``cell_of[i]`` is the cell whose
-    symbol has index i in ``spec.bernoulli.symbols``, or -1 where no cell
-    holds that symbol."""
-    if spec.bernoulli is None or any(c.kind != "cylinder" for c in partition.cells):
-        return None
-    constraints = [c.cylinder.constraints for c in partition.cells]
-    if any(len(cons) != 1 or cons[0][0] != constraints[0][0][0] for cons in constraints):
-        return None
-    cell_of = np.full(len(spec.bernoulli.symbols), -1, dtype=np.int64)
-    for idx, ((_, symbol),) in enumerate(constraints):
-        cell_of[spec.bernoulli.index_of(symbol)] = idx
-    return constraints[0][0][0], cell_of
+    for batch in sample_chunks(spec, rng, samples, range(p, p + n)):
+        moments = _merge_moments(moments, score(batch.sym))
+    count, pivot, mean, m2 = moments
+    return EntropyEstimate(
+        value=pivot + mean, block_length=n, sample_count=count,
+        stderr=math.sqrt(m2 / (count - 1)) / math.sqrt(count), method="measure-scored",
+    )
 
 
 def _symbol_count_scorer(bern: BernoulliSpec, n: int):
@@ -441,38 +318,6 @@ def _symbol_count_scorer(bern: BernoulliSpec, n: int):
     return scores
 
 
-def _itinerary_scorer(spec: SystemSpec, partition: PartitionSpec, n: int):
-    """The per-sample score -(1/n) log mu(refined cell) of multi-position
-    cells as a function of an itinerary matrix (one row per sample, one
-    cell index per step), cached per distinct itinerary."""
-    log_p = {s: math.log(p) for s, p in zip(spec.bernoulli.symbols, spec.bernoulli.probs)}
-    log_measures: dict[tuple, float] = {}  # per distinct itinerary
-
-    def log_measure(row: tuple) -> float:
-        # the cell entered at step j constrains position pos of the
-        # j-th image, i.e. position pos + j of the start point
-        refined = CylinderSet().merge(
-            *(partition.cells[c].cylinder.translate(j) for j, c in enumerate(row))
-        )
-        if refined is None:
-            raise AssertionError("observed itinerary has measure zero")
-        # sum count * log p: the measure itself can underflow a double
-        # once n is in the thousands
-        counts = Counter(s for _, s in refined.constraints)
-        return math.fsum(c * log_p[s] for s, c in counts.items())
-
-    def scores(itineraries: np.ndarray) -> np.ndarray:
-        rows, inverse = np.unique(itineraries, axis=0, return_inverse=True)
-        logs = np.empty(len(rows))
-        for r, row in enumerate(map(tuple, rows.tolist())):
-            if row not in log_measures:
-                log_measures[row] = log_measure(row)
-            logs[r] = log_measures[row]
-        return -logs[inverse.reshape(-1)] / n
-
-    return scores
-
-
 def _merge_moments(
     moments: tuple[int, float, float, float], scores: np.ndarray
 ) -> tuple[int, float, float, float]:
@@ -499,38 +344,6 @@ def _merge_moments(
         pivot,
         mean + delta * k / total,
         m2 + chunk_m2 + delta * delta * count * k / total,
-    )
-
-
-def _merge_counts(rows, counts, itineraries: np.ndarray):
-    """Add one chunk's itineraries to the distinct rows seen so far
-    (sorted lexicographically) and their integer counts."""
-    new_rows, new_counts = np.unique(itineraries, axis=0, return_counts=True)
-    if rows is None:
-        return new_rows, new_counts
-    merged, inverse = np.unique(
-        np.concatenate([rows, new_rows]), axis=0, return_inverse=True
-    )
-    totals = np.zeros(len(merged), dtype=np.int64)
-    np.add.at(totals, inverse.reshape(-1), np.concatenate([counts, new_counts]))
-    return merged, totals
-
-
-def _frequency_estimate(counts: np.ndarray, n: int) -> EntropyEstimate:
-    """Plug-in rate from block or itinerary counts in lexicographic order."""
-    samples = int(counts.sum())
-    freq = counts / samples
-    log_f = np.log(freq)
-    h_n = float(-(freq * log_f).sum())
-    var = float((freq * log_f**2).sum() - h_n**2)
-    stderr = math.sqrt(max(var, 0.0) / samples) / n
-    return EntropyEstimate(
-        value=h_n / n,
-        block_length=n,
-        sample_count=samples,
-        stderr=stderr,
-        exact=False,
-        method="frequency",
     )
 
 

@@ -246,8 +246,8 @@ class QuadraticReal:
         """The value as an ``mpmath.mpf`` at ``bits`` of working precision.
 
         Nothing in the package calls it; it is kept for the benchmark's
-        traced span and for mpmath oracles, and imports mpmath when
-        called, so no scenario loads mpmath.
+        traced span and for mpmath oracles, and imports mpmath (from
+        the ``test`` extra) when called, so no scenario loads mpmath.
         """
         import mpmath
 

@@ -67,7 +67,6 @@ __all__ = [
     "TowerLevel",
     "UnsupportedSystemError",
     "U_BAND",
-    "SUPPORT_CAP",
     "ACCEPT_TOL",
     "REJECT_FACTOR",
     "certify_product_tower",
@@ -83,9 +82,6 @@ __all__ = [
 
 #: Fixed u-frequency half-band of the residual search space.
 U_BAND = 4
-
-#: Largest sequence-character support size enumerated in the search space.
-SUPPORT_CAP = 2
 
 ACCEPT_TOL = 1e-6
 REJECT_FACTOR = 0.5
@@ -351,8 +347,8 @@ def _sector_tails(spec: SystemSpec, truncation: int) -> dict[str, np.ndarray]:
     per label sector, one row per coordinate and one column per tail.
 
     For the product system: sequence characters with support in
-    [-N, N] of size at most ``SUPPORT_CAP`` = 2.  The empty support is
-    the constant sector; a support {a} is (a, 0) and {a, b} with a < b is
+    [-N, N] of size at most 2.  The empty support is the constant
+    sector; a support {a} is (a, 0) and {a, b} with a < b is
     (a, b - a), its first position and its shape.  For the skew control:
     the v-frequencies m in [-N, N], as (m,).
     """

@@ -499,6 +499,8 @@ MALFORMED = {
         {"params": {"system": {"kind": "bernoulli", "probs": [0.5, 0.5]},
                     "A": {"kind": "cylinder", "cylinder": 5}}},
     ),
+    "config as a list": (["reproduce-letter"], [1]),
+    "config as a string": (["compute", "weak-mixing"], "x"),
 }
 
 
@@ -511,6 +513,28 @@ def test_malformed_config_shapes_exit_with_an_error(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1 and not out.exists()
     assert err.startswith("error:") and "Traceback" not in err
+
+
+#: One misspelt ``params`` key per compute op; each was ignored, and the
+#: op ran with its default.
+MISSPELT_PARAMS = {
+    "tower": "max_dept",
+    "residual-search": "k",
+    "spectrum": "systems",
+    "entropy": "bernouli",
+    "weak-mixing": "tt",
+}
+
+
+@pytest.mark.parametrize("op", list(MISSPELT_PARAMS))
+def test_params_an_op_does_not_read_are_refused(op, tmp_path, capsys):
+    key = MISSPELT_PARAMS[op]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {key: 50}}))
+    code, out = run(tmp_path, "compute", op, "--config", str(cfg))
+    err = capsys.readouterr().err
+    assert code == 1 and not out.exists()
+    assert err.startswith(f"error: {op} does not read params '{key}'")
 
 
 def test_samples_above_the_symbol_budget_are_refused(tmp_path, capsys):

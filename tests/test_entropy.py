@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import mpmath
@@ -28,7 +27,6 @@ from ergolab import (
     TestSet,
     UndersampledError,
     bernoulli_entropy,
-    block_entropy_rate,
     entropy_classifier,
     exact_block_entropy,
     exact_block_entropy_rate,
@@ -178,50 +176,26 @@ def test_integer_masses_give_the_fraction_oracle_digit_for_digit():
 
 
 # ---------------------------------------------------------------------------
-# stream estimates
-# ---------------------------------------------------------------------------
-
-
-def test_block_entropy_rate_on_a_fair_stream():
-    rng = spawn_rngs(21, 1)[0]
-    stream = rng.integers(0, 2, size=200_000)
-    est = block_entropy_rate(stream, 3)
-    assert abs(est.value - math.log(2)) < 5e-3
-    assert est.stderr > 0 and not est.exact
-
-
-def test_block_entropy_rate_of_a_constant_stream_is_zero():
-    est = block_entropy_rate(np.zeros(10_000, dtype=int), 2)
-    assert est.value == 0.0
-
-
-def test_block_entropy_rate_guards_short_streams():
-    with pytest.raises(UndersampledError):
-        block_entropy_rate(np.zeros(500, dtype=int), 10)
-
-
-# ---------------------------------------------------------------------------
 # partitions
 # ---------------------------------------------------------------------------
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError):
-        PartitionSpec.u_intervals([0, Fraction(1, 2)])  # does not reach 1
-    with pytest.raises(ValueError):
-        PartitionSpec.u_intervals([0, Fraction(2, 3), Fraction(1, 3), 1])
-    # overlapping cylinder cells are rejected
-    with pytest.raises(ValueError):
-        PartitionSpec(
-            cells=(
-                TestSet.from_cylinder(CylinderSet(((0, 1),))),
-                TestSet.from_cylinder(CylinderSet(())),
-            ),
-            labels=("a", "b"),
-        )
+    """Cells at two positions, two cells on one symbol and a u-interval
+    cell are each refused when the partition is built."""
+    def at(position, symbol):
+        return TestSet.from_cylinder(CylinderSet(((position, symbol),)))
+
+    refused = {
+        "same position": (at(0, 0), at(1, 1)),
+        "distinct symbols": (at(0, 1), at(0, 1)),
+        "constraining one position": (at(0, 0), TestSet.u_interval(0, 1)),
+    }
+    for message, cells in refused.items():
+        with pytest.raises(ValueError, match=message):
+            PartitionSpec(cells=cells, labels=("a", "b"))
     part = PartitionSpec.time_zero(FAIR)
-    assert len(part.cells) == 2
-    assert part.measures_sum_to_one(SystemSpec.shift(FAIR))
+    assert len(part.cells) == 2 and part.position == 0
 
 
 def test_refinement_estimate_scores_the_true_measure():
@@ -249,59 +223,24 @@ def test_refinement_estimate_is_unbiased_for_a_biased_coin():
     assert abs(est.value - exact) <= 4 * est.stderr
 
 
-def test_refinement_on_the_rotation_uses_frequencies():
-    """A half-circle partition of the rotation has zero entropy rate in
-    the limit; the frequency estimate at small n stays well below the
-    alphabet ceiling and is nonnegative."""
-    rng = spawn_rngs(24, 1)[0]
-    part = PartitionSpec.u_intervals([0, Fraction(1, 2), 1])
-    est = partition_refine_entropy(SystemSpec.rotation(GAMMA), part, 3, 10_000, rng)
-    assert est.method == "frequency"
-    assert 0.0 <= est.value < math.log(2)
-
-
-def test_single_cell_partition_has_zero_entropy():
-    rot = SystemSpec.rotation(GAMMA)
-    est = partition_refine_entropy(
-        rot, PartitionSpec.single_cell(rot), 4, 1_000, spawn_rngs(25, 1)[0]
-    )
-    assert est.value == 0.0 and est.method == "single-cell"
-
-
 def test_refinement_guards():
     rng = spawn_rngs(26, 1)[0]
-    rot = SystemSpec.rotation(GAMMA)
-    part = PartitionSpec.u_intervals([0, Fraction(1, 2), 1])
-    with pytest.raises(ValueError):
-        partition_refine_entropy(rot, part, 3, 50, rng)  # too few samples
+    shift, part = SystemSpec.shift(FAIR), PartitionSpec.time_zero(FAIR)
     with pytest.raises(UndersampledError):
-        # frequency scoring needs 100 * 2^n samples at the ceiling rate
-        partition_refine_entropy(rot, part, 12, 1_000, rng)
+        partition_refine_entropy(shift, part, 3, 50, rng)  # too few samples
+    with pytest.raises(ValueError, match="no symbol law"):
+        partition_refine_entropy(SystemSpec.rotation(GAMMA), part, 3, 1_000, rng)
+    with pytest.raises(ValueError, match="unknown symbol 'z'"):
+        partition_refine_entropy(shift, _cells_at(0, (1, -1, "z")), 3, 1_000, rng)
 
 
 # ---------------------------------------------------------------------------
 # streamed sampling
 # ---------------------------------------------------------------------------
 
-# two-position cells, so refined cells overlap and the scorer merges
-# constraints row by row
-PAIR_CELLS = PartitionSpec(
-    cells=tuple(
-        TestSet.from_cylinder(CylinderSet(((0, a), (1, b))))
-        for a in (0, 1)
-        for b in (0, 1)
-    ),
-    labels=("00", "01", "10", "11"),
-)
 SCORERS = {
     # name: (system, partition, n)
     "single-position": (SystemSpec.shift(BIASED), PartitionSpec.time_zero(BIASED), 8),
-    "multi-position": (SystemSpec.shift(BIASED), PAIR_CELLS, 4),
-    "frequency": (
-        SystemSpec.rotation(GAMMA),
-        PartitionSpec.u_intervals([0, Fraction(1, 2), 1]),
-        3,
-    ),
 }
 
 
@@ -322,32 +261,18 @@ def test_chunk_boundaries_give_valid_estimates(samples):
     assert fair.value == math.log(2) and fair.stderr == 0.0
 
 
-def _pairs_at_0_and_1(bern: BernoulliSpec) -> PartitionSpec:
-    """One cell per pair of symbols at positions 0 and 1."""
-    pairs = [(a, b) for a in bern.symbols for b in bern.symbols]
-    return PartitionSpec(
-        cells=tuple(TestSet.from_cylinder(CylinderSet(((0, a), (1, b)))) for a, b in pairs),
-        labels=tuple(f"{a}{b}" for a, b in pairs),
-    )
-
-
 @pytest.mark.parametrize("k", [2, 3, 4])
-@pytest.mark.parametrize("cells", ["single-position", "multi-position"])
+@pytest.mark.parametrize("cells", ["single-position"])
 def test_uniform_laws_score_exactly(k, cells):
     """Every itinerary of a uniform law scores the same, so the estimate
     is that score exactly, with stderr 0, even when the last chunk is
     short (123,457 samples end on a chunk of 57,921)."""
     bern = BernoulliSpec((1 / k,) * k, tuple(range(k)))
-    n = 7
-    if cells == "single-position":
-        part, score = PartitionSpec.time_zero(bern), -math.log(1 / k)
-    else:
-        part, score = _pairs_at_0_and_1(bern), -((n + 1) * math.log(1 / k)) / n
     est = partition_refine_entropy(
-        SystemSpec.shift(bern), part, n, 123_457, spawn_rngs(35, 1)[0]
+        SystemSpec.shift(bern), PartitionSpec.time_zero(bern), 7, 123_457, spawn_rngs(35, 1)[0]
     )
     assert est.method == "measure-scored" and est.sample_count == 123_457
-    assert est.value == score and est.stderr == 0.0
+    assert est.value == -math.log(1 / k) and est.stderr == 0.0
 
 
 @pytest.mark.parametrize("scorer", list(SCORERS))
@@ -358,30 +283,21 @@ def test_same_seed_same_estimate(scorer):
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
-    assert runs[0].method == ("frequency" if scorer == "frequency" else "measure-scored")
+    assert runs[0].method == "measure-scored"
 
 
 @pytest.mark.parametrize("scorer", list(SCORERS))
 def test_streamed_scorers_equal_the_one_batch_oracle(scorer, monkeypatch):
     """The chunks' merged state gives the one-batch scorer's result on
-    the concatenated draws: counts exactly, and moments merged by Chan's
-    update to 1e-12 relative (only the order of float sums differs)."""
+    the concatenated draws: moments merged by Chan's update to 1e-12
+    relative (only the order of float sums differs)."""
     spec, part, n = SCORERS[scorer]
     monkeypatch.setattr(systems, "SAMPLE_CHUNK", 1000)
     drawn = []
-
-    def recording(*args, **kwargs):
-        for batch in systems.sample_chunks(*args, **kwargs):
-            drawn.append(entropy_oracle.copied(batch))
-            yield batch
-
-    monkeypatch.setattr(entropy, "sample_chunks", recording)
+    _record(monkeypatch, drawn)
     est = partition_refine_entropy(spec, part, n, 3005, spawn_rngs(34, 1)[0])
     assert [len(b) for b in drawn] == [1000, 1000, 1000, 5]
     itin = entropy_oracle.itineraries(spec, part, entropy_oracle.concatenate(drawn), n)
-    if scorer == "frequency":
-        assert est == entropy_oracle.frequency_scored(itin, n)
-        return
     expected = entropy_oracle.measure_scored(spec, part, itin, n)
     assert (est.sample_count, est.method) == (expected.sample_count, expected.method)
     assert est.value == pytest.approx(expected.value, rel=1e-12)
@@ -422,27 +338,14 @@ TABLE_CASES = {
 }
 
 
-def _record(monkeypatch, drawn: list, scored: list) -> None:
-    """Keep every chunk the estimator draws and every itinerary matrix
-    it scores."""
+def _record(monkeypatch, drawn: list) -> None:
+    """Keep every chunk the estimator draws."""
     def recording(*args, **kwargs):
         for batch in systems.sample_chunks(*args, **kwargs):
             drawn.append(entropy_oracle.copied(batch))
             yield batch
 
-    scorer = entropy._itinerary_scorer
-
-    def recording_scorer(*args):
-        score = scorer(*args)
-
-        def scored_and_kept(itineraries):
-            scored.append(itineraries.copy())
-            return score(itineraries)
-
-        return scored_and_kept
-
     monkeypatch.setattr(entropy, "sample_chunks", recording)
-    monkeypatch.setattr(entropy, "_itinerary_scorer", recording_scorer)
 
 
 @pytest.mark.parametrize("case", list(TABLE_CASES))
@@ -452,8 +355,8 @@ def test_table_scores_equal_the_loop_oracle(case, monkeypatch):
     get the estimate and stderr of the membership loop's itineraries."""
     spec, part, n = TABLE_CASES[case]
     monkeypatch.setattr(systems, "SAMPLE_CHUNK", 1000)
-    drawn, scored = [], []
-    _record(monkeypatch, drawn, scored)
+    drawn = []
+    _record(monkeypatch, drawn)
 
     def no_membership(*args):
         raise AssertionError("the table path tested cell membership")
@@ -462,43 +365,26 @@ def test_table_scores_equal_the_loop_oracle(case, monkeypatch):
     est = partition_refine_entropy(spec, part, n, 2_500, spawn_rngs(36, 1)[0])
     monkeypatch.undo()
     assert [len(b) for b in drawn] == [1000, 1000, 500]
-    assert scored == []
     itin = entropy_oracle.itineraries(spec, part, entropy_oracle.concatenate(drawn), n)
     expected = entropy_oracle.measure_scored(spec, part, itin, n)
     assert est.value == pytest.approx(expected.value, rel=1e-12)
     assert est.stderr == pytest.approx(expected.stderr, rel=1e-12)
 
 
-@pytest.mark.parametrize("path", ["table", "membership"])
-def test_a_sample_outside_every_cell_is_caught(path, monkeypatch):
-    """Cells that miss symbol c fail the cover check.  Past that check,
-    the table path refuses the uncovered symbol before any draw, and the
-    cylinder path raises at the first sample holding c; both say it
-    escaped every cell."""
-    spec = SystemSpec.shift(LAW3)
-    if path == "table":
-        part = _cells_at(0, ("a", "b"))
-    else:
-        part = PartitionSpec(
-            cells=tuple(
-                TestSet.from_cylinder(CylinderSet(cons))
-                for cons in (((0, "a"), (1, "a")), ((0, "a"), (1, "b")), ((0, "b"),))
-            ),
-            labels=("aa", "ab", "b"),
+@pytest.mark.parametrize("path", ["table"])
+def test_a_sample_outside_every_cell_is_caught(path):
+    """Cells that miss symbol c are refused: a sample holding c would
+    escape every cell."""
+    with pytest.raises(ValueError, match="'c' can be drawn, so a sample escaped every cell"):
+        partition_refine_entropy(
+            SystemSpec.shift(LAW3), _cells_at(0, ("a", "b")), 4, 500, spawn_rngs(37, 1)[0]
         )
-    assert (entropy._single_position_table(spec, part) is None) == (path != "table")
-    with pytest.raises(ValueError, match="do not cover"):
-        partition_refine_entropy(spec, part, 4, 500, spawn_rngs(37, 1)[0])
-    monkeypatch.setattr(PartitionSpec, "measures_sum_to_one", lambda self, spec: True)
-    with pytest.raises(ValueError, match="escaped every cell"):
-        partition_refine_entropy(spec, part, 4, 500, spawn_rngs(37, 1)[0])
 
 
 def test_escapes_are_caught_on_the_table_before_sampling(monkeypatch):
     """A drawable symbol that no single-position cell holds raises before
     any draw; a symbol whose step in the sampler's cumulative law is 0 is
     never drawn, so it needs no cell."""
-    monkeypatch.setattr(PartitionSpec, "measures_sum_to_one", lambda self, spec: True)
     monkeypatch.setattr(entropy, "sample_chunks", None)  # any draw fails
     with pytest.raises(ValueError, match="escaped every cell"):
         partition_refine_entropy(
@@ -509,34 +395,12 @@ def test_escapes_are_caught_on_the_table_before_sampling(monkeypatch):
     never_b = BernoulliSpec((0.5, 1e-30, 0.5), ("a", "b", "c"))
     assert list(np.diff(systems.cumulative_law(never_b), prepend=0.0)) == [0.5, 0.0, 0.5]
     drawn = []
-    _record(monkeypatch, drawn, [])
+    _record(monkeypatch, drawn)
     est = partition_refine_entropy(
         SystemSpec.shift(never_b), _cells_at(0, ("c", "a")), 4, 500, spawn_rngs(37, 1)[0]
     )
     assert all(not np.any(b.sym == 1) for b in drawn)
     assert est.value == pytest.approx(math.log(2), rel=1e-12)
-
-
-def test_long_itineraries_score_without_underflow(monkeypatch):
-    """At n = 2500 nearly every refined cell has a measure below the
-    smallest double; its log is summed as count * log p over the cell's
-    symbols, and the estimate agrees with the oracle's sum of logs."""
-    spec = SystemSpec.shift(BernoulliSpec((0.1, 0.9)))
-    part = PartitionSpec(
-        cells=tuple(
-            TestSet.from_cylinder(CylinderSet(cons))
-            for cons in (((0, 1), (1, 1)), ((0, 1), (1, -1)), ((0, -1),))
-        ),
-        labels=("aa", "ab", "b"),
-    )
-    n = 2500
-    drawn, scored = [], []
-    _record(monkeypatch, drawn, scored)
-    est = partition_refine_entropy(spec, part, n, 100, spawn_rngs(38, 1)[0])
-    expected = entropy_oracle.measure_scored(spec, part, np.concatenate(scored), n)
-    assert est.value == pytest.approx(expected.value, rel=1e-12)
-    assert est.stderr == pytest.approx(expected.stderr, rel=1e-12)
-    assert abs(est.value - bernoulli_entropy(spec.bernoulli)) <= 5 * est.stderr
 
 
 def test_streamed_sampling_memory_is_bounded():

@@ -38,7 +38,6 @@ import numpy as np
 from ergolab.koopman import KOOPMAN_TABLE, koopman_step
 from ergolab.systems import RotationNumber, SystemSpec
 from ergolab.tower import (
-    SUPPORT_CAP,
     U_BAND,
     ResidualReport,
     UnsupportedSystemError,
@@ -46,6 +45,10 @@ from ergolab.tower import (
 )
 
 Node = tuple[int, object]  # (u-frequency, tail label)
+
+#: Largest sequence-character support size the oracle enumerates by
+#: default: the size ``tower._sector_tails`` enumerates.
+SUPPORT_CAP = 2
 
 
 def _table_tails(spec: SystemSpec, truncation: int) -> list[tuple]:
