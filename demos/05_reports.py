@@ -65,8 +65,7 @@ def show_reports(out: pathlib.Path) -> None:
     print("--- theorem1 ---")
     print(f"  {groups['gamma_a']}  vs  {groups['gamma_b']}")
     print(f"  verdict: {groups['verdict']} ({groups['detail']})")
-    print(f"  conjugacy: {conj['map']}, residual {conj['max_residual']:.2e} "
-          f"over {conj['points']} points")
+    print(f"  conjugacy: {conj['map']}, from the exact relation {groups['relation']}")
     print()
 
     # determinism: the same invocation produces byte-identical reports

@@ -12,7 +12,14 @@ contract: 0 success, 2 inconclusive evidence, 1 error.
 Config building and validation need only the standard library, the
 angles and the system specs: the packaged JSON schemas are enforced by a
 small interpreter of the keywords they use (``SchemaViolation`` carries
-the path and message jsonschema's best match would).  Each runner
+the path and message jsonschema's best match would).  Each input has one
+schema: the config schema's ``$defs`` hold the angle, law, system,
+cylinder and test set, and one ``<op>-params`` entry per compute op.  So
+an unknown key is refused at every level with its path, and an integral
+float is an integer everywhere.  The ``from_json`` readers trust the
+validated shape; the domain constructors keep the rules a schema does
+not state, such as which fields a kind takes, and a refusal of theirs
+names the input's path too.  Each runner
 imports the toolkits it computes with when it runs, so ``compute
 weak-mixing`` loads neither numpy nor the tower.
 """
@@ -28,10 +35,9 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import __version__
 from .quadratic import SQRT2_MINUS_1
@@ -39,12 +45,8 @@ from .systems import (
     BernoulliSpec,
     CylinderSet,
     InconclusiveEvidenceError,
-    SampleBatch,
     SystemSpec,
 )
-
-if TYPE_CHECKING:
-    from .mixing import TestSet
 
 __all__ = [
     "ExperimentConfig",
@@ -133,9 +135,23 @@ class SchemaViolation(ValueError):
         super().__init__(f"invalid {what} at {where}: {message}")
 
 
-def _check_keywords(schema: dict) -> None:
+def _resolve(root: dict, ref: str):
+    """The subschema a local ``#/$defs/...`` JSON pointer names, or None."""
+    if not ref.startswith("#/$defs/"):
+        return None
+    node = root
+    for part in ref[2:].split("/"):
+        node = node.get(part) if isinstance(node, dict) else None
+    return node
+
+
+def _check_keywords(schema: dict, root: Optional[dict] = None) -> None:
     """Refuse a schema using any keyword, or keyword form, that
-    ``_schema_errors`` does not enforce, so no constraint goes unchecked."""
+    ``_schema_errors`` does not enforce, so no constraint goes unchecked.
+    A ``$ref`` must stand alone (beside annotations) and name a subschema
+    under the root's ``$defs``, so each instance path is still reached
+    through one subschema."""
+    root = schema if root is None else root
     for key, value in schema.items():
         if key in _SCHEMA_NOTES:
             continue
@@ -148,22 +164,32 @@ def _check_keywords(schema: dict) -> None:
             known = _JSON_TYPES["number"](value)
         elif key == "additionalProperties":
             known = value is False
-        elif key in ("properties", "items"):
-            subschemas = list(value.values()) if key == "properties" else [value]
+        elif key == "$ref":
+            known = isinstance(_resolve(root, value), dict) and set(schema) <= {key, *_SCHEMA_NOTES}
+        elif key in ("properties", "$defs"):
+            subschemas = list(value.values())
             known = all(isinstance(sub, dict) for sub in subschemas)
+        elif key in ("items", "prefixItems"):
+            subschemas = [value] if key == "items" else value
+            known = (all(isinstance(sub, dict) for sub in subschemas)
+                     and not (key == "items" and "prefixItems" in schema))
         else:
-            known = key == "required"
+            known = key in ("required", "minItems", "maxItems")
         if not known:
             raise NotImplementedError(f"schema keyword {key!r}: {value!r} is not enforced")
         for sub in subschemas:
-            _check_keywords(sub)
+            _check_keywords(sub, root)
 
 
-def _schema_errors(schema: dict, instance, path: tuple = ()):
+def _schema_errors(schema: dict, instance, path: tuple = (), root: Optional[dict] = None):
     """Yield (path, message) for each violation, in jsonschema's order:
-    the schema's keyword order, depth first, with its messages."""
+    the schema's keyword order, depth first, with its messages.  ``$ref``
+    pointers resolve in ``root``, the schema itself by default."""
+    root = schema if root is None else root
     for key, value in schema.items():
-        if key == "type":
+        if key == "$ref":
+            yield from _schema_errors(_resolve(root, value), instance, path, root)
+        elif key == "type":
             types = [value] if isinstance(value, str) else value
             if not any(_JSON_TYPES[t](instance) for t in types):
                 yield path, f"{instance!r} is not of type {', '.join(map(repr, types))}"
@@ -175,15 +201,23 @@ def _schema_errors(schema: dict, instance, path: tuple = ()):
         elif key == "minimum":
             if _JSON_TYPES["number"](instance) and instance < value:
                 yield path, f"{instance!r} is less than the minimum of {value!r}"
-        elif key == "items" and isinstance(instance, list):
-            for index, item in enumerate(instance):
-                yield from _schema_errors(value, item, (*path, index))
-        elif not isinstance(instance, dict):
+        elif not isinstance(instance, (list, dict)):
             continue
+        elif isinstance(instance, list):
+            if key == "items":
+                for index, item in enumerate(instance):
+                    yield from _schema_errors(value, item, (*path, index), root)
+            elif key == "prefixItems":
+                for index, (item, sub) in enumerate(zip(instance, value)):
+                    yield from _schema_errors(sub, item, (*path, index), root)
+            elif key == "minItems" and len(instance) < value:
+                yield path, f"{instance!r} {'should be non-empty' if value == 1 else 'is too short'}"
+            elif key == "maxItems" and len(instance) > value:
+                yield path, f"{instance!r} {'is expected to be empty' if value == 0 else 'is too long'}"
         elif key == "properties":
             for name, subschema in value.items():
                 if name in instance:
-                    yield from _schema_errors(subschema, instance[name], (*path, name))
+                    yield from _schema_errors(subschema, instance[name], (*path, name), root)
         elif key == "required":
             for name in value:
                 if name not in instance:
@@ -206,21 +240,38 @@ def _schema(name: str) -> dict:
     return schema
 
 
-def _validate(name: str, what: str, data) -> None:
-    """Raise jsonschema's best match: of all violations, the one at the
-    shortest path, then the largest path among siblings, then the first.
-    Its other tie-breaks (anyOf and oneOf rank low, as do errors of a
-    subschema whose type the instance has) cannot split two errors of one
-    subschema at one path, and the packaged schemas, having no anyOf or
-    oneOf, reach each path through one subschema."""
-    best = max(_schema_errors(_schema(name), data),
-               key=lambda error: (-len(error[0]), error[0]), default=None)
+def _validate(name: str, what: str, data, ref: str = "", path: tuple = ()) -> None:
+    """Raise jsonschema's best match for ``data`` at ``path`` against the
+    packaged schema ``name``, or against its subschema ``ref``: of all
+    violations, the one at the shortest path, then the largest path among
+    siblings, then the first.  Its other tie-breaks (anyOf and oneOf rank
+    low, as do errors of a subschema whose type the instance has) cannot
+    split two errors of one subschema at one path, and the packaged
+    schemas, having no anyOf or oneOf and no ``$ref`` beside another
+    keyword, reach each path through one subschema."""
+    root = _schema(name)
+    errors = _schema_errors({"$ref": ref} if ref else root, data, path, root)
+    best = max(errors, key=lambda error: (-len(error[0]), error[0]), default=None)
     if best is not None:
         raise SchemaViolation(what, *best)
 
 
 def _validate_config(data: dict) -> None:
     _validate("config.schema.json", "configuration", data)
+
+
+def _validate_params(op: str, params: dict) -> None:
+    """Check a compute op's params against its ``<op>-params`` entry."""
+    _validate("config.schema.json", "configuration", params, f"#/$defs/{op}-params", ("params",))
+
+
+def _read(reader, data, where: str):
+    """``reader(data)``, for schema-validated ``data`` at ``where`` in the
+    config; a refusal by the domain constructors names ``where``."""
+    try:
+        return reader(data)
+    except ValueError as exc:
+        raise ValueError(f"invalid configuration at {where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -263,7 +314,7 @@ class ExperimentConfig:
         return cls(**{**data, "systems": tuple(data.get("systems", ()))})
 
     def system_specs(self) -> list[SystemSpec]:
-        return [SystemSpec.from_json(s) for s in self.systems]
+        return [_read(SystemSpec.from_json, s, f"systems/{i}") for i, s in enumerate(self.systems)]
 
 
 @dataclass
@@ -586,17 +637,15 @@ def run_reproduce_kolmogorov(config: ExperimentConfig) -> ExperimentReport:
 
 def run_theorem1_check(config: ExperimentConfig) -> ExperimentReport:
     """Classify two circle rotations: equal proper-value groups mean
-    isomorphic (with the witnessing conjugacy verified pointwise),
-    unequal groups mean not even spectrally isomorphic.
+    isomorphic, with the witnessing conjugacy, unequal groups mean not
+    even spectrally isomorphic.
 
-    The groups are compared exactly; when they are equal, the relation
-    ``gamma_b = a*gamma_a (mod 1)`` with a = 1 or -1 names the conjugacy,
-    the identity or the reflection.
+    The groups are compared exactly, and they are equal only when
+    ``gamma_b = a*gamma_a (mod 1)`` with a = 1 or -1.  That relation,
+    decided exactly, is the conjugacy's evidence: c(u) = a*u carries
+    u + gamma_a to c(u) + gamma_b, so c is the identity or the reflection.
     """
-    import numpy as np
-
     from .koopman import point_spectrum_groups_equal
-    from .systems import iterate_batch, sample_batch, spawn_rngs
 
     specs = config.system_specs()
     if len(specs) != 2 or any(s.kind != "rotation" for s in specs):
@@ -615,33 +664,13 @@ def run_theorem1_check(config: ExperimentConfig) -> ExperimentReport:
     }
 
     if cmp.equal:
-        # the groups coincide only for gamma_b = gamma_a or 1 - gamma_a;
-        # the witnessing map c is the identity or the reflection c(u) = -u,
-        # checked as c(S_a x) = S_b(c(x)) on a sample of the rotation
-        if cmp.relation[0] == 1:
-            conjugacy, c = "identity", lambda u: u
-        else:
-            conjugacy, c = "reflection c(u) = -u mod 1", lambda u: (-u) % 1.0
-        x = sample_batch(spec_a, spawn_rngs(config.seed, 1)[0], 10_000)
-        lhs = c(iterate_batch(x, 1).u)
-        rhs = iterate_batch(SampleBatch(spec=spec_b, u=c(x.u)), 1).u
-        distance = np.abs(lhs - rhs) % 1.0  # mod-1 distance to 0
-        residual = float(np.max(np.minimum(distance, 1.0 - distance)))
-        results["conjugacy"] = {
-            "map": conjugacy,
-            "points": len(x),
-            "max_residual": residual,
-        }
-        statement = (
-            "spacially isomorphic (equal proper-value groups, conjugacy verified)"
-        )
-        if residual > 1e-12:
-            raise InconclusiveEvidenceError(
-                f"conjugacy residual {residual:.3e} exceeds 1e-12", partial=results
-            )
+        conjugacy = "identity" if cmp.relation[0] == 1 else "reflection c(u) = -u mod 1"
+        results["conjugacy"] = {"map": conjugacy}
         verdicts.append(
             {
-                "statement": statement,
+                "statement": (
+                    "spacially isomorphic (equal proper-value groups, conjugacy verified)"
+                ),
                 "provenance": "exact",
                 "evidence": {**results["groups"], **results["conjugacy"]},
             }
@@ -671,18 +700,18 @@ def run_theorem1_check(config: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _param_system(config: ExperimentConfig, default: SystemSpec) -> SystemSpec:
-    data = config.params.get("system")
-    return default if data is None else SystemSpec.from_json(data)
+def _param(config: ExperimentConfig, key: str, reader, default):
+    """``params[key]`` read by ``reader``, or ``default`` when it is absent."""
+    if key not in config.params:
+        return default
+    return _read(reader, config.params[key], f"params/{key}")
 
 
 def _compute_tower(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     from .tower import compute_tower, stabilization_depth
 
-    spec = _param_system(config, SystemSpec.skew(SQRT2_MINUS_1))
-    depth = config.params.get("max_depth", 4)
-    if isinstance(depth, bool) or not isinstance(depth, int):
-        raise ValueError(f"tower max_depth must be an integer, got {depth!r:.60}")
+    spec = _param(config, "system", SystemSpec.from_json, SystemSpec.skew(SQRT2_MINUS_1))
+    depth = int(config.params.get("max_depth", 4))
     if depth > MAX_TOWER_DEPTH:
         raise ValueError(
             f"tower max_depth {depth} is over the budget of {MAX_TOWER_DEPTH} "
@@ -705,12 +734,9 @@ def _compute_tower(config: ExperimentConfig) -> tuple[dict, list[dict]]:
 def _compute_residual(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     from .tower import residual_census, residual_reference
 
-    spec = _param_system(
-        config, SystemSpec.product(SQRT2_MINUS_1, BernoulliSpec.fair_coin())
-    )
-    ks = config.params.get("ks", [0, 1, -1, 2, -2])
-    if not isinstance(ks, list) or any(isinstance(k, bool) or not isinstance(k, int) for k in ks):
-        raise ValueError(f"residual-search ks must be a list of integers, got {ks!r:.60}")
+    spec = _param(config, "system", SystemSpec.from_json,
+                  SystemSpec.product(SQRT2_MINUS_1, BernoulliSpec.fair_coin()))
+    ks = [int(k) for k in config.params.get("ks", [0, 1, -1, 2, -2])]
     for k in ks:
         # the census shifts its int64 rows by k; any |k| > 2 U_BAND
         # already takes every image out of the band
@@ -734,7 +760,7 @@ def _compute_spectrum(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     from .koopman import spectrum_of
     from .mixing import spectral_weak_mixing_check
 
-    spec = _param_system(config, SystemSpec.skew(SQRT2_MINUS_1))
+    spec = _param(config, "system", SystemSpec.from_json, SystemSpec.skew(SQRT2_MINUS_1))
     desc = spectrum_of(spec)
     results = {"descriptor": desc.to_json(), "weak_mixing": spectral_weak_mixing_check(desc)}
     return results, [
@@ -749,8 +775,7 @@ def _compute_spectrum(config: ExperimentConfig) -> tuple[dict, list[dict]]:
 def _compute_entropy(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     from .entropy import bernoulli_entropy
 
-    data = config.params.get("bernoulli")
-    bern = BernoulliSpec.fair_coin() if data is None else BernoulliSpec.from_json(data)
+    bern = _param(config, "bernoulli", BernoulliSpec.from_json, BernoulliSpec.fair_coin())
     value = bernoulli_entropy(bern)
     results = {"entropy_nats": value}
     if config.bits:
@@ -767,17 +792,14 @@ def _compute_entropy(config: ExperimentConfig) -> tuple[dict, list[dict]]:
 def _compute_weak_mixing(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     from .mixing import TestSet, weak_mixing_statistic, weak_mixing_verdict
 
-    spec = _param_system(config, SystemSpec.skew(SQRT2_MINUS_1))
-    if "A" in config.params:
-        A = _test_set_from(config.params["A"])
-    elif spec.kind == "bernoulli":
+    spec = _param(config, "system", SystemSpec.from_json, SystemSpec.skew(SQRT2_MINUS_1))
+    if spec.kind == "bernoulli":
         A = TestSet.from_cylinder(CylinderSet(((0, spec.bernoulli.symbols[0]),)))
     else:
         A = TestSet.u_interval(0, "1/2")
-    B = A if "B" not in config.params else _test_set_from(config.params["B"])
-    t = config.params.get("t", 10_000)
-    if isinstance(t, bool) or not isinstance(t, int):
-        raise ValueError(f"weak-mixing t must be an integer lag count, got {t!r}")
+    A = _param(config, "A", TestSet.from_json, A)
+    B = _param(config, "B", TestSet.from_json, A)
+    t = int(config.params.get("t", 10_000))
     digits = len(str(abs(t)))
     if digits > MAX_WEAK_MIXING_DIGITS:
         seconds = 3 * (digits / MAX_WEAK_MIXING_DIGITS) ** 3
@@ -803,60 +825,26 @@ def _compute_weak_mixing(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     ]
 
 
-def _json_fraction(x, what: str) -> Fraction:
-    """x, a finite number or a fraction string such as "1/3", as an exact
-    Fraction; ValueError naming ``what`` otherwise."""
-    try:
-        if not isinstance(x, bool):
-            return Fraction(x)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        pass
-    raise ValueError(f"{what} must be a finite number or fraction string, got {x!r:.60}")
-
-
-def _test_set_from(data: dict) -> TestSet:
-    """A u-interval ``{"kind": "u-interval", "a": ..., "b": ...}`` (ends
-    as numbers or fraction strings) or a cylinder ``{"kind": "cylinder",
-    "cylinder": [[position, symbol], ...]}``; ValueError on any other
-    shape."""
-    from .mixing import TestSet
-
-    kind = data.get("kind") if isinstance(data, dict) else None
-    if kind == "u-interval":
-        a, b = (_json_fraction(data.get(e), f"u-interval end {e}") for e in "ab")
-        return TestSet.u_interval(a, b)
-    if kind == "cylinder" and "cylinder" in data:
-        return TestSet.from_cylinder(CylinderSet.from_json(data["cylinder"]))
-    raise ValueError(
-        "a test set must be a u-interval with ends a and b or a cylinder, "
-        f"got {data!r:.80}"
-    )
-
-
-#: Each op's runner and the ``params`` keys it reads.
+#: Each op's runner; its params are checked against the config schema's
+#: ``$defs`` entry ``<op>-params``.
 COMPUTE_OPS = {
-    "tower": (_compute_tower, {"system", "max_depth"}),
-    "residual-search": (_compute_residual, {"system", "ks"}),
-    "spectrum": (_compute_spectrum, {"system"}),
-    "entropy": (_compute_entropy, {"bernoulli"}),
-    "weak-mixing": (_compute_weak_mixing, {"system", "A", "B", "t"}),
+    "tower": _compute_tower,
+    "residual-search": _compute_residual,
+    "spectrum": _compute_spectrum,
+    "entropy": _compute_entropy,
+    "weak-mixing": _compute_weak_mixing,
 }
 
 
 def run_compute(config: ExperimentConfig) -> ExperimentReport:
-    """Free-form mode: run one named operation with config parameters."""
+    """Free-form mode: run one named operation with config parameters,
+    which its params schema has checked."""
     if config.op not in COMPUTE_OPS:
         raise ValueError(
             f"unknown op {config.op!r}; available: {', '.join(sorted(COMPUTE_OPS))}"
         )
-    runner, keys = COMPUTE_OPS[config.op]
-    unread = sorted(config.params.keys() - keys)
-    if unread:
-        raise ValueError(
-            f"{config.op} does not read params {', '.join(map(repr, unread))}; "
-            f"it reads {', '.join(sorted(keys))}"
-        )
-    results, verdicts = runner(config)
+    _validate_params(config.op, config.params)
+    results, verdicts = COMPUTE_OPS[config.op](config)
     report = ExperimentReport(
         scenario="compute",
         config=config,
@@ -998,14 +986,9 @@ def _theorem1_csvs(report: ExperimentReport, out: Path) -> list[Path]:
         groups.get("gamma_b"),
         groups.get("verdict"),
         conj.get("map", ""),
-        repr(conj["max_residual"]) if conj else "",
     ]
     path = out / "comparison.csv"
-    _write_csv(
-        path,
-        ["gamma_a", "gamma_b", "verdict", "conjugacy", "max_residual"],
-        [row],
-    )
+    _write_csv(path, ["gamma_a", "gamma_b", "verdict", "conjugacy"], [row])
     return [path]
 
 

@@ -52,8 +52,23 @@ class NoClosedFormError(ValueError):
 
 
 def _as_fraction(x) -> Fraction:
-    # floats convert exactly (binary rationals), so 0.5 stays 1/2
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x, a finite number or a fraction string such as "1/3", exactly
+    (floats are binary rationals, so 0.5 stays 1/2); ValueError otherwise."""
+    try:
+        return x if isinstance(x, Fraction) else Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(
+            f"a test-set end must be a finite number or fraction string, got {x!r:.60}"
+        ) from None
+
+
+#: The fields each test-set kind takes; it takes none of the others.
+_TEST_SET_FIELDS = {
+    "u-interval": ("a", "b"),
+    "rectangle": ("a", "b", "c", "d"),
+    "cylinder": ("cylinder",),
+    "product": ("a", "b", "cylinder"),
+}
 
 
 @dataclass(frozen=True)
@@ -76,15 +91,18 @@ class TestSet:
     cylinder: Optional[CylinderSet] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("u-interval", "rectangle", "cylinder", "product"):
+        if self.kind not in _TEST_SET_FIELDS:
             raise ValueError(f"unknown test-set kind {self.kind!r}")
-        if self.kind in ("u-interval", "rectangle", "product"):
-            if not (0 <= self.a < self.b <= 1):
-                raise ValueError("u-interval bounds must satisfy 0 <= a < b <= 1")
-        if self.kind == "rectangle" and not (0 <= self.c < self.d <= 1):
+        for name in ("a", "b", "c", "d", "cylinder"):
+            given = getattr(self, name) is not None
+            if given != (name in _TEST_SET_FIELDS[self.kind]):
+                raise ValueError(
+                    f"a {self.kind} test set {'takes no' if given else 'needs'} {name!r}"
+                )
+        if self.a is not None and not (0 <= self.a < self.b <= 1):
+            raise ValueError("u-interval bounds must satisfy 0 <= a < b <= 1")
+        if self.c is not None and not (0 <= self.c < self.d <= 1):
             raise ValueError("v-interval bounds must satisfy 0 <= c < d <= 1")
-        if self.kind in ("cylinder", "product") and self.cylinder is None:
-            raise ValueError(f"{self.kind} test set needs a cylinder")
 
     # -- constructors ------------------------------------------------------
 
@@ -111,6 +129,16 @@ class TestSet:
         return cls(
             kind="product", a=_as_fraction(a), b=_as_fraction(b), cylinder=cylinder
         )
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "TestSet":
+        """Read a test set the config schema has validated: ends ``a`` and
+        ``b`` as numbers or fraction strings, a cylinder as ``[position,
+        symbol]`` pairs.  The constructor refuses a field the kind does
+        not take."""
+        ends = {e: _as_fraction(obj[e]) for e in "ab" if e in obj}
+        cylinder = CylinderSet.from_json(obj["cylinder"]) if "cylinder" in obj else None
+        return cls(kind=obj["kind"], cylinder=cylinder, **ends)
 
     # -- measure -----------------------------------------------------------
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from .quadratic import RotationNumber, _json_int
+from .quadratic import RotationNumber
 
 if TYPE_CHECKING:
     import numpy as np
@@ -83,6 +83,11 @@ class InconclusiveEvidenceError(RuntimeError):
         self.partial = partial
 
 
+def _json_symbol(symbol):
+    """A JSON symbol: a string, or an integer (an integral float too)."""
+    return symbol if isinstance(symbol, str) else int(symbol)
+
+
 @dataclass(frozen=True)
 class BernoulliSpec:
     """Finite probability vector with symbol labels.
@@ -128,21 +133,11 @@ class BernoulliSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BernoulliSpec":
-        """Read ``{"probs": [numbers], "symbols": [ints or strings]}``,
-        symbols optional; ValueError on any other shape."""
-        probs = obj.get("probs") if isinstance(obj, dict) else None
-        symbols = obj.get("symbols", list(DEFAULT_SYMBOLS)) if isinstance(obj, dict) else None
-        if not (
-            isinstance(probs, list)
-            and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in probs)
-            and isinstance(symbols, list)
-            and all(isinstance(s, (int, str)) for s in symbols)
-        ):
-            raise ValueError(
-                'a Bernoulli law must be {"probs": [numbers], "symbols": '
-                f"[ints or strings]}}, got {obj!r:.80}"
-            )
-        return cls(tuple(probs), tuple(symbols))
+        """Read a law the config schema has validated,
+        ``{"probs": [numbers], "symbols": [ints or strings]}`` with
+        symbols optional; the constructor checks the probabilities."""
+        symbols = obj.get("symbols", DEFAULT_SYMBOLS)
+        return cls(tuple(obj.get("probs", ())), tuple(map(_json_symbol, symbols)))
 
 
 @dataclass(frozen=True)
@@ -201,15 +196,9 @@ class CylinderSet:
 
     @classmethod
     def from_json(cls, obj: list) -> "CylinderSet":
-        """Read a list of ``[position, symbol]`` pairs; ValueError on any
-        other shape."""
-        if not isinstance(obj, list) or not all(
-            isinstance(c, list) and len(c) == 2 and isinstance(c[1], (int, str)) for c in obj
-        ):
-            raise ValueError(
-                f"a cylinder must be a list of [position, symbol] pairs, got {obj!r:.80}"
-            )
-        return cls(tuple((_json_int(p, "a cylinder position"), s) for p, s in obj))
+        """Read a list of ``[position, symbol]`` pairs the config schema
+        has validated."""
+        return cls(tuple((int(p), _json_symbol(s)) for p, s in obj))
 
 
 @dataclass(frozen=True)
@@ -267,17 +256,12 @@ class SystemSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SystemSpec":
-        """Read ``{"kind": ..., "gamma": ..., "probs": ..., "symbols": ...}``
-        with the keys its kind needs; ValueError naming any other key."""
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ValueError(f"a system must be an object with a kind, got {obj!r:.80}")
-        extra = sorted(obj.keys() - {"kind", "gamma", "probs", "symbols"})
-        if extra:
-            raise ValueError(f"a system takes no key {extra[0]!r:.40}")
-        kind = obj["kind"]
+        """Read ``{"kind": ..., "gamma": ..., "probs": ..., "symbols": ...}``,
+        which the config schema has validated; the constructor refuses a
+        field the kind does not take."""
         gamma = RotationNumber.from_json(obj["gamma"]) if "gamma" in obj else None
         bern = BernoulliSpec.from_json(obj) if obj.keys() & {"probs", "symbols"} else None
-        return cls(kind, gamma=gamma, bernoulli=bern)
+        return cls(obj["kind"], gamma=gamma, bernoulli=bern)
 
     def label(self) -> str:
         parts = [self.kind]

@@ -414,7 +414,9 @@ def test_tower_depth_that_is_not_an_integer_is_refused(depth, tmp_path, capsys):
     cfg.write_text(json.dumps({"params": {"max_depth": depth}}))
     code, out = run(tmp_path, "compute", "tower", "--config", str(cfg))
     assert code == 1 and not out.exists()
-    assert "error: tower max_depth must be an integer, got" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: invalid configuration at params/max_depth: {depth!r} is not of type 'integer'\n"
+    )
 
 
 def test_tower_depth_above_the_level_budget_is_refused(tmp_path, capsys, monkeypatch):
@@ -440,7 +442,11 @@ def test_residual_search_ks_that_are_not_integers_are_refused(ks, tmp_path, caps
     cfg.write_text(json.dumps({"params": {"ks": ks}}))
     code, out = run(tmp_path, "compute", "residual-search", "--config", str(cfg))
     assert code == 1 and not out.exists()
-    assert "error: residual-search ks must be a list of integers, got" in capsys.readouterr().err
+    where, value, kind = ("params/ks/0", ks[0], "integer") if isinstance(ks, list) \
+        else ("params/ks", ks, "array")
+    assert capsys.readouterr().err == (
+        f"error: invalid configuration at {where}: {value!r} is not of type '{kind}'\n"
+    )
 
 
 @pytest.mark.parametrize("k", [10**22, 2**62, -(2**62)])
@@ -534,7 +540,10 @@ def test_params_an_op_does_not_read_are_refused(op, tmp_path, capsys):
     code, out = run(tmp_path, "compute", op, "--config", str(cfg))
     err = capsys.readouterr().err
     assert code == 1 and not out.exists()
-    assert err.startswith(f"error: {op} does not read params '{key}'")
+    assert err == (
+        "error: invalid configuration at params: "
+        f"Additional properties are not allowed ({key!r} was unexpected)\n"
+    )
 
 
 def test_samples_above_the_symbol_budget_are_refused(tmp_path, capsys):
@@ -783,38 +792,107 @@ def test_decimal_angles_are_refused_by_every_run(name, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-#: Objects with a key their parser does not read: (argv, config, key).
+BERNOULLI = {"kind": "bernoulli", "probs": [0.5, 0.5]}
+#: Objects with a key their kind or schema does not take: (argv, config,
+#: key, the path of the object holding it).
 UNKNOWN_KEYS = {
     "misspelt probs in a rotation": (
         ["compute", "weak-mixing"],
         {"params": {"system": {"kind": "rotation", "gamma": {"quadratic": [-1, 1, 2, 1]},
                                "symbols": [1, 2], "probz": [0.5]}}},
-        "probz",
+        "probz", "params/system",
+    ),
+    "misspelt kind in a system": (
+        ["compute", "spectrum"],
+        {"params": {"system": {"knd": "rotation", "gamma": {"quadratic": [-1, 1, 2, 1]}}}},
+        "knd", "params/system",
     ),
     "decimal beside quadratic": (
         ["compute", "spectrum"],
         {"params": {"system": {"kind": "rotation", "gamma": {
             "quadratic": [-1, 1, 2, 1], "decimal": {"digits": "0.5"}}}}},
-        "decimal",
+        "decimal", "params/system/gamma",
     ),
     "unknown key in a scenario system": (
         ["reproduce-kolmogorov"],
         {"systems": [{"kind": "bernoulli", "probs": [0.5, 0.5], "seed": 3},
                      {"kind": "bernoulli", "probs": [0.25, 0.25, 0.25, 0.25]}]},
-        "seed",
+        "seed", "systems/0",
+    ),
+    "misspelt symbols in an entropy law": (
+        ["compute", "entropy"],
+        {"params": {"bernoulli": {"probs": [0.5, 0.5], "symbolz": [3, 4]}}},
+        "symbolz", "params/bernoulli",
+    ),
+    "c in a u-interval": (
+        ["compute", "weak-mixing"],
+        {"params": {"A": {"kind": "u-interval", "a": 0, "b": "1/2", "c": 7}}},
+        "c", "params/A",
+    ),
+    "a in a cylinder test set": (
+        ["compute", "weak-mixing"],
+        {"params": {"system": BERNOULLI, "A": {"kind": "cylinder", "cylinder": [[0, 1]], "a": 0}}},
+        "a", "params/A",
+    ),
+    "cylinder in a u-interval": (
+        ["compute", "weak-mixing"],
+        {"params": {"system": BERNOULLI,
+                    "B": {"kind": "u-interval", "a": 0, "b": "1/2", "cylinder": [[0, 1]]}}},
+        "cylinder", "params/B",
     ),
 }
 
 
 @pytest.mark.parametrize("name", list(UNKNOWN_KEYS))
 def test_unknown_keys_in_systems_and_angles_are_refused(name, tmp_path, capsys):
-    argv, config, key = UNKNOWN_KEYS[name]
+    argv, config, key, where = UNKNOWN_KEYS[name]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     code, out = run(tmp_path, *argv, "--config", str(cfg))
     err = capsys.readouterr().err
     assert code == 1 and not out.exists()
-    assert err.startswith("error:") and "Traceback" not in err and repr(key) in err
+    assert err.startswith(f"error: invalid configuration at {where}: ") and repr(key) in err
+    assert "Traceback" not in err
+
+
+#: Cylinder entries that are not [position, symbol] pairs: (entry, the
+#: path below the cylinder, message).
+MALFORMED_CYLINDER_ENTRIES = {
+    "one field": ([0], "0", "[0] is too short"),
+    "three fields": ([0, 1, 2], "0", "[0, 1, 2] is too long"),
+    "a string position": (["a", 1], "0/0", "'a' is not of type 'integer'"),
+    "a fractional symbol": ([0, 1.5], "0/1", "1.5 is not of type 'integer', 'string'"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_CYLINDER_ENTRIES))
+def test_malformed_cylinder_entries_are_refused_with_their_path(name, tmp_path, capsys):
+    entry, below, message = MALFORMED_CYLINDER_ENTRIES[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"params": {"system": BERNOULLI, "A": {"kind": "cylinder", "cylinder": [entry]}}}
+    ))
+    code, out = run(tmp_path, "compute", "weak-mixing", "--config", str(cfg))
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: invalid configuration at params/A/cylinder/{below}: {message}\n"
+    )
+
+
+@pytest.mark.parametrize("op, key, value", [("tower", "max_depth", 4),
+                                            ("weak-mixing", "t", 50)])
+def test_integral_float_params_run_as_integers(op, key, value, tmp_path):
+    """An integral float means its integer in params as at the top level."""
+    reports = []
+    for given in (value, float(value)):
+        cfg = tmp_path / f"{given!r}.json"
+        cfg.write_text(json.dumps({"params": {key: given}}))
+        code, out = run(tmp_path / repr(given), "compute", op, "--config", str(cfg))
+        assert code == 0
+        reports.append(read_report(out))
+    assert [(r["results"], r["verdicts"]) for r in reports] == [
+        (reports[0]["results"], reports[0]["verdicts"])
+    ] * 2
 
 
 def test_radicands_over_the_budget_are_refused_with_the_cost(tmp_path, capsys):
@@ -880,7 +958,9 @@ def test_weak_mixing_refuses_a_non_integer_t(t, tmp_path, capsys):
     code, out = run(tmp_path, "compute", "weak-mixing",
                     "--config", _weak_mixing_config(tmp_path, t))
     assert code == 1
-    assert "error: weak-mixing t must be an integer" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: invalid configuration at params/t: {t!r} is not of type 'integer'\n"
+    )
     assert not out.exists()
 
 

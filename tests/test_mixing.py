@@ -132,6 +132,24 @@ def test_exact_measures():
     ) == Fraction(1, 4)
 
 
+def test_a_test_set_takes_only_its_kinds_fields():
+    """As a system spec refuses a field its kind does not take, so does a
+    test set, and it names the field."""
+    half, cyl = Fraction(1, 2), CylinderSet(((0, 1),))
+    with pytest.raises(ValueError, match="^a u-interval test set takes no 'cylinder'$"):
+        TestSet(kind="u-interval", a=Fraction(0), b=half, cylinder=cyl)
+    with pytest.raises(ValueError, match="^a cylinder test set takes no 'a'$"):
+        TestSet(kind="cylinder", a=Fraction(0), cylinder=cyl)
+    with pytest.raises(ValueError, match="^a u-interval test set needs 'b'$"):
+        TestSet(kind="u-interval", a=Fraction(0))
+    with pytest.raises(ValueError, match="^a product test set needs 'cylinder'$"):
+        TestSet(kind="product", a=Fraction(0), b=half)
+    assert TestSet.from_json({"kind": "u-interval", "a": 0, "b": "1/2"}) == HALF
+    with pytest.raises(ValueError, match="^a test-set end must be a finite number or "
+                       "fraction string, got '1/0'$"):
+        TestSet.from_json({"kind": "u-interval", "a": 0, "b": "1/0"})
+
+
 @given(st.integers(0, 40))
 def test_membership_frequency_matches_measure(seed):
     rng = spawn_rngs(seed, 1)[0]

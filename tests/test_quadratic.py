@@ -22,6 +22,7 @@ from ergolab import (
     floor_sums,
     integral_combination,
 )
+from ergolab.cli import ExperimentConfig
 
 from exact_oracle import bracket_float, floor_sums_term_by_term
 from helpers import BENCH_ANGLES
@@ -207,8 +208,10 @@ def test_frac_multiple(k):
 def test_json_round_trip():
     for g in (SQRT2_MINUS_1, RotationNumber(1, 1, 5, 4)):
         assert RotationNumber.from_json(g.to_json()) == g
-    with pytest.raises(ValueError):
-        RotationNumber.from_json({"nope": 1})
+    # the reader trusts its input: the config schema refuses other keys
+    with pytest.raises(ValueError, match=r"^invalid configuration at systems/0/gamma: "
+                       r"Additional properties are not allowed \('nope' was unexpected\)$"):
+        ExperimentConfig(scenario="theorem1", systems=({"kind": "rotation", "gamma": {"nope": 1}},))
 
 
 def test_radicands_over_the_budget_are_refused():

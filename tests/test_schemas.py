@@ -18,7 +18,14 @@ from hypothesis import strategies as st
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
-from ergolab.cli import SchemaViolation, _check_keywords, _schema_errors, _validate
+from ergolab.cli import (
+    COMPUTE_OPS,
+    SchemaViolation,
+    _check_keywords,
+    _schema_errors,
+    _validate,
+    _validate_params,
+)
 
 SCHEMAS = ("config.schema.json", "report.schema.json")
 
@@ -82,7 +89,8 @@ def _instances(plausible: dict, required: tuple) -> st.SearchStrategy:
     known = st.fixed_dictionaries(
         values(required), optional=values(k for k in plausible if k not in required)
     )
-    dropped = _mostly(st.just(()), st.lists(st.sampled_from(required), max_size=2))
+    dropped = _mostly(st.just(()), st.lists(st.sampled_from(required), max_size=2)) \
+        if required else st.just(())
     objects = st.builds(
         lambda obj, drop, extra: {**{k: v for k, v in obj.items() if k not in drop}, **extra},
         known, dropped, _mostly(st.just({}), UNKNOWN),
@@ -90,10 +98,48 @@ def _instances(plausible: dict, required: tuple) -> st.SearchStrategy:
     return _mostly(objects, ANY)
 
 
+# The nested inputs: integers beside integral floats, bools and strings;
+# angles of three to five fields; cylinders of up to three entries, each
+# mostly a [position, symbol] pair and otherwise a list of one to three
+# scalars.
+INTEGERS = _mostly(st.integers(-3, 5), st.sampled_from([2.0, 0.5, True, "1", None]))
+SYMBOLS = st.lists(_mostly(st.integers(-1, 2) | st.just("a"), SCALARS), max_size=3)
+PROBS = st.lists(_mostly(st.sampled_from([0.5, 0.25, 1, 0]), SCALARS), max_size=3)
+ANGLES = _instances({"quadratic": st.lists(INTEGERS, min_size=3, max_size=5)},
+                    required=("quadratic",))
+LAWS = _instances({"probs": PROBS, "symbols": SYMBOLS}, required=("probs",))
+SYSTEMS = _instances({
+    "kind": _mostly(st.sampled_from(["rotation", "skew", "bernoulli", "product"]),
+                    st.just("nope")),
+    "gamma": ANGLES,
+    "probs": PROBS,
+    "symbols": SYMBOLS,
+}, required=("kind",))
+ENTRIES = _mostly(st.tuples(INTEGERS, _mostly(st.integers(-1, 1) | st.just("a"), SCALARS)),
+                  st.lists(SCALARS, min_size=1, max_size=3)).map(list)
+TEST_SETS = _instances({
+    "kind": _mostly(st.sampled_from(["u-interval", "cylinder"]), st.just("rectangle")),
+    "a": _mostly(st.sampled_from([0, 0.25, "1/3", "1/0"]), SCALARS),
+    "b": _mostly(st.sampled_from([1, 0.5, "1/2"]), SCALARS),
+    "cylinder": st.lists(ENTRIES, max_size=3),
+}, required=("kind",))
+#: Each compute op's params.
+PARAMS = {
+    "tower": _instances({"system": SYSTEMS, "max_depth": INTEGERS}, required=()),
+    "residual-search": _instances(
+        {"system": SYSTEMS, "ks": st.lists(INTEGERS, max_size=3)}, required=()
+    ),
+    "spectrum": _instances({"system": SYSTEMS}, required=()),
+    "entropy": _instances({"bernoulli": LAWS}, required=()),
+    "weak-mixing": _instances(
+        {"system": SYSTEMS, "A": TEST_SETS, "B": TEST_SETS, "t": INTEGERS}, required=()
+    ),
+}
+
 CONFIGS = _instances({
     "scenario": st.sampled_from(["reproduce-letter", "reproduce-kolmogorov", "theorem1",
                                  "compute", "nope"]),
-    "systems": st.lists(st.dictionaries(KEYS, ANY, max_size=2) | ANY, max_size=3),
+    "systems": st.lists(SYSTEMS, max_size=3),
     "truncation": st.integers(-1, 4) | st.sampled_from([1.0, 0.0, True]),
     "residual_truncation": st.integers(0, 4),
     "samples": st.integers(-1, 3),
@@ -133,6 +179,34 @@ def test_packaged_schemas_are_valid_draft_2020_12(name):
 @given(CONFIGS)
 def test_config_verdicts_match_jsonschema(instance):
     assert _interpreted("config.schema.json", instance) == _oracle("config.schema.json", instance)
+
+
+def _params_oracle(op: str, instance):
+    """(path, message) of jsonschema's best match for ``instance`` as the
+    params of ``op``, or None."""
+    config = _packaged("config.schema.json")
+    schema = {"$schema": config["$schema"], "$defs": config["$defs"],
+              "$ref": f"#/$defs/{op}-params"}
+    error = best_match(validator_for(schema)(schema).iter_errors(instance))
+    return None if error is None else (("params", *error.path), error.message)
+
+
+def test_every_compute_op_has_a_params_schema():
+    defs = _packaged("config.schema.json")["$defs"]
+    assert {f"{op}-params" for op in COMPUTE_OPS} == {d for d in defs if d.endswith("-params")}
+    assert set(PARAMS) == set(COMPUTE_OPS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(PARAMS)).flatmap(lambda op: st.tuples(st.just(op), PARAMS[op])))
+def test_params_verdicts_match_jsonschema(op_and_instance):
+    op, instance = op_and_instance
+    try:
+        _validate_params(op, instance)
+        found = None
+    except SchemaViolation as exc:
+        found = exc.path, exc.message
+    assert found == _params_oracle(op, instance)
 
 
 @settings(max_examples=400, deadline=None)
@@ -190,6 +264,11 @@ def test_bools_and_integral_floats_follow_json_types():
     {"enum": [[1, 2]]},
     {"properties": {"x": {"type": "integer", "exclusiveMinimum": 0}}},
     {"items": {"anyOf": [{"type": "string"}]}},
+    {"properties": {"x": {"$ref": "https://example.com/angle.json"}}},
+    {"properties": {"x": {"$ref": "#/properties/y"}}, "$defs": {}},
+    {"properties": {"x": {"$ref": "#/$defs/missing"}}, "$defs": {}},
+    {"properties": {"x": {"$ref": "#/$defs/y", "type": "array"}}, "$defs": {"y": {}}},
+    {"properties": {"x": {"prefixItems": [{"type": "integer"}], "items": {"type": "string"}}}},
 ])
 def test_a_schema_keyword_not_enforced_is_refused(keyword):
     schema = {"$schema": "https://json-schema.org/draft/2020-12/schema",
