@@ -70,13 +70,13 @@ MAX_WEAK_MIXING_DIGITS = 1000
 #: Most basis pairs the intertwiner of ``reproduce-letter`` and
 #: ``reproduce-kolmogorov`` may build.  At truncation B a pairing holds
 #: (2B+1)^2 pairs, or (2B+1)^3 between two products.  Building and
-#: checking them takes about 0.1 microseconds per pair on a 2-core x86-64
-#: host (0.10 s for the 1,002,001 skew-product pairs at B = 500).
-#: Building peaks near 29 bytes per pair (27.7 MB traced at B = 500,
-#: 23.9 MB of it kept, 16 bytes per pair of it the two int32 label
-#: arrays) and checking adds a fixed ~0.7 MB (it runs in slices of
-#: ``koopman.VERIFY_SLICE`` pairs), so the budget caps one pairing near
-#: 1 s and 0.3 GB.
+#: checking them takes about 0.15 microseconds per pair on a 2-core
+#: x86-64 host (0.17 s for the 1,002,001 skew-product pairs at B = 500),
+#: so the budget caps one pairing near 1.5 s.  Memory is per chain: a
+#: pairing keeps about 36 bytes per paired chain (8.6 MB for the 250,500
+#: skew-product chains at B = 500, 138 MB traced peak at B = 1,580), and
+#: checking adds a fixed ~0.8 MB (it runs in slices of
+#: ``koopman.VERIFY_SLICE`` pairs).
 MAX_INTERTWINER_PAIRS = 10**7
 #: Most basis labels one residual census may step (``tower.census_nodes``:
 #: 9 (1 + (N+1)(2N+1)) on the product at truncation N).  The five-k
@@ -293,6 +293,10 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         _validate_config(self.to_json())
+        for key in ("op", "params"):
+            if getattr(self, key) and self.scenario != "compute":
+                raise ValueError(f"invalid configuration at {key}: "
+                                 f"{self.scenario} takes no {key!r}; only compute reads it")
 
     def to_json(self) -> dict:
         """Every field, leaving out ``systems``, ``op`` and ``params`` when

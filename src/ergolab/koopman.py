@@ -57,8 +57,8 @@ __all__ = [
 
 INFINITE = "infinite"
 #: Pairs :func:`verify_intertwiner` checks at a time.  Each pair of a
-#: slice costs about 90 bytes of int32 and bool temporaries, so checking
-#: needs about 0.7 MB however many pairs the pairing holds.
+#: slice costs about 100 bytes of int32, int64 and bool temporaries, so
+#: checking needs about 0.8 MB however many pairs the pairing holds.
 VERIFY_SLICE = 2**13
 #: Half-widths B of the label boxes [-B, B]^d in which :func:`spectrum_of`
 #: counts the chains of moving labels.
@@ -432,9 +432,9 @@ class _Basis:
     def label(self, c: int, j: int) -> tuple:
         return ("point", j) if c < 0 else ("chain", *self.params[c].tolist(), j)
 
-    def labels(self, cj: np.ndarray) -> Iterator[tuple]:
+    def labels(self, c: np.ndarray, j: np.ndarray) -> Iterator[tuple]:
         params = self.params.tolist()
-        for c, j in zip(*cj.tolist()):
+        for c, j in zip(c.tolist(), j.tolist()):
             yield ("point", j) if c < 0 else ("chain", *params[c], j)
 
     def parse(self, label) -> tuple[int, int]:
@@ -595,16 +595,41 @@ _BASES = {
 
 
 @dataclass(frozen=True, eq=False)
-class _PairLayout:
-    """Where each side-A label sits among the pairs: the positions
-    ``lo[c]..hi[c]`` of paired chain c from index ``start[c]`` on.  Two
-    entries follow the chains: an empty one, read by index -2 (a label
-    outside the box) and by every chain past the paired ones, and the
-    proper modes, read by c = -1."""
+class IntertwinerPairing:
+    """A basis pairing realizing a unitary W with U = W* V W on a truncation.
 
-    lo: np.ndarray
-    hi: np.ndarray
-    start: np.ndarray
+    Labels name the *normalized* bases: ``("point", k)`` for proper
+    modes and ``("chain", *chain_label, position)`` for Lebesgue chains
+    (f-basis on the skew side, t-basis on the product side, d-basis for
+    a shift).  W is fixed by the two bases' chain enumerations and
+    ``eps``, the sign relating the angles (gammaB = eps * gammaA mod 1):
+    chain c of A goes to chain c of B position by position, over the
+    positions ``lo[c]..hi[c]`` both hold, and the proper mode k of A to
+    the proper mode eps * k of B.  Pairs are numbered with the proper
+    modes first, then chain by chain from index ``start[c]`` on; two
+    entries follow the chains in ``lo``, ``hi`` and ``start``: an empty
+    one, read by index -2 (a label outside the box) and by every chain
+    past the paired ones, and the proper modes, read by c = -1.  Only
+    these per-chain arrays are stored; :meth:`labels` derives the labels
+    of any run of pairs, and ``mapping`` shows the pairs as label tuples.
+    """
+
+    spec_a: SystemSpec
+    spec_b: SystemSpec
+    truncation: int
+    eps: int
+    basis_a: _Basis = field(repr=False)
+    basis_b: _Basis = field(repr=False)
+    lo: np.ndarray = field(repr=False)
+    hi: np.ndarray = field(repr=False)
+    start: np.ndarray = field(repr=False)
+
+    @property
+    def pairs(self) -> int:
+        """How many pairs there are: where the last chain's run ends, or
+        the proper modes' count when there are no chains."""
+        c = self.lo.size - 3  # the last chain, or -1: the proper modes
+        return int(self.start[c]) + max(int(self.hi[c]) - int(self.lo[c]) + 1, 0)
 
     def index(self, c, j):
         """Pair index of side-A labels (c, j); -1 where unpaired."""
@@ -613,31 +638,16 @@ class _PairLayout:
         paired = (lo <= j) & (j <= self.hi.take(c))
         return np.where(paired, self.start.take(c) + j - lo, -1)
 
+    def labels(self, first: int, stop: int) -> tuple[tuple, tuple]:
+        """Side-A and side-B labels (c, j) of pairs ``first..stop-1``.
 
-@dataclass(frozen=True, eq=False)
-class IntertwinerPairing:
-    """A basis pairing realizing a unitary W with U = W* V W on a truncation.
-
-    Labels name the *normalized* bases: ``("point", k)`` for proper
-    modes and ``("chain", *chain_label, position)`` for Lebesgue chains
-    (f-basis on the skew side, t-basis on the product side, d-basis for
-    a shift).  Pair i joins the side-A label ``labels_a[:, i]`` to the
-    side-B label ``labels_b[:, i]``, each stored as integers (chain
-    index, -1 for proper modes; position); ``mapping`` shows the pairs
-    as label tuples.  ``eps`` is the sign relating the two angles
-    (gammaB = eps * gammaA mod 1).  Each basis's ``params`` records its
-    chain enumeration order, so the arbitrary relabeling is reproducible.
-    """
-
-    spec_a: SystemSpec
-    spec_b: SystemSpec
-    truncation: int
-    eps: int
-    labels_a: np.ndarray = field(repr=False)
-    labels_b: np.ndarray = field(repr=False)
-    basis_a: _Basis = field(repr=False)
-    basis_b: _Basis = field(repr=False)
-    layout: _PairLayout = field(repr=False)
+        A pair's chain is the last one starting at or before it, or -1
+        (the proper modes, which all chains start after); B's labels are
+        A's with j -> eps j on the proper modes."""
+        i = np.arange(first, stop, dtype=np.int32)
+        c = self.start[:-2].searchsorted(i, side="right").astype(np.int32) - 1
+        j = i - self.start.take(c) + self.lo.take(c)
+        return (c, j), (c, np.where(c < 0, self.eps * j, j))
 
     @property
     def mapping(self) -> Mapping:
@@ -646,25 +656,31 @@ class IntertwinerPairing:
 
 
 class _PairMapping(Mapping):
-    """The label arrays of a pairing seen as a mapping of label tuples;
-    lookups resolve a label to its pair index arithmetically."""
+    """A pairing seen as a mapping of label tuples, whose labels are
+    derived from pair indices, ``VERIFY_SLICE`` pairs at a time."""
 
     def __init__(self, pairing: IntertwinerPairing) -> None:
         self._pairing = pairing
 
     def __len__(self) -> int:
-        return self._pairing.labels_a.shape[1]
+        return self._pairing.pairs
+
+    def _slices(self) -> Iterator[tuple[tuple, tuple]]:
+        pairs = self._pairing.pairs
+        for first in range(0, pairs, VERIFY_SLICE):
+            yield self._pairing.labels(first, min(first + VERIFY_SLICE, pairs))
 
     def __iter__(self) -> Iterator[tuple]:
-        return self._pairing.basis_a.labels(self._pairing.labels_a)
+        for a, _ in self._slices():
+            yield from self._pairing.basis_a.labels(*a)
 
     def __getitem__(self, label) -> tuple:
         pairing = self._pairing
-        c, j = pairing.basis_a.parse(label)
-        i = int(pairing.layout.index(np.array(c), np.array(j)))
+        i = int(pairing.index(*map(np.array, pairing.basis_a.parse(label))))
         if i < 0:
             raise KeyError(label)
-        return pairing.basis_b.label(*pairing.labels_b[:, i].tolist())
+        _, (c, j) = pairing.labels(i, i + 1)
+        return pairing.basis_b.label(int(c[0]), int(j[0]))
 
     def items(self) -> ItemsView:
         return _PairItems(self)
@@ -673,10 +689,8 @@ class _PairMapping(Mapping):
 class _PairItems(ItemsView):
     def __iter__(self) -> Iterator[tuple[tuple, tuple]]:
         pairing = self._mapping._pairing
-        return zip(
-            pairing.basis_a.labels(pairing.labels_a),
-            pairing.basis_b.labels(pairing.labels_b),
-        )
+        for a, b in self._mapping._slices():
+            yield from zip(pairing.basis_a.labels(*a), pairing.basis_b.labels(*b))
 
 
 @dataclass(frozen=True)
@@ -700,11 +714,11 @@ def build_intertwiner(
     """
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
-    # The bases, labels and layout are int32.  Chain indices, exponents,
-    # phases and their intermediates stay below (2B + 2)^2 in absolute
-    # value, and pair indices below the pair count plus 2B, so int32 is
-    # exact up to B = 23,169; ``cli.MAX_INTERTWINER_PAIRS`` caps B at
-    # 1,580 (107 between two products).
+    # The bases and the per-chain arrays are int32.  Chain indices,
+    # exponents, phases and their intermediates stay below (2B + 2)^2 in
+    # absolute value, and pair indices below the pair count plus 2B, so
+    # int32 is exact up to B = 23,169; ``cli.MAX_INTERTWINER_PAIRS`` caps
+    # B at 1,580 (107 between two products).
     if (2 * truncation + 2) ** 2 >= 2**31:
         raise ValueError(f"truncation {truncation} overflows the int32 tables")
     da, db = spectrum_of(spec_a), spectrum_of(spec_b)
@@ -734,85 +748,62 @@ def build_intertwiner(
     count = np.maximum(hi - lo + 1, 0)
     pairs = n_points + int(count.sum())
     if pairs + 2 * truncation >= 2**31:
-        raise ValueError(f"{pairs} pairs overflow the int32 labels")
+        raise ValueError(f"{pairs} pairs overflow the int32 pair indices")
     start = n_points + np.cumsum(count, dtype=np.int32) - count
-    # pair i of chain c holds position lo[c] + i - start[c]; int32 labels
-    # written in place keep the build near 20 bytes per pair
-    labels_a = np.empty((2, pairs), dtype=np.int32)
-    labels_a[0, :n_points] = -1
-    labels_a[1, :n_points] = np.arange(p0, p1 + 1)
-    labels_a[0, n_points:] = np.repeat(np.arange(n_chains, dtype=np.int32), count)
-    labels_a[1, n_points:] = np.arange(n_points, pairs, dtype=np.int32)
-    labels_a[1, n_points:] += np.repeat(lo - start, count)
-    labels_b = labels_a.copy()
-    labels_b[1, :n_points] *= eps
-    return IntertwinerPairing(
-        spec_a=spec_a,
-        spec_b=spec_b,
-        truncation=truncation,
-        eps=eps,
-        labels_a=labels_a,
-        labels_b=labels_b,
-        basis_a=basis_a,
-        basis_b=basis_b,
-        layout=_PairLayout(
-            *(
-                np.append(v, np.array(ends, dtype=np.int32))
-                for v, ends in zip((lo, hi, start), ((0, p0), (-1, p1), (0, 0)))
-            )
-        ),
-    )
+    ends = ((0, p0), (-1, p1), (0, 0))  # the empty entry, then the proper modes
+    lo, hi, start = (np.append(v, np.array(e, np.int32)) for v, e in zip((lo, hi, start), ends))
+    return IntertwinerPairing(spec_a, spec_b, truncation, eps, basis_a, basis_b, lo, hi, start)
 
 
 def verify_intertwiner(pairing: IntertwinerPairing) -> IntertwinerCheck:
     """Check W U = V W on every interior pair, exactly, with the raw actions.
 
-    Each side-A label is taken to its raw basis vector (skew chains
+    Each pair's labels come from its index (:meth:`IntertwinerPairing.labels`).
+    The side-A label is taken to its raw basis vector (skew chains
     ``f[k,m] = a[k,m] g[k,m]`` with ``a`` from the normalizing exponent,
     product chains ``t[l,k,m] = e(l k gamma) p[l,k,m]``, shift chains
     ``d[k,m]``, proper modes as they are), system A's raw action is
     applied through ``KOOPMAN_TABLE``, and the image is renormalized and
     resolved back to a pair index arithmetically.  A pair is interior
     when that image is paired; chain ends at the truncation boundary are
-    skipped.  System B's raw action is applied to the paired side-B label
-    the same way; an interior pair matches when B's label is of the kind
-    (proper mode or chain) its pair index holds, B's image is the label
-    paired with A's image and the phases agree.  Phases are integer
-    multiples of each system's angle and gammaB = eps * gammaA (mod 1),
-    so they agree iff ``phase_a == eps * phase_b``.
+    skipped.  System B's raw action is applied to the side-B label the
+    same way; an interior pair matches when B's image is the side-B label
+    of A's image, (c', j') on a chain or (-1, eps j') on a proper mode,
+    and the phases agree.  Phases are integer multiples of each system's
+    angle, and the sign s with gammaB = s * gammaA (mod 1) is decided
+    exactly from the angles, so they agree iff ``phase_a == s * phase_b``.
+    s is not read off ``eps``, so a pairing with the wrong eps fails on
+    its proper modes.
 
     The proper modes, pairs ``[0, n_points)``, are stepped apart from the
     chains, and both in slices of ``VERIFY_SLICE`` pairs, so the
-    temporaries stay bounded however many pairs there are; targets still
-    index the whole pairing.  Returns the number of mismatched pairs and
-    how many pairs were checked.
+    temporaries stay bounded however many pairs there are.  Returns the
+    number of mismatched pairs and how many pairs were checked.
     """
-    labels_a, labels_b = pairing.labels_a, pairing.labels_b
-    basis_a, basis_b = pairing.basis_a, pairing.basis_b
+    basis_a, basis_b, eps = pairing.basis_a, pairing.basis_b, pairing.eps
+    # the angles' own sign, not the pairing's eps, which also relabels B
+    ga, gb = pairing.spec_a.gamma, pairing.spec_b.gamma
+    relation = (1, 1) if ga is None or gb is None else point_spectrum_groups_equal(ga, gb).relation
+    sign = relation[0] if relation else 0
     p0, p1 = basis_a.points
     n_points = p1 - p0 + 1
     mismatches = checked = 0
-    for first, stop, chains in ((0, n_points, False), (n_points, labels_a.shape[1], True)):
+    for first, stop, chains in ((0, n_points, False), (n_points, pairing.pairs, True)):
         for start in range(first, stop, VERIFY_SLICE):
-            part = slice(start, min(start + VERIFY_SLICE, stop))
-            (ca, ja), (cb, jb) = labels_a[:, part], labels_b[:, part]
+            (ca, ja), (cb, jb) = pairing.labels(start, min(start + VERIFY_SLICE, stop))
             if chains:
                 phase_a, c_next, j_next = basis_a.step_chains(ca, ja)
                 phase_b, cb_next, jb_next = basis_b.step_chains(cb, jb)
             else:
                 phase_a, c_next, j_next = basis_a.step_points(ja)
                 phase_b, cb_next, jb_next = basis_b.step_points(jb)
-            # -1 (unpaired) reads the last pair; ``interior`` masks it out
-            target = pairing.layout.index(c_next, j_next)
-            interior = target >= 0
+            interior = pairing.index(c_next, j_next) >= 0
+            # B's image must be the side-B label of A's image
             match = (
                 interior
-                & ((cb >= 0) == chains)
-                & (labels_a[0].take(target) == c_next)
-                & (labels_a[1].take(target) == j_next)
-                & (labels_b[0].take(target) == cb_next)
-                & (labels_b[1].take(target) == jb_next)
-                & (phase_a == pairing.eps * phase_b)
+                & (cb_next == c_next)
+                & (jb_next == np.where(c_next < 0, eps * j_next, j_next))
+                & (phase_a == sign * phase_b)
             )
             n_interior = int(np.count_nonzero(interior))
             checked += n_interior

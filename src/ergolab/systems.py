@@ -260,7 +260,11 @@ class SystemSpec:
         which the config schema has validated; the constructor refuses a
         field the kind does not take."""
         gamma = RotationNumber.from_json(obj["gamma"]) if "gamma" in obj else None
-        bern = BernoulliSpec.from_json(obj) if obj.keys() & {"probs", "symbols"} else None
+        if "symbols" in obj and "probs" not in obj:
+            # a kind that takes no law is refused as such; one that does lacks probs
+            cls(obj["kind"], gamma=gamma, bernoulli=BernoulliSpec.fair_coin())
+            raise ValueError("'probs' is required with 'symbols'")
+        bern = BernoulliSpec.from_json(obj) if "probs" in obj else None
         return cls(obj["kind"], gamma=gamma, bernoulli=bern)
 
     def label(self) -> str:

@@ -507,6 +507,10 @@ MALFORMED = {
     ),
     "config as a list": (["reproduce-letter"], [1]),
     "config as a string": (["compute", "weak-mixing"], "x"),
+    "op and params outside compute": (
+        ["theorem1"], {"op": "tower", "params": {"max_depth": 9, "zzz": 1}}
+    ),
+    "params outside compute": (["reproduce-letter"], {"params": {"max_depth": 9}}),
 }
 
 
@@ -519,6 +523,50 @@ def test_malformed_config_shapes_exit_with_an_error(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1 and not out.exists()
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, config, key",
+    [
+        (["theorem1"], {"op": "tower", "params": {"max_depth": 9, "zzz": 1}}, "op"),
+        (["theorem1"], {"params": {"max_depth": 9}}, "params"),
+        (["reproduce-letter"], {"params": {"max_depth": 9}}, "params"),
+        (["reproduce-kolmogorov"], {"op": "entropy"}, "op"),
+    ],
+)
+def test_op_and_params_outside_compute_are_refused_by_name(argv, config, key, tmp_path, capsys):
+    """Only compute reads ``op`` and ``params``; another scenario ran
+    with them ignored and echoed them into its report."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out = run(tmp_path, *argv, "--config", str(cfg))
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: invalid configuration at {key}: "
+        f"{argv[0]} takes no {key!r}; only compute reads it\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "system, message",
+    [
+        ({"kind": "rotation", "gamma": {"quadratic": [-1, 1, 2, 1]}, "symbols": [1, 2]},
+         "rotation system takes no Bernoulli spec"),
+        ({"kind": "bernoulli", "symbols": [1, 2]}, "'probs' is required with 'symbols'"),
+    ],
+    ids=["rotation", "bernoulli"],
+)
+def test_symbols_without_probs_name_the_fault(system, message, tmp_path, capsys):
+    """A system with symbols but no probs was refused for a law whose
+    probs and symbols differ in length; a rotation takes no law at all,
+    and a shift's law needs its probs."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"system": system}}))
+    code, out = run(tmp_path, "compute", "spectrum", "--config", str(cfg))
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: invalid configuration at params/system: {message}\n"
+    )
 
 
 #: One misspelt ``params`` key per compute op; each was ignored, and the

@@ -12,6 +12,7 @@ is wrong.
 from __future__ import annotations
 
 import cmath
+import copy
 import dataclasses
 import math
 import tracemalloc
@@ -509,9 +510,9 @@ def test_checked_count_pins(B, checked):
 
 def test_pairing_and_check_at_b192_stay_under_a_memory_bound():
     """Traced peak of building and checking the skew-product pairing at
-    B = 192: about 4.2 MB with bases sized to the paired chains and int32
-    tables, against 9.8 MB when the product basis held all (2B+1)^2
-    chains and every table was int64."""
+    B = 192: about 2.1 MB with only per-chain arrays stored, against
+    4.2 MB with the two per-pair int32 label arrays and 9.8 MB when the
+    product basis held all (2B+1)^2 chains and every table was int64."""
     tracemalloc.start()
     try:
         check = verify_intertwiner(build_intertwiner(*PAIRING_CASES["skew-product"], 192))
@@ -519,7 +520,7 @@ def test_pairing_and_check_at_b192_stay_under_a_memory_bound():
     finally:
         tracemalloc.stop()
     assert check == IntertwinerCheck(0, 111_169)
-    assert peak < 6 * 2**20
+    assert peak < 3 * 2**20
 
 
 def _ring_order(B: int) -> list[list[int]]:
@@ -564,7 +565,7 @@ def test_each_basis_holds_only_the_paired_chains():
     assert ("chain", l, m, 0) not in pairing.mapping
     assert ("chain", *_ring_order(B)[B * (B + 1) - 1], 0) in pairing.mapping
     c = np.array([B * (B + 1), (2 * B + 1) ** 2 - 1, -2], dtype=np.int32)
-    assert pairing.layout.index(c, np.zeros(3, np.int32)).tolist() == [-1] * 3
+    assert pairing.index(c, np.zeros(3, np.int32)).tolist() == [-1] * 3
     both = build_intertwiner(*PAIRING_CASES["product-product"], B)
     assert both.basis_a.lo.size == both.basis_b.lo.size == (2 * B + 1) ** 2
 
@@ -681,36 +682,38 @@ def test_check_in_slices_equals_the_unsliced_check(case, B, mutant, monkeypatch)
     if mutant is not None:
         KERNEL_MUTANTS[mutant](monkeypatch)
     pairing = build_intertwiner(*PAIRING_CASES[case], truncation=B)
-    monkeypatch.setattr(koopman, "VERIFY_SLICE", pairing.labels_a.shape[1])
+    monkeypatch.setattr(koopman, "VERIFY_SLICE", len(pairing.mapping))
     whole = verify_intertwiner(pairing)
     monkeypatch.setattr(koopman, "VERIFY_SLICE", 7)
     assert verify_intertwiner(pairing) == whole
     assert (whole.mismatches > 0) == (mutant is not None)
 
 
-def test_check_fails_when_two_chain_images_are_swapped():
+def test_check_fails_when_two_chains_of_basis_b_are_swapped():
+    """W sends chain c of A to chain c of B, so swapping the parameters of
+    B's first and last chains sends each to the other's partner: every
+    interior pair of both chains is a mismatch, 16 on the first chain
+    (f[j, 1], j = -8..8, against t[0, j, 0]) and 1 on the last (two
+    positions of f[7 - 8j, -8])."""
     pairing = build_intertwiner(*PAIRING_CASES["skew-product"], truncation=8)
-    labels_b = pairing.labels_b.copy()
-    on_chain = np.flatnonzero(labels_b[0] >= 0)
-    first, last = on_chain[0], on_chain[-1]  # in the first and the last chain
-    labels_b[:, [first, last]] = labels_b[:, [last, first]]
-    swapped = dataclasses.replace(pairing, labels_b=labels_b)
-    assert verify_intertwiner(pairing).mismatches == 0
-    assert verify_intertwiner(swapped).mismatches > 0
+    basis_b = copy.copy(pairing.basis_b)
+    basis_b._table = basis_b._table.copy()
+    basis_b._table[:, [0, -1]] = basis_b._table[:, [-1, 0]]
+    check = verify_intertwiner(dataclasses.replace(pairing, basis_b=basis_b))
+    assert verify_intertwiner(pairing) == IntertwinerCheck(0, 217)
+    assert check == IntertwinerCheck(17, 217)
 
 
-def test_check_fails_when_a_side_b_label_has_the_wrong_kind():
-    """Proper modes and chains are stepped apart, and the last chain's
-    parameters are what a chain step reads for c = -1, so only the kind
-    check sees a proper-mode label on the last chain or a chain label on
-    a proper mode: each such pair is a mismatch."""
-    pairing = build_intertwiner(*PAIRING_CASES["skew-product"], truncation=8)
-    labels_b = pairing.labels_b.copy()
-    point = 8  # g[0, 0], paired with the constant tail e(0 u)
-    last = int(np.flatnonzero(labels_b[0] == labels_b[0].max())[0])  # its first position
-    labels_b[0, point], labels_b[0, last] = 0, -1
-    check = verify_intertwiner(dataclasses.replace(pairing, labels_b=labels_b))
-    assert (check.mismatches, check.checked) == (2, verify_intertwiner(pairing).checked)
+def test_check_fails_when_eps_is_flipped():
+    """gamma_B = -gamma_A, so W sends the proper mode k to -k; with eps
+    flipped it sends k to k, whose phase e(k gamma_B) differs from
+    e(k gamma_A) unless k = 0.  The check compares phases by the angles'
+    own relation, so the 16 proper modes k != 0 in [-8, 8] mismatch."""
+    pairing = build_intertwiner(*PAIRING_CASES["skew-product-reflected"], truncation=8)
+    assert pairing.eps == -1
+    check = verify_intertwiner(dataclasses.replace(pairing, eps=1))
+    assert verify_intertwiner(pairing) == IntertwinerCheck(0, 217)
+    assert check == IntertwinerCheck(16, 217)
 
 
 def test_one_doctored_entry_flips_the_decision_and_breaks_the_check(monkeypatch):

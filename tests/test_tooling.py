@@ -69,8 +69,10 @@ def _mixing_rows(summary: dict) -> None:
 def _letter_rows(summary: dict) -> None:
     for name in ("koopman.build_intertwiner", "koopman.verify_intertwiner"):
         assert summary["spans"][name]["calls"] == 1, name
-    assert summary["counters"]["koopman.intertwiner.pairs"] > 0
-    assert summary["counters"]["koopman.intertwiner.checked"] > 0
+    # the skew-product pairing at the default B = 16: (2B+1)^2 pairs, of
+    # which the interior ones are checked
+    assert summary["counters"]["koopman.intertwiner.pairs"] == 1089
+    assert summary["counters"]["koopman.intertwiner.checked"] == 817
 
 
 #: In-process runs, each with its config and a check of the rows the
