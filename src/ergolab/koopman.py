@@ -56,9 +56,9 @@ __all__ = [
 ]
 
 INFINITE = "infinite"
-#: Pairs :func:`verify_intertwiner` checks at a time.  Each pair of a
-#: slice costs about 100 bytes of int32, int64 and bool temporaries, so
-#: checking needs about 0.8 MB however many pairs the pairing holds.
+#: Pairs :func:`verify_intertwiner` checks at a time, and chains a pairing
+#: enumerates at a time.  The temporaries of one block of pairs and one
+#: window of chains peak near 0.9 MB traced, however many there are.
 VERIFY_SLICE = 2**13
 #: Half-widths B of the label boxes [-B, B]^d in which :func:`spectrum_of`
 #: counts the chains of moving labels.
@@ -393,49 +393,49 @@ class _Basis:
     A label is an integer pair (c, j).  c = -1 names the proper mode j,
     shown as ``("point", j)``, and ``points`` bounds those j.  c >= 0
     names position j of chain c of the canonical chain enumeration,
-    shown as ``("chain", *params[c], j)``; chain c holds the positions
-    ``lo[c]..hi[c]``.  ``chain_index`` maps chain parameters to c
-    arithmetically (-2 outside the box).  The basis holds the first
-    ``chains`` chains, by default all ``chain_count(B)`` that meet the
-    box, and reads their parameters off the inverse of ``chain_index``;
-    an index past them names a chain it does not hold.  ``step_points``
-    and ``step_chains`` take the proper modes and the chain positions
-    that label arrays name to their raw labels, apply ``KOOPMAN_TABLE``
-    and renormalize; each returns the phases' gamma multipliers and the
-    image labels.  The tables are int32, like the labels (see
-    :func:`build_intertwiner`).
+    shown as ``("chain", *params, j)``.  ``chain_index`` maps chain
+    parameters to c arithmetically (-2 outside the box), and its inverse
+    gives :meth:`params` and :meth:`positions` (the range [lo, hi] of
+    positions inside the box) of any array of chain indices, so nothing
+    is stored per chain.  The basis holds the first ``chains`` chains,
+    by default all ``chain_count(B)`` that meet the box; an index past
+    them names a chain it does not hold.  ``step_points(j)`` and
+    ``step_chains(c, runs, j)`` (positions j on the chains c, runs[k]
+    of them on chain c[k]) take the proper modes and the chain positions
+    to their raw labels, apply ``KOOPMAN_TABLE`` and renormalize; each
+    returns the phases' gamma multipliers and the image labels.  Labels
+    are int32 (see :func:`build_intertwiner`).
     """
 
-    points: tuple[int, int]
-
-    def __init__(self, B: int, params: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    def __init__(self, B: int, chains: Optional[int] = None) -> None:
         self.B = B
-        self._table = params  # one row per chain parameter, chain c in column c
-        self.lo, self.hi = lo, hi
+        self.chains = self.chain_count(B) if chains is None else chains
+
+    @property
+    def points(self) -> tuple[int, int]:
+        return -self.B, self.B
 
     @staticmethod
     def chain_count(B: int) -> int:
         return 0
 
-    @classmethod
-    def _first_chains(cls, B: int, chains: Optional[int]) -> np.ndarray:
-        return np.arange(cls.chain_count(B) if chains is None else chains, dtype=np.int32)
+    def params(self, c: np.ndarray) -> np.ndarray:
+        """The parameters of chains c, one row per parameter."""
+        return np.zeros((0, *c.shape), dtype=np.int32)
 
-    @property
-    def params(self) -> np.ndarray:
-        """One row of chain parameters per chain."""
-        return self._table.T
+    def positions(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """lo, hi: chains c hold the positions lo..hi, by default all of
+        [-B, B] (read-only views, no storage)."""
+        B = np.int32(self.B)
+        return np.broadcast_to(-B, c.shape), np.broadcast_to(B, c.shape)
 
     def chain_index(self, *params):
         return -2
 
-    def label(self, c: int, j: int) -> tuple:
-        return ("point", j) if c < 0 else ("chain", *self.params[c].tolist(), j)
-
     def labels(self, c: np.ndarray, j: np.ndarray) -> Iterator[tuple]:
-        params = self.params.tolist()
-        for c, j in zip(c.tolist(), j.tolist()):
-            yield ("point", j) if c < 0 else ("chain", *params[c], j)
+        params = self.params(np.maximum(c, 0)).T.tolist()
+        for c, j, p in zip(c.tolist(), j.tolist(), params):
+            yield ("point", j) if c < 0 else ("chain", *p, j)
 
     def parse(self, label) -> tuple[int, int]:
         """The integer label (c, j) of a label tuple; KeyError if the
@@ -443,7 +443,8 @@ class _Basis:
         if isinstance(label, tuple) and all(isinstance(x, int) for x in label[1:]):
             if label[:1] == ("point",) and len(label) == 2:
                 return -1, label[1]
-            if label[:1] == ("chain",) and len(label) == self.params.shape[1] + 2:
+            arity = len(self.params(np.zeros(0, dtype=np.int32)))
+            if label[:1] == ("chain",) and len(label) == arity + 2:
                 c = int(self.chain_index(*label[1:-1]))
                 if c >= 0:
                     return c, label[-1]
@@ -452,11 +453,6 @@ class _Basis:
 
 class _RotationBasis(_Basis):
     """The characters e(k u), all proper: no chains."""
-
-    def __init__(self, B: int, chains: Optional[int] = None) -> None:
-        empty = np.zeros(0, dtype=np.int32)
-        super().__init__(B, np.zeros((0, 0), dtype=np.int32), empty, empty)
-        self.points = (-B, B)
 
     def step_points(self, j):
         mult, (l,) = koopman_step("rotation", "lattice", (j,))
@@ -467,16 +463,14 @@ class _ShiftBasis(_Basis):
     """Chains m = 0, 1, -1, ..., B, -B of ``d[k,m]``, positions k in
     [-B, B]; the constant is the only proper mode."""
 
-    def __init__(self, B: int, chains: Optional[int] = None) -> None:
-        c = self._first_chains(B, chains)
-        m = np.where(c % 2, (c + 1) // 2, -(c // 2))
-        ends = np.broadcast_to(np.int32(-B), c.size), np.broadcast_to(np.int32(B), c.size)
-        super().__init__(B, m[None, :], *ends)
-        self.points = (0, 0)
+    points = (0, 0)
 
     @staticmethod
     def chain_count(B: int) -> int:
         return 2 * B + 1
+
+    def params(self, c):
+        return np.where(c % 2, (c + 1) // 2, -(c // 2))[None]
 
     def chain_index(self, m):
         return np.where(abs(m) > self.B, -2, np.where(m > 0, 2 * m - 1, -2 * m))
@@ -485,8 +479,9 @@ class _ShiftBasis(_Basis):
         mult, _ = koopman_step("bernoulli", "constant", ())
         return np.full_like(j, mult), np.full_like(j, -1), j
 
-    def step_chains(self, c, j):
-        mult, (k_next, m_next) = koopman_step("bernoulli", "support", (j, self._table[0, c]))
+    def step_chains(self, c, runs, j):
+        (m,) = np.repeat(self.params(c), runs, axis=1)
+        mult, (k_next, m_next) = koopman_step("bernoulli", "support", (j, m))
         return mult, self.chain_index(m_next), k_next
 
 
@@ -494,23 +489,29 @@ class _SkewBasis(_Basis):
     """Chains (m, r) for m = 1, -1, ..., B, -B and r = 0..|m|-1, whose
     position j is ``f[r + j m, m]``; the proper modes are ``g[k, 0]``."""
 
-    def __init__(self, B: int, chains: Optional[int] = None) -> None:
-        c = self._first_chains(B, chains)
+    @staticmethod
+    def chain_count(B: int) -> int:
+        return B * (B + 1)
+
+    @staticmethod
+    def _ring(c):
+        """|m|, the sign of m and r of chains c."""
         # a (a - 1) chains have |m| < a, so chain c has |m| = a for the a
         # with a (a - 1) <= c < a (a + 1)
         a = (_isqrt(4 * c + 1) + 1) // 2
         rest = c - a * (a - 1)
         negative = rest >= a
-        r = rest - negative * a
-        # the positions j with r + j m in [-B, B]
-        lo = np.where(negative, -((B - r) // a), -((B + r) // a))
-        hi = np.where(negative, (B + r) // a, (B - r) // a)
-        super().__init__(B, np.stack([np.where(negative, -a, a), r]), lo, hi)
-        self.points = (-B, B)
+        return a, negative, rest - negative * a
 
-    @staticmethod
-    def chain_count(B: int) -> int:
-        return B * (B + 1)
+    def params(self, c):
+        a, negative, r = self._ring(c)
+        return np.stack([np.where(negative, -a, a), r])
+
+    def positions(self, c):
+        # the positions j with r + j m in [-B, B]
+        a, negative, r = self._ring(c)
+        r = np.where(negative, -r, r)
+        return -((self.B + r) // a), (self.B - r) // a
 
     def chain_index(self, m, r):
         a = abs(m)
@@ -522,8 +523,8 @@ class _SkewBasis(_Basis):
         phase, image = koopman_step("skew", "lattice", (j, np.zeros_like(j)))
         return self._renormalized(phase, *image)
 
-    def step_chains(self, c, j):
-        m, r = self._table[:, c]
+    def step_chains(self, c, runs, j):
+        m, r = np.repeat(self.params(c), runs, axis=1)
         k = r + j * m
         phase, image = koopman_step("skew", "lattice", (k, m))
         # f = a g, so U f[k,m] = a[k,m] e(phase gamma) / a[k',m'] f[k',m']
@@ -548,8 +549,11 @@ class _ProductBasis(_Basis):
     ``t[l,k,m] = e(l k gamma) p[l,k,m]``, k in [-B, B]; the proper modes
     are ``e(l u)``."""
 
-    def __init__(self, B: int, chains: Optional[int] = None) -> None:
-        c = self._first_chains(B, chains)
+    @staticmethod
+    def chain_count(B: int) -> int:
+        return (2 * B + 1) ** 2
+
+    def params(self, c):
         # ring s holds the chains (2s-1)^2 .. (2s+1)^2 - 1, in the order
         # ``chain_index`` counts
         s = (_isqrt(c) + 1) // 2
@@ -557,14 +561,7 @@ class _ProductBasis(_Basis):
         t, inner = w - (2 * s + 1), 2 * (2 * s - 1)
         l = np.where(t < 0, -s, np.where(t < inner, t // 2 - s + 1, s))
         m = np.where(t < 0, w - s, np.where(t < inner, t % 2 * 2 * s - s, t - inner - s))
-        # every chain holds the positions -B..B: read-only views, no storage
-        ends = np.broadcast_to(np.int32(-B), c.size), np.broadcast_to(np.int32(B), c.size)
-        super().__init__(B, np.stack([l, m]), *ends)
-        self.points = (-B, B)
-
-    @staticmethod
-    def chain_count(B: int) -> int:
-        return (2 * B + 1) ** 2
+        return np.stack([l, m])
 
     def chain_index(self, l, m):
         s = np.maximum(abs(l), abs(m))
@@ -579,8 +576,8 @@ class _ProductBasis(_Basis):
         mult, (l,) = koopman_step("product", "constant", (j,))
         return mult, np.full_like(j, -1), l
 
-    def step_chains(self, c, j):
-        l, m = self._table[:, c]
+    def step_chains(self, c, runs, j):
+        l, m = np.repeat(self.params(c), runs, axis=1)
         mult, (l_next, k_next, m_next) = koopman_step("product", "support", (l, j, m))
         # t = e(l k gamma) p
         return mult + l * j - l_next * k_next, self.chain_index(l_next, m_next), k_next
@@ -604,14 +601,11 @@ class IntertwinerPairing:
     a shift).  W is fixed by the two bases' chain enumerations and
     ``eps``, the sign relating the angles (gammaB = eps * gammaA mod 1):
     chain c of A goes to chain c of B position by position, over the
-    positions ``lo[c]..hi[c]`` both hold, and the proper mode k of A to
-    the proper mode eps * k of B.  Pairs are numbered with the proper
-    modes first, then chain by chain from index ``start[c]`` on; two
-    entries follow the chains in ``lo``, ``hi`` and ``start``: an empty
-    one, read by index -2 (a label outside the box) and by every chain
-    past the paired ones, and the proper modes, read by c = -1.  Only
-    these per-chain arrays are stored; :meth:`labels` derives the labels
-    of any run of pairs, and ``mapping`` shows the pairs as label tuples.
+    positions both hold (:meth:`positions`), and the proper mode k of A
+    to the proper mode eps * k of B.  Pairs are ordered with the proper
+    modes first, then chain by chain.  Nothing is stored per chain or
+    per pair: :meth:`blocks` enumerates the pairs on demand, ``pairs``
+    counts them, and ``mapping`` shows them as label tuples.
     """
 
     spec_a: SystemSpec
@@ -620,34 +614,58 @@ class IntertwinerPairing:
     eps: int
     basis_a: _Basis = field(repr=False)
     basis_b: _Basis = field(repr=False)
-    lo: np.ndarray = field(repr=False)
-    hi: np.ndarray = field(repr=False)
-    start: np.ndarray = field(repr=False)
+    pairs: int = field(init=False)
 
-    @property
-    def pairs(self) -> int:
-        """How many pairs there are: where the last chain's run ends, or
-        the proper modes' count when there are no chains."""
-        c = self.lo.size - 3  # the last chain, or -1: the proper modes
-        return int(self.start[c]) + max(int(self.hi[c]) - int(self.lo[c]) + 1, 0)
+    def __post_init__(self) -> None:
+        p0, p1 = self.basis_a.points
+        chains = sum(int(ends[-1]) for _, ends, _ in self._windows())
+        object.__setattr__(self, "pairs", p1 - p0 + 1 + chains)
 
-    def index(self, c, j):
-        """Pair index of side-A labels (c, j); -1 where unpaired."""
-        c = np.clip(c, -2, self.lo.size - 2)
-        lo = self.lo.take(c)
-        paired = (lo <= j) & (j <= self.hi.take(c))
-        return np.where(paired, self.start.take(c) + j - lo, -1)
+    def positions(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """lo, hi: the positions of chains c that both bases hold."""
+        lo_a, hi_a = self.basis_a.positions(c)
+        lo_b, hi_b = self.basis_b.positions(c)
+        return np.maximum(lo_a, lo_b), np.minimum(hi_a, hi_b)
 
-    def labels(self, first: int, stop: int) -> tuple[tuple, tuple]:
-        """Side-A and side-B labels (c, j) of pairs ``first..stop-1``.
+    def paired(self, c: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Which side-A labels (c, j) are paired: a position both bases
+        hold on one of the paired chains, or a proper mode in ``points``."""
+        chain = (c >= 0) & (c < self.basis_a.chains)
+        lo, hi = self.positions(np.where(chain, c, 0))
+        p0, p1 = self.basis_a.points
+        return np.where(chain, (lo <= j) & (j <= hi), (c == -1) & (p0 <= j) & (j <= p1))
 
-        A pair's chain is the last one starting at or before it, or -1
-        (the proper modes, which all chains start after); B's labels are
-        A's with j -> eps j on the proper modes."""
-        i = np.arange(first, stop, dtype=np.int32)
-        c = self.start[:-2].searchsorted(i, side="right").astype(np.int32) - 1
-        j = i - self.start.take(c) + self.lo.take(c)
-        return (c, j), (c, np.where(c < 0, self.eps * j, j))
+    def _windows(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The paired chains, ``VERIFY_SLICE`` at a time, as (c, ends,
+        offset): chain c[k] holds the window's pairs ends[k-1]..ends[k]-1,
+        the pair i at position i + offset[k] (read only where it holds
+        one).  int32 is exact: a window holds at most VERIFY_SLICE (2B + 1)
+        pairs."""
+        n = self.basis_a.chains
+        for first in range(0, n, VERIFY_SLICE):
+            c = np.arange(first, min(first + VERIFY_SLICE, n), dtype=np.int32)
+            lo, hi = self.positions(c)
+            ends = np.cumsum(np.maximum(hi - lo + 1, 0), dtype=np.int32)
+            yield c, ends, hi + 1 - ends
+
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The pairs in order, at most ``VERIFY_SLICE`` at a time: the
+        proper modes, then the chains.  A block is (c, runs, j): its
+        chains c (-1: the proper modes), how many of its pairs each one
+        holds, and their side-A positions j; B's labels are A's with
+        j -> eps j on the proper modes.  A block holds whole chains,
+        except that it may start or end inside one."""
+        p0, p1 = self.basis_a.points
+        for first in range(p0, p1 + 1, VERIFY_SLICE):
+            j = np.arange(first, min(first + VERIFY_SLICE, p1 + 1), dtype=np.int32)
+            yield np.array([-1], dtype=np.int32), np.array([j.size]), j
+        for c, ends, offset in self._windows():
+            for first in range(0, int(ends[-1]), VERIFY_SLICE):
+                stop = min(first + VERIFY_SLICE, int(ends[-1]))
+                k0, k1 = ends.searchsorted((first, stop - 1), side="right")
+                runs = np.diff(np.minimum(ends[k0 : k1 + 1], stop), prepend=first)
+                j = np.arange(first, stop, dtype=np.int32) + np.repeat(offset[k0 : k1 + 1], runs)
+                yield c[k0 : k1 + 1], runs, j
 
     @property
     def mapping(self) -> Mapping:
@@ -656,8 +674,7 @@ class IntertwinerPairing:
 
 
 class _PairMapping(Mapping):
-    """A pairing seen as a mapping of label tuples, whose labels are
-    derived from pair indices, ``VERIFY_SLICE`` pairs at a time."""
+    """A pairing seen as a mapping of label tuples, derived block by block."""
 
     def __init__(self, pairing: IntertwinerPairing) -> None:
         self._pairing = pairing
@@ -665,22 +682,16 @@ class _PairMapping(Mapping):
     def __len__(self) -> int:
         return self._pairing.pairs
 
-    def _slices(self) -> Iterator[tuple[tuple, tuple]]:
-        pairs = self._pairing.pairs
-        for first in range(0, pairs, VERIFY_SLICE):
-            yield self._pairing.labels(first, min(first + VERIFY_SLICE, pairs))
-
     def __iter__(self) -> Iterator[tuple]:
-        for a, _ in self._slices():
-            yield from self._pairing.basis_a.labels(*a)
+        for c, runs, j in self._pairing.blocks():
+            yield from self._pairing.basis_a.labels(np.repeat(c, runs), j)
 
     def __getitem__(self, label) -> tuple:
         pairing = self._pairing
-        i = int(pairing.index(*map(np.array, pairing.basis_a.parse(label))))
-        if i < 0:
+        c, j = map(np.array, pairing.basis_a.parse(label))
+        if not pairing.paired(c, j):
             raise KeyError(label)
-        _, (c, j) = pairing.labels(i, i + 1)
-        return pairing.basis_b.label(int(c[0]), int(j[0]))
+        return next(pairing.basis_b.labels(c[None], np.where(c < 0, pairing.eps * j, j)[None]))
 
     def items(self) -> ItemsView:
         return _PairItems(self)
@@ -689,8 +700,10 @@ class _PairMapping(Mapping):
 class _PairItems(ItemsView):
     def __iter__(self) -> Iterator[tuple[tuple, tuple]]:
         pairing = self._mapping._pairing
-        for a, b in self._mapping._slices():
-            yield from zip(pairing.basis_a.labels(*a), pairing.basis_b.labels(*b))
+        for c, runs, j in pairing.blocks():
+            c = np.repeat(c, runs)
+            jb = np.where(c < 0, pairing.eps * j, j)
+            yield from zip(pairing.basis_a.labels(c, j), pairing.basis_b.labels(c, jb))
 
 
 @dataclass(frozen=True)
@@ -707,18 +720,18 @@ def build_intertwiner(
     Point modes are matched by proper value (k maps to eps*k); chains
     are matched in canonical enumeration order, position to position,
     over the positions both chains hold inside the truncation.  Each
-    chain's positions form one interval, so the pairs are generated
-    arithmetically, in time linear in their number.  Raises
-    :class:`IncompatibleSpectraError` when the descriptors differ
+    basis computes a chain's parameters and positions from its index,
+    so the pairing keeps only the two bases and the pair count, summed
+    ``VERIFY_SLICE`` chains at a time: its memory does not grow with B.
+    Raises :class:`IncompatibleSpectraError` when the descriptors differ
     structurally (different point groups or Lebesgue multiplicities).
     """
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
-    # The bases and the per-chain arrays are int32.  Chain indices,
-    # exponents, phases and their intermediates stay below (2B + 2)^2 in
-    # absolute value, and pair indices below the pair count plus 2B, so
-    # int32 is exact up to B = 23,169; ``cli.MAX_INTERTWINER_PAIRS`` caps
-    # B at 1,580 (107 between two products).
+    # Labels are int32.  Chain indices, exponents, phases and their
+    # intermediates stay below (2B + 2)^2 in absolute value, so int32 is
+    # exact up to B = 23,169; ``cli.MAX_INTERTWINER_PAIRS`` caps B at
+    # 1,580 (107 between two products).
     if (2 * truncation + 2) ** 2 >= 2**31:
         raise ValueError(f"truncation {truncation} overflows the int32 tables")
     da, db = spectrum_of(spec_a), spectrum_of(spec_b)
@@ -741,71 +754,58 @@ def build_intertwiner(
     cls_a, cls_b = _BASES[spec_a.kind], _BASES[spec_b.kind]
     n_chains = min(cls_a.chain_count(truncation), cls_b.chain_count(truncation))
     basis_a, basis_b = cls_a(truncation, n_chains), cls_b(truncation, n_chains)
-    p0, p1 = basis_a.points
-    n_points = p1 - p0 + 1
-    lo = np.maximum(basis_a.lo, basis_b.lo)
-    hi = np.minimum(basis_a.hi, basis_b.hi)
-    count = np.maximum(hi - lo + 1, 0)
-    pairs = n_points + int(count.sum())
-    if pairs + 2 * truncation >= 2**31:
-        raise ValueError(f"{pairs} pairs overflow the int32 pair indices")
-    start = n_points + np.cumsum(count, dtype=np.int32) - count
-    ends = ((0, p0), (-1, p1), (0, 0))  # the empty entry, then the proper modes
-    lo, hi, start = (np.append(v, np.array(e, np.int32)) for v, e in zip((lo, hi, start), ends))
-    return IntertwinerPairing(spec_a, spec_b, truncation, eps, basis_a, basis_b, lo, hi, start)
+    return IntertwinerPairing(spec_a, spec_b, truncation, eps, basis_a, basis_b)
 
 
 def verify_intertwiner(pairing: IntertwinerPairing) -> IntertwinerCheck:
     """Check W U = V W on every interior pair, exactly, with the raw actions.
 
-    Each pair's labels come from its index (:meth:`IntertwinerPairing.labels`).
-    The side-A label is taken to its raw basis vector (skew chains
+    The pairs are walked in order (:meth:`IntertwinerPairing.blocks`):
+    the proper modes, then the chains, at most ``VERIFY_SLICE`` pairs at
+    a time, a chain longer than that split across blocks.  The side-A
+    label is taken to its raw basis vector (skew chains
     ``f[k,m] = a[k,m] g[k,m]`` with ``a`` from the normalizing exponent,
     product chains ``t[l,k,m] = e(l k gamma) p[l,k,m]``, shift chains
     ``d[k,m]``, proper modes as they are), system A's raw action is
-    applied through ``KOOPMAN_TABLE``, and the image is renormalized and
-    resolved back to a pair index arithmetically.  A pair is interior
-    when that image is paired; chain ends at the truncation boundary are
-    skipped.  System B's raw action is applied to the side-B label the
-    same way; an interior pair matches when B's image is the side-B label
-    of A's image, (c', j') on a chain or (-1, eps j') on a proper mode,
-    and the phases agree.  Phases are integer multiples of each system's
-    angle, and the sign s with gammaB = s * gammaA (mod 1) is decided
-    exactly from the angles, so they agree iff ``phase_a == s * phase_b``.
-    s is not read off ``eps``, so a pairing with the wrong eps fails on
-    its proper modes.
+    applied through ``KOOPMAN_TABLE``, and the image (c', j') is
+    renormalized.  A pair is interior when that image is paired
+    (:meth:`IntertwinerPairing.paired`: c' a paired chain and j' in both
+    bases' closed-form positions of c', or c' = -1 and j' in ``points``);
+    chain ends at the truncation boundary are skipped.  System B's raw
+    action is applied to the side-B label the same way; an interior pair
+    matches when B's image is the side-B label of A's image, (c', j') on
+    a chain or (-1, eps j') on a proper mode, and the phases agree.
+    Phases are integer multiples of each system's angle, and the sign s
+    with gammaB = s * gammaA (mod 1) is decided exactly from the angles,
+    so they agree iff ``phase_a == s * phase_b``.  s is not read off
+    ``eps``, so a pairing with the wrong eps fails on its proper modes.
 
-    The proper modes, pairs ``[0, n_points)``, are stepped apart from the
-    chains, and both in slices of ``VERIFY_SLICE`` pairs, so the
-    temporaries stay bounded however many pairs there are.  Returns the
-    number of mismatched pairs and how many pairs were checked.
+    Nothing grows with the pair count: the temporaries are those of one
+    block and one window of ``VERIFY_SLICE`` chains.  Returns the number
+    of mismatched pairs and how many pairs were checked.
     """
     basis_a, basis_b, eps = pairing.basis_a, pairing.basis_b, pairing.eps
     # the angles' own sign, not the pairing's eps, which also relabels B
     ga, gb = pairing.spec_a.gamma, pairing.spec_b.gamma
     relation = (1, 1) if ga is None or gb is None else point_spectrum_groups_equal(ga, gb).relation
     sign = relation[0] if relation else 0
-    p0, p1 = basis_a.points
-    n_points = p1 - p0 + 1
     mismatches = checked = 0
-    for first, stop, chains in ((0, n_points, False), (n_points, pairing.pairs, True)):
-        for start in range(first, stop, VERIFY_SLICE):
-            (ca, ja), (cb, jb) = pairing.labels(start, min(start + VERIFY_SLICE, stop))
-            if chains:
-                phase_a, c_next, j_next = basis_a.step_chains(ca, ja)
-                phase_b, cb_next, jb_next = basis_b.step_chains(cb, jb)
-            else:
-                phase_a, c_next, j_next = basis_a.step_points(ja)
-                phase_b, cb_next, jb_next = basis_b.step_points(jb)
-            interior = pairing.index(c_next, j_next) >= 0
-            # B's image must be the side-B label of A's image
-            match = (
-                interior
-                & (cb_next == c_next)
-                & (jb_next == np.where(c_next < 0, eps * j_next, j_next))
-                & (phase_a == sign * phase_b)
-            )
-            n_interior = int(np.count_nonzero(interior))
-            checked += n_interior
-            mismatches += n_interior - int(np.count_nonzero(match))
+    for c, runs, j in pairing.blocks():
+        if c[0] < 0:
+            phase_a, c_next, j_next = basis_a.step_points(j)
+            phase_b, cb_next, jb_next = basis_b.step_points(eps * j)
+        else:
+            phase_a, c_next, j_next = basis_a.step_chains(c, runs, j)
+            phase_b, cb_next, jb_next = basis_b.step_chains(c, runs, j)
+        interior = pairing.paired(c_next, j_next)
+        # B's image must be the side-B label of A's image
+        match = (
+            interior
+            & (cb_next == c_next)
+            & (jb_next == np.where(c_next < 0, eps * j_next, j_next))
+            & (phase_a == sign * phase_b)
+        )
+        n_interior = int(np.count_nonzero(interior))
+        checked += n_interior
+        mismatches += n_interior - int(np.count_nonzero(match))
     return IntertwinerCheck(mismatches, checked)

@@ -193,9 +193,10 @@ def _chains(kind: str, B: int) -> tuple[list[int], list[list[tuple]]]:
     chain as the raw labels its positions name, in operator order."""
     basis = koopman._BASES[kind](B)
     p0, p1 = basis.points
+    c = np.arange(basis.chains, dtype=np.int32)
     chains = []
-    for c, params in enumerate(basis.params.tolist()):
-        positions = range(basis.lo[c], basis.hi[c] + 1)
+    for params, lo, hi in zip(basis.params(c).T.tolist(), *basis.positions(c)):
+        positions = range(lo, hi + 1)
         if kind == "skew":
             m, r = params
             chains.append([(r + j * m, m) for j in positions])
@@ -236,9 +237,10 @@ def test_proper_modes_of_skew():
     phase, c_next, j_next = basis.step_points(j)
     assert (c_next == -1).all() and (j_next == j).all()
     assert phase.tolist() == j.tolist()
-    c = np.arange(basis.lo.size, dtype=np.int32)
-    phase, c_next, j_next = basis.step_chains(c, basis.lo)
-    assert ((c_next != c) | (j_next != basis.lo)).all()
+    c = np.arange(basis.chains, dtype=np.int32)
+    lo, _ = basis.positions(c)
+    phase, c_next, j_next = basis.step_chains(c, np.ones_like(c), lo)
+    assert ((c_next != c) | (j_next != lo)).all()
     assert not phase.any()
 
 
@@ -299,7 +301,8 @@ def test_box_chain_counts_match_the_closed_forms_and_the_bases(spec):
     assert spectrum_of(spec).chain_counts == tuple((B, closed(B)) for B in CHAIN_BOXES)
     for B in CHAIN_BOXES:
         basis = koopman._BASES[spec.kind](B)
-        assert np.count_nonzero(basis.hi >= basis.lo) == closed(B)
+        lo, hi = basis.positions(np.arange(basis.chains, dtype=np.int32))
+        assert np.count_nonzero(hi >= lo) == closed(B)
 
 
 def test_degenerate_point_part_is_not_simple():
@@ -508,19 +511,33 @@ def test_checked_count_pins(B, checked):
     assert check == IntertwinerCheck(0, checked)
 
 
-def test_pairing_and_check_at_b192_stay_under_a_memory_bound():
-    """Traced peak of building and checking the skew-product pairing at
-    B = 192: about 2.1 MB with only per-chain arrays stored, against
-    4.2 MB with the two per-pair int32 label arrays and 9.8 MB when the
-    product basis held all (2B+1)^2 chains and every table was int64."""
+def _traced_peak(B: int, checked: int) -> int:
+    """Traced peak bytes of building and checking the skew-product
+    pairing at B, which must check ``checked`` pairs."""
     tracemalloc.start()
     try:
-        check = verify_intertwiner(build_intertwiner(*PAIRING_CASES["skew-product"], 192))
+        check = verify_intertwiner(build_intertwiner(*PAIRING_CASES["skew-product"], B))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert check == IntertwinerCheck(0, 111_169)
-    assert peak < 3 * 2**20
+    assert check == IntertwinerCheck(0, checked)
+    return peak
+
+
+def test_pairing_and_check_at_b192_stay_under_a_memory_bound():
+    """Traced peak of building and checking the skew-product pairing at
+    B = 192: about 0.9 MB with chains enumerated on demand, against
+    2.1 MB with per-chain arrays stored, 4.2 MB with the two per-pair
+    int32 label arrays and 9.8 MB when the product basis held all
+    (2B+1)^2 chains and every table was int64."""
+    assert _traced_peak(192, 111_169) < 2**20
+
+
+def test_pairing_and_check_memory_does_not_grow_with_b():
+    """Nothing the pairing keeps or the check allocates grows with the
+    chain or pair count: 6.8 times the pairs at B = 500 peak within 10 %
+    of B = 192 (13.9 MB against 2.1 MB with per-chain arrays)."""
+    assert _traced_peak(500, 751_501) <= 1.1 * _traced_peak(192, 111_169)
 
 
 def _ring_order(B: int) -> list[list[int]]:
@@ -541,16 +558,19 @@ def test_capped_bases_are_prefixes_of_the_full_ones(kind, B):
     to its place; the full product basis is the ring order."""
     full = koopman._BASES[kind](B)
     total = full.chain_count(B)
-    assert full.lo.size == full.hi.size == full.params.shape[0] == total
-    assert full.lo.dtype == full.hi.dtype == full.params.dtype == np.int32
+    c = np.arange(total, dtype=np.int32)
+    params, (lo, hi) = full.params(c), full.positions(c)
+    assert full.chains == lo.size == hi.size == params.shape[1] == total
+    assert lo.dtype == hi.dtype == params.dtype == np.int32
     if kind == "product":
-        assert full.params.tolist() == _ring_order(B)
+        assert params.T.tolist() == _ring_order(B)
     for n in sorted({0, 1, B * (B + 1), total - 1, total} & set(range(total + 1))):
         capped = koopman._BASES[kind](B, n)
-        assert capped.params.tolist() == full.params[:n].tolist()
-        assert capped.lo.tolist() == full.lo[:n].tolist()
-        assert capped.hi.tolist() == full.hi[:n].tolist()
-        assert capped.chain_index(*capped.params.T).tolist() == list(range(n))
+        assert capped.chains == n
+        assert capped.params(c[:n]).tolist() == params[:, :n].tolist()
+        assert capped.positions(c[:n])[0].tolist() == lo[:n].tolist()
+        assert capped.positions(c[:n])[1].tolist() == hi[:n].tolist()
+        assert capped.chain_index(*capped.params(c[:n])).tolist() == list(range(n))
 
 
 def test_each_basis_holds_only_the_paired_chains():
@@ -559,23 +579,24 @@ def test_each_basis_holds_only_the_paired_chains():
     outside the box; two products pair every chain."""
     B = 6
     pairing = build_intertwiner(*PAIRING_CASES["product-skew"], B)
-    assert pairing.basis_a.lo.size == pairing.basis_b.lo.size == B * (B + 1)
+    assert pairing.basis_a.chains == pairing.basis_b.chains == B * (B + 1)
     l, m = _ring_order(B)[B * (B + 1)]  # the first product chain past them
     assert pairing.basis_a.parse(("chain", l, m, 0)) == (B * (B + 1), 0)
     assert ("chain", l, m, 0) not in pairing.mapping
     assert ("chain", *_ring_order(B)[B * (B + 1) - 1], 0) in pairing.mapping
     c = np.array([B * (B + 1), (2 * B + 1) ** 2 - 1, -2], dtype=np.int32)
-    assert pairing.index(c, np.zeros(3, np.int32)).tolist() == [-1] * 3
+    assert pairing.paired(c, np.zeros(3, np.int32)).tolist() == [False] * 3
     both = build_intertwiner(*PAIRING_CASES["product-product"], B)
-    assert both.basis_a.lo.size == both.basis_b.lo.size == (2 * B + 1) ** 2
+    assert both.basis_a.chains == both.basis_b.chains == (2 * B + 1) ** 2
 
 
 def test_int32_tables_have_headroom_at_the_pair_budget():
     """At the largest B the pair budget admits, skew vs product and
-    product vs product, the largest chain index, pair index, normalizing
+    product vs product, the largest chain index, pair count, normalizing
     exponent and step phase, and the intermediates that produce them,
     stay below (2B + 2)^2 and 2^31; computed in int64 and Python ints,
-    without building a pairing."""
+    without building a pairing.  The int32 pair offsets of a window of
+    ``VERIFY_SLICE`` chains stay below 2^31 at every B the tables admit."""
     skew_product = (math.isqrt(MAX_INTERTWINER_PAIRS) - 1) // 2
     product_product = max(B for B in range(200) if (2 * B + 1) ** 3 <= MAX_INTERTWINER_PAIRS)
     assert (skew_product, product_product) == (1580, 107)
@@ -602,6 +623,7 @@ def test_int32_tables_have_headroom_at_the_pair_budget():
                 exponent = _normalizing_exponent(k, np.int64(m))
                 worst = max(worst, B + 2 * int(np.abs(exponent).max()))
         assert worst < bound
+    assert koopman.VERIFY_SLICE * (2 * 23_169 + 1) < 2**31
     with pytest.raises(ValueError, match="int32"):
         build_intertwiner(*PAIRING_CASES["skew-product"], 23_170)
 
@@ -658,11 +680,14 @@ def test_chain_steps_gather_their_own_chain_parameters(kind):
     step that read another chain's parameters would leave the chain; the
     first and the last chain are where a gather off by one shows."""
     basis = koopman._BASES[kind](5)
-    c = np.array([0, basis.lo.size - 1], dtype=np.int32)
-    phase, c_next, j_next = basis.step_chains(c, basis.lo[c])
-    assert (basis.hi[c] > basis.lo[c]).all()
-    assert c_next.tolist() == c.tolist()
-    assert j_next.tolist() == (basis.lo[c] + 1).tolist()
+    c = np.array([0, basis.chains - 1], dtype=np.int32)
+    lo, hi = basis.positions(c)
+    assert (hi > lo).all()
+    # the first two positions of each chain
+    j = np.stack([lo, lo + 1], axis=1).ravel()
+    phase, c_next, j_next = basis.step_chains(c, np.array([2, 2]), j)
+    assert c_next.tolist() == np.repeat(c, 2).tolist()
+    assert j_next.tolist() == (j + 1).tolist()
     assert not phase.any()
 
 
@@ -677,28 +702,32 @@ def test_chain_steps_gather_their_own_chain_parameters(kind):
     ],
 )
 def test_check_in_slices_equals_the_unsliced_check(case, B, mutant, monkeypatch):
-    """Slices of 7 pairs give the same counts and residual as one slice
-    holding every pair, with and without a wrong action."""
+    """Slices of 7 pairs, and windows of 7 chains, give the same counts,
+    pairs and pair order as one slice holding every pair, with and
+    without a wrong action; chains longer than 7 positions are split."""
     if mutant is not None:
         KERNEL_MUTANTS[mutant](monkeypatch)
     pairing = build_intertwiner(*PAIRING_CASES[case], truncation=B)
     monkeypatch.setattr(koopman, "VERIFY_SLICE", len(pairing.mapping))
     whole = verify_intertwiner(pairing)
+    items = list(pairing.mapping.items())
     monkeypatch.setattr(koopman, "VERIFY_SLICE", 7)
     assert verify_intertwiner(pairing) == whole
+    assert dataclasses.replace(pairing).pairs == len(items)
+    assert list(pairing.mapping.items()) == items
     assert (whole.mismatches > 0) == (mutant is not None)
 
 
 def test_check_fails_when_two_chains_of_basis_b_are_swapped():
-    """W sends chain c of A to chain c of B, so swapping the parameters of
-    B's first and last chains sends each to the other's partner: every
-    interior pair of both chains is a mismatch, 16 on the first chain
-    (f[j, 1], j = -8..8, against t[0, j, 0]) and 1 on the last (two
-    positions of f[7 - 8j, -8])."""
+    """W sends chain c of A to chain c of B, so swapping the parameters
+    that B computes for its first and last chains sends each to the
+    other's partner: every interior pair of both chains is a mismatch,
+    16 on the first chain (f[j, 1], j = -8..8, against t[0, j, 0]) and 1
+    on the last (two positions of f[7 - 8j, -8])."""
     pairing = build_intertwiner(*PAIRING_CASES["skew-product"], truncation=8)
     basis_b = copy.copy(pairing.basis_b)
-    basis_b._table = basis_b._table.copy()
-    basis_b._table[:, [0, -1]] = basis_b._table[:, [-1, 0]]
+    last, params = basis_b.chains - 1, basis_b.params
+    basis_b.params = lambda c: params(np.where(c == 0, last, np.where(c == last, 0, c)))
     check = verify_intertwiner(dataclasses.replace(pairing, basis_b=basis_b))
     assert verify_intertwiner(pairing) == IntertwinerCheck(0, 217)
     assert check == IntertwinerCheck(17, 217)

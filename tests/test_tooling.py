@@ -66,13 +66,17 @@ def _mixing_rows(summary: dict) -> None:
     assert summary["counters"]["mixing.weak_mixing_statistic.lags"] == 50
 
 
-def _letter_rows(summary: dict) -> None:
-    for name in ("koopman.build_intertwiner", "koopman.verify_intertwiner"):
-        assert summary["spans"][name]["calls"] == 1, name
-    # the skew-product pairing at the default B = 16: (2B+1)^2 pairs, of
-    # which the interior ones are checked
-    assert summary["counters"]["koopman.intertwiner.pairs"] == 1089
-    assert summary["counters"]["koopman.intertwiner.checked"] == 817
+def _letter_rows(pairs: int, checked: int):
+    """The rows of a letter run whose skew-product pairing holds
+    (2B+1)^2 ``pairs``, of which the interior ones are ``checked``."""
+
+    def check(summary: dict) -> None:
+        for name in ("koopman.build_intertwiner", "koopman.verify_intertwiner"):
+            assert summary["spans"][name]["calls"] == 1, name
+        assert summary["counters"]["koopman.intertwiner.pairs"] == pairs
+        assert summary["counters"]["koopman.intertwiner.checked"] == checked
+
+    return check
 
 
 #: In-process runs, each with its config and a check of the rows the
@@ -81,14 +85,21 @@ def _letter_rows(summary: dict) -> None:
 TRACED_RUNS = {
     "reproduce-kolmogorov": (["reproduce-kolmogorov"], {"samples": 2000}, _kolmogorov_rows),
     "weak-mixing": (["compute", "weak-mixing"], {"params": {"t": 50}}, _mixing_rows),
-    "reproduce-letter": (["reproduce-letter"], {}, _letter_rows),
+    "reproduce-letter": (["reproduce-letter"], {}, _letter_rows(1089, 817)),
+    # the ``letter-wide`` workload's sizes, B = 192 and N = 16
+    "letter-wide": (
+        ["reproduce-letter"],
+        {"truncation": 192, "residual_truncation": 16},
+        _letter_rows(148_225, 111_169),
+    ),
 }
 
 
 @pytest.mark.parametrize("run", list(TRACED_RUNS))
 def test_traced_kolmogorov_run_enters_every_sampling_span(run, tmp_path, monkeypatch):
     """An in-process run (``reproduce-kolmogorov`` at 2,000 samples,
-    ``compute weak-mixing`` at t = 50, or ``reproduce-letter``), traced
+    ``compute weak-mixing`` at t = 50, or ``reproduce-letter`` at B = 16
+    or 192), traced
     as the benchmark traces it, enters every span its rows read and
     fills their counters, so a call rewired past a wrapped function, or
     a renamed parameter or result field, cannot zero a row unnoticed.
