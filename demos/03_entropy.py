@@ -3,9 +3,11 @@
 The fair-coin shift and the uniform 4-symbol shift have identical
 spectra (countable Lebesgue plus a simple constant), so no spectral
 quantity tells them apart.  Their entropies ln 2 and ln 4 do.  Exact
-values are computed in high-precision arithmetic and rounded once;
-the sampled estimator scores exact refined-cell measures along
-simulated itineraries, so it is unbiased at any sample size.
+values are computed in high-precision arithmetic and rounded once; a
+block of n independent symbols has entropy n H_1, so the one-step
+entropy is also the rate at every block length.  The sampled estimator
+scores exact refined-cell measures along simulated itineraries, so it
+is unbiased at any sample size.
 
 Run:  python demos/03_entropy.py
 """
@@ -18,7 +20,6 @@ from ergolab import (
     SystemSpec,
     bernoulli_entropy,
     entropy_classifier,
-    exact_block_entropy,
     partition_refine_entropy,
     spawn_rngs,
 )
@@ -35,12 +36,6 @@ def main() -> None:
         print(f"  {name:10s} H = {h:.15f} nats = {h / math.log(2):.6f} bits")
     print(f"  fair coin equals ln 2 exactly:  {bernoulli_entropy(FAIR) == math.log(2)}")
     print(f"  uniform 4 equals ln 4 exactly:  {bernoulli_entropy(UNIFORM4) == math.log(4)}")
-
-    print()
-    print("=== block entropies grow linearly for product measures ===")
-    for n in (1, 2, 4, 8):
-        print(f"  H_{n}(fair) = {exact_block_entropy(FAIR, n):.12f} "
-              f"(n * ln 2 = {n * math.log(2):.12f})")
 
     print()
     print("=== sampled refinement estimates ===")

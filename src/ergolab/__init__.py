@@ -46,7 +46,7 @@ _EXPORTS = {
         "entropy": (
             "EntropyEstimate", "EntropyVerdict", "PartitionSpec", "UndersampledError",
             "bernoulli_entropy", "entropy_classifier",
-            "exact_block_entropy", "exact_block_entropy_rate", "partition_refine_entropy",
+            "exact_block_entropy_rate", "partition_refine_entropy",
         ),
         "mixing": (
             "CorrelationPoint", "NoClosedFormError", "TestSet", "correlation",

@@ -35,7 +35,6 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
-from decimal import Decimal
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
@@ -68,15 +67,17 @@ DEFAULT_SEED = 1
 #: 100 digits, 1.1-3.0 s at 1,000 and 16-54 s at 3,000 on a 2-core
 #: x86-64 host, so the budget keeps one run near 3 s.
 MAX_WEAK_MIXING_DIGITS = 1000
-#: Most basis pairs the intertwiners of one ``reproduce-letter`` or
-#: ``reproduce-kolmogorov`` run may build, summed over its pairings (one
-#: per pair of systems).  At truncation B a pairing holds (2B+1)^2 pairs,
-#: or (2B+1)^3 between two products.  Memory does not grow with them: a
-#: pairing enumerates its chains on demand and keeps no per-chain or
-#: per-pair array, so building and checking one peaks near 1 MB traced
-#: at every B.  Time alone sets the budget: about 0.15 microseconds per
-#: pair on a 2-core x86-64 host (0.16 s for the 1,002,001 skew-product
-#: pairs at B = 500), so it caps a run near 1.5 s.
+#: Most basis pairs the one intertwiner of a ``reproduce-letter`` or
+#: ``reproduce-kolmogorov`` run may build: a letter run pairs its two
+#: systems, and every pair of shifts shares one pairing, so a kolmogorov
+#: run builds one whatever its number of systems.  At truncation B a
+#: pairing holds (2B+1)^2 pairs, or (2B+1)^3 between two products.
+#: Memory does not grow with them: a pairing enumerates its chains on
+#: demand and keeps no per-chain or per-pair array, so building and
+#: checking one peaks near 1 MB traced at every B.  Time alone sets the
+#: budget: about 0.15 microseconds per pair on a 2-core x86-64 host
+#: (0.16 s for the 1,002,001 skew-product pairs at B = 500), so it caps
+#: a run near 1.5 s.
 MAX_INTERTWINER_PAIRS = 10**7
 #: Most basis labels one residual census may step (``tower.census_nodes``:
 #: 9 (1 + (N+1)(2N+1)) on the product at truncation N).  The five-k
@@ -107,18 +108,6 @@ MAX_TOWER_DEPTH = 30_000
 #: is twice the 10^7-sample run (n = 10, two shifts; 0.7 s for the whole
 #: command) and 20 times the default 10^6.
 MAX_SAMPLED_SYMBOLS = 4 * 10**8
-#: Most symbol-count vectors, weighted by the size of their integers, that
-#: the exact block entropies of ``reproduce-kolmogorov`` may sum over the
-#: systems: C(n+K-1, K-1) vectors for a K-symbol law at block length n
-#: (``entropy._block_entropy``).  A vector takes 6-18 microseconds on a
-#: 2-core x86-64 host while its integers are small, and longer as they
-#: grow to b = max(n log2 D, log2 n!) bits, D the common denominator of
-#: the binary probabilities.  A vector is charged 1 + (b / 2000)^2, and
-#: 24 measured laws and lengths took 0.48-1.84 times 10 microseconds a
-#: charge (a fair coin at n = 1,000 takes 191 microseconds a vector,
-#: charged 19; (0.1, 0.9) at n = 300 takes 638, charged 69), so the
-#: budget caps the exact entropies near 1 s; the default run charges 297.
-MAX_BLOCK_ENTROPY_VECTORS = 10**5
 
 
 #: JSON type name -> membership test, as in jsonschema's draft 2020-12
@@ -402,16 +391,13 @@ def default_config(scenario: str) -> ExperimentConfig:
 
 
 def _check_intertwiner_cost(specs: Sequence[SystemSpec], truncation: int) -> None:
-    """Refuse a truncation whose intertwiners, one per pair of systems,
-    exceed the pair budget together."""
+    """Refuse a truncation whose one intertwiner exceeds the pair budget."""
     side = 2 * truncation + 1
-    each = side**3 if all(s.kind == "product" for s in specs) else side**2
-    pairings = math.comb(len(specs), 2)
-    if each * pairings > MAX_INTERTWINER_PAIRS:
-        split = f" ({pairings} pairings of {each})" if pairings > 1 else ""
+    pairs = side**3 if all(s.kind == "product" for s in specs) else side**2
+    if pairs > MAX_INTERTWINER_PAIRS:
         raise ValueError(
-            f"truncation {truncation} needs {each * pairings} intertwiner pairs"
-            f"{split}, over the budget of {MAX_INTERTWINER_PAIRS} pairs"
+            f"truncation {truncation} needs {pairs} intertwiner pairs, over the "
+            f"budget of {MAX_INTERTWINER_PAIRS} pairs"
         )
 
 
@@ -447,26 +433,6 @@ def _check_sampling_cost(config: ExperimentConfig, systems: int) -> None:
             f"{config.samples} samples x block length {config.block_length} x "
             f"{systems} systems need {symbols} sampled symbols, over the "
             f"budget of {MAX_SAMPLED_SYMBOLS} symbols"
-        )
-
-
-def _check_block_entropy_cost(specs: Sequence[SystemSpec], n: int) -> None:
-    """Refuse a block length whose exact block entropies exceed the
-    weighted vector budget."""
-    vectors = charge = 0
-    for spec in specs:
-        probs = spec.bernoulli.probs
-        count = math.comb(n + len(probs) - 1, len(probs) - 1)
-        denominator = math.lcm(*(p.as_integer_ratio()[1] for p in probs))
-        bits = max(n * (denominator.bit_length() - 1), int(math.lgamma(n + 1) / math.log(2)))
-        vectors += count
-        charge += count + count * bits * bits // 2000**2
-    if charge > MAX_BLOCK_ENTROPY_VECTORS:
-        raise ValueError(
-            f"block length {n} needs {vectors} symbol-count vectors for the exact "
-            f"block entropies of {len(specs)} systems, charged {charge} for the size "
-            f"of their integers, over the budget of {MAX_BLOCK_ENTROPY_VECTORS}: "
-            f"they would take about {Decimal(charge).scaleb(-5):.2g} s"
         )
 
 
@@ -577,10 +543,13 @@ def run_reproduce_kolmogorov(config: ExperimentConfig) -> ExperimentReport:
     """Pairwise comparison of product-measure shifts: spectra pair up
     exactly, entropies separate, plus one sampled cross-check per system.
 
-    Each system's entry (exact entropy, analytic rate, sampled estimate)
-    is built in a worker thread, one per system up to the CPU count: the
-    sampling spends most of its time in numpy's generator, which releases
-    the GIL.
+    Each system's entry (exact entropy, the block-entropy rate at the
+    block length, which is the same closed form, and the sampled
+    estimate) is built in a worker thread, one per system up to the CPU
+    count: the sampling spends most of its time in numpy's generator,
+    which releases the GIL.  One intertwiner is built and checked per run
+    and its counts go on every pair: the shift basis depends only on the
+    truncation and a shift has no angle, so all pairs of shifts share it.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -600,7 +569,6 @@ def run_reproduce_kolmogorov(config: ExperimentConfig) -> ExperimentReport:
         raise ValueError("the kolmogorov scenario needs at least two shift systems")
     _check_intertwiner_cost(specs, config.truncation)
     _check_sampling_cost(config, len(specs))
-    _check_block_entropy_cost(specs, config.block_length)
     results: dict = {"systems": [s.to_json() for s in specs]}
     verdicts: list[dict] = []
 
@@ -634,12 +602,11 @@ def run_reproduce_kolmogorov(config: ExperimentConfig) -> ExperimentReport:
             pool.map(estimate, specs, spawn_rngs(config.seed, len(specs)))
         )
 
+    check = verify_intertwiner(build_intertwiner(specs[0], specs[1], config.truncation))
     pairs = []
     for i in range(len(specs)):
         for j in range(i + 1, len(specs)):
             a, b = specs[i], specs[j]
-            pairing = build_intertwiner(a, b, config.truncation)
-            check = verify_intertwiner(pairing)
             verdict = entropy_classifier(a.bernoulli, b.bernoulli)
             pair = {
                 "system_a": a.label(),

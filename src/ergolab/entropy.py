@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from decimal import Context, Decimal, localcontext
-from itertools import combinations_with_replacement
-from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +34,6 @@ __all__ = [
     "UndersampledError",
     "bernoulli_entropy",
     "entropy_classifier",
-    "exact_block_entropy",
     "exact_block_entropy_rate",
     "partition_refine_entropy",
     "EntropyVerdict",
@@ -94,58 +91,14 @@ def bernoulli_entropy(spec: BernoulliSpec) -> float:
         return float(-sum(Decimal(p) * Decimal(p).ln() for p in spec.probs))
 
 
-def _block_entropy(spec: BernoulliSpec, n: int) -> Decimal:
-    """H_n to 40 digits, grouped by symbol-count vectors so the sum has
-    O(n^{K-1}) terms instead of K^n.  The K logs are taken once.  The
-    exact binary probabilities share a power-of-two denominator D, so
-    each count vector's mass, its multinomial weight times the product
-    of the probabilities, is an integer over D^n, rounded once."""
-    ratios = [p.as_integer_ratio() for p in spec.probs]
-    denominator = math.lcm(*(d for _, d in ratios))
-    numerators = [a * (denominator // d) for a, d in ratios]
-    powers = [[a**c for c in range(n + 1)] for a in numerators]
-    K = len(numerators)
-    with localcontext(_WORK):
-        logs = [Decimal(p).ln() for p in spec.probs]
-        scale = Decimal(denominator**n)
-        total = Decimal(0)
-        for combo in combinations_with_replacement(range(K), n):
-            counts = [0] * K
-            for idx in combo:
-                counts[idx] += 1
-            mass = _multinomial(n, counts) * math.prod(
-                row[c] for row, c in zip(powers, counts)
-            )
-            log_p = sum(c * log for c, log in zip(counts, logs))
-            total -= Decimal(mass) / scale * log_p
-        return total
-
-
-def _multinomial(n: int, counts: Sequence[int]) -> int:
-    out = math.factorial(n)
-    for c in counts:
-        out //= math.factorial(c)
-    return out
-
-
-def exact_block_entropy(spec: BernoulliSpec, n: int) -> float:
-    """The entropy of the n-block distribution (equals n * H_1, but
-    computed from the distribution itself rather than the i.i.d.
-    shortcut, so it doubles as an independent consistency check)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return float(_block_entropy(spec, n))
-
-
 def exact_block_entropy_rate(spec: BernoulliSpec, n: int) -> EntropyEstimate:
-    """H_n / n as an exact EntropyEstimate; equals the one-step entropy
-    for every n because blocks are independent."""
+    """H_n / n as an exact EntropyEstimate.  The n symbols of a block are
+    independent, so H_n = n H_1 by linearity of expectation and the rate
+    is the one-step entropy :func:`bernoulli_entropy` at every n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    with localcontext(_WORK):
-        rate = float(_block_entropy(spec, n) / n)
     return EntropyEstimate(
-        value=rate, block_length=n, sample_count=0, stderr=0.0, exact=True
+        value=bernoulli_entropy(spec), block_length=n, sample_count=0, stderr=0.0, exact=True
     )
 
 
@@ -235,13 +188,14 @@ def partition_refine_entropy(
     cell.
 
     The sample is streamed: it is drawn from ``rng`` in consecutive
-    chunks of at most ``SAMPLE_CHUNK`` points (:func:`sample_chunks`),
-    holding only the window, and each chunk is scored before the next is
-    drawn into the same arrays.  The scores, too, live in arrays kept for
-    the whole call, and only the merged moments survive a chunk, so
-    memory does not grow with ``samples``.  Calls on different generators
-    share nothing, so concurrent calls, one per thread, hold one set of
-    arrays per thread.  The chunks' score counts, means and squared
+    chunks of at most ``SAMPLE_CHUNK`` points and ``CHUNK_SYMBOLS``
+    symbols (:func:`sample_chunks`), holding only the window, and each
+    chunk is scored before the next is drawn into the same arrays.  The
+    scores, too, live in arrays kept for the whole call, and only the
+    merged moments survive a chunk, so memory grows with neither
+    ``samples`` nor ``n``.  Calls on different generators share nothing,
+    so concurrent calls, one per thread, hold one set of arrays per
+    thread.  The chunks' score counts, means and squared
     deviations, taken about the first score drawn, are merged by Chan's
     update (:func:`_merge_moments`), so a uniform shift's estimate is its
     one score exactly, with stderr 0.
@@ -280,14 +234,17 @@ def _symbol_count_scorer(bern: BernoulliSpec, n: int):
 
     With G_k the number of symbols in a row whose index is >= k, the
     score is -log p_0 - sum_{k >= 1} G_k (log p_k - log p_{k-1}) / n.
-    G_k takes one pass over the window's columns (copied once per chunk
-    so that each is contiguous), counted in the narrowest unsigned type
-    that holds n; a k whose log step is 0 adds exactly 0 and is skipped,
-    so every score of a uniform law is exactly -log p_0.
+    G_k is one comparison of the window's columns (copied once per chunk
+    so that each is contiguous) and one sum down them, counted in the
+    narrowest unsigned type that holds n, so its cost does not depend on
+    how a chunk's symbols split into rows and columns; a k whose log
+    step is 0 adds exactly 0 and is skipped, so every score of a uniform
+    law is exactly -log p_0.
 
-    The scores, the column copy and the counters live in arrays the
-    scorer keeps and refills for every window (a stream's windows never
-    grow), so the returned scores are valid only until the next call."""
+    The scores, the column copy, its flags and the counters live in
+    arrays the scorer keeps and refills for every window (a stream's
+    windows never grow), so the returned scores are valid only until the
+    next call."""
     log_p = [math.log(p) for p in bern.probs]
     steps = [(k, (b - a) / n) for k, (a, b) in enumerate(zip(log_p, log_p[1:]), 1) if b != a]
     counter = np.min_scalar_type(n)
@@ -300,18 +257,17 @@ def _symbol_count_scorer(bern: BernoulliSpec, n: int):
             out = np.empty(rows)
             if steps:
                 terms, at_least_k = np.empty(rows), np.empty(rows, dtype=counter)
-                hits = np.empty(rows, dtype=bool)
                 columns = np.empty((window.shape[1], rows), dtype=window.dtype)
+                hits = np.empty(columns.shape, dtype=bool)
         chunk = out[:rows]
         chunk.fill(-log_p[0])
         if steps:
-            chunk_columns = columns[:, :rows]
+            chunk_columns, flags = columns[:, :rows], hits[:, :rows]
             np.copyto(chunk_columns, window.T)
-            count, flags = at_least_k[:rows], hits[:rows]
+            count = at_least_k[:rows]
             for k, step in steps:
-                count.fill(0)
-                for column in chunk_columns:
-                    count += np.greater_equal(column, k, out=flags)
+                np.greater_equal(chunk_columns, k, out=flags)
+                np.add.reduce(flags, axis=0, dtype=counter, out=count)
                 chunk -= np.multiply(count, step, out=terms[:rows])
         return chunk
 

@@ -16,9 +16,9 @@ exact product measure.
 
 Monte-Carlo estimates stream their sample: ``sample_chunks`` draws it
 from one generator as consecutive batches of at most ``SAMPLE_CHUNK``
-points, and each batch (``sample_batch``) stores sequence symbols as
-uint8 indices for only the positions its consumer reads, so no array
-spans the whole sample.  A stream allocates its arrays once and refills
+points and ``CHUNK_SYMBOLS`` symbols, and each batch (``sample_batch``)
+stores sequence symbols as uint8 indices for only the positions its
+consumer reads, so no array spans the whole sample.  A stream allocates its arrays once and refills
 them for every batch, so a streamed batch is valid only until the next
 one is drawn; a one-shot ``sample_batch`` gets arrays of its own.  A
 run's generators are sub-streams spawned from its single seed
@@ -41,6 +41,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "BernoulliSpec",
+    "CHUNK_SYMBOLS",
     "CylinderSet",
     "InconclusiveEvidenceError",
     "SAMPLE_CHUNK",
@@ -61,11 +62,19 @@ SYSTEM_KINDS = ("rotation", "skew", "bernoulli", "product")
 
 #: Most points one batch of a streamed Monte-Carlo sample holds
 #: (:func:`sample_chunks`), and most uniforms one draw of symbols takes
-#: (:func:`sample_batch`).  A stream keeps one batch's arrays and refills
-#: them for every batch: 2^16 points of ten uint8 symbols take 0.64 MB,
-#: the float block of draws 0.5 MB and its bool scratch 64 KB, and the
-#: scorer's per-point arrays stay within a few megabytes.
+#: (:func:`sample_batch`).
 SAMPLE_CHUNK = 2**16
+#: Most sequence symbols one batch holds (one point when a window is
+#: wider): a window wider than ten positions gets fewer than
+#: ``SAMPLE_CHUNK`` points.  A stream keeps one batch's arrays and
+#: refills them for every batch, so up to windows of ``SAMPLE_CHUNK``
+#: positions its memory does not grow with the window: the window takes
+#: at most 0.64 MB of uint8 symbols, the float block of draws 0.5 MB and
+#: its bool scratch 64 KB, and the entropy scorer's column copy and flags
+#: 1.3 MB and its per-point arrays 1 MB.  A wider window draws one row
+#: per block, and the stream and the scorer take about 12 bytes per
+#: position.
+CHUNK_SYMBOLS = 10 * SAMPLE_CHUNK
 
 
 class WindowError(IndexError):
@@ -299,8 +308,8 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     share no state, so systems can draw from them concurrently, each in
     its own thread, with the result the same as drawing one after
     another.  A streamed estimate draws all its chunks from its one
-    generator in turn, so its result depends on the seed and
-    ``SAMPLE_CHUNK`` alone.
+    generator in turn, so its result depends on the seed and the chunk
+    size (``SAMPLE_CHUNK``, ``CHUNK_SYMBOLS``) alone.
     """
     import numpy as np
 
@@ -445,7 +454,9 @@ def sample_chunks(
     spec: SystemSpec, rng: np.random.Generator, n: int, positions: range
 ) -> Iterator[SampleBatch]:
     """n points of the invariant measure as consecutive batches of at
-    most ``SAMPLE_CHUNK`` points, each drawn from rng after the last.
+    most ``SAMPLE_CHUNK`` points, each drawn from rng after the last.  A
+    batch also holds at most ``CHUNK_SYMBOLS`` symbols (at least one
+    point), so a wider window gets fewer points per batch.
 
     The stream allocates one set of buffers, sized to its first batch,
     and :func:`sample_batch` refills it for every batch, so a yielded
@@ -456,9 +467,10 @@ def sample_chunks(
     memory, whatever n is, and the stream allocates nothing after its
     first batch.  ``positions`` is passed on to :func:`sample_batch`.
     """
-    buffers = _buffers(spec, min(SAMPLE_CHUNK, n), len(positions))
-    for start in range(0, n, SAMPLE_CHUNK):
-        yield sample_batch(spec, rng, min(SAMPLE_CHUNK, n - start), positions, buffers)
+    chunk = min(SAMPLE_CHUNK, max(1, CHUNK_SYMBOLS // max(len(positions), 1)))
+    buffers = _buffers(spec, min(chunk, n), len(positions))
+    for start in range(0, n, chunk):
+        yield sample_batch(spec, rng, min(chunk, n - start), positions, buffers)
 
 
 def iterate_batch(batch: SampleBatch, i: int) -> SampleBatch:

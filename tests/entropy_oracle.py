@@ -13,35 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from decimal import Decimal, localcontext
-from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import numpy as np
 
 from ergolab import EntropyEstimate, iterate_batch
-from ergolab.entropy import _WORK
 from ergolab.systems import SampleBatch
-
-
-def fraction_block_entropy(probs, n: int) -> Decimal:
-    """H_n to the 40 digits of ``entropy._block_entropy``, summed over
-    symbol-count vectors with each mass an exact ``Fraction`` product of
-    the binary probabilities, rounded once: the rationals the integer
-    form must reproduce digit for digit."""
-    fractions = [Fraction(p) for p in probs]
-    with localcontext(_WORK):
-        logs = [Decimal(p).ln() for p in probs]
-        total = Decimal(0)
-        for combo in combinations_with_replacement(range(len(probs)), n):
-            counts = [combo.count(i) for i in range(len(probs))]
-            weight = math.factorial(n)
-            for c in counts:
-                weight //= math.factorial(c)
-            mass = weight * math.prod(p**c for p, c in zip(fractions, counts))
-            log_p = sum(c * log for c, log in zip(counts, logs))
-            total -= Decimal(mass.numerator) / mass.denominator * log_p
-        return total
 
 
 def copied(batch: SampleBatch) -> SampleBatch:

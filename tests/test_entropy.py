@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import mpmath
@@ -28,7 +29,6 @@ from ergolab import (
     UndersampledError,
     bernoulli_entropy,
     entropy_classifier,
-    exact_block_entropy,
     exact_block_entropy_rate,
     partition_refine_entropy,
     spawn_rngs,
@@ -90,11 +90,8 @@ def _random_laws(count: int, seed: int) -> list[tuple[float, ...]]:
 
 def _assert_matches_oracle(probs, n: int) -> None:
     spec = BernoulliSpec(probs, tuple(range(len(probs))))
-    h_n = _oracle_block_entropy(probs, n)
     assert bernoulli_entropy(spec) == _oracle_entropy(probs)
-    assert exact_block_entropy(spec, n) == float(h_n)
-    with mpmath.workprec(120):
-        assert exact_block_entropy_rate(spec, n).value == float(h_n / n)
+    assert exact_block_entropy_rate(spec, n).value == bernoulli_entropy(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +136,7 @@ def test_block_entropy_is_additive_for_independent_blocks():
     for spec in (FAIR, BIASED, UNIFORM4):
         h1 = bernoulli_entropy(spec)
         for n in (1, 2, 5, 8):
-            assert abs(exact_block_entropy(spec, n) - n * h1) <= 1e-12
+            assert exact_block_entropy_rate(spec, n).value == h1
 
 
 def test_exact_rate_equals_single_symbol_entropy():
@@ -163,16 +160,20 @@ def test_exact_entropies_equal_the_binary_oracle_on_random_laws():
         _assert_matches_oracle(probs, 1 + i % 3)
 
 
-def test_integer_masses_give_the_fraction_oracle_digit_for_digit():
-    """Each count vector's mass taken as an integer over D^n is the same
-    rational as the oracle's ``Fraction`` product, so the 40-digit sum is
-    the same Decimal: on the named laws to n = 10, and on 200 seeded laws
-    of 2-6 symbols at block lengths 1-6."""
-    cases = [(probs, n) for probs in NAMED_LAWS.values() for n in (1, 2, 5, 10)]
-    cases += [(probs, 1 + i % 6) for i, probs in enumerate(_random_laws(200, seed=13))]
-    for probs, n in cases:
-        spec = BernoulliSpec(probs, tuple(range(len(probs))))
-        assert entropy._block_entropy(spec, n) == entropy_oracle.fraction_block_entropy(probs, n)
+def test_block_sum_oracle_is_n_times_the_one_step_entropy():
+    """The 120-bit block-sum oracle, summed over the n-block law itself,
+    rounds H_n / n to the one-step entropy, so the closed form
+    H_n = n H_1 holds: on every law whose binary probabilities sum to
+    exactly 1 (the sum's factor (sum p)^(n-1) is 1 there), among the named
+    laws and 200 seeded laws of 2-6 symbols, at n = 1, 2, 5 and 10."""
+    laws = [*NAMED_LAWS.values(), *_random_laws(200, seed=13)]
+    exact = [probs for probs in laws if sum(map(Fraction, probs)) == 1]
+    assert len(exact) >= 20
+    for probs in exact:
+        h1 = bernoulli_entropy(BernoulliSpec(probs, tuple(range(len(probs)))))
+        for n in (1, 2, 5, 10):
+            with mpmath.workprec(120):
+                assert float(_oracle_block_entropy(probs, n) / n) == h1
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +418,35 @@ def test_streamed_sampling_memory_is_bounded():
         tracemalloc.stop()
     assert est.sample_count == 1_000_000
     assert peak < 10 * 2**20
+
+
+def test_long_windows_keep_the_chunk_symbol_bound(monkeypatch):
+    """A window of 1,000 positions takes batches of at most
+    ``CHUNK_SYMBOLS`` symbols (655 points), so a non-uniform law's
+    window, column copy and flags stay under 5 MB traced, where one batch
+    of all 20,000 points held about 40 MB."""
+    drawn = []
+
+    def sizes(*args, **kwargs):
+        for batch in systems.sample_chunks(*args, **kwargs):
+            drawn.append(len(batch))
+            yield batch
+
+    monkeypatch.setattr(entropy, "sample_chunks", sizes)
+    tracemalloc.start()
+    try:
+        est = partition_refine_entropy(
+            SystemSpec.shift(LONG), PartitionSpec.time_zero(LONG), 1000, 20_000,
+            spawn_rngs(38, 1)[0],
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert systems.CHUNK_SYMBOLS // 1000 == 655
+    assert drawn == [655] * 30 + [20_000 - 30 * 655]
+    assert est.sample_count == 20_000
+    assert abs(est.value - bernoulli_entropy(LONG)) <= 5 * est.stderr
+    assert peak < 5 * 2**20
 
 
 # ---------------------------------------------------------------------------

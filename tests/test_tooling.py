@@ -61,6 +61,14 @@ def _kolmogorov_rows(summary: dict) -> None:
     assert summary["counters"]["systems.sample_batch.bytes"] == 2 * 2000 * 10
 
 
+def _three_shift_rows(summary: dict) -> None:
+    """Three shifts make three pairs but one intertwiner, and each shift
+    gets its own closed-form rate."""
+    for name in ("koopman.build_intertwiner", "koopman.verify_intertwiner"):
+        assert summary["spans"][name]["calls"] == 1, name
+    assert summary["spans"]["entropy.exact_block_entropy_rate"]["calls"] == 3
+
+
 def _mixing_rows(summary: dict) -> None:
     assert summary["spans"]["mixing.weak_mixing_statistic"]["calls"] == 1
     assert summary["counters"]["mixing.weak_mixing_statistic.lags"] == 50
@@ -84,6 +92,14 @@ def _letter_rows(pairs: int, checked: int):
 #: and arguments by parameter name, so a renamed one fails here.
 TRACED_RUNS = {
     "reproduce-kolmogorov": (["reproduce-kolmogorov"], {"samples": 2000}, _kolmogorov_rows),
+    "reproduce-kolmogorov, three shifts": (
+        ["reproduce-kolmogorov"],
+        {"samples": 2000, "systems": [
+            {"kind": "bernoulli", "probs": probs, "symbols": list(range(len(probs)))}
+            for probs in ([0.5, 0.5], [0.25] * 4, [0.1, 0.9])
+        ]},
+        _three_shift_rows,
+    ),
     "weak-mixing": (["compute", "weak-mixing"], {"params": {"t": 50}}, _mixing_rows),
     "reproduce-letter": (["reproduce-letter"], {}, _letter_rows(1089, 817)),
     # the ``letter-wide`` workload's sizes, B = 192 and N = 16
