@@ -5,7 +5,9 @@ Fourier-Walsh basis functions by permuting indices and multiplying unit
 phases.  That makes its spectrum computable symbolically: each system
 below gets a descriptor (point part, Lebesgue part), and two systems
 whose descriptors match can be given an explicit unitary intertwiner,
-built by pairing proper modes and chain generators.
+built by pairing proper modes and chain generators.  The intertwining
+W U = V W is decided for the whole space by a handful of polynomial
+identities, one set per label sector, printed below.
 
 Run:  python demos/01_spectra_and_pairing.py
 """
@@ -55,10 +57,14 @@ def main() -> None:
     prod = SystemSpec.product(GAMMA, BernoulliSpec.fair_coin())
     pairing = build_intertwiner(skew, prod, truncation=16)
     check = verify_intertwiner(pairing)
-    print(f"paired basis vectors: {check.checked}")
-    print(f"intertwining mismatches: {check.mismatches} (phases as exact gamma-multiples)")
+    print(f"identities decided: {check.checked}, failed: {check.mismatches}")
+    print("(a = skew map, b = product; unknowns: chain (m, r) or (l, m),")
+    print(" position j, proper mode k; phases as exact gamma-multiples)")
+    for identity in check.identities:
+        print(f"  {identity}")
     print()
-    print("sample of the mode pairing (proper modes map k -> k):")
+    print(f"sample of the mode pairing, {len(pairing.mapping)} pairs inside [-16, 16]")
+    print("(proper modes map k -> k, chains position to position):")
     shown = 0
     for key, value in pairing.mapping.items():
         print(f"  {key!r:28s} -> {value!r}")

@@ -33,7 +33,7 @@ def show_reports(out: pathlib.Path) -> None:
     print(f"  spectra match: {results['spectra']['match']} "
           f"(point groups equal: {results['spectra']['point_groups_equal']})")
     print(f"  intertwiner: {results['intertwiner']['mismatches']} mismatches "
-          f"over {results['intertwiner']['checked']} chain modes")
+          f"of {results['intertwiner']['checked']} identities")
     towers = results["towers"]
     print(f"  towers: gap_a={towers['gap_a']} gap_b={towers['gap_b']} "
           f"-> {towers['verdict']}")

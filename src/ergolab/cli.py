@@ -21,7 +21,8 @@ validated shape; the domain constructors keep the rules a schema does
 not state, such as which fields a kind takes, and a refusal of theirs
 names the input's path too.  Each runner
 imports the toolkits it computes with when it runs, so ``compute
-weak-mixing`` loads neither numpy nor the tower.
+weak-mixing`` loads not even the tower, and only the sampled entropy of
+``reproduce-kolmogorov`` loads numpy.
 """
 
 from __future__ import annotations
@@ -67,31 +68,21 @@ DEFAULT_SEED = 1
 #: 100 digits, 1.1-3.0 s at 1,000 and 16-54 s at 3,000 on a 2-core
 #: x86-64 host, so the budget keeps one run near 3 s.
 MAX_WEAK_MIXING_DIGITS = 1000
-#: Most basis pairs the one intertwiner of a ``reproduce-letter`` or
-#: ``reproduce-kolmogorov`` run may build: a letter run pairs its two
-#: systems, and every pair of shifts shares one pairing, so a kolmogorov
-#: run builds one whatever its number of systems.  At truncation B a
-#: pairing holds (2B+1)^2 pairs, or (2B+1)^3 between two products.
-#: Memory does not grow with them: a pairing enumerates its chains on
-#: demand and keeps no per-chain or per-pair array, so building and
-#: checking one peaks near 1 MB traced at every B.  Time alone sets the
-#: budget: about 0.15 microseconds per pair on a 2-core x86-64 host
-#: (0.16 s for the 1,002,001 skew-product pairs at B = 500), so it caps
-#: a run near 1.5 s.
-MAX_INTERTWINER_PAIRS = 10**7
 #: Most basis labels one residual census may step (``tower.census_nodes``:
-#: 9 (1 + (N+1)(2N+1)) on the product at truncation N).  The five-k
-#: census of ``reproduce-letter`` takes about 0.53 microseconds and 123
-#: traced bytes per label on a 2-core x86-64 host, so the budget caps it
-#: near 2 s and 0.5 GB; N = 470 is the largest product truncation it admits.
-#: Each k runs one more census of every label, about 0.06 microseconds
-#: per label, so a residual search may also take at most five ks' worth
-#: of censuses at the budget: labels x ks <= 5 x ``MAX_CENSUS_NODES``.
-#: A k also has a fixed cost of about 0.05 ms, the time of about
-#: ``MIN_CENSUS_CHARGE`` labels, so each k is charged at least that many:
-#: at N = 2 (144 labels) the budget admits 20,000 ks, about 1.1 s.
-MAX_CENSUS_NODES = 4 * 10**6
-MIN_CENSUS_CHARGE = 1000
+#: 9 (1 + (N+1)(2N+1)) on the product at truncation N).  The census runs
+#: on Python ints in ``array`` storage: the five-k census of
+#: ``reproduce-letter`` takes about 1.7 microseconds and 41 traced bytes
+#: per label on a 2-core x86-64 host (1.72 s and 39 MB at N = 234), so the
+#: budget caps it near 2 s; N = 234 is the largest product truncation it
+#: admits.  Each k runs one more walk over every label, about 0.24
+#: microseconds per label, so a residual search may also take at most
+#: five ks' worth of censuses at the budget: labels x ks <= 5 x
+#: ``MAX_CENSUS_NODES``.  A k also has a fixed cost, its report entry
+#: included, of about 0.05 ms, the time of about ``MIN_CENSUS_CHARGE``
+#: labels, so each k is charged at least that many: at N = 2 (144 labels)
+#: the budget admits 20,000 ks, about 1.7 s.
+MAX_CENSUS_NODES = 10**6
+MIN_CENSUS_CHARGE = 250
 #: Most levels ``compute tower`` may build.  A level and its report entry
 #: take about 65 microseconds and 4 KB on a 2-core x86-64 host (6.4 s
 #: and 433 MB peak RSS at 10^5 levels), so the budget caps a run near 2 s.
@@ -390,17 +381,6 @@ def default_config(scenario: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _check_intertwiner_cost(specs: Sequence[SystemSpec], truncation: int) -> None:
-    """Refuse a truncation whose one intertwiner exceeds the pair budget."""
-    side = 2 * truncation + 1
-    pairs = side**3 if all(s.kind == "product" for s in specs) else side**2
-    if pairs > MAX_INTERTWINER_PAIRS:
-        raise ValueError(
-            f"truncation {truncation} needs {pairs} intertwiner pairs, over the "
-            f"budget of {MAX_INTERTWINER_PAIRS} pairs"
-        )
-
-
 def _check_census_cost(specs: Sequence[SystemSpec], truncation: int, ks: int = 5) -> None:
     """Refuse a residual truncation whose census exceeds the node budget,
     and a search whose ``ks`` censuses step more labels than five at it,
@@ -421,7 +401,7 @@ def _check_census_cost(specs: Sequence[SystemSpec], truncation: int, ks: int = 5
             f"{ks} ks at residual truncation {truncation} step {nodes} census "
             f"nodes each{fixed}, {charge * ks} in all, over the budget of {budget} "
             f"(five ks at {MAX_CENSUS_NODES} nodes): the censuses would take about "
-            f"{6e-8 * charge * ks:.0f} s"
+            f"{2.4e-7 * charge * ks:.0f} s"
         )
 
 
@@ -439,8 +419,9 @@ def _check_sampling_cost(config: ExperimentConfig, systems: int) -> None:
 def run_reproduce_letter(config: ExperimentConfig) -> ExperimentReport:
     """The two-system comparison: same spectrum, different towers.
 
-    Steps: spectra match; explicit intertwiner verifies with zero
-    mismatches; the skew tower grows past the proper functions while the
+    Steps: spectra match; the explicit intertwiner's certificate holds
+    on every identity, for the whole space at any truncation; the skew
+    tower grows past the proper functions while the
     product tower does not, both decided exactly; the combination yields
     "spectrally isomorphic" and "not spacially isomorphic".  A pair of
     identical skew systems instead reaches "not distinguished by tower".
@@ -459,7 +440,6 @@ def run_reproduce_letter(config: ExperimentConfig) -> ExperimentReport:
     spec_a, spec_b = specs
     if spec_a.gamma is None or spec_b.gamma is None:
         raise ValueError("the letter scenario needs systems with a rotation factor")
-    _check_intertwiner_cost(specs, config.truncation)
     _check_census_cost(specs, config.residual_truncation)
     results: dict = {}
     verdicts: list[dict] = []
@@ -548,8 +528,8 @@ def run_reproduce_kolmogorov(config: ExperimentConfig) -> ExperimentReport:
     estimate) is built in a worker thread, one per system up to the CPU
     count: the sampling spends most of its time in numpy's generator,
     which releases the GIL.  One intertwiner is built and checked per run
-    and its counts go on every pair: the shift basis depends only on the
-    truncation and a shift has no angle, so all pairs of shifts share it.
+    and its counts go on every pair: every shift has the same basis and
+    no angle, so all pairs of shifts share it.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -567,7 +547,6 @@ def run_reproduce_kolmogorov(config: ExperimentConfig) -> ExperimentReport:
     specs = config.system_specs()
     if len(specs) < 2 or any(s.kind != "bernoulli" for s in specs):
         raise ValueError("the kolmogorov scenario needs at least two shift systems")
-    _check_intertwiner_cost(specs, config.truncation)
     _check_sampling_cost(config, len(specs))
     results: dict = {"systems": [s.to_json() for s in specs]}
     verdicts: list[dict] = []
@@ -745,8 +724,8 @@ def _compute_residual(config: ExperimentConfig) -> tuple[dict, list[dict]]:
                   SystemSpec.product(SQRT2_MINUS_1, BernoulliSpec.fair_coin()))
     ks = [int(k) for k in config.params.get("ks", [0, 1, -1, 2, -2])]
     for k in ks:
-        # the census shifts its int64 rows by k; any |k| > 2 U_BAND
-        # already takes every image out of the band
+        # any |k| > 2 U_BAND already takes every image out of the band,
+        # so the bound refuses no census a run could need
         if abs(k) >= 2**62:
             raise ValueError(f"residual-search k = {k} is outside |k| < 2^62")
     _check_census_cost([spec], config.residual_truncation, len(ks))

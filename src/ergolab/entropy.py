@@ -8,7 +8,9 @@ measure is known, so the rate is the sample mean of -(1/n) log mu(cell
 of the itinerary), unbiased for the block entropy at every sample size.
 
 All natural logs; a bits flag belongs to the presentation layer.  The
-sign convention is the nonnegative one, -sum p log p, throughout.
+sign convention is the nonnegative one, -sum p log p, throughout.  Only
+the sampled estimate imports numpy, when it runs, so the exact entropies
+load none.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from decimal import Context, Decimal, localcontext
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .mixing import TestSet
 from .systems import (
@@ -27,6 +28,9 @@ from .systems import (
     cumulative_law,
     sample_chunks,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EntropyEstimate",
@@ -150,6 +154,8 @@ class PartitionSpec:
 
     def cell_index_batch(self, spec: SystemSpec, batch) -> np.ndarray:
         """Cell index per sample (cells are disjoint, so at most one hit)."""
+        import numpy as np
+
         out = np.full(len(batch), -1, dtype=np.int64)
         for idx, cell in enumerate(self.cells):
             hit = cell.contains_batch(spec, batch)
@@ -200,6 +206,8 @@ def partition_refine_entropy(
     update (:func:`_merge_moments`), so a uniform shift's estimate is its
     one score exactly, with stderr 0.
     """
+    import numpy as np
+
     if n < 1:
         raise ValueError("n must be >= 1")
     if samples < 100:
@@ -245,6 +253,8 @@ def _symbol_count_scorer(bern: BernoulliSpec, n: int):
     arrays the scorer keeps and refills for every window (a stream's
     windows never grow), so the returned scores are valid only until the
     next call."""
+    import numpy as np
+
     log_p = [math.log(p) for p in bern.probs]
     steps = [(k, (b - a) / n) for k, (a, b) in enumerate(zip(log_p, log_p[1:]), 1) if b != a]
     counter = np.min_scalar_type(n)
@@ -283,6 +293,8 @@ def _merge_moments(
     pivot, so the estimate is pivot + mean: constant scores shift to
     exact zeros, whose mean and deviations no rounding can move.  The
     deviations are taken in place, so ``scores`` is overwritten."""
+    import numpy as np
+
     count, pivot, mean, m2 = moments
     if count == 0:
         pivot = float(scores[0])

@@ -17,23 +17,23 @@ affine integer map ``x -> A x + b`` with the phase ``e((c . x) gamma)``
 
 A sequence character moves one position with its shape fixed, so a
 support is such a ``(position, chain)`` pair.  :func:`koopman_step`
-applies the table to ints or integer arrays alike, and every consumer
-reads it: :func:`spectrum_of`, the intertwiner's check, and the tower's
-exact decision and residual search.  Phases are integer multiples of
-gamma, so the angle's value is only needed for reporting.  The
-intertwiner pairs renormalized chain bases (``f[k,m]`` on the skew side,
-``t[l,k,m]`` on the product side), whose chain steps are phase-free.
+applies the table to anything with integer ``+`` and ``*``: ints, integer
+arrays, or the polynomials of the intertwiner's certificate.  Every
+consumer reads it: :func:`spectrum_of`, the intertwiner's certificate,
+and the tower's exact decision and residual search.  Phases are integer
+multiples of gamma, so the angle's value is only needed for reporting.
+The intertwiner pairs renormalized chain bases (``f[k,m]`` on the skew
+side, ``t[l,k,m]`` on the product side), whose chain steps are
+phase-free.  Nothing here imports numpy.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import ItemsView, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 from .quadratic import RotationNumber, integral_combination
 from .systems import SystemSpec
@@ -43,6 +43,7 @@ __all__ = [
     "GroupComparison",
     "IncompatibleSpectraError",
     "IntertwinerCheck",
+    "IntertwinerIdentity",
     "IntertwinerPairing",
     "KOOPMAN_TABLE",
     "SectorAction",
@@ -56,12 +57,8 @@ __all__ = [
 ]
 
 INFINITE = "infinite"
-#: Pairs :func:`verify_intertwiner` checks at a time, and chains a pairing
-#: enumerates at a time.  The temporaries of one block of pairs and one
-#: window of chains peak near 0.9 MB traced, however many there are.
-VERIFY_SLICE = 2**13
-#: Half-widths B of the label boxes [-B, B]^d in which :func:`spectrum_of`
-#: counts the chains of moving labels.
+#: Half-widths B of the label boxes [-B, B]^d at which :func:`spectrum_of`
+#: reports the closed-form count of the chains of moving labels.
 CHAIN_BOXES = (4, 8)
 
 
@@ -96,33 +93,33 @@ KOOPMAN_TABLE: dict[str, dict[str, SectorAction]] = {
 
 def koopman_step(kind: str, sector: str, x: Sequence) -> tuple:
     """The action of ``KOOPMAN_TABLE[kind][sector]`` on the labels ``x``,
-    one coordinate per sector dimension, all ints or integer arrays of one
-    shape; returns the gamma multiplier ``c . x`` and the image ``A x + b``."""
+    one coordinate per sector dimension: ints, integer arrays of one
+    shape, or polynomials; returns the gamma multiplier ``c . x`` and the
+    image ``A x + b``."""
     A, b, c = KOOPMAN_TABLE[kind][sector]
     return _affine(c, x, 0), tuple(_affine(row, x, bi) for row, bi in zip(A, b))
 
 
 def _affine(coeffs: Sequence[int], x: Sequence, const: int):
-    """``const + coeffs . x``, a new array when x holds arrays; zero
-    coefficients are skipped and unit ones add x as it is."""
+    """``const + coeffs . x``, a new array or polynomial when x holds
+    them; zero coefficients are skipped and unit ones add x as it is."""
     terms = [xi if ci == 1 else ci * xi for ci, xi in zip(coeffs, x) if ci]
     if not terms:
         return const + 0 * x[0] if len(x) else const
     return sum(terms[1:], const + terms[0])
 
 
-def _normalizing_exponent(k, m):
+def _normalizing_exponent(m, r, j):
     """Gamma multiplier of the constant ``a[k,m]`` (m != 0) with
-    ``f[k,m] = a[k,m] g[k,m]`` and ``U f[k,m] = f[k+m,m]``.
+    ``f[k,m] = a[k,m] g[k,m]`` and ``U f[k,m] = f[k+m,m]``, at the label
+    ``k = r + j m`` of the chain (m, r), ``0 <= r < |m|``.
 
     The functional equation ``a[k+m,m] = e(k gamma) a[k,m]`` pins the
     whole chain once one member is fixed; we anchor ``a[r,m] = 1`` at the
-    chain representative ``r = k mod |m|``.  Walking j steps from the
-    anchor multiplies the phases ``e((r + t m) gamma)`` for t < j, giving
-    the exponent ``j r + m j (j - 1) / 2`` (an integer for every j).
+    chain representative r.  Walking j steps from the anchor multiplies
+    the phases ``e((r + t m) gamma)`` for t < j, giving the exponent
+    ``j r + m j (j - 1) / 2`` (an integer for every j).
     """
-    r = k % abs(m)
-    j = (k - r) // m
     return j * r + m * (j * (j - 1) // 2)
 
 
@@ -279,20 +276,20 @@ def is_one_simple(generators: Sequence[RotationNumber]) -> bool:
     return not _integer_solutions(scaled, [0] * len(scaled))[1]
 
 
-def _chains_in_box(kind: str, sector: str, B: int) -> int:
-    """How many chains of moving labels meet the box [-B, B]^d of one
-    sector: each has one first label in the box, a moving label that is
-    not the image of a label in the box."""
-    d = len(KOOPMAN_TABLE[kind][sector].b)
-    if d == 0:  # the one label of a point sector is fixed
-        return 0
-    side = 2 * B + 1
-    x = np.indices((side,) * d).reshape(d, -1) - B
-    image = np.array(koopman_step(kind, sector, tuple(x))[1])
-    inside = (np.abs(image) <= B).all(axis=0)
-    has_preimage = np.zeros(x.shape[1], dtype=bool)
-    has_preimage[np.ravel_multi_index(tuple(image[:, inside] + B), (side,) * d)] = True
-    return int(np.count_nonzero((image != x).any(axis=0) & ~has_preimage))
+def _chain_count(kind: str, sector: str):
+    """The closed form ``B -> chains of moving labels meeting [-B, B]^d``
+    of one sector: 0 where the step fixes every label, else the count of
+    the kind's basis, whose chains are that sector's.  A sector that
+    moves labels and has no closed form is refused, not extrapolated."""
+    A, b, _ = KOOPMAN_TABLE[kind][sector]
+    if not any(b) and all(A[i][j] == (i == j) for i in range(len(b)) for j in range(len(b))):
+        return lambda B: 0
+    basis = _BASES[kind]
+    if sector != basis.chain_sector:
+        raise ValueError(
+            f"the {kind} {sector} sector moves labels but has no closed-form chain count"
+        )
+    return basis.chain_count
 
 
 def spectrum_of(spec: SystemSpec) -> SpectrumDescriptor:
@@ -305,9 +302,11 @@ def spectrum_of(spec: SystemSpec) -> SpectrumDescriptor:
     labels with ``n = 0`` are the invariant functions, so they count the
     proper value 1.  Every other label moves and, A being unipotent,
     never returns: it lies on a two-sided chain that carries one copy of
-    Lebesgue spectrum.  The chains meeting the boxes of ``CHAIN_BOXES``
-    are counted; the multiplicity is reported ``"infinite"`` only when
-    that count grows with the box, and is the count otherwise.
+    Lebesgue spectrum.  Each sector's chains meeting the box [-B, B]^d
+    have a closed form in B (:func:`_chain_count`), reported at the
+    boxes of ``CHAIN_BOXES``.  The closed forms are polynomials in B, so
+    one that grows between the boxes grows without bound: the
+    multiplicity is then ``"infinite"``, and the count otherwise.
     """
     generator = ones = 0
     for sector, action in KOOPMAN_TABLE[spec.kind].items():
@@ -325,10 +324,8 @@ def spectrum_of(spec: SystemSpec) -> SpectrumDescriptor:
             ones += 1
     if generator > 1:
         raise ValueError(f"the {spec.kind} point spectrum is generated by {generator} gamma")
-    counts = tuple(
-        (B, sum(_chains_in_box(spec.kind, s, B) for s in KOOPMAN_TABLE[spec.kind]))
-        for B in CHAIN_BOXES
-    )
+    closed = [_chain_count(spec.kind, s) for s in KOOPMAN_TABLE[spec.kind]]
+    counts = tuple((B, sum(count(B) for count in closed)) for B in CHAIN_BOXES)
     grows = counts[-1][1] > counts[0][1]
     return SpectrumDescriptor(
         (spec.gamma,) if generator else (),
@@ -381,31 +378,96 @@ class IncompatibleSpectraError(ValueError):
     """The two systems' spectral invariants do not match."""
 
 
-def _isqrt(x: np.ndarray) -> np.ndarray:
-    """floor(sqrt(x)) of a nonnegative int32 array: a float64 root of an
-    integer below 2^52 never rounds up to the next integer."""
-    return np.sqrt(x, dtype=np.float64).astype(np.int32)
+class _Poly:
+    """A polynomial with rational coefficients in named integer unknowns:
+    ``{monomial: coefficient}``, a monomial being the sorted tuple of its
+    unknowns' names, with repeats.
+
+    It has the ``+``, ``-`` and ``*`` that :func:`koopman_step` and
+    :func:`_affine` use, and ``//`` by an int, which divides over Q: it
+    is met only in the binomial ``j (j - 1) // 2``, an integer for every
+    integer j.  A polynomial is true when it is not identically 0.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict) -> None:
+        self.terms = {mono: c for mono, c in terms.items() if c}
+
+    @classmethod
+    def var(cls, name: str) -> "_Poly":
+        return cls({(name,): 1})
+
+    @staticmethod
+    def _terms(x) -> dict:
+        return x.terms if isinstance(x, _Poly) else {(): x}
+
+    def __add__(self, other) -> "_Poly":
+        terms = dict(self.terms)
+        for mono, c in self._terms(other).items():
+            terms[mono] = terms.get(mono, 0) + c
+        return _Poly(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "_Poly":
+        return self * -1
+
+    def __sub__(self, other) -> "_Poly":
+        return self + -other
+
+    def __rsub__(self, other) -> "_Poly":
+        return -self + other
+
+    def __mul__(self, other) -> "_Poly":
+        terms: dict = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in self._terms(other).items():
+                mono = tuple(sorted(m1 + m2))
+                terms[mono] = terms.get(mono, 0) + c1 * c2
+        return _Poly(terms)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, n: int) -> "_Poly":
+        return _Poly({mono: Fraction(c, n) for mono, c in self.terms.items()})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __str__(self) -> str:
+        text = ""
+        for mono, c in sorted(self.terms.items(), key=lambda t: (-len(t[0]), t[0])):
+            factors = list(mono) if abs(c) == 1 and mono else [str(abs(c)), *mono]
+            text += (" - " if c < 0 else " + ") + "*".join(factors)
+        return text.removeprefix(" + ").replace(" - ", "-", text.startswith(" - ")) or "0"
 
 
 class _Basis:
-    """The normalized basis of one system inside the box [-B, B], as integers.
+    """The normalized basis of one system kind, and its truncation to the
+    box [-B, B].
 
-    A label is an integer pair (c, j).  c = -1 names the proper mode j,
-    shown as ``("point", j)``, and ``points`` bounds those j.  c >= 0
-    names position j of chain c of the canonical chain enumeration,
-    shown as ``("chain", *params, j)``.  ``chain_index`` maps chain
-    parameters to c arithmetically (-2 outside the box), and its inverse
-    gives :meth:`params` and :meth:`positions` (the range [lo, hi] of
-    positions inside the box) of any array of chain indices, so nothing
-    is stored per chain.  The basis holds the first ``chains`` chains,
-    by default all ``chain_count(B)`` that meet the box; an index past
-    them names a chain it does not hold.  ``step_points(j)`` and
-    ``step_chains(c, runs, j)`` (positions j on the chains c, runs[k]
-    of them on chain c[k]) take the proper modes and the chain positions
-    to their raw labels, apply ``KOOPMAN_TABLE`` and renormalize; each
-    returns the phases' gamma multipliers and the image labels.  Labels
-    are int32 (see :func:`build_intertwiner`).
+    Proper mode k is the raw label ``point_label(k)`` of the sector
+    ``point_sector``, shown as ``("point", k)``; ``points`` bounds the k
+    inside the box.  Chain c, position j is the raw label
+    ``chain_label(params(c), j)`` of ``chain_sector``, times the phase
+    ``e(exponent(params, j) gamma)``, shown as ``("chain", *params, j)``;
+    ``chain_params`` names the parameters.  Raw labels and exponents are
+    ints, or polynomials when the parameters and position are.
+
+    Chains are enumerated in closed form: ``params`` and ``chain_index``
+    are inverse maps between an index c and a chain's parameters (-2 for
+    parameters outside the box), ``positions(c)`` is the range [lo, hi]
+    of positions of chain c inside the box, and ``chain_count(B)`` the
+    number of chains meeting it.  A basis holds its first ``chains``
+    chains, by default all of them; an index past them names a chain it
+    does not hold.  Nothing is stored per chain.
     """
+
+    kind = "rotation"
+    point_sector = "lattice"
+    chain_sector: Optional[str] = None
+    chain_params: tuple[str, ...] = ()
 
     def __init__(self, B: int, chains: Optional[int] = None) -> None:
         self.B = B
@@ -419,50 +481,45 @@ class _Basis:
     def chain_count(B: int) -> int:
         return 0
 
-    def params(self, c: np.ndarray) -> np.ndarray:
-        """The parameters of chains c, one row per parameter."""
-        return np.zeros((0, *c.shape), dtype=np.int32)
+    def params(self, c: int) -> tuple:
+        return ()
 
-    def positions(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """lo, hi: chains c hold the positions lo..hi, by default all of
-        [-B, B] (read-only views, no storage)."""
-        B = np.int32(self.B)
-        return np.broadcast_to(-B, c.shape), np.broadcast_to(B, c.shape)
+    def positions(self, c: int) -> tuple[int, int]:
+        return -self.B, self.B
 
-    def chain_index(self, *params):
+    def chain_index(self, *params: int) -> int:
         return -2
 
-    def labels(self, c: np.ndarray, j: np.ndarray) -> Iterator[tuple]:
-        params = self.params(np.maximum(c, 0)).T.tolist()
-        for c, j, p in zip(c.tolist(), j.tolist(), params):
-            yield ("point", j) if c < 0 else ("chain", *p, j)
+    def point_label(self, k) -> tuple:
+        return (k,)
+
+    def exponent(self, params: tuple, j):
+        return 0
+
+    def label(self, c: int, j: int) -> tuple:
+        return ("point", j) if c < 0 else ("chain", *self.params(c), j)
 
     def parse(self, label) -> tuple[int, int]:
         """The integer label (c, j) of a label tuple; KeyError if the
         tuple names no basis vector of this kind."""
-        if isinstance(label, tuple) and all(isinstance(x, int) for x in label[1:]):
+        if isinstance(label, tuple) and all(type(x) is int for x in label[1:]):
             if label[:1] == ("point",) and len(label) == 2:
                 return -1, label[1]
-            arity = len(self.params(np.zeros(0, dtype=np.int32)))
-            if label[:1] == ("chain",) and len(label) == arity + 2:
-                c = int(self.chain_index(*label[1:-1]))
+            if label[:1] == ("chain",) and len(label) == len(self.chain_params) + 2:
+                c = self.chain_index(*label[1:-1])
                 if c >= 0:
                     return c, label[-1]
         raise KeyError(label)
-
-
-class _RotationBasis(_Basis):
-    """The characters e(k u), all proper: no chains."""
-
-    def step_points(self, j):
-        mult, (l,) = koopman_step("rotation", "lattice", (j,))
-        return mult, np.full_like(j, -1), l
 
 
 class _ShiftBasis(_Basis):
     """Chains m = 0, 1, -1, ..., B, -B of ``d[k,m]``, positions k in
     [-B, B]; the constant is the only proper mode."""
 
+    kind = "bernoulli"
+    point_sector = "constant"
+    chain_sector = "support"
+    chain_params = ("m",)
     points = (0, 0)
 
     @staticmethod
@@ -470,77 +527,68 @@ class _ShiftBasis(_Basis):
         return 2 * B + 1
 
     def params(self, c):
-        return np.where(c % 2, (c + 1) // 2, -(c // 2))[None]
+        return ((c + 1) // 2 if c % 2 else -(c // 2),)
 
     def chain_index(self, m):
-        return np.where(abs(m) > self.B, -2, np.where(m > 0, 2 * m - 1, -2 * m))
+        return -2 if abs(m) > self.B else 2 * m - 1 if m > 0 else -2 * m
 
-    def step_points(self, j):
-        mult, _ = koopman_step("bernoulli", "constant", ())
-        return np.full_like(j, mult), np.full_like(j, -1), j
+    def point_label(self, k):
+        return ()
 
-    def step_chains(self, c, runs, j):
-        (m,) = np.repeat(self.params(c), runs, axis=1)
-        mult, (k_next, m_next) = koopman_step("bernoulli", "support", (j, m))
-        return mult, self.chain_index(m_next), k_next
+    def chain_label(self, params, j):
+        (m,) = params
+        return j, m
 
 
 class _SkewBasis(_Basis):
     """Chains (m, r) for m = 1, -1, ..., B, -B and r = 0..|m|-1, whose
-    position j is ``f[r + j m, m]``; the proper modes are ``g[k, 0]``."""
+    position j is ``f[r + j m, m]``; the proper modes are ``g[k, 0]``,
+    which are not renormalized."""
+
+    kind = "skew"
+    chain_sector = "lattice"
+    chain_params = ("m", "r")
 
     @staticmethod
     def chain_count(B: int) -> int:
         return B * (B + 1)
 
     @staticmethod
-    def _ring(c):
-        """|m|, the sign of m and r of chains c."""
+    def _ring(c: int) -> tuple[int, bool, int]:
+        """|m|, whether m < 0, and r of chain c."""
         # a (a - 1) chains have |m| < a, so chain c has |m| = a for the a
         # with a (a - 1) <= c < a (a + 1)
-        a = (_isqrt(4 * c + 1) + 1) // 2
+        a = (math.isqrt(4 * c + 1) + 1) // 2
         rest = c - a * (a - 1)
         negative = rest >= a
         return a, negative, rest - negative * a
 
     def params(self, c):
         a, negative, r = self._ring(c)
-        return np.stack([np.where(negative, -a, a), r])
+        return (-a if negative else a), r
 
     def positions(self, c):
         # the positions j with r + j m in [-B, B]
         a, negative, r = self._ring(c)
-        r = np.where(negative, -r, r)
+        if negative:
+            r = -r
         return -((self.B + r) // a), (self.B - r) // a
 
     def chain_index(self, m, r):
         a = abs(m)
-        inside = (a >= 1) & (a <= self.B) & (r >= 0) & (r < a)
-        return np.where(inside, a * (a - 1) + (m < 0) * a + r, -2)
+        if 1 <= a <= self.B and 0 <= r < a:
+            return a * (a - 1) + (m < 0) * a + r
+        return -2
 
-    def step_points(self, j):
-        """The proper modes g[j, 0], which are not renormalized."""
-        phase, image = koopman_step("skew", "lattice", (j, np.zeros_like(j)))
-        return self._renormalized(phase, *image)
+    def point_label(self, k):
+        return k, 0
 
-    def step_chains(self, c, runs, j):
-        m, r = np.repeat(self.params(c), runs, axis=1)
-        k = r + j * m
-        phase, image = koopman_step("skew", "lattice", (k, m))
-        # f = a g, so U f[k,m] = a[k,m] e(phase gamma) / a[k',m'] f[k',m']
-        return self._renormalized(phase + _normalizing_exponent(k, m), *image)
+    def chain_label(self, params, j):
+        m, r = params
+        return r + j * m, m
 
-    def _renormalized(self, phase, k, m):
-        """The phase and label of the image g[k,m] in this basis: f[k,m]
-        = a[k,m] g[k,m] off the proper row m = 0, g[k,0] on it."""
-        chain = m != 0
-        m_safe = np.where(chain, m, 1)
-        r = k % abs(m_safe)
-        return (
-            phase - np.where(chain, _normalizing_exponent(k, m_safe), 0),
-            np.where(chain, self.chain_index(m, r), -1),
-            np.where(chain, (k - r) // m_safe, k),
-        )
+    def exponent(self, params, j):
+        return _normalizing_exponent(*params, j)
 
 
 class _ProductBasis(_Basis):
@@ -549,6 +597,11 @@ class _ProductBasis(_Basis):
     ``t[l,k,m] = e(l k gamma) p[l,k,m]``, k in [-B, B]; the proper modes
     are ``e(l u)``."""
 
+    kind = "product"
+    point_sector = "constant"
+    chain_sector = "support"
+    chain_params = ("l", "m")
+
     @staticmethod
     def chain_count(B: int) -> int:
         return (2 * B + 1) ** 2
@@ -556,35 +609,36 @@ class _ProductBasis(_Basis):
     def params(self, c):
         # ring s holds the chains (2s-1)^2 .. (2s+1)^2 - 1, in the order
         # ``chain_index`` counts
-        s = (_isqrt(c) + 1) // 2
-        w = c - np.where(s > 0, (2 * s - 1) ** 2, 0)
+        s = (math.isqrt(c) + 1) // 2
+        w = c - ((2 * s - 1) ** 2 if s > 0 else 0)
         t, inner = w - (2 * s + 1), 2 * (2 * s - 1)
-        l = np.where(t < 0, -s, np.where(t < inner, t // 2 - s + 1, s))
-        m = np.where(t < 0, w - s, np.where(t < inner, t % 2 * 2 * s - s, t - inner - s))
-        return np.stack([l, m])
+        if t < 0:
+            return -s, w - s
+        if t < inner:
+            return t // 2 - s + 1, t % 2 * 2 * s - s
+        return s, t - inner - s
 
     def chain_index(self, l, m):
-        s = np.maximum(abs(l), abs(m))
+        s = max(abs(l), abs(m))
+        if s > self.B:
+            return -2
         # rings < s hold (2s-1)^2 chains; ring s holds the 2s+1 chains with
         # l = -s, then two (m = -s, s) per l strictly inside, then the 2s+1
         # chains with l = s
-        before = np.where(s > 0, (2 * s - 1) ** 2, 0) + np.where(l > -s, 2 * l + 4 * s - 1, 0)
-        return np.where(s <= self.B, before + np.where(abs(l) == s, m + s, m == s), -2)
+        before = ((2 * s - 1) ** 2 if s > 0 else 0) + (2 * l + 4 * s - 1 if l > -s else 0)
+        return before + (m + s if abs(l) == s else int(m == s))
 
-    def step_points(self, j):
-        """The constant tails e(j u), which keep their labels."""
-        mult, (l,) = koopman_step("product", "constant", (j,))
-        return mult, np.full_like(j, -1), l
+    def chain_label(self, params, j):
+        l, m = params
+        return l, j, m
 
-    def step_chains(self, c, runs, j):
-        l, m = np.repeat(self.params(c), runs, axis=1)
-        mult, (l_next, k_next, m_next) = koopman_step("product", "support", (l, j, m))
+    def exponent(self, params, j):
         # t = e(l k gamma) p
-        return mult + l * j - l_next * k_next, self.chain_index(l_next, m_next), k_next
+        return params[0] * j
 
 
 _BASES = {
-    "rotation": _RotationBasis,
+    "rotation": _Basis,
     "skew": _SkewBasis,
     "bernoulli": _ShiftBasis,
     "product": _ProductBasis,
@@ -593,19 +647,18 @@ _BASES = {
 
 @dataclass(frozen=True, eq=False)
 class IntertwinerPairing:
-    """A basis pairing realizing a unitary W with U = W* V W on a truncation.
+    """A basis pairing realizing a unitary W with U = W* V W.
 
     Labels name the *normalized* bases: ``("point", k)`` for proper
     modes and ``("chain", *chain_label, position)`` for Lebesgue chains
     (f-basis on the skew side, t-basis on the product side, d-basis for
     a shift).  W is fixed by the two bases' chain enumerations and
     ``eps``, the sign relating the angles (gammaB = eps * gammaA mod 1):
-    chain c of A goes to chain c of B position by position, over the
-    positions both hold (:meth:`positions`), and the proper mode k of A
-    to the proper mode eps * k of B.  Pairs are ordered with the proper
-    modes first, then chain by chain.  Nothing is stored per chain or
-    per pair: :meth:`blocks` enumerates the pairs on demand, ``pairs``
-    counts them, and ``mapping`` shows them as label tuples.
+    chain c of A goes to chain c of B position by position, and the
+    proper mode k of A to the proper mode eps * k of B.  ``truncation``
+    only bounds what ``mapping`` shows: the pairs of labels both bases
+    hold inside the box, the proper modes first, then chain by chain.
+    Nothing is stored per chain or per pair.
     """
 
     spec_a: SystemSpec
@@ -614,102 +667,89 @@ class IntertwinerPairing:
     eps: int
     basis_a: _Basis = field(repr=False)
     basis_b: _Basis = field(repr=False)
-    pairs: int = field(init=False)
 
-    def __post_init__(self) -> None:
-        p0, p1 = self.basis_a.points
-        chains = sum(int(ends[-1]) for _, ends, _ in self._windows())
-        object.__setattr__(self, "pairs", p1 - p0 + 1 + chains)
-
-    def positions(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """lo, hi: the positions of chains c that both bases hold."""
+    def positions(self, c: int) -> tuple[int, int]:
+        """lo, hi: the positions of chain c that both bases hold."""
         lo_a, hi_a = self.basis_a.positions(c)
         lo_b, hi_b = self.basis_b.positions(c)
-        return np.maximum(lo_a, lo_b), np.minimum(hi_a, hi_b)
+        return max(lo_a, lo_b), min(hi_a, hi_b)
 
-    def paired(self, c: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Which side-A labels (c, j) are paired: a position both bases
-        hold on one of the paired chains, or a proper mode in ``points``."""
-        chain = (c >= 0) & (c < self.basis_a.chains)
-        lo, hi = self.positions(np.where(chain, c, 0))
-        p0, p1 = self.basis_a.points
-        return np.where(chain, (lo <= j) & (j <= hi), (c == -1) & (p0 <= j) & (j <= p1))
-
-    def _windows(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The paired chains, ``VERIFY_SLICE`` at a time, as (c, ends,
-        offset): chain c[k] holds the window's pairs ends[k-1]..ends[k]-1,
-        the pair i at position i + offset[k] (read only where it holds
-        one).  int32 is exact: a window holds at most VERIFY_SLICE (2B + 1)
-        pairs."""
-        n = self.basis_a.chains
-        for first in range(0, n, VERIFY_SLICE):
-            c = np.arange(first, min(first + VERIFY_SLICE, n), dtype=np.int32)
+    def paired(self, c: int, j: int) -> bool:
+        """Is the side-A label (c, j) paired: a position both bases hold
+        on one of the paired chains, or a proper mode in ``points``?"""
+        if 0 <= c < self.basis_a.chains:
             lo, hi = self.positions(c)
-            ends = np.cumsum(np.maximum(hi - lo + 1, 0), dtype=np.int32)
-            yield c, ends, hi + 1 - ends
-
-    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The pairs in order, at most ``VERIFY_SLICE`` at a time: the
-        proper modes, then the chains.  A block is (c, runs, j): its
-        chains c (-1: the proper modes), how many of its pairs each one
-        holds, and their side-A positions j; B's labels are A's with
-        j -> eps j on the proper modes.  A block holds whole chains,
-        except that it may start or end inside one."""
+            return lo <= j <= hi
         p0, p1 = self.basis_a.points
-        for first in range(p0, p1 + 1, VERIFY_SLICE):
-            j = np.arange(first, min(first + VERIFY_SLICE, p1 + 1), dtype=np.int32)
-            yield np.array([-1], dtype=np.int32), np.array([j.size]), j
-        for c, ends, offset in self._windows():
-            for first in range(0, int(ends[-1]), VERIFY_SLICE):
-                stop = min(first + VERIFY_SLICE, int(ends[-1]))
-                k0, k1 = ends.searchsorted((first, stop - 1), side="right")
-                runs = np.diff(np.minimum(ends[k0 : k1 + 1], stop), prepend=first)
-                j = np.arange(first, stop, dtype=np.int32) + np.repeat(offset[k0 : k1 + 1], runs)
-                yield c[k0 : k1 + 1], runs, j
+        return c == -1 and p0 <= j <= p1
 
     @property
     def mapping(self) -> Mapping:
-        """Read-only ``{side-A label: side-B label}`` in pair order."""
+        """Read-only ``{side-A label: side-B label}`` in pair order,
+        derived on demand; its length is counted when asked."""
         return _PairMapping(self)
 
 
 class _PairMapping(Mapping):
-    """A pairing seen as a mapping of label tuples, derived block by block."""
+    """A pairing seen as a mapping of label tuples."""
 
     def __init__(self, pairing: IntertwinerPairing) -> None:
         self._pairing = pairing
 
     def __len__(self) -> int:
-        return self._pairing.pairs
+        pairing = self._pairing
+        p0, p1 = pairing.basis_a.points
+        chains = (pairing.positions(c) for c in range(pairing.basis_a.chains))
+        return p1 - p0 + 1 + sum(max(hi - lo + 1, 0) for lo, hi in chains)
 
     def __iter__(self) -> Iterator[tuple]:
-        for c, runs, j in self._pairing.blocks():
-            yield from self._pairing.basis_a.labels(np.repeat(c, runs), j)
+        pairing = self._pairing
+        p0, p1 = pairing.basis_a.points
+        for j in range(p0, p1 + 1):
+            yield "point", j
+        for c in range(pairing.basis_a.chains):
+            head, (lo, hi) = pairing.basis_a.label(c, 0)[:-1], pairing.positions(c)
+            for j in range(lo, hi + 1):
+                yield *head, j
 
     def __getitem__(self, label) -> tuple:
         pairing = self._pairing
-        c, j = map(np.array, pairing.basis_a.parse(label))
+        c, j = pairing.basis_a.parse(label)
         if not pairing.paired(c, j):
             raise KeyError(label)
-        return next(pairing.basis_b.labels(c[None], np.where(c < 0, pairing.eps * j, j)[None]))
-
-    def items(self) -> ItemsView:
-        return _PairItems(self)
+        return pairing.basis_b.label(c, pairing.eps * j if c < 0 else j)
 
 
-class _PairItems(ItemsView):
-    def __iter__(self) -> Iterator[tuple[tuple, tuple]]:
-        pairing = self._mapping._pairing
-        for c, runs, j in pairing.blocks():
-            c = np.repeat(c, runs)
-            jb = np.where(c < 0, pairing.eps * j, j)
-            yield from zip(pairing.basis_a.labels(c, j), pairing.basis_b.labels(c, jb))
+class IntertwinerIdentity(NamedTuple):
+    """One identity of the certificate: on ``side`` ("a", "b", or "ab"
+    for both), in ``sector``, the polynomials ``lhs`` and ``rhs`` agree
+    coordinate by coordinate, identically in their unknowns."""
+
+    side: str
+    sector: str
+    name: str
+    lhs: tuple
+    rhs: tuple
+
+    @property
+    def holds(self) -> bool:
+        return not any(a - b for a, b in zip(self.lhs, self.rhs, strict=True))
+
+    def __str__(self) -> str:
+        show = lambda v: "(" + ", ".join(map(str, v)) + ")"
+        verdict = "holds" if self.holds else "FAILS"
+        equation = f"{show(self.lhs)} = {show(self.rhs)}"
+        return f"{self.side} {self.sector} {self.name}: {equation} {verdict}"
 
 
 @dataclass(frozen=True)
 class IntertwinerCheck:
+    """How many identities of the certificate failed, of how many
+    decided; ``identities`` lists them."""
+
     mismatches: int
     checked: int
+    identities: tuple[IntertwinerIdentity, ...] = field(default=(), compare=False, repr=False)
 
 
 def build_intertwiner(
@@ -718,22 +758,15 @@ def build_intertwiner(
     """Pair the normalized bases of two spectrally compatible systems.
 
     Point modes are matched by proper value (k maps to eps*k); chains
-    are matched in canonical enumeration order, position to position,
-    over the positions both chains hold inside the truncation.  Each
-    basis computes a chain's parameters and positions from its index,
-    so the pairing keeps only the two bases and the pair count, summed
-    ``VERIFY_SLICE`` chains at a time: its memory does not grow with B.
-    Raises :class:`IncompatibleSpectraError` when the descriptors differ
+    are matched in canonical enumeration order, position to position.
+    Each basis computes a chain's parameters and positions from its
+    index, so the pairing keeps only the two bases, each holding the
+    chains that get paired inside the truncation.  Raises
+    :class:`IncompatibleSpectraError` when the descriptors differ
     structurally (different point groups or Lebesgue multiplicities).
     """
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
-    # Labels are int32.  Chain indices, exponents, phases and their
-    # intermediates stay below (2B + 2)^2 in absolute value, so int32 is
-    # exact up to B = 23,169; ``cli.MAX_INTERTWINER_PAIRS`` caps B at
-    # 1,580 (107 between two products).
-    if (2 * truncation + 2) ** 2 >= 2**31:
-        raise ValueError(f"truncation {truncation} overflows the int32 tables")
     da, db = spectrum_of(spec_a), spectrum_of(spec_b)
     if da.lebesgue_multiplicity != db.lebesgue_multiplicity:
         raise IncompatibleSpectraError(
@@ -750,62 +783,77 @@ def build_intertwiner(
             raise IncompatibleSpectraError(f"point-spectrum groups differ: {cmp.detail}")
         eps = cmp.relation[0]
 
-    # each basis holds only the chains that get paired
     cls_a, cls_b = _BASES[spec_a.kind], _BASES[spec_b.kind]
     n_chains = min(cls_a.chain_count(truncation), cls_b.chain_count(truncation))
     basis_a, basis_b = cls_a(truncation, n_chains), cls_b(truncation, n_chains)
     return IntertwinerPairing(spec_a, spec_b, truncation, eps, basis_a, basis_b)
 
 
+def _basis_identities(side: str, basis: _Basis) -> Iterator[IntertwinerIdentity]:
+    """The chain step and the proper modes of one basis, stepped through
+    ``KOOPMAN_TABLE`` at a symbolic chain (parameters named as in
+    ``chain_params``) and position j, or proper index k."""
+    kind = basis.kind
+    if basis.chain_sector is not None:
+        params = tuple(_Poly.var(name) for name in basis.chain_params)
+        j = _Poly.var("j")
+        mult, image = koopman_step(kind, basis.chain_sector, basis.chain_label(params, j))
+        target = basis.chain_label(params, j + 1)
+        # the coordinates free of j name the chain, the others the position
+        named = [i for i, v in enumerate(target) if not any("j" in m for m in v.terms)]
+        rest = [i for i in range(len(target)) if i not in named]
+        for name, lhs, rhs in (
+            ("chain", [image[i] for i in named], [target[i] for i in named]),
+            ("position", [image[i] for i in rest], [target[i] for i in rest]),
+            ("phase", [mult], [basis.exponent(params, j + 1) - basis.exponent(params, j)]),
+        ):
+            yield IntertwinerIdentity(side, basis.chain_sector, name, tuple(lhs), tuple(rhs))
+    x = basis.point_label(_Poly.var("k"))
+    yield IntertwinerIdentity(
+        side, basis.point_sector, "fixed", koopman_step(kind, basis.point_sector, x)[1], x
+    )
+
+
 def verify_intertwiner(pairing: IntertwinerPairing) -> IntertwinerCheck:
-    """Check W U = V W on every interior pair, exactly, with the raw actions.
+    """Decide W U = V W on the whole space, with the raw actions, by
+    expanding integer-polynomial identities; nothing depends on the
+    truncation.
 
-    The pairs are walked in order (:meth:`IntertwinerPairing.blocks`):
-    the proper modes, then the chains, at most ``VERIFY_SLICE`` pairs at
-    a time, a chain longer than that split across blocks.  The side-A
-    label is taken to its raw basis vector (skew chains
-    ``f[k,m] = a[k,m] g[k,m]`` with ``a`` from the normalizing exponent,
-    product chains ``t[l,k,m] = e(l k gamma) p[l,k,m]``, shift chains
-    ``d[k,m]``, proper modes as they are), system A's raw action is
-    applied through ``KOOPMAN_TABLE``, and the image (c', j') is
-    renormalized.  A pair is interior when that image is paired
-    (:meth:`IntertwinerPairing.paired`: c' a paired chain and j' in both
-    bases' closed-form positions of c', or c' = -1 and j' in ``points``);
-    chain ends at the truncation boundary are skipped.  System B's raw
-    action is applied to the side-B label the same way; an interior pair
-    matches when B's image is the side-B label of A's image, (c', j') on
-    a chain or (-1, eps j') on a proper mode, and the phases agree.
-    Phases are integer multiples of each system's angle, and the sign s
-    with gammaB = s * gammaA (mod 1) is decided exactly from the angles,
-    so they agree iff ``phase_a == s * phase_b``.  s is not read off
-    ``eps``, so a pairing with the wrong eps fails on its proper modes.
+    W sends chain c of A to chain c of B position by position and the
+    proper mode k to eps k, so W U = V W holds when, on each side:
 
-    Nothing grows with the pair count: the temporaries are those of one
-    block and one window of ``VERIFY_SLICE`` chains.  Returns the number
-    of mismatched pairs and how many pairs were checked.
+    * ``chain`` and ``position``: the table's image of position j of a
+      symbolic chain is the raw label of position j + 1 of the same
+      chain.  Its coordinates free of j, which name the chain, are
+      unchanged, and the others are those of j + 1; on the skew,
+      ``k' = r + (j + 1) m`` with ``0 <= r < |m|`` also keeps r, by
+      Euclid's uniqueness;
+    * ``phase``: the step's gamma multiplier ``c . x`` is
+      ``a(j + 1) - a(j)``, with a the normalizing exponent, so the
+      renormalized step is the phase-free shift (c, j) -> (c, j + 1);
+    * ``fixed``: the table fixes the raw label of a symbolic proper mode;
+
+    and, on both sides at once, ``proper values``: the multiplier of the
+    proper mode k of A equals s times that of the proper mode eps k of B,
+    with s the sign of gammaB = s gammaA (mod 1), decided exactly from
+    the angles (1 when either system has none).  s is not read off
+    ``eps``, so a pairing with the wrong eps fails here.  Each side is
+    decided on its own, so a wrong step fails even where W, between two
+    copies of one kind, would carry it onto itself.  Returns how many
+    identities fail, of how many decided, and the identities.
     """
     basis_a, basis_b, eps = pairing.basis_a, pairing.basis_b, pairing.eps
     # the angles' own sign, not the pairing's eps, which also relabels B
     ga, gb = pairing.spec_a.gamma, pairing.spec_b.gamma
     relation = (1, 1) if ga is None or gb is None else point_spectrum_groups_equal(ga, gb).relation
     sign = relation[0] if relation else 0
-    mismatches = checked = 0
-    for c, runs, j in pairing.blocks():
-        if c[0] < 0:
-            phase_a, c_next, j_next = basis_a.step_points(j)
-            phase_b, cb_next, jb_next = basis_b.step_points(eps * j)
-        else:
-            phase_a, c_next, j_next = basis_a.step_chains(c, runs, j)
-            phase_b, cb_next, jb_next = basis_b.step_chains(c, runs, j)
-        interior = pairing.paired(c_next, j_next)
-        # B's image must be the side-B label of A's image
-        match = (
-            interior
-            & (cb_next == c_next)
-            & (jb_next == np.where(c_next < 0, eps * j_next, j_next))
-            & (phase_a == sign * phase_b)
-        )
-        n_interior = int(np.count_nonzero(interior))
-        checked += n_interior
-        mismatches += n_interior - int(np.count_nonzero(match))
-    return IntertwinerCheck(mismatches, checked)
+    k = _Poly.var("k")
+    mult_a, _ = koopman_step(basis_a.kind, basis_a.point_sector, basis_a.point_label(k))
+    mult_b, _ = koopman_step(basis_b.kind, basis_b.point_sector, basis_b.point_label(eps * k))
+    identities = (
+        *_basis_identities("a", basis_a),
+        *_basis_identities("b", basis_b),
+        IntertwinerIdentity("ab", "points", "proper values", (mult_a,), (sign * mult_b,)),
+    )
+    failed = sum(not identity.holds for identity in identities)
+    return IntertwinerCheck(failed, len(identities), identities)

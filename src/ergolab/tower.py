@@ -30,8 +30,9 @@ labels whose phases can be gauged away, so the least-squares minimum of
 ``|| g o T - delta e(k u) g ||`` is a closed form of the orbit census: 0
 if K_k closes a cycle on the basis, and otherwise
 ``sqrt(2 - 2 cos(pi/(L+1)))`` at the longest free path L.  The search
-takes one P step for every k, then the census on arrays: it counts the
-cycles and free paths of each K_k and reads the residual off that form.
+takes the P step once per tail for every k, then one walk per k over
+compact integer arrays: it counts the cycles and free paths of each K_k
+and reads the residual off that form.  Nothing here imports numpy.
 The certificate accepts a finite orbit below 1e-6 and rejects one above
 ``r0/2``, with r0 the closed-form residual of the band's longest free
 path; a residual in between raises :class:`InconclusiveEvidenceError`,
@@ -43,10 +44,9 @@ it falls like ``pi / (2 U_BAND + 2)`` as the band grows.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
-
-import numpy as np
 
 from .koopman import (
     KOOPMAN_TABLE,
@@ -342,9 +342,12 @@ class ResidualReport:
         return asdict(self)
 
 
-def _sector_tails(spec: SystemSpec, truncation: int) -> dict[str, np.ndarray]:
+def _sector_tails(
+    spec: SystemSpec, truncation: int
+) -> dict[str, tuple[list[range], list[array]]]:
     """Tail-factor characters enumerated exactly, as table coordinates:
-    per label sector, one row per coordinate and one column per tail.
+    per label sector, the box of its tails, one range per coordinate,
+    and the tails themselves, one column per coordinate.
 
     For the product system: sequence characters with support in
     [-N, N] of size at most 2.  The empty support is the constant
@@ -352,16 +355,25 @@ def _sector_tails(spec: SystemSpec, truncation: int) -> dict[str, np.ndarray]:
     (a, b - a), its first position and its shape.  For the skew control:
     the v-frequencies m in [-N, N], as (m,).
     """
-    window = np.arange(-truncation, truncation + 1)
+    window = range(-truncation, truncation + 1)
     if spec.kind == "product":
-        a, b = np.triu_indices(window.size)
-        return {"constant": np.zeros((0, 1), dtype=np.int64),
-                "support": np.stack([a - truncation, b - a])}
+        first = array("q", (a for a in window for _ in range(truncation + 1 - a)))
+        shape = array("q", (s for a in window for s in range(truncation + 1 - a)))
+        return {"constant": ([], []), "support": ([window, range(len(window))], [first, shape])}
     if spec.kind == "skew":
-        return {"lattice": window[None, :]}
+        return {"lattice": ([window], [array("q", window)])}
     raise UnsupportedSystemError(
         f"the residual search runs on product or skew systems, not {spec.kind!r}"
     )
+
+
+def _box_positions(box: list[range], columns: list, count: int) -> list[int]:
+    """The row-major position in ``box`` of each of ``count`` tails given
+    by ``columns``, or -1 for a tail outside it."""
+    at = [0] * count
+    for r, column in zip(box, columns):
+        at = [p * len(r) + x - r.start if p >= 0 and x in r else -1 for p, x in zip(at, column)]
+    return at
 
 
 def census_nodes(kind: str, truncation: int) -> int:
@@ -371,52 +383,47 @@ def census_nodes(kind: str, truncation: int) -> int:
     return (2 * U_BAND + 1) * (1 + (truncation + 1) * side if kind == "product" else side)
 
 
-def _tail_index(tails: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """The column of ``tails`` that each column of ``images`` names, read
-    from a dense grid over the tails' bounding box; -1 where none, inside
-    the box or outside it."""
-    if not len(tails):  # the constant sector's one empty tail
-        return np.zeros(images.shape[1], dtype=np.int64)
-    lo, hi = tails.min(axis=1, keepdims=True), tails.max(axis=1, keepdims=True)
-    side = hi - lo + 1
-    grid = np.full(side.prod(), -1)
-    grid[np.ravel_multi_index(tuple(tails - lo), side.ravel())] = np.arange(tails.shape[1])
-    at = np.ravel_multi_index(tuple(images - lo), side.ravel(), mode="clip")
-    return np.where(((images >= lo) & (images < lo + side)).all(axis=0), grid[at], -1)
-
-
 def _path_residual(n: int) -> float:
     """The least-squares minimum on a free path of n nodes,
     ``sqrt(2 - 2 cos(pi / (n + 1)))``."""
     return math.sqrt(2 - 2 * math.cos(math.pi / (n + 1)))
 
 
-def _orbit_census(succ: np.ndarray, k: int) -> tuple[int, np.ndarray, np.ndarray]:
+def _orbit_census(succ: Sequence[int], k: int) -> tuple[int, list[list[int]]]:
     """The cycle count of the partial map ``succ`` (-1: no successor), and
-    its free paths' lengths in ascending order with their counts.
+    its free paths' ``[length, count]`` in ascending length.
 
-    Pointer doubling, with a sink n that absorbs every path: after round
-    j, ``after[i]`` is the 2^j-th successor of i, ``count[i]`` counts the
-    labels among the first 2^j of i's orbit and ``least[i]`` is the least
-    of them.  Once ``after`` is idempotent, or 2^j >= n, every path has
-    reached the sink and every cycle has been seen whole.  A path's
-    length is its first node's count; a cycle counts at its least label.
+    One linear walk: a path is walked from each label without a
+    predecessor until it leaves the basis; a label it meets twice has
+    two predecessors, so K_k is not injective.  The labels left form a
+    permutation, and each of its cycles is walked once.
     """
-    n = succ.size
-    preds = np.bincount(succ[succ >= 0], minlength=n)
-    if preds.max(initial=0) > 1:  # paths could merge or run into a cycle
-        raise ValueError(f"K_{k} is not injective on the truncated basis")
-    after = np.append(np.where(succ >= 0, succ, n), n)
-    count, least, span = np.append(np.ones(n, dtype=np.int64), 0), np.arange(n + 1), 1
-    while span < n and not ((twice := after[after]) == after).all():
-        count += count[after]
-        least = np.minimum(least, least[after])
-        after, span = twice, 2 * span
-    on_path = after[:n] == n
-    cycles = int(np.count_nonzero(~on_path & (least[:n] == np.arange(n))))
-    hist = np.bincount(count[:n][on_path & (preds == 0)])  # paths by length
-    lengths = np.flatnonzero(hist)
-    return cycles, lengths, hist[lengths]
+    n = len(succ)
+    has_pred = bytearray(n)
+    for j in succ:
+        if j >= 0:
+            has_pred[j] = 1
+    seen = bytearray(n)
+    lengths: dict[int, int] = {}
+    i = has_pred.find(0)
+    while i >= 0:
+        j, length = i, 0
+        while j >= 0:
+            if seen[j]:  # paths merge, or one runs into a cycle
+                raise ValueError(f"K_{k} is not injective on the truncated basis")
+            seen[j] = 1
+            j, length = succ[j], length + 1
+        lengths[length] = lengths.get(length, 0) + 1
+        i = has_pred.find(0, i + 1)
+    cycles = 0
+    i = seen.find(0)
+    while i >= 0:
+        cycles += 1
+        while not seen[i]:
+            seen[i] = 1
+            i = succ[i]
+        i = seen.find(0, i + 1)
+    return cycles, [[length, lengths[length]] for length in sorted(lengths)]
 
 
 def residual_census(
@@ -424,33 +431,60 @@ def residual_census(
 ) -> Iterator[ResidualReport]:
     """:func:`quasi_eigen_residual_search` for each k of ``ks`` in turn.
 
-    Each sector's labels go through the table's P step once, as integer
-    arrays, and each image tail is resolved to its index among the T tails
-    once.  Only the shift ``l -> l - k`` of K_k = Q* P depends on k: node
-    ``(l + U_BAND) T + t`` goes to ``(l' - k + U_BAND) T + t'``, or to none
-    where the image leaves the basis.  Then :func:`_orbit_census` runs.
+    Node ``(l + U_BAND) T + t`` is e(l u) times tail t of the T tails.
+    Each tail goes through the table's P step once, at l = 0: the step
+    is affine, so its image at l is that image plus l times the table's
+    l-column.  An image tail is resolved to its index through a dense
+    grid over its sector's box (-1 where it names no tail), once per
+    tail, or once per label where the l-column moves the tail.  Two
+    compact integer arrays remain, each image's row ``l' + U_BAND`` and
+    tail index.  Only the shift ``l -> l - k`` of K_k = Q* P depends on
+    k: node i goes to ``(row[i] - k) T + t[i]``, or to none where the
+    image leaves the basis.  Then :func:`_orbit_census` walks the nodes
+    once per k.
     """
     if truncation < 2:
         raise ValueError("truncation must be >= 2")
-    band = np.arange(-U_BAND, U_BAND + 1)[:, None]
-    row_image, t_image, tails_seen = [], [], 0
-    for sector, tails in _sector_tails(spec, truncation).items():
-        x = np.broadcast_arrays(band, *tails[:, None])
-        _, (l, *image) = koopman_step(spec.kind, sector, x)
-        t = _tail_index(tails, np.reshape(image, (len(image), l.size))).reshape(l.shape)
-        row_image.append(l + U_BAND)
-        t_image.append(np.where(t < 0, -1, t + tails_seen))
-        tails_seen += tails.shape[1]
-    row_image, t_image = np.hstack(row_image).ravel(), np.hstack(t_image).ravel()
+    width = 2 * U_BAND + 1
+    sectors, tails_seen = [], 0
+    for sector, (box, tails) in _sector_tails(spec, truncation).items():
+        count = len(tails[0]) if tails else 1
+        grid = array("q", [-1]) * math.prod(map(len, box))
+        for t, at in enumerate(_box_positions(box, tails, count), tails_seen):
+            grid[at] = t
+        tails_seen += count
+        # P is affine: its image at l is the image at l = 0 plus l times
+        # P(e_l) - P(0), the l-column
+        step = lambda x: koopman_step(spec.kind, sector, x)[1]
+        l_zero, *images = zip(*(step((0, *tail)) for tail in (zip(*tails) if tails else [()])))
+        origin = (0,) * (len(box) + 1)
+        l_step, *t_step = (y - y0 for y, y0 in zip(step((1, *origin[1:])), step(origin)))
+
+        def resolve(l: int, box=box, grid=grid, count=count, images=images, t_step=t_step):
+            """The tail index of each tail's image at l, -1 for none."""
+            moved = [[y + l * c for y in image] for image, c in zip(images, t_step)]
+            at = _box_positions(box, moved, count)
+            return array("q", [-1 if i < 0 else grid[i] for i in at])
+
+        fixed = None if any(t_step) else resolve(0)
+        sectors.append((array("q", l_zero), l_step, fixed, resolve))
+    row_image, t_image = array("q"), array("q")
+    for row in range(width):
+        l = row - U_BAND
+        for l_zero, l_step, fixed, resolve in sectors:
+            row_image.extend(r + l * l_step + U_BAND for r in l_zero)
+            t_image.extend(fixed if fixed is not None else resolve(l))
+    del sectors  # the tails' images, no longer needed
     for k in ks:
-        row = row_image - k  # l' - k + U_BAND
-        inside = (t_image >= 0) & (row >= 0) & (row <= 2 * U_BAND)
-        cycles, lengths, counts = _orbit_census(np.where(inside, row * tails_seen + t_image, -1), k)
+        cycles, path_lengths = _orbit_census(array("q", (
+            (r - k) * tails_seen + t if t >= 0 and 0 <= r - k < width else -1
+            for r, t in zip(row_image, t_image)
+        )), k)
         yield ResidualReport(
             system_kind=spec.kind, k=k, truncation=truncation,
-            residual=0.0 if cycles else _path_residual(int(lengths[-1])),
-            u_band=U_BAND, dimension=row.size, cycles=cycles,
-            path_lengths=np.stack([lengths, counts], axis=1).tolist(),
+            residual=0.0 if cycles else _path_residual(path_lengths[-1][0]),
+            u_band=U_BAND, dimension=len(row_image), cycles=cycles,
+            path_lengths=path_lengths,
         )
 
 
@@ -461,8 +495,8 @@ def quasi_eigen_residual_search(
 ) -> ResidualReport:
     """The minimum of ``|| g o T - delta e(k u) g ||`` over unit g in the
     truncated basis and unimodular delta, read off the orbit census of K_k:
-    the one-k case of :func:`residual_census`, which takes one P step for
-    every k and the census on arrays.
+    the one-k case of :func:`residual_census`, which takes the P step
+    once per tail for every k and walks the orbits once per k.
 
     The basis is ``e(l u)`` times a tail character, |l| <= ``U_BAND``,
     tails from the truncation N.  The images of K_k that stay in it leave

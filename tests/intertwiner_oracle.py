@@ -1,14 +1,17 @@
-"""The dict-based intertwiner, kept as a test oracle.
+"""The dict-based intertwiner and box checks, kept as test oracles.
 
 This is the original construction of the basis pairing: chain labels are
-enumerated as tuples, each chain's positions are found by scanning the
-truncation box, and the check steps abstract labels with one
-``label_step`` on both sides.  It is slow (quadratic in the number of
-chains) and its check passes by construction, but its pair set and
-pair order define what the array-based ``ergolab.koopman`` pairing must
-reproduce exactly.  :class:`Phase`, the unimodular constants of its
-label steps, is kept here with it; the library compares integer
-multiples of gamma instead.
+enumerated as tuples, and each chain's positions are found by scanning
+the truncation box.  Its pair set and pair order define what the
+``ergolab.koopman`` pairing's ``mapping`` view must reproduce exactly.
+:func:`oracle_check` is the finite check the library's certificate
+replaced: it takes every paired label to its raw basis vector, steps it
+through ``KOOPMAN_TABLE`` and renormalizes the image, on both sides,
+with its own writing of the normalized bases.  :func:`chains_in_box`
+counts the chains that meet a box by stepping every label of it, the
+evidence ``spectrum_of`` extrapolated from before it read closed forms.
+:class:`Phase`, the unimodular constants of a step, is kept here too;
+the library compares integer multiples of gamma instead.
 """
 
 from __future__ import annotations
@@ -18,11 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
+import numpy as np
+
 from ergolab import (
+    KOOPMAN_TABLE,
     IncompatibleSpectraError,
     IntertwinerCheck,
     RotationNumber,
     SystemSpec,
+    koopman_step,
     point_spectrum_groups_equal,
     spectrum_of,
 )
@@ -113,15 +120,6 @@ def _point_label_range(spec: SystemSpec, B: int) -> list[int]:
     return list(range(-B, B + 1))
 
 
-def label_step(label: tuple) -> tuple[Phase, tuple]:
-    """One Koopman step on a normalized basis label: proper modes stay
-    with phase e(k gamma), chain positions advance with phase 1."""
-    if label[0] == "point":
-        return Phase.from_gamma(label[1]), label
-    head, pos = label[:-1], label[-1]
-    return Phase.one(), head + (pos + 1,)
-
-
 def oracle_pairing(spec_a: SystemSpec, spec_b: SystemSpec, truncation: int) -> tuple[dict, int]:
     """The pairing as an insertion-ordered dict of labels, and eps."""
     da, db = spectrum_of(spec_a), spectrum_of(spec_b)
@@ -150,15 +148,90 @@ def oracle_pairing(spec_a: SystemSpec, spec_b: SystemSpec, truncation: int) -> t
     return mapping, eps
 
 
-def oracle_check(mapping: dict, eps: int) -> IntertwinerCheck:
-    """Step every paired label; count checked and mismatched pairs."""
+def _raw(kind: str, label: tuple) -> tuple[str, tuple, int]:
+    """The sector and raw label of a normalized basis label, and the
+    gamma multiplier of the constant it carries: skew chains
+    ``f[k,m] = e(a gamma) g[k,m]`` with ``a = j r + m j (j - 1) / 2`` at
+    ``k = r + j m``, product chains ``t[l,k,m] = e(l k gamma) p[l,k,m]``."""
+    if label[0] == "point":
+        k = label[1]
+        return {
+            "rotation": ("lattice", (k,)),
+            "skew": ("lattice", (k, 0)),
+            "bernoulli": ("constant", ()),
+            "product": ("constant", (k,)),
+        }[kind] + (0,)
+    *params, j = label[1:]
+    if kind == "skew":
+        m, r = params
+        return "lattice", (r + j * m, m), j * r + m * j * (j - 1) // 2
+    if kind == "product":
+        l, m = params
+        return "support", (l, j, m), l * j
+    (m,) = params
+    return "support", (j, m), 0
+
+
+def _normalized(kind: str, sector: str, x: tuple) -> tuple[tuple, int]:
+    """The normalized label naming the raw label x, and its constant's
+    gamma multiplier (the inverse of :func:`_raw`)."""
+    if kind == "skew":
+        k, m = x
+        if m == 0:
+            return ("point", k), 0
+        r = k % abs(m)
+        j = (k - r) // m
+        return ("chain", m, r, j), j * r + m * j * (j - 1) // 2
+    if sector in ("constant", "lattice"):  # the proper modes e(l u), or the shift's 1
+        return ("point", x[0] if x else 0), 0
+    if kind == "product":
+        l, k, m = x
+        return ("chain", l, m, k), l * k
+    k, m = x
+    return ("chain", m, k), 0
+
+
+def _step(kind: str, label: tuple) -> tuple[int, tuple]:
+    """One Koopman step of a normalized basis vector: the raw action of
+    ``KOOPMAN_TABLE``, renormalized; returns the gamma multiplier and the
+    image label."""
+    sector, x, a = _raw(kind, label)
+    mult, image = koopman_step(kind, sector, x)
+    label, b = _normalized(kind, sector, image)
+    return mult + a - b, label
+
+
+def oracle_check(spec_a: SystemSpec, spec_b: SystemSpec, mapping: dict) -> IntertwinerCheck:
+    """Step every paired label of both systems; count the interior pairs
+    (A's image is paired too) and those where B's image is not the
+    partner of A's image or the phases differ.  Phases agree when
+    ``mult_a = s mult_b`` with gammaB = s gammaA (mod 1)."""
+    ga, gb = spec_a.gamma, spec_b.gamma
+    relation = (1, 1) if ga is None or gb is None else point_spectrum_groups_equal(ga, gb).relation
+    sign = relation[0] if relation else 0
     mismatches = checked = 0
     for la, lb in mapping.items():
-        pa, la_next = label_step(la)
+        pa, la_next = _step(spec_a.kind, la)
         if la_next not in mapping:
             continue
         checked += 1
-        pb, lb_next = label_step(lb)
-        if mapping[la_next] != lb_next or pa.gamma_mult != eps * pb.gamma_mult:
+        pb, lb_next = _step(spec_b.kind, lb)
+        if mapping[la_next] != lb_next or pa != sign * pb:
             mismatches += 1
     return IntertwinerCheck(mismatches, checked)
+
+
+def chains_in_box(kind: str, sector: str, B: int) -> int:
+    """How many chains of moving labels meet the box [-B, B]^d of one
+    sector: each has one first label in the box, a moving label that is
+    not the image of a label in the box."""
+    d = len(KOOPMAN_TABLE[kind][sector].b)
+    if d == 0:  # the one label of a point sector is fixed
+        return 0
+    side = 2 * B + 1
+    x = np.indices((side,) * d).reshape(d, -1) - B
+    image = np.array(koopman_step(kind, sector, tuple(x))[1])
+    inside = (np.abs(image) <= B).all(axis=0)
+    has_preimage = np.zeros(x.shape[1], dtype=bool)
+    has_preimage[np.ravel_multi_index(tuple(image[:, inside] + B), (side,) * d)] = True
+    return int(np.count_nonzero((image != x).any(axis=0) & ~has_preimage))

@@ -143,7 +143,7 @@ def test_criterion_3_intertwiner():
         and elapsed < 5.0
     )
     return ok, (
-        f"checked={check.checked} pairings, mismatches={check.mismatches}, "
+        f"checked={check.checked} identities, mismatches={check.mismatches}, "
         f"elapsed={elapsed:.2f}s < 5s"
     )
 

@@ -3,10 +3,10 @@ spectra, pairings.
 
 Phases are exact objects (rational turn + integer multiple of the
 angle); every identity here is checked symbolically first and only then
-numerically against complex exponentials.  The array-based intertwiner
-is checked against the dict-based oracle in ``intertwiner_oracle.py``,
-and its check is shown to fail when one entry of the table it applies
-is wrong.
+numerically against complex exponentials.  The intertwiner's mapping is
+checked against the dict-based oracle in ``intertwiner_oracle.py``, its
+certificate against that oracle's box check, and the certificate is
+shown to fail when one entry of the table it applies is wrong.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from ergolab import (
     verify_intertwiner,
 )
 from ergolab import koopman
-from ergolab.cli import MAX_INTERTWINER_PAIRS
-from ergolab.koopman import _normalizing_exponent
+from ergolab.koopman import _normalizing_exponent, _Poly
 
 from helpers import (
     BENCH_ANGLES,
@@ -55,7 +54,7 @@ from helpers import (
     skew_index_map_injective,
 )
 from exact_oracle import bounded_group_relation, bounded_one_simple
-from intertwiner_oracle import Phase, oracle_check, oracle_pairing
+from intertwiner_oracle import Phase, chains_in_box, oracle_check, oracle_pairing
 
 turns = st.fractions(min_value=-3, max_value=3, max_denominator=24)
 gmults = st.integers(min_value=-20, max_value=20)
@@ -116,23 +115,32 @@ def test_skew_action_and_inverse(k, m):
     assert mult - koopman_step("skew", "lattice", back)[0] == 0
 
 
+def _exponent_at(k, m):
+    """The normalizing exponent at the raw label (k, m): k = r + j m with
+    0 <= r < |m| (Euclid), a ZeroDivisionError on the proper row m = 0."""
+    r = k % abs(m)
+    return _normalizing_exponent(m, r, (k - r) // m)
+
+
 @given(st.integers(-20, 20), st.integers(-20, 20).filter(lambda m: m != 0))
 def test_normalizing_phase_recurrence(k, m):
     """a[k+m, m] = a[k, m] * e(k gamma), with k + m and e(k gamma) the
     table's image and phase: exactly the constant that makes the
     normalized basis step with phase one."""
     mult, image = koopman_step("skew", "lattice", (k, m))
-    assert _normalizing_exponent(*image) == _normalizing_exponent(k, m) + mult
+    assert _exponent_at(*image) == _exponent_at(k, m) + mult
 
 
 def test_normalizing_phase_rejects_proper_rows():
     """The proper row m = 0 has no chain representative to anchor at; the
-    skew basis keeps g[k, 0] unnormalized."""
+    skew basis keeps g[k, 0] unnormalized, a fixed label with phase
+    e(k gamma)."""
     with pytest.raises(ZeroDivisionError):
-        _normalizing_exponent(3, 0)
-    k = np.arange(-3, 4, dtype=np.int32)
-    phase, c, j = koopman._SkewBasis(3).step_points(k)
-    assert (phase.tolist(), c.tolist(), j.tolist()) == (k.tolist(), [-1] * 7, k.tolist())
+        _exponent_at(3, 0)
+    basis = koopman._SkewBasis(3)
+    for k in range(-3, 4):
+        x = basis.point_label(k)
+        assert x == (k, 0) and koopman_step("skew", basis.point_sector, x) == (k, x)
 
 
 @given(st.integers(-12, 12), st.integers(-12, 12))
@@ -142,14 +150,15 @@ def test_normalized_skew_action_has_unit_phase_off_axis(k, m):
     mult, image = koopman_step("skew", "lattice", (k, m))
     assert image == (k + m, m)
     if m != 0:
-        assert mult + _normalizing_exponent(k, m) - _normalizing_exponent(*image) == 0
+        assert mult + _exponent_at(k, m) - _exponent_at(*image) == 0
     else:
         assert mult == k
 
 
 def test_kernels_accept_arrays():
     """The table step and the normalizing exponent give the same numbers
-    elementwise on arrays as on ints, for every kind and sector."""
+    elementwise on arrays as on ints, for every kind and sector, and
+    (evaluated) on the certificate's polynomials."""
     for kind, sectors in KOOPMAN_TABLE.items():
         for sector, action in sectors.items():
             d = len(action.b)
@@ -163,9 +172,41 @@ def test_kernels_accept_arrays():
                 assert got == (mult[i], tuple(v[i] for v in image))
     k, m = (a.ravel() for a in np.meshgrid(np.arange(-9, 10), np.arange(-9, 10)))
     off = m != 0
-    exponent = _normalizing_exponent(k[off], m[off])
+    r = k[off] % np.abs(m[off])
+    exponent = _normalizing_exponent(m[off], r, (k[off] - r) // m[off])
     for ki, mi, e in zip(k[off].tolist(), m[off].tolist(), exponent.tolist()):
-        assert _normalizing_exponent(ki, mi) == e
+        assert _exponent_at(ki, mi) == e
+    symbols = {name: _Poly.var(name) for name in "mrj"}
+    polynomial = _normalizing_exponent(*symbols.values())
+    for mi, ri, ji in [(3, 2, -4), (-5, 0, 7), (1, 0, 0)]:
+        assert _evaluate(polynomial, m=mi, r=ri, j=ji) == _normalizing_exponent(mi, ri, ji)
+
+
+def _evaluate(p, **values):
+    """The value of a certificate polynomial at integer ``values``."""
+    return sum(c * math.prod(values[name] for name in mono) for mono, c in p.terms.items())
+
+
+@given(st.lists(st.tuples(st.sampled_from("+-*"), st.integers(-5, 5), st.sampled_from("xy0")),
+                max_size=8),
+       st.integers(-6, 6), st.integers(-6, 6))
+def test_polynomials_compute_what_ints_compute(ops, x, y):
+    """A chain of ``+``, ``-`` and ``*`` by ints and unknowns, run on the
+    certificate's polynomials and evaluated, equals the chain run on the
+    unknowns' values; a polynomial is false exactly when it is 0."""
+    p, v = _Poly.var("x"), x
+    for op, c, operand in ops:
+        poly = {"x": _Poly.var("x"), "y": _Poly.var("y"), "0": c}[operand]
+        num = {"x": x, "y": y, "0": c}[operand]
+        if op == "+":
+            p, v = (c + p + poly, c + v + num)
+        elif op == "-":
+            p, v = (c - p - poly, c - v - num)
+        else:
+            p, v = (c * p * poly, c * v * num)
+    assert _evaluate(p, x=x, y=y) == v
+    assert bool(p - p) is False and bool(p + 1 - p) is True
+    assert _evaluate(p * (p - 1) // 2, x=x, y=y) == v * (v - 1) // 2
 
 
 @given(st.integers(-15, 15), st.integers(-15, 15), st.integers(-10, 10))
@@ -193,16 +234,10 @@ def _chains(kind: str, B: int) -> tuple[list[int], list[list[tuple]]]:
     chain as the raw labels its positions name, in operator order."""
     basis = koopman._BASES[kind](B)
     p0, p1 = basis.points
-    c = np.arange(basis.chains, dtype=np.int32)
     chains = []
-    for params, lo, hi in zip(basis.params(c).T.tolist(), *basis.positions(c)):
-        positions = range(lo, hi + 1)
-        if kind == "skew":
-            m, r = params
-            chains.append([(r + j * m, m) for j in positions])
-        else:
-            l, m = params
-            chains.append([(l, j, m) for j in positions])
+    for c in range(basis.chains):
+        lo, hi = basis.positions(c)
+        chains.append([basis.chain_label(basis.params(c), j) for j in range(lo, hi + 1)])
     return list(range(p0, p1 + 1)), chains
 
 
@@ -230,18 +265,19 @@ def test_orbits_partition_the_box(kind):
 
 def test_proper_modes_of_skew():
     """Under the raw action the skew basis's proper modes are exactly the
-    (k, 0) rows, fixed with phase e(k gamma); every chain member moves."""
+    (k, 0) rows, fixed with phase e(k gamma); every chain member moves,
+    and its renormalized step has phase one."""
     B = 6
     basis = koopman._BASES["skew"](B)
-    j = np.arange(-B, B + 1, dtype=np.int32)
-    phase, c_next, j_next = basis.step_points(j)
-    assert (c_next == -1).all() and (j_next == j).all()
-    assert phase.tolist() == j.tolist()
-    c = np.arange(basis.chains, dtype=np.int32)
-    lo, _ = basis.positions(c)
-    phase, c_next, j_next = basis.step_chains(c, np.ones_like(c), lo)
-    assert ((c_next != c) | (j_next != lo)).all()
-    assert not phase.any()
+    for k in range(-B, B + 1):
+        assert koopman_step("skew", "lattice", basis.point_label(k)) == (k, (k, 0))
+    for c in range(basis.chains):
+        params = basis.params(c)
+        for j in range(basis.positions(c)[0], basis.positions(c)[1] + 1):
+            x = basis.chain_label(params, j)
+            phase, image = koopman_step("skew", "lattice", x)
+            assert image != x and image == basis.chain_label(params, j + 1)
+            assert phase + basis.exponent(params, j) - basis.exponent(params, j + 1) == 0
 
 
 def test_spectrum_descriptors():
@@ -295,14 +331,28 @@ CHAIN_CLOSED_FORMS = {
 @pytest.mark.parametrize("spec", four_systems(), ids=lambda s: s.kind)
 def test_box_chain_counts_match_the_closed_forms_and_the_bases(spec):
     """Chains of moving labels that meet [-B, B]^d, counted by stepping
-    the box through the table, against the closed form and the
-    intertwiner basis's nonempty chains at the same B."""
+    the box through the table, against the closed form the spectrum
+    reports and the intertwiner basis's nonempty chains at the same B."""
     closed = CHAIN_CLOSED_FORMS[spec.kind]
     assert spectrum_of(spec).chain_counts == tuple((B, closed(B)) for B in CHAIN_BOXES)
-    for B in CHAIN_BOXES:
+    for B in (*CHAIN_BOXES, 0, 1, 11):
+        counted = sum(chains_in_box(spec.kind, s, B) for s in KOOPMAN_TABLE[spec.kind])
         basis = koopman._BASES[spec.kind](B)
-        lo, hi = basis.positions(np.arange(basis.chains, dtype=np.int32))
-        assert np.count_nonzero(hi >= lo) == closed(B)
+        nonempty = sum(lo <= hi for lo, hi in map(basis.positions, range(basis.chains)))
+        assert counted == nonempty == closed(B) == basis.chain_count(B)
+
+
+def test_a_sector_without_a_closed_form_is_refused(monkeypatch):
+    """A sector x -> x + 12 has 12 chains, but the box count grows from 9
+    at B = 4 to 12 at B = 8, which the extrapolation the closed forms
+    replaced read as infinite.  It has no closed form, so the spectrum
+    is refused instead."""
+    scratch = koopman.SectorAction(((1,),), (12,), (0,))
+    monkeypatch.setitem(KOOPMAN_TABLE["skew"], "scratch", scratch)
+    assert [chains_in_box("skew", "scratch", B) for B in CHAIN_BOXES] == [9, 12]
+    assert chains_in_box("skew", "scratch", 100) == 12
+    with pytest.raises(ValueError, match="skew scratch sector moves labels but has no closed-form"):
+        spectrum_of(SystemSpec.skew(GAMMA))
 
 
 def test_degenerate_point_part_is_not_simple():
@@ -468,11 +518,22 @@ PAIRING_CASES = {
 }
 
 
+#: The identities the certificate decides on each pair of kinds: chain,
+#: position and phase on each side with chains, fixed on each side, and
+#: the proper values on both.
+IDENTITIES = {
+    "skew-product": 9, "product-skew": 9, "skew-skew": 9, "product-product": 9,
+    "shift2-shift4": 9, "rotation-rotation": 3, "skew-product-reflected": 9,
+    "rotation-rotation-reflected": 3,
+}
+
+
 @pytest.mark.parametrize("B", [0, 1, 2, 7, 16, 33])
 @pytest.mark.parametrize("case", list(PAIRING_CASES))
 def test_pairing_matches_the_dict_oracle(case, B):
     """Same pairs in the same order as the dict-based construction, and
-    the raw-action check counts the same interior pairs."""
+    the certificate agrees with the oracle's box check of those pairs:
+    no identity fails, and no interior pair mismatches."""
     spec_a, spec_b = PAIRING_CASES[case]
     mapping, eps = oracle_pairing(spec_a, spec_b, B)
     pairing = build_intertwiner(spec_a, spec_b, B)
@@ -480,7 +541,8 @@ def test_pairing_matches_the_dict_oracle(case, B):
     assert len(pairing.mapping) == len(mapping)
     assert list(pairing.mapping.items()) == list(mapping.items())
     check = verify_intertwiner(pairing)
-    assert check == IntertwinerCheck(0, oracle_check(mapping, eps).checked)
+    assert check == IntertwinerCheck(0, IDENTITIES[case])
+    assert oracle_check(spec_a, spec_b, mapping).mismatches == 0
 
 
 def test_mapping_is_a_read_only_view_of_python_ints():
@@ -507,37 +569,59 @@ def test_mapping_is_a_read_only_view_of_python_ints():
 
 @pytest.mark.parametrize("B, checked", [(16, 817), (192, 111_169)])
 def test_checked_count_pins(B, checked):
-    check = verify_intertwiner(build_intertwiner(*PAIRING_CASES["skew-product"], B))
-    assert check == IntertwinerCheck(0, checked)
+    """The box check of the letter's pairing counts 817 and 111,169
+    interior pairs at B = 16 and 192, the counts the library reported
+    before the certificate; the certificate decides the same nine
+    identities at every B."""
+    spec_a, spec_b = PAIRING_CASES["skew-product"]
+    pairing = build_intertwiner(spec_a, spec_b, B)
+    box = oracle_check(spec_a, spec_b, dict(pairing.mapping.items()))
+    assert box == IntertwinerCheck(0, checked)
+    assert verify_intertwiner(pairing) == IntertwinerCheck(0, 9)
 
 
-def _traced_peak(B: int, checked: int) -> int:
+def _traced_peak(B: int) -> int:
     """Traced peak bytes of building and checking the skew-product
-    pairing at B, which must check ``checked`` pairs."""
+    pairing at B, whose nine identities must hold."""
     tracemalloc.start()
     try:
         check = verify_intertwiner(build_intertwiner(*PAIRING_CASES["skew-product"], B))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert check == IntertwinerCheck(0, checked)
+    assert check == IntertwinerCheck(0, 9)
     return peak
 
 
 def test_pairing_and_check_at_b192_stay_under_a_memory_bound():
     """Traced peak of building and checking the skew-product pairing at
-    B = 192: about 0.9 MB with chains enumerated on demand, against
-    2.1 MB with per-chain arrays stored, 4.2 MB with the two per-pair
-    int32 label arrays and 9.8 MB when the product basis held all
-    (2B+1)^2 chains and every table was int64."""
-    assert _traced_peak(192, 111_169) < 2**20
+    B = 192: about 10 KB for the certificate's polynomials, against
+    0.9 MB for the box check of 111,169 pairs that it replaced."""
+    assert _traced_peak(192) < 2**17
 
 
 def test_pairing_and_check_memory_does_not_grow_with_b():
-    """Nothing the pairing keeps or the check allocates grows with the
-    chain or pair count: 6.8 times the pairs at B = 500 peak within 10 %
-    of B = 192 (13.9 MB against 2.1 MB with per-chain arrays)."""
-    assert _traced_peak(500, 751_501) <= 1.1 * _traced_peak(192, 111_169)
+    """Nothing the pairing keeps or the certificate allocates depends on
+    the truncation: B = 10^9 peaks within 10 % of B = 192."""
+    assert _traced_peak(10**9) <= 1.1 * _traced_peak(192)
+
+
+def test_the_certificate_does_not_depend_on_the_truncation():
+    """The same identities, the same polynomials, at every truncation."""
+    checks = [verify_intertwiner(build_intertwiner(*PAIRING_CASES["skew-product"], B))
+              for B in (0, 16, 10**5, 10**12)]
+    assert len({tuple(map(str, check.identities)) for check in checks}) == 1
+    assert [str(i) for i in checks[0].identities] == [
+        "a lattice chain: (m) = (m) holds",
+        "a lattice position: (j*m + m + r) = (j*m + m + r) holds",
+        "a lattice phase: (j*m + r) = (j*m + r) holds",
+        "a lattice fixed: (k, 0) = (k, 0) holds",
+        "b support chain: (l, m) = (l, m) holds",
+        "b support position: (j + 1) = (j + 1) holds",
+        "b support phase: (l) = (l) holds",
+        "b constant fixed: (k) = (k) holds",
+        "ab points proper values: (k) = (k) holds",
+    ]
 
 
 def _ring_order(B: int) -> list[list[int]]:
@@ -558,19 +642,18 @@ def test_capped_bases_are_prefixes_of_the_full_ones(kind, B):
     to its place; the full product basis is the ring order."""
     full = koopman._BASES[kind](B)
     total = full.chain_count(B)
-    c = np.arange(total, dtype=np.int32)
-    params, (lo, hi) = full.params(c), full.positions(c)
-    assert full.chains == lo.size == hi.size == params.shape[1] == total
-    assert lo.dtype == hi.dtype == params.dtype == np.int32
+    params = [full.params(c) for c in range(total)]
+    positions = [full.positions(c) for c in range(total)]
+    assert full.chains == len(set(params)) == total
+    assert all(type(x) is int for p in params for x in p)
     if kind == "product":
-        assert params.T.tolist() == _ring_order(B)
+        assert [list(p) for p in params] == _ring_order(B)
     for n in sorted({0, 1, B * (B + 1), total - 1, total} & set(range(total + 1))):
         capped = koopman._BASES[kind](B, n)
         assert capped.chains == n
-        assert capped.params(c[:n]).tolist() == params[:, :n].tolist()
-        assert capped.positions(c[:n])[0].tolist() == lo[:n].tolist()
-        assert capped.positions(c[:n])[1].tolist() == hi[:n].tolist()
-        assert capped.chain_index(*capped.params(c[:n])).tolist() == list(range(n))
+        assert [capped.params(c) for c in range(n)] == params[:n]
+        assert [capped.positions(c) for c in range(n)] == positions[:n]
+        assert [capped.chain_index(*p) for p in params[:n]] == list(range(n))
 
 
 def test_each_basis_holds_only_the_paired_chains():
@@ -584,48 +667,9 @@ def test_each_basis_holds_only_the_paired_chains():
     assert pairing.basis_a.parse(("chain", l, m, 0)) == (B * (B + 1), 0)
     assert ("chain", l, m, 0) not in pairing.mapping
     assert ("chain", *_ring_order(B)[B * (B + 1) - 1], 0) in pairing.mapping
-    c = np.array([B * (B + 1), (2 * B + 1) ** 2 - 1, -2], dtype=np.int32)
-    assert pairing.paired(c, np.zeros(3, np.int32)).tolist() == [False] * 3
+    assert [pairing.paired(c, 0) for c in (B * (B + 1), (2 * B + 1) ** 2 - 1, -2)] == [False] * 3
     both = build_intertwiner(*PAIRING_CASES["product-product"], B)
     assert both.basis_a.chains == both.basis_b.chains == (2 * B + 1) ** 2
-
-
-def test_int32_tables_have_headroom_at_the_pair_budget():
-    """At the largest B the pair budget admits, skew vs product and
-    product vs product, the largest chain index, pair count, normalizing
-    exponent and step phase, and the intermediates that produce them,
-    stay below (2B + 2)^2 and 2^31; computed in int64 and Python ints,
-    without building a pairing.  The int32 pair offsets of a window of
-    ``VERIFY_SLICE`` chains stay below 2^31 at every B the tables admit."""
-    skew_product = (math.isqrt(MAX_INTERTWINER_PAIRS) - 1) // 2
-    product_product = max(B for B in range(200) if (2 * B + 1) ** 3 <= MAX_INTERTWINER_PAIRS)
-    assert (skew_product, product_product) == (1580, 107)
-    for B, pairs in [
-        (skew_product, (2 * skew_product + 1) ** 2),
-        (product_product, (2 * product_product + 1) * (1 + (2 * product_product + 1) ** 2)),
-    ]:
-        bound = (2 * B + 2) ** 2
-        assert pairs + 2 * B < 2**31 and bound < 2**31
-        # chain indices: the skew inversion's 4c + 1 and the product ring's
-        # (2s - 1)^2 + within-ring offsets
-        assert 4 * (B * (B + 1) - 1) + 1 < bound
-        assert (2 * B + 1) ** 2 < bound
-        # product steps: mult + l k - l' k' with |l| <= B, |k| <= B + 1
-        assert B + B * B + B * (B + 1) < bound
-        # skew steps: members k in [-B, B] go to k + m in [-2B, 2B]
-        worst = 0
-        k = np.arange(-2 * B, 2 * B + 1, dtype=np.int64)
-        for m in range(-B, B + 1):
-            if m:
-                r = k % abs(m)
-                j = (k - r) // m
-                worst = max(worst, int(np.abs(j * (j - 1)).max()))
-                exponent = _normalizing_exponent(k, np.int64(m))
-                worst = max(worst, B + 2 * int(np.abs(exponent).max()))
-        assert worst < bound
-    assert koopman.VERIFY_SLICE * (2 * 23_169 + 1) < 2**31
-    with pytest.raises(ValueError, match="int32"):
-        build_intertwiner(*PAIRING_CASES["skew-product"], 23_170)
 
 
 def _doctor(kind: str, sector: str, **entry):
@@ -636,14 +680,24 @@ def _doctor(kind: str, sector: str, **entry):
 
 
 KERNEL_MUTANTS = {
-    # the renormalization of the skew chains, not a table entry
+    # the renormalization of the skew chains, not a table entry: the
+    # triangular number j (j + 1) / 2 for j (j - 1) / 2
     "normalizing exponent off by one": lambda mp: mp.setattr(
-        koopman,
-        "_normalizing_exponent",
-        lambda k, m, exponent=_normalizing_exponent: exponent(k, m) + (k == 1),
+        koopman, "_normalizing_exponent", lambda m, r, j: j * r + m * (j * (j + 1) // 2)
     ),
     "skew action steps k + m + 1": _doctor("skew", "lattice", b=(1, 0)),
     "product phase e(2l gamma)": _doctor("product", "support", c=(2, 0, 0)),
+}
+
+#: Mutants of the renormalization alone, which the box oracle writes out
+#: for itself and so does not see.
+CERTIFICATE_MUTANTS = {
+    "normalizing exponent sign slip": lambda mp: mp.setattr(
+        koopman, "_normalizing_exponent", lambda m, r, j: j * r - m * (j * (j - 1) // 2)
+    ),
+    "product l j renormalization dropped": lambda mp: mp.setattr(
+        koopman._ProductBasis, "exponent", lambda self, params, j: 0
+    ),
 }
 
 
@@ -655,94 +709,112 @@ def test_check_fails_when_an_action_is_wrong(mutant, case, monkeypatch):
     assert check.mismatches > 0
 
 
+@pytest.mark.parametrize("case", ["skew-product", "product-skew"])
+@pytest.mark.parametrize("mutant", list(CERTIFICATE_MUTANTS))
+def test_certificate_fails_when_a_renormalization_is_wrong(mutant, case, monkeypatch):
+    """A sign slip in the skew's normalizing exponent, or the product's
+    e(l k gamma) left out, breaks the phase identity of that side."""
+    CERTIFICATE_MUTANTS[mutant](monkeypatch)
+    check = verify_intertwiner(build_intertwiner(*PAIRING_CASES[case], truncation=8))
+    failed = [(i.sector, i.name) for i in check.identities if not i.holds]
+    sector = "lattice" if "normalizing" in mutant else "support"
+    assert (check.mismatches, check.checked, failed) == (1, 9, [(sector, "phase")])
+
+
+TABLE_MUTANTS = {
+    "skew action steps k + m + 1": KERNEL_MUTANTS["skew action steps k + m + 1"],
+    "product phase e(2l gamma)": KERNEL_MUTANTS["product phase e(2l gamma)"],
+    "skew A=((1,2),(0,1))": _doctor("skew", "lattice", A=((1, 2), (0, 1))),
+    "skew c=(-1,0)": _doctor("skew", "lattice", c=(-1, 0)),
+}
+
+
+@pytest.mark.parametrize("case", list(PAIRING_CASES)[:4])
+@pytest.mark.parametrize("mutant", list(TABLE_MUTANTS))
+def test_certificate_and_box_check_fail_together(mutant, case, monkeypatch):
+    """On every pairing of the skew and the product, a wrong table entry
+    of a kind fails the certificate, which decides each side's step on
+    its own.  The box check fails with it where the kinds differ; between
+    two copies of one kind W is the identity, which intertwines any step
+    with itself, so there the box check passes."""
+    TABLE_MUTANTS[mutant](monkeypatch)
+    spec_a, spec_b = PAIRING_CASES[case]
+    pairing = build_intertwiner(spec_a, spec_b, 8)
+    box = oracle_check(spec_a, spec_b, dict(pairing.mapping.items()))
+    touched = ("skew" if "skew" in mutant else "product") in (spec_a.kind, spec_b.kind)
+    assert (verify_intertwiner(pairing).mismatches > 0) == touched
+    assert (box.mismatches > 0) == (touched and spec_a.kind != spec_b.kind)
+
+
 @pytest.mark.parametrize(
-    "entry, mismatches, checked",
+    "entry, mismatches, failed",
     [
-        ({"A": ((1, -1), (0, 1))}, 784, 817),
-        ({"A": ((1, 2), (0, 1))}, 512, 545),
-        ({"c": (-1, 0)}, 784, 817),
+        ({"A": ((1, -1), (0, 1))}, 1, ["position"]),
+        ({"A": ((1, 2), (0, 1))}, 1, ["position"]),
+        ({"c": (-1, 0)}, 2, ["phase", "proper values"]),
     ],
     ids=["A=((1,-1),(0,1))", "A=((1,2),(0,1))", "c=(-1,0)"],
 )
 def test_skew_table_mutants_break_the_check_by_pinned_counts(
-    entry, mismatches, checked, monkeypatch
+    entry, mismatches, failed, monkeypatch
 ):
-    """Exact counts at B = 16, so that a change to the gather of chain
-    parameters that hides a mismatch, or adds one, shows."""
+    """Exact counts, so that an identity that stops reading the table, or
+    a new one that fails, shows: a wrong A moves the image off position
+    j + 1, and a wrong c breaks the chain phase and the proper values."""
     _doctor("skew", "lattice", **entry)(monkeypatch)
     check = verify_intertwiner(build_intertwiner(*PAIRING_CASES["skew-product"], 16))
-    assert (check.mismatches, check.checked) == (mismatches, checked)
+    assert (check.mismatches, check.checked) == (mismatches, 9)
+    assert [i.name for i in check.identities if not i.holds] == failed
 
 
 @pytest.mark.parametrize("kind", ["skew", "bernoulli", "product"])
 def test_chain_steps_gather_their_own_chain_parameters(kind):
     """A normalized chain steps to its next position with phase one, so a
     step that read another chain's parameters would leave the chain; the
-    first and the last chain are where a gather off by one shows."""
+    first and the last chain are where an enumeration off by one shows."""
     basis = koopman._BASES[kind](5)
-    c = np.array([0, basis.chains - 1], dtype=np.int32)
-    lo, hi = basis.positions(c)
-    assert (hi > lo).all()
-    # the first two positions of each chain
-    j = np.stack([lo, lo + 1], axis=1).ravel()
-    phase, c_next, j_next = basis.step_chains(c, np.array([2, 2]), j)
-    assert c_next.tolist() == np.repeat(c, 2).tolist()
-    assert j_next.tolist() == (j + 1).tolist()
-    assert not phase.any()
+    sector = basis.chain_sector
+    for c in (0, basis.chains - 1):
+        params = basis.params(c)
+        assert basis.chain_index(*params) == c
+        lo, hi = basis.positions(c)
+        assert hi > lo
+        # the first two positions of each chain
+        for j in (lo, lo + 1):
+            phase, image = koopman_step(kind, sector, basis.chain_label(params, j))
+            assert image == basis.chain_label(params, j + 1)
+            assert phase + basis.exponent(params, j) - basis.exponent(params, j + 1) == 0
 
 
-@pytest.mark.parametrize(
-    "case, B, mutant",
-    [
-        ("skew-product", 33, None),
-        ("skew-product", 33, "product phase e(2l gamma)"),
-        # 7-pair slices of the 300,763 pairs at B = 33 take 8 s; B = 33
-        # itself runs in several default slices in the oracle test above
-        ("product-product", 12, None),
-    ],
-)
-def test_check_in_slices_equals_the_unsliced_check(case, B, mutant, monkeypatch):
-    """Slices of 7 pairs, and windows of 7 chains, give the same counts,
-    pairs and pair order as one slice holding every pair, with and
-    without a wrong action; chains longer than 7 positions are split."""
-    if mutant is not None:
-        KERNEL_MUTANTS[mutant](monkeypatch)
-    pairing = build_intertwiner(*PAIRING_CASES[case], truncation=B)
-    monkeypatch.setattr(koopman, "VERIFY_SLICE", len(pairing.mapping))
-    whole = verify_intertwiner(pairing)
-    items = list(pairing.mapping.items())
-    monkeypatch.setattr(koopman, "VERIFY_SLICE", 7)
-    assert verify_intertwiner(pairing) == whole
-    assert dataclasses.replace(pairing).pairs == len(items)
-    assert list(pairing.mapping.items()) == items
-    assert (whole.mismatches > 0) == (mutant is not None)
-
-
-def test_check_fails_when_two_chains_of_basis_b_are_swapped():
+def test_a_swap_of_two_chains_of_basis_b_still_intertwines():
     """W sends chain c of A to chain c of B, so swapping the parameters
-    that B computes for its first and last chains sends each to the
-    other's partner: every interior pair of both chains is a mismatch,
-    16 on the first chain (f[j, 1], j = -8..8, against t[0, j, 0]) and 1
-    on the last (two positions of f[7 - 8j, -8])."""
+    that B computes for its first and last chains gives another unitary
+    W, which still intertwines: the certificate's identities do not
+    depend on the enumeration.  The swap shows in the mapping, and in
+    ``chain_index`` no longer inverting ``params``."""
     pairing = build_intertwiner(*PAIRING_CASES["skew-product"], truncation=8)
     basis_b = copy.copy(pairing.basis_b)
     last, params = basis_b.chains - 1, basis_b.params
-    basis_b.params = lambda c: params(np.where(c == 0, last, np.where(c == last, 0, c)))
-    check = verify_intertwiner(dataclasses.replace(pairing, basis_b=basis_b))
-    assert verify_intertwiner(pairing) == IntertwinerCheck(0, 217)
-    assert check == IntertwinerCheck(17, 217)
+    basis_b.params = lambda c: params({0: last, last: 0}.get(c, c))
+    swapped = dataclasses.replace(pairing, basis_b=basis_b)
+    assert verify_intertwiner(swapped) == verify_intertwiner(pairing) == IntertwinerCheck(0, 9)
+    assert swapped.mapping[("chain", 1, 0, 0)] == ("chain", *params(last), 0)
+    assert basis_b.chain_index(*basis_b.params(0)) == last
 
 
 def test_check_fails_when_eps_is_flipped():
     """gamma_B = -gamma_A, so W sends the proper mode k to -k; with eps
     flipped it sends k to k, whose phase e(k gamma_B) differs from
-    e(k gamma_A) unless k = 0.  The check compares phases by the angles'
-    own relation, so the 16 proper modes k != 0 in [-8, 8] mismatch."""
+    e(k gamma_A) unless k = 0.  The certificate compares phases by the
+    angles' own relation, so the proper values fail."""
     pairing = build_intertwiner(*PAIRING_CASES["skew-product-reflected"], truncation=8)
     assert pairing.eps == -1
     check = verify_intertwiner(dataclasses.replace(pairing, eps=1))
-    assert verify_intertwiner(pairing) == IntertwinerCheck(0, 217)
-    assert check == IntertwinerCheck(16, 217)
+    assert verify_intertwiner(pairing) == IntertwinerCheck(0, 9)
+    assert check == IntertwinerCheck(1, 9)
+    assert [str(i) for i in check.identities if not i.holds] == [
+        "ab points proper values: (k) = (-k) FAILS"
+    ]
 
 
 def test_one_doctored_entry_flips_the_decision_and_breaks_the_check(monkeypatch):

@@ -75,8 +75,9 @@ def _mixing_rows(summary: dict) -> None:
 
 
 def _letter_rows(pairs: int, checked: int):
-    """The rows of a letter run whose skew-product pairing holds
-    (2B+1)^2 ``pairs``, of which the interior ones are ``checked``."""
+    """The rows of a letter run whose skew-product pairing shows (2B+1)^2
+    ``pairs`` at truncation B, and whose certificate decides ``checked``
+    identities at every B."""
 
     def check(summary: dict) -> None:
         for name in ("koopman.build_intertwiner", "koopman.verify_intertwiner"):
@@ -101,12 +102,12 @@ TRACED_RUNS = {
         _three_shift_rows,
     ),
     "weak-mixing": (["compute", "weak-mixing"], {"params": {"t": 50}}, _mixing_rows),
-    "reproduce-letter": (["reproduce-letter"], {}, _letter_rows(1089, 817)),
+    "reproduce-letter": (["reproduce-letter"], {}, _letter_rows(1089, 9)),
     # the ``letter-wide`` workload's sizes, B = 192 and N = 16
     "letter-wide": (
         ["reproduce-letter"],
         {"truncation": 192, "residual_truncation": 16},
-        _letter_rows(148_225, 111_169),
+        _letter_rows(148_225, 9),
     ),
 }
 
