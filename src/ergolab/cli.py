@@ -4,7 +4,11 @@ machine-readable reports.
 Three built-in scenarios reproduce the headline comparisons (the
 skew-vs-product letter argument, the entropy separation of shifts, the
 rotation classification), and a free-form ``compute`` mode exposes the
-individual operations.  Reports are deterministic byte for byte under a
+individual operations.  Every runner in ``RUNNERS`` maps a config to
+``(results, verdicts)``; ``main`` wraps them in one ``ExperimentReport``,
+and ``emit_report`` validates it once, before any file is written, then
+writes ``report.json`` and the files ``EXTRA_FILES`` lists for its
+scenario.  Reports are deterministic byte for byte under a
 fixed seed: one root seed is split into named substreams, no timestamps
 are recorded, and JSON keys are sorted.  Exit codes are a stable
 contract: 0 success, 2 inconclusive evidence, 1 error.
@@ -319,15 +323,13 @@ class ExperimentReport:
 
     Every verdict carries its evidence object inline, so the verdict list
     is self-contained; ``results`` holds the step-by-step records the
-    verdicts reference.
+    verdicts reference.  The scenario and seed are the config's, and the
+    version is this package's.
     """
 
-    scenario: str
     config: ExperimentConfig
     results: dict
     verdicts: list[dict]
-    seed: int
-    version: str = __version__
 
     def to_json(self) -> dict:
         # the echo drops emission-only keys (out, format) so the same
@@ -338,9 +340,9 @@ class ExperimentReport:
             if key not in ("out", "format")
         }
         return {
-            "scenario": self.scenario,
-            "version": self.version,
-            "seed": self.seed,
+            "scenario": self.config.scenario,
+            "version": __version__,
+            "seed": self.config.seed,
             "config": echo,
             "results": self.results,
             "verdicts": self.verdicts,
@@ -348,6 +350,10 @@ class ExperimentReport:
 
     def validate(self) -> None:
         _validate("report.schema.json", "report", self.to_json())
+
+
+def _verdict(statement: str, evidence: dict, provenance: str = "exact") -> dict:
+    return {"statement": statement, "provenance": provenance, "evidence": evidence}
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +422,9 @@ def _check_sampling_cost(config: ExperimentConfig, systems: int) -> None:
         )
 
 
-def run_reproduce_letter(config: ExperimentConfig) -> ExperimentReport:
-    """The two-system comparison: same spectrum, different towers.
+def run_reproduce_letter(config: ExperimentConfig) -> tuple[dict, list[dict]]:
+    """The two-system comparison, as ``(results, verdicts)``: same
+    spectrum, different towers.
 
     Steps: spectra match; the explicit intertwiner's certificate holds
     on every identity, for the whole space at any truncation; the skew
@@ -466,16 +473,9 @@ def run_reproduce_letter(config: ExperimentConfig) -> ExperimentReport:
         "checked": check.checked,
     }
     if spectra_match and check.mismatches == 0:
-        verdicts.append(
-            {
-                "statement": "spectrally isomorphic",
-                "provenance": "exact",
-                "evidence": {
-                    "spectra": results["spectra"],
-                    "intertwiner": results["intertwiner"],
-                },
-            }
-        )
+        verdicts.append(_verdict("spectrally isomorphic", {
+            "spectra": results["spectra"], "intertwiner": results["intertwiner"],
+        }))
 
     comparison = towers_distinguish(
         spec_a, spec_b, truncation=config.residual_truncation
@@ -486,32 +486,10 @@ def run_reproduce_letter(config: ExperimentConfig) -> ExperimentReport:
         "verdict": comparison.verdict,
         "evidence": comparison.evidence,
     }
-    if comparison.distinguished:
-        verdicts.append(
-            {
-                "statement": "not spacially isomorphic",
-                "provenance": "exact",
-                "evidence": results["towers"],
-            }
-        )
-    else:
-        verdicts.append(
-            {
-                "statement": "not distinguished by tower",
-                "provenance": "exact",
-                "evidence": results["towers"],
-            }
-        )
-
-    report = ExperimentReport(
-        scenario=config.scenario,
-        config=config,
-        results=results,
-        verdicts=verdicts,
-        seed=config.seed,
-    )
-    report.validate()
-    return report
+    statement = ("not spacially isomorphic" if comparison.distinguished
+                 else "not distinguished by tower")
+    verdicts.append(_verdict(statement, results["towers"]))
+    return results, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +497,10 @@ def run_reproduce_letter(config: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def run_reproduce_kolmogorov(config: ExperimentConfig) -> ExperimentReport:
-    """Pairwise comparison of product-measure shifts: spectra pair up
-    exactly, entropies separate, plus one sampled cross-check per system.
+def run_reproduce_kolmogorov(config: ExperimentConfig) -> tuple[dict, list[dict]]:
+    """Pairwise comparison of product-measure shifts, as ``(results,
+    verdicts)``: spectra pair up exactly, entropies separate, plus one
+    sampled cross-check per system.
 
     Each system's entry (exact entropy, the block-entropy rate at the
     block length, which is the same closed form, and the sampled
@@ -595,25 +574,10 @@ def run_reproduce_kolmogorov(config: ExperimentConfig) -> ExperimentReport:
                 "classifier": verdict.to_json(),
             }
             pairs.append(pair)
-            verdicts.extend(
-                {
-                    "statement": f"{a.label()} vs {b.label()}: {statement}",
-                    "provenance": "exact",
-                    "evidence": pair,
-                }
-                for statement in (verdict.spacial, verdict.spectral)
-            )
+            verdicts.extend(_verdict(f"{a.label()} vs {b.label()}: {statement}", pair)
+                            for statement in (verdict.spacial, verdict.spectral))
     results["pairs"] = pairs
-
-    report = ExperimentReport(
-        scenario=config.scenario,
-        config=config,
-        results=results,
-        verdicts=verdicts,
-        seed=config.seed,
-    )
-    report.validate()
-    return report
+    return results, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -621,10 +585,10 @@ def run_reproduce_kolmogorov(config: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def run_theorem1_check(config: ExperimentConfig) -> ExperimentReport:
-    """Classify two circle rotations: equal proper-value groups mean
-    isomorphic, with the witnessing conjugacy, unequal groups mean not
-    even spectrally isomorphic.
+def run_theorem1_check(config: ExperimentConfig) -> tuple[dict, list[dict]]:
+    """Classify two circle rotations, as ``(results, verdicts)``: equal
+    proper-value groups mean isomorphic, with the witnessing conjugacy,
+    unequal groups mean not even spectrally isomorphic.
 
     The groups are compared exactly, and they are equal only when
     ``gamma_b = a*gamma_a (mod 1)`` with a = 1 or -1.  That relation,
@@ -638,7 +602,6 @@ def run_theorem1_check(config: ExperimentConfig) -> ExperimentReport:
         raise ValueError("theorem1 compares exactly two rotations")
     spec_a, spec_b = specs
     results: dict = {}
-    verdicts: list[dict] = []
 
     cmp = point_spectrum_groups_equal(spec_a.gamma, spec_b.gamma)
     results["groups"] = {
@@ -652,33 +615,12 @@ def run_theorem1_check(config: ExperimentConfig) -> ExperimentReport:
     if cmp.equal:
         conjugacy = "identity" if cmp.relation[0] == 1 else "reflection c(u) = -u mod 1"
         results["conjugacy"] = {"map": conjugacy}
-        verdicts.append(
-            {
-                "statement": (
-                    "spacially isomorphic (equal proper-value groups, conjugacy verified)"
-                ),
-                "provenance": "exact",
-                "evidence": {**results["groups"], **results["conjugacy"]},
-            }
-        )
-    else:
-        verdicts.append(
-            {
-                "statement": "not spectrally isomorphic (hence not spacially isomorphic)",
-                "provenance": "exact",
-                "evidence": results["groups"],
-            }
-        )
-
-    report = ExperimentReport(
-        scenario=config.scenario,
-        config=config,
-        results=results,
-        verdicts=verdicts,
-        seed=config.seed,
-    )
-    report.validate()
-    return report
+        return results, [_verdict(
+            "spacially isomorphic (equal proper-value groups, conjugacy verified)",
+            {**results["groups"], **results["conjugacy"]},
+        )]
+    return results, [_verdict("not spectrally isomorphic (hence not spacially isomorphic)",
+                              results["groups"])]
 
 
 # ---------------------------------------------------------------------------
@@ -708,13 +650,8 @@ def _compute_tower(config: ExperimentConfig) -> tuple[dict, list[dict]]:
         "levels": [lvl.to_json() for lvl in levels],
         "stabilization_depth": stabilization_depth(levels),
     }
-    return results, [
-        {
-            "statement": f"tower stabilizes at depth {stabilization_depth(levels)}",
-            "provenance": "exact",
-            "evidence": results,
-        }
-    ]
+    return results, [_verdict(f"tower stabilizes at depth {results['stabilization_depth']}",
+                              results)]
 
 
 def _compute_residual(config: ExperimentConfig) -> tuple[dict, list[dict]]:
@@ -723,23 +660,12 @@ def _compute_residual(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     spec = _param(config, "system", SystemSpec.from_json,
                   SystemSpec.product(SQRT2_MINUS_1, BernoulliSpec.fair_coin()))
     ks = [int(k) for k in config.params.get("ks", [0, 1, -1, 2, -2])]
-    for k in ks:
-        # any |k| > 2 U_BAND already takes every image out of the band,
-        # so the bound refuses no census a run could need
-        if abs(k) >= 2**62:
-            raise ValueError(f"residual-search k = {k} is outside |k| < 2^62")
     _check_census_cost([spec], config.residual_truncation, len(ks))
     reports = list(residual_census(spec, ks, config.residual_truncation))
     results = {"reports": [r.to_json() for r in reports]}
     if spec.kind == "product":
         results["r0"] = residual_reference()
-    return results, [
-        {
-            "statement": "residual search complete",
-            "provenance": "residual-certified",
-            "evidence": results,
-        }
-    ]
+    return results, [_verdict("residual search complete", results, "residual-certified")]
 
 
 def _compute_spectrum(config: ExperimentConfig) -> tuple[dict, list[dict]]:
@@ -749,13 +675,7 @@ def _compute_spectrum(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     spec = _param(config, "system", SystemSpec.from_json, SystemSpec.skew(SQRT2_MINUS_1))
     desc = spectrum_of(spec)
     results = {"descriptor": desc.to_json(), "weak_mixing": spectral_weak_mixing_check(desc)}
-    return results, [
-        {
-            "statement": f"spectrum tag: {desc.tag}",
-            "provenance": "exact",
-            "evidence": results,
-        }
-    ]
+    return results, [_verdict(f"spectrum tag: {desc.tag}", results)]
 
 
 def _compute_entropy(config: ExperimentConfig) -> tuple[dict, list[dict]]:
@@ -766,13 +686,7 @@ def _compute_entropy(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     results = {"entropy_nats": value}
     if config.bits:
         results["entropy_bits"] = value / math.log(2)
-    return results, [
-        {
-            "statement": f"entropy {value:.12f} nats",
-            "provenance": "exact",
-            "evidence": results,
-        }
-    ]
+    return results, [_verdict(f"entropy {value:.12f} nats", results)]
 
 
 def _compute_weak_mixing(config: ExperimentConfig) -> tuple[dict, list[dict]]:
@@ -802,13 +716,7 @@ def _compute_weak_mixing(config: ExperimentConfig) -> tuple[dict, list[dict]]:
         "A": A.to_json(),
         "B": B.to_json(),
     }
-    return results, [
-        {
-            "statement": results["verdict"],
-            "provenance": "exact",
-            "evidence": results,
-        }
-    ]
+    return results, [_verdict(results["verdict"], results)]
 
 
 #: Each op's runner; its params are checked against the config schema's
@@ -822,29 +730,26 @@ COMPUTE_OPS = {
 }
 
 
-def run_compute(config: ExperimentConfig) -> ExperimentReport:
+def run_compute(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     """Free-form mode: run one named operation with config parameters,
-    which its params schema has checked."""
+    which its params schema has checked, as ``(results, verdicts)``; the
+    results lead with the op's name."""
     if config.op not in COMPUTE_OPS:
         raise ValueError(
             f"unknown op {config.op!r}; available: {', '.join(sorted(COMPUTE_OPS))}"
         )
     _validate_params(config.op, config.params)
     results, verdicts = COMPUTE_OPS[config.op](config)
-    report = ExperimentReport(
-        scenario="compute",
-        config=config,
-        results={"op": config.op, **results},
-        verdicts=verdicts,
-        seed=config.seed,
-    )
-    report.validate()
-    return report
+    return {"op": config.op, **results}, verdicts
 
 
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
+
+
+def _write_json(path: Path, data) -> None:
+    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -854,137 +759,79 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
         writer.writerows(rows)
 
 
-def _letter_csvs(report: ExperimentReport, out: Path) -> list[Path]:
-    written = []
-    towers = report.results.get("towers", {})
-    rows = []
-    for side in ("system_a", "system_b"):
-        ev = towers.get("evidence", {}).get(side, {})
-        for lvl in ev.get("levels", []):
-            gens = ";".join(
-                f"({g[0]},{g[1]})" for g in lvl["characters"]["generators"]
-            )
-            rows.append([side, lvl["depth"], gens or "trivial"])
-    if rows:
-        path = out / "tower.csv"
-        _write_csv(path, ["system", "depth", "generators"], rows)
-        written.append(path)
-    rows = []
-    for side in ("system_a", "system_b"):
-        ev = towers.get("evidence", {}).get(side, {})
-        cert = ev.get("certificate")
-        if not cert:
-            continue
-        for rep in cert["reports"]:
-            rows.append(
-                [
-                    side,
-                    rep["k"],
-                    rep["truncation"],
-                    repr(rep["residual"]),
-                    rep["cycles"],
-                    max((n for n, _ in rep["path_lengths"]), default=0),
-                    repr(cert["r0"]),
-                ]
-            )
-    if rows:
-        path = out / "residuals.csv"
-        _write_csv(
-            path,
-            ["system", "k", "truncation", "residual", "cycles", "longest_path", "r0"],
-            rows,
-        )
-        written.append(path)
-    spectra = report.results.get("spectra")
-    if spectra:
-        path = out / "spectrum.json"
-        path.write_text(
-            json.dumps(spectra, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-        written.append(path)
-    return written
+def _tower_evidence(report: ExperimentReport) -> list[tuple[str, dict]]:
+    evidence = report.results.get("towers", {}).get("evidence", {})
+    return [(side, evidence.get(side, {})) for side in ("system_a", "system_b")]
 
 
-def _kolmogorov_csvs(report: ExperimentReport, out: Path) -> list[Path]:
-    written = []
+def _tower_rows(report: ExperimentReport) -> list[list]:
+    return [[side, lvl["depth"],
+             ";".join(f"({g[0]},{g[1]})" for g in lvl["characters"]["generators"]) or "trivial"]
+            for side, ev in _tower_evidence(report) for lvl in ev.get("levels", [])]
+
+
+def _residual_rows(report: ExperimentReport) -> list[list]:
+    return [[side, rep["k"], rep["truncation"], repr(rep["residual"]), rep["cycles"],
+             max((n for n, _ in rep["path_lengths"]), default=0), repr(ev["certificate"]["r0"])]
+            for side, ev in _tower_evidence(report) if ev.get("certificate")
+            for rep in ev["certificate"]["reports"]]
+
+
+def _entropy_rows(report: ExperimentReport) -> list[list]:
+    """Two rows per system: the sampled estimate at the block length (the
+    exact entropy when undersampled), then the exact entropy at n = 1."""
     rows = []
     for entry in report.results.get("entropies", []):
-        sampled = entry.get("sampled")
-        rows.append(
-            [
-                entry["system"],
-                "time-zero",
-                report.config.block_length,
-                sampled["sample_count"] if sampled else 0,
-                repr(sampled["value"]) if sampled else repr(entry["exact_entropy"]),
-                repr(sampled["stderr"]) if sampled else "0.0",
-                "false" if sampled else "true",
-            ]
-        )
-        rows.append(
-            [
-                entry["system"],
-                "time-zero",
-                1,
-                0,
-                repr(entry["exact_entropy"]),
-                "0.0",
-                "true",
-            ]
-        )
-    if rows:
-        path = out / "entropies.csv"
-        _write_csv(
-            path,
-            ["system", "partition", "n", "samples", "estimate_nats", "stderr", "exact"],
-            rows,
-        )
-        written.append(path)
-    rows = [
-        [
-            p["system_a"],
-            p["system_b"],
-            repr(p["classifier"]["entropy_a"]),
-            repr(p["classifier"]["entropy_b"]),
-            p["classifier"]["spacial"],
-            p["classifier"]["spectral"],
-            p["intertwiner_mismatches"],
-        ]
-        for p in report.results.get("pairs", [])
-    ]
-    if rows:
-        path = out / "pairs.csv"
-        _write_csv(
-            path,
-            ["system_a", "system_b", "entropy_a", "entropy_b",
-             "spacial", "spectral", "intertwiner_mismatches"],
-            rows,
-        )
-        written.append(path)
-    return written
+        system, exact, sampled = entry["system"], repr(entry["exact_entropy"]), entry.get("sampled")
+        if sampled:
+            rows.append([system, "time-zero", report.config.block_length, sampled["sample_count"],
+                         repr(sampled["value"]), repr(sampled["stderr"]), "false"])
+        else:
+            rows.append([system, "time-zero", report.config.block_length, 0, exact, "0.0", "true"])
+        rows.append([system, "time-zero", 1, 0, exact, "0.0", "true"])
+    return rows
 
 
-def _theorem1_csvs(report: ExperimentReport, out: Path) -> list[Path]:
+def _pair_rows(report: ExperimentReport) -> list[list]:
+    return [[p["system_a"], p["system_b"], repr(p["classifier"]["entropy_a"]),
+             repr(p["classifier"]["entropy_b"]), p["classifier"]["spacial"],
+             p["classifier"]["spectral"], p["intertwiner_mismatches"]]
+            for p in report.results.get("pairs", [])]
+
+
+def _comparison_rows(report: ExperimentReport) -> list[list]:
     groups = report.results.get("groups", {})
-    conj = report.results.get("conjugacy", {})
-    row = [
-        groups.get("gamma_a"),
-        groups.get("gamma_b"),
-        groups.get("verdict"),
-        conj.get("map", ""),
-    ]
-    path = out / "comparison.csv"
-    _write_csv(path, ["gamma_a", "gamma_b", "verdict", "conjugacy"], [row])
-    return [path]
+    return [[groups.get("gamma_a"), groups.get("gamma_b"), groups.get("verdict"),
+             report.results.get("conjugacy", {}).get("map", "")]]
+
+
+#: The files ``format="csv"`` adds beside report.json, in the order they
+#: are written: (scenario, file name, CSV header, rows of the report).  A
+#: file with no rows is not written; a header of None marks a JSON file,
+#: which holds its data as it is.
+EXTRA_FILES = (
+    ("reproduce-letter", "tower.csv", ("system", "depth", "generators"), _tower_rows),
+    ("reproduce-letter", "residuals.csv",
+     ("system", "k", "truncation", "residual", "cycles", "longest_path", "r0"), _residual_rows),
+    ("reproduce-letter", "spectrum.json", None, lambda report: report.results.get("spectra")),
+    ("reproduce-kolmogorov", "entropies.csv",
+     ("system", "partition", "n", "samples", "estimate_nats", "stderr", "exact"), _entropy_rows),
+    ("reproduce-kolmogorov", "pairs.csv",
+     ("system_a", "system_b", "entropy_a", "entropy_b", "spacial", "spectral",
+      "intertwiner_mismatches"), _pair_rows),
+    ("theorem1", "comparison.csv", ("gamma_a", "gamma_b", "verdict", "conjugacy"),
+     _comparison_rows),
+)
 
 
 def emit_report(report: ExperimentReport, out_dir=None, format: Optional[str] = None) -> list[Path]:
-    """Write the report files and return their paths.
+    """Validate the report, then write the report files and return their
+    paths.
 
     ``format="json"`` writes report.json only; ``format="csv"`` adds the
-    scenario's plot-ready CSV families.  Identical reports produce
-    byte-identical files: keys are sorted, floats keep their shortest
-    round-trip repr, and nothing time-dependent is recorded.
+    scenario's plot-ready files from ``EXTRA_FILES``.  Identical reports
+    produce byte-identical files: keys are sorted, floats keep their
+    shortest round-trip repr, and nothing time-dependent is recorded.
     """
     report.validate()
     out = Path(out_dir if out_dir is not None else report.config.out)
@@ -995,20 +842,16 @@ def emit_report(report: ExperimentReport, out_dir=None, format: Optional[str] = 
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, NotADirectoryError) as exc:
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
-    written = []
-    report_path = out / "report.json"
-    report_path.write_text(
-        json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    written.append(report_path)
-    if fmt == "csv":
-        if report.scenario == "reproduce-letter":
-            written.extend(_letter_csvs(report, out))
-        elif report.scenario == "reproduce-kolmogorov":
-            written.extend(_kolmogorov_csvs(report, out))
-        elif report.scenario == "theorem1":
-            written.extend(_theorem1_csvs(report, out))
+    written = [out / "report.json"]
+    _write_json(written[0], report.to_json())
+    for scenario, name, header, rows_of in EXTRA_FILES:
+        rows = rows_of(report) if fmt == "csv" and scenario == report.config.scenario else None
+        if rows:
+            written.append(out / name)
+            if header is None:
+                _write_json(written[-1], rows)
+            else:
+                _write_csv(written[-1], header, rows)
     return written
 
 
@@ -1017,6 +860,7 @@ def emit_report(report: ExperimentReport, out_dir=None, format: Optional[str] = 
 # ---------------------------------------------------------------------------
 
 
+#: Each scenario's runner: config -> (results, verdicts).
 RUNNERS = {
     "reproduce-letter": run_reproduce_letter,
     "reproduce-kolmogorov": run_reproduce_kolmogorov,
@@ -1084,8 +928,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _merged_config(args)
-        report = RUNNERS[args.scenario](config)
-        paths = emit_report(report)
+        results, verdicts = RUNNERS[args.scenario](config)
+        paths = emit_report(ExperimentReport(config, results, verdicts))
     except InconclusiveEvidenceError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 2
@@ -1093,7 +937,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for verdict in report.verdicts:
+    for verdict in verdicts:
         print(f"[{verdict['provenance']}] {verdict['statement']}")
     for path in paths:
         print(f"wrote {path}")

@@ -94,16 +94,16 @@ def test_config_replace_revalidates():
 def test_report_echo_strips_volatile_fields():
     config = default_config("theorem1")
     report = ExperimentReport(
-        scenario=config.scenario,
         config=config,
         results={},
         verdicts=[
             {"statement": "x", "provenance": "exact", "evidence": {}},
         ],
-        seed=config.seed,
-        version=ergolab.__version__,
     )
-    echo = report.to_json()["config"]
+    data = report.to_json()
+    assert (data["scenario"], data["seed"], data["version"]) == (
+        config.scenario, config.seed, ergolab.__version__)
+    echo = data["config"]
     assert "out" not in echo and "format" not in echo
     report.validate()
     bad = dataclasses.replace(
@@ -115,14 +115,14 @@ def test_report_echo_strips_volatile_fields():
 
 
 def test_a_report_breaking_its_schema_exits_one(tmp_path, monkeypatch, capsys):
-    """A runner whose report breaks the report schema ends the run with
+    """A runner whose verdicts break the report schema ends the run with
     exit 1 and the schema's message, and writes no report."""
     honest = RUNNERS["theorem1"]
 
     def guesses(config):
-        report = honest(config)
-        report.verdicts[0]["provenance"] = "guesswork"
-        return report
+        results, verdicts = honest(config)
+        verdicts[0]["provenance"] = "guesswork"
+        return results, verdicts
 
     monkeypatch.setitem(RUNNERS, "theorem1", guesses)
     code, out = run(tmp_path, "theorem1", "--seed", "1")
@@ -131,6 +131,22 @@ def test_a_report_breaking_its_schema_exits_one(tmp_path, monkeypatch, capsys):
         "error: invalid report at verdicts/0/provenance: 'guesswork' is not one of ["
     )
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["theorem1"], ["compute", "entropy"]], ids=" ".join)
+def test_a_run_validates_its_report_once_before_writing(argv, tmp_path, monkeypatch):
+    """The report is checked against its schema once per run, before the
+    output directory is made."""
+    out, seen = tmp_path / "out", []
+    validate = ExperimentReport.validate
+
+    def counted(report):
+        seen.append(out.exists())
+        validate(report)
+
+    monkeypatch.setattr(ExperimentReport, "validate", counted)
+    assert run(tmp_path, *argv) == (0, out)
+    assert seen == [False]
 
 
 # ---------------------------------------------------------------------------
@@ -504,25 +520,29 @@ def test_residual_search_ks_that_are_not_integers_are_refused(ks, tmp_path, caps
     )
 
 
-@pytest.mark.parametrize("k", [10**22, 2**62, -(2**62)])
-def test_residual_search_k_outside_int64_is_refused(k, tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"params": {"ks": [1, k]}}))
-    code, out = run(tmp_path, "compute", "residual-search", "--config", str(cfg))
-    assert code == 1 and not out.exists()
-    assert f"error: residual-search k = {k} is outside |k| < 2^62" in capsys.readouterr().err
+#: Each system's band edge at N = 8: on the product, K_k moves every
+#: image out of the u-band once |k| > 2 U_BAND; on the skew, P also moves
+#: the label by m, |m| <= N, so the edge is 2 U_BAND + N + 1.
+BAND_EDGES = {
+    "product": ({"kind": "product", "gamma": {"quadratic": [-1, 1, 2, 1]},
+                 "probs": [0.5, 0.5], "symbols": [1, -1]}, 2 * tower.U_BAND + 1),
+    "skew": ({"kind": "skew", "gamma": {"quadratic": [-1, 1, 2, 1]}}, 2 * tower.U_BAND + 8 + 1),
+}
 
 
 def test_residual_search_k_far_outside_the_band_is_its_edge(tmp_path):
-    """Every image of K_k leaves the u-band once |k| > 2 U_BAND, so a
-    k of 10^12 (and 2^62 - 1) has the census of k = 2 U_BAND + 1."""
-    edge = 2 * tower.U_BAND + 1
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"params": {"ks": [edge, 10**12, -(10**12), 2**62 - 1]}}))
-    code, out = run(tmp_path, "compute", "residual-search", "--config", str(cfg))
-    assert code == 0
-    censuses = [(r["cycles"], r["path_lengths"]) for r in read_report(out)["results"]["reports"]]
-    assert censuses == [censuses[0]] * 4
+    """A k past the band edge has the edge's census, however large: no k
+    is refused for its size, 2^62 and 10^30 included."""
+    for kind, (system, edge) in BAND_EDGES.items():
+        far = [edge + 1, 10**12, -(10**12), 2**62 - 1, 2**62, -(2**62), 10**30, -(10**30)]
+        cfg = tmp_path / f"{kind}.json"
+        cfg.write_text(json.dumps({"params": {"system": system, "ks": [edge - 1, edge, *far]}}))
+        code, out = run(tmp_path / kind, "compute", "residual-search", "--config", str(cfg))
+        assert code == 0
+        reports = read_report(out)["results"]["reports"]
+        assert [r["k"] for r in reports] == [edge - 1, edge, *far]
+        censuses = [(r["cycles"], r["path_lengths"]) for r in reports]
+        assert censuses[0] != censuses[1] and censuses[1:] == [censuses[1]] * (1 + len(far)), kind
 
 
 #: Config shapes and values the parsers refuse, each as (scenario argv,
@@ -1174,33 +1194,53 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-#: sha256 of report.json and residuals.csv from ``reproduce-letter --seed 0``
-#: at the default config and at B = 192, N = 16.  An intentional change of
-#: these bytes updates the digests and names the change in CHANGES.md.
-LETTER_DIGESTS = {
-    "default": (
-        {},
-        "6f8633bd00fa06be348a38a114b0f2dd3776652bf627ca834d9556459df7667e",
-        "5d603e4c4bef39f40b35aefb752d9aa64e15103f3abee505cb9b93a5054a6ac4",
+#: sha256 of every file each run writes at ``--seed 0``: each scenario at
+#: its default config, ``reproduce-letter`` also at B = 192, N = 16, and
+#: each compute op at its default params.  An intentional change of these
+#: bytes updates the digests and names the change in CHANGES.md.
+OUTPUT_DIGESTS = {
+    "reproduce-letter": (["reproduce-letter"], {}, {
+        "report.json": "6f8633bd00fa06be348a38a114b0f2dd3776652bf627ca834d9556459df7667e",
+        "residuals.csv": "5d603e4c4bef39f40b35aefb752d9aa64e15103f3abee505cb9b93a5054a6ac4",
+        "spectrum.json": "c092753b8c15d842977d5fe5b4d8265fa780f856f7aecee360e2d743c2bc46bb",
+        "tower.csv": "031b0b2d9d4d14360edd6c3b0b54c80168766500dc26ed794f00e1346d0b629a",
+    }),
+    "reproduce-letter B=192, N=16": (
+        ["reproduce-letter"], {"truncation": 192, "residual_truncation": 16}, {
+            "report.json": "28064bcf6e2f43b62d4df75607b4cdf591ee5911dad5a8589c75916389a0c7a7",
+            "residuals.csv": "8574ba10dfc67d968e733dc407cce925dd93313c84425367e17d00fe76b41cb3",
+            "spectrum.json": "c092753b8c15d842977d5fe5b4d8265fa780f856f7aecee360e2d743c2bc46bb",
+            "tower.csv": "031b0b2d9d4d14360edd6c3b0b54c80168766500dc26ed794f00e1346d0b629a",
+        },
     ),
-    "B=192, N=16": (
-        {"truncation": 192, "residual_truncation": 16},
-        "28064bcf6e2f43b62d4df75607b4cdf591ee5911dad5a8589c75916389a0c7a7",
-        "8574ba10dfc67d968e733dc407cce925dd93313c84425367e17d00fe76b41cb3",
-    ),
+    "reproduce-kolmogorov": (["reproduce-kolmogorov"], {}, {
+        "entropies.csv": "101089e1bc193b45403a45533ffbba7b24808bb2697c91fad8ed918761b79b63",
+        "pairs.csv": "431dcdc3da6081e39a81529a6632843e3fb4345fc90aeb556c3c7de1c23dc8da",
+        "report.json": "934b1b685cc7366f0b9ffe603f0e078bc5e10fd5e65e44538a7c81abd05dc667",
+    }),
+    "theorem1": (["theorem1"], {}, {
+        "comparison.csv": "445b027afd566733b376323780d9e5dcd1b2cc6ddf6dbe3ac86cbda9b6967edc",
+        "report.json": "cd28c00aa2e5c55f3cbc5210e562bf48367f78d1eb56677aa1f4d0b18538d7aa",
+    }),
+    **{f"compute {op}": (["compute", op], {}, {"report.json": digest}) for op, digest in (
+        ("tower", "aedab90d76e3172cb4af8cc88c1521cbc1fa1d77cf3ddb6b87b2b178e7f3c306"),
+        ("residual-search", "4ceb2a02b5d4fa04744a15a2218dc1f00a7f9f74e834faa2cd1d674d06f0c512"),
+        ("spectrum", "c991d0c48c06077802731ddf56ca1de4e806e0e4ac168d317216a96253519eac"),
+        ("entropy", "d121ac31a38f60dd089ffaad585a69242e3fd3a16f848815c88085b1e3789067"),
+        ("weak-mixing", "b6468fe0ce278ed563af873998424807b37077925146f40dad6bebfd7d84ad4b"),
+    )},
 }
 
 
-@pytest.mark.parametrize("name", list(LETTER_DIGESTS))
-def test_letter_report_bytes_are_pinned(name, tmp_path):
-    config, report_digest, residuals_digest = LETTER_DIGESTS[name]
+@pytest.mark.parametrize("name", list(OUTPUT_DIGESTS))
+def test_output_bytes_are_pinned(name, tmp_path):
+    argv, config, digests = OUTPUT_DIGESTS[name]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    code, out = run(tmp_path, "reproduce-letter", "--config", str(cfg), "--seed", "0")
+    code, out = run(tmp_path, *argv, "--config", str(cfg), "--seed", "0")
     assert code == 0
-    digests = [hashlib.sha256((out / f).read_bytes()).hexdigest()
-               for f in ("report.json", "residuals.csv")]
-    assert digests == [report_digest, residuals_digest]
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.iterdir()} == digests
 
 
 def test_seed_changes_the_report(tmp_path):

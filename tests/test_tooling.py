@@ -23,14 +23,18 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 
 
-def _trace_layers():
-    """``bench/trace_layers.py`` (and the ``spans`` module it imports)."""
+def _bench_module(name: str):
+    """A module of ``bench/``, such as ``trace_layers`` (and the ``spans``
+    module it imports) or ``workloads``."""
     sys.path.insert(0, str(BENCH))
     try:
-        import trace_layers
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCH))
-    return trace_layers
+
+
+def _trace_layers():
+    return _bench_module("trace_layers")
 
 
 @pytest.mark.parametrize(
@@ -148,13 +152,34 @@ def test_traced_kolmogorov_run_enters_every_sampling_span(run, tmp_path, monkeyp
     check(recorder.summary())
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's ``src`` first on the path."""
+    src = str(Path(ergolab.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+@pytest.mark.parametrize("name", _bench_module("workloads").NAMES)
+def test_setup_probe_builds_each_workload_config(name, tmp_path):
+    """``bench/setup_probe.py``, timed by the benchmark as ``setup_s``,
+    builds each workload's config through ``cli._build_parser`` and
+    ``cli._merged_config`` (at seed 0) and exits 0 without writing its
+    output directory."""
+    workload = _bench_module("workloads").make(name, 0)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(workload.config))
+    done = subprocess.run(
+        [sys.executable, "-B", str(BENCH / "setup_probe.py"), *workload.cli_args(str(cfg), str(out))],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda path: path.name
 )
 def test_demo_runs(demo):
-    src = str(Path(ergolab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, str(demo)], env=_src_env(), capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stderr
