@@ -78,9 +78,9 @@ MAX_WEAK_MIXING_DIGITS = 1000
 #: ``reproduce-letter`` takes about 1.7 microseconds and 41 traced bytes
 #: per label on a 2-core x86-64 host (1.72 s and 39 MB at N = 234), so the
 #: budget caps it near 2 s; N = 234 is the largest product truncation it
-#: admits.  Each k runs one more walk over every label, about 0.24
-#: microseconds per label, so a residual search may also take at most
-#: five ks' worth of censuses at the budget: labels x ks <= 5 x
+#: admits.  That is a base census of about 0.5 microseconds per label and
+#: one more walk per k, about 0.24, so a residual search may also take at
+#: most five ks' worth of censuses at the budget: labels x ks <= 5 x
 #: ``MAX_CENSUS_NODES``.  A k also has a fixed cost, its report entry
 #: included, of about 0.05 ms, the time of about ``MIN_CENSUS_CHARGE``
 #: labels, so each k is charged at least that many: at N = 2 (144 labels)
@@ -93,15 +93,15 @@ MIN_CENSUS_CHARGE = 250
 MAX_TOWER_DEPTH = 30_000
 #: Most symbols the sampled entropy cross-checks of
 #: ``reproduce-kolmogorov`` may draw: samples x block length, summed over
-#: the systems.  Each system streams its sample through one set of
-#: reused chunk-sized arrays and the scenario scores single-position
-#: cells, so memory stays flat and the budget bounds time: sampling and
-#: scoring take 3.5-5 ns of CPU per symbol for two- to four-symbol laws
-#: on a 2-core x86-64 host (best of five, 10^6 samples at n = 10), and
-#: with one worker thread per system two shifts take about 2.3 ns of wall
-#: time per symbol, so it caps them near 1 s (1.8 s of CPU); the budget
-#: is twice the 10^7-sample run (n = 10, two shifts; 0.7 s for the whole
-#: command) and 20 times the default 10^6.
+#: the systems.  Memory stays flat, so the budget bounds time.  A law of
+#: more than 32 bits (a float draw per symbol) takes 2.5-3.2 ns of CPU per
+#: symbol for two to four symbols on a 2-core x86-64 host (best of five,
+#: 10^6 samples at n = 10), and two such shifts on a worker thread each
+#: 1.3-1.6 ns of wall time, so the budget caps a run near 0.7 s and a
+#: refusal prices its sample at 1.6 ns a symbol; laws of at most 32 bits
+#: take 2.8-6 times less CPU.  The budget is twice the 10^7-sample run
+#: (n = 10, two shifts: 0.4 s at 43 MB for the whole command) and 20
+#: times the default 10^6.
 MAX_SAMPLED_SYMBOLS = 4 * 10**8
 
 
@@ -407,7 +407,7 @@ def _check_census_cost(specs: Sequence[SystemSpec], truncation: int, ks: int = 5
             f"{ks} ks at residual truncation {truncation} step {nodes} census "
             f"nodes each{fixed}, {charge * ks} in all, over the budget of {budget} "
             f"(five ks at {MAX_CENSUS_NODES} nodes): the censuses would take about "
-            f"{2.4e-7 * charge * ks:.0f} s"
+            f"{5e-7 * nodes + 2.4e-7 * charge * ks:.0f} s"
         )
 
 
@@ -417,8 +417,8 @@ def _check_sampling_cost(config: ExperimentConfig, systems: int) -> None:
     if symbols > MAX_SAMPLED_SYMBOLS:
         raise ValueError(
             f"{config.samples} samples x block length {config.block_length} x "
-            f"{systems} systems need {symbols} sampled symbols, over the "
-            f"budget of {MAX_SAMPLED_SYMBOLS} symbols"
+            f"{systems} systems need {symbols} sampled symbols, over the budget of "
+            f"{MAX_SAMPLED_SYMBOLS} symbols: sampling would take about {1.6e-9 * symbols:.1f} s"
         )
 
 

@@ -25,8 +25,8 @@ from .systems import (
     BernoulliSpec,
     CylinderSet,
     SystemSpec,
-    cumulative_law,
     sample_chunks,
+    symbol_thresholds,
 )
 
 if TYPE_CHECKING:
@@ -190,24 +190,17 @@ def partition_refine_entropy(
     A system without a symbol law (rotation, skew) is refused.  So is,
     before any draw, a partition with a cell on a symbol the law lacks,
     or one that misses a symbol the sampler can draw; a symbol whose
-    step in :func:`cumulative_law` is 0 is never drawn and needs no
-    cell.
+    threshold equals the one before it (:func:`symbol_thresholds`) is
+    never drawn and needs no cell.
 
-    The sample is streamed: it is drawn from ``rng`` in consecutive
-    chunks of at most ``SAMPLE_CHUNK`` points and ``CHUNK_SYMBOLS``
-    symbols (:func:`sample_chunks`), holding only the window, and each
-    chunk is scored before the next is drawn into the same arrays.  The
-    scores, too, live in arrays kept for the whole call, and only the
-    merged moments survive a chunk, so memory grows with neither
-    ``samples`` nor ``n``.  Calls on different generators share nothing,
-    so concurrent calls, one per thread, hold one set of arrays per
-    thread.  The chunks' score counts, means and squared
-    deviations, taken about the first score drawn, are merged by Chan's
-    update (:func:`_merge_moments`), so a uniform shift's estimate is its
-    one score exactly, with stderr 0.
+    The sample is streamed (:func:`sample_chunks`) and each chunk is
+    scored, into arrays kept for the call, before the next is drawn, so
+    memory does not grow with ``samples``; calls on different generators
+    share nothing and may run one per thread.  The chunks' moments,
+    taken about the first score drawn, are merged by Chan's update
+    (:func:`_merge_moments`), so a uniform shift's estimate is its one
+    score exactly, with stderr 0.
     """
-    import numpy as np
-
     if n < 1:
         raise ValueError("n must be >= 1")
     if samples < 100:
@@ -216,9 +209,9 @@ def partition_refine_entropy(
         raise ValueError(f"a {spec.kind} system has no symbol law to partition")
     # index_of refuses a cell on a symbol the law does not have
     held = {spec.bernoulli.index_of(c.cylinder.constraints[0][1]) for c in partition.cells}
-    drawable = np.diff(cumulative_law(spec.bernoulli), prepend=0.0) > 0
-    for index in np.flatnonzero(drawable):
-        if index not in held:
+    thresholds = symbol_thresholds(spec.bernoulli)
+    for index, (lo, hi) in enumerate(zip((0, *thresholds), thresholds)):
+        if lo < hi and index not in held:
             raise ValueError(
                 f"symbol {spec.bernoulli.symbols[index]!r} can be drawn, so a sample "
                 "escaped every cell; partition incomplete"

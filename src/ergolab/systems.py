@@ -15,23 +15,26 @@ carry their own algebra: translation, intersection (``merge``) and the
 exact product measure.
 
 Monte-Carlo estimates stream their sample: ``sample_chunks`` draws it
-from one generator as consecutive batches of at most ``SAMPLE_CHUNK``
-points and ``CHUNK_SYMBOLS`` symbols, and each batch (``sample_batch``)
-stores sequence symbols as uint8 indices for only the positions its
-consumer reads, so no array spans the whole sample.  A stream allocates its arrays once and refills
-them for every batch, so a streamed batch is valid only until the next
-one is drawn; a one-shot ``sample_batch`` gets arrays of its own.  A
-run's generators are sub-streams spawned from its single seed
-(``spawn_rngs``).  The specs and the cylinder
-algebra are pure Python: only the functions that draw samples import
-numpy, so a run that never samples never loads it.
+from one generator as batches of at most ``SAMPLE_CHUNK`` points and
+``CHUNK_SYMBOLS`` symbols into arrays it allocates once, so a streamed
+batch is valid only until the next one is drawn.  A batch
+(``sample_batch``) stores uint8 symbol indices for only the positions
+its consumer reads, each drawn from a field of a generator word just
+wide enough for its law, or from a float uniform where no field of at
+most 32 bits is.  A run's generators are spawned from its one seed
+(``spawn_rngs``).  The specs and the cylinder algebra are pure Python:
+only the functions that draw samples import numpy, so a run that never
+samples never loads it.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from .quadratic import RotationNumber
@@ -53,6 +56,7 @@ __all__ = [
     "sample_batch",
     "sample_chunks",
     "spawn_rngs",
+    "symbol_thresholds",
 ]
 
 #: Default two-symbol alphabet; index 0 carries probs[0].
@@ -61,19 +65,15 @@ DEFAULT_SYMBOLS = (1, -1)
 SYSTEM_KINDS = ("rotation", "skew", "bernoulli", "product")
 
 #: Most points one batch of a streamed Monte-Carlo sample holds
-#: (:func:`sample_chunks`), and most uniforms one draw of symbols takes
+#: (:func:`sample_chunks`), and most symbols one block of draws fills
 #: (:func:`sample_batch`).
 SAMPLE_CHUNK = 2**16
 #: Most sequence symbols one batch holds (one point when a window is
-#: wider): a window wider than ten positions gets fewer than
-#: ``SAMPLE_CHUNK`` points.  A stream keeps one batch's arrays and
-#: refills them for every batch, so up to windows of ``SAMPLE_CHUNK``
-#: positions its memory does not grow with the window: the window takes
-#: at most 0.64 MB of uint8 symbols, the float block of draws 0.5 MB and
-#: its bool scratch 64 KB, and the entropy scorer's column copy and flags
-#: 1.3 MB and its per-point arrays 1 MB.  A wider window draws one row
-#: per block, and the stream and the scorer take about 12 bytes per
-#: position.
+#: wider).  A stream refills one batch's arrays: at most 0.64 MB of uint8
+#: window, a 0.5 MB float block (laws of more than 32 bits), a 64 KB bool
+#: scratch, and the entropy scorer's column copy and flags (1.3 MB) and
+#: per-point arrays (1 MB).  A wider window takes about 3 bytes per
+#: position: the window, the column copy and its flags.
 CHUNK_SYMBOLS = 10 * SAMPLE_CHUNK
 
 
@@ -348,48 +348,58 @@ class SampleBatch:
         return self.sym[:, j]
 
 
-def cumulative_law(bern: BernoulliSpec) -> np.ndarray:
-    """The cumulative law, ending at 1, that :func:`sample_batch` compares
-    its draws with: a symbol whose step in it is 0 is never drawn."""
-    import numpy as np
-
-    cdf = np.cumsum(bern.probs)
-    return cdf / cdf[-1]
+def cumulative_law(bern: BernoulliSpec) -> list[float]:
+    """The cumulative law, normalised to end at 1 as ``Generator.choice`` does."""
+    cdf = list(accumulate(bern.probs))
+    return [c / cdf[-1] for c in cdf]
 
 
-@dataclass
-class _Buffers:
-    """The arrays a stream's batches are drawn into: ``u``, ``v`` and the
-    symbol window ``sym``, with a row for each of ``points`` points and a
-    column for each of ``width`` positions; ``draws``, the float block of
-    uniforms that symbols are counted from; and ``scratch``, a bool array
-    of the block's shape.  An array the system has no use for is None."""
-
-    points: int
-    width: int
-    u: np.ndarray | None
-    v: np.ndarray | None
-    sym: np.ndarray | None
-    draws: np.ndarray | None
-    scratch: np.ndarray | None
+def symbol_thresholds(bern: BernoulliSpec) -> tuple[int, ...]:
+    """The cumulative law c as the integers t_i = ceil(c_i 2^53), the
+    last 2^53.  A uniform u = ``rng.random()`` is (raw >> 11) 2^-53 for a
+    generator word raw, so u >= c_i exactly when raw >> 11 >= t_i: symbol
+    i is drawn with probability (t_i - t_{i-1}) 2^-53, and never when
+    t_i = t_{i-1}."""
+    return tuple(math.ceil(c * 2.0**53) for c in cumulative_law(bern))
 
 
-def _buffers(spec: SystemSpec, points: int, width: int) -> _Buffers:
-    """Empty buffers for batches of up to ``points`` points whose windows
-    hold ``width`` positions.  The block holds whole rows, at most
-    ``SAMPLE_CHUNK`` uniforms of them (one row when a row is wider)."""
+def _draw_law(bern: BernoulliSpec) -> tuple[int, tuple]:
+    """The width W of the field a symbol of ``bern`` is drawn from and the
+    cuts it is compared with.  If every threshold is a multiple of
+    2^(53-W), the symbol depends only on the top W bits of raw >> 11, so
+    any W-bit field of a generator word draws it exactly by the cuts t_i
+    >> (53 - W), W the narrowest of 8, 16 and 32 that serves; a threshold
+    of 2^53 is never reached and has no cut.  Otherwise, or if no cut is
+    left, W is 0: a symbol is a ``rng.random`` draw, and the cuts are the
+    cumulative law's entries."""
+    thresholds = symbol_thresholds(bern)
+    common = math.gcd(*thresholds)  # its lowest set bit is the t_i's largest common power of 2
+    bits = 54 - (common & -common).bit_length()
+    width = 8 if bits <= 8 else 16 if bits <= 16 else 32 if bits <= 32 else 0
+    cuts = tuple(t >> (53 - width) for t in thresholds if t < 2**53) if width else ()
+    return (width, cuts) if cuts else (0, tuple(cumulative_law(bern)[:-1]))
+
+
+def _buffers(spec: SystemSpec, points: int, width: int) -> SimpleNamespace:
+    """Empty buffers for batches of up to ``points`` points of ``width``
+    positions: ``u``, ``v``, the window ``sym``, the law's ``field`` (a
+    dtype, or None) and ``cuts`` (:func:`_draw_law`), and blocks of at
+    most ``SAMPLE_CHUNK`` symbols: the float ``draws`` of a law without a
+    field and a bool ``scratch``.  What the system lacks is None."""
     import numpy as np
 
     u = np.empty(points) if spec.kind in ("rotation", "skew", "product") else None
     v = np.empty(points) if spec.kind == "skew" else None
-    sym = draws = scratch = None
-    if spec.kind in ("bernoulli", "product"):
-        dtype = np.min_scalar_type(len(spec.bernoulli.probs) - 1)
-        sym = np.empty((points, width), dtype=dtype)
-        rows = max(1, min(points, SAMPLE_CHUNK // max(width, 1)))
-        draws = np.empty((rows, width))
-        scratch = np.empty((rows, width), dtype=bool)
-    return _Buffers(points, width, u, v, sym, draws, scratch)
+    if spec.kind not in ("bernoulli", "product"):
+        return SimpleNamespace(points=points, width=width, u=u, v=v, sym=None)
+    bits, cuts = _draw_law(spec.bernoulli)
+    block = max(1, min(points * width, SAMPLE_CHUNK))
+    return SimpleNamespace(
+        points=points, width=width, u=u, v=v, cuts=cuts,
+        sym=np.empty((points, width), dtype=np.min_scalar_type(len(spec.bernoulli.probs) - 1)),
+        field=np.dtype(f"u{bits // 8}") if bits else None,
+        draws=None if bits else np.empty(block), scratch=np.empty(block, dtype=bool),
+    )
 
 
 def sample_batch(
@@ -397,7 +407,7 @@ def sample_batch(
     rng: np.random.Generator,
     n: int,
     positions: range = range(-8, 9),
-    buffers: Optional[_Buffers] = None,
+    buffers: Optional[SimpleNamespace] = None,
 ) -> SampleBatch:
     """n points of the invariant measure, drawn from rng in one batch.
 
@@ -406,17 +416,17 @@ def sample_batch(
     reads, so no column is drawn that nothing reads.  Symbol indices are
     unsigned bytes for alphabets of up to 256 symbols.
 
-    Each symbol is one uniform draw u from ``rng.random``, and its index
-    is the number of entries of the cumulative law (normalised to end at
-    1) that are <= u, counted by one comparison pass per symbol but the
-    last.  That is the ``searchsorted(u, side="right")`` of
-    ``Generator.choice(k, p=probs)``, so the symbols and the generator's
-    state afterwards equal that call's, at no int64 temporary.  The
-    uniforms are drawn into one float block of whole rows, at most
-    ``SAMPLE_CHUNK`` of them per draw (one row when a row is wider), and
-    ``rng.random`` fills row-major, so the blocks draw what one call
-    would.  The first comparison writes its 0s and 1s straight into the
-    window, and each later one adds a reused bool scratch in place.
+    The window is drawn in row-major order, in blocks of at most
+    ``SAMPLE_CHUNK`` symbols; a symbol's index is the number of the law's
+    cuts its draw reaches (:func:`_draw_law`), one comparison pass per
+    cut written into the window or added from the scratch.  A law whose
+    thresholds need W <= 32 bits draws a block of m symbols from ceil(m
+    W / 64) raw words (``bit_generator.random_raw``) as W-bit fields,
+    with its probabilities exactly: a fair coin takes a byte a symbol.
+    Any other law draws a uniform u from ``rng.random`` per symbol and
+    counts the cumulative-law entries <= u, the ``searchsorted(u,
+    side="right")`` of ``Generator.choice(k, p=probs)``: the same symbols
+    and the same generator state afterwards.
 
     The batch's arrays are views of ``buffers``: fresh ones sized to the
     batch by default, or the stream's own, which :func:`sample_chunks`
@@ -438,15 +448,18 @@ def sample_batch(
     v = None if buffers.v is None else rng.random(out=buffers.v[:n])
     sym = None
     if buffers.sym is not None:
-        cdf = cumulative_law(spec.bernoulli)
-        sym = buffers.sym[:n]
-        for start in range(0, n, len(buffers.draws)):
-            draws = rng.random(out=buffers.draws[: n - start])
-            block = sym[start : start + len(draws)]
-            scratch = buffers.scratch[: len(draws)]
-            np.greater_equal(draws, cdf[0], out=block)
-            for c in cdf[1:-1]:
-                block += np.greater_equal(draws, c, out=scratch)
+        sym, field, cuts, step = buffers.sym[:n], buffers.field, buffers.cuts, len(buffers.scratch)
+        window = sym.reshape(-1)
+        for start in range(0, window.size, step):
+            block = window[start : start + step]
+            m = len(block)
+            if field is None:
+                draws = rng.random(out=buffers.draws[:m])
+            else:
+                draws = rng.bit_generator.random_raw(-(-m * field.itemsize // 8)).view(field)[:m]
+            np.greater_equal(draws, cuts[0], out=block)
+            for c in cuts[1:]:
+                block += np.greater_equal(draws, c, out=buffers.scratch[:m])
     return SampleBatch(spec=spec, u=u, v=v, sym=sym, anchor=positions.start)
 
 
@@ -454,19 +467,12 @@ def sample_chunks(
     spec: SystemSpec, rng: np.random.Generator, n: int, positions: range
 ) -> Iterator[SampleBatch]:
     """n points of the invariant measure as consecutive batches of at
-    most ``SAMPLE_CHUNK`` points, each drawn from rng after the last.  A
-    batch also holds at most ``CHUNK_SYMBOLS`` symbols (at least one
-    point), so a wider window gets fewer points per batch.
-
-    The stream allocates one set of buffers, sized to its first batch,
-    and :func:`sample_batch` refills it for every batch, so a yielded
-    batch is valid only until the next one is drawn.  The sampled
-    entropy estimate (:func:`entropy.partition_refine_entropy`) streams
-    its sample through here and reduces each batch before the next is
-    drawn, so the drawn sample never takes more than one batch of
-    memory, whatever n is, and the stream allocates nothing after its
-    first batch.  ``positions`` is passed on to :func:`sample_batch`.
-    """
+    most ``SAMPLE_CHUNK`` points and ``CHUNK_SYMBOLS`` symbols (at least
+    one point), each drawn from rng after the last by :func:`sample_batch`
+    into one set of buffers sized to the first batch, so a yielded batch
+    is valid only until the next one is drawn, and a consumer that
+    reduces each batch holds one batch of memory whatever n is.  After
+    its first batch the stream allocates only each block's raw words."""
     chunk = min(SAMPLE_CHUNK, max(1, CHUNK_SYMBOLS // max(len(positions), 1)))
     buffers = _buffers(spec, min(chunk, n), len(positions))
     for start in range(0, n, chunk):

@@ -44,6 +44,55 @@ def choice_symbols(
     return rng.choice(k, size=shape, p=bern.probs).astype(np.min_scalar_type(k - 1))
 
 
+def exact_thresholds(bern: BernoulliSpec) -> list[int]:
+    """ceil(c_i 2^53) for numpy's normalised cumulative law c, in exact
+    rationals: a uniform ``rng.random()`` = m 2^-53 reaches c_i exactly
+    when m reaches it, so symbol i takes t_i - t_{i-1} of the 2^53 draws."""
+    cdf = np.cumsum(bern.probs)
+    cdf /= cdf[-1]
+    return [math.ceil(Fraction(c) * 2**53) for c in cdf.tolist()]
+
+
+def field_width(bern: BernoulliSpec) -> int:
+    """The narrowest W of 8, 16 and 32 with every threshold a multiple
+    of 2^(53 - W), or 64 when none is."""
+    return next(
+        (w for w in (8, 16, 32) if all(t % 2 ** (53 - w) == 0 for t in exact_thresholds(bern))),
+        64,
+    )
+
+
+def field_symbols(
+    bern: BernoulliSpec, rng: np.random.Generator, shape: tuple[int, ...], block: int
+) -> np.ndarray:
+    """Symbol indices decoded in plain Python from W-bit fields of rng's
+    raw words (W = :func:`field_width`): the oracle for a law of at most
+    32 bits.  The window is filled in row-major order, in blocks of at
+    most ``block`` symbols; a block of m symbols takes ceil(m W / 64)
+    words, whose fields are read from the lowest bits up (numpy's view
+    of the words on a little-endian host), and a field f is the symbol
+    counting the cuts t_i >> (53 - W) <= f, a cut of 2^W never reached."""
+    w = field_width(bern)
+    cuts = [t >> (53 - w) for t in exact_thresholds(bern)[:-1]]
+    total, out = math.prod(shape), []
+    while len(out) < total:
+        m = min(block, total - len(out))
+        words = rng.bit_generator.random_raw(-(-m * w // 64)).tolist()
+        fields = [word >> (w * j) & (2**w - 1) for word in words for j in range(64 // w)]
+        out += [sum(f >= c for c in cuts) for f in fields[:m]]
+    return np.array(out, dtype=np.min_scalar_type(len(bern.probs) - 1)).reshape(shape)
+
+
+def drawn_symbols(
+    bern: BernoulliSpec, rng: np.random.Generator, shape: tuple[int, ...], block: int
+) -> np.ndarray:
+    """What ``sample_batch`` draws, draw for draw: the raw-word decoding
+    for a law of at most 32 bits, ``Generator.choice`` otherwise."""
+    if field_width(bern) < 64:
+        return field_symbols(bern, rng, shape, block)
+    return choice_symbols(bern, rng, shape)
+
+
 def four_systems() -> list[SystemSpec]:
     """The four classical systems at the default angle / fair coin."""
     return [

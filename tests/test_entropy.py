@@ -35,6 +35,7 @@ from ergolab import (
 )
 
 from ergolab import entropy, systems
+from ergolab.cli import default_config
 from ergolab.systems import SAMPLE_CHUNK
 
 import entropy_oracle
@@ -465,3 +466,56 @@ def test_classifier_accepts_equal_entropies():
     relabeled = BernoulliSpec((0.5, 0.5), ("a", "b"))
     verdict = entropy_classifier(FAIR, relabeled)
     assert verdict.spacial == "spacially isomorphic (Ornstein)"
+
+
+def test_wide_windows_keep_flat_memory():
+    """A window of 10^6 positions is drawn ``SAMPLE_CHUNK`` symbols at a
+    time over the flattened window, so a (0.1, 0.9) estimate at 100
+    samples stays under 5 MB traced, where blocks of whole rows traced
+    12.2 MB; the float draws fill the window in the same order, so the
+    value and stderr are those that row blocks gave, bit for bit."""
+    tracemalloc.start()
+    try:
+        est = partition_refine_entropy(
+            SystemSpec.shift(LONG), PartitionSpec.time_zero(LONG), 10**6, 100,
+            spawn_rngs(39, 1)[0],
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (est.value, est.stderr) == (0.32497669363864246, 6.347044075117429e-05)
+    assert peak <= 5 * 2**20
+
+
+def test_estimates_advance_their_generators_by_the_words_their_laws_need():
+    """Each default ``reproduce-kolmogorov`` estimate (a fair coin and a
+    uniform law on four symbols, 10^6 samples at block length 10) reads
+    10^7 one-byte fields, exactly 1.25 x 10^6 generator words, and a
+    (0.1, 0.9) estimate one word per symbol: each generator ends where a
+    clone advanced by that many words does, so a fallback to one word
+    per symbol shows without any timing."""
+    config = default_config("reproduce-kolmogorov")
+    assert config.samples * config.block_length == 10**7
+    cases = [(spec, config.samples, config.block_length, 1_250_000)
+             for spec in config.system_specs()]
+    cases.append((SystemSpec.shift(LONG), 10_000, 10, 100_000))
+    for spec, samples, n, words in cases:
+        rng = spawn_rngs(40, 1)[0]
+        clone = np.random.Generator(np.random.PCG64())
+        clone.bit_generator.state = rng.bit_generator.state
+        partition_refine_entropy(spec, PartitionSpec.time_zero(spec.bernoulli), n, samples, rng)
+        clone.bit_generator.advance(words)
+        assert rng.bit_generator.state == clone.bit_generator.state
+
+
+def test_a_step_below_the_draw_resolution_needs_no_cell():
+    """Draws are multiples of 2^-53, so a cumulative step of 2e-300 that
+    starts past the first multiple holds none of them: symbol "b" of
+    (1e-300, 2e-300, 1/2, 1/2) has the threshold of "a" and is never
+    drawn, so a partition without it is complete."""
+    tiny = BernoulliSpec((1e-300, 2e-300, 0.5, 0.5), ("a", "b", "c", "d"))
+    assert systems.symbol_thresholds(tiny) == (1, 1, 2**52, 2**53)
+    est = partition_refine_entropy(
+        SystemSpec.shift(tiny), _cells_at(0, ("a", "c", "d")), 4, 500, spawn_rngs(37, 1)[0]
+    )
+    assert est.sample_count == 500

@@ -31,7 +31,14 @@ from ergolab import (
 from ergolab import systems
 from ergolab.systems import skew_lag
 
-from helpers import GAMMA, UNIFORM4, choice_symbols, four_systems
+from helpers import (
+    GAMMA,
+    UNIFORM4,
+    drawn_symbols,
+    exact_thresholds,
+    field_width,
+    four_systems,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -197,60 +204,114 @@ LAWS = {
     "three": BernoulliSpec((0.2, 0.3, 0.5), (0, 1, 2)),
     "uniform4": UNIFORM4,
     "dyadic5": BernoulliSpec((0.5, 0.25, 0.125, 0.0625, 0.0625), tuple(range(5))),
+    "16-bit": BernoulliSpec((0.5 + 2**-12, 0.5 - 2**-12)),
+    "32-bit": BernoulliSpec((0.5 + 2**-30, 0.25, 0.25 - 2**-30), (0, 1, 2)),
     "256": _random_law(256),
     "300": _random_law(300),  # indices past 255 take uint16 windows
 }
+#: The field each law draws a symbol from, in bits; 64 is one float draw.
+WIDTHS = {"fair": 8, "0.1-0.9": 64, "three": 64, "uniform4": 8, "dyadic5": 8,
+          "16-bit": 16, "32-bit": 32, "256": 64, "300": 64}
+# the last cumulative entry before the end is 1: symbol 2 is never drawn
+EDGE = BernoulliSpec((0.5, 0.5, 1e-300), (0, 1, 2))
 
 
 class RecordingRng:
-    """Passes ``random`` on to a generator and records each symbol block
-    drawn, as (rows, width), whether given by shape or by ``out``."""
+    """Passes draws on to a generator and records each one, as
+    ("random", size) for ``random`` and ("raw", words) for
+    ``bit_generator.random_raw``."""
 
     def __init__(self, rng: np.random.Generator):
-        self.rng, self.blocks = rng, []
+        self.rng, self.calls, self.bit_generator = rng, [], self
 
-    def random(self, shape=None, out=None):
-        drawn = shape if out is None else out.shape
-        if isinstance(drawn, tuple) and len(drawn) == 2:
-            self.blocks.append(drawn)
-        return self.rng.random(shape, out=out)
+    def random(self, size=None, out=None):
+        self.calls.append(("random", size if out is None else out.size))
+        return self.rng.random(size, out=out)
+
+    def random_raw(self, size):
+        self.calls.append(("raw", size))
+        return self.rng.bit_generator.random_raw(size)
+
+
+class Fields:
+    """A generator stand-in whose raw words hold the given fields."""
+
+    def __init__(self, fields: np.ndarray):
+        self.words, self.bit_generator = fields.view(np.uint64), self
+
+    def random_raw(self, words):
+        assert words == len(self.words)
+        return self.words
+
+
+def _symbol_draws(bern: BernoulliSpec, symbols: int, chunk: int) -> list:
+    """The draws of a window of ``symbols`` symbols in blocks of at most
+    ``chunk``: one float each, or ceil(m W / 64) words for m W-bit fields."""
+    w = field_width(bern)
+    sizes = [min(chunk, symbols - start) for start in range(0, symbols, chunk)]
+    return [("random", m) if w == 64 else ("raw", -(-m * w // 64)) for m in sizes]
+
+
+@pytest.mark.parametrize("law", [*LAWS, "edge"])
+def test_each_law_draws_from_the_field_its_thresholds_need(law):
+    """Every field value is drawn exactly as often as the float
+    comparison draws its symbol: over all 2^W values of a W-bit field (W
+    <= 16), symbol i takes (t_i - t_{i-1}) >> (53 - W) of them, t the
+    thresholds ceil(c_i 2^53) of the cumulative law.  The never-drawn
+    last symbol of ``EDGE`` stays never drawn."""
+    bern = EDGE if law == "edge" else LAWS[law]
+    w = field_width(bern)
+    assert w == (8 if law == "edge" else WIDTHS[law])
+    assert systems.symbol_thresholds(bern) == tuple(exact_thresholds(bern))
+    field = systems._buffers(SystemSpec.shift(bern), 1, 1).field
+    assert (field is None) == (w == 64) and (w == 64 or field.itemsize * 8 == w)
+    if w > 16:
+        return
+    every = Fields(np.arange(2**w, dtype=f"u{w // 8}"))
+    batch = sample_batch(SystemSpec.shift(bern), every, 2**w, positions=range(1))
+    thresholds = [0, *exact_thresholds(bern)]
+    counts = [(b - a) >> (53 - w) for a, b in zip(thresholds, thresholds[1:])]
+    assert np.bincount(batch.sym[:, 0], minlength=len(counts)).tolist() == counts
 
 
 @pytest.mark.parametrize("kind", ["bernoulli", "product"])
 @pytest.mark.parametrize("law", list(LAWS))
 def test_sample_batch_draws_what_choice_draws(law, kind, monkeypatch):
-    """Comparing uniform draws with the cumulative law gives the symbols
-    of ``Generator.choice`` and leaves the generator in the same state;
-    index 255 of a 256-symbol law still fits the uint8 array, and a
-    300-symbol law draws into uint16.  The same
-    holds when ``SAMPLE_CHUNK`` splits a batch's draws into many blocks
-    of whole rows ending on a partial one, when a row is wider than
-    ``SAMPLE_CHUNK`` (one row per block), and for a window of no
-    positions."""
+    """A law of more than 32 bits compares uniform draws with the
+    cumulative law: the symbols of ``Generator.choice``.  A law of at
+    most 32 bits reads W-bit fields of raw words: the symbols a
+    plain-Python decoding of the same words gives.  Either way the
+    generator ends in the oracle's state.  Index 255 of a 256-symbol law
+    still fits the uint8 array, and a 300-symbol law draws into uint16.
+    The same holds when ``SAMPLE_CHUNK`` splits the flattened window
+    into many blocks ending on a partial one, when a row is wider than
+    ``SAMPLE_CHUNK``, and for a window of no positions."""
     bern = LAWS[law]
     spec = SystemSpec.shift(bern) if kind == "bernoulli" else SystemSpec.product(GAMMA, bern)
     k = len(bern.probs)
     cases = [  # (SAMPLE_CHUNK, points, positions, blocks drawn)
         (systems.SAMPLE_CHUNK, 3_000, range(-3, 4), 1),
-        (50, 3_000, range(-3, 4), 429),  # 428 blocks of 7 rows, then 4
-        (50, 301, range(-30, 30), 301),
-        (50, 3_000, range(0), None),
+        (50, 3_000, range(-3, 4), 420),  # 21,000 symbols in blocks of 50
+        (50, 301, range(-30, 30), 362),  # 18,060: 361 blocks of 50, then 10
+        (50, 3_000, range(0), 0),
     ]
     for chunk, n, positions, blocks in cases:
         monkeypatch.setattr(systems, "SAMPLE_CHUNK", chunk)
         rng, oracle = RecordingRng(spawn_rngs(16, 1)[0]), spawn_rngs(16, 1)[0]
         batch = sample_batch(spec, rng, n, positions=positions)
+        coordinates = []
         if kind == "product":
             assert np.array_equal(batch.u, oracle.random(n))
+            coordinates = [("random", n)]
         width = len(positions)
-        expected = choice_symbols(bern, oracle, (n, width))
+        expected = drawn_symbols(bern, oracle, (n, width), chunk)
         assert batch.sym.dtype == expected.dtype == np.min_scalar_type(k - 1)
         assert np.array_equal(batch.sym, expected)
         if width:
             assert np.array_equal(np.unique(batch.sym), np.arange(k))
-            assert len(rng.blocks) == blocks
-        assert all(rows * w <= max(chunk, w) for rows, w in rng.blocks)
-        assert rng.random() == oracle.random()
+        assert rng.calls == coordinates + _symbol_draws(bern, n * width, chunk)
+        assert len(rng.calls) == len(coordinates) + blocks
+        assert rng.rng.bit_generator.state == oracle.bit_generator.state
 
 
 STREAM_CASES = {
@@ -264,20 +325,24 @@ STREAM_CASES = {
 @pytest.mark.parametrize("case", list(STREAM_CASES))
 def test_streams_draw_what_fresh_batches_draw(case, monkeypatch):
     """A stream refills one set of buffers for every batch and draws what
-    drawing each batch afresh did: ``u``, ``v`` and the symbols (as
-    ``Generator.choice`` draws them), chunk by chunk, and the generator's
-    state afterwards.  ``SAMPLE_CHUNK`` = 50 splits 301 points into six
-    chunks and a partial one; a 7-wide window splits each chunk into
-    blocks of 7 rows and a partial one, and a 60-wide window takes one
-    row per block.  Consecutive batches share their storage."""
+    drawing each batch afresh did: ``u``, ``v`` and the symbols (as the
+    law's oracle draws them), chunk by chunk, and the generator's state
+    afterwards.  ``SAMPLE_CHUNK`` = 50 splits 301 points into six chunks
+    and a partial one; a chunk's window of 350 (7 wide) or 3,000 (60
+    wide) symbols is drawn in blocks of 50, and the last point's in one
+    block of 7, or in one of 50 and one of 10.  Consecutive batches
+    share their storage."""
     spec = STREAM_CASES[case]
     monkeypatch.setattr(systems, "SAMPLE_CHUNK", 50)
-    for positions in (range(-3, 4), range(-30, 30), range(0)):
+    coordinates = (spec.kind != "bernoulli") + (spec.kind == "skew")
+    for positions, blocks in ((range(-3, 4), 6 * 7 + 1), (range(-30, 30), 6 * 60 + 2),
+                              (range(0), 0)):
         rng, oracle = RecordingRng(spawn_rngs(17, 1)[0]), spawn_rngs(17, 1)[0]
-        sizes, previous = [], None
+        sizes, previous, calls = [], None, []
         for batch in sample_chunks(spec, rng, 301, positions):
             m = len(batch)
             sizes.append(m)
+            calls += [("random", m)] * coordinates
             for name in ("u", "v"):
                 drawn = getattr(batch, name)
                 expected = oracle.random(m) if drawn is not None else None
@@ -287,10 +352,12 @@ def test_streams_draw_what_fresh_batches_draw(case, monkeypatch):
             if spec.bernoulli is None:
                 assert batch.sym is None
             else:
-                expected = choice_symbols(spec.bernoulli, oracle, (m, len(positions)))
+                shape = (m, len(positions))
+                expected = drawn_symbols(spec.bernoulli, oracle, shape, 50)
                 assert batch.sym.dtype == expected.dtype
                 assert np.array_equal(batch.sym, expected)
                 assert batch.anchor == positions.start
+                calls += _symbol_draws(spec.bernoulli, m * len(positions), 50)
             if previous is not None:
                 for name in ("u", "v", "sym"):
                     now, before = getattr(batch, name), getattr(previous, name)
@@ -298,11 +365,10 @@ def test_streams_draw_what_fresh_batches_draw(case, monkeypatch):
                         assert np.shares_memory(now, before)
             previous = batch
         assert sizes == [50] * 6 + [1]
-        if spec.bernoulli is not None and positions == range(-3, 4):
-            assert rng.blocks == ([(7, 7)] * 7 + [(1, 7)]) * 6 + [(1, 7)]
-        elif spec.bernoulli is not None and len(positions):
-            assert rng.blocks == [(1, 60)] * 301
-        assert rng.random() == oracle.random()
+        assert rng.calls == calls
+        if spec.bernoulli is not None:
+            assert len(calls) == 7 * coordinates + blocks
+        assert rng.rng.bit_generator.state == oracle.bit_generator.state
 
 
 @pytest.mark.parametrize("case", ["rotation", "bernoulli three", "product three"])
@@ -333,6 +399,31 @@ def test_a_draw_on_a_cumulative_entry_takes_the_next_symbol():
 
     batch = sample_batch(SystemSpec.shift(bern), Replay(), len(draws), positions=range(1))
     assert batch.sym[:, 0].tolist() == [0, 1, 2, 0, 1, 2]
+
+
+def test_a_field_on_a_cut_takes_the_next_symbol():
+    """The raw-word twin: a field equal to a cut t_i >> (53 - W) counts
+    it, and the field just below does not."""
+    bern = LAWS["dyadic5"]
+    cuts = [t >> (53 - 8) for t in exact_thresholds(bern)[:-1]]
+    assert cuts == [128, 192, 224, 240]
+    fields = np.array([0, *cuts, *(c - 1 for c in cuts), 255, *[0] * 6], dtype=np.uint8)
+    batch = sample_batch(SystemSpec.shift(bern), Fields(fields), 10, positions=range(1))
+    assert batch.sym[:, 0].tolist() == [0, 1, 2, 3, 4, 0, 1, 2, 3, 4]
+
+
+def test_a_law_whose_first_entry_is_one_draws_only_its_first_symbol():
+    """(1 - 2^-53, 1e-300) puts every threshold at 2^53, so no field has
+    a cut to compare with: the law keeps the float draw, one word per
+    symbol, and never draws its second symbol."""
+    bern = BernoulliSpec((1 - 2**-53, 1e-300))
+    assert systems.symbol_thresholds(bern) == (2**53, 2**53)
+    assert systems._buffers(SystemSpec.shift(bern), 1, 1).field is None
+    rng, clone = spawn_rngs(19, 1)[0], spawn_rngs(19, 1)[0]
+    batch = sample_batch(SystemSpec.shift(bern), rng, 100, positions=range(10))
+    assert not batch.sym.any()
+    clone.bit_generator.advance(1_000)
+    assert rng.bit_generator.state == clone.bit_generator.state
 
 
 def test_sample_point_shapes():
