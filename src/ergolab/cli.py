@@ -23,10 +23,11 @@ an unknown key is refused at every level with its path, and an integral
 float is an integer everywhere.  The ``from_json`` readers trust the
 validated shape; the domain constructors keep the rules a schema does
 not state, such as which fields a kind takes, and a refusal of theirs
-names the input's path too.  Each runner
-imports the toolkits it computes with when it runs, so ``compute
-weak-mixing`` loads not even the tower, and only the sampled entropy of
-``reproduce-kolmogorov`` loads numpy.
+names the input's path too.  Each runner imports the toolkits it
+computes with when it runs, so ``compute weak-mixing`` loads not even
+the tower, and only ``reproduce-kolmogorov`` loads numpy, hence inspect;
+no run imports the dataclass module.  Without a bytecode cache a run
+compiles each module it imports, 4-5 microseconds a source line.
 """
 
 from __future__ import annotations
@@ -39,12 +40,12 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
+from ._record import field, fields, record, replace
 from .quadratic import SQRT2_MINUS_1
 from .systems import (
     BernoulliSpec,
@@ -81,10 +82,10 @@ MAX_WEAK_MIXING_DIGITS = 1000
 #: admits.  That is a base census of about 0.5 microseconds per label and
 #: one more walk per k, about 0.24, so a residual search may also take at
 #: most five ks' worth of censuses at the budget: labels x ks <= 5 x
-#: ``MAX_CENSUS_NODES``.  A k also has a fixed cost, its report entry
-#: included, of about 0.05 ms, the time of about ``MIN_CENSUS_CHARGE``
-#: labels, so each k is charged at least that many: at N = 2 (144 labels)
-#: the budget admits 20,000 ks, about 1.7 s.
+#: ``MAX_CENSUS_NODES``.  A k also costs about 40 microseconds beyond its
+#: walk, its report entry included, which the estimate adds; the budget
+#: charges each k at least ``MIN_CENSUS_CHARGE`` labels, so at N = 2 (144
+#: labels, 74 microseconds a k) it admits 20,000 ks, about 1.5 s.
 MAX_CENSUS_NODES = 10**6
 MIN_CENSUS_CHARGE = 250
 #: Most levels ``compute tower`` may build.  A level and its report entry
@@ -270,7 +271,7 @@ def _read(reader, data, where: str):
         raise ValueError(f"invalid configuration at {where}: {exc}") from None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExperimentConfig:
     """Validated experiment parameters; every run stamps its echo."""
 
@@ -317,7 +318,7 @@ class ExperimentConfig:
         return [_read(SystemSpec.from_json, s, f"systems/{i}") for i, s in enumerate(self.systems)]
 
 
-@dataclass
+@record
 class ExperimentReport:
     """The full evidence chain of one run.
 
@@ -388,9 +389,9 @@ def default_config(scenario: str) -> ExperimentConfig:
 
 
 def _check_census_cost(specs: Sequence[SystemSpec], truncation: int, ks: int = 5) -> None:
-    """Refuse a residual truncation whose census exceeds the node budget,
-    and a search whose ``ks`` censuses step more labels than five at it,
-    each k charged at least ``MIN_CENSUS_CHARGE`` labels."""
+    """Refuse a census over the node budget, and ``ks`` censuses stepping
+    more labels than five at it, each k charged at least ``MIN_CENSUS_CHARGE``
+    labels; the time estimate adds each k's fixed cost to its walk."""
     from .tower import census_nodes
 
     nodes = max(census_nodes(s.kind, truncation) for s in specs)
@@ -407,7 +408,7 @@ def _check_census_cost(specs: Sequence[SystemSpec], truncation: int, ks: int = 5
             f"{ks} ks at residual truncation {truncation} step {nodes} census "
             f"nodes each{fixed}, {charge * ks} in all, over the budget of {budget} "
             f"(five ks at {MAX_CENSUS_NODES} nodes): the censuses would take about "
-            f"{5e-7 * nodes + 2.4e-7 * charge * ks:.0f} s"
+            f"{5e-7 * nodes + ks * (4e-5 + 2.4e-7 * nodes):.0f} s"
         )
 
 

@@ -16,10 +16,10 @@ load none.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from decimal import Context, Decimal, localcontext
 from typing import TYPE_CHECKING
 
+from ._record import asdict, record
 from .mixing import TestSet
 from .systems import (
     BernoulliSpec,
@@ -52,7 +52,7 @@ class UndersampledError(ValueError):
     """Too few samples for a sampled estimate."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EntropyEstimate:
     """An entropy value in nats with its provenance.
 
@@ -111,7 +111,7 @@ def exact_block_entropy_rate(spec: BernoulliSpec, n: int) -> EntropyEstimate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PartitionSpec:
     """A partition of a shift by the symbol at one position: every cell
     is a one-constraint cylinder, all at one common position, and no two
@@ -313,7 +313,7 @@ def _merge_moments(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EntropyVerdict:
     entropy_a: float
     entropy_b: float

@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+from ._record import field, record
 from .quadratic import RotationNumber, integral_combination
 from .systems import SystemSpec
 
@@ -198,7 +198,7 @@ def _last_unknown_coset(rows, rhs) -> Optional[tuple[int, int, int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SpectrumDescriptor:
     """Point part (group generators, simplicity) plus Lebesgue multiplicity.
 
@@ -340,7 +340,7 @@ def spectrum_of(spec: SystemSpec) -> SpectrumDescriptor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GroupComparison:
     equal: bool
     relation: Optional[tuple[int, int]]  # (a, b): g2 = a g1, g1 = b g2 (mod 1)
@@ -458,10 +458,10 @@ class _Basis:
     Chains are enumerated in closed form: ``params`` and ``chain_index``
     are inverse maps between an index c and a chain's parameters (-2 for
     parameters outside the box), ``positions(c)`` is the range [lo, hi]
-    of positions of chain c inside the box, and ``chain_count(B)`` the
-    number of chains meeting it.  A basis holds its first ``chains``
-    chains, by default all of them; an index past them names a chain it
-    does not hold.  Nothing is stored per chain.
+    of positions of chain c inside the box, ``position_count()`` their
+    number over the chains held, and ``chain_count(B)`` the number of
+    chains meeting the box.  A basis holds its first ``chains`` chains,
+    by default all; an index past them names a chain it does not hold.
     """
 
     kind = "rotation"
@@ -486,6 +486,9 @@ class _Basis:
 
     def positions(self, c: int) -> tuple[int, int]:
         return -self.B, self.B
+
+    def position_count(self) -> int:
+        return self.chains * (2 * self.B + 1)
 
     def chain_index(self, *params: int) -> int:
         return -2
@@ -574,6 +577,12 @@ class _SkewBasis(_Basis):
             r = -r
         return -((self.B + r) // a), (self.B - r) // a
 
+    def position_count(self):
+        # one m's |m| chains hold each label r + j m in [-B, B] once; a cut m is walked
+        a, negative, r = self._ring(self.chains)
+        cut = (self.positions(c) for c in range(self.chains - r, self.chains))
+        return (2 * (a - 1) + negative) * (2 * self.B + 1) + sum(hi - lo + 1 for lo, hi in cut)
+
     def chain_index(self, m, r):
         a = abs(m)
         if 1 <= a <= self.B and 0 <= r < a:
@@ -645,7 +654,7 @@ _BASES = {
 }
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class IntertwinerPairing:
     """A basis pairing realizing a unitary W with U = W* V W.
 
@@ -697,10 +706,10 @@ class _PairMapping(Mapping):
         self._pairing = pairing
 
     def __len__(self) -> int:
-        pairing = self._pairing
-        p0, p1 = pairing.basis_a.points
-        chains = (pairing.positions(c) for c in range(pairing.basis_a.chains))
-        return p1 - p0 + 1 + sum(max(hi - lo + 1, 0) for lo, hi in chains)
+        # every chain spans [-B, B] but the skew's, which lie inside it, so
+        # the basis holding fewer positions holds the paired ones
+        a, b = self._pairing.basis_a, self._pairing.basis_b
+        return a.points[1] - a.points[0] + 1 + min(a.position_count(), b.position_count())
 
     def __iter__(self) -> Iterator[tuple]:
         pairing = self._pairing
@@ -742,7 +751,7 @@ class IntertwinerIdentity(NamedTuple):
         return f"{self.side} {self.sector} {self.name}: {equation} {verdict}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntertwinerCheck:
     """How many identities of the certificate failed, of how many
     decided; ``identities`` lists them."""

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
 
+from ._record import record
 from .quadratic import QuadraticReal, RotationNumber, floor_sums
 from .systems import BernoulliSpec, CylinderSet, SampleBatch, SystemSpec
 
@@ -71,7 +71,7 @@ _TEST_SET_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TestSet:
     """A measurable test set with an exactly computable measure.
 
@@ -206,7 +206,7 @@ class TestSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CorrelationPoint:
     """mu(S^i(A) cap B), exact and correctly rounded."""
 
@@ -217,7 +217,7 @@ class CorrelationPoint:
         return {"i": self.i, "estimate": self.estimate}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _CircleOverlap:
     """The overlap ``f(x) = |([a1, b1) + x) cap [a2, b2)|`` of two arcs on
     the circle, and its deviations along one rotation orbit, exactly.

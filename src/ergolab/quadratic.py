@@ -13,11 +13,12 @@ exactly, in O(log n) steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from typing import Union
+
+from ._record import record
 
 __all__ = [
     "QuadraticReal",
@@ -99,7 +100,7 @@ def _floor_of(p: int, q: int, r: int, d: int) -> int:
 
 
 @total_ordering
-@dataclass(frozen=True)
+@record(frozen=True)
 class QuadraticReal:
     """An element ``a + b*sqrt(d)`` of a real quadratic field.
 
@@ -279,7 +280,7 @@ class QuadraticReal:
         return f"QuadraticReal({self.a} + {self.b}*sqrt({self.d}))"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RotationNumber:
     """An irrational rotation angle ``(p + q*sqrt(d)) / r`` in (0, 1).
 

@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterator, Optional
 
+from ._record import record
 from .quadratic import RotationNumber
 
 if TYPE_CHECKING:
@@ -97,7 +97,7 @@ def _json_symbol(symbol):
     return symbol if isinstance(symbol, str) else int(symbol)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BernoulliSpec:
     """Finite probability vector with symbol labels.
 
@@ -149,7 +149,7 @@ class BernoulliSpec:
         return cls(tuple(obj.get("probs", ())), tuple(map(_json_symbol, symbols)))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CylinderSet:
     """Finitely many coordinate constraints ``position -> symbol``.
 
@@ -210,7 +210,7 @@ class CylinderSet:
         return cls(tuple((int(p), _json_symbol(s)) for p, s in obj))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SystemSpec:
     """Which system, with its defining data.
 
@@ -316,7 +316,7 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-@dataclass
+@record
 class SampleBatch:
     """Struct-of-arrays batch of points, the one point representation:
     a Monte-Carlo sample, an orbit (row j the j-th image) or, with one

@@ -45,9 +45,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from ._record import asdict, field, record
 from .koopman import (
     KOOPMAN_TABLE,
     _bezout,
@@ -96,7 +96,7 @@ class UnsupportedSystemError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ModeSubgroup:
     """A subgroup of Z^2 in Hermite normal form ``{x(a,b) + y(0,c)}``.
 
@@ -167,7 +167,7 @@ class ModeSubgroup:
         return "<" + ", ".join(str(g) for g in self.generators()) + ">"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TowerLevel:
     """One tower level: a character subgroup, together with the constants."""
 
@@ -260,7 +260,7 @@ def stabilization_depth(levels: Sequence[TowerLevel]) -> Optional[int]:
 # the index map K_k and the exact decision
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class OrbitDecision:
     """Per label sector, the k whose K_k has a finite orbit there:
     ``(base, step)`` for k in base + step Z (step 0: k = base only), or
@@ -324,7 +324,7 @@ def decide_finite_orbits(kind: str) -> OrbitDecision:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class ResidualReport:
     """Outcome of one quasi-proper-function search: the orbit census of
     the truncated K_k and the least-squares minimum it fixes."""
@@ -537,7 +537,7 @@ def residual_reference(ks: tuple[int, ...] = (1, 2)) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class ProductTowerCertificate:
     """Residual corroboration of the exact decision that the product
     tower adds no level beyond the proper functions (1'' = 1''')."""
@@ -610,7 +610,7 @@ def certify_product_tower(
     )
 
 
-@dataclass
+@record
 class DistinguishResult:
     verdict: str
     gap_a: bool

@@ -12,11 +12,11 @@ these functions define the result it must reproduce.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from ergolab import EntropyEstimate, iterate_batch
+from ergolab._record import replace
 from ergolab.systems import SampleBatch
 
 

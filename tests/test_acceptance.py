@@ -7,7 +7,6 @@ fails the run if its criterion is not met.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import cmath
 import copy
-import dataclasses
 import math
+import time
 import tracemalloc
 from collections.abc import Mapping, MutableMapping
 from fractions import Fraction
@@ -43,6 +43,7 @@ from ergolab import (
     verify_intertwiner,
 )
 from ergolab import koopman
+from ergolab._record import replace
 from ergolab.koopman import _normalizing_exponent, _Poly
 
 from helpers import (
@@ -580,6 +581,45 @@ def test_checked_count_pins(B, checked):
     assert verify_intertwiner(pairing) == IntertwinerCheck(0, 9)
 
 
+def _walked_len(pairing) -> int:
+    """The pair count by walking every chain's common positions."""
+    p0, p1 = pairing.basis_a.points
+    chains = (pairing.positions(c) for c in range(pairing.basis_a.chains))
+    return p1 - p0 + 1 + sum(max(hi - lo + 1, 0) for lo, hi in chains)
+
+
+@pytest.mark.parametrize("case", list(PAIRING_CASES))
+def test_pair_count_is_the_walked_count(case):
+    """``len(mapping)``, counted from the bases' closed forms, equals
+    the chain-by-chain walk at B = 0..12."""
+    for B in range(13):
+        pairing = build_intertwiner(*PAIRING_CASES[case], B)
+        assert len(pairing.mapping) == _walked_len(pairing), B
+
+
+def test_a_cut_skew_basis_counts_its_walked_positions():
+    """A skew basis holding only its first n chains counts the positions
+    those chains hold, for every n at B = 1..12."""
+    for B in range(1, 13):
+        for n in range(B * (B + 1) + 1):
+            basis = koopman._SkewBasis(B, n)
+            walked = sum(hi - lo + 1 for lo, hi in map(basis.positions, range(n)))
+            assert basis.position_count() == walked, (B, n)
+
+
+def test_pair_count_at_b_1e5_takes_under_a_millisecond():
+    """At B = 10^5 the skew-product pairing has 4 * 10^10 + 4 * 10^5 + 1
+    pairs, counted without visiting a chain."""
+    pairing = build_intertwiner(*PAIRING_CASES["skew-product"], 10**5)
+    best = math.inf
+    for _ in range(5):
+        start = time.perf_counter()
+        count = len(pairing.mapping)
+        best = min(best, time.perf_counter() - start)
+    assert count == 2 * 10**5 * (2 * 10**5 + 1) + 2 * 10**5 + 1
+    assert best < 1e-3
+
+
 def _traced_peak(B: int) -> int:
     """Traced peak bytes of building and checking the skew-product
     pairing at B, whose nine identities must hold."""
@@ -796,7 +836,7 @@ def test_a_swap_of_two_chains_of_basis_b_still_intertwines():
     basis_b = copy.copy(pairing.basis_b)
     last, params = basis_b.chains - 1, basis_b.params
     basis_b.params = lambda c: params({0: last, last: 0}.get(c, c))
-    swapped = dataclasses.replace(pairing, basis_b=basis_b)
+    swapped = replace(pairing, basis_b=basis_b)
     assert verify_intertwiner(swapped) == verify_intertwiner(pairing) == IntertwinerCheck(0, 9)
     assert swapped.mapping[("chain", 1, 0, 0)] == ("chain", *params(last), 0)
     assert basis_b.chain_index(*basis_b.params(0)) == last
@@ -809,7 +849,7 @@ def test_check_fails_when_eps_is_flipped():
     angles' own relation, so the proper values fail."""
     pairing = build_intertwiner(*PAIRING_CASES["skew-product-reflected"], truncation=8)
     assert pairing.eps == -1
-    check = verify_intertwiner(dataclasses.replace(pairing, eps=1))
+    check = verify_intertwiner(replace(pairing, eps=1))
     assert verify_intertwiner(pairing) == IntertwinerCheck(0, 9)
     assert check == IntertwinerCheck(1, 9)
     assert [str(i) for i in check.identities if not i.holds] == [
