@@ -25,9 +25,11 @@ validated shape; the domain constructors keep the rules a schema does
 not state, such as which fields a kind takes, and a refusal of theirs
 names the input's path too.  Each runner imports the toolkits it
 computes with when it runs, so ``compute weak-mixing`` loads not even
-the tower, and only ``reproduce-kolmogorov`` loads numpy, hence inspect;
-no run imports the dataclass module.  Without a bytecode cache a run
-compiles each module it imports, 4-5 microseconds a source line.
+the tower and ``reproduce-kolmogorov`` not the mixing toolkit.  Only
+``reproduce-kolmogorov`` loads numpy, hence inspect, and it samples on
+one thread; no run imports the dataclass module or ``concurrent``.
+Without a bytecode cache a run compiles each module it imports, 4-5
+microseconds a source line.
 """
 
 from __future__ import annotations
@@ -94,15 +96,15 @@ MIN_CENSUS_CHARGE = 250
 MAX_TOWER_DEPTH = 30_000
 #: Most symbols the sampled entropy cross-checks of
 #: ``reproduce-kolmogorov`` may draw: samples x block length, summed over
-#: the systems.  Memory stays flat, so the budget bounds time.  A law of
-#: more than 32 bits (a float draw per symbol) takes 2.5-3.2 ns of CPU per
-#: symbol for two to four symbols on a 2-core x86-64 host (best of five,
-#: 10^6 samples at n = 10), and two such shifts on a worker thread each
-#: 1.3-1.6 ns of wall time, so the budget caps a run near 0.7 s and a
-#: refusal prices its sample at 1.6 ns a symbol; laws of at most 32 bits
-#: take 2.8-6 times less CPU.  The budget is twice the 10^7-sample run
-#: (n = 10, two shifts: 0.4 s at 43 MB for the whole command) and 20
-#: times the default 10^6.
+#: the systems.  Memory stays flat, so the budget bounds time.  The
+#: systems are sampled one after another on one thread.  A law of more
+#: than 32 bits (a float draw per symbol) takes 2.6-3.2 ns of wall and CPU
+#: time per symbol for two to four symbols on a 2-core x86-64 host (best
+#: of five, 10^6 samples at n = 10), so the budget caps a run near 1.3 s
+#: and a refusal prices its sample at 3.2 ns a symbol; laws of at most 32
+#: bits take 0.4-1.7 ns.  The budget is twice the 10^7-sample run (n =
+#: 10, two shifts: 0.2 s at 37 MB for the whole command) and 20 times
+#: the default 10^6.
 MAX_SAMPLED_SYMBOLS = 4 * 10**8
 
 
@@ -419,7 +421,7 @@ def _check_sampling_cost(config: ExperimentConfig, systems: int) -> None:
         raise ValueError(
             f"{config.samples} samples x block length {config.block_length} x "
             f"{systems} systems need {symbols} sampled symbols, over the budget of "
-            f"{MAX_SAMPLED_SYMBOLS} symbols: sampling would take about {1.6e-9 * symbols:.1f} s"
+            f"{MAX_SAMPLED_SYMBOLS} symbols: sampling would take about {3.2e-9 * symbols:.1f} s"
         )
 
 
@@ -505,14 +507,12 @@ def run_reproduce_kolmogorov(config: ExperimentConfig) -> tuple[dict, list[dict]
 
     Each system's entry (exact entropy, the block-entropy rate at the
     block length, which is the same closed form, and the sampled
-    estimate) is built in a worker thread, one per system up to the CPU
-    count: the sampling spends most of its time in numpy's generator,
-    which releases the GIL.  One intertwiner is built and checked per run
-    and its counts go on every pair: every shift has the same basis and
-    no angle, so all pairs of shifts share it.
+    estimate) is built in turn, the i-th system sampling from the i-th
+    generator :func:`spawn_rngs` derives from the seed, so an entry does
+    not depend on the systems after it.  One intertwiner is built and
+    checked per run and its counts go on every pair: every shift has the
+    same basis and no angle, so all pairs of shifts share it.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     from .entropy import (
         PartitionSpec,
         UndersampledError,
@@ -528,10 +528,10 @@ def run_reproduce_kolmogorov(config: ExperimentConfig) -> tuple[dict, list[dict]
     if len(specs) < 2 or any(s.kind != "bernoulli" for s in specs):
         raise ValueError("the kolmogorov scenario needs at least two shift systems")
     _check_sampling_cost(config, len(specs))
-    results: dict = {"systems": [s.to_json() for s in specs]}
+    results: dict = {"systems": [s.to_json() for s in specs], "entropies": []}
     verdicts: list[dict] = []
 
-    def estimate(spec: SystemSpec, rng) -> dict:
+    for spec, rng in zip(specs, spawn_rngs(config.seed, len(specs))):
         exact = bernoulli_entropy(spec.bernoulli)
         analytic = exact_block_entropy_rate(spec.bernoulli, config.block_length)
         entry = {
@@ -551,15 +551,7 @@ def run_reproduce_kolmogorov(config: ExperimentConfig) -> tuple[dict, list[dict]
             entry["undersampled"] = str(exc)
         if config.bits:
             entry["exact_entropy_bits"] = exact / math.log(2)
-        return entry
-
-    # each system draws from its own generator, so the entries do not
-    # depend on how many threads build them
-    workers = min(len(specs), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results["entropies"] = list(
-            pool.map(estimate, specs, spawn_rngs(config.seed, len(specs)))
-        )
+        results["entropies"].append(entry)
 
     check = verify_intertwiner(build_intertwiner(specs[0], specs[1], config.truncation))
     pairs = []

@@ -20,7 +20,6 @@ from decimal import Context, Decimal, localcontext
 from typing import TYPE_CHECKING
 
 from ._record import asdict, record
-from .mixing import TestSet
 from .systems import (
     BernoulliSpec,
     CylinderSet,
@@ -120,7 +119,7 @@ class PartitionSpec:
     :func:`partition_refine_entropy` checks before it samples.
     """
 
-    cells: tuple[TestSet, ...]
+    cells: tuple[CylinderSet, ...]
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
@@ -130,27 +129,25 @@ class PartitionSpec:
             raise ValueError("a partition needs at least one cell")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be distinct")
-        if any(c.kind != "cylinder" or len(c.cylinder.constraints) != 1 for c in self.cells):
+        if any(len(c.constraints) != 1 for c in self.cells):
             raise ValueError("every cell must be a cylinder constraining one position")
-        if len({c.cylinder.positions for c in self.cells}) != 1:
+        if len({c.positions for c in self.cells}) != 1:
             raise ValueError("every cell must constrain the same position")
-        symbols = [c.cylinder.constraints[0][1] for c in self.cells]
+        symbols = [c.constraints[0][1] for c in self.cells]
         if len(set(symbols)) != len(symbols):
             raise ValueError("cells must hold distinct symbols")
 
     @classmethod
     def time_zero(cls, bern: BernoulliSpec) -> "PartitionSpec":
         """One cell per symbol value at position zero."""
-        cells = tuple(
-            TestSet.from_cylinder(CylinderSet(((0, s),))) for s in bern.symbols
-        )
+        cells = tuple(CylinderSet(((0, s),)) for s in bern.symbols)
         labels = tuple(str(s) for s in bern.symbols)
         return cls(cells=cells, labels=labels)
 
     @property
     def position(self) -> int:
         """The one position every cell constrains."""
-        return self.cells[0].cylinder.positions[0]
+        return self.cells[0].positions[0]
 
     def cell_index_batch(self, spec: SystemSpec, batch) -> np.ndarray:
         """Cell index per sample (cells are disjoint, so at most one hit)."""
@@ -158,7 +155,7 @@ class PartitionSpec:
 
         out = np.full(len(batch), -1, dtype=np.int64)
         for idx, cell in enumerate(self.cells):
-            hit = cell.contains_batch(spec, batch)
+            hit = cell.contains_batch(spec.bernoulli, batch)
             out = np.where(hit, idx, out)
         return out
 
@@ -195,9 +192,8 @@ def partition_refine_entropy(
 
     The sample is streamed (:func:`sample_chunks`) and each chunk is
     scored, into arrays kept for the call, before the next is drawn, so
-    memory does not grow with ``samples``; calls on different generators
-    share nothing and may run one per thread.  The chunks' moments,
-    taken about the first score drawn, are merged by Chan's update
+    memory does not grow with ``samples``.  The chunks' moments, taken
+    about the first score drawn, are merged by Chan's update
     (:func:`_merge_moments`), so a uniform shift's estimate is its one
     score exactly, with stderr 0.
     """
@@ -208,7 +204,7 @@ def partition_refine_entropy(
     if spec.bernoulli is None:
         raise ValueError(f"a {spec.kind} system has no symbol law to partition")
     # index_of refuses a cell on a symbol the law does not have
-    held = {spec.bernoulli.index_of(c.cylinder.constraints[0][1]) for c in partition.cells}
+    held = {spec.bernoulli.index_of(c.constraints[0][1]) for c in partition.cells}
     thresholds = symbol_thresholds(spec.bernoulli)
     for index, (lo, hi) in enumerate(zip((0, *thresholds), thresholds)):
         if lo < hi and index not in held:

@@ -13,7 +13,7 @@ non-numeric opinion.  The exact statistic visits no lag of the rotation
 orbit beyond the few where cylinder constraints meet: the overlaps are
 piecewise linear in frac(i*gamma), so their sum over t lags is a handful
 of floor sums, each O(log t) steps along the continued fraction of gamma.
-Only sample membership (``TestSet.contains_batch``) imports numpy.
+No numpy is imported: sample membership works on a batch's own arrays.
 """
 
 from __future__ import annotations
@@ -171,8 +171,6 @@ class TestSet:
 
     def contains_batch(self, spec: SystemSpec, batch: SampleBatch) -> np.ndarray:
         """Boolean membership array for a sample batch."""
-        import numpy as np
-
         result = None
         if self.kind in ("u-interval", "rectangle", "product"):
             if batch.u is None:
@@ -181,10 +179,7 @@ class TestSet:
         if self.kind == "rectangle":
             result &= (batch.v >= float(self.c)) & (batch.v < float(self.d))
         if self.kind in ("cylinder", "product"):
-            bern = self._sequence_law(spec)
-            inside = np.ones(len(batch), dtype=bool)
-            for pos, sym in self.cylinder.constraints:
-                inside &= batch.symbol_indices_at(pos) == bern.index_of(sym)
+            inside = self.cylinder.contains_batch(self._sequence_law(spec), batch)
             result = inside if result is None else (result & inside)
         return result
 

@@ -11,8 +11,9 @@ points are finite windows of a sampled bi-infinite sequence; operations
 that need symbols declare the positions they read up front, and shifting
 just moves the anchor.  :func:`iterate_batch` applies S^i by closed
 forms for every integer i, so a negative lag inverts.  Cylinder sets
-carry their own algebra: translation, intersection (``merge``) and the
-exact product measure.
+carry their own algebra: translation, intersection (``merge``), the
+exact product measure and membership of a batch's points
+(``contains_batch``).
 
 Monte-Carlo estimates stream their sample: ``sample_chunks`` draws it
 from one generator as batches of at most ``SAMPLE_CHUNK`` points and
@@ -200,6 +201,16 @@ class CylinderSet:
             out *= Fraction(bern.prob_of(symbol)) ** count
         return out
 
+    def contains_batch(self, bern: BernoulliSpec, batch: SampleBatch) -> np.ndarray:
+        """Boolean membership array for a sample batch drawn from ``bern``:
+        a point is inside when every constrained position holds its symbol."""
+        import numpy as np
+
+        inside = np.ones(len(batch), dtype=bool)
+        for pos, sym in self.constraints:
+            inside &= batch.symbol_indices_at(pos) == bern.index_of(sym)
+        return inside
+
     def to_json(self) -> list:
         return [[p, s] for p, s in self.constraints]
 
@@ -304,12 +315,10 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
 
     The command line hands generator i to the i-th system of a run, so the
     generator a system draws from depends only on the seed and the
-    system's position, not on how many systems follow it.  The streams
-    share no state, so systems can draw from them concurrently, each in
-    its own thread, with the result the same as drawing one after
-    another.  A streamed estimate draws all its chunks from its one
-    generator in turn, so its result depends on the seed and the chunk
-    size (``SAMPLE_CHUNK``, ``CHUNK_SYMBOLS``) alone.
+    system's position, not on how many systems follow it or how much
+    the systems before it drew.  A streamed estimate draws all its chunks
+    from its one generator in turn, so its result depends on the seed and
+    the chunk size (``SAMPLE_CHUNK``, ``CHUNK_SYMBOLS``) alone.
     """
     import numpy as np
 

@@ -59,10 +59,7 @@ def itineraries(spec, partition, batch: SampleBatch, n: int) -> np.ndarray:
 def measure_scored(spec, partition, itineraries: np.ndarray, n: int) -> EntropyEstimate:
     samples = itineraries.shape[0]
     log_p = np.array(
-        [
-            math.log(spec.bernoulli.prob_of(c.cylinder.constraints[0][1]))
-            for c in partition.cells
-        ]
+        [math.log(spec.bernoulli.prob_of(c.constraints[0][1])) for c in partition.cells]
     )
     scores = -log_p[itineraries].sum(axis=1) / n
     value = float(np.mean(scores))

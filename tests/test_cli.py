@@ -180,23 +180,26 @@ def test_letter_scenario(tmp_path):
 
 
 # Runs the CLI (arguments from the second on) with a ``sys.meta_path``
-# finder that refuses the top-level packages named, comma-separated, in
-# the first argument.
+# finder that refuses the modules named, comma-separated, in the first
+# argument, and every submodule of theirs.
 REFUSING = """
 import sys
 
-REFUSED = set(sys.argv[1].split(","))
+REFUSED = sys.argv[1].split(",")
+
+def refused(name):
+    return any(name == r or name.startswith(r + ".") for r in REFUSED)
 
 class Refuse:
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] in REFUSED:
+        if refused(name):
             raise ImportError(f"{name} is refused")
         return None
 
 sys.meta_path.insert(0, Refuse())
 from ergolab.cli import main
 code = main(sys.argv[2:])
-assert not any(name.split(".")[0] in REFUSED for name in sys.modules)
+assert not any(refused(name) for name in sys.modules)
 sys.exit(code)
 """
 
@@ -248,9 +251,13 @@ def test_weak_mixing_runs_without_numpy_or_mpmath(tmp_path):
 
 def test_kolmogorov_runs_without_dataclasses(tmp_path):
     """The sampled run loads numpy, which imports inspect itself, but
-    nothing loads dataclasses: with it refused, reproduce-kolmogorov exits
-    0 with the same report bytes."""
-    _assert_same_bytes_without(tmp_path, "dataclasses", "reproduce-kolmogorov", "--seed", "1")
+    nothing loads dataclasses; the systems are sampled on one thread, so
+    no thread pool (``concurrent``) loads, and the partition cells are
+    cylinders, so the mixing toolkit does not load either.  With all
+    three refused, reproduce-kolmogorov exits 0 with the same report
+    bytes."""
+    _assert_same_bytes_without(tmp_path, "dataclasses,concurrent,ergolab.mixing",
+                               "reproduce-kolmogorov", "--seed", "1")
 
 
 #: Runs that compute only with integers, fractions and quadratic numbers,
@@ -285,6 +292,15 @@ def test_the_exact_toolkits_import_no_numpy():
     the sampler and the sampled estimate import it when they run."""
     proc = _fresh_python("-c", "import sys, ergolab.koopman, ergolab.tower, ergolab.entropy; "
                          "print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_entropy_imports_no_mixing_toolkit():
+    """The entropy partitions are built from cylinders, so importing the
+    entropy module leaves the mixing toolkit unloaded."""
+    proc = _fresh_python("-c", "import sys, ergolab.entropy; "
+                         "print('ergolab.mixing' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -696,7 +712,7 @@ def test_samples_above_the_symbol_budget_are_refused(tmp_path, capsys):
     assert err == (
         f"error: {samples} samples x block length 10 x 2 systems need {symbols} "
         f"sampled symbols, over the budget of {MAX_SAMPLED_SYMBOLS} symbols: sampling "
-        "would take about 0.6 s\n"
+        "would take about 1.3 s\n"
     )
     assert not out.exists()
 
@@ -811,12 +827,11 @@ def test_kolmogorov_grid_of_coins(tmp_path):
     assert len(report["results"]["pairs"]) == 45
 
 
-def test_kolmogorov_workers_draw_what_one_thread_draws(tmp_path, monkeypatch):
-    """Each system's sampled check runs in its own worker thread, on its
-    own generator: the report bytes do not depend on the CPU count, and
-    each estimate equals a serial call on that system's stream.  The
-    laws are chosen so that the draws show in the estimates (a uniform
-    law scores a constant whatever is drawn)."""
+def test_kolmogorov_estimates_equal_calls_on_spawned_streams(tmp_path):
+    """Each system's sampled check draws from its own generator: each
+    estimate equals a ``partition_refine_entropy`` call on that system's
+    ``spawn_rngs`` stream.  The laws are chosen so that the draws show in
+    the estimates (a uniform law scores a constant whatever is drawn)."""
     from ergolab.entropy import PartitionSpec, partition_refine_entropy
     from ergolab.systems import spawn_rngs
 
@@ -829,14 +844,10 @@ def test_kolmogorov_workers_draw_what_one_thread_draws(tmp_path, monkeypatch):
     cfg.write_text(json.dumps({
         "systems": laws, "samples": 123_457, "block_length": 7, "seed": 5,
     }))
-    code, default = run(tmp_path / "default", "reproduce-kolmogorov", "--config", str(cfg))
+    code, out = run(tmp_path, "reproduce-kolmogorov", "--config", str(cfg))
     assert code == 0
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    code, one = run(tmp_path / "one", "reproduce-kolmogorov", "--config", str(cfg))
-    assert code == 0
-    assert (one / "report.json").read_bytes() == (default / "report.json").read_bytes()
     specs = [SystemSpec.from_json(law) for law in laws]
-    for entry, spec, rng in zip(read_report(one)["results"]["entropies"], specs,
+    for entry, spec, rng in zip(read_report(out)["results"]["entropies"], specs,
                                 spawn_rngs(5, len(laws))):
         serial = partition_refine_entropy(
             spec, PartitionSpec.time_zero(spec.bernoulli), 7, 123_457, rng

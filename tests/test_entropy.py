@@ -25,7 +25,6 @@ from ergolab import (
     CylinderSet,
     PartitionSpec,
     SystemSpec,
-    TestSet,
     UndersampledError,
     bernoulli_entropy,
     entropy_classifier,
@@ -183,15 +182,17 @@ def test_block_sum_oracle_is_n_times_the_one_step_entropy():
 
 
 def test_partition_validation():
-    """Cells at two positions, two cells on one symbol and a u-interval
-    cell are each refused when the partition is built."""
+    """Cells at two positions, two cells on one symbol, and a cell
+    constraining two positions or none are each refused when the
+    partition is built."""
     def at(position, symbol):
-        return TestSet.from_cylinder(CylinderSet(((position, symbol),)))
+        return CylinderSet(((position, symbol),))
 
     refused = {
         "same position": (at(0, 0), at(1, 1)),
         "distinct symbols": (at(0, 1), at(0, 1)),
-        "constraining one position": (at(0, 0), TestSet.u_interval(0, 1)),
+        "constraining one position": (at(0, 0), CylinderSet(((0, 1), (1, 1)))),
+        "cylinder constraining one position": (at(0, 0), CylinderSet()),
     }
     for message, cells in refused.items():
         with pytest.raises(ValueError, match=message):
@@ -320,7 +321,7 @@ LONG = BernoulliSpec((0.1, 0.9))
 def _cells_at(position: int, symbols: tuple) -> PartitionSpec:
     """One cell per listed symbol, all constraining ``position``."""
     return PartitionSpec(
-        cells=tuple(TestSet.from_cylinder(CylinderSet(((position, s),))) for s in symbols),
+        cells=tuple(CylinderSet(((position, s),)) for s in symbols),
         labels=tuple(str(s) for s in symbols),
     )
 

@@ -124,8 +124,7 @@ def test_traced_kolmogorov_run_enters_every_sampling_span(run, tmp_path, monkeyp
     as the benchmark traces it, enters every span its rows read and
     fills their counters, so a call rewired past a wrapped function, or
     a renamed parameter or result field, cannot zero a row unnoticed.
-    One worker thread keeps the recorder's single span stack in order,
-    and every attribute the tracer replaces is restored afterwards."""
+    Every attribute the tracer replaces is restored afterwards."""
     from ergolab import cli
 
     argv, config, check = TRACED_RUNS[run]
@@ -143,7 +142,6 @@ def test_traced_kolmogorov_run_enters_every_sampling_span(run, tmp_path, monkeyp
                 for key, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, key, original)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     recorder = trace_layers.Recorder()
     trace_layers.install(recorder)
     cfg = tmp_path / "cfg.json"
