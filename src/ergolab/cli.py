@@ -8,7 +8,13 @@ individual operations.  Every runner in ``RUNNERS`` maps a config to
 ``(results, verdicts)``; ``main`` wraps them in one ``ExperimentReport``,
 and ``emit_report`` validates it once, before any file is written, then
 writes ``report.json`` and the files ``EXTRA_FILES`` lists for its
-scenario.  Reports are deterministic byte for byte under a
+scenario.  A run's config is built once: the scenario's ``DEFAULTS``,
+then the ``--config`` file, then the flags, merged as JSON and read by
+one ``ExperimentConfig.from_json``.  Each cost budget refuses inside the
+code it prices (the census and tower depth in ``tower``, the lag digits
+in ``mixing``), so a library caller is refused as a run is; only the
+sampling budget, on a sum over a run's systems, is checked here.
+Reports are deterministic byte for byte under a
 fixed seed: one root seed is split into named substreams, no timestamps
 are recorded, and JSON keys are sorted.  Exit codes are a stable
 contract: 0 success, 2 inconclusive evidence, 1 error.
@@ -47,7 +53,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from ._record import field, fields, record, replace
+from ._record import field, fields, record
 from .quadratic import SQRT2_MINUS_1
 from .systems import (
     BernoulliSpec,
@@ -67,42 +73,16 @@ __all__ = [
     "run_theorem1_check",
 ]
 
-SCENARIOS = ("reproduce-letter", "reproduce-kolmogorov", "theorem1", "compute")
 DEFAULT_SEED = 1
-#: Most decimal digits of t that ``compute weak-mixing`` accepts.  The
-#: exact statistic takes O(digits) levels of floor sums on integers of
-#: O(digits) digits, about the cube of the digit count: 0.01-0.02 s at
-#: 100 digits, 1.1-3.0 s at 1,000 and 16-54 s at 3,000 on a 2-core
-#: x86-64 host, so the budget keeps one run near 3 s.
-MAX_WEAK_MIXING_DIGITS = 1000
-#: Most basis labels one residual census may step (``tower.census_nodes``:
-#: 9 (1 + (N+1)(2N+1)) on the product at truncation N).  The census runs
-#: on Python ints in ``array`` storage: the five-k census of
-#: ``reproduce-letter`` takes about 1.7 microseconds and 41 traced bytes
-#: per label on a 2-core x86-64 host (1.72 s and 39 MB at N = 234), so the
-#: budget caps it near 2 s; N = 234 is the largest product truncation it
-#: admits.  That is a base census of about 0.5 microseconds per label and
-#: one more walk per k, about 0.24, so a residual search may also take at
-#: most five ks' worth of censuses at the budget: labels x ks <= 5 x
-#: ``MAX_CENSUS_NODES``.  A k also costs about 40 microseconds beyond its
-#: walk, its report entry included, which the estimate adds; the budget
-#: charges each k at least ``MIN_CENSUS_CHARGE`` labels, so at N = 2 (144
-#: labels, 74 microseconds a k) it admits 20,000 ks, about 1.5 s.
-MAX_CENSUS_NODES = 10**6
-MIN_CENSUS_CHARGE = 250
-#: Most levels ``compute tower`` may build.  A level and its report entry
-#: take about 65 microseconds and 4 KB on a 2-core x86-64 host (6.4 s
-#: and 433 MB peak RSS at 10^5 levels), so the budget caps a run near 2 s.
-MAX_TOWER_DEPTH = 30_000
 #: Most symbols the sampled entropy cross-checks of
 #: ``reproduce-kolmogorov`` may draw: samples x block length, summed over
 #: the systems.  Memory stays flat, so the budget bounds time.  The
 #: systems are sampled one after another on one thread.  A law of more
-#: than 32 bits (a float draw per symbol) takes 2.6-3.2 ns of wall and CPU
-#: time per symbol for two to four symbols on a 2-core x86-64 host (best
-#: of five, 10^6 samples at n = 10), so the budget caps a run near 1.3 s
-#: and a refusal prices its sample at 3.2 ns a symbol; laws of at most 32
-#: bits take 0.4-1.7 ns.  The budget is twice the 10^7-sample run (n =
+#: than 32 bits (a whole generator word per symbol) takes 2.7-3.6 ns of
+#: wall time per symbol for two to four symbols on a 2-core x86-64 host
+#: (best of nine estimates, 10^6 samples at n = 10), so the budget caps a
+#: run near 1.4 s; a refusal prices its sample at 3.2 ns a symbol, and
+#: laws of at most 32 bits take 0.4-1.7 ns.  The budget is twice the 10^7-sample run (n =
 #: 10, two shifts: 0.2 s at 37 MB for the whole command) and 20 times
 #: the default 10^6.
 MAX_SAMPLED_SYMBOLS = 4 * 10**8
@@ -364,54 +344,31 @@ def _verdict(statement: str, evidence: dict, provenance: str = "exact") -> dict:
 # ---------------------------------------------------------------------------
 
 
+_GAMMA = SQRT2_MINUS_1.to_json()
+_COIN = BernoulliSpec.fair_coin().to_json()
+#: Each scenario's defaults as config JSON, on top of the field defaults
+#: of ``ExperimentConfig``; a ``--config`` file patches them.
+DEFAULTS = {
+    "reproduce-letter": {"systems": [{"kind": "skew", "gamma": _GAMMA},
+                                     {"kind": "product", "gamma": _GAMMA, **_COIN}]},
+    "reproduce-kolmogorov": {"truncation": 8, "systems": [
+        {"kind": "bernoulli", **_COIN},
+        {"kind": "bernoulli", "probs": [0.25] * 4, "symbols": [0, 1, 2, 3]}]},
+    "theorem1": {"systems": [{"kind": "rotation", "gamma": _GAMMA},
+                             {"kind": "rotation", "gamma": SQRT2_MINUS_1.one_minus().to_json()}]},
+    "compute": {},
+}
+
+
 def default_config(scenario: str) -> ExperimentConfig:
-    gamma, coin = SQRT2_MINUS_1, BernoulliSpec.fair_coin()
-    if scenario == "reproduce-letter":
-        systems = (SystemSpec.skew(gamma), SystemSpec.product(gamma, coin))
-        return ExperimentConfig(
-            scenario=scenario, systems=tuple(s.to_json() for s in systems),
-            truncation=16, residual_truncation=8,
-        )
-    if scenario == "reproduce-kolmogorov":
-        uniform4 = BernoulliSpec((0.25, 0.25, 0.25, 0.25), (0, 1, 2, 3))
-        systems = (SystemSpec.shift(coin), SystemSpec.shift(uniform4))
-        return ExperimentConfig(
-            scenario=scenario, systems=tuple(s.to_json() for s in systems),
-            truncation=8, samples=1_000_000, block_length=10,
-        )
-    if scenario == "theorem1":
-        systems = (SystemSpec.rotation(gamma), SystemSpec.rotation(gamma.one_minus()))
-        return ExperimentConfig(scenario=scenario, systems=tuple(s.to_json() for s in systems))
-    return ExperimentConfig(scenario="compute")
+    """The config of a run of ``scenario`` with no file and no flags."""
+    return ExperimentConfig.from_json({"scenario": scenario, "seed": DEFAULT_SEED,
+                                       **DEFAULTS[scenario]})
 
 
 # ---------------------------------------------------------------------------
 # scenario: reproduce-letter
 # ---------------------------------------------------------------------------
-
-
-def _check_census_cost(specs: Sequence[SystemSpec], truncation: int, ks: int = 5) -> None:
-    """Refuse a census over the node budget, and ``ks`` censuses stepping
-    more labels than five at it, each k charged at least ``MIN_CENSUS_CHARGE``
-    labels; the time estimate adds each k's fixed cost to its walk."""
-    from .tower import census_nodes
-
-    nodes = max(census_nodes(s.kind, truncation) for s in specs)
-    if nodes > MAX_CENSUS_NODES:
-        raise ValueError(
-            f"residual truncation {truncation} needs {nodes} census nodes, over "
-            f"the budget of {MAX_CENSUS_NODES} nodes"
-        )
-    budget = 5 * MAX_CENSUS_NODES
-    charge = max(nodes, MIN_CENSUS_CHARGE)
-    if charge * ks > budget:
-        fixed = f" (charged {charge} for a k's fixed cost)" if charge > nodes else ""
-        raise ValueError(
-            f"{ks} ks at residual truncation {truncation} step {nodes} census "
-            f"nodes each{fixed}, {charge * ks} in all, over the budget of {budget} "
-            f"(five ks at {MAX_CENSUS_NODES} nodes): the censuses would take about "
-            f"{5e-7 * nodes + ks * (4e-5 + 2.4e-7 * nodes):.0f} s"
-        )
 
 
 def _check_sampling_cost(config: ExperimentConfig, systems: int) -> None:
@@ -450,7 +407,6 @@ def run_reproduce_letter(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     spec_a, spec_b = specs
     if spec_a.gamma is None or spec_b.gamma is None:
         raise ValueError("the letter scenario needs systems with a rotation factor")
-    _check_census_cost(specs, config.residual_truncation)
     results: dict = {}
     verdicts: list[dict] = []
 
@@ -632,13 +588,7 @@ def _compute_tower(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     from .tower import compute_tower, stabilization_depth
 
     spec = _param(config, "system", SystemSpec.from_json, SystemSpec.skew(SQRT2_MINUS_1))
-    depth = int(config.params.get("max_depth", 4))
-    if depth > MAX_TOWER_DEPTH:
-        raise ValueError(
-            f"tower max_depth {depth} is over the budget of {MAX_TOWER_DEPTH} "
-            f"levels: the levels would take about {6.5e-5 * depth:.0f} s"
-        )
-    levels = compute_tower(spec, depth)
+    levels = compute_tower(spec, int(config.params.get("max_depth", 4)))
     results = {
         "levels": [lvl.to_json() for lvl in levels],
         "stabilization_depth": stabilization_depth(levels),
@@ -648,12 +598,11 @@ def _compute_tower(config: ExperimentConfig) -> tuple[dict, list[dict]]:
 
 
 def _compute_residual(config: ExperimentConfig) -> tuple[dict, list[dict]]:
-    from .tower import residual_census, residual_reference
+    from .tower import CENSUS_KS, residual_census, residual_reference
 
     spec = _param(config, "system", SystemSpec.from_json,
                   SystemSpec.product(SQRT2_MINUS_1, BernoulliSpec.fair_coin()))
-    ks = [int(k) for k in config.params.get("ks", [0, 1, -1, 2, -2])]
-    _check_census_cost([spec], config.residual_truncation, len(ks))
+    ks = [int(k) for k in config.params.get("ks", CENSUS_KS)]
     reports = list(residual_census(spec, ks, config.residual_truncation))
     results = {"reports": [r.to_json() for r in reports]}
     if spec.kind == "product":
@@ -693,14 +642,6 @@ def _compute_weak_mixing(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     A = _param(config, "A", TestSet.from_json, A)
     B = _param(config, "B", TestSet.from_json, A)
     t = int(config.params.get("t", 10_000))
-    digits = len(str(abs(t)))
-    if digits > MAX_WEAK_MIXING_DIGITS:
-        seconds = 3 * (digits / MAX_WEAK_MIXING_DIGITS) ** 3
-        raise ValueError(
-            f"weak-mixing t has {digits} digits, over the budget of "
-            f"{MAX_WEAK_MIXING_DIGITS}: its floor sums would take about "
-            f"{seconds:.0f} s"
-        )
     statistic = weak_mixing_statistic(spec, A, B, t)
     results = {
         "t": t,
@@ -860,6 +801,7 @@ RUNNERS = {
     "theorem1": run_theorem1_check,
     "compute": run_compute,
 }
+SCENARIOS = tuple(RUNNERS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -882,35 +824,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merged_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The scenario's defaults, patched by the ``--config`` file and then
+    by the flags given, read as one config."""
+    data = {"scenario": args.scenario, "seed": DEFAULT_SEED, **DEFAULTS[args.scenario]}
     if args.config is not None:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError(f"a config must be a JSON object, got a {type(data).__name__}")
-        if data.get("scenario", args.scenario) != args.scenario:
+        patch = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(patch, dict):
+            raise ValueError(f"a config must be a JSON object, got a {type(patch).__name__}")
+        if patch.get("scenario", args.scenario) != args.scenario:
             raise ValueError(
-                f"config scenario {data.get('scenario')!r} does not match "
+                f"config scenario {patch.get('scenario')!r} does not match "
                 f"the {args.scenario!r} subcommand"
             )
-        # a config file patches the scenario defaults, so omitting
-        # `systems` (or anything else) keeps the default value
-        base = default_config(args.scenario).to_json()
-        base.update(data)
-        base["scenario"] = args.scenario
-        config = ExperimentConfig.from_json(base)
-    else:
-        config = default_config(args.scenario)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out"] = str(args.out)
-    if args.format is not None:
-        overrides["format"] = args.format
-    if args.bits is not None:
-        overrides["bits"] = args.bits
-    if getattr(args, "op", None):
-        overrides["op"] = args.op
-    return replace(config, **overrides) if overrides else config
+        data.update(patch)
+    flags = {"seed": args.seed, "out": None if args.out is None else str(args.out),
+             "format": args.format, "bits": args.bits, "op": getattr(args, "op", None) or None}
+    data.update((key, value) for key, value in flags.items() if value is not None)
+    return ExperimentConfig.from_json(data)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -34,6 +34,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CorrelationPoint",
+    "MAX_WEAK_MIXING_DIGITS",
     "NoClosedFormError",
     "TestSet",
     "correlation",
@@ -45,6 +46,12 @@ __all__ = [
 
 CONSISTENT_BELOW = 0.01
 INCONSISTENT_ABOVE = 0.05
+#: Most decimal digits of t that :func:`weak_mixing_statistic` accepts.
+#: The exact statistic takes O(digits) levels of floor sums on integers of
+#: O(digits) digits, about the cube of the digit count: 0.01-0.02 s at
+#: 100 digits, 1.1-3.0 s at 1,000 and 16-54 s at 3,000 on a 2-core
+#: x86-64 host, so the budget keeps one run near 3 s.
+MAX_WEAK_MIXING_DIGITS = 1000
 
 
 class NoClosedFormError(ValueError):
@@ -384,9 +391,18 @@ def weak_mixing_statistic(spec: SystemSpec, A: TestSet, B: TestSet, t: int) -> f
     ``c = |I_A||I_B|``; that sum over 1 <= i < t comes from floor sums
     along the continued fraction of gamma
     (:meth:`_CircleOverlap.deviation_sum`), less the lags already summed.
+    A t of more than ``MAX_WEAK_MIXING_DIGITS`` digits is refused, with
+    its estimated time, before any sum is taken.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
+    digits = len(str(t))
+    if digits > MAX_WEAK_MIXING_DIGITS:
+        raise ValueError(
+            f"weak-mixing t has {digits} digits, over the budget of "
+            f"{MAX_WEAK_MIXING_DIGITS}: its floor sums would take about "
+            f"{3 * (digits / MAX_WEAK_MIXING_DIGITS) ** 3:.0f} s"
+        )
     product = A.exact_measure(spec) * B.exact_measure(spec)
     has_u, has_w = _closed_form_factors(spec, A, B)
     lags = {0}

@@ -21,11 +21,11 @@ from one generator as batches of at most ``SAMPLE_CHUNK`` points and
 batch is valid only until the next one is drawn.  A batch
 (``sample_batch``) stores uint8 symbol indices for only the positions
 its consumer reads, each drawn from a field of a generator word just
-wide enough for its law, or from a float uniform where no field of at
-most 32 bits is.  A run's generators are spawned from its one seed
-(``spawn_rngs``).  The specs and the cylinder algebra are pure Python:
-only the functions that draw samples import numpy, so a run that never
-samples never loads it.
+wide enough for its law: 8, 16 or 32 bits, or the whole 64-bit word.
+A run's generators are spawned from its one seed (``spawn_rngs``).
+The specs and the cylinder algebra are pure Python: only the functions
+that draw samples import numpy, so a run that never samples never loads
+it.
 """
 
 from __future__ import annotations
@@ -71,10 +71,9 @@ SYSTEM_KINDS = ("rotation", "skew", "bernoulli", "product")
 SAMPLE_CHUNK = 2**16
 #: Most sequence symbols one batch holds (one point when a window is
 #: wider).  A stream refills one batch's arrays: at most 0.64 MB of uint8
-#: window, a 0.5 MB float block (laws of more than 32 bits), a 64 KB bool
-#: scratch, and the entropy scorer's column copy and flags (1.3 MB) and
-#: per-point arrays (1 MB).  A wider window takes about 3 bytes per
-#: position: the window, the column copy and its flags.
+#: window, a 64 KB bool scratch, and the entropy scorer's column copy and
+#: flags (1.3 MB) and per-point arrays (1 MB).  A wider window takes about
+#: 3 bytes per position: the window, the column copy and its flags.
 CHUNK_SYMBOLS = 10 * SAMPLE_CHUNK
 
 
@@ -372,29 +371,29 @@ def symbol_thresholds(bern: BernoulliSpec) -> tuple[int, ...]:
     return tuple(math.ceil(c * 2.0**53) for c in cumulative_law(bern))
 
 
-def _draw_law(bern: BernoulliSpec) -> tuple[int, tuple]:
+def _draw_law(bern: BernoulliSpec) -> tuple[int, tuple[int, ...]]:
     """The width W of the field a symbol of ``bern`` is drawn from and the
     cuts it is compared with.  If every threshold is a multiple of
     2^(53-W), the symbol depends only on the top W bits of raw >> 11, so
     any W-bit field of a generator word draws it exactly by the cuts t_i
-    >> (53 - W), W the narrowest of 8, 16 and 32 that serves; a threshold
-    of 2^53 is never reached and has no cut.  Otherwise, or if no cut is
-    left, W is 0: a symbol is a ``rng.random`` draw, and the cuts are the
-    cumulative law's entries."""
+    >> (53 - W), W the narrowest of 8, 16 and 32 that serves.  Otherwise W
+    is 64: a symbol takes a whole word raw, and raw >> 11 >= t_i exactly
+    when raw >= t_i << 11.  A threshold of 2^53 is never reached and has
+    no cut; a law with no cut left takes a word a symbol too."""
     thresholds = symbol_thresholds(bern)
     common = math.gcd(*thresholds)  # its lowest set bit is the t_i's largest common power of 2
     bits = 54 - (common & -common).bit_length()
-    width = 8 if bits <= 8 else 16 if bits <= 16 else 32 if bits <= 32 else 0
-    cuts = tuple(t >> (53 - width) for t in thresholds if t < 2**53) if width else ()
-    return (width, cuts) if cuts else (0, tuple(cumulative_law(bern)[:-1]))
+    width = next((w for w in (8, 16, 32) if bits <= w), 64) if common < 2**53 else 64
+    return width, tuple(t << width >> 53 for t in thresholds if t < 2**53)
 
 
 def _buffers(spec: SystemSpec, points: int, width: int) -> SimpleNamespace:
     """Empty buffers for batches of up to ``points`` points of ``width``
-    positions: ``u``, ``v``, the window ``sym``, the law's ``field`` (a
-    dtype, or None) and ``cuts`` (:func:`_draw_law`), and blocks of at
-    most ``SAMPLE_CHUNK`` symbols: the float ``draws`` of a law without a
-    field and a bool ``scratch``.  What the system lacks is None."""
+    positions: ``u``, ``v``, the window ``sym``, the law's ``field`` dtype
+    and ``cuts`` of that type (:func:`_draw_law`; typed, a 64-bit
+    comparison stays in integers under numpy 1.x), and a bool ``scratch``
+    block of at most ``SAMPLE_CHUNK`` symbols.  What the system lacks is
+    None."""
     import numpy as np
 
     u = np.empty(points) if spec.kind in ("rotation", "skew", "product") else None
@@ -402,12 +401,11 @@ def _buffers(spec: SystemSpec, points: int, width: int) -> SimpleNamespace:
     if spec.kind not in ("bernoulli", "product"):
         return SimpleNamespace(points=points, width=width, u=u, v=v, sym=None)
     bits, cuts = _draw_law(spec.bernoulli)
-    block = max(1, min(points * width, SAMPLE_CHUNK))
+    field = np.dtype(f"u{bits // 8}")
     return SimpleNamespace(
-        points=points, width=width, u=u, v=v, cuts=cuts,
+        points=points, width=width, u=u, v=v, field=field, cuts=tuple(map(field.type, cuts)),
         sym=np.empty((points, width), dtype=np.min_scalar_type(len(spec.bernoulli.probs) - 1)),
-        field=np.dtype(f"u{bits // 8}") if bits else None,
-        draws=None if bits else np.empty(block), scratch=np.empty(block, dtype=bool),
+        scratch=np.empty(max(1, min(points * width, SAMPLE_CHUNK)), dtype=bool),
     )
 
 
@@ -426,16 +424,16 @@ def sample_batch(
     unsigned bytes for alphabets of up to 256 symbols.
 
     The window is drawn in row-major order, in blocks of at most
-    ``SAMPLE_CHUNK`` symbols; a symbol's index is the number of the law's
-    cuts its draw reaches (:func:`_draw_law`), one comparison pass per
-    cut written into the window or added from the scratch.  A law whose
-    thresholds need W <= 32 bits draws a block of m symbols from ceil(m
-    W / 64) raw words (``bit_generator.random_raw``) as W-bit fields,
-    with its probabilities exactly: a fair coin takes a byte a symbol.
-    Any other law draws a uniform u from ``rng.random`` per symbol and
-    counts the cumulative-law entries <= u, the ``searchsorted(u,
-    side="right")`` of ``Generator.choice(k, p=probs)``: the same symbols
-    and the same generator state afterwards.
+    ``SAMPLE_CHUNK`` symbols; a block of m symbols reads ceil(m W / 64)
+    raw words (``bit_generator.random_raw``) as W-bit fields, W from
+    :func:`_draw_law`, and a symbol's index is the number of the law's
+    cuts its field reaches, one comparison pass per cut written into the
+    window or added from the scratch.  Each law is drawn with its
+    probabilities exactly: a fair coin takes a byte a symbol.  A law of
+    more than 32 bits takes a word a symbol, and since ``rng.random()``
+    is (raw >> 11) 2^-53, it draws the symbols of ``Generator.choice(k,
+    p=probs)`` (which counts the cumulative-law entries <= u) and leaves
+    the generator in the same state.
 
     The batch's arrays are views of ``buffers``: fresh ones sized to the
     batch by default, or the stream's own, which :func:`sample_chunks`
@@ -462,10 +460,10 @@ def sample_batch(
         for start in range(0, window.size, step):
             block = window[start : start + step]
             m = len(block)
-            if field is None:
-                draws = rng.random(out=buffers.draws[:m])
-            else:
-                draws = rng.bit_generator.random_raw(-(-m * field.itemsize // 8)).view(field)[:m]
+            draws = rng.bit_generator.random_raw(-(-m * field.itemsize // 8)).view(field)[:m]
+            if not cuts:  # every threshold is 2^53: only the first symbol is drawn
+                block.fill(0)
+                continue
             np.greater_equal(draws, cuts[0], out=block)
             for c in cuts[1:]:
                 block += np.greater_equal(draws, c, out=buffers.scratch[:m])

@@ -68,6 +68,10 @@ __all__ = [
     "UnsupportedSystemError",
     "U_BAND",
     "ACCEPT_TOL",
+    "CENSUS_KS",
+    "MAX_CENSUS_NODES",
+    "MAX_TOWER_DEPTH",
+    "MIN_CENSUS_CHARGE",
     "REJECT_FACTOR",
     "certify_product_tower",
     "compute_tower",
@@ -85,6 +89,28 @@ U_BAND = 4
 
 ACCEPT_TOL = 1e-6
 REJECT_FACTOR = 0.5
+#: The ks a census covers unless told otherwise: the proper functions and
+#: the two nearest multipliers on each side.
+CENSUS_KS = (0, 1, -1, 2, -2)
+#: Most basis labels one residual census may step (:func:`census_nodes`:
+#: 9 (1 + (N+1)(2N+1)) on the product at truncation N).  The census runs
+#: on Python ints in ``array`` storage: the five-k census of
+#: ``reproduce-letter`` takes about 1.7 microseconds and 41 traced bytes
+#: per label on a 2-core x86-64 host (1.72 s and 39 MB at N = 234), so the
+#: budget caps it near 2 s; N = 234 is the largest product truncation it
+#: admits.  That is a base census of about 0.5 microseconds per label and
+#: one more walk per k, about 0.24, so a residual search may also take at
+#: most five ks' worth of censuses at the budget: labels x ks <= 5 x
+#: ``MAX_CENSUS_NODES``.  A k also costs about 40 microseconds beyond its
+#: walk, its report entry included, which the estimate adds; the budget
+#: charges each k at least ``MIN_CENSUS_CHARGE`` labels, so at N = 2 (144
+#: labels, 74 microseconds a k) it admits 20,000 ks, about 1.5 s.
+MAX_CENSUS_NODES = 10**6
+MIN_CENSUS_CHARGE = 250
+#: Most levels :func:`compute_tower` may build.  A level and its report
+#: entry take about 65 microseconds and 4 KB on a 2-core x86-64 host (6.4 s
+#: and 433 MB peak RSS at 10^5 levels), so the budget caps a run near 2 s.
+MAX_TOWER_DEPTH = 30_000
 
 
 class UnsupportedSystemError(ValueError):
@@ -239,9 +265,15 @@ def _minimal_multiple(
 def compute_tower(system: SystemSpec, max_depth: int) -> list[TowerLevel]:
     """Levels 1', 1'', ... up to ``max_depth`` primes, starting from the
     constants (the system is ergodic, so level one is exactly the
-    constants)."""
+    constants).  A ``max_depth`` over ``MAX_TOWER_DEPTH`` is refused,
+    with its estimated time, before any level is built."""
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
+    if max_depth > MAX_TOWER_DEPTH:
+        raise ValueError(
+            f"tower max_depth {max_depth} is over the budget of {MAX_TOWER_DEPTH} "
+            f"levels: the levels would take about {6.5e-5 * max_depth:.0f} s"
+        )
     levels = [TowerLevel(ModeSubgroup.trivial(), depth=1)]
     while len(levels) < max_depth:
         levels.append(tower_step(levels[-1], system))
@@ -383,6 +415,28 @@ def census_nodes(kind: str, truncation: int) -> int:
     return (2 * U_BAND + 1) * (1 + (truncation + 1) * side if kind == "product" else side)
 
 
+def _check_census_cost(kind: str, truncation: int, ks: int) -> None:
+    """Refuse a census over the node budget, and ``ks`` censuses stepping
+    more labels than five at it, each k charged at least ``MIN_CENSUS_CHARGE``
+    labels; the time estimate adds each k's fixed cost to its walk."""
+    nodes = census_nodes(kind, truncation)
+    if nodes > MAX_CENSUS_NODES:
+        raise ValueError(
+            f"residual truncation {truncation} needs {nodes} census nodes, over "
+            f"the budget of {MAX_CENSUS_NODES} nodes"
+        )
+    budget = 5 * MAX_CENSUS_NODES
+    charge = max(nodes, MIN_CENSUS_CHARGE)
+    if charge * ks > budget:
+        fixed = f" (charged {charge} for a k's fixed cost)" if charge > nodes else ""
+        raise ValueError(
+            f"{ks} ks at residual truncation {truncation} step {nodes} census "
+            f"nodes each{fixed}, {charge * ks} in all, over the budget of {budget} "
+            f"(five ks at {MAX_CENSUS_NODES} nodes): the censuses would take about "
+            f"{5e-7 * nodes + ks * (4e-5 + 2.4e-7 * nodes):.0f} s"
+        )
+
+
 def _path_residual(n: int) -> float:
     """The least-squares minimum on a free path of n nodes,
     ``sqrt(2 - 2 cos(pi / (n + 1)))``."""
@@ -442,9 +496,15 @@ def residual_census(
     k: node i goes to ``(row[i] - k) T + t[i]``, or to none where the
     image leaves the basis.  Then :func:`_orbit_census` walks the nodes
     once per k.
+
+    The ks are read once, and a census over the node budget, or ks over
+    five censuses' worth of labels (:func:`_check_census_cost`), is
+    refused with its estimated time before any label is stepped.
     """
     if truncation < 2:
         raise ValueError("truncation must be >= 2")
+    ks = tuple(ks)
+    _check_census_cost(spec.kind, truncation, len(ks))
     width = 2 * U_BAND + 1
     sectors, tails_seen = [], 0
     for sector, (box, tails) in _sector_tails(spec, truncation).items():
@@ -558,13 +618,9 @@ class ProductTowerCertificate:
         }
 
 
-def certify_product_tower(
-    spec: SystemSpec,
-    truncation: int = 8,
-    ks: Sequence[int] = (0, 1, -1, 2, -2),
-) -> ProductTowerCertificate:
+def certify_product_tower(spec: SystemSpec, truncation: int = 8) -> ProductTowerCertificate:
     """Corroborate the exact product-tower decision with the residual search,
-    one P step for all of ``ks`` (:func:`residual_census`).
+    one P step for all of ``CENSUS_KS`` (:func:`residual_census`).
 
     Each k's search accepts a finite orbit at residual <= ``ACCEPT_TOL``
     and rejects one at residual >= ``r0 * REJECT_FACTOR``; a residual in
@@ -581,7 +637,7 @@ def certify_product_tower(
     r0 = residual_reference()
     reject_at = r0 * REJECT_FACTOR
     reports = []
-    for report in residual_census(spec, ks, truncation):
+    for report in residual_census(spec, CENSUS_KS, truncation):
         reports.append(report)
         k = report.k
         if report.residual <= ACCEPT_TOL:
@@ -622,13 +678,13 @@ class DistinguishResult:
         return self.verdict == "distinguished"
 
 
-def _tower_gap(spec: SystemSpec, truncation: int, ks: Sequence[int]) -> tuple[bool, dict]:
+def _tower_gap(spec: SystemSpec, truncation: int) -> tuple[bool, dict]:
     """Does 1'' != 1''' hold?  Decided exactly for both kinds by
     :func:`decide_finite_orbits`.
 
     The evidence carries the decision and what corroborates it: the skew
     tower's levels from :func:`compute_tower`, or the product's residual
-    certificate over ``ks``.  Either one disagreeing with the decision
+    certificate.  Either one disagreeing with the decision
     raises ``RuntimeError``.
     """
     decision = decide_finite_orbits(spec.kind)
@@ -640,17 +696,14 @@ def _tower_gap(spec: SystemSpec, truncation: int, ks: Sequence[int]) -> tuple[bo
         evidence["levels"] = [lvl.to_json() for lvl in levels]
         evidence["stabilization_depth"] = stabilization_depth(levels)
     else:
-        cert = certify_product_tower(spec, truncation=truncation, ks=ks)
+        cert = certify_product_tower(spec, truncation=truncation)
         evidence["certificate"] = cert.to_json()
         evidence["stabilization_depth"] = None if decision.gap else 2
     return decision.gap, evidence
 
 
 def towers_distinguish(
-    spec_a: SystemSpec,
-    spec_b: SystemSpec,
-    truncation: int = 8,
-    ks: Sequence[int] = (0, 1, -1, 2, -2),
+    spec_a: SystemSpec, spec_b: SystemSpec, truncation: int = 8
 ) -> DistinguishResult:
     """Compare the tower invariant (does the tower grow past the proper
     functions?) between two systems.
@@ -658,8 +711,8 @@ def towers_distinguish(
     "distinguished" means the invariant differs, which rules out any
     spacial isomorphism; sameness of the invariant distinguishes nothing.
     """
-    gap_a, ev_a = _tower_gap(spec_a, truncation, ks)
-    gap_b, ev_b = _tower_gap(spec_b, truncation, ks)
+    gap_a, ev_a = _tower_gap(spec_a, truncation)
+    gap_b, ev_b = _tower_gap(spec_b, truncation)
     verdict = "distinguished" if gap_a != gap_b else "not-distinguished"
     return DistinguishResult(
         verdict=verdict,

@@ -24,21 +24,19 @@ import jsonschema
 import pytest
 
 import ergolab
-from ergolab import InconclusiveEvidenceError, SystemSpec, tower
+from ergolab import InconclusiveEvidenceError, SystemSpec, cli, tower
 from ergolab._record import replace
 from ergolab.cli import (
     DEFAULT_SEED,
-    MAX_CENSUS_NODES,
     MAX_SAMPLED_SYMBOLS,
-    MAX_TOWER_DEPTH,
-    MAX_WEAK_MIXING_DIGITS,
-    MIN_CENSUS_CHARGE,
     ExperimentConfig,
     ExperimentReport,
     RUNNERS,
     default_config,
     main,
 )
+from ergolab.mixing import MAX_WEAK_MIXING_DIGITS
+from ergolab.tower import MAX_CENSUS_NODES, MAX_TOWER_DEPTH, MIN_CENSUS_CHARGE
 
 
 def run(tmp_path: Path, *argv: str) -> tuple[int, Path]:
@@ -364,6 +362,41 @@ def test_letter_identical_skews_are_not_distinguished(tmp_path):
     assert "not distinguished by tower" in statements
 
 
+def test_letter_skews_are_not_refused_for_a_census_they_never_run(tmp_path):
+    """Only a product system runs a residual census, so two skews at a
+    residual truncation whose skew census would pass the node budget
+    (9 (2N + 1) labels at N = 55,556) run, with the towers of the
+    default truncation."""
+    truncation = 55_556
+    assert tower.census_nodes("skew", truncation) > MAX_CENSUS_NODES
+    skew = {"kind": "skew", "gamma": {"quadratic": [-1, 1, 2, 1]}}
+    reports = []
+    for n in (truncation, 8):
+        cfg = tmp_path / f"cfg{n}.json"
+        cfg.write_text(json.dumps({"systems": [skew, skew], "residual_truncation": n}))
+        code, out = run(tmp_path / str(n), "reproduce-letter", "--config", str(cfg))
+        assert code == 0
+        reports.append(read_report(out))
+    assert reports[0]["results"]["towers"] == reports[1]["results"]["towers"]
+    assert reports[0]["verdicts"][-1]["statement"] == "not distinguished by tower"
+
+
+def test_a_flag_overrides_the_config_file_before_validation(tmp_path, monkeypatch):
+    """Defaults, file and flags merge into one config, validated once by
+    ``from_json`` and once by the constructor it calls: ``--format json``
+    over a file that holds ``"format": "xml"`` runs and writes
+    report.json alone."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "xml", "seed": 3}))
+    checked = []
+    honest = cli._validate_config
+    monkeypatch.setattr(cli, "_validate_config", lambda data: checked.append(data) or honest(data))
+    code, out = run(tmp_path, "theorem1", "--config", str(cfg), "--format", "json")
+    assert code == 0 and [path.name for path in out.iterdir()] == ["report.json"]
+    assert len(checked) == 2 and checked[0]["format"] == "json"
+    assert read_report(out)["seed"] == 3
+
+
 def test_letter_mismatched_angles_fail_cleanly(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -420,10 +453,10 @@ def test_residual_truncation_above_the_node_budget_is_refused(argv, tmp_path, ca
     nodes = 9 * (1 + (truncation + 1) * (2 * truncation + 1))
     assert nodes > MAX_CENSUS_NODES >= 9 * (1 + truncation * (2 * truncation - 1))
 
-    def census(*args):
+    def tails(*args):
         raise AssertionError("the census stepped its nodes")
 
-    monkeypatch.setattr(tower, "residual_census", census)
+    monkeypatch.setattr(tower, "_sector_tails", tails)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"residual_truncation": truncation}))
     code, out = run(tmp_path, *argv, "--config", str(cfg))
@@ -434,6 +467,15 @@ def test_residual_truncation_above_the_node_budget_is_refused(argv, tmp_path, ca
         f"the budget of {MAX_CENSUS_NODES} nodes" in err
     )
     assert not out.exists()
+
+
+class CensusStarted(Exception):
+    """Raised where a census would start stepping its labels; main does
+    not catch it."""
+
+
+def _census_starts(*args):
+    raise CensusStarted
 
 
 @pytest.mark.parametrize("count", [5, 6, 10**4])
@@ -447,23 +489,19 @@ def test_residual_search_ks_above_the_census_budget_are_refused(count, tmp_path,
     truncation = 234
     nodes = 9 * (1 + (truncation + 1) * (2 * truncation + 1))
     assert 5 * nodes <= 5 * MAX_CENSUS_NODES < 6 * nodes
-    ran = []
-
-    def census(spec, ks, truncation):
-        ran.append(len(ks))
-        return iter(())
-
-    monkeypatch.setattr(tower, "residual_census", census)
+    monkeypatch.setattr(tower, "_sector_tails", _census_starts)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "residual_truncation": truncation, "params": {"ks": list(range(count))},
     }))
-    code, out = run(tmp_path, "compute", "residual-search", "--config", str(cfg))
-    err = capsys.readouterr().err
+    argv = ("compute", "residual-search", "--config", str(cfg))
     if count == 5:
-        assert (code, ran) == (0, [5])
+        with pytest.raises(CensusStarted):
+            run(tmp_path, *argv)
         return
-    assert code == 1 and ran == [] and not out.exists()
+    code, out = run(tmp_path, *argv)
+    err = capsys.readouterr().err
+    assert code == 1 and not out.exists()
     assert (
         f"error: {count} ks at residual truncation {truncation} step {nodes} census "
         f"nodes each, {count * nodes} in all, over the budget of {5 * MAX_CENSUS_NODES} "
@@ -485,23 +523,19 @@ def test_residual_search_charges_each_k_its_fixed_cost(count, tmp_path, capsys, 
     truncation, nodes = 2, 144
     assert nodes == 9 * (1 + (truncation + 1) * (2 * truncation + 1)) < MIN_CENSUS_CHARGE
     assert count * nodes < 5 * MAX_CENSUS_NODES
-    ran = []
-
-    def census(spec, ks, truncation):
-        ran.append(len(ks))
-        return iter(())
-
-    monkeypatch.setattr(tower, "residual_census", census)
+    monkeypatch.setattr(tower, "_sector_tails", _census_starts)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "residual_truncation": truncation, "params": {"ks": list(range(count))},
     }))
-    code, out = run(tmp_path, "compute", "residual-search", "--config", str(cfg))
-    err = capsys.readouterr().err
+    argv = ("compute", "residual-search", "--config", str(cfg))
     if count == 20_000:
-        assert (code, ran) == (0, [count])
+        with pytest.raises(CensusStarted):
+            run(tmp_path, *argv)
         return
-    assert code == 1 and ran == [] and not out.exists()
+    code, out = run(tmp_path, *argv)
+    err = capsys.readouterr().err
+    assert code == 1 and not out.exists()
     assert f"{5e-7 * nodes + count * (4e-5 + 2.4e-7 * nodes):.2f}" == "1.49"
     assert err == (
         "error: 20001 ks at residual truncation 2 step 144 census nodes each "
@@ -526,7 +560,7 @@ def test_tower_depth_above_the_level_budget_is_refused(tmp_path, capsys, monkeyp
     def built(*args):
         raise AssertionError("the tower built its levels")
 
-    monkeypatch.setattr(tower, "compute_tower", built)
+    monkeypatch.setattr(tower, "tower_step", built)
     depth = MAX_TOWER_DEPTH + 1
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"params": {"max_depth": depth}}))

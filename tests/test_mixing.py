@@ -41,6 +41,7 @@ from ergolab import (
     weak_mixing_verdict,
 )
 from ergolab import systems
+from ergolab.mixing import MAX_WEAK_MIXING_DIGITS
 
 from entropy_oracle import concatenate, copied
 from exact_oracle import bracket_float
@@ -389,6 +390,24 @@ def test_statistic_at_a_trillion_lags():
     stat = weak_mixing_statistic(SKEW, HALF, HALF, 10**12)
     assert 0.124 < stat < 0.126
     assert weak_mixing_statistic(SKEW, HALF, HALF, 10**12) == stat
+
+
+def test_statistic_refuses_t_over_the_digit_budget(monkeypatch):
+    """A library caller is refused as ``compute weak-mixing`` is, with
+    the same text, before any measure or floor sum is taken; a t at the
+    budget's last digit count is not."""
+    def measured(*args):
+        raise AssertionError("the statistic began its sums")
+
+    monkeypatch.setattr(TestSet, "exact_measure", measured)
+    with pytest.raises(ValueError) as caught:
+        weak_mixing_statistic(SKEW, HALF, HALF, 10**MAX_WEAK_MIXING_DIGITS)
+    assert str(caught.value) == (
+        f"weak-mixing t has {MAX_WEAK_MIXING_DIGITS + 1} digits, over the budget of "
+        f"{MAX_WEAK_MIXING_DIGITS}: its floor sums would take about 3 s"
+    )
+    with pytest.raises(AssertionError, match="began its sums"):
+        weak_mixing_statistic(SKEW, HALF, HALF, 10**MAX_WEAK_MIXING_DIGITS - 1)
 
 
 @pytest.mark.parametrize(

@@ -209,7 +209,7 @@ LAWS = {
     "256": _random_law(256),
     "300": _random_law(300),  # indices past 255 take uint16 windows
 }
-#: The field each law draws a symbol from, in bits; 64 is one float draw.
+#: The field each law draws a symbol from, in bits; 64 is a whole word.
 WIDTHS = {"fair": 8, "0.1-0.9": 64, "three": 64, "uniform4": 8, "dyadic5": 8,
           "16-bit": 16, "32-bit": 32, "256": 64, "300": 64}
 # the last cumulative entry before the end is 1: symbol 2 is never drawn
@@ -246,10 +246,10 @@ class Fields:
 
 def _symbol_draws(bern: BernoulliSpec, symbols: int, chunk: int) -> list:
     """The draws of a window of ``symbols`` symbols in blocks of at most
-    ``chunk``: one float each, or ceil(m W / 64) words for m W-bit fields."""
+    ``chunk``: ceil(m W / 64) words for m W-bit fields."""
     w = field_width(bern)
     sizes = [min(chunk, symbols - start) for start in range(0, symbols, chunk)]
-    return [("random", m) if w == 64 else ("raw", -(-m * w // 64)) for m in sizes]
+    return [("raw", -(-m * w // 64)) for m in sizes]
 
 
 @pytest.mark.parametrize("law", [*LAWS, "edge"])
@@ -263,8 +263,7 @@ def test_each_law_draws_from_the_field_its_thresholds_need(law):
     w = field_width(bern)
     assert w == (8 if law == "edge" else WIDTHS[law])
     assert systems.symbol_thresholds(bern) == tuple(exact_thresholds(bern))
-    field = systems._buffers(SystemSpec.shift(bern), 1, 1).field
-    assert (field is None) == (w == 64) and (w == 64 or field.itemsize * 8 == w)
+    assert systems._buffers(SystemSpec.shift(bern), 1, 1).field.itemsize * 8 == w
     if w > 16:
         return
     every = Fields(np.arange(2**w, dtype=f"u{w // 8}"))
@@ -385,20 +384,20 @@ def test_a_batch_that_its_buffers_cannot_hold_is_refused(case):
 
 
 def test_a_draw_on_a_cumulative_entry_takes_the_next_symbol():
-    """u equal to an entry of the cumulative law counts it, as
-    ``searchsorted(u, side="right")`` does; the float just below does not."""
+    """A law of more than 32 bits compares whole words with the cuts t_i
+    << 11, the least words whose float u = (raw >> 11) 2^-53 reaches the
+    cumulative entry c_i: a word on a cut counts it, the word just below
+    does not, and each symbol is the count of entries <= u, as
+    ``searchsorted(u, side="right")`` counts them."""
     bern = LAWS["three"]
+    cuts = [t << 11 for t in exact_thresholds(bern)[:-1]]
+    words = np.array([0, *cuts, *(c - 1 for c in cuts), 2**64 - 1], dtype=np.uint64)
+    batch = sample_batch(SystemSpec.shift(bern), Fields(words), len(words), positions=range(1))
+    assert batch.sym[:, 0].tolist() == [0, 1, 2, 0, 1, 2]
     cdf = np.cumsum(bern.probs)
     cdf /= cdf[-1]
-    draws = np.array([0.0, *cdf[:-1], *np.nextafter(cdf[:-1], 0), np.nextafter(1.0, 0)])
-
-    class Replay:
-        def random(self, out):
-            out[...] = draws.reshape(out.shape)
-            return out
-
-    batch = sample_batch(SystemSpec.shift(bern), Replay(), len(draws), positions=range(1))
-    assert batch.sym[:, 0].tolist() == [0, 1, 2, 0, 1, 2]
+    floats = (words >> np.uint64(11)).astype(float) * 2.0**-53
+    assert np.searchsorted(cdf[:-1], floats, side="right").tolist() == [0, 1, 2, 0, 1, 2]
 
 
 def test_a_field_on_a_cut_takes_the_next_symbol():
@@ -414,11 +413,12 @@ def test_a_field_on_a_cut_takes_the_next_symbol():
 
 def test_a_law_whose_first_entry_is_one_draws_only_its_first_symbol():
     """(1 - 2^-53, 1e-300) puts every threshold at 2^53, so no field has
-    a cut to compare with: the law keeps the float draw, one word per
-    symbol, and never draws its second symbol."""
+    a cut to compare with: the law still takes a whole word a symbol,
+    and never draws its second symbol."""
     bern = BernoulliSpec((1 - 2**-53, 1e-300))
     assert systems.symbol_thresholds(bern) == (2**53, 2**53)
-    assert systems._buffers(SystemSpec.shift(bern), 1, 1).field is None
+    buffers = systems._buffers(SystemSpec.shift(bern), 1, 1)
+    assert buffers.field == np.uint64 and buffers.cuts == ()
     rng, clone = spawn_rngs(19, 1)[0], spawn_rngs(19, 1)[0]
     batch = sample_batch(SystemSpec.shift(bern), rng, 100, positions=range(10))
     assert not batch.sym.any()

@@ -49,6 +49,9 @@ from ergolab import tower
 from ergolab.koopman import _integer_solutions
 from ergolab.tower import (
     ACCEPT_TOL,
+    CENSUS_KS,
+    MAX_CENSUS_NODES,
+    MAX_TOWER_DEPTH,
     REJECT_FACTOR,
     OrbitDecision,
     _minimal_multiple,
@@ -169,6 +172,43 @@ def test_tower_only_defined_for_skew():
     for spec in (SystemSpec.rotation(GAMMA), SystemSpec.shift(BernoulliSpec.fair_coin())):
         with pytest.raises(UnsupportedSystemError):
             compute_tower(spec, 3)
+
+
+def _work_begins(*args):
+    raise AssertionError("the work began")
+
+
+def test_compute_tower_refuses_a_depth_over_the_budget(monkeypatch):
+    """A library caller is refused as ``compute tower`` is, with the same
+    text, before any level is built; the budget's own depth is not."""
+    monkeypatch.setattr(tower, "tower_step", _work_begins)
+    with pytest.raises(ValueError) as caught:
+        compute_tower(SKEW, MAX_TOWER_DEPTH + 1)
+    assert str(caught.value) == (
+        f"tower max_depth {MAX_TOWER_DEPTH + 1} is over the budget of {MAX_TOWER_DEPTH} "
+        f"levels: the levels would take about 2 s"
+    )
+    with pytest.raises(AssertionError, match="work began"):
+        compute_tower(SKEW, MAX_TOWER_DEPTH)
+
+
+def test_residual_census_refuses_over_the_node_budget_before_a_step(monkeypatch):
+    """The first ``next`` of a census over the budget raises the command
+    line's text before any label is stepped: N = 235 needs more than
+    ``MAX_CENSUS_NODES`` labels, and six ks at N = 234, read once from
+    an iterator, more than five censuses' worth."""
+    monkeypatch.setattr(tower, "_sector_tails", _work_begins)
+    census = residual_census(PRODUCT, CENSUS_KS, 235)
+    with pytest.raises(ValueError) as caught:
+        next(census)
+    assert str(caught.value) == (
+        "residual truncation 235 needs 1000413 census nodes, over the budget of "
+        f"{MAX_CENSUS_NODES} nodes"
+    )
+    with pytest.raises(ValueError, match=r"^6 ks at residual truncation 234 step \d+ census nodes each, "):
+        next(residual_census(PRODUCT, iter(range(6)), 234))
+    with pytest.raises(AssertionError, match="work began"):
+        next(residual_census(PRODUCT, iter(range(5)), 234))
 
 
 def _identity(mode):
@@ -364,7 +404,7 @@ def test_verdicts_raise_when_evidence_disagrees_with_the_decision(monkeypatch):
         tower, "decide_finite_orbits", lambda kind: OrbitDecision({"x": (0, 0)})
     )
     with pytest.raises(RuntimeError, match="exact decision"):
-        _tower_gap(SKEW, 8, (0, 1))
+        _tower_gap(SKEW, 8)
 
 
 small = st.integers(-3, 3)
