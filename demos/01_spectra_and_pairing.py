@@ -63,10 +63,11 @@ def main() -> None:
     for identity in check.identities:
         print(f"  {identity}")
     print()
-    print(f"sample of the mode pairing, {len(pairing.mapping)} pairs inside [-16, 16]")
+    mapping = pairing.mapping
+    print(f"sample of the mode pairing, {len(mapping)} pairs inside [-16, 16]")
     print("(proper modes map k -> k, chains position to position):")
     shown = 0
-    for key, value in pairing.mapping.items():
+    for key, value in mapping.items():
         print(f"  {key!r:28s} -> {value!r}")
         shown += 1
         if shown == 6:

@@ -24,13 +24,15 @@ and the tower's exact decision and residual search.  Phases are integer
 multiples of gamma, so the angle's value is only needed for reporting.
 The intertwiner pairs renormalized chain bases (``f[k,m]`` on the skew
 side, ``t[l,k,m]`` on the product side), whose chain steps are
-phase-free.  Nothing here imports numpy.
+phase-free.  Each basis is a class that describes its chains; a
+pairing's list of label pairs inside a box is a dict, built only when
+asked.  Nothing here imports numpy.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -444,24 +446,18 @@ class _Poly:
 
 
 class _Basis:
-    """The normalized basis of one system kind, and its truncation to the
-    box [-B, B].
+    """The normalized basis of one system kind, described chain by chain.
 
     Proper mode k is the raw label ``point_label(k)`` of the sector
-    ``point_sector``, shown as ``("point", k)``; ``points`` bounds the k
-    inside the box.  Chain c, position j is the raw label
-    ``chain_label(params(c), j)`` of ``chain_sector``, times the phase
-    ``e(exponent(params, j) gamma)``, shown as ``("chain", *params, j)``;
-    ``chain_params`` names the parameters.  Raw labels and exponents are
-    ints, or polynomials when the parameters and position are.
-
-    Chains are enumerated in closed form: ``params`` and ``chain_index``
-    are inverse maps between an index c and a chain's parameters (-2 for
-    parameters outside the box), ``positions(c)`` is the range [lo, hi]
-    of positions of chain c inside the box, ``position_count()`` their
-    number over the chains held, and ``chain_count(B)`` the number of
-    chains meeting the box.  A basis holds its first ``chains`` chains,
-    by default all; an index past them names a chain it does not hold.
+    ``point_sector``, shown as ``("point", k)``; ``points(B)`` ranges over
+    the k inside the box [-B, B].  Position j of the chain with
+    parameters ``params`` is the raw label ``chain_label(params, j)`` of
+    ``chain_sector``, times the phase ``e(exponent(params, j) gamma)``,
+    shown as ``("chain", *params, j)``; ``chain_params`` names the
+    parameters.  Raw labels and exponents are ints, or polynomials when
+    the parameters and position are.  ``chains(B)`` yields each chain
+    meeting the box in the canonical order, as its parameters and its
+    positions inside the box; ``chain_count(B)`` is their closed form.
     """
 
     kind = "rotation"
@@ -469,50 +465,25 @@ class _Basis:
     chain_sector: Optional[str] = None
     chain_params: tuple[str, ...] = ()
 
-    def __init__(self, B: int, chains: Optional[int] = None) -> None:
-        self.B = B
-        self.chains = self.chain_count(B) if chains is None else chains
-
-    @property
-    def points(self) -> tuple[int, int]:
-        return -self.B, self.B
+    @staticmethod
+    def points(B: int) -> range:
+        return range(-B, B + 1)
 
     @staticmethod
     def chain_count(B: int) -> int:
         return 0
 
-    def params(self, c: int) -> tuple:
-        return ()
+    @staticmethod
+    def chains(B: int) -> Iterator[tuple[tuple, range]]:
+        return iter(())
 
-    def positions(self, c: int) -> tuple[int, int]:
-        return -self.B, self.B
-
-    def position_count(self) -> int:
-        return self.chains * (2 * self.B + 1)
-
-    def chain_index(self, *params: int) -> int:
-        return -2
-
-    def point_label(self, k) -> tuple:
+    @staticmethod
+    def point_label(k) -> tuple:
         return (k,)
 
-    def exponent(self, params: tuple, j):
+    @staticmethod
+    def exponent(params: tuple, j):
         return 0
-
-    def label(self, c: int, j: int) -> tuple:
-        return ("point", j) if c < 0 else ("chain", *self.params(c), j)
-
-    def parse(self, label) -> tuple[int, int]:
-        """The integer label (c, j) of a label tuple; KeyError if the
-        tuple names no basis vector of this kind."""
-        if isinstance(label, tuple) and all(type(x) is int for x in label[1:]):
-            if label[:1] == ("point",) and len(label) == 2:
-                return -1, label[1]
-            if label[:1] == ("chain",) and len(label) == len(self.chain_params) + 2:
-                c = self.chain_index(*label[1:-1])
-                if c >= 0:
-                    return c, label[-1]
-        raise KeyError(label)
 
 
 class _ShiftBasis(_Basis):
@@ -523,22 +494,28 @@ class _ShiftBasis(_Basis):
     point_sector = "constant"
     chain_sector = "support"
     chain_params = ("m",)
-    points = (0, 0)
+
+    @staticmethod
+    def points(B):
+        return range(1)
 
     @staticmethod
     def chain_count(B: int) -> int:
         return 2 * B + 1
 
-    def params(self, c):
-        return ((c + 1) // 2 if c % 2 else -(c // 2),)
+    @staticmethod
+    def chains(B):
+        yield (0,), range(-B, B + 1)
+        for a in range(1, B + 1):
+            for m in (a, -a):
+                yield (m,), range(-B, B + 1)
 
-    def chain_index(self, m):
-        return -2 if abs(m) > self.B else 2 * m - 1 if m > 0 else -2 * m
-
-    def point_label(self, k):
+    @staticmethod
+    def point_label(k):
         return ()
 
-    def chain_label(self, params, j):
+    @staticmethod
+    def chain_label(params, j):
         (m,) = params
         return j, m
 
@@ -557,46 +534,25 @@ class _SkewBasis(_Basis):
         return B * (B + 1)
 
     @staticmethod
-    def _ring(c: int) -> tuple[int, bool, int]:
-        """|m|, whether m < 0, and r of chain c."""
-        # a (a - 1) chains have |m| < a, so chain c has |m| = a for the a
-        # with a (a - 1) <= c < a (a + 1)
-        a = (math.isqrt(4 * c + 1) + 1) // 2
-        rest = c - a * (a - 1)
-        negative = rest >= a
-        return a, negative, rest - negative * a
+    def chains(B):
+        for a in range(1, B + 1):
+            for m in (a, -a):
+                for r in range(a):
+                    # the positions j with r + j m in [-B, B]
+                    s = r if m > 0 else -r
+                    yield (m, r), range(-((B + s) // a), (B - s) // a + 1)
 
-    def params(self, c):
-        a, negative, r = self._ring(c)
-        return (-a if negative else a), r
-
-    def positions(self, c):
-        # the positions j with r + j m in [-B, B]
-        a, negative, r = self._ring(c)
-        if negative:
-            r = -r
-        return -((self.B + r) // a), (self.B - r) // a
-
-    def position_count(self):
-        # one m's |m| chains hold each label r + j m in [-B, B] once; a cut m is walked
-        a, negative, r = self._ring(self.chains)
-        cut = (self.positions(c) for c in range(self.chains - r, self.chains))
-        return (2 * (a - 1) + negative) * (2 * self.B + 1) + sum(hi - lo + 1 for lo, hi in cut)
-
-    def chain_index(self, m, r):
-        a = abs(m)
-        if 1 <= a <= self.B and 0 <= r < a:
-            return a * (a - 1) + (m < 0) * a + r
-        return -2
-
-    def point_label(self, k):
+    @staticmethod
+    def point_label(k):
         return k, 0
 
-    def chain_label(self, params, j):
+    @staticmethod
+    def chain_label(params, j):
         m, r = params
         return r + j * m, m
 
-    def exponent(self, params, j):
+    @staticmethod
+    def exponent(params, j):
         return _normalizing_exponent(*params, j)
 
 
@@ -615,33 +571,21 @@ class _ProductBasis(_Basis):
     def chain_count(B: int) -> int:
         return (2 * B + 1) ** 2
 
-    def params(self, c):
-        # ring s holds the chains (2s-1)^2 .. (2s+1)^2 - 1, in the order
-        # ``chain_index`` counts
-        s = (math.isqrt(c) + 1) // 2
-        w = c - ((2 * s - 1) ** 2 if s > 0 else 0)
-        t, inner = w - (2 * s + 1), 2 * (2 * s - 1)
-        if t < 0:
-            return -s, w - s
-        if t < inner:
-            return t // 2 - s + 1, t % 2 * 2 * s - s
-        return s, t - inner - s
+    @staticmethod
+    def chains(B):
+        for s in range(B + 1):
+            for l in range(-s, s + 1):
+                # the ring's edges l = -s, s hold every m, the rows inside it m = -s, s
+                for m in range(-s, s + 1) if abs(l) == s else (-s, s):
+                    yield (l, m), range(-B, B + 1)
 
-    def chain_index(self, l, m):
-        s = max(abs(l), abs(m))
-        if s > self.B:
-            return -2
-        # rings < s hold (2s-1)^2 chains; ring s holds the 2s+1 chains with
-        # l = -s, then two (m = -s, s) per l strictly inside, then the 2s+1
-        # chains with l = s
-        before = ((2 * s - 1) ** 2 if s > 0 else 0) + (2 * l + 4 * s - 1 if l > -s else 0)
-        return before + (m + s if abs(l) == s else int(m == s))
-
-    def chain_label(self, params, j):
+    @staticmethod
+    def chain_label(params, j):
         l, m = params
         return l, j, m
 
-    def exponent(self, params, j):
+    @staticmethod
+    def exponent(params, j):
         # t = e(l k gamma) p
         return params[0] * j
 
@@ -661,72 +605,35 @@ class IntertwinerPairing:
     Labels name the *normalized* bases: ``("point", k)`` for proper
     modes and ``("chain", *chain_label, position)`` for Lebesgue chains
     (f-basis on the skew side, t-basis on the product side, d-basis for
-    a shift).  W is fixed by the two bases' chain enumerations and
+    a shift).  W is fixed by the two basis classes' chain orders and
     ``eps``, the sign relating the angles (gammaB = eps * gammaA mod 1):
-    chain c of A goes to chain c of B position by position, and the
-    proper mode k of A to the proper mode eps * k of B.  ``truncation``
-    only bounds what ``mapping`` shows: the pairs of labels both bases
-    hold inside the box, the proper modes first, then chain by chain.
-    Nothing is stored per chain or per pair.
+    the c-th chain of A goes to the c-th chain of B position by
+    position, and the proper mode k of A to the proper mode eps * k of
+    B.  ``truncation`` only bounds what ``mapping`` lists; nothing is
+    stored per chain or per pair.
     """
 
     spec_a: SystemSpec
     spec_b: SystemSpec
     truncation: int
     eps: int
-    basis_a: _Basis = field(repr=False)
-    basis_b: _Basis = field(repr=False)
-
-    def positions(self, c: int) -> tuple[int, int]:
-        """lo, hi: the positions of chain c that both bases hold."""
-        lo_a, hi_a = self.basis_a.positions(c)
-        lo_b, hi_b = self.basis_b.positions(c)
-        return max(lo_a, lo_b), min(hi_a, hi_b)
-
-    def paired(self, c: int, j: int) -> bool:
-        """Is the side-A label (c, j) paired: a position both bases hold
-        on one of the paired chains, or a proper mode in ``points``?"""
-        if 0 <= c < self.basis_a.chains:
-            lo, hi = self.positions(c)
-            return lo <= j <= hi
-        p0, p1 = self.basis_a.points
-        return c == -1 and p0 <= j <= p1
+    basis_a: type[_Basis] = field(repr=False)
+    basis_b: type[_Basis] = field(repr=False)
 
     @property
-    def mapping(self) -> Mapping:
-        """Read-only ``{side-A label: side-B label}`` in pair order,
-        derived on demand; its length is counted when asked."""
-        return _PairMapping(self)
-
-
-class _PairMapping(Mapping):
-    """A pairing seen as a mapping of label tuples."""
-
-    def __init__(self, pairing: IntertwinerPairing) -> None:
-        self._pairing = pairing
-
-    def __len__(self) -> int:
-        # every chain spans [-B, B] but the skew's, which lie inside it, so
-        # the basis holding fewer positions holds the paired ones
-        a, b = self._pairing.basis_a, self._pairing.basis_b
-        return a.points[1] - a.points[0] + 1 + min(a.position_count(), b.position_count())
-
-    def __iter__(self) -> Iterator[tuple]:
-        pairing = self._pairing
-        p0, p1 = pairing.basis_a.points
-        for j in range(p0, p1 + 1):
-            yield "point", j
-        for c in range(pairing.basis_a.chains):
-            head, (lo, hi) = pairing.basis_a.label(c, 0)[:-1], pairing.positions(c)
-            for j in range(lo, hi + 1):
-                yield *head, j
-
-    def __getitem__(self, label) -> tuple:
-        pairing = self._pairing
-        c, j = pairing.basis_a.parse(label)
-        if not pairing.paired(c, j):
-            raise KeyError(label)
-        return pairing.basis_b.label(c, pairing.eps * j if c < 0 else j)
+    def mapping(self) -> dict:
+        """``{side-A label: side-B label}`` for the labels both bases hold
+        inside [-B, B], B the truncation: the proper modes, then chain by
+        chain.  Built on each read, one entry a pair: the 148,225 pairs
+        at B = 192 take about 0.08 s on a 2-core x86-64 host, and B = 10^5
+        would need 4 * 10^10.  No CLI run reads it."""
+        B, eps = self.truncation, self.eps
+        pairs = {("point", k): ("point", eps * k) for k in self.basis_a.points(B)}
+        chains = zip(self.basis_a.chains(B), self.basis_b.chains(B))
+        for (params_a, js_a), (params_b, js_b) in chains:
+            for j in range(max(js_a.start, js_b.start), min(js_a.stop, js_b.stop)):
+                pairs[("chain", *params_a, j)] = ("chain", *params_b, j)
+        return pairs
 
 
 class IntertwinerIdentity(NamedTuple):
@@ -767,10 +674,10 @@ def build_intertwiner(
     """Pair the normalized bases of two spectrally compatible systems.
 
     Point modes are matched by proper value (k maps to eps*k); chains
-    are matched in canonical enumeration order, position to position.
-    Each basis computes a chain's parameters and positions from its
-    index, so the pairing keeps only the two bases, each holding the
-    chains that get paired inside the truncation.  Raises
+    are matched in canonical order, position to position.  The pairing
+    keeps the sign eps and the two kinds' basis classes, which describe
+    every chain, so nothing is built per chain; ``truncation`` only
+    bounds what its ``mapping`` lists.  Raises
     :class:`IncompatibleSpectraError` when the descriptors differ
     structurally (different point groups or Lebesgue multiplicities).
     """
@@ -791,14 +698,12 @@ def build_intertwiner(
         if not cmp.equal:
             raise IncompatibleSpectraError(f"point-spectrum groups differ: {cmp.detail}")
         eps = cmp.relation[0]
-
-    cls_a, cls_b = _BASES[spec_a.kind], _BASES[spec_b.kind]
-    n_chains = min(cls_a.chain_count(truncation), cls_b.chain_count(truncation))
-    basis_a, basis_b = cls_a(truncation, n_chains), cls_b(truncation, n_chains)
-    return IntertwinerPairing(spec_a, spec_b, truncation, eps, basis_a, basis_b)
+    return IntertwinerPairing(
+        spec_a, spec_b, truncation, eps, _BASES[spec_a.kind], _BASES[spec_b.kind]
+    )
 
 
-def _basis_identities(side: str, basis: _Basis) -> Iterator[IntertwinerIdentity]:
+def _basis_identities(side: str, basis: type[_Basis]) -> Iterator[IntertwinerIdentity]:
     """The chain step and the proper modes of one basis, stepped through
     ``KOOPMAN_TABLE`` at a symbolic chain (parameters named as in
     ``chain_params``) and position j, or proper index k."""

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
 
 from ._record import record
-from .quadratic import QuadraticReal, RotationNumber, floor_sums
+from .quadratic import QuadraticReal, RotationNumber, decimal_digits, floor_sums
 from .systems import BernoulliSpec, CylinderSet, SampleBatch, SystemSpec
 
 if TYPE_CHECKING:
@@ -396,7 +396,7 @@ def weak_mixing_statistic(spec: SystemSpec, A: TestSet, B: TestSet, t: int) -> f
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    digits = len(str(t))
+    digits = decimal_digits(t)
     if digits > MAX_WEAK_MIXING_DIGITS:
         raise ValueError(
             f"weak-mixing t has {digits} digits, over the budget of "

@@ -38,6 +38,15 @@ _Scalar = Union[int, Fraction]
 _MAX_RADICAND = 10**12
 
 
+def decimal_digits(n: int) -> int:
+    """The decimal digits of an int n >= 1, counted without ``str(n)``,
+    which refuses ints of over 4,300 digits.  An n of b bits has f + 1 or
+    f + 2 digits, f = floor((b - 1) log10 2), which log10 2 to 40 places
+    gives exactly for every b below 10^16; one comparison decides."""
+    f = (n.bit_length() - 1) * 3010299956639811952137388947244930267681 // 10**40
+    return f + 1 + (n >= 10 ** (f + 1))
+
+
 @lru_cache(maxsize=None)
 def _squarefree(d: int) -> tuple[int, int]:
     """Split ``d = s**2 * d0`` with ``d0`` squarefree; returns ``(s, d0)``.
@@ -49,7 +58,7 @@ def _squarefree(d: int) -> tuple[int, int]:
         raise ValueError(f"radicand must be positive, got {d}")
     if d > _MAX_RADICAND:
         raise ValueError(
-            f"radicand d of {len(str(d))} digits is over the budget of 10^12: "
+            f"radicand d of {decimal_digits(d)} digits is over the budget of 10^12: "
             f"splitting off its square factors would take about "
             f"{Decimal(math.isqrt(d)) * Decimal('2.5e-7'):.2g} s"
         )

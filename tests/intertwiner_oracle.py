@@ -3,7 +3,7 @@
 This is the original construction of the basis pairing: chain labels are
 enumerated as tuples, and each chain's positions are found by scanning
 the truncation box.  Its pair set and pair order define what the
-``ergolab.koopman`` pairing's ``mapping`` view must reproduce exactly.
+``ergolab.koopman`` pairing's ``mapping`` dict must reproduce exactly.
 :func:`oracle_check` is the finite check the library's certificate
 replaced: it takes every paired label to its raw basis vector, steps it
 through ``KOOPMAN_TABLE`` and renormalizes the image, on both sides,

@@ -12,11 +12,8 @@ shown to fail when one entry of the table it applies is wrong.
 from __future__ import annotations
 
 import cmath
-import copy
 import math
-import time
 import tracemalloc
-from collections.abc import Mapping, MutableMapping
 from fractions import Fraction
 
 import numpy as np
@@ -138,7 +135,7 @@ def test_normalizing_phase_rejects_proper_rows():
     e(k gamma)."""
     with pytest.raises(ZeroDivisionError):
         _exponent_at(3, 0)
-    basis = koopman._SkewBasis(3)
+    basis = koopman._SkewBasis
     for k in range(-3, 4):
         x = basis.point_label(k)
         assert x == (k, 0) and koopman_step("skew", basis.point_sector, x) == (k, x)
@@ -233,13 +230,9 @@ def test_index_maps_are_injective_exhaustively():
 def _chains(kind: str, B: int) -> tuple[list[int], list[list[tuple]]]:
     """The proper-mode indices of a kind's basis in the box, and each
     chain as the raw labels its positions name, in operator order."""
-    basis = koopman._BASES[kind](B)
-    p0, p1 = basis.points
-    chains = []
-    for c in range(basis.chains):
-        lo, hi = basis.positions(c)
-        chains.append([basis.chain_label(basis.params(c), j) for j in range(lo, hi + 1)])
-    return list(range(p0, p1 + 1)), chains
+    basis = koopman._BASES[kind]
+    chains = [[basis.chain_label(params, j) for j in js] for params, js in basis.chains(B)]
+    return list(basis.points(B)), chains
 
 
 @pytest.mark.parametrize("kind", ["rotation", "skew", "product"])
@@ -269,12 +262,11 @@ def test_proper_modes_of_skew():
     (k, 0) rows, fixed with phase e(k gamma); every chain member moves,
     and its renormalized step has phase one."""
     B = 6
-    basis = koopman._BASES["skew"](B)
+    basis = koopman._BASES["skew"]
     for k in range(-B, B + 1):
         assert koopman_step("skew", "lattice", basis.point_label(k)) == (k, (k, 0))
-    for c in range(basis.chains):
-        params = basis.params(c)
-        for j in range(basis.positions(c)[0], basis.positions(c)[1] + 1):
+    for params, js in basis.chains(B):
+        for j in js:
             x = basis.chain_label(params, j)
             phase, image = koopman_step("skew", "lattice", x)
             assert image != x and image == basis.chain_label(params, j + 1)
@@ -333,14 +325,16 @@ CHAIN_CLOSED_FORMS = {
 def test_box_chain_counts_match_the_closed_forms_and_the_bases(spec):
     """Chains of moving labels that meet [-B, B]^d, counted by stepping
     the box through the table, against the closed form the spectrum
-    reports and the intertwiner basis's nonempty chains at the same B."""
+    reports and the chains the intertwiner basis yields at the same B,
+    each holding a position inside the box."""
     closed = CHAIN_CLOSED_FORMS[spec.kind]
     assert spectrum_of(spec).chain_counts == tuple((B, closed(B)) for B in CHAIN_BOXES)
+    basis = koopman._BASES[spec.kind]
     for B in (*CHAIN_BOXES, 0, 1, 11):
         counted = sum(chains_in_box(spec.kind, s, B) for s in KOOPMAN_TABLE[spec.kind])
-        basis = koopman._BASES[spec.kind](B)
-        nonempty = sum(lo <= hi for lo, hi in map(basis.positions, range(basis.chains)))
-        assert counted == nonempty == closed(B) == basis.chain_count(B)
+        yielded = [js for _, js in basis.chains(B)]
+        assert all(yielded)
+        assert counted == len(yielded) == closed(B) == basis.chain_count(B)
 
 
 def test_a_sector_without_a_closed_form_is_refused(monkeypatch):
@@ -546,15 +540,14 @@ def test_pairing_matches_the_dict_oracle(case, B):
     assert oracle_check(spec_a, spec_b, mapping).mismatches == 0
 
 
-def test_mapping_is_a_read_only_view_of_python_ints():
+def test_mapping_is_a_dict_of_python_ints():
+    """The pairs are a plain dict of label tuples of Python ints, built
+    afresh on each read, and labels outside the box are not in it."""
     pairing = build_intertwiner(*PAIRING_CASES["skew-product"], truncation=7)
     mapping = pairing.mapping
-    assert isinstance(mapping, Mapping) and not isinstance(mapping, MutableMapping)
-    items = list(mapping.items())
-    assert list(mapping) == [key for key, _ in items]
-    for key, value in items:
+    assert type(mapping) is dict and pairing.mapping is not mapping
+    for key, value in mapping.items():
         assert all(type(x) is int for x in key[1:] + value[1:])
-        assert mapping[key] == value
     outside = [
         ("point", 8),
         ("chain", 8, 0, 0),  # |m| > B
@@ -581,43 +574,28 @@ def test_checked_count_pins(B, checked):
     assert verify_intertwiner(pairing) == IntertwinerCheck(0, 9)
 
 
-def _walked_len(pairing) -> int:
-    """The pair count by walking every chain's common positions."""
-    p0, p1 = pairing.basis_a.points
-    chains = (pairing.positions(c) for c in range(pairing.basis_a.chains))
-    return p1 - p0 + 1 + sum(max(hi - lo + 1, 0) for lo, hi in chains)
+#: The pairs inside [-B, B] of each case, in closed form: the proper
+#: modes, then the positions the paired chains share.  A skew chain's
+#: positions lie inside those of the chain it is paired with, and the
+#: skew's chains hold the 2B(2B + 1) labels off the proper row.
+PAIR_COUNTS = {
+    "skew-product": lambda B: (2 * B + 1) ** 2,
+    "product-skew": lambda B: (2 * B + 1) ** 2,
+    "skew-skew": lambda B: (2 * B + 1) ** 2,
+    "product-product": lambda B: (2 * B + 1) * (1 + (2 * B + 1) ** 2),
+    "shift2-shift4": lambda B: 1 + (2 * B + 1) ** 2,
+    "rotation-rotation": lambda B: 2 * B + 1,
+    "skew-product-reflected": lambda B: (2 * B + 1) ** 2,
+    "rotation-rotation-reflected": lambda B: 2 * B + 1,
+}
 
 
 @pytest.mark.parametrize("case", list(PAIRING_CASES))
-def test_pair_count_is_the_walked_count(case):
-    """``len(mapping)``, counted from the bases' closed forms, equals
-    the chain-by-chain walk at B = 0..12."""
+def test_pair_count_has_a_closed_form(case):
+    """``len(mapping)`` equals the closed-form pair count at B = 0..12."""
     for B in range(13):
         pairing = build_intertwiner(*PAIRING_CASES[case], B)
-        assert len(pairing.mapping) == _walked_len(pairing), B
-
-
-def test_a_cut_skew_basis_counts_its_walked_positions():
-    """A skew basis holding only its first n chains counts the positions
-    those chains hold, for every n at B = 1..12."""
-    for B in range(1, 13):
-        for n in range(B * (B + 1) + 1):
-            basis = koopman._SkewBasis(B, n)
-            walked = sum(hi - lo + 1 for lo, hi in map(basis.positions, range(n)))
-            assert basis.position_count() == walked, (B, n)
-
-
-def test_pair_count_at_b_1e5_takes_under_a_millisecond():
-    """At B = 10^5 the skew-product pairing has 4 * 10^10 + 4 * 10^5 + 1
-    pairs, counted without visiting a chain."""
-    pairing = build_intertwiner(*PAIRING_CASES["skew-product"], 10**5)
-    best = math.inf
-    for _ in range(5):
-        start = time.perf_counter()
-        count = len(pairing.mapping)
-        best = min(best, time.perf_counter() - start)
-    assert count == 2 * 10**5 * (2 * 10**5 + 1) + 2 * 10**5 + 1
-    assert best < 1e-3
+        assert len(pairing.mapping) == PAIR_COUNTS[case](B), B
 
 
 def _traced_peak(B: int) -> int:
@@ -676,40 +654,18 @@ def _ring_order(B: int) -> list[list[int]]:
 
 @pytest.mark.parametrize("B", [0, 1, 5, 16])
 @pytest.mark.parametrize("kind", ["skew", "bernoulli", "product"])
-def test_capped_bases_are_prefixes_of_the_full_ones(kind, B):
-    """A basis built for its first n chains holds exactly the first n
-    chains of the full enumeration, and ``chain_index`` takes each back
-    to its place; the full product basis is the ring order."""
-    full = koopman._BASES[kind](B)
-    total = full.chain_count(B)
-    params = [full.params(c) for c in range(total)]
-    positions = [full.positions(c) for c in range(total)]
-    assert full.chains == len(set(params)) == total
+def test_smaller_boxes_hold_the_first_chains(kind, B):
+    """The chains meeting [-B, B] are distinct chains of Python ints, and
+    they are, in order, the first chains meeting [-B-1, B+1], so the
+    pairing at B is the pairing at B + 1 cut to the box; the product's
+    chains run in the ring order."""
+    basis = koopman._BASES[kind]
+    params = [p for p, _ in basis.chains(B)]
+    assert len(set(params)) == len(params) == basis.chain_count(B)
     assert all(type(x) is int for p in params for x in p)
+    assert [p for p, _ in basis.chains(B + 1)][: len(params)] == params
     if kind == "product":
         assert [list(p) for p in params] == _ring_order(B)
-    for n in sorted({0, 1, B * (B + 1), total - 1, total} & set(range(total + 1))):
-        capped = koopman._BASES[kind](B, n)
-        assert capped.chains == n
-        assert [capped.params(c) for c in range(n)] == params[:n]
-        assert [capped.positions(c) for c in range(n)] == positions[:n]
-        assert [capped.chain_index(*p) for p in params[:n]] == list(range(n))
-
-
-def test_each_basis_holds_only_the_paired_chains():
-    """Against the skew map the product basis holds the skew's B(B+1)
-    chains, and a product chain past them is unpaired, like a label
-    outside the box; two products pair every chain."""
-    B = 6
-    pairing = build_intertwiner(*PAIRING_CASES["product-skew"], B)
-    assert pairing.basis_a.chains == pairing.basis_b.chains == B * (B + 1)
-    l, m = _ring_order(B)[B * (B + 1)]  # the first product chain past them
-    assert pairing.basis_a.parse(("chain", l, m, 0)) == (B * (B + 1), 0)
-    assert ("chain", l, m, 0) not in pairing.mapping
-    assert ("chain", *_ring_order(B)[B * (B + 1) - 1], 0) in pairing.mapping
-    assert [pairing.paired(c, 0) for c in (B * (B + 1), (2 * B + 1) ** 2 - 1, -2)] == [False] * 3
-    both = build_intertwiner(*PAIRING_CASES["product-product"], B)
-    assert both.basis_a.chains == both.basis_b.chains == (2 * B + 1) ** 2
 
 
 def _doctor(kind: str, sector: str, **entry):
@@ -736,7 +692,7 @@ CERTIFICATE_MUTANTS = {
         koopman, "_normalizing_exponent", lambda m, r, j: j * r - m * (j * (j - 1) // 2)
     ),
     "product l j renormalization dropped": lambda mp: mp.setattr(
-        koopman._ProductBasis, "exponent", lambda self, params, j: 0
+        koopman._ProductBasis, "exponent", lambda params, j: 0
     ),
 }
 
@@ -812,34 +768,31 @@ def test_chain_steps_gather_their_own_chain_parameters(kind):
     """A normalized chain steps to its next position with phase one, so a
     step that read another chain's parameters would leave the chain; the
     first and the last chain are where an enumeration off by one shows."""
-    basis = koopman._BASES[kind](5)
+    basis = koopman._BASES[kind]
     sector = basis.chain_sector
-    for c in (0, basis.chains - 1):
-        params = basis.params(c)
-        assert basis.chain_index(*params) == c
-        lo, hi = basis.positions(c)
-        assert hi > lo
+    chains = list(basis.chains(5))
+    for params, js in (chains[0], chains[-1]):
+        assert len(js) > 1
         # the first two positions of each chain
-        for j in (lo, lo + 1):
+        for j in js[:2]:
             phase, image = koopman_step(kind, sector, basis.chain_label(params, j))
             assert image == basis.chain_label(params, j + 1)
             assert phase + basis.exponent(params, j) - basis.exponent(params, j + 1) == 0
 
 
 def test_a_swap_of_two_chains_of_basis_b_still_intertwines():
-    """W sends chain c of A to chain c of B, so swapping the parameters
-    that B computes for its first and last chains gives another unitary
-    W, which still intertwines: the certificate's identities do not
-    depend on the enumeration.  The swap shows in the mapping, and in
-    ``chain_index`` no longer inverting ``params``."""
+    """W sends chain c of A to chain c of B, so swapping the first and
+    last chains that B yields gives another unitary W, which still
+    intertwines: the certificate's identities do not depend on the
+    order.  The swap shows in the mapping."""
     pairing = build_intertwiner(*PAIRING_CASES["skew-product"], truncation=8)
-    basis_b = copy.copy(pairing.basis_b)
-    last, params = basis_b.chains - 1, basis_b.params
-    basis_b.params = lambda c: params({0: last, last: 0}.get(c, c))
-    swapped = replace(pairing, basis_b=basis_b)
+    chains = list(pairing.basis_b.chains(8))
+    chains[0], chains[-1] = chains[-1], chains[0]
+    swapped_basis = type("Swapped", (pairing.basis_b,), {"chains": staticmethod(lambda B: chains)})
+    swapped = replace(pairing, basis_b=swapped_basis)
     assert verify_intertwiner(swapped) == verify_intertwiner(pairing) == IntertwinerCheck(0, 9)
-    assert swapped.mapping[("chain", 1, 0, 0)] == ("chain", *params(last), 0)
-    assert basis_b.chain_index(*basis_b.params(0)) == last
+    assert pairing.mapping[("chain", 1, 0, 0)] == ("chain", 0, 0, 0)
+    assert swapped.mapping[("chain", 1, 0, 0)] == ("chain", 8, 8, 0)
 
 
 def test_check_fails_when_eps_is_flipped():

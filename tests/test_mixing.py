@@ -410,6 +410,17 @@ def test_statistic_refuses_t_over_the_digit_budget(monkeypatch):
         weak_mixing_statistic(SKEW, HALF, HALF, 10**MAX_WEAK_MIXING_DIGITS - 1)
 
 
+def test_statistic_counts_the_digits_of_a_t_past_the_str_limit():
+    """A t of more than 4,300 digits, which ``str`` refuses to convert,
+    gets the budget's message and estimate too."""
+    with pytest.raises(ValueError) as caught:
+        weak_mixing_statistic(SKEW, HALF, HALF, 10**5000)
+    assert str(caught.value) == (
+        f"weak-mixing t has 5001 digits, over the budget of "
+        f"{MAX_WEAK_MIXING_DIGITS}: its floor sums would take about 375 s"
+    )
+
+
 @pytest.mark.parametrize(
     "angle, expected",
     # bench/oracles.weak_mixing_oracle: the same sum at 40 significant digits

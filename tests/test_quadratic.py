@@ -23,6 +23,7 @@ from ergolab import (
     integral_combination,
 )
 from ergolab.cli import ExperimentConfig
+from ergolab.quadratic import _squarefree
 
 from exact_oracle import bracket_float, floor_sums_term_by_term
 from helpers import BENCH_ANGLES
@@ -212,6 +213,13 @@ def test_json_round_trip():
     with pytest.raises(ValueError, match=r"^invalid configuration at systems/0/gamma: "
                        r"Additional properties are not allowed \('nope' was unexpected\)$"):
         ExperimentConfig(scenario="theorem1", systems=({"kind": "rotation", "gamma": {"nope": 1}},))
+
+
+def test_a_radicand_past_the_str_limit_gets_the_budget_message():
+    """A d of more than 4,300 digits, which ``str`` refuses to convert,
+    is refused with its digit count and estimated time too."""
+    with pytest.raises(ValueError, match=r"^radicand d of 5001 digits .* about 2\.5e\+2493 s$"):
+        _squarefree(10**5000 + 1)
 
 
 def test_radicands_over_the_budget_are_refused():
