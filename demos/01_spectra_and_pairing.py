@@ -7,12 +7,15 @@ below gets a descriptor (point part, Lebesgue part), and two systems
 whose descriptors match can be given an explicit unitary intertwiner,
 built by pairing proper modes and chain generators.  The intertwining
 W U = V W is decided for the whole space by a handful of polynomial
-identities, one set per label sector, printed below.
+identities, one set per label sector, printed below.  Each operator's
+action on labels is read off the map itself: the demo prints every
+kind's map record beside the table derived from it.
 
 Run:  python demos/01_spectra_and_pairing.py
 """
 
 from ergolab import (
+    KOOPMAN_TABLE,
     BernoulliSpec,
     SQRT2_MINUS_1,
     SystemSpec,
@@ -21,6 +24,7 @@ from ergolab import (
     spectrum_of,
     verify_intertwiner,
 )
+from ergolab.systems import MAPS
 
 GAMMA = SQRT2_MINUS_1  # sqrt(2) - 1, a quadratic irrational handled exactly
 
@@ -63,15 +67,13 @@ def main() -> None:
     for identity in check.identities:
         print(f"  {identity}")
     print()
-    mapping = pairing.mapping
-    print(f"sample of the mode pairing, {len(mapping)} pairs inside [-16, 16]")
-    print("(proper modes map k -> k, chains position to position):")
-    shown = 0
-    for key, value in mapping.items():
-        print(f"  {key!r:28s} -> {value!r}")
-        shown += 1
-        if shown == 6:
-            break
+    print("=== each map record (M, t, s) and the Koopman table read off it ===")
+    print("(x -> M x + t gamma on the torus, (R w)_p = w_(p+s) on sequences;")
+    print(" a label x goes to A x + b with phase e((c . x) gamma))")
+    for kind, record in MAPS.items():
+        print(f"{kind}: {record}")
+        for sector, action in KOOPMAN_TABLE[kind].items():
+            print(f"  {sector:8s} A={action.A} b={action.b} c={action.c}")
     print()
     print("Both operators are unitarily equivalent -- yet the demo of the")
     print("tower invariant (02) shows the two systems cannot be conjugate.")

@@ -466,8 +466,8 @@ def run_reproduce_kolmogorov(config: ExperimentConfig) -> tuple[dict, list[dict]
     estimate) is built in turn, the i-th system sampling from the i-th
     generator :func:`spawn_rngs` derives from the seed, so an entry does
     not depend on the systems after it.  One intertwiner is built and
-    checked per run and its counts go on every pair: every shift has the
-    same basis and no angle, so all pairs of shifts share it.
+    checked per run (every shift has the same basis and no angle); its
+    counts go on every pair, and the spectral verdict only if it holds.
     """
     from .entropy import (
         PartitionSpec,
@@ -523,8 +523,9 @@ def run_reproduce_kolmogorov(config: ExperimentConfig) -> tuple[dict, list[dict]
                 "classifier": verdict.to_json(),
             }
             pairs.append(pair)
+            spectral = [verdict.spectral] if check.mismatches == 0 else []
             verdicts.extend(_verdict(f"{a.label()} vs {b.label()}: {statement}", pair)
-                            for statement in (verdict.spacial, verdict.spectral))
+                            for statement in [verdict.spacial, *spectral])
     results["pairs"] = pairs
     return results, verdicts
 

@@ -1,22 +1,19 @@
 """Koopman operators on character bases, in exact integer arithmetic.
 
-The composition operator of each system permutes the labels of a
-countable basis and multiplies by unimodular constants.  ``KOOPMAN_TABLE``
-writes that action down once per system kind, per label sector, as an
-affine integer map ``x -> A x + b`` with the phase ``e((c . x) gamma)``
-(``e(x) = exp(2 pi i x)``):
-
-* rotation, on ``e(l u)``, sector ``(l)``: ``e(l gamma) e(l u)``
-* skew, on ``g[k,m](u,v) = e(k u) e(m v)``, sector ``(k, m)``:
-  ``U g[k,m] = e(k gamma) g[k+m, m]``
-* shift, on the constant and an orthonormal family ``d[k,m]`` (chain m,
-  position k), sector ``(k, m)``: ``X d[k,m] = d[k+1, m]``
-* product, on ``e(l u)`` (the constant tail, sector ``(l)``) and
-  ``p[l,k,m] = e(l u) d[k,m]``, sector ``(l, k, m)``:
-  ``V p[l,k,m] = e(l gamma) p[l, k+1, m]``
-
-A sequence character moves one position with its shape fixed, so a
-support is such a ``(position, chain)`` pair.  :func:`koopman_step`
+The composition operator U f = f o S of each system permutes the labels
+of a countable basis and multiplies by unimodular constants.
+``KOOPMAN_TABLE`` holds that action per system kind and label sector, as
+an affine integer map ``x -> A x + b`` with the phase ``e((c . x)
+gamma)`` (``e(x) = exp(2 pi i x)``), derived at import from the kind's
+map ``systems.MAPS[kind] = (M, t, s)``.  A torus character ``e(n . x)``
+goes to ``e((t . n) gamma) e((M^T n) . x)``: one ``lattice`` sector for
+a kind without a shift (rotation ``e(l u)``, skew ``g[k,m] = e(k u)
+e(m v)``, ``U g[k,m] = e(k gamma) g[k+m, m]``).  A kind with a shift has
+a ``constant`` sector (torus characters times the constant) and a
+``support`` sector ``(torus label, position k, chain m)``: an orthonormal
+family ``d[k,m]`` of sequence characters moves s positions with its
+shape fixed, so the product's ``p[l,k,m] = e(l u) d[k,m]`` goes to
+``e(l gamma) p[l, k+1, m]``.  :func:`koopman_step`
 applies the table to anything with integer ``+`` and ``*``: ints, integer
 arrays, or the polynomials of the intertwiner's certificate.  Every
 consumer reads it: :func:`spectrum_of`, the intertwiner's certificate,
@@ -38,7 +35,7 @@ from typing import NamedTuple, Optional
 
 from ._record import field, record
 from .quadratic import RotationNumber, integral_combination
-from .systems import SystemSpec
+from .systems import MAPS, SystemSpec
 
 __all__ = [
     "CHAIN_BOXES",
@@ -78,19 +75,22 @@ class SectorAction(NamedTuple):
     c: tuple[int, ...]
 
 
+def _koopman_table() -> dict[str, dict[str, SectorAction]]:
+    """Each kind's sectors read off its ``MAPS`` record (M, t, s): A =
+    M^T, b = 0, c = t on torus labels, and on supports I on (position,
+    chain) beside it, the position moving by s."""
+    table = {}
+    for kind, (M, t, s) in MAPS.items():
+        pad = (0,) * len(t)
+        torus = SectorAction(tuple(zip(*M)), pad, t)
+        A = tuple(row + (0, 0) for row in torus.A) + (pad + (1, 0), pad + (0, 1))
+        support = SectorAction(A, pad + (s, 0), t + (0, 0))
+        table[kind] = {"constant": torus, "support": support} if s else {"lattice": torus}
+    return table
+
+
 #: Each system kind's Koopman action on its raw integer labels, by sector.
-KOOPMAN_TABLE: dict[str, dict[str, SectorAction]] = {
-    "rotation": {"lattice": SectorAction(((1,),), (0,), (1,))},
-    "skew": {"lattice": SectorAction(((1, 1), (0, 1)), (0, 0), (1, 0))},
-    "bernoulli": {
-        "constant": SectorAction((), (), ()),
-        "support": SectorAction(((1, 0), (0, 1)), (1, 0), (0, 0)),
-    },
-    "product": {
-        "constant": SectorAction(((1,),), (0,), (1,)),
-        "support": SectorAction(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 1, 0), (1, 0, 0)),
-    },
-}
+KOOPMAN_TABLE: dict[str, dict[str, SectorAction]] = _koopman_table()
 
 
 def koopman_step(kind: str, sector: str, x: Sequence) -> tuple:

@@ -5,12 +5,15 @@
 * Bernoulli shift on bi-infinite symbol sequences
 * product of the rotation with a Bernoulli shift
 
-Points live in one representation, the struct-of-arrays
+``MAPS`` writes each kind's map down once, as a record ``(M, t, s)``;
+which data a kind takes, the coordinates its points carry, the point
+iterates here and the Koopman table (``koopman.KOOPMAN_TABLE``) are all
+read off it.  Points live in one representation, the struct-of-arrays
 :class:`SampleBatch`: a single point is a one-row batch.  Sequence
 points are finite windows of a sampled bi-infinite sequence; operations
 that need symbols declare the positions they read up front, and shifting
-just moves the anchor.  :func:`iterate_batch` applies S^i by closed
-forms for every integer i, so a negative lag inverts.  Cylinder sets
+just moves the anchor.  :func:`iterate_batch` applies S^i by one closed
+form for every kind and integer i, so a negative lag inverts.  Cylinder sets
 carry their own algebra: translation, intersection (``merge``), the
 exact product measure and membership of a batch's points
 (``contains_batch``).
@@ -63,7 +66,16 @@ __all__ = [
 #: Default two-symbol alphabet; index 0 carries probs[0].
 DEFAULT_SYMBOLS = (1, -1)
 
-SYSTEM_KINDS = ("rotation", "skew", "bernoulli", "product")
+#: Each kind's map as ``(M, t, s)``: the torus part x -> M x + t gamma
+#: (mod 1) on ``(u,)`` or ``(u, v)``, M integer and unipotent, and the
+#: shift part (R w)_p = w_{p+s}; s = 0 means no sequence factor.
+MAPS = {
+    "rotation": (((1,),), (1,), 0),
+    "skew": (((1, 0), (1, 1)), (1, 0), 0),
+    "bernoulli": ((), (), 1),
+    "product": (((1,),), (1,), 1),
+}
+SYSTEM_KINDS = tuple(MAPS)
 
 #: Most points one batch of a streamed Monte-Carlo sample holds
 #: (:func:`sample_chunks`), and most symbols one block of draws fills
@@ -222,14 +234,9 @@ class CylinderSet:
 
 @record(frozen=True)
 class SystemSpec:
-    """Which system, with its defining data.
-
-    kind      gamma      bernoulli
-    rotation  required   -
-    skew      required   -
-    bernoulli -          required
-    product   required   required
-    """
+    """Which system, with its defining data: a rotation number exactly
+    when the kind's map (``MAPS``) has a torus part, a Bernoulli law
+    exactly when it has a shift part."""
 
     kind: str
     gamma: RotationNumber | None = None
@@ -238,8 +245,8 @@ class SystemSpec:
     def __post_init__(self) -> None:
         if self.kind not in SYSTEM_KINDS:
             raise ValueError(f"unknown system kind {self.kind!r}")
-        needs_gamma = self.kind in ("rotation", "skew", "product")
-        needs_probs = self.kind in ("bernoulli", "product")
+        _, t, s = MAPS[self.kind]
+        needs_gamma, needs_probs = bool(t), bool(s)
         if needs_gamma and self.gamma is None:
             raise ValueError(f"{self.kind} system requires a rotation number")
         if not needs_gamma and self.gamma is not None:
@@ -291,22 +298,13 @@ class SystemSpec:
         if self.gamma is not None:
             parts.append(str(self.gamma))
         if self.bernoulli is not None:
-            parts.append("p=" + ",".join(f"{p:g}" for p in self.bernoulli.probs))
+            parts.append("p=" + ",".join(map(repr, self.bernoulli.probs)))
         return " ".join(parts)
 
 
 # ---------------------------------------------------------------------------
 # closed-form iteration and sampling
 # ---------------------------------------------------------------------------
-
-
-def skew_lag(i: int, gamma: RotationNumber) -> tuple[float, float]:
-    """Angle offsets in the closed form of the i-th skew iterate.
-
-    S^i(u, v) = (u + i*gamma, v + i*u + C(i,2)*gamma), both mod 1.
-    Returns (frac(i*gamma), frac(C(i,2)*gamma)) evaluated exactly first.
-    """
-    return float(gamma.frac_multiple(i)), float(gamma.frac_multiple(i * (i - 1) // 2))
 
 
 def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
@@ -396,9 +394,10 @@ def _buffers(spec: SystemSpec, points: int, width: int) -> SimpleNamespace:
     None."""
     import numpy as np
 
-    u = np.empty(points) if spec.kind in ("rotation", "skew", "product") else None
-    v = np.empty(points) if spec.kind == "skew" else None
-    if spec.kind not in ("bernoulli", "product"):
+    _, t, s = MAPS[spec.kind]
+    u = np.empty(points) if t else None
+    v = np.empty(points) if len(t) > 1 else None
+    if not s:
         return SimpleNamespace(points=points, width=width, u=u, v=v, sym=None)
     bits, cuts = _draw_law(spec.bernoulli)
     field = np.dtype(f"u{bits // 8}")
@@ -487,23 +486,23 @@ def sample_chunks(
 
 
 def iterate_batch(batch: SampleBatch, i: int) -> SampleBatch:
-    """The i-th image S^i of every point, via closed forms, for any
-    integer i (a negative lag inverts).
+    """The i-th image S^i of every point, for any integer i (a negative
+    lag inverts), by one closed form read off the kind's ``MAPS`` record.
 
-    Rotation angles are multiplied out exactly before any float touches
-    them, so there is no accumulated drift; the sequence component only
-    moves its anchor.
+    M is unipotent, so N = M - I has N^2 = 0 and S^i x = x + i N x +
+    (i t + C(i,2) N t) gamma (mod 1) on the torus coordinates.  Each
+    gamma-multiple is reduced exactly (``frac_multiple``) before any
+    float touches it, so there is no accumulated drift; the sequence
+    window only moves its anchor, by -i s.
     """
     spec = batch.spec
-    u, v, sym, anchor = batch.u, batch.v, batch.sym, batch.anchor
-    if spec.kind in ("rotation", "skew", "product"):
-        gi, ci = skew_lag(i, spec.gamma)
-        new_u = (u + gi) % 1.0
-    else:
-        new_u = None
-    new_v = None
-    if spec.kind == "skew":
-        new_v = (v + i * u + ci) % 1.0
-    if spec.kind in ("bernoulli", "product"):
-        anchor = anchor - i
-    return SampleBatch(spec=spec, u=new_u, v=new_v, sym=sym, anchor=anchor)
+    M, t, s = MAPS[spec.kind]
+    x = (batch.u, batch.v)[: len(t)]
+    image = []
+    for j, row in enumerate(M):
+        n = [m - (k == j) for k, m in enumerate(row)]
+        coordinate = sum((i * nk * xk for nk, xk in zip(n, x) if nk), x[j])
+        multiple = i * t[j] + i * (i - 1) // 2 * sum(nk * tk for nk, tk in zip(n, t))
+        image.append((coordinate + float(spec.gamma.frac_multiple(multiple))) % 1.0)
+    u, v = (*image, None, None)[:2]
+    return SampleBatch(spec=spec, u=u, v=v, sym=batch.sym, anchor=batch.anchor - i * s)

@@ -927,6 +927,38 @@ def test_kolmogorov_same_spec_twice(tmp_path):
     assert pair["classifier"]["spacial"] == "spacially isomorphic (Ornstein)"
 
 
+def test_kolmogorov_spectral_verdict_needs_the_certificate(tmp_path, monkeypatch):
+    """A shift table whose supports step the wrong way fails the
+    intertwiner's certificate, so no pair is called spectrally isomorphic;
+    the entropy verdict stands."""
+    from ergolab.koopman import KOOPMAN_TABLE
+
+    support = KOOPMAN_TABLE["bernoulli"]["support"]
+    monkeypatch.setitem(KOOPMAN_TABLE["bernoulli"], "support", support._replace(b=(-1, 0)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 1_000}))
+    code, out = run(tmp_path, "reproduce-kolmogorov", "--config", str(cfg))
+    assert code == 0
+    report = read_report(out)
+    assert [p["intertwiner_mismatches"] for p in report["results"]["pairs"]] == [2]
+    assert [v["statement"].split(": ")[1] for v in report["verdicts"]] == [
+        "not spacially isomorphic (entropy invariant)"
+    ]
+
+
+def test_kolmogorov_names_laws_that_differ_past_six_digits_apart(tmp_path):
+    laws = [{"kind": "bernoulli", "probs": probs}
+            for probs in ([0.1234561, 0.8765439], [0.1234564, 0.8765436])]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"systems": laws, "samples": 1_000}))
+    code, out = run(tmp_path, "reproduce-kolmogorov", "--config", str(cfg))
+    assert code == 0
+    assert read_report(out)["verdicts"][0]["statement"] == (
+        "bernoulli p=0.1234561,0.8765439 vs bernoulli p=0.1234564,0.8765436:"
+        " not spacially isomorphic (entropy invariant)"
+    )
+
+
 def test_theorem1_scenario_equal_angles(tmp_path):
     code, out = run(tmp_path, "theorem1", "--seed", "5")
     assert code == 0

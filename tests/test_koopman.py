@@ -12,6 +12,8 @@ shown to fail when one entry of the table it applies is wrong.
 from __future__ import annotations
 
 import cmath
+import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -34,12 +36,17 @@ from ergolab import (
     build_intertwiner,
     decide_finite_orbits,
     is_one_simple,
+    iterate_batch,
     koopman_step,
     point_spectrum_groups_equal,
+    sample_batch,
+    spawn_rngs,
     spectrum_of,
     verify_intertwiner,
 )
-from ergolab import koopman
+from ergolab import koopman, systems
+from ergolab.cli import main
+from ergolab.koopman import SectorAction
 from ergolab._record import replace
 from ergolab.koopman import _normalizing_exponent, _Poly
 
@@ -220,6 +227,91 @@ def test_product_action(l, k, m):
 def test_index_maps_are_injective_exhaustively():
     assert skew_index_map_injective(16)
     assert product_index_map_injective(8)
+
+
+# ---------------------------------------------------------------------------
+# the table and the point maps, both read off one map record
+# ---------------------------------------------------------------------------
+
+
+#: The table as it was written by hand before it was derived from
+#: ``systems.MAPS``, sector order included.
+HAND_TABLE = {
+    "rotation": {"lattice": SectorAction(((1,),), (0,), (1,))},
+    "skew": {"lattice": SectorAction(((1, 1), (0, 1)), (0, 0), (1, 0))},
+    "bernoulli": {
+        "constant": SectorAction((), (), ()),
+        "support": SectorAction(((1, 0), (0, 1)), (1, 0), (0, 0)),
+    },
+    "product": {
+        "constant": SectorAction(((1,),), (0,), (1,)),
+        "support": SectorAction(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 1, 0), (1, 0, 0)),
+    },
+}
+
+
+def test_the_table_derived_from_the_maps_is_the_hand_table():
+    def ordered(table):
+        return [(kind, list(sectors.items())) for kind, sectors in table.items()]
+
+    assert ordered(KOOPMAN_TABLE) == ordered(koopman._koopman_table()) == ordered(HAND_TABLE)
+
+
+def _basis_function(batch, sector: str, label: tuple) -> np.ndarray:
+    """The basis function of ``label`` at the batch's points: the character
+    e(n . x) of the torus labels n, times, on a support (n, k, m), a
+    function of the symbol at position k that depends on the chain m."""
+    torus = len(systems.MAPS[batch.spec.kind][1])
+    x = (batch.u, batch.v)[:torus]
+    value = np.exp(2j * np.pi * sum(n * xi for n, xi in zip(label, x))) * np.ones(len(batch))
+    if sector == "support":
+        k, m = label[torus:]
+        value *= np.exp(2j * np.pi * (m + 2) * batch.symbol_indices_at(k).astype(float) / 7)
+    return value
+
+
+@pytest.mark.parametrize("spec", four_systems(), ids=lambda s: s.kind)
+def test_each_sector_is_the_koopman_action_of_the_point_map(spec):
+    """The numeric tie between the table and the point iterates: at
+    sampled points x, f_n(S x) = e((c . n) gamma) f_{A n + b}(x) to 1e-12
+    for every label n in [-3, 3]^d of every sector, with S from
+    ``iterate_batch`` and (A, b, c) from the table."""
+    batch = sample_batch(spec, spawn_rngs(21, 1)[0], 16, positions=range(-4, 5))
+    moved = iterate_batch(batch, 1)
+    for sector, action in KOOPMAN_TABLE[spec.kind].items():
+        for label in itertools.product(range(-3, 4), repeat=len(action.b)):
+            mult, image = koopman_step(spec.kind, sector, label)
+            phase = cmath.exp(2j * math.pi * float(spec.gamma.frac_multiple(mult))) if mult else 1
+            want = phase * _basis_function(batch, sector, image)
+            assert np.abs(_basis_function(moved, sector, label) - want).max() < 1e-12
+
+
+#: Slips in one map record, made consistently in the point map and the
+#: table derived from it: each must cost ``reproduce-letter`` its spectral
+#: verdict (exit code 0) or stop the run (exit code 1).
+RECORD_MUTANTS = {
+    "skew v - u": ("skew", (((1, 0), (-1, 1)), (1, 0), 0), 0),
+    "skew t=(0,1)": ("skew", (((1, 0), (1, 1)), (0, 1), 0), 1),
+    "product s=-1": ("product", (((1,),), (1,), -1), 0),
+}
+
+
+@pytest.mark.parametrize("mutant", list(RECORD_MUTANTS))
+def test_map_record_mutants_cost_the_letter_its_spectral_verdict(mutant, tmp_path, monkeypatch):
+    """With ``MAPS`` patched and the table re-derived: the v - u skew and
+    the product shifted the other way fail one certificate identity, and
+    the skew translated along v fixes every label of its proper row
+    (phase e(m gamma) is one at m = 0), which the spectrum refuses."""
+    kind, record, code = RECORD_MUTANTS[mutant]
+    monkeypatch.setitem(systems.MAPS, kind, record)
+    for name, sectors in koopman._koopman_table().items():
+        monkeypatch.setitem(KOOPMAN_TABLE, name, sectors)
+    out = tmp_path / "out"
+    assert main(["reproduce-letter", "--out", str(out)]) == code
+    if code == 0:
+        report = json.loads((out / "report.json").read_text())
+        assert report["results"]["intertwiner"]["mismatches"] == 1
+        assert [v["statement"] for v in report["verdicts"]] == ["not spacially isomorphic"]
 
 
 # ---------------------------------------------------------------------------

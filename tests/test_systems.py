@@ -29,7 +29,6 @@ from ergolab import (
     spawn_rngs,
 )
 from ergolab import systems
-from ergolab.systems import skew_lag
 
 from helpers import (
     GAMMA,
@@ -47,13 +46,13 @@ from helpers import (
 
 
 @given(st.integers(-60, 60))
-def test_skew_lag_is_exact(i):
-    gi, ci = skew_lag(i, GAMMA)
-    assert math.isclose(gi, float(GAMMA.frac_multiple(i)), abs_tol=1e-12)
-    binom = i * (i - 1) // 2
-    assert math.isclose(
-        ci, float(GAMMA.frac_multiple(binom)), abs_tol=1e-12
-    )
+def test_skew_iterates_are_exact_at_the_origin(i):
+    """S^i(0, 0) = (frac(i gamma), frac(C(i,2) gamma)), each reduced
+    exactly before it becomes a float."""
+    origin = SampleBatch(spec=SystemSpec.skew(GAMMA), u=np.zeros(1), v=np.zeros(1))
+    moved = iterate_batch(origin, i)
+    assert math.isclose(moved.u[0], float(GAMMA.frac_multiple(i)), abs_tol=1e-12)
+    assert math.isclose(moved.v[0], float(GAMMA.frac_multiple(i * (i - 1) // 2)), abs_tol=1e-12)
 
 
 def _assert_same_points(got: SampleBatch, want: SampleBatch, tol: float) -> None:
