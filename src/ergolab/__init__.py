@@ -41,7 +41,7 @@ _EXPORTS = {
             "ResidualReport", "TowerLevel", "UnsupportedSystemError",
             "certify_product_tower", "compute_tower", "decide_finite_orbits",
             "quasi_eigen_residual_search", "residual_census", "residual_reference",
-            "stabilization_depth", "tower_step", "towers_distinguish",
+            "stabilization_depth", "towers_distinguish",
         ),
         "entropy": (
             "EntropyEstimate", "EntropyVerdict", "PartitionSpec", "UndersampledError",

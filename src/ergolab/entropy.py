@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from decimal import Context, Decimal, localcontext
-from typing import TYPE_CHECKING
+from fractions import Fraction
+from typing import TYPE_CHECKING, Sequence
 
 from ._record import asdict, record
 from .systems import (
@@ -320,10 +321,46 @@ class EntropyVerdict:
         return asdict(self)
 
 
-def entropy_classifier(
-    spec_a: BernoulliSpec, spec_b: BernoulliSpec, tol: float = 1e-9
-) -> EntropyVerdict:
-    """Compare two product-measure shifts by their exact entropies.
+def _entropies_equal(p: Sequence, q: Sequence) -> bool:
+    """Whether H(p) = H(q), decided exactly.
+
+    Each probability is read by its shortest repr (``str``) as a fraction,
+    and each law is normalised by its sum.  Over a common denominator D,
+    with ``p_i = a_i / D`` and ``q_j = b_j / D``, ``H = log D - (1/D) sum a
+    log a``, so the entropies are equal iff ``prod a_i^a_i = prod b_j^b_j``.
+    The powers are never formed: factor refinement (Bach, Driscoll and
+    Shallit, J. Algorithms 15, 1993) splits every a_i and b_j over a base
+    of pairwise coprime integers, where both products have one exponent
+    vector each, and those are compared.
+    """
+    laws = [[Fraction(str(x)) for x in law] for law in (p, q)]
+    laws = [[x / total for x in law] for law, total in zip(laws, map(sum, laws))]
+    D = math.lcm(*(x.denominator for law in laws for x in law))
+    a, b = ([x.numerator * (D // x.denominator) for x in law] for law in laws)
+    base, pending = [], [n for n in a + b if n > 1]
+    while pending:  # each split drops a factor g > 1 from the product
+        x = pending.pop()
+        for i, c in enumerate(base):
+            if (g := math.gcd(x, c)) > 1:
+                if x != c:
+                    pending += [n for n in (base.pop(i) // g, g, x // g) if n > 1]
+                break
+        else:
+            base.append(x)
+    exponents = [0] * len(base)  # of prod a^a / prod b^b, per base element
+    for sign, law in ((1, a), (-1, b)):
+        for n in law:
+            rest = n
+            for i, c in enumerate(base):
+                while rest % c == 0:
+                    rest, exponents[i] = rest // c, exponents[i] + sign * n
+    return not any(exponents)
+
+
+def entropy_classifier(spec_a: BernoulliSpec, spec_b: BernoulliSpec) -> EntropyVerdict:
+    """Compare two product-measure shifts by their entropies, whose
+    equality is decided exactly (:func:`_entropies_equal`); the entropies
+    reported are floats, for display.
 
     Different entropy rules out any spacial isomorphism; equal entropy
     implies spacial isomorphism for this class by Ornstein's theorem
@@ -331,17 +368,13 @@ def entropy_classifier(
     systems carry countable Lebesgue spectrum, so they are spectrally
     isomorphic.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    h_a = bernoulli_entropy(spec_a)
-    h_b = bernoulli_entropy(spec_b)
-    if abs(h_a - h_b) > tol:
-        spacial = "not spacially isomorphic (entropy invariant)"
-    else:
+    if _entropies_equal(spec_a.probs, spec_b.probs):
         spacial = "spacially isomorphic (Ornstein)"
+    else:
+        spacial = "not spacially isomorphic (entropy invariant)"
     return EntropyVerdict(
-        entropy_a=h_a,
-        entropy_b=h_b,
+        entropy_a=bernoulli_entropy(spec_a),
+        entropy_b=bernoulli_entropy(spec_b),
         spacial=spacial,
         spectral="spectrally isomorphic (both Lebesgue systems)",
     )

@@ -29,31 +29,28 @@ truncation N.  There the operator is a phased partial permutation of basis
 labels whose phases can be gauged away, so the least-squares minimum of
 ``|| g o T - delta e(k u) g ||`` is a closed form of the orbit census: 0
 if K_k closes a cycle on the basis, and otherwise
-``sqrt(2 - 2 cos(pi/(L+1)))`` at the longest free path L.  The search
-takes the P step once per tail for every k, then one walk per k over
-compact integer arrays: it counts the cycles and free paths of each K_k
-and reads the residual off that form.  Nothing here imports numpy.
-The certificate accepts a finite orbit below 1e-6 and rejects one above
-``r0/2``, with r0 the closed-form residual of the band's longest free
-path; a residual in between raises :class:`InconclusiveEvidenceError`,
-and a verdict that disagrees with the exact decision raises
-``RuntimeError``.  The reject margin measures the band, not the system:
-it falls like ``pi / (2 U_BAND + 2)`` as the band grows.
+``sqrt(2 - 2 cos(pi/(L+1)))`` at the longest free path L.  Each orbit of
+K_k is a fixed label or a lattice line (checked), so the census is a
+closed-form count of segments.  It reads ``KOOPMAN_TABLE`` as the decision
+does, so it corroborates the decision's linear algebra, not the table;
+the table's numeric tie to ``systems.iterate_batch`` ties it to the maps.
+:func:`certify_product_tower` reads the residuals against 1e-6 and r0/2;
+its margin measures the band, falling like ``pi / (2 U_BAND + 2)``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from array import array
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ._record import asdict, field, record
 from .koopman import (
     KOOPMAN_TABLE,
     _bezout,
     _fixed_point_rows,
+    _integer_solutions,
     _last_unknown_coset,
-    koopman_step,
 )
 from .systems import InconclusiveEvidenceError, SystemSpec
 
@@ -69,9 +66,9 @@ __all__ = [
     "U_BAND",
     "ACCEPT_TOL",
     "CENSUS_KS",
-    "MAX_CENSUS_NODES",
+    "CENSUS_K_CHARGE",
+    "MAX_CENSUS_WORK",
     "MAX_TOWER_DEPTH",
-    "MIN_CENSUS_CHARGE",
     "REJECT_FACTOR",
     "certify_product_tower",
     "compute_tower",
@@ -80,7 +77,6 @@ __all__ = [
     "residual_census",
     "residual_reference",
     "stabilization_depth",
-    "tower_step",
     "towers_distinguish",
 ]
 
@@ -92,24 +88,17 @@ REJECT_FACTOR = 0.5
 #: The ks a census covers unless told otherwise: the proper functions and
 #: the two nearest multipliers on each side.
 CENSUS_KS = (0, 1, -1, 2, -2)
-#: Most basis labels one residual census may step (:func:`census_nodes`:
-#: 9 (1 + (N+1)(2N+1)) on the product at truncation N).  The census runs
-#: on Python ints in ``array`` storage: the five-k census of
-#: ``reproduce-letter`` takes about 1.7 microseconds and 41 traced bytes
-#: per label on a 2-core x86-64 host (1.72 s and 39 MB at N = 234), so the
-#: budget caps it near 2 s; N = 234 is the largest product truncation it
-#: admits.  That is a base census of about 0.5 microseconds per label and
-#: one more walk per k, about 0.24, so a residual search may also take at
-#: most five ks' worth of censuses at the budget: labels x ks <= 5 x
-#: ``MAX_CENSUS_NODES``.  A k also costs about 40 microseconds beyond its
-#: walk, its report entry included, which the estimate adds; the budget
-#: charges each k at least ``MIN_CENSUS_CHARGE`` labels, so at N = 2 (144
-#: labels, 74 microseconds a k) it admits 20,000 ks, about 1.5 s.
-MAX_CENSUS_NODES = 10**6
-MIN_CENSUS_CHARGE = 250
+#: Most work one residual census may do, in window positions: at
+#: truncation N a k counts at most 2N + 1 slices or path lengths, plus
+#: ``CENSUS_K_CHARGE`` for its checks and report.  A position takes at most
+#: about 8 microseconds on a 2-core x86-64 host, so the budget caps a census
+#: near 2.4 s: 20,000 ks at N = 2, five up to N = 29,994, one to 149,994.
+MAX_CENSUS_WORK = 300_000
+CENSUS_K_CHARGE = 10
 #: Most levels :func:`compute_tower` may build.  A level and its report
-#: entry take about 65 microseconds and 4 KB on a 2-core x86-64 host (6.4 s
-#: and 433 MB peak RSS at 10^5 levels), so the budget caps a run near 2 s.
+#: entry take about 60 microseconds and 4 KB on a 2-core x86-64 host (1.75 s
+#: and 137 MB peak RSS at 30,000 levels; the estimate charges 65), so the
+#: budget caps a run near 2 s.
 MAX_TOWER_DEPTH = 30_000
 
 
@@ -167,10 +156,6 @@ class ModeSubgroup:
             a, b = g, combo_b
         return cls(a, b, c)
 
-    @classmethod
-    def trivial(cls) -> "ModeSubgroup":
-        return cls(0, 0, 0)
-
     def generators(self) -> list[tuple[int, int]]:
         gens = []
         if self.a:
@@ -209,64 +194,13 @@ class TowerLevel:
 # ---------------------------------------------------------------------------
 
 
-def _skew_quotient_character(mode: tuple[int, int]) -> tuple[int, int]:
-    """Character part of g[k,m](S x) / g[k,m](x): the image label of the
-    skew step less the label, which is (m, 0)."""
-    _, image = koopman_step("skew", "lattice", mode)
-    return tuple(a - b for a, b in zip(image, mode))
-
-
-def tower_step(level: TowerLevel, system: SystemSpec) -> TowerLevel:
-    """The next tower level over ``level`` for the skew system.
-
-    A character (k, m) joins the next level iff its dynamical quotient
-    character (m, 0) lies in ``level`` (the accompanying constant is
-    absorbed, since levels carry all constants).  So every (k, 0) joins,
-    and (0, m) joins for the multiples m of the least t > 0 with (t, 0) in
-    the level, if there is one.  The input level is kept inside the
-    output, so canonical towers are nested by construction.
-    """
-    if system.kind != "skew":
-        raise UnsupportedSystemError(
-            f"character-lattice towers are defined for the skew system, "
-            f"not {system.kind!r}"
-        )
-    H = level.characters
-    step = _minimal_multiple((0, 1), _skew_quotient_character, H)
-    new = ModeSubgroup.from_generators([(1, 0), (0, step)] + H.generators())
-    return TowerLevel(new, depth=level.depth + 1)
-
-
-def _minimal_multiple(
-    basis: tuple[int, int],
-    quot: Callable[[tuple[int, int]], tuple[int, int]],
-    H: ModeSubgroup,
-) -> int:
-    """Least t > 0 with ``t * quot(basis)`` in H, or 0 if no multiple is.
-
-    Read off the Hermite normal form ``{x(a, b) + y(0, c)}`` of H: the
-    first coordinate t*qx must be a multiple of a, so t is a multiple of
-    t1 = a / gcd(a, qx) (none exists when a = 0 and qx != 0); what is
-    left of the second coordinate at t1 must then vanish modulo c.
-    """
-    qx, qy = quot(basis)
-    if H.a == 0:
-        if qx != 0:
-            return 0
-        t1, rem = 1, qy
-    else:
-        t1 = H.a // math.gcd(H.a, qx)
-        rem = t1 * qy - (t1 * qx // H.a) * H.b
-    if H.c == 0:
-        return t1 if rem == 0 else 0
-    return t1 * (H.c // math.gcd(H.c, rem))
-
-
 def compute_tower(system: SystemSpec, max_depth: int) -> list[TowerLevel]:
-    """Levels 1', 1'', ... up to ``max_depth`` primes, starting from the
-    constants (the system is ergodic, so level one is exactly the
-    constants).  A ``max_depth`` over ``MAX_TOWER_DEPTH`` is refused,
-    with its estimated time, before any level is built."""
+    """Levels 1', 1'', ... up to ``max_depth`` primes of the skew tower.
+
+    Level one is the constants (the system is ergodic).  A character n has
+    as quotient a constant, which levels absorb, times ``(A - I) n``, A the
+    table's step, so level j is ``ker (A - I)^(j-1)`` in Z^2, in Hermite
+    normal form.  A depth over ``MAX_TOWER_DEPTH`` is refused first."""
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     if max_depth > MAX_TOWER_DEPTH:
@@ -274,9 +208,18 @@ def compute_tower(system: SystemSpec, max_depth: int) -> list[TowerLevel]:
             f"tower max_depth {max_depth} is over the budget of {MAX_TOWER_DEPTH} "
             f"levels: the levels would take about {6.5e-5 * max_depth:.0f} s"
         )
-    levels = [TowerLevel(ModeSubgroup.trivial(), depth=1)]
-    while len(levels) < max_depth:
-        levels.append(tower_step(levels[-1], system))
+    if system.kind != "skew":
+        raise UnsupportedSystemError(
+            f"character-lattice towers are defined for the skew system, "
+            f"not {system.kind!r}"
+        )
+    N, _ = _fixed_point_rows("skew", "lattice")
+    power = [[int(i == j) for j in range(2)] for i in range(2)]  # (A - I)^0
+    levels = []
+    for depth in range(1, max_depth + 1):
+        _, kernel = _integer_solutions(power, [0, 0])
+        levels.append(TowerLevel(ModeSubgroup.from_generators(map(tuple, kernel)), depth))
+        power = [[sum(N[i][t] * power[t][j] for t in range(2)) for j in range(2)] for i in range(2)]
     return levels
 
 
@@ -374,67 +317,95 @@ class ResidualReport:
         return asdict(self)
 
 
-def _sector_tails(
-    spec: SystemSpec, truncation: int
-) -> dict[str, tuple[list[range], list[array]]]:
-    """Tail-factor characters enumerated exactly, as table coordinates:
-    per label sector, the box of its tails, one range per coordinate,
-    and the tails themselves, one column per coordinate.
-
-    For the product system: sequence characters with support in
-    [-N, N] of size at most 2.  The empty support is the constant
-    sector; a support {a} is (a, 0) and {a, b} with a < b is
-    (a, b - a), its first position and its shape.  For the skew control:
-    the v-frequencies m in [-N, N], as (m,).
+def _sector_regions(kind: str, truncation: int) -> dict[str, tuple[list[int], list[tuple]]]:
+    """Each sector's labels in the truncated basis, in table coordinates,
+    as ``(lows, [(group, high), ...])``: each coordinate at least its low,
+    each group's sum at most its high.  l lies in [-U_BAND, U_BAND]; the
+    product's tails are its constant and the supports {a, a + s} in
+    [-N, N] of size at most 2, labelled (l, a, s); the skew's are |m| <= N.
     """
-    window = range(-truncation, truncation + 1)
-    if spec.kind == "product":
-        first = array("q", (a for a in window for _ in range(truncation + 1 - a)))
-        shape = array("q", (s for a in window for s in range(truncation + 1 - a)))
-        return {"constant": ([], []), "support": ([window, range(len(window))], [first, shape])}
-    if spec.kind == "skew":
-        return {"lattice": ([window], [array("q", window)])}
-    raise UnsupportedSystemError(
-        f"the residual search runs on product or skew systems, not {spec.kind!r}"
-    )
+    if kind == "product":
+        return {
+            "constant": ([-U_BAND], [((0,), U_BAND)]),
+            "support": ([-U_BAND, -truncation, 0], [((0,), U_BAND), ((1, 2), truncation)]),
+        }
+    if kind == "skew":
+        return {"lattice": ([-U_BAND, -truncation], [((0,), U_BAND), ((1,), truncation)])}
+    raise UnsupportedSystemError(f"the residual search runs on product or skew systems, not {kind!r}")
 
 
-def _box_positions(box: list[range], columns: list, count: int) -> list[int]:
-    """The row-major position in ``box`` of each of ``count`` tails given
-    by ``columns``, or -1 for a tail outside it."""
-    at = [0] * count
-    for r, column in zip(box, columns):
-        at = [p * len(r) + x - r.start if p >= 0 and x in r else -1 for p, x in zip(at, column)]
-    return at
+def _region_count(region: tuple[list, list], shift: Sequence[int], fixed: dict[int, int]) -> int:
+    """How many labels x of ``region`` have ``x + shift`` in it too and
+    ``x[j] = v`` for each ``j: v`` of ``fixed``.  That set keeps the
+    region's form, each low raised by ``max(0, -shift)`` and each high
+    lowered by ``max(0, its group's shift)``; a group of ``free`` unfixed
+    coordinates with ``room`` above their lows holds C(room + free, free)."""
+    lows, groups = region
+    lows = [low + max(0, -v) for low, v in zip(lows, shift)]
+    count = 1
+    for group, high in groups:
+        room, free = high - max(0, sum(shift[i] for i in group)), 0
+        for i in group:
+            if i in fixed and fixed[i] < lows[i]:
+                return 0
+            room -= fixed.get(i, lows[i])
+            free += i not in fixed
+        if room < 0:
+            return 0
+        count *= math.comb(room + free, free)
+    return count
+
+
+def _line_step(kind: str, sector: str, k: int) -> tuple[list[list[int]], list[int]]:
+    """``N = A - I`` and ``c = b - k e_l`` of ``K_k x = A x + b - k e_l`` on
+    one sector of ``KOOPMAN_TABLE``, refused by name unless every orbit is a
+    lattice line: with ``N^2 = 0`` (:func:`koopman._fixed_point_rows`) and
+    ``N c = 0`` the step ``N x + c`` is the same at ``K_k x``."""
+    N, minus_b = _fixed_point_rows(kind, sector)
+    c = [-v - k * (i == 0) for i, v in enumerate(minus_b)]
+    if any(sum(a * v for a, v in zip(row, c)) for row in N):
+        raise ValueError(
+            f"K_{k} does not move the {kind} {sector} sector along lattice lines: "
+            f"(A - I)(b - k e_l) is not 0"
+        )
+    return N, c
+
+
+def _segment_census(regions: dict, steps: list) -> tuple[int, list[list[int]]]:
+    """The cycle count of the truncated K_k and its free paths' ``[length,
+    count]``, ascending, from each sector's region and step ``(N, c)``.
+
+    ``d = N x + c`` is the same along an orbit: d = 0 is a cycle, else the
+    line meets its convex region in one free path.  d reads only what N
+    reads, so a sector is counted per slice at those coordinates' values.
+    There ``f(t)``, the labels x with ``x + t d`` in the region too, counts
+    runs of t + 1 labels on the paths: ``f(L-1) - 2 f(L) + f(L+1)`` paths
+    have exactly L labels."""
+    cycles, lengths = 0, {}
+    for region, (N, c) in zip(regions.values(), steps):
+        lows, groups = region
+        top = {i: high - sum(lows[t] for t in group if t != i) for group, high in groups for i in group}
+        read = [j for j in range(len(c)) if any(r[j] for r in N)]
+        for values in itertools.product(*(range(lows[j], top[j] + 1) for j in read)):
+            fixed = dict(zip(read, values))
+            d = [sum(r[j] * v for j, v in fixed.items()) + ci for r, ci in zip(N, c)]
+            f = [_region_count(region, [0] * len(d), fixed)]
+            if not any(d):
+                cycles += f[0]
+                continue
+            while f[-1]:
+                f.append(_region_count(region, [len(f) * x for x in d], fixed))
+            f.append(0)
+            for L in range(1, len(f) - 1):
+                lengths[L] = lengths.get(L, 0) + f[L - 1] - 2 * f[L] + f[L + 1]
+    return cycles, [[length, n] for length, n in sorted(lengths.items()) if n]
 
 
 def census_nodes(kind: str, truncation: int) -> int:
-    """The labels a census at truncation N steps: the u-band's frequencies
+    """The labels of a census at truncation N: the u-band's frequencies
     times the ``1 + (N+1)(2N+1)`` product tails or the ``2N+1`` skew ones."""
     side = 2 * truncation + 1
     return (2 * U_BAND + 1) * (1 + (truncation + 1) * side if kind == "product" else side)
-
-
-def _check_census_cost(kind: str, truncation: int, ks: int) -> None:
-    """Refuse a census over the node budget, and ``ks`` censuses stepping
-    more labels than five at it, each k charged at least ``MIN_CENSUS_CHARGE``
-    labels; the time estimate adds each k's fixed cost to its walk."""
-    nodes = census_nodes(kind, truncation)
-    if nodes > MAX_CENSUS_NODES:
-        raise ValueError(
-            f"residual truncation {truncation} needs {nodes} census nodes, over "
-            f"the budget of {MAX_CENSUS_NODES} nodes"
-        )
-    budget = 5 * MAX_CENSUS_NODES
-    charge = max(nodes, MIN_CENSUS_CHARGE)
-    if charge * ks > budget:
-        fixed = f" (charged {charge} for a k's fixed cost)" if charge > nodes else ""
-        raise ValueError(
-            f"{ks} ks at residual truncation {truncation} step {nodes} census "
-            f"nodes each{fixed}, {charge * ks} in all, over the budget of {budget} "
-            f"(five ks at {MAX_CENSUS_NODES} nodes): the censuses would take about "
-            f"{5e-7 * nodes + ks * (4e-5 + 2.4e-7 * nodes):.0f} s"
-        )
 
 
 def _path_residual(n: int) -> float:
@@ -443,126 +414,43 @@ def _path_residual(n: int) -> float:
     return math.sqrt(2 - 2 * math.cos(math.pi / (n + 1)))
 
 
-def _orbit_census(succ: Sequence[int], k: int) -> tuple[int, list[list[int]]]:
-    """The cycle count of the partial map ``succ`` (-1: no successor), and
-    its free paths' ``[length, count]`` in ascending length.
-
-    One linear walk: a path is walked from each label without a
-    predecessor until it leaves the basis; a label it meets twice has
-    two predecessors, so K_k is not injective.  The labels left form a
-    permutation, and each of its cycles is walked once.
-    """
-    n = len(succ)
-    has_pred = bytearray(n)
-    for j in succ:
-        if j >= 0:
-            has_pred[j] = 1
-    seen = bytearray(n)
-    lengths: dict[int, int] = {}
-    i = has_pred.find(0)
-    while i >= 0:
-        j, length = i, 0
-        while j >= 0:
-            if seen[j]:  # paths merge, or one runs into a cycle
-                raise ValueError(f"K_{k} is not injective on the truncated basis")
-            seen[j] = 1
-            j, length = succ[j], length + 1
-        lengths[length] = lengths.get(length, 0) + 1
-        i = has_pred.find(0, i + 1)
-    cycles = 0
-    i = seen.find(0)
-    while i >= 0:
-        cycles += 1
-        while not seen[i]:
-            seen[i] = 1
-            i = succ[i]
-        i = seen.find(0, i + 1)
-    return cycles, [[length, lengths[length]] for length in sorted(lengths)]
-
-
-def residual_census(
-    spec: SystemSpec, ks: Iterable[int], truncation: int
-) -> Iterator[ResidualReport]:
-    """:func:`quasi_eigen_residual_search` for each k of ``ks`` in turn.
-
-    Node ``(l + U_BAND) T + t`` is e(l u) times tail t of the T tails.
-    Each tail goes through the table's P step once, at l = 0: the step
-    is affine, so its image at l is that image plus l times the table's
-    l-column.  An image tail is resolved to its index through a dense
-    grid over its sector's box (-1 where it names no tail), once per
-    tail, or once per label where the l-column moves the tail.  Two
-    compact integer arrays remain, each image's row ``l' + U_BAND`` and
-    tail index.  Only the shift ``l -> l - k`` of K_k = Q* P depends on
-    k: node i goes to ``(row[i] - k) T + t[i]``, or to none where the
-    image leaves the basis.  Then :func:`_orbit_census` walks the nodes
-    once per k.
-
-    The ks are read once, and a census over the node budget, or ks over
-    five censuses' worth of labels (:func:`_check_census_cost`), is
-    refused with its estimated time before any label is stepped.
-    """
+def residual_census(spec: SystemSpec, ks: Iterable[int], truncation: int) -> Iterator[ResidualReport]:
+    """:func:`quasi_eigen_residual_search` for each k of ``ks`` in turn,
+    counted by :func:`_segment_census`.  The ks are read once; ks over
+    ``MAX_CENSUS_WORK``, then a K_k whose orbits are no lattice lines
+    (:func:`_line_step`), are refused before anything is counted."""
     if truncation < 2:
         raise ValueError("truncation must be >= 2")
     ks = tuple(ks)
-    _check_census_cost(spec.kind, truncation, len(ks))
-    width = 2 * U_BAND + 1
-    sectors, tails_seen = [], 0
-    for sector, (box, tails) in _sector_tails(spec, truncation).items():
-        count = len(tails[0]) if tails else 1
-        grid = array("q", [-1]) * math.prod(map(len, box))
-        for t, at in enumerate(_box_positions(box, tails, count), tails_seen):
-            grid[at] = t
-        tails_seen += count
-        # P is affine: its image at l is the image at l = 0 plus l times
-        # P(e_l) - P(0), the l-column
-        step = lambda x: koopman_step(spec.kind, sector, x)[1]
-        l_zero, *images = zip(*(step((0, *tail)) for tail in (zip(*tails) if tails else [()])))
-        origin = (0,) * (len(box) + 1)
-        l_step, *t_step = (y - y0 for y, y0 in zip(step((1, *origin[1:])), step(origin)))
-
-        def resolve(l: int, box=box, grid=grid, count=count, images=images, t_step=t_step):
-            """The tail index of each tail's image at l, -1 for none."""
-            moved = [[y + l * c for y in image] for image, c in zip(images, t_step)]
-            at = _box_positions(box, moved, count)
-            return array("q", [-1 if i < 0 else grid[i] for i in at])
-
-        fixed = None if any(t_step) else resolve(0)
-        sectors.append((array("q", l_zero), l_step, fixed, resolve))
-    row_image, t_image = array("q"), array("q")
-    for row in range(width):
-        l = row - U_BAND
-        for l_zero, l_step, fixed, resolve in sectors:
-            row_image.extend(r + l * l_step + U_BAND for r in l_zero)
-            t_image.extend(fixed if fixed is not None else resolve(l))
-    del sectors  # the tails' images, no longer needed
-    for k in ks:
-        cycles, path_lengths = _orbit_census(array("q", (
-            (r - k) * tails_seen + t if t >= 0 and 0 <= r - k < width else -1
-            for r, t in zip(row_image, t_image)
-        )), k)
+    charge = 2 * truncation + 1 + CENSUS_K_CHARGE
+    if charge * len(ks) > MAX_CENSUS_WORK:
+        raise ValueError(
+            f"{len(ks)} ks at residual truncation {truncation} are charged {charge} "
+            f"census positions each, {charge * len(ks)} in all, over the budget of "
+            f"{MAX_CENSUS_WORK}: the census would take about {8e-6 * charge * len(ks):.0f} s"
+        )
+    regions = _sector_regions(spec.kind, truncation)
+    steps = [[_line_step(spec.kind, sector, k) for sector in regions] for k in ks]
+    for k, k_steps in zip(ks, steps):
+        cycles, path_lengths = _segment_census(regions, k_steps)
         yield ResidualReport(
             system_kind=spec.kind, k=k, truncation=truncation,
             residual=0.0 if cycles else _path_residual(path_lengths[-1][0]),
-            u_band=U_BAND, dimension=len(row_image), cycles=cycles,
+            u_band=U_BAND, dimension=census_nodes(spec.kind, truncation), cycles=cycles,
             path_lengths=path_lengths,
         )
 
 
-def quasi_eigen_residual_search(
-    spec: SystemSpec,
-    k: int,
-    truncation: int,
-) -> ResidualReport:
+def quasi_eigen_residual_search(spec: SystemSpec, k: int, truncation: int) -> ResidualReport:
     """The minimum of ``|| g o T - delta e(k u) g ||`` over unit g in the
     truncated basis and unimodular delta, read off the orbit census of K_k:
-    the one-k case of :func:`residual_census`, which takes the P step
-    once per tail for every k and walks the orbits once per k.
+    the one-k case of :func:`residual_census`.
 
     The basis is ``e(l u)`` times a tail character, |l| <= ``U_BAND``,
-    tails from the truncation N.  The images of K_k that stay in it leave
-    a partial permutation (K_k is injective, or ``ValueError``) of cycles
-    and free paths, orthogonal since the norm counts the coefficients
-    pushed out of the truncation too.  Gauged, a cycle (a self-loop
+    tails from the truncation N.  K_k fixes each label or moves it along a
+    lattice line (else ``ValueError``), leaving a partial permutation of
+    cycles and free paths, orthogonal since the norm counts the
+    coefficients pushed out of the truncation too.  Gauged, a cycle (a self-loop
     included) carries an exact solution and a free path of n nodes leaves
     ``sqrt(2 - 2 cos(pi/(n+1)))``, the discrete sine profile's: the
     residual is 0 if ``cycles`` is nonzero, else the longest path's.

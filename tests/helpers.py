@@ -241,7 +241,7 @@ def product_index_map_injective(truncation: int) -> bool:
 def subgroup_lattice_examples() -> list[ModeSubgroup]:
     """A small family of lattices ordered by inclusion where applicable."""
     return [
-        ModeSubgroup.trivial(),
+        ModeSubgroup(0, 0, 0),
         ModeSubgroup.from_generators([(1, 0)]),
         ModeSubgroup.from_generators([(2, 0)]),
         ModeSubgroup.from_generators([(1, 0), (0, 2)]),

@@ -36,7 +36,7 @@ from ergolab.cli import (
     main,
 )
 from ergolab.mixing import MAX_WEAK_MIXING_DIGITS
-from ergolab.tower import MAX_CENSUS_NODES, MAX_TOWER_DEPTH, MIN_CENSUS_CHARGE
+from ergolab.tower import CENSUS_K_CHARGE, CENSUS_KS, MAX_CENSUS_WORK, MAX_TOWER_DEPTH
 
 
 def run(tmp_path: Path, *argv: str) -> tuple[int, Path]:
@@ -223,9 +223,10 @@ def _assert_same_bytes_without(tmp_path: Path, refused: str, *argv: str) -> None
 
 
 def test_letter_runs_without_scipy(tmp_path):
-    """scipy is a test dependency only: with every scipy import refused,
+    """scipy is a test dependency only, and the census counts without
+    compact arrays: with every scipy and array import refused,
     reproduce-letter exits 0 and writes the same report bytes."""
-    _assert_same_bytes_without(tmp_path, "scipy", "reproduce-letter", "--seed", "1")
+    _assert_same_bytes_without(tmp_path, "scipy,array", "reproduce-letter", "--seed", "1")
 
 
 def _bench_mixing_config(tmp_path: Path) -> str:
@@ -364,11 +365,11 @@ def test_letter_identical_skews_are_not_distinguished(tmp_path):
 
 def test_letter_skews_are_not_refused_for_a_census_they_never_run(tmp_path):
     """Only a product system runs a residual census, so two skews at a
-    residual truncation whose skew census would pass the node budget
-    (9 (2N + 1) labels at N = 55,556) run, with the towers of the
-    default truncation."""
+    residual truncation whose census of the default ks would pass the
+    work budget (N = 55,556) run, with the towers of the default
+    truncation."""
     truncation = 55_556
-    assert tower.census_nodes("skew", truncation) > MAX_CENSUS_NODES
+    assert len(CENSUS_KS) * (2 * truncation + 1 + CENSUS_K_CHARGE) > MAX_CENSUS_WORK
     skew = {"kind": "skew", "gamma": {"quadratic": [-1, 1, 2, 1]}}
     reports = []
     for n in (truncation, 8):
@@ -449,28 +450,31 @@ def _retruncated(evidence, truncation: int):
 
 @pytest.mark.parametrize("argv", [("reproduce-letter",), ("compute", "residual-search")])
 def test_residual_truncation_above_the_node_budget_is_refused(argv, tmp_path, capsys, monkeypatch):
-    truncation = 235  # the smallest refused: 9 (1 + 236 x 471) = 1,000,413 nodes
-    nodes = 9 * (1 + (truncation + 1) * (2 * truncation + 1))
-    assert nodes > MAX_CENSUS_NODES >= 9 * (1 + truncation * (2 * truncation - 1))
+    """The default five ks are charged 2N + 1 + ``CENSUS_K_CHARGE`` window
+    positions each, so N = 29,995 is the smallest truncation refused."""
+    truncation = 29_995
+    charge = 2 * truncation + 1 + CENSUS_K_CHARGE
+    assert 5 * charge > MAX_CENSUS_WORK >= 5 * (charge - 2)
 
-    def tails(*args):
-        raise AssertionError("the census stepped its nodes")
+    def counted(*args):
+        raise AssertionError("the census counted its labels")
 
-    monkeypatch.setattr(tower, "_sector_tails", tails)
+    monkeypatch.setattr(tower, "_segment_census", counted)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"residual_truncation": truncation}))
     code, out = run(tmp_path, *argv, "--config", str(cfg))
     assert code == 1
     err = capsys.readouterr().err
     assert (
-        f"error: residual truncation {truncation} needs {nodes} census nodes, over "
-        f"the budget of {MAX_CENSUS_NODES} nodes" in err
+        f"error: 5 ks at residual truncation {truncation} are charged {charge} census "
+        f"positions each, {5 * charge} in all, over the budget of {MAX_CENSUS_WORK}: "
+        f"the census would take about 2 s" in err
     )
     assert not out.exists()
 
 
 class CensusStarted(Exception):
-    """Raised where a census would start stepping its labels; main does
+    """Raised where a census would start counting its labels; main does
     not catch it."""
 
 
@@ -480,16 +484,14 @@ def _census_starts(*args):
 
 @pytest.mark.parametrize("count", [5, 6, 10**4])
 def test_residual_search_ks_above_the_census_budget_are_refused(count, tmp_path, capsys, monkeypatch):
-    """Each k runs one more census of every label, so labels x ks may not
-    pass five censuses at the node budget: at N = 234, the largest
-    truncation that budget admits, five ks still run and six are refused,
-    as are 10^4 ks (about 2,400 s of censuses), before any census runs.
-    The estimate is one base census plus one walk and a k's fixed cost
-    per k: six ks read "about 2 s" (they take about 1.7 s)."""
-    truncation = 234
-    nodes = 9 * (1 + (truncation + 1) * (2 * truncation + 1))
-    assert 5 * nodes <= 5 * MAX_CENSUS_NODES < 6 * nodes
-    monkeypatch.setattr(tower, "_sector_tails", _census_starts)
+    """Each k is charged its 2N + 1 window positions and
+    ``CENSUS_K_CHARGE``: at N = 29,994, the largest truncation five ks
+    fit, six ks are refused, as are 10^4 ks (about 4,800 s at 8
+    microseconds a position), before any table entry is read."""
+    truncation = 29_994
+    charge = 2 * truncation + 1 + CENSUS_K_CHARGE
+    assert 5 * charge <= MAX_CENSUS_WORK < 6 * charge
+    monkeypatch.setattr(tower, "_line_step", _census_starts)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "residual_truncation": truncation, "params": {"ks": list(range(count))},
@@ -502,28 +504,22 @@ def test_residual_search_ks_above_the_census_budget_are_refused(count, tmp_path,
     code, out = run(tmp_path, *argv)
     err = capsys.readouterr().err
     assert code == 1 and not out.exists()
-    assert (
-        f"error: {count} ks at residual truncation {truncation} step {nodes} census "
-        f"nodes each, {count * nodes} in all, over the budget of {5 * MAX_CENSUS_NODES} "
-        f"(five ks at {MAX_CENSUS_NODES} nodes)" in err
+    seconds = {6: "3", 10**4: "4800"}[count]
+    assert err == (
+        f"error: {count} ks at residual truncation {truncation} are charged {charge} census "
+        f"positions each, {count * charge} in all, over the budget of {MAX_CENSUS_WORK}: "
+        f"the census would take about {seconds} s\n"
     )
-    seconds = 5e-7 * nodes + count * (4e-5 + 2.4e-7 * nodes)
-    assert f"{seconds:.0f}" == {6: "2", 10**4: "2382"}[count]
-    assert f"the censuses would take about {seconds:.0f} s" in err
 
 
 @pytest.mark.parametrize("count", [20_000, 20_001])
 def test_residual_search_charges_each_k_its_fixed_cost(count, tmp_path, capsys, monkeypatch):
-    """A k costs about ``MIN_CENSUS_CHARGE`` labels' time however few
-    labels its census steps, so at N = 2 (144 labels) 20,000 ks run and
-    20,001 are refused before any census runs, although their 2.9 million
-    labels are inside five censuses at the node budget.  The estimate
-    prices a k at 40 microseconds plus its walk: 1.49 s, against 1.5 s
-    timed for the whole run of 20,000 ks on a 2-core x86-64 host."""
-    truncation, nodes = 2, 144
-    assert nodes == 9 * (1 + (truncation + 1) * (2 * truncation + 1)) < MIN_CENSUS_CHARGE
-    assert count * nodes < 5 * MAX_CENSUS_NODES
-    monkeypatch.setattr(tower, "_sector_tails", _census_starts)
+    """A k costs about ``CENSUS_K_CHARGE`` positions' time beyond its
+    window, so at N = 2 (five positions) 20,000 ks run and 20,001 are
+    refused before any table entry is read.  The 20,000 take about 1.7 s
+    on a 2-core x86-64 host, on either kind."""
+    truncation = 2
+    monkeypatch.setattr(tower, "_line_step", _census_starts)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "residual_truncation": truncation, "params": {"ks": list(range(count))},
@@ -536,11 +532,9 @@ def test_residual_search_charges_each_k_its_fixed_cost(count, tmp_path, capsys, 
     code, out = run(tmp_path, *argv)
     err = capsys.readouterr().err
     assert code == 1 and not out.exists()
-    assert f"{5e-7 * nodes + count * (4e-5 + 2.4e-7 * nodes):.2f}" == "1.49"
     assert err == (
-        "error: 20001 ks at residual truncation 2 step 144 census nodes each "
-        "(charged 250 for a k's fixed cost), 5000250 in all, over the budget of 5000000 "
-        "(five ks at 1000000 nodes): the censuses would take about 1 s\n"
+        "error: 20001 ks at residual truncation 2 are charged 15 census positions each, "
+        "300015 in all, over the budget of 300000: the census would take about 2 s\n"
     )
 
 
@@ -560,7 +554,7 @@ def test_tower_depth_above_the_level_budget_is_refused(tmp_path, capsys, monkeyp
     def built(*args):
         raise AssertionError("the tower built its levels")
 
-    monkeypatch.setattr(tower, "tower_step", built)
+    monkeypatch.setattr(tower, "_integer_solutions", built)
     depth = MAX_TOWER_DEPTH + 1
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"params": {"max_depth": depth}}))

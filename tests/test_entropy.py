@@ -8,6 +8,7 @@ recomputes them in binary with mpmath at 120 bits.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -206,11 +207,11 @@ def test_refinement_estimate_scores_the_true_measure():
     refined-cell measure, so a uniform alphabet gives the rate with zero
     variance at any sample size."""
     rng = spawn_rngs(22, 1)[0]
-    for bern, expected in ((FAIR, math.log(2)), (UNIFORM4, math.log(4))):
+    for (bern, expected), n in itertools.product(((FAIR, math.log(2)), (UNIFORM4, math.log(4))), (1, 10)):
         est = partition_refine_entropy(
-            SystemSpec.shift(bern), PartitionSpec.time_zero(bern), 10, 2_000, rng
+            SystemSpec.shift(bern), PartitionSpec.time_zero(bern), n, 2_000, rng
         )
-        assert est.method == "measure-scored"
+        assert est.method == "measure-scored" and est.block_length == n
         assert abs(est.value - expected) <= 1e-12
         assert est.stderr <= 1e-12
 
@@ -467,6 +468,53 @@ def test_classifier_accepts_equal_entropies():
     relabeled = BernoulliSpec((0.5, 0.5), ("a", "b"))
     verdict = entropy_classifier(FAIR, relabeled)
     assert verdict.spacial == "spacially isomorphic (Ornstein)"
+
+
+def _verdict(p, q) -> str:
+    spec_a, spec_b = (BernoulliSpec(tuple(law), tuple(range(len(law)))) for law in (p, q))
+    return entropy_classifier(spec_a, spec_b).spacial
+
+
+def test_classifier_decides_entropy_equality_exactly():
+    """The near-fair coin differs from the fair one by 2e-10 nats;
+    Meshalkin's pair (1/4)^4 and (1/2, 1/8, 1/8, 1/8, 1/8) has equal
+    entropies, log 4 both; (1/3)^3 and (1/2, 1/6, 1/6, 1/6) do not."""
+    equal, unequal = "spacially isomorphic (Ornstein)", "not spacially isomorphic (entropy invariant)"
+    assert _verdict((0.5, 0.5), (0.50001, 0.49999)) == unequal
+    assert _verdict((0.25,) * 4, (0.5,) + (0.125,) * 4) == equal
+    assert _verdict((1 / 3,) * 3, (0.5,) + (1 / 6,) * 3) == unequal
+    rng = random.Random(3)
+    for _ in range(50):
+        p = [rng.random() + 0.01 for _ in range(rng.randint(2, 5))]
+        q = [rng.random() + 0.01 for _ in range(rng.randint(2, 4))]
+        p, q = [x / sum(p) for x in p], [x / sum(q) for x in q]
+        assert _verdict(p, rng.sample(p, len(p))) == equal
+        assert _verdict([x * y for x in p for y in q], [y * x for y in q for x in p]) == equal
+
+
+def test_entropy_equality_agrees_with_mpmath():
+    """On random laws with denominators up to 1,000, and on permutations
+    of them, the exact decision agrees with a 60-digit comparison."""
+    rng = random.Random(7)
+
+    def law():
+        D = rng.randint(2, 1000)
+        cuts = sorted(rng.sample(range(1, D), min(D - 1, rng.randint(1, 4))))
+        return [Fraction(b - a, D) for a, b in zip([0, *cuts], [*cuts, D])]
+
+    def entropy_60(p):
+        terms = (mpmath.mpf(x.numerator) / x.denominator for x in p)
+        return -mpmath.fsum(x * mpmath.log(x) for x in terms)
+
+    seen = set()
+    for _ in range(300):
+        p = law()
+        q = rng.sample(p, len(p)) if rng.random() < 0.3 else law()
+        with mpmath.workdps(60):
+            close = abs(entropy_60(p) - entropy_60(q)) < mpmath.mpf(10) ** -50
+        assert entropy._entropies_equal(p, q) == close, (p, q)
+        seen.add(close)
+    assert seen == {True, False}
 
 
 def test_wide_windows_keep_flat_memory():

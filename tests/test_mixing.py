@@ -41,7 +41,7 @@ from ergolab import (
     weak_mixing_verdict,
 )
 from ergolab import systems
-from ergolab.mixing import MAX_WEAK_MIXING_DIGITS
+from ergolab.mixing import CONSISTENT_BELOW, INCONSISTENT_ABOVE, MAX_WEAK_MIXING_DIGITS
 
 from entropy_oracle import concatenate, copied
 from exact_oracle import bracket_float
@@ -531,6 +531,9 @@ def test_verdict_thresholds():
     assert weak_mixing_verdict(0.0001) == "consistent with weak mixing"
     assert weak_mixing_verdict(0.12) == "inconsistent with weak mixing"
     assert weak_mixing_verdict(0.03) == "inconclusive"
+    # each threshold itself belongs to neither trend
+    assert weak_mixing_verdict(CONSISTENT_BELOW) == "inconclusive"
+    assert weak_mixing_verdict(INCONSISTENT_ABOVE) == "inconclusive"
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from ergolab import (
     residual_census,
     residual_reference,
     stabilization_depth,
-    tower_step,
     towers_distinguish,
 )
 
@@ -50,12 +49,11 @@ from ergolab.koopman import _integer_solutions
 from ergolab.tower import (
     ACCEPT_TOL,
     CENSUS_KS,
-    MAX_CENSUS_NODES,
+    CENSUS_K_CHARGE,
+    MAX_CENSUS_WORK,
     MAX_TOWER_DEPTH,
     REJECT_FACTOR,
     OrbitDecision,
-    _minimal_multiple,
-    _skew_quotient_character,
     _tower_gap,
     census_nodes,
 )
@@ -73,6 +71,8 @@ from helpers import (
 from tower_oracle import (
     _block_min_eigenvalue,
     _oracle_gram,
+    _p_step,
+    _table_tails,
     census_by_walk,
     residual_brute_force,
     residual_by_profile,
@@ -133,9 +133,9 @@ def test_canonical_forms():
     a = ModeSubgroup.from_generators([(2, 1), (0, 3)])
     b = ModeSubgroup.from_generators([(2, 4), (2, 1), (0, -3)])
     assert a == b
-    assert ModeSubgroup.from_generators([]) == ModeSubgroup.trivial()
+    assert ModeSubgroup.from_generators([]) == ModeSubgroup(0, 0, 0)
     assert ModeSubgroup.from_generators([(1, 0), (0, 1)]) == full_subgroup()
-    assert ModeSubgroup.trivial().is_trivial()
+    assert ModeSubgroup.from_generators([]).is_trivial()
 
 
 def test_lattice_examples_are_ordered():
@@ -162,10 +162,24 @@ def test_skew_tower_levels():
     assert [l.depth for l in levels] == [1, 2, 3, 4]
 
 
-def test_tower_step_is_idempotent_at_the_top():
-    levels = compute_tower(SKEW, 3)
-    again = tower_step(levels[-1], SKEW)
-    assert again.characters == levels[-1].characters
+def _quotient_character(mode: tuple[int, int]) -> tuple[int, int]:
+    """Character part of g[k,m](S x) / g[k,m](x): the table's image of the
+    label less the label."""
+    _, image = koopman_step("skew", "lattice", mode)
+    return tuple(a - b for a, b in zip(image, mode))
+
+
+def test_tower_levels_follow_the_quotient_recursion():
+    """Level j + 1 holds exactly the characters whose quotient character
+    lies in level j, on a window, and the top level stays put."""
+    levels = compute_tower(SKEW, 8)
+    window = list(itertools.product(range(-6, 7), repeat=2))
+    for lower, upper in zip(levels, levels[1:]):
+        for mode in window:
+            assert subgroup_contains(upper.characters, mode) == subgroup_contains(
+                lower.characters, _quotient_character(mode)
+            ), (upper.depth, mode)
+    assert all(level.characters == full_subgroup() for level in levels[2:])
 
 
 def test_tower_only_defined_for_skew():
@@ -181,7 +195,7 @@ def _work_begins(*args):
 def test_compute_tower_refuses_a_depth_over_the_budget(monkeypatch):
     """A library caller is refused as ``compute tower`` is, with the same
     text, before any level is built; the budget's own depth is not."""
-    monkeypatch.setattr(tower, "tower_step", _work_begins)
+    monkeypatch.setattr(tower, "_integer_solutions", _work_begins)
     with pytest.raises(ValueError) as caught:
         compute_tower(SKEW, MAX_TOWER_DEPTH + 1)
     assert str(caught.value) == (
@@ -193,64 +207,34 @@ def test_compute_tower_refuses_a_depth_over_the_budget(monkeypatch):
 
 
 def test_residual_census_refuses_over_the_node_budget_before_a_step(monkeypatch):
-    """The first ``next`` of a census over the budget raises the command
-    line's text before any label is stepped: N = 235 needs more than
-    ``MAX_CENSUS_NODES`` labels, and six ks at N = 234, read once from
-    an iterator, more than five censuses' worth."""
-    monkeypatch.setattr(tower, "_sector_tails", _work_begins)
-    census = residual_census(PRODUCT, CENSUS_KS, 235)
+    """The first ``next`` of a census over the work budget raises the
+    command line's text before any table entry is read or label counted:
+    one k is charged its 2N + 1 window positions and ``CENSUS_K_CHARGE``,
+    so five ks fit up to N = 29,994 and six ks, read once from an
+    iterator, do not."""
+    monkeypatch.setattr(tower, "_line_step", _work_begins)
+    census = residual_census(PRODUCT, CENSUS_KS, 29_995)
     with pytest.raises(ValueError) as caught:
         next(census)
+    assert 5 * (2 * 29_995 + 1 + CENSUS_K_CHARGE) == 300_005 > MAX_CENSUS_WORK
     assert str(caught.value) == (
-        "residual truncation 235 needs 1000413 census nodes, over the budget of "
-        f"{MAX_CENSUS_NODES} nodes"
+        "5 ks at residual truncation 29995 are charged 60001 census positions each, "
+        f"300005 in all, over the budget of {MAX_CENSUS_WORK}: the census would take about 2 s"
     )
-    with pytest.raises(ValueError, match=r"^6 ks at residual truncation 234 step \d+ census nodes each, "):
-        next(residual_census(PRODUCT, iter(range(6)), 234))
+    with pytest.raises(ValueError, match=r"^6 ks at residual truncation 29994 are charged 59999 "):
+        next(residual_census(PRODUCT, iter(range(6)), 29_994))
     with pytest.raises(AssertionError, match="work began"):
-        next(residual_census(PRODUCT, iter(range(5)), 234))
-
-
-def _identity(mode):
-    return mode
-
-
-def test_minimal_multiple_when_one_exists():
-    # t (1, 0) = s (2, 1) + y (0, 3) needs t = 2s and s = -3y: t = 6
-    H = ModeSubgroup.from_generators([(2, 1), (0, 3)])
-    assert _minimal_multiple((1, 0), _identity, H) == 6
-    assert _minimal_multiple((0, 1), _identity, H) == 3
-    assert _minimal_multiple((2, 1), _identity, H) == 1
-
-
-def test_minimal_multiple_when_none_exists():
-    assert _minimal_multiple((1, 0), _identity, ModeSubgroup.trivial()) == 0
-    pure_u = ModeSubgroup.from_generators([(1, 0)])
-    assert _minimal_multiple((0, 1), _identity, pure_u) == 0
-    assert _minimal_multiple((3, 1), _identity, pure_u) == 0
-
-
-@given(st.lists(pairs, min_size=0, max_size=3), pairs)
-@settings(max_examples=150)
-def test_minimal_multiple_is_the_least(gens, q):
-    """Against a bounded search: if any multiple of q lies in H, one does
-    by t = a * c, since a (resp. c) alone bounds it when c (resp. a) is 0."""
-    H = ModeSubgroup.from_generators(gens)
-    bound = max(H.a, 1) * max(H.c, 1)
-    searched = next(
-        (t for t in range(1, bound + 1) if subgroup_contains(H, (t * q[0], t * q[1]))), 0
-    )
-    assert _minimal_multiple((1, 0), lambda _: q, H) == searched
+        next(residual_census(PRODUCT, iter(range(5)), 29_994))
 
 
 def test_quotient_homomorphism():
     """q(g[k,m]) = g[k,m] o S / g[k,m] is the constant e(k gamma), the
-    table's phase, times the character (m, 0); q multiplies as the
-    characters do."""
+    table's phase, times the character (m, 0) = (A - I)(k, m); q
+    multiplies as the characters do."""
     mult, _ = koopman_step("skew", "lattice", (5, -2))
-    assert mult == 5 and _skew_quotient_character((5, -2)) == (-2, 0)
-    qa, qb = _skew_quotient_character((5, -2)), _skew_quotient_character((-3, 7))
-    assert _skew_quotient_character((2, 5)) == (qa[0] + qb[0], qa[1] + qb[1])
+    assert mult == 5 and _quotient_character((5, -2)) == (-2, 0)
+    qa, qb = _quotient_character((5, -2)), _quotient_character((-3, 7))
+    assert _quotient_character((2, 5)) == (qa[0] + qb[0], qa[1] + qb[1])
 
 
 # ---------------------------------------------------------------------------
@@ -333,20 +317,22 @@ def test_non_unipotent_step_is_refused(monkeypatch):
 
 
 def test_census_refuses_a_step_that_is_not_injective(monkeypatch):
-    # (l, m) -> (l + m, 0) merges paths: the census would count nodes twice
+    # (l, m) -> (l + m, 0) merges paths: A is not unipotent, so its orbits
+    # are no lattice lines, and the census refuses it by name before counting
     lattice = KOOPMAN_TABLE["skew"]["lattice"]
     monkeypatch.setitem(KOOPMAN_TABLE["skew"], "lattice", lattice._replace(A=((1, 1), (0, 0))))
-    with pytest.raises(ValueError, match="not injective"):
+    refusal = "^the skew step is not unipotent on the lattice sector$"
+    with pytest.raises(ValueError, match=refusal):
         quasi_eigen_residual_search(SKEW, 1, 8)
     with pytest.raises(ValueError, match="not injective"):
         census_by_walk(SKEW, 1, 8)
-    with pytest.raises(ValueError, match="K_1 is not injective"):
-        list(residual_census(SKEW, (1, 2), 8))
+    with pytest.raises(ValueError, match=refusal):
+        next(residual_census(SKEW, (1, 2), 8))
 
 
 # (kind, sector, replaced fields): the doctored steps above; steps whose
 # images land in the gaps of the tails' box, leave it, or move the tail by
-# l; and steps of order 2 and 3, whose cycles are longer than one label
+# l; and steps of order 2 and 3, whose orbits are no lattice lines
 CENSUS_MUTANTS = {
     "skew table as it is": ("skew", "lattice", {}),
     "skew without its m term": ("skew", "lattice", {"A": ((1, 0), (0, 1))}),
@@ -368,22 +354,66 @@ def _census_fields(report) -> tuple:
     return (report.k, report.cycles, report.path_lengths, report.dimension, report.residual)
 
 
+def _orbits_are_lines(kind: str, k: int, truncation: int) -> bool:
+    """Whether K_k steps each label as far as it steps the label's image,
+    tried on every label of the truncated basis."""
+    spec = SKEW if kind == "skew" else PRODUCT
+    labels = [(l, *t) for l in range(-4, 5) for t in _table_tails(spec, truncation)]
+    images = _p_step(kind, labels, k)
+    return all(
+        tuple(b - a for a, b in zip(y, z)) == tuple(b - a for a, b in zip(x, y))
+        for x, y, z in zip(labels, images, _p_step(kind, images, k))
+    )
+
+
 @pytest.mark.parametrize("mutant", list(CENSUS_MUTANTS))
 def test_census_matches_the_walk_oracle(mutant, monkeypatch):
-    """The array census, one P step for every k, gives the report of the
-    label-by-label walk, field for field, for every k in -4..4."""
+    """The counted census gives the report of the label-by-label walk,
+    field for field, for every k in -4..4 whose orbits are lattice lines,
+    and refuses, naming the sector and k, a census over any other k."""
     kind, sector, fields = CENSUS_MUTANTS[mutant]
     entry = KOOPMAN_TABLE[kind][sector]._replace(**fields)
     monkeypatch.setitem(KOOPMAN_TABLE[kind], sector, entry)
     spec = SKEW if kind == "skew" else PRODUCT
-    ks = range(-4, 5)
+    lines = [k for k in range(-4, 5) if _orbits_are_lines(kind, k, 3)]
+    for k in sorted(set(range(-4, 5)) - set(lines)):
+        refusal = rf"^(K_{k} does not move the {kind}|the {kind} step is not unipotent on the) {sector} sector"
+        with pytest.raises(ValueError, match=refusal):
+            next(residual_census(spec, (*lines, k), 3))
     for truncation in (2, 3, 4, 8, 13, 16):
-        census = list(residual_census(spec, ks, truncation))
+        census = list(residual_census(spec, lines, truncation))
         assert [_census_fields(r) for r in census] == [
-            _census_fields(census_by_walk(spec, k, truncation)) for k in ks
+            _census_fields(census_by_walk(spec, k, truncation)) for k in lines
         ], truncation
-        assert census[0].dimension == census_nodes(kind, truncation)
-        assert quasi_eigen_residual_search(spec, 1, truncation) == census[5]
+        assert all(r.dimension == census_nodes(kind, truncation) for r in census)
+
+
+def test_census_refuses_a_table_whose_orbits_are_no_lines(monkeypatch):
+    """A support position moved by l, (l, a, s) -> (l - k, a + l + 1, s),
+    steps along lines at k = 0 only: every other k is refused by name,
+    before any k is counted."""
+    kind, sector, fields = CENSUS_MUTANTS["product position moves by l"]
+    monkeypatch.setitem(KOOPMAN_TABLE[kind], sector, KOOPMAN_TABLE[kind][sector]._replace(**fields))
+    assert quasi_eigen_residual_search(PRODUCT, 0, 8) == census_by_walk(PRODUCT, 0, 8)
+    census = residual_census(PRODUCT, (0, 2), 8)
+    with pytest.raises(ValueError) as caught:
+        next(census)
+    assert str(caught.value) == (
+        "K_2 does not move the product support sector along lattice lines: "
+        "(A - I)(b - k e_l) is not 0"
+    )
+
+
+@pytest.mark.parametrize("spec", [PRODUCT, SKEW], ids=["product", "skew"])
+def test_count_matches_the_walk_on_a_grid(spec):
+    """The count equals the label-by-label walk at every truncation
+    N = 2..11 and every k in -9..9, out to the product's band edge
+    2 U_BAND + 1 = 9."""
+    ks = range(-9, 10)
+    for truncation in range(2, 12):
+        assert list(residual_census(spec, ks, truncation)) == [
+            census_by_walk(spec, k, truncation) for k in ks
+        ], truncation
 
 
 def test_census_takes_ks_with_repeats_in_their_order():
@@ -405,6 +435,14 @@ def test_verdicts_raise_when_evidence_disagrees_with_the_decision(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="exact decision"):
         _tower_gap(SKEW, 8)
+
+
+def test_integer_solutions_of_a_tall_full_rank_system():
+    """Three equations in two unknowns: the pivots run out before the
+    rows do, and the last row only checks consistency."""
+    rows = [[1, 0], [0, 1], [1, 1]]
+    assert _integer_solutions(rows, [2, 3, 5]) == ([2, 3], [])
+    assert _integer_solutions(rows, [2, 3, 4]) is None
 
 
 small = st.integers(-3, 3)
