@@ -50,8 +50,7 @@ _EXPORTS = {
         ),
         "mixing": (
             "CorrelationPoint", "NoClosedFormError", "TestSet", "correlation",
-            "spectral_ergodicity_check", "spectral_weak_mixing_check",
-            "weak_mixing_statistic", "weak_mixing_verdict",
+            "spectral_weak_mixing_check", "weak_mixing_statistic", "weak_mixing_verdict",
         ),
     }.items()
     for name in names

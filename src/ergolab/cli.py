@@ -20,40 +20,33 @@ are recorded, and JSON keys are sorted.  Exit codes are a stable
 contract: 0 success, 2 inconclusive evidence, 1 error.
 
 Config building and validation need only the standard library, the
-angles and the system specs: the packaged JSON schemas are enforced by a
-small interpreter of the keywords they use (``SchemaViolation`` carries
-the path and message jsonschema's best match would).  Each input has one
-schema: the config schema's ``$defs`` hold the angle, law, system,
-cylinder and test set, and one ``<op>-params`` entry per compute op.  So
-an unknown key is refused at every level with its path, and an integral
-float is an integer everywhere.  The ``from_json`` readers trust the
-validated shape; the domain constructors keep the rules a schema does
-not state, such as which fields a kind takes, and a refusal of theirs
-names the input's path too.  Each runner imports the toolkits it
-computes with when it runs, so ``compute weak-mixing`` loads not even
-the tower and ``reproduce-kolmogorov`` not the mixing toolkit.  Only
-``reproduce-kolmogorov`` loads numpy, hence inspect, and it samples on
-one thread; no run imports the dataclass module or ``concurrent``.
-Without a bytecode cache a run compiles each module it imports, 4-5
-microseconds a source line.
+angles and the system specs; ``_schema.validate`` checks a config, a
+compute op's params and a report against the packaged schemas.  The
+``from_json`` readers trust the validated shape; the domain constructors
+keep the rules a schema does not state, such as which fields a kind
+takes, and a refusal of theirs names the input's path too.  Each runner
+imports the toolkits it computes with when it runs, so ``compute
+weak-mixing`` loads not even the tower and ``reproduce-kolmogorov`` not
+the mixing toolkit.  Only ``reproduce-kolmogorov`` loads numpy, hence
+inspect, and it samples on one thread; no run imports the dataclass
+module or ``concurrent``.  Without a bytecode cache a run compiles each
+module it imports, 4-5 microseconds a source line.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import importlib.resources
 import json
 import math
-import numbers
 import os
 import sys
-from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
 from ._record import field, fields, record
+from ._schema import validate
 from .quadratic import SQRT2_MINUS_1
 from .systems import (
     BernoulliSpec,
@@ -88,160 +81,8 @@ DEFAULT_SEED = 1
 MAX_SAMPLED_SYMBOLS = 4 * 10**8
 
 
-#: JSON type name -> membership test, as in jsonschema's draft 2020-12
-#: type checker: a bool is never a number, an integral float is an integer.
-_JSON_TYPES = {
-    "object": lambda x: isinstance(x, dict),
-    "array": lambda x: isinstance(x, list),
-    "string": lambda x: isinstance(x, str),
-    "boolean": lambda x: isinstance(x, bool),
-    "null": lambda x: x is None,
-    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
-    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
-                          or isinstance(x, float) and x.is_integer()),
-}
-#: Annotations, which constrain nothing.
-_SCHEMA_NOTES = ("$schema", "title", "description")
-
-
-class SchemaViolation(ValueError):
-    """A config or report that breaks its packaged schema.  ``path`` and
-    ``message`` are those of the error ``jsonschema.validate`` would raise."""
-
-    def __init__(self, what: str, path: tuple, message: str):
-        self.path, self.message = path, message
-        where = "/".join(str(p) for p in path) or "<root>"
-        super().__init__(f"invalid {what} at {where}: {message}")
-
-
-def _resolve(root: dict, ref: str):
-    """The subschema a local ``#/$defs/...`` JSON pointer names, or None."""
-    if not ref.startswith("#/$defs/"):
-        return None
-    node = root
-    for part in ref[2:].split("/"):
-        node = node.get(part) if isinstance(node, dict) else None
-    return node
-
-
-def _check_keywords(schema: dict, root: Optional[dict] = None) -> None:
-    """Refuse a schema using any keyword, or keyword form, that
-    ``_schema_errors`` does not enforce, so no constraint goes unchecked.
-    A ``$ref`` must stand alone (beside annotations) and name a subschema
-    under the root's ``$defs``, so each instance path is still reached
-    through one subschema."""
-    root = schema if root is None else root
-    for key, value in schema.items():
-        if key in _SCHEMA_NOTES:
-            continue
-        subschemas = []
-        if key == "type":
-            known = all(t in _JSON_TYPES for t in ([value] if isinstance(value, str) else value))
-        elif key == "enum":
-            known = all(v is None or isinstance(v, (str, int, float)) for v in value)
-        elif key == "minimum":
-            known = _JSON_TYPES["number"](value)
-        elif key == "additionalProperties":
-            known = value is False
-        elif key == "$ref":
-            known = isinstance(_resolve(root, value), dict) and set(schema) <= {key, *_SCHEMA_NOTES}
-        elif key in ("properties", "$defs"):
-            subschemas = list(value.values())
-            known = all(isinstance(sub, dict) for sub in subschemas)
-        elif key in ("items", "prefixItems"):
-            subschemas = [value] if key == "items" else value
-            known = (all(isinstance(sub, dict) for sub in subschemas)
-                     and not (key == "items" and "prefixItems" in schema))
-        else:
-            known = key in ("required", "minItems", "maxItems")
-        if not known:
-            raise NotImplementedError(f"schema keyword {key!r}: {value!r} is not enforced")
-        for sub in subschemas:
-            _check_keywords(sub, root)
-
-
-def _schema_errors(schema: dict, instance, path: tuple = (), root: Optional[dict] = None):
-    """Yield (path, message) for each violation, in jsonschema's order:
-    the schema's keyword order, depth first, with its messages.  ``$ref``
-    pointers resolve in ``root``, the schema itself by default."""
-    root = schema if root is None else root
-    for key, value in schema.items():
-        if key == "$ref":
-            yield from _schema_errors(_resolve(root, value), instance, path, root)
-        elif key == "type":
-            types = [value] if isinstance(value, str) else value
-            if not any(_JSON_TYPES[t](instance) for t in types):
-                yield path, f"{instance!r} is not of type {', '.join(map(repr, types))}"
-        elif key == "enum":
-            # jsonschema's equality: True is not 1, False is not 0
-            if not any(isinstance(v, bool) == isinstance(instance, bool) and v == instance
-                       for v in value):
-                yield path, f"{instance!r} is not one of {value!r}"
-        elif key == "minimum":
-            if _JSON_TYPES["number"](instance) and instance < value:
-                yield path, f"{instance!r} is less than the minimum of {value!r}"
-        elif not isinstance(instance, (list, dict)):
-            continue
-        elif isinstance(instance, list):
-            if key == "items":
-                for index, item in enumerate(instance):
-                    yield from _schema_errors(value, item, (*path, index), root)
-            elif key == "prefixItems":
-                for index, (item, sub) in enumerate(zip(instance, value)):
-                    yield from _schema_errors(sub, item, (*path, index), root)
-            elif key == "minItems" and len(instance) < value:
-                yield path, f"{instance!r} {'should be non-empty' if value == 1 else 'is too short'}"
-            elif key == "maxItems" and len(instance) > value:
-                yield path, f"{instance!r} {'is expected to be empty' if value == 0 else 'is too long'}"
-        elif key == "properties":
-            for name, subschema in value.items():
-                if name in instance:
-                    yield from _schema_errors(subschema, instance[name], (*path, name), root)
-        elif key == "required":
-            for name in value:
-                if name not in instance:
-                    yield path, f"{name!r} is a required property"
-        elif key == "additionalProperties":
-            known = schema.get("properties", {})
-            extras = sorted({name for name in instance if name not in known}, key=str)
-            if extras:
-                verb = "was" if len(extras) == 1 else "were"
-                yield path, (f"Additional properties are not allowed "
-                             f"({', '.join(map(repr, extras))} {verb} unexpected)")
-
-
-@lru_cache(maxsize=4)
-def _schema(name: str) -> dict:
-    """One packaged schema, loaded and keyword-checked once."""
-    ref = importlib.resources.files("ergolab.schemas").joinpath(name)
-    schema = json.loads(ref.read_text(encoding="utf-8"))
-    _check_keywords(schema)
-    return schema
-
-
-def _validate(name: str, what: str, data, ref: str = "", path: tuple = ()) -> None:
-    """Raise jsonschema's best match for ``data`` at ``path`` against the
-    packaged schema ``name``, or against its subschema ``ref``: of all
-    violations, the one at the shortest path, then the largest path among
-    siblings, then the first.  Its other tie-breaks (anyOf and oneOf rank
-    low, as do errors of a subschema whose type the instance has) cannot
-    split two errors of one subschema at one path, and the packaged
-    schemas, having no anyOf or oneOf and no ``$ref`` beside another
-    keyword, reach each path through one subschema."""
-    root = _schema(name)
-    errors = _schema_errors({"$ref": ref} if ref else root, data, path, root)
-    best = max(errors, key=lambda error: (-len(error[0]), error[0]), default=None)
-    if best is not None:
-        raise SchemaViolation(what, *best)
-
-
 def _validate_config(data: dict) -> None:
-    _validate("config.schema.json", "configuration", data)
-
-
-def _validate_params(op: str, params: dict) -> None:
-    """Check a compute op's params against its ``<op>-params`` entry."""
-    _validate("config.schema.json", "configuration", params, f"#/$defs/{op}-params", ("params",))
+    validate("config.schema.json", "configuration", data)
 
 
 def _read(reader, data, where: str):
@@ -289,10 +130,9 @@ class ExperimentConfig:
         """The config a validated JSON object names; the schema admits
         only field names, and absent fields keep their defaults.  An
         integral float, which the schema admits as an integer, becomes
-        an int."""
+        an int in an ``int`` field."""
         _validate_config(data)
-        properties = _schema("config.schema.json")["properties"]
-        data = {key: int(value) if properties[key].get("type") == "integer" else value
+        data = {key: int(value) if cls.__annotations__[key] == "int" else value
                 for key, value in data.items()}
         return cls(**{**data, "systems": tuple(data.get("systems", ()))})
 
@@ -332,7 +172,7 @@ class ExperimentReport:
         }
 
     def validate(self) -> None:
-        _validate("report.schema.json", "report", self.to_json())
+        validate("report.schema.json", "report", self.to_json())
 
 
 def _verdict(statement: str, evidence: dict, provenance: str = "exact") -> dict:
@@ -673,7 +513,8 @@ def run_compute(config: ExperimentConfig) -> tuple[dict, list[dict]]:
         raise ValueError(
             f"unknown op {config.op!r}; available: {', '.join(sorted(COMPUTE_OPS))}"
         )
-    _validate_params(config.op, config.params)
+    validate("config.schema.json", "configuration", config.params,
+             f"#/$defs/{config.op}-params", ("params",))
     results, verdicts = COMPUTE_OPS[config.op](config)
     return {"op": config.op, **results}, verdicts
 
@@ -759,20 +600,17 @@ EXTRA_FILES = (
 )
 
 
-def emit_report(report: ExperimentReport, out_dir=None, format: Optional[str] = None) -> list[Path]:
-    """Validate the report, then write the report files and return their
-    paths.
+def emit_report(report: ExperimentReport) -> list[Path]:
+    """Validate the report, then write the report files into the config's
+    ``out`` directory and return their paths.
 
-    ``format="json"`` writes report.json only; ``format="csv"`` adds the
-    scenario's plot-ready files from ``EXTRA_FILES``.  Identical reports
-    produce byte-identical files: keys are sorted, floats keep their
-    shortest round-trip repr, and nothing time-dependent is recorded.
+    Format ``json`` writes report.json only; ``csv`` adds the scenario's
+    plot-ready files from ``EXTRA_FILES``.  Identical reports produce
+    byte-identical files: keys are sorted, floats keep their shortest
+    round-trip repr, and nothing time-dependent is recorded.
     """
     report.validate()
-    out = Path(out_dir if out_dir is not None else report.config.out)
-    fmt = format or report.config.format
-    if fmt not in ("json", "csv"):
-        raise ValueError(f"unknown format {fmt!r}")
+    out = Path(report.config.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, NotADirectoryError) as exc:
@@ -780,7 +618,8 @@ def emit_report(report: ExperimentReport, out_dir=None, format: Optional[str] = 
     written = [out / "report.json"]
     _write_json(written[0], report.to_json())
     for scenario, name, header, rows_of in EXTRA_FILES:
-        rows = rows_of(report) if fmt == "csv" and scenario == report.config.scenario else None
+        rows = (rows_of(report) if report.config.format == "csv"
+                and scenario == report.config.scenario else None)
         if rows:
             written.append(out / name)
             if header is None:

@@ -204,16 +204,13 @@ def _last_unknown_coset(rows, rhs) -> Optional[tuple[int, int, int]]:
 class SpectrumDescriptor:
     """Point part (group generators, simplicity) plus Lebesgue multiplicity.
 
-    The tag is forced by the parts: no Lebesgue part means pure-point,
-    a trivial simple point part means pure-continuous, anything else is
-    mixed.  ``chain_counts`` holds the evidence for the multiplicity as
-    (box half-width B, chains meeting [-B, B]^d) pairs.
+    ``chain_counts`` holds the evidence for the multiplicity as (box
+    half-width B, chains meeting [-B, B]^d) pairs.
     """
 
     point_generators: tuple[RotationNumber, ...]
     lebesgue_multiplicity: object  # 0, a positive int, or INFINITE
     one_multiplicity: int = 1
-    tag: str = field(default="", compare=False)
     chain_counts: tuple[tuple[int, int], ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
@@ -222,14 +219,12 @@ class SpectrumDescriptor:
             raise ValueError(f"bad Lebesgue multiplicity {mult!r}")
         if not isinstance(self.one_multiplicity, int) or self.one_multiplicity < 1:
             raise ValueError("the proper value 1 has multiplicity >= 1")
-        expected = self._expected_tag()
-        if self.tag and self.tag != expected:
-            raise ValueError(
-                f"tag {self.tag!r} inconsistent with parts (expected {expected!r})"
-            )
-        object.__setattr__(self, "tag", expected)
 
-    def _expected_tag(self) -> str:
+    @property
+    def tag(self) -> str:
+        """Forced by the parts: no Lebesgue part means pure-point, a
+        trivial simple point part means pure-continuous, anything else is
+        mixed."""
         if self.lebesgue_multiplicity == 0:
             return "pure-point"
         if not self.point_generators and self.point_part_simple:

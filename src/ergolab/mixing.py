@@ -8,7 +8,7 @@ read "consistent with weak mixing" (statistic below 0.01) or "inconsistent"
 where the geometry gives them a closed form (circle interval overlaps,
 cylinder independence): their values and sums stay exact until one
 correctly rounded conversion to float, and any other pair raises
-:class:`NoClosedFormError`; the spectral predicates give a second,
+:class:`NoClosedFormError`; the spectral predicate gives a second,
 non-numeric opinion.  The exact statistic visits no lag of the rotation
 orbit beyond the few where cylinder constraints meet: the overlaps are
 piecewise linear in frac(i*gamma), so their sum over t lags is a handful
@@ -38,7 +38,6 @@ __all__ = [
     "NoClosedFormError",
     "TestSet",
     "correlation",
-    "spectral_ergodicity_check",
     "spectral_weak_mixing_check",
     "weak_mixing_statistic",
     "weak_mixing_verdict",
@@ -160,9 +159,6 @@ class TestSet:
         if self.kind == "cylinder":
             return cyl
         return (self.b - self.a) * cyl
-
-    def measure(self, spec: SystemSpec) -> float:
-        return float(self.exact_measure(spec))
 
     def _sequence_law(self, spec: SystemSpec) -> BernoulliSpec:
         """The symbol law a cylinder constrains; ValueError on a system
@@ -439,8 +435,3 @@ def weak_mixing_verdict(statistic: float) -> str:
 def spectral_weak_mixing_check(descriptor: SpectrumDescriptor) -> bool:
     """True iff the point part is exactly {1} and 1 is simple."""
     return len(descriptor.point_generators) == 0 and descriptor.point_part_simple
-
-
-def spectral_ergodicity_check(descriptor: SpectrumDescriptor) -> bool:
-    """True iff the proper value 1 is simple in the descriptor."""
-    return descriptor.point_part_simple

@@ -572,8 +572,13 @@ def _tower_gap(spec: SystemSpec, truncation: int) -> tuple[bool, dict]:
 
     The evidence carries the decision and what corroborates it: the skew
     tower's levels from :func:`compute_tower`, or the product's residual
-    certificate.  Either one disagreeing with the decision
-    raises ``RuntimeError``.
+    certificate.  Either one disagreeing with the decision raises
+    ``RuntimeError``.  Like the census, :func:`compute_tower` reads the
+    same N = A - I of ``KOOPMAN_TABLE`` through ``_fixed_point_rows`` as
+    the decision does, so the skew check confirms the decision's linear
+    algebra, not the table: a wrong table entry moves both sides alike.
+    The table's numeric tie to ``systems.iterate_batch`` is what ties it
+    to the maps.
     """
     decision = decide_finite_orbits(spec.kind)
     evidence = {"method": "exact", "decision": decision.to_json()}

@@ -449,7 +449,7 @@ def _retruncated(evidence, truncation: int):
 
 
 @pytest.mark.parametrize("argv", [("reproduce-letter",), ("compute", "residual-search")])
-def test_residual_truncation_above_the_node_budget_is_refused(argv, tmp_path, capsys, monkeypatch):
+def test_residual_truncation_above_the_work_budget_is_refused(argv, tmp_path, capsys, monkeypatch):
     """The default five ks are charged 2N + 1 + ``CENSUS_K_CHARGE`` window
     positions each, so N = 29,995 is the smallest truncation refused."""
     truncation = 29_995

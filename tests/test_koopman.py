@@ -450,7 +450,6 @@ def test_degenerate_point_part_is_not_simple():
         point_generators=(),
         lebesgue_multiplicity="infinite",
         one_multiplicity=2,
-        tag="mixed",
     )
     assert not doubled.point_part_simple
     with pytest.raises(ValueError):
@@ -458,7 +457,6 @@ def test_degenerate_point_part_is_not_simple():
             point_generators=(),
             lebesgue_multiplicity="infinite",
             one_multiplicity=0,
-            tag="pure-continuous",
         )
 
 

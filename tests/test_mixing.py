@@ -34,7 +34,6 @@ from ergolab import (
     iterate_batch,
     sample_batch,
     spawn_rngs,
-    spectral_ergodicity_check,
     spectral_weak_mixing_check,
     spectrum_of,
     weak_mixing_statistic,
@@ -546,7 +545,7 @@ def test_spectral_predicates():
     assert [spectral_weak_mixing_check(d) for d in (rot, skew, shift, prod)] == [
         False, False, True, False,
     ]
-    assert all(spectral_ergodicity_check(d) for d in (rot, skew, shift, prod))
+    assert all(d.point_part_simple for d in (rot, skew, shift, prod))
 
 
 def test_trend_verdicts_agree_with_spectra():

@@ -1,16 +1,19 @@
-"""The packaged JSON schemas and the CLI's interpreter of them.
+"""The packaged JSON schemas and ``ergolab._schema``'s interpreter of them.
 
 jsonschema is the oracle here and nowhere at run time: each packaged
 schema must be a valid draft 2020-12 schema, the interpreter must accept
 and reject what ``jsonschema.exceptions.best_match`` does with the same
-path and message, and a schema keyword the interpreter does not enforce
-must be refused rather than ignored.
+path and message, and a packaged schema may use no keyword the
+interpreter does not enforce.  The interpreter ignores a keyword it does
+not know, so ``_check_keywords`` is what keeps a schema edit from adding
+a constraint no run checks.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import json
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -18,16 +21,12 @@ from hypothesis import strategies as st
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
-from ergolab.cli import (
-    COMPUTE_OPS,
-    SchemaViolation,
-    _check_keywords,
-    _schema_errors,
-    _validate,
-    _validate_params,
-)
+from ergolab._schema import _JSON_TYPES, SchemaViolation, _resolve, _schema_errors, validate
+from ergolab.cli import COMPUTE_OPS
 
 SCHEMAS = ("config.schema.json", "report.schema.json")
+#: Annotations, which constrain nothing.
+_SCHEMA_NOTES = ("$schema", "title", "description")
 
 
 def _packaged(name: str) -> dict:
@@ -35,10 +34,46 @@ def _packaged(name: str) -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
+def _check_keywords(schema: dict, root: Optional[dict] = None) -> None:
+    """Refuse a schema using any keyword, or keyword form, that
+    ``_schema_errors`` does not enforce, so no constraint goes unchecked.
+    A ``$ref`` must stand alone (beside annotations) and name a subschema
+    under the root's ``$defs``, so each instance path is still reached
+    through one subschema."""
+    root = schema if root is None else root
+    for key, value in schema.items():
+        if key in _SCHEMA_NOTES:
+            continue
+        subschemas = []
+        if key == "type":
+            known = all(t in _JSON_TYPES for t in ([value] if isinstance(value, str) else value))
+        elif key == "enum":
+            known = all(v is None or isinstance(v, (str, int, float)) for v in value)
+        elif key == "minimum":
+            known = _JSON_TYPES["number"](value)
+        elif key == "additionalProperties":
+            known = value is False
+        elif key == "$ref":
+            known = isinstance(_resolve(root, value), dict) and set(schema) <= {key, *_SCHEMA_NOTES}
+        elif key in ("properties", "$defs"):
+            subschemas = list(value.values())
+            known = all(isinstance(sub, dict) for sub in subschemas)
+        elif key in ("items", "prefixItems"):
+            subschemas = [value] if key == "items" else value
+            known = (all(isinstance(sub, dict) for sub in subschemas)
+                     and not (key == "items" and "prefixItems" in schema))
+        else:
+            known = key in ("required", "minItems", "maxItems")
+        if not known:
+            raise NotImplementedError(f"schema keyword {key!r}: {value!r} is not enforced")
+        for sub in subschemas:
+            _check_keywords(sub, root)
+
+
 def _interpreted(name: str, instance):
     """(path, message) of the interpreter's violation, or None."""
     try:
-        _validate(name, "instance", instance)
+        validate(name, "instance", instance)
     except SchemaViolation as exc:
         return exc.path, exc.message
     return None
@@ -202,7 +237,8 @@ def test_every_compute_op_has_a_params_schema():
 def test_params_verdicts_match_jsonschema(op_and_instance):
     op, instance = op_and_instance
     try:
-        _validate_params(op, instance)
+        validate("config.schema.json", "configuration", instance, f"#/$defs/{op}-params",
+                 ("params",))
         found = None
     except SchemaViolation as exc:
         found = exc.path, exc.message

@@ -206,7 +206,7 @@ def test_compute_tower_refuses_a_depth_over_the_budget(monkeypatch):
         compute_tower(SKEW, MAX_TOWER_DEPTH)
 
 
-def test_residual_census_refuses_over_the_node_budget_before_a_step(monkeypatch):
+def test_residual_census_refuses_over_the_work_budget_before_a_step(monkeypatch):
     """The first ``next`` of a census over the work budget raises the
     command line's text before any table entry is read or label counted:
     one k is charged its 2N + 1 window positions and ``CENSUS_K_CHARGE``,
