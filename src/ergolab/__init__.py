@@ -33,7 +33,7 @@ _EXPORTS = {
         "koopman": (
             "CHAIN_BOXES", "GroupComparison", "IncompatibleSpectraError", "IntertwinerCheck",
             "IntertwinerIdentity", "IntertwinerPairing", "KOOPMAN_TABLE", "SectorAction",
-            "SpectrumDescriptor", "build_intertwiner", "is_one_simple", "koopman_step",
+            "SpectrumDescriptor", "build_intertwiner", "koopman_step",
             "point_spectrum_groups_equal", "spectrum_of", "verify_intertwiner",
         ),
         "tower": (

@@ -48,12 +48,7 @@ from . import __version__
 from ._record import field, fields, record
 from ._schema import validate
 from .quadratic import SQRT2_MINUS_1
-from .systems import (
-    BernoulliSpec,
-    CylinderSet,
-    InconclusiveEvidenceError,
-    SystemSpec,
-)
+from .systems import MAPS, BernoulliSpec, CylinderSet, InconclusiveEvidenceError, SystemSpec
 
 __all__ = [
     "ExperimentConfig",
@@ -476,10 +471,10 @@ def _compute_weak_mixing(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     from .mixing import TestSet, weak_mixing_statistic, weak_mixing_verdict
 
     spec = _param(config, "system", SystemSpec.from_json, SystemSpec.skew(SQRT2_MINUS_1))
-    if spec.kind == "bernoulli":
-        A = TestSet.from_cylinder(CylinderSet(((0, spec.bernoulli.symbols[0]),)))
-    else:
+    if MAPS[spec.kind][1]:  # a torus part: half the circle
         A = TestSet.u_interval(0, "1/2")
+    else:  # the cylinder of symbol 0 at position 0
+        A = TestSet.from_cylinder(CylinderSet(((0, spec.bernoulli.symbols[0]),)))
     A = _param(config, "A", TestSet.from_json, A)
     B = _param(config, "B", TestSet.from_json, A)
     t = int(config.params.get("t", 10_000))

@@ -48,7 +48,6 @@ __all__ = [
     "SectorAction",
     "SpectrumDescriptor",
     "build_intertwiner",
-    "is_one_simple",
     "koopman_step",
     "point_spectrum_groups_equal",
     "spectrum_of",
@@ -204,8 +203,11 @@ def _last_unknown_coset(rows, rhs) -> Optional[tuple[int, int, int]]:
 class SpectrumDescriptor:
     """Point part (group generators, simplicity) plus Lebesgue multiplicity.
 
-    ``chain_counts`` holds the evidence for the multiplicity as (box
-    half-width B, chains meeting [-B, B]^d) pairs.
+    The point spectrum is generated by at most one irrational angle,
+    which never makes the proper value 1 a repeated one, so 1 is simple
+    exactly when it has multiplicity one.  ``chain_counts`` holds the
+    evidence for the multiplicity as (box half-width B, chains meeting
+    [-B, B]^d) pairs.
     """
 
     point_generators: tuple[RotationNumber, ...]
@@ -219,6 +221,10 @@ class SpectrumDescriptor:
             raise ValueError(f"bad Lebesgue multiplicity {mult!r}")
         if not isinstance(self.one_multiplicity, int) or self.one_multiplicity < 1:
             raise ValueError("the proper value 1 has multiplicity >= 1")
+        if len(self.point_generators) > 1:
+            raise ValueError(
+                f"a point spectrum has at most one generator, got {len(self.point_generators)}"
+            )
 
     @property
     def tag(self) -> str:
@@ -233,10 +239,8 @@ class SpectrumDescriptor:
 
     @property
     def point_part_simple(self) -> bool:
-        """Is the proper value 1 simple?  Requires both declared
-        multiplicity one and no integer combination of generators
-        collapsing onto an integer."""
-        return self.one_multiplicity == 1 and is_one_simple(self.point_generators)
+        """Is the proper value 1 simple?"""
+        return self.one_multiplicity == 1
 
     def to_json(self) -> dict:
         return {
@@ -247,30 +251,6 @@ class SpectrumDescriptor:
             "chain_counts": [list(p) for p in self.chain_counts],
             "tag": self.tag,
         }
-
-
-def is_one_simple(generators: Sequence[RotationNumber]) -> bool:
-    """Is the proper value 1 simple for the given point-spectrum generators?
-
-    1 fails to be simple iff some nonzero integer vector c makes
-    ``z = sum(c_i gamma_i)`` an integer.  With ``gamma_i = a_i + b_i sqrt(d_i)``
-    and quadratic fields independent over the rationals together with 1,
-    that is an integer kernel vector (c, z) of one row
-    ``sum(c_i b_i) = 0`` per field plus the row ``sum(c_i a_i) - z = 0``,
-    each scaled to integers; the kernel is decided exactly.  A single
-    generator never produces one, as every angle is irrational.
-    """
-    gens = list(generators)
-    if len(gens) <= 1:
-        return True
-    xs = [g.exact for g in gens]
-    rows = [[x.b if x.d == d else 0 for x in xs] + [0] for d in {x.d for x in xs}]
-    rows.append([x.a for x in xs] + [-1])
-    scaled = []
-    for row in rows:
-        m = math.lcm(*(Fraction(v).denominator for v in row))
-        scaled.append([int(v * m) for v in row])
-    return not _integer_solutions(scaled, [0] * len(scaled))[1]
 
 
 def _chain_count(kind: str, sector: str):

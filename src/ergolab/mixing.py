@@ -5,27 +5,29 @@ Weak mixing asks that the Cesaro average of |mu(S^i A  cap  B) - mu(A)mu(B)|
 tend to 0.  At desk scale only finite-t trends are observable, so verdicts
 read "consistent with weak mixing" (statistic below 0.01) or "inconsistent"
 (above 0.05), never the limit statement itself.  Correlations are exact
-where the geometry gives them a closed form (circle interval overlaps,
-cylinder independence): their values and sums stay exact until one
-correctly rounded conversion to float, and any other pair raises
-:class:`NoClosedFormError`; the spectral predicate gives a second,
-non-numeric opinion.  The exact statistic visits no lag of the rotation
-orbit beyond the few where cylinder constraints meet: the overlaps are
-piecewise linear in frac(i*gamma), so their sum over t lags is a handful
-of floor sums, each O(log t) steps along the continued fraction of gamma.
+factor by factor, read off the map record ``systems.MAPS[kind] =
+(M, t, s)``: a u-arc moves by the rotation of a torus part (t not
+empty), a cylinder by the shift (s != 0), and a factor a set leaves free
+is the whole coordinate.  Values and sums stay exact until one correctly
+rounded conversion to float; a v-arc, or a factor the system lacks,
+raises :class:`NoClosedFormError`.  The spectral predicate gives a
+second, non-numeric opinion.  The exact statistic visits no lag of the
+rotation orbit beyond the few where cylinder constraints meet: the
+overlaps are piecewise linear in frac(i*gamma), so their sum over t lags
+is a handful of floor sums, each O(log t) steps down the continued
+fraction of gamma.
 No numpy is imported: sample membership works on a batch's own arrays.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
 
 from ._record import record
 from .quadratic import QuadraticReal, RotationNumber, decimal_digits, floor_sums
-from .systems import BernoulliSpec, CylinderSet, SampleBatch, SystemSpec
+from .systems import MAPS, BernoulliSpec, CylinderSet, SampleBatch, SystemSpec
 
 if TYPE_CHECKING:
     import numpy as np
@@ -146,19 +148,30 @@ class TestSet:
         cylinder = CylinderSet.from_json(obj["cylinder"]) if "cylinder" in obj else None
         return cls(kind=obj["kind"], cylinder=cylinder, **ends)
 
+    # -- factors -----------------------------------------------------------
+
+    @property
+    def u_arc(self) -> tuple[Fraction, Fraction]:
+        """The u-arc [a, b); the whole circle [0, 1) where u is free."""
+        return (Fraction(0), Fraction(1)) if self.a is None else (self.a, self.b)
+
+    @property
+    def w_cylinder(self) -> CylinderSet:
+        """The sequence constraints; none where the sequence is free."""
+        return CylinderSet() if self.cylinder is None else self.cylinder
+
     # -- measure -----------------------------------------------------------
 
     def exact_measure(self, spec: SystemSpec) -> Fraction:
-        """The measure as an exact rational (cylinder probabilities enter
-        by their exact binary-float values)."""
-        if self.kind == "u-interval":
-            return self.b - self.a
-        if self.kind == "rectangle":
-            return (self.b - self.a) * (self.d - self.c)
-        cyl = self.cylinder.measure(self._sequence_law(spec))
-        if self.kind == "cylinder":
-            return cyl
-        return (self.b - self.a) * cyl
+        """The measure as an exact rational, the product of its factors'
+        (cylinder probabilities enter by their exact binary-float values)."""
+        a, b = self.u_arc
+        measure = b - a
+        if self.c is not None:
+            measure *= self.d - self.c
+        if self.cylinder is not None:
+            measure *= self.cylinder.measure(self._sequence_law(spec))
+        return measure
 
     def _sequence_law(self, spec: SystemSpec) -> BernoulliSpec:
         """The symbol law a cylinder constrains; ValueError on a system
@@ -173,27 +186,23 @@ class TestSet:
     # -- membership --------------------------------------------------------
 
     def contains_batch(self, spec: SystemSpec, batch: SampleBatch) -> np.ndarray:
-        """Boolean membership array for a sample batch."""
+        """Boolean membership array for a sample batch: the AND of the
+        factors the set constrains."""
         result = None
-        if self.kind in ("u-interval", "rectangle", "product"):
+        if self.a is not None:
             if batch.u is None:
                 raise ValueError(f"{self.kind} set needs a u coordinate")
             result = (batch.u >= float(self.a)) & (batch.u < float(self.b))
-        if self.kind == "rectangle":
+        if self.c is not None:
             result &= (batch.v >= float(self.c)) & (batch.v < float(self.d))
-        if self.kind in ("cylinder", "product"):
+        if self.cylinder is not None:
             inside = self.cylinder.contains_batch(self._sequence_law(spec), batch)
             result = inside if result is None else (result & inside)
         return result
 
     def to_json(self) -> dict:
         data: dict = {"kind": self.kind}
-        if self.a is not None:
-            data["a"] = str(self.a)
-            data["b"] = str(self.b)
-        if self.c is not None:
-            data["c"] = str(self.c)
-            data["d"] = str(self.d)
+        data.update((e, str(getattr(self, e))) for e in "abcd" if getattr(self, e) is not None)
         if self.cylinder is not None:
             data["cylinder"] = self.cylinder.to_json()
         return data
@@ -227,9 +236,9 @@ class _CircleOverlap:
     slopes -1, 0 and 1, so the summand is linear between the rational
     points where an end of ``A + x`` meets an end of B or f crosses c,
     and each piece needs only the count and the sum of the orbit points
-    below its ends, which are floor sums (:func:`floor_sums`).  The
-    pieces depend on the arcs and c alone, so a sweep over t finds them
-    once: instances compare by value and :meth:`_steps` is cached.
+    below its ends, which are floor sums (:func:`floor_sums`).  A set
+    that leaves u free contributes the whole circle [0, 1).  A statistic
+    finds its pieces once, so :meth:`_steps` keeps no cache.
     """
 
     gamma: QuadraticReal
@@ -240,7 +249,7 @@ class _CircleOverlap:
 
     @classmethod
     def between(cls, gamma: RotationNumber, A: TestSet, B: TestSet) -> "_CircleOverlap":
-        return cls(gamma.exact, A.a, A.b, B.a, B.b)
+        return cls(gamma.exact, *A.u_arc, *B.u_arc)
 
     def at(self, x):
         """f(x) for x in [0, 1], in x's own arithmetic."""
@@ -279,7 +288,6 @@ class _CircleOverlap:
             twice_rational += 2 * count * d_alpha - (f2 - g2 + count) * d_beta
         return (g * along_gamma + Fraction(twice_rational, 2)) * Fraction(1, L)
 
-    @functools.lru_cache(maxsize=64)
     def _steps(self, c: Fraction) -> tuple[int, list[tuple[QuadraticReal, int, int]]]:
         """A denominator L and ``(gamma - e, L*dalpha, L*dbeta)`` at each
         cut e > 0 of ``|f(x) - c| = alpha_k + beta_k*x``: the kinks of f,
@@ -307,32 +315,21 @@ class _CircleOverlap:
         return L, [(self.gamma - e, int(da * L), int(db * L)) for e, da, db in steps]
 
 
-def _closed_form_factors(spec: SystemSpec, A: TestSet, B: TestSet) -> tuple[bool, bool]:
-    """Which factors (rotation u, sequence w) the exact correlation of A
-    and B multiplies; raises where no closed form exists."""
-    kind = spec.kind
-    if kind == "bernoulli":
-        if A.kind != "cylinder" or B.kind != "cylinder":
-            raise NoClosedFormError("shift correlations need cylinder sets")
-        return False, True
-    if kind == "rotation":
-        if A.kind != "u-interval" or B.kind != "u-interval":
-            raise NoClosedFormError("rotation correlations need u-intervals")
-        return True, False
-    if kind == "skew":
-        # only u-interval sets (full in v) reduce to the rotation factor;
-        # the v coordinate mixes u into itself and admits no closed form here
-        if A.kind != "u-interval" or B.kind != "u-interval":
-            raise NoClosedFormError(
-                "skew correlations have closed forms only for u-interval sets"
-            )
-        return True, False
-    # product: u-factor and sequence factor evolve independently
-    if A.kind == B.kind and A.kind in ("u-interval", "cylinder", "product"):
-        return A.kind != "cylinder", A.kind != "u-interval"
-    raise NoClosedFormError(
-        "product correlations need matching u-interval, cylinder, or product sets"
-    )
+def _rotation_factor(spec: SystemSpec, A: TestSet, B: TestSet) -> bool:
+    """Does the exact correlation of A and B have a rotation factor,
+    that is, does either set constrain u?  A u-arc needs a torus part in
+    the system's map record ``MAPS[kind] = (M, t, s)`` and a cylinder a
+    shift; a v-arc has no closed form, as the skew map moves v by u.
+    Raises :class:`NoClosedFormError` where no closed form exists."""
+    _, t, s = MAPS[spec.kind]
+    for ts in (A, B):
+        if ts.c is not None:
+            raise NoClosedFormError(f"a {ts.kind} test set constrains v, which has no closed form")
+        for given, has, factor in ((ts.a, t, "u"), (ts.cylinder, s, "sequence symbols")):
+            if given is not None and not has:
+                raise NoClosedFormError(f"a {ts.kind} test set constrains {factor}, "
+                                        f"which a {spec.kind} system does not have")
+    return A.a is not None or B.a is not None
 
 
 def _exact_correlation(
@@ -342,19 +339,17 @@ def _exact_correlation(
     field once a rotation factor moves off 0.
 
     The u factor is the arc overlap at ``frac(i*gamma)``, the w factor
-    the merged cylinder constraints; a product set multiplies both.
-    Raises :class:`NoClosedFormError` where no closed form exists.
+    the measure of the merged cylinder constraints.  Raises
+    :class:`NoClosedFormError` where no closed form exists.
     """
-    has_u, has_w = _closed_form_factors(spec, A, B)
-    value = Fraction(1)
+    has_u = _rotation_factor(spec, A, B)
+    # S^i(A) moves A's constraints from p to p - i
+    both = A.w_cylinder.translate(-i).merge(B.w_cylinder)
+    value = Fraction(0) if both is None else both.measure(spec.bernoulli)
     if has_u:
         overlap = _CircleOverlap.between(spec.gamma, A, B)
         # lag 0 sits at the orbit's one rational point, 0
         value *= overlap.at(spec.gamma.frac_multiple(i) if i else Fraction(0))
-    if has_w:
-        # S^i(A) moves A's constraints from p to p - i
-        both = A.cylinder.translate(-i).merge(B.cylinder)
-        value *= 0 if both is None else both.measure(spec.bernoulli)
     return value
 
 
@@ -385,7 +380,7 @@ def weak_mixing_statistic(spec: SystemSpec, A: TestSet, B: TestSet, t: int) -> f
     other term is 0.  With one, every other term is ``W*|f(x_i) - c|``
     for the arc overlap f at ``x_i = frac(i*gamma)`` and
     ``c = |I_A||I_B|``; that sum over 1 <= i < t comes from floor sums
-    along the continued fraction of gamma
+    down the continued fraction of gamma
     (:meth:`_CircleOverlap.deviation_sum`), less the lags already summed.
     A t of more than ``MAX_WEAK_MIXING_DIGITS`` digits is refused, with
     its estimated time, before any sum is taken.
@@ -400,17 +395,15 @@ def weak_mixing_statistic(spec: SystemSpec, A: TestSet, B: TestSet, t: int) -> f
             f"{3 * (digits / MAX_WEAK_MIXING_DIGITS) ** 3:.0f} s"
         )
     product = A.exact_measure(spec) * B.exact_measure(spec)
-    has_u, has_w = _closed_form_factors(spec, A, B)
-    lags = {0}
-    if has_w:
-        lags |= {pa - pb for pa in A.cylinder.positions for pb in B.cylinder.positions}
-    lags = sorted(i for i in lags if 0 <= i < t)
+    has_u = _rotation_factor(spec, A, B)
+    meets = {pa - pb for pa in A.w_cylinder.positions for pb in B.w_cylinder.positions}
+    lags = sorted(i for i in meets | {0} if 0 <= i < t)
     total = Fraction(0)
     for i in lags:
         total += abs(_exact_correlation(spec, A, B, i) - product)
     if has_u:
         overlap = _CircleOverlap.between(spec.gamma, A, B)
-        c = (A.b - A.a) * (B.b - B.a)
+        c = (overlap.b1 - overlap.a1) * (overlap.b2 - overlap.a2)
         rest = overlap.deviation_sum(c, t)
         for i in lags[1:]:
             rest -= abs(overlap.at(spec.gamma.frac_multiple(i)) - c)

@@ -7,7 +7,9 @@ quadratic irrational ``(p + q*sqrt(d)) / r`` and reduces all arithmetic
 on it to integer arithmetic, so every such question is decided exactly;
 a float is taken only of a finished exact value, correctly rounded.
 :func:`floor_sums` sums the floors along a line of quadratic slope
-exactly, in O(log n) steps.
+exactly, in O(log n) steps: it derives each complete quotient of the
+slope's continued fraction from the one before, and only as many as n
+needs, however long the period.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ _Scalar = Union[int, Fraction]
 #: Largest radicand d accepted.  Splitting off the square factors of d
 #: by trial division takes about 2.5e-7 * sqrt(d) s on a 2-core x86-64
 #: host (0.25 s at 10^12, 2.5 s at 10^14), so the budget keeps it near
-#: a quarter of a second.
+#: a quarter of a second.  It is the only cost that grows with d: the
+#: floor sums walk O(log n) levels of the continued fraction whatever
+#: the angle's period.
 _MAX_RADICAND = 10**12
 
 
@@ -94,14 +98,16 @@ def surd_sign(a, b, d: int) -> int:
 
 
 def _floor_of(p: int, q: int, r: int, d: int) -> int:
-    """``floor((p + q*sqrt(d)) / r)`` for integers with r > 0, exactly.
+    """``floor((p + q*sqrt(d)) / r)`` for integers with r != 0, exactly.
 
     ``s = isqrt(q*q*d)`` puts ``|q|*sqrt(d)`` strictly between s and
     s + 1 (a nonzero q*sqrt(d) is irrational), so the numerator lies
     strictly inside ``(p + s, p + s + 1)`` for q > 0 and inside
     ``(p - s - 1, p - s)`` for q < 0; dividing an open unit interval
-    with integer ends by r cannot straddle an integer.
+    with integer ends by r > 0 cannot straddle an integer.
     """
+    if r < 0:
+        p, q, r = -p, -q, -r
     if q == 0:
         return p // r
     s = math.isqrt(q * q * d)
@@ -414,28 +420,34 @@ def _floor_sums(n: int, slope, offset, d: int) -> tuple[int, int, int]:
     turns the sums of R into sums of Y over j = 0..m-1: a line of slope
     1/alpha and offset (1 - beta)/alpha, again clear of lattice points.
     The slopes are the complete quotients of the continued fraction of
-    the first one (:func:`_continued_fraction`), so two levels at least
-    halve n (Euclid's algorithm on a real slope; the three-distance
-    theorem has the same recursion).
+    the first one, each derived from the one before: written
+    ``(P + k*sqrt(d))/Q`` with k > 0 fixed and Q dividing ``k*k*d - P*P``,
+    ``1/alpha = (-P + k*sqrt(d))/Q'`` for the exact quotient
+    ``Q' = (k*k*d - P*P)/Q``, which Q' divides again.  Two levels at
+    least halve n (Euclid's algorithm on a real slope; the three-distance
+    theorem has the same recursion), so the walk ends after about
+    2*log2(n) levels.
     """
-    quotients, start = _continued_fraction(slope, d)
-    period = len(quotients) - start
+    sp, sq, sr = slope
+    sign = 1 if sq > 0 else -1  # keeps k > 0
+    P, k, Q = sign * sp * sr, sign * sq * sr, sign * sr * sr  # Q divides k*k*d - P*P
+    kkd = k * k * d
+    s = math.isqrt(kkd)  # k*sqrt(d) lies strictly between s and s + 1
     op, oq, orr = offset
     levels = []
     while True:
-        k = len(levels)
-        A, (ap, aq, ar), (sp, sq, sr) = quotients[
-            k if k < start else start + (k - start) % period
-        ]
+        A = (P + s) // Q if Q > 0 else (P + s + 1) // Q
+        P -= A * Q  # alpha = (P + k*sqrt(d))/Q
         B = _floor_of(op, oq, orr, d)
         op -= B * orr
-        m = _floor_of(ap * n * orr + op * ar, aq * n * orr + oq * ar, ar * orr, d)
+        m = _floor_of(P * n * orr + op * Q, k * n * orr + oq * Q, Q * orr, d)
         levels.append((n, m, A, B))
         if m == 0:
             break
+        P, Q = -P, (kkd - P * P) // Q  # 1/alpha
         # (1 - beta)/alpha, with 1 - beta = (u + v*sqrt(d))/orr
         u, v = orr - op, -oq
-        op, oq, orr = _reduced(u * sp + v * sq * d, u * sq + v * sp, orr * sr)
+        op, oq, orr = _reduced(u * P + v * k * d, u * k + v * P, orr * Q)
         n = m - 1
     f = g = h = 0  # the sums of Y one level down (none below m == 0)
     for n, m, A, B in reversed(levels):
@@ -447,26 +459,6 @@ def _floor_sums(n: int, slope, offset, d: int) -> tuple[int, int, int]:
             A * A * s2 + 2 * A * B * s1 + B * B * s0 + 2 * A * g + 2 * B * f + h,
         )
     return f, g, h
-
-
-@lru_cache(maxsize=16)
-def _continued_fraction(x: tuple[int, int, int], d: int) -> tuple[list, int]:
-    """The levels ``(A, alpha, 1/alpha)`` of the continued fraction of the
-    irrational ``x = (p + q*sqrt(d))/r`` (``A = floor``, alpha the rest),
-    up to the first complete quotient that repeats, and the level where
-    the repetition starts.  Complete quotients of a quadratic irrational
-    are eventually periodic (Lagrange), and a reduced triple names its
-    value uniquely, so the first repeat closes the period."""
-    seen: dict = {}
-    levels = []
-    while x not in seen:
-        seen[x] = len(levels)
-        p, q, r = x
-        A = _floor_of(p, q, r, d)
-        p -= A * r
-        x = _reduced(r * p, -r * q, p * p - q * q * d)
-        levels.append((A, (p, q, r), x))
-    return levels, seen[x]
 
 
 def _reduced(p: int, q: int, r: int) -> tuple[int, int, int]:

@@ -7,18 +7,16 @@
 * :func:`floor_sums_term_by_term` adds the three floor sums of
   ``floor_sums`` one term at a time; each floor starts from a float
   guess and is fixed by exact integer sign tests.
-* :func:`bounded_group_relation` and :func:`bounded_one_simple` are the
-  bounded coefficient searches that ``point_spectrum_groups_equal`` and
-  ``is_one_simple`` once ran.  A witness they find is a proof, so the
-  exact decisions must agree with them wherever they find one.
+* :func:`bounded_group_relation` is the bounded coefficient search that
+  ``point_spectrum_groups_equal`` once ran.  A witness it finds is a
+  proof, so the exact decision must agree with it wherever it finds one.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import mpmath
 
@@ -78,13 +76,3 @@ def bounded_group_relation(
     a = member(gamma2, gamma1)
     b = member(gamma1, gamma2) if a is not None else None
     return None if b is None else (a, b)
-
-
-def bounded_one_simple(generators: Sequence[RotationNumber], bound: int) -> bool:
-    """False iff some nonzero coefficient vector with entries in
-    [-bound, bound] makes the generators' combination an integer."""
-    gens = list(generators)
-    for coeffs in itertools.product(range(-bound, bound + 1), repeat=len(gens)):
-        if any(coeffs) and integral_combination(list(zip(gens, coeffs))):
-            return False
-    return True

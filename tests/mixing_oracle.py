@@ -36,7 +36,7 @@ from ergolab import (
     iterate_batch,
     sample_chunks,
 )
-from ergolab.mixing import _closed_form_factors
+from ergolab.mixing import _rotation_factor
 from ergolab.quadratic import surd_sign
 
 
@@ -53,7 +53,7 @@ class CircleOrbit:
     def __init__(self, gamma: RotationNumber, A: TestSet, B: TestSet) -> None:
         self.gamma = gamma
         g = gamma.exact
-        ends = (A.a, A.b, B.a, B.b)
+        ends = (*A.u_arc, *B.u_arc)
         self.d = g.d
         self.D = D = math.lcm(
             g.a.denominator, g.b.denominator, *(e.denominator for e in ends)
@@ -113,8 +113,10 @@ def exact_correlations(
     spec: SystemSpec, A: TestSet, B: TestSet, start: int, minus: Fraction = Fraction(0)
 ) -> Iterator[tuple[int, int, int]]:
     """Exact ``mu(S^i(A) cap B) - minus`` for i = start, start+1, ...,
-    each as integers ``(P, Q, R)`` with the value ``(P + Q*sqrt(d))/R``."""
-    has_u, has_w = _closed_form_factors(spec, A, B)
+    each as integers ``(P, Q, R)`` with the value ``(P + Q*sqrt(d))/R``.
+    A set that leaves a factor free has the whole circle or no sequence
+    constraint there."""
+    has_u = _rotation_factor(spec, A, B)
     num, irr, D = 1, 0, 1  # the whole circle
     if has_u:
         overlap = CircleOrbit(spec.gamma, A, B)
@@ -122,10 +124,8 @@ def exact_correlations(
         D = overlap.D
     mn, md = minus.numerator, minus.denominator
     for i in itertools.count(start):
-        w = Fraction(1)
-        if has_w:
-            both = A.cylinder.translate(-i).merge(B.cylinder)
-            w = Fraction(0) if both is None else both.measure(spec.bernoulli)
+        both = A.w_cylinder.translate(-i).merge(B.w_cylinder)
+        w = Fraction(0) if both is None else both.measure(spec.bernoulli)
         if has_u:
             num, irr = overlap.length(*next(orbit))
         wn, wd = w.numerator, w.denominator

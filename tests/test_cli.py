@@ -1232,6 +1232,34 @@ def test_weak_mixing_refuses_a_cylinder_without_a_sequence(kind, tmp_path, capsy
     assert not out.exists()
 
 
+SQRT2 = {"quadratic": [-1, 1, 2, 1]}
+
+
+@pytest.mark.parametrize("system, default", [
+    ({"kind": "rotation", "gamma": SQRT2}, {"kind": "u-interval", "a": "0", "b": "1/2"}),
+    ({"kind": "product", "gamma": SQRT2, "probs": [0.5, 0.5]},
+     {"kind": "u-interval", "a": "0", "b": "1/2"}),
+    ({"kind": "bernoulli", "probs": [0.25] * 4, "symbols": [3, 1, 2, 0]},
+     {"kind": "cylinder", "cylinder": [[0, 3]]}),
+])
+def test_weak_mixing_default_set_follows_the_map_record(system, default, tmp_path):
+    """A kind with a torus part gets half the circle, one without the
+    cylinder of its first symbol; a u-interval against a cylinder on the
+    product is independent, so its statistic is exactly 0."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"system": system, "t": 50}}))
+    code, out = run(tmp_path, "compute", "weak-mixing", "--config", str(cfg))
+    assert code == 0
+    results = read_report(out)["results"]
+    assert results["A"] == results["B"] == default
+    if system["kind"] == "product":
+        cfg.write_text(json.dumps({"params": {"system": system, "B": {
+            "kind": "cylinder", "cylinder": [[0, 1], [2, -1]]}}}))
+        code, out = run(tmp_path, "compute", "weak-mixing", "--config", str(cfg))
+        assert code == 0
+        assert read_report(out)["results"]["statistic"] == 0.0
+
+
 def test_weak_mixing_refuses_t_above_the_lag_budget(tmp_path, capsys):
     """The budget is on the digits of t, and the refusal states the cost."""
     t = 10**MAX_WEAK_MIXING_DIGITS

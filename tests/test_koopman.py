@@ -35,7 +35,6 @@ from ergolab import (
     SystemSpec,
     build_intertwiner,
     decide_finite_orbits,
-    is_one_simple,
     iterate_batch,
     koopman_step,
     point_spectrum_groups_equal,
@@ -58,7 +57,7 @@ from helpers import (
     product_index_map_injective,
     skew_index_map_injective,
 )
-from exact_oracle import bounded_group_relation, bounded_one_simple
+from exact_oracle import bounded_group_relation
 from intertwiner_oracle import Phase, chains_in_box, oracle_check, oracle_pairing
 
 turns = st.fractions(min_value=-3, max_value=3, max_denominator=24)
@@ -460,16 +459,14 @@ def test_degenerate_point_part_is_not_simple():
         )
 
 
-def test_is_one_simple():
-    assert is_one_simple((GAMMA,))
-    assert is_one_simple(())
-    # gamma + (1 - gamma) = 1: the combination collapses to an integer
-    assert not is_one_simple((GAMMA, GAMMA.one_minus()))
-    # 9*(sqrt(2) - 1) - (9*sqrt(2) - 12) = 3, beyond a search to |c| <= 8
-    nine = RotationNumber(-12, 9, 2, 1)
-    assert bounded_one_simple((GAMMA, nine), 8)
-    assert not is_one_simple((GAMMA, nine))
-    assert is_one_simple((GAMMA, RotationNumber(-1, 1, 3, 1)))
+def test_a_point_spectrum_has_at_most_one_generator():
+    """One irrational angle never makes 1 a repeated proper value, so the
+    point part is simple exactly when 1 has multiplicity one; two
+    generators are refused rather than decided."""
+    single = SpectrumDescriptor(point_generators=(GAMMA,), lebesgue_multiplicity=0)
+    assert single.point_part_simple and single.tag == "pure-point"
+    with pytest.raises(ValueError, match="^a point spectrum has at most one generator, got 2$"):
+        SpectrumDescriptor(point_generators=(GAMMA, GAMMA.one_minus()), lebesgue_multiplicity=0)
 
 
 @st.composite
@@ -481,15 +478,6 @@ def _angles(draw, fields=(2, 3, 5)):
     r = draw(st.integers(1, 4))
     p = math.floor(-q * math.sqrt(d)) + 1 + draw(st.integers(0, r - 1))
     return RotationNumber(p, q, d, r)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(_angles(), min_size=2, max_size=3))
-def test_is_one_simple_agrees_with_the_bounded_search(gens):
-    """A witness the search finds is a proof, so the exact decision must
-    agree wherever the search finds one."""
-    if not bounded_one_simple(gens, 3):
-        assert not is_one_simple(gens)
 
 
 # ---------------------------------------------------------------------------

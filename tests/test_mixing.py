@@ -105,13 +105,12 @@ def _interval(draw):
 
 
 def _oracle_correlation(spec, A, B, i):
-    """mu(S^i(A) cap B) for u-interval or product sets, with frac(i*gamma)
-    recomputed from scratch."""
-    value = _qr_interval_overlap_oracle(spec.gamma.frac_multiple(i), A.a, A.b, B.a, B.b)
-    if A.kind == "product":
-        both = A.cylinder.translate(-i).merge(B.cylinder)
-        value = value * (0 if both is None else both.measure(spec.bernoulli))
-    return value
+    """mu(S^i(A) cap B) on a system with a rotation factor, with
+    frac(i*gamma) recomputed from scratch; a set that leaves a factor
+    free has the whole circle or no constraint there."""
+    value = _qr_interval_overlap_oracle(spec.gamma.frac_multiple(i), *A.u_arc, *B.u_arc)
+    both = A.w_cylinder.translate(-i).merge(B.w_cylinder)
+    return value * (0 if both is None else both.measure(spec.bernoulli))
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +252,61 @@ def test_monte_carlo_correlation_is_consistent():
     assert abs(mc.estimate - exact) <= 5 * mc.stderr
 
 
+def test_a_factor_the_system_lacks_has_no_closed_form():
+    with pytest.raises(NoClosedFormError, match="^a u-interval test set constrains u, "
+                       "which a bernoulli system does not have$"):
+        correlation(SHIFT, W0, HALF, 1)
+    for spec in (ROT, SKEW):
+        with pytest.raises(NoClosedFormError, match="^a cylinder test set constrains "
+                           f"sequence symbols, which a {spec.kind} system does not have$"):
+            correlation(spec, HALF, W0, 1)
+
+
+#: Pairs of different kinds on the product, which factor exactly: a set
+#: that leaves a factor free is the whole coordinate there.
+MIXED_PRODUCT_PAIRS = {
+    "interval-cylinder": (TestSet.u_interval(Fraction(1, 4), Fraction(5, 6)),
+                          TestSet.from_cylinder(CylinderSet(((0, 1), (2, -1))))),
+    "set-interval": (TestSet.product_set(0, Fraction(1, 3), CylinderSet(((-1, 1), (2, -1)))),
+                     TestSet.u_interval(Fraction(1, 4), 1)),
+    "set-cylinder": (TestSet.product_set(0, Fraction(1, 3), CylinderSet(((-1, 1), (2, -1)))),
+                     TestSet.from_cylinder(CylinderSet(((1, 1), (4, 1))))),
+}
+
+
+@pytest.mark.parametrize("pair", list(MIXED_PRODUCT_PAIRS))
+def test_mixed_product_pairs_match_monte_carlo(pair):
+    A, B = MIXED_PRODUCT_PAIRS[pair]
+    rng = spawn_rngs(31, 1)[0]
+    for i in range(21):
+        exact = correlation(PROD, A, B, i).estimate
+        mc = monte_carlo_correlation(PROD, A, B, i, samples=20_000, rng=rng)
+        assert abs(mc.estimate - exact) <= 4 * mc.stderr, i
+
+
+def test_an_interval_and_a_cylinder_are_independent_on_the_product():
+    """Every correlation of a u-interval with a cylinder is exactly
+    mu(A)mu(B), so the statistic is exactly 0 at every t."""
+    A, B = MIXED_PRODUCT_PAIRS["interval-cylinder"]
+    for t in (1, 57, 10**12):
+        assert weak_mixing_statistic(PROD, A, B, t) == 0.0
+        assert weak_mixing_statistic(PROD, B, A, t) == 0.0
+    assert correlation(PROD, A, B, 3).estimate == float(A.exact_measure(PROD) * B.exact_measure(PROD))
+
+
 def test_rectangles_have_no_closed_form_on_the_skew():
+    """Nor on the rotation and the product, whose torus has no v, even
+    against a u-interval; the skew's Monte Carlo estimate still runs."""
     R = TestSet.rectangle(0, Fraction(1, 2), 0, Fraction(1, 2))
-    with pytest.raises(NoClosedFormError):
+    message = "^a rectangle test set constrains v, which has no closed form$"
+    for spec in (ROT, SKEW, PROD):
+        with pytest.raises(NoClosedFormError, match=message):
+            correlation(spec, R, HALF, 3)
+        with pytest.raises(NoClosedFormError, match=message):
+            weak_mixing_statistic(spec, HALF, R, 10)
+    with pytest.raises(NoClosedFormError, match=message):
         correlation(SKEW, R, R, 3)
     rng = spawn_rngs(98, 1)[0]
-    with pytest.raises(NoClosedFormError):
-        weak_mixing_statistic(SKEW, R, R, 10)
     mc = monte_carlo_correlation(SKEW, R, R, 3, samples=20_000, rng=rng)
     assert 0.0 <= mc.estimate <= 0.5
 
@@ -291,7 +338,8 @@ def test_monte_carlo_statistic_tracks_exact():
 @settings(max_examples=40, deadline=None)
 @given(
     angle=st.sampled_from(BENCH_ANGLES),
-    kind=st.sampled_from(["rotation", "skew", "product", "product-set"]),
+    kind=st.sampled_from(["rotation", "skew", "product", "product-set",
+                          "interval-cylinder", "set-interval", "set-cylinder"]),
     ia=_interval(),
     ib=_interval(),
     t=st.integers(1, 300),
@@ -308,17 +356,20 @@ def test_statistic_equals_the_per_lag_quadratic_oracle(angle, kind, ia, ib, t, l
     """Recurrence plus integer sign tests give the oracle's exact values,
     and the statistic is their exact mean, correctly rounded."""
     gamma = RotationNumber(*angle)
-    if kind == "product-set":
-        spec = SystemSpec.product(gamma, FAIR)
-        A = TestSet.product_set(*ia, CylinderSet(((0, 1),)))
-        B = TestSet.product_set(*ib, CylinderSet(((0, sym),)))
-    else:
-        spec = {
-            "rotation": SystemSpec.rotation(gamma),
-            "skew": SystemSpec.skew(gamma),
-            "product": SystemSpec.product(gamma, FAIR),
-        }[kind]
-        A, B = TestSet.u_interval(*ia), TestSet.u_interval(*ib)
+    prod = SystemSpec.product(gamma, FAIR)
+    ua, ub = TestSet.u_interval(*ia), TestSet.u_interval(*ib)
+    sa = TestSet.product_set(*ia, CylinderSet(((0, 1),)))
+    sb = TestSet.product_set(*ib, CylinderSet(((0, sym),)))
+    cb = TestSet.from_cylinder(CylinderSet(((-1, sym),)))  # meets sa's at lag 1
+    spec, A, B = {
+        "rotation": (SystemSpec.rotation(gamma), ua, ub),
+        "skew": (SystemSpec.skew(gamma), ua, ub),
+        "product": (prod, ua, ub),
+        "product-set": (prod, sa, sb),
+        "interval-cylinder": (prod, ua, cb),
+        "set-interval": (prod, sa, ub),
+        "set-cylinder": (prod, sa, cb),
+    }[kind]
     product = A.exact_measure(spec) * B.exact_measure(spec)
     d = gamma.exact.d
     oracle = [QuadraticReal.of(0, d) + _oracle_correlation(spec, A, B, i) - product
@@ -357,13 +408,14 @@ BIASED3 = BernoulliSpec((0.25, 0.5, 0.25), ("a", "b", "c"))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), angle=st.sampled_from(BENCH_ANGLES), law=st.sampled_from([FAIR, BIASED3]),
        kind=st.sampled_from(["rotation", "skew", "product", "product-set", "bernoulli",
-                             "product-cylinder"]),
+                             "product-cylinder", "interval-cylinder", "set-interval",
+                             "set-cylinder"]),
        t=st.integers(1, 2_000))
 @example(data=None, angle=BENCH_ANGLES[3], law=FAIR, kind="product-set", t=2_000)
 def test_closed_form_equals_the_O_t_sum(data, angle, law, kind, t):
     """Every set kind with an exact statistic: u-intervals on the three
-    systems with a rotation factor, product sets, and cylinders on the
-    shift and the product."""
+    systems with a rotation factor, product sets, cylinders on the shift
+    and the product, and pairs of different kinds on the product."""
     gamma = RotationNumber(*angle)
     if data is None:  # constraints that meet at lags 1 and 3; A's arc wraps
         A = TestSet.product_set(Fraction(3, 4), 1, CylinderSet(((0, 1), (2, -1))))
@@ -377,6 +429,14 @@ def test_closed_form_equals_the_O_t_sum(data, angle, law, kind, t):
         spec = SystemSpec.product(gamma, law)
         A, B = (TestSet.product_set(*data.draw(_interval()), data.draw(_cylinder(law)))
                 for _ in range(2))
+    elif kind in ("interval-cylinder", "set-interval", "set-cylinder"):
+        spec = SystemSpec.product(gamma, law)
+        draw = {
+            "interval": lambda: TestSet.u_interval(*data.draw(_interval())),
+            "cylinder": lambda: TestSet.from_cylinder(data.draw(_cylinder(law))),
+            "set": lambda: TestSet.product_set(*data.draw(_interval()), data.draw(_cylinder(law))),
+        }
+        A, B = (draw[part]() for part in kind.split("-"))
     else:
         spec = SystemSpec.shift(law) if kind == "bernoulli" else SystemSpec.product(gamma, law)
         A, B = (TestSet.from_cylinder(data.draw(_cylinder(law))) for _ in range(2))

@@ -8,6 +8,7 @@ value.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -22,6 +23,7 @@ from ergolab import (
     floor_sums,
     integral_combination,
 )
+from ergolab import quadratic
 from ergolab.cli import ExperimentConfig
 from ergolab.quadratic import _squarefree
 
@@ -268,6 +270,45 @@ def test_floor_sums_match_term_by_term_at_the_bench_angles(angle):
     for offset in offsets:
         for n in (0, 1, 7, 2_000):
             assert floor_sums(n, gamma, offset) == floor_sums_term_by_term(n, gamma, offset)
+
+
+#: Angles whose continued fractions have long periods: sqrt(2)/1,009,
+#: sqrt(2)/1,000,003 and sqrt(999,999,999,989) - 999,999, whose radicand
+#: is just under the budget.
+LONG_PERIOD_ANGLES = ((0, 1, 2, 1_009), (0, 1, 2, 1_000_003), (-999_999, 1, 999_999_999_989, 1))
+
+
+@pytest.mark.parametrize("angle", LONG_PERIOD_ANGLES)
+def test_floor_sums_match_term_by_term_at_long_period_angles(angle):
+    gamma = RotationNumber(*angle).exact
+    offsets = [QuadraticReal.of(0), gamma, gamma - Fraction(1, 2), QuadraticReal.of(Fraction(1, 3))]
+    for offset in offsets:
+        for n in (0, 1, 7, 10_000):
+            assert floor_sums(n, gamma, offset) == floor_sums_term_by_term(n, gamma, offset)
+
+
+@pytest.mark.parametrize("n", [10_000, 10**40])
+@pytest.mark.parametrize("angle", LONG_PERIOD_ANGLES)
+def test_floor_sums_walk_only_as_deep_as_n_needs(angle, n, monkeypatch):
+    """Each complete quotient past the first reduces one offset, so the
+    ``_reduced`` calls count the quotients one call derives: at most
+    2*ceil(log2(n + 1)) + 4, however long the period of the slope's
+    continued fraction, and the walk holds well under 64 KB.  The slope
+    1 + gamma appears in no other test."""
+    gamma = RotationNumber(*angle).exact + 1
+    offset = gamma - Fraction(1, 2)  # no lattice point: one walk
+    calls = []
+    reduced = quadratic._reduced
+    monkeypatch.setattr(quadratic, "_reduced", lambda *t: calls.append(t) or reduced(*t))
+    want = floor_sums(n, gamma, offset)
+    assert len(calls) <= 2 * math.ceil(math.log2(n + 1)) + 4
+    tracemalloc.start()
+    try:
+        assert floor_sums(n, gamma, offset) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 _irrational = st.tuples(
