@@ -195,10 +195,13 @@ DEFAULTS = {
 }
 
 
+def _default_data(scenario: str) -> dict:
+    """The config JSON of a run of ``scenario`` with no file and no flags."""
+    return {"scenario": scenario, "seed": DEFAULT_SEED, **DEFAULTS[scenario]}
+
+
 def default_config(scenario: str) -> ExperimentConfig:
-    """The config of a run of ``scenario`` with no file and no flags."""
-    return ExperimentConfig.from_json({"scenario": scenario, "seed": DEFAULT_SEED,
-                                       **DEFAULTS[scenario]})
+    return ExperimentConfig.from_json(_default_data(scenario))
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +664,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _merged_config(args: argparse.Namespace) -> ExperimentConfig:
     """The scenario's defaults, patched by the ``--config`` file and then
     by the flags given, read as one config."""
-    data = {"scenario": args.scenario, "seed": DEFAULT_SEED, **DEFAULTS[args.scenario]}
+    data = _default_data(args.scenario)
     if args.config is not None:
         patch = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(patch, dict):

@@ -194,6 +194,8 @@ class TestSet:
                 raise ValueError(f"{self.kind} set needs a u coordinate")
             result = (batch.u >= float(self.a)) & (batch.u < float(self.b))
         if self.c is not None:
+            if batch.v is None:
+                raise ValueError(f"{self.kind} set needs a v coordinate")
             result &= (batch.v >= float(self.c)) & (batch.v < float(self.d))
         if self.cylinder is not None:
             inside = self.cylinder.contains_batch(self._sequence_law(spec), batch)

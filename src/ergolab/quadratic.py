@@ -5,7 +5,9 @@ integer?  do two angles generate the same subgroup of R/Z?) cannot be
 settled in floating point.  This module represents an angle as a
 quadratic irrational ``(p + q*sqrt(d)) / r`` and reduces all arithmetic
 on it to integer arithmetic, so every such question is decided exactly;
-a float is taken only of a finished exact value, correctly rounded.
+a float is taken only of a finished exact value, correctly rounded.  No
+radicand is factored: sqrt(d) and sqrt(e) span one field exactly when
+d*e is a perfect square, which one integer square root decides.
 :func:`floor_sums` sums the floors along a line of quadratic slope
 exactly, in O(log n) steps: it derives each complete quotient of the
 slope's continued fraction from the one before, and only as many as n
@@ -15,9 +17,8 @@ needs, however long the period.
 from __future__ import annotations
 
 import math
-from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import total_ordering
 from typing import Union
 
 from ._record import record
@@ -33,13 +34,14 @@ __all__ = [
 
 _Scalar = Union[int, Fraction]
 
-#: Largest radicand d accepted.  Splitting off the square factors of d
-#: by trial division takes about 2.5e-7 * sqrt(d) s on a 2-core x86-64
-#: host (0.25 s at 10^12, 2.5 s at 10^14), so the budget keeps it near
-#: a quarter of a second.  It is the only cost that grows with d: the
-#: floor sums walk O(log n) levels of the continued fraction whatever
-#: the angle's period.
-_MAX_RADICAND = 10**12
+#: Most decimal digits of a radicand d.  Nothing factors d; what grows
+#: with it are the floor-sum integers, which carry its digits.  An exact
+#: weak-mixing run at t = 10^999 on the skew map takes 0.6-0.9 s for
+#: d up to 100 digits, and about 2 * (digits/1000)^1.3 s above that on a
+#: 2-core x86-64 host (2.0 s at 1,000 digits, 4.4 at 2,000, 12.3 at
+#: 4,000), so the budget keeps that run within its 3 s.
+_MAX_RADICAND_DIGITS = 1000
+_RADICAND_BOUND = 10**_MAX_RADICAND_DIGITS  # the least d refused
 
 
 def decimal_digits(n: int) -> int:
@@ -51,29 +53,12 @@ def decimal_digits(n: int) -> int:
     return f + 1 + (n >= 10 ** (f + 1))
 
 
-@lru_cache(maxsize=None)
-def _squarefree(d: int) -> tuple[int, int]:
-    """Split ``d = s**2 * d0`` with ``d0`` squarefree; returns ``(s, d0)``.
-
-    Trial division costs O(sqrt(d)) and every arithmetic result checks
-    its d again, so the split is memoised per d; a d over
-    ``_MAX_RADICAND`` is refused with the estimated cost."""
-    if d <= 0:
-        raise ValueError(f"radicand must be positive, got {d}")
-    if d > _MAX_RADICAND:
-        raise ValueError(
-            f"radicand d of {decimal_digits(d)} digits is over the budget of 10^12: "
-            f"splitting off its square factors would take about "
-            f"{Decimal(math.isqrt(d)) * Decimal('2.5e-7'):.2g} s"
-        )
-    s = 1
-    f = 2
-    while f * f <= d:
-        while d % (f * f) == 0:
-            d //= f * f
-            s *= f
-        f += 1
-    return s, d
+def _same_field(d: int, e: int) -> Fraction | None:
+    """``sqrt(e)/sqrt(d)`` when sqrt(d) and sqrt(e) span one field, which
+    is when d*e is a perfect square; then the ratio is ``isqrt(d*e)/d``.
+    None otherwise."""
+    s = math.isqrt(d * e)
+    return Fraction(s, d) if s * s == d * e else None
 
 
 def surd_sign(a, b, d: int) -> int:
@@ -119,9 +104,12 @@ def _floor_of(p: int, q: int, r: int, d: int) -> int:
 class QuadraticReal:
     """An element ``a + b*sqrt(d)`` of a real quadratic field.
 
-    ``a`` and ``b`` are exact rationals and ``d`` is a squarefree integer
-    ``>= 2``.  Values with ``b == 0`` are plain rationals and combine with
-    any field.  Comparisons, ``floor`` and ``frac`` are exact.
+    ``a`` and ``b`` are exact rationals and ``d >= 2`` is an integer of at
+    most ``_MAX_RADICAND_DIGITS`` digits, kept as given unless it is a
+    perfect square, which folds into ``a``: sqrt(8) equals, hashes and
+    combines like 2*sqrt(2) (:func:`_same_field`).  Values with ``b == 0``
+    are plain rationals and combine with any field.  Comparisons,
+    ``floor`` and ``frac`` are exact.
     """
 
     a: Fraction
@@ -131,12 +119,14 @@ class QuadraticReal:
     def __post_init__(self) -> None:
         if self.d < 2:
             raise ValueError(f"field tag d must be >= 2, got {self.d}")
-        s, d0 = _squarefree(self.d)
-        if s != 1:
-            object.__setattr__(self, "b", self.b * s)
-            object.__setattr__(self, "d", d0)
-        if self.d == 1:  # b*sqrt(1) is rational; fold it into a
-            object.__setattr__(self, "a", self.a + self.b)
+        if self.d >= _RADICAND_BOUND:
+            digits = decimal_digits(self.d)
+            raise ValueError(
+                f"radicand d has {digits} digits, over the budget of {_MAX_RADICAND_DIGITS}: "
+                f"weak mixing at the largest t would take about {2 * (digits / 1000) ** 1.3:.0f} s")
+        s = math.isqrt(self.d)
+        if s * s == self.d:  # b*sqrt(d) is rational; fold it into a
+            object.__setattr__(self, "a", self.a + self.b * s)
             object.__setattr__(self, "b", Fraction(0))
             object.__setattr__(self, "d", 2)
 
@@ -159,6 +149,9 @@ class QuadraticReal:
         if isinstance(other, QuadraticReal):
             if other.b == 0 or self.b == 0 or other.d == self.d:
                 return other
+            ratio = _same_field(self.d, other.d)
+            if ratio is not None:
+                return QuadraticReal(other.a, other.b * ratio, self.d)
             raise ValueError(
                 f"cannot mix sqrt({self.d}) and sqrt({other.d}) exactly"
             )
@@ -219,15 +212,16 @@ class QuadraticReal:
         if isinstance(other, (int, Fraction)):
             return self.b == 0 and self.a == other
         if isinstance(other, QuadraticReal):
-            if self.b == 0 and other.b == 0:
-                return self.a == other.a
-            return self.d == other.d and self.a == other.a and self.b == other.b
+            if self.b == 0 or other.b == 0 or self.d == other.d:
+                return self.a == other.a and self.b == other.b
+            ratio = _same_field(self.d, other.d)
+            return ratio is not None and self.a == other.a and self.b == other.b * ratio
         return NotImplemented
 
     def __hash__(self) -> int:
         if self.b == 0:
             return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash((self.a, self.b * self.b * self.d, self.b > 0))  # however d is written
 
     def __lt__(self, other: object) -> bool:
         o = self._coerce(other)
@@ -318,9 +312,9 @@ class RotationNumber:
             raise ValueError("q must be nonzero (angle would be rational)")
         if self.d <= 1:
             raise ValueError(f"d must exceed 1, got {self.d}")
-        if math.isqrt(self.d) ** 2 == self.d:
-            raise ValueError(f"d={self.d} is a perfect square; angle would be rational")
         x = self.exact
+        if x.b == 0:
+            raise ValueError(f"d={self.d} is a perfect square; angle would be rational")
         if not (0 < x.sign() and (x - 1).sign() < 0):
             raise ValueError("angle must lie strictly between 0 and 1")
 
@@ -363,17 +357,16 @@ def integral_combination(
     Angles from distinct quadratic fields are linearly independent over
     the rationals together with 1, so the combination is integral iff
     every per-field irrational coefficient vanishes and the rational
-    remainder is an integer.
+    remainder is an integer.  A field is keyed by the first radicand met
+    in it, and :func:`_same_field` rewrites the others in its terms.
     """
     rational = Fraction(0)
-    irrational: dict[int, Fraction] = {}
+    irrational: dict[int, Fraction] = {}  # the coefficient of sqrt(d), one d per field
     for gamma, coeff in terms:
-        if coeff == 0:
-            continue
-        x = gamma.exact
+        x = gamma.exact  # b != 0: an angle is irrational
         rational += coeff * x.a
-        if x.b != 0:
-            irrational[x.d] = irrational.get(x.d, Fraction(0)) + coeff * x.b
+        d = next((d for d in irrational if _same_field(d, x.d) is not None), x.d)
+        irrational[d] = irrational.get(d, 0) + coeff * x.b * _same_field(d, x.d)
     if any(c != 0 for c in irrational.values()):
         return False
     return rational.denominator == 1
@@ -393,8 +386,7 @@ def floor_sums(
     """
     if slope.b == 0:
         raise ValueError("floor_sums needs an irrational slope")
-    if offset.b != 0 and offset.d != slope.d:
-        raise ValueError(f"cannot mix sqrt({slope.d}) and sqrt({offset.d}) exactly")
+    offset = slope._coerce(offset)
     if n < 0:
         return 0, 0, 0
     k = -offset.b / slope.b  # the only i where the sqrt(d) parts cancel

@@ -24,7 +24,7 @@ import jsonschema
 import pytest
 
 import ergolab
-from ergolab import InconclusiveEvidenceError, SystemSpec, cli, tower
+from ergolab import InconclusiveEvidenceError, SystemSpec, cli, quadratic, tower
 from ergolab._record import replace
 from ergolab.cli import (
     DEFAULT_SEED,
@@ -1148,16 +1148,59 @@ def test_integral_float_params_run_as_integers(op, key, value, tmp_path):
     ] * 2
 
 
-def test_radicands_over_the_budget_are_refused_with_the_cost(tmp_path, capsys):
-    d = 10**30 + 1  # trial division would take about 2.5e-7 * sqrt(d) s
+def test_radicands_over_the_budget_are_refused_with_the_cost(tmp_path, capsys, monkeypatch):
+    """A d of 1,001 digits is refused before any arithmetic on it."""
+    d = 10**1000 + 1
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
-        {"params": {"system": {"kind": "rotation", "gamma": {"quadratic": [0, 1, d, 10**16]}}}}
+        {"params": {"system": {"kind": "rotation", "gamma": {"quadratic": [0, 1, d, 10**501]}}}}
     ))
+    monkeypatch.setattr(quadratic, "math", None)
     code, out = run(tmp_path, "compute", "spectrum", "--config", str(cfg))
     err = capsys.readouterr().err
     assert code == 1 and not out.exists()
-    assert err.startswith("error:") and "31 digits" in err and "about 2.5e+8 s" in err
+    assert err == ("error: invalid configuration at params/system: radicand d has 1001 digits, "
+                   "over the budget of 1000: weak mixing at the largest t would take about 2 s\n")
+
+
+#: sqrt(10^12 + 39) - 10^6, whose radicand is over 10^12.
+WIDE_ANGLE = [-10**6, 1, 10**12 + 39, 1]
+
+
+def test_a_radicand_over_a_trillion_runs(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"systems": [
+        {"kind": "rotation", "gamma": {"quadratic": WIDE_ANGLE}},
+        {"kind": "rotation", "gamma": {"quadratic": [10**6 + 1, -1, 10**12 + 39, 1]}},
+    ]}))
+    code, out = run(tmp_path / "theorem1", "theorem1", "--config", str(cfg))
+    assert code == 0
+    assert read_report(out)["results"]["conjugacy"]["map"] == "reflection c(u) = -u mod 1"
+    cfg.write_text(json.dumps({"params": {"system": {"kind": "skew", "gamma": {"quadratic": WIDE_ANGLE}}}}))
+    code, out = run(tmp_path / "weak-mixing", "compute", "weak-mixing", "--config", str(cfg))
+    assert code == 0
+    assert read_report(out)["results"]["t"] == 10_000
+
+
+@pytest.mark.parametrize("pair, conjugacy", [
+    (([-1, 1, 2, 1], [-2, 1, 8, 2]), "identity"),
+    (([-10**6, 1, 10**12 + 39, 1], [2 * 10**6 + 2, -1, 4 * (10**12 + 39), 2]),
+     "reflection c(u) = -u mod 1"),
+], ids=["sqrt2-sqrt8", "D-4D"])
+def test_theorem1_one_field_written_with_two_radicands(pair, conjugacy, tmp_path):
+    """sqrt(8)/2 is sqrt(2), and sqrt(4D)/2 is sqrt(D): each pair is one
+    angle or its reflection, though no radicand is put in squarefree form."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"systems": [
+        {"kind": "rotation", "gamma": {"quadratic": gamma}} for gamma in pair
+    ]}))
+    code, out = run(tmp_path, "theorem1", "--config", str(cfg))
+    assert code == 0
+    report = read_report(out)
+    assert report["verdicts"][0]["statement"] == (
+        "spacially isomorphic (equal proper-value groups, conjugacy verified)"
+    )
+    assert report["results"]["conjugacy"]["map"] == conjugacy
 
 
 # ---------------------------------------------------------------------------

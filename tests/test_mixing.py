@@ -149,6 +149,16 @@ def test_a_test_set_takes_only_its_kinds_fields():
         TestSet.from_json({"kind": "u-interval", "a": 0, "b": "1/0"})
 
 
+@pytest.mark.parametrize("spec", [ROT, PROD], ids=["rotation", "product"])
+def test_a_rectangle_on_a_system_without_v_names_the_coordinate(spec):
+    """A rectangle constrains v, which a rotation or product sample does
+    not have; a u-interval on the same sample is answered."""
+    batch = sample_batch(spec, spawn_rngs(0, 1)[0], 10)
+    assert HALF.contains_batch(spec, batch).shape == (10,)
+    with pytest.raises(ValueError, match="^rectangle set needs a v coordinate$"):
+        TestSet.rectangle(0, "1/2", 0, "1/2").contains_batch(spec, batch)
+
+
 @given(st.integers(0, 40))
 def test_membership_frequency_matches_measure(seed):
     rng = spawn_rngs(seed, 1)[0]

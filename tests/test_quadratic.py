@@ -25,7 +25,6 @@ from ergolab import (
 )
 from ergolab import quadratic
 from ergolab.cli import ExperimentConfig
-from ergolab.quadratic import _squarefree
 
 from exact_oracle import bracket_float, floor_sums_term_by_term
 from helpers import BENCH_ANGLES
@@ -90,11 +89,35 @@ def test_distinct_fields_do_not_mix():
 
 
 def test_squarefree_folding():
-    # sqrt(8) = 2 sqrt(2); sqrt(9) folds into the rational part.
-    assert QuadraticReal(Fraction(0), Fraction(1), 8) == QuadraticReal(
-        Fraction(0), Fraction(2), 2
-    )
+    # sqrt(8) = 2 sqrt(2) though 8 is kept; sqrt(9) folds into the rational part.
+    root8 = QuadraticReal(Fraction(0), Fraction(1), 8)
+    assert root8 == QuadraticReal(Fraction(0), Fraction(2), 2) and root8.d == 8
+    assert root8 != QuadraticReal(Fraction(0), Fraction(1), 2)
     assert QuadraticReal(Fraction(1), Fraction(3), 9) == 10
+
+
+@given(st.sampled_from(FIELDS), st.integers(1, 10**7), fractions, fractions, quadratics(2))
+@settings(max_examples=200)
+def test_a_radicand_with_square_factors_agrees_with_its_squarefree_form(d0, s, a, b, z):
+    """``a + b*sqrt(s*s*d0)`` keeps its radicand, which may be over 10^14,
+    and agrees with ``a + b*s*sqrt(d0)`` on every operation; floor and
+    sign agree with mpmath too.  z shares the field when d0 is 2 and
+    raises for both forms alike otherwise."""
+    x, y = QuadraticReal(a, b * s, d0), QuadraticReal(a, b, s * s * d0)
+    assert y.d == s * s * d0
+    assert x == y and y == x and hash(x) == hash(y)
+    assert x != QuadraticReal(a, b + 1, s * s * d0) != x
+    v = _mp(y)
+    assert x.floor() == y.floor() == int(mpmath.floor(v))
+    assert x.sign() == y.sign() == (0 if v == 0 else (1 if v > 0 else -1))
+    assert float(x) == float(y)
+    if d0 != 2 and b != 0 and z.b != 0:
+        for w in (x, y):
+            with pytest.raises(ValueError, match="cannot mix"):
+                w + z
+        return
+    for op in (lambda u, w: u + w, lambda u, w: u * w):
+        assert op(x, z) == op(y, z) == op(z, y) and hash(op(x, z)) == hash(op(z, y))
 
 
 # ---------------------------------------------------------------------------
@@ -217,18 +240,29 @@ def test_json_round_trip():
         ExperimentConfig(scenario="theorem1", systems=({"kind": "rotation", "gamma": {"nope": 1}},))
 
 
-def test_a_radicand_past_the_str_limit_gets_the_budget_message():
+def test_a_radicand_past_the_str_limit_gets_the_budget_message(monkeypatch):
     """A d of more than 4,300 digits, which ``str`` refuses to convert,
-    is refused with its digit count and estimated time too."""
-    with pytest.raises(ValueError, match=r"^radicand d of 5001 digits .* about 2\.5e\+2493 s$"):
-        _squarefree(10**5000 + 1)
+    is refused with its digit count and estimated time too, before any
+    integer square root."""
+    monkeypatch.setattr(quadratic, "math", None)
+    with pytest.raises(ValueError, match=r"^radicand d has 5001 digits, over the budget of 1000: "
+                       r"weak mixing at the largest t would take about 16 s$"):
+        QuadraticReal(Fraction(0), Fraction(1), 10**5000 + 1)
 
 
-def test_radicands_over_the_budget_are_refused():
-    """Trial division of d costs O(sqrt(d)): a d over 10^12 is refused
-    with its size and the estimated time, before any division."""
-    with pytest.raises(ValueError, match=r"d of 13 digits .* about 0\.25 s"):
-        RotationNumber(0, 1, 10**12 + 1, 2 * 10**6)
+def test_radicands_over_the_budget_are_refused(monkeypatch):
+    """The floor-sum integers carry the digits of d: a d of over 1,000
+    digits is refused with its size and the estimated time, before any
+    arithmetic, even a perfect square; a d of 1,000 digits is not."""
+    d = 10**1000 - 1
+    assert RotationNumber(-math.isqrt(d), 1, d, 1).exact.d == d
+    for d in (10**1000, 10**1000 + 1):
+        with monkeypatch.context() as m, pytest.raises(
+            ValueError, match=r"^radicand d has 1001 digits, over the budget of 1000: "
+            r"weak mixing at the largest t would take about 2 s$"
+        ):
+            m.setattr(quadratic, "math", None)
+            RotationNumber(0, 1, d, 10**501)
     for angle in BENCH_ANGLES:
         assert RotationNumber.from_json({"quadratic": list(angle)}).to_json() == {
             "quadratic": list(angle)
@@ -273,8 +307,8 @@ def test_floor_sums_match_term_by_term_at_the_bench_angles(angle):
 
 
 #: Angles whose continued fractions have long periods: sqrt(2)/1,009,
-#: sqrt(2)/1,000,003 and sqrt(999,999,999,989) - 999,999, whose radicand
-#: is just under the budget.
+#: sqrt(2)/1,000,003 and sqrt(999,999,999,989) - 999,999, a prime
+#: radicand of 12 digits.
 LONG_PERIOD_ANGLES = ((0, 1, 2, 1_009), (0, 1, 2, 1_000_003), (-999_999, 1, 999_999_999_989, 1))
 
 
