@@ -34,7 +34,8 @@ _EXPORTS = {
             "CHAIN_BOXES", "GroupComparison", "IncompatibleSpectraError", "IntertwinerCheck",
             "IntertwinerIdentity", "IntertwinerPairing", "KOOPMAN_TABLE", "SectorAction",
             "SpectrumDescriptor", "build_intertwiner", "koopman_step",
-            "point_spectrum_groups_equal", "spectrum_of", "verify_intertwiner",
+            "point_spectrum_groups_equal", "spectral_weak_mixing_check", "spectrum_of",
+            "verify_intertwiner",
         ),
         "tower": (
             "DistinguishResult", "ModeSubgroup", "OrbitDecision", "ProductTowerCertificate",
@@ -50,7 +51,7 @@ _EXPORTS = {
         ),
         "mixing": (
             "CorrelationPoint", "NoClosedFormError", "TestSet", "correlation",
-            "spectral_weak_mixing_check", "weak_mixing_statistic", "weak_mixing_verdict",
+            "weak_mixing_statistic", "weak_mixing_verdict",
         ),
     }.items()
     for name in names

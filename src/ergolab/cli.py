@@ -229,7 +229,9 @@ def run_reproduce_letter(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     tower grows past the proper functions while the
     product tower does not, both decided exactly; the combination yields
     "spectrally isomorphic" and "not spacially isomorphic".  A pair of
-    identical skew systems instead reaches "not distinguished by tower".
+    identical skew systems instead reaches "not distinguished by tower",
+    and a pair whose spectra differ "not spectrally isomorphic", with the
+    spectra as evidence and no intertwiner.
     """
     from .koopman import (
         build_intertwiner,
@@ -262,17 +264,19 @@ def run_reproduce_letter(config: ExperimentConfig) -> tuple[dict, list[dict]]:
         "match": spectra_match,
     }
 
-    pairing = build_intertwiner(spec_a, spec_b, config.truncation)
-    check = verify_intertwiner(pairing)
-    results["intertwiner"] = {
-        "truncation": config.truncation,
-        "mismatches": check.mismatches,
-        "checked": check.checked,
-    }
-    if spectra_match and check.mismatches == 0:
-        verdicts.append(_verdict("spectrally isomorphic", {
-            "spectra": results["spectra"], "intertwiner": results["intertwiner"],
-        }))
+    if spectra_match:
+        check = verify_intertwiner(build_intertwiner(spec_a, spec_b, config.truncation))
+        results["intertwiner"] = {
+            "truncation": config.truncation,
+            "mismatches": check.mismatches,
+            "checked": check.checked,
+        }
+        if check.mismatches == 0:
+            verdicts.append(_verdict("spectrally isomorphic", {
+                "spectra": results["spectra"], "intertwiner": results["intertwiner"],
+            }))
+    else:
+        verdicts.append(_verdict("not spectrally isomorphic", results["spectra"]))
 
     comparison = towers_distinguish(
         spec_a, spec_b, truncation=config.residual_truncation
@@ -450,8 +454,7 @@ def _compute_residual(config: ExperimentConfig) -> tuple[dict, list[dict]]:
 
 
 def _compute_spectrum(config: ExperimentConfig) -> tuple[dict, list[dict]]:
-    from .koopman import spectrum_of
-    from .mixing import spectral_weak_mixing_check
+    from .koopman import spectral_weak_mixing_check, spectrum_of
 
     spec = _param(config, "system", SystemSpec.from_json, SystemSpec.skew(SQRT2_MINUS_1))
     desc = spectrum_of(spec)

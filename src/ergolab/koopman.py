@@ -17,17 +17,21 @@ shape fixed, so the product's ``p[l,k,m] = e(l u) d[k,m]`` goes to
 applies the table to anything with integer ``+`` and ``*``: ints, integer
 arrays, or the polynomials of the intertwiner's certificate.  Every
 consumer reads it: :func:`spectrum_of`, the intertwiner's certificate,
-and the tower's exact decision and residual search.  Phases are integer
-multiples of gamma, so the angle's value is only needed for reporting.
+and the tower's exact decision and residual census, which shares the
+spectrum's closed-form count of labels (:func:`_region_count`).  Phases
+are integer multiples of gamma, so the angle's value is only needed for
+reporting.
 The intertwiner pairs renormalized chain bases (``f[k,m]`` on the skew
 side, ``t[l,k,m]`` on the product side), whose chain steps are
-phase-free.  Each basis is a class that describes its chains; a
+phase-free.  Each basis is a class that describes its chains; its proper
+modes are read off ``MAPS`` and the table (:func:`_proper_mode`).  A
 pairing's list of label pairs inside a box is a dict, built only when
 asked.  Nothing here imports numpy.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
@@ -50,13 +54,14 @@ __all__ = [
     "build_intertwiner",
     "koopman_step",
     "point_spectrum_groups_equal",
+    "spectral_weak_mixing_check",
     "spectrum_of",
     "verify_intertwiner",
 ]
 
 INFINITE = "infinite"
 #: Half-widths B of the label boxes [-B, B]^d at which :func:`spectrum_of`
-#: reports the closed-form count of the chains of moving labels.
+#: reports how many chains of moving labels meet the box.
 CHAIN_BOXES = (4, 8)
 
 
@@ -181,6 +186,58 @@ def _fixed_point_rows(kind: str, sector: str) -> tuple[list[list[int]], list[int
     return N, [-v for v in b]
 
 
+def _line_step(kind: str, sector: str, k: int) -> tuple[list[list[int]], list[int]]:
+    """``N = A - I`` and ``c = b - k e_l`` of ``K_k x = A x + b - k e_l`` on
+    one sector of ``KOOPMAN_TABLE`` (k = 0: the step itself), refused by
+    name unless every orbit is a lattice line: with ``N^2 = 0``
+    (:func:`_fixed_point_rows`) and ``N c = 0`` the step ``N x + c`` is the
+    same at ``K_k x``."""
+    N, minus_b = _fixed_point_rows(kind, sector)
+    c = [-v - k * (i == 0) for i, v in enumerate(minus_b)]
+    if any(sum(a * v for a, v in zip(row, c)) for row in N):
+        raise ValueError(
+            f"K_{k} does not move the {kind} {sector} sector along lattice lines: "
+            f"(A - I)(b - k e_l) is not 0"
+        )
+    return N, c
+
+
+def _region_count(region: tuple[list, list], shift: Sequence[int], fixed: dict[int, int]) -> int:
+    """How many labels x of ``region = (lows, [(group, high), ...])``
+    (each coordinate at least its low, each group's sum at most its high)
+    have ``x + shift`` in it too and ``x[j] = v`` for each ``j: v`` of
+    ``fixed``.  That set keeps the region's form, each low raised by
+    ``max(0, -shift)`` and each high lowered by ``max(0, its group's
+    shift)``; a group of ``free`` unfixed coordinates with ``room`` above
+    their lows holds C(room + free, free)."""
+    lows, groups = region
+    lows = [low + max(0, -v) for low, v in zip(lows, shift)]
+    count = 1
+    for group, high in groups:
+        room, free = high - max(0, sum(shift[i] for i in group)), 0
+        for i in group:
+            if i in fixed and fixed[i] < lows[i]:
+                return 0
+            room -= fixed.get(i, lows[i])
+            free += i not in fixed
+        if room < 0:
+            return 0
+        count *= math.comb(room + free, free)
+    return count
+
+
+def _slices(region: tuple[list, list], N, c) -> Iterator[tuple[dict[int, int], list[int]]]:
+    """The slices of ``region`` at each value of the coordinates N reads,
+    as ``(fixed, d)``: those coordinates' values, and the step
+    ``d = N x + c``, the same at every label of the slice."""
+    lows, groups = region
+    top = {i: high - sum(lows[t] for t in group if t != i) for group, high in groups for i in group}
+    read = [j for j in range(len(c)) if any(r[j] for r in N)]
+    for values in itertools.product(*(range(lows[j], top[j] + 1) for j in read)):
+        fixed = dict(zip(read, values))
+        yield fixed, [sum(r[j] * v for j, v in fixed.items()) + ci for r, ci in zip(N, c)]
+
+
 def _last_unknown_coset(rows, rhs) -> Optional[tuple[int, int, int]]:
     """The values of the last unknown over the integer solutions of
     ``rows z = rhs``: ``(base, step, rank)`` for ``base + step Z`` (step
@@ -205,9 +262,9 @@ class SpectrumDescriptor:
 
     The point spectrum is generated by at most one irrational angle,
     which never makes the proper value 1 a repeated one, so 1 is simple
-    exactly when it has multiplicity one.  ``chain_counts`` holds the
-    evidence for the multiplicity as (box half-width B, chains meeting
-    [-B, B]^d) pairs.
+    exactly when it has multiplicity one.  The multiplicity is decided
+    exactly; ``chain_counts`` shows it at work as (box half-width B,
+    chains meeting [-B, B]^d) pairs.
     """
 
     point_generators: tuple[RotationNumber, ...]
@@ -253,20 +310,35 @@ class SpectrumDescriptor:
         }
 
 
-def _chain_count(kind: str, sector: str):
-    """The closed form ``B -> chains of moving labels meeting [-B, B]^d``
-    of one sector: 0 where the step fixes every label, else the count of
-    the kind's basis, whose chains are that sector's.  A sector that
-    moves labels and has no closed form is refused, not extrapolated."""
-    A, b, _ = KOOPMAN_TABLE[kind][sector]
-    if not any(b) and all(A[i][j] == (i == j) for i in range(len(b)) for j in range(len(b))):
-        return lambda B: 0
-    basis = _BASES[kind]
-    if sector != basis.chain_sector:
-        raise ValueError(
-            f"the {kind} {sector} sector moves labels but has no closed-form chain count"
-        )
-    return basis.chain_count
+def spectral_weak_mixing_check(descriptor: SpectrumDescriptor) -> bool:
+    """True iff the point part is exactly {1} and 1 is simple."""
+    return len(descriptor.point_generators) == 0 and descriptor.point_part_simple
+
+
+def _sector_multiplicity(kind: str, sector: str):
+    """How many chains one sector's moving labels form, from ``N = A - I``
+    and b: none if N = 0 and b = 0; ``|b|`` on one coordinate, one per
+    residue mod b; else infinitely many, as ``d(x) = N x + b``, constant
+    on a chain, takes infinitely many values if N != 0, and Z^d / Z b is
+    infinite for d >= 2."""
+    N, minus_b = _fixed_point_rows(kind, sector)
+    if not any(map(any, N)) and not any(minus_b):
+        return 0
+    if len(minus_b) == 1:  # N^2 = 0 makes a 1 x 1 N zero
+        return abs(minus_b[0])
+    return INFINITE
+
+
+def _chains_in_box(kind: str, sector: str, B: int) -> int:
+    """How many chains of one sector's moving labels meet [-B, B]^d.  A
+    chain is a lattice line (:func:`_line_step`), so it meets the box in
+    one segment and counts once, at its first label there: per slice, the
+    labels in the box minus those whose successor ``x + d`` is in the box
+    too, which is all of them where d = 0."""
+    N, c = _line_step(kind, sector, 0)
+    box = ([-B] * len(c), [((i,), B) for i in range(len(c))])
+    return sum(_region_count(box, [0] * len(d), fixed) - _region_count(box, d, fixed)
+               for fixed, d in _slices(box, N, c))
 
 
 def spectrum_of(spec: SystemSpec) -> SpectrumDescriptor:
@@ -279,15 +351,16 @@ def spectrum_of(spec: SystemSpec) -> SpectrumDescriptor:
     labels with ``n = 0`` are the invariant functions, so they count the
     proper value 1.  Every other label moves and, A being unipotent,
     never returns: it lies on a two-sided chain that carries one copy of
-    Lebesgue spectrum.  Each sector's chains meeting the box [-B, B]^d
-    have a closed form in B (:func:`_chain_count`), reported at the
-    boxes of ``CHAIN_BOXES``.  The closed forms are polynomials in B, so
-    one that grows between the boxes grows without bound: the
-    multiplicity is then ``"infinite"``, and the count otherwise.
+    Lebesgue spectrum.  Each sector's count of chains is decided from its
+    N = A - I and b (:func:`_sector_multiplicity`), and the multiplicity
+    is their sum, ``"infinite"`` if one is.  ``chain_counts`` reports the
+    chains meeting the boxes of ``CHAIN_BOXES``, counted in closed form
+    (:func:`_chains_in_box`).
     """
+    kind, sectors = spec.kind, KOOPMAN_TABLE[spec.kind]
     generator = ones = 0
-    for sector, action in KOOPMAN_TABLE[spec.kind].items():
-        N, rhs = _fixed_point_rows(spec.kind, sector)
+    for sector, action in sectors.items():
+        N, rhs = _fixed_point_rows(kind, sector)
         coset = _last_unknown_coset(
             [r + [0] for r in N] + [list(action.c) + [-1]], rhs + [0]
         )
@@ -297,16 +370,15 @@ def spectrum_of(spec: SystemSpec) -> SpectrumDescriptor:
         generator = math.gcd(generator, base, step)
         if (base % step if step else base) == 0:  # some fixed label has n = 0
             if rank > (step != 0):
-                raise ValueError(f"the {spec.kind} system has infinitely many invariant labels")
+                raise ValueError(f"the {kind} system has infinitely many invariant labels")
             ones += 1
     if generator > 1:
-        raise ValueError(f"the {spec.kind} point spectrum is generated by {generator} gamma")
-    closed = [_chain_count(spec.kind, s) for s in KOOPMAN_TABLE[spec.kind]]
-    counts = tuple((B, sum(count(B) for count in closed)) for B in CHAIN_BOXES)
-    grows = counts[-1][1] > counts[0][1]
+        raise ValueError(f"the {kind} point spectrum is generated by {generator} gamma")
+    counts = tuple((B, sum(_chains_in_box(kind, s, B) for s in sectors)) for B in CHAIN_BOXES)
+    multiplicities = [_sector_multiplicity(kind, s) for s in sectors]
     return SpectrumDescriptor(
         (spec.gamma,) if generator else (),
-        INFINITE if grows else counts[-1][1],
+        INFINITE if INFINITE in multiplicities else sum(multiplicities),
         one_multiplicity=ones,
         chain_counts=counts,
     )
@@ -420,41 +492,35 @@ class _Poly:
         return text.removeprefix(" + ").replace(" - ", "-", text.startswith(" - ")) or "0"
 
 
-class _Basis:
-    """The normalized basis of one system kind, described chain by chain.
+def _proper_mode(kind: str, k) -> tuple[str, tuple]:
+    """The sector and raw label of proper mode k, read off ``MAPS`` and
+    the table: ``(k, 0, ...)`` on the torus sector, the kind's first, or
+    the constant alone when the kind has no torus."""
+    torus = len(MAPS[kind][1])
+    return next(iter(KOOPMAN_TABLE[kind])), ((k,) + (0,) * (torus - 1) if torus else ())
 
-    Proper mode k is the raw label ``point_label(k)`` of the sector
-    ``point_sector``, shown as ``("point", k)``; ``points(B)`` ranges over
-    the k inside the box [-B, B].  Position j of the chain with
-    parameters ``params`` is the raw label ``chain_label(params, j)`` of
-    ``chain_sector``, times the phase ``e(exponent(params, j) gamma)``,
-    shown as ``("chain", *params, j)``; ``chain_params`` names the
-    parameters.  Raw labels and exponents are ints, or polynomials when
-    the parameters and position are.  ``chains(B)`` yields each chain
-    meeting the box in the canonical order, as its parameters and its
-    positions inside the box; ``chain_count(B)`` is their closed form.
+
+class _Basis:
+    """The normalized basis of one system kind, described chain by chain;
+    as it is, the rotation's, which has none.
+
+    Its proper modes are raw labels (:func:`_proper_mode`), shown as
+    ``("point", k)``, k in [-B, B] when the kind has a torus and 0
+    otherwise.  Position j of the chain with parameters ``params`` is the
+    raw label ``chain_label(params, j)`` of ``chain_sector``, times the
+    phase ``e(exponent(params, j) gamma)``, shown as ``("chain", *params,
+    j)``; ``chain_params`` names the parameters.  Raw labels and exponents
+    are ints, or polynomials when the parameters and position are.
+    ``chains(B)`` yields each chain meeting the box in the canonical
+    order, as its parameters and its positions inside the box.
     """
 
-    kind = "rotation"
-    point_sector = "lattice"
     chain_sector: Optional[str] = None
     chain_params: tuple[str, ...] = ()
 
     @staticmethod
-    def points(B: int) -> range:
-        return range(-B, B + 1)
-
-    @staticmethod
-    def chain_count(B: int) -> int:
-        return 0
-
-    @staticmethod
     def chains(B: int) -> Iterator[tuple[tuple, range]]:
         return iter(())
-
-    @staticmethod
-    def point_label(k) -> tuple:
-        return (k,)
 
     @staticmethod
     def exponent(params: tuple, j):
@@ -465,18 +531,8 @@ class _ShiftBasis(_Basis):
     """Chains m = 0, 1, -1, ..., B, -B of ``d[k,m]``, positions k in
     [-B, B]; the constant is the only proper mode."""
 
-    kind = "bernoulli"
-    point_sector = "constant"
     chain_sector = "support"
     chain_params = ("m",)
-
-    @staticmethod
-    def points(B):
-        return range(1)
-
-    @staticmethod
-    def chain_count(B: int) -> int:
-        return 2 * B + 1
 
     @staticmethod
     def chains(B):
@@ -484,10 +540,6 @@ class _ShiftBasis(_Basis):
         for a in range(1, B + 1):
             for m in (a, -a):
                 yield (m,), range(-B, B + 1)
-
-    @staticmethod
-    def point_label(k):
-        return ()
 
     @staticmethod
     def chain_label(params, j):
@@ -500,13 +552,8 @@ class _SkewBasis(_Basis):
     position j is ``f[r + j m, m]``; the proper modes are ``g[k, 0]``,
     which are not renormalized."""
 
-    kind = "skew"
     chain_sector = "lattice"
     chain_params = ("m", "r")
-
-    @staticmethod
-    def chain_count(B: int) -> int:
-        return B * (B + 1)
 
     @staticmethod
     def chains(B):
@@ -516,10 +563,6 @@ class _SkewBasis(_Basis):
                     # the positions j with r + j m in [-B, B]
                     s = r if m > 0 else -r
                     yield (m, r), range(-((B + s) // a), (B - s) // a + 1)
-
-    @staticmethod
-    def point_label(k):
-        return k, 0
 
     @staticmethod
     def chain_label(params, j):
@@ -537,14 +580,8 @@ class _ProductBasis(_Basis):
     ``t[l,k,m] = e(l k gamma) p[l,k,m]``, k in [-B, B]; the proper modes
     are ``e(l u)``."""
 
-    kind = "product"
-    point_sector = "constant"
     chain_sector = "support"
     chain_params = ("l", "m")
-
-    @staticmethod
-    def chain_count(B: int) -> int:
-        return (2 * B + 1) ** 2
 
     @staticmethod
     def chains(B):
@@ -603,7 +640,8 @@ class IntertwinerPairing:
         at B = 192 take about 0.08 s on a 2-core x86-64 host, and B = 10^5
         would need 4 * 10^10.  No CLI run reads it."""
         B, eps = self.truncation, self.eps
-        pairs = {("point", k): ("point", eps * k) for k in self.basis_a.points(B)}
+        points = range(-B, B + 1) if MAPS[self.spec_a.kind][1] else range(1)
+        pairs = {("point", k): ("point", eps * k) for k in points}
         chains = zip(self.basis_a.chains(B), self.basis_b.chains(B))
         for (params_a, js_a), (params_b, js_b) in chains:
             for j in range(max(js_a.start, js_b.start), min(js_a.stop, js_b.stop)):
@@ -678,11 +716,10 @@ def build_intertwiner(
     )
 
 
-def _basis_identities(side: str, basis: type[_Basis]) -> Iterator[IntertwinerIdentity]:
-    """The chain step and the proper modes of one basis, stepped through
-    ``KOOPMAN_TABLE`` at a symbolic chain (parameters named as in
+def _basis_identities(side: str, kind: str, basis: type[_Basis]) -> Iterator[IntertwinerIdentity]:
+    """The chain step and the proper modes of one kind's basis, stepped
+    through ``KOOPMAN_TABLE`` at a symbolic chain (parameters named as in
     ``chain_params``) and position j, or proper index k."""
-    kind = basis.kind
     if basis.chain_sector is not None:
         params = tuple(_Poly.var(name) for name in basis.chain_params)
         j = _Poly.var("j")
@@ -697,10 +734,8 @@ def _basis_identities(side: str, basis: type[_Basis]) -> Iterator[IntertwinerIde
             ("phase", [mult], [basis.exponent(params, j + 1) - basis.exponent(params, j)]),
         ):
             yield IntertwinerIdentity(side, basis.chain_sector, name, tuple(lhs), tuple(rhs))
-    x = basis.point_label(_Poly.var("k"))
-    yield IntertwinerIdentity(
-        side, basis.point_sector, "fixed", koopman_step(kind, basis.point_sector, x)[1], x
-    )
+    sector, x = _proper_mode(kind, _Poly.var("k"))
+    yield IntertwinerIdentity(side, sector, "fixed", koopman_step(kind, sector, x)[1], x)
 
 
 def verify_intertwiner(pairing: IntertwinerPairing) -> IntertwinerCheck:
@@ -731,17 +766,17 @@ def verify_intertwiner(pairing: IntertwinerPairing) -> IntertwinerCheck:
     copies of one kind, would carry it onto itself.  Returns how many
     identities fail, of how many decided, and the identities.
     """
-    basis_a, basis_b, eps = pairing.basis_a, pairing.basis_b, pairing.eps
+    kind_a, kind_b, eps = pairing.spec_a.kind, pairing.spec_b.kind, pairing.eps
     # the angles' own sign, not the pairing's eps, which also relabels B
     ga, gb = pairing.spec_a.gamma, pairing.spec_b.gamma
     relation = (1, 1) if ga is None or gb is None else point_spectrum_groups_equal(ga, gb).relation
     sign = relation[0] if relation else 0
     k = _Poly.var("k")
-    mult_a, _ = koopman_step(basis_a.kind, basis_a.point_sector, basis_a.point_label(k))
-    mult_b, _ = koopman_step(basis_b.kind, basis_b.point_sector, basis_b.point_label(eps * k))
+    mult_a, _ = koopman_step(kind_a, *_proper_mode(kind_a, k))
+    mult_b, _ = koopman_step(kind_b, *_proper_mode(kind_b, eps * k))
     identities = (
-        *_basis_identities("a", basis_a),
-        *_basis_identities("b", basis_b),
+        *_basis_identities("a", kind_a, pairing.basis_a),
+        *_basis_identities("b", kind_b, pairing.basis_b),
         IntertwinerIdentity("ab", "points", "proper values", (mult_a,), (sign * mult_b,)),
     )
     failed = sum(not identity.holds for identity in identities)

@@ -10,8 +10,9 @@ factor by factor, read off the map record ``systems.MAPS[kind] =
 empty), a cylinder by the shift (s != 0), and a factor a set leaves free
 is the whole coordinate.  Values and sums stay exact until one correctly
 rounded conversion to float; a v-arc, or a factor the system lacks,
-raises :class:`NoClosedFormError`.  The spectral predicate gives a
-second, non-numeric opinion.  The exact statistic visits no lag of the
+raises :class:`NoClosedFormError`.  The spectral predicate
+``koopman.spectral_weak_mixing_check`` gives a second, non-numeric
+opinion.  The exact statistic visits no lag of the
 rotation orbit beyond the few where cylinder constraints meet: the
 overlaps are piecewise linear in frac(i*gamma), so their sum over t lags
 is a handful of floor sums, each O(log t) steps down the continued
@@ -32,15 +33,12 @@ from .systems import MAPS, BernoulliSpec, CylinderSet, SampleBatch, SystemSpec
 if TYPE_CHECKING:
     import numpy as np
 
-    from .koopman import SpectrumDescriptor
-
 __all__ = [
     "CorrelationPoint",
     "MAX_WEAK_MIXING_DIGITS",
     "NoClosedFormError",
     "TestSet",
     "correlation",
-    "spectral_weak_mixing_check",
     "weak_mixing_statistic",
     "weak_mixing_verdict",
 ]
@@ -421,12 +419,3 @@ def weak_mixing_verdict(statistic: float) -> str:
         return "inconsistent with weak mixing"
     return "inconclusive"
 
-
-# ---------------------------------------------------------------------------
-# spectral predicates
-# ---------------------------------------------------------------------------
-
-
-def spectral_weak_mixing_check(descriptor: SpectrumDescriptor) -> bool:
-    """True iff the point part is exactly {1} and 1 is simple."""
-    return len(descriptor.point_generators) == 0 and descriptor.point_part_simple

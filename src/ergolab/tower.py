@@ -31,8 +31,10 @@ labels whose phases can be gauged away, so the least-squares minimum of
 if K_k closes a cycle on the basis, and otherwise
 ``sqrt(2 - 2 cos(pi/(L+1)))`` at the longest free path L.  Each orbit of
 K_k is a fixed label or a lattice line (checked), so the census is a
-closed-form count of segments.  It reads ``KOOPMAN_TABLE`` as the decision
-does, so it corroborates the decision's linear algebra, not the table;
+closed-form count of segments, made with the count of labels in
+``koopman`` that the spectrum's chain counts share.  It reads
+``KOOPMAN_TABLE`` as the decision does, so it corroborates the
+decision's linear algebra, not the table;
 the table's numeric tie to ``systems.iterate_batch`` ties it to the maps.
 :func:`certify_product_tower` reads the residuals against 1e-6 and r0/2;
 its margin measures the band, falling like ``pi / (2 U_BAND + 2)``.
@@ -40,7 +42,6 @@ its margin measures the band, falling like ``pi / (2 U_BAND + 2)``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -51,6 +52,9 @@ from .koopman import (
     _fixed_point_rows,
     _integer_solutions,
     _last_unknown_coset,
+    _line_step,
+    _region_count,
+    _slices,
 )
 from .systems import InconclusiveEvidenceError, SystemSpec
 
@@ -319,11 +323,10 @@ class ResidualReport:
 
 def _sector_regions(kind: str, truncation: int) -> dict[str, tuple[list[int], list[tuple]]]:
     """Each sector's labels in the truncated basis, in table coordinates,
-    as ``(lows, [(group, high), ...])``: each coordinate at least its low,
-    each group's sum at most its high.  l lies in [-U_BAND, U_BAND]; the
-    product's tails are its constant and the supports {a, a + s} in
-    [-N, N] of size at most 2, labelled (l, a, s); the skew's are |m| <= N.
-    """
+    as a region of :func:`koopman._region_count`.  l lies in [-U_BAND,
+    U_BAND]; the product's tails are its constant and the supports
+    {a, a + s} in [-N, N] of size at most 2, labelled (l, a, s); the
+    skew's are |m| <= N."""
     if kind == "product":
         return {
             "constant": ([-U_BAND], [((0,), U_BAND)]),
@@ -334,61 +337,19 @@ def _sector_regions(kind: str, truncation: int) -> dict[str, tuple[list[int], li
     raise UnsupportedSystemError(f"the residual search runs on product or skew systems, not {kind!r}")
 
 
-def _region_count(region: tuple[list, list], shift: Sequence[int], fixed: dict[int, int]) -> int:
-    """How many labels x of ``region`` have ``x + shift`` in it too and
-    ``x[j] = v`` for each ``j: v`` of ``fixed``.  That set keeps the
-    region's form, each low raised by ``max(0, -shift)`` and each high
-    lowered by ``max(0, its group's shift)``; a group of ``free`` unfixed
-    coordinates with ``room`` above their lows holds C(room + free, free)."""
-    lows, groups = region
-    lows = [low + max(0, -v) for low, v in zip(lows, shift)]
-    count = 1
-    for group, high in groups:
-        room, free = high - max(0, sum(shift[i] for i in group)), 0
-        for i in group:
-            if i in fixed and fixed[i] < lows[i]:
-                return 0
-            room -= fixed.get(i, lows[i])
-            free += i not in fixed
-        if room < 0:
-            return 0
-        count *= math.comb(room + free, free)
-    return count
-
-
-def _line_step(kind: str, sector: str, k: int) -> tuple[list[list[int]], list[int]]:
-    """``N = A - I`` and ``c = b - k e_l`` of ``K_k x = A x + b - k e_l`` on
-    one sector of ``KOOPMAN_TABLE``, refused by name unless every orbit is a
-    lattice line: with ``N^2 = 0`` (:func:`koopman._fixed_point_rows`) and
-    ``N c = 0`` the step ``N x + c`` is the same at ``K_k x``."""
-    N, minus_b = _fixed_point_rows(kind, sector)
-    c = [-v - k * (i == 0) for i, v in enumerate(minus_b)]
-    if any(sum(a * v for a, v in zip(row, c)) for row in N):
-        raise ValueError(
-            f"K_{k} does not move the {kind} {sector} sector along lattice lines: "
-            f"(A - I)(b - k e_l) is not 0"
-        )
-    return N, c
-
-
 def _segment_census(regions: dict, steps: list) -> tuple[int, list[list[int]]]:
     """The cycle count of the truncated K_k and its free paths' ``[length,
     count]``, ascending, from each sector's region and step ``(N, c)``.
 
     ``d = N x + c`` is the same along an orbit: d = 0 is a cycle, else the
     line meets its convex region in one free path.  d reads only what N
-    reads, so a sector is counted per slice at those coordinates' values.
-    There ``f(t)``, the labels x with ``x + t d`` in the region too, counts
-    runs of t + 1 labels on the paths: ``f(L-1) - 2 f(L) + f(L+1)`` paths
-    have exactly L labels."""
+    reads, so a sector is counted per slice at those coordinates' values
+    (:func:`koopman._slices`).  There ``f(t)``, the labels x with
+    ``x + t d`` in the region too, counts runs of t + 1 labels on the
+    paths: ``f(L-1) - 2 f(L) + f(L+1)`` paths have exactly L labels."""
     cycles, lengths = 0, {}
     for region, (N, c) in zip(regions.values(), steps):
-        lows, groups = region
-        top = {i: high - sum(lows[t] for t in group if t != i) for group, high in groups for i in group}
-        read = [j for j in range(len(c)) if any(r[j] for r in N)]
-        for values in itertools.product(*(range(lows[j], top[j] + 1) for j in read)):
-            fixed = dict(zip(read, values))
-            d = [sum(r[j] * v for j, v in fixed.items()) + ci for r, ci in zip(N, c)]
+        for fixed, d in _slices(region, N, c):
             f = [_region_count(region, [0] * len(d), fixed)]
             if not any(d):
                 cycles += f[0]
@@ -416,12 +377,14 @@ def _path_residual(n: int) -> float:
 
 def residual_census(spec: SystemSpec, ks: Iterable[int], truncation: int) -> Iterator[ResidualReport]:
     """:func:`quasi_eigen_residual_search` for each k of ``ks`` in turn,
-    counted by :func:`_segment_census`.  The ks are read once; ks over
-    ``MAX_CENSUS_WORK``, then a K_k whose orbits are no lattice lines
-    (:func:`_line_step`), are refused before anything is counted."""
+    counted by :func:`_segment_census`.  The ks are read once; no ks, ks
+    over ``MAX_CENSUS_WORK``, then a K_k whose orbits are no lattice lines
+    (:func:`koopman._line_step`), are refused before anything is counted."""
     if truncation < 2:
         raise ValueError("truncation must be >= 2")
     ks = tuple(ks)
+    if not ks:
+        raise ValueError("the residual census needs at least one k: ks is empty")
     charge = 2 * truncation + 1 + CENSUS_K_CHARGE
     if charge * len(ks) > MAX_CENSUS_WORK:
         raise ValueError(

@@ -9,7 +9,7 @@ replaced: it takes every paired label to its raw basis vector, steps it
 through ``KOOPMAN_TABLE`` and renormalizes the image, on both sides,
 with its own writing of the normalized bases.  :func:`chains_in_box`
 counts the chains that meet a box by stepping every label of it, the
-evidence ``spectrum_of`` extrapolated from before it read closed forms.
+oracle for the first-label count behind ``spectrum_of``'s chain counts.
 :class:`Phase`, the unimodular constants of a step, is kept here too;
 the library compares integer multiples of gamma instead.
 """

@@ -229,6 +229,14 @@ def test_letter_runs_without_scipy(tmp_path):
     _assert_same_bytes_without(tmp_path, "scipy,array", "reproduce-letter", "--seed", "1")
 
 
+@pytest.mark.parametrize("argv", [("reproduce-kolmogorov", "--seed", "1"), ("compute", "spectrum")])
+def test_spectra_run_without_the_tower_and_mixing_toolkits(argv, tmp_path):
+    """The spectrum's chain counts share the census's count, which lives
+    in ``koopman``: with the tower and mixing toolkits refused, the
+    kolmogorov run and the spectrum op write the same report bytes."""
+    _assert_same_bytes_without(tmp_path, "ergolab.tower,ergolab.mixing", *argv)
+
+
 def _bench_mixing_config(tmp_path: Path) -> str:
     """The benchmark's ``mixing`` workload at its first angle."""
     cfg = tmp_path / "mixing.json"
@@ -398,7 +406,10 @@ def test_a_flag_overrides_the_config_file_before_validation(tmp_path, monkeypatc
     assert read_report(out)["seed"] == 3
 
 
-def test_letter_mismatched_angles_fail_cleanly(tmp_path, capsys):
+def test_letter_mismatched_angles_are_not_spectrally_isomorphic(tmp_path):
+    """Different point-spectrum groups are a verdict, not an error: the
+    report says "not spectrally isomorphic" with the spectra as evidence,
+    builds no intertwiner, and still reads the towers."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "scenario": "reproduce-letter",
@@ -409,9 +420,16 @@ def test_letter_mismatched_angles_fail_cleanly(tmp_path, capsys):
              "probs": [0.5, 0.5], "symbols": [1, -1]},
         ],
     }))
-    code, _ = run(tmp_path, "reproduce-letter", "--config", str(cfg))
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    code, out = run(tmp_path, "reproduce-letter", "--config", str(cfg))
+    assert code == 0
+    report = read_report(out)
+    spectra = report["results"]["spectra"]
+    assert not spectra["match"] and not spectra["point_groups_equal"]
+    assert "intertwiner" not in report["results"]
+    assert [v["statement"] for v in report["verdicts"]] == [
+        "not spectrally isomorphic", "not spacially isomorphic",
+    ]
+    assert report["verdicts"][0]["evidence"] == spectra
 
 
 @pytest.mark.parametrize("scenario", ["reproduce-letter", "reproduce-kolmogorov"])
@@ -509,6 +527,19 @@ def test_residual_search_ks_above_the_census_budget_are_refused(count, tmp_path,
         f"error: {count} ks at residual truncation {truncation} are charged {charge} census "
         f"positions each, {count * charge} in all, over the budget of {MAX_CENSUS_WORK}: "
         f"the census would take about {seconds} s\n"
+    )
+
+
+def test_residual_search_refuses_no_ks(tmp_path, capsys, monkeypatch):
+    """An empty ks would report a complete search over zero reports: it is
+    refused by name before any table entry is read."""
+    monkeypatch.setattr(tower, "_line_step", _census_starts)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"ks": []}}))
+    code, out = run(tmp_path, "compute", "residual-search", "--config", str(cfg))
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == (
+        "error: the residual census needs at least one k: ks is empty\n"
     )
 
 

@@ -141,10 +141,9 @@ def test_normalizing_phase_rejects_proper_rows():
     e(k gamma)."""
     with pytest.raises(ZeroDivisionError):
         _exponent_at(3, 0)
-    basis = koopman._SkewBasis
     for k in range(-3, 4):
-        x = basis.point_label(k)
-        assert x == (k, 0) and koopman_step("skew", basis.point_sector, x) == (k, x)
+        sector, x = koopman._proper_mode("skew", k)
+        assert (sector, x) == ("lattice", (k, 0)) and koopman_step("skew", sector, x) == (k, x)
 
 
 @given(st.integers(-12, 12), st.integers(-12, 12))
@@ -319,11 +318,15 @@ def test_map_record_mutants_cost_the_letter_its_spectral_verdict(mutant, tmp_pat
 
 
 def _chains(kind: str, B: int) -> tuple[list[int], list[list[tuple]]]:
-    """The proper-mode indices of a kind's basis in the box, and each
-    chain as the raw labels its positions name, in operator order."""
+    """The proper-mode indices of a kind's pairing in the box, and each
+    chain of its basis as the raw labels its positions name, in operator
+    order."""
+    spec = {s.kind: s for s in four_systems()}[kind]
+    points = [label[1] for label in build_intertwiner(spec, spec, B).mapping
+              if label[0] == "point"]
     basis = koopman._BASES[kind]
     chains = [[basis.chain_label(params, j) for j in js] for params, js in basis.chains(B)]
-    return list(basis.points(B)), chains
+    return points, chains
 
 
 @pytest.mark.parametrize("kind", ["rotation", "skew", "product"])
@@ -355,7 +358,8 @@ def test_proper_modes_of_skew():
     B = 6
     basis = koopman._BASES["skew"]
     for k in range(-B, B + 1):
-        assert koopman_step("skew", "lattice", basis.point_label(k)) == (k, (k, 0))
+        sector, x = koopman._proper_mode("skew", k)
+        assert sector == "lattice" and koopman_step("skew", sector, x) == (k, (k, 0))
     for params, js in basis.chains(B):
         for j in js:
             x = basis.chain_label(params, j)
@@ -423,22 +427,78 @@ def test_box_chain_counts_match_the_closed_forms_and_the_bases(spec):
     basis = koopman._BASES[spec.kind]
     for B in (*CHAIN_BOXES, 0, 1, 11):
         counted = sum(chains_in_box(spec.kind, s, B) for s in KOOPMAN_TABLE[spec.kind])
+        first_labels = sum(koopman._chains_in_box(spec.kind, s, B)
+                           for s in KOOPMAN_TABLE[spec.kind])
         yielded = [js for _, js in basis.chains(B)]
         assert all(yielded)
-        assert counted == len(yielded) == closed(B) == basis.chain_count(B)
+        assert counted == first_labels == len(yielded) == closed(B)
 
 
-def test_a_sector_without_a_closed_form_is_refused(monkeypatch):
-    """A sector x -> x + 12 has 12 chains, but the box count grows from 9
-    at B = 4 to 12 at B = 8, which the extrapolation the closed forms
-    replaced read as infinite.  It has no closed form, so the spectrum
-    is refused instead."""
+def test_a_one_coordinate_translation_has_its_step_as_multiplicity(monkeypatch):
+    """A sector x -> x + 12 has 12 chains, one per residue mod 12, while
+    its box count grows from 9 at B = 4 to 12 at B = 8, which an
+    extrapolation between the boxes would read as infinite.  On the
+    rotation, whose other sector fixes every label, the multiplicity is
+    decided as exactly 12; a second sector x -> x - 5 adds its 5 chains."""
     scratch = koopman.SectorAction(((1,),), (12,), (0,))
-    monkeypatch.setitem(KOOPMAN_TABLE["skew"], "scratch", scratch)
-    assert [chains_in_box("skew", "scratch", B) for B in CHAIN_BOXES] == [9, 12]
-    assert chains_in_box("skew", "scratch", 100) == 12
-    with pytest.raises(ValueError, match="skew scratch sector moves labels but has no closed-form"):
-        spectrum_of(SystemSpec.skew(GAMMA))
+    monkeypatch.setitem(KOOPMAN_TABLE["rotation"], "scratch", scratch)
+    assert [chains_in_box("rotation", "scratch", B) for B in CHAIN_BOXES] == [9, 12]
+    assert chains_in_box("rotation", "scratch", 100) == 12
+    desc = spectrum_of(SystemSpec.rotation(GAMMA))
+    assert desc.lebesgue_multiplicity == 12 and desc.tag == "mixed"
+    assert desc.chain_counts == ((4, 9), (8, 12))
+    monkeypatch.setitem(KOOPMAN_TABLE["rotation"], "back", scratch._replace(b=(-5,)))
+    desc = spectrum_of(SystemSpec.rotation(GAMMA))
+    assert desc.lebesgue_multiplicity == 17 and desc.chain_counts == ((4, 14), (8, 17))
+
+
+def _nilpotent_sector(u, w, t, b0, b1):
+    """``x -> A x + b`` with ``N = A - I = u v^T``, v orthogonal to u (so
+    N^2 = 0), and b in the kernel of v^T (so N b = 0), as a
+    :class:`SectorAction` on len(u) coordinates: on three, v = u x w and
+    b = b0 u + b1 w, or b = t where v = 0."""
+    n = len(u)
+    if n == 1:
+        v, b = (0,), (b0,)
+    elif n == 2:
+        v, b = (-u[1], u[0]), (b0 * u[0], b0 * u[1]) if any(u) else (b0, b1)
+    else:
+        v = (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
+        b = tuple(b0 * ui + b1 * wi for ui, wi in zip(u, w)) if any(v) else tuple(t)
+    A = tuple(tuple(int(i == j) + u[i] * v[j] for j in range(n)) for i in range(n))
+    return koopman.SectorAction(A, b, (0,) * n)
+
+
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.tuples(
+        *(st.tuples(*[st.integers(-2, 2)] * n) for _ in range(3)),
+        st.integers(-4, 4), st.integers(-4, 4),
+    ))
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_first_labels_count_the_chains_of_unipotent_sectors(drawn):
+    """Random unipotent affine sectors of 1 to 3 coordinates with
+    ``N^2 = 0`` and ``N b = 0``: the chains counted by their first labels
+    match the oracle that steps every label of the box, at every B up to
+    11, and the exact multiplicity matches the oracle's growth: constant
+    at |b| on one coordinate once the box holds a period, and growing
+    otherwise."""
+    u, w, t, b0, b1 = drawn
+    action = _nilpotent_sector(u, w, t, b0, b1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(KOOPMAN_TABLE["rotation"], "scratch", action)
+        counts = [chains_in_box("rotation", "scratch", B) for B in range(12)]
+        assert [koopman._chains_in_box("rotation", "scratch", B) for B in range(12)] == counts
+        multiplicity = koopman._sector_multiplicity("rotation", "scratch")
+    moves = any(action.b) or action.A != tuple(
+        tuple(int(i == j) for j in range(len(u))) for i in range(len(u)))
+    assert counts == sorted(counts)
+    if not moves:
+        assert multiplicity == 0 and counts == [0] * 12
+    elif len(u) == 1:
+        assert multiplicity == abs(action.b[0]) == counts[-1] == counts[4]
+    else:
+        assert multiplicity == "infinite" and counts[-1] > counts[5]
 
 
 def test_degenerate_point_part_is_not_simple():
@@ -739,7 +799,7 @@ def test_smaller_boxes_hold_the_first_chains(kind, B):
     chains run in the ring order."""
     basis = koopman._BASES[kind]
     params = [p for p, _ in basis.chains(B)]
-    assert len(set(params)) == len(params) == basis.chain_count(B)
+    assert len(set(params)) == len(params) == CHAIN_CLOSED_FORMS[kind](B)
     assert all(type(x) is int for p in params for x in p)
     assert [p for p, _ in basis.chains(B + 1)][: len(params)] == params
     if kind == "product":

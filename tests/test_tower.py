@@ -370,7 +370,8 @@ def _orbits_are_lines(kind: str, k: int, truncation: int) -> bool:
 def test_census_matches_the_walk_oracle(mutant, monkeypatch):
     """The counted census gives the report of the label-by-label walk,
     field for field, for every k in -4..4 whose orbits are lattice lines,
-    and refuses, naming the sector and k, a census over any other k."""
+    and refuses, naming the sector and k, a census over any other k.
+    Where no k is left, the census of no ks is refused too."""
     kind, sector, fields = CENSUS_MUTANTS[mutant]
     entry = KOOPMAN_TABLE[kind][sector]._replace(**fields)
     monkeypatch.setitem(KOOPMAN_TABLE[kind], sector, entry)
@@ -380,6 +381,10 @@ def test_census_matches_the_walk_oracle(mutant, monkeypatch):
         refusal = rf"^(K_{k} does not move the {kind}|the {kind} step is not unipotent on the) {sector} sector"
         with pytest.raises(ValueError, match=refusal):
             next(residual_census(spec, (*lines, k), 3))
+    if not lines:
+        with pytest.raises(ValueError, match="^the residual census needs at least one k"):
+            next(residual_census(spec, lines, 3))
+        return
     for truncation in (2, 3, 4, 8, 13, 16):
         census = list(residual_census(spec, lines, truncation))
         assert [_census_fields(r) for r in census] == [
