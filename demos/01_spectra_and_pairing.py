@@ -5,7 +5,9 @@ Fourier-Walsh basis functions by permuting indices and multiplying unit
 phases.  That makes its spectrum computable symbolically: each system
 below gets a descriptor (point part, Lebesgue part), and two systems
 whose descriptors match can be given an explicit unitary intertwiner,
-built by pairing proper modes and chain generators.  The intertwining
+built from the two descriptors by pairing proper modes and chain
+generators.  Each descriptor shows, per label sector, the N = A - I and b
+its Lebesgue multiplicity is read from.  The intertwining
 W U = V W is decided for the whole space by a handful of polynomial
 identities, one set per label sector, printed below.  Each operator's
 action on labels is read off the map itself: the demo prints every
@@ -38,11 +40,14 @@ def main() -> None:
     ]
 
     print("=== spectral descriptors ===")
+    descriptors = {spec.kind: spectrum_of(spec) for spec in systems}
     for spec in systems:
-        d = spectrum_of(spec)
+        d = descriptors[spec.kind]
         gens = ", ".join(str(g) for g in d.point_generators) or "none"
         print(f"{spec.label():32s} tag={d.tag:16s} "
               f"point generators: {gens}; Lebesgue multiplicity: {d.lebesgue_multiplicity}")
+        for sector, N, b, count in d.multiplicity_witness:
+            print(f"  {sector:8s} N = A - I = {N}, b = {b}: {count} chains")
 
     print()
     print("=== proper-value groups ===")
@@ -59,7 +64,11 @@ def main() -> None:
     print("=== intertwining the skew map with the product ===")
     skew = SystemSpec.skew(GAMMA)
     prod = SystemSpec.product(GAMMA, BernoulliSpec.fair_coin())
-    pairing = build_intertwiner(skew, prod, truncation=16)
+    # the intertwiner reads the descriptors and the angles' comparison,
+    # decided once above, instead of deciding them again
+    groups = point_spectrum_groups_equal(skew.gamma, prod.gamma)
+    spectra = (descriptors["skew"], descriptors["product"])
+    pairing = build_intertwiner(skew, prod, 16, spectra, groups)
     check = verify_intertwiner(pairing)
     print(f"identities decided: {check.checked}, failed: {check.mismatches}")
     print("(a = skew map, b = product; unknowns: chain (m, r) or (l, m),")

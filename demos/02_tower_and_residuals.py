@@ -44,7 +44,7 @@ def main() -> None:
     prod = SystemSpec.product(GAMMA, BernoulliSpec.fair_coin())
 
     print("=== the skew tower (exact) ===")
-    levels = compute_tower(skew, 4)
+    levels = compute_tower(skew)
     for level in levels:
         print(f"  level {level.depth}: characters {level.characters}")
     print(f"stabilizes at depth {stabilization_depth(levels)}")

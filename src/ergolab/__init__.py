@@ -31,7 +31,7 @@ _EXPORTS = {
             "spawn_rngs",
         ),
         "koopman": (
-            "CHAIN_BOXES", "GroupComparison", "IncompatibleSpectraError", "IntertwinerCheck",
+            "GroupComparison", "IncompatibleSpectraError", "IntertwinerCheck",
             "IntertwinerIdentity", "IntertwinerPairing", "KOOPMAN_TABLE", "SectorAction",
             "SpectrumDescriptor", "build_intertwiner", "koopman_step",
             "point_spectrum_groups_equal", "spectral_weak_mixing_check", "spectrum_of",

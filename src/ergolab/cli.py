@@ -224,9 +224,10 @@ def run_reproduce_letter(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     """The two-system comparison, as ``(results, verdicts)``: same
     spectrum, different towers.
 
-    Steps: spectra match; the explicit intertwiner's certificate holds
-    on every identity, for the whole space at any truncation; the skew
-    tower grows past the proper functions while the
+    Steps: spectra match, decided once per system and once for the
+    pair's point groups; the intertwiner built from those decisions has a
+    certificate that holds on every identity, for the whole space at any
+    truncation; the skew tower grows past the proper functions while the
     product tower does not, both decided exactly; the combination yields
     "spectrally isomorphic" and "not spacially isomorphic".  A pair of
     identical skew systems instead reaches "not distinguished by tower",
@@ -265,7 +266,8 @@ def run_reproduce_letter(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     }
 
     if spectra_match:
-        check = verify_intertwiner(build_intertwiner(spec_a, spec_b, config.truncation))
+        pairing = build_intertwiner(spec_a, spec_b, config.truncation, (desc_a, desc_b), group_cmp)
+        check = verify_intertwiner(pairing)
         results["intertwiner"] = {
             "truncation": config.truncation,
             "mismatches": check.mismatches,
@@ -307,9 +309,10 @@ def run_reproduce_kolmogorov(config: ExperimentConfig) -> tuple[dict, list[dict]
     block length, which is the same closed form, and the sampled
     estimate) is built in turn, the i-th system sampling from the i-th
     generator :func:`spawn_rngs` derives from the seed, so an entry does
-    not depend on the systems after it.  One intertwiner is built and
-    checked per run (every shift has the same basis and no angle); its
-    counts go on every pair, and the spectral verdict only if it holds.
+    not depend on the systems after it.  Each system's spectrum is
+    decided once, and each pair's intertwiner is built from the two
+    descriptors and checked; its counts go on that pair, and the
+    spectral verdict only if it holds.
     """
     from .entropy import (
         PartitionSpec,
@@ -319,7 +322,7 @@ def run_reproduce_kolmogorov(config: ExperimentConfig) -> tuple[dict, list[dict]
         exact_block_entropy_rate,
         partition_refine_entropy,
     )
-    from .koopman import build_intertwiner, verify_intertwiner
+    from .koopman import build_intertwiner, spectrum_of, verify_intertwiner
     from .systems import spawn_rngs
 
     specs = config.system_specs()
@@ -351,11 +354,13 @@ def run_reproduce_kolmogorov(config: ExperimentConfig) -> tuple[dict, list[dict]
             entry["exact_entropy_bits"] = exact / math.log(2)
         results["entropies"].append(entry)
 
-    check = verify_intertwiner(build_intertwiner(specs[0], specs[1], config.truncation))
+    spectra = [spectrum_of(spec) for spec in specs]
     pairs = []
     for i in range(len(specs)):
         for j in range(i + 1, len(specs)):
             a, b = specs[i], specs[j]
+            pairing = build_intertwiner(a, b, config.truncation, (spectra[i], spectra[j]), None)
+            check = verify_intertwiner(pairing)
             verdict = entropy_classifier(a.bernoulli, b.bernoulli)
             pair = {
                 "system_a": a.label(),
@@ -431,7 +436,7 @@ def _compute_tower(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     from .tower import compute_tower, stabilization_depth
 
     spec = _param(config, "system", SystemSpec.from_json, SystemSpec.skew(SQRT2_MINUS_1))
-    levels = compute_tower(spec, int(config.params.get("max_depth", 4)))
+    levels = compute_tower(spec)
     results = {
         "levels": [lvl.to_json() for lvl in levels],
         "stabilization_depth": stabilization_depth(levels),

@@ -17,10 +17,8 @@ shape fixed, so the product's ``p[l,k,m] = e(l u) d[k,m]`` goes to
 applies the table to anything with integer ``+`` and ``*``: ints, integer
 arrays, or the polynomials of the intertwiner's certificate.  Every
 consumer reads it: :func:`spectrum_of`, the intertwiner's certificate,
-and the tower's exact decision and residual census, which shares the
-spectrum's closed-form count of labels (:func:`_region_count`).  Phases
-are integer multiples of gamma, so the angle's value is only needed for
-reporting.
+and the tower's exact decision and residual census.  Phases are integer
+multiples of gamma, so the angle's value is only needed for reporting.
 The intertwiner pairs renormalized chain bases (``f[k,m]`` on the skew
 side, ``t[l,k,m]`` on the product side), whose chain steps are
 phase-free.  Each basis is a class that describes its chains; its proper
@@ -42,7 +40,6 @@ from .quadratic import RotationNumber, integral_combination
 from .systems import MAPS, SystemSpec
 
 __all__ = [
-    "CHAIN_BOXES",
     "GroupComparison",
     "IncompatibleSpectraError",
     "IntertwinerCheck",
@@ -60,9 +57,6 @@ __all__ = [
 ]
 
 INFINITE = "infinite"
-#: Half-widths B of the label boxes [-B, B]^d at which :func:`spectrum_of`
-#: reports how many chains of moving labels meet the box.
-CHAIN_BOXES = (4, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +257,15 @@ class SpectrumDescriptor:
     The point spectrum is generated by at most one irrational angle,
     which never makes the proper value 1 a repeated one, so 1 is simple
     exactly when it has multiplicity one.  The multiplicity is decided
-    exactly; ``chain_counts`` shows it at work as (box half-width B,
-    chains meeting [-B, B]^d) pairs.
+    exactly, sector by sector; ``multiplicity_witness`` holds what each
+    decision read, as ``(sector, N, b, multiplicity)`` with ``N = A - I``,
+    so a reader of the JSON can re-derive it (:func:`_sector_multiplicity`).
     """
 
     point_generators: tuple[RotationNumber, ...]
     lebesgue_multiplicity: object  # 0, a positive int, or INFINITE
     one_multiplicity: int = 1
-    chain_counts: tuple[tuple[int, int], ...] = field(default=(), compare=False)
+    multiplicity_witness: tuple = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         mult = self.lebesgue_multiplicity
@@ -305,7 +300,10 @@ class SpectrumDescriptor:
             "point_part_simple": self.point_part_simple,
             "one_multiplicity": self.one_multiplicity,
             "lebesgue_multiplicity": self.lebesgue_multiplicity,
-            "chain_counts": [list(p) for p in self.chain_counts],
+            "multiplicity_witness": {
+                sector: {"N": [list(row) for row in N], "b": list(b), "multiplicity": m}
+                for sector, N, b, m in self.multiplicity_witness
+            },
             "tag": self.tag,
         }
 
@@ -315,30 +313,17 @@ def spectral_weak_mixing_check(descriptor: SpectrumDescriptor) -> bool:
     return len(descriptor.point_generators) == 0 and descriptor.point_part_simple
 
 
-def _sector_multiplicity(kind: str, sector: str):
-    """How many chains one sector's moving labels form, from ``N = A - I``
-    and b: none if N = 0 and b = 0; ``|b|`` on one coordinate, one per
-    residue mod b; else infinitely many, as ``d(x) = N x + b``, constant
-    on a chain, takes infinitely many values if N != 0, and Z^d / Z b is
-    infinite for d >= 2."""
-    N, minus_b = _fixed_point_rows(kind, sector)
-    if not any(map(any, N)) and not any(minus_b):
+def _sector_multiplicity(N: Sequence[Sequence[int]], b: Sequence[int]):
+    """How many chains the moving labels of a sector ``x -> A x + b``
+    with ``N = A - I``, ``N^2 = 0``, form: none if N = 0 and b = 0;
+    ``|b|`` on one coordinate, one per residue mod b; else infinitely
+    many, as ``d(x) = N x + b``, constant on a chain, takes infinitely
+    many values if N != 0, and Z^d / Z b is infinite for d >= 2."""
+    if not any(map(any, N)) and not any(b):
         return 0
-    if len(minus_b) == 1:  # N^2 = 0 makes a 1 x 1 N zero
-        return abs(minus_b[0])
+    if len(b) == 1:  # N^2 = 0 makes a 1 x 1 N zero
+        return abs(b[0])
     return INFINITE
-
-
-def _chains_in_box(kind: str, sector: str, B: int) -> int:
-    """How many chains of one sector's moving labels meet [-B, B]^d.  A
-    chain is a lattice line (:func:`_line_step`), so it meets the box in
-    one segment and counts once, at its first label there: per slice, the
-    labels in the box minus those whose successor ``x + d`` is in the box
-    too, which is all of them where d = 0."""
-    N, c = _line_step(kind, sector, 0)
-    box = ([-B] * len(c), [((i,), B) for i in range(len(c))])
-    return sum(_region_count(box, [0] * len(d), fixed) - _region_count(box, d, fixed)
-               for fixed, d in _slices(box, N, c))
 
 
 def spectrum_of(spec: SystemSpec) -> SpectrumDescriptor:
@@ -353,14 +338,15 @@ def spectrum_of(spec: SystemSpec) -> SpectrumDescriptor:
     never returns: it lies on a two-sided chain that carries one copy of
     Lebesgue spectrum.  Each sector's count of chains is decided from its
     N = A - I and b (:func:`_sector_multiplicity`), and the multiplicity
-    is their sum, ``"infinite"`` if one is.  ``chain_counts`` reports the
-    chains meeting the boxes of ``CHAIN_BOXES``, counted in closed form
-    (:func:`_chains_in_box`).
+    is their sum, ``"infinite"`` if one is; the descriptor's
+    ``multiplicity_witness`` keeps each sector's N, b and count.
     """
-    kind, sectors = spec.kind, KOOPMAN_TABLE[spec.kind]
+    kind, witness = spec.kind, []
     generator = ones = 0
-    for sector, action in sectors.items():
+    for sector, action in KOOPMAN_TABLE[kind].items():
         N, rhs = _fixed_point_rows(kind, sector)
+        witness.append((sector, tuple(map(tuple, N)), action.b,
+                        _sector_multiplicity(N, action.b)))
         coset = _last_unknown_coset(
             [r + [0] for r in N] + [list(action.c) + [-1]], rhs + [0]
         )
@@ -374,13 +360,12 @@ def spectrum_of(spec: SystemSpec) -> SpectrumDescriptor:
             ones += 1
     if generator > 1:
         raise ValueError(f"the {kind} point spectrum is generated by {generator} gamma")
-    counts = tuple((B, sum(_chains_in_box(kind, s, B) for s in sectors)) for B in CHAIN_BOXES)
-    multiplicities = [_sector_multiplicity(kind, s) for s in sectors]
+    multiplicities = [m for *_, m in witness]
     return SpectrumDescriptor(
         (spec.gamma,) if generator else (),
         INFINITE if INFINITE in multiplicities else sum(multiplicities),
         one_multiplicity=ones,
-        chain_counts=counts,
+        multiplicity_witness=tuple(witness),
     )
 
 
@@ -682,21 +667,28 @@ class IntertwinerCheck:
 
 
 def build_intertwiner(
-    spec_a: SystemSpec, spec_b: SystemSpec, truncation: int
+    spec_a: SystemSpec,
+    spec_b: SystemSpec,
+    truncation: int,
+    spectra: tuple[SpectrumDescriptor, SpectrumDescriptor],
+    groups: Optional[GroupComparison],
 ) -> IntertwinerPairing:
-    """Pair the normalized bases of two spectrally compatible systems.
+    """Pair the normalized bases of two spectrally compatible systems,
+    from their descriptors ``spectra`` (:func:`spectrum_of`) and the
+    comparison ``groups`` of their angles (None when they have none),
+    which the caller decides once.
 
-    Point modes are matched by proper value (k maps to eps*k); chains
-    are matched in canonical order, position to position.  The pairing
-    keeps the sign eps and the two kinds' basis classes, which describe
-    every chain, so nothing is built per chain; ``truncation`` only
-    bounds what its ``mapping`` lists.  Raises
+    Point modes are matched by proper value (k maps to eps*k, eps the
+    comparison's sign); chains are matched in canonical order, position
+    to position.  The pairing keeps eps and the two kinds' basis
+    classes, which describe every chain, so nothing is built per chain;
+    ``truncation`` only bounds what its ``mapping`` lists.  Raises
     :class:`IncompatibleSpectraError` when the descriptors differ
     structurally (different point groups or Lebesgue multiplicities).
     """
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
-    da, db = spectrum_of(spec_a), spectrum_of(spec_b)
+    da, db = spectra
     if da.lebesgue_multiplicity != db.lebesgue_multiplicity:
         raise IncompatibleSpectraError(
             f"Lebesgue multiplicities differ: {da.lebesgue_multiplicity} "
@@ -706,11 +698,9 @@ def build_intertwiner(
     if len(da.point_generators) != len(db.point_generators):
         raise IncompatibleSpectraError("point spectra differ in rank")
     if da.point_generators:
-        ga, gb = da.point_generators[0], db.point_generators[0]
-        cmp = point_spectrum_groups_equal(ga, gb)
-        if not cmp.equal:
-            raise IncompatibleSpectraError(f"point-spectrum groups differ: {cmp.detail}")
-        eps = cmp.relation[0]
+        if not groups.equal:
+            raise IncompatibleSpectraError(f"point-spectrum groups differ: {groups.detail}")
+        eps = groups.relation[0]
     return IntertwinerPairing(
         spec_a, spec_b, truncation, eps, _BASES[spec_a.kind], _BASES[spec_b.kind]
     )

@@ -72,7 +72,6 @@ __all__ = [
     "CENSUS_KS",
     "CENSUS_K_CHARGE",
     "MAX_CENSUS_WORK",
-    "MAX_TOWER_DEPTH",
     "REJECT_FACTOR",
     "certify_product_tower",
     "compute_tower",
@@ -99,11 +98,6 @@ CENSUS_KS = (0, 1, -1, 2, -2)
 #: near 2.4 s: 20,000 ks at N = 2, five up to N = 29,994, one to 149,994.
 MAX_CENSUS_WORK = 300_000
 CENSUS_K_CHARGE = 10
-#: Most levels :func:`compute_tower` may build.  A level and its report
-#: entry take about 60 microseconds and 4 KB on a 2-core x86-64 host (1.75 s
-#: and 137 MB peak RSS at 30,000 levels; the estimate charges 65), so the
-#: budget caps a run near 2 s.
-MAX_TOWER_DEPTH = 30_000
 
 
 class UnsupportedSystemError(ValueError):
@@ -198,20 +192,15 @@ class TowerLevel:
 # ---------------------------------------------------------------------------
 
 
-def compute_tower(system: SystemSpec, max_depth: int) -> list[TowerLevel]:
-    """Levels 1', 1'', ... up to ``max_depth`` primes of the skew tower.
+def compute_tower(system: SystemSpec) -> list[TowerLevel]:
+    """Levels 1', 1'', ... of the skew tower, up to and including the
+    first level equal to the one before it.
 
     Level one is the constants (the system is ergodic).  A character n has
     as quotient a constant, which levels absorb, times ``(A - I) n``, A the
     table's step, so level j is ``ker (A - I)^(j-1)`` in Z^2, in Hermite
-    normal form.  A depth over ``MAX_TOWER_DEPTH`` is refused first."""
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
-    if max_depth > MAX_TOWER_DEPTH:
-        raise ValueError(
-            f"tower max_depth {max_depth} is over the budget of {MAX_TOWER_DEPTH} "
-            f"levels: the levels would take about {6.5e-5 * max_depth:.0f} s"
-        )
+    normal form.  ``(A - I)^2 = 0`` (checked by :func:`_fixed_point_rows`),
+    so level 3 is Z^2 and the list ends by level 4: d + 2 levels on Z^d."""
     if system.kind != "skew":
         raise UnsupportedSystemError(
             f"character-lattice towers are defined for the skew system, "
@@ -220,19 +209,21 @@ def compute_tower(system: SystemSpec, max_depth: int) -> list[TowerLevel]:
     N, _ = _fixed_point_rows("skew", "lattice")
     power = [[int(i == j) for j in range(2)] for i in range(2)]  # (A - I)^0
     levels = []
-    for depth in range(1, max_depth + 1):
+    while len(levels) < 2 or levels[-1] != levels[-2]:
         _, kernel = _integer_solutions(power, [0, 0])
-        levels.append(TowerLevel(ModeSubgroup.from_generators(map(tuple, kernel)), depth))
+        levels.append(TowerLevel(ModeSubgroup.from_generators(map(tuple, kernel)), len(levels) + 1))
         power = [[sum(N[i][t] * power[t][j] for t in range(2)) for j in range(2)] for i in range(2)]
     return levels
 
 
-def stabilization_depth(levels: Sequence[TowerLevel]) -> Optional[int]:
-    """Least n with level n equal to level n+1 (1-based), if visible."""
+def stabilization_depth(levels: Sequence[TowerLevel]) -> int:
+    """Least n with level n equal to level n+1 (1-based): on the levels
+    of :func:`compute_tower`, which end at the first repeat, the last
+    depth but one.  Raises ValueError for a list with no repeat."""
     for i in range(len(levels) - 1):
         if levels[i] == levels[i + 1]:
             return i + 1
-    return None
+    raise ValueError("the levels end before the tower stabilizes")
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +537,7 @@ def _tower_gap(spec: SystemSpec, truncation: int) -> tuple[bool, dict]:
     decision = decide_finite_orbits(spec.kind)
     evidence = {"method": "exact", "decision": decision.to_json()}
     if spec.kind == "skew":
-        levels = compute_tower(spec, 4)
+        levels = compute_tower(spec)
         if (levels[1] != levels[2]) != decision.gap:
             raise RuntimeError("the skew tower's levels disagree with the exact decision")
         evidence["levels"] = [lvl.to_json() for lvl in levels]

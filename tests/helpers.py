@@ -20,9 +20,12 @@ from ergolab import (
     TestSet,
     TowerLevel,
     KOOPMAN_TABLE,
+    build_intertwiner,
     koopman_step,
     iterate_batch,
+    point_spectrum_groups_equal,
     sample_batch,
+    spectrum_of,
 )
 
 GAMMA = RotationNumber(-1, 1, 2, 1)  # sqrt(2) - 1
@@ -91,6 +94,16 @@ def drawn_symbols(
     if field_width(bern) < 64:
         return field_symbols(bern, rng, shape, block)
     return choice_symbols(bern, rng, shape)
+
+
+def intertwiner(spec_a: SystemSpec, spec_b: SystemSpec, truncation: int):
+    """``build_intertwiner`` fed as a run feeds it: both descriptors, and
+    the angles' comparison when both systems have an angle."""
+    groups = None
+    if spec_a.gamma is not None and spec_b.gamma is not None:
+        groups = point_spectrum_groups_equal(spec_a.gamma, spec_b.gamma)
+    spectra = (spectrum_of(spec_a), spectrum_of(spec_b))
+    return build_intertwiner(spec_a, spec_b, truncation, spectra, groups)
 
 
 def four_systems() -> list[SystemSpec]:

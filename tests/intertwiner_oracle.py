@@ -9,7 +9,8 @@ replaced: it takes every paired label to its raw basis vector, steps it
 through ``KOOPMAN_TABLE`` and renormalizes the image, on both sides,
 with its own writing of the normalized bases.  :func:`chains_in_box`
 counts the chains that meet a box by stepping every label of it, the
-oracle for the first-label count behind ``spectrum_of``'s chain counts.
+oracle for :func:`first_labels_in_box`, which counts them in closed form
+with the residual census's label counts.
 :class:`Phase`, the unimodular constants of a step, is kept here too;
 the library compares integer multiples of gamma instead.
 """
@@ -33,6 +34,7 @@ from ergolab import (
     point_spectrum_groups_equal,
     spectrum_of,
 )
+from ergolab.koopman import _line_step, _region_count, _slices
 
 
 @dataclass(frozen=True)
@@ -235,3 +237,16 @@ def chains_in_box(kind: str, sector: str, B: int) -> int:
     has_preimage = np.zeros(x.shape[1], dtype=bool)
     has_preimage[np.ravel_multi_index(tuple(image[:, inside] + B), (side,) * d)] = True
     return int(np.count_nonzero((image != x).any(axis=0) & ~has_preimage))
+
+
+def first_labels_in_box(kind: str, sector: str, B: int) -> int:
+    """How many chains of one sector's moving labels meet [-B, B]^d,
+    without stepping the box.  A chain is a lattice line (``_line_step``),
+    so it meets the box in one segment and counts once, at its first
+    label there: per slice, the labels in the box minus those whose
+    successor ``x + d`` is in the box too, which is all of them where
+    d = 0."""
+    N, c = _line_step(kind, sector, 0)
+    box = ([-B] * len(c), [((i,), B) for i in range(len(c))])
+    return sum(_region_count(box, [0] * len(d), fixed) - _region_count(box, d, fixed)
+               for fixed, d in _slices(box, N, c))

@@ -22,6 +22,7 @@ from helpers import (
     UNIFORM4,
     battery_of_sets,
     four_systems,
+    intertwiner,
     max_preservation_sigma,
     product_index_map_injective,
     skew_index_map_injective,
@@ -38,7 +39,6 @@ from ergolab import (
     SystemSpec,
     TestSet,
     bernoulli_entropy,
-    build_intertwiner,
     certify_product_tower,
     compute_tower,
     entropy_classifier,
@@ -84,7 +84,7 @@ def criterion(name):
 @criterion("criterion 1, skew tower exact")
 def test_criterion_1_skew_tower():
     start = time.perf_counter()
-    levels = compute_tower(SKEW, 4)
+    levels = compute_tower(SKEW)
     elapsed = time.perf_counter() - start
     second = levels[1].characters
     third = levels[2].characters
@@ -134,7 +134,7 @@ def test_criterion_2_residuals():
 @criterion("criterion 3, exact intertwiner at truncation 32")
 def test_criterion_3_intertwiner():
     start = time.perf_counter()
-    check = verify_intertwiner(build_intertwiner(SKEW, PRODUCT, truncation=32))
+    check = verify_intertwiner(intertwiner(SKEW, PRODUCT, truncation=32))
     elapsed = time.perf_counter() - start
     ok = (
         check.mismatches == 0
@@ -151,7 +151,7 @@ def test_criterion_3_intertwiner():
 def test_criterion_4_entropy():
     h2, h4 = bernoulli_entropy(BernoulliSpec.fair_coin()), bernoulli_entropy(UNIFORM4)
     exact_ok = h2 == math.log(2) and h4 == math.log(4)
-    pairing = verify_intertwiner(build_intertwiner(SHIFT2, SHIFT4, truncation=16))
+    pairing = verify_intertwiner(intertwiner(SHIFT2, SHIFT4, truncation=16))
     spectral_ok = pairing.mismatches == 0 and pairing.checked > 0
     verdict = entropy_classifier(BernoulliSpec.fair_coin(), UNIFORM4)
     classifier_ok = (
@@ -232,7 +232,7 @@ def test_criterion_7_properties(tmp_path):
         )
     preservation_ok = worst_sigma <= 4.0
 
-    monotone_ok = tower_is_monotone(compute_tower(SKEW, 4))
+    monotone_ok = tower_is_monotone(compute_tower(SKEW))
 
     unitary_ok = skew_index_map_injective(32) and product_index_map_injective(32)
 

@@ -36,7 +36,7 @@ from ergolab.cli import (
     main,
 )
 from ergolab.mixing import MAX_WEAK_MIXING_DIGITS
-from ergolab.tower import CENSUS_K_CHARGE, CENSUS_KS, MAX_CENSUS_WORK, MAX_TOWER_DEPTH
+from ergolab.tower import CENSUS_K_CHARGE, CENSUS_KS, MAX_CENSUS_WORK
 
 
 def run(tmp_path: Path, *argv: str) -> tuple[int, Path]:
@@ -569,32 +569,35 @@ def test_residual_search_charges_each_k_its_fixed_cost(count, tmp_path, capsys, 
     )
 
 
+#: The refusal of a ``max_depth``, which the tower no longer takes: it
+#: lists its levels to the first repeat.
+NO_DEPTH = ("error: invalid configuration at params: "
+            "Additional properties are not allowed ('max_depth' was unexpected)\n")
+
+
 @pytest.mark.parametrize("depth", ["a", 2.5, True, None])
 def test_tower_depth_that_is_not_an_integer_is_refused(depth, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"params": {"max_depth": depth}}))
     code, out = run(tmp_path, "compute", "tower", "--config", str(cfg))
     assert code == 1 and not out.exists()
-    assert capsys.readouterr().err == (
-        f"error: invalid configuration at params/max_depth: {depth!r} is not of type 'integer'\n"
-    )
+    assert capsys.readouterr().err == NO_DEPTH
 
 
 def test_tower_depth_above_the_level_budget_is_refused(tmp_path, capsys, monkeypatch):
-    """The refusal comes before any level is built and states the cost."""
+    """Any depth is refused by name, before any level is built: 30,001,
+    once over the level budget, and 2 and 3, which once printed
+    "depth None"."""
     def built(*args):
         raise AssertionError("the tower built its levels")
 
     monkeypatch.setattr(tower, "_integer_solutions", built)
-    depth = MAX_TOWER_DEPTH + 1
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"params": {"max_depth": depth}}))
-    code, out = run(tmp_path, "compute", "tower", "--config", str(cfg))
-    assert code == 1 and not out.exists()
-    assert (
-        f"error: tower max_depth {depth} is over the budget of {MAX_TOWER_DEPTH} "
-        f"levels: the levels would take about {6.5e-5 * depth:.0f} s"
-    ) in capsys.readouterr().err
+    for depth in (30_001, 2, 3):
+        cfg = tmp_path / f"{depth}.json"
+        cfg.write_text(json.dumps({"params": {"max_depth": depth}}))
+        code, out = run(tmp_path / str(depth), "compute", "tower", "--config", str(cfg))
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == NO_DEPTH
 
 
 @pytest.mark.parametrize("ks", [5, ["a"], [1.5], [True], None])
@@ -673,9 +676,9 @@ MALFORMED = {
     "config as a list": (["reproduce-letter"], [1]),
     "config as a string": (["compute", "weak-mixing"], "x"),
     "op and params outside compute": (
-        ["theorem1"], {"op": "tower", "params": {"max_depth": 9, "zzz": 1}}
+        ["theorem1"], {"op": "weak-mixing", "params": {"t": 9, "zzz": 1}}
     ),
-    "params outside compute": (["reproduce-letter"], {"params": {"max_depth": 9}}),
+    "params outside compute": (["reproduce-letter"], {"params": {"t": 9}}),
 }
 
 
@@ -693,9 +696,9 @@ def test_malformed_config_shapes_exit_with_an_error(name, tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, config, key",
     [
-        (["theorem1"], {"op": "tower", "params": {"max_depth": 9, "zzz": 1}}, "op"),
-        (["theorem1"], {"params": {"max_depth": 9}}, "params"),
-        (["reproduce-letter"], {"params": {"max_depth": 9}}, "params"),
+        (["theorem1"], {"op": "weak-mixing", "params": {"t": 9, "zzz": 1}}, "op"),
+        (["theorem1"], {"params": {"t": 9}}, "params"),
+        (["reproduce-letter"], {"params": {"t": 9}}, "params"),
         (["reproduce-kolmogorov"], {"op": "entropy"}, "op"),
     ],
 )
@@ -759,6 +762,17 @@ def test_params_an_op_does_not_read_are_refused(op, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("systems", [1, 2])
+def test_the_symbol_budget_admits_exactly_its_cap(systems):
+    """A run that samples exactly ``MAX_SAMPLED_SYMBOLS`` symbols is
+    admitted and one more is refused, checked without sampling."""
+    config = replace(default_config("reproduce-kolmogorov"),
+                     samples=MAX_SAMPLED_SYMBOLS // (10 * systems), block_length=10)
+    cli._check_sampling_cost(config, systems)
+    with pytest.raises(ValueError, match="over the budget"):
+        cli._check_sampling_cost(replace(config, samples=config.samples + 1), systems)
+
+
 def test_samples_above_the_symbol_budget_are_refused(tmp_path, capsys):
     samples = MAX_SAMPLED_SYMBOLS // 20 + 1  # the smallest refused at n = 10
     symbols = samples * 10 * 2
@@ -779,31 +793,57 @@ def test_samples_above_the_symbol_budget_are_refused(tmp_path, capsys):
 COIN_LAW = {"kind": "bernoulli", "probs": [0.5, 0.5], "symbols": [1, -1]}
 
 
-def test_one_intertwiner_serves_every_pair_of_shifts(tmp_path, monkeypatch):
-    """Every pair of shifts has the same intertwiner at one truncation, so
-    a six-shift run builds and checks it once and all fifteen pairs
-    report its counts."""
+def test_a_letter_run_decides_each_spectrum_and_the_groups_once(tmp_path, monkeypatch):
+    """A default letter run calls ``spectrum_of`` once per system and
+    ``point_spectrum_groups_equal`` twice: the runner's comparison, which
+    the intertwiner reads, and the certificate's own sign check."""
     from ergolab import koopman
 
-    builds = []
+    calls = {"spectrum_of": 0, "point_spectrum_groups_equal": 0}
+    for name in calls:
+        original = getattr(koopman, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(koopman, name, counted)
+    code, out = run(tmp_path, "reproduce-letter")
+    assert code == 0 and read_report(out)["results"]["spectra"]["match"]
+    assert calls == {"spectrum_of": 2, "point_spectrum_groups_equal": 2}
+
+
+def test_each_pair_of_shifts_gets_its_own_intertwiner(tmp_path, monkeypatch):
+    """A six-shift run decides each shift's spectrum once and builds and
+    checks one intertwiner per pair, from that pair's two descriptors, so
+    each of the fifteen pairs reports the evidence computed for it."""
+    from ergolab import koopman
+
+    builds, spectra = [], []
 
     def build(*args):
         builds.append(args)
-        return original(*args)
+        return original_build(*args)
 
-    original = koopman.build_intertwiner
+    def spectrum(spec):
+        spectra.append(original_spectrum(spec))
+        return spectra[-1]
+
+    original_build, original_spectrum = koopman.build_intertwiner, koopman.spectrum_of
     monkeypatch.setattr(koopman, "build_intertwiner", build)
+    monkeypatch.setattr(koopman, "spectrum_of", spectrum)
     laws = [COIN_LAW, {"kind": "bernoulli", "probs": [0.1, 0.9], "symbols": [0, 1]}] * 3
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"systems": laws, "samples": 100}))
     code, out = run(tmp_path, "reproduce-kolmogorov", "--config", str(cfg))
-    assert code == 0 and len(builds) == 1
+    assert code == 0 and len(spectra) == 6 and len(builds) == 15
     pairs = read_report(out)["results"]["pairs"]
     assert len(pairs) == 15
-    assert {(p["intertwiner_checked"], p["intertwiner_mismatches"]) for p in pairs} == {
-        (pairs[0]["intertwiner_checked"], 0)
-    }
-    assert pairs[0]["intertwiner_checked"] > 0
+    indices = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    for (a, b, _, (da, db), groups), (i, j), pair in zip(builds, indices, pairs):
+        assert (a.label(), b.label()) == (pair["system_a"], pair["system_b"])
+        assert da is spectra[i] and db is spectra[j] and groups is None
+        assert pair["intertwiner_checked"] > 0 and pair["intertwiner_mismatches"] == 0
 
 
 def test_long_blocks_are_admitted(tmp_path):
@@ -1163,12 +1203,13 @@ def test_malformed_cylinder_entries_are_refused_with_their_path(name, tmp_path, 
     )
 
 
-@pytest.mark.parametrize("op, key, value", [("tower", "max_depth", 4),
+@pytest.mark.parametrize("op, key, value", [("residual-search", "ks", [0, 2]),
                                             ("weak-mixing", "t", 50)])
 def test_integral_float_params_run_as_integers(op, key, value, tmp_path):
     """An integral float means its integer in params as at the top level."""
     reports = []
-    for given in (value, float(value)):
+    floated = [float(v) for v in value] if isinstance(value, list) else float(value)
+    for given in (value, floated):
         cfg = tmp_path / f"{given!r}.json"
         cfg.write_text(json.dumps({"params": {key: given}}))
         code, out = run(tmp_path / repr(given), "compute", op, "--config", str(cfg))
@@ -1389,16 +1430,16 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
 #: bytes updates the digests and names the change in CHANGES.md.
 OUTPUT_DIGESTS = {
     "reproduce-letter": (["reproduce-letter"], {}, {
-        "report.json": "6f8633bd00fa06be348a38a114b0f2dd3776652bf627ca834d9556459df7667e",
+        "report.json": "25eab456105794610d56d3bbeb154727d69200bb5b863338ad06e69c5744a800",
         "residuals.csv": "5d603e4c4bef39f40b35aefb752d9aa64e15103f3abee505cb9b93a5054a6ac4",
-        "spectrum.json": "c092753b8c15d842977d5fe5b4d8265fa780f856f7aecee360e2d743c2bc46bb",
+        "spectrum.json": "fff386cfaa93f1a2d03e01314b7f22d19a67624a723f47473fb73c0593590c33",
         "tower.csv": "031b0b2d9d4d14360edd6c3b0b54c80168766500dc26ed794f00e1346d0b629a",
     }),
     "reproduce-letter B=192, N=16": (
         ["reproduce-letter"], {"truncation": 192, "residual_truncation": 16}, {
-            "report.json": "28064bcf6e2f43b62d4df75607b4cdf591ee5911dad5a8589c75916389a0c7a7",
+            "report.json": "beb082b6057fdad55455e722cbbbbe2b0606c95eb9fe02acfab203d72e680260",
             "residuals.csv": "8574ba10dfc67d968e733dc407cce925dd93313c84425367e17d00fe76b41cb3",
-            "spectrum.json": "c092753b8c15d842977d5fe5b4d8265fa780f856f7aecee360e2d743c2bc46bb",
+            "spectrum.json": "fff386cfaa93f1a2d03e01314b7f22d19a67624a723f47473fb73c0593590c33",
             "tower.csv": "031b0b2d9d4d14360edd6c3b0b54c80168766500dc26ed794f00e1346d0b629a",
         },
     ),
@@ -1414,7 +1455,7 @@ OUTPUT_DIGESTS = {
     **{f"compute {op}": (["compute", op], {}, {"report.json": digest}) for op, digest in (
         ("tower", "aedab90d76e3172cb4af8cc88c1521cbc1fa1d77cf3ddb6b87b2b178e7f3c306"),
         ("residual-search", "4ceb2a02b5d4fa04744a15a2218dc1f00a7f9f74e834faa2cd1d674d06f0c512"),
-        ("spectrum", "c991d0c48c06077802731ddf56ca1de4e806e0e4ac168d317216a96253519eac"),
+        ("spectrum", "2e14f40c958eb3a2d265bd8c9836eb75877f67eee615c9bdc08d5dec110b0067"),
         ("entropy", "d121ac31a38f60dd089ffaad585a69242e3fd3a16f848815c88085b1e3789067"),
         ("weak-mixing", "b6468fe0ce278ed563af873998424807b37077925146f40dad6bebfd7d84ad4b"),
     )},

@@ -24,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergolab import (
-    CHAIN_BOXES,
     KOOPMAN_TABLE,
     BernoulliSpec,
     GroupComparison,
@@ -54,11 +53,18 @@ from helpers import (
     GAMMA,
     UNIFORM4,
     four_systems,
+    intertwiner,
     product_index_map_injective,
     skew_index_map_injective,
 )
 from exact_oracle import bounded_group_relation
-from intertwiner_oracle import Phase, chains_in_box, oracle_check, oracle_pairing
+from intertwiner_oracle import (
+    Phase,
+    chains_in_box,
+    first_labels_in_box,
+    oracle_check,
+    oracle_pairing,
+)
 
 turns = st.fractions(min_value=-3, max_value=3, max_denominator=24)
 gmults = st.integers(min_value=-20, max_value=20)
@@ -322,7 +328,7 @@ def _chains(kind: str, B: int) -> tuple[list[int], list[list[tuple]]]:
     chain of its basis as the raw labels its positions name, in operator
     order."""
     spec = {s.kind: s for s in four_systems()}[kind]
-    points = [label[1] for label in build_intertwiner(spec, spec, B).mapping
+    points = [label[1] for label in intertwiner(spec, spec, B).mapping
               if label[0] == "point"]
     basis = koopman._BASES[kind]
     chains = [[basis.chain_label(params, j) for j in js] for params, js in basis.chains(B)]
@@ -404,8 +410,38 @@ def test_computed_spectrum_equals_the_fixed_descriptors(gamma):
     ]:
         computed, oracle = spectrum_of(spec), _fixed_descriptor(spec)
         assert computed == oracle and computed.tag == oracle.tag
-        strip = lambda d: {k: v for k, v in d.to_json().items() if k != "chain_counts"}
+        strip = lambda d: {k: v for k, v in d.to_json().items() if k != "multiplicity_witness"}
         assert strip(computed) == strip(oracle)
+
+
+def _rederived_multiplicity(descriptor_json: dict):
+    """``lebesgue_multiplicity`` re-derived in integer arithmetic from the
+    descriptor's JSON witness alone: per sector, no chains when N and b
+    vanish, |b| on one coordinate, infinitely many otherwise; summed."""
+    counts = []
+    for entry in descriptor_json["multiplicity_witness"].values():
+        N, b = entry["N"], entry["b"]
+        if not any(map(any, N)) and not any(b):
+            count = 0
+        else:
+            count = abs(b[0]) if len(b) == 1 else "infinite"
+        assert entry["multiplicity"] == count
+        counts.append(count)
+    return "infinite" if "infinite" in counts else sum(counts)
+
+
+@pytest.mark.parametrize("spec", four_systems(), ids=lambda s: s.kind)
+def test_the_witness_rederives_the_multiplicity(spec):
+    """Each sector's witness holds A - I and b of its table entry and the
+    count read off them, and the counts re-derive the multiplicity."""
+    desc = spectrum_of(spec)
+    witness = desc.to_json()["multiplicity_witness"]
+    assert list(witness) == list(KOOPMAN_TABLE[spec.kind])
+    for sector, entry in witness.items():
+        A, b, _ = KOOPMAN_TABLE[spec.kind][sector]
+        assert entry["N"] == [[a - (i == j) for j, a in enumerate(row)] for i, row in enumerate(A)]
+        assert entry["b"] == list(b)
+    assert _rederived_multiplicity(desc.to_json()) == desc.lebesgue_multiplicity
 
 
 CHAIN_CLOSED_FORMS = {
@@ -419,16 +455,14 @@ CHAIN_CLOSED_FORMS = {
 @pytest.mark.parametrize("spec", four_systems(), ids=lambda s: s.kind)
 def test_box_chain_counts_match_the_closed_forms_and_the_bases(spec):
     """Chains of moving labels that meet [-B, B]^d, counted by stepping
-    the box through the table, against the closed form the spectrum
-    reports and the chains the intertwiner basis yields at the same B,
-    each holding a position inside the box."""
+    the box through the table and by their first labels, against the
+    closed form and the chains the intertwiner basis yields at the same
+    B, each holding a position inside the box."""
     closed = CHAIN_CLOSED_FORMS[spec.kind]
-    assert spectrum_of(spec).chain_counts == tuple((B, closed(B)) for B in CHAIN_BOXES)
     basis = koopman._BASES[spec.kind]
-    for B in (*CHAIN_BOXES, 0, 1, 11):
+    for B in (4, 8, 0, 1, 11):
         counted = sum(chains_in_box(spec.kind, s, B) for s in KOOPMAN_TABLE[spec.kind])
-        first_labels = sum(koopman._chains_in_box(spec.kind, s, B)
-                           for s in KOOPMAN_TABLE[spec.kind])
+        first_labels = sum(first_labels_in_box(spec.kind, s, B) for s in KOOPMAN_TABLE[spec.kind])
         yielded = [js for _, js in basis.chains(B)]
         assert all(yielded)
         assert counted == first_labels == len(yielded) == closed(B)
@@ -439,17 +473,21 @@ def test_a_one_coordinate_translation_has_its_step_as_multiplicity(monkeypatch):
     its box count grows from 9 at B = 4 to 12 at B = 8, which an
     extrapolation between the boxes would read as infinite.  On the
     rotation, whose other sector fixes every label, the multiplicity is
-    decided as exactly 12; a second sector x -> x - 5 adds its 5 chains."""
+    decided as exactly 12, with the sector's N, b and count as witness; a
+    second sector x -> x - 5 adds its 5 chains."""
     scratch = koopman.SectorAction(((1,),), (12,), (0,))
     monkeypatch.setitem(KOOPMAN_TABLE["rotation"], "scratch", scratch)
-    assert [chains_in_box("rotation", "scratch", B) for B in CHAIN_BOXES] == [9, 12]
+    assert [chains_in_box("rotation", "scratch", B) for B in (4, 8)] == [9, 12]
     assert chains_in_box("rotation", "scratch", 100) == 12
     desc = spectrum_of(SystemSpec.rotation(GAMMA))
     assert desc.lebesgue_multiplicity == 12 and desc.tag == "mixed"
-    assert desc.chain_counts == ((4, 9), (8, 12))
+    assert desc.multiplicity_witness == (
+        ("lattice", ((0,),), (0,), 0), ("scratch", ((0,),), (12,), 12)
+    )
     monkeypatch.setitem(KOOPMAN_TABLE["rotation"], "back", scratch._replace(b=(-5,)))
     desc = spectrum_of(SystemSpec.rotation(GAMMA))
-    assert desc.lebesgue_multiplicity == 17 and desc.chain_counts == ((4, 14), (8, 17))
+    assert desc.lebesgue_multiplicity == 17
+    assert _rederived_multiplicity(desc.to_json()) == 17
 
 
 def _nilpotent_sector(u, w, t, b0, b1):
@@ -488,8 +526,9 @@ def test_first_labels_count_the_chains_of_unipotent_sectors(drawn):
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(KOOPMAN_TABLE["rotation"], "scratch", action)
         counts = [chains_in_box("rotation", "scratch", B) for B in range(12)]
-        assert [koopman._chains_in_box("rotation", "scratch", B) for B in range(12)] == counts
-        multiplicity = koopman._sector_multiplicity("rotation", "scratch")
+        assert [first_labels_in_box("rotation", "scratch", B) for B in range(12)] == counts
+        N, _ = koopman._fixed_point_rows("rotation", "scratch")
+    multiplicity = koopman._sector_multiplicity(N, action.b)
     moves = any(action.b) or action.A != tuple(
         tuple(int(i == j) for j in range(len(u))) for i in range(len(u)))
     assert counts == sorted(counts)
@@ -601,7 +640,7 @@ def test_group_decision_agrees_with_the_bounded_search(gamma1, gamma2):
 def test_intertwiner_skew_vs_product():
     skew = SystemSpec.skew(GAMMA)
     prod = SystemSpec.product(GAMMA, BernoulliSpec.fair_coin())
-    pairing = build_intertwiner(skew, prod, truncation=12)
+    pairing = intertwiner(skew, prod, truncation=12)
     check = verify_intertwiner(pairing)
     assert check.mismatches == 0
     assert check.checked > 0
@@ -610,7 +649,7 @@ def test_intertwiner_skew_vs_product():
 def test_intertwiner_between_the_two_shifts():
     a = SystemSpec.shift(BernoulliSpec.fair_coin())
     b = SystemSpec.shift(BernoulliSpec((0.25,) * 4, (0, 1, 2, 3)))
-    check = verify_intertwiner(build_intertwiner(a, b, truncation=8))
+    check = verify_intertwiner(intertwiner(a, b, truncation=8))
     assert check.mismatches == 0 and check.checked > 0
 
 
@@ -618,13 +657,41 @@ def test_intertwiner_rejects_incompatible_spectra():
     rot = SystemSpec.rotation(GAMMA)
     shift = SystemSpec.shift(BernoulliSpec.fair_coin())
     with pytest.raises(IncompatibleSpectraError):
-        build_intertwiner(rot, shift, truncation=8)
+        intertwiner(rot, shift, truncation=8)
     skew = SystemSpec.skew(GAMMA)
     mismatched = SystemSpec.product(
         RotationNumber(-1, 1, 3, 1), BernoulliSpec.fair_coin()
     )
     with pytest.raises(IncompatibleSpectraError):
-        build_intertwiner(skew, mismatched, truncation=8)
+        intertwiner(skew, mismatched, truncation=8)
+
+
+def test_intertwiner_reads_the_decisions_it_is_handed(monkeypatch):
+    """build_intertwiner decides no spectrum and compares no groups: with
+    both deciders patched to fail, it pairs from the descriptors and the
+    comparison it is given, and refuses descriptors whose multiplicities
+    or point-group ranks differ, or a comparison of unequal groups."""
+    skew = SystemSpec.skew(GAMMA)
+    prod = SystemSpec.product(GAMMA, BernoulliSpec.fair_coin())
+    mixed = SpectrumDescriptor((GAMMA,), "infinite")
+    same = point_spectrum_groups_equal(GAMMA, GAMMA)
+    unequal = point_spectrum_groups_equal(GAMMA, RotationNumber(-1, 1, 3, 1))
+
+    def decided(*args):
+        raise AssertionError("build_intertwiner decided again")
+
+    monkeypatch.setattr(koopman, "spectrum_of", decided)
+    monkeypatch.setattr(koopman, "point_spectrum_groups_equal", decided)
+    pairing = build_intertwiner(skew, prod, 8, (mixed, mixed), same)
+    assert (pairing.eps, pairing.truncation) == (1, 8)
+    refused = {
+        "Lebesgue multiplicities differ": ((mixed, SpectrumDescriptor((GAMMA,), 0)), same),
+        "point spectra differ in rank": ((mixed, SpectrumDescriptor((), "infinite")), same),
+        "point-spectrum groups differ": ((mixed, mixed), unequal),
+    }
+    for message, (spectra, groups) in refused.items():
+        with pytest.raises(IncompatibleSpectraError, match=message):
+            build_intertwiner(skew, prod, 8, spectra, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +736,7 @@ def test_pairing_matches_the_dict_oracle(case, B):
     no identity fails, and no interior pair mismatches."""
     spec_a, spec_b = PAIRING_CASES[case]
     mapping, eps = oracle_pairing(spec_a, spec_b, B)
-    pairing = build_intertwiner(spec_a, spec_b, B)
+    pairing = intertwiner(spec_a, spec_b, B)
     assert pairing.eps == eps
     assert len(pairing.mapping) == len(mapping)
     assert list(pairing.mapping.items()) == list(mapping.items())
@@ -681,7 +748,7 @@ def test_pairing_matches_the_dict_oracle(case, B):
 def test_mapping_is_a_dict_of_python_ints():
     """The pairs are a plain dict of label tuples of Python ints, built
     afresh on each read, and labels outside the box are not in it."""
-    pairing = build_intertwiner(*PAIRING_CASES["skew-product"], truncation=7)
+    pairing = intertwiner(*PAIRING_CASES["skew-product"], truncation=7)
     mapping = pairing.mapping
     assert type(mapping) is dict and pairing.mapping is not mapping
     for key, value in mapping.items():
@@ -706,7 +773,7 @@ def test_checked_count_pins(B, checked):
     before the certificate; the certificate decides the same nine
     identities at every B."""
     spec_a, spec_b = PAIRING_CASES["skew-product"]
-    pairing = build_intertwiner(spec_a, spec_b, B)
+    pairing = intertwiner(spec_a, spec_b, B)
     box = oracle_check(spec_a, spec_b, dict(pairing.mapping.items()))
     assert box == IntertwinerCheck(0, checked)
     assert verify_intertwiner(pairing) == IntertwinerCheck(0, 9)
@@ -732,7 +799,7 @@ PAIR_COUNTS = {
 def test_pair_count_has_a_closed_form(case):
     """``len(mapping)`` equals the closed-form pair count at B = 0..12."""
     for B in range(13):
-        pairing = build_intertwiner(*PAIRING_CASES[case], B)
+        pairing = intertwiner(*PAIRING_CASES[case], B)
         assert len(pairing.mapping) == PAIR_COUNTS[case](B), B
 
 
@@ -741,7 +808,7 @@ def _traced_peak(B: int) -> int:
     pairing at B, whose nine identities must hold."""
     tracemalloc.start()
     try:
-        check = verify_intertwiner(build_intertwiner(*PAIRING_CASES["skew-product"], B))
+        check = verify_intertwiner(intertwiner(*PAIRING_CASES["skew-product"], B))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -764,7 +831,7 @@ def test_pairing_and_check_memory_does_not_grow_with_b():
 
 def test_the_certificate_does_not_depend_on_the_truncation():
     """The same identities, the same polynomials, at every truncation."""
-    checks = [verify_intertwiner(build_intertwiner(*PAIRING_CASES["skew-product"], B))
+    checks = [verify_intertwiner(intertwiner(*PAIRING_CASES["skew-product"], B))
               for B in (0, 16, 10**5, 10**12)]
     assert len({tuple(map(str, check.identities)) for check in checks}) == 1
     assert [str(i) for i in checks[0].identities] == [
@@ -839,7 +906,7 @@ CERTIFICATE_MUTANTS = {
 @pytest.mark.parametrize("mutant", list(KERNEL_MUTANTS))
 def test_check_fails_when_an_action_is_wrong(mutant, case, monkeypatch):
     KERNEL_MUTANTS[mutant](monkeypatch)
-    check = verify_intertwiner(build_intertwiner(*PAIRING_CASES[case], truncation=8))
+    check = verify_intertwiner(intertwiner(*PAIRING_CASES[case], truncation=8))
     assert check.mismatches > 0
 
 
@@ -849,7 +916,7 @@ def test_certificate_fails_when_a_renormalization_is_wrong(mutant, case, monkeyp
     """A sign slip in the skew's normalizing exponent, or the product's
     e(l k gamma) left out, breaks the phase identity of that side."""
     CERTIFICATE_MUTANTS[mutant](monkeypatch)
-    check = verify_intertwiner(build_intertwiner(*PAIRING_CASES[case], truncation=8))
+    check = verify_intertwiner(intertwiner(*PAIRING_CASES[case], truncation=8))
     failed = [(i.sector, i.name) for i in check.identities if not i.holds]
     sector = "lattice" if "normalizing" in mutant else "support"
     assert (check.mismatches, check.checked, failed) == (1, 9, [(sector, "phase")])
@@ -873,7 +940,7 @@ def test_certificate_and_box_check_fail_together(mutant, case, monkeypatch):
     with itself, so there the box check passes."""
     TABLE_MUTANTS[mutant](monkeypatch)
     spec_a, spec_b = PAIRING_CASES[case]
-    pairing = build_intertwiner(spec_a, spec_b, 8)
+    pairing = intertwiner(spec_a, spec_b, 8)
     box = oracle_check(spec_a, spec_b, dict(pairing.mapping.items()))
     touched = ("skew" if "skew" in mutant else "product") in (spec_a.kind, spec_b.kind)
     assert (verify_intertwiner(pairing).mismatches > 0) == touched
@@ -896,7 +963,7 @@ def test_skew_table_mutants_break_the_check_by_pinned_counts(
     a new one that fails, shows: a wrong A moves the image off position
     j + 1, and a wrong c breaks the chain phase and the proper values."""
     _doctor("skew", "lattice", **entry)(monkeypatch)
-    check = verify_intertwiner(build_intertwiner(*PAIRING_CASES["skew-product"], 16))
+    check = verify_intertwiner(intertwiner(*PAIRING_CASES["skew-product"], 16))
     assert (check.mismatches, check.checked) == (mismatches, 9)
     assert [i.name for i in check.identities if not i.holds] == failed
 
@@ -923,7 +990,7 @@ def test_a_swap_of_two_chains_of_basis_b_still_intertwines():
     last chains that B yields gives another unitary W, which still
     intertwines: the certificate's identities do not depend on the
     order.  The swap shows in the mapping."""
-    pairing = build_intertwiner(*PAIRING_CASES["skew-product"], truncation=8)
+    pairing = intertwiner(*PAIRING_CASES["skew-product"], truncation=8)
     chains = list(pairing.basis_b.chains(8))
     chains[0], chains[-1] = chains[-1], chains[0]
     swapped_basis = type("Swapped", (pairing.basis_b,), {"chains": staticmethod(lambda B: chains)})
@@ -938,7 +1005,7 @@ def test_check_fails_when_eps_is_flipped():
     flipped it sends k to k, whose phase e(k gamma_B) differs from
     e(k gamma_A) unless k = 0.  The certificate compares phases by the
     angles' own relation, so the proper values fail."""
-    pairing = build_intertwiner(*PAIRING_CASES["skew-product-reflected"], truncation=8)
+    pairing = intertwiner(*PAIRING_CASES["skew-product-reflected"], truncation=8)
     assert pairing.eps == -1
     check = verify_intertwiner(replace(pairing, eps=1))
     assert verify_intertwiner(pairing) == IntertwinerCheck(0, 9)
@@ -952,7 +1019,7 @@ def test_one_doctored_entry_flips_the_decision_and_breaks_the_check(monkeypatch)
     """The tower decision, the intertwiner check and the spectrum all read
     the same table: a skew step without its m term, (k, m) -> (k, m),
     changes every one of them at once."""
-    pairing = build_intertwiner(*PAIRING_CASES["skew-product"], truncation=8)
+    pairing = intertwiner(*PAIRING_CASES["skew-product"], truncation=8)
     assert decide_finite_orbits("skew").gap
     assert verify_intertwiner(pairing).mismatches == 0
     _doctor("skew", "lattice", A=((1, 0), (0, 1)))(monkeypatch)

@@ -333,6 +333,17 @@ def test_shift_statistic_is_exactly_the_lag_zero_term():
         assert weak_mixing_statistic(SHIFT, W0, W0, t) == 1 / (4 * t)
 
 
+@pytest.mark.parametrize("t", [1, 3, 50])
+def test_cylinders_exactly_t_apart_add_no_lag_t_term(t):
+    """The lags run over 0 <= i < t.  Half cylinders at positions t and 0
+    meet only at lag t, outside the sum, so on the shift the statistic is
+    the lag-0 term, 0 for independent positions; one lag more takes in
+    the meeting, mu(A) - mu(A)^2 = 1/4, over t + 1 lags."""
+    A = TestSet.from_cylinder(CylinderSet(((t, 1),)))
+    assert weak_mixing_statistic(SHIFT, A, W0, t) == 0.0
+    assert weak_mixing_statistic(SHIFT, A, W0, t + 1) == 1 / (4 * (t + 1))
+
+
 def test_rotation_statistic_stays_large():
     s = weak_mixing_statistic(ROT, HALF, HALF, 600)
     assert abs(s - 0.125) < 0.01  # Cesaro limit of |overlap - 1/4| is 1/8

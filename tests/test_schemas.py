@@ -160,7 +160,7 @@ TEST_SETS = _instances({
 }, required=("kind",))
 #: Each compute op's params.
 PARAMS = {
-    "tower": _instances({"system": SYSTEMS, "max_depth": INTEGERS}, required=()),
+    "tower": _instances({"system": SYSTEMS}, required=()),
     "residual-search": _instances(
         {"system": SYSTEMS, "ks": st.lists(INTEGERS, max_size=3)}, required=()
     ),

@@ -205,12 +205,15 @@ LAWS = {
     "dyadic5": BernoulliSpec((0.5, 0.25, 0.125, 0.0625, 0.0625), tuple(range(5))),
     "16-bit": BernoulliSpec((0.5 + 2**-12, 0.5 - 2**-12)),
     "32-bit": BernoulliSpec((0.5 + 2**-30, 0.25, 0.25 - 2**-30), (0, 1, 2)),
+    # cuts whose lowest set bit needs exactly 8, 16 and 32 bits
+    **{f"exactly {w}-bit": BernoulliSpec((0.5 + 2.0**-w, 0.5 - 2.0**-w)) for w in (8, 16, 32)},
     "256": _random_law(256),
     "300": _random_law(300),  # indices past 255 take uint16 windows
 }
 #: The field each law draws a symbol from, in bits; 64 is a whole word.
 WIDTHS = {"fair": 8, "0.1-0.9": 64, "three": 64, "uniform4": 8, "dyadic5": 8,
-          "16-bit": 16, "32-bit": 32, "256": 64, "300": 64}
+          "16-bit": 16, "32-bit": 32, "exactly 8-bit": 8, "exactly 16-bit": 16,
+          "exactly 32-bit": 32, "256": 64, "300": 64}
 # the last cumulative entry before the end is 1: symbol 2 is never drawn
 EDGE = BernoulliSpec((0.5, 0.5, 1e-300), (0, 1, 2))
 
@@ -447,6 +450,9 @@ def test_bernoulli_spec_validation():
         BernoulliSpec((0.5, 0.6), (0, 1))  # does not sum to 1
     with pytest.raises(ValueError):
         BernoulliSpec((1.0, 0.0), (0, 1))  # degenerate symbol
+    for probs in [(0.0, 0.5, 0.5), (0.5, 0.0, 0.5)]:  # a symbol never drawn
+        with pytest.raises(ValueError, match=r"^every probability must lie strictly in"):
+            BernoulliSpec(probs, (0, 1, 2))
     with pytest.raises(ValueError):
         BernoulliSpec((0.5, 0.5), (7, 7))  # duplicate symbols
     fair = BernoulliSpec.fair_coin()

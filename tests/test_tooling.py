@@ -66,10 +66,11 @@ def _kolmogorov_rows(summary: dict) -> None:
 
 
 def _three_shift_rows(summary: dict) -> None:
-    """Three shifts make three pairs but one intertwiner, and each shift
-    gets its own closed-form rate."""
+    """Three shifts make three pairs, each with its own intertwiner, and
+    each shift gets its own spectrum and closed-form rate."""
     for name in ("koopman.build_intertwiner", "koopman.verify_intertwiner"):
-        assert summary["spans"][name]["calls"] == 1, name
+        assert summary["spans"][name]["calls"] == 3, name
+    assert summary["spans"]["koopman.spectrum_of"]["calls"] == 3
     assert summary["spans"]["entropy.exact_block_entropy_rate"]["calls"] == 3
 
 

@@ -51,7 +51,6 @@ from ergolab.tower import (
     CENSUS_KS,
     CENSUS_K_CHARGE,
     MAX_CENSUS_WORK,
-    MAX_TOWER_DEPTH,
     REJECT_FACTOR,
     OrbitDecision,
     _tower_gap,
@@ -153,7 +152,7 @@ def test_lattice_examples_are_ordered():
 
 
 def test_skew_tower_levels():
-    levels = compute_tower(SKEW, 4)
+    levels = compute_tower(SKEW)
     assert [str(l.characters) for l in levels] == ["{0}", "<(1, 0)>", "Z^2", "Z^2"]
     assert levels[1].characters.generators() == [(1, 0)]
     assert subgroup_contains(levels[2].characters, (0, 1))
@@ -171,21 +170,25 @@ def _quotient_character(mode: tuple[int, int]) -> tuple[int, int]:
 
 def test_tower_levels_follow_the_quotient_recursion():
     """Level j + 1 holds exactly the characters whose quotient character
-    lies in level j, on a window, and the top level stays put."""
-    levels = compute_tower(SKEW, 8)
+    lies in level j, on a window, and the top level stays put: the level
+    the recursion would list next equals the last one listed."""
+    levels = compute_tower(SKEW)
     window = list(itertools.product(range(-6, 7), repeat=2))
     for lower, upper in zip(levels, levels[1:]):
         for mode in window:
             assert subgroup_contains(upper.characters, mode) == subgroup_contains(
                 lower.characters, _quotient_character(mode)
             ), (upper.depth, mode)
+    top = levels[-1].characters
+    for mode in window:
+        assert subgroup_contains(top, _quotient_character(mode)) == subgroup_contains(top, mode)
     assert all(level.characters == full_subgroup() for level in levels[2:])
 
 
 def test_tower_only_defined_for_skew():
     for spec in (SystemSpec.rotation(GAMMA), SystemSpec.shift(BernoulliSpec.fair_coin())):
         with pytest.raises(UnsupportedSystemError):
-            compute_tower(spec, 3)
+            compute_tower(spec)
 
 
 def _work_begins(*args):
@@ -193,17 +196,31 @@ def _work_begins(*args):
 
 
 def test_compute_tower_refuses_a_depth_over_the_budget(monkeypatch):
-    """A library caller is refused as ``compute tower`` is, with the same
-    text, before any level is built; the budget's own depth is not."""
+    """The tower takes no depth, so there is no budget to exceed: a depth
+    is refused before any level is built.  The levels end at the first
+    repeat, d + 2 = 4 kernel solves on Z^2, or 3 where the step is the
+    identity; a step that is not unipotent, whose levels might never
+    repeat, is refused before any level is built."""
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return _integer_solutions(*args)
+
+    monkeypatch.setattr(tower, "_integer_solutions", counted)
+    with pytest.raises(TypeError):
+        compute_tower(SKEW, 30_001)
+    assert solves == []
+    assert len(compute_tower(SKEW)) == len(solves) == 4
+    lattice = KOOPMAN_TABLE["skew"]["lattice"]
+    monkeypatch.setitem(KOOPMAN_TABLE["skew"], "lattice", lattice._replace(A=((1, 0), (0, 1))))
+    levels = compute_tower(SKEW)
+    assert [str(l.characters) for l in levels] == ["{0}", "Z^2", "Z^2"]
+    assert stabilization_depth(levels) == 2
+    monkeypatch.setitem(KOOPMAN_TABLE["skew"], "lattice", lattice._replace(A=((2, 1), (1, 1))))
     monkeypatch.setattr(tower, "_integer_solutions", _work_begins)
-    with pytest.raises(ValueError) as caught:
-        compute_tower(SKEW, MAX_TOWER_DEPTH + 1)
-    assert str(caught.value) == (
-        f"tower max_depth {MAX_TOWER_DEPTH + 1} is over the budget of {MAX_TOWER_DEPTH} "
-        f"levels: the levels would take about 2 s"
-    )
-    with pytest.raises(AssertionError, match="work began"):
-        compute_tower(SKEW, MAX_TOWER_DEPTH)
+    with pytest.raises(ValueError, match="not unipotent"):
+        compute_tower(SKEW)
 
 
 def test_residual_census_refuses_over_the_work_budget_before_a_step(monkeypatch):
