@@ -85,14 +85,16 @@ class EntropyEstimate:
 def bernoulli_entropy(spec: BernoulliSpec) -> float:
     """-sum p log p for the one-step distribution, in nats.
 
-    Each probability enters by its exact binary value and its log is
-    correctly rounded to 40 digits (``decimal``); the sum is rounded to a
-    float once, so dyadic probability vectors land exactly on the
-    correctly rounded float (fair coin: log 2; uniform over four
-    symbols: log 4).
+    Each exact probability n/d enters as ``Decimal(n) / d`` and its log
+    as ``ln``, both correctly rounded to 40 digits (``decimal``); the sum
+    is rounded to a float once, so dyadic probability vectors land
+    exactly on the correctly rounded float (fair coin: log 2; uniform
+    over four symbols: log 4).  The float is for display; equality of
+    two entropies is decided exactly by :func:`_entropies_equal`.
     """
     with localcontext(_WORK):
-        return float(-sum(Decimal(p) * Decimal(p).ln() for p in spec.probs))
+        probs = [Decimal(p.numerator) / p.denominator for p in spec.probs]
+        return float(-sum(p * p.ln() for p in probs))
 
 
 def exact_block_entropy_rate(spec: BernoulliSpec, n: int) -> EntropyEstimate:
@@ -321,11 +323,11 @@ class EntropyVerdict:
         return asdict(self)
 
 
-def _entropies_equal(p: Sequence, q: Sequence) -> bool:
-    """Whether H(p) = H(q), decided exactly.
+def _entropies_equal(p: Sequence[Fraction], q: Sequence[Fraction]) -> bool:
+    """Whether H(p) = H(q), decided exactly, for two laws of fractions
+    that each sum to 1 (``BernoulliSpec.probs``).
 
-    Each probability is read by its shortest repr (``str``) as a fraction,
-    and each law is normalised by its sum.  Over a common denominator D,
+    Over a common denominator D,
     with ``p_i = a_i / D`` and ``q_j = b_j / D``, ``H = log D - (1/D) sum a
     log a``, so the entropies are equal iff ``prod a_i^a_i = prod b_j^b_j``.
     The powers are never formed: factor refinement (Bach, Driscoll and
@@ -333,10 +335,8 @@ def _entropies_equal(p: Sequence, q: Sequence) -> bool:
     of pairwise coprime integers, where both products have one exponent
     vector each, and those are compared.
     """
-    laws = [[Fraction(str(x)) for x in law] for law in (p, q)]
-    laws = [[x / total for x in law] for law, total in zip(laws, map(sum, laws))]
-    D = math.lcm(*(x.denominator for law in laws for x in law))
-    a, b = ([x.numerator * (D // x.denominator) for x in law] for law in laws)
+    D = math.lcm(*(x.denominator for law in (p, q) for x in law))
+    a, b = ([x.numerator * (D // x.denominator) for x in law] for law in (p, q))
     base, pending = [], [n for n in a + b if n > 1]
     while pending:  # each split drops a factor g > 1 from the product
         x = pending.pop()

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from ._record import record
 from .quadratic import QuadraticReal, RotationNumber, decimal_digits, floor_sums
-from .systems import MAPS, BernoulliSpec, CylinderSet, SampleBatch, SystemSpec
+from .systems import MAPS, BernoulliSpec, CylinderSet, SampleBatch, SystemSpec, read_fraction
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,17 +57,6 @@ class NoClosedFormError(ValueError):
     """Exact correlation was requested for a pair without a closed form."""
 
 
-def _as_fraction(x) -> Fraction:
-    """x, a finite number or a fraction string such as "1/3", exactly
-    (floats are binary rationals, so 0.5 stays 1/2); ValueError otherwise."""
-    try:
-        return x if isinstance(x, Fraction) else Fraction(x)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise ValueError(
-            f"a test-set end must be a finite number or fraction string, got {x!r:.60}"
-        ) from None
-
-
 #: The fields each test-set kind takes; it takes none of the others.
 _TEST_SET_FIELDS = {
     "u-interval": ("a", "b"),
@@ -83,8 +72,8 @@ class TestSet:
 
     Kinds: a half-open u-interval [a, b) (full in every other coordinate),
     a torus rectangle [a, b) x [c, d), a sequence cylinder, or a product
-    of a u-interval with a cylinder.  Interval endpoints are stored as
-    exact rationals.
+    of a u-interval with a cylinder.  Interval endpoints are read as
+    exact rationals, as probabilities are (``read_fraction``: 0.1 is 1/10).
     """
 
     __test__ = False  # not a test-suite class, despite the name
@@ -105,6 +94,9 @@ class TestSet:
                 raise ValueError(
                     f"a {self.kind} test set {'takes no' if given else 'needs'} {name!r}"
                 )
+            if given and name != "cylinder":
+                end = read_fraction(getattr(self, name), "a test-set end")
+                object.__setattr__(self, name, end)
         if self.a is not None and not (0 <= self.a < self.b <= 1):
             raise ValueError("u-interval bounds must satisfy 0 <= a < b <= 1")
         if self.c is not None and not (0 <= self.c < self.d <= 1):
@@ -114,17 +106,11 @@ class TestSet:
 
     @classmethod
     def u_interval(cls, a, b) -> "TestSet":
-        return cls(kind="u-interval", a=_as_fraction(a), b=_as_fraction(b))
+        return cls(kind="u-interval", a=a, b=b)
 
     @classmethod
     def rectangle(cls, a, b, c, d) -> "TestSet":
-        return cls(
-            kind="rectangle",
-            a=_as_fraction(a),
-            b=_as_fraction(b),
-            c=_as_fraction(c),
-            d=_as_fraction(d),
-        )
+        return cls(kind="rectangle", a=a, b=b, c=c, d=d)
 
     @classmethod
     def from_cylinder(cls, cylinder: CylinderSet) -> "TestSet":
@@ -132,17 +118,15 @@ class TestSet:
 
     @classmethod
     def product_set(cls, a, b, cylinder: CylinderSet) -> "TestSet":
-        return cls(
-            kind="product", a=_as_fraction(a), b=_as_fraction(b), cylinder=cylinder
-        )
+        return cls(kind="product", a=a, b=b, cylinder=cylinder)
 
     @classmethod
     def from_json(cls, obj: dict) -> "TestSet":
         """Read a test set the config schema has validated: ends ``a`` and
         ``b`` as numbers or fraction strings, a cylinder as ``[position,
-        symbol]`` pairs.  The constructor refuses a field the kind does
-        not take."""
-        ends = {e: _as_fraction(obj[e]) for e in "ab" if e in obj}
+        symbol]`` pairs.  The constructor reads the ends and refuses a
+        field the kind does not take."""
+        ends = {e: obj[e] for e in "ab" if e in obj}
         cylinder = CylinderSet.from_json(obj["cylinder"]) if "cylinder" in obj else None
         return cls(kind=obj["kind"], cylinder=cylinder, **ends)
 
@@ -162,7 +146,7 @@ class TestSet:
 
     def exact_measure(self, spec: SystemSpec) -> Fraction:
         """The measure as an exact rational, the product of its factors'
-        (cylinder probabilities enter by their exact binary-float values)."""
+        (a cylinder's is :meth:`CylinderSet.measure` of the system's law)."""
         a, b = self.u_arc
         measure = b - a
         if self.c is not None:

@@ -25,6 +25,8 @@ batch is valid only until the next one is drawn.  A batch
 (``sample_batch``) stores uint8 symbol indices for only the positions
 its consumer reads, each drawn from a field of a generator word just
 wide enough for its law: 8, 16 or 32 bits, or the whole 64-bit word.
+A law is one tuple of exact fractions (:func:`read_fraction`), which
+its cylinder measures, its entropy and its sampler all read.
 A run's generators are spawned from its one seed (``spawn_rngs``).
 The specs and the cylinder algebra are pure Python: only the functions
 that draw samples import numpy, so a run that never samples never loads
@@ -55,8 +57,8 @@ __all__ = [
     "SampleBatch",
     "SystemSpec",
     "WindowError",
-    "cumulative_law",
     "iterate_batch",
+    "read_fraction",
     "sample_batch",
     "sample_chunks",
     "spawn_rngs",
@@ -104,6 +106,23 @@ class InconclusiveEvidenceError(RuntimeError):
         self.partial = partial
 
 
+def read_fraction(x, what: str) -> Fraction:
+    """x exactly, the one reading of a probability or a test-set end: a
+    float by its shortest repr (0.1 is 1/10), a string ("1/3", "0.25"),
+    an int or a Fraction as written; ValueError naming ``what`` otherwise."""
+    try:
+        return Fraction(repr(float(x)) if isinstance(x, float) else x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        message = f"{what} must be a finite number or fraction string, got {x!r:.60}"
+        raise ValueError(message) from None
+
+
+def _json_fraction(x: Fraction):
+    """x as JSON: the float whose repr reads back to x (0.5, 0.1), or
+    the string "p/q" where none does (1/3)."""
+    return float(x) if read_fraction(float(x), "a probability") == x else str(x)
+
+
 def _json_symbol(symbol):
     """A JSON symbol: a string, or an integer (an integral float too)."""
     return symbol if isinstance(symbol, str) else int(symbol)
@@ -113,16 +132,17 @@ def _json_symbol(symbol):
 class BernoulliSpec:
     """Finite probability vector with symbol labels.
 
-    probs[i] is the weight of symbols[i]; weights are strictly positive
-    and sum to 1 within 1e-12.
+    probs[i] is the weight of symbols[i], an exact fraction
+    (:func:`read_fraction`).  Weights are strictly positive and sum to 1
+    within 1e-12; a law that misses 1 is divided by its sum once, here,
+    so three floats 1/3 become exactly 1/3 each.
     """
 
-    probs: tuple[float, ...]
+    probs: tuple[Fraction, ...]
     symbols: tuple = DEFAULT_SYMBOLS
 
     def __post_init__(self) -> None:
-        probs = tuple(float(p) for p in self.probs)
-        object.__setattr__(self, "probs", probs)
+        probs = tuple(read_fraction(p, "a probability") for p in self.probs)
         symbols = tuple(self.symbols)
         if len(symbols) != len(probs):
             raise ValueError("probs and symbols must have equal length")
@@ -130,10 +150,12 @@ class BernoulliSpec:
             raise ValueError("need at least two symbols")
         if len(set(symbols)) != len(symbols):
             raise ValueError("symbols must be distinct")
-        if any(not (0.0 < p < 1.0) for p in probs):
+        if any(not (0 < p < 1) for p in probs):
             raise ValueError("every probability must lie strictly in (0, 1)")
-        if abs(sum(probs) - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
+        total = sum(probs)
+        if abs(total - 1) > 1e-12:
+            raise ValueError(f"probabilities sum to {float(total)}, not 1")
+        object.__setattr__(self, "probs", tuple(p / total for p in probs))
         object.__setattr__(self, "symbols", symbols)
 
     @classmethod
@@ -146,17 +168,17 @@ class BernoulliSpec:
         except ValueError:
             raise ValueError(f"unknown symbol {symbol!r}") from None
 
-    def prob_of(self, symbol) -> float:
+    def prob_of(self, symbol) -> Fraction:
         return self.probs[self.index_of(symbol)]
 
     def to_json(self) -> dict:
-        return {"probs": list(self.probs), "symbols": list(self.symbols)}
+        return {"probs": list(map(_json_fraction, self.probs)), "symbols": list(self.symbols)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "BernoulliSpec":
-        """Read a law the config schema has validated,
-        ``{"probs": [numbers], "symbols": [ints or strings]}`` with
-        symbols optional; the constructor checks the probabilities."""
+        """Read a law the config schema has validated, ``{"probs": [numbers
+        or "p/q" strings], "symbols": [ints or strings]}`` with symbols
+        optional; the constructor reads and checks the probabilities."""
         symbols = obj.get("symbols", DEFAULT_SYMBOLS)
         return cls(tuple(obj.get("probs", ())), tuple(map(_json_symbol, symbols)))
 
@@ -203,13 +225,12 @@ class CylinderSet:
         return CylinderSet(tuple(merged.items()))
 
     def measure(self, bern: BernoulliSpec) -> Fraction:
-        """The product measure, exactly (probabilities enter by their
-        exact binary-float values); the empty cylinder has measure 1.
-        Positions do not matter, since the shift preserves the measure,
-        so each symbol's probability is raised to its count."""
+        """The product measure of the law's exact probabilities; the empty
+        cylinder has measure 1.  Positions do not matter, since the shift
+        preserves the measure, so each probability is raised to its count."""
         out = Fraction(1)
         for symbol, count in Counter(s for _, s in self.constraints).items():
-            out *= Fraction(bern.prob_of(symbol)) ** count
+            out *= bern.prob_of(symbol) ** count
         return out
 
     def contains_batch(self, bern: BernoulliSpec, batch: SampleBatch) -> np.ndarray:
@@ -298,7 +319,7 @@ class SystemSpec:
         if self.gamma is not None:
             parts.append(str(self.gamma))
         if self.bernoulli is not None:
-            parts.append("p=" + ",".join(map(repr, self.bernoulli.probs)))
+            parts.append("p=" + ",".join(str(_json_fraction(p)) for p in self.bernoulli.probs))
         return " ".join(parts)
 
 
@@ -354,24 +375,19 @@ class SampleBatch:
         return self.sym[:, j]
 
 
-def cumulative_law(bern: BernoulliSpec) -> list[float]:
-    """The cumulative law, normalised to end at 1 as ``Generator.choice`` does."""
-    cdf = list(accumulate(bern.probs))
-    return [c / cdf[-1] for c in cdf]
-
-
 def symbol_thresholds(bern: BernoulliSpec) -> tuple[int, ...]:
-    """The cumulative law c as the integers t_i = ceil(c_i 2^53), the
-    last 2^53.  A uniform u = ``rng.random()`` is (raw >> 11) 2^-53 for a
-    generator word raw, so u >= c_i exactly when raw >> 11 >= t_i: symbol
-    i is drawn with probability (t_i - t_{i-1}) 2^-53, and never when
-    t_i = t_{i-1}."""
-    return tuple(math.ceil(c * 2.0**53) for c in cumulative_law(bern))
+    """The exact cumulative sums C_i of the law as t_i = ceil(C_i 2^53),
+    the last 2^53 (after Knuth and Yao 1976).  A uniform u = ``rng.random()``
+    is (raw >> 11) 2^-53 for a generator word raw, so u >= C_i exactly when
+    raw >> 11 >= t_i: symbol i is drawn with probability (t_i - t_{i-1})
+    2^-53, within 2^-53 of its own, and never when t_i = t_{i-1}."""
+    return tuple(math.ceil(c * 2**53) for c in accumulate(bern.probs))
 
 
 def _draw_law(bern: BernoulliSpec) -> tuple[int, tuple[int, ...]]:
     """The width W of the field a symbol of ``bern`` is drawn from and the
-    cuts it is compared with.  If every threshold is a multiple of
+    cuts it is compared with, read off the law's thresholds t_i
+    (:func:`symbol_thresholds`).  If every t_i is a multiple of
     2^(53-W), the symbol depends only on the top W bits of raw >> 11, so
     any W-bit field of a generator word draws it exactly by the cuts t_i
     >> (53 - W), W the narrowest of 8, 16 and 32 that serves.  Otherwise W
@@ -427,12 +443,11 @@ def sample_batch(
     raw words (``bit_generator.random_raw``) as W-bit fields, W from
     :func:`_draw_law`, and a symbol's index is the number of the law's
     cuts its field reaches, one comparison pass per cut written into the
-    window or added from the scratch.  Each law is drawn with its
-    probabilities exactly: a fair coin takes a byte a symbol.  A law of
-    more than 32 bits takes a word a symbol, and since ``rng.random()``
-    is (raw >> 11) 2^-53, it draws the symbols of ``Generator.choice(k,
-    p=probs)`` (which counts the cumulative-law entries <= u) and leaves
-    the generator in the same state.
+    window or added from the scratch.  A dyadic law of at most 32 bits is
+    drawn exactly: a fair coin takes a byte a symbol.  Any other law takes
+    a word a symbol: with u = ``rng.random()`` = (raw >> 11) 2^-53, the
+    count of exact cumulative sums <= u, so each symbol is drawn within
+    2^-53 of its probability and the generator ends where it would.
 
     The batch's arrays are views of ``buffers``: fresh ones sized to the
     batch by default, or the stream's own, which :func:`sample_chunks`

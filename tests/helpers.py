@@ -6,6 +6,8 @@ depends on wall-clock state or the working directory.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from fractions import Fraction
 
@@ -40,20 +42,25 @@ BENCH_ANGLES = (
 def choice_symbols(
     bern: BernoulliSpec, rng: np.random.Generator, shape: tuple[int, ...]
 ) -> np.ndarray:
-    """Symbol indices drawn by numpy's ``Generator.choice``: the oracle
-    that ``sample_batch``'s comparisons of uniform draws with the
-    cumulative law must reproduce draw for draw."""
-    k = len(bern.probs)
-    return rng.choice(k, size=shape, p=bern.probs).astype(np.min_scalar_type(k - 1))
+    """Symbol indices drawn as a choice by inversion: one uniform
+    ``rng.random()`` = m 2^-53 a symbol, the symbol the count of exact
+    cumulative sums C_i <= u, compared in exact rationals.  The oracle
+    that ``sample_batch``'s comparisons of whole words must reproduce
+    draw for draw."""
+    D = math.lcm(*(p.denominator for p in bern.probs))
+    # u = m 2^-53 >= C_i = A_i / D exactly when m D >= A_i 2^53
+    sums = itertools.accumulate(bern.probs[:-1])
+    cuts = [c.numerator * (D // c.denominator) << 53 for c in sums]
+    m = (rng.random(math.prod(shape)) * 2**53).astype(np.uint64).tolist()
+    out = [bisect.bisect_right(cuts, x * D) for x in m]
+    return np.array(out, dtype=np.min_scalar_type(len(bern.probs) - 1)).reshape(shape)
 
 
 def exact_thresholds(bern: BernoulliSpec) -> list[int]:
-    """ceil(c_i 2^53) for numpy's normalised cumulative law c, in exact
-    rationals: a uniform ``rng.random()`` = m 2^-53 reaches c_i exactly
-    when m reaches it, so symbol i takes t_i - t_{i-1} of the 2^53 draws."""
-    cdf = np.cumsum(bern.probs)
-    cdf /= cdf[-1]
-    return [math.ceil(Fraction(c) * 2**53) for c in cdf.tolist()]
+    """ceil(C_i 2^53) for the exact cumulative sums C_i of the law: a
+    uniform ``rng.random()`` = m 2^-53 reaches C_i exactly when m reaches
+    it, so symbol i takes t_i - t_{i-1} of the 2^53 draws."""
+    return [math.ceil(c * 2**53) for c in itertools.accumulate(bern.probs)]
 
 
 def field_width(bern: BernoulliSpec) -> int:

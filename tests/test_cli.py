@@ -926,6 +926,29 @@ def test_kolmogorov_grid_of_coins(tmp_path):
     assert len(report["results"]["pairs"]) == 45
 
 
+def test_kolmogorov_reads_laws_written_as_fractions(tmp_path):
+    """A law may be written as "p/q" strings and is read exactly:
+    (1/3)^3 runs, and against (1/2, 1/6, 1/6, 1/6) its entropy is
+    unequal; Meshalkin's pair (1/4)^4 and (1/2, 1/8, 1/8, 1/8, 1/8) is
+    equal.  The report writes each non-dyadic weight back as "p/q"."""
+    laws = [["1/3"] * 3, ["1/2", "1/6", "1/6", "1/6"], ["1/4"] * 4, ["1/2"] + ["1/8"] * 4]
+    systems = [{"kind": "bernoulli", "probs": law, "symbols": list(range(len(law)))}
+               for law in laws]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"systems": systems, "samples": 1_000, "block_length": 2}))
+    code, out = run(tmp_path, "reproduce-kolmogorov", "--config", str(cfg))
+    assert code == 0
+    report = read_report(out)
+    assert report["results"]["systems"][0]["probs"] == ["1/3"] * 3
+    assert report["results"]["systems"][2]["probs"] == [0.25] * 4
+    spacial = {(p["system_a"], p["system_b"]): p["classifier"]["spacial"]
+               for p in report["results"]["pairs"]}
+    assert spacial["bernoulli p=1/3,1/3,1/3", "bernoulli p=0.5,1/6,1/6,1/6"] == \
+        "not spacially isomorphic (entropy invariant)"
+    assert spacial["bernoulli p=0.25,0.25,0.25,0.25", "bernoulli p=0.5,0.125,0.125,0.125,0.125"] \
+        == "spacially isomorphic (Ornstein)"
+
+
 def test_kolmogorov_estimates_equal_calls_on_spawned_streams(tmp_path):
     """Each system's sampled check draws from its own generator: each
     estimate equals a ``partition_refine_entropy`` call on that system's

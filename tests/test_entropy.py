@@ -45,29 +45,35 @@ FAIR = BernoulliSpec.fair_coin()
 BIASED = BernoulliSpec((0.25, 0.75), (0, 1))
 
 
+def _mpf(p: Fraction):
+    """The exact probability p at the working precision."""
+    return mpmath.mpf(p.numerator) / p.denominator
+
+
 def _oracle_entropy(probs) -> float:
-    """Independent recomputation: -sum p log p at 120 bits, rounded once."""
+    """Independent recomputation: -sum p log p at 120 bits for a law of
+    exact fractions, rounded once."""
     with mpmath.workprec(120):
         total = mpmath.mpf(0)
         for p in probs:
-            mp_p = mpmath.mpf(p)
+            mp_p = _mpf(p)
             total -= mp_p * mpmath.log(mp_p)
         return float(total)
 
 
 def _oracle_block_entropy(probs, n: int):
     """Independent recomputation of H_n at 120 bits, as an mpf: the
-    n-block law summed over symbol-count vectors, each with its
-    multinomial weight, in binary floating point."""
+    n-block law of exact fractions summed over symbol-count vectors,
+    each with its multinomial weight, in binary floating point."""
     with mpmath.workprec(120):
-        logs = [mpmath.log(mpmath.mpf(p)) for p in probs]
+        logs = [mpmath.log(_mpf(p)) for p in probs]
         total = mpmath.mpf(0)
         for combo in combinations_with_replacement(range(len(probs)), n):
             counts = [combo.count(i) for i in range(len(probs))]
             weight = math.factorial(n)
             for c in counts:
                 weight //= math.factorial(c)
-            mass = weight * mpmath.fprod(mpmath.mpf(p) ** c for p, c in zip(probs, counts))
+            mass = weight * mpmath.fprod(_mpf(p) ** c for p, c in zip(probs, counts))
             total -= mass * mpmath.fsum(c * log for c, log in zip(counts, logs))
         return total
 
@@ -91,7 +97,7 @@ def _random_laws(count: int, seed: int) -> list[tuple[float, ...]]:
 
 def _assert_matches_oracle(probs, n: int) -> None:
     spec = BernoulliSpec(probs, tuple(range(len(probs))))
-    assert bernoulli_entropy(spec) == _oracle_entropy(probs)
+    assert bernoulli_entropy(spec) == _oracle_entropy(spec.probs)
     assert exact_block_entropy_rate(spec, n).value == bernoulli_entropy(spec)
 
 
@@ -121,7 +127,7 @@ def test_entropy_matches_oracle_and_bounds(weights):
         return
     spec = BernoulliSpec(probs, tuple(range(len(probs))))
     h = bernoulli_entropy(spec)
-    assert h == _oracle_entropy(probs)
+    assert h == _oracle_entropy(spec.probs)
     assert -1e-15 <= h <= math.log(len(probs)) + 1e-12
 
 
@@ -164,17 +170,16 @@ def test_exact_entropies_equal_the_binary_oracle_on_random_laws():
 def test_block_sum_oracle_is_n_times_the_one_step_entropy():
     """The 120-bit block-sum oracle, summed over the n-block law itself,
     rounds H_n / n to the one-step entropy, so the closed form
-    H_n = n H_1 holds: on every law whose binary probabilities sum to
-    exactly 1 (the sum's factor (sum p)^(n-1) is 1 there), among the named
-    laws and 200 seeded laws of 2-6 symbols, at n = 1, 2, 5 and 10."""
-    laws = [*NAMED_LAWS.values(), *_random_laws(200, seed=13)]
-    exact = [probs for probs in laws if sum(map(Fraction, probs)) == 1]
-    assert len(exact) >= 20
-    for probs in exact:
-        h1 = bernoulli_entropy(BernoulliSpec(probs, tuple(range(len(probs)))))
+    H_n = n H_1 holds: on the named laws and 25 seeded laws of 2-6
+    symbols, at n = 1, 2, 5 and 10.  Every law is read as fractions that
+    sum to exactly 1, so the sum's factor (sum p)^(n-1) is 1."""
+    for probs in [*NAMED_LAWS.values(), *_random_laws(25, seed=13)]:
+        spec = BernoulliSpec(probs, tuple(range(len(probs))))
+        assert sum(spec.probs) == 1
+        h1 = bernoulli_entropy(spec)
         for n in (1, 2, 5, 10):
             with mpmath.workprec(120):
-                assert float(_oracle_block_entropy(probs, n) / n) == h1
+                assert float(_oracle_block_entropy(spec.probs, n) / n) == h1
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +400,9 @@ def test_escapes_are_caught_on_the_table_before_sampling(monkeypatch):
             SystemSpec.shift(LAW3), _cells_at(0, ("a", "b")), 4, 500, spawn_rngs(37, 1)[0]
         )
     monkeypatch.undo()
-    # 0.5 + 1e-30 rounds to 0.5, so "b" has a step of 0
-    never_b = BernoulliSpec((0.5, 1e-30, 0.5), ("a", "b", "c"))
-    assert list(np.diff(systems.cumulative_law(never_b), prepend=0.0)) == [0.5, 0.0, 0.5]
+    # "b" takes [1/2 - 10^-30, 1/2), which holds no multiple of 2^-53
+    never_b = BernoulliSpec((Fraction(1, 2) - Fraction("1e-30"), "1e-30", "1/2"), ("a", "b", "c"))
+    assert systems.symbol_thresholds(never_b) == (2**52, 2**52, 2**53)
     drawn = []
     _record(monkeypatch, drawn)
     est = partition_refine_entropy(
@@ -483,6 +488,9 @@ def test_classifier_decides_entropy_equality_exactly():
     assert _verdict((0.5, 0.5), (0.50001, 0.49999)) == unequal
     assert _verdict((0.25,) * 4, (0.5,) + (0.125,) * 4) == equal
     assert _verdict((1 / 3,) * 3, (0.5,) + (1 / 6,) * 3) == unequal
+    # the same laws written as fractions, read exactly
+    assert _verdict(("1/4",) * 4, ("1/2",) + ("1/8",) * 4) == equal
+    assert _verdict(("1/3",) * 3, ("1/2",) + ("1/6",) * 3) == unequal
     rng = random.Random(3)
     for _ in range(50):
         p = [rng.random() + 0.01 for _ in range(rng.randint(2, 5))]
@@ -492,29 +500,29 @@ def test_classifier_decides_entropy_equality_exactly():
         assert _verdict([x * y for x in p for y in q], [y * x for y in q for x in p]) == equal
 
 
-def test_entropy_equality_agrees_with_mpmath():
-    """On random laws with denominators up to 1,000, and on permutations
-    of them, the exact decision agrees with a 60-digit comparison."""
-    rng = random.Random(7)
+@st.composite
+def _laws(draw) -> list[Fraction]:
+    """A law of 2-5 fractions over a denominator D <= 1,000."""
+    D = draw(st.integers(2, 1000))
+    cuts = draw(st.lists(st.integers(1, D - 1), min_size=1, max_size=4, unique=True))
+    ends = [0, *sorted(cuts), D]
+    return [Fraction(b - a, D) for a, b in zip(ends, ends[1:])]
 
-    def law():
-        D = rng.randint(2, 1000)
-        cuts = sorted(rng.sample(range(1, D), min(D - 1, rng.randint(1, 4))))
-        return [Fraction(b - a, D) for a, b in zip([0, *cuts], [*cuts, D])]
 
-    def entropy_60(p):
-        terms = (mpmath.mpf(x.numerator) / x.denominator for x in p)
-        return -mpmath.fsum(x * mpmath.log(x) for x in terms)
+def _entropy_60(law) -> mpmath.mpf:
+    return -mpmath.fsum(x * mpmath.log(x) for x in (_mpf(p) for p in law))
 
-    seen = set()
-    for _ in range(300):
-        p = law()
-        q = rng.sample(p, len(p)) if rng.random() < 0.3 else law()
-        with mpmath.workdps(60):
-            close = abs(entropy_60(p) - entropy_60(q)) < mpmath.mpf(10) ** -50
-        assert entropy._entropies_equal(p, q) == close, (p, q)
-        seen.add(close)
-    assert seen == {True, False}
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_laws(), st.data())
+def test_entropy_equality_agrees_with_mpmath(p, data):
+    """On laws with denominators up to 1,000, against another such law or
+    a permutation of the first (equal entropies), the exact decision
+    agrees with a 60-digit comparison."""
+    q = data.draw(st.one_of(_laws(), st.permutations(p)))
+    with mpmath.workdps(60):
+        close = abs(_entropy_60(p) - _entropy_60(q)) < mpmath.mpf(10) ** -50
+    assert entropy._entropies_equal(p, q) == close
 
 
 def test_wide_windows_keep_flat_memory():
@@ -561,9 +569,10 @@ def test_a_step_below_the_draw_resolution_needs_no_cell():
     """Draws are multiples of 2^-53, so a cumulative step of 2e-300 that
     starts past the first multiple holds none of them: symbol "b" of
     (1e-300, 2e-300, 1/2, 1/2) has the threshold of "a" and is never
-    drawn, so a partition without it is complete."""
+    drawn, so a partition without it is complete.  The law sums to
+    1 + 3e-300 and is divided by that sum, so "c" ends just past 1/2."""
     tiny = BernoulliSpec((1e-300, 2e-300, 0.5, 0.5), ("a", "b", "c", "d"))
-    assert systems.symbol_thresholds(tiny) == (1, 1, 2**52, 2**53)
+    assert systems.symbol_thresholds(tiny) == (1, 1, 2**52 + 1, 2**53)
     est = partition_refine_entropy(
         SystemSpec.shift(tiny), _cells_at(0, ("a", "c", "d")), 4, 500, spawn_rngs(37, 1)[0]
     )

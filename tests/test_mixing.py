@@ -149,6 +149,16 @@ def test_a_test_set_takes_only_its_kinds_fields():
         TestSet.from_json({"kind": "u-interval", "a": 0, "b": "1/0"})
 
 
+def test_test_set_ends_are_read_as_probabilities_are():
+    """An end is read by the one reader of probabilities: a float by
+    its shortest repr, so 0.1 is 1/10 and not its binary value, and a
+    string or a Fraction exactly."""
+    tenth = TestSet.from_json({"kind": "u-interval", "a": 0.1, "b": "1/3"})
+    assert (tenth.a, tenth.b) == (Fraction(1, 10), Fraction(1, 3))
+    assert TestSet.u_interval(0.1, 0.5) == TestSet.u_interval("1/10", Fraction(1, 2))
+    assert TestSet.rectangle(0.1, 0.2, 0.3, 0.7).exact_measure(SKEW) == Fraction(1, 25)
+
+
 @pytest.mark.parametrize("spec", [ROT, PROD], ids=["rotation", "product"])
 def test_a_rectangle_on_a_system_without_v_names_the_coordinate(spec):
     """A rectangle constrains v, which a rotation or product sample does
@@ -597,13 +607,16 @@ def test_streamed_monte_carlo_equals_one_batch(spec, A, B, monkeypatch):
 def test_monte_carlo_values_on_a_biased_product_are_pinned():
     """Hit counts on a (0.3, 0.7) product at fixed seeds.  Both values
     were computed when symbols were drawn by ``Generator.choice``;
-    ``sample_batch`` draws the same symbols, so they must not move."""
+    ``sample_batch`` draws the same symbols, so the hit counts must not
+    move.  The statistic subtracts the exact mu(A) mu(B), which reads 0.3
+    as 3/10: it was 0.0077224999999999985 while 0.3 was read by its
+    binary value."""
     spec = SystemSpec.product(GAMMA, BernoulliSpec((0.3, 0.7)))
     A = TestSet.product_set(0, Fraction(1, 3), CylinderSet(((-1, 1), (2, -1))))
     B = TestSet.product_set(Fraction(1, 4), 1, CylinderSet(((1, 1),)))
     stat = monte_carlo_statistic(spec, A, B, 8, samples=100_000, rng=spawn_rngs(5, 1)[0])
     point = monte_carlo_correlation(spec, A, B, 3, samples=100_000, rng=spawn_rngs(6, 1)[0])
-    assert stat == 0.0077224999999999985
+    assert stat == 0.0077225
     assert point.estimate == 0.02095
 
 

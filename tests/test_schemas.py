@@ -139,7 +139,7 @@ def _instances(plausible: dict, required: tuple) -> st.SearchStrategy:
 # scalars.
 INTEGERS = _mostly(st.integers(-3, 5), st.sampled_from([2.0, 0.5, True, "1", None]))
 SYMBOLS = st.lists(_mostly(st.integers(-1, 2) | st.just("a"), SCALARS), max_size=3)
-PROBS = st.lists(_mostly(st.sampled_from([0.5, 0.25, 1, 0]), SCALARS), max_size=3)
+PROBS = st.lists(_mostly(st.sampled_from([0.5, 0.25, "1/2", 1, 0]), SCALARS), max_size=3)
 ANGLES = _instances({"quadratic": st.lists(INTEGERS, min_size=3, max_size=5)},
                     required=("quadratic",))
 LAWS = _instances({"probs": PROBS, "symbols": SYMBOLS}, required=("probs",))

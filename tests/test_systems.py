@@ -192,6 +192,9 @@ def test_sample_batch_is_seed_deterministic(spec):
     assert len(x) == 100
 
 
+HALF, EPS30 = Fraction(1, 2), Fraction(1, 2**30)
+
+
 def _random_law(k: int) -> BernoulliSpec:
     weights = np.random.default_rng(k).random(k) + 0.1
     return BernoulliSpec(tuple(weights / weights.sum()), tuple(range(k)))
@@ -204,9 +207,12 @@ LAWS = {
     "uniform4": UNIFORM4,
     "dyadic5": BernoulliSpec((0.5, 0.25, 0.125, 0.0625, 0.0625), tuple(range(5))),
     "16-bit": BernoulliSpec((0.5 + 2**-12, 0.5 - 2**-12)),
-    "32-bit": BernoulliSpec((0.5 + 2**-30, 0.25, 0.25 - 2**-30), (0, 1, 2)),
+    # written as fractions: 0.5 + 2^-30 prints as 0.5000000009313226,
+    # and a float is read by its shortest repr
+    "32-bit": BernoulliSpec((HALF + EPS30, "1/4", Fraction(1, 4) - EPS30), (0, 1, 2)),
     # cuts whose lowest set bit needs exactly 8, 16 and 32 bits
-    **{f"exactly {w}-bit": BernoulliSpec((0.5 + 2.0**-w, 0.5 - 2.0**-w)) for w in (8, 16, 32)},
+    **{f"exactly {w}-bit": BernoulliSpec((HALF + Fraction(1, 2**w), HALF - Fraction(1, 2**w)))
+       for w in (8, 16, 32)},
     "256": _random_law(256),
     "300": _random_law(300),  # indices past 255 take uint16 windows
 }
@@ -462,6 +468,29 @@ def test_bernoulli_spec_validation():
         fair.index_of("missing")
 
 
+def test_a_law_is_read_once_as_exact_fractions():
+    """A float is read by its shortest repr and a string or Fraction
+    exactly; a law that misses 1 by at most 1e-12 is divided by its sum.
+    A weight is written back as its float where that float reads back
+    to it, and as "p/q" otherwise, in JSON and in the label alike."""
+    third = BernoulliSpec(("1/3", Fraction(1, 3), "2/6"), (0, 1, 2))
+    assert third.probs == (Fraction(1, 3),) * 3
+    assert BernoulliSpec((1 / 3,) * 3, (0, 1, 2)) == third
+    assert BernoulliSpec((0.1, "0.9")).probs == (Fraction(1, 10), Fraction(9, 10))
+    assert third.to_json()["probs"] == ["1/3"] * 3
+    assert BernoulliSpec.fair_coin().to_json()["probs"] == [0.5, 0.5]
+    spec = SystemSpec.shift(BernoulliSpec(("1/2", 0.1, "1/5", "1/7", "2/35"), tuple(range(5))))
+    assert spec.to_json()["probs"] == [0.5, 0.1, 0.2, "1/7", "2/35"]
+    assert spec.label() == "bernoulli p=0.5,0.1,0.2,1/7,2/35"
+    assert SystemSpec.from_json(spec.to_json()) == spec
+    assert SystemSpec.shift(third).label() == "bernoulli p=1/3,1/3,1/3"
+    for bad in ("abc", "1/0", float("nan"), float("inf"), None):
+        with pytest.raises(ValueError, match="^a probability must be a finite number or fraction"):
+            BernoulliSpec((bad, 0.5))
+    with pytest.raises(ValueError, match="^probabilities sum to"):
+        BernoulliSpec(("1/3", "2/3", "1e-11"), (0, 1, 2))
+
+
 def test_system_spec_validation_and_labels():
     with pytest.raises(ValueError):
         SystemSpec(kind="rotation", gamma=None)
@@ -489,10 +518,14 @@ def test_cylinder_measure_is_a_product():
     two = CylinderSet(((0, 1), (3, -1)))
     assert two.measure(fair) == Fraction(1, 4)
     assert CylinderSet(((5, 2),)).measure(UNIFORM4) == Fraction(1, 4)
-    # probabilities enter by their exact binary values, with no rounding
+    # a float probability enters by its shortest repr, so 0.1 is 1/10
     biased = BernoulliSpec((0.1, 0.9), ("a", "b"))
+    assert CylinderSet(((0, "a"),)).measure(biased) == Fraction(1, 10)
     cyl = CylinderSet(((0, "a"), (1, "a"), (4, "b")))
-    assert cyl.measure(biased) == Fraction(0.1) ** 2 * Fraction(0.9)
+    assert cyl.measure(biased) == Fraction(1, 10) ** 2 * Fraction(9, 10)
+    # the one-symbol cylinders of a law are a partition of measure 1
+    law = BernoulliSpec((0.1, 0.2, 0.7), (0, 1, 2))
+    assert sum(CylinderSet(((0, s),)).measure(law) for s in law.symbols) == 1
 
 
 @given(st.integers(-20, 20))
