@@ -6,8 +6,8 @@ phases.  That makes its spectrum computable symbolically: each system
 below gets a descriptor (point part, Lebesgue part), and two systems
 whose descriptors match can be given an explicit unitary intertwiner,
 built from the two descriptors by pairing proper modes and chain
-generators.  Each descriptor shows, per label sector, the N = A - I and b
-its Lebesgue multiplicity is read from.  The intertwining
+generators.  Each descriptor shows, per label sector, the N and b of its
+step x -> x + N x + b that its Lebesgue multiplicity is read from.  The intertwining
 W U = V W is decided for the whole space by a handful of polynomial
 identities, one set per label sector, printed below.  Each operator's
 action on labels is read off the map itself: the demo prints every
@@ -47,7 +47,7 @@ def main() -> None:
         print(f"{spec.label():32s} tag={d.tag:16s} "
               f"point generators: {gens}; Lebesgue multiplicity: {d.lebesgue_multiplicity}")
         for sector, N, b, count in d.multiplicity_witness:
-            print(f"  {sector:8s} N = A - I = {N}, b = {b}: {count} chains")
+            print(f"  {sector:8s} N = {N}, b = {b}: {count} chains")
 
     print()
     print("=== proper-value groups ===")
@@ -76,13 +76,13 @@ def main() -> None:
     for identity in check.identities:
         print(f"  {identity}")
     print()
-    print("=== each map record (M, t, s) and the Koopman table read off it ===")
-    print("(x -> M x + t gamma on the torus, (R w)_p = w_(p+s) on sequences;")
-    print(" a label x goes to A x + b with phase e((c . x) gamma))")
+    print("=== each map record (N, t, s) and the Koopman table read off it ===")
+    print("(x -> x + N x + t gamma on the torus, (R w)_p = w_(p+s) on sequences;")
+    print(" a label x goes to x + N x + b with phase e((c . x) gamma))")
     for kind, record in MAPS.items():
         print(f"{kind}: {record}")
         for sector, action in KOOPMAN_TABLE[kind].items():
-            print(f"  {sector:8s} A={action.A} b={action.b} c={action.c}")
+            print(f"  {sector:8s} N={action.N} b={action.b} c={action.c}")
     print()
     print("Both operators are unitarily equivalent -- yet the demo of the")
     print("tower invariant (02) shows the two systems cannot be conjugate.")

@@ -247,7 +247,9 @@ def _symbol_count_scorer(bern: BernoulliSpec, n: int):
     next call."""
     import numpy as np
 
-    log_p = [math.log(p) for p in bern.probs]
+    # below 2^-1022, the smallest normal float, a weight loses digits as a float: log its parts
+    log_p = [math.log(p) if p >= 2.0**-1022 else math.log(p.numerator) - math.log(p.denominator)
+             for p in bern.probs]
     steps = [(k, (b - a) / n) for k, (a, b) in enumerate(zip(log_p, log_p[1:]), 1) if b != a]
     counter = np.min_scalar_type(n)
     out = terms = at_least_k = hits = columns = np.empty(0)

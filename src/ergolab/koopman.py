@@ -3,12 +3,14 @@
 The composition operator U f = f o S of each system permutes the labels
 of a countable basis and multiplies by unimodular constants.
 ``KOOPMAN_TABLE`` holds that action per system kind and label sector, as
-an affine integer map ``x -> A x + b`` with the phase ``e((c . x)
+an affine integer map ``x -> x + N x + b`` with the phase ``e((c . x)
 gamma)`` (``e(x) = exp(2 pi i x)``), derived at import from the kind's
-map ``systems.MAPS[kind] = (M, t, s)``.  A torus character ``e(n . x)``
-goes to ``e((t . n) gamma) e((M^T n) . x)``: one ``lattice`` sector for
-a kind without a shift (rotation ``e(l u)``, skew ``g[k,m] = e(k u)
-e(m v)``, ``U g[k,m] = e(k gamma) g[k+m, m]``).  A kind with a shift has
+map ``systems.MAPS[kind] = (N, t, s)`` and checked there once: each
+sector's N has ``N^2 = 0``, so a label that moves never returns.  A
+torus character ``e(n . x)`` goes to ``e((t . n) gamma) e((n + N^T n) .
+x)``: one ``lattice`` sector for a kind without a shift (rotation
+``e(l u)``, skew ``g[k,m] = e(k u) e(m v)``, ``U g[k,m] = e(k gamma)
+g[k+m, m]``).  A kind with a shift has
 a ``constant`` sector (torus characters times the constant) and a
 ``support`` sector ``(torus label, position k, chain m)``: an orthonormal
 family ``d[k,m]`` of sequence characters moves s positions with its
@@ -29,7 +31,6 @@ asked.  Nothing here imports numpy.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
@@ -66,24 +67,28 @@ INFINITE = "infinite"
 
 class SectorAction(NamedTuple):
     """The Koopman action on one label sector: the label x goes to
-    ``A x + b`` with the phase ``e((c . x) gamma)``."""
+    ``x + N x + b`` with the phase ``e((c . x) gamma)``; ``N^2 = 0``."""
 
-    A: tuple[tuple[int, ...], ...]
+    N: tuple[tuple[int, ...], ...]
     b: tuple[int, ...]
     c: tuple[int, ...]
 
 
 def _koopman_table() -> dict[str, dict[str, SectorAction]]:
-    """Each kind's sectors read off its ``MAPS`` record (M, t, s): A =
-    M^T, b = 0, c = t on torus labels, and on supports I on (position,
-    chain) beside it, the position moving by s."""
+    """Each kind's sectors read off its ``MAPS`` record (N, t, s): N^T,
+    b = 0, c = t on torus labels, and on supports the block (N^T, 0), the
+    position moving by s.  A sector whose N does not square to 0 is
+    refused by name: the one place that is checked."""
     table = {}
-    for kind, (M, t, s) in MAPS.items():
+    for kind, (N, t, s) in MAPS.items():
         pad = (0,) * len(t)
-        torus = SectorAction(tuple(zip(*M)), pad, t)
-        A = tuple(row + (0, 0) for row in torus.A) + (pad + (1, 0), pad + (0, 1))
-        support = SectorAction(A, pad + (s, 0), t + (0, 0))
+        torus = SectorAction(tuple(zip(*N)), pad, t)
+        block = tuple(row + (0, 0) for row in torus.N) + (pad + (0, 0),) * 2
+        support = SectorAction(block, pad + (s, 0), t + (0, 0))
         table[kind] = {"constant": torus, "support": support} if s else {"lattice": torus}
+        for sector, (n, _, _) in table[kind].items():
+            if any(sum(r[i] * n[i][j] for i in range(len(n))) for r in n for j in range(len(n))):
+                raise ValueError(f"the {kind} step is not unipotent on the {sector} sector")
     return table
 
 
@@ -95,9 +100,9 @@ def koopman_step(kind: str, sector: str, x: Sequence) -> tuple:
     """The action of ``KOOPMAN_TABLE[kind][sector]`` on the labels ``x``,
     one coordinate per sector dimension: ints, integer arrays of one
     shape, or polynomials; returns the gamma multiplier ``c . x`` and the
-    image ``A x + b``."""
-    A, b, c = KOOPMAN_TABLE[kind][sector]
-    return _affine(c, x, 0), tuple(_affine(row, x, bi) for row, bi in zip(A, b))
+    image ``x + N x + b``."""
+    N, b, c = KOOPMAN_TABLE[kind][sector]
+    return _affine(c, x, 0), tuple(xi + _affine(row, x, bi) for xi, row, bi in zip(x, N, b))
 
 
 def _affine(coeffs: Sequence[int], x: Sequence, const: int):
@@ -167,71 +172,6 @@ def _integer_solutions(
     return [sum(u * v for u, v in zip(r, w)) for r in U], [[r[j] for r in U] for j in range(col, n)]
 
 
-def _fixed_point_rows(kind: str, sector: str) -> tuple[list[list[int]], list[int]]:
-    """``A - I`` and ``-b`` of one sector: the fixed labels solve
-    ``(A - I) x = -b``.  A must be unipotent (checked: ``(A - I)^2 = 0``),
-    so that a label that moves never returns and a finite orbit of the
-    sector's affine map is a fixed point."""
-    A, b, _ = KOOPMAN_TABLE[kind][sector]
-    n = len(b)
-    N = [[A[i][j] - (i == j) for j in range(n)] for i in range(n)]
-    if any(sum(r[t] * N[t][j] for t in range(n)) for r in N for j in range(n)):
-        raise ValueError(f"the {kind} step is not unipotent on the {sector} sector")
-    return N, [-v for v in b]
-
-
-def _line_step(kind: str, sector: str, k: int) -> tuple[list[list[int]], list[int]]:
-    """``N = A - I`` and ``c = b - k e_l`` of ``K_k x = A x + b - k e_l`` on
-    one sector of ``KOOPMAN_TABLE`` (k = 0: the step itself), refused by
-    name unless every orbit is a lattice line: with ``N^2 = 0``
-    (:func:`_fixed_point_rows`) and ``N c = 0`` the step ``N x + c`` is the
-    same at ``K_k x``."""
-    N, minus_b = _fixed_point_rows(kind, sector)
-    c = [-v - k * (i == 0) for i, v in enumerate(minus_b)]
-    if any(sum(a * v for a, v in zip(row, c)) for row in N):
-        raise ValueError(
-            f"K_{k} does not move the {kind} {sector} sector along lattice lines: "
-            f"(A - I)(b - k e_l) is not 0"
-        )
-    return N, c
-
-
-def _region_count(region: tuple[list, list], shift: Sequence[int], fixed: dict[int, int]) -> int:
-    """How many labels x of ``region = (lows, [(group, high), ...])``
-    (each coordinate at least its low, each group's sum at most its high)
-    have ``x + shift`` in it too and ``x[j] = v`` for each ``j: v`` of
-    ``fixed``.  That set keeps the region's form, each low raised by
-    ``max(0, -shift)`` and each high lowered by ``max(0, its group's
-    shift)``; a group of ``free`` unfixed coordinates with ``room`` above
-    their lows holds C(room + free, free)."""
-    lows, groups = region
-    lows = [low + max(0, -v) for low, v in zip(lows, shift)]
-    count = 1
-    for group, high in groups:
-        room, free = high - max(0, sum(shift[i] for i in group)), 0
-        for i in group:
-            if i in fixed and fixed[i] < lows[i]:
-                return 0
-            room -= fixed.get(i, lows[i])
-            free += i not in fixed
-        if room < 0:
-            return 0
-        count *= math.comb(room + free, free)
-    return count
-
-
-def _slices(region: tuple[list, list], N, c) -> Iterator[tuple[dict[int, int], list[int]]]:
-    """The slices of ``region`` at each value of the coordinates N reads,
-    as ``(fixed, d)``: those coordinates' values, and the step
-    ``d = N x + c``, the same at every label of the slice."""
-    lows, groups = region
-    top = {i: high - sum(lows[t] for t in group if t != i) for group, high in groups for i in group}
-    read = [j for j in range(len(c)) if any(r[j] for r in N)]
-    for values in itertools.product(*(range(lows[j], top[j] + 1) for j in read)):
-        fixed = dict(zip(read, values))
-        yield fixed, [sum(r[j] * v for j, v in fixed.items()) + ci for r, ci in zip(N, c)]
-
-
 def _last_unknown_coset(rows, rhs) -> Optional[tuple[int, int, int]]:
     """The values of the last unknown over the integer solutions of
     ``rows z = rhs``: ``(base, step, rank)`` for ``base + step Z`` (step
@@ -258,8 +198,9 @@ class SpectrumDescriptor:
     which never makes the proper value 1 a repeated one, so 1 is simple
     exactly when it has multiplicity one.  The multiplicity is decided
     exactly, sector by sector; ``multiplicity_witness`` holds what each
-    decision read, as ``(sector, N, b, multiplicity)`` with ``N = A - I``,
-    so a reader of the JSON can re-derive it (:func:`_sector_multiplicity`).
+    decision read, as ``(sector, N, b, multiplicity)`` with the table's
+    N and b, so a reader of the JSON can re-derive it
+    (:func:`_sector_multiplicity`).
     """
 
     point_generators: tuple[RotationNumber, ...]
@@ -314,8 +255,8 @@ def spectral_weak_mixing_check(descriptor: SpectrumDescriptor) -> bool:
 
 
 def _sector_multiplicity(N: Sequence[Sequence[int]], b: Sequence[int]):
-    """How many chains the moving labels of a sector ``x -> A x + b``
-    with ``N = A - I``, ``N^2 = 0``, form: none if N = 0 and b = 0;
+    """How many chains the moving labels of a sector ``x -> x + N x + b``
+    with ``N^2 = 0`` form: none if N = 0 and b = 0;
     ``|b|`` on one coordinate, one per residue mod b; else infinitely
     many, as ``d(x) = N x + b``, constant on a chain, takes infinitely
     many values if N != 0, and Z^d / Z b is infinite for d >= 2."""
@@ -330,26 +271,22 @@ def spectrum_of(spec: SystemSpec) -> SpectrumDescriptor:
     """The Koopman spectral invariants of a system, computed from its row
     of ``KOOPMAN_TABLE`` (Halmos, Lectures on Ergodic Theory, 1956).
 
-    On each sector the fixed labels solve ``(A - I) x = -b`` over the
+    On each sector the fixed labels solve ``N x = -b`` over the
     integers, with their gamma multiplier ``n = c . x`` as one more
     unknown.  The multipliers generate the point spectrum; the fixed
     labels with ``n = 0`` are the invariant functions, so they count the
-    proper value 1.  Every other label moves and, A being unipotent,
-    never returns: it lies on a two-sided chain that carries one copy of
+    proper value 1.  Every other label moves and, N^2 being 0, never
+    returns: it lies on a two-sided chain that carries one copy of
     Lebesgue spectrum.  Each sector's count of chains is decided from its
-    N = A - I and b (:func:`_sector_multiplicity`), and the multiplicity
+    N and b (:func:`_sector_multiplicity`), and the multiplicity
     is their sum, ``"infinite"`` if one is; the descriptor's
     ``multiplicity_witness`` keeps each sector's N, b and count.
     """
     kind, witness = spec.kind, []
     generator = ones = 0
-    for sector, action in KOOPMAN_TABLE[kind].items():
-        N, rhs = _fixed_point_rows(kind, sector)
-        witness.append((sector, tuple(map(tuple, N)), action.b,
-                        _sector_multiplicity(N, action.b)))
-        coset = _last_unknown_coset(
-            [r + [0] for r in N] + [list(action.c) + [-1]], rhs + [0]
-        )
+    for sector, (N, b, c) in KOOPMAN_TABLE[kind].items():
+        witness.append((sector, N, b, _sector_multiplicity(N, b)))
+        coset = _last_unknown_coset([[*r, 0] for r in N] + [[*c, -1]], [-v for v in b] + [0])
         if coset is None:
             continue
         base, step, rank = coset

@@ -6,7 +6,7 @@ tend to 0.  At desk scale only finite-t trends are observable, so verdicts
 read "consistent with weak mixing" (statistic below 0.01) or "inconsistent"
 (above 0.05), never the limit statement itself.  Correlations are exact
 factor by factor, read off the map record ``systems.MAPS[kind] =
-(M, t, s)``: a u-arc moves by the rotation of a torus part (t not
+(N, t, s)``: a u-arc moves by the rotation of a torus part (t not
 empty), a cylinder by the shift (s != 0), and a factor a set leaves free
 is the whole coordinate.  Values and sums stay exact until one correctly
 rounded conversion to float; a v-arc, or a factor the system lacks,
@@ -302,7 +302,7 @@ class _CircleOverlap:
 def _rotation_factor(spec: SystemSpec, A: TestSet, B: TestSet) -> bool:
     """Does the exact correlation of A and B have a rotation factor,
     that is, does either set constrain u?  A u-arc needs a torus part in
-    the system's map record ``MAPS[kind] = (M, t, s)`` and a cylinder a
+    the system's map record ``MAPS[kind] = (N, t, s)`` and a cylinder a
     shift; a v-arc has no closed form, as the skew map moves v by u.
     Raises :class:`NoClosedFormError` where no closed form exists."""
     _, t, s = MAPS[spec.kind]

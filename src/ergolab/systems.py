@@ -5,7 +5,7 @@
 * Bernoulli shift on bi-infinite symbol sequences
 * product of the rotation with a Bernoulli shift
 
-``MAPS`` writes each kind's map down once, as a record ``(M, t, s)``;
+``MAPS`` writes each kind's map down once, as a record ``(N, t, s)``;
 which data a kind takes, the coordinates its points carry, the point
 iterates here and the Koopman table (``koopman.KOOPMAN_TABLE``) are all
 read off it.  Points live in one representation, the struct-of-arrays
@@ -68,14 +68,15 @@ __all__ = [
 #: Default two-symbol alphabet; index 0 carries probs[0].
 DEFAULT_SYMBOLS = (1, -1)
 
-#: Each kind's map as ``(M, t, s)``: the torus part x -> M x + t gamma
-#: (mod 1) on ``(u,)`` or ``(u, v)``, M integer and unipotent, and the
-#: shift part (R w)_p = w_{p+s}; s = 0 means no sequence factor.
+#: Each kind's map as ``(N, t, s)``: the torus part x -> x + N x + t gamma
+#: (mod 1) on ``(u,)`` or ``(u, v)``, N integer with N^2 = 0 (the step is
+#: unipotent), and the shift part (R w)_p = w_{p+s}; s = 0 means no
+#: sequence factor.
 MAPS = {
-    "rotation": (((1,),), (1,), 0),
-    "skew": (((1, 0), (1, 1)), (1, 0), 0),
+    "rotation": (((0,),), (1,), 0),
+    "skew": (((0, 0), (1, 0)), (1, 0), 0),
     "bernoulli": ((), (), 1),
-    "product": (((1,),), (1,), 1),
+    "product": (((0,),), (1,), 1),
 }
 SYSTEM_KINDS = tuple(MAPS)
 
@@ -504,20 +505,19 @@ def iterate_batch(batch: SampleBatch, i: int) -> SampleBatch:
     """The i-th image S^i of every point, for any integer i (a negative
     lag inverts), by one closed form read off the kind's ``MAPS`` record.
 
-    M is unipotent, so N = M - I has N^2 = 0 and S^i x = x + i N x +
-    (i t + C(i,2) N t) gamma (mod 1) on the torus coordinates.  Each
-    gamma-multiple is reduced exactly (``frac_multiple``) before any
-    float touches it, so there is no accumulated drift; the sequence
-    window only moves its anchor, by -i s.
+    The torus step is x -> x + N x + t gamma with N^2 = 0, so S^i x =
+    x + i N x + (i t + C(i,2) N t) gamma (mod 1) on the torus
+    coordinates.  Each gamma-multiple is reduced exactly
+    (``frac_multiple``) before any float touches it, so there is no
+    accumulated drift; the sequence window only moves its anchor, by -i s.
     """
     spec = batch.spec
-    M, t, s = MAPS[spec.kind]
+    N, t, s = MAPS[spec.kind]
     x = (batch.u, batch.v)[: len(t)]
     image = []
-    for j, row in enumerate(M):
-        n = [m - (k == j) for k, m in enumerate(row)]
-        coordinate = sum((i * nk * xk for nk, xk in zip(n, x) if nk), x[j])
-        multiple = i * t[j] + i * (i - 1) // 2 * sum(nk * tk for nk, tk in zip(n, t))
+    for j, row in enumerate(N):
+        coordinate = sum((i * nk * xk for nk, xk in zip(row, x) if nk), x[j])
+        multiple = i * t[j] + i * (i - 1) // 2 * sum(nk * tk for nk, tk in zip(row, t))
         image.append((coordinate + float(spec.gamma.frac_multiple(multiple))) % 1.0)
     u, v = (*image, None, None)[:2]
     return SampleBatch(spec=spec, u=u, v=v, sym=batch.sym, anchor=batch.anchor - i * s)

@@ -21,7 +21,8 @@ delta.  A level-3 function with multiplier e(k u) therefore exists iff K_k
 has a finite orbit on the whole, untruncated lattice (Abramov's theory of
 quasi-discrete spectrum: L. M. Abramov, 1962; F. Hahn and W. Parry,
 1965).  :func:`decide_finite_orbits` settles that for every k at once,
-from the affine maps (A, b) the table gives per label sector.
+from the affine maps ``x -> x + N x + b`` the table gives per label
+sector, N^2 = 0 (checked where the table is built).
 
 The residual search corroborates the decision on a truncated basis, a
 fixed u-band (``U_BAND``) times a sequence window that grows with the
@@ -31,8 +32,7 @@ labels whose phases can be gauged away, so the least-squares minimum of
 if K_k closes a cycle on the basis, and otherwise
 ``sqrt(2 - 2 cos(pi/(L+1)))`` at the longest free path L.  Each orbit of
 K_k is a fixed label or a lattice line (checked), so the census is a
-closed-form count of segments, made with the count of labels in
-``koopman`` that the spectrum's chain counts share.  It reads
+closed-form count of segments and of the labels it covers.  It reads
 ``KOOPMAN_TABLE`` as the decision does, so it corroborates the
 decision's linear algebra, not the table;
 the table's numeric tie to ``systems.iterate_batch`` ties it to the maps.
@@ -42,20 +42,12 @@ its margin measures the band, falling like ``pi / (2 U_BAND + 2)``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ._record import asdict, field, record
-from .koopman import (
-    KOOPMAN_TABLE,
-    _bezout,
-    _fixed_point_rows,
-    _integer_solutions,
-    _last_unknown_coset,
-    _line_step,
-    _region_count,
-    _slices,
-)
+from .koopman import KOOPMAN_TABLE, _bezout, _integer_solutions, _last_unknown_coset
 from .systems import InconclusiveEvidenceError, SystemSpec
 
 __all__ = [
@@ -197,17 +189,18 @@ def compute_tower(system: SystemSpec) -> list[TowerLevel]:
     first level equal to the one before it.
 
     Level one is the constants (the system is ergodic).  A character n has
-    as quotient a constant, which levels absorb, times ``(A - I) n``, A the
-    table's step, so level j is ``ker (A - I)^(j-1)`` in Z^2, in Hermite
-    normal form.  ``(A - I)^2 = 0`` (checked by :func:`_fixed_point_rows`),
-    so level 3 is Z^2 and the list ends by level 4: d + 2 levels on Z^d."""
+    as quotient a constant, which levels absorb, times ``N n``, N the
+    table's step less the identity, so level j is ``ker N^(j-1)`` in Z^2,
+    in Hermite normal form.  ``N^2 = 0`` (checked where the table is
+    built), so level 3 is Z^2 and the list ends by level 4: d + 2 levels
+    on Z^d."""
     if system.kind != "skew":
         raise UnsupportedSystemError(
             f"character-lattice towers are defined for the skew system, "
             f"not {system.kind!r}"
         )
-    N, _ = _fixed_point_rows("skew", "lattice")
-    power = [[int(i == j) for j in range(2)] for i in range(2)]  # (A - I)^0
+    N = KOOPMAN_TABLE["skew"]["lattice"].N
+    power = [[int(i == j) for j in range(2)] for i in range(2)]  # N^0
     levels = []
     while len(levels) < 2 or levels[-1] != levels[-2]:
         _, kernel = _integer_solutions(power, [0, 0])
@@ -265,13 +258,13 @@ def decide_finite_orbits(kind: str) -> OrbitDecision:
     """Decide, for every k at once, whether K_k has a finite orbit.
 
     On each sector ``KOOPMAN_TABLE`` gives the P step as an affine map
-    ``P x = A x + b``, so ``K_k x = A x + b - k e_l``.  A is unipotent
-    (checked: (A - I)^2 = 0), so a finite orbit is a fixed point: if
-    ``K^p x = x``, the augmented matrix V of K gives
+    ``P x = x + N x + b``, so ``K_k x = x + N x + b - k e_l``.  N^2 = 0
+    (checked where the table is built), so a finite orbit is a fixed
+    point: if ``K^p x = x``, the augmented matrix V of K gives
     ``0 = (V^p - I) x = (V^(p-1) + ... + I)(V - I) x``, and the first
     factor, p I plus a nilpotent, is invertible over Q.  Since k enters
     the fixed-point equation only through ``k e_l``, it joins the
-    unknowns: ``[A - I | -e_l] (x, k) = -b`` is solved over the integers,
+    unknowns: ``[N | -e_l] (x, k) = -b`` is solved over the integers,
     and the k of its solutions form a coset ``base + step Z`` or nothing.
     The result: product, k = 0 only, in the constant sector (the proper
     functions e(l u)); skew, every k, at the labels (l, k) (the witnesses
@@ -282,9 +275,8 @@ def decide_finite_orbits(kind: str) -> OrbitDecision:
             f"tower comparison supports skew and product systems, not {kind!r}"
         )
     sectors: dict[str, Optional[tuple[int, int]]] = {}
-    for name in KOOPMAN_TABLE[kind]:
-        N, rhs = _fixed_point_rows(kind, name)
-        coset = _last_unknown_coset([r + [-int(i == 0)] for i, r in enumerate(N)], rhs)
+    for name, (N, b, _) in KOOPMAN_TABLE[kind].items():
+        coset = _last_unknown_coset([[*r, -int(i == 0)] for i, r in enumerate(N)], [-v for v in b])
         sectors[name] = None if coset is None else coset[:2]
     return OrbitDecision(sectors)
 
@@ -312,9 +304,61 @@ class ResidualReport:
         return asdict(self)
 
 
+def _line_step(kind: str, sector: str, k: int) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """N and ``c = b - k e_l`` of ``K_k x = x + N x + b - k e_l`` on one
+    sector of ``KOOPMAN_TABLE`` (k = 0: the step itself), refused by name
+    unless every orbit is a lattice line: with ``N^2 = 0`` (checked where
+    the table is built) and ``N c = 0`` the step ``N x + c`` is the same
+    at ``K_k x``."""
+    N, b, _ = KOOPMAN_TABLE[kind][sector]
+    c = [v - k * (i == 0) for i, v in enumerate(b)]
+    if any(sum(a * v for a, v in zip(row, c)) for row in N):
+        raise ValueError(
+            f"K_{k} does not move the {kind} {sector} sector along lattice lines: "
+            f"N (b - k e_l) is not 0"
+        )
+    return N, c
+
+
+def _region_count(region: tuple[list, list], shift: Sequence[int], fixed: dict[int, int]) -> int:
+    """How many labels x of ``region = (lows, [(group, high), ...])``
+    (each coordinate at least its low, each group's sum at most its high)
+    have ``x + shift`` in it too and ``x[j] = v`` for each ``j: v`` of
+    ``fixed``.  That set keeps the region's form, each low raised by
+    ``max(0, -shift)`` and each high lowered by ``max(0, its group's
+    shift)``; a group of ``free`` unfixed coordinates with ``room`` above
+    their lows holds C(room + free, free)."""
+    lows, groups = region
+    lows = [low + max(0, -v) for low, v in zip(lows, shift)]
+    count = 1
+    for group, high in groups:
+        room, free = high - max(0, sum(shift[i] for i in group)), 0
+        for i in group:
+            if i in fixed and fixed[i] < lows[i]:
+                return 0
+            room -= fixed.get(i, lows[i])
+            free += i not in fixed
+        if room < 0:
+            return 0
+        count *= math.comb(room + free, free)
+    return count
+
+
+def _slices(region: tuple[list, list], N, c) -> Iterator[tuple[dict[int, int], list[int]]]:
+    """The slices of ``region`` at each value of the coordinates N reads,
+    as ``(fixed, d)``: those coordinates' values, and the step
+    ``d = N x + c``, the same at every label of the slice."""
+    lows, groups = region
+    top = {i: high - sum(lows[t] for t in group if t != i) for group, high in groups for i in group}
+    read = [j for j in range(len(c)) if any(r[j] for r in N)]
+    for values in itertools.product(*(range(lows[j], top[j] + 1) for j in read)):
+        fixed = dict(zip(read, values))
+        yield fixed, [sum(r[j] * v for j, v in fixed.items()) + ci for r, ci in zip(N, c)]
+
+
 def _sector_regions(kind: str, truncation: int) -> dict[str, tuple[list[int], list[tuple]]]:
     """Each sector's labels in the truncated basis, in table coordinates,
-    as a region of :func:`koopman._region_count`.  l lies in [-U_BAND,
+    as a region of :func:`_region_count`.  l lies in [-U_BAND,
     U_BAND]; the product's tails are its constant and the supports
     {a, a + s} in [-N, N] of size at most 2, labelled (l, a, s); the
     skew's are |m| <= N."""
@@ -328,20 +372,22 @@ def _sector_regions(kind: str, truncation: int) -> dict[str, tuple[list[int], li
     raise UnsupportedSystemError(f"the residual search runs on product or skew systems, not {kind!r}")
 
 
-def _segment_census(regions: dict, steps: list) -> tuple[int, list[list[int]]]:
-    """The cycle count of the truncated K_k and its free paths' ``[length,
-    count]``, ascending, from each sector's region and step ``(N, c)``.
+def _segment_census(regions: dict, steps: list) -> tuple[int, int, list[list[int]]]:
+    """The label count of the truncated K_k, its cycle count and its free
+    paths' ``[length, count]``, ascending, from each sector's region and
+    step ``(N, c)``.
 
     ``d = N x + c`` is the same along an orbit: d = 0 is a cycle, else the
     line meets its convex region in one free path.  d reads only what N
     reads, so a sector is counted per slice at those coordinates' values
-    (:func:`koopman._slices`).  There ``f(t)``, the labels x with
-    ``x + t d`` in the region too, counts runs of t + 1 labels on the
-    paths: ``f(L-1) - 2 f(L) + f(L+1)`` paths have exactly L labels."""
-    cycles, lengths = 0, {}
+    (:func:`_slices`).  There ``f(t)``, the labels x with ``x + t d`` in
+    the region too, counts runs of t + 1 labels on the paths: f(0) labels
+    in all, and ``f(L-1) - 2 f(L) + f(L+1)`` paths of exactly L labels."""
+    labels, cycles, lengths = 0, 0, {}
     for region, (N, c) in zip(regions.values(), steps):
         for fixed, d in _slices(region, N, c):
             f = [_region_count(region, [0] * len(d), fixed)]
+            labels += f[0]
             if not any(d):
                 cycles += f[0]
                 continue
@@ -350,14 +396,7 @@ def _segment_census(regions: dict, steps: list) -> tuple[int, list[list[int]]]:
             f.append(0)
             for L in range(1, len(f) - 1):
                 lengths[L] = lengths.get(L, 0) + f[L - 1] - 2 * f[L] + f[L + 1]
-    return cycles, [[length, n] for length, n in sorted(lengths.items()) if n]
-
-
-def census_nodes(kind: str, truncation: int) -> int:
-    """The labels of a census at truncation N: the u-band's frequencies
-    times the ``1 + (N+1)(2N+1)`` product tails or the ``2N+1`` skew ones."""
-    side = 2 * truncation + 1
-    return (2 * U_BAND + 1) * (1 + (truncation + 1) * side if kind == "product" else side)
+    return labels, cycles, [[length, n] for length, n in sorted(lengths.items()) if n]
 
 
 def _path_residual(n: int) -> float:
@@ -370,7 +409,7 @@ def residual_census(spec: SystemSpec, ks: Iterable[int], truncation: int) -> Ite
     """:func:`quasi_eigen_residual_search` for each k of ``ks`` in turn,
     counted by :func:`_segment_census`.  The ks are read once; no ks, ks
     over ``MAX_CENSUS_WORK``, then a K_k whose orbits are no lattice lines
-    (:func:`koopman._line_step`), are refused before anything is counted."""
+    (:func:`_line_step`), are refused before anything is counted."""
     if truncation < 2:
         raise ValueError("truncation must be >= 2")
     ks = tuple(ks)
@@ -386,12 +425,11 @@ def residual_census(spec: SystemSpec, ks: Iterable[int], truncation: int) -> Ite
     regions = _sector_regions(spec.kind, truncation)
     steps = [[_line_step(spec.kind, sector, k) for sector in regions] for k in ks]
     for k, k_steps in zip(ks, steps):
-        cycles, path_lengths = _segment_census(regions, k_steps)
+        dimension, cycles, path_lengths = _segment_census(regions, k_steps)
         yield ResidualReport(
             system_kind=spec.kind, k=k, truncation=truncation,
             residual=0.0 if cycles else _path_residual(path_lengths[-1][0]),
-            u_band=U_BAND, dimension=census_nodes(spec.kind, truncation), cycles=cycles,
-            path_lengths=path_lengths,
+            u_band=U_BAND, dimension=dimension, cycles=cycles, path_lengths=path_lengths,
         )
 
 
@@ -442,13 +480,18 @@ def residual_reference(ks: tuple[int, ...] = (1, 2)) -> float:
 @record
 class ProductTowerCertificate:
     """Residual corroboration of the exact decision that the product
-    tower adds no level beyond the proper functions (1'' = 1''')."""
+    tower adds no level beyond the proper functions (1'' = 1'''), with
+    the decision it was checked against."""
 
     spec: SystemSpec
     truncation: int
     r0: float
     reports: list[ResidualReport]
-    new_level_found: bool
+    decision: OrbitDecision
+
+    @property
+    def new_level_found(self) -> bool:
+        return self.decision.gap
 
     def to_json(self) -> dict:
         return {
@@ -471,7 +514,8 @@ def certify_product_tower(spec: SystemSpec, truncation: int = 8) -> ProductTower
     :func:`decide_finite_orbits` raises ``RuntimeError``.  r0 is the
     band's closed form (:func:`residual_reference`), so the reject margin
     is a property of the search space, not a bound uniform in the
-    truncation; ``new_level_found`` is the exact decision.
+    truncation.  The certificate keeps the decision it read;
+    ``new_level_found`` is its gap.
     """
     if spec.kind != "product":
         raise UnsupportedSystemError("certificate applies to the product system")
@@ -504,7 +548,7 @@ def certify_product_tower(spec: SystemSpec, truncation: int = 8) -> ProductTower
         truncation=truncation,
         r0=r0,
         reports=reports,
-        new_level_found=decision.gap,
+        decision=decision,
     )
 
 
@@ -522,31 +566,35 @@ class DistinguishResult:
 
 def _tower_gap(spec: SystemSpec, truncation: int) -> tuple[bool, dict]:
     """Does 1'' != 1''' hold?  Decided exactly for both kinds by
-    :func:`decide_finite_orbits`.
+    :func:`decide_finite_orbits`, once: the product's is the decision its
+    certificate read.
 
     The evidence carries the decision and what corroborates it: the skew
     tower's levels from :func:`compute_tower`, or the product's residual
     certificate.  Either one disagreeing with the decision raises
     ``RuntimeError``.  Like the census, :func:`compute_tower` reads the
-    same N = A - I of ``KOOPMAN_TABLE`` through ``_fixed_point_rows`` as
-    the decision does, so the skew check confirms the decision's linear
-    algebra, not the table: a wrong table entry moves both sides alike.
-    The table's numeric tie to ``systems.iterate_batch`` is what ties it
-    to the maps.
+    same N of ``KOOPMAN_TABLE`` as the decision does, so the skew check
+    confirms the decision's linear algebra, not the table: a wrong table
+    entry moves both sides alike.  The table's numeric tie to
+    ``systems.iterate_batch`` is what ties it to the maps.
     """
-    decision = decide_finite_orbits(spec.kind)
-    evidence = {"method": "exact", "decision": decision.to_json()}
-    if spec.kind == "skew":
+    if spec.kind == "product":
+        cert = certify_product_tower(spec, truncation=truncation)
+        decision = cert.decision
+        corroboration = {
+            "certificate": cert.to_json(),
+            "stabilization_depth": None if decision.gap else 2,
+        }
+    else:
+        decision = decide_finite_orbits(spec.kind)  # refuses all but the skew
         levels = compute_tower(spec)
         if (levels[1] != levels[2]) != decision.gap:
             raise RuntimeError("the skew tower's levels disagree with the exact decision")
-        evidence["levels"] = [lvl.to_json() for lvl in levels]
-        evidence["stabilization_depth"] = stabilization_depth(levels)
-    else:
-        cert = certify_product_tower(spec, truncation=truncation)
-        evidence["certificate"] = cert.to_json()
-        evidence["stabilization_depth"] = None if decision.gap else 2
-    return decision.gap, evidence
+        corroboration = {
+            "levels": [lvl.to_json() for lvl in levels],
+            "stabilization_depth": stabilization_depth(levels),
+        }
+    return decision.gap, {"method": "exact", "decision": decision.to_json(), **corroboration}
 
 
 def towers_distinguish(

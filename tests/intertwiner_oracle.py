@@ -34,7 +34,7 @@ from ergolab import (
     point_spectrum_groups_equal,
     spectrum_of,
 )
-from ergolab.koopman import _line_step, _region_count, _slices
+from ergolab.tower import _line_step, _region_count, _slices
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -813,6 +814,22 @@ def test_a_letter_run_decides_each_spectrum_and_the_groups_once(tmp_path, monkey
     assert calls == {"spectrum_of": 2, "point_spectrum_groups_equal": 2}
 
 
+def test_a_letter_run_decides_each_tower_once(tmp_path, monkeypatch):
+    """A default letter run calls ``decide_finite_orbits`` once per
+    system: the product's tower evidence reads the decision its
+    certificate was checked against."""
+    decided = []
+
+    def counted(kind, original=tower.decide_finite_orbits):
+        decided.append(kind)
+        return original(kind)
+
+    monkeypatch.setattr(tower, "decide_finite_orbits", counted)
+    code, out = run(tmp_path, "reproduce-letter")
+    assert code == 0 and read_report(out)["results"]["towers"]["verdict"] == "distinguished"
+    assert decided == ["skew", "product"]
+
+
 def test_each_pair_of_shifts_gets_its_own_intertwiner(tmp_path, monkeypatch):
     """A six-shift run decides each shift's spectrum once and builds and
     checks one intertwiner per pair, from that pair's two descriptors, so
@@ -947,6 +964,25 @@ def test_kolmogorov_reads_laws_written_as_fractions(tmp_path):
         "not spacially isomorphic (entropy invariant)"
     assert spacial["bernoulli p=0.25,0.25,0.25,0.25", "bernoulli p=0.5,0.125,0.125,0.125,0.125"] \
         == "spacially isomorphic (Ornstein)"
+
+
+@pytest.mark.parametrize("exponent", [320, 400])
+def test_kolmogorov_samples_a_law_with_a_weight_below_the_normal_floats(tmp_path, exponent):
+    """The weight 10^-400, which only a fraction string states, has float
+    0, and 10^-320 is a float short of five digits; the sampled
+    cross-check still scores the law (10^-e, 1/2 - 10^-e, 1/2) within
+    1e-13 of log 2, and the exact decision tells it from the fair coin."""
+    tiny = Fraction(1, 10**exponent)
+    law = [str(tiny), str(Fraction(1, 2) - tiny), "1/2"]
+    systems = [{"kind": "bernoulli", "probs": law, "symbols": [0, 1, 2]}, COIN_LAW]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"systems": systems, "samples": 1_000, "block_length": 2}))
+    code, out = run(tmp_path, "reproduce-kolmogorov", "--config", str(cfg))
+    assert code == 0
+    report = read_report(out)
+    assert abs(report["results"]["entropies"][0]["sampled"]["value"] - math.log(2)) < 1e-13
+    [pair] = report["results"]["pairs"]
+    assert pair["classifier"]["spacial"] == "not spacially isomorphic (entropy invariant)"
 
 
 def test_kolmogorov_estimates_equal_calls_on_spawned_streams(tmp_path):

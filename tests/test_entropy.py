@@ -284,6 +284,18 @@ def test_uniform_laws_score_exactly(k, cells):
     assert est.value == -math.log(1 / k) and est.stderr == 0.0
 
 
+@pytest.mark.parametrize("exponent", [320, 400])
+def test_a_weight_below_the_normal_floats_scores_its_exact_log(exponent):
+    """A weight of 10^-320 is a float that has lost five digits and one of
+    10^-400 is float 0; a cell of either scores -log p from the exact
+    fraction, 1e-12 close, as the law's other two cells do."""
+    tiny = Fraction(1, 10**exponent)
+    bern = BernoulliSpec((str(tiny), str(Fraction(1, 2) - tiny), "1/2"), (0, 1, 2))
+    scores = entropy._symbol_count_scorer(bern, 1)(np.array([[0], [1], [2]]))
+    for score, expected in zip(scores, (exponent * math.log(10), math.log(2), math.log(2))):
+        assert math.isclose(score, expected, rel_tol=1e-15, abs_tol=1e-12)
+
+
 @pytest.mark.parametrize("scorer", list(SCORERS))
 def test_same_seed_same_estimate(scorer):
     spec, part, n = SCORERS[scorer]

@@ -44,7 +44,7 @@ from ergolab import (
     towers_distinguish,
 )
 
-from ergolab import tower
+from ergolab import koopman, systems, tower
 from ergolab.koopman import _integer_solutions
 from ergolab.tower import (
     ACCEPT_TOL,
@@ -54,7 +54,6 @@ from ergolab.tower import (
     REJECT_FACTOR,
     OrbitDecision,
     _tower_gap,
-    census_nodes,
 )
 
 from helpers import (
@@ -199,8 +198,9 @@ def test_compute_tower_refuses_a_depth_over_the_budget(monkeypatch):
     """The tower takes no depth, so there is no budget to exceed: a depth
     is refused before any level is built.  The levels end at the first
     repeat, d + 2 = 4 kernel solves on Z^2, or 3 where the step is the
-    identity; a step that is not unipotent, whose levels might never
-    repeat, is refused before any level is built."""
+    identity.  A step that is not unipotent, whose levels need not end at
+    level 4, never reaches the tower: its table is refused where it is
+    derived from the map record."""
     solves = []
 
     def counted(*args):
@@ -213,14 +213,14 @@ def test_compute_tower_refuses_a_depth_over_the_budget(monkeypatch):
     assert solves == []
     assert len(compute_tower(SKEW)) == len(solves) == 4
     lattice = KOOPMAN_TABLE["skew"]["lattice"]
-    monkeypatch.setitem(KOOPMAN_TABLE["skew"], "lattice", lattice._replace(A=((1, 0), (0, 1))))
+    monkeypatch.setitem(KOOPMAN_TABLE["skew"], "lattice", lattice._replace(N=((0, 0), (0, 0))))
     levels = compute_tower(SKEW)
     assert [str(l.characters) for l in levels] == ["{0}", "Z^2", "Z^2"]
     assert stabilization_depth(levels) == 2
-    monkeypatch.setitem(KOOPMAN_TABLE["skew"], "lattice", lattice._replace(A=((2, 1), (1, 1))))
-    monkeypatch.setattr(tower, "_integer_solutions", _work_begins)
-    with pytest.raises(ValueError, match="not unipotent"):
-        compute_tower(SKEW)
+    # the step (l, m) -> (2l + m, l + m)
+    monkeypatch.setitem(systems.MAPS, "skew", (((1, 1), (1, 0)), (1, 0), 0))
+    with pytest.raises(ValueError, match="^the skew step is not unipotent on the lattice sector$"):
+        koopman._koopman_table()
 
 
 def test_residual_census_refuses_over_the_work_budget_before_a_step(monkeypatch):
@@ -246,7 +246,7 @@ def test_residual_census_refuses_over_the_work_budget_before_a_step(monkeypatch)
 
 def test_quotient_homomorphism():
     """q(g[k,m]) = g[k,m] o S / g[k,m] is the constant e(k gamma), the
-    table's phase, times the character (m, 0) = (A - I)(k, m); q
+    table's phase, times the character (m, 0) = N (k, m); q
     multiplies as the characters do."""
     mult, _ = koopman_step("skew", "lattice", (5, -2))
     assert mult == 5 and _quotient_character((5, -2)) == (-2, 0)
@@ -318,7 +318,7 @@ def test_doctored_p_step_flips_the_decision(monkeypatch):
     # a skew step without its m term, (l, m) -> (l, m), leaves only k = 0;
     # the search walks the same step and loses its k = 1 witness with it
     lattice = KOOPMAN_TABLE["skew"]["lattice"]
-    monkeypatch.setitem(KOOPMAN_TABLE["skew"], "lattice", lattice._replace(A=((1, 0), (0, 1))))
+    monkeypatch.setitem(KOOPMAN_TABLE["skew"], "lattice", lattice._replace(N=((0, 0), (0, 0))))
     doctored = decide_finite_orbits("skew")
     assert not doctored.gap and not doctored.has_finite_orbit(1)
     lost = quasi_eigen_residual_search(SKEW, 1, 8)
@@ -327,43 +327,49 @@ def test_doctored_p_step_flips_the_decision(monkeypatch):
 
 
 def test_non_unipotent_step_is_refused(monkeypatch):
-    lattice = KOOPMAN_TABLE["skew"]["lattice"]
-    monkeypatch.setitem(KOOPMAN_TABLE["skew"], "lattice", lattice._replace(A=((2, 1), (0, 1))))
-    with pytest.raises(ValueError, match="unipotent"):
-        decide_finite_orbits("skew")
+    """The step (l, m) -> (2l + m, m) is refused where its table is
+    derived from the map record, so no decision reads it."""
+    monkeypatch.setitem(systems.MAPS, "skew", (((1, 0), (1, 0)), (1, 0), 0))
+    with pytest.raises(ValueError, match="^the skew step is not unipotent on the lattice sector$"):
+        koopman._koopman_table()
 
 
 def test_census_refuses_a_step_that_is_not_injective(monkeypatch):
-    # (l, m) -> (l + m, 0) merges paths: A is not unipotent, so its orbits
-    # are no lattice lines, and the census refuses it by name before counting
+    """(l, m) -> (l + m, 0) merges paths, which the walk oracle refuses
+    when the step is patched into the table; the step is not unipotent,
+    so its orbits are no lattice lines, and the table derived from its map
+    record refuses it by name before any census counts."""
     lattice = KOOPMAN_TABLE["skew"]["lattice"]
-    monkeypatch.setitem(KOOPMAN_TABLE["skew"], "lattice", lattice._replace(A=((1, 1), (0, 0))))
-    refusal = "^the skew step is not unipotent on the lattice sector$"
-    with pytest.raises(ValueError, match=refusal):
-        quasi_eigen_residual_search(SKEW, 1, 8)
+    monkeypatch.setitem(KOOPMAN_TABLE["skew"], "lattice", lattice._replace(N=((0, 1), (0, -1))))
     with pytest.raises(ValueError, match="not injective"):
         census_by_walk(SKEW, 1, 8)
-    with pytest.raises(ValueError, match=refusal):
-        next(residual_census(SKEW, (1, 2), 8))
+    monkeypatch.setitem(systems.MAPS, "skew", (((0, 0), (1, -1)), (1, 0), 0))
+    with pytest.raises(ValueError, match="^the skew step is not unipotent on the lattice sector$"):
+        koopman._koopman_table()
 
 
 # (kind, sector, replaced fields): the doctored steps above; steps whose
 # images land in the gaps of the tails' box, leave it, or move the tail by
-# l; and steps of order 2 and 3, whose orbits are no lattice lines
+# l.  A skew mutant is named by its whole step A = I + N.
 CENSUS_MUTANTS = {
     "skew table as it is": ("skew", "lattice", {}),
-    "skew without its m term": ("skew", "lattice", {"A": ((1, 0), (0, 1))}),
-    "skew A = ((1, -1), (0, 1))": ("skew", "lattice", {"A": ((1, -1), (0, 1))}),
-    "skew A = ((1, 2), (0, 1))": ("skew", "lattice", {"A": ((1, 2), (0, 1))}),
-    "skew swaps l and m": ("skew", "lattice", {"A": ((0, 1), (1, 0))}),
-    "skew turns by a third": ("skew", "lattice", {"A": ((0, -1), (1, -1))}),
+    "skew without its m term": ("skew", "lattice", {"N": ((0, 0), (0, 0))}),
+    "skew A = ((1, -1), (0, 1))": ("skew", "lattice", {"N": ((0, -1), (0, 0))}),
+    "skew A = ((1, 2), (0, 1))": ("skew", "lattice", {"N": ((0, 2), (0, 0))}),
     "product table as it is": ("product", "support", {}),
     "product support stays put": ("product", "support", {"b": (0, 0, 0)}),
     "product shape grows": ("product", "support", {"b": (0, 0, 1)}),
     "product position moves by l": (
-        "product", "support", {"A": ((1, 0, 0), (1, 1, 0), (0, 0, 1)), "b": (0, 1, 0)}
+        "product", "support", {"N": ((0, 0, 0), (1, 0, 0), (0, 0, 0)), "b": (0, 1, 0)}
     ),
     "product constant moves": ("product", "constant", {"b": (3,)}),
+}
+
+#: Skew steps of order 2 and 3, whose orbits are no lattice lines, as map
+#: records (N, t, s): the table derived from them refuses them.
+CENSUS_RECORDS_NOT_UNIPOTENT = {
+    "skew swaps l and m": (((-1, 1), (1, -1)), (1, 0), 0),
+    "skew turns by a third": (((-1, 1), (-1, -2)), (1, 0), 0),
 }
 
 
@@ -383,31 +389,36 @@ def _orbits_are_lines(kind: str, k: int, truncation: int) -> bool:
     )
 
 
-@pytest.mark.parametrize("mutant", list(CENSUS_MUTANTS))
+@pytest.mark.parametrize("mutant", [*CENSUS_MUTANTS, *CENSUS_RECORDS_NOT_UNIPOTENT])
 def test_census_matches_the_walk_oracle(mutant, monkeypatch):
     """The counted census gives the report of the label-by-label walk,
     field for field, for every k in -4..4 whose orbits are lattice lines,
-    and refuses, naming the sector and k, a census over any other k.
-    Where no k is left, the census of no ks is refused too."""
+    and refuses, naming the sector and k, a census over any other k.  Its
+    ``dimension`` is the closed form of the basis size, 9 (1 + (N+1)(2N+1))
+    on the product and 9 (2N + 1) on the skew.  A step that is not
+    unipotent is refused by name where its table is derived."""
+    if mutant in CENSUS_RECORDS_NOT_UNIPOTENT:
+        monkeypatch.setitem(systems.MAPS, "skew", CENSUS_RECORDS_NOT_UNIPOTENT[mutant])
+        with pytest.raises(ValueError, match="^the skew step is not unipotent on the lattice sector$"):
+            koopman._koopman_table()
+        return
     kind, sector, fields = CENSUS_MUTANTS[mutant]
     entry = KOOPMAN_TABLE[kind][sector]._replace(**fields)
     monkeypatch.setitem(KOOPMAN_TABLE[kind], sector, entry)
     spec = SKEW if kind == "skew" else PRODUCT
     lines = [k for k in range(-4, 5) if _orbits_are_lines(kind, k, 3)]
     for k in sorted(set(range(-4, 5)) - set(lines)):
-        refusal = rf"^(K_{k} does not move the {kind}|the {kind} step is not unipotent on the) {sector} sector"
+        refusal = rf"^K_{k} does not move the {kind} {sector} sector along lattice lines"
         with pytest.raises(ValueError, match=refusal):
             next(residual_census(spec, (*lines, k), 3))
-    if not lines:
-        with pytest.raises(ValueError, match="^the residual census needs at least one k"):
-            next(residual_census(spec, lines, 3))
-        return
     for truncation in (2, 3, 4, 8, 13, 16):
         census = list(residual_census(spec, lines, truncation))
         assert [_census_fields(r) for r in census] == [
             _census_fields(census_by_walk(spec, k, truncation)) for k in lines
         ], truncation
-        assert all(r.dimension == census_nodes(kind, truncation) for r in census)
+        side = 2 * truncation + 1
+        dimension = 9 * (1 + (truncation + 1) * side if kind == "product" else side)
+        assert all(r.dimension == dimension for r in census)
 
 
 def test_census_refuses_a_table_whose_orbits_are_no_lines(monkeypatch):
@@ -422,7 +433,7 @@ def test_census_refuses_a_table_whose_orbits_are_no_lines(monkeypatch):
         next(census)
     assert str(caught.value) == (
         "K_2 does not move the product support sector along lattice lines: "
-        "(A - I)(b - k e_l) is not 0"
+        "N (b - k e_l) is not 0"
     )
 
 
