@@ -11,10 +11,10 @@ writes ``report.json`` and the files ``EXTRA_FILES`` lists for its
 scenario.  A run's config is built once: the scenario's ``DEFAULTS``,
 then the ``--config`` file, then the flags, merged as JSON and read by
 one ``ExperimentConfig.from_json``.  Each cost budget refuses inside the
-code it prices (the census and tower depth in ``tower``, the lag digits
-in ``mixing``), so a library caller is refused as a run is; only the
-sampling budget, on a sum over a run's systems, is checked here.
-Reports are deterministic byte for byte under a
+code it prices (the census work in ``tower``, the radicand digits in
+``quadratic``, the lag digits in ``mixing``), so a library caller is
+refused as a run is; only the sampling budget, on a sum over a run's
+systems, is checked here.  Reports are deterministic byte for byte under a
 fixed seed: one root seed is split into named substreams, no timestamps
 are recorded, and JSON keys are sorted.  Exit codes are a stable
 contract: 0 success, 2 inconclusive evidence, 1 error.

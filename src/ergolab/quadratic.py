@@ -5,9 +5,10 @@ integer?  do two angles generate the same subgroup of R/Z?) cannot be
 settled in floating point.  This module represents an angle as a
 quadratic irrational ``(p + q*sqrt(d)) / r`` and reduces all arithmetic
 on it to integer arithmetic, so every such question is decided exactly;
-a float is taken only of a finished exact value, correctly rounded.  No
-radicand is factored: sqrt(d) and sqrt(e) span one field exactly when
-d*e is a perfect square, which one integer square root decides.
+a float is taken only of a finished exact value, correctly rounded.  One
+integer square root decides each question about sqrt(d): a value's
+floor, hence its sign and order, and, with no radicand factored,
+whether sqrt(d) and sqrt(e) span one field (d*e a perfect square).
 :func:`floor_sums` sums the floors along a line of quadratic slope
 exactly, in O(log n) steps: it derives each complete quotient of the
 slope's continued fraction from the one before, and only as many as n
@@ -29,7 +30,6 @@ __all__ = [
     "SQRT2_MINUS_1",
     "floor_sums",
     "integral_combination",
-    "surd_sign",
 ]
 
 _Scalar = Union[int, Fraction]
@@ -61,27 +61,6 @@ def _same_field(d: int, e: int) -> Fraction | None:
     return Fraction(s, d) if s * s == d * e else None
 
 
-def surd_sign(a, b, d: int) -> int:
-    """Exact sign in {-1, 0, 1} of ``a + b*sqrt(d)``.
-
-    ``a`` and ``b`` are rationals or integers and ``d >= 2`` is not a
-    perfect square.  Opposite signs are settled by comparing ``a**2``
-    with ``b**2 * d``, so integer inputs cost a few integer operations.
-    """
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return 1 if b > 0 else -1
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    lhs, rhs = a * a, b * b * d
-    if a > 0:  # b < 0
-        return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-    return -1 if lhs > rhs else (1 if lhs < rhs else 0)
-
-
 def _floor_of(p: int, q: int, r: int, d: int) -> int:
     """``floor((p + q*sqrt(d)) / r)`` for integers with r != 0, exactly.
 
@@ -108,8 +87,9 @@ class QuadraticReal:
     most ``_MAX_RADICAND_DIGITS`` digits, kept as given unless it is a
     perfect square, which folds into ``a``: sqrt(8) equals, hashes and
     combines like 2*sqrt(2) (:func:`_same_field`).  Values with ``b == 0``
-    are plain rationals and combine with any field.  Comparisons,
-    ``floor`` and ``frac`` are exact.
+    are plain rationals and combine with any field.  ``floor`` is exact,
+    from one integer square root, and ``frac``, the sign and so every
+    comparison of an irrational value read it.
     """
 
     a: Fraction
@@ -205,8 +185,11 @@ class QuadraticReal:
     # -- exact order --------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, 1}."""
-        return surd_sign(self.a, self.b, self.d)
+        """Exact sign in {-1, 0, 1}: a rational's own; an irrational value
+        is positive exactly when its floor is at least 0."""
+        if self.b == 0:
+            return (self.a > 0) - (self.a < 0)
+        return 1 if self.floor() >= 0 else -1
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -315,7 +298,7 @@ class RotationNumber:
         x = self.exact
         if x.b == 0:
             raise ValueError(f"d={self.d} is a perfect square; angle would be rational")
-        if not (0 < x.sign() and (x - 1).sign() < 0):
+        if x.floor() != 0:  # x is irrational, so never 0 or 1
             raise ValueError("angle must lie strictly between 0 and 1")
 
     @property

@@ -206,12 +206,7 @@ class CylinderSet:
         return tuple(p for p, _ in self.constraints)
 
     def translate(self, offset: int) -> "CylinderSet":
-        # a translation keeps the positions sorted and distinct, so the
-        # result skips the constructor's sort and checks
-        moved = object.__new__(CylinderSet)
-        moved_constraints = tuple((p + offset, s) for p, s in self.constraints)
-        object.__setattr__(moved, "constraints", moved_constraints)
-        return moved
+        return CylinderSet(tuple((p + offset, s) for p, s in self.constraints))
 
     def merge(self, *others: "CylinderSet") -> Optional["CylinderSet"]:
         """The intersection with every set in ``others``: all their

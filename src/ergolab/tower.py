@@ -47,7 +47,7 @@ import math
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ._record import asdict, field, record
-from .koopman import KOOPMAN_TABLE, _bezout, _integer_solutions, _last_unknown_coset
+from .koopman import KOOPMAN_TABLE, _integer_solutions, _last_unknown_coset
 from .systems import InconclusiveEvidenceError, SystemSpec
 
 __all__ = [
@@ -103,9 +103,9 @@ class UnsupportedSystemError(ValueError):
 
 @record(frozen=True)
 class ModeSubgroup:
-    """A subgroup of Z^2 in Hermite normal form ``{x(a,b) + y(0,c)}``.
-
-    The normal form is unique, so equality is exact.
+    """A subgroup of Z^2 in Hermite normal form ``{x(a,b) + y(0,c)}``,
+    which ``from_generators`` reads off the integer solver
+    :func:`koopman._integer_solutions`.  It is unique, so equality is exact.
     """
 
     a: int
@@ -130,21 +130,15 @@ class ModeSubgroup:
 
     @classmethod
     def from_generators(cls, generators: Iterable[tuple[int, int]]) -> "ModeSubgroup":
-        a = b = c = 0
-        for p, q in generators:
-            if p == 0:
-                c = math.gcd(c, q)
-                continue
-            if a == 0:
-                a, b = p, q
-                continue
-            g = math.gcd(a, p)
-            # extended gcd: g = x*a + y*p
-            x, y = _bezout(a, p)
-            combo_b = x * b + y * q
-            c = math.gcd(c, (a // g) * q - (p // g) * b)
-            a, b = g, combo_b
-        return cls(a, b, c)
+        """a is the gcd of the first coordinates, b the second coordinate
+        of a combination with first coordinate a, and c the gcd of those
+        of a basis of the combinations with first coordinate 0."""
+        gens = list(generators)
+        ps, qs = [p for p, _ in gens], [q for _, q in gens]
+        a = math.gcd(*ps)
+        z, kernel = _integer_solutions([ps], [a])
+        c = math.gcd(*(sum(x * q for x, q in zip(v, qs)) for v in kernel))
+        return cls(a, sum(x * q for x, q in zip(z, qs)), c)
 
     def generators(self) -> list[tuple[int, int]]:
         gens = []

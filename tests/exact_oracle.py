@@ -1,5 +1,8 @@
 """Reference answers for the exact quadratic layer, kept as test oracles.
 
+* :func:`surd_sign` decides the sign of ``a + b*sqrt(d)`` by comparing
+  squares, a different route from ``QuadraticReal.sign``, which reads
+  the floor off one integer square root.
 * :func:`bracket_float` rounds a ``QuadraticReal`` to the nearest float
   by a different route from ``QuadraticReal.__float__``: mpmath proposes
   ``n = floor(2**K x)``, exact comparisons confirm ``n <= 2**K x < n + 1``,
@@ -21,7 +24,27 @@ from typing import Optional
 import mpmath
 
 from ergolab import QuadraticReal, RotationNumber, integral_combination
-from ergolab.quadratic import surd_sign
+
+
+def surd_sign(a, b, d: int) -> int:
+    """Exact sign in {-1, 0, 1} of ``a + b*sqrt(d)``.
+
+    ``a`` and ``b`` are rationals or integers and ``d >= 2`` is not a
+    perfect square.  Opposite signs are settled by comparing ``a**2``
+    with ``b**2 * d``, so integer inputs cost a few integer operations.
+    """
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    lhs, rhs = a * a, b * b * d
+    if a > 0:  # b < 0
+        return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
+    return -1 if lhs > rhs else (1 if lhs < rhs else 0)
 
 
 def bracket_float(x: QuadraticReal) -> float:

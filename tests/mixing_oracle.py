@@ -37,7 +37,8 @@ from ergolab import (
     sample_chunks,
 )
 from ergolab.mixing import _rotation_factor
-from ergolab.quadratic import surd_sign
+
+from exact_oracle import surd_sign
 
 
 class CircleOrbit:
@@ -47,7 +48,8 @@ class CircleOrbit:
 
     gamma and the four endpoints are put over one common denominator D,
     so every point is ``(P + Q*sqrt(d))/D`` with integers P and Q, and
-    every comparison is the integer sign test ``surd_sign``.
+    every comparison is the squares-based sign test ``surd_sign`` of
+    ``exact_oracle``, not the library's floor-based ``QuadraticReal.sign``.
     """
 
     def __init__(self, gamma: RotationNumber, A: TestSet, B: TestSet) -> None:

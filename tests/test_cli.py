@@ -585,7 +585,7 @@ def test_tower_depth_that_is_not_an_integer_is_refused(depth, tmp_path, capsys):
     assert capsys.readouterr().err == NO_DEPTH
 
 
-def test_tower_depth_above_the_level_budget_is_refused(tmp_path, capsys, monkeypatch):
+def test_any_tower_depth_is_refused_before_a_level_is_built(tmp_path, capsys, monkeypatch):
     """Any depth is refused by name, before any level is built: 30,001,
     once over the level budget, and 2 and 3, which once printed
     "depth None"."""

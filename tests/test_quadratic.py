@@ -26,7 +26,7 @@ from ergolab import (
 from ergolab import quadratic
 from ergolab.cli import ExperimentConfig
 
-from exact_oracle import bracket_float, floor_sums_term_by_term
+from exact_oracle import bracket_float, floor_sums_term_by_term, surd_sign
 from helpers import BENCH_ANGLES
 
 FIELDS = (2, 3, 5, 6, 7, 10)
@@ -161,6 +161,22 @@ def test_floor_of_large_parts_under_cancellation(k):
         assert value.floor() == want
 
 
+@pytest.mark.parametrize("k", [10, 40, 120])
+def test_sign_under_cancellation_agrees_with_the_squares_oracle(k):
+    """The sign read off the floor agrees with the oracle's comparison of
+    squares at +-(P - Q*sqrt(2)), about 10**(-k/2.6), shifted by rationals
+    of both signs that outweigh it (10**-(k//3)) or do not (10**-(k//2))."""
+    x = QuadraticReal.of(1) + QuadraticReal(Fraction(0), Fraction(1), 2)
+    power = QuadraticReal.of(1)
+    for _ in range(k):
+        power *= x
+    tiny = QuadraticReal(power.a, -power.b, 2)
+    shifts = [Fraction(0)] + [Fraction(e, 10**j) for j in (k // 3, k // 2) for e in (1, -1)]
+    for value in (t + shift for t in (tiny, -tiny) for shift in shifts):
+        assert value.sign() == surd_sign(value.a, value.b, 2) != 0
+        assert (value < 0) == (surd_sign(value.a, value.b, 2) < 0)
+
+
 @given(quadratics(5), quadratics(5))
 @settings(max_examples=200)
 def test_order_total_and_consistent(x, y):
@@ -209,6 +225,22 @@ def test_quadratic_angle_validation():
         RotationNumber(3, 1, 2, 1)  # outside (0, 1)
     with pytest.raises(ValueError):
         RotationNumber(-1, 1, 2, 0)  # zero denominator
+
+
+@pytest.mark.parametrize("p, q, inside", [
+    (-1393, 985, True),  # 985*sqrt(2) - 1393, about 3.6e-4
+    (1394, -985, True),  # 1 minus that
+    (1393, -985, False),  # about -3.6e-4
+    (-1392, 985, False),  # about 1 + 3.6e-4
+    (-2, 1, False),  # sqrt(2) - 2
+])
+def test_an_angle_is_refused_outside_the_open_unit_interval(p, q, inside):
+    """The range check reads the floor, so both ends are tested close by."""
+    if inside:
+        assert 0 < float(RotationNumber(p, q, 2).exact) < 1
+    else:
+        with pytest.raises(ValueError, match="^angle must lie strictly between 0 and 1$"):
+            RotationNumber(p, q, 2)
 
 
 def test_default_angle_value():

@@ -491,6 +491,17 @@ def test_a_law_is_read_once_as_exact_fractions():
         BernoulliSpec(("1/3", "2/3", "1e-11"), (0, 1, 2))
 
 
+def test_a_law_that_misses_1_by_exactly_the_tolerance_is_admitted():
+    """The tolerance is inclusive: a law that sums to exactly
+    1 + Fraction(1e-12), the float 1e-12's binary value, is divided by its
+    sum, and any more is refused."""
+    heavy = str(Fraction(1, 2) + Fraction(1e-12))  # one "p/q" string
+    law = BernoulliSpec(("1/2", heavy))
+    assert sum(law.probs) == 1 and law.probs[0] == Fraction(1, 2) / (1 + Fraction(1e-12))
+    with pytest.raises(ValueError, match="^probabilities sum to .*, not 1$"):
+        BernoulliSpec(("1/2", heavy, Fraction(1, 10**30)), (0, 1, 2))
+
+
 def test_system_spec_validation_and_labels():
     with pytest.raises(ValueError):
         SystemSpec(kind="rotation", gamma=None)
@@ -540,9 +551,9 @@ def test_cylinder_measure_is_shift_invariant(offset):
     st.integers(-100, 100),
 )
 def test_translate_equals_the_validated_constructor(constraints, offset):
-    """translate builds its result without the constructor's sort and
-    checks; it must equal what the constructor makes of the moved
-    constraints, field for field and by hash."""
+    """translate moves every position by the offset: it equals what the
+    constructor makes of the moved constraints, field for field and by
+    hash."""
     cyl = CylinderSet(tuple(constraints.items()))
     moved = cyl.translate(offset)
     built = CylinderSet(tuple((p + offset, s) for p, s in constraints.items()))

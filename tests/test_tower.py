@@ -194,18 +194,20 @@ def _work_begins(*args):
     raise AssertionError("the work began")
 
 
-def test_compute_tower_refuses_a_depth_over_the_budget(monkeypatch):
+def test_compute_tower_takes_no_depth_and_ends_at_the_first_repeat(monkeypatch):
     """The tower takes no depth, so there is no budget to exceed: a depth
     is refused before any level is built.  The levels end at the first
     repeat, d + 2 = 4 kernel solves on Z^2, or 3 where the step is the
-    identity.  A step that is not unipotent, whose levels need not end at
+    identity; the solves that put each kernel in normal form are not
+    counted.  A step that is not unipotent, whose levels need not end at
     level 4, never reaches the tower: its table is refused where it is
     derived from the map record."""
     solves = []
 
-    def counted(*args):
-        solves.append(args)
-        return _integer_solutions(*args)
+    def counted(rows, rhs):
+        if rhs == [0, 0]:  # a kernel of N^j on Z^2
+            solves.append(rows)
+        return _integer_solutions(rows, rhs)
 
     monkeypatch.setattr(tower, "_integer_solutions", counted)
     with pytest.raises(TypeError):
@@ -216,7 +218,7 @@ def test_compute_tower_refuses_a_depth_over_the_budget(monkeypatch):
     monkeypatch.setitem(KOOPMAN_TABLE["skew"], "lattice", lattice._replace(N=((0, 0), (0, 0))))
     levels = compute_tower(SKEW)
     assert [str(l.characters) for l in levels] == ["{0}", "Z^2", "Z^2"]
-    assert stabilization_depth(levels) == 2
+    assert len(solves) == 4 + 3 and stabilization_depth(levels) == 2
     # the step (l, m) -> (2l + m, l + m)
     monkeypatch.setitem(systems.MAPS, "skew", (((1, 1), (1, 0)), (1, 0), 0))
     with pytest.raises(ValueError, match="^the skew step is not unipotent on the lattice sector$"):
